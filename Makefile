@@ -52,20 +52,23 @@ ixpd-smoke:
 # internal/analysis (column-direct vs decode-then-classify index
 # construction), internal/lg (client hot paths) and
 # internal/telemetry (instrument overhead, including the
-# disabled-path zero-alloc pin) and internal/ixpd (the daemon's
-# cold/warm/304 serving tiers plus the socket-level load phases) — and
+# disabled-path zero-alloc pin), internal/ixpd (the daemon's
+# cold/warm/304 serving tiers plus the socket-level load phases) and
+# internal/report (LoadSnapshotDir over delta chains, sequential and
+# folded per IXP) — and
 # archives the merged results as
 # machine-readable JSON (BENCH_<yyyymmdd>.json), for comparison across
 # commits. The live text output still streams to the terminal, and the
 # archive is diffed against the previous one (informational here; the
 # enforcing gate is `make check`).
-BENCH_PKGS := . ./internal/collector ./internal/analysis ./internal/lg ./internal/telemetry ./internal/ixpd
+BENCH_PKGS := . ./internal/collector ./internal/analysis ./internal/lg ./internal/telemetry ./internal/ixpd ./internal/report
 bench:
 	$(GO) test -bench=. -benchmem -count=1 $(BENCH_PKGS) | $(GO) run ./cmd/benchjson -out BENCH_$(BENCH_DATE).json -date $(BENCH_DATE)
 	-$(GO) run ./cmd/benchdiff BENCH_$(BENCH_DATE).json
 
 # benchdiff guards the snapshot-codec and index-construction suites,
-# the tracing span-overhead tiers and the ixpd serving/load suites
+# the dataset load, the tracing span-overhead tiers and the ixpd
+# serving/load suites
 # (`benchdiff -h` prints the full guarded list): it compares the two newest
 # BENCH_*.json archives and fails on any ns/op regression above 20%. With fewer than two archives it is a
 # no-op, so check stays green on fresh clones.

@@ -12,12 +12,12 @@
 //	benchdiff OLD.json NEW.json  # explicit pair
 //
 // Only benchmarks matching -filter are guarded (default: the
-// snapshot-codec, delta-codec and index suites, the span-overhead
-// tiers, and the ixpd serving/load suites — the repo's perf-critical
-// paths, the tracing zero-cost contract, and the daemon's three-tier
-// serving pipeline). Benchmarks present on one side only are
-// reported but never fail the run — machines and dates differ, the
-// gate is for regressions in what both runs measured. Unguarded
+// snapshot-codec, delta-codec, index and dataset-load suites, the
+// span-overhead tiers, and the ixpd serving/load suites — the repo's
+// perf-critical paths, the tracing zero-cost contract, and the
+// daemon's three-tier serving pipeline). Benchmarks present on one
+// side only are reported but never fail the run — machines and dates
+// differ, the gate is for regressions in what both runs measured. Unguarded
 // benchmarks appearing or disappearing between the runs are listed
 // too, as informational added/removed lines, so a renamed or dropped
 // suite is visible instead of silently leaving the report.
@@ -63,8 +63,8 @@ type Delta struct {
 // gates: regressions here fail `make check`.
 var guardedSuites = []string{
 	"SnapshotCodec", "SnapshotStream", "SnapshotDelta",
-	"SeriesAdvance", "SeriesFullRebuild", "Index", "SpanOverhead",
-	"IxpdServe", "IxpdBench",
+	"SeriesAdvance", "SeriesFullRebuild", "Index", "LoadSnapshotDir",
+	"SpanOverhead", "IxpdServe", "IxpdBench",
 }
 
 func main() {

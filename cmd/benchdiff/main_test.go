@@ -70,7 +70,7 @@ func TestDefaultFilterGuardsIxpd(t *testing.T) {
 	guard := regexp.MustCompile("^(" + strings.Join(guardedSuites, "|") + ")")
 	for _, name := range []string{
 		"IxpdServe/cold", "IxpdServe/warm", "IxpdServe/etag304", "IxpdBench",
-		"IndexFromColumns", "SpanOverhead/off",
+		"IndexFromColumns", "SpanOverhead/off", "LoadSnapshotDir/parallel=1",
 	} {
 		if !guard.MatchString(name) {
 			t.Errorf("default filter misses guarded suite %s", name)

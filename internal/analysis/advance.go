@@ -7,13 +7,19 @@
 // the community values first seen in the delta's table extensions.
 // Per-day cost scales with churn, not with table size.
 //
-// The chain's shared lookup state (dense community ids, per-set
-// reductions, per-path peers, reference counts) lives in a
-// seriesState owned by the chain's newest index. Each Advance clones
-// the aggregate maps before patching them (runtime map cloning, not
-// re-insertion), so every earlier day's index stays immutable and
-// concurrently usable — exactly what Stability's per-day fan-out
-// needs — while only the owner may advance further.
+// The chain's shared lookup state (dense community ids with their
+// classes, per-set reductions, per-path peers, reference counts) lives
+// in a seriesState owned by the chain's newest index; a day's index
+// never reads it after construction. What a day owns is small: each
+// Advance clones the three incrementally patched aggregate maps (the
+// community-count histogram and the two per-AS counts — runtime map
+// cloning, not re-insertion) and materializes its ranking maps afresh,
+// and nothing else is copied per day — Index.Class answers from the
+// scheme, so no classification table travels with an index. Every
+// earlier day's index therefore stays immutable and concurrently
+// usable — what Stability's per-day fan-out and the report loader's
+// per-IXP chain fold rely on — while only the owner may advance
+// further.
 //
 // Equivalence is by construction: day 0 replays every route of the
 // base snapshot through the same applyRoute that the deltas use, and
@@ -96,9 +102,6 @@ type seriesState struct {
 	// the iteration domain of the per-day aggregate materialization.
 	actionIDs []int32
 
-	// classes accumulates every classification; each day's index gets
-	// a clone so it stays immutable while the chain classifies on.
-	classes      *classMemo
 	extClasses   map[bgp.ExtendedCommunity]dictionary.Class
 	largeClasses map[bgp.LargeCommunity]dictionary.Class
 
@@ -141,7 +144,6 @@ func (st *seriesState) registerCommSet(set []bgp.Community) {
 				}
 			}
 			st.idFlags = append(st.idFlags, flags)
-			st.classes.put(c, cl)
 			for f := range st.fam {
 				st.fam[f].idRefs = append(st.fam[f].idRefs, 0)
 			}
@@ -389,10 +391,12 @@ func (st *seriesState) finalize(ix *Index) {
 }
 
 // cloneFam copies one family's incrementally patched aggregates for
-// the next day's index; the materialized ranking maps are rebuilt per
-// day (materializeFam), so they start nil instead of cloned. The maps
-// clone at the runtime's bucket level (maps.Clone), so this costs
-// memory bandwidth, not re-insertion.
+// the next day's index — the only per-day copy a chain makes: three
+// maps sized by distinct community counts and announcing peers, not by
+// routes or distinct communities. The materialized ranking maps are
+// rebuilt per day (materializeFam), so they start nil instead of
+// cloned. The maps clone at the runtime's bucket level (maps.Clone),
+// so this costs memory bandwidth, not re-insertion.
 func cloneFam(src *familyStats) familyStats {
 	dst := *src
 	dst.commHist = maps.Clone(src.commHist)
@@ -445,7 +449,6 @@ func IndexSeriesFromReader(sr *collector.SnapshotReader, scheme *dictionary.Sche
 		scheme:       scheme,
 		digest:       digest,
 		commID:       make(map[bgp.Community]int32, 1024),
-		classes:      newClassMemo(64),
 		extClasses:   make(map[bgp.ExtendedCommunity]dictionary.Class, 32),
 		largeClasses: make(map[bgp.LargeCommunity]dictionary.Class, 32),
 		targetIDs:    make(map[uint32][]int32, 64),
@@ -511,7 +514,6 @@ func IndexSeriesFromReader(sr *collector.SnapshotReader, scheme *dictionary.Sche
 		return nil, err
 	}
 	st.finalize(ix)
-	ix.classes = st.classes.clone()
 	st.owner = ix
 	return ix, nil
 }
@@ -634,7 +636,6 @@ func (ix *Index) Advance(d *collector.DeltaReader) (*Index, error) {
 
 	st.digest = d.SelfDigest()
 	st.finalize(next)
-	next.classes = st.classes.clone()
 	st.owner = next
 	return next, nil
 }

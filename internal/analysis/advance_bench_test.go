@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -22,7 +23,7 @@ var seriesBench struct {
 	scheme *dictionary.Scheme
 }
 
-func seriesWorkload(b *testing.B) ([][]byte, []byte, [][]byte, *dictionary.Scheme) {
+func seriesWorkload(b testing.TB) ([][]byte, []byte, [][]byte, *dictionary.Scheme) {
 	b.Helper()
 	sb := &seriesBench
 	sb.once.Do(func() {
@@ -64,10 +65,13 @@ func (e errTest) Error() string { return string(e) }
 // BenchmarkSeriesAdvance analyses the 84-day series incrementally:
 // day 0 is indexed column-direct once, every later day advances the
 // previous day's index by its delta. This is the LoadSnapshotDir
-// default for delta chains.
+// default for delta chains. B/day is the heap cost of one more loaded
+// day, day 0's build included.
 func BenchmarkSeriesAdvance(b *testing.B) {
 	_, day0, deltas, scheme := seriesWorkload(b)
 	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sr, err := collector.NewSnapshotReaderBytes(day0, "day0.bin")
@@ -93,7 +97,11 @@ func BenchmarkSeriesAdvance(b *testing.B) {
 			b.Fatal("empty series")
 		}
 	}
-	b.ReportMetric(float64(len(deltas)+1), "days/op")
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	days := float64(len(deltas) + 1)
+	b.ReportMetric(days, "days/op")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/days, "B/day")
 }
 
 // BenchmarkSeriesFullRebuild is the same 84-day analysis without the

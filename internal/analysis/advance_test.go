@@ -3,8 +3,12 @@ package analysis
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 
+	"ixplight/internal/bgp"
 	"ixplight/internal/collector"
 	"ixplight/internal/dictionary"
 	"ixplight/internal/ixpgen"
@@ -206,5 +210,182 @@ func TestAdvanceSnapshotChain(t *testing.T) {
 	}
 	if _, err := AdvanceSnapshot(days[0], scheme, dr); err == nil {
 		t.Error("AdvanceSnapshot without an attached series index succeeded")
+	}
+}
+
+// TestClassIsSchemeClassify pins Index.Class as a pure function of the
+// scheme on every builder: values present in the snapshot, values
+// absent from it and 0xFFFFFFFF all answer scheme.Classify — there is
+// no per-index memo whose coverage could differ between builders.
+func TestClassIsSchemeClassify(t *testing.T) {
+	o := ixpgen.TemporalOptions{Days: 3, Seed: 11, Scale: 0.01}
+	days, day0, deltas, scheme := evolvedChain(t, "DE-CIX", o, 0.05)
+
+	sr, err := collector.NewSnapshotReaderBytes(day0, "day0.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	series, err := IndexSeriesFromReader(sr, scheme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	indexes := map[string]*Index{
+		"NewIndex":              NewIndex(days[0], scheme),
+		"IndexFromReader":       columnIndex(t, days[0], scheme),
+		"IndexSeriesFromReader": series,
+	}
+	for d, buf := range deltas {
+		dr, err := collector.NewDeltaReader(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if series, err = series.Advance(dr); err != nil {
+			t.Fatal(err)
+		}
+		indexes[fmt.Sprintf("Advance day %d", d+1)] = series
+	}
+
+	present := map[bgp.Community]bool{}
+	for _, s := range days {
+		for i := range s.Routes {
+			for _, c := range s.Routes[i].Communities {
+				present[c] = true
+			}
+		}
+	}
+	values := []bgp.Community{bgp.Community(^uint32(0)), 0}
+	for c := range present {
+		values = append(values, c)
+	}
+	for absent, c := 0, bgp.Community(0x7fff0000); absent < 64; c++ {
+		if !present[c] {
+			values = append(values, c)
+			absent++
+		}
+	}
+	for name, ix := range indexes {
+		for _, c := range values {
+			if got, want := ix.Class(c), scheme.Classify(c); got != want {
+				t.Fatalf("%s: Class(%v) = %+v, want scheme.Classify = %+v", name, c, got, want)
+			}
+		}
+	}
+}
+
+// TestEarlierDayReadableDuringAdvance pins the immutability Advance
+// promises and the report loader's per-IXP fold relies on: while day
+// N+1 is being derived, day N (and every earlier day) answers point
+// lookups from other goroutines with what it answered before. Run
+// under -race.
+func TestEarlierDayReadableDuringAdvance(t *testing.T) {
+	o := ixpgen.TemporalOptions{Days: 6, Seed: 3, Scale: 0.01}
+	days, day0, deltas, scheme := evolvedChain(t, "AMS-IX", o, 0.05)
+
+	var comms []bgp.Community
+	var peers []uint32
+	for i := range days[0].Routes {
+		r := &days[0].Routes[i]
+		if i%7 == 0 && len(r.Communities) > 0 {
+			comms = append(comms, r.Communities[0])
+			peers = append(peers, r.PeerAS())
+		}
+	}
+	type answers struct {
+		usage    []CommunityUsage
+		activity []ASActivity
+	}
+	read := func(ix *Index) answers {
+		var a answers
+		for _, c := range comms {
+			a.usage = append(a.usage, ix.CommunityUsage(c, false))
+		}
+		for _, p := range peers {
+			a.activity = append(a.activity, ix.ASActivity(p, false))
+		}
+		return a
+	}
+
+	sr, err := collector.NewSnapshotReaderBytes(day0, "day0.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := IndexSeriesFromReader(sr, scheme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain := []*Index{ix}
+	want := []answers{read(ix)}
+	for d, buf := range deltas {
+		dr, err := collector.NewDeltaReader(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		advanced := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range chain {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				for again := true; again; {
+					select {
+					case <-advanced:
+						again = false // one more pass after the successor exists
+					default:
+					}
+					if got := read(chain[i]); !reflect.DeepEqual(got, want[i]) {
+						t.Errorf("day %d changed its answers while day %d advanced", i, d+1)
+						return
+					}
+				}
+			}(i)
+		}
+		next, err := chain[len(chain)-1].Advance(dr)
+		close(advanced)
+		wg.Wait()
+		if err != nil {
+			t.Fatalf("day %d advance: %v", d+1, err)
+		}
+		chain = append(chain, next)
+		want = append(want, read(next))
+	}
+}
+
+// TestAdvanceBytesPerDay pins what one more chain day costs in heap
+// bytes, next to the allocation-count pin on the column build. At the
+// seed every Advance copied the chain's whole standard-community memo
+// (~780 kB a day on this series); what is cloned per day now is three
+// small aggregate maps. The ceiling is a third of the seed's figure.
+func TestAdvanceBytesPerDay(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc accounting under -short")
+	}
+	_, day0, deltas, scheme := seriesWorkload(t)
+	sr, err := collector.NewSnapshotReaderBytes(day0, "day0.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := IndexSeriesFromReader(sr, scheme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readers := make([]*collector.DeltaReader, len(deltas))
+	for i, buf := range deltas {
+		if readers[i], err = collector.NewDeltaReader(buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, dr := range readers {
+		if ix, err = ix.Advance(dr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perDay := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(readers))
+	t.Logf("%.0f B allocated per Advance over %d days", perDay, len(readers))
+	const ceiling = 250_000
+	if perDay > ceiling {
+		t.Errorf("Advance allocates %.0f B a day, ceiling %d (seed: ~780 kB, the per-day memo copy)", perDay, ceiling)
 	}
 }

@@ -252,16 +252,6 @@ func IndexFromReader(sr *collector.SnapshotReader, scheme *dictionary.Scheme) (*
 	setOff[len(comms)] = int32(len(setIDs))
 	sc.idComm, sc.idClass, sc.idMask, sc.idFlags = idComm, idClass, idMask, idFlags
 
-	// The index memo must end up with the same coverage NewIndex's
-	// does — every distinct community in the snapshot — so Class()
-	// and the accessors answer identically. The distinct count is
-	// known now; the ×1.5 keeps the load factor under the memo's ⅔
-	// grow threshold so the fill below never rehashes.
-	ix.classes = newClassMemo(3 * len(idComm) / 2)
-	for id, c := range idComm {
-		ix.classes.put(c, idClass[id])
-	}
-
 	ix.extClasses = make(map[bgp.ExtendedCommunity]dictionary.Class, 32)
 	extLen := grown(&sc.extLen, len(exts))
 	for ei, set := range exts {

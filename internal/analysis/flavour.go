@@ -110,9 +110,9 @@ func (v VisibilityReport) VisibilityGap() float64 {
 	return 1 - float64(v.CollectorActionInstances)/float64(v.LGActionInstances)
 }
 
-// countActions tallies known action instances across all flavours of a
-// route list.
-func countActions(routes []bgp.Route, scheme *dictionary.Scheme) int {
+// ActionInstances tallies known action instances across all flavours
+// of a route list.
+func ActionInstances(routes []bgp.Route, scheme *dictionary.Scheme) int {
 	n := 0
 	for _, r := range routes {
 		for _, c := range r.Communities {
@@ -139,8 +139,8 @@ func countActions(routes []bgp.Route, scheme *dictionary.Scheme) int {
 // peer).
 func CompareVisibility(ingress, exported []bgp.Route, scheme *dictionary.Scheme) VisibilityReport {
 	return VisibilityReport{
-		LGActionInstances:        countActions(ingress, scheme),
-		CollectorActionInstances: countActions(exported, scheme),
+		LGActionInstances:        ActionInstances(ingress, scheme),
+		CollectorActionInstances: ActionInstances(exported, scheme),
 		CollectorRoutes:          len(exported),
 	}
 }

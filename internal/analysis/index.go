@@ -51,9 +51,9 @@ type Index struct {
 	scheme  *dictionary.Scheme
 	members map[uint32]bool
 
-	// Memoized classification of every distinct community value seen
-	// in the snapshot, per flavour.
-	classes      *classMemo
+	// Memoized classification of every distinct extended and large
+	// community value seen in the snapshot. Standard communities carry
+	// no memo: Class answers from the scheme directly.
 	extClasses   map[bgp.ExtendedCommunity]dictionary.Class
 	largeClasses map[bgp.LargeCommunity]dictionary.Class
 
@@ -360,7 +360,8 @@ func NewIndexWorkers(s *collector.Snapshot, scheme *dictionary.Scheme, workers i
 }
 
 // classMemo memoizes the Class of distinct standard community
-// values. The calibrated workloads carry tens of thousands of
+// values for one indexShard while it folds routes; it does not outlive
+// the build. The calibrated workloads carry tens of thousands of
 // distinct standard values per snapshot (action communities target
 // many ASNs), and a builtin map of that size costs an allocation per
 // table group; since bgp.Community is a bare uint32 this fixed
@@ -443,29 +444,6 @@ func (m *classMemo) grow() {
 		if k != 0 {
 			m.put(bgp.Community(k-1), oldVals[i])
 		}
-	}
-}
-
-// clone returns an independent copy of the memo — two slice copies.
-// Advance snapshots the chain's growing memo per day with it, so each
-// day's index stays immutable while the chain classifies on.
-func (m *classMemo) clone() *classMemo {
-	c := *m
-	c.slots = append([]uint32(nil), m.slots...)
-	c.vals = append([]dictionary.Class(nil), m.vals...)
-	return &c
-}
-
-// each visits every memoized (community, class) pair, in no
-// particular order.
-func (m *classMemo) each(fn func(bgp.Community, dictionary.Class)) {
-	for i, k := range m.slots {
-		if k != 0 {
-			fn(bgp.Community(k-1), m.vals[i])
-		}
-	}
-	if m.hasMax {
-		fn(bgp.Community(^uint32(0)), m.maxVal)
 	}
 }
 
@@ -621,11 +599,9 @@ func (sh *indexShard) addRoute(r *bgp.Route, scheme *dictionary.Scheme, members 
 // merge folds the shards, in route order, into the final per-family
 // aggregates.
 func (ix *Index) merge(shards []*indexShard) {
-	ix.classes = shards[0].classes
 	ix.extClasses = shards[0].extClasses
 	ix.largeClasses = shards[0].largeClasses
 	for _, sh := range shards[1:] {
-		sh.classes.each(func(c bgp.Community, cl dictionary.Class) { ix.classes.put(c, cl) })
 		for e, cl := range sh.extClasses {
 			ix.extClasses[e] = cl
 		}
@@ -731,12 +707,10 @@ func (ix *Index) family(v6 bool) *familyStats {
 	return &ix.fam[0]
 }
 
-// Class returns the memoized classification of a standard community,
-// falling back to the scheme for values absent from the snapshot.
+// Class returns the classification of a standard community under the
+// index's scheme, whether or not the value occurs in the snapshot.
+// Scheme.Classify is a branch-only switch, so nothing is memoized.
 func (ix *Index) Class(c bgp.Community) dictionary.Class {
-	if cl, ok := ix.classes.get(c); ok {
-		return cl
-	}
 	return ix.scheme.Classify(c)
 }
 

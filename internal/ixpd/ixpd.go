@@ -393,15 +393,24 @@ func (s *Server) runFlight(gen *generation, key string, fl *flight, compute func
 		close(fl.done)
 	}()
 
+	// Admission: an uncontended compute takes its slot without arming a
+	// timer (under go 1.22 semantics an unstopped timer stays on the heap
+	// until it fires, a full RequestTimeout after the request is over).
 	select {
 	case s.sem <- struct{}{}:
-		defer func() { <-s.sem }()
-	case <-time.After(s.cfg.requestTimeout()):
-		s.met.rejected.Inc()
-		fl.status = http.StatusServiceUnavailable
-		fl.data = []byte(`{"error":"compute admission timed out"}` + "\n")
-		return
+	default:
+		wait := time.NewTimer(s.cfg.requestTimeout())
+		select {
+		case s.sem <- struct{}{}:
+			wait.Stop()
+		case <-wait.C:
+			s.met.rejected.Inc()
+			fl.status = http.StatusServiceUnavailable
+			fl.data = []byte(`{"error":"compute admission timed out"}` + "\n")
+			return
+		}
 	}
+	defer func() { <-s.sem }()
 
 	t0 := time.Now()
 	_, sp := telemetry.StartSpan(context.Background(), s.cfg.Telemetry, "ixpd.compute")

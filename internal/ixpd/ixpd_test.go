@@ -3,8 +3,10 @@ package ixpd
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -310,6 +312,82 @@ func TestAdmissionTimeout(t *testing.T) {
 	}
 	if s.Computes() != 0 {
 		t.Fatalf("compute counted despite rejection")
+	}
+}
+
+// TestAdmissionContended: a flight that finds every slot taken waits,
+// and runs its compute once a slot frees up inside the timeout.
+func TestAdmissionContended(t *testing.T) {
+	s := testServer(t, Config{MaxInFlight: 1, RequestTimeout: time.Minute})
+	s.sem <- struct{}{} // occupy the only slot
+	time.AfterFunc(10*time.Millisecond, func() { <-s.sem })
+
+	fl := &flight{done: make(chan struct{})}
+	s.runFlight(s.gen.Load(), "/test", fl, func(*generation) (any, error) {
+		return map[string]string{"ok": "true"}, nil
+	})
+	<-fl.done
+	if fl.status != http.StatusOK || s.Computes() != 1 {
+		t.Fatalf("status %d, computes %d; want 200 after one compute", fl.status, s.Computes())
+	}
+	if len(s.sem) != 0 {
+		t.Fatalf("admission slot not released: %d held", len(s.sem))
+	}
+}
+
+// liveHeap is HeapAlloc once the collector stops finding garbage.
+func liveHeap() uint64 {
+	var m runtime.MemStats
+	prev := uint64(math.MaxUint64)
+	for i := 0; i < 6; i++ {
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		if m.HeapAlloc >= prev {
+			break
+		}
+		prev = m.HeapAlloc
+	}
+	return min(prev, m.HeapAlloc)
+}
+
+// TestColdRequestsHoldNoTimers: uncontended cold requests must leave
+// nothing on the heap once answered. A timer armed per compute and
+// never stopped stays reachable until RequestTimeout passes (go 1.22
+// timer semantics) — some 200–300 B a request, 2–3 MB over this burst.
+func TestColdRequestsHoldNoTimers(t *testing.T) {
+	s := testServer(t, Config{RequestTimeout: time.Minute})
+	h := s.Handler()
+	var meta MetaDoc
+	_, _, body := doGet(t, h, "/v1/meta", "")
+	if err := json.Unmarshal([]byte(body), &meta); err != nil {
+		t.Fatal(err)
+	}
+	asn := meta.IXPs[0].SampleASNs[0]
+
+	const n = 10_000
+	nonce := 0
+	burst := func() {
+		for i := 0; i < n; i++ {
+			nonce++
+			req := httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/as/%d?nonce=%d", asn, nonce), nil)
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("cold request %d: code %d", i, rec.Code)
+			}
+		}
+	}
+	burst() // fills the response cache to its bound, so the cache cancels out
+	before := liveHeap()
+	computes := s.Computes()
+	burst()
+	after := liveHeap()
+	if got := s.Computes() - computes; got != n {
+		t.Fatalf("%d computes for %d cold requests", got, n)
+	}
+	if grown := int64(after) - int64(before); grown > 64*n {
+		t.Fatalf("live heap grew %d B over %d cold requests (%.0f B/request); a held timer costs 200+",
+			grown, n, float64(grown)/n)
 	}
 }
 

@@ -64,6 +64,31 @@ func TestExpAllParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestVisibilityParallelMatchesSequential pins the visibility fan-out:
+// the four per-profile route-server simulations land in ordered slots,
+// so the experiment's output is byte-identical whether they run one
+// after the other or on more workers than profiles. Cheap enough for
+// -race -count=10, which the full battery above is not.
+func TestVisibilityParallelMatchesSequential(t *testing.T) {
+	run := func(workers int) []byte {
+		lab := NewLabShell(ixpgen.BigFour(), 42, 0.004, workers)
+		var buf bytes.Buffer
+		if err := lab.Run(&buf, "visibility"); err != nil {
+			t.Fatalf("parallel=%d: %v", workers, err)
+		}
+		return buf.Bytes()
+	}
+	seq := run(1)
+	if n := bytes.Count(seq, []byte("invisible\n")); n != len(ixpgen.BigFour()) {
+		t.Fatalf("sequential output has %d IXP rows, want %d:\n%s", n, len(ixpgen.BigFour()), seq)
+	}
+	for _, workers := range []int{2, 8} {
+		if par := run(workers); !bytes.Equal(par, seq) {
+			t.Errorf("parallel=%d output differs from sequential:\n%s\nvs\n%s", workers, par, seq)
+		}
+	}
+}
+
 // TestRunPoolErrorSemantics pins the pool's sequential-compatible
 // error behaviour: the lowest failing index wins regardless of worker
 // count, and RunMany keeps exactly the outputs preceding it.

@@ -9,7 +9,6 @@ import (
 
 	"ixplight/internal/analysis"
 	"ixplight/internal/asdb"
-	"ixplight/internal/bgp"
 	"ixplight/internal/collector"
 	"ixplight/internal/ixpgen"
 	"ixplight/internal/netutil"
@@ -44,11 +43,12 @@ type Lab struct {
 	// Seed and Scale record how the lab was generated.
 	Seed  int64
 	Scale float64
-	// Parallel bounds the lab's worker pools (experiment fan-out in
-	// RunMany, series generation). 0 or less means
-	// runtime.GOMAXPROCS(0); 1 runs everything sequentially. Results
-	// are identical for any value — parallel work lands in ordered
-	// slots.
+	// Parallel bounds the lab's worker pools (file decode and per-IXP
+	// chain fold in LoadSnapshotDir, experiment fan-out in RunMany,
+	// visibility's per-profile simulations, series generation). 0 or
+	// less means runtime.GOMAXPROCS(0); 1 runs everything sequentially.
+	// Results are identical for any value — parallel work lands in
+	// ordered slots.
 	Parallel int
 	// Materialize forces LoadSnapshotDir to decode full []bgp.Route
 	// snapshots even for columnar binary files. By default those files
@@ -393,39 +393,60 @@ func (l *Lab) runHygiene(w io.Writer) error {
 // runVisibility reports the methodological experiment behind the
 // paper's vantage-point choice: the share of action communities that
 // a classic route collector never sees because the RS scrubs them.
+// Each profile simulates its own route server, so the profiles run on
+// the lab's worker pool into ordered slots.
 func (l *Lab) runVisibility(w io.Writer) error {
 	Section(w, "Methodology — action community visibility: looking glass vs route collector")
-	for _, p := range l.Profiles {
-		server, err := rs.New(rs.Config{Scheme: p.Scheme, ScrubActions: true})
-		if err != nil {
-			return err
-		}
-		wl, err := ixpgen.Generate(p, ixpgen.Options{Seed: l.Seed, Scale: min(l.Scale, 0.01)})
-		if err != nil {
-			return err
-		}
-		if err := wl.Populate(server); err != nil {
-			return err
-		}
-		// The collector peers like a member and receives the post-action
-		// export; the LG view is the union of all Adj-RIB-Ins.
-		const collectorASN = 65010
-		if err := server.AddPeer(rs.Peer{ASN: collectorASN, Name: "route-collector",
-			AddrV4: netutil.PeerAddrV4(9999), AddrV6: netutil.PeerAddrV6(9999),
-			IPv4: true, IPv6: true}); err != nil {
-			return err
-		}
-		var ingress []bgp.Route
-		for _, peer := range server.Peers() {
-			ingress = append(ingress, server.AcceptedRoutes(peer.ASN)...)
-		}
-		exported := server.ExportTo(collectorASN)
-		v := analysis.CompareVisibility(ingress, exported, p.Scheme)
+	reports := make([]analysis.VisibilityReport, len(l.Profiles))
+	if _, err := runPool(len(l.Profiles), l.workers(), func(i int) (err error) {
+		reports[i], err = l.visibilityOf(l.Profiles[i])
+		return err
+	}); err != nil {
+		return err
+	}
+	for i, p := range l.Profiles {
+		v := reports[i]
 		fmt.Fprintf(w, "%s: LG sees %d action instances; collector sees %d over %d routes → %.1f%% invisible\n",
 			p.IXP, v.LGActionInstances, v.CollectorActionInstances, v.CollectorRoutes,
 			100*v.VisibilityGap())
 	}
 	return nil
+}
+
+// visibilityOf populates one profile's scrubbing route server and
+// compares what its looking glass shows with what a collector peering
+// like a member receives.
+func (l *Lab) visibilityOf(p ixpgen.Profile) (analysis.VisibilityReport, error) {
+	var none analysis.VisibilityReport
+	server, err := rs.New(rs.Config{Scheme: p.Scheme, ScrubActions: true})
+	if err != nil {
+		return none, err
+	}
+	wl, err := ixpgen.Generate(p, ixpgen.Options{Seed: l.Seed, Scale: min(l.Scale, 0.01)})
+	if err != nil {
+		return none, err
+	}
+	if err := wl.Populate(server); err != nil {
+		return none, err
+	}
+	// The collector peers like a member and receives the post-action
+	// export; the LG view is the union of all Adj-RIB-Ins, counted peer
+	// by peer.
+	const collectorASN = 65010
+	if err := server.AddPeer(rs.Peer{ASN: collectorASN, Name: "route-collector",
+		AddrV4: netutil.PeerAddrV4(9999), AddrV6: netutil.PeerAddrV6(9999),
+		IPv4: true, IPv6: true}); err != nil {
+		return none, err
+	}
+	exported := server.ExportTo(collectorASN)
+	v := analysis.VisibilityReport{
+		CollectorActionInstances: analysis.ActionInstances(exported, p.Scheme),
+		CollectorRoutes:          len(exported),
+	}
+	for _, peer := range server.Peers() {
+		v.LGActionInstances += analysis.ActionInstances(server.AcceptedRoutes(peer.ASN), p.Scheme)
+	}
+	return v, nil
 }
 
 // runIntersect reports the §5.4 cross-IXP target overlaps.

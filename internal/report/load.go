@@ -32,8 +32,10 @@ import (
 // the same directory: by default each day's index is advanced
 // incrementally from the previous day's (never materializing the
 // routes), unless l.Materialize or l.NoIncremental force the chain
-// through a materializing DeltaApplier. A delta whose base snapshot is
-// missing from dir is an error.
+// through a materializing DeltaApplier. Chains fold on the worker pool,
+// one task per IXP, each in date order. A delta whose base snapshot is
+// missing from dir is an error; when several chains are broken the
+// error is the lexically first IXP's earliest broken day.
 func (l *Lab) LoadSnapshotDir(dir string) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -108,7 +110,7 @@ func (l *Lab) LoadSnapshotDir(dir string) error {
 	}
 
 	if len(deltas) > 0 {
-		chained, err := applyDeltaChains(snaps, deltas, deltaFiles, schemes, incremental)
+		chained, err := applyDeltaChains(snaps, deltas, deltaFiles, schemes, incremental, l.workers())
 		if err != nil {
 			return err
 		}
@@ -130,62 +132,86 @@ func (l *Lab) LoadSnapshotDir(dir string) error {
 
 func chainKey(ixp, date string) string { return ixp + "\x00" + date }
 
-// applyDeltaChains reconstructs every delta day, in date order per
-// chain, from the loaded base snapshots. On the incremental path a
-// chain base carries a series index (loadSnapshotFile built it that
-// way) and each day advances the previous day's index; otherwise the
-// chain runs through a materializing DeltaApplier. Either way the
-// reconstructed day joins the pool a later delta may build on.
-func applyDeltaChains(snaps []*collector.Snapshot, deltas []*collector.DeltaReader, names []string, schemes map[string]*dictionary.Scheme, incremental bool) ([]*collector.Snapshot, error) {
-	byDate := make(map[string]*collector.Snapshot, len(snaps)+len(deltas))
-	for _, s := range snaps {
-		byDate[chainKey(s.IXP, s.Date)] = s
-	}
-	order := make([]int, len(deltas))
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortStableFunc(order, func(a, b int) int {
-		return strings.Compare(deltas[a].Header().Date, deltas[b].Header().Date)
-	})
-
-	appliers := map[string]*collector.DeltaApplier{}
-	var chained []*collector.Snapshot
-	for _, i := range order {
-		dr := deltas[i]
+// applyDeltaChains reconstructs every delta day from the loaded base
+// snapshots. Every lookup is keyed by IXP, so the chains of different
+// IXPs never interact: the deltas are grouped by IXP and each group
+// folds, in date order, as one task on the worker pool. Groups run in
+// lexical IXP order and runPool reports its lowest failing task, so
+// the error is the one the sequential loop hits — the first IXP's
+// earliest broken day — for any worker count.
+//
+// On the incremental path a chain base carries a series index
+// (loadSnapshotFile built it that way) and each day advances the
+// previous day's index; otherwise the chain runs through a
+// materializing DeltaApplier. Either way the reconstructed day joins
+// its IXP's days, where a later delta finds its base.
+func applyDeltaChains(snaps []*collector.Snapshot, deltas []*collector.DeltaReader, names []string, schemes map[string]*dictionary.Scheme, incremental bool, workers int) ([]*collector.Snapshot, error) {
+	groups := map[string][]int{} // IXP → indexes into deltas and names
+	for i, dr := range deltas {
 		ixp := dr.Header().IXP
-		baseKey := chainKey(ixp, dr.BaseDate())
-		base := byDate[baseKey]
-		if base == nil {
-			return nil, fmt.Errorf("apply %s: no snapshot for base day %s of %s", names[i], dr.BaseDate(), ixp)
-		}
-		var next *collector.Snapshot
-		if incremental && base.Routes == nil {
-			s, err := analysis.AdvanceSnapshot(base, schemes[ixp], dr)
-			if err != nil {
-				return nil, fmt.Errorf("apply %s: %w", names[i], err)
-			}
-			next = s
-		} else {
-			app := appliers[baseKey]
-			if app == nil {
-				var err error
-				if app, err = collector.NewDeltaApplier(base); err != nil {
-					return nil, fmt.Errorf("apply %s: %w", names[i], err)
-				}
-			}
-			s, err := app.Apply(dr)
-			if err != nil {
-				return nil, fmt.Errorf("apply %s: %w", names[i], err)
-			}
-			delete(appliers, baseKey)
-			appliers[chainKey(ixp, s.Date)] = app
-			next = s
-		}
-		byDate[chainKey(ixp, next.Date)] = next
-		chained = append(chained, next)
+		groups[ixp] = append(groups[ixp], i)
 	}
-	return chained, nil
+	ixps := make([]string, 0, len(groups))
+	// byDate[ixp] is written only by that IXP's task.
+	byDate := make(map[string]map[string]*collector.Snapshot, len(groups))
+	for ixp, order := range groups {
+		ixps = append(ixps, ixp)
+		byDate[ixp] = make(map[string]*collector.Snapshot, len(order)+1)
+		slices.SortStableFunc(order, func(a, b int) int {
+			return strings.Compare(deltas[a].Header().Date, deltas[b].Header().Date)
+		})
+	}
+	slices.Sort(ixps)
+	for _, s := range snaps {
+		if days := byDate[s.IXP]; days != nil {
+			days[s.Date] = s
+		}
+	}
+
+	chained := make([][]*collector.Snapshot, len(ixps))
+	fold := func(g int) error {
+		ixp := ixps[g]
+		days := byDate[ixp]
+		appliers := map[string]*collector.DeltaApplier{} // keyed by the date the applier stands at
+		for _, i := range groups[ixp] {
+			dr := deltas[i]
+			baseDate := dr.BaseDate()
+			base := days[baseDate]
+			if base == nil {
+				return fmt.Errorf("apply %s: no snapshot for base day %s of %s", names[i], baseDate, ixp)
+			}
+			var next *collector.Snapshot
+			if incremental && base.Routes == nil {
+				s, err := analysis.AdvanceSnapshot(base, schemes[ixp], dr)
+				if err != nil {
+					return fmt.Errorf("apply %s: %w", names[i], err)
+				}
+				next = s
+			} else {
+				app := appliers[baseDate]
+				if app == nil {
+					var err error
+					if app, err = collector.NewDeltaApplier(base); err != nil {
+						return fmt.Errorf("apply %s: %w", names[i], err)
+					}
+				}
+				s, err := app.Apply(dr)
+				if err != nil {
+					return fmt.Errorf("apply %s: %w", names[i], err)
+				}
+				delete(appliers, baseDate)
+				appliers[s.Date] = app
+				next = s
+			}
+			days[next.Date] = next
+			chained[g] = append(chained[g], next)
+		}
+		return nil
+	}
+	if _, err := runPool(len(ixps), workers, fold); err != nil {
+		return nil, err
+	}
+	return slices.Concat(chained...), nil
 }
 
 // loadSnapshotFile decodes one native snapshot file through the

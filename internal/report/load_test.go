@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -171,7 +172,7 @@ func TestLoadSnapshotDirSeries(t *testing.T) {
 // a delta chain (day 0 full binary, every later day a .delta), and
 // the same days into fullDir as full binary files. Returns the
 // materialized series per IXP.
-func writeDeltaChain(t *testing.T, profiles []ixpgen.Profile, dir, fullDir string, o ixpgen.TemporalOptions) map[string][]*collector.Snapshot {
+func writeDeltaChain(t testing.TB, profiles []ixpgen.Profile, dir, fullDir string, o ixpgen.TemporalOptions) map[string][]*collector.Snapshot {
 	t.Helper()
 	series := map[string][]*collector.Snapshot{}
 	for _, p := range profiles {
@@ -309,5 +310,107 @@ func TestLoadSnapshotDirDeltaMissingBase(t *testing.T) {
 		t.Fatal("loading a delta chain without its base succeeded")
 	} else if !strings.Contains(err.Error(), "no snapshot for base day") {
 		t.Fatalf("unexpected error: %v", err)
+	}
+}
+
+// loadAndRunAll loads dir into a fresh shell lab at the given worker
+// budget and returns the concatenated `-exp all` output.
+func loadAndRunAll(t *testing.T, profiles []ixpgen.Profile, dir string, workers int, cfg func(*Lab)) []byte {
+	t.Helper()
+	lab := NewLabShell(profiles, 42, 0.002, workers)
+	if cfg != nil {
+		cfg(lab)
+	}
+	if err := lab.LoadSnapshotDir(dir); err != nil {
+		t.Fatalf("parallel=%d: %v", workers, err)
+	}
+	outs, err := lab.RunMany(ExperimentNames)
+	if err != nil {
+		t.Fatalf("parallel=%d: %v", workers, err)
+	}
+	return bytes.Join(outs, nil)
+}
+
+// TestLoadSnapshotDirParallelFold pins the per-IXP chain fold: a
+// four-IXP .bin + .delta dataset yields byte-identical `-exp all`
+// output whether the chains fold on one worker, on fewer workers than
+// IXPs or on more, and that output equals the Materialize reference,
+// which shares no index builder with the fold. Run under -race.
+func TestLoadSnapshotDirParallelFold(t *testing.T) {
+	profiles := ixpgen.BigFour()
+	o := ixpgen.TemporalOptions{Seed: 42, Scale: 0.002, Days: 5, ValleyDays: []int{3}}
+	chainDir := t.TempDir()
+	writeDeltaChain(t, profiles, chainDir, t.TempDir(), o)
+
+	want := loadAndRunAll(t, profiles, chainDir, 1, func(l *Lab) { l.Materialize = true })
+	for _, workers := range []int{1, 2, 8} {
+		if got := loadAndRunAll(t, profiles, chainDir, workers, nil); !bytes.Equal(got, want) {
+			t.Errorf("parallel=%d: output differs from the Materialize reference (%d vs %d bytes)",
+				workers, len(got), len(want))
+		}
+	}
+}
+
+// TestLoadSnapshotDirBrokenChainsDeterministic pins which failure a
+// directory with several broken chains reports: the lexically first
+// broken IXP's, and within it the earliest broken day's — not whichever
+// worker lost the race, and not the earliest date across IXPs (LINX
+// breaks a day before DE-CIX here). The error stays wrapped as
+// "apply <file>: …" and errors.Is-able.
+func TestLoadSnapshotDirBrokenChainsDeterministic(t *testing.T) {
+	profiles := ixpgen.BigFour()
+	o := ixpgen.TemporalOptions{Seed: 42, Scale: 0.002, Days: 6}
+	chainDir := t.TempDir()
+	series := writeDeltaChain(t, profiles, chainDir, t.TempDir(), o)
+	deltaPath := func(dir, ixp string, day int) string {
+		return filepath.Join(dir, ixp+"-"+series[ixp][day].Date+collector.DeltaExt)
+	}
+	remove := func(ixp string, day int) {
+		t.Helper()
+		if err := os.Remove(deltaPath(chainDir, ixp, day)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// DE-CIX day 3 comes from a differently seeded chain: same base date,
+	// wrong base digest. Day 5 loses its base, a later break in the same
+	// chain. LINX day 2 loses its base: an earlier date, a later IXP.
+	foreignDir := t.TempDir()
+	foreign := o
+	foreign.Seed = 43
+	writeDeltaChain(t, []ixpgen.Profile{*ixpgen.ProfileByName("DE-CIX")}, foreignDir, t.TempDir(), foreign)
+	alien, err := os.ReadFile(deltaPath(foreignDir, "DE-CIX", 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(deltaPath(chainDir, "DE-CIX", 3), alien, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	remove("DE-CIX", 4)
+	remove("LINX", 1)
+
+	load := func(workers int, noIncremental bool) error {
+		lab := NewLabShell(profiles, 42, 0.002, workers)
+		lab.NoIncremental = noIncremental
+		return lab.LoadSnapshotDir(chainDir)
+	}
+	wantPrefix := "apply " + filepath.Base(deltaPath(chainDir, "DE-CIX", 3)) + ": "
+	for _, noInc := range []bool{false, true} {
+		for _, workers := range []int{1, 8} {
+			err := load(workers, noInc)
+			if err == nil || !strings.HasPrefix(err.Error(), wantPrefix) || !errors.Is(err, collector.ErrDeltaBaseMismatch) {
+				t.Errorf("parallel=%d noIncremental=%v: got %v, want %q… wrapping ErrDeltaBaseMismatch",
+					workers, noInc, err, wantPrefix)
+			}
+		}
+	}
+
+	// Without the alien day, DE-CIX's first break is day 5's missing base.
+	remove("DE-CIX", 3)
+	wantPrefix = "apply " + filepath.Base(deltaPath(chainDir, "DE-CIX", 5)) + ": no snapshot for base day"
+	for _, workers := range []int{1, 8} {
+		if err := load(workers, false); err == nil || !strings.HasPrefix(err.Error(), wantPrefix) {
+			t.Errorf("parallel=%d: got %v, want %q…", workers, err, wantPrefix)
+		}
 	}
 }
