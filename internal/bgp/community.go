@@ -27,7 +27,27 @@ func (c Community) Value() uint16 { return uint16(c) }
 
 // String renders the community in the canonical "asn:value" notation.
 func (c Community) String() string {
-	return strconv.Itoa(int(c.ASN())) + ":" + strconv.Itoa(int(c.Value()))
+	return string(c.AppendTo(make([]byte, 0, 11)))
+}
+
+// AppendTo appends the String form to b.
+func (c Community) AppendTo(b []byte) []byte {
+	b = appendDecimal(b, uint32(c.ASN()))
+	b = append(b, ':')
+	return appendDecimal(b, uint32(c.Value()))
+}
+
+// appendDecimal is strconv.AppendUint(b, uint64(v), 10) without its
+// generality: community text is most of a looking-glass page, two
+// short numbers at a time.
+func appendDecimal(b []byte, v uint32) []byte {
+	var buf [10]byte
+	i := len(buf) - 1
+	for ; v >= 10; i, v = i-1, v/10 {
+		buf[i] = byte('0' + v%10)
+	}
+	buf[i] = byte('0' + v)
+	return append(b, buf[i:]...)
 }
 
 // Well-known communities from RFC 1997 and RFC 7999. The original

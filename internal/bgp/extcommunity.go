@@ -2,6 +2,7 @@ package bgp
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"strconv"
 	"strings"
@@ -58,10 +59,19 @@ func (e ExtendedCommunity) LocalAdmin() uint32 { return binary.BigEndian.Uint32(
 // String renders two-octet-AS-specific values as "type:asn:local" and
 // anything else as raw hex.
 func (e ExtendedCommunity) String() string {
-	if e.IsTwoOctetAS() {
-		return fmt.Sprintf("%d:%d:%d", e.SubType(), e.ASN(), e.LocalAdmin())
+	return string(e.AppendTo(make([]byte, 0, 20)))
+}
+
+// AppendTo appends the String form to b.
+func (e ExtendedCommunity) AppendTo(b []byte) []byte {
+	if !e.IsTwoOctetAS() {
+		return hex.AppendEncode(b, e[:])
 	}
-	return fmt.Sprintf("%x", e[:])
+	b = appendDecimal(b, uint32(e.SubType()))
+	b = append(b, ':')
+	b = appendDecimal(b, uint32(e.ASN()))
+	b = append(b, ':')
+	return appendDecimal(b, e.LocalAdmin())
 }
 
 // ParseExtendedCommunity parses the "subtype:asn:local" notation

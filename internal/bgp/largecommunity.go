@@ -19,9 +19,16 @@ type LargeCommunity struct {
 
 // String renders the canonical "global:local1:local2" notation.
 func (l LargeCommunity) String() string {
-	return strconv.FormatUint(uint64(l.Global), 10) + ":" +
-		strconv.FormatUint(uint64(l.Local1), 10) + ":" +
-		strconv.FormatUint(uint64(l.Local2), 10)
+	return string(l.AppendTo(make([]byte, 0, 32)))
+}
+
+// AppendTo appends the String form to b.
+func (l LargeCommunity) AppendTo(b []byte) []byte {
+	b = appendDecimal(b, l.Global)
+	b = append(b, ':')
+	b = appendDecimal(b, l.Local1)
+	b = append(b, ':')
+	return appendDecimal(b, l.Local2)
 }
 
 // ParseLargeCommunity parses the "global:local1:local2" notation.

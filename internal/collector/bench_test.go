@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
@@ -51,45 +52,69 @@ func benchFixture(b *testing.B, nPeers, routesPer int) *rs.Server {
 	return server
 }
 
-// BenchmarkCollect measures one full LG crawl against a simulated
-// 120-neighbor looking glass with 1ms of per-request latency (the
-// network round trip that dominates a real crawl). The sequential and
-// parallel variants collect byte-identical snapshots; the parallel
-// ones overlap the latency across the neighbor worker pool. The flaky
-// variants add a 5% transient error rate to show the fan-out keeps
-// its advantage when retries are in play.
+// ribFixture is the collection path's reference workload: the AMS-IX
+// profile at the scale benchmarks/e2e crawls (16 neighbors, ~6.3 k
+// routes of ~20 communities each), populated into a route server.
+func ribFixture(tb testing.TB) (server *rs.Server, routes int) {
+	tb.Helper()
+	p := ixpgen.ProfileByName("AMS-IX")
+	w, err := ixpgen.Generate(*p, ixpgen.Options{Seed: 1, Scale: 0.02})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if server, err = rs.New(rs.Config{Scheme: p.Scheme, MaxPathLen: 64, ScrubActions: true}); err != nil {
+		tb.Fatal(err)
+	}
+	if err := w.Populate(server); err != nil {
+		tb.Fatal(err)
+	}
+	st := server.Stats()
+	return server, st.RoutesV4 + st.RoutesV6
+}
+
+// BenchmarkCollect measures one full LG crawl. The first five cases
+// run against a simulated 120-neighbor looking glass with 1ms of
+// per-request latency (the network round trip that dominates a real
+// crawl): the sequential and parallel variants collect byte-identical
+// snapshots, the parallel ones overlap the latency across the neighbor
+// worker pool, and the flaky variants add a 5% transient error rate to
+// show the fan-out keeps its advantage when retries are in play. The
+// rib case removes the latency and crawls a paper-shaped table over
+// loopback, so what is left is the collection path's own work — LG
+// page rendering, page scanning, assembly — per route.
 func BenchmarkCollect(b *testing.B) {
 	const (
 		nPeers    = 120
 		routesPer = 4
 		latency   = time.Millisecond
 	)
-	server := benchFixture(b, nPeers, routesPer)
+	rib, ribRoutes := ribFixture(b)
+	small := benchFixture(b, nPeers, routesPer)
 	cases := []struct {
 		name    string
+		server  *rs.Server
+		routes  int
 		workers int
-		flaky   bool
+		fopts   lg.FlakyOptions
 	}{
-		{"sequential", 1, false},
-		{"parallel=4", 4, false},
-		{"parallel=8", 8, false},
-		{"flaky/sequential", 1, true},
-		{"flaky/parallel=8", 8, true},
+		{"sequential", small, nPeers * routesPer, 1, lg.FlakyOptions{Latency: latency}},
+		{"parallel=4", small, nPeers * routesPer, 4, lg.FlakyOptions{Latency: latency}},
+		{"parallel=8", small, nPeers * routesPer, 8, lg.FlakyOptions{Latency: latency}},
+		{"flaky/sequential", small, nPeers * routesPer, 1, lg.FlakyOptions{Latency: latency, ErrorRate: 0.05, Seed: 1}},
+		{"flaky/parallel=8", small, nPeers * routesPer, 8, lg.FlakyOptions{Latency: latency, ErrorRate: 0.05, Seed: 1}},
+		{"rib/parallel=2", rib, ribRoutes, 2, lg.FlakyOptions{}},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
-			fopts := lg.FlakyOptions{Latency: latency}
-			if tc.flaky {
-				fopts.ErrorRate = 0.05
-				fopts.Seed = 1
-			}
-			ts := httptest.NewServer(lg.Flaky(lg.NewServer(server), fopts))
+			ts := httptest.NewServer(lg.Flaky(lg.NewServer(tc.server), tc.fopts))
 			defer ts.Close()
 			// Default transport keeps only 2 idle conns per host; a worker
 			// pool would measure connection churn instead of the crawl.
 			transport := &http.Transport{MaxIdleConns: 64, MaxIdleConnsPerHost: 64}
 			defer transport.CloseIdleConnections()
 			hc := &http.Client{Transport: transport}
+			var before runtime.MemStats
+			runtime.ReadMemStats(&before)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				client := lg.NewClient(ts.URL, lg.ClientOptions{
@@ -106,10 +131,12 @@ func BenchmarkCollect(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(snap.Routes) != nPeers*routesPer {
-					b.Fatalf("routes = %d, want %d", len(snap.Routes), nPeers*routesPer)
+				if len(snap.Routes) != tc.routes {
+					b.Fatalf("routes = %d, want %d", len(snap.Routes), tc.routes)
 				}
 			}
+			b.StopTimer()
+			collector.ReportPerRoute(b, &before, tc.routes)
 		})
 	}
 }

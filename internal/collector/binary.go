@@ -79,10 +79,13 @@ func appendSliceHeader(b []byte, n int, isNil bool) []byte {
 }
 
 // interner deduplicates one kind of route attribute during encoding.
-// Keys are the attribute's canonical byte encoding; values are table
-// indices in first-appearance order, so encoding is deterministic.
+// Keys are the attribute's canonical byte encoding — which is also its
+// table-body encoding, so keys[i] is entry i of the table as it goes
+// on the wire; values are table indices in first-appearance order, so
+// encoding is deterministic.
 type interner struct {
 	idx          map[string]uint64
+	keys         []string
 	hits, misses int64
 }
 
@@ -95,8 +98,9 @@ func (it *interner) intern(key []byte) (idx uint64, isNew bool) {
 		it.hits++
 		return i, false
 	}
-	i := uint64(len(it.idx))
-	it.idx[string(key)] = i
+	i, k := uint64(len(it.keys)), string(key)
+	it.idx[k] = i
+	it.keys = append(it.keys, k)
 	it.misses++
 	return i, true
 }
@@ -155,110 +159,101 @@ func appendHeaderSection(hdr []byte, s *Snapshot) []byte {
 // appendBinaryRoutes encodes the route block: intern tables first,
 // then the columns.
 func appendBinaryRoutes(buf []byte, routes []bgp.Route) []byte {
-	buf = appendSliceHeader(buf, len(routes), routes == nil)
-
 	// Pass 1: intern every repeated attribute, recording per-route
-	// table indices. Table bodies are built in first-appearance order
-	// so the encoding is deterministic.
+	// table indices. Tables fill in first-appearance order so the
+	// encoding is deterministic.
 	var (
-		scratch  []byte
-		nhTab    = newInterner()
-		pathTab  = newInterner()
-		commTab  = newInterner()
-		extTab   = newInterner()
-		largeTab = newInterner()
-
-		nhBody, pathBody, commBody, extBody, largeBody []byte
-		pathElems, commElems, extElems, largeElems     uint64
-
-		nhIdx    = make([]uint64, len(routes))
-		pathIdx  = make([]uint64, len(routes))
-		commIdx  = make([]uint64, len(routes))
-		extIdx   = make([]uint64, len(routes))
-		largeIdx = make([]uint64, len(routes))
+		tabs    = newDeltaTables()
+		ids     = make([]rowIDs, len(routes))
+		scratch []byte
 	)
 	for i := range routes {
-		r := &routes[i]
-
-		scratch = appendAddr(scratch[:0], r.NextHop)
-		idx, isNew := nhTab.intern(scratch)
-		nhIdx[i] = idx
-		if isNew {
-			nhBody = append(nhBody, scratch...)
-		}
-
-		scratch = scratch[:0]
-		scratch = appendSliceHeader(scratch, len(r.ASPath), r.ASPath == nil)
-		for _, asn := range r.ASPath {
-			scratch = appendUvarint(scratch, uint64(asn))
-		}
-		if idx, isNew = pathTab.intern(scratch); isNew {
-			pathBody = append(pathBody, scratch...)
-			pathElems += uint64(len(r.ASPath))
-		}
-		pathIdx[i] = idx
-
-		scratch = scratch[:0]
-		scratch = appendSliceHeader(scratch, len(r.Communities), r.Communities == nil)
-		for _, c := range r.Communities {
-			scratch = appendUvarint(scratch, uint64(c))
-		}
-		if idx, isNew = commTab.intern(scratch); isNew {
-			commBody = append(commBody, scratch...)
-			commElems += uint64(len(r.Communities))
-		}
-		commIdx[i] = idx
-
-		scratch = scratch[:0]
-		scratch = appendSliceHeader(scratch, len(r.ExtCommunities), r.ExtCommunities == nil)
-		for _, e := range r.ExtCommunities {
-			scratch = append(scratch, e[:]...)
-		}
-		if idx, isNew = extTab.intern(scratch); isNew {
-			extBody = append(extBody, scratch...)
-			extElems += uint64(len(r.ExtCommunities))
-		}
-		extIdx[i] = idx
-
-		scratch = scratch[:0]
-		scratch = appendSliceHeader(scratch, len(r.LargeCommunities), r.LargeCommunities == nil)
-		for _, l := range r.LargeCommunities {
-			scratch = appendUvarint(scratch, uint64(l.Global))
-			scratch = appendUvarint(scratch, uint64(l.Local1))
-			scratch = appendUvarint(scratch, uint64(l.Local2))
-		}
-		if idx, isNew = largeTab.intern(scratch); isNew {
-			largeBody = append(largeBody, scratch...)
-			largeElems += uint64(len(r.LargeCommunities))
-		}
-		largeIdx[i] = idx
+		ids[i], scratch = tabs.internRoute(scratch, &routes[i], nil)
 	}
-	codecTel().interned("nexthop", nhTab.hits, nhTab.misses)
-	codecTel().interned("aspath", pathTab.hits, pathTab.misses)
-	codecTel().interned("community", commTab.hits, commTab.misses)
-	codecTel().interned("extcommunity", extTab.hits, extTab.misses)
-	codecTel().interned("largecommunity", largeTab.hits, largeTab.misses)
+	for tab, name := range [numTabs]string{"nexthop", "aspath", "community", "extcommunity", "largecommunity"} {
+		codecTel().interned(name, tabs.tabs[tab].hits, tabs.tabs[tab].misses)
+	}
+	var local localIDs
+	local.build(tabs, ids)
+	return appendRouteBlock(buf, routes, ids, tabs, &local)
+}
+
+// localIDs renumbers the rows of one snapshot from some table space
+// (a delta chain's, which only ever grows) into the snapshot's own:
+// ids dense in first-appearance order, the numbering the binary format
+// stores. For rows interned into fresh tables the renumbering is the
+// identity. The slices are scratch a caller may keep and reuse.
+type localIDs struct {
+	remap [numTabs][]uint32 // table id → local id + 1; 0 = not in this snapshot
+	order [numTabs][]uint32 // local id → table id
+	elems [numTabs]uint64   // total elements of the values in order
+}
+
+func (l *localIDs) build(tabs *deltaTables, ids []rowIDs) {
+	for tab, it := range tabs.tabs {
+		if n := len(it.keys); cap(l.remap[tab]) < n {
+			l.remap[tab] = make([]uint32, n, n+n/8)
+		} else {
+			l.remap[tab] = l.remap[tab][:n]
+			clear(l.remap[tab])
+		}
+		l.order[tab], l.elems[tab] = l.order[tab][:0], 0
+	}
+	for i := range ids {
+		for tab, id := range ids[i] {
+			if l.remap[tab][id] == 0 {
+				l.order[tab] = append(l.order[tab], uint32(id))
+				l.remap[tab][id] = uint32(len(l.order[tab]))
+				if tab != tabNH {
+					l.elems[tab] += sliceKeyLen(tabs.tabs[tab].keys[id])
+				}
+			}
+		}
+	}
+}
+
+// sliceKeyLen reads the element count off the front of a slice-valued
+// attribute key (appendSliceHeader: 0 = nil, n+1 = n elements).
+func sliceKeyLen(key string) uint64 {
+	var v uint64
+	for i, shift := 0, uint(0); i < len(key); i, shift = i+1, shift+7 {
+		v |= uint64(key[i]&0x7f) << shift
+		if key[i] < 0x80 {
+			break
+		}
+	}
+	return max(v, 1) - 1
+}
+
+// appendRouteBlock writes the route block of routes, whose attribute
+// ids in tabs are ids and whose renumbering is local: the slice
+// header, the five intern tables and the nine columns.
+func appendRouteBlock(buf []byte, routes []bgp.Route, ids []rowIDs, tabs *deltaTables, local *localIDs) []byte {
+	buf = appendSliceHeader(buf, len(routes), routes == nil)
 
 	// Intern tables. Element totals precede the slice tables so the
 	// decoder can size each arena slab with a single allocation.
-	buf = appendUvarint(buf, uint64(len(nhTab.idx)))
-	buf = append(buf, nhBody...)
-	buf = appendUvarint(buf, uint64(len(pathTab.idx)))
-	buf = appendUvarint(buf, pathElems)
-	buf = append(buf, pathBody...)
-	buf = appendUvarint(buf, uint64(len(commTab.idx)))
-	buf = appendUvarint(buf, commElems)
-	buf = append(buf, commBody...)
-	buf = appendUvarint(buf, uint64(len(extTab.idx)))
-	buf = appendUvarint(buf, extElems)
-	buf = append(buf, extBody...)
-	buf = appendUvarint(buf, uint64(len(largeTab.idx)))
-	buf = appendUvarint(buf, largeElems)
-	buf = append(buf, largeBody...)
+	for tab, order := range local.order {
+		buf = appendUvarint(buf, uint64(len(order)))
+		if tab != tabNH {
+			buf = appendUvarint(buf, local.elems[tab])
+		}
+		for _, id := range order {
+			buf = append(buf, tabs.tabs[tab].keys[id]...)
+		}
+	}
 
 	// Columns, each byte-length-prefixed so a reader can set up
 	// per-column cursors without a parsing pre-pass.
-	var col, prev []byte
+	var col, prev, scratch []byte
+	indexColumn := func(tab int) {
+		col = col[:0]
+		remap := local.remap[tab]
+		for i := range ids {
+			col = appendUvarint(col, uint64(remap[ids[i][tab]]-1))
+		}
+		buf = appendColumn(buf, col)
+	}
 
 	// Prefix column, front-coded against the previous row.
 	for i := range routes {
@@ -271,10 +266,8 @@ func appendBinaryRoutes(buf []byte, routes []bgp.Route) []byte {
 	}
 	buf = appendColumn(buf, col)
 
-	col = appendIndexColumn(col[:0], nhIdx)
-	buf = appendColumn(buf, col)
-	col = appendIndexColumn(col[:0], pathIdx)
-	buf = appendColumn(buf, col)
+	indexColumn(tabNH)
+	indexColumn(tabPath)
 
 	// Origin / MED / LocalPref columns are run-length encoded: route
 	// servers leave them at a handful of values, so whole snapshots
@@ -313,12 +306,9 @@ func appendBinaryRoutes(buf []byte, routes []bgp.Route) []byte {
 	}
 	buf = appendColumn(buf, col)
 
-	col = appendIndexColumn(col[:0], commIdx)
-	buf = appendColumn(buf, col)
-	col = appendIndexColumn(col[:0], extIdx)
-	buf = appendColumn(buf, col)
-	col = appendIndexColumn(col[:0], largeIdx)
-	buf = appendColumn(buf, col)
+	indexColumn(tabComm)
+	indexColumn(tabExt)
+	indexColumn(tabLarge)
 	return buf
 }
 
@@ -328,22 +318,24 @@ func appendColumn(buf, col []byte) []byte {
 	return append(buf, col...)
 }
 
-// appendIndexColumn writes one table-index column.
-func appendIndexColumn(col []byte, idx []uint64) []byte {
-	for _, v := range idx {
-		col = appendUvarint(col, v)
-	}
-	return col
-}
-
 // appendAddr writes a length-prefixed address in
 // netip.Addr.MarshalBinary form (0 bytes invalid, 4 v4, 16 v6,
 // 16+zone for zoned), which UnmarshalBinary reverses exactly —
-// including 4-in-6 mapped forms.
+// including 4-in-6 mapped forms. It is written out rather than calling
+// MarshalBinary because that allocates its result, once per route on
+// the encode paths.
 func appendAddr(b []byte, a netip.Addr) []byte {
-	raw, _ := a.MarshalBinary() // cannot fail
-	b = appendUvarint(b, uint64(len(raw)))
-	return append(b, raw...)
+	switch {
+	case !a.IsValid():
+		return append(b, 0)
+	case a.Is4():
+		raw := a.As4()
+		return append(append(b, 4), raw[:]...)
+	default:
+		raw, zone := a.As16(), a.Zone()
+		b = appendUvarint(b, uint64(16+len(zone)))
+		return append(append(b, raw[:]...), zone...)
+	}
 }
 
 // appendPrefix writes a prefix as its address bytes (length-prefixed,

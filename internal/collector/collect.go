@@ -110,7 +110,9 @@ func CollectWithOptions(ctx context.Context, client *lg.Client, date string, opt
 	done := prog.DoneSet()
 
 	snap = &Snapshot{IXP: status.IXP, Date: date}
-	snap.Routes = append(snap.Routes, prog.Routes...)
+	// The snapshot's routes are merged from blocks: what the checkpoint
+	// carried, then every crawled neighbor's listing in neighbor order.
+	blocks := [][]bgp.Route{prog.Routes}
 	// The crawl plan: every neighbor that actually needs a route
 	// listing, in neighbor order. Checkpointed neighbors never reach
 	// the plan, so a resumed crawl issues zero requests for them no
@@ -127,7 +129,13 @@ func CollectWithOptions(ctx context.Context, client *lg.Client, date string, opt
 		crawl = append(crawl, n.ASN)
 	}
 
-	saver := &checkpointWriter{prog: prog, path: opts.CheckpointPath, m: m}
+	// Progress is recorded only for a caller who can use it: one who
+	// passed a checkpoint to extend or a path to persist it at. Otherwise
+	// nobody would ever read the copy of every route it accumulates.
+	var saver *checkpointWriter
+	if opts.Checkpoint != nil || opts.CheckpointPath != "" {
+		saver = &checkpointWriter{prog: prog, path: opts.CheckpointPath, m: m}
+	}
 	workers := opts.NeighborParallelism
 	if workers < 1 {
 		workers = 1
@@ -198,7 +206,7 @@ func CollectWithOptions(ctx context.Context, client *lg.Client, date string, opt
 		}
 		consecutive = 0
 		m.neighborOutcome("ok")
-		snap.Routes = append(snap.Routes, o.routes...)
+		blocks = append(blocks, o.routes)
 	}
 	stats.BudgetTripped = tripped
 	if opts.ErrorBudget > 0 {
@@ -212,7 +220,8 @@ func CollectWithOptions(ctx context.Context, client *lg.Client, date string, opt
 		*opts.Stats = stats
 	}
 	snap.Partial = len(snap.MemberErrors) > 0
-	snap.Normalize()
+	snap.sortMembers()
+	snap.Routes = mergeRouteBlocks(blocks)
 	if !snap.Partial && opts.CheckpointPath != "" {
 		// The crawl is complete; the resume state has served its purpose.
 		os.Remove(opts.CheckpointPath)
@@ -227,7 +236,7 @@ func crawlNeighbor(ctx context.Context, client *lg.Client, asn uint32, retries i
 	m.workerStart()
 	defer m.workerDone()
 	ctx, sp := m.startSpan(ctx, "collector.neighbor")
-	sp.SetAttr("asn", fmt.Sprintf("%d", asn))
+	sp.SetAttrInt("asn", int64(asn))
 	t0 := time.Now()
 	defer func() {
 		dur = time.Since(t0)

@@ -27,10 +27,12 @@ package collector
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net/netip"
 	"os"
+	"slices"
 
 	"ixplight/internal/bgp"
 )
@@ -106,7 +108,7 @@ func newDeltaTables() *deltaTables {
 
 func (t *deltaTables) sizes() (s [numTabs]int) {
 	for i, it := range t.tabs {
-		s[i] = len(it.idx)
+		s[i] = len(it.keys)
 	}
 	return s
 }
@@ -149,30 +151,56 @@ func appendLargeKey(b []byte, ls []bgp.LargeCommunity) []byte {
 	return b
 }
 
-// internRoute resolves r's five attributes to chain ids, calling
-// onNew(tab, key, elems) for each value seen for the first time (key
-// is the canonical encoding, elems the value's element count).
+// tableExt collects the entries a delta adds to the chain tables: per
+// table how many, their total element count and their concatenated
+// keys (which are their wire encoding), in first-appearance order.
+type tableExt struct {
+	count [numTabs]int
+	elems [numTabs]uint64
+	body  [numTabs][]byte
+}
+
+// internRoute resolves r's five attributes to chain ids; every value
+// seen for the first time is also recorded in ext, when one is given.
 // scratch is reused across calls; the grown slice is returned.
-func (t *deltaTables) internRoute(scratch []byte, r *bgp.Route, onNew func(tab int, key []byte, elems int)) (rowIDs, []byte) {
-	var ids rowIDs
-	intern := func(tab, elems int) {
-		idx, isNew := t.tabs[tab].intern(scratch)
-		ids[tab] = idx
-		if isNew && onNew != nil {
-			onNew(tab, scratch, elems)
+func (t *deltaTables) internRoute(scratch []byte, r *bgp.Route, ext *tableExt) (ids rowIDs, _ []byte) {
+	for tab := range ids {
+		elems := 0
+		switch tab {
+		case tabNH:
+			scratch = appendAddr(scratch[:0], r.NextHop)
+		case tabPath:
+			scratch, elems = appendPathKey(scratch[:0], r.ASPath), len(r.ASPath)
+		case tabComm:
+			scratch, elems = appendCommKey(scratch[:0], r.Communities), len(r.Communities)
+		case tabExt:
+			scratch, elems = appendExtKey(scratch[:0], r.ExtCommunities), len(r.ExtCommunities)
+		case tabLarge:
+			scratch, elems = appendLargeKey(scratch[:0], r.LargeCommunities), len(r.LargeCommunities)
+		}
+		id, isNew := t.tabs[tab].intern(scratch)
+		if ids[tab] = id; isNew && ext != nil {
+			ext.count[tab]++
+			ext.elems[tab] += uint64(elems)
+			ext.body[tab] = append(ext.body[tab], scratch...)
 		}
 	}
-	scratch = appendAddr(scratch[:0], r.NextHop)
-	intern(tabNH, 0)
-	scratch = appendPathKey(scratch[:0], r.ASPath)
-	intern(tabPath, len(r.ASPath))
-	scratch = appendCommKey(scratch[:0], r.Communities)
-	intern(tabComm, len(r.Communities))
-	scratch = appendExtKey(scratch[:0], r.ExtCommunities)
-	intern(tabExt, len(r.ExtCommunities))
-	scratch = appendLargeKey(scratch[:0], r.LargeCommunities)
-	intern(tabLarge, len(r.LargeCommunities))
 	return ids, scratch
+}
+
+// sameAttrs reports whether two routes carry the same five interned
+// attributes — the values internRoute keys, nil-ness of each list
+// included — so that one's chain ids are the other's.
+func sameAttrs(a, b *bgp.Route) bool {
+	return a.NextHop == b.NextHop &&
+		sameList(a.ASPath, b.ASPath) &&
+		sameList(a.Communities, b.Communities) &&
+		sameList(a.ExtCommunities, b.ExtCommunities) &&
+		sameList(a.LargeCommunities, b.LargeCommunities)
+}
+
+func sameList[S ~[]E, E comparable](a, b S) bool {
+	return (a == nil) == (b == nil) && slices.Equal(a, b)
 }
 
 // routeCompare is Normalize's sort order (family, prefix address,
@@ -308,12 +336,31 @@ func decodePrefixBytes(b []byte) (netip.Prefix, error) {
 // following day; each call diffs against the previous one and
 // advances. The encoder retains each snapshot until the next call.
 // One-shot use: EncodeDelta.
+//
+// A day costs at most one keying pass, and for the routes that did not
+// change not even that: the merge walk pairs each of day N's routes
+// with day N-1's route for the same (prefix, peer), and a pair whose
+// attributes compare equal takes over yesterday's chain ids without
+// building a key; only added and re-tagged routes are interned. Day N's
+// SnapshotDigest — the sha256 of a binary encoding nobody asked for —
+// is then produced from those ids: a dense chain-id → first-appearance
+// renumbering, table bodies copied from the keys the chain tables
+// already hold, the column writer the binary codec uses. Nothing is
+// hashed into fresh intern maps a second time.
 type DeltaEncoder struct {
 	tabs    *deltaTables
 	prev    *Snapshot
 	prevIDs []rowIDs
 	digest  [sha256.Size]byte
+
+	// Scratch reused from day to day. None of it is day-sized: the
+	// binary encoding behind the digest is allocated per day (binSize
+	// remembers how large) so an idle encoder pins only its state.
 	scratch []byte
+	hdr     []byte
+	ops     []byte
+	local   localIDs
+	binSize int
 }
 
 // NewDeltaEncoder starts a chain at base, which must be normalized
@@ -329,8 +376,25 @@ func NewDeltaEncoder(base *Snapshot) (*DeltaEncoder, error) {
 		e.prevIDs[i], e.scratch = e.tabs.internRoute(e.scratch, &base.Routes[i], nil)
 	}
 	e.prev = base
-	e.digest = SnapshotDigest(base)
+	e.hdr = appendHeaderSection(e.hdr[:0], base)
+	e.digest = e.digestOf(base, e.prevIDs)
 	return e, nil
+}
+
+// digestOf is SnapshotDigest(s) for a snapshot whose header section is
+// in e.hdr and whose rows resolve to ids in the chain tables.
+func (e *DeltaEncoder) digestOf(s *Snapshot, ids []rowIDs) [sha256.Size]byte {
+	e.local.build(e.tabs, ids)
+	// Sized by yesterday's encoding, or for a first day by a typical
+	// ~90 bytes a route.
+	buf := make([]byte, 0, max(e.binSize+e.binSize/16, 96*len(s.Routes))+1024)
+	buf = append(buf, binaryMagic...)
+	buf = appendUvarint(buf, binaryVersion)
+	buf = appendUvarint(buf, uint64(len(e.hdr)))
+	buf = append(buf, e.hdr...)
+	buf = appendRouteBlock(buf, s.Routes, ids, e.tabs, &e.local)
+	e.binSize = len(buf)
+	return sha256.Sum256(buf)
 }
 
 // Base returns the snapshot the next Encode will diff against.
@@ -350,27 +414,16 @@ func (e *DeltaEncoder) Encode(next *Snapshot) ([]byte, error) {
 	base := e.prev
 	baseSizes := e.tabs.sizes()
 
-	// Intern day N's attributes; first-seen values become the table
-	// extensions, in day-N first-appearance order.
+	// Merge walk over the two sorted route slices, resolving day N's
+	// chain ids and emitting ops as it goes. First-seen values become
+	// the table extensions, in day-N first-appearance order (a route
+	// equal to its base counterpart cannot carry one). Duplicate
+	// (prefix, peer) keys — possible in principle — pair up one-to-one
+	// in order on both sides.
 	var (
-		extBodies [numTabs][]byte
-		extCounts [numTabs]int
-		extElems  [numTabs]uint64
-	)
-	nextIDs := make([]rowIDs, len(next.Routes))
-	for i := range next.Routes {
-		nextIDs[i], e.scratch = e.tabs.internRoute(e.scratch, &next.Routes[i], func(tab int, key []byte, elems int) {
-			extBodies[tab] = append(extBodies[tab], key...)
-			extCounts[tab]++
-			extElems[tab] += uint64(elems)
-		})
-	}
-
-	// Merge walk over the two sorted route slices, emitting ops.
-	// Duplicate (prefix, peer) keys — possible in principle — pair up
-	// one-to-one in order on both sides.
-	var (
-		ops                         []byte
+		ext                         tableExt
+		nextIDs                     = make([]rowIDs, len(next.Routes))
+		ops                         = e.ops[:0]
 		run                         uint64
 		copies, adds, dels, changes int64
 	)
@@ -415,6 +468,7 @@ func (e *DeltaEncoder) Encode(next *Snapshot) ([]byte, error) {
 			dels++
 			i++
 		case c > 0: // only in next → announced
+			nextIDs[j], e.scratch = e.tabs.internRoute(e.scratch, &next.Routes[j], &ext)
 			flushRun()
 			ops = append(ops, byte(DeltaAdd))
 			ops = appendOpPrefix(ops, &next.Routes[j])
@@ -423,6 +477,11 @@ func (e *DeltaEncoder) Encode(next *Snapshot) ([]byte, error) {
 			j++
 		default:
 			br, nr := &base.Routes[i], &next.Routes[j]
+			if sameAttrs(br, nr) {
+				nextIDs[j] = e.prevIDs[i]
+			} else {
+				nextIDs[j], e.scratch = e.tabs.internRoute(e.scratch, nr, &ext)
+			}
 			if e.prevIDs[i] == nextIDs[j] && br.Origin == nr.Origin && br.MED == nr.MED && br.LocalPref == nr.LocalPref {
 				run++
 			} else {
@@ -438,14 +497,15 @@ func (e *DeltaEncoder) Encode(next *Snapshot) ([]byte, error) {
 		}
 	}
 	flushRun()
+	e.ops = ops
 
 	// Header: chain linkage (dates, digests, route counts) plus day
 	// N's full snapshot header section, so a DeltaReader can answer
 	// Header() — and analysis can see day N's member list — without
 	// the base.
-	self := SnapshotDigest(next)
-	var hdr []byte
-	hdr = appendString(hdr, base.Date)
+	e.hdr = appendHeaderSection(e.hdr[:0], next)
+	self := e.digestOf(next, nextIDs)
+	hdr := appendString(e.scratch[:0], base.Date)
 	hdr = append(hdr, e.digest[:]...)
 	hdr = append(hdr, self[:]...)
 	hdr = appendUvarint(hdr, uint64(len(base.Routes)))
@@ -457,25 +517,28 @@ func (e *DeltaEncoder) Encode(next *Snapshot) ([]byte, error) {
 		hdrFlags |= 1
 	}
 	hdr = append(hdr, hdrFlags)
-	snapHdr := appendHeaderSection(nil, next)
-	hdr = appendUvarint(hdr, uint64(len(snapHdr)))
-	hdr = append(hdr, snapHdr...)
+	hdr = appendUvarint(hdr, uint64(len(e.hdr)))
+	hdr = append(hdr, e.hdr...)
+	e.scratch = hdr
 
-	buf := append([]byte(nil), deltaMagic...)
+	size := len(deltaMagic) + len(hdr) + len(ops) + 16*binary.MaxVarintLen64
+	for _, body := range ext.body {
+		size += len(body)
+	}
+	buf := append(make([]byte, 0, size), deltaMagic...)
 	buf = appendUvarint(buf, deltaVersion)
 	buf = appendUvarint(buf, uint64(len(hdr)))
 	buf = append(buf, hdr...)
 	// Table extensions, each prefixed with the base table size it
 	// extends (an id-space handshake: apply fails fast when encoder
 	// and applier tables drifted, instead of mis-resolving ids).
-	buf = appendUvarint(buf, uint64(baseSizes[tabNH]))
-	buf = appendUvarint(buf, uint64(extCounts[tabNH]))
-	buf = append(buf, extBodies[tabNH]...)
-	for tab := tabPath; tab <= tabLarge; tab++ {
+	for tab := range ext.body {
 		buf = appendUvarint(buf, uint64(baseSizes[tab]))
-		buf = appendUvarint(buf, uint64(extCounts[tab]))
-		buf = appendUvarint(buf, extElems[tab])
-		buf = append(buf, extBodies[tab]...)
+		buf = appendUvarint(buf, uint64(ext.count[tab]))
+		if tab != tabNH {
+			buf = appendUvarint(buf, ext.elems[tab])
+		}
+		buf = append(buf, ext.body[tab]...)
 	}
 	buf = appendColumn(buf, ops)
 
@@ -967,20 +1030,23 @@ func NewDeltaApplier(base *Snapshot) (*DeltaApplier, error) {
 	for i := range base.Routes {
 		r := &base.Routes[i]
 		var ids rowIDs
-		ids, a.scratch = a.tabs.internRoute(a.scratch, r, func(tab int, _ []byte, _ int) {
-			switch tab {
-			case tabNH:
-				a.nexthops = append(a.nexthops, r.NextHop)
-			case tabPath:
-				a.paths = append(a.paths, r.ASPath)
-			case tabComm:
-				a.comms = append(a.comms, r.Communities)
-			case tabExt:
-				a.exts = append(a.exts, r.ExtCommunities)
-			case tabLarge:
-				a.larges = append(a.larges, r.LargeCommunities)
-			}
-		})
+		ids, a.scratch = a.tabs.internRoute(a.scratch, r, nil)
+		// An id one past a value table's end was assigned just now.
+		if ids[tabNH] == uint64(len(a.nexthops)) {
+			a.nexthops = append(a.nexthops, r.NextHop)
+		}
+		if ids[tabPath] == uint64(len(a.paths)) {
+			a.paths = append(a.paths, r.ASPath)
+		}
+		if ids[tabComm] == uint64(len(a.comms)) {
+			a.comms = append(a.comms, r.Communities)
+		}
+		if ids[tabExt] == uint64(len(a.exts)) {
+			a.exts = append(a.exts, r.ExtCommunities)
+		}
+		if ids[tabLarge] == uint64(len(a.larges)) {
+			a.larges = append(a.larges, r.LargeCommunities)
+		}
 		a.curIDs[i] = ids
 	}
 	a.cur = base

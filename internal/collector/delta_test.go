@@ -337,6 +337,9 @@ func FuzzSnapshotDelta(f *testing.F) {
 		if err != nil {
 			t.Fatalf("EncodeDelta: %v", err)
 		}
+		if want := newReferenceDeltaEncoder(t, base).encode(t, next); !bytes.Equal(delta, want) {
+			t.Fatal("delta differs from the reference (two-pass) encoder's")
+		}
 		got, err := ApplyDelta(base, delta)
 		if err != nil {
 			t.Fatalf("ApplyDelta: %v", err)

@@ -34,8 +34,12 @@ type checkpointWriter struct {
 }
 
 // markDone records one completed neighbor and persists the checkpoint
-// when a path is configured.
+// when a path is configured. A nil writer (a crawl nobody can resume)
+// records nothing.
 func (w *checkpointWriter) markDone(asn uint32, routes []bgp.Route) error {
+	if w == nil {
+		return nil
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.prog.MarkDone(asn, routes)

@@ -154,26 +154,18 @@ func (s *Snapshot) RoutesFamily(v6 bool) []bgp.Route {
 // (family, prefix, announcing peer) so that snapshots serialise
 // deterministically.
 func (s *Snapshot) Normalize() {
+	s.sortMembers()
 	// slices.SortFunc over sort.Slice: the comparator runs on concrete
 	// element types instead of reflect-backed swaps, which is
 	// measurably faster on the snapshot write path.
+	slices.SortFunc(s.Routes, func(a, b bgp.Route) int { return routeCompare(&a, &b) })
+}
+
+// sortMembers is the member half of Normalize, for a builder that
+// produces its routes in order (CollectWithOptions merges them).
+func (s *Snapshot) sortMembers() {
 	slices.SortFunc(s.Members, func(a, b Member) int { return cmp.Compare(a.ASN, b.ASN) })
 	slices.SortFunc(s.MemberErrors, func(a, b MemberError) int { return cmp.Compare(a.ASN, b.ASN) })
-	slices.SortFunc(s.Routes, func(a, b bgp.Route) int {
-		if a.IsIPv6() != b.IsIPv6() {
-			if b.IsIPv6() {
-				return -1
-			}
-			return 1
-		}
-		if c := a.Prefix.Addr().Compare(b.Prefix.Addr()); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.Prefix.Bits(), b.Prefix.Bits()); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.PeerAS(), b.PeerAS())
-	})
 }
 
 // Dataset is a time-ordered series of snapshots for one IXP.

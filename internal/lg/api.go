@@ -4,17 +4,34 @@
 // client with pagination, rate limiting, retry with backoff and
 // failure injection hooks for exercising the collector's resilience
 // (LG instability and query rate limits, §3).
+//
+// The types in api.go define the wire shape. The small responses
+// (status, neighbor summary, config, a filtered count) go through
+// encoding/json on both ends. A routes page — nearly every byte a crawl
+// moves — does not: the server appends it field by field from the route
+// server's ordered view (render.go, O(page size) and one Write per
+// page) and the client scans the body straight into bgp.Route values
+// whose attribute slices are cut from per-listing chunks and shared
+// between equal values (pagescan.go). Both halves are held to
+// encoding/json by tests, not by convention: every routes endpoint's
+// body must be byte-equal to json.Encoder's rendering of the same
+// RoutesResponse, and the scanner must agree with json.Unmarshal +
+// DecodeRoute — the previous decode, kept in oracle_test.go — on
+// whether a body is accepted, rejected as malformed (retryable) or
+// rejected for a route that does not parse, and on every route and
+// paging field of an accepted one (FuzzRoutesPageDecode).
 package lg
 
-import (
-	"net/netip"
-
-	"ixplight/internal/bgp"
-)
+import "ixplight/internal/bgp"
 
 // API payload shapes. They deliberately differ from the storage types
 // in internal/collector, as a real LG's JSON differs from a research
-// dataset's schema; the collector maps between the two.
+// dataset's schema; the collector maps between the two. RoutesResponse
+// and APIRoute are what a routes page looks like; neither end builds
+// them on the crawl path any more (see the package comment), but the
+// golden test renders them through EncodeRoute and encoding/json to
+// say what the server's bytes must be, and flaky.go and FilteredCount
+// still decode a page into them.
 
 // StatusResponse is returned by GET /api/v1/status.
 type StatusResponse struct {
@@ -91,39 +108,4 @@ func EncodeRoute(r bgp.Route) APIRoute {
 		out.LargeCommunities = append(out.LargeCommunities, l.String())
 	}
 	return out
-}
-
-// DecodeRoute converts an API route back to the internal form.
-func DecodeRoute(a APIRoute) (bgp.Route, error) {
-	prefix, err := netip.ParsePrefix(a.Prefix)
-	if err != nil {
-		return bgp.Route{}, err
-	}
-	nh, err := netip.ParseAddr(a.NextHop)
-	if err != nil {
-		return bgp.Route{}, err
-	}
-	r := bgp.Route{Prefix: prefix, NextHop: nh, ASPath: a.ASPath}
-	for _, s := range a.Communities {
-		c, err := bgp.ParseCommunity(s)
-		if err != nil {
-			return bgp.Route{}, err
-		}
-		r.Communities = append(r.Communities, c)
-	}
-	for _, s := range a.ExtCommunities {
-		e, err := bgp.ParseExtendedCommunity(s)
-		if err != nil {
-			return bgp.Route{}, err
-		}
-		r.ExtCommunities = append(r.ExtCommunities, e)
-	}
-	for _, s := range a.LargeCommunities {
-		l, err := bgp.ParseLargeCommunity(s)
-		if err != nil {
-			return bgp.Route{}, err
-		}
-		r.LargeCommunities = append(r.LargeCommunities, l)
-	}
-	return r, nil
 }

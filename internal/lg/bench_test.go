@@ -5,28 +5,42 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 )
 
 // BenchmarkRoutesReceived measures one paged route listing through
-// the client — request, retry bookkeeping, JSON decode — against an
-// in-process LG, so the client's own overhead per crawled neighbor is
-// visible without network latency.
+// the client — request, retry bookkeeping, page rendering and scanning
+// — against an in-process LG, so both ends' own overhead per crawled
+// neighbor is visible without network latency: a two-page listing
+// where the per-request cost dominates, and a ten-page one where the
+// per-route cost does.
 func BenchmarkRoutesReceived(b *testing.B) {
-	_, ts := fixture(b, 50)
-	c := NewClient(ts.URL, ClientOptions{PageSize: 25})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		routes, err := c.RoutesReceived(context.Background(), 100)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(routes) != 50 {
-			b.Fatalf("routes = %d, want 50", len(routes))
-		}
+	for _, tc := range []struct{ routes, pageSize int }{{50, 25}, {5000, 500}} {
+		b.Run(fmt.Sprintf("routes=%d", tc.routes), func(b *testing.B) {
+			_, ts := fixture(b, tc.routes)
+			c := NewClient(ts.URL, ClientOptions{PageSize: tc.pageSize})
+			b.ReportAllocs()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				routes, err := c.RoutesReceived(context.Background(), 100)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(routes) != tc.routes {
+					b.Fatalf("routes = %d, want %d", len(routes), tc.routes)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			n := float64(b.N) * float64(tc.routes)
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/route")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/route")
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package lg
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -183,14 +185,16 @@ func (c *Client) countWire() {
 	c.m.httpRequest()
 }
 
-// get fetches one endpoint into out, honouring the rate limit and
-// retrying transient failures (5xx, 429, transport errors, truncated
-// bodies) with full-jitter exponential backoff. A 429 carrying a
+// get fetches one endpoint and hands the body of its 200 response to
+// decode, honouring the rate limit and retrying transient failures
+// (5xx, 429, transport errors, truncated bodies, a body decode
+// rejects) with full-jitter exponential backoff. decode must not keep
+// the body: the buffer is reused by the next request. A 429 carrying a
 // Retry-After header is honoured, capped at MaxRetryAfter. Each get is
 // one "lg.request" trace span — nested under whatever span the
 // context carries — recording the attempt count, every retry's cause
 // and wait as events, and the total time spent waiting to retry.
-func (c *Client) get(ctx context.Context, path string, out any) (err error) {
+func (c *Client) get(ctx context.Context, path string, decode func(body []byte) error) (err error) {
 	ctx, sp := c.m.startSpan(ctx, "lg.request")
 	if sp != nil {
 		sp.SetAttr("path", path)
@@ -205,15 +209,15 @@ func (c *Client) get(ctx context.Context, path string, out any) (err error) {
 			}
 			sp.End()
 		}()
-		err = c.getRetries(ctx, path, out, sp, &attempts, &totalWait)
+		err = c.getRetries(ctx, path, decode, sp, &attempts, &totalWait)
 		return err
 	}
-	return c.getRetries(ctx, path, out, nil, nil, nil)
+	return c.getRetries(ctx, path, decode, nil, nil, nil)
 }
 
 // getRetries is the retry loop behind get; sp, attempts and totalWait
 // are nil when tracing is off.
-func (c *Client) getRetries(ctx context.Context, path string, out any, sp *telemetry.Span, attempts *int, totalWait *time.Duration) error {
+func (c *Client) getRetries(ctx context.Context, path string, decode func([]byte) error, sp *telemetry.Span, attempts *int, totalWait *time.Duration) error {
 	var lastErr error
 	backoff := c.opts.RetryBackoff
 	for attempt := 0; attempt <= c.opts.MaxRetries; attempt++ {
@@ -248,7 +252,7 @@ func (c *Client) getRetries(ctx context.Context, path string, out any, sp *telem
 		if err := c.throttle(ctx); err != nil {
 			return err
 		}
-		lastErr = c.once(ctx, path, out)
+		lastErr = c.once(ctx, path, decode)
 		if lastErr == nil {
 			return nil
 		}
@@ -343,7 +347,16 @@ type retryableError struct {
 func (e *retryableError) Error() string { return e.err.Error() }
 func (e *retryableError) Unwrap() error { return e.err }
 
-func (c *Client) once(ctx context.Context, path string, out any) error {
+// getJSON is get for the small responses (status, neighbors, config,
+// a count) that encoding/json decodes into out.
+func (c *Client) getJSON(ctx context.Context, path string, out any) error {
+	return c.get(ctx, path, func(body []byte) error { return json.Unmarshal(body, out) })
+}
+
+// bodyPool recycles response-body buffers across requests.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+func (c *Client) once(ctx context.Context, path string, decode func([]byte) error) error {
 	if t := c.opts.RequestTimeout; t > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, t)
@@ -369,12 +382,14 @@ func (c *Client) once(ctx context.Context, path string, out any) error {
 	defer resp.Body.Close()
 	switch {
 	case resp.StatusCode == http.StatusOK:
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
+		body := bodyPool.Get().(*bytes.Buffer)
+		defer bodyPool.Put(body)
+		body.Reset()
+		if _, err := body.ReadFrom(resp.Body); err != nil {
 			// A connection dying mid-body is as transient as a 500.
 			return &retryableError{err: fmt.Errorf("lg: %s: reading body: %w", path, err), cause: "read_body"}
 		}
-		if err := json.Unmarshal(body, out); err != nil {
+		if err := decode(body.Bytes()); err != nil {
 			return &retryableError{err: fmt.Errorf("lg: %s: invalid JSON (truncated response?): %w", path, err), cause: "bad_json"}
 		}
 		return nil
@@ -402,7 +417,7 @@ func (c *Client) Status(ctx context.Context) (*StatusResponse, error) {
 	defer c.release()
 	defer c.m.callTimer("status")()
 	var out StatusResponse
-	if err := c.get(ctx, "/api/v1/status", &out); err != nil {
+	if err := c.getJSON(ctx, "/api/v1/status", &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -417,7 +432,7 @@ func (c *Client) Neighbors(ctx context.Context) ([]Neighbor, error) {
 	defer c.release()
 	defer c.m.callTimer("neighbors")()
 	var out NeighborsResponse
-	if err := c.get(ctx, "/api/v1/routeservers/rs1/neighbors", &out); err != nil {
+	if err := c.getJSON(ctx, "/api/v1/routeservers/rs1/neighbors", &out); err != nil {
 		return nil, err
 	}
 	return out.Neighbors, nil
@@ -431,7 +446,7 @@ func (c *Client) Config(ctx context.Context) (*ConfigResponse, error) {
 	defer c.release()
 	defer c.m.callTimer("config")()
 	var out ConfigResponse
-	if err := c.get(ctx, "/api/v1/routeservers/rs1/config", &out); err != nil {
+	if err := c.getJSON(ctx, "/api/v1/routeservers/rs1/config", &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -491,28 +506,63 @@ func (c *Client) ConfigRaw(ctx context.Context) (text string, err error) {
 	return string(body), nil
 }
 
-// routesPaged walks every page of one routes endpoint. The walk is
-// bounded: the page count implied by the first page's TotalCount caps
-// the loop, and a TotalCount that changes mid-crawl (the RIB shifted
-// under us) is an error — a partial, silently-wrong listing is worse
-// than a recorded failure.
+// routesPath builds the path of one routes endpoint of one neighbor.
+func routesPath(asn uint32, view string) string {
+	b := make([]byte, 0, 80)
+	b = append(b, "/api/v1/routeservers/rs1/neighbors/"...)
+	b = strconv.AppendUint(b, uint64(asn), 10)
+	b = append(b, "/routes/"...)
+	return string(append(b, view...))
+}
+
+// pagePath appends the query of one page request to a routes endpoint.
+func pagePath(endpoint string, page, pageSize int) string {
+	b := make([]byte, 0, len(endpoint)+40)
+	b = append(b, endpoint...)
+	b = append(b, "?page="...)
+	b = strconv.AppendInt(b, int64(page), 10)
+	if pageSize > 0 {
+		b = append(b, "&page_size="...)
+		b = strconv.AppendInt(b, int64(pageSize), 10)
+	}
+	return string(b)
+}
+
+// routesPaged walks every page of one routes endpoint, decoding each
+// body straight into routes (see pagescan.go). The walk is bounded:
+// the page count implied by the first page's TotalCount caps the loop,
+// and a TotalCount that changes mid-crawl (the RIB shifted under us)
+// is an error — a partial, silently-wrong listing is worse than a
+// recorded failure.
 func (c *Client) routesPaged(ctx context.Context, endpoint string) ([]bgp.Route, error) {
-	var routes []bgp.Route
+	var (
+		dec      = newListingDecoder()
+		routes   []bgp.Route
+		info     pageInfo
+		badRoute *errBadRoute
+	)
+	// A route that does not parse is not the transport's fault: it
+	// leaves the retry loop as a success and fails the listing here.
+	decode := func(body []byte) (err error) {
+		routes, info, err = dec.decodePage(body, routes)
+		if errors.As(err, &badRoute) {
+			return nil
+		}
+		return err
+	}
 	total, maxPages := 0, 0
 	for page := 0; ; page++ {
-		path := fmt.Sprintf("%s?page=%d", endpoint, page)
-		if c.opts.PageSize > 0 {
-			path += fmt.Sprintf("&page_size=%d", c.opts.PageSize)
-		}
-		var resp RoutesResponse
-		if err := c.get(ctx, path, &resp); err != nil {
+		if err := c.get(ctx, pagePath(endpoint, page, c.opts.PageSize), decode); err != nil {
 			return nil, err
 		}
+		if badRoute != nil {
+			return nil, badRoute
+		}
 		if page == 0 {
-			total = resp.TotalCount
-			size := resp.PageSize
+			total = info.totalCount
+			size := info.pageSize
 			if size <= 0 {
-				size = len(resp.Routes)
+				size = info.routes
 			}
 			if size <= 0 {
 				size = 1
@@ -521,20 +571,18 @@ func (c *Client) routesPaged(ctx context.Context, endpoint string) ([]bgp.Route,
 			if maxPages < 1 {
 				maxPages = 1
 			}
-		} else if resp.TotalCount != total {
-			return nil, fmt.Errorf("lg: %s: total count changed mid-crawl (%d -> %d)", endpoint, total, resp.TotalCount)
-		}
-		for _, ar := range resp.Routes {
-			r, err := DecodeRoute(ar)
-			if err != nil {
-				return nil, fmt.Errorf("lg: bad route %q: %w", ar.Prefix, err)
+			if more := total - len(routes); more > 0 && info.totalPages > 1 {
+				// The listing's declared size, so later pages append
+				// without regrowing. Capped: the figure is the server's.
+				routes = slices.Grow(routes, min(more, 1<<20))
 			}
-			routes = append(routes, r)
+		} else if info.totalCount != total {
+			return nil, fmt.Errorf("lg: %s: total count changed mid-crawl (%d -> %d)", endpoint, total, info.totalCount)
 		}
 		if len(routes) > total {
 			return nil, fmt.Errorf("lg: %s: server returned %d routes for a declared total of %d", endpoint, len(routes), total)
 		}
-		if page >= resp.TotalPages-1 {
+		if page >= info.totalPages-1 {
 			return routes, nil
 		}
 		if page+1 >= maxPages {
@@ -550,7 +598,7 @@ func (c *Client) RoutesReceived(ctx context.Context, asn uint32) ([]bgp.Route, e
 	}
 	defer c.release()
 	defer c.m.callTimer("routes_received")()
-	return c.routesPaged(ctx, fmt.Sprintf("/api/v1/routeservers/rs1/neighbors/%d/routes/received", asn))
+	return c.routesPaged(ctx, routesPath(asn, "received"))
 }
 
 // RoutesNotExported fetches the routes withheld from one neighbor by
@@ -561,7 +609,7 @@ func (c *Client) RoutesNotExported(ctx context.Context, asn uint32) ([]bgp.Route
 	}
 	defer c.release()
 	defer c.m.callTimer("routes_not_exported")()
-	return c.routesPaged(ctx, fmt.Sprintf("/api/v1/routeservers/rs1/neighbors/%d/routes/not-exported", asn))
+	return c.routesPaged(ctx, routesPath(asn, "not-exported"))
 }
 
 // FilteredCount fetches how many routes of one neighbor were filtered
@@ -573,8 +621,7 @@ func (c *Client) FilteredCount(ctx context.Context, asn uint32) (int, error) {
 	defer c.release()
 	defer c.m.callTimer("filtered_count")()
 	var resp RoutesResponse
-	path := fmt.Sprintf("/api/v1/routeservers/rs1/neighbors/%d/routes/filtered?page=0&page_size=1", asn)
-	if err := c.get(ctx, path, &resp); err != nil {
+	if err := c.getJSON(ctx, pagePath(routesPath(asn, "filtered"), 0, 1), &resp); err != nil {
 		return 0, err
 	}
 	return resp.TotalCount, nil

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"ixplight/internal/bgp"
 	"ixplight/internal/dictionary"
 	"ixplight/internal/rs"
 	"ixplight/internal/rsconfig"
@@ -61,13 +62,14 @@ func (s *Server) handleNeighbors(w http.ResponseWriter, _ *http.Request) {
 	peers := s.rs.Peers()
 	resp := NeighborsResponse{Neighbors: make([]Neighbor, 0, len(peers))}
 	for _, p := range peers {
+		accepted, filtered := s.rs.RouteCounts(p.ASN)
 		resp.Neighbors = append(resp.Neighbors, Neighbor{
 			ASN:            p.ASN,
 			Description:    p.Name,
 			IPv4:           p.IPv4,
 			IPv6:           p.IPv6,
-			RoutesAccepted: len(s.rs.AcceptedRoutes(p.ASN)),
-			RoutesFiltered: len(s.rs.FilteredRoutes(p.ASN)),
+			RoutesAccepted: accepted,
+			RoutesFiltered: filtered,
 		})
 	}
 	writeJSON(w, resp)
@@ -108,7 +110,7 @@ func paginate(n, page, size int) (lo, hi, totalPages int) {
 		totalPages = 1
 	}
 	lo = page * size
-	if lo > n {
+	if lo > n || lo/size != page { // past the end, or page*size overflowed
 		lo = n
 	}
 	hi = lo + size
@@ -118,62 +120,64 @@ func paginate(n, page, size int) (lo, hi, totalPages int) {
 	return lo, hi, totalPages
 }
 
-func (s *Server) handleRoutesReceived(w http.ResponseWriter, r *http.Request) {
+// serveRoutes answers one page of a routes endpoint. list emits the
+// routes of the given page and returns the listing's total; the page is
+// rendered straight into a pooled buffer while list runs (possibly
+// under the route server's read lock) and reaches the wire in one Write
+// afterwards, so a page costs O(page size) and the lock is never held
+// across the network.
+func (s *Server) serveRoutes(w http.ResponseWriter, r *http.Request, list func(asn uint32, page, size int, emit func(rt *bgp.Route, filterReason string)) (total int)) {
 	asn, ok := s.neighborASN(w, r)
 	if !ok {
 		return
 	}
-	routes := s.rs.AcceptedRoutes(asn)
 	page, size := pageParams(r)
-	lo, hi, totalPages := paginate(len(routes), page, size)
-	resp := RoutesResponse{
-		Page: page, PageSize: size,
-		TotalPages: totalPages, TotalCount: len(routes),
+	bp := pagePool.Get().(*[]byte)
+	b, n := append((*bp)[:0], `{"routes":`...), 0
+	total := list(asn, page, size, func(rt *bgp.Route, filterReason string) {
+		b = appendAPIRoute(append(b, routeSep(n)), rt, filterReason)
+		n++
+	})
+	_, _, pages := paginate(total, page, size)
+	b = appendPageTail(b, n, page, size, pages, total)
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(b) // too late for a status change; the client sees a truncated body
+	*bp = b
+	pagePool.Put(bp)
+}
+
+// pageOffset is the first item of a page; a page number large enough
+// to overflow lands past the end of any listing.
+func pageOffset(page, size int) int {
+	if offset := page * size; offset/size == page {
+		return offset
 	}
-	for _, rt := range routes[lo:hi] {
-		resp.Routes = append(resp.Routes, EncodeRoute(rt))
-	}
-	writeJSON(w, resp)
+	return -1
+}
+
+func (s *Server) handleRoutesReceived(w http.ResponseWriter, r *http.Request) {
+	s.serveRoutes(w, r, func(asn uint32, page, size int, emit func(*bgp.Route, string)) int {
+		return s.rs.VisitAccepted(asn, pageOffset(page, size), size, func(rt *bgp.Route) { emit(rt, "") })
+	})
 }
 
 func (s *Server) handleRoutesFiltered(w http.ResponseWriter, r *http.Request) {
-	asn, ok := s.neighborASN(w, r)
-	if !ok {
-		return
-	}
-	filtered := s.rs.FilteredRoutes(asn)
-	page, size := pageParams(r)
-	lo, hi, totalPages := paginate(len(filtered), page, size)
-	resp := RoutesResponse{
-		Page: page, PageSize: size,
-		TotalPages: totalPages, TotalCount: len(filtered),
-	}
-	for _, f := range filtered[lo:hi] {
-		ar := EncodeRoute(f.Route)
-		ar.FilterReason = f.Reason.String()
-		resp.Routes = append(resp.Routes, ar)
-	}
-	writeJSON(w, resp)
+	s.serveRoutes(w, r, func(asn uint32, page, size int, emit func(*bgp.Route, string)) int {
+		return s.rs.VisitFiltered(asn, pageOffset(page, size), size, func(f *rs.FilteredRoute) { emit(&f.Route, f.Reason.String()) })
+	})
 }
 
 // handleRoutesNotExported serves the routes action communities keep
 // away from this neighbor — the alice-lg "not exported" view.
 func (s *Server) handleRoutesNotExported(w http.ResponseWriter, r *http.Request) {
-	asn, ok := s.neighborASN(w, r)
-	if !ok {
-		return
-	}
-	routes := s.rs.NotExportedTo(asn)
-	page, size := pageParams(r)
-	lo, hi, totalPages := paginate(len(routes), page, size)
-	resp := RoutesResponse{
-		Page: page, PageSize: size,
-		TotalPages: totalPages, TotalCount: len(routes),
-	}
-	for _, rt := range routes[lo:hi] {
-		resp.Routes = append(resp.Routes, EncodeRoute(rt))
-	}
-	writeJSON(w, resp)
+	s.serveRoutes(w, r, func(asn uint32, page, size int, emit func(*bgp.Route, string)) int {
+		routes := s.rs.NotExportedTo(asn)
+		lo, hi, _ := paginate(len(routes), page, size)
+		for i := lo; i < hi; i++ {
+			emit(&routes[i], "")
+		}
+		return len(routes)
+	})
 }
 
 func (s *Server) handleConfig(w http.ResponseWriter, _ *http.Request) {

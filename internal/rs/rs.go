@@ -1,10 +1,12 @@
 package rs
 
 import (
+	"cmp"
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"ixplight/internal/bgp"
 	"ixplight/internal/dictionary"
@@ -61,6 +63,15 @@ type Server struct {
 	peers    map[uint32]*Peer
 	ribIn    map[uint32]map[netip.Prefix]ribEntry
 	filtered map[uint32][]FilteredRoute
+	// ordered caches each peer's Adj-RIB-In keys in prefix order — the
+	// order every listing is served in. A slot is built by the first
+	// reader that needs it (under the read lock: racing readers build
+	// equal views and either store wins), never modified afterwards,
+	// and dropped by the next Announce/Withdraw that changes which
+	// prefixes the peer holds. Populating a server therefore costs
+	// nothing extra, and a listing costs one sort per mutation instead
+	// of one per call.
+	ordered map[uint32]*atomic.Pointer[[]netip.Prefix]
 }
 
 // New builds a server for the given configuration. The scheme is
@@ -80,6 +91,7 @@ func New(cfg Config) (*Server, error) {
 		peers:    make(map[uint32]*Peer),
 		ribIn:    make(map[uint32]map[netip.Prefix]ribEntry),
 		filtered: make(map[uint32][]FilteredRoute),
+		ordered:  make(map[uint32]*atomic.Pointer[[]netip.Prefix]),
 	}, nil
 }
 
@@ -101,6 +113,7 @@ func (s *Server) AddPeer(p Peer) error {
 	s.peers[p.ASN] = &cp
 	if _, ok := s.ribIn[p.ASN]; !ok {
 		s.ribIn[p.ASN] = make(map[netip.Prefix]ribEntry)
+		s.ordered[p.ASN] = new(atomic.Pointer[[]netip.Prefix])
 	}
 	return nil
 }
@@ -111,6 +124,7 @@ func (s *Server) RemovePeer(asn uint32) {
 	defer s.mu.Unlock()
 	delete(s.peers, asn)
 	delete(s.ribIn, asn)
+	delete(s.ordered, asn)
 	delete(s.filtered, asn)
 }
 
@@ -122,7 +136,7 @@ func (s *Server) Peers() []Peer {
 	for _, p := range s.peers {
 		out = append(out, *p)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ASN < out[j].ASN })
+	slices.SortFunc(out, func(a, b Peer) int { return cmp.Compare(a.ASN, b.ASN) })
 	return out
 }
 
@@ -162,7 +176,11 @@ func (s *Server) Announce(peerASN uint32, r bgp.Route) (FilterReason, error) {
 			}
 		}
 	}
-	s.ribIn[peerASN][stored.Prefix] = ribEntry{
+	rib := s.ribIn[peerASN]
+	if _, replaces := rib[stored.Prefix]; !replaces {
+		s.ordered[peerASN].Store(nil)
+	}
+	rib[stored.Prefix] = ribEntry{
 		route:   stored,
 		actions: summarizeActions(s.cfg.Scheme, stored),
 	}
@@ -173,13 +191,37 @@ func (s *Server) Announce(peerASN uint32, r bgp.Route) (FilterReason, error) {
 func (s *Server) Withdraw(peerASN uint32, prefix netip.Prefix) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if rib, ok := s.ribIn[peerASN]; ok {
+	rib := s.ribIn[peerASN]
+	if _, held := rib[prefix]; held {
 		delete(rib, prefix)
+		s.ordered[peerASN].Store(nil)
 	}
 }
 
-// AcceptedRoutes returns peerASN's accepted Adj-RIB-In routes, sorted
-// by prefix for deterministic snapshots.
+// prefixOrder returns peerASN's accepted prefixes in listing order,
+// building the cached view if the last mutation dropped it. The
+// caller holds s.mu (read or write) and rib is s.ribIn[peerASN].
+func (s *Server) prefixOrder(peerASN uint32, rib map[netip.Prefix]ribEntry) []netip.Prefix {
+	slot := s.ordered[peerASN]
+	if v := slot.Load(); v != nil {
+		return *v
+	}
+	order := make([]netip.Prefix, 0, len(rib))
+	for p := range rib {
+		order = append(order, p)
+	}
+	slices.SortFunc(order, comparePrefix)
+	slot.Store(&order)
+	return order
+}
+
+// AcceptedRoutes returns deep copies of peerASN's accepted Adj-RIB-In
+// routes in prefix order (address, then length — within one peer the
+// order Snapshot.Normalize wants). The order comes from the server's
+// cached view, so a call copies the routes and sorts nothing unless an
+// Announce or Withdraw changed the peer's prefix set since the last
+// listing. Callers that only need a window or a count use
+// VisitAccepted and RouteCounts, which copy nothing.
 func (s *Server) AcceptedRoutes(peerASN uint32) []bgp.Route {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -187,12 +229,71 @@ func (s *Server) AcceptedRoutes(peerASN uint32) []bgp.Route {
 	if !ok {
 		return nil
 	}
-	out := make([]bgp.Route, 0, len(rib))
-	for _, e := range rib {
-		out = append(out, e.route.Clone())
+	order := s.prefixOrder(peerASN, rib)
+	out := make([]bgp.Route, len(order))
+	for i, p := range order {
+		out[i] = rib[p].route.Clone()
 	}
-	sortRoutes(out)
 	return out
+}
+
+// window clamps a listing window to n items.
+func window(n, offset, limit int) (lo, hi int) {
+	if offset < 0 || offset > n {
+		offset = n
+	}
+	if limit < 0 || limit > n-offset {
+		limit = n - offset
+	}
+	return offset, offset + limit
+}
+
+// VisitAccepted calls visit for routes [offset, offset+limit) of
+// peerASN's accepted routes in prefix order and returns how many the
+// peer holds in total. Window and total are read under one read lock,
+// so a page is never torn: a concurrent Announce or Withdraw lands
+// wholly before or wholly after it (and moves the total a paging
+// client compares across pages). visit sees the Adj-RIB-In entry
+// itself: it must not modify or retain the route or its slices, and it
+// runs with the lock held, so it must only copy or render into memory
+// — never write to the network.
+func (s *Server) VisitAccepted(peerASN uint32, offset, limit int, visit func(*bgp.Route)) (total int) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	rib, ok := s.ribIn[peerASN]
+	if !ok {
+		return 0
+	}
+	order := s.prefixOrder(peerASN, rib)
+	lo, hi := window(len(order), offset, limit)
+	var e ribEntry // one copy for the walk: visit's argument escapes
+	for _, p := range order[lo:hi] {
+		e = rib[p]
+		visit(&e.route)
+	}
+	return len(order)
+}
+
+// VisitFiltered is VisitAccepted over the routes rejected from
+// peerASN, in rejection order, under the same contract.
+func (s *Server) VisitFiltered(peerASN uint32, offset, limit int, visit func(*FilteredRoute)) (total int) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	filtered := s.filtered[peerASN]
+	lo, hi := window(len(filtered), offset, limit)
+	for i := lo; i < hi; i++ {
+		visit(&filtered[i])
+	}
+	return len(filtered)
+}
+
+// RouteCounts reports how many routes peerASN has accepted and
+// filtered, in O(1) — what a neighbor summary or a count-only query
+// needs, without copying a route.
+func (s *Server) RouteCounts(peerASN uint32) (accepted, filtered int) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.ribIn[peerASN]), len(s.filtered[peerASN])
 }
 
 // FilteredRoutes returns the routes rejected from peerASN.
@@ -207,14 +308,17 @@ func (s *Server) FilteredRoutes(peerASN uint32) []FilteredRoute {
 	return out
 }
 
+// comparePrefix orders prefixes by address (IPv4 before IPv6), then
+// length.
+func comparePrefix(a, b netip.Prefix) int {
+	if c := a.Addr().Compare(b.Addr()); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Bits(), b.Bits())
+}
+
 func sortRoutes(rs []bgp.Route) {
-	sort.Slice(rs, func(i, j int) bool {
-		a, b := rs[i].Prefix, rs[j].Prefix
-		if a.Addr() != b.Addr() {
-			return a.Addr().Less(b.Addr())
-		}
-		return a.Bits() < b.Bits()
-	})
+	slices.SortFunc(rs, func(a, b bgp.Route) int { return comparePrefix(a.Prefix, b.Prefix) })
 }
 
 // Stats summarises the server state with the quantities of Table 1.

@@ -43,7 +43,7 @@ type SimIXP struct {
 	addr    string // pinned after the first Start
 	srv     *http.Server
 	running bool
-	total   int   // LG requests served across all incarnations
+	total   int // LG requests served across all incarnations
 	perASN  map[uint32]int
 	killAt  int  // fire a kill once total reaches this (0 = disarmed)
 	killed  bool // a kill fired since the last Restart

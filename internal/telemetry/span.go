@@ -159,14 +159,25 @@ func newSpan(name string, trace TraceID, parent SpanID, sink SpanSink) *Span {
 // SetAttr attaches one string attribute.
 func (s *Span) SetAttr(key, value string) { s.setAttr(Attr{Key: key, Value: value}) }
 
-// SetAttrInt attaches one integer attribute.
-func (s *Span) SetAttrInt(key string, v int64) { s.setAttr(Int(key, v)) }
+// SetAttrInt attaches one integer attribute. Like every Span method it
+// is a no-op on a nil span, and returns before formatting v, so the
+// disabled path allocates nothing.
+func (s *Span) SetAttrInt(key string, v int64) {
+	if s != nil {
+		s.setAttr(Int(key, v))
+	}
+}
 
 // SetAttrBool attaches one boolean attribute.
 func (s *Span) SetAttrBool(key string, v bool) { s.setAttr(Bool(key, v)) }
 
-// SetAttrDuration attaches one duration attribute.
-func (s *Span) SetAttrDuration(key string, d time.Duration) { s.setAttr(Duration(key, d)) }
+// SetAttrDuration attaches one duration attribute, formatting d only
+// for a live span.
+func (s *Span) SetAttrDuration(key string, d time.Duration) {
+	if s != nil {
+		s.setAttr(Duration(key, d))
+	}
+}
 
 func (s *Span) setAttr(a Attr) {
 	if s == nil {
