@@ -1,4 +1,4 @@
-# Pre-PR check: `make check` runs vet, a full build, and the test
+# Pre-PR check: `make check` runs gofmt, vet, a full build, and the test
 # suite with the race detector (the collector, LG client, analysis
 # index and experiment pool are exercised concurrently; -race is part
 # of the contract).
@@ -6,9 +6,13 @@
 GO ?= go
 BENCH_DATE := $(shell date +%Y%m%d)
 
-.PHONY: check vet build test race bench benchdiff soak soak-long ixpd-smoke
+.PHONY: check fmt vet build test race bench benchdiff soak soak-long ixpd-smoke
 
-check: vet build race soak ixpd-smoke benchdiff
+check: fmt vet build race soak ixpd-smoke benchdiff
+
+# fmt fails, naming the files, if anything in the tree is not gofmt-clean.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # vet runs the stock analyzers plus metriclint, which pins the metric
 # naming contract: every family registered on a telemetry.Registry is
@@ -49,8 +53,8 @@ ixpd-smoke:
 # bench runs the full benchmark suite once — the paper-experiment
 # benches in the root package plus the collection-path benches in
 # internal/collector (crawl parallelism, snapshot codecs),
-# internal/analysis (column-direct vs decode-then-classify index
-# construction), internal/lg (client hot paths) and
+# internal/analysis (index construction per source, series advance,
+# the direct-classify ablation), internal/lg (client hot paths) and
 # internal/telemetry (instrument overhead, including the
 # disabled-path zero-alloc pin), internal/ixpd (the daemon's
 # cold/warm/304 serving tiers plus the socket-level load phases) and

@@ -379,31 +379,6 @@ func BenchmarkAblation_ExportScan(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_SnapshotCodec compares the five snapshot
-// serialisations (write + read back) on the same snapshot.
-func BenchmarkAblation_SnapshotCodec(b *testing.B) {
-	s, _ := benchSnapshot(b, "AMS-IX")
-	for _, codec := range collector.Codecs() {
-		b.Run(codec.String(), func(b *testing.B) {
-			var size int
-			for i := 0; i < b.N; i++ {
-				var buf bytes.Buffer
-				if err := collector.WriteSnapshot(&buf, s, codec); err != nil {
-					b.Fatal(err)
-				}
-				size = buf.Len()
-				if _, err := collector.ReadSnapshot(&buf, codec); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(size), "bytes")
-			if n := len(s.Routes); n > 0 {
-				b.ReportMetric(float64(size)/float64(n), "bytes_per_route")
-			}
-		})
-	}
-}
-
 // BenchmarkAblation_CommunitySetSlice vs ...Map compare membership
 // testing on realistic (short) per-route community lists.
 func BenchmarkAblation_CommunitySetSlice(b *testing.B) {
@@ -592,93 +567,11 @@ func BenchmarkDictionaryFromArtifacts(b *testing.B) {
 	b.ReportMetric(float64(size), "entries")
 }
 
-// --- Classified snapshot index ---
-
-// directAnalysisBattery runs the single-snapshot §5 battery on the
-// direct-classify twins: every entry point re-walks the snapshot and
-// re-classifies each community instance.
-func directAnalysisBattery(s *collector.Snapshot, scheme *dictionary.Scheme) int {
-	sink := 0
-	for _, v6 := range []bool{false, true} {
-		u := analysis.ComputeUsageDirect(s, scheme, v6)
-		sink += u.ActionInstances
-		sink += analysis.ComputeMixDirect(s, scheme, v6).Total()
-		a, i := analysis.ActionInfoSplitDirect(s, scheme, v6)
-		sink += a + i
-		sink += analysis.ComputeFlavourActionsDirect(s, scheme, v6).TotalAction()
-		sink += len(analysis.PerASActionCountsDirect(s, scheme, v6))
-		sink += len(analysis.RouteCommCorrelationDirect(s, scheme, v6))
-		sink += len(analysis.ASesPerActionTypeDirect(s, scheme, v6))
-		sink += len(analysis.OccurrencesPerTypeDirect(s, scheme, v6))
-		sink += len(analysis.TopActionCommunitiesDirect(s, scheme, v6, 20))
-		sink += analysis.ComputeNonMemberTargetingDirect(s, scheme, v6, 20).Instances
-		sink += len(analysis.CulpritRankingDirect(s, scheme, v6, 10))
-		sink += len(analysis.TopTargetsDirect(s, scheme, v6, 10))
-	}
-	return sink
-}
-
-// indexedAnalysisBattery is the same battery served by one classified
-// snapshot index.
-func indexedAnalysisBattery(ix *analysis.Index) int {
-	sink := 0
-	for _, v6 := range []bool{false, true} {
-		sink += ix.Usage(v6).ActionInstances
-		sink += ix.Mix(v6).Total()
-		a, i := ix.ActionInfoSplit(v6)
-		sink += a + i
-		sink += ix.FlavourActions(v6).TotalAction()
-		sink += len(ix.PerASActionCounts(v6))
-		sink += len(ix.RouteCommCorrelation(v6))
-		sink += len(ix.ASesPerActionType(v6))
-		sink += len(ix.OccurrencesPerType(v6))
-		sink += len(ix.TopActionCommunities(v6, 20))
-		sink += ix.NonMemberTargeting(v6, 20).Instances
-		sink += len(ix.CulpritRanking(v6, 10))
-		sink += len(ix.TopTargets(v6, 10))
-	}
-	return sink
-}
-
-// BenchmarkAblation_ClassifyDirect vs ...ClassifyIndexed compare the
-// two execution paths behind the analysis wrappers over the same
-// DE-CIX snapshot: per-analysis re-classification against one
-// memoized classification pass plus accessor reads. Both run
-// single-threaded so ns/op and allocs/op compare like for like.
-func BenchmarkAblation_ClassifyDirect(b *testing.B) {
-	s, scheme := benchSnapshot(b, "DE-CIX")
-	b.ResetTimer()
-	sink := 0
-	for i := 0; i < b.N; i++ {
-		sink += directAnalysisBattery(s, scheme)
-	}
-	if sink == 0 {
-		b.Fatal("empty battery")
-	}
-}
-
-// BenchmarkAblation_ClassifyIndexed builds a fresh index every
-// iteration — the cost shown includes the full classification pass,
-// not just cache reads.
-func BenchmarkAblation_ClassifyIndexed(b *testing.B) {
-	s, scheme := benchSnapshot(b, "DE-CIX")
-	b.ResetTimer()
-	sink := 0
-	for i := 0; i < b.N; i++ {
-		ix := analysis.NewIndexWorkers(s, scheme, 1)
-		sink += indexedAnalysisBattery(ix)
-	}
-	if sink == 0 {
-		b.Fatal("empty battery")
-	}
-}
-
 // BenchmarkExpAll is the wall-clock target for the full `-exp all`
 // battery: the complete experiment list over the big-four lab, as
-// cmd/analyze runs it. The parallel=1 sub-benchmark is the legacy
-// sequential direct-classify engine; the parallel=N one (N =
-// GOMAXPROCS) is the indexed engine with experiment fan-out. Their
-// ratio is the host's end-to-end speedup.
+// cmd/analyze runs it, sequentially (parallel=1) and with the
+// experiments fanned out over GOMAXPROCS workers. Their ratio is the
+// host's end-to-end speedup.
 func BenchmarkExpAll(b *testing.B) {
 	const expAllScale = 0.004 // keeps one iteration (incl. table4's 84-day series) affordable
 	workerCounts := []int{1}
@@ -687,9 +580,6 @@ func BenchmarkExpAll(b *testing.B) {
 	}
 	for _, workers := range workerCounts {
 		b.Run(fmt.Sprintf("parallel=%d", workers), func(b *testing.B) {
-			old := analysis.Parallelism()
-			analysis.SetParallelism(workers)
-			defer analysis.SetParallelism(old)
 			l, err := report.NewLabParallel(ixpgen.BigFour(), benchSeed, expAllScale, workers)
 			if err != nil {
 				b.Fatal(err)

@@ -5,25 +5,23 @@
 //
 //	analyze [-exp all|table1|fig1|...|sanitation] [-scale 0.05] [-seed 42]
 //	        [-ixps IX.br-SP,DE-CIX,LINX,AMS-IX | all] [-snapshots dir]
-//	        [-parallel N] [-trace file]
+//	        [-materialize] [-parallel N] [-trace file]
 //
 // Without -snapshots it generates the calibrated synthetic workload;
 // with -snapshots it loads stored snapshot files for the latest date
 // per IXP instead. Columnar binary snapshot files are indexed
-// straight off their columns by default (no []bgp.Route is ever
-// materialized); -materialize restores the decode-then-classify
-// loading path. Delta chains (a day-0 .bin plus daily .delta files,
-// as written by `ixpgen -codec delta` or `collect -codec delta`) are
-// walked incrementally: each day's index advances from the previous
-// day's by applying the delta; -no-incremental applies the deltas
-// but rebuilds each day's index from its own columns instead. Every
-// path produces byte-identical experiment output.
+// straight off their columns (no []bgp.Route is ever materialized),
+// and delta chains (a day-0 .bin plus daily .delta files, as written
+// by `ixpgen -codec delta` or `collect -codec delta`) are walked
+// incrementally: each day's index advances from the previous day's by
+// applying the delta. -materialize decodes full routes instead,
+// reconstructing delta days through a materializing apply, and indexes
+// those. Both produce byte-identical experiment output.
 //
-// -parallel bounds the worker pools: experiments fan out across the
-// pool, each writing to an ordered buffer, so the output is
-// byte-identical to a sequential run. -parallel 1 additionally
-// disables the classified snapshot index (implying -materialize) and
-// restores the original sequential direct-classify pipeline.
+// -parallel bounds the worker pools and nothing else: dataset files,
+// delta chains and experiments fan out across the pool, each landing
+// in an ordered slot, so the output is byte-identical for any value.
+// -parallel 1 runs everything sequentially.
 package main
 
 import (
@@ -49,15 +47,12 @@ func main() {
 	snapshotDir := flag.String("snapshots", "", "load snapshots from this directory instead of generating")
 	outDir := flag.String("out", "", "also write each experiment's output to <out>/<name>.txt")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
-		"worker budget for generation, analysis and experiments (1 = sequential direct-classify path)")
+		"worker bound for generation, dataset loading and experiments (1 = sequential)")
 	materialize := flag.Bool("materialize", false,
-		"decode full routes when loading -snapshots instead of indexing columnar files column-direct")
-	noIncremental := flag.Bool("no-incremental", false,
-		"reconstruct -snapshots delta chains through a materializing apply instead of advancing each day's index incrementally")
+		"decode full routes when loading -snapshots (delta chains through a materializing apply) instead of indexing columns and advancing deltas")
 	tracePath := flag.String("trace", "", "write a trace ledger for the run to this file (inspect with tracecat)")
 	flag.Parse()
 
-	analysis.SetParallelism(*parallel)
 	profiles, err := selectProfiles(*ixps)
 	if err != nil {
 		fatal(err)
@@ -85,10 +80,7 @@ func main() {
 		rootSpan.SetAttrInt("parallel", int64(*parallel))
 	}
 	if *snapshotDir != "" {
-		// -parallel 1 promises the original direct-classify pipeline,
-		// which needs materialized routes to walk.
-		lab.Materialize = *materialize || *parallel == 1
-		lab.NoIncremental = *noIncremental
+		lab.Materialize = *materialize
 		if err := lab.LoadSnapshotDir(*snapshotDir); err != nil {
 			fatal(err)
 		}

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	collect -url http://localhost:8080 [-date 2021-10-04] [-out ./data]
-//	        [-codec json|json.gz|gob|gob.gz|binary|mrt|delta] [-interval 100ms] [-retries 5]
+//	        [-codec json|json.gz|binary|mrt|delta] [-interval 100ms] [-retries 5]
 //	        [-partial] [-resume] [-checkpoint path] [-neighbor-parallel 1]
 //	        [-neighbor-retries 1] [-error-budget 0] [-request-timeout 30s]
 //	        [-metrics-addr :9100] [-trace path|none]
@@ -49,7 +49,7 @@ func main() {
 	url := flag.String("url", "http://localhost:8080", "looking glass base URL")
 	date := flag.String("date", time.Now().UTC().Format("2006-01-02"), "snapshot date stamp")
 	out := flag.String("out", "./data", "output directory")
-	codecName := flag.String("codec", "json.gz", "snapshot codec: json, json.gz, gob, gob.gz, binary, mrt, delta")
+	codecName := flag.String("codec", "json.gz", "snapshot codec: json, json.gz, binary, mrt, delta")
 	interval := flag.Duration("interval", 50*time.Millisecond, "minimum delay between LG requests")
 	retries := flag.Int("retries", 5, "retries per failed request")
 	timeout := flag.Duration("timeout", 10*time.Minute, "overall collection deadline")
@@ -337,10 +337,6 @@ func parseCodec(name string) (collector.Codec, error) {
 		return collector.CodecJSON, nil
 	case "json.gz":
 		return collector.CodecJSONGzip, nil
-	case "gob":
-		return collector.CodecGob, nil
-	case "gob.gz":
-		return collector.CodecGobGzip, nil
 	case "binary", "bin":
 		return collector.CodecBinary, nil
 	default:

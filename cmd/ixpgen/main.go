@@ -42,7 +42,7 @@ func main() {
 	days := flag.Int("days", 84, "number of daily snapshots (84 = twelve weeks)")
 	scale := flag.Float64("scale", 0.02, "workload scale")
 	seed := flag.Int64("seed", 42, "generation seed")
-	codecName := flag.String("codec", "json.gz", "snapshot codec: json, json.gz, gob, gob.gz, binary, delta")
+	codecName := flag.String("codec", "json.gz", "snapshot codec: json, json.gz, binary, delta")
 	valleySpec := flag.String("valleys", "", "comma-separated day offsets with injected collection failures")
 	profilePath := flag.String("profile", "", "JSON file with a custom IXP profile (overrides -ixps)")
 	churn := flag.Float64("churn", 0,
@@ -253,10 +253,6 @@ func parseCodec(name string) (collector.Codec, error) {
 		return collector.CodecJSON, nil
 	case "json.gz":
 		return collector.CodecJSONGzip, nil
-	case "gob":
-		return collector.CodecGob, nil
-	case "gob.gz":
-		return collector.CodecGobGzip, nil
 	case "binary", "bin":
 		return collector.CodecBinary, nil
 	default:

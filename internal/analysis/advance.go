@@ -1,36 +1,37 @@
-// Incremental index maintenance over snapshot delta chains: instead
-// of rebuilding the classified Index from scratch for every day of a
-// daily series, day N's index is derived from day N-1's by applying a
-// delta's op stream (collector.DeltaReader) to the dense-id
-// aggregates — decrementing for removed and changed-away routes,
-// incrementing for added and changed-to ones, and classifying only
-// the community values first seen in the delta's table extensions.
-// Per-day cost scales with churn, not with table size.
+// The one fold. Every Index is produced by the same code: a
+// seriesState registers the input's interned attribute tables (dense
+// community ids classified once each, per-set reductions, per-path
+// peers) and applyRoute folds one route instance into — or, with sign
+// -1, out of — the per-family aggregates; finalize then derives the
+// ranking maps from the refcounts at the day boundary. A full build is
+// that fold over every route of the input, an incremental build is the
+// same fold over a delta's ops. Three thin sources feed it:
 //
-// The chain's shared lookup state (dense community ids with their
-// classes, per-set reductions, per-path peers, reference counts) lives
-// in a seriesState owned by the chain's newest index; a day's index
-// never reads it after construction. What a day owns is small: each
-// Advance clones the three incrementally patched aggregate maps (the
-// community-count histogram and the two per-AS counts — runtime map
-// cloning, not re-insertion) and materializes its ranking maps afresh,
-// and nothing else is copied per day — Index.Class answers from the
-// scheme, so no classification table travels with an index. Every
-// earlier day's index therefore stays immutable and concurrently
-// usable — what Stability's per-day fan-out and the report loader's
-// per-IXP chain fold rely on — while only the owner may advance
-// further.
+//   - RouteBlock.Scan, the columns of a CodecBinary snapshot
+//     (IndexFromReader, IndexSeriesFromReader): the file's intern tables
+//     are registered up front and each row applies by table index;
+//   - DeltaReader.Ops, a day's delta (Index.Advance): the delta's table
+//     extensions are registered and each op applies -1/+1;
+//   - []bgp.Route, a materialized snapshot (NewIndex): each route is
+//     registered as a one-row table of its own and applied.
 //
-// Equivalence is by construction: day 0 replays every route of the
-// base snapshot through the same applyRoute that the deltas use, and
-// applyRoute mirrors indexShard.addRoute instance by instance, so a
-// chained index answers every accessor identically to a full rebuild
-// of the materialized day (pinned per accessor by the equivalence
-// tests). The one representational difference is the §5.6 per-route
-// community-count distribution, carried as a histogram
-// (familyStats.commHist) because a positional slice cannot be patched
-// under arbitrary-position edits; both consumers are
-// order-independent.
+// The chain state is kept only where something can advance it.
+// IndexSeriesFromReader leaves it on the index it returns, owned by the
+// chain's newest day; NewIndex and IndexFromReader drop it before
+// returning, so a standalone index holds its aggregates and nothing
+// else. What a chained day owns is small: each Advance clones the three
+// incrementally patched aggregate maps (the community-count histogram
+// and the two per-AS counts — runtime map cloning, not re-insertion)
+// and materializes its ranking maps afresh. Every earlier day's index
+// therefore stays immutable and concurrently usable — what the report
+// loader's per-IXP chain fold relies on — while only the owner may
+// advance further.
+//
+// Correctness is held from outside the fold: the *Direct functions in
+// oracle_test.go re-walk a materialized snapshot and re-classify every
+// community instance per analysis, sharing no code with the fold, and
+// every source and every advanced day is compared with them accessor by
+// accessor (the equivalence tests, FuzzIndexFromColumns, FuzzAdvance).
 package analysis
 
 import (
@@ -38,7 +39,8 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"time"
+	"math/bits"
+	"slices"
 
 	"ixplight/internal/bgp"
 	"ixplight/internal/collector"
@@ -68,9 +70,9 @@ type seriesFam struct {
 	// array increment instead of a map update per instance.
 	idRefs []int32
 	// idPeerRefs counts live instances per (peer-targeting action id,
-	// announcing peer) — the culprit attribution, re-aggregated per day
-	// against that day's member list.
-	idPeerRefs map[int32]map[uint32]int32
+	// announcing peer), keyed id<<32 | peer — the culprit attribution,
+	// re-aggregated per day against that day's member list.
+	idPeerRefs map[uint64]int32
 	// peerTypes counts live action instances per (peer, action type);
 	// typeASes increments on 0→1 and decrements on 1→0.
 	peerTypes map[uint32]*[numActionTypes]int32
@@ -79,7 +81,8 @@ type seriesFam struct {
 	prefixRefs map[string]int32
 }
 
-// seriesState is the chain state shared along one delta chain. It is
+// seriesState is the fold's lookup state: what a route's table indexes
+// mean. Along a delta chain it is shared by the chain's days and
 // single-writer: only the owner index's Advance mutates it, and the
 // per-day indexes never read it after construction.
 type seriesState struct {
@@ -91,12 +94,19 @@ type seriesState struct {
 	// sets), verified against every delta's base sizes.
 	sizes [5]int
 
-	// Dense ids for distinct standard community values, in chain
-	// first-appearance order; each is classified exactly once.
-	commID  map[bgp.Community]int32
+	// Dense ids for distinct standard community values, in
+	// first-appearance order; each is classified exactly once. idSlots
+	// is the open-addressed value → id table: a slot holds id+1 (0 =
+	// empty) and the value it stands for is idComm[id]. A bare uint32
+	// key needs no hashing beyond one multiply, a slot is four bytes,
+	// and the lookup was a third of a full build's time as a builtin map.
+	idSlots []uint32
+	idShift uint8 // 32 - log2(len(idSlots))
 	idComm  []bgp.Community
 	idClass []dictionary.Class
-	idFlags []uint8 // idFlagAction
+	// idNonMember is materializeFam's scratch: whether the id targets an
+	// AS outside the day's member list. Only peer-targeting ids are set.
+	idNonMember []bool
 
 	// actionIDs lists the action-classified ids in registration order —
 	// the iteration domain of the per-day aggregate materialization.
@@ -105,9 +115,9 @@ type seriesState struct {
 	extClasses   map[bgp.ExtendedCommunity]dictionary.Class
 	largeClasses map[bgp.LargeCommunity]dictionary.Class
 
-	// Community sets as CSR runs of dense ids (chain set id → ids);
-	// ext/large sets reduced to their member-independent sums; paths
-	// reduced to their announcing peer.
+	// Community sets as CSR runs of dense ids (set id → ids); ext/large
+	// sets reduced to their member-independent sums; paths reduced to
+	// their announcing peer.
 	setOff    []int32
 	setIDs    []int32
 	extSets   []extSum
@@ -123,32 +133,115 @@ type seriesState struct {
 	fam     [2]seriesFam
 }
 
-// registerCommSet appends one interned community set to the chain:
-// new values are classified and get the next dense id, and the set
-// becomes a CSR run of ids.
+// newFold starts an empty index over head (a snapshot header: the
+// fold never reads head.Routes) together with the state that folds
+// routes into it. routes and values size the prefix refcounts and the
+// community id table from the input.
+func newFold(head *collector.Snapshot, scheme *dictionary.Scheme, routes, values int) (*seriesState, *Index) {
+	st := &seriesState{
+		scheme:       scheme,
+		extClasses:   make(map[bgp.ExtendedCommunity]dictionary.Class),
+		largeClasses: make(map[bgp.LargeCommunity]dictionary.Class),
+		targetIDs:    make(map[uint32][]int32),
+		members:      head.MemberSet(),
+		setOff:       []int32{0},
+	}
+	st.growIDs(values)
+	peers := len(head.Members)
+	for f := range st.fam {
+		sf := &st.fam[f]
+		sf.idPeerRefs = make(map[uint64]int32)
+		sf.peerTypes = make(map[uint32]*[numActionTypes]int32, peers)
+		sf.prefixRefs = make(map[string]int32, routes/2)
+	}
+	ix := &Index{snap: head, scheme: scheme, members: st.members, series: st}
+	for f := range ix.fam {
+		fam := &ix.fam[f]
+		fam.commHist = make(map[int]int)
+		fam.perASActions = make(map[uint32]int, peers)
+		fam.perASRoutes = make(map[uint32]int, peers)
+	}
+	ix.countMembers()
+	st.owner = ix
+	return st, ix
+}
+
+// countMembers sets each family's Fig. 4a member denominator from the
+// index's snapshot header.
+func (ix *Index) countMembers() {
+	ix.fam[0].usage.MembersAtRS, ix.fam[1].usage.MembersAtRS = 0, 0
+	for _, m := range ix.snap.Members {
+		if m.IPv4 {
+			ix.fam[0].usage.MembersAtRS++
+		}
+		if m.IPv6 {
+			ix.fam[1].usage.MembersAtRS++
+		}
+	}
+}
+
+// growIDs resizes the id table to hold n values below ¾ load and
+// re-inserts the registered ids.
+func (st *seriesState) growIDs(n int) {
+	size := 8
+	for 3*size < 4*n {
+		size <<= 1
+	}
+	st.idSlots = make([]uint32, size)
+	st.idShift = uint8(32 - bits.TrailingZeros(uint(size)))
+	mask := uint32(size - 1)
+	for id, c := range st.idComm {
+		h := st.idHash(c)
+		for st.idSlots[h] != 0 {
+			h = (h + 1) & mask
+		}
+		st.idSlots[h] = uint32(id) + 1
+	}
+}
+
+// idHash spreads community values over the table (Fibonacci hashing;
+// the top bits, because the values differ mostly in theirs).
+func (st *seriesState) idHash(c bgp.Community) uint32 {
+	return (uint32(c) * 0x9e3779b1) >> st.idShift
+}
+
+// commID returns c's dense id, classifying and registering the value
+// on first sight.
+func (st *seriesState) commID(c bgp.Community) int32 {
+	mask := uint32(len(st.idSlots) - 1)
+	h := st.idHash(c)
+	for ; st.idSlots[h] != 0; h = (h + 1) & mask {
+		if id := int32(st.idSlots[h] - 1); st.idComm[id] == c {
+			return id
+		}
+	}
+	if 4*(len(st.idComm)+1) > 3*len(st.idSlots) {
+		st.growIDs(2 * len(st.idComm))
+		return st.commID(c)
+	}
+	id := int32(len(st.idComm))
+	st.idSlots[h] = uint32(id) + 1
+	cl := st.scheme.Classify(c)
+	st.idComm = append(st.idComm, c)
+	st.idClass = append(st.idClass, cl)
+	st.idNonMember = append(st.idNonMember, false)
+	if cl.IsAction() {
+		st.actionIDs = append(st.actionIDs, id)
+		if cl.Target == dictionary.TargetPeer {
+			st.targetIDs[cl.TargetASN] = append(st.targetIDs[cl.TargetASN], id)
+		}
+	}
+	for f := range st.fam {
+		st.fam[f].idRefs = append(st.fam[f].idRefs, 0)
+	}
+	return id
+}
+
+// registerCommSet appends one interned community set to the tables as
+// a CSR run of dense ids.
 func (st *seriesState) registerCommSet(set []bgp.Community) {
 	for _, c := range set {
-		id, ok := st.commID[c]
-		if !ok {
-			cl := st.scheme.Classify(c)
-			id = int32(len(st.idComm))
-			st.commID[c] = id
-			st.idComm = append(st.idComm, c)
-			st.idClass = append(st.idClass, cl)
-			var flags uint8
-			if cl.Known && cl.Action.IsAction() {
-				flags = idFlagAction
-				st.actionIDs = append(st.actionIDs, id)
-				if cl.Target == dictionary.TargetPeer {
-					st.targetIDs[cl.TargetASN] = append(st.targetIDs[cl.TargetASN], id)
-				}
-			}
-			st.idFlags = append(st.idFlags, flags)
-			for f := range st.fam {
-				st.fam[f].idRefs = append(st.fam[f].idRefs, 0)
-			}
-		}
-		st.setIDs = append(st.setIDs, id)
+		st.setIDs = append(st.setIDs, st.commID(c))
 	}
 	st.setOff = append(st.setOff, int32(len(st.setIDs)))
 }
@@ -200,9 +293,40 @@ func (st *seriesState) registerLargeSet(set []bgp.LargeCommunity) {
 	st.largeSets = append(st.largeSets, s)
 }
 
-// mapAdd adds n to m[k] with NewIndex's never-stores-zero invariant:
-// entries reaching zero are deleted, so incrementally patched maps
-// stay equal (not just equivalent) to rebuilt ones.
+// registerTables appends a source's interned attribute tables — a
+// route block's, or a delta's extensions — in wire order.
+func (st *seriesState) registerTables(nexthops int, paths []bgp.ASPath, comms [][]bgp.Community, exts [][]bgp.ExtendedCommunity, larges [][]bgp.LargeCommunity) {
+	elems := 0
+	for _, set := range comms {
+		elems += len(set)
+	}
+	st.setIDs = slices.Grow(st.setIDs, elems)
+	st.setOff = slices.Grow(st.setOff, len(comms))
+	st.extSets = slices.Grow(st.extSets, len(exts))
+	st.largeSets = slices.Grow(st.largeSets, len(larges))
+	st.pathPeer = slices.Grow(st.pathPeer, len(paths))
+	for _, set := range comms {
+		st.registerCommSet(set)
+	}
+	for _, set := range exts {
+		st.registerExtSet(set)
+	}
+	for _, set := range larges {
+		st.registerLargeSet(set)
+	}
+	for _, p := range paths {
+		st.pathPeer = append(st.pathPeer, p.Neighbor())
+	}
+	st.sizes[0] += nexthops
+	st.sizes[1] += len(paths)
+	st.sizes[2] += len(comms)
+	st.sizes[3] += len(exts)
+	st.sizes[4] += len(larges)
+}
+
+// mapAdd adds n to m[k] and never stores a zero: entries reaching zero
+// are deleted, so incrementally patched maps stay equal (not just
+// equivalent) to freshly built ones.
 func mapAdd[K comparable](m map[K]int, k K, n int) {
 	if v := m[k] + n; v == 0 {
 		delete(m, k)
@@ -222,18 +346,17 @@ func prefixAdd(m map[string]int32, key []byte, sign int) {
 }
 
 // applyRoute folds one route instance into (sign +1) or out of
-// (sign -1) ix's family-f aggregates. It mirrors indexShard.addRoute
-// per instance — every aggregate a route contributes on the full
-// rebuild path moves by exactly that contribution here — which is
-// what keeps chained indexes accessor-identical to rebuilds.
+// (sign -1) ix's family-f aggregates. It is the only code that writes
+// familyStats from route data (finalize derives the rest), so every
+// aggregate moves by exactly what the route contributes whichever
+// source delivered it.
 func (st *seriesState) applyRoute(ix *Index, f int, prefix []byte, commSet, extSet, largeSet, path, sign int) {
 	fam := &ix.fam[f]
-	sf := &st.fam[f]
 	peer := st.pathPeer[path]
 
 	fam.usage.RoutesTotal += sign
 	mapAdd(fam.perASRoutes, peer, sign)
-	prefixAdd(sf.prefixRefs, prefix, sign)
+	prefixAdd(st.fam[f].prefixRefs, prefix, sign)
 
 	st.applyAttrs(ix, f, commSet, extSet, largeSet, path, sign)
 }
@@ -246,12 +369,11 @@ func (st *seriesState) applyRoute(ix *Index, f int, prefix []byte, commSet, extS
 // aggregate at all.
 //
 // The per-id fold updates only scalars, dense refcount arrays and the
-// per-(id, peer) refcounts; the ranking maps a rebuild maintains per
-// instance (actionComms, targets, the non-member aggregates) are pure
-// functions of those refcounts and the day's member list, so they are
-// materialized once per day (materializeFam) instead of being patched
-// per instance — the day's cost moves from O(instances) map updates
-// to O(distinct action ids) map inserts.
+// per-(id, peer) refcounts; the ranking maps (actionComms, targets,
+// the non-member aggregates) are pure functions of those refcounts and
+// the day's member list, so they are materialized once per day
+// (materializeFam) instead of being patched per instance — a day costs
+// O(distinct action ids) map inserts, not O(instances) map updates.
 func (st *seriesState) applyAttrs(ix *Index, f int, commSet, extSet, largeSet, path, sign int) {
 	fam := &ix.fam[f]
 	sf := &st.fam[f]
@@ -284,7 +406,7 @@ func (st *seriesState) applyAttrs(ix *Index, f int, commSet, extSet, largeSet, p
 			continue
 		}
 		fam.mix.DefinedStandard += sign
-		if st.idFlags[id]&idFlagAction == 0 {
+		if !cl.Action.IsAction() {
 			fam.flavour.StandardInfo += sign
 			continue
 		}
@@ -307,15 +429,11 @@ func (st *seriesState) applyAttrs(ix *Index, f int, commSet, extSet, largeSet, p
 			fam.typeASes[cl.Action]--
 		}
 		if cl.Target == dictionary.TargetPeer {
-			pm := sf.idPeerRefs[id]
-			if pm == nil {
-				pm = make(map[uint32]int32, 2)
-				sf.idPeerRefs[id] = pm
-			}
-			if v := pm[peer] + int32(sign); v == 0 {
-				delete(pm, peer)
+			key := uint64(id)<<32 | uint64(peer)
+			if v := sf.idPeerRefs[key] + int32(sign); v == 0 {
+				delete(sf.idPeerRefs, key)
 			} else {
-				pm[peer] = v
+				sf.idPeerRefs[key] = v
 			}
 		}
 	}
@@ -326,14 +444,16 @@ func (st *seriesState) applyAttrs(ix *Index, f int, commSet, extSet, largeSet, p
 	}
 }
 
-// materializeFam derives one family's ranking maps from the chain
+// materializeFam derives one family's ranking maps from the
 // refcounts at a day boundary. An action community's instance count
 // is its id's refcount, a target ASN's count is the sum over its ids,
 // and the §5.5 non-member aggregates are the target sums restricted
 // to ASNs outside the day's member list — so membership churn needs
 // no per-route work at all, the day's materialization simply reads
-// the new member list. Zero-refcount entries are skipped, preserving
-// NewIndex's never-stores-zero map shape.
+// the new member list. Zero-refcount entries are skipped (the
+// never-stores-zero map shape). The two non-member maps have no bound
+// in the tables, so they are sized like the ones the index inherited
+// from its predecessor (none on a full build).
 func (st *seriesState) materializeFam(ix *Index, f int) {
 	sf := &st.fam[f]
 	fam := &ix.fam[f]
@@ -344,11 +464,10 @@ func (st *seriesState) materializeFam(ix *Index, f int) {
 			actionComms[st.idComm[id]] = int(n)
 		}
 	}
-	fam.actionComms = actionComms
 
 	targets := make(map[uint32]int, len(st.targetIDs))
-	nonMemberComms := make(map[bgp.Community]int, 32)
-	culprits := make(map[uint32]int, 32)
+	nonMemberComms := make(map[bgp.Community]int, len(fam.nonMemberComms))
+	culprits := make(map[uint32]int, len(fam.culprits))
 	nonMemberInstances := 0
 	for asn, ids := range st.targetIDs {
 		total := 0
@@ -358,19 +477,21 @@ func (st *seriesState) materializeFam(ix *Index, f int) {
 		if total != 0 {
 			targets[asn] = total
 		}
-		if st.members[asn] {
-			continue
-		}
+		nonMember := !st.members[asn]
 		for _, id := range ids {
-			if n := int(sf.idRefs[id]); n != 0 {
+			st.idNonMember[id] = nonMember
+			if n := int(sf.idRefs[id]); n != 0 && nonMember {
 				nonMemberComms[st.idComm[id]] = n
 				nonMemberInstances += n
 			}
-			for peer, cnt := range sf.idPeerRefs[id] {
-				culprits[peer] += int(cnt)
-			}
 		}
 	}
+	for key, cnt := range sf.idPeerRefs {
+		if st.idNonMember[key>>32] {
+			culprits[uint32(key)] += int(cnt)
+		}
+	}
+	fam.actionComms = actionComms
 	fam.targets = targets
 	fam.nonMemberComms = nonMemberComms
 	fam.culprits = culprits
@@ -378,129 +499,122 @@ func (st *seriesState) materializeFam(ix *Index, f int) {
 }
 
 // finalize derives the aggregates that fall out of the maintained
-// state at day boundaries — the materialized ranking maps, the
-// ASes-using count — and marks the lazy prefix count as already
-// computed.
+// state at day boundaries: the materialized ranking maps, the
+// ASes-using count and the distinct-prefix count.
 func (st *seriesState) finalize(ix *Index) {
 	for f := range ix.fam {
 		st.materializeFam(ix, f)
 		ix.fam[f].usage.ASesUsing = len(ix.fam[f].perASActions)
-		ix.prefixCount[f] = len(st.fam[f].prefixRefs)
-		ix.prefixOnce[f].Do(func() {})
+		ix.fam[f].prefixes = len(st.fam[f].prefixRefs)
 	}
 }
 
 // cloneFam copies one family's incrementally patched aggregates for
 // the next day's index — the only per-day copy a chain makes: three
 // maps sized by distinct community counts and announcing peers, not by
-// routes or distinct communities. The materialized ranking maps are
-// rebuilt per day (materializeFam), so they start nil instead of
-// cloned. The maps clone at the runtime's bucket level (maps.Clone),
-// so this costs memory bandwidth, not re-insertion.
+// routes or distinct communities. The ranking maps stay shared with
+// the predecessor until materializeFam replaces them. The maps clone at
+// the runtime's bucket level (maps.Clone), so this costs memory
+// bandwidth, not re-insertion.
 func cloneFam(src *familyStats) familyStats {
 	dst := *src
 	dst.commHist = maps.Clone(src.commHist)
 	dst.perASActions = maps.Clone(src.perASActions)
 	dst.perASRoutes = maps.Clone(src.perASRoutes)
-	dst.actionComms = nil
-	dst.targets = nil
-	dst.nonMemberComms = nil
-	dst.culprits = nil
 	return dst
 }
 
-// IndexSeriesFromReader builds the classified index for a delta
-// chain's base snapshot straight off its columnar route block, primed
-// for Index.Advance: alongside the index it constructs the chain
-// state (dense ids, per-set reductions, reference counts) that the
-// deltas will patch. The snapshot must be CodecBinary in
-// random-access mode — the chain digest is the file's own sha256.
+// NewIndex builds the classified index for one materialized snapshot
+// under one scheme: the fold over s.Routes, on the calling goroutine.
+func NewIndex(s *collector.Snapshot, scheme *dictionary.Scheme) *Index {
+	defer tel().building("routes", s)()
+	st, ix := newFold(s, scheme, len(s.Routes), len(s.Routes))
+	var key [18]byte
+	for i := range s.Routes {
+		r := &s.Routes[i]
+		// A materialized route carries its attributes, not table
+		// indexes: it becomes the only row of the tables.
+		st.setIDs, st.setOff = st.setIDs[:0], st.setOff[:1]
+		st.extSets, st.largeSets, st.pathPeer = st.extSets[:0], st.largeSets[:0], st.pathPeer[:0]
+		st.registerCommSet(r.Communities)
+		st.registerExtSet(r.ExtCommunities)
+		st.registerLargeSet(r.LargeCommunities)
+		st.pathPeer = append(st.pathPeer, r.PeerAS())
+
+		// Any injective encoding keys the prefix refcounts.
+		addr := r.Prefix.Addr()
+		a16 := addr.As16()
+		copy(key[:], a16[:])
+		key[16] = byte(r.Prefix.Bits())
+		key[17] = byte(addr.BitLen() / 32) // 0 invalid, 1 IPv4, 4 IPv6: As16 maps IPv4 into IPv6
+		f := 0
+		if r.IsIPv6() {
+			f = 1
+		}
+		st.applyRoute(ix, f, key[:], 0, 0, 0, 0, 1)
+	}
+	st.finalize(ix)
+	ix.series = nil
+	return ix
+}
+
+// IndexFromReader builds the classified index for one snapshot
+// straight off its columnar route block, with no []bgp.Route
+// materialization. Only CodecBinary snapshots are columnar; other
+// codecs transparently fall back to Snapshot() + NewIndex.
 //
-// The day-0 index answers every accessor identically to NewIndex over
-// the materialized snapshot; like IndexFromReader its embedded
-// snapshot is header-only (attach with AttachIndex).
+// The resulting Index owns all its storage: it stays valid after the
+// reader is closed. Its embedded snapshot is header-only (Routes nil) —
+// attach it with AttachIndex so the analysis wrappers answer from the
+// index instead of walking the absent routes.
+func IndexFromReader(sr *collector.SnapshotReader, scheme *dictionary.Scheme) (*Index, error) {
+	if sr.Codec() != collector.CodecBinary {
+		s, err := sr.Snapshot()
+		if err != nil {
+			return nil, err
+		}
+		return NewIndex(s, scheme), nil
+	}
+	ix, err := indexFromColumns(sr, scheme)
+	if err != nil {
+		return nil, err
+	}
+	ix.series = nil
+	return ix, nil
+}
+
+// IndexSeriesFromReader is IndexFromReader for a delta chain's base
+// snapshot: the same build, with the chain state kept on the returned
+// index so Index.Advance can patch it. The snapshot must be CodecBinary
+// in random-access mode — the chain digest is the file's own sha256.
 func IndexSeriesFromReader(sr *collector.SnapshotReader, scheme *dictionary.Scheme) (*Index, error) {
 	digest, ok := sr.Digest()
 	if !ok {
 		return nil, errors.New("analysis: series index requires a random-access CodecBinary snapshot")
 	}
-	t := tel()
-	if t != nil {
-		sp := t.span("analysis.index_build")
-		sp.SetAttr("ixp", sr.Header().IXP)
-		sp.SetAttr("date", sr.Header().Date)
-		sp.SetAttr("source", "columns")
-		t0 := time.Now()
-		defer func() {
-			t.built(time.Since(t0))
-			sp.End()
-		}()
+	ix, err := indexFromColumns(sr, scheme)
+	if err != nil {
+		return nil, err
 	}
-	t.builtFrom("columns")
+	ix.series.digest = digest
+	return ix, nil
+}
 
+// indexFromColumns is the fold over a binary snapshot's route block.
+func indexFromColumns(sr *collector.SnapshotReader, scheme *dictionary.Scheme) (*Index, error) {
+	defer tel().building("columns", sr.Header())()
 	var arena collector.Arena
 	rb, err := sr.RouteBlock(&arena)
 	if err != nil {
 		return nil, err
 	}
-
 	head := *sr.Header() // private copy; Routes stays nil
-	st := &seriesState{
-		scheme:       scheme,
-		digest:       digest,
-		commID:       make(map[bgp.Community]int32, 1024),
-		extClasses:   make(map[bgp.ExtendedCommunity]dictionary.Class, 32),
-		largeClasses: make(map[bgp.LargeCommunity]dictionary.Class, 32),
-		targetIDs:    make(map[uint32][]int32, 64),
-		members:      head.MemberSet(),
-		setOff:       []int32{0},
-	}
-	hint := len(head.Members)
-	for f := range st.fam {
-		sf := &st.fam[f]
-		sf.idPeerRefs = make(map[int32]map[uint32]int32, 64)
-		sf.peerTypes = make(map[uint32]*[numActionTypes]int32, hint)
-		sf.prefixRefs = make(map[string]int32, rb.NumRoutes()/2+1)
-	}
-
+	st, ix := newFold(&head, scheme, rb.NumRoutes(), len(rb.CommunitySets()))
 	// The binary file's table order is canonical first-appearance
 	// order — the same order a DeltaEncoder starting from this
 	// snapshot interns, so chain ids agree by construction.
-	for _, set := range rb.CommunitySets() {
-		st.registerCommSet(set)
-	}
-	for _, set := range rb.ExtCommunitySets() {
-		st.registerExtSet(set)
-	}
-	for _, set := range rb.LargeCommunitySets() {
-		st.registerLargeSet(set)
-	}
-	for _, p := range rb.ASPaths() {
-		st.pathPeer = append(st.pathPeer, p.Neighbor())
-	}
-	st.sizes = [5]int{
-		len(rb.NextHops()), len(st.pathPeer),
-		len(rb.CommunitySets()), len(st.extSets), len(st.largeSets),
-	}
-
-	ix := &Index{snap: &head, scheme: scheme, members: st.members, series: st}
-	for f := range ix.fam {
-		fam := &ix.fam[f]
-		fam.commHist = make(map[int]int, 64)
-		fam.perASActions = make(map[uint32]int, hint)
-		fam.perASRoutes = make(map[uint32]int, hint)
-	}
-	for _, m := range head.Members {
-		if m.IPv4 {
-			ix.fam[0].usage.MembersAtRS++
-		}
-		if m.IPv6 {
-			ix.fam[1].usage.MembersAtRS++
-		}
-	}
-
-	// Replay every base route as an addition through the same fold the
-	// deltas use — equivalence to a rebuild holds by construction.
+	st.registerTables(len(rb.NextHops()), rb.ASPaths(),
+		rb.CommunitySets(), rb.ExtCommunitySets(), rb.LargeCommunitySets())
 	err = rb.Scan(func(ref *collector.RouteRef) error {
 		f := 0
 		if ref.V6 {
@@ -514,7 +628,6 @@ func IndexSeriesFromReader(sr *collector.SnapshotReader, scheme *dictionary.Sche
 		return nil, err
 	}
 	st.finalize(ix)
-	st.owner = ix
 	return ix, nil
 }
 
@@ -541,56 +654,21 @@ func (ix *Index) Advance(d *collector.DeltaReader) (*Index, error) {
 		return nil, fmt.Errorf("%w: delta expects table sizes %v, chain has %v",
 			collector.ErrDeltaBaseMismatch, sizes, st.sizes)
 	}
-	t := tel()
-	if t != nil {
-		sp := t.span("analysis.index_build")
-		sp.SetAttr("ixp", d.Header().IXP)
-		sp.SetAttr("date", d.Header().Date)
-		sp.SetAttr("source", "delta")
-		t0 := time.Now()
-		defer func() {
-			t.built(time.Since(t0))
-			sp.End()
-		}()
-	}
-	t.builtFrom("delta")
+	defer tel().building("delta", d.Header())()
 
 	head := *d.Header() // private copy; Routes stays nil
 	next := &Index{snap: &head, scheme: st.scheme, members: head.MemberSet(), series: st}
 	for f := range next.fam {
 		next.fam[f] = cloneFam(&ix.fam[f])
-		next.fam[f].usage.MembersAtRS = 0
 	}
-	for _, m := range head.Members {
-		if m.IPv4 {
-			next.fam[0].usage.MembersAtRS++
-		}
-		if m.IPv6 {
-			next.fam[1].usage.MembersAtRS++
-		}
-	}
+	next.countMembers()
 
 	// Membership churn needs no aggregate surgery: the member-sensitive
 	// aggregates are materialized per day against this list (finalize).
 	st.members = next.members
 
-	for _, set := range d.NewCommunitySets() {
-		st.registerCommSet(set)
-	}
-	for _, set := range d.NewExtCommunitySets() {
-		st.registerExtSet(set)
-	}
-	for _, set := range d.NewLargeCommunitySets() {
-		st.registerLargeSet(set)
-	}
-	for _, p := range d.NewASPaths() {
-		st.pathPeer = append(st.pathPeer, p.Neighbor())
-	}
-	st.sizes[0] += len(d.NewNextHops())
-	st.sizes[1] += len(d.NewASPaths())
-	st.sizes[2] += len(d.NewCommunitySets())
-	st.sizes[3] += len(d.NewExtCommunitySets())
-	st.sizes[4] += len(d.NewLargeCommunitySets())
+	st.registerTables(len(d.NewNextHops()), d.NewASPaths(),
+		d.NewCommunitySets(), d.NewExtCommunitySets(), d.NewLargeCommunitySets())
 
 	err := d.Ops(func(op *collector.DeltaOp) error {
 		f := 0
@@ -638,22 +716,4 @@ func (ix *Index) Advance(d *collector.DeltaReader) (*Index, error) {
 	st.finalize(next)
 	st.owner = next
 	return next, nil
-}
-
-// AdvanceSnapshot advances a loaded chain snapshot (header-only, with
-// its series index attached — the LoadSnapshotDir incremental path)
-// by one delta, returning day N as another header-only snapshot with
-// the advanced index attached.
-func AdvanceSnapshot(base *collector.Snapshot, scheme *dictionary.Scheme, d *collector.DeltaReader) (*collector.Snapshot, error) {
-	ix := pinnedFor(base, scheme)
-	if ix == nil {
-		return nil, errors.New("analysis: snapshot has no attached series index to advance")
-	}
-	next, err := ix.Advance(d)
-	if err != nil {
-		return nil, err
-	}
-	s := next.Snapshot()
-	AttachIndex(s, next)
-	return s, nil
 }

@@ -63,7 +63,7 @@ type errTest string
 func (e errTest) Error() string { return string(e) }
 
 // BenchmarkSeriesAdvance analyses the 84-day series incrementally:
-// day 0 is indexed column-direct once, every later day advances the
+// day 0 is indexed off its columns once, every later day advances the
 // previous day's index by its delta. This is the LoadSnapshotDir
 // default for delta chains. B/day is the heap cost of one more loaded
 // day, day 0's build included.
@@ -104,10 +104,10 @@ func BenchmarkSeriesAdvance(b *testing.B) {
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/days, "B/day")
 }
 
-// BenchmarkSeriesFullRebuild is the same 84-day analysis without the
-// tentpole: every day builds its index from scratch off its own
-// binary columns (the previous best path). The SeriesAdvance /
-// SeriesFullRebuild ratio is the incremental win.
+// BenchmarkSeriesFullRebuild is the same 84-day analysis without
+// Advance: every day builds its index from scratch off its own binary
+// columns. The SeriesAdvance / SeriesFullRebuild ratio is the
+// incremental win.
 func BenchmarkSeriesFullRebuild(b *testing.B) {
 	days, _, _, scheme := seriesWorkload(b)
 	b.ReportAllocs()

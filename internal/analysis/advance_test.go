@@ -3,8 +3,10 @@ package analysis
 import (
 	"errors"
 	"fmt"
+	"net/netip"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -12,6 +14,7 @@ import (
 	"ixplight/internal/collector"
 	"ixplight/internal/dictionary"
 	"ixplight/internal/ixpgen"
+	"ixplight/internal/netutil"
 )
 
 // evolvedChain materializes an evolved daily series plus its delta
@@ -45,11 +48,11 @@ func evolvedChain(tb testing.TB, ixp string, o ixpgen.TemporalOptions, churn flo
 	return days, day0, deltas, p.Scheme
 }
 
-// TestAdvanceMatchesFullRebuild pins the tentpole equivalence: a
-// series index advanced delta-by-delta answers every accessor exactly
-// like a from-scratch NewIndex of the materialized day — across route
-// churn, weekly member swaps (the non-member/culprit flips), and a
-// collection valley with its next-day recovery.
+// TestAdvanceMatchesFullRebuild holds the DeltaReader source of the
+// fold to the oracle: a series index advanced delta-by-delta answers
+// every accessor exactly as the oracle reads the materialized day —
+// across route churn, weekly member swaps (the non-member/culprit
+// flips), and a collection valley with its next-day recovery.
 func TestAdvanceMatchesFullRebuild(t *testing.T) {
 	o := ixpgen.TemporalOptions{Days: 16, Seed: 42, Scale: 0.02, ValleyDays: []int{11}}
 	days, day0, deltas, scheme := evolvedChain(t, "AMS-IX", o, 0.04)
@@ -62,7 +65,7 @@ func TestAdvanceMatchesFullRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkIndexesAgree(t, "day0", ix, NewIndex(days[0], scheme))
+	checkIndexMatchesDirect(t, "day0", ix, days[0], scheme)
 
 	for d := 1; d < len(days); d++ {
 		dr, err := collector.NewDeltaReader(deltas[d-1])
@@ -73,7 +76,7 @@ func TestAdvanceMatchesFullRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatalf("day %d advance: %v", d, err)
 		}
-		checkIndexesAgree(t, fmt.Sprintf("day%d", d), next, NewIndex(days[d], scheme))
+		checkIndexMatchesDirect(t, fmt.Sprintf("day%d", d), next, days[d], scheme)
 		ix = next
 	}
 }
@@ -105,7 +108,7 @@ func TestAdvanceEdgeSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkIndexesAgree(t, "edge-day0", ix, NewIndex(series[0], scheme))
+	checkIndexMatchesDirect(t, "edge-day0", ix, series[0], scheme)
 	for d := 1; d < len(series); d++ {
 		buf, err := enc.Encode(series[d])
 		if err != nil {
@@ -119,7 +122,7 @@ func TestAdvanceEdgeSnapshots(t *testing.T) {
 		if err != nil {
 			t.Fatalf("day %d advance: %v", d, err)
 		}
-		checkIndexesAgree(t, fmt.Sprintf("edge-day%d", d), ix, NewIndex(series[d], scheme))
+		checkIndexMatchesDirect(t, fmt.Sprintf("edge-day%d", d), ix, series[d], scheme)
 	}
 }
 
@@ -127,13 +130,17 @@ func TestAdvanceErrors(t *testing.T) {
 	o := ixpgen.TemporalOptions{Days: 3, Seed: 9, Scale: 0.01}
 	days, day0, deltas, scheme := evolvedChain(t, "LINX", o, 0.05)
 
-	// A plain materialized index has no series state to advance.
+	// Chain state is kept only where something can advance it: a
+	// materialized index and a standalone column index have none.
 	dr0, err := collector.NewDeltaReader(deltas[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := NewIndex(days[0], scheme).Advance(dr0); err == nil {
-		t.Error("Advance on a non-series index succeeded")
+		t.Error("Advance on a NewIndex index succeeded")
+	}
+	if _, err := columnIndex(t, days[0], scheme).Advance(dr0); err == nil {
+		t.Error("Advance on an IndexFromReader index succeeded")
 	}
 
 	sr, err := collector.NewSnapshotReaderBytes(day0, "day0.bin")
@@ -166,8 +173,9 @@ func TestAdvanceErrors(t *testing.T) {
 	_ = next
 }
 
-// TestAdvanceSnapshotChain exercises the report-loader entry point:
-// header-only snapshots advancing through attached series indexes.
+// TestAdvanceSnapshotChain walks a chain the way the report loader
+// does: header-only snapshots, each carrying its day's index, the next
+// day advanced from the index attached to the previous one.
 func TestAdvanceSnapshotChain(t *testing.T) {
 	o := ixpgen.TemporalOptions{Days: 4, Seed: 5, Scale: 0.01}
 	days, day0, deltas, scheme := evolvedChain(t, "LINX", o, 0.05)
@@ -187,29 +195,32 @@ func TestAdvanceSnapshotChain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cur, err = AdvanceSnapshot(cur, scheme, dr)
+		next, err := IndexFor(cur, scheme).Advance(dr)
 		if err != nil {
 			t.Fatalf("day %d: %v", d, err)
 		}
+		cur = next.Snapshot()
+		AttachIndex(cur, next)
 		if cur.Date != days[d].Date {
 			t.Fatalf("day %d: date %q, want %q", d, cur.Date, days[d].Date)
 		}
 		for _, v6 := range []bool{false, true} {
 			got := CountSnapshot(cur, v6)
-			want := NewIndex(days[d], scheme).Counts(v6)
+			want := CountSnapshotDirect(days[d], v6)
 			if got != want {
 				t.Fatalf("day %d v6=%v: counts %+v, want %+v", d, v6, got, want)
 			}
 		}
 	}
 
-	// A snapshot with no attached index cannot ride the chain.
+	// A materialized snapshot has no chain state to ride: what IndexFor
+	// builds for it cannot advance.
 	dr, err := collector.NewDeltaReader(deltas[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := AdvanceSnapshot(days[0], scheme, dr); err == nil {
-		t.Error("AdvanceSnapshot without an attached series index succeeded")
+	if _, err := IndexFor(days[0], scheme).Advance(dr); err == nil {
+		t.Error("Advance from a materialized snapshot's cached index succeeded")
 	}
 }
 
@@ -388,4 +399,223 @@ func TestAdvanceBytesPerDay(t *testing.T) {
 	if perDay > ceiling {
 		t.Errorf("Advance allocates %.0f B a day, ceiling %d (seed: ~780 kB, the per-day memo copy)", perDay, ceiling)
 	}
+}
+
+// advanceFuzzWorld is what a FuzzAdvance script edits with: a small
+// base day and pools of prefixes, peers, attribute values and
+// membership candidates, all cut from one generated DE-CIX workload so
+// the community sets (standard, extended, large, nil and empty) are the
+// realistic ones.
+type advanceFuzzWorld struct {
+	scheme    *dictionary.Scheme
+	base      *collector.Snapshot
+	prefixes  []netip.Prefix
+	peers     []uint32
+	attrs     []bgp.Route // donors: communities, paths' tails, next hops
+	flippable []collector.Member
+}
+
+func newAdvanceFuzzWorld(tb testing.TB) *advanceFuzzWorld {
+	es, scheme := edgeSnapshot(tb)
+	gs, _ := genSnapshot(tb, "DE-CIX")
+	w := &advanceFuzzWorld{scheme: scheme, base: es}
+	for i := 0; i < 24; i++ {
+		w.prefixes = append(w.prefixes, netutil.SyntheticV4Prefix(1000+i))
+	}
+	for i := 0; i < 8; i++ {
+		w.prefixes = append(w.prefixes, netutil.SyntheticV6Prefix(1000+i))
+	}
+	for i := range es.Routes {
+		w.prefixes = append(w.prefixes, es.Routes[i].Prefix)
+	}
+	// Donors spread over the generated table; every peer-targeted AS
+	// they name can join or leave the member list, and so can the
+	// announcing peers.
+	seenPeer, seenFlip := map[uint32]bool{}, map[uint32]bool{}
+	flip := func(m collector.Member) {
+		if !seenFlip[m.ASN] && len(w.flippable) < 32 {
+			seenFlip[m.ASN] = true
+			w.flippable = append(w.flippable, m)
+		}
+	}
+	for i := 0; i < len(gs.Routes) && len(w.attrs) < 48; i += len(gs.Routes)/48 + 1 {
+		r := gs.Routes[i]
+		w.attrs = append(w.attrs, r)
+		if p := r.PeerAS(); !seenPeer[p] && len(w.peers) < 6 {
+			seenPeer[p] = true
+			w.peers = append(w.peers, p)
+			flip(collector.Member{ASN: p, IPv4: true, IPv6: true})
+		}
+		for _, c := range r.Communities {
+			if cl := scheme.Classify(c); cl.Target == dictionary.TargetPeer {
+				flip(collector.Member{ASN: cl.TargetASN, IPv4: true, IPv6: cl.TargetASN%2 == 0})
+			}
+		}
+	}
+	w.peers = append(w.peers, 64999) // an announcing AS that is never a member
+	return w
+}
+
+// Script opcodes: every op is three bytes, {op, a, b}.
+const (
+	fuzzEndDay = iota // emit the day
+	fuzzAdd           // announce prefix a from peer b, attributes from donor a^b
+	fuzzDel           // withdraw route a
+	fuzzFlap          // attribute-only change on route a: MED and next hop move, communities stay
+	fuzzRetag         // route a takes donor b's community sets
+	fuzzRepath        // route a keeps its peer and takes donor b's path tail
+	fuzzRepeer        // route a moves to peer b (a withdrawal plus an announcement)
+	fuzzMember        // candidate a joins or leaves the member list
+	fuzzClear         // withdraw everything: an empty day
+	fuzzOps
+)
+
+// advanceFuzzDays plays a script against the world and returns the
+// days after the base, each normalized and independent of the others.
+func (w *advanceFuzzWorld) advanceFuzzDays(script []byte) []*collector.Snapshot {
+	const maxDays, maxOps = 8, 96
+	day := *w.base
+	routes := slices.Clone(w.base.Routes)
+	members := slices.Clone(w.base.Members)
+	var days []*collector.Snapshot
+	emit := func() {
+		s := day
+		s.Date = fmt.Sprintf("2021-10-%02d", 5+len(days))
+		s.Routes = slices.Clone(routes)
+		s.Members = slices.Clone(members)
+		s.Normalize()
+		days = append(days, &s)
+	}
+	has := func(p netip.Prefix, peer uint32) bool {
+		return slices.ContainsFunc(routes, func(r bgp.Route) bool { return r.Prefix == p && r.PeerAS() == peer })
+	}
+	for i := 0; i+2 < len(script) && i < 3*maxOps && len(days) < maxDays; i += 3 {
+		op, a, b := script[i]%fuzzOps, int(script[i+1]), int(script[i+2])
+		if op != fuzzEndDay && op != fuzzAdd && op != fuzzMember && len(routes) == 0 {
+			continue
+		}
+		switch op {
+		case fuzzEndDay:
+			emit()
+		case fuzzAdd:
+			p, peer := w.prefixes[a%len(w.prefixes)], w.peers[b%len(w.peers)]
+			if has(p, peer) {
+				continue
+			}
+			r := w.attrs[(a^b)%len(w.attrs)]
+			r.Prefix = p
+			r.ASPath = append(bgp.ASPath{peer}, r.ASPath[1:]...)
+			routes = append(routes, r)
+		case fuzzDel:
+			routes = slices.Delete(routes, a%len(routes), a%len(routes)+1)
+		case fuzzFlap:
+			r := &routes[a%len(routes)]
+			r.MED += uint32(b) + 1
+			r.NextHop = w.attrs[b%len(w.attrs)].NextHop
+		case fuzzRetag:
+			r, d := &routes[a%len(routes)], &w.attrs[b%len(w.attrs)]
+			r.Communities, r.ExtCommunities, r.LargeCommunities = d.Communities, d.ExtCommunities, d.LargeCommunities
+		case fuzzRepath:
+			r := &routes[a%len(routes)]
+			r.ASPath = append(bgp.ASPath{r.PeerAS()}, w.attrs[b%len(w.attrs)].ASPath[1:]...)
+		case fuzzRepeer:
+			r, peer := &routes[a%len(routes)], w.peers[b%len(w.peers)]
+			if has(r.Prefix, peer) {
+				continue
+			}
+			r.ASPath = append(bgp.ASPath{peer}, r.ASPath[1:]...)
+		case fuzzMember:
+			m := w.flippable[a%len(w.flippable)]
+			if i := slices.IndexFunc(members, func(x collector.Member) bool { return x.ASN == m.ASN }); i >= 0 {
+				members = slices.Delete(members, i, i+1)
+			} else {
+				members = append(members, m)
+			}
+		case fuzzClear:
+			routes = routes[:0]
+		}
+	}
+	if len(days) == 0 {
+		emit()
+	}
+	return days
+}
+
+// FuzzAdvance drives arbitrary N-day chains through the DeltaReader
+// source of the fold. The script edits a base day (announcements,
+// withdrawals, attribute-only flaps, re-tags, path changes within and
+// across peers, membership flips, empty days); each day is
+// delta-encoded, and after every step every accessor of the advanced
+// index must equal the oracle over the day a DeltaApplier materializes
+// from the same bytes. Earlier days are read again after later ones
+// have advanced, and a superseded day must still refuse to advance.
+func FuzzAdvance(f *testing.F) {
+	w := newAdvanceFuzzWorld(f)
+	day0 := binBytes(f, w.base)
+
+	op := func(ops ...byte) []byte { return ops }
+	f.Add(op(fuzzEndDay, 0, 0))                                                                             // a day with no change
+	f.Add(op(fuzzAdd, 1, 0, fuzzAdd, 1, 1, fuzzAdd, 30, 2, fuzzEndDay, 0, 0, fuzzDel, 0, 0, fuzzDel, 5, 0)) // adds then dels
+	f.Add(op(fuzzFlap, 2, 7, fuzzFlap, 3, 9, fuzzEndDay, 0, 0, fuzzRetag, 2, 11, fuzzRetag, 4, 0))          // index-invisible day, then re-tags
+	f.Add(op(fuzzRepath, 1, 3, fuzzRepeer, 2, 1, fuzzRepeer, 3, 6, fuzzEndDay, 0, 0, fuzzRepeer, 2, 0))     // path swaps within and across peers
+	f.Add(op(fuzzMember, 0, 0, fuzzMember, 7, 0, fuzzEndDay, 0, 0, fuzzMember, 0, 0, fuzzMember, 9, 0))     // membership flips, back and forth
+	f.Add(op(fuzzClear, 0, 0, fuzzEndDay, 0, 0, fuzzEndDay, 0, 0, fuzzAdd, 4, 4, fuzzAdd, 25, 1))           // empty days and the recovery
+	f.Add(op(fuzzAdd, 40, 6, fuzzRetag, 0, 5, fuzzEndDay, 0, 0, fuzzMember, 3, 0, fuzzDel, 1, 0, fuzzEndDay, 0, 0,
+		fuzzFlap, 0, 1, fuzzRepeer, 1, 2, fuzzEndDay, 0, 0, fuzzClear, 0, 0, fuzzEndDay, 0, 0, fuzzAdd, 2, 2)) // everything, five days
+
+	f.Fuzz(func(t *testing.T, script []byte) {
+		enc, err := collector.NewDeltaEncoder(w.base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		applier, err := collector.NewDeltaApplier(w.base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sr, err := collector.NewSnapshotReaderBytes(day0, "day0.bin")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := IndexSeriesFromReader(sr, w.scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chain := []*Index{ix}
+		truth := []*collector.Snapshot{w.base}
+		var firstDelta []byte
+		for d, day := range w.advanceFuzzDays(script) {
+			buf, err := enc.Encode(day)
+			if err != nil {
+				t.Fatalf("day %d encode: %v", d+1, err)
+			}
+			if firstDelta == nil {
+				firstDelta = buf
+			}
+			dr, err := collector.NewDeltaReader(buf)
+			if err != nil {
+				t.Fatalf("day %d: %v", d+1, err)
+			}
+			mat, err := applier.Apply(dr)
+			if err != nil {
+				t.Fatalf("day %d apply: %v", d+1, err)
+			}
+			next, err := chain[len(chain)-1].Advance(dr)
+			if err != nil {
+				t.Fatalf("day %d advance: %v", d+1, err)
+			}
+			checkIndexMatchesDirect(t, fmt.Sprintf("day%d", d+1), next, mat, w.scheme)
+			chain = append(chain, next)
+			truth = append(truth, mat)
+		}
+		for d := range chain[:len(chain)-1] {
+			checkIndexMatchesDirect(t, fmt.Sprintf("day%d re-read", d), chain[d], truth[d], w.scheme)
+		}
+		dr, err := collector.NewDeltaReader(firstDelta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := chain[0].Advance(dr); err == nil {
+			t.Error("a superseded day advanced")
+		}
+	})
 }

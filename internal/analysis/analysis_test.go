@@ -19,7 +19,7 @@ import (
 //	AS200:  r3 v4 [6695:100, 65501:100]     (AOT member + prepend member)
 //	        r4 v6 [0:15169]                 (1 action, non-member)
 //	AS6939: r5 v4 [0:15169, 0:16276, 65535:666]  (2 DNA non-member + blackhole)
-func testSnapshot(t *testing.T) (*collector.Snapshot, *dictionary.Scheme) {
+func testSnapshot(t testing.TB) (*collector.Snapshot, *dictionary.Scheme) {
 	t.Helper()
 	scheme := dictionary.ProfileByName("DE-CIX")
 	info0, _ := scheme.Info(0)

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"ixplight/internal/asdb"
 	"ixplight/internal/bgp"
 	"ixplight/internal/collector"
 	"ixplight/internal/dictionary"
@@ -37,51 +36,10 @@ func columnIndex(tb testing.TB, s *collector.Snapshot, scheme *dictionary.Scheme
 	return ix
 }
 
-// checkIndexesAgree asserts every accessor of got answers identically
-// to want — the column-direct build's equivalence contract against
-// the route-walking NewIndex.
-func checkIndexesAgree(t *testing.T, tag string, got, want *Index) {
-	t.Helper()
-	reg := asdb.Default()
-	for _, v6 := range []bool{false, true} {
-		eq := func(name string, g, w any) {
-			t.Helper()
-			if !reflect.DeepEqual(g, w) {
-				t.Errorf("%s: %s (v6=%v): columns %+v != routes %+v", tag, name, v6, g, w)
-			}
-		}
-		eq("Usage", got.Usage(v6), want.Usage(v6))
-		eq("Mix", got.Mix(v6), want.Mix(v6))
-		ga, gi := got.ActionInfoSplit(v6)
-		wa, wi := want.ActionInfoSplit(v6)
-		eq("ActionInfoSplit", [2]int{ga, gi}, [2]int{wa, wi})
-		eq("FlavourActions", got.FlavourActions(v6), want.FlavourActions(v6))
-		eq("PerASActionCounts", got.PerASActionCounts(v6), want.PerASActionCounts(v6))
-		eq("RouteCommCorrelation", got.RouteCommCorrelation(v6), want.RouteCommCorrelation(v6))
-		eq("ASesPerActionType", got.ASesPerActionType(v6), want.ASesPerActionType(v6))
-		eq("OccurrencesPerType", got.OccurrencesPerType(v6), want.OccurrencesPerType(v6))
-		for _, k := range []int{0, 3, 20} {
-			eq("TopActionCommunities", got.TopActionCommunities(v6, k), want.TopActionCommunities(v6, k))
-			eq("NonMemberTargeting", got.NonMemberTargeting(v6, k), want.NonMemberTargeting(v6, k))
-			eq("CulpritRanking", got.CulpritRanking(v6, k), want.CulpritRanking(v6, k))
-			eq("TopTargets", got.TopTargets(v6, k), want.TopTargets(v6, k))
-		}
-		eq("CategoryBreakdown", got.CategoryBreakdown(reg, v6), want.CategoryBreakdown(reg, v6))
-		eq("HygieneFilterImpact", got.HygieneFilterImpact(v6, []int{0, 2, 10}), want.HygieneFilterImpact(v6, []int{0, 2, 10}))
-		eq("CommunityCountPercentiles",
-			got.CommunityCountPercentiles(v6, []float64{0, 50, 90, 100}),
-			want.CommunityCountPercentiles(v6, []float64{0, 50, 90, 100}))
-		eq("Counts", got.Counts(v6), want.Counts(v6))
-		// Counts a second time: the column path releases its prefix
-		// slabs after the lazy count, which must be memoized.
-		eq("Counts(again)", got.Counts(v6), want.Counts(v6))
-	}
-}
-
 // edgeSnapshot builds a partial snapshot covering the codec's
 // nil-vs-empty distinction on every community flavour, plus
 // MemberErrors and a degraded member list.
-func edgeSnapshot(t *testing.T) (*collector.Snapshot, *dictionary.Scheme) {
+func edgeSnapshot(t testing.TB) (*collector.Snapshot, *dictionary.Scheme) {
 	t.Helper()
 	gs, scheme := genSnapshot(t, "DE-CIX")
 	n := 12
@@ -113,23 +71,25 @@ func edgeSnapshot(t *testing.T) (*collector.Snapshot, *dictionary.Scheme) {
 	return s, scheme
 }
 
+// TestIndexFromReaderMatchesNewIndex holds the RouteBlock source of
+// the fold to the oracle, on the cases the []bgp.Route source is held
+// to in TestIndexMatchesDirect.
 func TestIndexFromReaderMatchesNewIndex(t *testing.T) {
 	s, scheme := testSnapshot(t)
-	checkIndexesAgree(t, "testSnapshot", columnIndex(t, s, scheme), NewIndex(s, scheme))
+	checkIndexMatchesDirect(t, "testSnapshot", columnIndex(t, s, scheme), s, scheme)
 
 	for _, ixp := range []string{"DE-CIX", "AMS-IX"} {
 		gs, gscheme := genSnapshot(t, ixp)
-		checkIndexesAgree(t, ixp, columnIndex(t, gs, gscheme), NewIndex(gs, gscheme))
+		checkIndexMatchesDirect(t, ixp, columnIndex(t, gs, gscheme), gs, gscheme)
 	}
 
 	es, escheme := edgeSnapshot(t)
-	checkIndexesAgree(t, "edge", columnIndex(t, es, escheme), NewIndex(es, escheme))
+	checkIndexMatchesDirect(t, "edge", columnIndex(t, es, escheme), es, escheme)
 
 	empty := &collector.Snapshot{IXP: "DE-CIX", Date: "2021-10-04"}
 	empty.Normalize()
-	checkIndexesAgree(t, "empty",
-		columnIndex(t, empty, dictionary.ProfileByName("DE-CIX")),
-		NewIndex(empty, dictionary.ProfileByName("DE-CIX")))
+	scheme = dictionary.ProfileByName("DE-CIX")
+	checkIndexMatchesDirect(t, "empty", columnIndex(t, empty, scheme), empty, scheme)
 }
 
 // TestIndexFromReaderNonBinary pins the transparent fallback: a
@@ -148,16 +108,16 @@ func TestIndexFromReaderNonBinary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkIndexesAgree(t, "json-fallback", ix, NewIndex(s, scheme))
+	checkIndexMatchesDirect(t, "json-fallback", ix, s, scheme)
 	if ix.Snapshot().Routes == nil {
 		t.Error("fallback index must carry the materialized snapshot")
 	}
 }
 
-// TestAttachIndexDispatch pins that a pinned index answers the
-// analysis wrappers on its header-only snapshot — at any parallelism,
-// including 1, where the direct twins would otherwise walk the absent
-// routes.
+// TestAttachIndexDispatch pins that an attached index answers the
+// analysis wrappers on its header-only snapshot, which has no routes
+// to build from or walk — and that only an index built under the
+// asked-for scheme does.
 func TestAttachIndexDispatch(t *testing.T) {
 	s, scheme := testSnapshot(t)
 	ix := columnIndex(t, s, scheme)
@@ -167,31 +127,28 @@ func TestAttachIndexDispatch(t *testing.T) {
 	}
 	AttachIndex(head, ix)
 
-	for _, par := range []int{1, 4} {
-		setParallelismForTest(t, par)
-		if got := indexFor(head, scheme); got != ix {
-			t.Fatalf("parallelism %d: indexFor must return the pinned index", par)
+	if got := IndexFor(head, scheme); got != ix {
+		t.Fatal("IndexFor must return the attached index")
+	}
+	if other := dictionary.ProfileByName("LINX"); IndexFor(head, other) == ix {
+		t.Fatal("IndexFor under another scheme must not return the attached index")
+	}
+	for _, v6 := range []bool{false, true} {
+		if got, want := ComputeUsage(head, scheme, v6), ComputeUsageDirect(s, scheme, v6); !reflect.DeepEqual(got, want) {
+			t.Errorf("attached ComputeUsage(v6=%v) %+v != direct %+v", v6, got, want)
 		}
-		if got := indexForSnapshot(head); got != ix {
-			t.Fatalf("parallelism %d: indexForSnapshot must return the pinned index", par)
-		}
-		for _, v6 := range []bool{false, true} {
-			if got, want := ComputeUsage(head, scheme, v6), ComputeUsageDirect(s, scheme, v6); !reflect.DeepEqual(got, want) {
-				t.Errorf("parallelism %d: pinned ComputeUsage(v6=%v) %+v != direct %+v", par, v6, got, want)
-			}
-			if got, want := CountSnapshot(head, v6), CountSnapshotDirect(s, v6); !reflect.DeepEqual(got, want) {
-				t.Errorf("parallelism %d: pinned CountSnapshot(v6=%v) %+v != direct %+v", par, v6, got, want)
-			}
+		if got, want := CountSnapshot(head, v6), CountSnapshotDirect(s, v6); !reflect.DeepEqual(got, want) {
+			t.Errorf("attached CountSnapshot(v6=%v) %+v != direct %+v", v6, got, want)
 		}
 	}
 }
 
-// TestIndexFromColumnsAllocs pins the arena contract: the
-// column-direct build's steady-state allocations are the Index's own
-// storage — O(intern tables), not O(routes). (The decode path's
-// alloc *count* is also slab-bounded; what it pays per route is
-// bytes and time, which the benchmarks cover — so the pin here is
-// route-independence plus an absolute ceiling, not a ratio.)
+// TestIndexFromColumnsAllocs pins what a full build off columns
+// allocates: one prefix refcount key per route — the chain state counts
+// prefixes under edits at arbitrary positions, so it keys them, and a
+// map assignment converts its key — and beyond those only the tables
+// and aggregate maps, sized from the input. Nothing per community
+// instance or per distinct community.
 func TestIndexFromColumnsAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting under -short")
@@ -200,7 +157,7 @@ func TestIndexFromColumnsAllocs(t *testing.T) {
 	data := binBytes(t, s)
 	routes := len(s.Routes)
 
-	colRun := func() {
+	allocs := testing.AllocsPerRun(10, func() {
 		sr, err := collector.NewSnapshotReaderBytes(data, "x.bin")
 		if err != nil {
 			t.Fatal(err)
@@ -208,37 +165,17 @@ func TestIndexFromColumnsAllocs(t *testing.T) {
 		if _, err := IndexFromReader(sr, scheme); err != nil {
 			t.Fatal(err)
 		}
-	}
-	// Warm the scratch pool so the measurement sees steady state.
-	for i := 0; i < 3; i++ {
-		colRun()
-	}
-	colAllocs := testing.AllocsPerRun(10, colRun)
-
-	decAllocs := testing.AllocsPerRun(10, func() {
-		sr, err := collector.NewSnapshotReaderBytes(data, "x.bin")
-		if err != nil {
-			t.Fatal(err)
-		}
-		full, err := sr.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		NewIndex(full, scheme)
 	})
-
-	t.Logf("routes=%d columns=%.0f allocs/op decode+index=%.0f allocs/op", routes, colAllocs, decAllocs)
-	if colAllocs > float64(routes)/10 {
-		t.Errorf("column build allocates per route: %.0f allocs for %d routes", colAllocs, routes)
-	}
-	if colAllocs > 512 {
-		t.Errorf("column build steady state: %.0f allocs/op, ceiling 512", colAllocs)
+	t.Logf("routes=%d build=%.0f allocs/op", routes, allocs)
+	if rest := allocs - float64(routes); rest > 768 {
+		t.Errorf("column build: %.0f allocs/op beyond one key per route (%d), ceiling 768", rest, routes)
 	}
 }
 
 // FuzzIndexFromColumns feeds arbitrary bytes through the open →
-// column-build path: whatever decodes must index identically to the
-// materialized NewIndex, and whatever doesn't must fail cleanly.
+// column-build path: whatever decodes must index exactly as the
+// oracle reads the materialized snapshot, and whatever doesn't must
+// fail cleanly.
 func FuzzIndexFromColumns(f *testing.F) {
 	seed, scheme := func() (*collector.Snapshot, *dictionary.Scheme) {
 		s := &collector.Snapshot{
@@ -255,11 +192,9 @@ func FuzzIndexFromColumns(f *testing.F) {
 		s.Normalize()
 		return s, dictionary.ProfileByName("DE-CIX")
 	}()
-	var buf bytes.Buffer
-	if err := collector.WriteSnapshot(&buf, seed, collector.CodecBinary); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
+	f.Add(binBytes(f, seed))
+	es, _ := edgeSnapshot(f)
+	f.Add(binBytes(f, es))
 	f.Add([]byte("IXPB"))
 	f.Add([]byte{})
 
@@ -274,29 +209,12 @@ func FuzzIndexFromColumns(f *testing.F) {
 		}
 		// The column build does not consume the reader (and the
 		// non-binary fallback caches its materialization), so the same
-		// bytes must also materialize — and classify identically.
+		// bytes must also materialize.
 		full, err := sr.Snapshot()
 		if err != nil {
 			t.Fatalf("columns decoded but Snapshot failed: %v", err)
 		}
-		want := NewIndex(full, scheme)
-		for _, v6 := range []bool{false, true} {
-			if got, w := ix.Usage(v6), want.Usage(v6); !reflect.DeepEqual(got, w) {
-				t.Errorf("Usage(v6=%v): %+v != %+v", v6, got, w)
-			}
-			if got, w := ix.Mix(v6), want.Mix(v6); !reflect.DeepEqual(got, w) {
-				t.Errorf("Mix(v6=%v): %+v != %+v", v6, got, w)
-			}
-			if got, w := ix.FlavourActions(v6), want.FlavourActions(v6); !reflect.DeepEqual(got, w) {
-				t.Errorf("FlavourActions(v6=%v): %+v != %+v", v6, got, w)
-			}
-			if got, w := ix.PerASActionCounts(v6), want.PerASActionCounts(v6); !reflect.DeepEqual(got, w) {
-				t.Errorf("PerASActionCounts(v6=%v): %+v != %+v", v6, got, w)
-			}
-			if got, w := ix.Counts(v6), want.Counts(v6); !reflect.DeepEqual(got, w) {
-				t.Errorf("Counts(v6=%v): %+v != %+v", v6, got, w)
-			}
-		}
+		checkIndexMatchesDirect(t, "fuzz", ix, full, scheme)
 	})
 }
 
@@ -315,9 +233,10 @@ func benchWorkload(b *testing.B) ([]byte, *dictionary.Scheme, int) {
 	return binBytes(b, s), p.Scheme, len(s.Routes)
 }
 
-// BenchmarkIndexFromColumns measures the column-direct build: open
-// the encoded snapshot, classify the intern tables, aggregate off the
-// columns. Compare against BenchmarkIndexDecodeThenNew.
+// BenchmarkIndexFromColumns measures a full build off columns: open
+// the encoded snapshot, register the intern tables, fold the rows.
+// Compare against BenchmarkIndexDecodeThenNew, the same fold over
+// materialized routes.
 func BenchmarkIndexFromColumns(b *testing.B) {
 	data, scheme, routes := benchWorkload(b)
 	b.ReportAllocs()
@@ -335,8 +254,8 @@ func BenchmarkIndexFromColumns(b *testing.B) {
 	b.ReportMetric(float64(routes), "routes")
 }
 
-// BenchmarkIndexDecodeThenNew is the baseline the tentpole displaces:
-// materialize []bgp.Route, then classify route by route.
+// BenchmarkIndexDecodeThenNew materializes []bgp.Route first, then
+// folds route by route.
 func BenchmarkIndexDecodeThenNew(b *testing.B) {
 	data, scheme, routes := benchWorkload(b)
 	b.ReportAllocs()

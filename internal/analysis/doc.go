@@ -12,16 +12,20 @@
 // *dictionary.Scheme and an address-family selector, mirroring how the
 // paper slices each analysis per IXP and per family.
 //
-// Two execution paths back each entry point. The direct-classify
-// twins (ComputeUsageDirect, ComputeMixDirect, ...) re-walk the
-// snapshot and re-classify every community instance — the reference
-// implementation and the ablation baseline. When Parallelism() > 1
-// (the default on multi-core hosts), the public wrappers instead
-// consult a shared classified snapshot Index: one sharded pass per
-// (snapshot, scheme) pair that memoizes the Class of every distinct
-// community value and precomputes the aggregates all ~20 analyses
-// slice, so the full experiment battery classifies each distinct
-// value exactly once. SetParallelism(1) disables the index and
-// restores the direct path everywhere. Both paths produce identical
-// results; TestIndexMatchesDirect pins the equivalence.
+// One execution path backs every entry point: the classified snapshot
+// Index (index.go), which classifies each distinct community value
+// once and precomputes the aggregates all ~20 analyses slice. One fold
+// builds it (advance.go) from three sources — a binary snapshot's
+// columns, a delta's ops on top of the previous day's index, or a
+// materialized []bgp.Route — and the scheme-taking functions are
+// IndexFor(s, scheme).X(…). The three scheme-less ones (CountSnapshot,
+// HygieneFilterImpact, CommunityCountPercentiles) need no
+// classification: they read the attached index of a header-only
+// snapshot and walk the routes of any other.
+//
+// The reference implementation lives in oracle_test.go: the *Direct
+// functions re-walk a materialized snapshot and re-classify every
+// community instance per analysis. They share no code with the fold,
+// and every source of the fold, and every day of an advanced chain, is
+// held to them accessor by accessor.
 package analysis

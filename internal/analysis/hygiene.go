@@ -35,35 +35,35 @@ func (h HygieneImpact) LoadShare() float64 {
 }
 
 // HygieneFilterImpact evaluates the §5.6 filter at each threshold.
-// The per-route counts are scheme-independent, so any cached index for
-// the snapshot can serve them; without one the direct walk is used.
+// The per-route counts need no classification, so there is no scheme
+// to build an index with: a header-only snapshot answers from its
+// attached index, any other from a walk of its routes.
 func HygieneFilterImpact(s *collector.Snapshot, v6 bool, thresholds []int) []HygieneImpact {
-	if ix := indexForSnapshot(s); ix != nil {
+	if ix := pinnedFor(s, nil); ix != nil {
 		return ix.HygieneFilterImpact(v6, thresholds)
 	}
-	return HygieneFilterImpactDirect(s, v6, thresholds)
-}
-
-// HygieneFilterImpactDirect is the direct twin of HygieneFilterImpact.
-func HygieneFilterImpactDirect(s *collector.Snapshot, v6 bool, thresholds []int) []HygieneImpact {
-	counts := communityCounts(s, v6)
-	totalComms := 0
-	for _, c := range counts {
-		totalComms += c
+	hist := make(map[int]int)
+	for _, c := range communityCounts(s, v6) {
+		hist[c]++
 	}
-	return hygieneImpacts(counts, totalComms, thresholds)
+	return hygieneImpacts(hist, thresholds)
 }
 
 // hygieneImpacts evaluates each threshold over a per-route community
-// count series.
-func hygieneImpacts(counts []int, totalComms int, thresholds []int) []HygieneImpact {
+// count distribution, given as a histogram (count → routes).
+func hygieneImpacts(hist map[int]int, thresholds []int) []HygieneImpact {
+	routes, comms := 0, 0
+	for c, n := range hist {
+		routes += n
+		comms += c * n
+	}
 	out := make([]HygieneImpact, 0, len(thresholds))
 	for _, th := range thresholds {
-		h := HygieneImpact{Threshold: th, RoutesTotal: len(counts), CommunitiesTotal: totalComms}
-		for _, c := range counts {
+		h := HygieneImpact{Threshold: th, RoutesTotal: routes, CommunitiesTotal: comms}
+		for c, n := range hist {
 			if c > th {
-				h.RoutesDropped++
-				h.CommunitiesDropped += c
+				h.RoutesDropped += n
+				h.CommunitiesDropped += c * n
 			}
 		}
 		out = append(out, h)
@@ -73,17 +73,11 @@ func hygieneImpacts(counts []int, totalComms int, thresholds []int) []HygieneImp
 
 // CommunityCountPercentiles summarises the per-route community count
 // distribution at the given percentiles (0–100) — the evidence for
-// picking a §5.6 threshold.
+// picking a §5.6 threshold. Scheme-less like HygieneFilterImpact.
 func CommunityCountPercentiles(s *collector.Snapshot, v6 bool, percentiles []float64) []int {
-	if ix := indexForSnapshot(s); ix != nil {
+	if ix := pinnedFor(s, nil); ix != nil {
 		return ix.CommunityCountPercentiles(v6, percentiles)
 	}
-	return CommunityCountPercentilesDirect(s, v6, percentiles)
-}
-
-// CommunityCountPercentilesDirect is the direct twin of
-// CommunityCountPercentiles.
-func CommunityCountPercentilesDirect(s *collector.Snapshot, v6 bool, percentiles []float64) []int {
 	return countPercentiles(communityCounts(s, v6), percentiles)
 }
 

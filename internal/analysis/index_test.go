@@ -2,8 +2,11 @@ package analysis
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"ixplight/internal/asdb"
 	"ixplight/internal/collector"
@@ -11,19 +14,10 @@ import (
 	"ixplight/internal/ixpgen"
 )
 
-// setParallelismForTest overrides the package parallelism and restores
-// it when the test ends.
-func setParallelismForTest(t *testing.T, n int) {
-	t.Helper()
-	old := Parallelism()
-	SetParallelism(n)
-	t.Cleanup(func() { SetParallelism(old) })
-}
-
 // genSnapshot builds a mid-size generated workload so the equivalence
 // check also covers ext/large communities, prepends and both families
 // at realistic diversity.
-func genSnapshot(t *testing.T, ixp string) (*collector.Snapshot, *dictionary.Scheme) {
+func genSnapshot(t testing.TB, ixp string) (*collector.Snapshot, *dictionary.Scheme) {
 	t.Helper()
 	p := ixpgen.ProfileByName(ixp)
 	if p == nil {
@@ -36,103 +30,86 @@ func genSnapshot(t *testing.T, ixp string) (*collector.Snapshot, *dictionary.Sch
 	return w.Snapshot("2021-10-04"), p.Scheme
 }
 
-// checkIndexMatchesDirect asserts every indexed accessor reproduces
-// its direct-classify twin exactly, for both families.
-func checkIndexMatchesDirect(t *testing.T, s *collector.Snapshot, scheme *dictionary.Scheme, workers int) {
-	t.Helper()
-	ix := NewIndexWorkers(s, scheme, workers)
-	reg := asdb.Default()
-	for _, v6 := range []bool{false, true} {
-		eq := func(name string, got, want any) {
-			t.Helper()
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s (v6=%v, workers=%d): indexed %+v != direct %+v", name, v6, workers, got, want)
-			}
-		}
-		eq("Usage", ix.Usage(v6), ComputeUsageDirect(s, scheme, v6))
-		eq("Mix", ix.Mix(v6), ComputeMixDirect(s, scheme, v6))
-		a, i := ix.ActionInfoSplit(v6)
-		da, di := ActionInfoSplitDirect(s, scheme, v6)
-		eq("ActionInfoSplit", [2]int{a, i}, [2]int{da, di})
-		eq("FlavourActions", ix.FlavourActions(v6), ComputeFlavourActionsDirect(s, scheme, v6))
-		eq("PerASActionCounts", ix.PerASActionCounts(v6), PerASActionCountsDirect(s, scheme, v6))
-		eq("RouteCommCorrelation", ix.RouteCommCorrelation(v6), RouteCommCorrelationDirect(s, scheme, v6))
-		eq("ASesPerActionType", ix.ASesPerActionType(v6), ASesPerActionTypeDirect(s, scheme, v6))
-		eq("OccurrencesPerType", ix.OccurrencesPerType(v6), OccurrencesPerTypeDirect(s, scheme, v6))
-		for _, k := range []int{0, 3, 20} {
-			eq("TopActionCommunities", ix.TopActionCommunities(v6, k), TopActionCommunitiesDirect(s, scheme, v6, k))
-			eq("NonMemberTargeting", ix.NonMemberTargeting(v6, k), ComputeNonMemberTargetingDirect(s, scheme, v6, k))
-			eq("CulpritRanking", ix.CulpritRanking(v6, k), CulpritRankingDirect(s, scheme, v6, k))
-			eq("TopTargets", ix.TopTargets(v6, k), TopTargetsDirect(s, scheme, v6, k))
-		}
-		eq("CategoryBreakdown", ix.CategoryBreakdown(reg, v6), ComputeCategoryBreakdownDirect(s, scheme, reg, v6))
-		eq("HygieneFilterImpact", ix.HygieneFilterImpact(v6, []int{0, 2, 10}), HygieneFilterImpactDirect(s, v6, []int{0, 2, 10}))
-		eq("CommunityCountPercentiles",
-			ix.CommunityCountPercentiles(v6, []float64{0, 50, 90, 100}),
-			CommunityCountPercentilesDirect(s, v6, []float64{0, 50, 90, 100}))
-		eq("Counts", ix.Counts(v6), CountSnapshotDirect(s, v6))
-	}
-}
-
+// TestIndexMatchesDirect holds the []bgp.Route source of the fold to
+// the oracle.
 func TestIndexMatchesDirect(t *testing.T) {
 	s, scheme := testSnapshot(t)
-	for _, workers := range []int{1, 4} {
-		checkIndexMatchesDirect(t, s, scheme, workers)
-	}
+	checkIndexMatchesDirect(t, "testSnapshot", NewIndex(s, scheme), s, scheme)
 
 	for _, ixp := range []string{"DE-CIX", "AMS-IX"} {
 		gs, gscheme := genSnapshot(t, ixp)
-		for _, workers := range []int{1, 3, 8} {
-			checkIndexMatchesDirect(t, gs, gscheme, workers)
-		}
+		checkIndexMatchesDirect(t, ixp, NewIndex(gs, gscheme), gs, gscheme)
 	}
 
-	// Empty snapshot: accessors must keep the direct twins' nil/empty
+	es, escheme := edgeSnapshot(t)
+	checkIndexMatchesDirect(t, "edge", NewIndex(es, escheme), es, escheme)
+
+	// Empty snapshot: accessors must keep the oracle's nil/empty
 	// semantics exactly.
 	empty := &collector.Snapshot{IXP: "DE-CIX", Date: "2021-10-04"}
-	checkIndexMatchesDirect(t, empty, dictionary.ProfileByName("DE-CIX"), 4)
+	scheme = dictionary.ProfileByName("DE-CIX")
+	checkIndexMatchesDirect(t, "empty", NewIndex(empty, scheme), empty, scheme)
 }
 
-// TestWrapperDispatch pins the -parallel 1 contract: with parallelism
-// 1 the wrappers run the direct path; with > 1 they consult the shared
-// index and still return identical results.
+// TestWrapperDispatch pins how the package-level functions find their
+// answer. The scheme-taking ones go through IndexFor — a cached build
+// for a materialized snapshot — and the scheme-less ones select on
+// the input: a snapshot with routes is walked (no index is built for
+// them, there is no scheme to build one with), a header-only snapshot
+// answers from its attached index.
 func TestWrapperDispatch(t *testing.T) {
-	s, scheme := testSnapshot(t)
+	s, scheme := genSnapshot(t, "LINX")
+	setTelemetryForTest(t)
+	m := tel()
 
-	setParallelismForTest(t, 1)
-	if indexFor(s, scheme) != nil {
-		t.Fatal("indexFor must be nil at parallelism 1")
+	misses0 := m.cacheMisses.Value()
+	for _, v6 := range []bool{false, true} {
+		if got, want := ComputeUsage(s, scheme, v6), ComputeUsageDirect(s, scheme, v6); !reflect.DeepEqual(got, want) {
+			t.Errorf("ComputeUsage(v6=%v) %+v != direct %+v", v6, got, want)
+		}
+		if got, want := TopActionCommunities(s, scheme, v6, 5), TopActionCommunitiesDirect(s, scheme, v6, 5); !reflect.DeepEqual(got, want) {
+			t.Errorf("TopActionCommunities(v6=%v) %+v != direct %+v", v6, got, want)
+		}
 	}
-	direct := ComputeUsage(s, scheme, false)
-
-	SetParallelism(4)
-	ix := indexFor(s, scheme)
-	if ix == nil {
-		t.Fatal("indexFor must build at parallelism 4")
+	if got := m.cacheMisses.Value() - misses0; got != 1 {
+		t.Errorf("four scheme-taking calls built %d indexes, want 1", got)
 	}
-	if got := ComputeUsage(s, scheme, false); !reflect.DeepEqual(got, direct) {
-		t.Errorf("indexed ComputeUsage %+v != direct %+v", got, direct)
-	}
+	ix := IndexFor(s, scheme)
 	if again := IndexFor(s, scheme); again != ix {
 		t.Error("IndexFor must return the cached index")
 	}
-	// Scheme-independent analyses piggyback on the cached index.
-	if indexForSnapshot(s) != ix {
-		t.Error("indexForSnapshot must find the cached index")
+
+	builds0 := m.buildSeconds.Count()
+	for _, v6 := range []bool{false, true} {
+		if got, want := CountSnapshot(s, v6), CountSnapshotDirect(s, v6); !reflect.DeepEqual(got, want) {
+			t.Errorf("CountSnapshot(v6=%v) %+v != direct %+v", v6, got, want)
+		}
+		if got, want := HygieneFilterImpact(s, v6, []int{0, 5, 20}), HygieneFilterImpactDirect(s, v6, []int{0, 5, 20}); !reflect.DeepEqual(got, want) {
+			t.Errorf("HygieneFilterImpact(v6=%v) %+v != direct %+v", v6, got, want)
+		}
+		if got, want := CommunityCountPercentiles(s, v6, []float64{50, 99}), CommunityCountPercentilesDirect(s, v6, []float64{50, 99}); !reflect.DeepEqual(got, want) {
+			t.Errorf("CommunityCountPercentiles(v6=%v) %+v != direct %+v", v6, got, want)
+		}
 	}
-	if got, want := CountSnapshot(s, false), CountSnapshotDirect(s, false); !reflect.DeepEqual(got, want) {
-		t.Errorf("CountSnapshot via index %+v != direct %+v", got, want)
+	if got := m.buildSeconds.Count() - builds0; got != 0 {
+		t.Errorf("scheme-less calls on a materialized snapshot built %d indexes, want 0", got)
 	}
 
-	InvalidateIndex(s)
-	if indexForSnapshot(s) != nil {
-		t.Error("indexForSnapshot must miss after InvalidateIndex")
-	}
-
-	// SetParallelism(0) resets to GOMAXPROCS.
-	SetParallelism(0)
-	if Parallelism() < 1 {
-		t.Errorf("Parallelism() = %d after reset", Parallelism())
+	// The same three on a header-only snapshot: only the attached
+	// index can answer.
+	col := columnIndex(t, s, scheme)
+	head := col.Snapshot()
+	AttachIndex(head, col)
+	for _, v6 := range []bool{false, true} {
+		if got, want := CountSnapshot(head, v6), CountSnapshotDirect(s, v6); !reflect.DeepEqual(got, want) {
+			t.Errorf("attached CountSnapshot(v6=%v) %+v != direct %+v", v6, got, want)
+		}
+		if got, want := HygieneFilterImpact(head, v6, []int{0, 5, 20}), HygieneFilterImpactDirect(s, v6, []int{0, 5, 20}); !reflect.DeepEqual(got, want) {
+			t.Errorf("attached HygieneFilterImpact(v6=%v) %+v != direct %+v", v6, got, want)
+		}
+		if got, want := CommunityCountPercentiles(head, v6, []float64{50, 99}), CommunityCountPercentilesDirect(s, v6, []float64{50, 99}); !reflect.DeepEqual(got, want) {
+			t.Errorf("attached CommunityCountPercentiles(v6=%v) %+v != direct %+v", v6, got, want)
+		}
 	}
 }
 
@@ -140,9 +117,8 @@ func TestWrapperDispatch(t *testing.T) {
 // shared by many goroutines, every accessor exercised, plus concurrent
 // cache hits through IndexFor — run under -race by `make check`.
 func TestIndexConcurrentUse(t *testing.T) {
-	setParallelismForTest(t, 4)
 	s, scheme := genSnapshot(t, "LINX")
-	ix := NewIndexWorkers(s, scheme, 4)
+	ix := NewIndex(s, scheme)
 	reg := asdb.Default()
 
 	var wg sync.WaitGroup
@@ -170,32 +146,62 @@ func TestIndexConcurrentUse(t *testing.T) {
 				_ = ix.Counts(v6)
 				_ = ix.Class(0)
 			}
-			// Concurrent cache traffic: hits, singleflight builds and
-			// scheme-independent lookups must all be race-clean.
+			// Concurrent cache traffic: hits and singleflight builds
+			// must be race-clean.
 			_ = IndexFor(s, scheme)
-			_ = indexForSnapshot(s)
+			_ = CountSnapshot(s, v6)
 		}(g)
 	}
 	wg.Wait()
-	t.Cleanup(func() { InvalidateIndex(s) })
 }
 
-// TestIndexCacheEviction keeps the cache bounded: filling it past
-// indexCacheCap evicts the oldest entry.
+// TestIndexCacheEviction keeps the cache bounded — filling it past
+// indexCacheCap evicts the oldest entry — and pins that an evicted
+// snapshot is released at once: when its entry goes, nothing in the
+// cache may keep the snapshot (with all its routes) reachable. Several
+// victims at different distances, because a stale key can sit in a
+// slice's backing array through some evictions and not through others.
 func TestIndexCacheEviction(t *testing.T) {
-	setParallelismForTest(t, 2)
+	setTelemetryForTest(t)
+	m := tel()
 	scheme := dictionary.ProfileByName("DE-CIX")
-	first := &collector.Snapshot{IXP: "DE-CIX", Date: "d0"}
-	_ = IndexFor(first, scheme)
-	snaps := make([]*collector.Snapshot, indexCacheCap)
-	for i := range snaps {
-		snaps[i] = &collector.Snapshot{IXP: "DE-CIX", Date: "later"}
-		_ = IndexFor(snaps[i], scheme)
+	fill := func(n int) {
+		for i := 0; i < n; i++ {
+			_ = IndexFor(&collector.Snapshot{IXP: "DE-CIX", Date: "filler"}, scheme)
+		}
 	}
-	if indexForSnapshot(first) != nil {
+
+	fill(indexCacheCap) // whatever earlier tests left, the cache is full now
+	first := &collector.Snapshot{IXP: "DE-CIX", Date: "d0"}
+	firstIx := IndexFor(first, scheme)
+	evictions0 := m.evictions.Value()
+	fill(indexCacheCap)
+	if got := m.evictions.Value() - evictions0; got != indexCacheCap {
+		t.Errorf("evictions = %d after %d inserts into a full cache, want as many", got, indexCacheCap)
+	}
+	if got := m.cacheEntries.Value(); got != indexCacheCap {
+		t.Errorf("cache entries = %d, want %d", got, indexCacheCap)
+	}
+	if again := IndexFor(first, scheme); again == firstIx {
 		t.Error("oldest entry must be evicted once the cache is full")
 	}
-	for _, s := range snaps {
-		InvalidateIndex(s)
+
+	var collected atomic.Int64
+	insertVictim := func() {
+		s := &collector.Snapshot{IXP: "DE-CIX", Date: "victim"}
+		runtime.SetFinalizer(s, func(*collector.Snapshot) { collected.Add(1) })
+		_ = IndexFor(s, scheme)
+	}
+	for victim := 1; victim <= 8; victim++ {
+		fill(victim) // shift where in the eviction order this victim falls
+		insertVictim()
+		fill(indexCacheCap) // the last of these evicts the victim
+		for i := 0; i < 20 && collected.Load() < int64(victim); i++ {
+			runtime.GC()
+			time.Sleep(time.Millisecond)
+		}
+		if got := collected.Load(); got != int64(victim) {
+			t.Fatalf("victim %d is still reachable after its eviction (%d collected)", victim, got)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"sort"
-	"sync"
 
 	"ixplight/internal/collector"
 	"ixplight/internal/dictionary"
@@ -42,24 +41,9 @@ type PairwiseIntersection struct {
 // the pairwise overlaps and the set shared by every IXP. Results are
 // deterministic: shared ASNs are sorted ascending.
 func TargetIntersections(ixps []IXPSnapshot, v6 bool, k int) (pairs []PairwiseIntersection, common []uint32) {
-	// Each IXP's top-target set comes from its own snapshot index, so
-	// the extraction fans out when Parallelism() allows; results land
-	// in per-IXP slots and the intersections below stay deterministic.
 	sets := make([]map[uint32]bool, len(ixps))
-	if Parallelism() > 1 && len(ixps) > 1 {
-		var wg sync.WaitGroup
-		for i, s := range ixps {
-			wg.Add(1)
-			go func(i int, s IXPSnapshot) {
-				defer wg.Done()
-				sets[i] = topTargetSet(s, v6, k)
-			}(i, s)
-		}
-		wg.Wait()
-	} else {
-		for i, s := range ixps {
-			sets[i] = topTargetSet(s, v6, k)
-		}
+	for i, s := range ixps {
+		sets[i] = topTargetSet(s, v6, k)
 	}
 	for i := 0; i < len(ixps); i++ {
 		for j := i + 1; j < len(ixps); j++ {

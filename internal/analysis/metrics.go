@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ixplight/internal/collector"
 	"ixplight/internal/telemetry"
 )
 
@@ -38,13 +39,13 @@ func SetTelemetry(reg *telemetry.Registry) {
 		buildSeconds: reg.Histogram("ixplight_analysis_index_build_seconds",
 			"Classified-index construction time.", nil),
 		builds: reg.CounterVec("ixplight_analysis_index_builds_total",
-			"Classified-index constructions by source: routes walks a materialized []bgp.Route, columns builds straight off the binary columns, delta advances the previous day's index by a snapshot delta.", "source"),
+			"Classified-index constructions by what fed the fold: routes is a materialized []bgp.Route, columns a binary snapshot's route block, delta the previous day's index advanced by a snapshot delta.", "source"),
 		cacheHits: reg.Counter("ixplight_analysis_index_cache_hits_total",
 			"Index cache lookups answered by an already-built index."),
 		cacheMisses: reg.Counter("ixplight_analysis_index_cache_misses_total",
 			"Index cache lookups that triggered a build."),
 		evictions: reg.Counter("ixplight_analysis_index_cache_evictions_total",
-			"Index cache entries dropped (FIFO eviction or invalidation)."),
+			"Index cache entries dropped (FIFO eviction)."),
 		coalesced: reg.Counter("ixplight_analysis_index_coalesced_builds_total",
 			"Index cache lookups that joined another goroutine's in-flight build."),
 		cacheEntries: reg.Gauge("ixplight_analysis_index_cache_entries",
@@ -83,26 +84,23 @@ func (t *indexMetrics) cache(entries, dropped int) {
 	t.evictions.Add(int64(dropped))
 }
 
-// builtFrom counts one index construction by source ("routes" for the
-// materialized walk, "columns" for the column-direct build, "delta"
-// for an incremental Advance) — the rebuild-vs-advance split.
-func (t *indexMetrics) builtFrom(source string) {
-	if t != nil {
-		t.builds.With(source).Inc()
-	}
-}
-
-// built records one index construction.
-func (t *indexMetrics) built(dur time.Duration) {
-	if t != nil {
-		t.buildSeconds.ObserveDuration(dur)
-	}
-}
-
-// span starts a trace span on the installed registry (nil-safe).
-func (t *indexMetrics) span(name string) *telemetry.Span {
+// building instruments one index construction: it counts the build by
+// source ("routes", "columns" or "delta" — the rebuild-vs-advance
+// split) and opens an analysis.index_build span carrying the
+// snapshot's identity; the returned func, to be deferred, ends the
+// span and records the build time.
+func (t *indexMetrics) building(source string, head *collector.Snapshot) (done func()) {
 	if t == nil {
-		return nil
+		return func() {}
 	}
-	return t.reg.StartSpan(name)
+	t.builds.With(source).Inc()
+	sp := t.reg.StartSpan("analysis.index_build")
+	sp.SetAttr("ixp", head.IXP)
+	sp.SetAttr("date", head.Date)
+	sp.SetAttr("source", source)
+	t0 := time.Now()
+	return func() {
+		t.buildSeconds.ObserveDuration(time.Since(t0))
+		sp.End()
+	}
 }

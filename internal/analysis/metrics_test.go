@@ -8,7 +8,7 @@ import (
 )
 
 // setTelemetryForTest installs a fresh registry and restores the
-// disabled state (and a clean index cache) when the test ends.
+// disabled state when the test ends.
 func setTelemetryForTest(t *testing.T) *telemetry.Registry {
 	t.Helper()
 	reg := telemetry.New()
@@ -20,15 +20,12 @@ func setTelemetryForTest(t *testing.T) *telemetry.Registry {
 }
 
 // TestIndexCacheMetrics walks one snapshot through the cache: first
-// lookup is a miss that builds, repeats are hits, invalidation shows
-// up as an eviction, and the entry gauge tracks the cache size.
+// lookup is a miss that builds, repeats are hits, and the entry gauge
+// tracks the cache size (TestIndexCacheEviction covers evictions).
 func TestIndexCacheMetrics(t *testing.T) {
-	setParallelismForTest(t, 2)
 	reg := setTelemetryForTest(t)
 	m := tel()
-	s, scheme := genSnapshot(t, "DE-CIX")
-	t.Cleanup(func() { InvalidateIndex(s) })
-	InvalidateIndex(s) // drop anything another test may have cached
+	s, scheme := genSnapshot(t, "DE-CIX") // a fresh snapshot: the cache is keyed by pointer
 	hits0, misses0 := m.cacheHits.Value(), m.cacheMisses.Value()
 
 	IndexFor(s, scheme)
@@ -47,11 +44,6 @@ func TestIndexCacheMetrics(t *testing.T) {
 		t.Errorf("cache entries gauge = %d, want >= 1", m.cacheEntries.Value())
 	}
 
-	evictions0 := m.evictions.Value()
-	InvalidateIndex(s)
-	if got := m.evictions.Value() - evictions0; got != 1 {
-		t.Errorf("evictions after invalidate = %d, want 1", got)
-	}
 	// The registry backing the instruments is the one we installed.
 	if reg.Snapshot()["ixplight_analysis_index_cache_misses_total"] == nil {
 		t.Error("metrics not registered on the installed registry")
@@ -61,12 +53,9 @@ func TestIndexCacheMetrics(t *testing.T) {
 // TestIndexCoalescedBuilds: concurrent first lookups must build once
 // and record the latecomers as coalesced.
 func TestIndexCoalescedBuilds(t *testing.T) {
-	setParallelismForTest(t, 2)
 	setTelemetryForTest(t)
 	m := tel()
 	s, scheme := genSnapshot(t, "LINX")
-	t.Cleanup(func() { InvalidateIndex(s) })
-	InvalidateIndex(s)
 	builds0 := m.buildSeconds.Count()
 
 	const goroutines = 8
@@ -98,22 +87,24 @@ func TestIndexCoalescedBuilds(t *testing.T) {
 // TestIndexBuildSpan: builds must emit an analysis.index_build span
 // carrying the snapshot identity.
 func TestIndexBuildSpan(t *testing.T) {
-	setParallelismForTest(t, 2)
 	reg := setTelemetryForTest(t)
 	sink := &telemetry.RecordingSink{}
 	reg.SetSpanSink(sink)
 	s, scheme := genSnapshot(t, "DE-CIX")
-	NewIndexWorkers(s, scheme, 2)
+	NewIndex(s, scheme)
+	columnIndex(t, s, scheme)
 	spans := sink.Named("analysis.index_build")
-	if len(spans) != 1 {
-		t.Fatalf("build spans = %d, want 1", len(spans))
+	if len(spans) != 2 {
+		t.Fatalf("build spans = %d, want 2", len(spans))
 	}
-	attrs := map[string]string{}
-	for _, a := range spans[0].Attrs {
-		attrs[a.Key] = a.Value
-	}
-	if attrs["ixp"] != s.IXP || attrs["date"] != s.Date {
-		t.Errorf("span attrs = %v, want ixp=%s date=%s", attrs, s.IXP, s.Date)
+	for i, source := range []string{"routes", "columns"} {
+		attrs := map[string]string{}
+		for _, a := range spans[i].Attrs {
+			attrs[a.Key] = a.Value
+		}
+		if attrs["ixp"] != s.IXP || attrs["date"] != s.Date || attrs["source"] != source {
+			t.Errorf("span attrs = %v, want ixp=%s date=%s source=%s", attrs, s.IXP, s.Date, source)
+		}
 	}
 }
 
@@ -121,11 +112,8 @@ func TestIndexBuildSpan(t *testing.T) {
 // cache must behave identically (a correctness guard for the
 // nil-telemetry fast path).
 func TestTelemetryOffCostsNothingVisible(t *testing.T) {
-	setParallelismForTest(t, 2)
 	SetTelemetry(nil)
 	s, scheme := genSnapshot(t, "DE-CIX")
-	t.Cleanup(func() { InvalidateIndex(s) })
-	InvalidateIndex(s)
 	a := IndexFor(s, scheme)
 	b := IndexFor(s, scheme)
 	if a == nil || a != b {

@@ -1,0 +1,584 @@
+package analysis
+
+// The reference oracle. Each *Direct function computes one analysis
+// the way the paper describes it: walk the materialized snapshot's
+// routes and classify every community instance through the scheme,
+// per analysis, with no index, no interning and no state shared with
+// the fold in advance.go. They were the package's production path
+// before the index existed; now they exist only so that every source
+// of the fold (NewIndex, IndexFromReader, IndexSeriesFromReader) and
+// every day Advance derives can be compared with them accessor by
+// accessor (checkIndexMatchesDirect). No builder is checked only
+// against another builder.
+
+import (
+	"net/netip"
+	"reflect"
+	"sort"
+	"testing"
+
+	"ixplight/internal/asdb"
+	"ixplight/internal/bgp"
+	"ixplight/internal/collector"
+	"ixplight/internal/dictionary"
+	"ixplight/internal/ixpgen"
+)
+
+// checkIndexMatchesDirect asserts every accessor of ix reproduces the
+// oracle over s — the materialized snapshot ix claims to classify —
+// for both families.
+func checkIndexMatchesDirect(t testing.TB, tag string, ix *Index, s *collector.Snapshot, scheme *dictionary.Scheme) {
+	t.Helper()
+	reg := asdb.Default()
+	for _, v6 := range []bool{false, true} {
+		eq := func(name string, got, want any) {
+			t.Helper()
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: %s (v6=%v): indexed %+v != direct %+v", tag, name, v6, got, want)
+			}
+		}
+		eq("Usage", ix.Usage(v6), ComputeUsageDirect(s, scheme, v6))
+		eq("Mix", ix.Mix(v6), ComputeMixDirect(s, scheme, v6))
+		a, i := ix.ActionInfoSplit(v6)
+		da, di := ActionInfoSplitDirect(s, scheme, v6)
+		eq("ActionInfoSplit", [2]int{a, i}, [2]int{da, di})
+		eq("FlavourActions", ix.FlavourActions(v6), ComputeFlavourActionsDirect(s, scheme, v6))
+		eq("PerASActionCounts", ix.PerASActionCounts(v6), PerASActionCountsDirect(s, scheme, v6))
+		eq("RouteCommCorrelation", ix.RouteCommCorrelation(v6), RouteCommCorrelationDirect(s, scheme, v6))
+		eq("ASesPerActionType", ix.ASesPerActionType(v6), ASesPerActionTypeDirect(s, scheme, v6))
+		eq("OccurrencesPerType", ix.OccurrencesPerType(v6), OccurrencesPerTypeDirect(s, scheme, v6))
+		for _, k := range []int{0, 3, 20} {
+			eq("TopActionCommunities", ix.TopActionCommunities(v6, k), TopActionCommunitiesDirect(s, scheme, v6, k))
+			eq("NonMemberTargeting", ix.NonMemberTargeting(v6, k), ComputeNonMemberTargetingDirect(s, scheme, v6, k))
+			eq("CulpritRanking", ix.CulpritRanking(v6, k), CulpritRankingDirect(s, scheme, v6, k))
+			eq("TopTargets", ix.TopTargets(v6, k), TopTargetsDirect(s, scheme, v6, k))
+		}
+		eq("CategoryBreakdown", ix.CategoryBreakdown(reg, v6), ComputeCategoryBreakdownDirect(s, scheme, reg, v6))
+		eq("HygieneFilterImpact", ix.HygieneFilterImpact(v6, []int{0, 2, 10}), HygieneFilterImpactDirect(s, v6, []int{0, 2, 10}))
+		eq("CommunityCountPercentiles",
+			ix.CommunityCountPercentiles(v6, []float64{0, 50, 90, 100}),
+			CommunityCountPercentilesDirect(s, v6, []float64{0, 50, 90, 100}))
+		eq("Counts", ix.Counts(v6), CountSnapshotDirect(s, v6))
+
+		// The point lookups read the same aggregates one key at a time.
+		perAS := PerASActionCountsDirect(s, scheme, v6)
+		culprits := map[uint32]int{}
+		for _, c := range CulpritRankingDirect(s, scheme, v6, 0) {
+			culprits[c.ASN] = c.Count
+		}
+		targets := map[uint32]int{}
+		for _, tg := range TopTargetsDirect(s, scheme, v6, 0) {
+			targets[tg.ASN] = tg.Count
+		}
+		nonMember := map[bgp.Community]int{}
+		for _, cc := range ComputeNonMemberTargetingDirect(s, scheme, v6, 0).Top {
+			nonMember[cc.Community] = cc.Count
+		}
+		routes := map[uint32]int{}
+		for i := range s.Routes {
+			if r := &s.Routes[i]; r.IsIPv6() == v6 {
+				routes[r.PeerAS()]++
+			}
+		}
+		for asn, n := range routes {
+			eq("ASActivity", ix.ASActivity(asn, v6), ASActivity{
+				Routes:             n,
+				ActionInstances:    perAS[asn],
+				TargetedInstances:  targets[asn],
+				NonMemberTargeting: culprits[asn],
+			})
+		}
+		for _, cc := range TopActionCommunitiesDirect(s, scheme, v6, 0) {
+			eq("CommunityUsage", ix.CommunityUsage(cc.Community, v6), CommunityUsage{
+				Class:              cc.Class,
+				ActionInstances:    cc.Count,
+				NonMemberInstances: nonMember[cc.Community],
+			})
+		}
+	}
+}
+
+// ASesPerActionTypeDirect is the direct-classify twin of
+// ASesPerActionType.
+func ASesPerActionTypeDirect(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool) []TypeUsage {
+	users := map[dictionary.ActionType]map[uint32]bool{}
+	for _, t := range dictionary.ActionTypes {
+		users[t] = make(map[uint32]bool)
+	}
+	for _, r := range s.Routes {
+		if r.IsIPv6() != v6 {
+			continue
+		}
+		classifyRouteActions(r, scheme, func(_ bgp.Community, cl dictionary.Class) {
+			users[cl.Action][r.PeerAS()] = true
+		})
+	}
+	members := 0
+	for _, m := range s.Members {
+		if (v6 && m.IPv6) || (!v6 && m.IPv4) {
+			members++
+		}
+	}
+	out := make([]TypeUsage, 0, len(dictionary.ActionTypes))
+	for _, t := range dictionary.ActionTypes {
+		out = append(out, TypeUsage{
+			Type:  t,
+			ASes:  len(users[t]),
+			Share: ratio(len(users[t]), members),
+		})
+	}
+	return out
+}
+
+// OccurrencesPerTypeDirect is the direct-classify twin of
+// OccurrencesPerType.
+func OccurrencesPerTypeDirect(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool) map[dictionary.ActionType]int {
+	out := make(map[dictionary.ActionType]int, len(dictionary.ActionTypes))
+	for _, r := range s.Routes {
+		if r.IsIPv6() != v6 {
+			continue
+		}
+		classifyRouteActions(r, scheme, func(_ bgp.Community, cl dictionary.Class) {
+			out[cl.Action]++
+		})
+	}
+	return out
+}
+
+// TopActionCommunitiesDirect is the direct-classify twin of
+// TopActionCommunities.
+func TopActionCommunitiesDirect(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool, k int) []CommunityCount {
+	counts := make(map[bgp.Community]int, 128)
+	for _, r := range s.Routes {
+		if r.IsIPv6() != v6 {
+			continue
+		}
+		classifyRouteActions(r, scheme, func(c bgp.Community, _ dictionary.Class) {
+			counts[c]++
+		})
+	}
+	return rankCommunities(counts, scheme.Classify, k)
+}
+
+// ComputeNonMemberTargetingDirect is the direct-classify twin of
+// ComputeNonMemberTargeting.
+func ComputeNonMemberTargetingDirect(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool, k int) NonMemberTargeting {
+	members := s.MemberSet()
+	counts := make(map[bgp.Community]int, 64)
+	res := NonMemberTargeting{}
+	for _, r := range s.Routes {
+		if r.IsIPv6() != v6 {
+			continue
+		}
+		classifyRouteActions(r, scheme, func(c bgp.Community, cl dictionary.Class) {
+			res.Total++
+			if cl.Target == dictionary.TargetPeer && !members[cl.TargetASN] {
+				res.Instances++
+				counts[c]++
+			}
+		})
+	}
+	res.Top = rankCommunities(counts, scheme.Classify, k)
+	return res
+}
+
+// CulpritRankingDirect is the direct-classify twin of CulpritRanking.
+func CulpritRankingDirect(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool, k int) []Culprit {
+	members := s.MemberSet()
+	counts := make(map[uint32]int, len(s.Members))
+	for _, r := range s.Routes {
+		if r.IsIPv6() != v6 {
+			continue
+		}
+		classifyRouteActions(r, scheme, func(_ bgp.Community, cl dictionary.Class) {
+			if cl.Target == dictionary.TargetPeer && !members[cl.TargetASN] {
+				counts[r.PeerAS()]++
+			}
+		})
+	}
+	return rankCulprits(counts, k)
+}
+
+// TopTargetsDirect is the direct-classify twin of TopTargets.
+func TopTargetsDirect(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool, k int) []TargetedAS {
+	members := s.MemberSet()
+	counts := make(map[uint32]int, 128)
+	for _, r := range s.Routes {
+		if r.IsIPv6() != v6 {
+			continue
+		}
+		classifyRouteActions(r, scheme, func(_ bgp.Community, cl dictionary.Class) {
+			if cl.Target == dictionary.TargetPeer {
+				counts[cl.TargetASN]++
+			}
+		})
+	}
+	out := make([]TargetedAS, 0, len(counts))
+	for asn, n := range counts {
+		out = append(out, TargetedAS{ASN: asn, IsMember: members[asn], Count: n})
+	}
+	sortTargets(out)
+	if k > 0 && len(out) > k {
+		out = out[:k]
+	}
+	return out
+}
+
+// ComputeUsageDirect is the direct-classify twin of ComputeUsage.
+func ComputeUsageDirect(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool) Usage {
+	u := Usage{}
+	users := make(map[uint32]bool, len(s.Members))
+	for _, m := range s.Members {
+		if (v6 && m.IPv6) || (!v6 && m.IPv4) {
+			u.MembersAtRS++
+		}
+	}
+	for _, r := range s.Routes {
+		if r.IsIPv6() != v6 {
+			continue
+		}
+		u.RoutesTotal++
+		n := 0
+		for _, c := range r.Communities {
+			if scheme.Classify(c).IsAction() {
+				n++
+			}
+		}
+		if n > 0 {
+			u.RoutesTagged++
+			u.ActionInstances += n
+			users[r.PeerAS()] = true
+		}
+	}
+	u.ASesUsing = len(users)
+	return u
+}
+
+// PerASActionCountsDirect is the direct-classify twin of
+// PerASActionCounts.
+func PerASActionCountsDirect(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool) map[uint32]int {
+	counts := make(map[uint32]int, len(s.Members))
+	for _, r := range s.Routes {
+		if r.IsIPv6() != v6 {
+			continue
+		}
+		n := 0
+		for _, c := range r.Communities {
+			if scheme.Classify(c).IsAction() {
+				n++
+			}
+		}
+		if n > 0 {
+			counts[r.PeerAS()] += n
+		}
+	}
+	return counts
+}
+
+// RouteCommCorrelationDirect is the direct-classify twin of
+// RouteCommCorrelation.
+func RouteCommCorrelationDirect(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool) []CorrelationPoint {
+	routeCounts := make(map[uint32]int, len(s.Members))
+	totalRoutes := 0
+	for _, r := range s.Routes {
+		if r.IsIPv6() != v6 {
+			continue
+		}
+		routeCounts[r.PeerAS()]++
+		totalRoutes++
+	}
+	commCounts := PerASActionCountsDirect(s, scheme, v6)
+	totalComms := 0
+	for _, v := range commCounts {
+		totalComms += v
+	}
+	out := make([]CorrelationPoint, 0, len(routeCounts))
+	for asn, rc := range routeCounts {
+		out = append(out, CorrelationPoint{
+			ASN:       asn,
+			RouteFrac: ratio(rc, totalRoutes),
+			CommFrac:  ratio(commCounts[asn], totalComms),
+		})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ASN < out[j].ASN })
+	return out
+}
+
+// ComputeFlavourActionsDirect is the direct-classify twin of
+// ComputeFlavourActions.
+func ComputeFlavourActionsDirect(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool) FlavourActions {
+	var f FlavourActions
+	for _, r := range s.Routes {
+		if r.IsIPv6() != v6 {
+			continue
+		}
+		for _, c := range r.Communities {
+			cl := scheme.Classify(c)
+			if !cl.Known {
+				continue
+			}
+			if cl.Action.IsAction() {
+				f.StandardAction++
+			} else {
+				f.StandardInfo++
+			}
+		}
+		for _, e := range r.ExtCommunities {
+			cl := scheme.ClassifyExtended(e)
+			if !cl.Known {
+				continue
+			}
+			if cl.Action.IsAction() {
+				f.ExtendedAction++
+			} else {
+				f.ExtendedInfo++
+			}
+		}
+		for _, l := range r.LargeCommunities {
+			cl := scheme.ClassifyLarge(l)
+			if !cl.Known {
+				continue
+			}
+			if cl.Action.IsAction() {
+				f.LargeAction++
+				if cl.Target == dictionary.TargetPeer && cl.TargetASN > 0xFFFF {
+					f.LargeWideTargets++
+				}
+			} else {
+				f.LargeInfo++
+			}
+		}
+	}
+	return f
+}
+
+// ComputeMixDirect is the direct-classify twin of ComputeMix.
+func ComputeMixDirect(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool) Mix {
+	var m Mix
+	for _, r := range s.Routes {
+		if r.IsIPv6() != v6 {
+			continue
+		}
+		for _, c := range r.Communities {
+			if scheme.Classify(c).Known {
+				m.DefinedStandard++
+			} else {
+				m.UnknownStandard++
+			}
+		}
+		for _, e := range r.ExtCommunities {
+			if scheme.ClassifyExtended(e).Known {
+				m.DefinedExtended++
+			} else {
+				m.UnknownExtended++
+			}
+		}
+		for _, l := range r.LargeCommunities {
+			if scheme.ClassifyLarge(l).Known {
+				m.DefinedLarge++
+			} else {
+				m.UnknownLarge++
+			}
+		}
+	}
+	return m
+}
+
+// ActionInfoSplitDirect is the direct-classify twin of ActionInfoSplit.
+func ActionInfoSplitDirect(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool) (action, info int) {
+	for _, r := range s.Routes {
+		if r.IsIPv6() != v6 {
+			continue
+		}
+		for _, c := range r.Communities {
+			cl := scheme.Classify(c)
+			if !cl.Known {
+				continue
+			}
+			if cl.Action.IsAction() {
+				action++
+			} else {
+				info++
+			}
+		}
+	}
+	return action, info
+}
+
+// classifyRouteActions calls fn for every known action community on a
+// route, the shared walk under most §5 analyses.
+func classifyRouteActions(r bgp.Route, scheme *dictionary.Scheme, fn func(bgp.Community, dictionary.Class)) {
+	for _, c := range r.Communities {
+		cl := scheme.Classify(c)
+		if cl.IsAction() {
+			fn(c, cl)
+		}
+	}
+}
+
+// ComputeCategoryBreakdownDirect is the direct-classify twin of
+// ComputeCategoryBreakdown.
+func ComputeCategoryBreakdownDirect(s *collector.Snapshot, scheme *dictionary.Scheme, reg *asdb.Registry, v6 bool) CategoryBreakdown {
+	members := s.MemberSet()
+	all := make(map[asdb.Category]int)
+	nonMembers := make(map[asdb.Category]int)
+	allTotal, nmTotal := 0, 0
+	for _, r := range s.Routes {
+		if r.IsIPv6() != v6 {
+			continue
+		}
+		classifyRouteActions(r, scheme, func(_ bgp.Community, cl dictionary.Class) {
+			if cl.Target != dictionary.TargetPeer {
+				return
+			}
+			cat := reg.CategoryOf(cl.TargetASN)
+			all[cat]++
+			allTotal++
+			if !members[cl.TargetASN] {
+				nonMembers[cat]++
+				nmTotal++
+			}
+		})
+	}
+	return CategoryBreakdown{
+		All:        categoryShares(all, allTotal),
+		NonMembers: categoryShares(nonMembers, nmTotal),
+	}
+}
+
+// HygieneFilterImpactDirect is the direct twin of HygieneFilterImpact.
+func HygieneFilterImpactDirect(s *collector.Snapshot, v6 bool, thresholds []int) []HygieneImpact {
+	counts := communityCounts(s, v6)
+	totalComms := 0
+	for _, c := range counts {
+		totalComms += c
+	}
+	out := make([]HygieneImpact, 0, len(thresholds))
+	for _, th := range thresholds {
+		h := HygieneImpact{Threshold: th, RoutesTotal: len(counts), CommunitiesTotal: totalComms}
+		for _, c := range counts {
+			if c > th {
+				h.RoutesDropped++
+				h.CommunitiesDropped += c
+			}
+		}
+		out = append(out, h)
+	}
+	return out
+}
+
+// CommunityCountPercentilesDirect is the direct twin of
+// CommunityCountPercentiles.
+func CommunityCountPercentilesDirect(s *collector.Snapshot, v6 bool, percentiles []float64) []int {
+	return countPercentiles(communityCounts(s, v6), percentiles)
+}
+
+// CountSnapshotDirect is the direct twin of CountSnapshot.
+func CountSnapshotDirect(s *collector.Snapshot, v6 bool) SnapshotCounts {
+	c := SnapshotCounts{Date: s.Date}
+	if v6 {
+		c.Members = s.MembersV6()
+	} else {
+		c.Members = s.MembersV4()
+	}
+	prefixes := make(map[netip.Prefix]bool)
+	for _, r := range s.Routes {
+		if r.IsIPv6() != v6 {
+			continue
+		}
+		c.Routes++
+		c.Communities += r.CommunityCount()
+		prefixes[r.Prefix] = true
+	}
+	c.Prefixes = len(prefixes)
+	return c
+}
+
+// directAnalysisBattery runs the single-snapshot §5 battery on the
+// oracle: every entry point re-walks the snapshot and re-classifies
+// each community instance.
+func directAnalysisBattery(s *collector.Snapshot, scheme *dictionary.Scheme) int {
+	sink := 0
+	for _, v6 := range []bool{false, true} {
+		u := ComputeUsageDirect(s, scheme, v6)
+		sink += u.ActionInstances
+		sink += ComputeMixDirect(s, scheme, v6).Total()
+		a, i := ActionInfoSplitDirect(s, scheme, v6)
+		sink += a + i
+		sink += ComputeFlavourActionsDirect(s, scheme, v6).TotalAction()
+		sink += len(PerASActionCountsDirect(s, scheme, v6))
+		sink += len(RouteCommCorrelationDirect(s, scheme, v6))
+		sink += len(ASesPerActionTypeDirect(s, scheme, v6))
+		sink += len(OccurrencesPerTypeDirect(s, scheme, v6))
+		sink += len(TopActionCommunitiesDirect(s, scheme, v6, 20))
+		sink += ComputeNonMemberTargetingDirect(s, scheme, v6, 20).Instances
+		sink += len(CulpritRankingDirect(s, scheme, v6, 10))
+		sink += len(TopTargetsDirect(s, scheme, v6, 10))
+	}
+	return sink
+}
+
+// indexedAnalysisBattery is the same battery served by one classified
+// snapshot index.
+func indexedAnalysisBattery(ix *Index) int {
+	sink := 0
+	for _, v6 := range []bool{false, true} {
+		sink += ix.Usage(v6).ActionInstances
+		sink += ix.Mix(v6).Total()
+		a, i := ix.ActionInfoSplit(v6)
+		sink += a + i
+		sink += ix.FlavourActions(v6).TotalAction()
+		sink += len(ix.PerASActionCounts(v6))
+		sink += len(ix.RouteCommCorrelation(v6))
+		sink += len(ix.ASesPerActionType(v6))
+		sink += len(ix.OccurrencesPerType(v6))
+		sink += len(ix.TopActionCommunities(v6, 20))
+		sink += ix.NonMemberTargeting(v6, 20).Instances
+		sink += len(ix.CulpritRanking(v6, 10))
+		sink += len(ix.TopTargets(v6, 10))
+	}
+	return sink
+}
+
+// classifyBenchSnapshot is the DE-CIX workload at the root suite's
+// bench scale.
+func classifyBenchSnapshot(b *testing.B) (*collector.Snapshot, *dictionary.Scheme) {
+	b.Helper()
+	p := ixpgen.ProfileByName("DE-CIX")
+	w, err := ixpgen.Generate(*p, ixpgen.Options{Seed: 42, Scale: 0.02})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return w.Snapshot("2021-10-04"), p.Scheme
+}
+
+// BenchmarkAblation_ClassifyDirect vs ...ClassifyIndexed compare what
+// the index replaced with the index, over the same DE-CIX snapshot:
+// per-analysis re-classification against one classification pass plus
+// accessor reads. Both run on one goroutine.
+func BenchmarkAblation_ClassifyDirect(b *testing.B) {
+	s, scheme := classifyBenchSnapshot(b)
+	b.ResetTimer()
+	sink := 0
+	for i := 0; i < b.N; i++ {
+		sink += directAnalysisBattery(s, scheme)
+	}
+	if sink == 0 {
+		b.Fatal("empty battery")
+	}
+}
+
+// BenchmarkAblation_ClassifyIndexed builds a fresh index every
+// iteration — the cost shown includes the full classification pass,
+// not just cache reads.
+func BenchmarkAblation_ClassifyIndexed(b *testing.B) {
+	s, scheme := classifyBenchSnapshot(b)
+	b.ResetTimer()
+	sink := 0
+	for i := 0; i < b.N; i++ {
+		sink += indexedAnalysisBattery(NewIndex(s, scheme))
+	}
+	if sink == 0 {
+		b.Fatal("empty battery")
+	}
+}

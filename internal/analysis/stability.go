@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"net/netip"
+	"runtime"
 	"sync"
 
 	"ixplight/internal/collector"
@@ -18,17 +19,13 @@ type SnapshotCounts struct {
 }
 
 // CountSnapshot extracts one Appendix A row from a snapshot family.
-// The counts are scheme-independent, so any cached index for the
-// snapshot serves them; without one the direct walk is used.
+// The counts need no classification, so there is no scheme to build
+// an index with: a header-only snapshot answers from its attached
+// index, any other from a walk of its routes.
 func CountSnapshot(s *collector.Snapshot, v6 bool) SnapshotCounts {
-	if ix := indexForSnapshot(s); ix != nil {
+	if ix := pinnedFor(s, nil); ix != nil {
 		return ix.Counts(v6)
 	}
-	return CountSnapshotDirect(s, v6)
-}
-
-// CountSnapshotDirect is the direct twin of CountSnapshot.
-func CountSnapshotDirect(s *collector.Snapshot, v6 bool) SnapshotCounts {
 	c := SnapshotCounts{Date: s.Date}
 	if v6 {
 		c.Members = s.MembersV6()
@@ -95,35 +92,25 @@ func (t StabilityTable) MaxDiffPct() float64 {
 	return m
 }
 
-// Stability computes the Table 3/4 row over a snapshot window. With
-// Parallelism() > 1 the per-snapshot counting fans out over a bounded
-// worker pool; each result lands in its snapshot's slot, so the table
-// is identical to the sequential walk.
+// Stability computes the Table 3/4 row over a snapshot window. A
+// materialized snapshot is counted by walking its routes, so the
+// per-snapshot counts fan out over the host's processors, each landing
+// in its snapshot's slot (sequentially, BenchmarkTable4_ThreeMonthStability
+// loses a third on two cores).
 func Stability(snaps []*collector.Snapshot, v6 bool) StabilityTable {
 	rows := make([]SnapshotCounts, len(snaps))
-	workers := min(Parallelism(), len(snaps))
-	if workers <= 1 {
-		for i, s := range snaps {
-			rows[i] = CountSnapshot(s, v6)
-		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					rows[i] = CountSnapshot(snaps[i], v6)
-				}
-			}()
-		}
-		for i := range snaps {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
+	workers := min(runtime.GOMAXPROCS(0), len(snaps))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(snaps); i += workers {
+				rows[i] = CountSnapshot(snaps[i], v6)
+			}
+		}(w)
 	}
+	wg.Wait()
 	members := make([]int, len(rows))
 	prefixes := make([]int, len(rows))
 	routes := make([]int, len(rows))

@@ -29,74 +29,15 @@ func (u Usage) ASShare() float64 { return ratio(u.ASesUsing, u.MembersAtRS) }
 // RouteShare is the fraction of routes carrying ≥1 action community.
 func (u Usage) RouteShare() float64 { return ratio(u.RoutesTagged, u.RoutesTotal) }
 
-// ComputeUsage tallies Fig. 4a for one snapshot family. With
-// Parallelism() > 1 the result is served from the classified snapshot
-// index; ComputeUsageDirect is the reference single-pass walk.
+// ComputeUsage tallies Fig. 4a for one snapshot family.
 func ComputeUsage(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool) Usage {
-	if ix := indexFor(s, scheme); ix != nil {
-		return ix.Usage(v6)
-	}
-	return ComputeUsageDirect(s, scheme, v6)
-}
-
-// ComputeUsageDirect is the direct-classify twin of ComputeUsage.
-func ComputeUsageDirect(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool) Usage {
-	u := Usage{}
-	users := make(map[uint32]bool, len(s.Members))
-	for _, m := range s.Members {
-		if (v6 && m.IPv6) || (!v6 && m.IPv4) {
-			u.MembersAtRS++
-		}
-	}
-	for _, r := range s.Routes {
-		if r.IsIPv6() != v6 {
-			continue
-		}
-		u.RoutesTotal++
-		n := 0
-		for _, c := range r.Communities {
-			if scheme.Classify(c).IsAction() {
-				n++
-			}
-		}
-		if n > 0 {
-			u.RoutesTagged++
-			u.ActionInstances += n
-			users[r.PeerAS()] = true
-		}
-	}
-	u.ASesUsing = len(users)
-	return u
+	return IndexFor(s, scheme).Usage(v6)
 }
 
 // PerASActionCounts returns each announcing AS's action-instance count
 // — the raw series behind Fig. 4b and Fig. 7.
 func PerASActionCounts(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool) map[uint32]int {
-	if ix := indexFor(s, scheme); ix != nil {
-		return ix.PerASActionCounts(v6)
-	}
-	return PerASActionCountsDirect(s, scheme, v6)
-}
-
-// PerASActionCountsDirect is the direct-classify twin of
-// PerASActionCounts.
-func PerASActionCountsDirect(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool) map[uint32]int {
-	counts := make(map[uint32]int, len(s.Members))
-	for _, r := range s.Routes {
-		if r.IsIPv6() != v6 {
-			continue
-		}
-		n := 0
-		for _, c := range r.Communities {
-			if scheme.Classify(c).IsAction() {
-				n++
-			}
-		}
-		if n > 0 {
-			counts[r.PeerAS()] += n
-		}
-	}
-	return counts
+	return IndexFor(s, scheme).PerASActionCounts(v6)
 }
 
 // CDFPoint is one point of Fig. 4b: after including the top
@@ -156,37 +97,5 @@ type CorrelationPoint struct {
 // RouteCommCorrelation computes Fig. 4c's scatter for one family.
 // Only ASes announcing at least one route appear.
 func RouteCommCorrelation(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool) []CorrelationPoint {
-	if ix := indexFor(s, scheme); ix != nil {
-		return ix.RouteCommCorrelation(v6)
-	}
-	return RouteCommCorrelationDirect(s, scheme, v6)
-}
-
-// RouteCommCorrelationDirect is the direct-classify twin of
-// RouteCommCorrelation.
-func RouteCommCorrelationDirect(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool) []CorrelationPoint {
-	routeCounts := make(map[uint32]int, len(s.Members))
-	totalRoutes := 0
-	for _, r := range s.Routes {
-		if r.IsIPv6() != v6 {
-			continue
-		}
-		routeCounts[r.PeerAS()]++
-		totalRoutes++
-	}
-	commCounts := PerASActionCountsDirect(s, scheme, v6)
-	totalComms := 0
-	for _, v := range commCounts {
-		totalComms += v
-	}
-	out := make([]CorrelationPoint, 0, len(routeCounts))
-	for asn, rc := range routeCounts {
-		out = append(out, CorrelationPoint{
-			ASN:       asn,
-			RouteFrac: ratio(rc, totalRoutes),
-			CommFrac:  ratio(commCounts[asn], totalComms),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ASN < out[j].ASN })
-	return out
+	return IndexFor(s, scheme).RouteCommCorrelation(v6)
 }

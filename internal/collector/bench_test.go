@@ -142,8 +142,9 @@ func BenchmarkCollect(b *testing.B) {
 }
 
 // BenchmarkSnapshotCodec measures serialising one paper-shaped
-// snapshot (AMS-IX profile at bench scale) under each of the five
-// codecs, in both directions. The gzip variants exercise the pooled
+// snapshot (AMS-IX profile at bench scale) under each codec, in both
+// directions and as the write-then-read-back round trip of the
+// snapshot-codec ablation. The gzip variants exercise the pooled
 // gzip writers; the reported bytes and bytes_per_route metrics are
 // the encoded size, so the speed/size trade-off of the codec ablation
 // is visible in one run. The decode direction is the one the analysis
@@ -197,6 +198,25 @@ func BenchmarkSnapshotCodec(b *testing.B) {
 				}
 				b.ReportMetric(float64(len(data)), "bytes")
 				b.ReportMetric(float64(len(data))/nRoutes, "bytes_per_route")
+			})
+		}
+	})
+	b.Run("roundtrip", func(b *testing.B) {
+		for _, codec := range collector.Codecs() {
+			b.Run(codec.String(), func(b *testing.B) {
+				var size int
+				for i := 0; i < b.N; i++ {
+					var buf bytes.Buffer
+					if err := collector.WriteSnapshot(&buf, snap, codec); err != nil {
+						b.Fatal(err)
+					}
+					size = buf.Len()
+					if _, err := collector.ReadSnapshot(&buf, codec); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(size), "bytes")
+				b.ReportMetric(float64(size)/nRoutes, "bytes_per_route")
 			})
 		}
 	})

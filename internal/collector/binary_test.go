@@ -2,12 +2,14 @@ package collector
 
 import (
 	"bytes"
+	"compress/gzip"
 	"flag"
 	"fmt"
 	"net/netip"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ixplight/internal/bgp"
@@ -343,6 +345,29 @@ func TestCodecAutoDetect(t *testing.T) {
 			}
 			if !reflect.DeepEqual(want, got) {
 				t.Errorf("sniffed decode mismatch")
+			}
+		})
+	}
+
+	// The gob codec is gone. Its files are refused by name, whether
+	// the name or only the content gives them away: a stream that is
+	// neither binary nor JSON is not handed to some other decoder.
+	gobLike := []byte{0x3d, 0xff, 0x81, 0x03, 0x01, 0x01, 0x08, 'S', 'n', 'a', 'p', 's', 'h', 'o', 't'}
+	var zipped bytes.Buffer
+	zw := gzip.NewWriter(&zipped)
+	zw.Write(gobLike)
+	zw.Close()
+	for name, content := range map[string][]byte{"gob": gobLike, "gob+gzip": zipped.Bytes()} {
+		t.Run(name, func(t *testing.T) {
+			ext := map[string]string{"gob": ".gob", "gob+gzip": ".gob.gz"}[name]
+			for _, file := range []string{"old" + ext, "disguised-" + name + ".dat"} {
+				path := filepath.Join(dir, file)
+				if err := os.WriteFile(path, content, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := LoadSnapshot(path); err == nil || !strings.Contains(err.Error(), "gob snapshot codec was removed") {
+					t.Errorf("%s: err = %v, want the removed gob codec named", file, err)
+				}
 			}
 		})
 	}

@@ -13,13 +13,13 @@
 //
 // Three access layers mirror the full binary codec:
 //
-//   - EncodeDelta / DeltaEncoder: day N vs day N-1 → delta bytes.
-//     The stateful encoder carries the chain's intern tables forward
-//     so a whole series can be encoded with each day diffed in one
-//     merge pass over two sorted route slices.
-//   - ApplyDelta / DeltaApplier: base + delta → day N snapshot.
-//     The stateful applier reconstructs a chain day by day, reusing
-//     interned attribute values across days.
+//   - DeltaEncoder: day N vs day N-1 → delta bytes. The encoder
+//     carries the chain's intern tables forward so a whole series can
+//     be encoded with each day diffed in one merge pass over two
+//     sorted route slices.
+//   - DeltaApplier: base + delta → day N snapshot. The applier
+//     reconstructs a chain day by day, reusing interned attribute
+//     values across days.
 //   - DeltaReader: header + table extensions + op stream without
 //     materializing any route (the RouteBlock analogue), which is
 //     what analysis.Index.Advance consumes.
@@ -335,7 +335,6 @@ func decodePrefixBytes(b []byte) (netip.Prefix, error) {
 // it on day 0 (the full base snapshot) and call Encode once per
 // following day; each call diffs against the previous one and
 // advances. The encoder retains each snapshot until the next call.
-// One-shot use: EncodeDelta.
 //
 // A day costs at most one keying pass, and for the routes that did not
 // change not even that: the merge walk pairs each of day N's routes
@@ -545,17 +544,6 @@ func (e *DeltaEncoder) Encode(next *Snapshot) ([]byte, error) {
 	e.prev, e.prevIDs, e.digest = next, nextIDs, self
 	codecTel().deltaEncoded(t0, int64(len(buf)), copies, adds, dels, changes)
 	return buf, nil
-}
-
-// EncodeDelta encodes next as a one-shot delta against base. For a
-// multi-day chain, keep a DeltaEncoder instead — ids then extend
-// across days rather than restarting from base each time.
-func EncodeDelta(base, next *Snapshot) ([]byte, error) {
-	e, err := NewDeltaEncoder(base)
-	if err != nil {
-		return nil, err
-	}
-	return e.Encode(next)
 }
 
 // --- reader ---------------------------------------------------------------
@@ -1004,7 +992,6 @@ func (d *DeltaReader) Ops(fn func(op *DeltaOp) error) error {
 // DeltaApplier materializes a delta chain day by day. Create it on
 // the chain's base snapshot and call Apply once per delta in order;
 // interned attribute values are shared across all materialized days.
-// One-shot use: ApplyDelta.
 type DeltaApplier struct {
 	tabs *deltaTables
 
@@ -1206,18 +1193,4 @@ func (a *DeltaApplier) Encoder() *DeltaEncoder {
 		prevIDs: a.curIDs,
 		digest:  a.digest,
 	}
-}
-
-// ApplyDelta materializes delta against base in one shot. For a
-// multi-day chain, keep a DeltaApplier instead.
-func ApplyDelta(base *Snapshot, delta []byte) (*Snapshot, error) {
-	d, err := NewDeltaReader(delta)
-	if err != nil {
-		return nil, err
-	}
-	a, err := NewDeltaApplier(base)
-	if err != nil {
-		return nil, err
-	}
-	return a.Apply(d)
 }

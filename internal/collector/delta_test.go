@@ -11,6 +11,29 @@ import (
 	"ixplight/internal/bgp"
 )
 
+// EncodeDelta encodes next as a one-shot delta against base: a fresh
+// DeltaEncoder, so ids restart from base.
+func EncodeDelta(base, next *Snapshot) ([]byte, error) {
+	e, err := NewDeltaEncoder(base)
+	if err != nil {
+		return nil, err
+	}
+	return e.Encode(next)
+}
+
+// ApplyDelta materializes delta against base in one shot.
+func ApplyDelta(base *Snapshot, delta []byte) (*Snapshot, error) {
+	d, err := NewDeltaReader(delta)
+	if err != nil {
+		return nil, err
+	}
+	a, err := NewDeltaApplier(base)
+	if err != nil {
+		return nil, err
+	}
+	return a.Apply(d)
+}
+
 // churnSnapshot derives a plausible next-day snapshot from prev:
 // withdraw a fraction of routes, re-tag another fraction, announce a
 // few fresh prefixes reusing existing attribute sets, and bump the

@@ -7,7 +7,6 @@ package collector
 import (
 	"cmp"
 	"compress/gzip"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -181,8 +180,6 @@ type Codec int
 const (
 	CodecJSON Codec = iota
 	CodecJSONGzip
-	CodecGob
-	CodecGobGzip
 	// CodecBinary is the hand-rolled columnar format (binary.go):
 	// varint-encoded columns with deduplicated intern tables for AS
 	// paths, next hops and community sets, decoded from a single
@@ -194,7 +191,7 @@ const (
 // Codecs lists every available codec in declaration order — the
 // snapshot-codec ablation iterates it.
 func Codecs() []Codec {
-	return []Codec{CodecJSON, CodecJSONGzip, CodecGob, CodecGobGzip, CodecBinary}
+	return []Codec{CodecJSON, CodecJSONGzip, CodecBinary}
 }
 
 // String implements fmt.Stringer.
@@ -204,10 +201,6 @@ func (c Codec) String() string {
 		return "json"
 	case CodecJSONGzip:
 		return "json+gzip"
-	case CodecGob:
-		return "gob"
-	case CodecGobGzip:
-		return "gob+gzip"
 	case CodecBinary:
 		return "binary"
 	default:
@@ -222,10 +215,6 @@ func (c Codec) Ext() string {
 		return ".json"
 	case CodecJSONGzip:
 		return ".json.gz"
-	case CodecGob:
-		return ".gob"
-	case CodecGobGzip:
-		return ".gob.gz"
 	case CodecBinary:
 		return ".bin"
 	default:
@@ -264,12 +253,6 @@ func WriteSnapshot(w io.Writer, s *Snapshot, codec Codec) error {
 	case CodecJSONGzip:
 		return withPooledGzip(w, func(zw io.Writer) error {
 			return json.NewEncoder(zw).Encode(s)
-		})
-	case CodecGob:
-		return gob.NewEncoder(w).Encode(s)
-	case CodecGobGzip:
-		return withPooledGzip(w, func(zw io.Writer) error {
-			return gob.NewEncoder(zw).Encode(s)
 		})
 	case CodecBinary:
 		_, err := w.Write(appendBinarySnapshot(nil, s))
@@ -366,19 +349,6 @@ func readSnapshot(r io.Reader, codec Codec) (*Snapshot, error) {
 		}
 		defer zr.Close()
 		if err := json.NewDecoder(zr).Decode(&s); err != nil {
-			return nil, err
-		}
-	case CodecGob:
-		if err := gob.NewDecoder(r).Decode(&s); err != nil {
-			return nil, err
-		}
-	case CodecGobGzip:
-		zr, err := gzip.NewReader(r)
-		if err != nil {
-			return nil, err
-		}
-		defer zr.Close()
-		if err := gob.NewDecoder(zr).Decode(&s); err != nil {
 			return nil, err
 		}
 	case CodecBinary:

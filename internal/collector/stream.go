@@ -391,19 +391,22 @@ func headerOnly(s *Snapshot) *Snapshot {
 	return &h
 }
 
+// errGobRemoved answers files of the gob codec this package once
+// wrote: they are named, not fed to another decoder.
+var errGobRemoved = errors.New("collector: the gob snapshot codec was removed; re-encode the file as binary or json")
+
 // detectCodec deduces a snapshot file's codec: a known extension wins
 // (SaveSnapshot always writes one), then the CodecBinary magic, then
-// a content sniff that distinguishes JSON, gob and their gzip forms.
+// a content sniff that tells JSON from gzipped JSON. Anything else —
+// which is what a gob stream looks like — is an error.
 func detectCodec(br *bufio.Reader, path string) (Codec, error) {
 	switch {
 	case hasSuffix(path, ".json.gz"):
 		return CodecJSONGzip, nil
 	case hasSuffix(path, ".json"):
 		return CodecJSON, nil
-	case hasSuffix(path, ".gob.gz"):
-		return CodecGobGzip, nil
-	case hasSuffix(path, ".gob"):
-		return CodecGob, nil
+	case hasSuffix(path, ".gob.gz"), hasSuffix(path, ".gob"):
+		return 0, errGobRemoved
 	case hasSuffix(path, ".bin"):
 		return CodecBinary, nil
 	}
@@ -430,7 +433,6 @@ func detectCodec(br *bufio.Reader, path string) (Codec, error) {
 		if n == 1 && first[0] == '{' {
 			return CodecJSONGzip, nil
 		}
-		return CodecGobGzip, nil
 	}
-	return CodecGob, nil
+	return 0, fmt.Errorf("collector: cannot detect snapshot codec: neither binary nor JSON; if this was a gob snapshot: %w", errGobRemoved)
 }

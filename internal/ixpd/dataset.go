@@ -39,7 +39,6 @@ func (s *Server) buildGeneration() (*generation, error) {
 		lab = report.NewLabShell(cfg.Profiles, cfg.Seed, cfg.Scale, cfg.Parallel)
 		lab.Telemetry = cfg.Telemetry
 		lab.Materialize = cfg.Materialize
-		lab.NoIncremental = cfg.NoIncremental
 		var err error
 		if sig, err = dirSignature(cfg.SnapshotDir); err != nil {
 			return nil, err

@@ -51,16 +51,14 @@ type Lab struct {
 	// ordered slots.
 	Parallel int
 	// Materialize forces LoadSnapshotDir to decode full []bgp.Route
-	// snapshots even for columnar binary files. By default those files
-	// are indexed column-direct (analysis.IndexFromReader) and carried
-	// as header-only snapshots with the index attached — byte-identical
-	// experiment output, without materializing routes.
+	// snapshots even for columnar binary files, and to reconstruct
+	// delta chains through a materializing DeltaApplier. By default
+	// those files are indexed off their columns
+	// (analysis.IndexFromReader) and delta days advance the previous
+	// day's index, both carried as header-only snapshots with the index
+	// attached — byte-identical experiment output, without
+	// materializing routes.
 	Materialize bool
-	// NoIncremental makes LoadSnapshotDir reconstruct delta chains
-	// through a materializing DeltaApplier instead of advancing the
-	// previous day's index in place. Output is byte-identical either
-	// way; the flag exists to compare the two paths.
-	NoIncremental bool
 	// Telemetry, when set, records a per-experiment run-time histogram
 	// (ixplight_report_experiment_seconds) and emits a
 	// "report.experiment" span per Run.

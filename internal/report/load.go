@@ -15,7 +15,7 @@ import (
 
 // LoadSnapshotDir replaces the lab's generated snapshots with stored
 // files from dir: every regular file is decoded (codec deduced per
-// file, so a directory may mix json/gob/binary/MRT freely), the full
+// file, so a directory may mix json/binary/MRT freely), the full
 // date-ordered series per IXP feeds the temporal experiments, and the
 // latest snapshot per IXP becomes the point-in-time input. Files are
 // decoded across the lab's worker pool; the resulting series order is
@@ -26,16 +26,15 @@ import (
 // is set, indexed straight off their columns: the loaded snapshot is
 // header-only with the classified index attached, and every analysis
 // wrapper answers from the index. Other codecs, MRT dumps and
-// unprofiled IXPs materialize as before.
+// unprofiled IXPs materialize.
 //
 // Delta files (.delta) reconstruct their days from the chain base in
-// the same directory: by default each day's index is advanced
-// incrementally from the previous day's (never materializing the
-// routes), unless l.Materialize or l.NoIncremental force the chain
-// through a materializing DeltaApplier. Chains fold on the worker pool,
-// one task per IXP, each in date order. A delta whose base snapshot is
-// missing from dir is an error; when several chains are broken the
-// error is the lexically first IXP's earliest broken day.
+// the same directory: each day's index is advanced from the previous
+// day's (never materializing the routes), unless l.Materialize sends
+// the chain through a materializing DeltaApplier. Chains fold on the
+// worker pool, one task per IXP, each in date order. A delta whose base
+// snapshot is missing from dir is an error; when several chains are
+// broken the error is the lexically first IXP's earliest broken day.
 func (l *Lab) LoadSnapshotDir(dir string) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -56,9 +55,9 @@ func (l *Lab) LoadSnapshotDir(dir string) error {
 	}
 
 	// Deltas parse up front (they decode lazily, so this is cheap) so
-	// chain bases are known before the full snapshots load: a base of
-	// an incremental chain must be indexed as a series day 0, not as a
-	// standalone column-direct index.
+	// chain bases are known before the full snapshots load: a chain's
+	// base keeps the chain state its days advance, a standalone file's
+	// index does not.
 	deltas := make([]*collector.DeltaReader, len(deltaFiles))
 	if _, err := runPool(len(deltaFiles), l.workers(), func(i int) error {
 		dr, err := collector.OpenDelta(filepath.Join(dir, deltaFiles[i]))
@@ -70,7 +69,6 @@ func (l *Lab) LoadSnapshotDir(dir string) error {
 	}); err != nil {
 		return err
 	}
-	incremental := !l.Materialize && !l.NoIncremental
 	chainBases := map[string]bool{}
 	if len(deltas) > 0 {
 		emitted := map[string]bool{}
@@ -98,7 +96,7 @@ func (l *Lab) LoadSnapshotDir(dir string) error {
 		if strings.HasSuffix(files[i], ".mrt") {
 			snap, err = loadMRTFile(path)
 		} else {
-			snap, err = loadSnapshotFile(path, schemes, incremental, chainBases)
+			snap, err = loadSnapshotFile(path, schemes, chainBases)
 		}
 		if err != nil {
 			return fmt.Errorf("load %s: %w", files[i], err)
@@ -110,7 +108,7 @@ func (l *Lab) LoadSnapshotDir(dir string) error {
 	}
 
 	if len(deltas) > 0 {
-		chained, err := applyDeltaChains(snaps, deltas, deltaFiles, schemes, incremental, l.workers())
+		chained, err := applyDeltaChains(snaps, deltas, deltaFiles, schemes, l.workers())
 		if err != nil {
 			return err
 		}
@@ -140,12 +138,12 @@ func chainKey(ixp, date string) string { return ixp + "\x00" + date }
 // the error is the one the sequential loop hits — the first IXP's
 // earliest broken day — for any worker count.
 //
-// On the incremental path a chain base carries a series index
-// (loadSnapshotFile built it that way) and each day advances the
-// previous day's index; otherwise the chain runs through a
-// materializing DeltaApplier. Either way the reconstructed day joins
-// its IXP's days, where a later delta finds its base.
-func applyDeltaChains(snaps []*collector.Snapshot, deltas []*collector.DeltaReader, names []string, schemes map[string]*dictionary.Scheme, incremental bool, workers int) ([]*collector.Snapshot, error) {
+// A header-only chain base carries a series index (loadSnapshotFile
+// built it that way) and each day advances the previous day's index,
+// attached to another header-only snapshot; a materialized base runs
+// its chain through a DeltaApplier. Either way the reconstructed day
+// joins its IXP's days, where a later delta finds its base.
+func applyDeltaChains(snaps []*collector.Snapshot, deltas []*collector.DeltaReader, names []string, schemes map[string]*dictionary.Scheme, workers int) ([]*collector.Snapshot, error) {
 	groups := map[string][]int{} // IXP → indexes into deltas and names
 	for i, dr := range deltas {
 		ixp := dr.Header().IXP
@@ -181,12 +179,13 @@ func applyDeltaChains(snaps []*collector.Snapshot, deltas []*collector.DeltaRead
 				return fmt.Errorf("apply %s: no snapshot for base day %s of %s", names[i], baseDate, ixp)
 			}
 			var next *collector.Snapshot
-			if incremental && base.Routes == nil {
-				s, err := analysis.AdvanceSnapshot(base, schemes[ixp], dr)
+			if scheme := schemes[ixp]; scheme != nil && base.Routes == nil {
+				ix, err := analysis.IndexFor(base, scheme).Advance(dr)
 				if err != nil {
 					return fmt.Errorf("apply %s: %w", names[i], err)
 				}
-				next = s
+				next = ix.Snapshot()
+				analysis.AttachIndex(next, ix)
 			} else {
 				app := appliers[baseDate]
 				if app == nil {
@@ -218,10 +217,10 @@ func applyDeltaChains(snaps []*collector.Snapshot, deltas []*collector.DeltaRead
 // random-access reader (mmap where the platform provides it), so the
 // codec is deduced from the extension or the file's magic bytes. A
 // columnar file whose IXP has a scheme in schemes is not materialized:
-// the classified index is built column-direct and pinned on the
-// header-only snapshot — as a series index when the file heads an
-// incremental delta chain, so later days can advance it.
-func loadSnapshotFile(path string, schemes map[string]*dictionary.Scheme, incremental bool, chainBases map[string]bool) (*collector.Snapshot, error) {
+// the classified index is built off its columns and attached to the
+// header-only snapshot — as a series index when the file heads a delta
+// chain, so later days can advance it.
+func loadSnapshotFile(path string, schemes map[string]*dictionary.Scheme, chainBases map[string]bool) (*collector.Snapshot, error) {
 	sr, err := collector.OpenSnapshotAt(path)
 	if err != nil {
 		return nil, err
@@ -230,13 +229,8 @@ func loadSnapshotFile(path string, schemes map[string]*dictionary.Scheme, increm
 	if sr.Codec() == collector.CodecBinary {
 		head := sr.Header()
 		if scheme := schemes[head.IXP]; scheme != nil {
-			isBase := chainBases[chainKey(head.IXP, head.Date)]
-			if isBase && !incremental {
-				// A materializing chain needs the base's routes.
-				return sr.Snapshot()
-			}
 			var ix *analysis.Index
-			if isBase {
+			if chainBases[chainKey(head.IXP, head.Date)] {
 				ix, err = analysis.IndexSeriesFromReader(sr, scheme)
 			} else {
 				ix, err = analysis.IndexFromReader(sr, scheme)

@@ -145,7 +145,7 @@ func TestLoadSnapshotDirSeries(t *testing.T) {
 	}{
 		{mk("LINX", "2021-10-06"), collector.CodecBinary},
 		{mk("LINX", "2021-10-04"), collector.CodecJSON},
-		{mk("LINX", "2021-10-05"), collector.CodecGobGzip},
+		{mk("LINX", "2021-10-05"), collector.CodecJSONGzip},
 		{mk("DE-CIX", "2021-10-04"), collector.CodecBinary},
 	} {
 		if _, err := collector.SaveSnapshot(dir, c.s, c.codec); err != nil {
@@ -208,7 +208,8 @@ func writeDeltaChain(t testing.TB, profiles []ixpgen.Profile, dir, fullDir strin
 // loading a chain directory (one full day plus deltas) produces
 // byte-identical experiment output to loading the same days as full
 // files — on the default incremental path (which never materializes a
-// route), on the -no-incremental applier path, and fully materialized.
+// route) and on the Materialize path, which reconstructs every day
+// through the DeltaApplier.
 func TestLoadSnapshotDirDeltaChain(t *testing.T) {
 	const (
 		seed  = 42
@@ -240,15 +241,11 @@ func TestLoadSnapshotDirDeltaChain(t *testing.T) {
 
 	fullLab, fullOuts := run(fullDir, nil)
 	incLab, incOuts := run(chainDir, nil)
-	appLab, appOuts := run(chainDir, func(l *Lab) { l.NoIncremental = true })
-	_, matOuts := run(chainDir, func(l *Lab) { l.Materialize = true })
+	matLab, matOuts := run(chainDir, func(l *Lab) { l.Materialize = true })
 
 	for i := range fullOuts {
 		if !bytes.Equal(fullOuts[i], incOuts[i]) {
 			t.Errorf("%s: incremental chain output differs from full files", ExperimentNames[i])
-		}
-		if !bytes.Equal(fullOuts[i], appOuts[i]) {
-			t.Errorf("%s: NoIncremental chain output differs from full files", ExperimentNames[i])
 		}
 		if !bytes.Equal(fullOuts[i], matOuts[i]) {
 			t.Errorf("%s: Materialize chain output differs from full files", ExperimentNames[i])
@@ -257,7 +254,7 @@ func TestLoadSnapshotDirDeltaChain(t *testing.T) {
 
 	for _, p := range profiles {
 		want := series[p.IXP]
-		for _, lab := range []*Lab{fullLab, incLab, appLab} {
+		for _, lab := range []*Lab{fullLab, incLab, matLab} {
 			got := lab.Series[p.IXP]
 			if len(got) != len(want) {
 				t.Fatalf("%s: series length %d, want %d", p.IXP, len(got), len(want))
@@ -275,7 +272,7 @@ func TestLoadSnapshotDirDeltaChain(t *testing.T) {
 			}
 		}
 		// The applier path reconstructs the exact snapshots.
-		for d, s := range appLab.Series[p.IXP] {
+		for d, s := range matLab.Series[p.IXP] {
 			if d > 0 && !reflect.DeepEqual(s, want[d]) {
 				t.Errorf("%s day %d: applier-reconstructed snapshot diverges", p.IXP, d)
 			}
@@ -335,7 +332,8 @@ func loadAndRunAll(t *testing.T, profiles []ixpgen.Profile, dir string, workers 
 // four-IXP .bin + .delta dataset yields byte-identical `-exp all`
 // output whether the chains fold on one worker, on fewer workers than
 // IXPs or on more, and that output equals the Materialize reference,
-// which shares no index builder with the fold. Run under -race.
+// whose days come out of the DeltaApplier as routes, not out of
+// Index.Advance. Run under -race.
 func TestLoadSnapshotDirParallelFold(t *testing.T) {
 	profiles := ixpgen.BigFour()
 	o := ixpgen.TemporalOptions{Seed: 42, Scale: 0.002, Days: 5, ValleyDays: []int{3}}
@@ -389,18 +387,18 @@ func TestLoadSnapshotDirBrokenChainsDeterministic(t *testing.T) {
 	remove("DE-CIX", 4)
 	remove("LINX", 1)
 
-	load := func(workers int, noIncremental bool) error {
+	load := func(workers int, materialize bool) error {
 		lab := NewLabShell(profiles, 42, 0.002, workers)
-		lab.NoIncremental = noIncremental
+		lab.Materialize = materialize
 		return lab.LoadSnapshotDir(chainDir)
 	}
 	wantPrefix := "apply " + filepath.Base(deltaPath(chainDir, "DE-CIX", 3)) + ": "
-	for _, noInc := range []bool{false, true} {
+	for _, materialize := range []bool{false, true} {
 		for _, workers := range []int{1, 8} {
-			err := load(workers, noInc)
+			err := load(workers, materialize)
 			if err == nil || !strings.HasPrefix(err.Error(), wantPrefix) || !errors.Is(err, collector.ErrDeltaBaseMismatch) {
-				t.Errorf("parallel=%d noIncremental=%v: got %v, want %q… wrapping ErrDeltaBaseMismatch",
-					workers, noInc, err, wantPrefix)
+				t.Errorf("parallel=%d materialize=%v: got %v, want %q… wrapping ErrDeltaBaseMismatch",
+					workers, materialize, err, wantPrefix)
 			}
 		}
 	}

@@ -115,8 +115,6 @@ type (
 const (
 	CodecJSON     = collector.CodecJSON
 	CodecJSONGzip = collector.CodecJSONGzip
-	CodecGob      = collector.CodecGob
-	CodecGobGzip  = collector.CodecGobGzip
 	CodecBinary   = collector.CodecBinary
 )
 
