@@ -38,9 +38,14 @@ soak:
 	$(GO) run ./cmd/soak -v
 
 # soak-long is the opt-in heavy variant: every calibrated IXP, more
-# kills, several chaos rounds and bigger workloads.
+# kills, several chaos rounds and bigger workloads — and the full reload
+# oracle: 200 seeded dataset-directory mutations per loader configuration
+# over the big four, a reloading ixpd compared with a fresh load on every
+# endpoint after each (its short cut, TestReloadScript, is part of
+# `go test ./...`; the long one runs only when named).
 soak-long:
 	$(GO) run ./cmd/soak -v -ixps 8 -kills 4 -rounds 3 -scale 0.01 -timeout 15m
+	$(GO) test ./internal/ixpd -run TestReloadScriptLong -count=1 -timeout 15m -v
 
 # ixpd-smoke boots the analysis daemon on ephemeral loopback ports and
 # walks its serving contract end to end: readiness gating, one
@@ -59,7 +64,8 @@ ixpd-smoke:
 # disabled-path zero-alloc pin), internal/ixpd (the daemon's
 # cold/warm/304 serving tiers plus the socket-level load phases) and
 # internal/report (LoadSnapshotDir over delta chains, sequential and
-# folded per IXP) — and
+# folded per IXP, and the same dataset loaded from a predecessor after
+# one day landed) — and
 # archives the merged results as
 # machine-readable JSON (BENCH_<yyyymmdd>.json), for comparison across
 # commits. The live text output still streams to the terminal, and the

@@ -181,7 +181,7 @@ func main() {
 // runSmoke exercises the daemon end to end on ephemeral loopback
 // ports: readiness gating, one experiment fetch with an ETag, a 304
 // revalidation of the same query, and a /metrics scrape that must
-// show the served requests.
+// show the served requests and the load behind them.
 func runSmoke(cfg ixpd.Config, reg *telemetry.Registry) error {
 	cfg.ReloadInterval = -1 // nothing to watch in a smoke run
 	srv := ixpd.New(cfg)
@@ -244,7 +244,12 @@ func runSmoke(cfg ixpd.Config, reg *telemetry.Registry) error {
 	if code != http.StatusOK {
 		return fmt.Errorf("/metrics: got %d", code)
 	}
-	for _, want := range []string{"ixplight_ixpd_requests_total", "ixplight_ixpd_not_modified_total 1"} {
+	for _, want := range []string{
+		"ixplight_ixpd_requests_total", "ixplight_ixpd_not_modified_total 1",
+		// the load that just ran, and the dataset it left serving
+		"ixplight_ixpd_reload_seconds_count 1", `ixplight_ixpd_reload_days_total{how="rebuilt"}`,
+		"ixplight_ixpd_dataset_age_seconds", "ixplight_ixpd_skipped_files 0", "ixplight_ixpd_compute_panics_total 0",
+	} {
 		if !strings.Contains(metricsBody, want) {
 			return fmt.Errorf("/metrics scrape missing %q", want)
 		}

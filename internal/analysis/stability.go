@@ -93,24 +93,35 @@ func (t StabilityTable) MaxDiffPct() float64 {
 }
 
 // Stability computes the Table 3/4 row over a snapshot window. A
-// materialized snapshot is counted by walking its routes, so the
-// per-snapshot counts fan out over the host's processors, each landing
-// in its snapshot's slot (sequentially, BenchmarkTable4_ThreeMonthStability
-// loses a third on two cores).
+// header-only snapshot answers from its index in constant time. A
+// materialized one is counted by walking its routes, so a window that
+// holds any fans the per-snapshot counts out over the host's
+// processors, each landing in its snapshot's slot (sequentially,
+// BenchmarkTable4_ThreeMonthStability loses a third on two cores).
 func Stability(snaps []*collector.Snapshot, v6 bool) StabilityTable {
 	rows := make([]SnapshotCounts, len(snaps))
-	workers := min(runtime.GOMAXPROCS(0), len(snaps))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(snaps); i += workers {
-				rows[i] = CountSnapshot(snaps[i], v6)
-			}
-		}(w)
+	walks := false
+	for i, s := range snaps {
+		if ix := pinnedFor(s, nil); ix != nil {
+			rows[i] = ix.Counts(v6)
+		} else {
+			walks = true
+		}
 	}
-	wg.Wait()
+	if walks {
+		workers := min(runtime.GOMAXPROCS(0), len(snaps))
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := w; i < len(snaps); i += workers {
+					rows[i] = CountSnapshot(snaps[i], v6)
+				}
+			}(w)
+		}
+		wg.Wait()
+	}
 	members := make([]int, len(rows))
 	prefixes := make([]int, len(rows))
 	routes := make([]int, len(rows))

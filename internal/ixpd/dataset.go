@@ -2,9 +2,9 @@ package ixpd
 
 import (
 	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
-	"os"
-	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -14,7 +14,8 @@ import (
 
 // generation is one immutable loaded dataset: the lab, its identity
 // digest, and the response cache scoped to it. Handlers pin the
-// pointer once per request; a reload builds a fresh generation and
+// pointer once per request; a reload builds the next generation from
+// this one's lab — sharing every day whose file did not change — and
 // swaps the pointer, so an old generation keeps answering its
 // in-flight requests until the last one returns.
 type generation struct {
@@ -24,28 +25,34 @@ type generation struct {
 	sig      string // raw directory signature, compared by the reload poller
 	loadedAt time.Time
 	cache    *respCache
+	// load is what loading this generation took, and the dataset files
+	// it could not use (zero for a synthetic lab).
+	load report.LoadReport
+	// newest is the latest collection day loaded, for the age gauge;
+	// zero for a synthetic lab or an unparseable date.
+	newest time.Time
 }
 
-// buildGeneration loads a fresh generation: the snapshot directory
-// when configured (delta chains walked incrementally by default),
-// the calibrated synthetic lab otherwise.
-func (s *Server) buildGeneration() (*generation, error) {
+// buildGeneration loads the generation that succeeds prev (nil for the
+// first): in dir mode a shell lab filled by the one loader, report.Load,
+// from the listing the caller took — against prev's lab, so the load
+// costs what changed in the directory — and the calibrated synthetic
+// lab otherwise.
+func (s *Server) buildGeneration(prev *generation, files []report.File, sig string) (*generation, error) {
 	cfg := &s.cfg
 	var lab *report.Lab
-	var sig string
+	var rep report.LoadReport
 	if cfg.SnapshotDir != "" {
 		// Dir mode: a shell lab, so a (re)load pays snapshot decode,
 		// never synthetic generation.
 		lab = report.NewLabShell(cfg.Profiles, cfg.Seed, cfg.Scale, cfg.Parallel)
 		lab.Telemetry = cfg.Telemetry
 		lab.Materialize = cfg.Materialize
-		var err error
-		if sig, err = dirSignature(cfg.SnapshotDir); err != nil {
-			return nil, err
+		var prevLab *report.Lab
+		if prev != nil {
+			prevLab = prev.lab
 		}
-		if err := lab.LoadSnapshotDir(cfg.SnapshotDir); err != nil {
-			return nil, err
-		}
+		rep = lab.Load(cfg.SnapshotDir, files, prevLab)
 	} else {
 		var err error
 		lab, err = report.NewLabParallel(cfg.Profiles, cfg.Seed, cfg.Scale, cfg.Parallel)
@@ -56,43 +63,52 @@ func (s *Server) buildGeneration() (*generation, error) {
 		sig = syntheticSignature(cfg)
 	}
 	sum := sha256.Sum256([]byte(sig))
-	return &generation{
+	gen := &generation{
 		id:       s.genSeq.Add(1),
 		lab:      lab,
-		digest:   fmt.Sprintf("%x", sum[:8]),
+		digest:   hex.EncodeToString(sum[:8]),
 		sig:      sig,
 		loadedAt: time.Now(),
 		cache:    newRespCache(cfg.cacheCap()),
-	}, nil
+		load:     rep,
+	}
+	for _, snap := range lab.Snapshots {
+		if day, err := time.Parse(time.DateOnly, snap.Date); err == nil && day.After(gen.newest) {
+			gen.newest = day
+		}
+	}
+	return gen, nil
 }
 
-// dirSignature fingerprints the dataset directory: every regular
-// file's name, size and mtime, sorted by name. Any landed, rewritten
-// or removed collection day changes the signature — the reload
-// trigger and, hashed, the dataset half of every ETag. Content is not
-// read: snapshot writes in this repo are atomic (temp + rename), so
-// (name, size, mtime) moves if and only if bytes moved.
-func dirSignature(dir string) (string, error) {
-	entries, err := os.ReadDir(dir)
+// dirSignature takes the one listing a (re)load works from and
+// fingerprints it: every regular file's name, size and mtime, in name
+// order. Any landed, rewritten or removed collection day changes the
+// signature — the reload trigger and, hashed, the dataset half of every
+// ETag. Content is not read: snapshot writes in this repo are atomic
+// (temp + rename), so (name, size, mtime) moves if and only if bytes
+// moved. The generation is then loaded from the returned files, not
+// from a second look at the directory, so its digest names exactly the
+// files it serves.
+func dirSignature(dir string) ([]report.File, string, error) {
+	files, err := report.ListDir(dir, true)
 	if err != nil {
-		return "", err
+		return nil, "", err
 	}
-	lines := make([]string, 0, len(entries))
-	for _, e := range entries {
-		// Skip directories and dotfiles: AtomicWrite stages its temp
-		// files dot-prefixed in the same directory, and a half-written
-		// temp file must not look like a dataset change.
-		if e.IsDir() || strings.HasPrefix(e.Name(), ".") {
-			continue
+	sig := make([]byte, 0, len(dir)+5+len(files)*64)
+	sig = append(sig, "dir\x00"...)
+	sig = append(sig, dir...)
+	sig = append(sig, 0)
+	for i, f := range files {
+		if i > 0 {
+			sig = append(sig, '\n')
 		}
-		info, err := e.Info()
-		if err != nil {
-			return "", err
-		}
-		lines = append(lines, fmt.Sprintf("%s\x00%d\x00%d", e.Name(), info.Size(), info.ModTime().UnixNano()))
+		sig = append(sig, f.Name...)
+		sig = append(sig, 0)
+		sig = strconv.AppendInt(sig, f.Size, 10)
+		sig = append(sig, 0)
+		sig = strconv.AppendInt(sig, f.ModTime, 10)
 	}
-	sort.Strings(lines)
-	return "dir\x00" + dir + "\x00" + strings.Join(lines, "\n"), nil
+	return files, string(sig), nil
 }
 
 // syntheticSignature identifies a generated lab: the knobs that fully

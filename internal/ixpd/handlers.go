@@ -26,6 +26,15 @@ type MetaDoc struct {
 	Source      string    `json:"source"` // "dir" or "synthetic"
 	Experiments []string  `json:"experiments"`
 	IXPs        []MetaIXP `json:"ixps"`
+	// Skipped lists the dataset files this generation could not load;
+	// their chains serve up to the last good day.
+	Skipped []SkippedFile `json:"skipped,omitempty"`
+}
+
+// SkippedFile is one unusable dataset file and why.
+type SkippedFile struct {
+	File   string `json:"file"`
+	Reason string `json:"reason"`
 }
 
 // MetaIXP is one IXP's slice of the dataset, including small query
@@ -145,6 +154,10 @@ func (s *Server) metaDoc(g *generation) (any, error) {
 			mi.SampleCommunities = append(mi.SampleCommunities, cc.Community.String())
 		}
 		doc.IXPs = append(doc.IXPs, mi)
+	}
+	for i := range g.load.Skipped {
+		sk := &g.load.Skipped[i]
+		doc.Skipped = append(doc.Skipped, SkippedFile{File: sk.File, Reason: sk.Op + ": " + sk.Err.Error()})
 	}
 	return doc, nil
 }

@@ -25,8 +25,10 @@
 //
 // Datasets hot-reload: a polling watcher (no fsnotify dependency)
 // detects new collection days landing in the snapshot directory,
-// loads a fresh generation in the background and swaps it in
-// atomically. In-flight requests pinned the old generation pointer at
+// builds the next generation in the background — sharing every
+// unchanged day with the serving one, so the cost is what landed — and
+// swaps it in atomically. A file that cannot be loaded is skipped and
+// reported, never fatal. In-flight requests pinned the old generation pointer at
 // entry and finish on it; new requests see the new generation (and
 // new ETags, so stale client caches revalidate to 200, not 304).
 package ixpd
@@ -40,6 +42,7 @@ import (
 	"hash/fnv"
 	"net/http"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -57,8 +60,8 @@ type Config struct {
 	// loaded snapshots.
 	Profiles []ixpgen.Profile
 	// SnapshotDir, when set, is the dataset directory loaded through
-	// report.Lab.LoadSnapshotDir (mixed codecs, delta chains walked
-	// incrementally) and polled for hot reload. When empty the server
+	// report.Lab.Load (mixed codecs, delta chains walked incrementally)
+	// and polled for hot reload. When empty the server
 	// generates the calibrated synthetic lab instead (Seed/Scale), and
 	// reload is disabled.
 	SnapshotDir string
@@ -142,6 +145,9 @@ type Server struct {
 	// reloadMu serialises Load/Reload so two pollers (or a poller and
 	// an explicit Reload) never build generations concurrently.
 	reloadMu sync.Mutex
+	// afterList is a test seam: called between the directory listing
+	// and the load that works from it.
+	afterList func()
 
 	// sem is the bounded compute admission: one slot per in-flight
 	// response computation.
@@ -178,20 +184,25 @@ func New(cfg Config) *Server {
 func (s *Server) Load() error {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
-	gen, err := s.buildGeneration()
-	if err != nil {
+	if _, err := s.load(nil); err != nil {
 		return err
 	}
-	s.install(gen)
 	s.ready.Store(true)
 	return nil
 }
 
-// install swaps gen in as the serving generation.
+// install swaps gen in as the serving generation. A generation is
+// installed once per directory signature, so this is also where each
+// skipped file is logged once per signature change.
 func (s *Server) install(gen *generation) {
 	s.gen.Store(gen)
 	s.met.generation.Set(int64(gen.id))
+	s.met.skipped.Set(int64(len(gen.load.Skipped)))
+	s.met.age(gen)
 	s.cfg.logf("ixpd: generation %d live (digest %s, %d IXPs)", gen.id, gen.digest, len(gen.lab.Profiles))
+	for i := range gen.load.Skipped {
+		s.cfg.logf("ixpd: generation %d skipped %v", gen.id, &gen.load.Skipped[i])
+	}
 }
 
 // Generation returns the id and digest of the serving generation
@@ -383,9 +394,26 @@ func (s *Server) joinFlight(gen uint64, key string) (*flight, bool) {
 }
 
 // runFlight is the leader's side of a coalesced compute: admission,
-// compute, marshal, cache fill, broadcast.
+// compute, marshal, cache fill, broadcast. A compute that panics is
+// contained here — the daemon must outlive a bug in one experiment: the
+// leader and every waiter get a 500, nothing is cached, the admission
+// slot and the flight are released like on any other exit, and the
+// stack goes to the log and the ixpd.compute span.
 func (s *Server) runFlight(gen *generation, key string, fl *flight, compute func(*generation) (any, error)) {
+	var sp *telemetry.Span
 	defer func() {
+		if p := recover(); p != nil {
+			stack := debug.Stack()
+			s.met.computePanics.Inc()
+			s.cfg.logf("ixpd: compute %s panicked: %v\n%s", key, p, stack)
+			fl.status = http.StatusInternalServerError
+			fl.data, _ = marshalJSON(map[string]string{"error": fmt.Sprintf("internal error: compute panicked: %v", p)})
+			if sp != nil {
+				sp.SetAttr("error", fmt.Sprint(p))
+				sp.SetAttr("stack", string(stack))
+				sp.End()
+			}
+		}
 		s.flightMu.Lock()
 		delete(s.flights, flightKey{gen: gen.id, key: key})
 		s.flightMu.Unlock()
@@ -412,7 +440,7 @@ func (s *Server) runFlight(gen *generation, key string, fl *flight, compute func
 	defer func() { <-s.sem }()
 
 	t0 := time.Now()
-	_, sp := telemetry.StartSpan(context.Background(), s.cfg.Telemetry, "ixpd.compute")
+	_, sp = telemetry.StartSpan(context.Background(), s.cfg.Telemetry, "ixpd.compute")
 	if sp != nil {
 		sp.SetAttr("key", key)
 	}

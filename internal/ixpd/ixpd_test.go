@@ -39,7 +39,7 @@ func testServer(t *testing.T, cfg Config) *Server {
 
 // doGet drives one request through the handler and returns the
 // response.
-func doGet(t *testing.T, h http.Handler, path, ifNoneMatch string) (code int, etag, body string) {
+func doGet(t testing.TB, h http.Handler, path, ifNoneMatch string) (code int, etag, body string) {
 	t.Helper()
 	req := httptest.NewRequest(http.MethodGet, path, nil)
 	if ifNoneMatch != "" {
@@ -434,5 +434,101 @@ func TestRespCacheBound(t *testing.T) {
 	}
 	if _, ok := c.get("k4"); !ok {
 		t.Fatal("newest entry missing")
+	}
+}
+
+// TestComputePanicContained: a compute that panics costs its requesters
+// a 500 and nothing else. The leader and every coalesced waiter are
+// answered, nothing is cached, the admission slot and the flight are
+// released, the panic is counted and logged with its stack, and the
+// next identical request computes afresh.
+func TestComputePanicContained(t *testing.T) {
+	reg := telemetry.New()
+	sink := &telemetry.RecordingSink{}
+	reg.SetSpanSink(sink)
+	var logMu sync.Mutex
+	var logged []string
+	s := testServer(t, Config{Telemetry: reg, MaxInFlight: 1, Logf: func(format string, args ...any) {
+		logMu.Lock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+		logMu.Unlock()
+	}})
+
+	const n = 8
+	release := make(chan struct{})
+	compute := func(*generation) (any, error) {
+		<-release
+		panic("experiment blew up")
+	}
+	codes := make(chan int, n)
+	bodies := make(chan string, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			rec := httptest.NewRecorder()
+			s.serveCached(rec, httptest.NewRequest(http.MethodGet, "/boom", nil), "test", compute)
+			codes <- rec.Code
+			bodies <- rec.Body.String()
+		}()
+	}
+	// Let every requester join the one flight before it blows up.
+	deadline := time.Now().Add(5 * time.Second)
+	for s.met.coalesced.Value() < n-1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d requests coalesced", s.met.coalesced.Value(), n-1)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	for i := 0; i < n; i++ {
+		if code := <-codes; code != http.StatusInternalServerError {
+			t.Errorf("requester %d: code %d, want 500", i, code)
+		}
+		var doc map[string]string
+		if body := <-bodies; json.Unmarshal([]byte(body), &doc) != nil || !strings.Contains(doc["error"], "experiment blew up") {
+			t.Errorf("requester %d: body %q is not a JSON error naming the panic", i, body)
+		}
+	}
+	if got := s.Computes(); got != 1 {
+		t.Errorf("%d computes for %d coalesced requests, want 1", got, n)
+	}
+	if got := s.met.computePanics.Value(); got != 1 {
+		t.Errorf("ixplight_ixpd_compute_panics_total = %d, want 1", got)
+	}
+	if _, ok := s.gen.Load().cache.get("/boom"); ok {
+		t.Error("a panicked compute was cached")
+	}
+	s.flightMu.Lock()
+	flights := len(s.flights)
+	s.flightMu.Unlock()
+	if flights != 0 || len(s.sem) != 0 {
+		t.Errorf("after the panic: %d flights registered, %d admission slots held; want 0 and 0", flights, len(s.sem))
+	}
+	logMu.Lock()
+	var line string
+	for _, l := range logged {
+		if strings.Contains(l, "panicked") {
+			line = l
+		}
+	}
+	logMu.Unlock()
+	if !strings.Contains(line, "experiment blew up") || !strings.Contains(line, "runFlight") {
+		t.Errorf("log line %q does not carry the panic and its stack", line)
+	}
+	spans := sink.Named("ixpd.compute")
+	if len(spans) != 1 {
+		t.Fatalf("%d ixpd.compute spans, want 1", len(spans))
+	}
+	rec := telemetry.Record(spans[0])
+	if rec.Attr("error") != "experiment blew up" || !strings.Contains(rec.Attr("stack"), "runFlight") {
+		t.Errorf("ixpd.compute span attributes: error %q, stack %d bytes", rec.Attr("error"), len(rec.Attr("stack")))
+	}
+
+	// The next identical request takes a fresh flight and computes.
+	rec2 := httptest.NewRecorder()
+	s.serveCached(rec2, httptest.NewRequest(http.MethodGet, "/boom", nil), "test", func(*generation) (any, error) {
+		return map[string]string{"ok": "true"}, nil
+	})
+	if rec2.Code != http.StatusOK || s.Computes() != 2 {
+		t.Errorf("request after the panic: code %d, %d computes; want 200 after a second compute", rec2.Code, s.Computes())
 	}
 }

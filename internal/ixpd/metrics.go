@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"time"
 
+	"ixplight/internal/report"
 	"ixplight/internal/telemetry"
 )
 
@@ -23,6 +24,11 @@ type metrics struct {
 	waitTimeouts   *telemetry.Counter
 	reloads        *telemetry.CounterVec // result
 	generation     *telemetry.Gauge
+	computePanics  *telemetry.Counter
+	reloadSeconds  *telemetry.Histogram
+	reloadDays     *telemetry.CounterVec // how
+	skipped        *telemetry.Gauge
+	datasetAge     *telemetry.Gauge
 }
 
 func newMetrics(reg *telemetry.Registry) *metrics {
@@ -51,6 +57,31 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 			"Dataset hot-reload attempts that found a changed directory, by result.", "result"),
 		generation: reg.Gauge("ixplight_ixpd_generation",
 			"Sequence number of the dataset generation currently serving."),
+		computePanics: reg.Counter("ixplight_ixpd_compute_panics_total",
+			"Response computations that panicked and were answered 500."),
+		reloadSeconds: reg.Histogram("ixplight_ixpd_reload_seconds",
+			"Time to build and install a dataset generation, from the directory listing on; the initial load included.", nil),
+		reloadDays: reg.CounterVec("ixplight_ixpd_reload_days_total",
+			"Collection days in installed generations by origin: reused from the predecessor, advanced from its chain tip, or rebuilt from a file.", "how"),
+		skipped: reg.Gauge("ixplight_ixpd_skipped_files",
+			"Dataset files the serving generation could not load."),
+		datasetAge: reg.Gauge("ixplight_ixpd_dataset_age_seconds",
+			"Seconds from the newest collection day loaded to the last reload poll."),
+	}
+}
+
+// reloaded records one installed generation's build.
+func (m *metrics) reloaded(t0 time.Time, rep *report.LoadReport) {
+	m.reloadSeconds.ObserveSince(t0)
+	m.reloadDays.With("reused").Add(int64(rep.Reused))
+	m.reloadDays.With("advanced").Add(int64(rep.Advanced))
+	m.reloadDays.With("rebuilt").Add(int64(rep.Rebuilt))
+}
+
+// age refreshes the dataset age gauge against gen's newest day.
+func (m *metrics) age(gen *generation) {
+	if !gen.newest.IsZero() {
+		m.datasetAge.Set(int64(time.Since(gen.newest) / time.Second))
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -198,6 +199,43 @@ func TestRunPoolErrorSemantics(t *testing.T) {
 
 	if idx, err := runPool(0, 4, func(int) error { return errors.New("never") }); idx != 0 || err != nil {
 		t.Errorf("empty pool: got (%d, %v)", idx, err)
+	}
+}
+
+// TestRunPoolReusesHelpers pins what keeps a long-running process's
+// goroutine population constant: the helpers of one call are idle again
+// by the time it returns, so call after call — nested calls included —
+// starts no goroutine beyond the first round's. Every round holds all
+// its tasks at a barrier, so each needs the same five helpers: two for
+// the outer call, one for each of the three nested ones.
+func TestRunPoolReusesHelpers(t *testing.T) {
+	round := func() {
+		var arrived sync.WaitGroup
+		arrived.Add(6)
+		runPool(3, 3, func(int) error {
+			runPool(2, 2, func(int) error {
+				arrived.Done()
+				arrived.Wait()
+				return nil
+			})
+			return nil
+		})
+	}
+	idle := func() int {
+		idleHelpers.Lock()
+		defer idleHelpers.Unlock()
+		return len(idleHelpers.list)
+	}
+	round()
+	before := idle()
+	if before < 5 {
+		t.Fatalf("%d helpers idle after a round that ran five", before)
+	}
+	for i := 0; i < 200; i++ {
+		round()
+	}
+	if after := idle(); after != before {
+		t.Errorf("200 more rounds started %d more helpers, want none", after-before)
 	}
 }
 

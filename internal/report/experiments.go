@@ -44,13 +44,13 @@ type Lab struct {
 	Seed  int64
 	Scale float64
 	// Parallel bounds the lab's worker pools (file decode and per-IXP
-	// chain fold in LoadSnapshotDir, experiment fan-out in RunMany,
+	// chain fold in Load, experiment fan-out in RunMany,
 	// visibility's per-profile simulations, series generation). 0 or
 	// less means runtime.GOMAXPROCS(0); 1 runs everything sequentially.
 	// Results are identical for any value — parallel work lands in
 	// ordered slots.
 	Parallel int
-	// Materialize forces LoadSnapshotDir to decode full []bgp.Route
+	// Materialize forces Load to decode full []bgp.Route
 	// snapshots even for columnar binary files, and to reconstruct
 	// delta chains through a materializing DeltaApplier. By default
 	// those files are indexed off their columns
@@ -69,6 +69,10 @@ type Lab struct {
 	// "analyze.run" span so a whole -exp all run is a single trace.
 	// Nil means each experiment roots its own trace.
 	TraceCtx context.Context
+
+	// loaded is what the last Load left for a successor lab's Load to
+	// start from (see dataset).
+	loaded *dataset
 }
 
 // workers resolves the lab's worker budget.
@@ -85,9 +89,9 @@ func NewLab(profiles []ixpgen.Profile, seed int64, scale float64) (*Lab, error) 
 }
 
 // NewLabShell builds a Lab without generating any workload — the
-// constructor for callers that immediately replace the snapshots via
-// LoadSnapshotDir. The serving daemon reloads datasets through this
-// path, so a reload pays snapshot decode, never synthetic generation.
+// constructor for callers that immediately fill it via LoadSnapshotDir
+// or Load. The serving daemon builds every generation's lab this way,
+// so a (re)load never pays synthetic generation.
 func NewLabShell(profiles []ixpgen.Profile, seed int64, scale float64, workers int) *Lab {
 	return &Lab{
 		Profiles:  profiles,

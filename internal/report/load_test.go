@@ -412,3 +412,170 @@ func TestLoadSnapshotDirBrokenChainsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// loadFrom lists dir and loads it into a fresh shell lab on top of prev.
+func loadFrom(t *testing.T, profiles []ixpgen.Profile, dir string, prev *Lab, cfg func(*Lab)) (*Lab, LoadReport) {
+	t.Helper()
+	files, err := ListDir(dir, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lab := NewLabShell(profiles, 42, 0.002, 2)
+	if cfg != nil {
+		cfg(lab)
+	}
+	return lab, lab.Load(dir, files, prev)
+}
+
+// TestLoadFromPredecessor pins what a load on top of a predecessor
+// does, step by step on one two-IXP chain directory: an unchanged
+// directory shares everything, a landed day is one open and one
+// Advance, a removed tip re-folds that IXP alone from its base, and at
+// every step the experiments read the same as from a fresh load.
+func TestLoadFromPredecessor(t *testing.T) {
+	profiles := ixpgen.BigFour()[:2]
+	o := ixpgen.TemporalOptions{Seed: 42, Scale: 0.002, Days: 6}
+	dir, stage := t.TempDir(), t.TempDir()
+	series := writeDeltaChain(t, profiles, dir, t.TempDir(), o)
+	ixp := profiles[1].IXP
+	tip := ixp + "-" + series[ixp][5].Date + collector.DeltaExt
+	move := func(from, to string) {
+		t.Helper()
+		if err := os.Rename(filepath.Join(from, tip), filepath.Join(to, tip)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sameAsFresh := func(lab *Lab) {
+		t.Helper()
+		got, err := lab.RunMany(ExperimentNames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := loadAndRunAll(t, profiles, dir, 2, nil); !bytes.Equal(bytes.Join(got, nil), want) {
+			t.Error("experiments differ from a fresh load of the same directory")
+		}
+	}
+	move(dir, stage)
+
+	lab, rep := loadFrom(t, profiles, dir, nil, nil)
+	if rep.Decoded != 2 || rep.Advances != 9 || rep.Rebuilt != 11 || rep.Reused != 0 || len(rep.Skipped) != 0 {
+		t.Fatalf("fresh load: %+v", rep)
+	}
+
+	lab, rep = loadFrom(t, profiles, dir, lab, nil)
+	if rep.Opened+rep.Decoded+rep.Advances != 0 || rep.Reused != 11 {
+		t.Fatalf("unchanged directory: %+v", rep)
+	}
+
+	move(stage, dir)
+	before := lab
+	lab, rep = loadFrom(t, profiles, dir, lab, nil)
+	if rep.Opened != 1 || rep.Decoded != 0 || rep.Advances != 1 || rep.Reused != 11 || rep.Advanced != 1 || rep.Rebuilt != 0 {
+		t.Fatalf("one landed day: %+v", rep)
+	}
+	if len(lab.Series[ixp]) != 6 || len(before.Series[ixp]) != 5 || lab.Series[ixp][4] != before.Series[ixp][4] {
+		t.Fatalf("landed day: series %d days (predecessor %d), earlier days not shared", len(lab.Series[ixp]), len(before.Series[ixp]))
+	}
+	sameAsFresh(lab)
+
+	move(dir, stage)
+	lab, rep = loadFrom(t, profiles, dir, lab, nil)
+	if rep.Opened != 4 || rep.Decoded != 1 || rep.Advances != 4 || rep.Reused != 6 || rep.Rebuilt != 5 {
+		t.Fatalf("removed tip: %+v", rep)
+	}
+	sameAsFresh(lab)
+
+	// The re-folded chain has an advanceable tip again.
+	move(stage, dir)
+	lab, rep = loadFrom(t, profiles, dir, lab, nil)
+	if rep.Decoded != 0 || rep.Advances != 1 || rep.Advanced != 1 {
+		t.Fatalf("landed day after a re-fold: %+v", rep)
+	}
+	sameAsFresh(lab)
+}
+
+// TestLoadSkipsWhatItCannotUse pins the degraded load: a tip with
+// corrupt ops and a day that arrived before its predecessor are
+// reported, not fatal; their chains serve up to the last good day — the
+// half-applied one re-folded from its base; the corrupt bytes are not
+// tried again while the file stays as it is; and both days are picked
+// up once a later listing makes them loadable. A
+// materializing lab re-folds instead of advancing but ends up the same.
+func TestLoadSkipsWhatItCannotUse(t *testing.T) {
+	profiles := ixpgen.BigFour()[:2]
+	o := ixpgen.TemporalOptions{Seed: 42, Scale: 0.002, Days: 6}
+	for _, materialize := range []bool{false, true} {
+		cfg := func(l *Lab) { l.Materialize = materialize }
+		dir := t.TempDir()
+		series := writeDeltaChain(t, profiles, dir, t.TempDir(), o)
+		a, b := profiles[1].IXP, profiles[0].IXP // DE-CIX sorts first
+		path := func(ixp string, day int) string {
+			return filepath.Join(dir, ixp+"-"+series[ixp][day].Date+collector.DeltaExt)
+		}
+		whole, err := os.ReadFile(path(a, 5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// a's tip keeps its header and tables but its last op no longer
+		// decodes, so applying it fails partway through; b's day 4 is
+		// held back, so day 5 arrives before its predecessor.
+		if err := os.WriteFile(path(a, 5), append(whole[:len(whole)-3:len(whole)-3], 0xff, 0xff, 0xff), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		held, err := os.ReadFile(path(b, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Remove(path(b, 4)); err != nil {
+			t.Fatal(err)
+		}
+
+		lab, rep := loadFrom(t, profiles, dir, nil, cfg)
+		if len(rep.Skipped) != 2 || rep.Skipped[0].File != filepath.Base(path(a, 5)) || rep.Skipped[1].File != filepath.Base(path(b, 5)) {
+			t.Fatalf("materialize=%v: skipped %+v", materialize, rep.Skipped)
+		}
+		if rep.Skipped[0].Op != "apply" {
+			t.Errorf("materialize=%v: corrupt ops skipped as %v, want an apply failure", materialize, &rep.Skipped[0])
+		}
+		if !strings.Contains(rep.Skipped[1].Error(), "no snapshot for base day") {
+			t.Errorf("materialize=%v: out-of-order day skipped as %v", materialize, &rep.Skipped[1])
+		}
+		if len(lab.Series[a]) != 5 || len(lab.Series[b]) != 4 {
+			t.Fatalf("materialize=%v: serving %d and %d days, want 5 and 4", materialize, len(lab.Series[a]), len(lab.Series[b]))
+		}
+		if err := NewLabShell(profiles, 42, 0.002, 2).LoadSnapshotDir(dir); err == nil || err.Error() != rep.Skipped[0].Error() {
+			t.Errorf("materialize=%v: LoadSnapshotDir returned %v, want the first skipped file's error", materialize, err)
+		}
+
+		// b's missing day lands: a's bad bytes are still the same file.
+		if err := os.WriteFile(path(b, 4), held, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		lab, rep = loadFrom(t, profiles, dir, lab, cfg)
+		if len(rep.Skipped) != 1 || len(lab.Series[b]) != 6 {
+			t.Fatalf("materialize=%v: after the predecessor landed: %d days, skipped %+v", materialize, len(lab.Series[b]), rep.Skipped)
+		}
+		if !materialize && (rep.Decoded != 0 || rep.Advances != 2 || rep.Opened != 2) {
+			t.Errorf("picking up two days cost %+v", rep)
+		}
+
+		// a's tip is repaired.
+		if err := os.WriteFile(path(a, 5), whole, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		lab, rep = loadFrom(t, profiles, dir, lab, cfg)
+		if len(rep.Skipped) != 0 || len(lab.Series[a]) != 6 {
+			t.Fatalf("materialize=%v: after the repair: %d days, skipped %+v", materialize, len(lab.Series[a]), rep.Skipped)
+		}
+		if !materialize && (rep.Decoded != 0 || rep.Advances != 1) {
+			t.Errorf("picking up the repaired day cost %+v", rep)
+		}
+		got, err := lab.RunMany(ExperimentNames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := loadAndRunAll(t, profiles, dir, 2, cfg); !bytes.Equal(bytes.Join(got, nil), want) {
+			t.Errorf("materialize=%v: experiments differ from a fresh load", materialize)
+		}
+	}
+}

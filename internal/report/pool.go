@@ -3,6 +3,7 @@ package report
 import (
 	"bytes"
 	"sync"
+	"sync/atomic"
 )
 
 // runPool runs fn(0), ..., fn(n-1) on a bounded pool of workers and
@@ -11,7 +12,8 @@ import (
 // ascending order; once a task fails, tasks with higher indices are
 // skipped (lower ones still run, so the winning error is the one the
 // sequential loop would have hit). workers <= 1 degenerates to the
-// plain sequential loop, stopping at the first error.
+// plain sequential loop, stopping at the first error. Otherwise the
+// caller is one of the workers and workers-1 helpers are the rest.
 func runPool(n, workers int, fn func(int) error) (int, error) {
 	if n <= 0 {
 		return 0, nil
@@ -32,36 +34,89 @@ func runPool(n, workers int, fn func(int) error) (int, error) {
 		mu      sync.Mutex
 		failIdx = n
 		failErr error
-		next    = make(chan int)
+		next    atomic.Int64
 		wg      sync.WaitGroup
 	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				mu.Lock()
-				skip := failErr != nil && i > failIdx
-				mu.Unlock()
-				if skip {
-					continue
-				}
-				if err := fn(i); err != nil {
-					mu.Lock()
-					if failErr == nil || i < failIdx {
-						failIdx, failErr = i, err
-					}
-					mu.Unlock()
-				}
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
 			}
-		}()
+			mu.Lock()
+			skip := failErr != nil && i > failIdx
+			mu.Unlock()
+			if skip {
+				continue
+			}
+			if err := fn(i); err != nil {
+				mu.Lock()
+				if failErr == nil || i < failIdx {
+					failIdx, failErr = i, err
+				}
+				mu.Unlock()
+			}
+		}
 	}
-	for i := 0; i < n; i++ {
-		next <- i
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		startHelper(poolJob{work, &wg})
 	}
-	close(next)
+	work()
 	wg.Wait()
 	return failIdx, failErr
+}
+
+// helper is a pool worker goroutine that outlives the runPool call it
+// was started for: between jobs it parks on the idle list, and the next
+// call anywhere in the process takes it from there. A goroutine spawned
+// and dropped per call would leave its descriptor on the free list of
+// whichever P it happened to exit on, where the next spawn from another
+// P does not find it: a process that loads and analyzes in a loop then
+// collects up to a hundred descriptors at a pace the scheduler sets, a
+// fifth of the batch job's resident heap and a different amount every
+// run. Parked helpers make it a constant — as many as the most pool
+// calls ever in flight at once needed.
+type helper struct{ jobs chan poolJob }
+
+// poolJob is one runPool call's share for a helper: run work, then
+// report on wg.
+type poolJob struct {
+	work func()
+	wg   *sync.WaitGroup
+}
+
+var idleHelpers struct {
+	sync.Mutex
+	list []*helper
+}
+
+// startHelper hands job to an idle helper, or to a new one when none is
+// idle.
+func startHelper(job poolJob) {
+	idleHelpers.Lock()
+	var h *helper
+	if n := len(idleHelpers.list); n > 0 {
+		h, idleHelpers.list = idleHelpers.list[n-1], idleHelpers.list[:n-1]
+	}
+	idleHelpers.Unlock()
+	if h == nil {
+		h = &helper{jobs: make(chan poolJob)}
+		go h.loop()
+	}
+	h.jobs <- job
+}
+
+func (h *helper) loop() {
+	for job := range h.jobs {
+		job.work()
+		// Idle before done: the caller's next runPool then finds this
+		// helper rather than starting another.
+		idleHelpers.Lock()
+		idleHelpers.list = append(idleHelpers.list, h)
+		idleHelpers.Unlock()
+		job.wg.Done()
+	}
 }
 
 // RunMany executes the named experiments across the lab's worker pool
