@@ -359,23 +359,29 @@ func ablationServer(b *testing.B) (*rs.Server, []rs.Peer) {
 	return server, server.Peers()
 }
 
-// BenchmarkAblation_ExportPrecomputed measures per-peer export with
-// the import-time action summaries.
+// BenchmarkAblation_ExportPrecomputed measures the materialised
+// per-peer export: ExportTo deep-copies every route the walk shows it
+// and sorts the copies by prefix, then announcing peer.
 func BenchmarkAblation_ExportPrecomputed(b *testing.B) {
 	server, peers := ablationServer(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = server.ExportTo(peers[i%len(peers)].ASN)
 	}
 }
 
-// BenchmarkAblation_ExportScan re-classifies every community on every
-// export decision instead.
-func BenchmarkAblation_ExportScan(b *testing.B) {
+// BenchmarkAblation_ExportWalk is the same export read in place:
+// VisitExported hands every exported route to a counter through the
+// walk's scratch. The difference to ExportPrecomputed is what
+// materialising a view costs; the export decision is the same code.
+func BenchmarkAblation_ExportWalk(b *testing.B) {
 	server, peers := ablationServer(b)
+	communities := 0
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = server.ExportToScan(peers[i%len(peers)].ASN)
+		server.VisitExported(peers[i%len(peers)].ASN, func(r *bgp.Route) { communities += r.CommunityCount() })
 	}
 }
 
@@ -475,20 +481,6 @@ func BenchmarkSec56_HygieneFilter(b *testing.B) {
 		drop = impacts[1].DropShare()
 	}
 	b.ReportMetric(100*drop, "dropped_at_20_%")
-}
-
-// BenchmarkMethodology_VisibilityGap measures the LG-vs-collector
-// visibility comparison that motivates the paper's vantage point.
-func BenchmarkMethodology_VisibilityGap(b *testing.B) {
-	l := lab(b)
-	var buf bytes.Buffer
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := l.Run(&buf, "visibility"); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkSec54_TargetIntersection regenerates the §5.4 cross-IXP

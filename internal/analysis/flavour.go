@@ -59,26 +59,35 @@ func (v VisibilityReport) VisibilityGap() float64 {
 	return 1 - float64(v.CollectorActionInstances)/float64(v.LGActionInstances)
 }
 
+// RouteActionInstances counts the known action instances of one route
+// across all three flavours — the unit both views of a VisibilityReport
+// are counted in, whoever walks the routes.
+func RouteActionInstances(r *bgp.Route, scheme *dictionary.Scheme) int {
+	n := 0
+	for _, c := range r.Communities {
+		if scheme.Classify(c).IsAction() {
+			n++
+		}
+	}
+	for _, e := range r.ExtCommunities {
+		if scheme.ClassifyExtended(e).IsAction() {
+			n++
+		}
+	}
+	for _, l := range r.LargeCommunities {
+		if scheme.ClassifyLarge(l).IsAction() {
+			n++
+		}
+	}
+	return n
+}
+
 // ActionInstances tallies known action instances across all flavours
 // of a route list.
 func ActionInstances(routes []bgp.Route, scheme *dictionary.Scheme) int {
 	n := 0
-	for _, r := range routes {
-		for _, c := range r.Communities {
-			if scheme.Classify(c).IsAction() {
-				n++
-			}
-		}
-		for _, e := range r.ExtCommunities {
-			if scheme.ClassifyExtended(e).IsAction() {
-				n++
-			}
-		}
-		for _, l := range r.LargeCommunities {
-			if scheme.ClassifyLarge(l).IsAction() {
-				n++
-			}
-		}
+	for i := range routes {
+		n += RouteActionInstances(&routes[i], scheme)
 	}
 	return n
 }

@@ -52,12 +52,14 @@ func (p ASPath) Contains(asn uint32) bool {
 // non-adjacent position, which indicates a routing loop rather than
 // legitimate prepending.
 func (p ASPath) HasLoop() bool {
-	seen := make(map[uint32]int, len(p))
-	for i, asn := range p {
-		if j, ok := seen[asn]; ok && j != i-1 {
+	// An AS loops when it comes back after something else: it differs
+	// from its predecessor (that would be prepending) and equals an
+	// earlier hop. Paths are a handful of hops — a wire UPDATE caps them
+	// near a thousand — so the scan stays cheap and allocates nothing.
+	for i := 2; i < len(p); i++ {
+		if p[i] != p[i-1] && slices.Contains(p[:i-1], p[i]) {
 			return true
 		}
-		seen[asn] = i
 	}
 	return false
 }

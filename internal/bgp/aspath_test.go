@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -60,6 +61,43 @@ func TestASPathHasLoop(t *testing.T) {
 		if got := tt.path.HasLoop(); got != tt.want {
 			t.Errorf("HasLoop(%v) = %v, want %v", tt.path, got, tt.want)
 		}
+	}
+}
+
+// TestASPathHasLoopMatchesDefinition holds HasLoop's scan to the
+// definition on random paths drawn from few ASNs, so that prepending and
+// loops are both common.
+func TestASPathHasLoopMatchesDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	loops, clean := 0, 0
+	for trial := 0; trial < 4000; trial++ {
+		p := make(ASPath, rng.Intn(24))
+		asn := uint32(1)
+		for i := range p {
+			if rng.Intn(3) > 0 {
+				asn = uint32(1 + rng.Intn(1+len(p)*(1+trial%8)))
+			}
+			p[i] = asn
+		}
+		want := false
+		for i := range p {
+			for j := 0; j < i-1; j++ {
+				if p[j] == p[i] && p[i-1] != p[i] {
+					want = true
+				}
+			}
+		}
+		if got := p.HasLoop(); got != want {
+			t.Fatalf("HasLoop(%v) = %v, want %v", p, got, want)
+		}
+		if want {
+			loops++
+		} else {
+			clean++
+		}
+	}
+	if loops < 400 || clean < 400 {
+		t.Errorf("%d looped and %d clean paths: the draw no longer covers both", loops, clean)
 	}
 }
 

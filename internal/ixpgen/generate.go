@@ -702,6 +702,7 @@ func emitRoutes(states []*memberState, fam FamilyParams, p Profile, v6 bool, rng
 		counter:    prefixCounter,
 	}
 	routes := make([]bgp.Route, 0, totalRoutes+16)
+	var draws []int // sampleCount's scratch, reused by every call
 
 	for _, s := range states {
 		perMemberSeen := make(map[netip.Prefix]bool, s.routes)
@@ -734,7 +735,8 @@ func emitRoutes(states []*memberState, fam FamilyParams, p Profile, v6 bool, rng
 				}
 			}
 			// Informational tags (as the RS would attach on ingress).
-			for _, k := range sampleCount(rng, infoMean) {
+			draws = sampleCount(rng, infoMean, draws)
+			for _, k := range draws {
 				if info, err := scheme.Info(k % scheme.InfoCount); err == nil {
 					if !bgp.HasCommunity(r.Communities, info) {
 						r.Communities = append(r.Communities, info)
@@ -742,12 +744,14 @@ func emitRoutes(states []*memberState, fam FamilyParams, p Profile, v6 bool, rng
 				}
 			}
 			// Member-private (unknown) communities.
-			for range sampleCount(rng, unknownMean) {
+			draws = sampleCount(rng, unknownMean, draws)
+			for range draws {
 				r.Communities = append(r.Communities, memberPrivate(s.member.ASN, rng))
 			}
 			// Extended / large IXP-defined informational tags (60/40
 			// where the IXP defines large communities, ext-only else).
-			for range sampleCount(rng, extLargeMean) {
+			draws = sampleCount(rng, extLargeMean, draws)
+			for range draws {
 				if !scheme.SupportsLarge || rng.Float64() < 0.6 {
 					r.ExtCommunities = append(r.ExtCommunities, scheme.ExtInfo(rng.Intn(64)))
 				} else if info, err := scheme.LargeInfo(rng.Intn(scheme.InfoCount)); err == nil {
@@ -769,17 +773,20 @@ func emitRoutes(states []*memberState, fam FamilyParams, p Profile, v6 bool, rng
 
 // sampleCount turns a fractional mean into an integer draw: the whole
 // part always, plus one more with the fractional probability. It
-// returns index slots usable for variety.
-func sampleCount(rng *rand.Rand, mean float64) []int {
+// returns that many index slots usable for variety, in buf's backing
+// array. All of a call's draws are taken before it returns — the
+// caller's loop body draws after them — which is the order of the RNG
+// stream every generated dataset is pinned to.
+func sampleCount(rng *rand.Rand, mean float64, buf []int) []int {
 	n := int(mean)
 	if rng.Float64() < mean-float64(n) {
 		n++
 	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = rng.Intn(1 << 20)
+	buf = buf[:0]
+	for i := 0; i < n; i++ {
+		buf = append(buf, rng.Intn(1<<20))
 	}
-	return out
+	return buf
 }
 
 // prefixAllocator hands out route prefixes so that the number of

@@ -339,6 +339,45 @@ func TestRoutesNotExportedEndpoint(t *testing.T) {
 	}
 }
 
+// TestRoutesNotExportedPagesPartitionTheView is the regression test for
+// paging the not-exported view: thirty members announce the same two
+// prefixes and keep one of them from AS200. Every page is computed by
+// its own request, so the pages only add up to the view — each withheld
+// route once, none missing — if the order behind them is total. (Sorted
+// by prefix alone over map order, same-prefix routes changed places
+// between two page requests.)
+func TestRoutesNotExportedPagesPartitionTheView(t *testing.T) {
+	server, ts := fixture(t, 3)
+	scheme := server.Scheme()
+	for i := 0; i < 30; i++ {
+		asn := uint32(300 + i)
+		if err := server.AddPeer(rs.Peer{ASN: asn, Name: "peer", AddrV4: netutil.PeerAddrV4(10 + i), IPv4: true}); err != nil {
+			t.Fatal(err)
+		}
+		for k, comms := range [][]bgp.Community{{scheme.DoNotAnnounce(200)}, nil} {
+			r := bgp.Route{Prefix: netutil.SyntheticV4Prefix(60 + k), NextHop: netutil.PeerAddrV4(10 + i), ASPath: bgp.ASPath{asn}, Communities: comms}
+			if reason, err := server.Announce(asn, r); err != nil || reason != rs.FilterNone {
+				t.Fatal(reason, err)
+			}
+		}
+	}
+	c := NewClient(ts.URL, ClientOptions{PageSize: 4})
+	for round := 0; round < 3; round++ {
+		withheld, err := c.RoutesNotExported(context.Background(), 200)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(withheld) != 30 {
+			t.Fatalf("paged view has %d routes, want 30", len(withheld))
+		}
+		for i, r := range withheld {
+			if r.PeerAS() != uint32(300+i) || r.Prefix != netutil.SyntheticV4Prefix(60) {
+				t.Fatalf("route %d of the paged view is %s from AS%d, want AS%d's withheld route: pages overlap or skip", i, r.Prefix, r.PeerAS(), 300+i)
+			}
+		}
+	}
+}
+
 func TestConfigRawEndpoint(t *testing.T) {
 	_, ts := fixture(t, 1)
 	c := NewClient(ts.URL, ClientOptions{MinInterval: time.Millisecond})

@@ -168,15 +168,12 @@ func (s *Server) handleRoutesFiltered(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRoutesNotExported serves the routes action communities keep
-// away from this neighbor — the alice-lg "not exported" view.
+// away from this neighbor — the alice-lg "not exported" view — by
+// announcing peer, then prefix: the route server's export walk, a total
+// order, so the pages of an unchanged table partition the view.
 func (s *Server) handleRoutesNotExported(w http.ResponseWriter, r *http.Request) {
 	s.serveRoutes(w, r, func(asn uint32, page, size int, emit func(*bgp.Route, string)) int {
-		routes := s.rs.NotExportedTo(asn)
-		lo, hi, _ := paginate(len(routes), page, size)
-		for i := lo; i < hi; i++ {
-			emit(&routes[i], "")
-		}
-		return len(routes)
+		return s.rs.VisitNotExported(asn, pageOffset(page, size), size, func(rt *bgp.Route) { emit(rt, "") })
 	})
 }
 

@@ -2,6 +2,7 @@ package report
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -102,5 +103,20 @@ func BenchmarkReloadOneDay(b *testing.B) {
 		}
 		lab = load(lab)
 		b.StartTimer()
+	}
+}
+
+// BenchmarkVisibility is one `visibility` experiment over the big four
+// at the batch job's scale: per profile one ixpgen.Generate, one
+// Populate and one export walk, the four profiles on the lab's pool.
+// Run it with -cpu 2 (the benchmark host's GOMAXPROCS); its allocs/op
+// are what TestVisibilityAllocs puts a ceiling on.
+func BenchmarkVisibility(b *testing.B) {
+	lab := NewLabShell(ixpgen.BigFour(), 42, 0.004, 0)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := lab.Run(io.Discard, "visibility"); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"ixplight/internal/analysis"
 	"ixplight/internal/asdb"
+	"ixplight/internal/bgp"
 	"ixplight/internal/collector"
 	"ixplight/internal/ixpgen"
 	"ixplight/internal/netutil"
@@ -440,13 +441,17 @@ func (l *Lab) visibilityOf(p ixpgen.Profile) (analysis.VisibilityReport, error) 
 		IPv4: true, IPv6: true}); err != nil {
 		return none, err
 	}
-	exported := server.ExportTo(collectorASN)
-	v := analysis.VisibilityReport{
-		CollectorActionInstances: analysis.ActionInstances(exported, p.Scheme),
-		CollectorRoutes:          len(exported),
-	}
+	// Both views are walked in place and counted route by route with
+	// the analysis classifier (the counter CompareVisibility uses on
+	// materialised lists); nothing is copied to be counted.
+	var v analysis.VisibilityReport
+	v.CollectorRoutes = server.VisitExported(collectorASN, func(r *bgp.Route) {
+		v.CollectorActionInstances += analysis.RouteActionInstances(r, p.Scheme)
+	})
 	for _, peer := range server.Peers() {
-		v.LGActionInstances += analysis.ActionInstances(server.AcceptedRoutes(peer.ASN), p.Scheme)
+		server.VisitAccepted(peer.ASN, 0, -1, func(r *bgp.Route) {
+			v.LGActionInstances += analysis.RouteActionInstances(r, p.Scheme)
+		})
 	}
 	return v, nil
 }

@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
@@ -133,6 +134,30 @@ func TestVisibilityReportsGap(t *testing.T) {
 	// The core claim: ~100% of action instances invisible at collectors.
 	if !strings.Contains(out, "100.0% invisible") && !strings.Contains(out, "99.") {
 		t.Errorf("visibility gap suspiciously low:\n%s", out)
+	}
+}
+
+// TestVisibilityAllocs pins what one `visibility` experiment allocates
+// over the big four at the batch job's scale: per profile one generated
+// workload and one populated route server, then both views counted in
+// place. Recorded at 93.5 k; the ceiling leaves room for a Go release,
+// not for a copy per route (the experiment cost 202 k when the export
+// and every Adj-RIB-In were cloned to be counted and each route's
+// action summary was a struct of maps).
+func TestVisibilityAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	lab := NewLabShell(ixpgen.BigFour(), 42, 0.004, 0)
+	allocs := testing.AllocsPerRun(3, func() {
+		if err := lab.Run(io.Discard, "visibility"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocations per visibility run: %.0f", allocs)
+	const ceiling = 100_000
+	if allocs > ceiling {
+		t.Errorf("one visibility run costs %.0f allocations, want ≤ %d", allocs, ceiling)
 	}
 }
 

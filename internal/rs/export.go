@@ -1,28 +1,55 @@
 package rs
 
 import (
+	"cmp"
+	"slices"
+
 	"ixplight/internal/bgp"
 	"ixplight/internal/dictionary"
 )
 
 // actionSummary is the per-route digest of action communities,
-// precomputed at import time so that each export decision is a couple
-// of map probes instead of a re-classification of every community.
-// BenchmarkAblation_ExportScan compares this against classifying on
-// every export.
+// computed once at import time and stored by value in the RIB entry, so
+// an export decision is a binary search or two instead of a
+// re-classification of every community. A route without action
+// communities has the zero summary and costs no allocation; one with
+// targeted tags costs one slice for its targets plus one for its
+// targeted prepends, however many tags it carries. The from-scratch
+// reference the tests hold this to (exportScan, in export_test.go)
+// re-classifies per decision.
 type actionSummary struct {
+	// targets is the do-not-announce-to list followed by the
+	// announce-only-to list, each sorted and free of duplicates;
+	// targets[:nDeny] is the first.
+	targets []uint32
+	// prepend holds one entry per targeted prepend-to peer (the largest
+	// count asked for); prependAll is the count towards everyone.
+	prepend    []prependTo
+	nDeny      uint32
+	prependAll uint8
 	denyAll    bool
-	deny       map[uint32]bool // do-not-announce-to specific targets
-	allow      map[uint32]bool // announce-only-to specific targets
-	prependAll int             // prepend count towards everyone
-	prepend    map[uint32]int  // prepend count towards specific targets
 	blackhole  bool
+}
+
+// prependTo asks for n (1–3) prepends towards one peer.
+type prependTo struct {
+	asn uint32
+	n   uint8
+}
+
+// summaryScratch is where Announce collects a route's targets before
+// it knows how many there are. It belongs to the server and is only
+// touched under the write lock.
+type summaryScratch struct {
+	deny, allow []uint32
+	prepend     []prependTo
 }
 
 // summarizeActions classifies all three community flavours of a route
 // once under the scheme.
-func summarizeActions(scheme *dictionary.Scheme, r bgp.Route) *actionSummary {
-	a := &actionSummary{}
+func summarizeActions(scheme *dictionary.Scheme, r *bgp.Route, scratch *summaryScratch) actionSummary {
+	var a actionSummary
+	deny, allow, prepend := scratch.deny[:0], scratch.allow[:0], scratch.prepend[:0]
 	apply := func(cl dictionary.Class) {
 		if !cl.IsAction() {
 			return
@@ -32,28 +59,21 @@ func summarizeActions(scheme *dictionary.Scheme, r bgp.Route) *actionSummary {
 			if cl.Target == dictionary.TargetAll {
 				a.denyAll = true
 			} else {
-				if a.deny == nil {
-					a.deny = make(map[uint32]bool)
-				}
-				a.deny[cl.TargetASN] = true
+				deny = append(deny, cl.TargetASN)
 			}
 		case dictionary.AnnounceOnlyTo:
-			if cl.Target == dictionary.TargetAll {
-				// "announce to all" restores the default; nothing to do.
-				return
+			// "announce to all" restores the default; nothing to do.
+			if cl.Target != dictionary.TargetAll {
+				allow = append(allow, cl.TargetASN)
 			}
-			if a.allow == nil {
-				a.allow = make(map[uint32]bool)
-			}
-			a.allow[cl.TargetASN] = true
 		case dictionary.PrependTo:
+			n := uint8(cl.PrependCount)
 			if cl.Target == dictionary.TargetAll {
-				a.prependAll = max(a.prependAll, cl.PrependCount)
+				a.prependAll = max(a.prependAll, n)
+			} else if i := slices.IndexFunc(prepend, func(p prependTo) bool { return p.asn == cl.TargetASN }); i >= 0 {
+				prepend[i].n = max(prepend[i].n, n)
 			} else {
-				if a.prepend == nil {
-					a.prepend = make(map[uint32]int)
-				}
-				a.prepend[cl.TargetASN] = max(a.prepend[cl.TargetASN], cl.PrependCount)
+				prepend = append(prepend, prependTo{asn: cl.TargetASN, n: n})
 			}
 		case dictionary.Blackhole:
 			a.blackhole = true
@@ -68,22 +88,34 @@ func summarizeActions(scheme *dictionary.Scheme, r bgp.Route) *actionSummary {
 	for _, l := range r.LargeCommunities {
 		apply(scheme.ClassifyLarge(l))
 	}
+	slices.Sort(deny)
+	slices.Sort(allow)
+	deny, allow = slices.Compact(deny), slices.Compact(allow)
+	if n := len(deny) + len(allow); n > 0 {
+		a.targets = append(append(make([]uint32, 0, n), deny...), allow...)
+		a.nDeny = uint32(len(deny))
+	}
+	if len(prepend) > 0 {
+		a.prepend = slices.Clone(prepend)
+	}
+	scratch.deny, scratch.allow, scratch.prepend = deny, allow, prepend
 	return a
 }
 
 // exportAllowed decides whether a route with summary a may be exported
-// to target. Specific communities beat the general ones, matching
-// production BIRD filter chains:
+// to target — the one export decision every view (ExportTo,
+// NotExportedTo, the visits) is built on. Specific communities beat
+// the general ones, matching production BIRD filter chains:
 //
 //  1. 0:<target> denies,
 //  2. <rs>:<target> allows,
 //  3. 0:<rs> denies everyone else,
 //  4. default allow.
 func (a *actionSummary) exportAllowed(target uint32) bool {
-	if a.deny[target] {
+	if _, denied := slices.BinarySearch(a.targets[:a.nDeny], target); denied {
 		return false
 	}
-	if a.allow[target] {
+	if _, allowed := slices.BinarySearch(a.targets[a.nDeny:], target); allowed {
 		return true
 	}
 	return !a.denyAll
@@ -92,137 +124,195 @@ func (a *actionSummary) exportAllowed(target uint32) bool {
 // prependFor returns how many prepends the exported path needs towards
 // target (the larger of the targeted and the to-everyone request).
 func (a *actionSummary) prependFor(target uint32) int {
-	return max(a.prependAll, a.prepend[target])
+	n := a.prependAll
+	for _, p := range a.prepend {
+		if p.asn == target {
+			n = max(n, p.n)
+		}
+	}
+	return int(n)
 }
 
-// ExportTo computes the routes the server propagates to member target:
-// every other member's accepted routes, minus those whose action
-// communities suppress the export, with prepending applied and (when
-// configured) action communities scrubbed. Routes are sorted by
-// prefix, then by announcing peer.
+// peerOrder returns the ASNs holding an Adj-RIB-In, ascending — the
+// outer order of every export walk. The caller holds s.mu.
+func (s *Server) peerOrder() []uint32 {
+	order := make([]uint32, 0, len(s.ribIn))
+	for asn := range s.ribIn {
+		order = append(order, asn)
+	}
+	slices.Sort(order)
+	return order
+}
+
+// walkCandidates makes the export decision for every candidate of an
+// export towards member target — every other member's accepted routes —
+// and hands each to fn with the verdict. It is the one walk all export
+// views are two sides of. Candidates come by announcing peer in ASN
+// order, then in the peer's prefix order, so two walks over an
+// unchanged server see the same sequence. The read lock is held
+// throughout; an unknown target has no candidates.
+func (s *Server) walkCandidates(target uint32, fn func(peerASN uint32, e *ribEntry, allowed bool)) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if _, ok := s.peers[target]; !ok {
+		return
+	}
+	var e ribEntry // one copy for the walk: fn's argument escapes
+	for _, peerASN := range s.peerOrder() {
+		if peerASN == target {
+			continue
+		}
+		rib := s.ribIn[peerASN]
+		for _, p := range s.prefixOrder(peerASN, rib) {
+			e = rib[p]
+			fn(peerASN, &e, e.actions.exportAllowed(target))
+		}
+	}
+}
+
+// VisitExported calls visit for every route the server propagates to
+// member target, in walk order (announcing peer, then prefix), and
+// returns how many there are: every other member's accepted routes,
+// minus those whose action communities suppress the export, with
+// prepending applied and (when configured) action communities scrubbed.
+//
+// It is VisitAccepted's contract with one difference: visit sees a
+// scratch route the walk owns, whose slices the next route overwrites.
+// It must not retain the route or its slices (ExportTo clones), and it
+// runs with the read lock held, so it must only count, copy or render
+// into memory.
+func (s *Server) VisitExported(target uint32, visit func(*bgp.Route)) (total int) {
+	buf := newExportBuf()
+	s.walkCandidates(target, func(peerASN uint32, e *ribEntry, allowed bool) {
+		if allowed {
+			visit(s.export(buf, e, peerASN, target))
+			total++
+		}
+	})
+	return total
+}
+
+// VisitNotExported is the other side of the walk, in the same order:
+// the routes the server withholds from member target because of action
+// communities. Looking glasses expose this view (alice-lg's "not
+// exported" tab); it is how an operator checks that their
+// do-not-announce tags bite. A withheld route is listed as it was
+// accepted, so visit is called for routes [offset, offset+limit) of the
+// view (limit < 0: to the end) under exactly VisitAccepted's contract —
+// it sees the Adj-RIB-In entry — and total is the size of the whole
+// view, read under the same lock as the window.
+func (s *Server) VisitNotExported(target uint32, offset, limit int, visit func(*bgp.Route)) (total int) {
+	s.walkCandidates(target, func(_ uint32, e *ribEntry, allowed bool) {
+		if allowed {
+			return
+		}
+		if offset >= 0 && total >= offset && (limit < 0 || total-offset < limit) {
+			visit(&e.route)
+		}
+		total++
+	})
+	return total
+}
+
+// exportBuf is the scratch of one export walk: the route handed to
+// visit and the backing arrays its lists are rebuilt in for every
+// route. The arrays are kept apart from the route so that a route
+// without a list (nil, as accepted) does not drop the array.
+type exportBuf struct {
+	route  bgp.Route
+	path   bgp.ASPath
+	comms  []bgp.Community
+	exts   []bgp.ExtendedCommunity
+	larges []bgp.LargeCommunity
+}
+
+func newExportBuf() *exportBuf {
+	return &exportBuf{
+		path:   make(bgp.ASPath, 0, 16),
+		comms:  make([]bgp.Community, 0, 32),
+		exts:   make([]bgp.ExtendedCommunity, 0, 8),
+		larges: make([]bgp.LargeCommunity, 0, 8),
+	}
+}
+
+// export rebuilds in b the copy of e that member target receives from
+// peerASN: prepends applied and, when configured, the scheme's action
+// communities of all three flavours dropped. The RFC 7999 blackhole
+// community is retained when the route is a blackhole request, since
+// downstream members need to see it.
+func (s *Server) export(b *exportBuf, e *ribEntry, peerASN, target uint32) *bgp.Route {
+	src := &e.route
+	scheme, scrub, keepBlackhole := s.cfg.Scheme, s.cfg.ScrubActions, e.actions.blackhole
+	kept := func(cl dictionary.Class) bool {
+		return !scrub || !cl.IsAction() || keepBlackhole && cl.Action == dictionary.Blackhole
+	}
+
+	b.path = b.path[:0]
+	for n := e.actions.prependFor(target); n > 0; n-- {
+		b.path = append(b.path, peerASN)
+	}
+	b.path = append(b.path, src.ASPath...)
+	b.comms = b.comms[:0]
+	for _, c := range src.Communities {
+		if kept(scheme.Classify(c)) {
+			b.comms = append(b.comms, c)
+		}
+	}
+	b.exts = b.exts[:0]
+	for _, x := range src.ExtCommunities {
+		if kept(scheme.ClassifyExtended(x)) {
+			b.exts = append(b.exts, x)
+		}
+	}
+	b.larges = b.larges[:0]
+	for _, l := range src.LargeCommunities {
+		if kept(scheme.ClassifyLarge(l)) {
+			b.larges = append(b.larges, l)
+		}
+	}
+
+	b.route = *src
+	b.route.ASPath = b.path
+	b.route.Communities = nilAs(src.Communities, b.comms)
+	b.route.ExtCommunities = nilAs(src.ExtCommunities, b.exts)
+	b.route.LargeCommunities = nilAs(src.LargeCommunities, b.larges)
+	return &b.route
+}
+
+// nilAs returns list, or nil when src is nil: an exported list is
+// absent or merely empty as the accepted one was.
+func nilAs[T any](src, list []T) []T {
+	if src == nil {
+		return nil
+	}
+	return list
+}
+
+// byPrefixThenPeer is the order of the materialised export views:
+// prefix, then announcing peer. A peer holds a prefix once, so the
+// order is total and does not depend on how the routes were collected.
+func byPrefixThenPeer(a, b bgp.Route) int {
+	if c := comparePrefix(a.Prefix, b.Prefix); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.PeerAS(), b.PeerAS())
+}
+
+// ExportTo returns deep copies of the routes VisitExported walks,
+// sorted by prefix, then by announcing peer.
 func (s *Server) ExportTo(target uint32) []bgp.Route {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if _, ok := s.peers[target]; !ok {
-		return nil
-	}
 	var out []bgp.Route
-	for peerASN, rib := range s.ribIn {
-		if peerASN == target {
-			continue
-		}
-		for _, e := range rib {
-			if !e.actions.exportAllowed(target) {
-				continue
-			}
-			out = append(out, s.exportRoute(e, peerASN, target))
-		}
-	}
-	sortRoutes(out)
+	s.VisitExported(target, func(r *bgp.Route) { out = append(out, r.Clone()) })
+	slices.SortFunc(out, byPrefixThenPeer)
 	return out
 }
 
-// exportRoute materialises the per-target copy of one RIB entry.
-func (s *Server) exportRoute(e ribEntry, peerASN, target uint32) bgp.Route {
-	r := e.route.Clone()
-	if n := e.actions.prependFor(target); n > 0 {
-		r.ASPath = r.ASPath.Prepend(peerASN, n)
-	}
-	if s.cfg.ScrubActions {
-		scrubActions(s.cfg.Scheme, &r, e.actions.blackhole)
-	}
-	return r
-}
-
-// scrubActions drops the scheme's action communities of all three
-// flavours from the route. The RFC 7999 blackhole community is
-// retained when the route is a blackhole request, since downstream
-// members need to see it.
-func scrubActions(scheme *dictionary.Scheme, r *bgp.Route, keepBlackhole bool) {
-	comms := r.Communities[:0]
-	for _, c := range r.Communities {
-		cl := scheme.Classify(c)
-		if cl.IsAction() {
-			if keepBlackhole && cl.Action == dictionary.Blackhole {
-				comms = append(comms, c)
-			}
-			continue
-		}
-		comms = append(comms, c)
-	}
-	r.Communities = comms
-
-	exts := r.ExtCommunities[:0]
-	for _, e := range r.ExtCommunities {
-		if !scheme.ClassifyExtended(e).IsAction() {
-			exts = append(exts, e)
-		}
-	}
-	r.ExtCommunities = exts
-
-	larges := r.LargeCommunities[:0]
-	for _, l := range r.LargeCommunities {
-		cl := scheme.ClassifyLarge(l)
-		if cl.IsAction() {
-			if keepBlackhole && cl.Action == dictionary.Blackhole {
-				larges = append(larges, l)
-			}
-			continue
-		}
-		larges = append(larges, l)
-	}
-	r.LargeCommunities = larges
-}
-
-// NotExportedTo returns the routes the server withholds from member
-// target because of action communities — the complement of ExportTo
-// over the other members' accepted routes. Looking glasses expose this
-// view (alice-lg's "not exported" tab); it is how an operator checks
-// that their do-not-announce tags bite.
+// NotExportedTo returns deep copies of the routes VisitNotExported
+// walks — the complement of ExportTo over the other members' accepted
+// routes — sorted by prefix, then by announcing peer.
 func (s *Server) NotExportedTo(target uint32) []bgp.Route {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if _, ok := s.peers[target]; !ok {
-		return nil
-	}
 	var out []bgp.Route
-	for peerASN, rib := range s.ribIn {
-		if peerASN == target {
-			continue
-		}
-		for _, e := range rib {
-			if e.actions.exportAllowed(target) {
-				continue
-			}
-			out = append(out, e.route.Clone())
-		}
-	}
-	sortRoutes(out)
-	return out
-}
-
-// ExportToScan is the ablation twin of ExportTo: it ignores the
-// precomputed summaries and re-classifies every community of every
-// candidate route on each call.
-func (s *Server) ExportToScan(target uint32) []bgp.Route {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if _, ok := s.peers[target]; !ok {
-		return nil
-	}
-	var out []bgp.Route
-	for peerASN, rib := range s.ribIn {
-		if peerASN == target {
-			continue
-		}
-		for _, e := range rib {
-			summary := summarizeActions(s.cfg.Scheme, e.route)
-			if !summary.exportAllowed(target) {
-				continue
-			}
-			out = append(out, s.exportRoute(ribEntry{route: e.route, actions: summary}, peerASN, target))
-		}
-	}
-	sortRoutes(out)
+	s.VisitNotExported(target, 0, -1, func(r *bgp.Route) { out = append(out, r.Clone()) })
+	slices.SortFunc(out, byPrefixThenPeer)
 	return out
 }

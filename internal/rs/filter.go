@@ -63,7 +63,7 @@ type FilteredRoute struct {
 // peerASN. Blackhole-tagged routes (when the scheme supports them) are
 // exempt from the prefix-bounds check so that /32 and /128 host routes
 // pass, as real route-server configs special-case.
-func (s *Server) checkImport(peerASN uint32, r bgp.Route) FilterReason {
+func (s *Server) checkImport(peerASN uint32, r *bgp.Route) FilterReason {
 	if err := r.Validate(); err != nil {
 		return FilterInvalidRoute
 	}

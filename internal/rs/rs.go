@@ -51,7 +51,7 @@ type Peer struct {
 // export action summary.
 type ribEntry struct {
 	route   bgp.Route
-	actions *actionSummary
+	actions actionSummary
 }
 
 // Server is an in-memory route server. All methods are safe for
@@ -72,6 +72,8 @@ type Server struct {
 	// nothing extra, and a listing costs one sort per mutation instead
 	// of one per call.
 	ordered map[uint32]*atomic.Pointer[[]netip.Prefix]
+	// summarize is Announce's scratch, touched only under the write lock.
+	summarize summaryScratch
 }
 
 // New builds a server for the given configuration. The scheme is
@@ -160,7 +162,7 @@ func (s *Server) Announce(peerASN uint32, r bgp.Route) (FilterReason, error) {
 	if _, ok := s.peers[peerASN]; !ok {
 		return FilterNone, fmt.Errorf("rs: AS%d has no session", peerASN)
 	}
-	if reason := s.checkImport(peerASN, r); reason != FilterNone {
+	if reason := s.checkImport(peerASN, &r); reason != FilterNone {
 		s.filtered[peerASN] = append(s.filtered[peerASN], FilteredRoute{Route: r.Clone(), Reason: reason})
 		return reason, nil
 	}
@@ -182,7 +184,7 @@ func (s *Server) Announce(peerASN uint32, r bgp.Route) (FilterReason, error) {
 	}
 	rib[stored.Prefix] = ribEntry{
 		route:   stored,
-		actions: summarizeActions(s.cfg.Scheme, stored),
+		actions: summarizeActions(s.cfg.Scheme, &stored, &s.summarize),
 	}
 	return FilterNone, nil
 }
@@ -315,10 +317,6 @@ func comparePrefix(a, b netip.Prefix) int {
 		return c
 	}
 	return cmp.Compare(a.Bits(), b.Bits())
-}
-
-func sortRoutes(rs []bgp.Route) {
-	slices.SortFunc(rs, func(a, b bgp.Route) int { return comparePrefix(a.Prefix, b.Prefix) })
 }
 
 // Stats summarises the server state with the quantities of Table 1.
