@@ -96,8 +96,8 @@ func (t StabilityTable) MaxDiffPct() float64 {
 // header-only snapshot answers from its index in constant time. A
 // materialized one is counted by walking its routes, so a window that
 // holds any fans the per-snapshot counts out over the host's
-// processors, each landing in its snapshot's slot (sequentially,
-// BenchmarkTable4_ThreeMonthStability loses a third on two cores).
+// processors, each landing in its snapshot's slot (sequentially, the
+// 84-day Table 4 window took a third longer on two cores at PR 18).
 func Stability(snaps []*collector.Snapshot, v6 bool) StabilityTable {
 	rows := make([]SnapshotCounts, len(snaps))
 	walks := false

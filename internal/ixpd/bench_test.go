@@ -1,10 +1,13 @@
 package ixpd
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"ixplight/internal/ixpgen"
 )
@@ -80,78 +83,83 @@ func BenchmarkIxpdServe(b *testing.B) {
 	})
 }
 
-// BenchmarkIxpdBench runs the full cold/warm/etag load generator over
-// real sockets against a freshly loaded daemon per iteration, and
-// reports each phase's throughput and tail latency as benchmark
-// metrics (benchjson archives them into BENCH_*.json).
-func BenchmarkIxpdBench(b *testing.B) {
-	var last *LoadResult
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		s := benchServer(b)
-		ts := httptest.NewServer(s.Handler())
-		b.StartTimer()
-		res, err := RunLoad(LoadOptions{
-			BaseURL:     ts.URL,
-			Concurrency: 8,
-			Requests:    400,
-			Queries:     32,
-			Seed:        42,
-		})
-		b.StopTimer()
-		ts.Close()
-		b.StartTimer()
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	for _, p := range last.Phases {
-		if p.Errors > 0 {
-			b.Fatalf("phase %s: %d errors", p.Phase, p.Errors)
-		}
-		b.ReportMetric(p.QPS, p.Phase+"_qps")
-		b.ReportMetric(float64(p.P50), p.Phase+"_p50-ns")
-		b.ReportMetric(float64(p.P95), p.Phase+"_p95-ns")
-		b.ReportMetric(float64(p.P99), p.Phase+"_p99-ns")
-	}
-}
-
 // TestWarmColdSpeedup pins the acceptance floor: warm identical-query
-// throughput at least 10× the cold first-request path. The real gap is
-// orders of magnitude (a cold experiment query runs the experiment and
-// builds indexes; a warm one writes cached bytes), so 10× holds with
-// huge margin even under the race detector.
+// throughput at least 10× the cold first-request path, over real
+// sockets. The real gap is orders of magnitude (a cold experiment query
+// runs the experiment and builds indexes; a warm one writes cached
+// bytes), so 10× holds with huge margin even under the race detector.
 func TestWarmColdSpeedup(t *testing.T) {
 	s := testServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	res, err := RunLoad(LoadOptions{
-		BaseURL:     ts.URL,
-		Concurrency: 4,
-		Requests:    200,
-		Queries:     24,
-		Seed:        42,
-	})
-	if err != nil {
+
+	// The query universe comes from /v1/meta: every experiment, every
+	// series and the sampled per-AS and per-community lookups.
+	_, _, body := doGet(t, s.Handler(), "/v1/meta", "")
+	var meta MetaDoc
+	if err := json.Unmarshal([]byte(body), &meta); err != nil {
 		t.Fatal(err)
 	}
-	cold, warm, etag := res.Phase("cold"), res.Phase("warm"), res.Phase("etag")
-	if cold == nil || warm == nil || etag == nil {
-		t.Fatalf("missing phases: %+v", res.Phases)
+	var queries []string
+	for _, name := range meta.Experiments {
+		queries = append(queries, "/v1/experiments/"+name)
 	}
-	for _, p := range res.Phases {
-		if p.Errors > 0 {
-			t.Fatalf("phase %s: %d errors (statuses %v)", p.Phase, p.Errors, p.Statuses)
+	for _, ixp := range meta.IXPs {
+		queries = append(queries, "/v1/series/"+ixp.IXP)
+		for _, asn := range ixp.SampleASNs {
+			queries = append(queries, fmt.Sprintf("/v1/as/%d?ixp=%s", asn, ixp.IXP))
+		}
+		for _, c := range ixp.SampleCommunities {
+			queries = append(queries, "/v1/community/"+c)
 		}
 	}
-	if warm.Statuses[http.StatusOK] != warm.Requests {
-		t.Fatalf("warm statuses: %v", warm.Statuses)
+
+	// phase issues n requests round-robin over the universe, sending
+	// etags[i] as If-None-Match when set and recording the tag of every
+	// 200, and returns the status counts and the throughput.
+	etags := make([]string, len(queries))
+	phase := func(name string, n int, revalidate bool) (statuses map[int]int, qps float64) {
+		statuses = make(map[int]int)
+		start := time.Now()
+		for i := 0; i < n; i++ {
+			q := i % len(queries)
+			req, err := http.NewRequest(http.MethodGet, ts.URL+queries[q], nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if revalidate {
+				req.Header.Set("If-None-Match", etags[q])
+			}
+			resp, err := ts.Client().Do(req)
+			if err != nil {
+				t.Fatalf("phase %s: %v", name, err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			statuses[resp.StatusCode]++
+			if resp.StatusCode == http.StatusOK {
+				etags[q] = resp.Header.Get("ETag")
+			}
+		}
+		qps = float64(n) / time.Since(start).Seconds()
+		if errs := n - statuses[http.StatusOK] - statuses[http.StatusNotModified]; errs > 0 {
+			t.Fatalf("phase %s: %d errors (statuses %v)", name, errs, statuses)
+		}
+		return statuses, qps
 	}
-	if etag.Statuses[http.StatusNotModified] != etag.Requests {
-		t.Fatalf("etag statuses: %v, want all 304", etag.Statuses)
+
+	const requests = 200
+	_, coldQPS := phase("cold", len(queries), false) // each distinct query once
+	warm, warmQPS := phase("warm", requests, false)
+	etag, _ := phase("etag", requests, true)
+	if warm[http.StatusOK] != requests {
+		t.Fatalf("warm statuses: %v", warm)
 	}
-	if warm.QPS < 10*cold.QPS {
-		t.Fatalf("warm %.0f qps < 10× cold %.0f qps", warm.QPS, cold.QPS)
+	if etag[http.StatusNotModified] != requests {
+		t.Fatalf("etag statuses: %v, want all 304", etag)
+	}
+	t.Logf("%d queries: cold %.0f qps, warm %.0f qps", len(queries), coldQPS, warmQPS)
+	if warmQPS < 10*coldQPS {
+		t.Fatalf("warm %.0f qps < 10× cold %.0f qps", warmQPS, coldQPS)
 	}
 }

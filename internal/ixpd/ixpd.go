@@ -41,6 +41,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/http"
+	"net/url"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -482,11 +483,19 @@ func (s *Server) Computes() int64 { return s.computes.Load() }
 
 // cacheKey canonicalises a request: path plus the sorted query (the
 // handlers only consume known parameters, but two orderings of the
-// same query must hit the same cache line).
+// same query must hit the same cache line). Keys and values are
+// escaped, and so is a path holding a '?' or '%', so that two requests
+// share a key — a cache line and an ETag — only if they decode to the
+// same path and the same parameters; QueryEscape returns a string that
+// needs no escaping as it is, so an ordinary request pays nothing.
 func cacheKey(r *http.Request) string {
+	path := r.URL.Path
+	if strings.ContainsAny(path, "?%") {
+		path = (&url.URL{Path: path}).EscapedPath()
+	}
 	q := r.URL.Query()
 	if len(q) == 0 {
-		return r.URL.Path
+		return path
 	}
 	keys := make([]string, 0, len(q))
 	for k := range q {
@@ -494,7 +503,7 @@ func cacheKey(r *http.Request) string {
 	}
 	sort.Strings(keys)
 	var b strings.Builder
-	b.WriteString(r.URL.Path)
+	b.WriteString(path)
 	sep := byte('?')
 	for _, k := range keys {
 		vals := q[k]
@@ -502,9 +511,9 @@ func cacheKey(r *http.Request) string {
 		for _, v := range vals {
 			b.WriteByte(sep)
 			sep = '&'
-			b.WriteString(k)
+			b.WriteString(url.QueryEscape(k))
 			b.WriteByte('=')
-			b.WriteString(v)
+			b.WriteString(url.QueryEscape(v))
 		}
 	}
 	return b.String()

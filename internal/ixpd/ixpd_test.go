@@ -6,7 +6,11 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"runtime"
+	"slices"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -188,8 +192,17 @@ func TestEtagMatches(t *testing.T) {
 		{`W/` + tag, true},
 		{`"other", ` + tag, true},
 		{"*", true},
+		{`"other", *`, true},
+		{`"other",W/` + tag + ` , "more"`, true},
 		{`"other"`, false},
+		{`"abc-12"`, false},
+		{`"abc-1234"`, false},
+		{`abc-123`, false},
+		{`w/` + tag, false},
+		{`W/W/` + tag, false},
+		{`"other", "abc-124"`, false},
 		{"", false},
+		{" , ", false},
 	} {
 		if got := etagMatches(tc.header, tag); got != tc.want {
 			t.Errorf("etagMatches(%q) = %v, want %v", tc.header, got, tc.want)
@@ -207,6 +220,65 @@ func TestCacheKeyCanonical(t *testing.T) {
 	if cacheKey(a) == cacheKey(c) {
 		t.Fatalf("distinct queries share cache key %q", cacheKey(a))
 	}
+}
+
+// TestCacheKeyInjective is the regression test for an unescaped
+// canonical form: one parameter whose value spells a second parameter
+// must not share a cache line or an ETag with the two-parameter query.
+func TestCacheKeyInjective(t *testing.T) {
+	s := testServer(t, Config{Profiles: []ixpgen.Profile{*ixpgen.ProfileByName("DE-CIX")}})
+	h := s.Handler()
+	const two, one = "/v1/as/15169?ixp=DE-CIX&x=1", "/v1/as/15169?ixp=DE-CIX%26x%3D1"
+	code, etag, _ := doGet(t, h, two, "")
+	if code != http.StatusOK {
+		t.Fatalf("%s: code %d", two, code)
+	}
+	if code, _, body := doGet(t, h, one, ""); code != http.StatusNotFound {
+		t.Fatalf("%s: code %d, want 404 for ixp=\"DE-CIX&x=1\" (body %.80s)", one, code, body)
+	}
+	if code, _, _ := doGet(t, h, one, etag); code == http.StatusNotModified {
+		t.Fatalf("%s revalidated with the ETag of %s", one, two)
+	}
+}
+
+// FuzzCacheKey: two request URLs get the same key exactly when they
+// decode to the same path and the same multiset of (key, value) pairs.
+func FuzzCacheKey(f *testing.F) {
+	f.Add("/v1/as/15169?ixp=DE-CIX&x=1", "/v1/as/15169?ixp=DE-CIX%26x%3D1")
+	f.Add("/v1/as/1?a=1&a=2", "/v1/as/1?a=2&a=1")
+	f.Add("/v1/as/1?a=1&b=2", "/v1/as/1?b=2&a=1")
+	f.Add("/v1/as/1?a=", "/v1/as/1?a")
+	f.Add("/v1/as/1?a=", "/v1/as/1")
+	f.Add("/v1/as/1%3Fa=1", "/v1/as/1?a=1")
+	f.Add("/v1/as/1%253Fa", "/v1/as/1%3Fa")
+	f.Add("/v1/as/%31", "/v1/as/1")
+	// decoded is the reference form of a request: the path, then the
+	// parameters sorted, as values rather than as one string.
+	decoded := func(raw string) (*http.Request, []string) {
+		u, err := url.ParseRequestURI(raw)
+		if err != nil {
+			return nil, nil
+		}
+		var pairs []string
+		for k, vals := range u.Query() {
+			for _, v := range vals {
+				pairs = append(pairs, strconv.Quote(k)+"="+strconv.Quote(v))
+			}
+		}
+		sort.Strings(pairs)
+		return &http.Request{URL: u}, append([]string{u.Path}, pairs...)
+	}
+	f.Fuzz(func(t *testing.T, a, b string) {
+		ra, da := decoded(a)
+		rb, db := decoded(b)
+		if ra == nil || rb == nil {
+			t.Skip()
+		}
+		ka, kb := cacheKey(ra), cacheKey(rb)
+		if same := slices.Equal(da, db); (ka == kb) != same {
+			t.Fatalf("%q → %q, %q → %q: same request %v", a, ka, b, kb, same)
+		}
+	})
 }
 
 func TestReadinessGating(t *testing.T) {
