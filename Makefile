@@ -21,7 +21,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race bench soak soak-long ixpd-smoke examples
+.PHONY: check fmt vet build test race bench fuzz soak soak-long ixpd-smoke examples
 
 check: fmt vet build race soak ixpd-smoke examples
 
@@ -44,6 +44,20 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# fuzz is opt-in and not part of check: `go test` only replays each
+# fuzzer's seed corpus, so after touching a decoder or an incremental
+# path, run every Fuzz* target the tree lists for FUZZTIME each. It stops
+# at the first crasher, which go leaves under the package's
+# testdata/fuzz/ as a regression input.
+FUZZTIME ?= 10s
+fuzz:
+	@for pkg in $$($(GO) list ./...); do \
+		for f in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			echo "== $$pkg $$f ($(FUZZTIME))"; \
+			$(GO) test $$pkg -run '^$$' -fuzz "^$$f"'$$' -fuzztime $(FUZZTIME) || exit 1; \
+		done; \
+	done
 
 # soak is the quick deterministic chaos run: 3 simulated IXPs on real
 # sockets, 2 servers killed and restarted mid-crawl, every robustness

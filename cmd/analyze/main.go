@@ -5,18 +5,15 @@
 //
 //	analyze [-exp all|table1|fig1|...|sanitation] [-scale 0.05] [-seed 42]
 //	        [-ixps IX.br-SP,DE-CIX,LINX,AMS-IX | all] [-snapshots dir]
-//	        [-materialize] [-parallel N] [-trace file]
+//	        [-parallel N] [-trace file]
 //
 // Without -snapshots it generates the calibrated synthetic workload;
-// with -snapshots it loads stored snapshot files for the latest date
-// per IXP instead. Columnar binary snapshot files are indexed
-// straight off their columns (no []bgp.Route is ever materialized),
-// and delta chains (a day-0 .bin plus daily .delta files, as written
-// by `ixpgen -codec delta` or `collect -codec delta`) are walked
-// incrementally: each day's index advances from the previous day's by
-// applying the delta. -materialize decodes full routes instead,
-// reconstructing delta days through a materializing apply, and indexes
-// those. Both produce byte-identical experiment output.
+// with -snapshots it loads a dataset directory (.bin, .delta and .mrt
+// files) instead. Binary snapshot files are indexed straight off their
+// columns (no []bgp.Route is ever materialized), and delta chains (a
+// day-0 .bin plus daily .delta files, as written by `ixpgen -codec
+// delta` or `collect -codec delta`) are walked incrementally: each
+// day's index advances from the previous day's by applying the delta.
 //
 // -parallel bounds the worker pools and nothing else: dataset files,
 // delta chains and experiments fan out across the pool, each landing
@@ -48,8 +45,6 @@ func main() {
 	outDir := flag.String("out", "", "also write each experiment's output to <out>/<name>.txt")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
 		"worker bound for generation, dataset loading and experiments (1 = sequential)")
-	materialize := flag.Bool("materialize", false,
-		"decode full routes when loading -snapshots (delta chains through a materializing apply) instead of indexing columns and advancing deltas")
 	tracePath := flag.String("trace", "", "write a trace ledger for the run to this file (inspect with tracecat)")
 	flag.Parse()
 
@@ -80,7 +75,6 @@ func main() {
 		rootSpan.SetAttrInt("parallel", int64(*parallel))
 	}
 	if *snapshotDir != "" {
-		lab.Materialize = *materialize
 		if err := lab.LoadSnapshotDir(*snapshotDir); err != nil {
 			fatal(err)
 		}

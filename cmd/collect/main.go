@@ -6,7 +6,7 @@
 // Usage:
 //
 //	collect -url http://localhost:8080 [-date 2021-10-04] [-out ./data]
-//	        [-codec json|json.gz|binary|mrt|delta] [-interval 100ms] [-retries 5]
+//	        [-codec binary|delta|mrt] [-interval 100ms] [-retries 5]
 //	        [-partial] [-resume] [-checkpoint path] [-neighbor-parallel 1]
 //	        [-neighbor-retries 1] [-error-budget 0] [-request-timeout 30s]
 //	        [-metrics-addr :9100] [-trace path|none]
@@ -49,7 +49,7 @@ func main() {
 	url := flag.String("url", "http://localhost:8080", "looking glass base URL")
 	date := flag.String("date", time.Now().UTC().Format("2006-01-02"), "snapshot date stamp")
 	out := flag.String("out", "./data", "output directory")
-	codecName := flag.String("codec", "json.gz", "snapshot codec: json, json.gz, binary, mrt, delta")
+	codecName := flag.String("codec", "binary", "dataset file to write: binary (a full .bin), delta (extend the IXP's chain in -out), mrt (a TABLE_DUMP_V2 export)")
 	interval := flag.Duration("interval", 50*time.Millisecond, "minimum delay between LG requests")
 	retries := flag.Int("retries", 5, "retries per failed request")
 	timeout := flag.Duration("timeout", 10*time.Minute, "overall collection deadline")
@@ -100,15 +100,18 @@ func main() {
 		}()
 	}
 
-	asMRT := *codecName == "mrt"
-	asDelta := *codecName == "delta"
-	var codec collector.Codec
-	if !asMRT && !asDelta {
-		var err error
-		codec, err = parseCodec(*codecName)
-		if err != nil {
-			fatal(err)
+	var save func(dir string, snap *collector.Snapshot) (string, error)
+	switch *codecName {
+	case "binary":
+		save = func(dir string, snap *collector.Snapshot) (string, error) {
+			return collector.SaveSnapshot(dir, snap, collector.CodecBinary)
 		}
+	case "delta":
+		save = saveDelta
+	case "mrt":
+		save = saveMRT
+	default:
+		fatal(fmt.Errorf("unknown -codec %q (binary, delta, mrt)", *codecName))
 	}
 	client := lg.NewClient(*url, lg.ClientOptions{
 		MinInterval:    *interval,
@@ -170,15 +173,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var path string
-	switch {
-	case asMRT:
-		path, err = saveMRT(*out, snap)
-	case asDelta:
-		path, err = saveDelta(*out, snap)
-	default:
-		path, err = collector.SaveSnapshot(*out, snap, codec)
-	}
+	path, err := save(*out, snap)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -244,20 +239,15 @@ func saveDelta(dir string, snap *collector.Snapshot) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	path := filepath.Join(dir, fmt.Sprintf("%s-%s%s", snap.IXP, snap.Date, collector.DeltaExt))
-	if err := collector.AtomicWrite(path, func(w io.Writer) error {
-		_, werr := w.Write(buf)
-		return werr
-	}); err != nil {
-		return "", err
-	}
-	return path, nil
+	return collector.SaveDelta(dir, snap, buf)
 }
 
 // chainTip reconstructs the current tip of ixp's delta chain in dir:
-// the newest full binary snapshot plus every delta that extends it, in
-// date order. Returns a nil applier when dir holds no chain for ixp
-// yet (the caller then writes the base).
+// the oldest full binary snapshot of ixp — the day the chain started;
+// later full files are standalone days — plus every delta of ixp, in
+// date order. Only headers are read to find them; the chosen base is
+// the one file materialised. Returns a nil applier when dir holds no
+// chain for ixp yet (the caller then writes the base).
 func chainTip(dir, ixp string) (*collector.DeltaApplier, string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -266,7 +256,7 @@ func chainTip(dir, ixp string) (*collector.DeltaApplier, string, error) {
 		}
 		return nil, "", err
 	}
-	var base *collector.Snapshot
+	var basePath, baseDate string
 	var deltas []*collector.DeltaReader
 	for _, e := range entries {
 		if e.IsDir() {
@@ -283,22 +273,28 @@ func chainTip(dir, ixp string) (*collector.DeltaApplier, string, error) {
 			}
 			continue
 		}
-		if !strings.HasSuffix(e.Name(), ".bin") {
+		if !strings.HasSuffix(e.Name(), collector.CodecBinary.Ext()) {
 			continue
 		}
-		s, err := collector.LoadSnapshot(path)
+		sr, err := collector.OpenSnapshotAt(path)
 		if err != nil {
 			return nil, "", fmt.Errorf("%s: %w", e.Name(), err)
 		}
-		if s.IXP == ixp && (base == nil || s.Date < base.Date) {
-			base = s
+		head := sr.Header()
+		sr.Close()
+		if head.IXP == ixp && (basePath == "" || head.Date < baseDate) {
+			basePath, baseDate = path, head.Date
 		}
 	}
-	if base == nil {
+	if basePath == "" {
 		if len(deltas) > 0 {
 			return nil, "", fmt.Errorf("found %d delta files for %s but no binary base snapshot", len(deltas), ixp)
 		}
 		return nil, "", nil
+	}
+	base, err := collector.LoadSnapshot(basePath)
+	if err != nil {
+		return nil, "", fmt.Errorf("%s: %w", filepath.Base(basePath), err)
 	}
 	app, err := collector.NewDeltaApplier(base)
 	if err != nil {
@@ -319,27 +315,14 @@ func chainTip(dir, ixp string) (*collector.DeltaApplier, string, error) {
 }
 
 // saveMRT writes the snapshot as a RouteViews-style TABLE_DUMP_V2
-// archive, atomically (temp file + rename) like every other snapshot
-// format, so a crash mid-write cannot leave a truncated archive.
+// archive, atomically (temp file + rename) like every other dataset
+// file, so a crash mid-write cannot leave a truncated archive.
 func saveMRT(dir string, snap *collector.Snapshot) (string, error) {
-	path := filepath.Join(dir, fmt.Sprintf("%s-%s.mrt", snap.IXP, snap.Date))
+	path := collector.DatasetPath(dir, snap, collector.MRTExt)
 	if err := collector.AtomicWrite(path, func(w io.Writer) error {
 		return mrt.WriteRIB(w, snap)
 	}); err != nil {
 		return "", err
 	}
 	return path, nil
-}
-
-func parseCodec(name string) (collector.Codec, error) {
-	switch name {
-	case "json":
-		return collector.CodecJSON, nil
-	case "json.gz":
-		return collector.CodecJSONGzip, nil
-	case "binary", "bin":
-		return collector.CodecBinary, nil
-	default:
-		return 0, fmt.Errorf("unknown codec %q", name)
-	}
 }

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	ixpd [-addr :8080] [-snapshots DIR] [-ixps big4] [-scale 0.02]
-//	     [-seed 42] [-parallel 0] [-materialize]
+//	     [-seed 42] [-parallel 0]
 //	     [-max-inflight 0] [-request-timeout 15s] [-reload-interval 5s]
 //	     [-cache-cap 512] [-metrics-addr :9100] [-trace file]
 //	     [-drain 5s] [-smoke]
@@ -58,7 +58,6 @@ func main() {
 	scale := flag.Float64("scale", 0.02, "synthetic workload scale")
 	seed := flag.Int64("seed", 42, "synthetic generation seed")
 	parallel := flag.Int("parallel", 0, "load/experiment worker bound (0 = GOMAXPROCS)")
-	materialize := flag.Bool("materialize", false, "decode full routes when loading -snapshots (delta chains through a materializing apply) instead of indexing columns and advancing deltas")
 	maxInFlight := flag.Int("max-inflight", 0, "concurrent response computations (0 = 2×GOMAXPROCS)")
 	requestTimeout := flag.Duration("request-timeout", 15*time.Second, "per-request compute admission/wait deadline")
 	reloadInterval := flag.Duration("reload-interval", 5*time.Second, "dataset directory poll period (negative disables)")
@@ -85,7 +84,6 @@ func main() {
 		Seed:           *seed,
 		Scale:          *scale,
 		Parallel:       *parallel,
-		Materialize:    *materialize,
 		MaxInFlight:    *maxInFlight,
 		RequestTimeout: *requestTimeout,
 		ReloadInterval: *reloadInterval,

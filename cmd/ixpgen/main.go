@@ -6,7 +6,7 @@
 // Usage:
 //
 //	ixpgen [-out ./dataset] [-ixps big4|all|NAME,...] [-days 84]
-//	       [-scale 0.02] [-seed 42] [-codec json.gz] [-valleys 9,41]
+//	       [-scale 0.02] [-seed 42] [-codec binary|delta] [-valleys 9,41]
 //	       [-churn 0.03]
 //
 // By default every day is generated independently (GenerateDay). With
@@ -22,7 +22,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -42,7 +41,7 @@ func main() {
 	days := flag.Int("days", 84, "number of daily snapshots (84 = twelve weeks)")
 	scale := flag.Float64("scale", 0.02, "workload scale")
 	seed := flag.Int64("seed", 42, "generation seed")
-	codecName := flag.String("codec", "json.gz", "snapshot codec: json, json.gz, binary, delta")
+	codecName := flag.String("codec", "binary", "dataset files to write: binary (every day a full .bin) or delta (day 0 a .bin, later days .delta)")
 	valleySpec := flag.String("valleys", "", "comma-separated day offsets with injected collection failures")
 	profilePath := flag.String("profile", "", "JSON file with a custom IXP profile (overrides -ixps)")
 	churn := flag.Float64("churn", 0,
@@ -82,12 +81,8 @@ func main() {
 		}
 	}
 	asDelta := *codecName == "delta"
-	var codec collector.Codec
-	if !asDelta {
-		codec, err = parseCodec(*codecName)
-		if err != nil {
-			log.Fatal(err)
-		}
+	if !asDelta && *codecName != "binary" {
+		log.Fatalf("unknown -codec %q (binary, delta)", *codecName)
 	}
 	if asDelta && *churn <= 0 {
 		// A delta chain over independently regenerated days would
@@ -110,7 +105,7 @@ func main() {
 		}
 		dir := filepath.Join(*out, "snapshots")
 		if *churn > 0 {
-			n, err := writeEvolvedSeries(dir, p, opts, *churn, asDelta, codec)
+			n, err := writeEvolvedSeries(dir, p, opts, *churn, asDelta)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -126,7 +121,7 @@ func main() {
 				log.Fatal(err)
 			}
 			snap := w.Snapshot(date)
-			if _, err := collector.SaveSnapshot(dir, snap, codec); err != nil {
+			if _, err := collector.SaveSnapshot(dir, snap, collector.CodecBinary); err != nil {
 				log.Fatal(err)
 			}
 			files++
@@ -155,33 +150,25 @@ func main() {
 // writeEvolvedSeries generates one IXP's day-over-day evolved series
 // in a single run. With asDelta set, day 0 is saved as a full binary
 // snapshot and every later day as one .delta file against the
-// previous day; otherwise each day is a standalone file in codec.
-func writeEvolvedSeries(dir string, p ixpgen.Profile, opts ixpgen.TemporalOptions, churn float64, asDelta bool, codec collector.Codec) (int, error) {
+// previous day; otherwise each day is a full binary snapshot.
+func writeEvolvedSeries(dir string, p ixpgen.Profile, opts ixpgen.TemporalOptions, churn float64, asDelta bool) (int, error) {
 	files := 0
 	var enc *collector.DeltaEncoder
 	err := ixpgen.EvolveSeries(p, opts, churn, func(day int, snap *collector.Snapshot) error {
 		files++
-		if !asDelta {
-			_, err := collector.SaveSnapshot(dir, snap, codec)
-			return err
-		}
-		if day == 0 {
-			if _, err := collector.SaveSnapshot(dir, snap, collector.CodecBinary); err != nil {
-				return err
+		if enc == nil {
+			_, err := collector.SaveSnapshot(dir, snap, collector.CodecBinary)
+			if err == nil && asDelta {
+				enc, err = collector.NewDeltaEncoder(snap)
 			}
-			var err error
-			enc, err = collector.NewDeltaEncoder(snap)
 			return err
 		}
 		buf, err := enc.Encode(snap)
 		if err != nil {
 			return err
 		}
-		path := filepath.Join(dir, fmt.Sprintf("%s-%s%s", snap.IXP, snap.Date, collector.DeltaExt))
-		return collector.AtomicWrite(path, func(w io.Writer) error {
-			_, werr := w.Write(buf)
-			return werr
-		})
+		_, err = collector.SaveDelta(dir, snap, buf)
+		return err
 	})
 	return files, err
 }
@@ -245,19 +232,6 @@ func selectProfiles(spec string) ([]ixpgen.Profile, error) {
 		out = append(out, *p)
 	}
 	return out, nil
-}
-
-func parseCodec(name string) (collector.Codec, error) {
-	switch name {
-	case "json":
-		return collector.CodecJSON, nil
-	case "json.gz":
-		return collector.CodecJSONGzip, nil
-	case "binary", "bin":
-		return collector.CodecBinary, nil
-	default:
-		return 0, fmt.Errorf("unknown codec %q", name)
-	}
 }
 
 func parseValleys(spec string) ([]int, error) {

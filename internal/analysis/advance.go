@@ -560,21 +560,13 @@ func NewIndex(s *collector.Snapshot, scheme *dictionary.Scheme) *Index {
 
 // IndexFromReader builds the classified index for one snapshot
 // straight off its columnar route block, with no []bgp.Route
-// materialization. Only CodecBinary snapshots are columnar; other
-// codecs transparently fall back to Snapshot() + NewIndex.
+// materialization.
 //
 // The resulting Index owns all its storage: it stays valid after the
 // reader is closed. Its embedded snapshot is header-only (Routes nil) —
 // attach it with AttachIndex so the analysis wrappers answer from the
 // index instead of walking the absent routes.
 func IndexFromReader(sr *collector.SnapshotReader, scheme *dictionary.Scheme) (*Index, error) {
-	if sr.Codec() != collector.CodecBinary {
-		s, err := sr.Snapshot()
-		if err != nil {
-			return nil, err
-		}
-		return NewIndex(s, scheme), nil
-	}
 	ix, err := indexFromColumns(sr, scheme)
 	if err != nil {
 		return nil, err
@@ -585,26 +577,21 @@ func IndexFromReader(sr *collector.SnapshotReader, scheme *dictionary.Scheme) (*
 
 // IndexSeriesFromReader is IndexFromReader for a delta chain's base
 // snapshot: the same build, with the chain state kept on the returned
-// index so Index.Advance can patch it. The snapshot must be CodecBinary
-// in random-access mode — the chain digest is the file's own sha256.
+// index so Index.Advance can patch it. The chain digest is the file's
+// own sha256.
 func IndexSeriesFromReader(sr *collector.SnapshotReader, scheme *dictionary.Scheme) (*Index, error) {
-	digest, ok := sr.Digest()
-	if !ok {
-		return nil, errors.New("analysis: series index requires a random-access CodecBinary snapshot")
-	}
 	ix, err := indexFromColumns(sr, scheme)
 	if err != nil {
 		return nil, err
 	}
-	ix.series.digest = digest
+	ix.series.digest = sr.Digest()
 	return ix, nil
 }
 
 // indexFromColumns is the fold over a binary snapshot's route block.
 func indexFromColumns(sr *collector.SnapshotReader, scheme *dictionary.Scheme) (*Index, error) {
 	defer tel().building("columns", sr.Header())()
-	var arena collector.Arena
-	rb, err := sr.RouteBlock(&arena)
+	rb, err := sr.RouteBlock()
 	if err != nil {
 		return nil, err
 	}

@@ -74,7 +74,7 @@ func BenchmarkSeriesAdvance(b *testing.B) {
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sr, err := collector.NewSnapshotReaderBytes(day0, "day0.bin")
+		sr, err := collector.NewSnapshotReaderBytes(day0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func BenchmarkSeriesFullRebuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		total := 0
 		for _, bin := range days {
-			sr, err := collector.NewSnapshotReaderBytes(bin, "day.bin")
+			sr, err := collector.NewSnapshotReaderBytes(bin)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -57,7 +57,7 @@ func TestAdvanceMatchesFullRebuild(t *testing.T) {
 	o := ixpgen.TemporalOptions{Days: 16, Seed: 42, Scale: 0.02, ValleyDays: []int{11}}
 	days, day0, deltas, scheme := evolvedChain(t, "AMS-IX", o, 0.04)
 
-	sr, err := collector.NewSnapshotReaderBytes(day0, "day0.bin")
+	sr, err := collector.NewSnapshotReaderBytes(day0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestAdvanceEdgeSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, err := collector.NewSnapshotReaderBytes(binBytes(t, s0), "edge.bin")
+	sr, err := collector.NewSnapshotReaderBytes(binBytes(t, s0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestAdvanceErrors(t *testing.T) {
 		t.Error("Advance on an IndexFromReader index succeeded")
 	}
 
-	sr, err := collector.NewSnapshotReaderBytes(day0, "day0.bin")
+	sr, err := collector.NewSnapshotReaderBytes(day0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestAdvanceSnapshotChain(t *testing.T) {
 	o := ixpgen.TemporalOptions{Days: 4, Seed: 5, Scale: 0.01}
 	days, day0, deltas, scheme := evolvedChain(t, "LINX", o, 0.05)
 
-	sr, err := collector.NewSnapshotReaderBytes(day0, "day0.bin")
+	sr, err := collector.NewSnapshotReaderBytes(day0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestClassIsSchemeClassify(t *testing.T) {
 	o := ixpgen.TemporalOptions{Days: 3, Seed: 11, Scale: 0.01}
 	days, day0, deltas, scheme := evolvedChain(t, "DE-CIX", o, 0.05)
 
-	sr, err := collector.NewSnapshotReaderBytes(day0, "day0.bin")
+	sr, err := collector.NewSnapshotReaderBytes(day0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestEarlierDayReadableDuringAdvance(t *testing.T) {
 		return a
 	}
 
-	sr, err := collector.NewSnapshotReaderBytes(day0, "day0.bin")
+	sr, err := collector.NewSnapshotReaderBytes(day0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +371,7 @@ func TestAdvanceBytesPerDay(t *testing.T) {
 		t.Skip("alloc accounting under -short")
 	}
 	_, day0, deltas, scheme := seriesWorkload(t)
-	sr, err := collector.NewSnapshotReaderBytes(day0, "day0.bin")
+	sr, err := collector.NewSnapshotReaderBytes(day0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,7 +572,7 @@ func FuzzAdvance(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sr, err := collector.NewSnapshotReaderBytes(day0, "day0.bin")
+		sr, err := collector.NewSnapshotReaderBytes(day0)
 		if err != nil {
 			t.Fatal(err)
 		}

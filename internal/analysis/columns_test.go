@@ -25,7 +25,7 @@ func binBytes(tb testing.TB, s *collector.Snapshot) []byte {
 // index column-direct.
 func columnIndex(tb testing.TB, s *collector.Snapshot, scheme *dictionary.Scheme) *Index {
 	tb.Helper()
-	sr, err := collector.NewSnapshotReaderBytes(binBytes(tb, s), "x.bin")
+	sr, err := collector.NewSnapshotReaderBytes(binBytes(tb, s))
 	if err != nil {
 		tb.Fatalf("open: %v", err)
 	}
@@ -92,28 +92,6 @@ func TestIndexFromReaderMatchesNewIndex(t *testing.T) {
 	checkIndexMatchesDirect(t, "empty", columnIndex(t, empty, scheme), empty, scheme)
 }
 
-// TestIndexFromReaderNonBinary pins the transparent fallback: a
-// non-columnar codec materializes and classifies the routes.
-func TestIndexFromReaderNonBinary(t *testing.T) {
-	s, scheme := testSnapshot(t)
-	var buf bytes.Buffer
-	if err := collector.WriteSnapshot(&buf, s, collector.CodecJSON); err != nil {
-		t.Fatal(err)
-	}
-	sr, err := collector.NewSnapshotReaderBytes(buf.Bytes(), "x.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := IndexFromReader(sr, scheme)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkIndexMatchesDirect(t, "json-fallback", ix, s, scheme)
-	if ix.Snapshot().Routes == nil {
-		t.Error("fallback index must carry the materialized snapshot")
-	}
-}
-
 // TestAttachIndexDispatch pins that an attached index answers the
 // analysis wrappers on its header-only snapshot, which has no routes
 // to build from or walk — and that only an index built under the
@@ -158,7 +136,7 @@ func TestIndexFromColumnsAllocs(t *testing.T) {
 	routes := len(s.Routes)
 
 	allocs := testing.AllocsPerRun(10, func() {
-		sr, err := collector.NewSnapshotReaderBytes(data, "x.bin")
+		sr, err := collector.NewSnapshotReaderBytes(data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +177,7 @@ func FuzzIndexFromColumns(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sr, err := collector.NewSnapshotReaderBytes(data, "f.bin")
+		sr, err := collector.NewSnapshotReaderBytes(data)
 		if err != nil {
 			return
 		}
@@ -243,7 +221,7 @@ func BenchmarkIndexFromColumns(b *testing.B) {
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sr, err := collector.NewSnapshotReaderBytes(data, "x.bin")
+		sr, err := collector.NewSnapshotReaderBytes(data)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -262,7 +240,7 @@ func BenchmarkIndexDecodeThenNew(b *testing.B) {
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sr, err := collector.NewSnapshotReaderBytes(data, "x.bin")
+		sr, err := collector.NewSnapshotReaderBytes(data)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -113,7 +113,10 @@ func UnmarshalRIBAttributes(attrs []byte, r *Route) error {
 			r.NextHop = netip.AddrFrom4([4]byte(payload))
 		case attrMPReachNLRI:
 			// Abbreviated form: nexthop length + nexthop.
-			if plen < 1 || int(payload[0]) != plen-1 {
+			if plen < 1 {
+				return errors.New("bgp: abbreviated MP_REACH is empty")
+			}
+			if int(payload[0]) != plen-1 {
 				return fmt.Errorf("bgp: abbreviated MP_REACH length mismatch (%d vs %d)", payload[0], plen-1)
 			}
 			switch payload[0] {

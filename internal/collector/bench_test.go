@@ -142,14 +142,10 @@ func BenchmarkCollect(b *testing.B) {
 }
 
 // BenchmarkSnapshotCodec measures serialising one paper-shaped
-// snapshot (AMS-IX profile at bench scale) under each codec, in both
-// directions and as the write-then-read-back round trip of the
-// snapshot-codec ablation. The gzip variants exercise the pooled
-// gzip writers; the reported bytes and bytes_per_route metrics are
-// the encoded size, so the speed/size trade-off of the codec ablation
-// is visible in one run. The decode direction is the one the analysis
-// pipeline pays on every experiment run — the binary codec's arena
-// decode is the headline number here.
+// snapshot (AMS-IX profile at bench scale) in both directions. The
+// reported bytes and bytes_per_route metrics are the encoded size. The
+// decode direction materialises every route, which is what the
+// reference loader and the delta applier's base pay.
 func BenchmarkSnapshotCodec(b *testing.B) {
 	p := ixpgen.ProfileByName("AMS-IX")
 	if p == nil {
@@ -161,90 +157,45 @@ func BenchmarkSnapshotCodec(b *testing.B) {
 	}
 	snap := w.Snapshot("2021-10-04")
 	nRoutes := float64(len(snap.Routes))
-	b.Run("encode", func(b *testing.B) {
-		for _, codec := range collector.Codecs() {
-			b.Run(codec.String(), func(b *testing.B) {
-				var buf bytes.Buffer
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					buf.Reset()
-					if err := collector.WriteSnapshot(&buf, snap, codec); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(buf.Len()), "bytes")
-				b.ReportMetric(float64(buf.Len())/nRoutes, "bytes_per_route")
-			})
-		}
-	})
-	b.Run("decode", func(b *testing.B) {
-		for _, codec := range collector.Codecs() {
-			b.Run(codec.String(), func(b *testing.B) {
-				var buf bytes.Buffer
-				if err := collector.WriteSnapshot(&buf, snap, codec); err != nil {
-					b.Fatal(err)
-				}
-				data := buf.Bytes()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					got, err := collector.ReadSnapshot(bytes.NewReader(data), codec)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if len(got.Routes) != len(snap.Routes) {
-						b.Fatalf("routes = %d, want %d", len(got.Routes), len(snap.Routes))
-					}
-				}
-				b.ReportMetric(float64(len(data)), "bytes")
-				b.ReportMetric(float64(len(data))/nRoutes, "bytes_per_route")
-			})
-		}
-	})
-	b.Run("roundtrip", func(b *testing.B) {
-		for _, codec := range collector.Codecs() {
-			b.Run(codec.String(), func(b *testing.B) {
-				var size int
-				for i := 0; i < b.N; i++ {
-					var buf bytes.Buffer
-					if err := collector.WriteSnapshot(&buf, snap, codec); err != nil {
-						b.Fatal(err)
-					}
-					size = buf.Len()
-					if _, err := collector.ReadSnapshot(&buf, codec); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(size), "bytes")
-				b.ReportMetric(float64(size)/nRoutes, "bytes_per_route")
-			})
-		}
-	})
-}
-
-// BenchmarkSnapshotStream measures the streaming read path over a
-// binary snapshot: header-only open (what a dataset index pays per
-// file) and a full ForEachRoute walk (what a dataset-wide scan pays
-// without ever materialising a []bgp.Route).
-func BenchmarkSnapshotStream(b *testing.B) {
-	p := ixpgen.ProfileByName("AMS-IX")
-	if p == nil {
-		b.Fatal("AMS-IX profile missing")
-	}
-	w, err := ixpgen.Generate(*p, ixpgen.Options{Seed: 42, Scale: 0.05})
-	if err != nil {
-		b.Fatal(err)
-	}
-	snap := w.Snapshot("2021-10-04")
 	var buf bytes.Buffer
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf.Reset()
+			if err := collector.WriteSnapshot(&buf, snap, collector.CodecBinary); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(buf.Len()), "bytes")
+		b.ReportMetric(float64(buf.Len())/nRoutes, "bytes_per_route")
+	})
+	buf.Reset()
 	if err := collector.WriteSnapshot(&buf, snap, collector.CodecBinary); err != nil {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sr, err := collector.NewSnapshotReaderBytes(data)
+			if err != nil {
+				b.Fatal(err)
+			}
+			got, err := sr.Snapshot()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(got.Routes) != len(snap.Routes) {
+				b.Fatalf("routes = %d, want %d", len(got.Routes), len(snap.Routes))
+			}
+		}
+	})
+	// header is what a dataset listing pays per file; scan is the column
+	// walk an index build rides on, with no bgp.Route assembled.
 	b.Run("header", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			sr, err := collector.NewSnapshotReader(bytes.NewReader(data), "bench.bin")
+			sr, err := collector.NewSnapshotReaderBytes(data)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -253,15 +204,19 @@ func BenchmarkSnapshotStream(b *testing.B) {
 			}
 		}
 	})
-	b.Run("foreach", func(b *testing.B) {
+	b.Run("scan", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			sr, err := collector.NewSnapshotReader(bytes.NewReader(data), "bench.bin")
+			sr, err := collector.NewSnapshotReaderBytes(data)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rb, err := sr.RouteBlock()
 			if err != nil {
 				b.Fatal(err)
 			}
 			n := 0
-			if err := sr.ForEachRoute(func(bgp.Route) error { n++; return nil }); err != nil {
+			if err := rb.Scan(func(*collector.RouteRef) error { n++; return nil }); err != nil {
 				b.Fatal(err)
 			}
 			if n != len(snap.Routes) {

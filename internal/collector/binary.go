@@ -4,10 +4,9 @@
 // the redundancy BGP community studies keep re-measuring: AS paths,
 // next hops and whole community sets repeat massively across routes,
 // so each appears once in a deduplicated intern table and a route row
-// is mostly small varint table indices. Decoding allocates from a
-// single per-snapshot arena (one backing slab per element type shared
-// by all routes' slices) instead of one slice per route, which is
-// where the reflection codecs burn their time.
+// is mostly small varint table indices. Decoding allocates one backing
+// slab per element type, shared by all routes' slices, instead of one
+// slice per route.
 //
 // Layout (all integers varint unless noted):
 //
@@ -44,9 +43,8 @@ import (
 	"ixplight/internal/bgp"
 )
 
-// binaryMagic opens every CodecBinary file; LoadSnapshot and
-// OpenSnapshot use it to auto-detect the codec regardless of file
-// extension.
+// binaryMagic opens every CodecBinary file: a file is a snapshot if and
+// only if it starts with it, whatever it is called.
 const binaryMagic = "IXPB"
 
 // binaryVersion is the wire-format version. Bump it on any layout
@@ -55,6 +53,11 @@ const binaryVersion = 1
 
 // errBinaryTruncated reports a snapshot cut short mid-structure.
 var errBinaryTruncated = errors.New("collector: binary snapshot truncated")
+
+// errBadMagic answers a file that does not open with binaryMagic. The
+// files most likely to be offered are the ones earlier versions wrote,
+// so the message says what became of them.
+var errBadMagic = errors.New("collector: not a snapshot (bad magic): the json, json.gz and gob snapshot codecs were removed, so regenerate (ixpgen) or re-collect (collect) the dataset as binary")
 
 // --- encoding ------------------------------------------------------------
 
@@ -110,9 +113,8 @@ func appendBinarySnapshot(buf []byte, s *Snapshot) []byte {
 	buf = append(buf, binaryMagic...)
 	buf = appendUvarint(buf, binaryVersion)
 
-	// Header section, byte-length-prefixed so a streaming reader can
-	// answer Header() after reading exactly this many bytes, without
-	// touching the route block.
+	// Header section, byte-length-prefixed so a reader can answer
+	// Header() without touching the route block.
 	hdr := appendHeaderSection(nil, s)
 	buf = appendUvarint(buf, uint64(len(hdr)))
 	buf = append(buf, hdr...)
@@ -232,7 +234,7 @@ func appendRouteBlock(buf []byte, routes []bgp.Route, ids []rowIDs, tabs *deltaT
 	buf = appendSliceHeader(buf, len(routes), routes == nil)
 
 	// Intern tables. Element totals precede the slice tables so the
-	// decoder can size each arena slab with a single allocation.
+	// decoder can size each slab with a single allocation.
 	for tab, order := range local.order {
 		buf = appendUvarint(buf, uint64(len(order)))
 		if tab != tabNH {
@@ -498,7 +500,7 @@ func (r *breader) addr() (netip.Addr, error) {
 func decodeBinaryHeader(r *breader) (*Snapshot, error) {
 	magic, err := r.bytes(len(binaryMagic))
 	if err != nil || string(magic) != binaryMagic {
-		return nil, errors.New("collector: not a binary snapshot (bad magic)")
+		return nil, errBadMagic
 	}
 	version, err := r.uvarint()
 	if err != nil {
@@ -600,58 +602,12 @@ func decodeHeaderSection(r *breader) (*Snapshot, error) {
 	return s, nil
 }
 
-// binaryRoutes is a decoded route block positioned before the first
-// route: intern tables materialised into arena-backed slices plus one
-// sequential cursor per column. next() yields routes in order.
-type binaryRoutes struct {
-	n     int
-	isNil bool
-
-	nexthops []netip.Addr
-	paths    []bgp.ASPath
-	comms    [][]bgp.Community
-	exts     [][]bgp.ExtendedCommunity
-	larges   [][]bgp.LargeCommunity
-
-	prefixCol, nhCol, pathCol breader
-	originCol, medCol, lpCol  breader
-	commCol, extCol, largeCol breader
-	originRun, medRun, lpRun  uint64
-	originVal, medVal, lpVal  uint64
-	prefixPrev                []byte
-}
-
-// decodeBinaryRoutes parses the route block that follows the header,
-// allocating fresh slabs the decoded routes may alias forever.
-func decodeBinaryRoutes(r *breader) (*binaryRoutes, error) {
-	return decodeBinaryRoutesArena(r, nil)
-}
-
-// decodeBinaryRoutesArena is decodeBinaryRoutes with the slab and
-// intern-table storage drawn from a (a nil arena allocates fresh).
-// Arena-backed results are valid only until the arena's next decode;
-// see the Arena doc for the aliasing contract.
-func decodeBinaryRoutesArena(r *breader, a *Arena) (*binaryRoutes, error) {
-	var (
-		pathSlabStore  *[]uint32
-		commSlabStore  *[]bgp.Community
-		extSlabStore   *[]bgp.ExtendedCommunity
-		largeSlabStore *[]bgp.LargeCommunity
-
-		nhStore     *[]netip.Addr
-		pathsStore  *[]bgp.ASPath
-		commsStore  *[][]bgp.Community
-		extsStore   *[][]bgp.ExtendedCommunity
-		largesStore *[][]bgp.LargeCommunity
-	)
-	if a != nil {
-		pathSlabStore, commSlabStore = &a.pathSlab, &a.commSlab
-		extSlabStore, largeSlabStore = &a.extSlab, &a.largeSlab
-		nhStore, pathsStore = &a.nexthops, &a.paths
-		commsStore, extsStore, largesStore = &a.comms, &a.exts, &a.larges
-	}
-
-	rb := &binaryRoutes{}
+// decodeRouteBlock parses the route block that follows the header: the
+// intern tables into fresh slabs (one backing array per element type,
+// shared by every entry of a table) and the nine columns as sub-slices
+// of r's bytes. Nothing in the tables aliases r; the columns do.
+func decodeRouteBlock(r *breader) (*RouteBlock, error) {
+	rb := &RouteBlock{}
 	var err error
 	if rb.n, rb.isNil, err = r.sliceHeader(); err != nil {
 		return nil, err
@@ -662,7 +618,7 @@ func decodeBinaryRoutesArena(r *breader, a *Arena) (*binaryRoutes, error) {
 	if err != nil {
 		return nil, err
 	}
-	rb.nexthops = tableFor(nhStore, nhCount)
+	rb.nexthops = make([]netip.Addr, nhCount)
 	for i := range rb.nexthops {
 		if rb.nexthops[i], err = r.addr(); err != nil {
 			return nil, err
@@ -678,8 +634,8 @@ func decodeBinaryRoutesArena(r *breader, a *Arena) (*binaryRoutes, error) {
 	if err != nil {
 		return nil, err
 	}
-	pathSlab := slabFor(pathSlabStore, pathElems)
-	rb.paths = tableFor(pathsStore, pathCount)
+	pathSlab := make([]uint32, 0, pathElems)
+	rb.paths = make([]bgp.ASPath, pathCount)
 	for i := range rb.paths {
 		n, isNil, err := r.sliceHeader()
 		if err != nil {
@@ -711,8 +667,8 @@ func decodeBinaryRoutesArena(r *breader, a *Arena) (*binaryRoutes, error) {
 	if err != nil {
 		return nil, err
 	}
-	commSlab := slabFor(commSlabStore, commElems)
-	rb.comms = tableFor(commsStore, commCount)
+	commSlab := make([]bgp.Community, 0, commElems)
+	rb.comms = make([][]bgp.Community, commCount)
 	for i := range rb.comms {
 		n, isNil, err := r.sliceHeader()
 		if err != nil {
@@ -744,8 +700,8 @@ func decodeBinaryRoutesArena(r *breader, a *Arena) (*binaryRoutes, error) {
 	if err != nil {
 		return nil, err
 	}
-	extSlab := slabFor(extSlabStore, extElems)
-	rb.exts = tableFor(extsStore, extCount)
+	extSlab := make([]bgp.ExtendedCommunity, 0, extElems)
+	rb.exts = make([][]bgp.ExtendedCommunity, extCount)
 	for i := range rb.exts {
 		n, isNil, err := r.sliceHeader()
 		if err != nil {
@@ -777,8 +733,8 @@ func decodeBinaryRoutesArena(r *breader, a *Arena) (*binaryRoutes, error) {
 	if err != nil {
 		return nil, err
 	}
-	largeSlab := slabFor(largeSlabStore, largeElems)
-	rb.larges = tableFor(largesStore, largeCount)
+	largeSlab := make([]bgp.LargeCommunity, 0, largeElems)
+	rb.larges = make([][]bgp.LargeCommunity, largeCount)
 	for i := range rb.larges {
 		n, isNil, err := r.sliceHeader()
 		if err != nil {
@@ -811,8 +767,8 @@ func decodeBinaryRoutesArena(r *breader, a *Arena) (*binaryRoutes, error) {
 		rb.larges[i] = largeSlab[start:len(largeSlab):len(largeSlab)]
 	}
 
-	// Column cursors.
-	for _, col := range []*breader{
+	// Columns.
+	for _, col := range []*[]byte{
 		&rb.prefixCol, &rb.nhCol, &rb.pathCol,
 		&rb.originCol, &rb.medCol, &rb.lpCol,
 		&rb.commCol, &rb.extCol, &rb.largeCol,
@@ -821,26 +777,11 @@ func decodeBinaryRoutesArena(r *breader, a *Arena) (*binaryRoutes, error) {
 		if err != nil {
 			return nil, err
 		}
-		raw, err := r.bytes(n)
-		if err != nil {
+		if *col, err = r.bytes(n); err != nil {
 			return nil, err
 		}
-		col.b = raw
 	}
 	return rb, nil
-}
-
-// tableEntry bounds-checks one column index against its intern table.
-func tableLookup[T any](col *breader, table []T) (T, error) {
-	var zero T
-	idx, err := col.uvarint()
-	if err != nil {
-		return zero, err
-	}
-	if idx >= uint64(len(table)) {
-		return zero, errBinaryTruncated
-	}
-	return table[idx], nil
 }
 
 // rle advances one run-length-encoded column cursor.
@@ -859,97 +800,4 @@ func rle(col *breader, run, val *uint64) (uint64, error) {
 	}
 	*run--
 	return *val, nil
-}
-
-// next decodes the next route. Callers invoke it exactly rb.n times.
-func (rb *binaryRoutes) next() (bgp.Route, error) {
-	var r bgp.Route
-
-	// Prefix: front-coded bytes, then address + bits byte.
-	shared, err := rb.prefixCol.uvarint()
-	if err != nil {
-		return r, err
-	}
-	suffixLen, err := rb.prefixCol.uvarint()
-	if err != nil {
-		return r, err
-	}
-	if shared > uint64(len(rb.prefixPrev)) {
-		return r, errBinaryTruncated
-	}
-	suffix, err := rb.prefixCol.bytes(int(suffixLen))
-	if err != nil {
-		return r, err
-	}
-	rb.prefixPrev = append(rb.prefixPrev[:shared], suffix...)
-	pr := breader{b: rb.prefixPrev}
-	addr, err := pr.addr()
-	if err != nil {
-		return r, err
-	}
-	bitsByte, err := pr.byte()
-	if err != nil || pr.remaining() != 0 {
-		return r, errBinaryTruncated
-	}
-	routeBits := int(bitsByte)
-	if bitsByte == 0xFF {
-		routeBits = -1
-	}
-	r.Prefix = netip.PrefixFrom(addr, routeBits)
-
-	if r.NextHop, err = tableLookup(&rb.nhCol, rb.nexthops); err != nil {
-		return r, err
-	}
-	if r.ASPath, err = tableLookup(&rb.pathCol, rb.paths); err != nil {
-		return r, err
-	}
-
-	origin, err := rle(&rb.originCol, &rb.originRun, &rb.originVal)
-	if err != nil {
-		return r, err
-	}
-	r.Origin = bgp.Origin(origin)
-	med, err := rle(&rb.medCol, &rb.medRun, &rb.medVal)
-	if err != nil {
-		return r, err
-	}
-	r.MED = uint32(med)
-	lp, err := rle(&rb.lpCol, &rb.lpRun, &rb.lpVal)
-	if err != nil {
-		return r, err
-	}
-	r.LocalPref = uint32(lp)
-
-	if r.Communities, err = tableLookup(&rb.commCol, rb.comms); err != nil {
-		return r, err
-	}
-	if r.ExtCommunities, err = tableLookup(&rb.extCol, rb.exts); err != nil {
-		return r, err
-	}
-	if r.LargeCommunities, err = tableLookup(&rb.largeCol, rb.larges); err != nil {
-		return r, err
-	}
-	return r, nil
-}
-
-// decodeBinarySnapshot decodes a complete CodecBinary snapshot.
-func decodeBinarySnapshot(data []byte) (*Snapshot, error) {
-	r := &breader{b: data}
-	s, err := decodeBinaryHeader(r)
-	if err != nil {
-		return nil, err
-	}
-	rb, err := decodeBinaryRoutes(r)
-	if err != nil {
-		return nil, err
-	}
-	if !rb.isNil {
-		s.Routes = make([]bgp.Route, rb.n)
-		for i := range s.Routes {
-			if s.Routes[i], err = rb.next(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return s, nil
 }

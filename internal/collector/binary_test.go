@@ -3,6 +3,7 @@ package collector
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"net/netip"
@@ -103,6 +104,16 @@ func goldenSnapshot() *Snapshot {
 
 const goldenPath = "testdata/snapshot.bin"
 
+// decodeBinarySnapshot decodes a complete CodecBinary snapshot through
+// the one reader.
+func decodeBinarySnapshot(data []byte) (*Snapshot, error) {
+	sr, err := NewSnapshotReaderBytes(data)
+	if err != nil {
+		return nil, err
+	}
+	return sr.Snapshot()
+}
+
 // TestBinaryGoldenFixture pins the wire format: the committed fixture
 // must decode to exactly goldenSnapshot(), and re-encoding that value
 // must reproduce the committed bytes. Any accidental format drift
@@ -146,9 +157,10 @@ func TestBinaryVersionCheck(t *testing.T) {
 	} else if want := fmt.Sprintf("version %d", binaryVersion+1); !bytes.Contains([]byte(err.Error()), []byte(want)) {
 		t.Errorf("error %q does not name the offending version", err)
 	}
-	// The streaming path must reject it the same way.
-	if _, err := NewSnapshotReader(bytes.NewReader(data), "x.bin"); err == nil {
-		t.Fatal("streaming reader accepted future version")
+	// The version lives before the header section, so opening a reader
+	// already rejects it.
+	if _, err := NewSnapshotReaderBytes(data); err == nil {
+		t.Fatal("reader opened a future version")
 	}
 }
 
@@ -177,7 +189,7 @@ func TestBinaryRoundTripEdgeCases(t *testing.T) {
 			if err := WriteSnapshot(&buf, s, CodecBinary); err != nil {
 				t.Fatal(err)
 			}
-			got, err := ReadSnapshot(&buf, CodecBinary)
+			got, err := decodeBinarySnapshot(buf.Bytes())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -199,37 +211,33 @@ func TestBinaryDecodeTruncated(t *testing.T) {
 	}
 }
 
-// TestCrossCodecEquivalence decodes the same fixture through all five
-// codecs and requires identical in-memory snapshots — the guarantee
-// that lets a dataset mix codecs freely.
+// TestCrossCodecEquivalence holds the binary codec to an independent
+// oracle: encoding/json over the Snapshot struct's own tags, the
+// reflection round trip the removed JSON codecs were.
 func TestCrossCodecEquivalence(t *testing.T) {
 	s := sampleSnapshot()
 	s.Partial = true
 	s.MemberErrors = []MemberError{{ASN: 300, Stage: StageSkipped, Err: "budget", Attempts: 1}}
 	s.Normalize()
-	decoded := make(map[Codec]*Snapshot)
-	for _, codec := range Codecs() {
-		var buf bytes.Buffer
-		if err := WriteSnapshot(&buf, s, codec); err != nil {
-			t.Fatalf("%v: %v", codec, err)
-		}
-		got, err := ReadSnapshot(&buf, codec)
-		if err != nil {
-			t.Fatalf("%v: %v", codec, err)
-		}
-		decoded[codec] = got
+	js, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, codec := range Codecs() {
-		if !reflect.DeepEqual(decoded[CodecJSON], decoded[codec]) {
-			t.Errorf("%v decodes differently from json:\n json %+v\n %v %+v",
-				codec, decoded[CodecJSON], codec, decoded[codec])
-		}
+	var viaJSON Snapshot
+	if err := json.Unmarshal(js, &viaJSON); err != nil {
+		t.Fatal(err)
+	}
+	viaBinary, err := decodeBinarySnapshot(appendBinarySnapshot(nil, s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(&viaJSON, viaBinary) {
+		t.Errorf("binary decodes differently from json:\n json   %+v\n binary %+v", &viaJSON, viaBinary)
 	}
 }
 
-// TestSnapshotReaderStreams pins the streaming contract: Header()
-// before the route block, routes in file order, single-shot column
-// walk.
+// TestSnapshotReaderStreams pins the reader's contract on a file:
+// Header() without the route block, routes in file order.
 func TestSnapshotReaderStreams(t *testing.T) {
 	s := goldenSnapshot()
 	dir := t.TempDir()
@@ -237,14 +245,11 @@ func TestSnapshotReaderStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, err := OpenSnapshot(path)
+	sr, err := OpenSnapshotAt(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sr.Close()
-	if sr.Codec() != CodecBinary {
-		t.Fatalf("codec = %v", sr.Codec())
-	}
 	h := sr.Header()
 	if h.Routes != nil {
 		t.Error("header carries routes")
@@ -255,118 +260,115 @@ func TestSnapshotReaderStreams(t *testing.T) {
 		h.FilteredCount != s.FilteredCount {
 		t.Errorf("header mismatch: %+v", h)
 	}
-	var got []bgp.Route
-	if err := sr.ForEachRoute(func(r bgp.Route) error {
-		got = append(got, r)
-		return nil
-	}); err != nil {
+	got, err := sr.Snapshot()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, s.Routes) {
-		t.Errorf("streamed routes mismatch:\n want %+v\n got  %+v", s.Routes, got)
+	if !reflect.DeepEqual(got.Routes, s.Routes) {
+		t.Errorf("routes mismatch:\n want %+v\n got  %+v", s.Routes, got.Routes)
 	}
-	// The column walk is single-shot.
-	if err := sr.ForEachRoute(func(bgp.Route) error { return nil }); err == nil {
-		t.Error("second ForEachRoute succeeded")
-	}
-	if _, err := sr.Snapshot(); err == nil {
-		t.Error("Snapshot() after ForEachRoute succeeded")
+	if sr.Header().Routes != nil {
+		t.Error("Snapshot() put routes on the shared header")
 	}
 }
 
-// TestSnapshotReaderEagerCodecs drives the same interface over the
-// reflection codecs (eager fallback) and checks ForEachRoute stops on
-// a callback error.
-func TestSnapshotReaderEagerCodecs(t *testing.T) {
-	s := sampleSnapshot()
-	dir := t.TempDir()
-	for _, codec := range Codecs() {
-		t.Run(codec.String(), func(t *testing.T) {
-			path, err := SaveSnapshot(dir, s, codec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sr, err := OpenSnapshot(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sr.Close()
-			if sr.Codec() != codec {
-				t.Fatalf("codec = %v, want %v", sr.Codec(), codec)
-			}
-			if h := sr.Header(); h.IXP != s.IXP || h.Routes != nil {
-				t.Errorf("header = %+v", h)
-			}
-			n := 0
-			stop := fmt.Errorf("stop")
-			err = sr.ForEachRoute(func(bgp.Route) error {
-				n++
-				if n == 2 {
-					return stop
-				}
-				return nil
-			})
-			if err != stop || n != 2 {
-				t.Errorf("early stop: err=%v n=%d", err, n)
-			}
-		})
+// TestSnapshotOutlivesReader pins what LoadSnapshot depends on: a
+// materialised snapshot aliases nothing of the encoded bytes. After
+// Close the file is unmapped (a stale alias faults), and scribbling over
+// a caller's buffer must not reach a snapshot decoded from it.
+func TestSnapshotOutlivesReader(t *testing.T) {
+	want := goldenSnapshot()
+	path, err := SaveSnapshot(t.TempDir(), want, CodecBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, err := OpenSnapshotAt(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sr.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("snapshot read after Close differs:\n want %+v\n got  %+v", want, got)
+	}
+
+	data := appendBinarySnapshot(nil, want)
+	br, err := NewSnapshotReaderBytes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err = br.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range data {
+		data[i] = 0xAA
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Error("snapshot aliases the bytes it was decoded from")
 	}
 }
 
-// TestCodecAutoDetect renames each codec's file to a meaningless
-// extension and checks LoadSnapshot still decodes it via magic bytes
-// and content sniffing.
+// TestCodecAutoDetect pins what makes a file a snapshot: the binary
+// magic and nothing else. A snapshot under a meaningless name loads; a
+// file of a removed codec, whatever it is called, is refused with a
+// message that says what happened to its codec.
 func TestCodecAutoDetect(t *testing.T) {
 	s := sampleSnapshot()
 	dir := t.TempDir()
-	for _, codec := range Codecs() {
-		t.Run(codec.String(), func(t *testing.T) {
-			path, err := SaveSnapshot(dir, s, codec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			disguised := filepath.Join(dir, "disguised-"+codec.String()+".dat")
-			if err := os.Rename(path, disguised); err != nil {
-				t.Fatal(err)
-			}
-			got, err := LoadSnapshot(disguised)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := func() (*Snapshot, error) {
-				var buf bytes.Buffer
-				if err := WriteSnapshot(&buf, s, codec); err != nil {
-					return nil, err
-				}
-				return ReadSnapshot(&buf, codec)
-			}()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(want, got) {
-				t.Errorf("sniffed decode mismatch")
-			}
-		})
-	}
+	t.Run("binary", func(t *testing.T) {
+		path, err := SaveSnapshot(dir, s, CodecBinary)
+		if err != nil {
+			t.Fatal(err)
+		}
+		disguised := filepath.Join(dir, "disguised.json")
+		if err := os.Rename(path, disguised); err != nil {
+			t.Fatal(err)
+		}
+		got, err := LoadSnapshot(disguised)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(s, got) {
+			t.Errorf("decode by magic mismatch")
+		}
+	})
 
-	// The gob codec is gone. Its files are refused by name, whether
-	// the name or only the content gives them away: a stream that is
-	// neither binary nor JSON is not handed to some other decoder.
+	gz := func(b []byte) []byte {
+		var zipped bytes.Buffer
+		zw := gzip.NewWriter(&zipped)
+		zw.Write(b)
+		zw.Close()
+		return zipped.Bytes()
+	}
+	js, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
 	gobLike := []byte{0x3d, 0xff, 0x81, 0x03, 0x01, 0x01, 0x08, 'S', 'n', 'a', 'p', 's', 'h', 'o', 't'}
-	var zipped bytes.Buffer
-	zw := gzip.NewWriter(&zipped)
-	zw.Write(gobLike)
-	zw.Close()
-	for name, content := range map[string][]byte{"gob": gobLike, "gob+gzip": zipped.Bytes()} {
-		t.Run(name, func(t *testing.T) {
-			ext := map[string]string{"gob": ".gob", "gob+gzip": ".gob.gz"}[name]
-			for _, file := range []string{"old" + ext, "disguised-" + name + ".dat"} {
+	for _, c := range []struct {
+		name, ext string
+		content   []byte
+	}{
+		{"json", ".json", js},
+		{"json+gzip", ".json.gz", gz(js)},
+		{"gob", ".gob", gobLike},
+		{"gob+gzip", ".gob.gz", gz(gobLike)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for _, file := range []string{"old" + c.ext, "renamed-" + c.name + ".bin"} {
 				path := filepath.Join(dir, file)
-				if err := os.WriteFile(path, content, 0o644); err != nil {
+				if err := os.WriteFile(path, c.content, 0o644); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := LoadSnapshot(path); err == nil || !strings.Contains(err.Error(), "gob snapshot codec was removed") {
-					t.Errorf("%s: err = %v, want the removed gob codec named", file, err)
+				_, err := LoadSnapshot(path)
+				if err == nil || !strings.Contains(err.Error(), "json, json.gz and gob snapshot codecs were removed") ||
+					!strings.Contains(err.Error(), "regenerate") || !strings.Contains(err.Error(), "re-collect") {
+					t.Errorf("%s: err = %v, want the removed codecs named and the way out", file, err)
 				}
 			}
 		})
@@ -385,7 +387,7 @@ func TestCodecTelemetry(t *testing.T) {
 	if err := WriteSnapshot(&buf, s, CodecBinary); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadSnapshot(bytes.NewReader(buf.Bytes()), CodecBinary); err != nil {
+	if _, err := decodeBinarySnapshot(buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	var dump bytes.Buffer
@@ -408,8 +410,9 @@ func TestCodecTelemetry(t *testing.T) {
 
 // FuzzSnapshotCodecBinary is the round-trip fuzzer: any input that
 // decodes must re-encode deterministically to a form that decodes to
-// the same snapshot, and structured inputs derived from the fuzz data
-// must survive encode→decode exactly.
+// the same snapshot, rows rebuilt from the column walk by the test's
+// own resolver must equal the materialised routes, and structured
+// inputs derived from the fuzz data must survive encode→decode exactly.
 func FuzzSnapshotCodecBinary(f *testing.F) {
 	f.Add(appendBinarySnapshot(nil, goldenSnapshot()))
 	f.Add(appendBinarySnapshot(nil, sampleSnapshot()))
@@ -418,6 +421,17 @@ func FuzzSnapshotCodecBinary(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Direction 1: arbitrary bytes → decode → canonical re-encode.
 		if s, err := decodeBinarySnapshot(data); err == nil {
+			sr, err := NewSnapshotReaderBytes(data)
+			if err != nil {
+				t.Fatalf("reader refused an input that decodes: %v", err)
+			}
+			rb, err := sr.RouteBlock()
+			if err != nil {
+				t.Fatalf("RouteBlock refused an input that decodes: %v", err)
+			}
+			if rows := blockRoutes(t, rb); len(rows) != len(s.Routes) || len(rows) > 0 && !reflect.DeepEqual(rows, s.Routes) {
+				t.Fatalf("rows rebuilt from Scan differ from Snapshot().Routes:\n scan     %+v\n snapshot %+v", rows, s.Routes)
+			}
 			enc := appendBinarySnapshot(nil, s)
 			s2, err := decodeBinarySnapshot(enc)
 			if err != nil {

@@ -8,8 +8,8 @@ import (
 )
 
 // codecMetrics instruments the snapshot codecs. Reading snapshots
-// happens through package-level functions (ReadSnapshot, LoadSnapshot,
-// OpenSnapshot), so like analysis.SetTelemetry the instrument set
+// happens through package-level functions (LoadSnapshot,
+// OpenSnapshotAt), so like analysis.SetTelemetry the instrument set
 // lives in a package-level atomic instead of threading through every
 // call site. A disabled state costs one atomic load per decode.
 type codecMetrics struct {
@@ -74,13 +74,13 @@ func (t *codecMetrics) now() time.Time {
 	return time.Now()
 }
 
-// decoded records one finished snapshot decode: its codec, wall time,
-// encoded size and route count.
-func (t *codecMetrics) decoded(codec Codec, t0 time.Time, bytes int64, routes int) {
+// decoded records one finished snapshot decode: wall time, encoded
+// size and route count, under the one codec's label.
+func (t *codecMetrics) decoded(t0 time.Time, bytes int64, routes int) {
 	if t == nil {
 		return
 	}
-	name := codec.String()
+	name := CodecBinary.String()
 	t.decodeSeconds.With(name).ObserveSince(t0)
 	t.decodeBytes.With(name).Add(bytes)
 	t.decodeRoutes.With(name).Add(int64(routes))

@@ -86,68 +86,41 @@ func TestSnapshotAccessors(t *testing.T) {
 
 func TestAllCodecsRoundTrip(t *testing.T) {
 	s := sampleSnapshot()
-	for _, codec := range Codecs() {
-		t.Run(codec.String(), func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := WriteSnapshot(&buf, s, codec); err != nil {
-				t.Fatal(err)
-			}
-			got, err := ReadSnapshot(&buf, codec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(s, got) {
-				t.Errorf("round trip mismatch:\n in  %+v\n out %+v", s, got)
-			}
-		})
-	}
-}
-
-func TestGzipSmallerThanPlain(t *testing.T) {
-	s := sampleSnapshot()
-	// Pad with repetitive routes so compression has something to bite.
-	for i := 0; i < 500; i++ {
-		s.Routes = append(s.Routes, bgp.Route{
-			Prefix:      netutil.SyntheticV4Prefix(i + 10),
-			NextHop:     netutil.PeerAddrV4(1),
-			ASPath:      bgp.ASPath{100},
-			Communities: []bgp.Community{bgp.MustParseCommunity("0:15169")},
-		})
-	}
-	var plain, zipped bytes.Buffer
-	if err := WriteSnapshot(&plain, s, CodecJSON); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteSnapshot(&zipped, s, CodecJSONGzip); err != nil {
-		t.Fatal(err)
-	}
-	if zipped.Len() >= plain.Len() {
-		t.Errorf("gzip (%d) not smaller than plain (%d)", zipped.Len(), plain.Len())
-	}
+	t.Run(CodecBinary.String(), func(t *testing.T) {
+		var buf bytes.Buffer
+		if err := WriteSnapshot(&buf, s, CodecBinary); err != nil {
+			t.Fatal(err)
+		}
+		got, err := decodeBinarySnapshot(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(s, got) {
+			t.Errorf("round trip mismatch:\n in  %+v\n out %+v", s, got)
+		}
+	})
 }
 
 func TestSaveLoadSnapshotFiles(t *testing.T) {
 	s := sampleSnapshot()
 	dir := t.TempDir()
-	for _, codec := range Codecs() {
-		path, err := SaveSnapshot(dir, s, codec)
-		if err != nil {
-			t.Fatalf("%v: %v", codec, err)
-		}
-		if filepath.Ext(path) == "" {
-			t.Errorf("%v: path %q has no extension", codec, path)
-		}
-		got, err := LoadSnapshot(path)
-		if err != nil {
-			t.Fatalf("%v: %v", codec, err)
-		}
-		if !reflect.DeepEqual(s, got) {
-			t.Errorf("%v: file round trip mismatch", codec)
-		}
+	path, err := SaveSnapshot(dir, s, CodecBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if filepath.Ext(path) != ".bin" {
+		t.Errorf("path %q does not end in .bin", path)
+	}
+	got, err := LoadSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(s, got) {
+		t.Error("file round trip mismatch")
 	}
 	entries, err := os.ReadDir(dir)
-	if err != nil || len(entries) != len(Codecs()) {
-		t.Errorf("dir entries = %d (%v)", len(entries), err)
+	if err != nil || len(entries) != 1 {
+		t.Errorf("dir entries = %d (%v): a save must leave nothing but the snapshot", len(entries), err)
 	}
 }
 
@@ -160,13 +133,38 @@ func TestSanitizeName(t *testing.T) {
 	}
 }
 
+// TestDatasetPath: an IXP name is outside input (a looking glass's
+// status answer, a custom profile). Whatever it holds, the file of
+// every kind lands directly in dir, and all kinds spell the name alike.
+func TestDatasetPath(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "out")
+	for ixp, stem := range map[string]string{
+		"DE-CIX":     "DE-CIX",
+		"IX.br-SP":   "IX.br-SP",
+		"A B":        "A_B",
+		"../../x":    "_._.._x",
+		".hidden":    "_hidden",
+		"a/b\\c":     "a_b_c",
+		"/etc/x":     "_etc_x",
+		"x\x00y\nz":  "x_y_z",
+		"DE-CIX Mad": "DE-CIX_Mad",
+	} {
+		for _, ext := range []string{CodecBinary.Ext(), DeltaExt, MRTExt} {
+			got := DatasetPath(dir, &Snapshot{IXP: ixp, Date: "2021-10-04"}, ext)
+			if want := filepath.Join(dir, stem+"-2021-10-04"+ext); got != want || filepath.Dir(got) != dir {
+				t.Errorf("DatasetPath(%q, %s) = %q, want %q", ixp, ext, got, want)
+			}
+		}
+	}
+}
+
 func TestUnknownCodecErrors(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteSnapshot(&buf, sampleSnapshot(), Codec(99)); err == nil {
 		t.Error("unknown codec write accepted")
 	}
-	if _, err := ReadSnapshot(&buf, Codec(99)); err == nil {
-		t.Error("unknown codec read accepted")
+	if _, err := SaveSnapshot(t.TempDir(), sampleSnapshot(), Codec(99)); err == nil {
+		t.Error("unknown codec save accepted")
 	}
 }
 

@@ -64,16 +64,6 @@ func SnapshotDigest(s *Snapshot) [sha256.Size]byte {
 	return sha256.Sum256(appendBinarySnapshot(nil, s))
 }
 
-// Digest returns the sha256 of the reader's CodecBinary encoding.
-// Available only for binary snapshots opened in random-access mode
-// (OpenSnapshotAt, NewSnapshotReaderBytes); otherwise ok is false.
-func (sr *SnapshotReader) Digest() (sum [sha256.Size]byte, ok bool) {
-	if sr.codec != CodecBinary || sr.buf == nil {
-		return sum, false
-	}
-	return sha256.Sum256(sr.buf), true
-}
-
 // --- chain intern tables --------------------------------------------------
 
 // Table indices for the five interned attribute tables, in wire order.
@@ -313,6 +303,8 @@ func (op *DeltaOp) Prefix() (netip.Prefix, error) {
 	return decodePrefixBytes(op.PrefixBytes)
 }
 
+// decodePrefixBytes reverses appendPrefix; the bytes must be consumed
+// exactly.
 func decodePrefixBytes(b []byte) (netip.Prefix, error) {
 	r := &breader{b: b}
 	a, err := r.addr()
@@ -322,6 +314,9 @@ func decodePrefixBytes(b []byte) (netip.Prefix, error) {
 	bits, err := r.byte()
 	if err != nil {
 		return netip.Prefix{}, err
+	}
+	if r.remaining() != 0 {
+		return netip.Prefix{}, errBinaryTruncated
 	}
 	if bits == 0xFF {
 		return netip.PrefixFrom(a, -1), nil

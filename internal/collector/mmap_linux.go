@@ -41,8 +41,8 @@ func mmapFile(path string) ([]byte, io.Closer, error) {
 }
 
 // munmapCloser unmaps its mapping on Close. Any slice still aliasing
-// the mapping (route block bytes, arena-free decode results) faults
-// on use after Close — the OpenSnapshotAt lifetime contract.
+// the mapping (a RouteBlock's columns) faults on use after Close — the
+// OpenSnapshotAt lifetime contract.
 type munmapCloser []byte
 
 func (m munmapCloser) Close() error { return syscall.Munmap(m) }

@@ -22,7 +22,7 @@ import (
 func snapshotBytes(t *testing.T, s *Snapshot) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, s, CodecJSON); err != nil {
+	if err := WriteSnapshot(&buf, s, CodecBinary); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -12,36 +12,47 @@ import (
 )
 
 // RouteBlock is a decoded route block: the intern tables plus the raw
-// column bytes. Obtain one from SnapshotReader.RouteBlock. Scan may
-// be called any number of times (each call copies the column
-// cursors); the table accessors return the decoder's own slices —
-// callers must treat them as immutable, and when the block was
-// decoded into an Arena they are valid only until that arena's next
-// decode.
+// column bytes. Obtain one from SnapshotReader.RouteBlock. Scan, the
+// only column walk, may be called any number of times. The table
+// accessors return the decoder's own slices, which callers must treat
+// as immutable; they are heap storage and outlive the reader. The
+// columns alias the reader's bytes — for a reader from OpenSnapshotAt
+// the mmap'd file — so Scan must not run after the reader is closed.
 type RouteBlock struct {
-	rb     *binaryRoutes
+	n     int
+	isNil bool // the snapshot's Routes was nil, not empty
+
+	nexthops []netip.Addr
+	paths    []bgp.ASPath
+	comms    [][]bgp.Community
+	exts     [][]bgp.ExtendedCommunity
+	larges   [][]bgp.LargeCommunity
+
+	prefixCol, nhCol, pathCol []byte
+	originCol, medCol, lpCol  []byte
+	commCol, extCol, largeCol []byte
+
 	prefix []byte // front-coding scratch, reused across Scans
-	arena  *Arena // non-nil when the block decodes into an arena
 }
 
 // NumRoutes returns the row count.
-func (b *RouteBlock) NumRoutes() int { return b.rb.n }
+func (b *RouteBlock) NumRoutes() int { return b.n }
 
 // NextHops returns the interned next-hop table.
-func (b *RouteBlock) NextHops() []netip.Addr { return b.rb.nexthops }
+func (b *RouteBlock) NextHops() []netip.Addr { return b.nexthops }
 
 // ASPaths returns the interned AS-path table.
-func (b *RouteBlock) ASPaths() []bgp.ASPath { return b.rb.paths }
+func (b *RouteBlock) ASPaths() []bgp.ASPath { return b.paths }
 
 // CommunitySets returns the interned standard-community set table.
 // A nil entry is a route encoded with a nil (not empty) slice.
-func (b *RouteBlock) CommunitySets() [][]bgp.Community { return b.rb.comms }
+func (b *RouteBlock) CommunitySets() [][]bgp.Community { return b.comms }
 
 // ExtCommunitySets returns the interned extended-community set table.
-func (b *RouteBlock) ExtCommunitySets() [][]bgp.ExtendedCommunity { return b.rb.exts }
+func (b *RouteBlock) ExtCommunitySets() [][]bgp.ExtendedCommunity { return b.exts }
 
 // LargeCommunitySets returns the interned large-community set table.
-func (b *RouteBlock) LargeCommunitySets() [][]bgp.LargeCommunity { return b.rb.larges }
+func (b *RouteBlock) LargeCommunitySets() [][]bgp.LargeCommunity { return b.larges }
 
 // RouteRef is one row of the column walk: intern-table indices plus
 // the scalar attributes, no materialized route. PrefixBytes is the
@@ -82,28 +93,22 @@ func colIndex(col *breader, n int) (int, error) {
 // RouteRef; a non-nil error from fn stops the walk and is returned.
 // The ref and its PrefixBytes are valid only during the callback.
 func (b *RouteBlock) Scan(fn func(*RouteRef) error) error {
-	rb := b.rb
-	if rb.isNil || rb.n == 0 {
-		return nil
-	}
-	// Local cursor copies make the walk re-runnable: the decoded
-	// breaders carry the column bytes with offset zero and are never
-	// advanced through the block itself.
-	prefixCol := breader{b: rb.prefixCol.b}
-	nhCol := breader{b: rb.nhCol.b}
-	pathCol := breader{b: rb.pathCol.b}
-	originCol := breader{b: rb.originCol.b}
-	medCol := breader{b: rb.medCol.b}
-	lpCol := breader{b: rb.lpCol.b}
-	commCol := breader{b: rb.commCol.b}
-	extCol := breader{b: rb.extCol.b}
-	largeCol := breader{b: rb.largeCol.b}
+	// The cursors are local, so the walk is re-runnable.
+	prefixCol := breader{b: b.prefixCol}
+	nhCol := breader{b: b.nhCol}
+	pathCol := breader{b: b.pathCol}
+	originCol := breader{b: b.originCol}
+	medCol := breader{b: b.medCol}
+	lpCol := breader{b: b.lpCol}
+	commCol := breader{b: b.commCol}
+	extCol := breader{b: b.extCol}
+	largeCol := breader{b: b.largeCol}
 	var originRun, medRun, lpRun uint64
 	var originVal, medVal, lpVal uint64
 
 	prev := b.prefix[:0]
 	var ref RouteRef
-	for i := 0; i < rb.n; i++ {
+	for i := 0; i < b.n; i++ {
 		ref.Row = i
 
 		// Prefix: undo the front coding into the scratch buffer.
@@ -135,10 +140,10 @@ func (b *RouteBlock) Scan(fn func(*RouteRef) error) error {
 		}
 		ref.V6 = addrLen >= 16
 
-		if ref.NextHop, err = colIndex(&nhCol, len(rb.nexthops)); err != nil {
+		if ref.NextHop, err = colIndex(&nhCol, len(b.nexthops)); err != nil {
 			return err
 		}
-		if ref.Path, err = colIndex(&pathCol, len(rb.paths)); err != nil {
+		if ref.Path, err = colIndex(&pathCol, len(b.paths)); err != nil {
 			return err
 		}
 
@@ -158,13 +163,13 @@ func (b *RouteBlock) Scan(fn func(*RouteRef) error) error {
 		}
 		ref.LocalPref = uint32(lp)
 
-		if ref.Communities, err = colIndex(&commCol, len(rb.comms)); err != nil {
+		if ref.Communities, err = colIndex(&commCol, len(b.comms)); err != nil {
 			return err
 		}
-		if ref.ExtCommunities, err = colIndex(&extCol, len(rb.exts)); err != nil {
+		if ref.ExtCommunities, err = colIndex(&extCol, len(b.exts)); err != nil {
 			return err
 		}
-		if ref.LargeCommunities, err = colIndex(&largeCol, len(rb.larges)); err != nil {
+		if ref.LargeCommunities, err = colIndex(&largeCol, len(b.larges)); err != nil {
 			return err
 		}
 
@@ -173,8 +178,33 @@ func (b *RouteBlock) Scan(fn func(*RouteRef) error) error {
 		}
 	}
 	b.prefix = prev[:0]
-	if b.arena != nil {
-		b.arena.prefix = b.prefix
-	}
 	return nil
+}
+
+// routes materialises the block: every RouteRef resolved against the
+// tables, so routes carrying the same interned value share its slice
+// (the aliasing contract in binary.go) and nothing aliases the columns.
+func (b *RouteBlock) routes() ([]bgp.Route, error) {
+	if b.isNil {
+		return nil, nil
+	}
+	routes := make([]bgp.Route, b.n)
+	err := b.Scan(func(ref *RouteRef) error {
+		r := &routes[ref.Row]
+		var err error
+		if r.Prefix, err = decodePrefixBytes(ref.PrefixBytes); err != nil {
+			return err
+		}
+		r.NextHop = b.nexthops[ref.NextHop]
+		r.ASPath = b.paths[ref.Path]
+		r.Origin, r.MED, r.LocalPref = ref.Origin, ref.MED, ref.LocalPref
+		r.Communities = b.comms[ref.Communities]
+		r.ExtCommunities = b.exts[ref.ExtCommunities]
+		r.LargeCommunities = b.larges[ref.LargeCommunities]
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return routes, nil
 }

@@ -68,120 +68,64 @@ func blockRoutes(t *testing.T, b *RouteBlock) []bgp.Route {
 	return out
 }
 
-// TestErrConsumedSentinel pins the exported sentinel on both
-// single-shot paths, via errors.Is.
-func TestErrConsumedSentinel(t *testing.T) {
-	data := encodeBinary(t, sampleSnapshot())
-	sr, err := NewSnapshotReader(bytes.NewReader(data), "x.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sr.ForEachRoute(func(bgp.Route) error { return nil }); err != nil {
-		t.Fatalf("first walk: %v", err)
-	}
-	if err := sr.ForEachRoute(func(bgp.Route) error { return nil }); !errors.Is(err, ErrConsumed) {
-		t.Errorf("second ForEachRoute: got %v, want ErrConsumed", err)
-	}
-	if _, err := sr.Snapshot(); !errors.Is(err, ErrConsumed) {
-		t.Errorf("Snapshot after ForEachRoute: got %v, want ErrConsumed", err)
-	}
-}
-
-// TestRouteBlockMatchesRows pins the RouteBlock contract: rows
-// re-assembled from the columns equal the materialized decode, Scan
-// is re-runnable, and taking a RouteBlock does not consume the
-// reader.
+// TestRouteBlockMatchesRows pins what the one reader promises: it
+// serves RouteBlock(), Snapshot() and Scan any number of times and in
+// any order, rows re-assembled from the columns equal the materialized
+// decode, and every pass gives the same result.
 func TestRouteBlockMatchesRows(t *testing.T) {
 	for _, s := range []*Snapshot{sampleSnapshot(), goldenSnapshot(), {IXP: "X", Date: "2021-10-04"}} {
-		data := encodeBinary(t, s)
-		want, err := decodeBinarySnapshot(data)
+		sr, err := NewSnapshotReaderBytes(encodeBinary(t, s))
 		if err != nil {
 			t.Fatal(err)
 		}
-		sr, err := NewSnapshotReader(bytes.NewReader(data), "x.bin")
+		before, err := sr.Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, err := sr.RouteBlock(nil)
+		if !reflect.DeepEqual(before, s) {
+			t.Fatalf("Snapshot() = %+v, want %+v", before, s)
+		}
+		rb, err := sr.RouteBlock()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rb.NumRoutes() != len(want.Routes) {
-			t.Fatalf("NumRoutes=%d, want %d", rb.NumRoutes(), len(want.Routes))
+		if rb.NumRoutes() != len(s.Routes) {
+			t.Fatalf("NumRoutes=%d, want %d", rb.NumRoutes(), len(s.Routes))
 		}
 		first := blockRoutes(t, rb)
 		again := blockRoutes(t, rb)
 		if !reflect.DeepEqual(first, again) {
 			t.Error("second Scan diverged from the first")
 		}
-		for i := range want.Routes {
-			if !reflect.DeepEqual(first[i], want.Routes[i]) {
-				t.Errorf("row %d: column %+v != materialized %+v", i, first[i], want.Routes[i])
+		for i := range s.Routes {
+			if !reflect.DeepEqual(first[i], s.Routes[i]) {
+				t.Errorf("row %d: column %+v != materialized %+v", i, first[i], s.Routes[i])
 			}
 		}
-		// The reader is not consumed: a full materialization still works.
-		got, err := sr.Snapshot()
+		// A callback error stops the walk there and comes back as is.
+		stop, visited := errors.New("stop"), 0
+		err = rb.Scan(func(*RouteRef) error {
+			if visited++; visited == 2 {
+				return stop
+			}
+			return nil
+		})
+		if want := min(2, len(s.Routes)); visited != want || (err != stop) != (want < 2) {
+			t.Errorf("early stop: visited %d rows, err %v; want %d rows", visited, err, want)
+		}
+		after, err := sr.Snapshot()
 		if err != nil {
-			t.Fatalf("Snapshot after RouteBlock: %v", err)
+			t.Fatalf("second Snapshot, after RouteBlock and the Scans: %v", err)
 		}
-		if !reflect.DeepEqual(got.Routes, want.Routes) {
-			t.Error("Snapshot after RouteBlock diverged")
-		}
-	}
-}
-
-// TestRouteBlockNonColumnar pins the ErrNotColumnar fallback signal.
-func TestRouteBlockNonColumnar(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, sampleSnapshot(), CodecJSON); err != nil {
-		t.Fatal(err)
-	}
-	sr, err := NewSnapshotReader(bytes.NewReader(buf.Bytes()), "x.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sr.RouteBlock(nil); !errors.Is(err, ErrNotColumnar) {
-		t.Errorf("got %v, want ErrNotColumnar", err)
-	}
-}
-
-// TestRouteBlockArenaReuse decodes alternating snapshots into one
-// arena: every decode must be exact even though it overwrites the
-// previous decode's storage, including across size changes.
-func TestRouteBlockArenaReuse(t *testing.T) {
-	snaps := []*Snapshot{goldenSnapshot(), sampleSnapshot(), {IXP: "E", Date: "2021-10-04"}, goldenSnapshot()}
-	var a Arena
-	for round := 0; round < 2; round++ {
-		for i, s := range snaps {
-			data := encodeBinary(t, s)
-			want, err := decodeBinarySnapshot(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sr, err := NewSnapshotReaderBytes(data, "x.bin")
-			if err != nil {
-				t.Fatal(err)
-			}
-			rb, err := sr.RouteBlock(&a)
-			if err != nil {
-				t.Fatalf("round %d snap %d: %v", round, i, err)
-			}
-			got := blockRoutes(t, rb)
-			for j := range want.Routes {
-				if !reflect.DeepEqual(got[j], want.Routes[j]) {
-					t.Fatalf("round %d snap %d row %d: %+v != %+v", round, i, j, got[j], want.Routes[j])
-				}
-			}
-			if len(got) != len(want.Routes) {
-				t.Fatalf("round %d snap %d: %d rows, want %d", round, i, len(got), len(want.Routes))
-			}
+		if !reflect.DeepEqual(after, before) {
+			t.Error("second Snapshot diverged from the first")
 		}
 	}
 }
 
 // TestOpenSnapshotAt exercises the mmap/read open path: header
-// without route decode, column access, full materialization equal to
-// the streaming loader, and the non-columnar fallback.
+// without route decode, column access, and full materialization equal
+// to LoadSnapshot.
 func TestOpenSnapshotAt(t *testing.T) {
 	dir := t.TempDir()
 	s := goldenSnapshot()
@@ -195,14 +139,11 @@ func TestOpenSnapshotAt(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sr.Close()
-	if sr.Codec() != CodecBinary {
-		t.Fatalf("codec=%v, want CodecBinary", sr.Codec())
-	}
 	h := sr.Header()
 	if h.IXP != s.IXP || h.Date != s.Date || len(h.Members) != len(s.Members) || h.Routes != nil {
 		t.Fatalf("header mismatch: %+v", h)
 	}
-	rb, err := sr.RouteBlock(nil)
+	rb, err := sr.RouteBlock()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,26 +162,8 @@ func TestOpenSnapshotAt(t *testing.T) {
 	if !reflect.DeepEqual(full, want) {
 		t.Error("OpenSnapshotAt snapshot diverged from LoadSnapshot")
 	}
-
-	// Non-binary file: same interface over the eager decode.
-	jpath, err := SaveSnapshot(dir, s, CodecJSONGzip)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jr, err := OpenSnapshotAt(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jr.Close()
-	if _, err := jr.RouteBlock(nil); !errors.Is(err, ErrNotColumnar) {
-		t.Errorf("json RouteBlock: got %v, want ErrNotColumnar", err)
-	}
-	jfull, err := jr.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(jfull.Routes, want.Routes) {
-		t.Error("OpenSnapshotAt(json) routes diverged")
+	if sr.Digest() != SnapshotDigest(s) {
+		t.Error("reader digest is not the snapshot's digest")
 	}
 }
 

@@ -6,14 +6,11 @@ package collector
 
 import (
 	"cmp"
-	"compress/gzip"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"slices"
-	"sync"
 	"time"
 
 	"ixplight/internal/bgp"
@@ -173,194 +170,44 @@ type Dataset struct {
 	Snapshots []Snapshot `json:"snapshots"`
 }
 
-// Codec selects a snapshot serialisation (the snapshot-codec ablation).
+// Codec selects a snapshot serialisation. One is left: the JSON, gzipped
+// JSON and gob codecs were removed, and MRT (an interchange export) and
+// delta files (not self-contained) were never codecs.
 type Codec int
 
-// Available codecs.
-const (
-	CodecJSON Codec = iota
-	CodecJSONGzip
-	// CodecBinary is the hand-rolled columnar format (binary.go):
-	// varint-encoded columns with deduplicated intern tables for AS
-	// paths, next hops and community sets, decoded from a single
-	// per-snapshot arena. The fastest decode path and the format
-	// cmd/analyze-scale re-reads should use.
-	CodecBinary
-)
-
-// Codecs lists every available codec in declaration order — the
-// snapshot-codec ablation iterates it.
-func Codecs() []Codec {
-	return []Codec{CodecJSON, CodecJSONGzip, CodecBinary}
-}
+// CodecBinary is the hand-rolled columnar format (binary.go):
+// varint-encoded columns with deduplicated intern tables for AS paths,
+// next hops and community sets.
+const CodecBinary Codec = 0
 
 // String implements fmt.Stringer.
 func (c Codec) String() string {
-	switch c {
-	case CodecJSON:
-		return "json"
-	case CodecJSONGzip:
-		return "json+gzip"
-	case CodecBinary:
+	if c == CodecBinary {
 		return "binary"
-	default:
-		return fmt.Sprintf("Codec(%d)", int(c))
 	}
+	return fmt.Sprintf("Codec(%d)", int(c))
 }
 
 // Ext returns the conventional file extension for the codec.
 func (c Codec) Ext() string {
-	switch c {
-	case CodecJSON:
-		return ".json"
-	case CodecJSONGzip:
-		return ".json.gz"
-	case CodecBinary:
+	if c == CodecBinary {
 		return ".bin"
-	default:
-		return fmt.Sprintf(".codec%d", int(c))
 	}
+	return fmt.Sprintf(".codec%d", int(c))
 }
 
-// gzipWriters pools gzip writers across snapshot writes: a gzip
-// writer carries ~800kB of deflate state, and the daily-snapshot
-// write path would otherwise reallocate it once per snapshot.
-var gzipWriters = sync.Pool{
-	New: func() any { return gzip.NewWriter(io.Discard) },
-}
-
-// withPooledGzip runs encode against a pooled gzip writer targeting w,
-// closing (flushing) it afterwards. The writer is detached from w
-// before being pooled so the pool never pins caller buffers.
-func withPooledGzip(w io.Writer, encode func(io.Writer) error) error {
-	zw := gzipWriters.Get().(*gzip.Writer)
-	zw.Reset(w)
-	err := encode(zw)
-	cerr := zw.Close()
-	zw.Reset(io.Discard)
-	gzipWriters.Put(zw)
-	if err != nil {
-		return err
-	}
-	return cerr
-}
+// MRTExt is the file extension of a day exported as an MRT
+// TABLE_DUMP_V2 archive (internal/mrt), the third kind of dataset file
+// next to Codec.Ext() and DeltaExt.
+const MRTExt = ".mrt"
 
 // WriteSnapshot serialises s to w using the codec.
 func WriteSnapshot(w io.Writer, s *Snapshot, codec Codec) error {
-	switch codec {
-	case CodecJSON:
-		return json.NewEncoder(w).Encode(s)
-	case CodecJSONGzip:
-		return withPooledGzip(w, func(zw io.Writer) error {
-			return json.NewEncoder(zw).Encode(s)
-		})
-	case CodecBinary:
-		_, err := w.Write(appendBinarySnapshot(nil, s))
-		return err
-	default:
+	if codec != CodecBinary {
 		return fmt.Errorf("collector: unknown codec %v", codec)
 	}
-}
-
-// countingReader tracks encoded bytes consumed, for the codec
-// telemetry.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// Len lets size hints pass through the counter (bytes.Reader,
-// bytes.Buffer and strings.Reader all report remaining length).
-func (c *countingReader) Len() int {
-	if lr, ok := c.r.(interface{ Len() int }); ok {
-		return lr.Len()
-	}
-	return -1
-}
-
-// readAllHint is io.ReadAll with an exact-size first allocation when
-// the remaining length is known — from the hint, or from the reader's
-// own Len(). io.ReadAll's doubling growth re-clears and re-copies the
-// buffer ~log2(size) times, which is a third of the binary codec's
-// decode cost on a megabyte snapshot; a sized allocation reads the
-// bytes exactly once.
-func readAllHint(r io.Reader, hint int) ([]byte, error) {
-	if hint < 0 {
-		if lr, ok := r.(interface{ Len() int }); ok {
-			hint = lr.Len()
-		}
-	}
-	if hint < 0 {
-		return io.ReadAll(r)
-	}
-	buf := make([]byte, 0, hint+1) // +1 so EOF surfaces without a growth step
-	for {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
-		}
-		n, err := r.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-}
-
-// ReadSnapshot deserialises one snapshot from r.
-func ReadSnapshot(r io.Reader, codec Codec) (*Snapshot, error) {
-	tel := codecTel()
-	t0 := tel.now()
-	cr := r
-	var counter *countingReader
-	if tel != nil {
-		counter = &countingReader{r: r}
-		cr = counter
-	}
-	s, err := readSnapshot(cr, codec)
-	if err != nil {
-		return nil, err
-	}
-	if tel != nil {
-		tel.decoded(codec, t0, counter.n, len(s.Routes))
-	}
-	return s, nil
-}
-
-func readSnapshot(r io.Reader, codec Codec) (*Snapshot, error) {
-	var s Snapshot
-	switch codec {
-	case CodecJSON:
-		if err := json.NewDecoder(r).Decode(&s); err != nil {
-			return nil, err
-		}
-	case CodecJSONGzip:
-		zr, err := gzip.NewReader(r)
-		if err != nil {
-			return nil, err
-		}
-		defer zr.Close()
-		if err := json.NewDecoder(zr).Decode(&s); err != nil {
-			return nil, err
-		}
-	case CodecBinary:
-		data, err := readAllHint(r, -1)
-		if err != nil {
-			return nil, err
-		}
-		return decodeBinarySnapshot(data)
-	default:
-		return nil, fmt.Errorf("collector: unknown codec %v", codec)
-	}
-	return &s, nil
+	_, err := w.Write(appendBinarySnapshot(nil, s))
+	return err
 }
 
 // AtomicWrite writes a file through write via a temp file in the same
@@ -392,12 +239,24 @@ func AtomicWrite(path string, write func(io.Writer) error) error {
 	return nil
 }
 
-// SaveSnapshot writes s into dir as <ixp>-<date><ext>, creating the
+// DatasetPath is where the dataset file of kind ext (Codec.Ext(),
+// DeltaExt or MRTExt) for s's IXP and day lives in dir:
+// <ixp>-<date><ext>. The IXP name is whatever a looking glass answered,
+// so every character outside [A-Za-z0-9.-], and a leading dot, becomes
+// '_': the file stays inside dir whatever the name, is not mistaken for
+// one of AtomicWrite's dot-prefixed temp files (which loaders skip), and
+// a chain's base and its deltas agree on the spelling. Every writer of
+// dataset files names them here.
+func DatasetPath(dir string, s *Snapshot, ext string) string {
+	return filepath.Join(dir, sanitizeName(s.IXP)+"-"+s.Date+ext)
+}
+
+// SaveSnapshot writes s into dir as DatasetPath names it, creating the
 // directory if needed, and returns the file path. The write is atomic
 // (temp file + rename): an interrupted save never leaves a truncated
 // snapshot where the next collection run would trust it.
 func SaveSnapshot(dir string, s *Snapshot, codec Codec) (string, error) {
-	path := filepath.Join(dir, fmt.Sprintf("%s-%s%s", sanitizeName(s.IXP), s.Date, codec.Ext()))
+	path := DatasetPath(dir, s, codec.Ext())
 	if err := AtomicWrite(path, func(w io.Writer) error {
 		return WriteSnapshot(w, s, codec)
 	}); err != nil {
@@ -406,12 +265,22 @@ func SaveSnapshot(dir string, s *Snapshot, codec Codec) (string, error) {
 	return path, nil
 }
 
-// LoadSnapshot reads a snapshot file written by SaveSnapshot. The
-// codec is auto-detected: a known extension wins, and files with an
-// unknown or missing extension are sniffed by magic bytes and content
-// (see detectCodec).
+// SaveDelta writes buf — DeltaEncoder.Encode's bytes for day s — into
+// dir as DatasetPath names it, atomically like SaveSnapshot.
+func SaveDelta(dir string, s *Snapshot, buf []byte) (string, error) {
+	path := DatasetPath(dir, s, DeltaExt)
+	if err := AtomicWrite(path, func(w io.Writer) error {
+		_, err := w.Write(buf)
+		return err
+	}); err != nil {
+		return "", err
+	}
+	return path, nil
+}
+
+// LoadSnapshot reads a snapshot file written by SaveSnapshot.
 func LoadSnapshot(path string) (*Snapshot, error) {
-	sr, err := OpenSnapshot(path)
+	sr, err := OpenSnapshotAt(path)
 	if err != nil {
 		return nil, err
 	}
@@ -419,15 +288,11 @@ func LoadSnapshot(path string) (*Snapshot, error) {
 	return sr.Snapshot()
 }
 
-func hasSuffix(s, suf string) bool {
-	return len(s) >= len(suf) && s[len(s)-len(suf):] == suf
-}
-
 func sanitizeName(s string) string {
 	b := []byte(s)
 	for i, c := range b {
 		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '-', c == '.':
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '-', c == '.' && i > 0:
 		default:
 			b[i] = '_'
 		}

@@ -74,7 +74,8 @@ type Config struct {
 	// 0 = GOMAXPROCS.
 	Parallel int
 	// Materialize is forwarded to the snapshot loader (see
-	// report.Lab).
+	// report.Lab): the reference configuration of the reload oracle,
+	// which no command sets.
 	Materialize bool
 	// MaxInFlight bounds concurrent response computations (experiment
 	// runs + marshals). 0 = 2×GOMAXPROCS. Cache hits and 304s are not

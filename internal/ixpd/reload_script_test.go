@@ -16,6 +16,7 @@ import (
 
 	"ixplight/internal/collector"
 	"ixplight/internal/ixpgen"
+	"ixplight/internal/mrt"
 	"ixplight/internal/report"
 )
 
@@ -33,7 +34,7 @@ const (
 
 // scriptPool is the material a script draws from, generated once per
 // process: per IXP the canonical chain (day 0 as .bin, later days as
-// .delta), every day as a standalone .bin and .json.gz, and an alien
+// .delta), every day as a standalone .bin and .mrt, and an alien
 // chain — same IXP and dates from another seed, so its files carry
 // plausible headers and the wrong digests.
 type scriptPool struct {
@@ -68,10 +69,15 @@ func getScriptPool(t testing.TB) *scriptPool {
 					func(day int, snap *collector.Snapshot) error {
 						if kind.sub == "canon" {
 							pool.dates[p.IXP] = append(pool.dates[p.IXP], snap.Date)
-							for _, codec := range []collector.Codec{collector.CodecBinary, collector.CodecJSONGzip} {
-								if _, err := collector.SaveSnapshot(filepath.Join(dir, "full"), snap, codec); err != nil {
-									return err
-								}
+							full := filepath.Join(dir, "full")
+							if _, err := collector.SaveSnapshot(full, snap, collector.CodecBinary); err != nil {
+								return err
+							}
+							err := collector.AtomicWrite(collector.DatasetPath(full, snap, collector.MRTExt), func(w io.Writer) error {
+								return mrt.WriteRIB(w, snap)
+							})
+							if err != nil {
+								return err
 							}
 						}
 						if day == 0 {
@@ -184,7 +190,7 @@ const (
 	opRewrite           // replace a chain day with the alien chain's (wrong digests)
 	opTouch             // move a file's mtime, bytes unchanged
 	opSwapBase          // replace the base .bin with the alien base, or put it back
-	opStandalone        // add (or remove) a standalone .bin / .json.gz day
+	opStandalone        // add (or remove) a standalone .bin / .mrt day
 	opTempFile          // drop a dot-prefixed temp file, as a collector mid-write does
 	opTruncate          // cut a chain day short
 	opCorrupt           // break a chain day's last op, header intact
@@ -264,7 +270,7 @@ func (w *scriptWorld) step(op, arg int) string {
 		d := 1 + arg%(scriptDays-1)
 		name := ixp + "-" + w.pool.dates[ixp][d] + ".bin"
 		if arg%2 == 1 {
-			name = ixp + "-" + w.pool.dates[ixp][d] + ".json.gz"
+			name = ixp + "-" + w.pool.dates[ixp][d] + collector.MRTExt
 		}
 		if w.has(name) {
 			w.remove(name)

@@ -315,6 +315,39 @@ func TestReloadWorkIsProportional(t *testing.T) {
 	}
 }
 
+// TestReloadIgnoresCollectorLeftovers: `collect` rewrites telemetry.json
+// and trace.jsonl in the directory it fills on every run. They are not
+// dataset files: they load as nothing, and rewriting one moves neither
+// the directory signature nor the serving generation.
+func TestReloadIgnoresCollectorLeftovers(t *testing.T) {
+	dir := t.TempDir()
+	p := ixpgen.BigFour()[0]
+	writeDeltaSeries(t, dir, p, 3, 3)
+	telPath := filepath.Join(dir, "telemetry.json")
+	landFile(t, telPath, []byte(`{"counters":{}}`))
+	landFile(t, filepath.Join(dir, "trace.jsonl"), []byte(`{"name":"collector.crawl"}`+"\n"))
+
+	s := New(Config{Profiles: []ixpgen.Profile{p}, SnapshotDir: dir, ReloadInterval: -1})
+	if err := s.Load(); err != nil {
+		t.Fatal(err)
+	}
+	if gen := s.gen.Load(); len(gen.lab.Series) != 1 || len(gen.lab.Series[p.IXP]) != 3 || len(gen.load.Skipped) != 0 {
+		t.Fatalf("loaded %d IXPs (%s: %d days), skipped %v; want the one 3-day chain and nothing skipped",
+			len(gen.lab.Series), p.IXP, len(gen.lab.Series[p.IXP]), gen.load.Skipped)
+	}
+	_, before, err := dirSignature(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	landFile(t, telPath, []byte(`{"counters":{"ixplight_lg_requests_total":25}}`))
+	if _, after, err := dirSignature(dir); err != nil || after != before {
+		t.Errorf("rewriting telemetry.json moved the directory signature (err %v)", err)
+	}
+	if swapped, err := s.Reload(); err != nil || swapped {
+		t.Errorf("rewriting telemetry.json: swapped=%v err=%v, want no new generation", swapped, err)
+	}
+}
+
 // TestReloadListingRace: the generation is built from the one listing
 // its signature was taken from. A day that lands after the listing but
 // before the load is not in that generation — whose digest therefore

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"ixplight/internal/collector"
 	"ixplight/internal/ixpgen"
 )
 
@@ -87,9 +86,9 @@ func checkExpAllGolden(t *testing.T, kind string, outs [][]byte) {
 // TestExpAllParallelMatchesSequential answers "does -exp all still
 // reproduce" in one place: the full battery, sequential (Parallel 1)
 // and fanned out, over the synthetic lab and over the same dataset
-// stored four ways — a delta chain advanced incrementally, the chain
+// loaded four ways — a delta chain advanced incrementally, the chain
 // materialized through the applier, full binary files indexed off their
-// columns, and json.gz files decoded into routes — must hit the golden
+// columns, and the same files decoded into routes — must hit the golden
 // digests experiment by experiment, so a bent experiment is named.
 // `make check` runs this under -race, which also exercises the index
 // cache and the pools concurrently.
@@ -115,15 +114,8 @@ func TestExpAllParallelMatchesSequential(t *testing.T) {
 		})
 	}
 
-	chainDir, binDir, jsonDir := t.TempDir(), t.TempDir(), t.TempDir()
-	o := ixpgen.TemporalOptions{Seed: seed, Scale: scale, Days: 10, ValleyDays: []int{4}}
-	for _, days := range writeDeltaChain(t, profiles, chainDir, binDir, o) {
-		for _, s := range days {
-			if _, err := collector.SaveSnapshot(jsonDir, s, collector.CodecJSONGzip); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	chainDir, binDir := t.TempDir(), t.TempDir()
+	writeDeltaChain(t, profiles, chainDir, binDir, ixpgen.TemporalOptions{Seed: seed, Scale: scale, Days: 10, ValleyDays: []int{4}})
 	for _, src := range []struct {
 		name, dir   string
 		materialize bool
@@ -131,7 +123,7 @@ func TestExpAllParallelMatchesSequential(t *testing.T) {
 		{"delta", chainDir, false},
 		{"delta-materialize", chainDir, true},
 		{"binary", binDir, false},
-		{"json.gz", jsonDir, false},
+		{"binary-materialize", binDir, true},
 	} {
 		for _, workers := range workerCounts {
 			t.Run(fmt.Sprintf("%s/parallel=%d", src.name, workers), func(t *testing.T) {

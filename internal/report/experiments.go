@@ -51,14 +51,15 @@ type Lab struct {
 	// Results are identical for any value — parallel work lands in
 	// ordered slots.
 	Parallel int
-	// Materialize forces Load to decode full []bgp.Route
-	// snapshots even for columnar binary files, and to reconstruct
-	// delta chains through a materializing DeltaApplier. By default
-	// those files are indexed off their columns
-	// (analysis.IndexFromReader) and delta days advance the previous
-	// day's index, both carried as header-only snapshots with the index
-	// attached — byte-identical experiment output, without
-	// materializing routes.
+	// Materialize forces Load to decode full []bgp.Route snapshots even
+	// for binary files, and to reconstruct delta chains through a
+	// materializing DeltaApplier. By default those files are indexed off
+	// their columns (analysis.IndexFromReader) and delta days advance
+	// the previous day's index, both carried as header-only snapshots
+	// with the index attached — byte-identical experiment output,
+	// without materializing routes. No command sets it: it is the
+	// reference configuration the equivalence tests and the benchmark's
+	// output check hold the default path to.
 	Materialize bool
 	// Telemetry, when set, records a per-experiment run-time histogram
 	// (ixplight_report_experiment_seconds) and emits a

@@ -26,12 +26,29 @@ type File struct {
 	ModTime int64
 }
 
-// ListDir lists dir's dataset files in name order. Directories are left
-// out, and so are dot-prefixed names: AtomicWrite stages its temp files
-// dot-prefixed in the same directory, and a loader racing a collector
-// must not decode one. With stat set every file's size and mtime are
-// filled in; a file that vanishes between the listing and its stat is
-// not listed.
+// datasetExts are the three kinds of file a dataset directory is made
+// of: full binary snapshots, delta chain days and MRT exports.
+var datasetExts = [...]string{collector.CodecBinary.Ext(), collector.DeltaExt, collector.MRTExt}
+
+func isDatasetFile(name string) bool {
+	for _, ext := range datasetExts {
+		if strings.HasSuffix(name, ext) {
+			return true
+		}
+	}
+	return false
+}
+
+// ListDir lists dir's dataset files — the names ending in .bin, .delta
+// or .mrt — in name order. Everything else is not part of the dataset
+// and is never opened: directories, what a collector leaves next to
+// its snapshots (telemetry.json, trace.jsonl, checkpoint-*.json), and
+// dot-prefixed names, because AtomicWrite stages its temp files
+// dot-prefixed in the same directory and a loader racing a collector
+// must not decode one. A directory with no dataset file at all is an
+// error: it is the wrong directory, or a dataset in a removed codec.
+// With stat set every file's size and mtime are filled in; a file that
+// vanishes between the listing and its stat is not listed.
 func ListDir(dir string, stat bool) ([]File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -39,7 +56,7 @@ func ListDir(dir string, stat bool) ([]File, error) {
 	}
 	files := make([]File, 0, len(entries))
 	for _, e := range entries {
-		if e.IsDir() || strings.HasPrefix(e.Name(), ".") {
+		if e.IsDir() || strings.HasPrefix(e.Name(), ".") || !isDatasetFile(e.Name()) {
 			continue
 		}
 		f := File{Name: e.Name()}
@@ -54,6 +71,10 @@ func ListDir(dir string, stat bool) ([]File, error) {
 			f.Size, f.ModTime = info.Size(), info.ModTime().UnixNano()
 		}
 		files = append(files, f)
+	}
+	if len(files) == 0 {
+		return nil, fmt.Errorf("report: %s holds no dataset file (%s); a dataset in the removed json or json.gz codec must be regenerated or re-collected",
+			dir, strings.Join(datasetExts[:], ", "))
 	}
 	return files, nil
 }
@@ -103,13 +124,13 @@ func (l *Lab) LoadSnapshotDir(dir string) error {
 }
 
 // Load makes l serve the dataset in dir as listed by files (ListDir
-// order): every file is decoded (codec deduced per file, so a directory
-// may mix json/binary/MRT freely), the full date-ordered series per IXP
-// feeds the temporal experiments, and the latest snapshot per IXP
-// becomes the point-in-time input. It is the only loader: prev is the
-// lab a previous Load of the same directory filled (nil for none; it
-// must be configured like l), and the work done is the difference
-// between prev's file table and files.
+// order): every file is decoded (a directory may mix full binary
+// snapshots, delta chains and MRT exports freely), the full
+// date-ordered series per IXP feeds the temporal experiments, and the
+// latest snapshot per IXP becomes the point-in-time input. It is the
+// only loader: prev is the lab a previous Load of the same directory
+// filled (nil for none; it must be configured like l), and the work
+// done is the difference between prev's file table and files.
 //
 //   - A file whose (name, size, mtime) prev already holds is not opened:
 //     the day it produced is shared with prev. Loaded days are immutable,
@@ -123,9 +144,8 @@ func (l *Lab) LoadSnapshotDir(dir string) error {
 //     new ones, because every day of a chain references the chain state
 //     and sharing the old days would keep the consumed state alive next
 //     to the rebuilt one. A chain that
-//     materializes its days (l.Materialize, an unprofiled IXP, a
-//     non-columnar base) keeps no advanceable state, so any change to it
-//     re-folds it.
+//     materializes its days (l.Materialize, an unprofiled IXP, an MRT
+//     base) keeps no advanceable state, so any change to it re-folds it.
 //   - Nothing fails the load: a file that cannot be read, decoded or
 //     applied is reported in LoadReport.Skipped and the chain serves up
 //     to its last good day. A file that does not open is remembered per
@@ -133,12 +153,12 @@ func (l *Lab) LoadSnapshotDir(dir string) error {
 //     retried when its IXP's files change at or before it — when its
 //     missing predecessor lands, say.
 //
-// Columnar binary files of a profiled IXP are, unless l.Materialize is
-// set, indexed straight off their columns: the loaded snapshot is
+// Binary files of a profiled IXP are, unless l.Materialize is set,
+// indexed straight off their columns: the loaded snapshot is
 // header-only with the classified index attached, and every analysis
-// wrapper answers from the index. Other codecs, MRT dumps and
-// unprofiled IXPs materialize. Files decode, and IXPs fold, across the
-// lab's worker pool; the result is the same for any worker count.
+// wrapper answers from the index. MRT dumps and unprofiled IXPs
+// materialize. Files decode, and IXPs fold, across the lab's worker
+// pool; the result is the same for any worker count.
 func (l *Lab) Load(dir string, files []File, prev *Lab) LoadReport {
 	ld := &loader{
 		dir:     dir,
@@ -426,7 +446,7 @@ func (ld *loader) decode(i int) {
 	f := &ld.files[i]
 	path := filepath.Join(ld.dir, f.Name)
 	f.carried = false
-	if strings.HasSuffix(f.Name, ".mrt") {
+	if strings.HasSuffix(f.Name, collector.MRTExt) {
 		f.day, f.bad = loadMRTFile(path)
 	} else {
 		f.day, f.indexed, f.series, f.bad = loadSnapshotFile(path, ld.schemes, ld.roles)
@@ -597,38 +617,36 @@ func (ld *loader) plan(x *ixpLoad) {
 	}
 }
 
-// loadSnapshotFile decodes one native snapshot file through the
-// random-access reader (mmap where the platform provides it), so the
-// codec is deduced from the extension or the file's magic bytes. A
-// columnar file whose IXP has a scheme in schemes is not materialized:
-// the classified index is built off its columns and attached to the
-// header-only snapshot (indexed) — as a series index when the file
-// heads a delta chain, so later days can advance it (series).
+// loadSnapshotFile decodes one binary snapshot file through the one
+// reader (mmap where the platform provides it). A file whose IXP has a
+// scheme in schemes is not materialized: the classified index is built
+// off its columns and attached to the header-only snapshot (indexed) —
+// as a series index when the file heads a delta chain, so later days
+// can advance it (series).
 func loadSnapshotFile(path string, schemes map[string]*dictionary.Scheme, roles map[dayKey]dayRole) (s *collector.Snapshot, indexed, series bool, err error) {
 	sr, err := collector.OpenSnapshotAt(path)
 	if err != nil {
 		return nil, false, false, err
 	}
 	defer sr.Close()
-	if sr.Codec() == collector.CodecBinary {
-		head := sr.Header()
-		if scheme := schemes[head.IXP]; scheme != nil {
-			var ix *analysis.Index
-			if series = roles[dayKey{head.IXP, head.Date}] == extended; series {
-				ix, err = analysis.IndexSeriesFromReader(sr, scheme)
-			} else {
-				ix, err = analysis.IndexFromReader(sr, scheme)
-			}
-			if err != nil {
-				return nil, false, false, err
-			}
-			s := ix.Snapshot()
-			analysis.AttachIndex(s, ix)
-			return s, true, series, nil
-		}
+	head := sr.Header()
+	scheme := schemes[head.IXP]
+	if scheme == nil {
+		s, err = sr.Snapshot()
+		return s, false, false, err
 	}
-	s, err = sr.Snapshot()
-	return s, false, false, err
+	var ix *analysis.Index
+	if series = roles[dayKey{head.IXP, head.Date}] == extended; series {
+		ix, err = analysis.IndexSeriesFromReader(sr, scheme)
+	} else {
+		ix, err = analysis.IndexFromReader(sr, scheme)
+	}
+	if err != nil {
+		return nil, false, false, err
+	}
+	s = ix.Snapshot()
+	analysis.AttachIndex(s, ix)
+	return s, true, series, nil
 }
 
 func loadMRTFile(path string) (*collector.Snapshot, error) {

@@ -3,6 +3,7 @@ package report
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,13 +12,14 @@ import (
 
 	"ixplight/internal/collector"
 	"ixplight/internal/ixpgen"
+	"ixplight/internal/mrt"
 )
 
 // TestLoadSnapshotDirCodecIndependence pins the analyze acceptance
 // contract: running the experiment battery over a binary-encoded
 // snapshot directory produces byte-identical output to running it
-// over the same snapshots stored as JSON. The two labs share one
-// generated series; only the on-disk codec differs.
+// over the same snapshots as generated, never serialised. The two labs
+// share one generated series; only the trip through the codec differs.
 func TestLoadSnapshotDirCodecIndependence(t *testing.T) {
 	const (
 		seed  = 42
@@ -25,8 +27,9 @@ func TestLoadSnapshotDirCodecIndependence(t *testing.T) {
 		days  = 3
 	)
 	profiles := ixpgen.BigFour()[:2]
-	jsonDir := t.TempDir()
 	binDir := t.TempDir()
+	mem := NewLabShell(profiles, seed, scale, 2)
+	mem.Series = map[string][]*collector.Snapshot{}
 	for _, p := range profiles {
 		opts := ixpgen.TemporalOptions{Seed: seed, Scale: scale, Days: days}
 		for d := 0; d < days; d++ {
@@ -35,34 +38,28 @@ func TestLoadSnapshotDirCodecIndependence(t *testing.T) {
 				t.Fatal(err)
 			}
 			snap := w.Snapshot(date)
-			if _, err := collector.SaveSnapshot(jsonDir, snap, collector.CodecJSON); err != nil {
-				t.Fatal(err)
-			}
 			if _, err := collector.SaveSnapshot(binDir, snap, collector.CodecBinary); err != nil {
 				t.Fatal(err)
 			}
+			mem.Series[p.IXP] = append(mem.Series[p.IXP], snap)
+			mem.Snapshots[p.IXP] = snap
 		}
 	}
-
-	run := func(dir string) [][]byte {
-		lab, err := NewLabParallel(profiles, seed, scale, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := lab.LoadSnapshotDir(dir); err != nil {
-			t.Fatal(err)
-		}
-		outs, err := lab.RunMany(ExperimentNames)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return outs
+	bin := NewLabShell(profiles, seed, scale, 2)
+	if err := bin.LoadSnapshotDir(binDir); err != nil {
+		t.Fatal(err)
 	}
-	jsonOuts := run(jsonDir)
-	binOuts := run(binDir)
-	for i := range jsonOuts {
-		if !bytes.Equal(jsonOuts[i], binOuts[i]) {
-			t.Errorf("%s: output differs between JSON and binary snapshot dirs", ExperimentNames[i])
+	memOuts, err := mem.RunMany(ExperimentNames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binOuts, err := bin.RunMany(ExperimentNames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range memOuts {
+		if !bytes.Equal(memOuts[i], binOuts[i]) {
+			t.Errorf("%s: output differs between generated snapshots and the binary snapshot dir", ExperimentNames[i])
 		}
 	}
 }
@@ -133,24 +130,23 @@ func TestLoadSnapshotDirColumnDirect(t *testing.T) {
 
 // TestLoadSnapshotDirSeries checks the loader's shape contract:
 // per-IXP series sorted by date, latest snapshot promoted to the
-// point-in-time slot, mixed codecs in one directory.
+// point-in-time slot, binary files and MRT exports in one directory.
 func TestLoadSnapshotDirSeries(t *testing.T) {
 	dir := t.TempDir()
 	mk := func(ixp, date string) *collector.Snapshot {
 		return &collector.Snapshot{IXP: ixp, Date: date}
 	}
-	for _, c := range []struct {
-		s     *collector.Snapshot
-		codec collector.Codec
-	}{
-		{mk("LINX", "2021-10-06"), collector.CodecBinary},
-		{mk("LINX", "2021-10-04"), collector.CodecJSON},
-		{mk("LINX", "2021-10-05"), collector.CodecJSONGzip},
-		{mk("DE-CIX", "2021-10-04"), collector.CodecBinary},
-	} {
-		if _, err := collector.SaveSnapshot(dir, c.s, c.codec); err != nil {
+	for _, s := range []*collector.Snapshot{mk("LINX", "2021-10-06"), mk("LINX", "2021-10-04"), mk("DE-CIX", "2021-10-04")} {
+		if _, err := collector.SaveSnapshot(dir, s, collector.CodecBinary); err != nil {
 			t.Fatal(err)
 		}
+	}
+	day := mk("LINX", "2021-10-05")
+	err := collector.AtomicWrite(collector.DatasetPath(dir, day, collector.MRTExt), func(w io.Writer) error {
+		return mrt.WriteRIB(w, day)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	lab, err := NewLabParallel(ixpgen.BigFour()[:1], 1, 0.002, 2)
 	if err != nil {
@@ -160,11 +156,62 @@ func TestLoadSnapshotDirSeries(t *testing.T) {
 		t.Fatal(err)
 	}
 	linx := lab.Series["LINX"]
-	if len(linx) != 3 || linx[0].Date != "2021-10-04" || linx[2].Date != "2021-10-06" {
+	if len(linx) != 3 || linx[0].Date != "2021-10-04" || linx[1].Date != "2021-10-05" || linx[2].Date != "2021-10-06" {
 		t.Errorf("LINX series wrong: %+v", linx)
 	}
 	if lab.Snapshots["LINX"].Date != "2021-10-06" || lab.Snapshots["DE-CIX"].Date != "2021-10-04" {
 		t.Errorf("latest promotion wrong")
+	}
+}
+
+// TestLoadIgnoresWhatIsNotADatasetFile pins what a dataset directory is:
+// its .bin, .delta and .mrt files. What `collect` leaves next to them —
+// telemetry.json, trace.jsonl, a checkpoint — is JSON that once decoded,
+// by content sniffing, as a snapshot with an empty IXP; now it is not
+// listed, not opened and not reported. A .bin that is not a snapshot is
+// still a listed file the load skips, and a directory with no dataset
+// file at all is an error naming the three extensions.
+func TestLoadIgnoresWhatIsNotADatasetFile(t *testing.T) {
+	profiles := []ixpgen.Profile{*ixpgen.ProfileByName("DE-CIX")}
+	dir := t.TempDir()
+	writeDeltaChain(t, profiles, dir, t.TempDir(), ixpgen.TemporalOptions{Seed: 42, Scale: 0.002, Days: 3})
+	strays := map[string]string{
+		"telemetry.json":             `{"counters":{"ixplight_lg_requests_total":12}}`,
+		"trace.jsonl":                `{"name":"collector.crawl","id":1}` + "\n",
+		"checkpoint-2021-07-19.json": `{"ixp":"DE-CIX","date":"2021-07-19","done":[],"routes":[]}`,
+	}
+	for name, content := range strays {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lab, rep := loadFrom(t, profiles, dir, nil, nil)
+	if len(lab.Series) != 1 || len(lab.Series["DE-CIX"]) != 3 {
+		t.Errorf("series = %d IXPs (DE-CIX %d days), want the one chain of 3 days", len(lab.Series), len(lab.Series["DE-CIX"]))
+	}
+	if len(rep.Skipped) != 0 {
+		t.Errorf("skipped = %v, want nothing: stray files are not part of the dataset", rep.Skipped)
+	}
+
+	if err := os.WriteFile(filepath.Join(dir, "DE-CIX-2021-01-01.bin"), []byte(strays["telemetry.json"]), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	lab, rep = loadFrom(t, profiles, dir, nil, nil)
+	if len(rep.Skipped) != 1 || rep.Skipped[0].Op != "load" || rep.Skipped[0].File != "DE-CIX-2021-01-01.bin" ||
+		!strings.Contains(rep.Skipped[0].Error(), "codecs were removed") {
+		t.Errorf("skipped = %v, want the bad-magic .bin as a load casualty", rep.Skipped)
+	}
+	if len(lab.Series) != 1 || len(lab.Series["DE-CIX"]) != 3 {
+		t.Errorf("a bad .bin took days with it: %d IXPs, DE-CIX %d days", len(lab.Series), len(lab.Series["DE-CIX"]))
+	}
+
+	onlyStrays := t.TempDir()
+	if err := os.WriteFile(filepath.Join(onlyStrays, "LINX-2021-10-04.json.gz"), []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := NewLabShell(profiles, 42, 0.002, 1).LoadSnapshotDir(onlyStrays)
+	if err == nil || !strings.Contains(err.Error(), ".bin, .delta, .mrt") {
+		t.Errorf("directory without dataset files: err = %v, want the three extensions named", err)
 	}
 }
 

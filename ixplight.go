@@ -106,20 +106,10 @@ type (
 	Member = collector.Member
 	// SnapshotCodec selects a serialisation format.
 	SnapshotCodec = collector.Codec
-	// SnapshotReader streams a snapshot file: header metadata without
-	// decoding routes, then routes one at a time.
-	SnapshotReader = collector.SnapshotReader
 )
 
-// The snapshot codecs, cheapest-to-write first.
-const (
-	CodecJSON     = collector.CodecJSON
-	CodecJSONGzip = collector.CodecJSONGzip
-	CodecBinary   = collector.CodecBinary
-)
-
-// SnapshotCodecs returns every supported codec.
-func SnapshotCodecs() []SnapshotCodec { return collector.Codecs() }
+// CodecBinary is the snapshot codec: the columnar binary format.
+const CodecBinary = collector.CodecBinary
 
 // SaveSnapshot writes a snapshot into dir with the codec's canonical
 // name and extension, returning the path.
@@ -127,13 +117,8 @@ func SaveSnapshot(dir string, s *Snapshot, codec SnapshotCodec) (string, error) 
 	return collector.SaveSnapshot(dir, s, codec)
 }
 
-// LoadSnapshot reads one snapshot file, deducing the codec from the
-// extension or the file contents.
+// LoadSnapshot reads one binary snapshot file.
 func LoadSnapshot(path string) (*Snapshot, error) { return collector.LoadSnapshot(path) }
-
-// OpenSnapshot opens a snapshot file for streaming reads; the caller
-// must Close the reader.
-func OpenSnapshot(path string) (*SnapshotReader, error) { return collector.OpenSnapshot(path) }
 
 // Workload generation.
 type (
