@@ -2,10 +2,11 @@
 # judge a change:
 #
 #   gate       `make check`: gofmt, vet (+ metriclint), a full build, the
-#              test suite under the race detector (the collector, LG
-#              client, analysis index and experiment pool are exercised
-#              concurrently; -race is part of the contract), the soak
-#              run, the ixpd smoke walk and the five example programs.
+#              package census, the test suite under the race detector
+#              (the collector, LG client, analysis index and experiment
+#              pool are exercised concurrently; -race is part of the
+#              contract), the soak run, the ixpd smoke walk and the five
+#              example programs.
 #              The deterministic performance floors are tests and run
 #              here: TestWarmColdSpeedup, TestAdvanceBytesPerDay,
 #              TestIndexFromColumnsAllocs, TestVisibilityAllocs,
@@ -21,9 +22,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race bench fuzz soak soak-long ixpd-smoke examples
+.PHONY: check fmt vet build census test race bench fuzz soak soak-long ixpd-smoke examples
 
-check: fmt vet build race soak ixpd-smoke examples
+check: fmt vet build census race soak ixpd-smoke examples
 
 # fmt fails, naming the files, if anything in the tree is not gofmt-clean.
 fmt:
@@ -38,6 +39,17 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# census keeps the tree's inventory true: every ./internal/... package
+# is one some command or the benchmark actually links. A package only
+# tests, examples or the root facade reach is named here or deleted.
+CENSUS_ALLOW := ixplight/internal/webdocs # ROADMAP item 2b decides: the crawl parses it, or it goes
+census:
+	@linked="$$($(GO) list -deps ./cmd/... ./benchmarks/e2e)"; \
+	for pkg in $$($(GO) list ./internal/...); do \
+		case " $(CENSUS_ALLOW) $$linked " in *[[:space:]]$$pkg[[:space:]]*) ;; \
+		*) echo "census: $$pkg is linked by no command and not by the benchmark"; bad=1;; esac; \
+	done; [ -z "$$bad" ]
 
 test:
 	$(GO) test ./...

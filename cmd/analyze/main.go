@@ -52,32 +52,42 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	lab, err := report.NewLabParallel(profiles, *seed, *scale, *parallel)
-	if err != nil {
-		fatal(err)
-	}
-	// With -trace, the whole run becomes one trace: an analyze.run root
-	// span parents every report.experiment span (and, through
-	// analysis.SetTelemetry, the index build/advance spans).
+	// With -trace, the whole run becomes one trace ledger: an
+	// analyze.run root span parents every report.experiment span, and
+	// analysis.SetTelemetry — installed before the lab is built, because
+	// the lab's builder is who builds its indexes — records the index
+	// build/advance spans.
+	var reg *telemetry.Registry
 	var traceSink *telemetry.JSONLSink
-	var rootSpan *telemetry.Span
 	if *tracePath != "" {
 		traceSink, err = telemetry.NewJSONLSink(*tracePath, 0)
 		if err != nil {
 			fatal(err)
 		}
-		reg := telemetry.New()
+		reg = telemetry.New()
 		reg.SetSpanSink(traceSink)
 		analysis.SetTelemetry(reg)
+	}
+	var lab *report.Lab
+	if *snapshotDir != "" {
+		lab = report.NewLabShell(profiles, *seed, *scale, *parallel)
+		if err := lab.LoadSnapshotDir(*snapshotDir); err != nil {
+			fatal(err)
+		}
+		for _, p := range profiles {
+			if lab.Indexes[p.IXP] == nil {
+				fatal(fmt.Errorf("%s holds no snapshot of %s; name the dataset's IXPs with -ixps", *snapshotDir, p.IXP))
+			}
+		}
+	} else if lab, err = report.NewLabParallel(profiles, *seed, *scale, *parallel); err != nil {
+		fatal(err)
+	}
+	var rootSpan *telemetry.Span
+	if reg != nil {
 		lab.Telemetry = reg
 		lab.TraceCtx, rootSpan = telemetry.StartSpan(context.Background(), reg, "analyze.run")
 		rootSpan.SetAttr("exp", *exp)
 		rootSpan.SetAttrInt("parallel", int64(*parallel))
-	}
-	if *snapshotDir != "" {
-		if err := lab.LoadSnapshotDir(*snapshotDir); err != nil {
-			fatal(err)
-		}
 	}
 
 	names := report.ExperimentNames

@@ -41,10 +41,8 @@ import (
 	"syscall"
 	"time"
 
-	"ixplight/internal/analysis"
 	"ixplight/internal/bgp"
 	"ixplight/internal/bgp/session"
-	"ixplight/internal/collector"
 	"ixplight/internal/ixpgen"
 	"ixplight/internal/lg"
 	"ixplight/internal/netutil"
@@ -113,13 +111,10 @@ func main() {
 	var traceSink *telemetry.JSONLSink
 	if *metricsAddr != "" || *tracePath != "" {
 		reg = telemetry.New()
-		// Register the whole pipeline's metric catalog, not just the
-		// server's own families: a scrape of a freshly started process
-		// shows every ixplight_{lg,collector,analysis,lg_server}_* family
-		// this binary (or a collector pointed at it) can ever emit.
-		lg.NewMetrics(reg)
-		collector.NewMetrics(reg)
-		analysis.SetTelemetry(reg)
+		// Only the server's own ixplight_lg_server_* families: this
+		// process runs no LG client, no collector and no analysis, and
+		// a collector pointed at it is another process with its own
+		// registry, so their families could only ever read zero here.
 		handler = instrument(reg, handler)
 	}
 	if *tracePath != "" {

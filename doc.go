@@ -24,7 +24,7 @@
 //	profile := ixplight.ProfileByName("DE-CIX")
 //	w, _ := ixplight.Generate(*profile, ixplight.GenOptions{Seed: 1, Scale: 0.05})
 //	snap := w.Snapshot("2021-10-04")
-//	usage := ixplight.ComputeUsage(snap, profile.Scheme, false)
+//	usage := ixplight.NewIndex(snap, profile.Scheme).Usage(false)
 //	fmt.Printf("%.1f%% of members use action communities\n", 100*usage.ASShare())
 //
 // See examples/ for runnable programs and DESIGN.md for the system

@@ -45,7 +45,7 @@ func ExampleGenerate() {
 		panic(err)
 	}
 	snap := w.Snapshot("2021-10-04")
-	usage := ixplight.ComputeUsage(snap, profile.Scheme, false)
+	usage := ixplight.NewIndex(snap, profile.Scheme).Usage(false)
 	fmt.Printf("members with ≥1 action community: %d of %d\n",
 		usage.ASesUsing, usage.MembersAtRS)
 	// Output:

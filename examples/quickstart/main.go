@@ -39,16 +39,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	snap := w.Snapshot("2021-10-04")
+	// One classification pass; every analysis reads it.
+	ix := ixplight.NewIndex(w.Snapshot("2021-10-04"), profile.Scheme)
 
-	usage := ixplight.ComputeUsage(snap, profile.Scheme, false)
+	usage := ix.Usage(false)
 	fmt.Printf("\n%s (IPv4, scale 0.05):\n", profile.IXP)
 	fmt.Printf("  members using action communities:  %.1f%%  (paper: 54.0%%)\n", 100*usage.ASShare())
 	fmt.Printf("  routes carrying action communities: %.1f%%  (paper: 61.7%%)\n", 100*usage.RouteShare())
 	fmt.Printf("  action share of defined standard:   %.1f%%  (paper: 70.4%%)\n",
-		100*ixplight.ActionShare(snap, profile.Scheme, false))
+		100*ix.ActionShare(false))
 
-	nm := ixplight.ComputeNonMemberTargeting(snap, profile.Scheme, false, 5)
+	nm := ix.NonMemberTargeting(false, 5)
 	fmt.Printf("  actions targeting non-RS members:   %.1f%%  (paper: 49.5%%)\n", 100*nm.Share())
 	fmt.Println("\n  top ineffective communities:")
 	for i, cc := range nm.Top {

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"ixplight/internal/bgp"
-	"ixplight/internal/collector"
 	"ixplight/internal/dictionary"
 )
 
@@ -16,31 +15,11 @@ type TypeUsage struct {
 	Share float64
 }
 
-// ASesPerActionType computes Table 2 for one snapshot family: for each
-// of the four action groups, the number (and fraction) of RS members
-// tagging at least one route with a community of that group.
-func ASesPerActionType(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool) []TypeUsage {
-	return IndexFor(s, scheme).ASesPerActionType(v6)
-}
-
-// OccurrencesPerType counts action-community instances per group —
-// §5.3's second analysis.
-func OccurrencesPerType(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool) map[dictionary.ActionType]int {
-	return IndexFor(s, scheme).OccurrencesPerType(v6)
-}
-
 // CommunityCount is one ranked community in Fig. 5/6.
 type CommunityCount struct {
 	Community bgp.Community
 	Class     dictionary.Class
 	Count     int
-}
-
-// TopActionCommunities ranks individual action community values by
-// occurrence — Fig. 5's top-20 per IXP (ties broken by value for
-// determinism).
-func TopActionCommunities(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool, k int) []CommunityCount {
-	return IndexFor(s, scheme).TopActionCommunities(v6, k)
 }
 
 // rankCommunities sorts a community histogram by count (desc) then
@@ -75,24 +54,11 @@ type NonMemberTargeting struct {
 // Share is the headline §5.5 fraction (31.8%–64.3% in the paper).
 func (n NonMemberTargeting) Share() float64 { return ratio(n.Instances, n.Total) }
 
-// ComputeNonMemberTargeting runs the §5.5 analysis. Only communities
-// with a specific AS target can be ineffective this way; to-all and
-// blackhole actions always have effect.
-func ComputeNonMemberTargeting(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool, k int) NonMemberTargeting {
-	return IndexFor(s, scheme).NonMemberTargeting(v6, k)
-}
-
 // Culprit is one Fig. 7 bar: an AS and how many of its action
 // communities target non-RS members.
 type Culprit struct {
 	ASN   uint32
 	Count int
-}
-
-// CulpritRanking ranks the ASes tagging routes with communities that
-// target non-RS members — Fig. 7's top-k.
-func CulpritRanking(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool, k int) []Culprit {
-	return IndexFor(s, scheme).CulpritRanking(v6, k)
 }
 
 // rankCulprits sorts a per-AS histogram into the Fig. 7 order
@@ -120,11 +86,6 @@ type TargetedAS struct {
 	ASN      uint32
 	IsMember bool
 	Count    int
-}
-
-// TopTargets ranks the ASes most targeted by action communities.
-func TopTargets(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool, k int) []TargetedAS {
-	return IndexFor(s, scheme).TopTargets(v6, k)
 }
 
 // sortTargets orders targeted ASes by count (desc) then ASN (asc).

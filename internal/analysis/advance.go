@@ -295,7 +295,8 @@ func (st *seriesState) registerLargeSet(set []bgp.LargeCommunity) {
 
 // registerTables appends a source's interned attribute tables — a
 // route block's, or a delta's extensions — in wire order.
-func (st *seriesState) registerTables(nexthops int, paths []bgp.ASPath, comms [][]bgp.Community, exts [][]bgp.ExtendedCommunity, larges [][]bgp.LargeCommunity) {
+func (st *seriesState) registerTables(t *collector.Tables) {
+	paths, comms, exts, larges := t.ASPaths, t.CommunitySets, t.ExtCommunitySets, t.LargeCommunitySets
 	elems := 0
 	for _, set := range comms {
 		elems += len(set)
@@ -317,7 +318,7 @@ func (st *seriesState) registerTables(nexthops int, paths []bgp.ASPath, comms []
 	for _, p := range paths {
 		st.pathPeer = append(st.pathPeer, p.Neighbor())
 	}
-	st.sizes[0] += nexthops
+	st.sizes[0] += len(t.NextHops)
 	st.sizes[1] += len(paths)
 	st.sizes[2] += len(comms)
 	st.sizes[3] += len(exts)
@@ -564,8 +565,9 @@ func NewIndex(s *collector.Snapshot, scheme *dictionary.Scheme) *Index {
 //
 // The resulting Index owns all its storage: it stays valid after the
 // reader is closed. Its embedded snapshot is header-only (Routes nil) —
-// attach it with AttachIndex so the analysis wrappers answer from the
-// index instead of walking the absent routes.
+// attach it with AttachIndex before passing that snapshot on, so
+// CountSnapshot and Stability answer from the index instead of walking
+// the absent routes.
 func IndexFromReader(sr *collector.SnapshotReader, scheme *dictionary.Scheme) (*Index, error) {
 	ix, err := indexFromColumns(sr, scheme)
 	if err != nil {
@@ -596,12 +598,11 @@ func indexFromColumns(sr *collector.SnapshotReader, scheme *dictionary.Scheme) (
 		return nil, err
 	}
 	head := *sr.Header() // private copy; Routes stays nil
-	st, ix := newFold(&head, scheme, rb.NumRoutes(), len(rb.CommunitySets()))
+	st, ix := newFold(&head, scheme, rb.NumRoutes(), len(rb.Tables().CommunitySets))
 	// The binary file's table order is canonical first-appearance
 	// order — the same order a DeltaEncoder starting from this
 	// snapshot interns, so chain ids agree by construction.
-	st.registerTables(len(rb.NextHops()), rb.ASPaths(),
-		rb.CommunitySets(), rb.ExtCommunitySets(), rb.LargeCommunitySets())
+	st.registerTables(rb.Tables())
 	err = rb.Scan(func(ref *collector.RouteRef) error {
 		f := 0
 		if ref.V6 {
@@ -654,8 +655,7 @@ func (ix *Index) Advance(d *collector.DeltaReader) (*Index, error) {
 	// aggregates are materialized per day against this list (finalize).
 	st.members = next.members
 
-	st.registerTables(len(d.NewNextHops()), d.NewASPaths(),
-		d.NewCommunitySets(), d.NewExtCommunitySets(), d.NewLargeCommunitySets())
+	st.registerTables(d.Tables())
 
 	err := d.Ops(func(op *collector.DeltaOp) error {
 		f := 0

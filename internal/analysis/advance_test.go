@@ -195,7 +195,7 @@ func TestAdvanceSnapshotChain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		next, err := IndexFor(cur, scheme).Advance(dr)
+		next, err := Attached(cur).Advance(dr)
 		if err != nil {
 			t.Fatalf("day %d: %v", d, err)
 		}
@@ -213,14 +213,14 @@ func TestAdvanceSnapshotChain(t *testing.T) {
 		}
 	}
 
-	// A materialized snapshot has no chain state to ride: what IndexFor
+	// A materialized snapshot has no chain state to ride: what NewIndex
 	// builds for it cannot advance.
 	dr, err := collector.NewDeltaReader(deltas[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := IndexFor(days[0], scheme).Advance(dr); err == nil {
-		t.Error("Advance from a materialized snapshot's cached index succeeded")
+	if _, err := NewIndex(days[0], scheme).Advance(dr); err == nil {
+		t.Error("Advance from a materialized snapshot's index succeeded")
 	}
 }
 

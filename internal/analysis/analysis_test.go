@@ -57,7 +57,8 @@ func testSnapshot(t testing.TB) (*collector.Snapshot, *dictionary.Scheme) {
 
 func TestComputeMix(t *testing.T) {
 	s, scheme := testSnapshot(t)
-	m := ComputeMix(s, scheme, false)
+	ix := NewIndex(s, scheme)
+	m := ix.Mix(false)
 	// v4 standard instances: r1: 3 defined; r2: 1 unknown; r3: 2
 	// defined; r5: 3 defined → defined 8, unknown 1.
 	if m.DefinedStandard != 8 || m.UnknownStandard != 1 {
@@ -73,7 +74,7 @@ func TestComputeMix(t *testing.T) {
 		t.Errorf("standard share = %f (no ext/large present)", m.StandardShare())
 	}
 
-	m6 := ComputeMix(s, scheme, true)
+	m6 := ix.Mix(true)
 	if m6.DefinedStandard != 1 || m6.Total() != 1 {
 		t.Errorf("v6 mix = %+v", m6)
 	}
@@ -88,7 +89,7 @@ func TestComputeMixExtendedLarge(t *testing.T) {
 	s.Routes[0].LargeCommunities = []bgp.LargeCommunity{
 		{Global: uint32(scheme.RSASN), Local1: 1, Local2: 2}, // IXP-defined
 	}
-	m := ComputeMix(s, scheme, false)
+	m := NewIndex(s, scheme).Mix(false)
 	if m.DefinedExtended != 1 || m.UnknownExtended != 1 || m.DefinedLarge != 1 {
 		t.Errorf("ext/large mix = %+v", m)
 	}
@@ -99,20 +100,22 @@ func TestComputeMixExtendedLarge(t *testing.T) {
 
 func TestActionInfoSplit(t *testing.T) {
 	s, scheme := testSnapshot(t)
-	action, info := ActionInfoSplit(s, scheme, false)
+	ix := NewIndex(s, scheme)
+	action, info := ix.ActionInfoSplit(false)
 	// v4 defined: 7 action (0:15169, 0:200, 6695:100, 65501:100,
 	// 0:15169, 0:16276, 65535:666) + 1 info.
 	if action != 7 || info != 1 {
 		t.Errorf("action/info = %d/%d", action, info)
 	}
-	if got := ActionShare(s, scheme, false); math.Abs(got-7.0/8) > 1e-9 {
+	if got := ix.ActionShare(false); math.Abs(got-7.0/8) > 1e-9 {
 		t.Errorf("action share = %f", got)
 	}
 }
 
 func TestComputeUsage(t *testing.T) {
 	s, scheme := testSnapshot(t)
-	u := ComputeUsage(s, scheme, false)
+	ix := NewIndex(s, scheme)
+	u := ix.Usage(false)
 	if u.MembersAtRS != 3 {
 		t.Errorf("members = %d", u.MembersAtRS)
 	}
@@ -126,7 +129,7 @@ func TestComputeUsage(t *testing.T) {
 		t.Errorf("instances = %d", u.ActionInstances)
 	}
 
-	u6 := ComputeUsage(s, scheme, true)
+	u6 := ix.Usage(true)
 	if u6.MembersAtRS != 2 || u6.ASesUsing != 1 || u6.RoutesTagged != 1 {
 		t.Errorf("v6 usage = %+v", u6)
 	}
@@ -134,7 +137,7 @@ func TestComputeUsage(t *testing.T) {
 
 func TestPerASCountsAndCDF(t *testing.T) {
 	s, scheme := testSnapshot(t)
-	counts := PerASActionCounts(s, scheme, false)
+	counts := NewIndex(s, scheme).PerASActionCounts(false)
 	if counts[100] != 2 || counts[200] != 2 || counts[6939] != 3 {
 		t.Errorf("counts = %v", counts)
 	}
@@ -162,7 +165,7 @@ func TestPerASCountsAndCDF(t *testing.T) {
 
 func TestRouteCommCorrelation(t *testing.T) {
 	s, scheme := testSnapshot(t)
-	points := RouteCommCorrelation(s, scheme, false)
+	points := NewIndex(s, scheme).RouteCommCorrelation(false)
 	if len(points) != 3 {
 		t.Fatalf("points = %v", points)
 	}
@@ -182,7 +185,7 @@ func TestRouteCommCorrelation(t *testing.T) {
 
 func TestASesPerActionType(t *testing.T) {
 	s, scheme := testSnapshot(t)
-	rows := ASesPerActionType(s, scheme, false)
+	rows := NewIndex(s, scheme).ASesPerActionType(false)
 	want := map[dictionary.ActionType]int{
 		dictionary.DoNotAnnounceTo: 2, // 100, 6939
 		dictionary.AnnounceOnlyTo:  1, // 200
@@ -201,7 +204,7 @@ func TestASesPerActionType(t *testing.T) {
 
 func TestOccurrencesPerType(t *testing.T) {
 	s, scheme := testSnapshot(t)
-	occ := OccurrencesPerType(s, scheme, false)
+	occ := NewIndex(s, scheme).OccurrencesPerType(false)
 	if occ[dictionary.DoNotAnnounceTo] != 4 || occ[dictionary.AnnounceOnlyTo] != 1 ||
 		occ[dictionary.PrependTo] != 1 || occ[dictionary.Blackhole] != 1 {
 		t.Errorf("occ = %v", occ)
@@ -210,7 +213,8 @@ func TestOccurrencesPerType(t *testing.T) {
 
 func TestTopActionCommunities(t *testing.T) {
 	s, scheme := testSnapshot(t)
-	top := TopActionCommunities(s, scheme, false, 3)
+	ix := NewIndex(s, scheme)
+	top := ix.TopActionCommunities(false, 3)
 	if len(top) != 3 {
 		t.Fatalf("top = %v", top)
 	}
@@ -221,7 +225,7 @@ func TestTopActionCommunities(t *testing.T) {
 	if top[1].Community >= top[2].Community {
 		t.Errorf("tie break broken: %v before %v", top[1].Community, top[2].Community)
 	}
-	all := TopActionCommunities(s, scheme, false, 0)
+	all := ix.TopActionCommunities(false, 0)
 	if len(all) != 6 {
 		t.Errorf("all communities = %d, want 6 distinct", len(all))
 	}
@@ -229,7 +233,7 @@ func TestTopActionCommunities(t *testing.T) {
 
 func TestNonMemberTargeting(t *testing.T) {
 	s, scheme := testSnapshot(t)
-	nm := ComputeNonMemberTargeting(s, scheme, false, 10)
+	nm := NewIndex(s, scheme).NonMemberTargeting(false, 10)
 	// Total actions 7. Non-member-targeting: 0:15169 ×2, 0:16276 ×1.
 	// (0:200, 6695:100, 65501:100 target members; blackhole no target.)
 	if nm.Total != 7 || nm.Instances != 3 {
@@ -245,7 +249,7 @@ func TestNonMemberTargeting(t *testing.T) {
 
 func TestCulpritRanking(t *testing.T) {
 	s, scheme := testSnapshot(t)
-	culprits := CulpritRanking(s, scheme, false, 10)
+	culprits := NewIndex(s, scheme).CulpritRanking(false, 10)
 	if len(culprits) != 2 {
 		t.Fatalf("culprits = %v", culprits)
 	}
@@ -259,7 +263,7 @@ func TestCulpritRanking(t *testing.T) {
 
 func TestTopTargets(t *testing.T) {
 	s, scheme := testSnapshot(t)
-	targets := TopTargets(s, scheme, false, 0)
+	targets := NewIndex(s, scheme).TopTargets(false, 0)
 	byASN := map[uint32]TargetedAS{}
 	for _, tg := range targets {
 		byASN[tg.ASN] = tg
@@ -317,17 +321,17 @@ func TestWeeklyRepresentatives(t *testing.T) {
 
 func TestEmptySnapshotAnalyses(t *testing.T) {
 	s := &collector.Snapshot{IXP: "DE-CIX", Date: "2021-10-04"}
-	scheme := dictionary.ProfileByName("DE-CIX")
-	if m := ComputeMix(s, scheme, false); m.Total() != 0 || m.DefinedShare() != 0 {
+	ix := NewIndex(s, dictionary.ProfileByName("DE-CIX"))
+	if m := ix.Mix(false); m.Total() != 0 || m.DefinedShare() != 0 {
 		t.Error("empty mix wrong")
 	}
-	if u := ComputeUsage(s, scheme, false); u.ASShare() != 0 || u.RouteShare() != 0 {
+	if u := ix.Usage(false); u.ASShare() != 0 || u.RouteShare() != 0 {
 		t.Error("empty usage wrong")
 	}
-	if nm := ComputeNonMemberTargeting(s, scheme, false, 5); nm.Share() != 0 || len(nm.Top) != 0 {
+	if nm := ix.NonMemberTargeting(false, 5); nm.Share() != 0 || len(nm.Top) != 0 {
 		t.Error("empty targeting wrong")
 	}
-	if c := CulpritRanking(s, scheme, false, 5); len(c) != 0 {
+	if c := ix.CulpritRanking(false, 5); len(c) != 0 {
 		t.Error("empty culprits wrong")
 	}
 }
@@ -339,10 +343,7 @@ func TestTargetIntersections(t *testing.T) {
 	s2.IXP = "OTHER"
 	s2.Routes = s2.Routes[:1] // keep only r1: targets 15169 and 200
 
-	ixps := []IXPSnapshot{
-		{Snapshot: s1, Scheme: scheme},
-		{Snapshot: s2, Scheme: scheme},
-	}
+	ixps := []*Index{NewIndex(s1, scheme), NewIndex(s2, scheme)}
 	pairs, common := TargetIntersections(ixps, false, 20)
 	if len(pairs) != 1 {
 		t.Fatalf("pairs = %d", len(pairs))
@@ -371,7 +372,7 @@ func TestFlavourActions(t *testing.T) {
 	s.Routes[0].LargeCommunities = []bgp.LargeCommunity{wide, info}
 	s.Routes[0].ExtCommunities = []bgp.ExtendedCommunity{scheme.ExtInfo(1)}
 
-	f := ComputeFlavourActions(s, scheme, false)
+	f := NewIndex(s, scheme).FlavourActions(false)
 	if f.StandardAction != 7 || f.StandardInfo != 1 {
 		t.Errorf("standard = %d/%d", f.StandardAction, f.StandardInfo)
 	}
@@ -411,9 +412,9 @@ func TestCompareVisibility(t *testing.T) {
 }
 
 func TestHygieneFilterImpact(t *testing.T) {
-	s, _ := testSnapshot(t)
+	s, scheme := testSnapshot(t)
 	// v4 community counts per route: r1=3, r2=1, r3=2, r5=3.
-	impacts := HygieneFilterImpact(s, false, []int{0, 1, 2, 5})
+	impacts := NewIndex(s, scheme).HygieneFilterImpact(false, []int{0, 1, 2, 5})
 	if impacts[0].RoutesDropped != 4 || impacts[0].CommunitiesDropped != 9 {
 		t.Errorf("threshold 0: %+v", impacts[0])
 	}
@@ -432,14 +433,14 @@ func TestHygieneFilterImpact(t *testing.T) {
 }
 
 func TestCommunityCountPercentiles(t *testing.T) {
-	s, _ := testSnapshot(t)
-	pct := CommunityCountPercentiles(s, false, []float64{0, 50, 100})
+	s, scheme := testSnapshot(t)
+	pct := NewIndex(s, scheme).CommunityCountPercentiles(false, []float64{0, 50, 100})
 	// Sorted counts: 1, 2, 3, 3.
 	if pct[0] != 1 || pct[2] != 3 {
 		t.Errorf("percentiles = %v", pct)
 	}
 	empty := &collector.Snapshot{}
-	if got := CommunityCountPercentiles(empty, false, []float64{50}); got[0] != 0 {
+	if got := NewIndex(empty, scheme).CommunityCountPercentiles(false, []float64{50}); got[0] != 0 {
 		t.Errorf("empty percentile = %v", got)
 	}
 }

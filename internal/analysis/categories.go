@@ -4,8 +4,6 @@ import (
 	"sort"
 
 	"ixplight/internal/asdb"
-	"ixplight/internal/collector"
-	"ixplight/internal/dictionary"
 )
 
 // The §5.4 category view: "Communities that avoid route redistribution
@@ -30,12 +28,6 @@ type CategoryShare struct {
 type CategoryBreakdown struct {
 	All        []CategoryShare
 	NonMembers []CategoryShare
-}
-
-// ComputeCategoryBreakdown runs the §5.4 category aggregation for one
-// snapshot family.
-func ComputeCategoryBreakdown(s *collector.Snapshot, scheme *dictionary.Scheme, reg *asdb.Registry, v6 bool) CategoryBreakdown {
-	return IndexFor(s, scheme).CategoryBreakdown(reg, v6)
 }
 
 func categoryShares(counts map[asdb.Category]int, total int) []CategoryShare {

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 
 	"ixplight/internal/bgp"
@@ -92,32 +91,49 @@ func TestIndexFromReaderMatchesNewIndex(t *testing.T) {
 	checkIndexMatchesDirect(t, "empty", columnIndex(t, empty, scheme), empty, scheme)
 }
 
-// TestAttachIndexDispatch pins that an attached index answers the
-// analysis wrappers on its header-only snapshot, which has no routes
-// to build from or walk — and that only an index built under the
-// asked-for scheme does.
+// TestAttachIndexDispatch pins the one lookup: Attached returns the
+// index hung on a header-only snapshot — which has no routes to build
+// from or walk — and nil for any other snapshot, and the two
+// attached-or-walk reads (CountSnapshot, Stability) answer a
+// header-only day from its index and a materialized day from a walk,
+// building nothing either way.
 func TestAttachIndexDispatch(t *testing.T) {
-	s, scheme := testSnapshot(t)
+	s, scheme := genSnapshot(t, "LINX")
 	ix := columnIndex(t, s, scheme)
 	head := ix.Snapshot()
 	if head.Routes != nil {
 		t.Fatal("column index snapshot must be header-only")
 	}
+	if Attached(head) != nil || Attached(s) != nil {
+		t.Fatal("Attached on a snapshot nothing was attached to must be nil")
+	}
 	AttachIndex(head, ix)
+	if Attached(head) != ix || IndexFor(head, scheme) != ix {
+		t.Fatal("Attached and IndexFor must return the attached index")
+	}
+	if fresh := IndexFor(s, scheme); fresh == nil || fresh == ix || fresh.Snapshot() != s {
+		t.Fatal("IndexFor on a snapshot with no attached index must build one from its routes")
+	}
 
-	if got := IndexFor(head, scheme); got != ix {
-		t.Fatal("IndexFor must return the attached index")
-	}
-	if other := dictionary.ProfileByName("LINX"); IndexFor(head, other) == ix {
-		t.Fatal("IndexFor under another scheme must not return the attached index")
-	}
+	setTelemetryForTest(t)
+	builds0 := tel().buildSeconds.Count()
 	for _, v6 := range []bool{false, true} {
-		if got, want := ComputeUsage(head, scheme, v6), ComputeUsageDirect(s, scheme, v6); !reflect.DeepEqual(got, want) {
-			t.Errorf("attached ComputeUsage(v6=%v) %+v != direct %+v", v6, got, want)
-		}
-		if got, want := CountSnapshot(head, v6), CountSnapshotDirect(s, v6); !reflect.DeepEqual(got, want) {
+		want := CountSnapshotDirect(s, v6)
+		if got := CountSnapshot(head, v6); got != want {
 			t.Errorf("attached CountSnapshot(v6=%v) %+v != direct %+v", v6, got, want)
 		}
+		if got := CountSnapshot(s, v6); got != want {
+			t.Errorf("walked CountSnapshot(v6=%v) %+v != direct %+v", v6, got, want)
+		}
+		same := func(n int) StabilityRow { return StabilityRow{Min: n, Max: n} }
+		wantTable := StabilityTable{Members: same(want.Members), Prefixes: same(want.Prefixes),
+			Routes: same(want.Routes), Communities: same(want.Communities)}
+		if got := Stability([]*collector.Snapshot{head, s}, v6); got != wantTable {
+			t.Errorf("Stability(v6=%v) over an attached and a walked day %+v, want %+v", v6, got, wantTable)
+		}
+	}
+	if got := tel().buildSeconds.Count() - builds0; got != 0 {
+		t.Errorf("the attached-or-walk reads built %d indexes, want 0", got)
 	}
 }
 

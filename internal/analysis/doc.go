@@ -8,20 +8,21 @@
 // "culprit" ASes (Fig. 7), plus the snapshot-stability tables of
 // Appendix A (Tables 3–4).
 //
-// Every function takes a *collector.Snapshot plus the hosting IXP's
-// *dictionary.Scheme and an address-family selector, mirroring how the
-// paper slices each analysis per IXP and per family.
+// Every analysis is a method on *Index — one snapshot classified
+// under the hosting IXP's *dictionary.Scheme — taking an address-family
+// selector, mirroring how the paper slices each analysis per IXP and
+// per family.
 //
-// One execution path backs every entry point: the classified snapshot
-// Index (index.go), which classifies each distinct community value
-// once and precomputes the aggregates all ~20 analyses slice. One fold
-// builds it (advance.go) from three sources — a binary snapshot's
-// columns, a delta's ops on top of the previous day's index, or a
-// materialized []bgp.Route — and the scheme-taking functions are
-// IndexFor(s, scheme).X(…). The three scheme-less ones (CountSnapshot,
-// HygieneFilterImpact, CommunityCountPercentiles) need no
-// classification: they read the attached index of a header-only
-// snapshot and walk the routes of any other.
+// The classified snapshot Index (index.go) classifies each distinct
+// community value once and precomputes the aggregates all ~20 analyses
+// slice. One fold builds it (advance.go) from three sources — a binary
+// snapshot's columns, a delta's ops on top of the previous day's
+// index, or a materialized []bgp.Route. An index belongs to whoever
+// built its snapshot: the package keeps no cache, and a header-only
+// snapshot carries its index itself (AttachIndex, Attached). The two
+// series reads, CountSnapshot and Stability, need no classification
+// and take snapshots: they read the attached index of a header-only
+// day and walk the routes of any other.
 //
 // The reference implementation lives in oracle_test.go: the *Direct
 // functions re-walk a materialized snapshot and re-classify every

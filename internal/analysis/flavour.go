@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"ixplight/internal/bgp"
-	"ixplight/internal/collector"
 	"ixplight/internal/dictionary"
 )
 
@@ -26,11 +25,6 @@ type FlavourActions struct {
 // TotalAction sums the action instances across flavours.
 func (f FlavourActions) TotalAction() int {
 	return f.StandardAction + f.ExtendedAction + f.LargeAction
-}
-
-// ComputeFlavourActions tallies the extension analysis for one family.
-func ComputeFlavourActions(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool) FlavourActions {
-	return IndexFor(s, scheme).FlavourActions(v6)
 }
 
 // VisibilityReport quantifies the paper's core methodological claim

@@ -1,10 +1,6 @@
 package analysis
 
-import (
-	"sort"
-
-	"ixplight/internal/collector"
-)
+import "sort"
 
 // The §5.6 operational-implications analysis: DE-CIX mitigates the
 // route-server overhead of blanket tagging by filtering routes with
@@ -34,21 +30,6 @@ func (h HygieneImpact) LoadShare() float64 {
 	return ratio(h.CommunitiesDropped, h.CommunitiesTotal)
 }
 
-// HygieneFilterImpact evaluates the §5.6 filter at each threshold.
-// The per-route counts need no classification, so there is no scheme
-// to build an index with: a header-only snapshot answers from its
-// attached index, any other from a walk of its routes.
-func HygieneFilterImpact(s *collector.Snapshot, v6 bool, thresholds []int) []HygieneImpact {
-	if ix := pinnedFor(s, nil); ix != nil {
-		return ix.HygieneFilterImpact(v6, thresholds)
-	}
-	hist := make(map[int]int)
-	for _, c := range communityCounts(s, v6) {
-		hist[c]++
-	}
-	return hygieneImpacts(hist, thresholds)
-}
-
 // hygieneImpacts evaluates each threshold over a per-route community
 // count distribution, given as a histogram (count → routes).
 func hygieneImpacts(hist map[int]int, thresholds []int) []HygieneImpact {
@@ -71,16 +52,6 @@ func hygieneImpacts(hist map[int]int, thresholds []int) []HygieneImpact {
 	return out
 }
 
-// CommunityCountPercentiles summarises the per-route community count
-// distribution at the given percentiles (0–100) — the evidence for
-// picking a §5.6 threshold. Scheme-less like HygieneFilterImpact.
-func CommunityCountPercentiles(s *collector.Snapshot, v6 bool, percentiles []float64) []int {
-	if ix := pinnedFor(s, nil); ix != nil {
-		return ix.CommunityCountPercentiles(v6, percentiles)
-	}
-	return countPercentiles(communityCounts(s, v6), percentiles)
-}
-
 // countPercentiles sorts counts in place and reads off the requested
 // percentiles. Callers handing out shared state must pass a copy.
 func countPercentiles(counts []int, percentiles []float64) []int {
@@ -100,15 +71,4 @@ func countPercentiles(counts []int, percentiles []float64) []int {
 		out[i] = counts[idx]
 	}
 	return out
-}
-
-func communityCounts(s *collector.Snapshot, v6 bool) []int {
-	var counts []int
-	for _, r := range s.Routes {
-		if r.IsIPv6() != v6 {
-			continue
-		}
-		counts = append(counts, r.CommunityCount())
-	}
-	return counts
 }

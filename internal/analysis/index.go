@@ -2,8 +2,6 @@ package analysis
 
 import (
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"ixplight/internal/asdb"
 	"ixplight/internal/bgp"
@@ -21,8 +19,8 @@ import (
 // the Fig. 1/2 mix, the Fig. 3 action/info split, Fig. 4's usage and
 // per-AS counts, the Table 2 / §5.3 per-type tallies, the Fig. 5–7 /
 // §5.5 rankings and the §5.6 per-route community-count distribution.
-// The index is the only way in: every scheme-taking analysis function
-// of this package is IndexFor(s, scheme).X(…).
+// The index is the only way in: every analysis that classifies is a
+// method on it.
 
 // numActionTypes sizes the per-ActionType arrays (Informational
 // through Blackhole).
@@ -33,11 +31,8 @@ const numActionTypes = int(dictionary.Blackhole) + 1
 // Concurrency contract: an Index is immutable after construction.
 // Every method is read-only and safe to call from any number of
 // goroutines without external locking; accessors that expose aggregate
-// maps return fresh copies. The one obligation on the caller is that
-// the underlying Snapshot must not be mutated while the Index (or any
-// analysis wrapper that may consult the shared index cache) is in use
-// — mutate a copy. TestIndexConcurrentUse pins the contract under
-// -race.
+// maps return fresh copies. TestIndexConcurrentUse pins the contract
+// under -race.
 type Index struct {
 	snap    *collector.Snapshot
 	scheme  *dictionary.Scheme
@@ -85,110 +80,33 @@ type familyStats struct {
 	culprits           map[uint32]int
 }
 
-// --- shared index cache -------------------------------------------------
+// --- the snapshot's own index ----------------------------------------------
 
-// The wrappers keep their historical (snapshot, scheme, family)
-// signatures, so the cross-analysis reuse the index exists for has to
-// happen behind them: a bounded cache keyed by the (snapshot, scheme)
-// pointer pair. Entries single-flight their construction so that
-// concurrent experiments requesting the same snapshot build one index
-// between them.
+// An index belongs to whoever built its snapshot. A header-only
+// snapshot (a loaded .bin or .delta day) has no routes to build from,
+// so its builder hangs the index on it; every other holder keeps the
+// *Index it built next to the snapshot (report.Lab.Indexes).
 
-const indexCacheCap = 32
+// AttachIndex hangs a pre-built index on its snapshot. Attach before
+// the snapshot is shared across goroutines, and never to a snapshot
+// another holder already serves.
+func AttachIndex(s *collector.Snapshot, ix *Index) { s.SetAux(ix) }
 
-type indexKey struct {
-	snap   *collector.Snapshot
-	scheme *dictionary.Scheme
+// Attached returns the index hung on s with AttachIndex, or nil.
+func Attached(s *collector.Snapshot) *Index {
+	ix, _ := s.Aux().(*Index)
+	return ix
 }
 
-type indexEntry struct {
-	once sync.Once
-	ix   *Index
-	// done flips after the build completes, separating cache hits from
-	// lookups that coalesce onto an in-flight build.
-	done atomic.Bool
-}
-
-// build runs the entry's single-flight construction.
-func (e *indexEntry) build(s *collector.Snapshot, scheme *dictionary.Scheme) *Index {
-	e.once.Do(func() {
-		e.ix = NewIndex(s, scheme)
-		e.done.Store(true)
-	})
-	return e.ix
-}
-
-// The cache evicts in insertion order: indexRing holds the keys of the
-// live entries, and the slot the next insertion overwrites is the
-// oldest. Overwriting is what releases an evicted snapshot — no stale
-// key outlives its entry.
-var (
-	indexMu      sync.Mutex
-	indexEntries = make(map[indexKey]*indexEntry)
-	indexRing    [indexCacheCap]indexKey
-	indexInserts int
-)
-
-// IndexFor returns the Index for (s, scheme): the one attached to s
-// (AttachIndex) when there is one, otherwise the shared cache's,
-// built on first use. The cache holds strong references to at most
-// indexCacheCap snapshots (FIFO eviction); the snapshot must not be
-// mutated while indexed analyses run against it (see the Index
-// concurrency contract).
+// IndexFor returns the index attached to s, else a fresh NewIndex(s,
+// scheme). It exists for benchmarks/e2e/analyze.go, which this tree
+// may not edit, and has no other caller: code that holds a snapshot
+// holds its index, or says NewIndex where it pays for one.
 func IndexFor(s *collector.Snapshot, scheme *dictionary.Scheme) *Index {
-	if ix := pinnedFor(s, scheme); ix != nil {
+	if ix := Attached(s); ix != nil {
 		return ix
 	}
-	t := tel()
-	key := indexKey{snap: s, scheme: scheme}
-	indexMu.Lock()
-	e := indexEntries[key]
-	if e == nil {
-		evicted := 0
-		slot := &indexRing[indexInserts%indexCacheCap]
-		if slot.snap != nil {
-			delete(indexEntries, *slot)
-			evicted = 1
-		}
-		*slot = key
-		indexInserts++
-		e = &indexEntry{}
-		indexEntries[key] = e
-		t.miss()
-		t.cache(len(indexEntries), evicted)
-	} else if e.done.Load() {
-		t.hit()
-	} else {
-		t.coalesce()
-	}
-	indexMu.Unlock()
-	return e.build(s, scheme)
-}
-
-// pinnedIndex is the Snapshot aux attachment carrying a pre-built
-// index for a (possibly route-less) snapshot.
-type pinnedIndex struct {
-	scheme *dictionary.Scheme
-	ix     *Index
-}
-
-// AttachIndex pins a pre-built index on its snapshot, making every
-// analysis wrapper answer from it: a header-only snapshot has no
-// routes to build from or walk. Attach before the snapshot is shared
-// across goroutines. The pin is consulted ahead of the shared cache,
-// keyed by the index's scheme (the scheme-less analyses match any
-// pin).
-func AttachIndex(s *collector.Snapshot, ix *Index) {
-	s.SetAux(&pinnedIndex{scheme: ix.scheme, ix: ix})
-}
-
-// pinnedFor returns the index pinned on s when its scheme matches
-// (nil scheme matches any pin), else nil.
-func pinnedFor(s *collector.Snapshot, scheme *dictionary.Scheme) *Index {
-	if p, ok := s.Aux().(*pinnedIndex); ok && (scheme == nil || p.scheme == scheme) {
-		return p.ix
-	}
-	return nil
+	return NewIndex(s, scheme)
 }
 
 // --- accessors ----------------------------------------------------------
@@ -213,11 +131,22 @@ func (ix *Index) Usage(v6 bool) Usage { return ix.family(v6).usage }
 // Mix returns the Fig. 1/2 instance mix for one family.
 func (ix *Index) Mix(v6 bool) Mix { return ix.family(v6).mix }
 
-// ActionInfoSplit returns the Fig. 3 split for one family.
+// ActionInfoSplit returns the Fig. 3 split for one family: action vs
+// informational instances among the IXP-defined standard communities.
 func (ix *Index) ActionInfoSplit(v6 bool) (action, info int) {
 	f := ix.family(v6).flavour
 	return f.StandardAction, f.StandardInfo
 }
+
+// ActionShare is Fig. 3's action fraction.
+func (ix *Index) ActionShare(v6 bool) float64 {
+	a, i := ix.ActionInfoSplit(v6)
+	return ratio(a, a+i)
+}
+
+// IsMember reports whether asn has a session at the route server in
+// the indexed snapshot.
+func (ix *Index) IsMember(asn uint32) bool { return ix.members[asn] }
 
 // FlavourActions returns the per-flavour action/info tallies.
 func (ix *Index) FlavourActions(v6 bool) FlavourActions { return ix.family(v6).flavour }
@@ -234,6 +163,7 @@ func (ix *Index) PerASActionCounts(v6 bool) map[uint32]int {
 }
 
 // RouteCommCorrelation returns the Fig. 4c scatter for one family.
+// Only ASes announcing at least one route appear.
 func (ix *Index) RouteCommCorrelation(v6 bool) []CorrelationPoint {
 	st := ix.family(v6)
 	totalComms := 0
@@ -252,7 +182,9 @@ func (ix *Index) RouteCommCorrelation(v6 bool) []CorrelationPoint {
 	return out
 }
 
-// ASesPerActionType returns Table 2 for one family.
+// ASesPerActionType returns Table 2 for one family: for each of the
+// four action groups, the number (and fraction) of RS members tagging
+// at least one route with a community of that group.
 func (ix *Index) ASesPerActionType(v6 bool) []TypeUsage {
 	st := ix.family(v6)
 	out := make([]TypeUsage, 0, len(dictionary.ActionTypes))
@@ -279,12 +211,15 @@ func (ix *Index) OccurrencesPerType(v6 bool) map[dictionary.ActionType]int {
 	return out
 }
 
-// TopActionCommunities returns the Fig. 5 ranking for one family.
+// TopActionCommunities returns the Fig. 5 ranking for one family:
+// action community values by occurrence, ties broken by value.
 func (ix *Index) TopActionCommunities(v6 bool, k int) []CommunityCount {
 	return rankCommunities(ix.family(v6).actionComms, ix.Class, k)
 }
 
-// NonMemberTargeting returns the §5.5 aggregate for one family.
+// NonMemberTargeting returns the §5.5 aggregate for one family. Only
+// communities with a specific AS target can be ineffective this way;
+// to-all and blackhole actions always have effect.
 func (ix *Index) NonMemberTargeting(v6 bool, k int) NonMemberTargeting {
 	st := ix.family(v6)
 	return NonMemberTargeting{
@@ -343,7 +278,8 @@ func (ix *Index) HygieneFilterImpact(v6 bool, thresholds []int) []HygieneImpact 
 }
 
 // CommunityCountPercentiles summarises the per-route community count
-// distribution at the given percentiles.
+// distribution at the given percentiles (0–100) — the evidence for
+// picking a §5.6 threshold.
 func (ix *Index) CommunityCountPercentiles(v6 bool, percentiles []float64) []int {
 	st := ix.family(v6)
 	counts := make([]int, 0, st.usage.RoutesTotal)

@@ -3,7 +3,6 @@ package analysis
 import (
 	"sort"
 
-	"ixplight/internal/collector"
 	"ixplight/internal/dictionary"
 )
 
@@ -11,19 +10,13 @@ import (
 // intersection among the ASes targeted by action communities in the
 // top 20 of all IXPs" — fourteen shared avoid-targets between LINX and
 // IX.br, six ASes avoided at all four large IXPs. This module computes
-// those overlaps for any snapshot set.
-
-// IXPSnapshot pairs a snapshot with its scheme for multi-IXP analyses.
-type IXPSnapshot struct {
-	Snapshot *collector.Snapshot
-	Scheme   *dictionary.Scheme
-}
+// those overlaps for any set of indexes.
 
 // topTargetSet extracts the ASNs targeted by the top-k action
 // communities of one IXP family.
-func topTargetSet(s IXPSnapshot, v6 bool, k int) map[uint32]bool {
+func topTargetSet(ix *Index, v6 bool, k int) map[uint32]bool {
 	set := make(map[uint32]bool)
-	for _, cc := range TopActionCommunities(s.Snapshot, s.Scheme, v6, k) {
+	for _, cc := range ix.TopActionCommunities(v6, k) {
 		if cc.Class.Target == dictionary.TargetPeer {
 			set[cc.Class.TargetASN] = true
 		}
@@ -40,10 +33,10 @@ type PairwiseIntersection struct {
 // TargetIntersections computes, over each IXP's top-k targeted ASes,
 // the pairwise overlaps and the set shared by every IXP. Results are
 // deterministic: shared ASNs are sorted ascending.
-func TargetIntersections(ixps []IXPSnapshot, v6 bool, k int) (pairs []PairwiseIntersection, common []uint32) {
+func TargetIntersections(ixps []*Index, v6 bool, k int) (pairs []PairwiseIntersection, common []uint32) {
 	sets := make([]map[uint32]bool, len(ixps))
-	for i, s := range ixps {
-		sets[i] = topTargetSet(s, v6, k)
+	for i, ix := range ixps {
+		sets[i] = topTargetSet(ix, v6, k)
 	}
 	for i := 0; i < len(ixps); i++ {
 		for j := i + 1; j < len(ixps); j++ {
@@ -55,7 +48,7 @@ func TargetIntersections(ixps []IXPSnapshot, v6 bool, k int) (pairs []PairwiseIn
 			}
 			sort.Slice(shared, func(a, b int) bool { return shared[a] < shared[b] })
 			pairs = append(pairs, PairwiseIntersection{
-				IXPA: ixps[i].Snapshot.IXP, IXPB: ixps[j].Snapshot.IXP, Shared: shared,
+				IXPA: ixps[i].snap.IXP, IXPB: ixps[j].snap.IXP, Shared: shared,
 			})
 		}
 	}

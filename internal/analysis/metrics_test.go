@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"sync"
 	"testing"
 
 	"ixplight/internal/telemetry"
@@ -17,71 +16,6 @@ func setTelemetryForTest(t *testing.T) *telemetry.Registry {
 		SetTelemetry(nil)
 	})
 	return reg
-}
-
-// TestIndexCacheMetrics walks one snapshot through the cache: first
-// lookup is a miss that builds, repeats are hits, and the entry gauge
-// tracks the cache size (TestIndexCacheEviction covers evictions).
-func TestIndexCacheMetrics(t *testing.T) {
-	reg := setTelemetryForTest(t)
-	m := tel()
-	s, scheme := genSnapshot(t, "DE-CIX") // a fresh snapshot: the cache is keyed by pointer
-	hits0, misses0 := m.cacheHits.Value(), m.cacheMisses.Value()
-
-	IndexFor(s, scheme)
-	if got := m.cacheMisses.Value() - misses0; got != 1 {
-		t.Errorf("misses = %d, want 1", got)
-	}
-	if got := m.buildSeconds.Count(); got < 1 {
-		t.Errorf("build observations = %d, want >= 1", got)
-	}
-	IndexFor(s, scheme)
-	IndexFor(s, scheme)
-	if got := m.cacheHits.Value() - hits0; got != 2 {
-		t.Errorf("hits = %d, want 2", got)
-	}
-	if m.cacheEntries.Value() < 1 {
-		t.Errorf("cache entries gauge = %d, want >= 1", m.cacheEntries.Value())
-	}
-
-	// The registry backing the instruments is the one we installed.
-	if reg.Snapshot()["ixplight_analysis_index_cache_misses_total"] == nil {
-		t.Error("metrics not registered on the installed registry")
-	}
-}
-
-// TestIndexCoalescedBuilds: concurrent first lookups must build once
-// and record the latecomers as coalesced.
-func TestIndexCoalescedBuilds(t *testing.T) {
-	setTelemetryForTest(t)
-	m := tel()
-	s, scheme := genSnapshot(t, "LINX")
-	builds0 := m.buildSeconds.Count()
-
-	const goroutines = 8
-	var wg sync.WaitGroup
-	ixs := make([]*Index, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			ixs[g] = IndexFor(s, scheme)
-		}(g)
-	}
-	wg.Wait()
-	for g := 1; g < goroutines; g++ {
-		if ixs[g] != ixs[0] {
-			t.Fatal("concurrent lookups returned different indexes")
-		}
-	}
-	if got := m.buildSeconds.Count() - builds0; got != 1 {
-		t.Errorf("builds = %d, want exactly 1", got)
-	}
-	// Every goroutine is accounted for: 1 miss + (hits + coalesced) = 8.
-	total := m.cacheMisses.Value() + m.cacheHits.Value() + m.coalesced.Value()
-	if total < goroutines {
-		t.Errorf("accounted lookups = %d, want >= %d", total, goroutines)
-	}
 }
 
 // TestIndexBuildSpan: builds must emit an analysis.index_build span
@@ -108,15 +42,18 @@ func TestIndexBuildSpan(t *testing.T) {
 	}
 }
 
-// TestTelemetryOffCostsNothingVisible: with no registry installed the
-// cache must behave identically (a correctness guard for the
+// TestTelemetryOffCostsNothingVisible: with no registry installed a
+// build must give the same index (a correctness guard for the
 // nil-telemetry fast path).
 func TestTelemetryOffCostsNothingVisible(t *testing.T) {
-	SetTelemetry(nil)
 	s, scheme := genSnapshot(t, "DE-CIX")
-	a := IndexFor(s, scheme)
-	b := IndexFor(s, scheme)
-	if a == nil || a != b {
-		t.Error("cache broken with telemetry off")
+	SetTelemetry(nil)
+	off := NewIndex(s, scheme)
+	setTelemetryForTest(t)
+	on := NewIndex(s, scheme)
+	for _, v6 := range []bool{false, true} {
+		if off.Usage(v6) != on.Usage(v6) || off.Mix(v6) != on.Mix(v6) {
+			t.Errorf("v6=%v: index built with telemetry off differs from one built with it on", v6)
+		}
 	}
 }

@@ -1,10 +1,5 @@
 package analysis
 
-import (
-	"ixplight/internal/collector"
-	"ixplight/internal/dictionary"
-)
-
 // Mix counts community instances by provenance and flavour for one
 // snapshot family — the raw material of Fig. 1 (IXP-defined vs
 // unknown) and Fig. 2 (standard vs extended vs large).
@@ -53,21 +48,4 @@ func ratio(num, den int) float64 {
 		return 0
 	}
 	return float64(num) / float64(den)
-}
-
-// ComputeMix tallies the Fig. 1/2 mix for one family of a snapshot.
-func ComputeMix(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool) Mix {
-	return IndexFor(s, scheme).Mix(v6)
-}
-
-// ActionInfoSplit counts action vs informational instances among the
-// IXP-defined standard communities — Fig. 3.
-func ActionInfoSplit(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool) (action, info int) {
-	return IndexFor(s, scheme).ActionInfoSplit(v6)
-}
-
-// ActionShare is Fig. 3's action fraction.
-func ActionShare(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool) float64 {
-	a, i := ActionInfoSplit(s, scheme, v6)
-	return ratio(a, a+i)
 }

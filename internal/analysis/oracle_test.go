@@ -473,6 +473,19 @@ func CommunityCountPercentilesDirect(s *collector.Snapshot, v6 bool, percentiles
 	return countPercentiles(communityCounts(s, v6), percentiles)
 }
 
+// communityCounts walks one family's routes for their §5.6 community
+// counts.
+func communityCounts(s *collector.Snapshot, v6 bool) []int {
+	var counts []int
+	for _, r := range s.Routes {
+		if r.IsIPv6() != v6 {
+			continue
+		}
+		counts = append(counts, r.CommunityCount())
+	}
+	return counts
+}
+
 // CountSnapshotDirect is the direct twin of CountSnapshot.
 func CountSnapshotDirect(s *collector.Snapshot, v6 bool) SnapshotCounts {
 	c := SnapshotCounts{Date: s.Date}

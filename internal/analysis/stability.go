@@ -23,7 +23,7 @@ type SnapshotCounts struct {
 // an index with: a header-only snapshot answers from its attached
 // index, any other from a walk of its routes.
 func CountSnapshot(s *collector.Snapshot, v6 bool) SnapshotCounts {
-	if ix := pinnedFor(s, nil); ix != nil {
+	if ix := Attached(s); ix != nil {
 		return ix.Counts(v6)
 	}
 	c := SnapshotCounts{Date: s.Date}
@@ -102,7 +102,7 @@ func Stability(snaps []*collector.Snapshot, v6 bool) StabilityTable {
 	rows := make([]SnapshotCounts, len(snaps))
 	walks := false
 	for i, s := range snaps {
-		if ix := pinnedFor(s, nil); ix != nil {
+		if ix := Attached(s); ix != nil {
 			rows[i] = ix.Counts(v6)
 		} else {
 			walks = true

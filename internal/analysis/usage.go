@@ -1,11 +1,6 @@
 package analysis
 
-import (
-	"sort"
-
-	"ixplight/internal/collector"
-	"ixplight/internal/dictionary"
-)
+import "sort"
 
 // Usage aggregates Fig. 4a: how many ASes use action communities, how
 // many routes carry at least one, and the total instance count.
@@ -28,17 +23,6 @@ func (u Usage) ASShare() float64 { return ratio(u.ASesUsing, u.MembersAtRS) }
 
 // RouteShare is the fraction of routes carrying ≥1 action community.
 func (u Usage) RouteShare() float64 { return ratio(u.RoutesTagged, u.RoutesTotal) }
-
-// ComputeUsage tallies Fig. 4a for one snapshot family.
-func ComputeUsage(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool) Usage {
-	return IndexFor(s, scheme).Usage(v6)
-}
-
-// PerASActionCounts returns each announcing AS's action-instance count
-// — the raw series behind Fig. 4b and Fig. 7.
-func PerASActionCounts(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool) map[uint32]int {
-	return IndexFor(s, scheme).PerASActionCounts(v6)
-}
 
 // CDFPoint is one point of Fig. 4b: after including the top
 // ASFraction of RS members (by usage), CommFraction of all action
@@ -92,10 +76,4 @@ type CorrelationPoint struct {
 	ASN       uint32
 	RouteFrac float64
 	CommFrac  float64
-}
-
-// RouteCommCorrelation computes Fig. 4c's scatter for one family.
-// Only ASes announcing at least one route appear.
-func RouteCommCorrelation(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool) []CorrelationPoint {
-	return IndexFor(s, scheme).RouteCommCorrelation(v6)
 }

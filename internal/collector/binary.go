@@ -602,169 +602,153 @@ func decodeHeaderSection(r *breader) (*Snapshot, error) {
 	return s, nil
 }
 
+// Tables is the five interned attribute tables in wire order: a .bin
+// route block carries them whole, a .delta carries the entries its day
+// appends to the chain's. A nil set is a route encoded with a nil (not
+// empty) slice. They are the decoder's own heap slices — each table's
+// elements share one slab — alias no input bytes, and must be treated
+// as immutable.
+type Tables struct {
+	NextHops           []netip.Addr
+	ASPaths            []bgp.ASPath
+	CommunitySets      [][]bgp.Community
+	ExtCommunitySets   [][]bgp.ExtendedCommunity
+	LargeCommunitySets [][]bgp.LargeCommunity
+}
+
+// sizes returns the entry count of each table, in wire order.
+func (t *Tables) sizes() [numTabs]int {
+	return [numTabs]int{len(t.NextHops), len(t.ASPaths), len(t.CommunitySets), len(t.ExtCommunitySets), len(t.LargeCommunitySets)}
+}
+
+// decodeTables parses the five tables: the one decoder of the encoding
+// appendRouteBlock and DeltaEncoder.Encode share. A delta prefixes each
+// table with the chain table size its extension assumes; base, when
+// non-nil, receives those. corrupt is the caller's sentinel for a count
+// the bytes do not bear out.
+func decodeTables(r *breader, base *[numTabs]int, corrupt error) (t Tables, err error) {
+	for tab := 0; tab < numTabs; tab++ {
+		if base != nil {
+			v, err := r.uvarint()
+			if err != nil {
+				return t, err
+			}
+			if base[tab] = int(v); base[tab] < 0 {
+				return t, corrupt
+			}
+		}
+		switch tab {
+		case tabNH:
+			var n int
+			if n, err = r.count(); err != nil {
+				return t, err
+			}
+			t.NextHops = make([]netip.Addr, n)
+			for i := range t.NextHops {
+				if t.NextHops[i], err = r.addr(); err != nil {
+					return t, err
+				}
+			}
+		case tabPath:
+			t.ASPaths, err = decodeSets(r, corrupt, appendUint32s[bgp.ASPath])
+		case tabComm:
+			t.CommunitySets, err = decodeSets(r, corrupt, appendUint32s[[]bgp.Community])
+		case tabExt:
+			t.ExtCommunitySets, err = decodeSets(r, corrupt, appendExts)
+		case tabLarge:
+			t.LargeCommunitySets, err = decodeSets(r, corrupt, appendLarges)
+		}
+		if err != nil {
+			return t, err
+		}
+	}
+	return t, nil
+}
+
+// appendUint32s reads n uvarint elements onto slab: an AS path's hops,
+// a standard-community set's values.
+func appendUint32s[S ~[]E, E ~uint32](r *breader, slab S, n int) (S, error) {
+	for ; n > 0; n-- {
+		v, err := r.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		slab = append(slab, E(v))
+	}
+	return slab, nil
+}
+
+// appendExts reads n extended communities (8 raw bytes each) onto slab.
+func appendExts(r *breader, slab []bgp.ExtendedCommunity, n int) ([]bgp.ExtendedCommunity, error) {
+	raw, err := r.bytes(8 * n)
+	for ; err == nil && len(raw) > 0; raw = raw[8:] {
+		slab = append(slab, bgp.ExtendedCommunity(raw[:8]))
+	}
+	return slab, err
+}
+
+// appendLarges reads n large communities (three uvarints each) onto slab.
+func appendLarges(r *breader, slab []bgp.LargeCommunity, n int) ([]bgp.LargeCommunity, error) {
+	for ; n > 0; n-- {
+		var v [3]uint64
+		for i := range v {
+			var err error
+			if v[i], err = r.uvarint(); err != nil {
+				return nil, err
+			}
+		}
+		slab = append(slab, bgp.LargeCommunity{Global: uint32(v[0]), Local1: uint32(v[1]), Local2: uint32(v[2])})
+	}
+	return slab, nil
+}
+
+// decodeSets parses one table of element slices: the set count, the
+// element total — every set's elements live in one slab sized by it,
+// with a single allocation — then each set as a slice header and its
+// elements, which fill reads onto the slab: one call through the func
+// value per set, not per element.
+func decodeSets[S ~[]E, E any](r *breader, corrupt error, fill func(r *breader, slab S, n int) (S, error)) ([]S, error) {
+	count, err := r.count()
+	if err != nil {
+		return nil, err
+	}
+	elems, err := r.count()
+	if err != nil {
+		return nil, err
+	}
+	slab := make(S, 0, elems)
+	sets := make([]S, count)
+	for i := range sets {
+		n, isNil, err := r.sliceHeader()
+		if err != nil {
+			return nil, err
+		}
+		if isNil {
+			continue
+		}
+		if len(slab)+n > cap(slab) {
+			return nil, corrupt
+		}
+		start := len(slab)
+		if slab, err = fill(r, slab, n); err != nil {
+			return nil, err
+		}
+		sets[i] = slab[start:len(slab):len(slab)]
+	}
+	return sets, nil
+}
+
 // decodeRouteBlock parses the route block that follows the header: the
-// intern tables into fresh slabs (one backing array per element type,
-// shared by every entry of a table) and the nine columns as sub-slices
-// of r's bytes. Nothing in the tables aliases r; the columns do.
+// intern tables and the nine columns as sub-slices of r's bytes.
+// Nothing in the tables aliases r; the columns do.
 func decodeRouteBlock(r *breader) (*RouteBlock, error) {
 	rb := &RouteBlock{}
 	var err error
 	if rb.n, rb.isNil, err = r.sliceHeader(); err != nil {
 		return nil, err
 	}
-
-	// Next-hop table.
-	nhCount, err := r.count()
-	if err != nil {
+	if rb.tabs, err = decodeTables(r, nil, errBinaryTruncated); err != nil {
 		return nil, err
-	}
-	rb.nexthops = make([]netip.Addr, nhCount)
-	for i := range rb.nexthops {
-		if rb.nexthops[i], err = r.addr(); err != nil {
-			return nil, err
-		}
-	}
-
-	// AS-path table: every path's elements live in one uint32 slab.
-	pathCount, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	pathElems, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	pathSlab := make([]uint32, 0, pathElems)
-	rb.paths = make([]bgp.ASPath, pathCount)
-	for i := range rb.paths {
-		n, isNil, err := r.sliceHeader()
-		if err != nil {
-			return nil, err
-		}
-		if isNil {
-			continue
-		}
-		if len(pathSlab)+n > cap(pathSlab) {
-			return nil, errBinaryTruncated
-		}
-		start := len(pathSlab)
-		for j := 0; j < n; j++ {
-			v, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			pathSlab = append(pathSlab, uint32(v))
-		}
-		rb.paths[i] = bgp.ASPath(pathSlab[start:len(pathSlab):len(pathSlab)])
-	}
-
-	// Standard-community set table, same slab scheme.
-	commCount, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	commElems, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	commSlab := make([]bgp.Community, 0, commElems)
-	rb.comms = make([][]bgp.Community, commCount)
-	for i := range rb.comms {
-		n, isNil, err := r.sliceHeader()
-		if err != nil {
-			return nil, err
-		}
-		if isNil {
-			continue
-		}
-		if len(commSlab)+n > cap(commSlab) {
-			return nil, errBinaryTruncated
-		}
-		start := len(commSlab)
-		for j := 0; j < n; j++ {
-			v, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			commSlab = append(commSlab, bgp.Community(v))
-		}
-		rb.comms[i] = commSlab[start:len(commSlab):len(commSlab)]
-	}
-
-	// Extended-community set table.
-	extCount, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	extElems, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	extSlab := make([]bgp.ExtendedCommunity, 0, extElems)
-	rb.exts = make([][]bgp.ExtendedCommunity, extCount)
-	for i := range rb.exts {
-		n, isNil, err := r.sliceHeader()
-		if err != nil {
-			return nil, err
-		}
-		if isNil {
-			continue
-		}
-		if len(extSlab)+n > cap(extSlab) {
-			return nil, errBinaryTruncated
-		}
-		start := len(extSlab)
-		for j := 0; j < n; j++ {
-			raw, err := r.bytes(8)
-			if err != nil {
-				return nil, err
-			}
-			extSlab = append(extSlab, bgp.ExtendedCommunity(raw))
-		}
-		rb.exts[i] = extSlab[start:len(extSlab):len(extSlab)]
-	}
-
-	// Large-community set table.
-	largeCount, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	largeElems, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	largeSlab := make([]bgp.LargeCommunity, 0, largeElems)
-	rb.larges = make([][]bgp.LargeCommunity, largeCount)
-	for i := range rb.larges {
-		n, isNil, err := r.sliceHeader()
-		if err != nil {
-			return nil, err
-		}
-		if isNil {
-			continue
-		}
-		if len(largeSlab)+n > cap(largeSlab) {
-			return nil, errBinaryTruncated
-		}
-		start := len(largeSlab)
-		for j := 0; j < n; j++ {
-			g, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			l1, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			l2, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			largeSlab = append(largeSlab, bgp.LargeCommunity{
-				Global: uint32(g), Local1: uint32(l1), Local2: uint32(l2),
-			})
-		}
-		rb.larges[i] = largeSlab[start:len(largeSlab):len(largeSlab)]
 	}
 
 	// Columns.

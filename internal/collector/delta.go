@@ -557,12 +557,7 @@ type DeltaReader struct {
 	routesNil  bool
 
 	baseSizes [numTabs]int
-
-	newNexthops []netip.Addr
-	newPaths    []bgp.ASPath
-	newComms    [][]bgp.Community
-	newExts     [][]bgp.ExtendedCommunity
-	newLarges   [][]bgp.LargeCommunity
+	ext       Tables
 
 	ops []byte
 }
@@ -656,149 +651,8 @@ func NewDeltaReader(data []byte) (*DeltaReader, error) {
 		return nil, errDeltaCorrupt
 	}
 
-	// Table extensions.
-	if d.baseSizes[tabNH], err = readBaseSize(r); err != nil {
+	if d.ext, err = decodeTables(r, &d.baseSizes, errDeltaCorrupt); err != nil {
 		return nil, err
-	}
-	nhCount, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	d.newNexthops = make([]netip.Addr, nhCount)
-	for i := range d.newNexthops {
-		if d.newNexthops[i], err = r.addr(); err != nil {
-			return nil, err
-		}
-	}
-	if d.baseSizes[tabPath], err = readBaseSize(r); err != nil {
-		return nil, err
-	}
-	pathCount, pathElems, err := readExtHeader(r)
-	if err != nil {
-		return nil, err
-	}
-	pathSlab := make([]uint32, 0, pathElems)
-	d.newPaths = make([]bgp.ASPath, pathCount)
-	for i := range d.newPaths {
-		n, isNil, err := r.sliceHeader()
-		if err != nil {
-			return nil, err
-		}
-		if isNil {
-			continue
-		}
-		if len(pathSlab)+n > cap(pathSlab) {
-			return nil, errDeltaCorrupt
-		}
-		start := len(pathSlab)
-		for j := 0; j < n; j++ {
-			v, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			pathSlab = append(pathSlab, uint32(v))
-		}
-		d.newPaths[i] = bgp.ASPath(pathSlab[start:len(pathSlab):len(pathSlab)])
-	}
-	if d.baseSizes[tabComm], err = readBaseSize(r); err != nil {
-		return nil, err
-	}
-	commCount, commElems, err := readExtHeader(r)
-	if err != nil {
-		return nil, err
-	}
-	commSlab := make([]bgp.Community, 0, commElems)
-	d.newComms = make([][]bgp.Community, commCount)
-	for i := range d.newComms {
-		n, isNil, err := r.sliceHeader()
-		if err != nil {
-			return nil, err
-		}
-		if isNil {
-			continue
-		}
-		if len(commSlab)+n > cap(commSlab) {
-			return nil, errDeltaCorrupt
-		}
-		start := len(commSlab)
-		for j := 0; j < n; j++ {
-			v, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			commSlab = append(commSlab, bgp.Community(v))
-		}
-		d.newComms[i] = commSlab[start:len(commSlab):len(commSlab)]
-	}
-	if d.baseSizes[tabExt], err = readBaseSize(r); err != nil {
-		return nil, err
-	}
-	extCount, extElems, err := readExtHeader(r)
-	if err != nil {
-		return nil, err
-	}
-	extSlab := make([]bgp.ExtendedCommunity, 0, extElems)
-	d.newExts = make([][]bgp.ExtendedCommunity, extCount)
-	for i := range d.newExts {
-		n, isNil, err := r.sliceHeader()
-		if err != nil {
-			return nil, err
-		}
-		if isNil {
-			continue
-		}
-		if len(extSlab)+n > cap(extSlab) {
-			return nil, errDeltaCorrupt
-		}
-		start := len(extSlab)
-		for j := 0; j < n; j++ {
-			raw, err := r.bytes(8)
-			if err != nil {
-				return nil, err
-			}
-			extSlab = append(extSlab, bgp.ExtendedCommunity(raw))
-		}
-		d.newExts[i] = extSlab[start:len(extSlab):len(extSlab)]
-	}
-	if d.baseSizes[tabLarge], err = readBaseSize(r); err != nil {
-		return nil, err
-	}
-	largeCount, largeElems, err := readExtHeader(r)
-	if err != nil {
-		return nil, err
-	}
-	largeSlab := make([]bgp.LargeCommunity, 0, largeElems)
-	d.newLarges = make([][]bgp.LargeCommunity, largeCount)
-	for i := range d.newLarges {
-		n, isNil, err := r.sliceHeader()
-		if err != nil {
-			return nil, err
-		}
-		if isNil {
-			continue
-		}
-		if len(largeSlab)+n > cap(largeSlab) {
-			return nil, errDeltaCorrupt
-		}
-		start := len(largeSlab)
-		for j := 0; j < n; j++ {
-			g, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			l1, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			l2, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			largeSlab = append(largeSlab, bgp.LargeCommunity{
-				Global: uint32(g), Local1: uint32(l1), Local2: uint32(l2),
-			})
-		}
-		d.newLarges[i] = largeSlab[start:len(largeSlab):len(largeSlab)]
 	}
 
 	opsLen, err := r.count()
@@ -812,28 +666,6 @@ func NewDeltaReader(data []byte) (*DeltaReader, error) {
 		return nil, errDeltaCorrupt
 	}
 	return d, nil
-}
-
-func readBaseSize(r *breader) (int, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	n := int(v)
-	if n < 0 {
-		return 0, errDeltaCorrupt
-	}
-	return n, nil
-}
-
-func readExtHeader(r *breader) (count, elems int, err error) {
-	if count, err = r.count(); err != nil {
-		return 0, 0, err
-	}
-	if elems, err = r.count(); err != nil {
-		return 0, 0, err
-	}
-	return count, elems, nil
 }
 
 // Header returns day N's header-only snapshot (Routes nil); callers
@@ -860,13 +692,9 @@ func (d *DeltaReader) NextRoutes() int { return d.nextRoutes }
 // sets, extended sets, large sets).
 func (d *DeltaReader) BaseTableSizes() [5]int { return d.baseSizes }
 
-// Table extension accessors: values first seen on day N, to be
-// appended to the base tables in this order. Callers must not mutate.
-func (d *DeltaReader) NewNextHops() []netip.Addr                      { return d.newNexthops }
-func (d *DeltaReader) NewASPaths() []bgp.ASPath                       { return d.newPaths }
-func (d *DeltaReader) NewCommunitySets() [][]bgp.Community            { return d.newComms }
-func (d *DeltaReader) NewExtCommunitySets() [][]bgp.ExtendedCommunity { return d.newExts }
-func (d *DeltaReader) NewLargeCommunitySets() [][]bgp.LargeCommunity  { return d.newLarges }
+// Tables returns the table extensions: the values first seen on day
+// N, to be appended to the base tables in this order.
+func (d *DeltaReader) Tables() *Tables { return &d.ext }
 
 // Ops streams the edit ops in order, reusing one DeltaOp across
 // calls (copy what you keep). It is re-runnable: each call walks the
@@ -874,11 +702,9 @@ func (d *DeltaReader) NewLargeCommunitySets() [][]bgp.LargeCommunity  { return d
 // base+extension table sizes before the callback sees them.
 func (d *DeltaReader) Ops(fn func(op *DeltaOp) error) error {
 	limits := d.baseSizes
-	limits[tabNH] += len(d.newNexthops)
-	limits[tabPath] += len(d.newPaths)
-	limits[tabComm] += len(d.newComms)
-	limits[tabExt] += len(d.newExts)
-	limits[tabLarge] += len(d.newLarges)
+	for tab, n := range d.ext.sizes() {
+		limits[tab] += n
+	}
 
 	r := breader{b: d.ops}
 	var op DeltaOp
@@ -989,12 +815,7 @@ func (d *DeltaReader) Ops(fn func(op *DeltaOp) error) error {
 // interned attribute values are shared across all materialized days.
 type DeltaApplier struct {
 	tabs *deltaTables
-
-	nexthops []netip.Addr
-	paths    []bgp.ASPath
-	comms    [][]bgp.Community
-	exts     [][]bgp.ExtendedCommunity
-	larges   [][]bgp.LargeCommunity
+	vals Tables // the values behind the ids, id-indexed
 
 	cur     *Snapshot
 	curIDs  []rowIDs
@@ -1014,20 +835,21 @@ func NewDeltaApplier(base *Snapshot) (*DeltaApplier, error) {
 		var ids rowIDs
 		ids, a.scratch = a.tabs.internRoute(a.scratch, r, nil)
 		// An id one past a value table's end was assigned just now.
-		if ids[tabNH] == uint64(len(a.nexthops)) {
-			a.nexthops = append(a.nexthops, r.NextHop)
+		v := &a.vals
+		if ids[tabNH] == uint64(len(v.NextHops)) {
+			v.NextHops = append(v.NextHops, r.NextHop)
 		}
-		if ids[tabPath] == uint64(len(a.paths)) {
-			a.paths = append(a.paths, r.ASPath)
+		if ids[tabPath] == uint64(len(v.ASPaths)) {
+			v.ASPaths = append(v.ASPaths, r.ASPath)
 		}
-		if ids[tabComm] == uint64(len(a.comms)) {
-			a.comms = append(a.comms, r.Communities)
+		if ids[tabComm] == uint64(len(v.CommunitySets)) {
+			v.CommunitySets = append(v.CommunitySets, r.Communities)
 		}
-		if ids[tabExt] == uint64(len(a.exts)) {
-			a.exts = append(a.exts, r.ExtCommunities)
+		if ids[tabExt] == uint64(len(v.ExtCommunitySets)) {
+			v.ExtCommunitySets = append(v.ExtCommunitySets, r.ExtCommunities)
 		}
-		if ids[tabLarge] == uint64(len(a.larges)) {
-			a.larges = append(a.larges, r.LargeCommunities)
+		if ids[tabLarge] == uint64(len(v.LargeCommunitySets)) {
+			v.LargeCommunitySets = append(v.LargeCommunitySets, r.LargeCommunities)
 		}
 		a.curIDs[i] = ids
 	}
@@ -1051,40 +873,41 @@ func (a *DeltaApplier) extend(d *DeltaReader) error {
 		return fmt.Errorf("%w: delta expects table sizes %v, chain has %v",
 			ErrDeltaBaseMismatch, d.BaseTableSizes(), sizes)
 	}
-	for _, nh := range d.NewNextHops() {
+	ext, v := d.Tables(), &a.vals
+	for _, nh := range ext.NextHops {
 		a.scratch = appendAddr(a.scratch[:0], nh)
 		if _, isNew := a.tabs.tabs[tabNH].intern(a.scratch); !isNew {
 			return errDeltaCorrupt // extension value already interned
 		}
-		a.nexthops = append(a.nexthops, nh)
+		v.NextHops = append(v.NextHops, nh)
 	}
-	for _, p := range d.NewASPaths() {
+	for _, p := range ext.ASPaths {
 		a.scratch = appendPathKey(a.scratch[:0], p)
 		if _, isNew := a.tabs.tabs[tabPath].intern(a.scratch); !isNew {
 			return errDeltaCorrupt
 		}
-		a.paths = append(a.paths, p)
+		v.ASPaths = append(v.ASPaths, p)
 	}
-	for _, cs := range d.NewCommunitySets() {
+	for _, cs := range ext.CommunitySets {
 		a.scratch = appendCommKey(a.scratch[:0], cs)
 		if _, isNew := a.tabs.tabs[tabComm].intern(a.scratch); !isNew {
 			return errDeltaCorrupt
 		}
-		a.comms = append(a.comms, cs)
+		v.CommunitySets = append(v.CommunitySets, cs)
 	}
-	for _, es := range d.NewExtCommunitySets() {
+	for _, es := range ext.ExtCommunitySets {
 		a.scratch = appendExtKey(a.scratch[:0], es)
 		if _, isNew := a.tabs.tabs[tabExt].intern(a.scratch); !isNew {
 			return errDeltaCorrupt
 		}
-		a.exts = append(a.exts, es)
+		v.ExtCommunitySets = append(v.ExtCommunitySets, es)
 	}
-	for _, ls := range d.NewLargeCommunitySets() {
+	for _, ls := range ext.LargeCommunitySets {
 		a.scratch = appendLargeKey(a.scratch[:0], ls)
 		if _, isNew := a.tabs.tabs[tabLarge].intern(a.scratch); !isNew {
 			return errDeltaCorrupt
 		}
-		a.larges = append(a.larges, ls)
+		v.LargeCommunitySets = append(v.LargeCommunitySets, ls)
 	}
 	return nil
 }
@@ -1116,14 +939,14 @@ func (a *DeltaApplier) Apply(d *DeltaReader) (*Snapshot, error) {
 	buildRoute := func(p netip.Prefix, t *DeltaTuple) bgp.Route {
 		return bgp.Route{
 			Prefix:           p,
-			NextHop:          a.nexthops[t.NextHop],
-			ASPath:           a.paths[t.Path],
+			NextHop:          a.vals.NextHops[t.NextHop],
+			ASPath:           a.vals.ASPaths[t.Path],
 			Origin:           t.Origin,
 			MED:              t.MED,
 			LocalPref:        t.LocalPref,
-			Communities:      a.comms[t.Communities],
-			ExtCommunities:   a.exts[t.ExtCommunities],
-			LargeCommunities: a.larges[t.LargeCommunities],
+			Communities:      a.vals.CommunitySets[t.Communities],
+			ExtCommunities:   a.vals.ExtCommunitySets[t.ExtCommunities],
+			LargeCommunities: a.vals.LargeCommunitySets[t.LargeCommunities],
 		}
 	}
 	err := d.Ops(func(op *DeltaOp) error {

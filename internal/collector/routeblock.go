@@ -5,28 +5,19 @@
 // contract below for what each row carries instead.
 package collector
 
-import (
-	"net/netip"
-
-	"ixplight/internal/bgp"
-)
+import "ixplight/internal/bgp"
 
 // RouteBlock is a decoded route block: the intern tables plus the raw
 // column bytes. Obtain one from SnapshotReader.RouteBlock. Scan, the
-// only column walk, may be called any number of times. The table
-// accessors return the decoder's own slices, which callers must treat
-// as immutable; they are heap storage and outlive the reader. The
+// only column walk, may be called any number of times. The tables are
+// heap storage and outlive the reader. The
 // columns alias the reader's bytes — for a reader from OpenSnapshotAt
 // the mmap'd file — so Scan must not run after the reader is closed.
 type RouteBlock struct {
 	n     int
 	isNil bool // the snapshot's Routes was nil, not empty
 
-	nexthops []netip.Addr
-	paths    []bgp.ASPath
-	comms    [][]bgp.Community
-	exts     [][]bgp.ExtendedCommunity
-	larges   [][]bgp.LargeCommunity
+	tabs Tables
 
 	prefixCol, nhCol, pathCol []byte
 	originCol, medCol, lpCol  []byte
@@ -38,21 +29,9 @@ type RouteBlock struct {
 // NumRoutes returns the row count.
 func (b *RouteBlock) NumRoutes() int { return b.n }
 
-// NextHops returns the interned next-hop table.
-func (b *RouteBlock) NextHops() []netip.Addr { return b.nexthops }
-
-// ASPaths returns the interned AS-path table.
-func (b *RouteBlock) ASPaths() []bgp.ASPath { return b.paths }
-
-// CommunitySets returns the interned standard-community set table.
-// A nil entry is a route encoded with a nil (not empty) slice.
-func (b *RouteBlock) CommunitySets() [][]bgp.Community { return b.comms }
-
-// ExtCommunitySets returns the interned extended-community set table.
-func (b *RouteBlock) ExtCommunitySets() [][]bgp.ExtendedCommunity { return b.exts }
-
-// LargeCommunitySets returns the interned large-community set table.
-func (b *RouteBlock) LargeCommunitySets() [][]bgp.LargeCommunity { return b.larges }
+// Tables returns the interned attribute tables the RouteRef indices
+// point into.
+func (b *RouteBlock) Tables() *Tables { return &b.tabs }
 
 // RouteRef is one row of the column walk: intern-table indices plus
 // the scalar attributes, no materialized route. PrefixBytes is the
@@ -140,10 +119,10 @@ func (b *RouteBlock) Scan(fn func(*RouteRef) error) error {
 		}
 		ref.V6 = addrLen >= 16
 
-		if ref.NextHop, err = colIndex(&nhCol, len(b.nexthops)); err != nil {
+		if ref.NextHop, err = colIndex(&nhCol, len(b.tabs.NextHops)); err != nil {
 			return err
 		}
-		if ref.Path, err = colIndex(&pathCol, len(b.paths)); err != nil {
+		if ref.Path, err = colIndex(&pathCol, len(b.tabs.ASPaths)); err != nil {
 			return err
 		}
 
@@ -163,13 +142,13 @@ func (b *RouteBlock) Scan(fn func(*RouteRef) error) error {
 		}
 		ref.LocalPref = uint32(lp)
 
-		if ref.Communities, err = colIndex(&commCol, len(b.comms)); err != nil {
+		if ref.Communities, err = colIndex(&commCol, len(b.tabs.CommunitySets)); err != nil {
 			return err
 		}
-		if ref.ExtCommunities, err = colIndex(&extCol, len(b.exts)); err != nil {
+		if ref.ExtCommunities, err = colIndex(&extCol, len(b.tabs.ExtCommunitySets)); err != nil {
 			return err
 		}
-		if ref.LargeCommunities, err = colIndex(&largeCol, len(b.larges)); err != nil {
+		if ref.LargeCommunities, err = colIndex(&largeCol, len(b.tabs.LargeCommunitySets)); err != nil {
 			return err
 		}
 
@@ -195,12 +174,12 @@ func (b *RouteBlock) routes() ([]bgp.Route, error) {
 		if r.Prefix, err = decodePrefixBytes(ref.PrefixBytes); err != nil {
 			return err
 		}
-		r.NextHop = b.nexthops[ref.NextHop]
-		r.ASPath = b.paths[ref.Path]
+		r.NextHop = b.tabs.NextHops[ref.NextHop]
+		r.ASPath = b.tabs.ASPaths[ref.Path]
 		r.Origin, r.MED, r.LocalPref = ref.Origin, ref.MED, ref.LocalPref
-		r.Communities = b.comms[ref.Communities]
-		r.ExtCommunities = b.exts[ref.ExtCommunities]
-		r.LargeCommunities = b.larges[ref.LargeCommunities]
+		r.Communities = b.tabs.CommunitySets[ref.Communities]
+		r.ExtCommunities = b.tabs.ExtCommunitySets[ref.ExtCommunities]
+		r.LargeCommunities = b.tabs.LargeCommunitySets[ref.LargeCommunities]
 		return nil
 	})
 	if err != nil {

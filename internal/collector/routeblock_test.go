@@ -44,14 +44,14 @@ func blockRoutes(t *testing.T, b *RouteBlock) []bgp.Route {
 		}
 		r := bgp.Route{
 			Prefix:           netip.PrefixFrom(addr, routeBits),
-			NextHop:          b.NextHops()[ref.NextHop],
-			ASPath:           b.ASPaths()[ref.Path],
+			NextHop:          b.Tables().NextHops[ref.NextHop],
+			ASPath:           b.Tables().ASPaths[ref.Path],
 			Origin:           ref.Origin,
 			MED:              ref.MED,
 			LocalPref:        ref.LocalPref,
-			Communities:      b.CommunitySets()[ref.Communities],
-			ExtCommunities:   b.ExtCommunitySets()[ref.ExtCommunities],
-			LargeCommunities: b.LargeCommunitySets()[ref.LargeCommunities],
+			Communities:      b.Tables().CommunitySets[ref.Communities],
+			ExtCommunities:   b.Tables().ExtCommunitySets[ref.ExtCommunities],
+			LargeCommunities: b.Tables().LargeCommunitySets[ref.LargeCommunities],
 		}
 		if ref.V6 != r.IsIPv6() {
 			t.Errorf("row %d: ref.V6=%v but assembled route IsIPv6=%v (%s)", ref.Row, ref.V6, r.IsIPv6(), r.Prefix)
@@ -179,5 +179,89 @@ func TestOpenSnapshotAtErrors(t *testing.T) {
 	}
 	if _, err := OpenSnapshotAt(p); err == nil {
 		t.Error("truncated magic must fail")
+	}
+}
+
+// TestDecodeTablesOneDecoder pins the one table decoder behind both
+// file kinds: the same table bytes — built here from the key encoders
+// the write side shares — decoded as a .bin block's tables and, with a
+// base size in front of each, as a .delta's extensions give equal
+// tables, nil and empty sets told apart; and a set overrunning its
+// table's declared element total fails with the caller's own sentinel.
+func TestDecodeTablesOneDecoder(t *testing.T) {
+	want := Tables{
+		NextHops:      []netip.Addr{netip.MustParseAddr("192.0.2.1"), netip.MustParseAddr("2001:db8::1")},
+		ASPaths:       []bgp.ASPath{{64500, 64501}, nil, {}},
+		CommunitySets: [][]bgp.Community{nil, {}, {bgp.NewCommunity(0, 15169), bgp.BlackholeWellKnown}},
+		ExtCommunitySets: [][]bgp.ExtendedCommunity{
+			{bgp.NewTwoOctetASExtended(6, 6695, 1)}, nil,
+		},
+		LargeCommunitySets: [][]bgp.LargeCommunity{
+			{{Global: 6695, Local1: 0, Local2: 263075}, {Global: 4294967295, Local1: 1, Local2: 2}},
+		},
+	}
+	// Each table as it goes on the wire: entry count, element total
+	// (not for next hops), then the entries' keys.
+	var tabs [numTabs][]byte
+	tabs[tabNH] = appendUvarint(nil, uint64(len(want.NextHops)))
+	for _, nh := range want.NextHops {
+		tabs[tabNH] = appendAddr(tabs[tabNH], nh)
+	}
+	tabs[tabPath] = appendUvarint(appendUvarint(nil, 3), 2)
+	for _, p := range want.ASPaths {
+		tabs[tabPath] = appendPathKey(tabs[tabPath], p)
+	}
+	tabs[tabComm] = appendUvarint(appendUvarint(nil, 3), 2)
+	for _, cs := range want.CommunitySets {
+		tabs[tabComm] = appendCommKey(tabs[tabComm], cs)
+	}
+	tabs[tabExt] = appendUvarint(appendUvarint(nil, 2), 1)
+	for _, es := range want.ExtCommunitySets {
+		tabs[tabExt] = appendExtKey(tabs[tabExt], es)
+	}
+	tabs[tabLarge] = appendUvarint(appendUvarint(nil, 1), 2)
+	for _, ls := range want.LargeCommunitySets {
+		tabs[tabLarge] = appendLargeKey(tabs[tabLarge], ls)
+	}
+	wantBase := [numTabs]int{7, 0, 300, 1, 99}
+	var block, ext []byte
+	for tab, body := range tabs {
+		block = append(block, body...)
+		ext = append(appendUvarint(ext, uint64(wantBase[tab])), body...)
+	}
+
+	asBlock, err := decodeTables(&breader{b: block}, nil, errBinaryTruncated)
+	if err != nil {
+		t.Fatalf("as a .bin block: %v", err)
+	}
+	var base [numTabs]int
+	asExt, err := decodeTables(&breader{b: ext}, &base, errDeltaCorrupt)
+	if err != nil {
+		t.Fatalf("as a .delta extension: %v", err)
+	}
+	if !reflect.DeepEqual(asBlock, want) {
+		t.Errorf(".bin block tables %+v, want %+v", asBlock, want)
+	}
+	if !reflect.DeepEqual(asExt, asBlock) {
+		t.Errorf(".delta extension tables %+v != .bin block tables %+v", asExt, asBlock)
+	}
+	if base != wantBase {
+		t.Errorf("base sizes %v, want %v", base, wantBase)
+	}
+	if asBlock.sizes() != [numTabs]int{2, 3, 3, 2, 1} {
+		t.Errorf("sizes %v", asBlock.sizes())
+	}
+
+	// One AS path of one element in a table that declares none.
+	overrun := appendUvarint(nil, 0) // no next hops
+	overrun = appendUvarint(appendUvarint(overrun, 1), 0)
+	overrun = appendPathKey(overrun, bgp.ASPath{64500})
+	if _, err := decodeTables(&breader{b: overrun}, nil, errBinaryTruncated); err != errBinaryTruncated {
+		t.Errorf("overrun as a .bin block: %v, want %v", err, errBinaryTruncated)
+	}
+	overrunExt := append(appendUvarint(nil, 0), overrun[:1]...)
+	overrunExt = append(appendUvarint(overrunExt, 0), overrun[1:]...)
+	if _, err := decodeTables(&breader{b: overrunExt}, &base, errDeltaCorrupt); err != errDeltaCorrupt {
+		t.Errorf("overrun as a .delta extension: %v, want %v", err, errDeltaCorrupt)
 	}
 }

@@ -61,7 +61,7 @@ type Snapshot struct {
 	Partial       bool          `json:"partial,omitempty"`
 	MemberErrors  []MemberError `json:"member_errors,omitempty"`
 
-	// aux is an out-of-band consumer attachment (analysis pins a
+	// aux is an out-of-band consumer attachment (analysis hangs a
 	// pre-built index on route-less snapshots through it). No codec
 	// encodes it. reflect.DeepEqual does see unexported fields, so
 	// attach aux only to snapshots that are not DeepEqual'd against

@@ -131,18 +131,19 @@ func (s *Server) metaDoc(g *generation) (any, error) {
 		doc.Source = "dir"
 	}
 	for _, p := range g.lab.Profiles {
-		snap := g.lab.Snapshots[p.IXP]
-		if snap == nil {
+		ix := g.lab.Indexes[p.IXP]
+		if ix == nil {
 			continue
 		}
+		snap := ix.Snapshot()
 		mi := MetaIXP{
 			IXP:       p.IXP,
 			Days:      max(1, len(g.lab.Series[p.IXP])),
 			Latest:    snap.Date,
 			MembersV4: snap.MembersV4(),
 			MembersV6: snap.MembersV6(),
-			RoutesV4:  analysis.CountSnapshot(snap, false).Routes,
-			RoutesV6:  analysis.CountSnapshot(snap, true).Routes,
+			RoutesV4:  ix.Counts(false).Routes,
+			RoutesV6:  ix.Counts(true).Routes,
 		}
 		for _, m := range snap.Members {
 			if len(mi.SampleASNs) == sampleCap {
@@ -150,7 +151,7 @@ func (s *Server) metaDoc(g *generation) (any, error) {
 			}
 			mi.SampleASNs = append(mi.SampleASNs, m.ASN)
 		}
-		for _, cc := range analysis.TopActionCommunities(snap, p.Scheme, false, sampleCap) {
+		for _, cc := range ix.TopActionCommunities(false, sampleCap) {
 			mi.SampleCommunities = append(mi.SampleCommunities, cc.Community.String())
 		}
 		doc.IXPs = append(doc.IXPs, mi)
@@ -184,14 +185,13 @@ func (s *Server) asDoc(g *generation, asnStr, ixpFilter string) (any, error) {
 		if ixpFilter != "" && p.IXP != ixpFilter {
 			continue
 		}
-		snap := g.lab.Snapshots[p.IXP]
-		if snap == nil {
+		ix := g.lab.Indexes[p.IXP]
+		if ix == nil {
 			continue
 		}
-		ix := analysis.IndexFor(snap, p.Scheme)
 		doc.IXPs = append(doc.IXPs, ASAtIXP{
 			IXP:    p.IXP,
-			Member: snap.MemberSet()[asn],
+			Member: ix.IsMember(asn),
 			V4:     ix.ASActivity(asn, false),
 			V6:     ix.ASActivity(asn, true),
 		})
@@ -212,11 +212,10 @@ func (s *Server) communityDoc(g *generation, commStr, ixpFilter string) (any, er
 		if ixpFilter != "" && p.IXP != ixpFilter {
 			continue
 		}
-		snap := g.lab.Snapshots[p.IXP]
-		if snap == nil {
+		ix := g.lab.Indexes[p.IXP]
+		if ix == nil {
 			continue
 		}
-		ix := analysis.IndexFor(snap, p.Scheme)
 		u4 := ix.CommunityUsage(comm, false)
 		u6 := ix.CommunityUsage(comm, true)
 		at := CommunityAtIXP{IXP: p.IXP, Known: u4.Class.Known, V4: u4, V6: u6}

@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"ixplight/internal/analysis"
 	"ixplight/internal/collector"
 	"ixplight/internal/ixpgen"
 	"ixplight/internal/telemetry"
@@ -297,9 +296,7 @@ func TestReloadWorkIsProportional(t *testing.T) {
 
 	// The re-folded tip is the chain state's owner: measure one Advance
 	// on it directly, then let the daemon land the same day again.
-	lab := s.labFor()
-	tip := lab.Snapshots[profiles[2].IXP]
-	ix := analysis.IndexFor(tip, profiles[2].Scheme)
+	ix := s.labFor().Indexes[profiles[2].IXP]
 	advance = mallocs(func() {
 		if _, err := ix.Advance(dr); err != nil {
 			t.Fatal(err)

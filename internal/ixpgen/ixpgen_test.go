@@ -15,14 +15,14 @@ import (
 
 const testScale = 0.08
 
-// genSnapshot memoises one workload snapshot per IXP for the
-// calibration tests.
-var snapCache = map[string]*collector.Snapshot{}
+// genIndex memoises one workload snapshot per IXP, classified once, for
+// the calibration tests.
+var indexCache = map[string]*analysis.Index{}
 
-func genSnapshot(t *testing.T, ixp string) *collector.Snapshot {
+func genIndex(t *testing.T, ixp string) *analysis.Index {
 	t.Helper()
-	if s, ok := snapCache[ixp]; ok {
-		return s
+	if ix, ok := indexCache[ixp]; ok {
+		return ix
 	}
 	p := ProfileByName(ixp)
 	if p == nil {
@@ -32,9 +32,14 @@ func genSnapshot(t *testing.T, ixp string) *collector.Snapshot {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := w.Snapshot("2021-10-04")
-	snapCache[ixp] = s
-	return s
+	ix := analysis.NewIndex(w.Snapshot("2021-10-04"), p.Scheme)
+	indexCache[ixp] = ix
+	return ix
+}
+
+func genSnapshot(t *testing.T, ixp string) *collector.Snapshot {
+	t.Helper()
+	return genIndex(t, ixp).Snapshot()
 }
 
 func relErr(got, want float64) float64 {
@@ -122,13 +127,13 @@ func TestTable1Magnitudes(t *testing.T) {
 func TestFig1DefinedShareCalibration(t *testing.T) {
 	for _, ixp := range []string{"IX.br-SP", "DE-CIX", "LINX", "AMS-IX"} {
 		p := ProfileByName(ixp)
-		s := genSnapshot(t, ixp)
+		ix := genIndex(t, ixp)
 		for _, v6 := range []bool{false, true} {
-			fam, scheme := p.V4, p.Scheme
+			fam := p.V4
 			if v6 {
 				fam = p.V6
 			}
-			mix := analysis.ComputeMix(s, scheme, v6)
+			mix := ix.Mix(v6)
 			if got := mix.DefinedShare(); math.Abs(got-fam.DefinedShare) > 0.05 {
 				t.Errorf("%s v6=%v defined share = %.3f, want %.3f", ixp, v6, got, fam.DefinedShare)
 			}
@@ -139,13 +144,13 @@ func TestFig1DefinedShareCalibration(t *testing.T) {
 func TestFig2StandardShareCalibration(t *testing.T) {
 	for _, ixp := range []string{"IX.br-SP", "DE-CIX", "LINX", "AMS-IX"} {
 		p := ProfileByName(ixp)
-		s := genSnapshot(t, ixp)
+		ix := genIndex(t, ixp)
 		for _, v6 := range []bool{false, true} {
 			fam := p.V4
 			if v6 {
 				fam = p.V6
 			}
-			mix := analysis.ComputeMix(s, p.Scheme, v6)
+			mix := ix.Mix(v6)
 			if got := mix.StandardShare(); math.Abs(got-fam.StandardShare) > 0.05 {
 				t.Errorf("%s v6=%v standard share = %.3f, want %.3f", ixp, v6, got, fam.StandardShare)
 			}
@@ -160,13 +165,13 @@ func TestFig2StandardShareCalibration(t *testing.T) {
 func TestFig3ActionShareCalibration(t *testing.T) {
 	for _, ixp := range []string{"IX.br-SP", "DE-CIX", "LINX", "AMS-IX"} {
 		p := ProfileByName(ixp)
-		s := genSnapshot(t, ixp)
+		ix := genIndex(t, ixp)
 		for _, v6 := range []bool{false, true} {
 			fam := p.V4
 			if v6 {
 				fam = p.V6
 			}
-			got := analysis.ActionShare(s, p.Scheme, v6)
+			got := ix.ActionShare(v6)
 			if math.Abs(got-fam.ActionShare) > 0.06 {
 				t.Errorf("%s v6=%v action share = %.3f, want %.3f", ixp, v6, got, fam.ActionShare)
 			}
@@ -180,13 +185,13 @@ func TestFig3ActionShareCalibration(t *testing.T) {
 func TestFig4aUsageCalibration(t *testing.T) {
 	for _, ixp := range []string{"IX.br-SP", "DE-CIX", "LINX", "AMS-IX"} {
 		p := ProfileByName(ixp)
-		s := genSnapshot(t, ixp)
+		ix := genIndex(t, ixp)
 		for _, v6 := range []bool{false, true} {
 			fam := p.V4
 			if v6 {
 				fam = p.V6
 			}
-			u := analysis.ComputeUsage(s, p.Scheme, v6)
+			u := ix.Usage(v6)
 			if math.Abs(u.ASShare()-fam.ActionUserFrac) > 0.08 {
 				t.Errorf("%s v6=%v AS share = %.3f, want %.3f", ixp, v6, u.ASShare(), fam.ActionUserFrac)
 			}
@@ -213,10 +218,9 @@ func TestFig4bConcentration(t *testing.T) {
 	// the "top 1%" bucket is a couple of ASes; check the top 5% carries
 	// a majority and the bottom 90% of members stays small.
 	for _, ixp := range []string{"IX.br-SP", "DE-CIX"} {
-		p := ProfileByName(ixp)
-		s := genSnapshot(t, ixp)
-		counts := analysis.PerASActionCounts(s, p.Scheme, false)
-		u := analysis.ComputeUsage(s, p.Scheme, false)
+		ix := genIndex(t, ixp)
+		counts := ix.PerASActionCounts(false)
+		u := ix.Usage(false)
 		cdf := analysis.ConcentrationCDF(counts, u.MembersAtRS)
 		if top5 := analysis.TopShare(cdf, 0.05); top5 < 0.5 {
 			t.Errorf("%s: top-5%% share = %.3f, want ≥ 0.5", ixp, top5)
@@ -227,13 +231,13 @@ func TestFig4bConcentration(t *testing.T) {
 func TestTable2PerTypeCalibration(t *testing.T) {
 	for _, ixp := range []string{"IX.br-SP", "DE-CIX", "LINX", "AMS-IX"} {
 		p := ProfileByName(ixp)
-		s := genSnapshot(t, ixp)
+		ix := genIndex(t, ixp)
 		for _, v6 := range []bool{false, true} {
 			fam := p.V4
 			if v6 {
 				fam = p.V6
 			}
-			rows := analysis.ASesPerActionType(s, p.Scheme, v6)
+			rows := ix.ASesPerActionType(v6)
 			want := map[dictionary.ActionType]float64{
 				dictionary.DoNotAnnounceTo: fam.DNAUserFrac,
 				dictionary.AnnounceOnlyTo:  fam.AOTUserFrac,
@@ -262,9 +266,8 @@ func TestTable2PerTypeCalibration(t *testing.T) {
 
 func TestSec53OccurrenceShares(t *testing.T) {
 	for _, ixp := range []string{"IX.br-SP", "DE-CIX", "LINX", "AMS-IX"} {
-		p := ProfileByName(ixp)
-		s := genSnapshot(t, ixp)
-		occ := analysis.OccurrencesPerType(s, p.Scheme, false)
+		ix := genIndex(t, ixp)
+		occ := ix.OccurrencesPerType(false)
 		total := 0
 		for _, n := range occ {
 			total += n
@@ -298,17 +301,17 @@ func TestSec53OccurrenceShares(t *testing.T) {
 func TestSec55NonMemberTargeting(t *testing.T) {
 	for _, ixp := range []string{"IX.br-SP", "DE-CIX", "LINX", "AMS-IX"} {
 		p := ProfileByName(ixp)
-		s := genSnapshot(t, ixp)
+		ix := genIndex(t, ixp)
 		for _, v6 := range []bool{false, true} {
 			fam := p.V4
 			if v6 {
 				fam = p.V6
 			}
-			nm := analysis.ComputeNonMemberTargeting(s, p.Scheme, v6, 20)
+			nm := ix.NonMemberTargeting(v6, 20)
 			// Small member pools make member-side distinct draws spill
 			// into the non-member pool, so tiny families get headroom.
 			tol := 0.10
-			if u := analysis.ComputeUsage(s, p.Scheme, v6); u.MembersAtRS < 60 {
+			if u := ix.Usage(v6); u.MembersAtRS < 60 {
 				tol = 0.16
 			}
 			if math.Abs(nm.Share()-fam.NonMemberTargetShare) > tol {
@@ -324,9 +327,8 @@ func TestSec55NonMemberTargeting(t *testing.T) {
 
 func TestFig7HurricaneElectricTopCulprit(t *testing.T) {
 	for _, ixp := range []string{"IX.br-SP", "DE-CIX", "LINX", "AMS-IX"} {
-		p := ProfileByName(ixp)
-		s := genSnapshot(t, ixp)
-		culprits := analysis.CulpritRanking(s, p.Scheme, false, 10)
+		ix := genIndex(t, ixp)
+		culprits := ix.CulpritRanking(false, 10)
 		if len(culprits) == 0 {
 			t.Fatalf("%s: no culprits", ixp)
 		}
@@ -345,9 +347,8 @@ func TestFig7HurricaneElectricTopCulprit(t *testing.T) {
 func TestFig5TopTargetsPlausible(t *testing.T) {
 	// §5.4's per-IXP most-avoided member network must appear among the
 	// top-10 targets (Hurricane Electric at IX.br-SP).
-	p := ProfileByName("IX.br-SP")
-	s := genSnapshot(t, "IX.br-SP")
-	targets := analysis.TopTargets(s, p.Scheme, false, 10)
+	ix := genIndex(t, "IX.br-SP")
+	targets := ix.TopTargets(false, 10)
 	found := false
 	for _, tgt := range targets {
 		if tgt.ASN == 6939 {
@@ -368,9 +369,8 @@ func TestFig6TopNonMemberTargetsPlausible(t *testing.T) {
 		"AMS-IX": 16276, // OVHcloud
 	}
 	for ixp, want := range expectations {
-		p := ProfileByName(ixp)
-		s := genSnapshot(t, ixp)
-		nm := analysis.ComputeNonMemberTargeting(s, p.Scheme, false, 5)
+		ix := genIndex(t, ixp)
+		nm := ix.NonMemberTargeting(false, 5)
 		found := false
 		for _, cc := range nm.Top {
 			if cc.Class.TargetASN == want {
@@ -507,19 +507,19 @@ func TestSmallIXPsGenerate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", ixp, err)
 		}
-		s := w.Snapshot("2021-10-04")
-		share := analysis.ActionShare(s, p.Scheme, false)
+		ix := analysis.NewIndex(w.Snapshot("2021-10-04"), p.Scheme)
+		share := ix.ActionShare(false)
 		if share < 0.6 {
 			t.Errorf("%s: action share %.3f below two-thirds", ixp, share)
 		}
 		if (ixp == "BCIX" || ixp == "Netnod") && share < 0.9 {
 			t.Errorf("%s: action share %.3f, paper reports >95%%", ixp, share)
 		}
-		u := analysis.ComputeUsage(s, p.Scheme, false)
+		u := ix.Usage(false)
 		if u.ASesUsing == 0 || u.ActionInstances == 0 {
 			t.Errorf("%s: empty usage %+v", ixp, u)
 		}
-		nm := analysis.ComputeNonMemberTargeting(s, p.Scheme, false, 5)
+		nm := ix.NonMemberTargeting(false, 5)
 		if nm.Share() < 0.2 {
 			t.Errorf("%s: non-member share %.3f suspiciously low", ixp, nm.Share())
 		}

@@ -90,8 +90,8 @@ func checkExpAllGolden(t *testing.T, kind string, outs [][]byte) {
 // materialized through the applier, full binary files indexed off their
 // columns, and the same files decoded into routes — must hit the golden
 // digests experiment by experiment, so a bent experiment is named.
-// `make check` runs this under -race, which also exercises the index
-// cache and the pools concurrently.
+// `make check` runs this under -race, which also exercises the shared
+// indexes and the pools concurrently.
 func TestExpAllParallelMatchesSequential(t *testing.T) {
 	const (
 		seed  = 42

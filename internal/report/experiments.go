@@ -34,6 +34,13 @@ type Lab struct {
 	Profiles []ixpgen.Profile
 	// Snapshots holds the latest snapshot per IXP.
 	Snapshots map[string]*collector.Snapshot
+	// Indexes holds the classified index of each profiled IXP's latest
+	// snapshot, built by whoever built the snapshot: NewLabParallel in
+	// its generation task, Load off the file's columns or delta (the
+	// index attached to the header-only day) or from the routes of a
+	// materialized day. Every classifying experiment reads it; none
+	// builds one.
+	Indexes map[string]*analysis.Index
 	// Series optionally holds a full date-ordered snapshot series per
 	// IXP (e.g. loaded from a cmd/ixpgen dataset). When present, the
 	// temporal experiments (table3, table4, sanitation) run over it
@@ -98,6 +105,7 @@ func NewLabShell(profiles []ixpgen.Profile, seed int64, scale float64, workers i
 	return &Lab{
 		Profiles:  profiles,
 		Snapshots: make(map[string]*collector.Snapshot, len(profiles)),
+		Indexes:   make(map[string]*analysis.Index, len(profiles)),
 		Registry:  asdb.Default(),
 		Seed:      seed,
 		Scale:     scale,
@@ -106,23 +114,25 @@ func NewLabShell(profiles []ixpgen.Profile, seed int64, scale float64, workers i
 }
 
 // NewLabParallel is NewLab with an explicit worker budget: the
-// per-IXP workload generation fans out across the pool. Generation is
-// seeded per profile, so the lab is identical for any worker count.
+// per-IXP workload generation, and the index build over what it
+// generated, fan out across the pool. Generation is seeded per
+// profile, so the lab is identical for any worker count.
 func NewLabParallel(profiles []ixpgen.Profile, seed int64, scale float64, workers int) (*Lab, error) {
 	lab := NewLabShell(profiles, seed, scale, workers)
-	snaps := make([]*collector.Snapshot, len(profiles))
+	ixs := make([]*analysis.Index, len(profiles))
 	if _, err := runPool(len(profiles), lab.workers(), func(i int) error {
 		w, err := ixpgen.Generate(profiles[i], ixpgen.Options{Seed: seed, Scale: scale})
 		if err != nil {
 			return err
 		}
-		snaps[i] = w.Snapshot("2021-10-04")
+		ixs[i] = analysis.NewIndex(w.Snapshot("2021-10-04"), profiles[i].Scheme)
 		return nil
 	}); err != nil {
 		return nil, err
 	}
 	for i, p := range profiles {
-		lab.Snapshots[p.IXP] = snaps[i]
+		lab.Snapshots[p.IXP] = ixs[i].Snapshot()
+		lab.Indexes[p.IXP] = ixs[i]
 	}
 	return lab, nil
 }
@@ -215,8 +225,8 @@ func (l *Lab) runTable1(w io.Writer) error {
 func (l *Lab) runMix(w io.Writer, title string, emit func(io.Writer, string, analysis.Mix, analysis.Mix)) error {
 	Section(w, title)
 	for _, p := range l.Profiles {
-		s := l.Snapshots[p.IXP]
-		emit(w, p.IXP, analysis.ComputeMix(s, p.Scheme, false), analysis.ComputeMix(s, p.Scheme, true))
+		ix := l.Indexes[p.IXP]
+		emit(w, p.IXP, ix.Mix(false), ix.Mix(true))
 	}
 	return nil
 }
@@ -224,9 +234,9 @@ func (l *Lab) runMix(w io.Writer, title string, emit func(io.Writer, string, ana
 func (l *Lab) runFig3(w io.Writer) error {
 	Section(w, "Figure 3 — action vs informational communities")
 	for _, p := range l.Profiles {
-		s := l.Snapshots[p.IXP]
-		a4, i4 := analysis.ActionInfoSplit(s, p.Scheme, false)
-		a6, i6 := analysis.ActionInfoSplit(s, p.Scheme, true)
+		ix := l.Indexes[p.IXP]
+		a4, i4 := ix.ActionInfoSplit(false)
+		a6, i6 := ix.ActionInfoSplit(true)
 		WriteFig3(w, p.IXP, "IPv4", a4, i4)
 		WriteFig3(w, p.IXP, "IPv6", a6, i6)
 	}
@@ -236,9 +246,9 @@ func (l *Lab) runFig3(w io.Writer) error {
 func (l *Lab) runFig4a(w io.Writer) error {
 	Section(w, "Figure 4a — ASes and routes using action communities")
 	for _, p := range l.Profiles {
-		s := l.Snapshots[p.IXP]
-		WriteFig4a(w, p.IXP, "IPv4", analysis.ComputeUsage(s, p.Scheme, false))
-		WriteFig4a(w, p.IXP, "IPv6", analysis.ComputeUsage(s, p.Scheme, true))
+		ix := l.Indexes[p.IXP]
+		WriteFig4a(w, p.IXP, "IPv4", ix.Usage(false))
+		WriteFig4a(w, p.IXP, "IPv6", ix.Usage(true))
 	}
 	return nil
 }
@@ -246,10 +256,8 @@ func (l *Lab) runFig4a(w io.Writer) error {
 func (l *Lab) runFig4b(w io.Writer) error {
 	Section(w, "Figure 4b — action community usage concentration")
 	for _, p := range l.Profiles {
-		s := l.Snapshots[p.IXP]
-		counts := analysis.PerASActionCounts(s, p.Scheme, false)
-		u := analysis.ComputeUsage(s, p.Scheme, false)
-		WriteFig4b(w, p.IXP, analysis.ConcentrationCDF(counts, u.MembersAtRS))
+		ix := l.Indexes[p.IXP]
+		WriteFig4b(w, p.IXP, analysis.ConcentrationCDF(ix.PerASActionCounts(false), ix.Usage(false).MembersAtRS))
 	}
 	return nil
 }
@@ -257,7 +265,7 @@ func (l *Lab) runFig4b(w io.Writer) error {
 func (l *Lab) runFig4c(w io.Writer) error {
 	Section(w, "Figure 4c — route share vs community share per AS")
 	for _, p := range l.Profiles {
-		WriteFig4c(w, p.IXP, analysis.RouteCommCorrelation(l.Snapshots[p.IXP], p.Scheme, false))
+		WriteFig4c(w, p.IXP, l.Indexes[p.IXP].RouteCommCorrelation(false))
 	}
 	return nil
 }
@@ -265,9 +273,9 @@ func (l *Lab) runFig4c(w io.Writer) error {
 func (l *Lab) runTable2(w io.Writer) error {
 	Section(w, "Table 2 — ASes using each action community type")
 	for _, p := range l.Profiles {
-		s := l.Snapshots[p.IXP]
-		WriteTable2(w, p.IXP, "IPv4", analysis.ASesPerActionType(s, p.Scheme, false))
-		WriteTable2(w, p.IXP, "IPv6", analysis.ASesPerActionType(s, p.Scheme, true))
+		ix := l.Indexes[p.IXP]
+		WriteTable2(w, p.IXP, "IPv4", ix.ASesPerActionType(false))
+		WriteTable2(w, p.IXP, "IPv6", ix.ASesPerActionType(true))
 	}
 	return nil
 }
@@ -275,9 +283,9 @@ func (l *Lab) runTable2(w io.Writer) error {
 func (l *Lab) runSec53(w io.Writer) error {
 	Section(w, "§5.3 — action community occurrences per type")
 	for _, p := range l.Profiles {
-		s := l.Snapshots[p.IXP]
-		WriteSec53(w, p.IXP, "IPv4", analysis.OccurrencesPerType(s, p.Scheme, false))
-		WriteSec53(w, p.IXP, "IPv6", analysis.OccurrencesPerType(s, p.Scheme, true))
+		ix := l.Indexes[p.IXP]
+		WriteSec53(w, p.IXP, "IPv4", ix.OccurrencesPerType(false))
+		WriteSec53(w, p.IXP, "IPv6", ix.OccurrencesPerType(true))
 	}
 	return nil
 }
@@ -285,8 +293,7 @@ func (l *Lab) runSec53(w io.Writer) error {
 func (l *Lab) runFig5(w io.Writer) error {
 	Section(w, "Figure 5 — top-20 action communities (IPv4)")
 	for _, p := range l.Profiles {
-		top := analysis.TopActionCommunities(l.Snapshots[p.IXP], p.Scheme, false, 20)
-		WriteTopCommunities(w, "Figure 5", p.IXP, top, l.Registry)
+		WriteTopCommunities(w, "Figure 5", p.IXP, l.Indexes[p.IXP].TopActionCommunities(false, 20), l.Registry)
 	}
 	return nil
 }
@@ -294,7 +301,7 @@ func (l *Lab) runFig5(w io.Writer) error {
 func (l *Lab) runFig6(w io.Writer) error {
 	Section(w, "Figure 6 — top-20 communities targeting non-RS members (IPv4)")
 	for _, p := range l.Profiles {
-		nm := analysis.ComputeNonMemberTargeting(l.Snapshots[p.IXP], p.Scheme, false, 20)
+		nm := l.Indexes[p.IXP].NonMemberTargeting(false, 20)
 		fmt.Fprintf(w, "%s: %.1f%% of action instances (%d of %d) target non-RS members\n",
 			p.IXP, 100*nm.Share(), nm.Instances, nm.Total)
 		WriteTopCommunities(w, "Figure 6", p.IXP, nm.Top, l.Registry)
@@ -305,10 +312,8 @@ func (l *Lab) runFig6(w io.Writer) error {
 func (l *Lab) runFig7(w io.Writer) error {
 	Section(w, "Figure 7 — top-10 ASes targeting non-RS members (IPv4)")
 	for _, p := range l.Profiles {
-		s := l.Snapshots[p.IXP]
-		nm := analysis.ComputeNonMemberTargeting(s, p.Scheme, false, 0)
-		culprits := analysis.CulpritRanking(s, p.Scheme, false, 10)
-		WriteCulprits(w, p.IXP, culprits, nm.Instances, l.Registry)
+		ix := l.Indexes[p.IXP]
+		WriteCulprits(w, p.IXP, ix.CulpritRanking(false, 10), ix.NonMemberTargeting(false, 0).Instances, l.Registry)
 	}
 	return nil
 }
@@ -366,8 +371,7 @@ func (l *Lab) series(p ixpgen.Profile, days int, valleys []int) ([]*collector.Sn
 func (l *Lab) runExtLarge(w io.Writer) error {
 	Section(w, "Extension — action communities beyond the standard flavour")
 	for _, p := range l.Profiles {
-		s := l.Snapshots[p.IXP]
-		f := analysis.ComputeFlavourActions(s, p.Scheme, false)
+		f := l.Indexes[p.IXP].FlavourActions(false)
 		fmt.Fprintf(w, "%s: standard %d action / %d info; extended %d / %d; large %d / %d; wide-target large actions %d\n",
 			p.IXP, f.StandardAction, f.StandardInfo,
 			f.ExtendedAction, f.ExtendedInfo,
@@ -382,11 +386,11 @@ func (l *Lab) runHygiene(w io.Writer) error {
 	Section(w, "§5.6 — impact of a 'too many communities' filter")
 	thresholds := []int{10, 20, 40, 80}
 	for _, p := range l.Profiles {
-		s := l.Snapshots[p.IXP]
-		pct := analysis.CommunityCountPercentiles(s, false, []float64{50, 90, 99, 100})
+		ix := l.Indexes[p.IXP]
+		pct := ix.CommunityCountPercentiles(false, []float64{50, 90, 99, 100})
 		fmt.Fprintf(w, "%s: communities per route p50=%d p90=%d p99=%d max=%d\n",
 			p.IXP, pct[0], pct[1], pct[2], pct[3])
-		for _, h := range analysis.HygieneFilterImpact(s, false, thresholds) {
+		for _, h := range ix.HygieneFilterImpact(false, thresholds) {
 			fmt.Fprintf(w, "  threshold %3d: drops %5.1f%% of routes, sheds %5.1f%% of community load\n",
 				h.Threshold, 100*h.DropShare(), 100*h.LoadShare())
 		}
@@ -460,9 +464,9 @@ func (l *Lab) visibilityOf(p ixpgen.Profile) (analysis.VisibilityReport, error) 
 // runIntersect reports the §5.4 cross-IXP target overlaps.
 func (l *Lab) runIntersect(w io.Writer) error {
 	Section(w, "§5.4 — intersection of top-20 targets across IXPs")
-	var ixps []analysis.IXPSnapshot
-	for _, p := range l.Profiles {
-		ixps = append(ixps, analysis.IXPSnapshot{Snapshot: l.Snapshots[p.IXP], Scheme: p.Scheme})
+	ixps := make([]*analysis.Index, len(l.Profiles))
+	for i, p := range l.Profiles {
+		ixps[i] = l.Indexes[p.IXP]
 	}
 	pairs, common := analysis.TargetIntersections(ixps, false, 20)
 	for _, pair := range pairs {
@@ -497,10 +501,10 @@ func (l *Lab) runSummary(w io.Writer) error {
 			names += ", "
 		}
 		names += p.IXP
-		s := l.Snapshots[p.IXP]
-		update(&asShare, analysis.ComputeUsage(s, p.Scheme, false).ASShare())
-		update(&actionShare, analysis.ActionShare(s, p.Scheme, false))
-		update(&nmShare, analysis.ComputeNonMemberTargeting(s, p.Scheme, false, 0).Share())
+		ix := l.Indexes[p.IXP]
+		update(&asShare, ix.Usage(false).ASShare())
+		update(&actionShare, ix.ActionShare(false))
+		update(&nmShare, ix.NonMemberTargeting(false, 0).Share())
 	}
 	fmt.Fprintf(w, "over %s (IPv4):\n", names)
 	fmt.Fprintf(w, "members using action communities in ≥1 route: %.1f%%–%.1f%% (paper: >35.7%%, up to 54.1%%)\n",
@@ -516,7 +520,7 @@ func (l *Lab) runSummary(w io.Writer) error {
 func (l *Lab) runCategories(w io.Writer) error {
 	Section(w, "§5.4 — targeted ASes by operator category (IPv4)")
 	for _, p := range l.Profiles {
-		b := analysis.ComputeCategoryBreakdown(l.Snapshots[p.IXP], p.Scheme, l.Registry, false)
+		b := l.Indexes[p.IXP].CategoryBreakdown(l.Registry, false)
 		fmt.Fprintf(w, "%s (content+cloud share: all %.1f%%, non-members %.1f%%)\n",
 			p.IXP, 100*analysis.ContentShare(b.All), 100*analysis.ContentShare(b.NonMembers))
 		for _, row := range b.NonMembers {

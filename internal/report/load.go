@@ -155,9 +155,10 @@ func (l *Lab) LoadSnapshotDir(dir string) error {
 //
 // Binary files of a profiled IXP are, unless l.Materialize is set,
 // indexed straight off their columns: the loaded snapshot is
-// header-only with the classified index attached, and every analysis
-// wrapper answers from the index. MRT dumps and unprofiled IXPs
-// materialize. Files decode, and IXPs fold, across the lab's worker
+// header-only with the classified index attached. MRT dumps and
+// unprofiled IXPs materialize. Either way l.Indexes holds the index of
+// each profiled IXP's latest day when Load returns, so no experiment
+// builds one. Files decode, and IXPs fold, across the lab's worker
 // pool; the result is the same for any worker count.
 func (l *Lab) Load(dir string, files []File, prev *Lab) LoadReport {
 	ld := &loader{
@@ -336,6 +337,40 @@ func (l *Lab) Load(dir string, files []File, prev *Lab) LoadReport {
 	}
 	rep.Reused = days - rep.Advanced - rep.Rebuilt
 	l.loaded = ds
+
+	// The latest day of each profiled IXP carries its index into the
+	// lab. A header-only day has it attached. A materialized one
+	// (l.Materialize, an MRT export) is indexed here from its routes,
+	// unless prev serves the same day and already did; the index lands
+	// in the lab, never on the day, which prev may be serving.
+	var builds []int
+	for i, p := range l.Profiles {
+		x := groups[p.IXP]
+		if x == nil || len(x.out.days) == 0 {
+			continue
+		}
+		day := l.Snapshots[p.IXP]
+		ix := analysis.Attached(day)
+		if ix == nil && prev != nil && prev.Indexes[p.IXP] != nil && prev.Indexes[p.IXP].Snapshot() == day {
+			ix = prev.Indexes[p.IXP]
+		}
+		if ix == nil {
+			builds = append(builds, i)
+			continue
+		}
+		l.Indexes[p.IXP] = ix
+	}
+	if len(builds) > 0 {
+		built := make([]*analysis.Index, len(builds))
+		runPool(len(builds), l.workers(), func(k int) error {
+			p := l.Profiles[builds[k]]
+			built[k] = analysis.NewIndex(l.Snapshots[p.IXP], p.Scheme)
+			return nil
+		})
+		for k, i := range builds {
+			l.Indexes[l.Profiles[i].IXP] = built[k]
+		}
+	}
 	return rep
 }
 
@@ -540,7 +575,7 @@ func (ld *loader) applyChain(x *ixpLoad) {
 			var next *collector.Snapshot
 			if scheme != nil && base.Routes == nil {
 				var ix *analysis.Index
-				if ix, st.err = analysis.IndexFor(base, scheme).Advance(ld.readers[i]); st.err == nil {
+				if ix, st.err = analysis.Attached(base).Advance(ld.readers[i]); st.err == nil {
 					next = ix.Snapshot()
 					analysis.AttachIndex(next, ix)
 				}

@@ -10,9 +10,11 @@ import (
 	"strings"
 	"testing"
 
+	"ixplight/internal/analysis"
 	"ixplight/internal/collector"
 	"ixplight/internal/ixpgen"
 	"ixplight/internal/mrt"
+	"ixplight/internal/telemetry"
 )
 
 // TestLoadSnapshotDirCodecIndependence pins the analyze acceptance
@@ -44,6 +46,7 @@ func TestLoadSnapshotDirCodecIndependence(t *testing.T) {
 			mem.Series[p.IXP] = append(mem.Series[p.IXP], snap)
 			mem.Snapshots[p.IXP] = snap
 		}
+		mem.Indexes[p.IXP] = analysis.NewIndex(mem.Snapshots[p.IXP], p.Scheme)
 	}
 	bin := NewLabShell(profiles, seed, scale, 2)
 	if err := bin.LoadSnapshotDir(binDir); err != nil {
@@ -68,7 +71,7 @@ func TestLoadSnapshotDirCodecIndependence(t *testing.T) {
 // contract: loading a binary snapshot directory column-direct (the
 // default) produces byte-identical experiment output to loading it
 // with Materialize set — and really does skip materialization (the
-// loaded snapshots are header-only with a pinned index).
+// loaded snapshots are header-only with their index attached).
 func TestLoadSnapshotDirColumnDirect(t *testing.T) {
 	const (
 		seed  = 42
@@ -624,5 +627,86 @@ func TestLoadSkipsWhatItCannotUse(t *testing.T) {
 		if want := loadAndRunAll(t, profiles, dir, 2, cfg); !bytes.Equal(bytes.Join(got, nil), want) {
 			t.Errorf("materialize=%v: experiments differ from a fresh load", materialize)
 		}
+	}
+}
+
+// TestLabHoldsItsIndexes pins who builds an index: the lab's builder,
+// once per IXP, before any experiment runs. A lab built each of the
+// three ways — generated, loaded off columns and deltas, loaded
+// materialized — holds the index of every profile's latest day, and a
+// full `-exp all` over it builds none: the generated and the
+// materialized lab paid one "routes" build per IXP up front, the
+// default load none at all (its days come off columns and deltas).
+func TestLabHoldsItsIndexes(t *testing.T) {
+	const (
+		seed  = 42
+		scale = 0.004
+		days  = 4
+	)
+	profiles := ixpgen.BigFour()
+	dir := t.TempDir()
+	writeDeltaChain(t, profiles, dir, t.TempDir(), ixpgen.TemporalOptions{Seed: seed, Scale: scale, Days: days})
+	load := func(materialize bool) func() (*Lab, error) {
+		return func() (*Lab, error) {
+			lab := NewLabShell(profiles, seed, scale, 2)
+			lab.Materialize = materialize
+			return lab, lab.LoadSnapshotDir(dir)
+		}
+	}
+	for _, tc := range []struct {
+		name                   string
+		build                  func() (*Lab, error)
+		routes, columns, delta int64
+	}{
+		{"generated", func() (*Lab, error) { return NewLabParallel(profiles, seed, scale, 2) }, 4, 0, 0},
+		{"load", load(false), 0, 4, 4 * (days - 1)},
+		{"load-materialize", load(true), 4, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := telemetry.New()
+			sink := &telemetry.RecordingSink{}
+			reg.SetSpanSink(sink)
+			analysis.SetTelemetry(reg)
+			defer analysis.SetTelemetry(nil)
+			builds := func(source string) int64 {
+				return reg.CounterVec("ixplight_analysis_index_builds_total", "", "source").With(source).Value()
+			}
+
+			lab, err := tc.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range profiles {
+				if ix := lab.Indexes[p.IXP]; ix == nil || ix.Snapshot() != lab.Snapshots[p.IXP] {
+					t.Fatalf("%s: the lab does not hold the index of its latest snapshot", p.IXP)
+				}
+			}
+			if r, c, d := builds("routes"), builds("columns"), builds("delta"); r != tc.routes || c != tc.columns || d != tc.delta {
+				t.Errorf("building the lab: %d routes, %d columns, %d delta builds; want %d, %d, %d", r, c, d, tc.routes, tc.columns, tc.delta)
+			}
+
+			lab.Telemetry = reg
+			if _, err := lab.RunMany(ExperimentNames); err != nil {
+				t.Fatal(err)
+			}
+			if r, c, d := builds("routes"), builds("columns"), builds("delta"); r != tc.routes || c != tc.columns || d != tc.delta {
+				t.Errorf("after -exp all: %d routes, %d columns, %d delta builds; the experiments must build none", r, c, d)
+			}
+			experiments := sink.Named("report.experiment")
+			if len(experiments) != len(ExperimentNames) {
+				t.Fatalf("%d report.experiment spans, want %d", len(experiments), len(ExperimentNames))
+			}
+			first := experiments[0].Start
+			for _, sp := range experiments {
+				if sp.Start.Before(first) {
+					first = sp.Start
+				}
+			}
+			for _, sp := range sink.Named("analysis.index_build") {
+				if sp.Stop.After(first) {
+					t.Errorf("an index build ended %v after the first experiment started", sp.Stop.Sub(first))
+				}
+			}
+		})
 	}
 }

@@ -148,23 +148,24 @@ func checkDegradedEquivalence(ixp string, scheme *dictionary.Scheme, ref, degrad
 		out = append(out, CheckResult{"degraded-equivalence", ixp, true,
 			fmt.Sprintf("%d routes identical to restricted reference", len(got.Routes))})
 	}
+	gotIx, wantIx := analysis.NewIndex(degraded, scheme), analysis.NewIndex(want, scheme)
 	for _, v6 := range []bool{false, true} {
 		fam := "v4"
 		if v6 {
 			fam = "v6"
 		}
-		if u1, u2 := analysis.ComputeUsage(degraded, scheme, v6), analysis.ComputeUsage(want, scheme, v6); u1 != u2 {
+		if u1, u2 := gotIx.Usage(v6), wantIx.Usage(v6); u1 != u2 {
 			out = append(out, CheckResult{"analysis-equivalence", ixp, false,
 				fmt.Sprintf("%s usage %+v != restricted reference %+v", fam, u1, u2)})
 			continue
 		}
-		if o1, o2 := analysis.OccurrencesPerType(degraded, scheme, v6), analysis.OccurrencesPerType(want, scheme, v6); !reflect.DeepEqual(o1, o2) {
+		if o1, o2 := gotIx.OccurrencesPerType(v6), wantIx.OccurrencesPerType(v6); !reflect.DeepEqual(o1, o2) {
 			out = append(out, CheckResult{"analysis-equivalence", ixp, false,
 				fmt.Sprintf("%s per-type occurrences diverge", fam)})
 			continue
 		}
-		a1, i1 := analysis.ActionInfoSplit(degraded, scheme, v6)
-		a2, i2 := analysis.ActionInfoSplit(want, scheme, v6)
+		a1, i1 := gotIx.ActionInfoSplit(v6)
+		a2, i2 := wantIx.ActionInfoSplit(v6)
 		if a1 != a2 || i1 != i2 {
 			out = append(out, CheckResult{"analysis-equivalence", ixp, false,
 				fmt.Sprintf("%s action/info split %d/%d != %d/%d", fam, a1, i1, a2, i2)})

@@ -127,7 +127,7 @@ type Span struct {
 
 // StartSpan begins a root span with no context to inherit from — the
 // explicit form used by code that has no context.Context in reach
-// (the analysis package's cache hooks). It returns nil — a no-op
+// (the analysis package's index-build hook). It returns nil — a no-op
 // span — when the registry is nil, no sink is installed, or the
 // head-based sampler drops the new trace.
 func (r *Registry) StartSpan(name string) *Span {

@@ -147,8 +147,13 @@ func GenerateDay(p Profile, o TemporalOptions, d int) (*Workload, string, error)
 	return ixpgen.GenerateDay(p, o, d)
 }
 
-// Analyses (one per paper artifact).
+// Analyses (one per paper artifact): each is a method on the
+// classified index of one snapshot.
 type (
+	// Index is one snapshot classified through its IXP's scheme; its
+	// methods are the paper's analyses (Mix, ActionShare, Usage,
+	// NonMemberTargeting, …).
+	Index = analysis.Index
 	// Mix is the Fig. 1/2 community type mix.
 	Mix = analysis.Mix
 	// Usage is the Fig. 4a usage summary.
@@ -157,25 +162,9 @@ type (
 	NonMemberTargeting = analysis.NonMemberTargeting
 )
 
-// ComputeMix tallies Fig. 1/2 for one snapshot family.
-func ComputeMix(s *Snapshot, scheme *Scheme, v6 bool) Mix {
-	return analysis.ComputeMix(s, scheme, v6)
-}
-
-// ActionShare computes Fig. 3's action fraction.
-func ActionShare(s *Snapshot, scheme *Scheme, v6 bool) float64 {
-	return analysis.ActionShare(s, scheme, v6)
-}
-
-// ComputeUsage tallies Fig. 4a.
-func ComputeUsage(s *Snapshot, scheme *Scheme, v6 bool) Usage {
-	return analysis.ComputeUsage(s, scheme, v6)
-}
-
-// ComputeNonMemberTargeting runs the §5.5 analysis with a top-k list.
-func ComputeNonMemberTargeting(s *Snapshot, scheme *Scheme, v6 bool, k int) NonMemberTargeting {
-	return analysis.ComputeNonMemberTargeting(s, scheme, v6, k)
-}
+// NewIndex classifies every community on every route of s once; build
+// it once per snapshot and read every analysis off it.
+func NewIndex(s *Snapshot, scheme *Scheme) *Index { return analysis.NewIndex(s, scheme) }
 
 // CleanSnapshots removes §3 collection valleys from a series.
 func CleanSnapshots(snaps []*Snapshot) (kept []*Snapshot, removed int) {

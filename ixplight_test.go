@@ -39,18 +39,19 @@ func TestPublicGenerateAnalyze(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := w.Snapshot("2021-10-04")
-	u := ComputeUsage(snap, profile.Scheme, false)
+	ix := NewIndex(snap, profile.Scheme)
+	u := ix.Usage(false)
 	if u.ASesUsing == 0 || u.RoutesTagged == 0 {
 		t.Errorf("usage = %+v", u)
 	}
-	if share := ActionShare(snap, profile.Scheme, false); share < 0.5 {
+	if share := ix.ActionShare(false); share < 0.5 {
 		t.Errorf("action share = %f", share)
 	}
-	nm := ComputeNonMemberTargeting(snap, profile.Scheme, false, 5)
+	nm := ix.NonMemberTargeting(false, 5)
 	if nm.Share() <= 0 || len(nm.Top) == 0 {
 		t.Errorf("non-member targeting = %+v", nm)
 	}
-	mix := ComputeMix(snap, profile.Scheme, false)
+	mix := ix.Mix(false)
 	if mix.Total() == 0 || mix.DefinedShare() <= 0.5 {
 		t.Errorf("mix = %+v", mix)
 	}
