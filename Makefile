@@ -10,8 +10,9 @@
 #              The deterministic performance floors are tests and run
 #              here: TestWarmColdSpeedup, TestAdvanceBytesPerDay,
 #              TestIndexFromColumnsAllocs, TestVisibilityAllocs,
-#              TestAnnounceAllocs, TestReloadWorkIsProportional. Every
-#              step runs the tree; none compares committed files.
+#              TestAnnounceAllocs, TestReloadWorkIsProportional,
+#              TestServeAllocs. Every step runs the tree; none compares
+#              committed files.
 #   benchmark  benchmarks/e2e, declared by BENCHMARK.json: five
 #              output-checked workloads, judged in alternating pairs of
 #              runs (parent, change) against BENCHMARK.json's bounds.

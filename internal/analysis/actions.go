@@ -1,7 +1,8 @@
 package analysis
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"ixplight/internal/bgp"
 	"ixplight/internal/dictionary"
@@ -22,22 +23,59 @@ type CommunityCount struct {
 	Count     int
 }
 
-// rankCommunities sorts a community histogram by count (desc) then
-// value (asc) and truncates to k. classify resolves each value's
-// Class.
-func rankCommunities(counts map[bgp.Community]int, classify func(bgp.Community) dictionary.Class, k int) []CommunityCount {
-	out := make([]CommunityCount, 0, len(counts))
-	for c, n := range counts {
-		out = append(out, CommunityCount{Community: c, Class: classify(c), Count: n})
+// ranked is one histogram entry in ranking order: count descending,
+// key ascending — a total order, since keys are distinct.
+type ranked[K ~uint32] struct {
+	key K
+	n   int
+}
+
+func (a ranked[K]) compare(b ranked[K]) int {
+	if a.n != b.n {
+		return cmp.Compare(b.n, a.n)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
+	return cmp.Compare(a.key, b.key)
+}
+
+// topK returns the first k entries of counts in ranking order, or all
+// of them when k ≤ 0 or k ≥ len(counts). A bounded k is kept by
+// selection, not by sorting everything: a sorted window of the k best
+// seen so far, which an entry enters only by beating the window's last.
+func topK[K ~uint32](counts map[K]int, k int) []ranked[K] {
+	if k <= 0 || k >= len(counts) {
+		out := make([]ranked[K], 0, len(counts))
+		for key, n := range counts {
+			out = append(out, ranked[K]{key, n})
 		}
-		return out[i].Community < out[j].Community
-	})
-	if k > 0 && len(out) > k {
-		out = out[:k]
+		slices.SortFunc(out, ranked[K].compare)
+		return out
+	}
+	out := make([]ranked[K], 0, k)
+	for key, n := range counts {
+		e := ranked[K]{key, n}
+		if len(out) == k {
+			if e.compare(out[k-1]) > 0 {
+				continue
+			}
+			out = out[:k-1]
+		}
+		i := len(out)
+		out = append(out, e)
+		for ; i > 0 && e.compare(out[i-1]) < 0; i-- {
+			out[i] = out[i-1]
+		}
+		out[i] = e
+	}
+	return out
+}
+
+// rankCommunities ranks a community histogram by count (desc) then
+// value (asc), keeps the first k and classifies only those.
+func rankCommunities(counts map[bgp.Community]int, classify func(bgp.Community) dictionary.Class, k int) []CommunityCount {
+	top := topK(counts, k)
+	out := make([]CommunityCount, len(top))
+	for i, e := range top {
+		out[i] = CommunityCount{Community: e.key, Class: classify(e.key), Count: e.n}
 	}
 	return out
 }
@@ -61,21 +99,13 @@ type Culprit struct {
 	Count int
 }
 
-// rankCulprits sorts a per-AS histogram into the Fig. 7 order
-// (count desc, ASN asc) and truncates to k.
+// rankCulprits ranks a per-AS histogram into the Fig. 7 order
+// (count desc, ASN asc) and keeps the first k.
 func rankCulprits(counts map[uint32]int, k int) []Culprit {
-	out := make([]Culprit, 0, len(counts))
-	for asn, n := range counts {
-		out = append(out, Culprit{ASN: asn, Count: n})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].ASN < out[j].ASN
-	})
-	if k > 0 && len(out) > k {
-		out = out[:k]
+	top := topK(counts, k)
+	out := make([]Culprit, len(top))
+	for i, e := range top {
+		out[i] = Culprit{ASN: e.key, Count: e.n}
 	}
 	return out
 }
@@ -86,14 +116,4 @@ type TargetedAS struct {
 	ASN      uint32
 	IsMember bool
 	Count    int
-}
-
-// sortTargets orders targeted ASes by count (desc) then ASN (asc).
-func sortTargets(out []TargetedAS) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].ASN < out[j].ASN
-	})
 }

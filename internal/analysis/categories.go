@@ -1,7 +1,8 @@
 package analysis
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"ixplight/internal/asdb"
 )
@@ -35,11 +36,11 @@ func categoryShares(counts map[asdb.Category]int, total int) []CategoryShare {
 	for cat, n := range counts {
 		out = append(out, CategoryShare{Category: cat, Instances: n, Share: ratio(n, total)})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Instances != out[j].Instances {
-			return out[i].Instances > out[j].Instances
+	slices.SortFunc(out, func(a, b CategoryShare) int {
+		if a.Instances != b.Instances {
+			return cmp.Compare(b.Instances, a.Instances)
 		}
-		return out[i].Category < out[j].Category
+		return cmp.Compare(a.Category, b.Category)
 	})
 	return out
 }

@@ -1,7 +1,5 @@
 package analysis
 
-import "sort"
-
 // The §5.6 operational-implications analysis: DE-CIX mitigates the
 // route-server overhead of blanket tagging by filtering routes with
 // "too many communities". This what-if quantifies such a filter's
@@ -48,27 +46,6 @@ func hygieneImpacts(hist map[int]int, thresholds []int) []HygieneImpact {
 			}
 		}
 		out = append(out, h)
-	}
-	return out
-}
-
-// countPercentiles sorts counts in place and reads off the requested
-// percentiles. Callers handing out shared state must pass a copy.
-func countPercentiles(counts []int, percentiles []float64) []int {
-	if len(counts) == 0 {
-		return make([]int, len(percentiles))
-	}
-	sort.Ints(counts)
-	out := make([]int, len(percentiles))
-	for i, p := range percentiles {
-		idx := int(p / 100 * float64(len(counts)-1))
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(counts) {
-			idx = len(counts) - 1
-		}
-		out[i] = counts[idx]
 	}
 	return out
 }

@@ -1,7 +1,8 @@
 package analysis
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"ixplight/internal/asdb"
 	"ixplight/internal/bgp"
@@ -178,7 +179,7 @@ func (ix *Index) RouteCommCorrelation(v6 bool) []CorrelationPoint {
 			CommFrac:  ratio(st.perASActions[asn], totalComms),
 		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ASN < out[j].ASN })
+	slices.SortFunc(out, func(a, b CorrelationPoint) int { return cmp.Compare(a.ASN, b.ASN) })
 	return out
 }
 
@@ -221,12 +222,16 @@ func (ix *Index) TopActionCommunities(v6 bool, k int) []CommunityCount {
 // communities with a specific AS target can be ineffective this way;
 // to-all and blackhole actions always have effect.
 func (ix *Index) NonMemberTargeting(v6 bool, k int) NonMemberTargeting {
+	nm := ix.NonMemberShare(v6)
+	nm.Top = rankCommunities(ix.family(v6).nonMemberComms, ix.Class, k)
+	return nm
+}
+
+// NonMemberShare is NonMemberTargeting without the Fig. 6 ranking: the
+// instance/total pair alone, two reads that rank and classify nothing.
+func (ix *Index) NonMemberShare(v6 bool) NonMemberTargeting {
 	st := ix.family(v6)
-	return NonMemberTargeting{
-		Instances: st.nonMemberInstances,
-		Total:     st.flavour.StandardAction,
-		Top:       rankCommunities(st.nonMemberComms, ix.Class, k),
-	}
+	return NonMemberTargeting{Instances: st.nonMemberInstances, Total: st.flavour.StandardAction}
 }
 
 // CulpritRanking returns the Fig. 7 ranking for one family.
@@ -236,14 +241,10 @@ func (ix *Index) CulpritRanking(v6 bool, k int) []Culprit {
 
 // TopTargets ranks the ASes most targeted by action communities.
 func (ix *Index) TopTargets(v6 bool, k int) []TargetedAS {
-	st := ix.family(v6)
-	out := make([]TargetedAS, 0, len(st.targets))
-	for asn, n := range st.targets {
-		out = append(out, TargetedAS{ASN: asn, IsMember: ix.members[asn], Count: n})
-	}
-	sortTargets(out)
-	if k > 0 && len(out) > k {
-		out = out[:k]
+	top := topK(ix.family(v6).targets, k)
+	out := make([]TargetedAS, len(top))
+	for i, e := range top {
+		out[i] = TargetedAS{ASN: e.key, IsMember: ix.members[e.key], Count: e.n}
 	}
 	return out
 }
@@ -281,14 +282,32 @@ func (ix *Index) HygieneFilterImpact(v6 bool, thresholds []int) []HygieneImpact 
 // distribution at the given percentiles (0–100) — the evidence for
 // picking a §5.6 threshold.
 func (ix *Index) CommunityCountPercentiles(v6 bool, percentiles []float64) []int {
-	st := ix.family(v6)
-	counts := make([]int, 0, st.usage.RoutesTotal)
-	for c, n := range st.commHist {
-		for i := 0; i < n; i++ {
-			counts = append(counts, c)
+	hist := ix.family(v6).commHist
+	out := make([]int, len(percentiles))
+	if len(hist) == 0 {
+		return out
+	}
+	// The sorted distribution is never expanded to one entry per route:
+	// position idx of it lies in the first count whose cumulative route
+	// total passes idx.
+	counts := make([]int, 0, len(hist))
+	routes := 0
+	for c, n := range hist {
+		counts = append(counts, c)
+		routes += n
+	}
+	slices.Sort(counts)
+	for i, p := range percentiles {
+		idx := min(max(int(p/100*float64(routes-1)), 0), routes-1)
+		cum := 0
+		for _, c := range counts {
+			if cum += hist[c]; cum > idx {
+				out[i] = c
+				break
+			}
 		}
 	}
-	return countPercentiles(counts, percentiles)
+	return out
 }
 
 // Counts returns the Appendix A row for one family.

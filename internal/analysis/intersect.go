@@ -1,7 +1,7 @@
 package analysis
 
 import (
-	"sort"
+	"slices"
 
 	"ixplight/internal/dictionary"
 )
@@ -46,7 +46,7 @@ func TargetIntersections(ixps []*Index, v6 bool, k int) (pairs []PairwiseInterse
 					shared = append(shared, asn)
 				}
 			}
-			sort.Slice(shared, func(a, b int) bool { return shared[a] < shared[b] })
+			slices.Sort(shared)
 			pairs = append(pairs, PairwiseIntersection{
 				IXPA: ixps[i].snap.IXP, IXPB: ixps[j].snap.IXP, Shared: shared,
 			})
@@ -65,7 +65,7 @@ func TargetIntersections(ixps []*Index, v6 bool, k int) (pairs []PairwiseInterse
 				common = append(common, asn)
 			}
 		}
-		sort.Slice(common, func(a, b int) bool { return common[a] < common[b] })
+		slices.Sort(common)
 	}
 	return pairs, common
 }

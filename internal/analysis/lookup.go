@@ -8,9 +8,9 @@ import (
 // Point lookups for the serving layer (internal/ixpd): per-AS and
 // per-community reads straight off an Index's aggregate maps. The
 // ranking accessors (TopActionCommunities, CulpritRanking, …) answer
-// "who are the top K" by copying and sorting whole aggregates; a
-// daemon answering "what about AS X" per request wants the O(1) read
-// instead. All lookups are read-only over maps frozen at
+// "who are the top K" with one pass over a whole aggregate, keeping K;
+// a daemon answering "what about AS X" per request wants the O(1)
+// read instead. All lookups are read-only over maps frozen at
 // construction, so they follow the Index concurrency contract: safe
 // from any number of goroutines.
 

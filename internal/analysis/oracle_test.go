@@ -12,6 +12,7 @@ package analysis
 // against another builder.
 
 import (
+	"math/rand"
 	"net/netip"
 	"reflect"
 	"sort"
@@ -157,7 +158,35 @@ func TopActionCommunitiesDirect(s *collector.Snapshot, scheme *dictionary.Scheme
 			counts[c]++
 		})
 	}
-	return rankCommunities(counts, scheme.Classify, k)
+	return rankCommunitiesDirect(counts, scheme, k)
+}
+
+// fullRank is the reference the rankings are held to: every entry,
+// sorted by count (desc) then key (asc), truncated to k afterwards. It
+// shares nothing with topK's selection.
+func fullRank[K ~uint32](counts map[K]int, k int) []ranked[K] {
+	out := make([]ranked[K], 0, len(counts))
+	for key, n := range counts {
+		out = append(out, ranked[K]{key, n})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].n != out[j].n {
+			return out[i].n > out[j].n
+		}
+		return out[i].key < out[j].key
+	})
+	if k > 0 && len(out) > k {
+		out = out[:k]
+	}
+	return out
+}
+
+func rankCommunitiesDirect(counts map[bgp.Community]int, scheme *dictionary.Scheme, k int) []CommunityCount {
+	out := []CommunityCount{}
+	for _, e := range fullRank(counts, k) {
+		out = append(out, CommunityCount{Community: e.key, Class: scheme.Classify(e.key), Count: e.n})
+	}
+	return out
 }
 
 // ComputeNonMemberTargetingDirect is the direct-classify twin of
@@ -178,7 +207,7 @@ func ComputeNonMemberTargetingDirect(s *collector.Snapshot, scheme *dictionary.S
 			}
 		})
 	}
-	res.Top = rankCommunities(counts, scheme.Classify, k)
+	res.Top = rankCommunitiesDirect(counts, scheme, k)
 	return res
 }
 
@@ -196,7 +225,11 @@ func CulpritRankingDirect(s *collector.Snapshot, scheme *dictionary.Scheme, v6 b
 			}
 		})
 	}
-	return rankCulprits(counts, k)
+	out := []Culprit{}
+	for _, e := range fullRank(counts, k) {
+		out = append(out, Culprit{ASN: e.key, Count: e.n})
+	}
+	return out
 }
 
 // TopTargetsDirect is the direct-classify twin of TopTargets.
@@ -213,13 +246,9 @@ func TopTargetsDirect(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool,
 			}
 		})
 	}
-	out := make([]TargetedAS, 0, len(counts))
-	for asn, n := range counts {
-		out = append(out, TargetedAS{ASN: asn, IsMember: members[asn], Count: n})
-	}
-	sortTargets(out)
-	if k > 0 && len(out) > k {
-		out = out[:k]
+	out := []TargetedAS{}
+	for _, e := range fullRank(counts, k) {
+		out = append(out, TargetedAS{ASN: e.key, IsMember: members[e.key], Count: e.n})
 	}
 	return out
 }
@@ -473,6 +502,28 @@ func CommunityCountPercentilesDirect(s *collector.Snapshot, v6 bool, percentiles
 	return countPercentiles(communityCounts(s, v6), percentiles)
 }
 
+// countPercentiles sorts counts — one entry per route — in place and
+// reads off the requested percentiles: the definition the histogram
+// walk of CommunityCountPercentiles is held to.
+func countPercentiles(counts []int, percentiles []float64) []int {
+	if len(counts) == 0 {
+		return make([]int, len(percentiles))
+	}
+	sort.Ints(counts)
+	out := make([]int, len(percentiles))
+	for i, p := range percentiles {
+		idx := int(p / 100 * float64(len(counts)-1))
+		if idx < 0 {
+			idx = 0
+		}
+		if idx >= len(counts) {
+			idx = len(counts) - 1
+		}
+		out[i] = counts[idx]
+	}
+	return out
+}
+
 // communityCounts walks one family's routes for their §5.6 community
 // counts.
 func communityCounts(s *collector.Snapshot, v6 bool) []int {
@@ -593,5 +644,51 @@ func BenchmarkAblation_ClassifyIndexed(b *testing.B) {
 	}
 	if sink == 0 {
 		b.Fatal("empty battery")
+	}
+}
+
+// TestTopKMatchesFullSort holds the bounded selection to the prefix of
+// the full sort, over random histograms drawn from few distinct counts
+// so that most of the order is decided by the key tie-break.
+func TestTopKMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	for round := 0; round < 200; round++ {
+		n := 1 + rng.Intn(300)
+		counts := make(map[uint32]int, n)
+		for len(counts) < n {
+			counts[rng.Uint32()>>rng.Intn(32)] = rng.Intn(1 + rng.Intn(6))
+		}
+		for _, k := range []int{0, 1, n - 1, n, n + 1, 1 + rng.Intn(n)} {
+			if got, want := topK(counts, k), fullRank(counts, k); !reflect.DeepEqual(got, want) {
+				t.Fatalf("round %d: topK(%d entries, k=%d) diverges from the full sort:\n got %v\nwant %v", round, n, k, got, want)
+			}
+		}
+	}
+}
+
+// TestHistogramPercentiles holds the cumulative walk over the §5.6
+// histogram to countPercentiles over the distribution expanded to one
+// count per route, an empty family included.
+func TestHistogramPercentiles(t *testing.T) {
+	rng := rand.New(rand.NewSource(56))
+	pcts := []float64{0, 50, 99, 100, 90, -5, 250}
+	for round := 0; round < 200; round++ {
+		hist := make(map[int]int)
+		var expanded []int
+		for i := rng.Intn(12); i > 0; i-- { // sometimes none: an empty family
+			c, n := rng.Intn(40), 1+rng.Intn(50)
+			hist[c] += n
+			for ; n > 0; n-- {
+				expanded = append(expanded, c)
+			}
+		}
+		ix := &Index{}
+		ix.fam[0].commHist = hist
+		if got, want := ix.CommunityCountPercentiles(false, pcts), countPercentiles(expanded, pcts); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: histogram %v: percentiles %v = %v, expanded distribution gives %v", round, hist, pcts, got, want)
+		}
+	}
+	if got := new(Index).CommunityCountPercentiles(true, pcts); !reflect.DeepEqual(got, make([]int, len(pcts))) {
+		t.Fatalf("empty family: %v, want zeros", got)
 	}
 }

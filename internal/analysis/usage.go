@@ -1,6 +1,6 @@
 package analysis
 
-import "sort"
+import "slices"
 
 // Usage aggregates Fig. 4a: how many ASes use action communities, how
 // many routes carry at least one, and the total instance count.
@@ -44,7 +44,8 @@ func ConcentrationCDF(counts map[uint32]int, membersAtRS int) []CDFPoint {
 		vals = append(vals, v)
 		total += v
 	}
-	sort.Sort(sort.Reverse(sort.IntSlice(vals)))
+	slices.Sort(vals)
+	slices.Reverse(vals)
 	points := make([]CDFPoint, 0, len(vals))
 	cum := 0
 	for i, v := range vals {

@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -37,20 +39,53 @@ func benchGet(h http.Handler, path, etag string) int {
 	return rec.Code
 }
 
+// coldClasses is one query per endpoint class of the API; a cold
+// request costs very different things on each.
+func coldClasses(tb testing.TB, h http.Handler) []struct{ class, path string } {
+	tb.Helper()
+	var meta MetaDoc
+	_, _, body := doGet(tb, h, "/v1/meta", "")
+	if err := json.Unmarshal([]byte(body), &meta); err != nil {
+		tb.Fatal(err)
+	}
+	ixp := meta.IXPs[0]
+	return []struct{ class, path string }{
+		{"experiment", "/v1/experiments/fig5"},
+		{"lookup", fmt.Sprintf("/v1/as/%d?ixp=%s", ixp.SampleASNs[0], ixp.IXP)},
+		{"series", "/v1/series/" + ixp.IXP},
+		{"meta", "/v1/meta"},
+	}
+}
+
+// nonced appends a parameter no handler reads, which cacheKey still
+// canonicalises: the request misses the ETag, the cache and every
+// flight in progress.
+func nonced(path string, n int) string {
+	sep := "?"
+	if strings.Contains(path, "?") {
+		sep = "&"
+	}
+	return path + sep + "nonce=" + strconv.Itoa(n)
+}
+
 // BenchmarkIxpdServe pins the three tiers of the serving pipeline.
-// cold forces a fresh compute per request (a unique query parameter
-// defeats every reuse layer), warm replays one cached query, and
-// etag304 revalidates it. The cold/warm gap is the cache win the
-// daemon exists for; TestWarmColdSpeedup pins its floor.
+// cold forces a fresh compute per request, per endpoint class; warm
+// replays one cached query, and etag304 revalidates it. The cold/warm
+// gap is the cache win the daemon exists for; TestWarmColdSpeedup pins
+// its floor, TestServeAllocs the allocations of each tier.
 func BenchmarkIxpdServe(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		s := benchServer(b)
 		h := s.Handler()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if code := benchGet(h, fmt.Sprintf("/v1/experiments/summary?i=%d", i), ""); code != http.StatusOK {
-				b.Fatalf("code %d", code)
-			}
+		for _, q := range coldClasses(b, h) {
+			b.Run(q.class, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if code := benchGet(h, nonced(q.path, i), ""); code != http.StatusOK {
+						b.Fatalf("code %d", code)
+					}
+				}
+			})
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
@@ -161,5 +196,78 @@ func TestWarmColdSpeedup(t *testing.T) {
 	t.Logf("%d queries: cold %.0f qps, warm %.0f qps", len(queries), coldQPS, warmQPS)
 	if warmQPS < 10*coldQPS {
 		t.Fatalf("warm %.0f qps < 10× cold %.0f qps", warmQPS, coldQPS)
+	}
+}
+
+// discardResponse is an http.ResponseWriter that keeps only the header
+// map and the status, so a request costs what the handler itself does.
+type discardResponse struct {
+	h    http.Header
+	code int
+}
+
+func (w *discardResponse) Header() http.Header         { return w.h }
+func (w *discardResponse) WriteHeader(code int)        { w.code = code }
+func (w *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestServeAllocs pins the allocations of one in-process request on
+// each tier: a warm 200 and a 304 (the key, the ETag and the header
+// slice that carries it, a span-less request's bookkeeping), and a cold
+// per-AS lookup and a cold fig5 (flight, goroutine, timer, compute,
+// marshal, cache put on top). Deterministic counts, so any per-request
+// allocation added to the key, ETag, flight, ranking or rendering code
+// shows here by name.
+func TestServeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	s := testServer(t, Config{})
+	h := s.Handler()
+	w := &discardResponse{h: make(http.Header)}
+	serve := func(req *http.Request, want int) {
+		clear(w.h)
+		w.code = http.StatusOK
+		h.ServeHTTP(w, req)
+		if w.code != want {
+			t.Fatalf("%s: code %d, want %d", req.URL, w.code, want)
+		}
+	}
+	classes := coldClasses(t, h)
+	lookup, fig5 := classes[1].path, classes[0].path
+
+	warm := httptest.NewRequest(http.MethodGet, lookup, nil)
+	serve(warm, http.StatusOK)
+	revalidate := httptest.NewRequest(http.MethodGet, lookup, nil)
+	revalidate.Header.Set("If-None-Match", w.h.Get("ETag"))
+	// A cold request is the same request under a query string not seen
+	// before; both are built ahead, so the counts are the handler's.
+	const runs = 200
+	cold := func(path string) func() {
+		req := httptest.NewRequest(http.MethodGet, path, nil)
+		var queries []string
+		for i := 0; i <= runs; i++ { // AllocsPerRun warms up with one extra call
+			_, q, _ := strings.Cut(nonced(path, i), "?")
+			queries = append(queries, q)
+		}
+		return func() {
+			req.URL.RawQuery, queries = queries[0], queries[1:]
+			serve(req, http.StatusOK)
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		f     func()
+		floor float64
+	}{
+		{"warm", func() { serve(warm, http.StatusOK) }, 6},
+		{"304", func() { serve(revalidate, http.StatusNotModified) }, 6},
+		{"cold lookup", cold(lookup), 15},
+		{"cold fig5", cold(fig5), 20},
+	} {
+		got := testing.AllocsPerRun(runs, tc.f)
+		t.Logf("%s: %.1f allocs/request", tc.name, got)
+		if got > tc.floor {
+			t.Errorf("%s: %.1f allocs/request, want ≤ %.0f", tc.name, got, tc.floor)
+		}
 	}
 }

@@ -132,7 +132,11 @@ type respCache struct {
 	mu      sync.Mutex
 	cap     int
 	entries map[string][]byte
-	order   []string
+	// ring holds the keys of entries in insertion order: it grows to
+	// cap keys and is then fixed, head naming the oldest — the slot the
+	// next insertion evicts and takes.
+	ring []string
+	head int
 }
 
 func newRespCache(capacity int) *respCache {
@@ -152,17 +156,16 @@ func (c *respCache) get(key string) ([]byte, bool) {
 func (c *respCache) put(key string, data []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.entries[key]; ok {
-		c.entries[key] = data
-		return
-	}
-	if len(c.entries) >= c.cap {
-		oldest := c.order[0]
-		c.order = c.order[1:]
-		delete(c.entries, oldest)
+	if _, ok := c.entries[key]; !ok {
+		if len(c.ring) < c.cap {
+			c.ring = append(c.ring, key)
+		} else {
+			delete(c.entries, c.ring[c.head])
+			c.ring[c.head] = key
+			c.head = (c.head + 1) % c.cap
+		}
 	}
 	c.entries[key] = data
-	c.order = append(c.order, key)
 }
 
 func (c *respCache) len() int {

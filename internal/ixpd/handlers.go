@@ -167,8 +167,10 @@ func (s *Server) experimentDoc(g *generation, name string) (any, error) {
 	if !slices.Contains(report.ExperimentNames, name) {
 		return nil, errNotFound("unknown experiment %q", name)
 	}
-	var buf bytes.Buffer
-	if err := g.lab.Run(&buf, name); err != nil {
+	buf := bufPool.Get().(*bytes.Buffer)
+	defer bufPool.Put(buf)
+	buf.Reset()
+	if err := g.lab.Run(buf, name); err != nil {
 		return nil, err
 	}
 	return &ExperimentDoc{Experiment: name, Digest: g.digest, Output: buf.String()}, nil

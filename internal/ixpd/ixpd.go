@@ -1,8 +1,8 @@
 // Package ixpd is the long-lived analysis serving layer: a daemon
-// that loads a snapshot/delta dataset once, keeps the classified
-// indexes warm behind the shared analysis cache, and answers
-// experiment, per-AS, per-community and time-series queries over an
-// HTTP JSON API.
+// that loads a snapshot/delta dataset once, holds each IXP's classified
+// index in the generation's lab — built by the load, never by a
+// request — and answers experiment, per-AS, per-community and
+// time-series queries over an HTTP JSON API.
 //
 // The hot path is engineered around three layers of reuse:
 //
@@ -14,7 +14,7 @@
 //     bodies, so an identical warm query is a map lookup and one
 //     Write.
 //  3. Singleflight request coalescing, so N concurrent identical cold
-//     queries cost one compute (one experiment run, one index build)
+//     queries cost one compute (one experiment run, one marshal)
 //     between them.
 //
 // Computes run behind bounded worker admission with per-request
@@ -39,12 +39,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"net/http"
 	"net/url"
 	"runtime"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -228,33 +227,36 @@ func (s *Server) routes() *http.ServeMux {
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /v1/meta", func(w http.ResponseWriter, r *http.Request) {
-		s.serveCached(w, r, "meta", func(g *generation) (any, error) {
+		key, _ := cacheKey(r)
+		s.serveCached(w, r, "meta", key, func(g *generation) (any, error) {
 			return s.metaDoc(g)
 		})
 	})
 	mux.HandleFunc("GET /v1/experiments/{name}", func(w http.ResponseWriter, r *http.Request) {
 		name := r.PathValue("name")
-		s.serveCached(w, r, "experiments", func(g *generation) (any, error) {
+		key, _ := cacheKey(r)
+		s.serveCached(w, r, "experiments", key, func(g *generation) (any, error) {
 			return s.experimentDoc(g, name)
 		})
 	})
 	mux.HandleFunc("GET /v1/as/{asn}", func(w http.ResponseWriter, r *http.Request) {
 		asn := r.PathValue("asn")
-		ixp := r.URL.Query().Get("ixp")
-		s.serveCached(w, r, "as", func(g *generation) (any, error) {
+		key, ixp := cacheKey(r)
+		s.serveCached(w, r, "as", key, func(g *generation) (any, error) {
 			return s.asDoc(g, asn, ixp)
 		})
 	})
 	mux.HandleFunc("GET /v1/community/{community}", func(w http.ResponseWriter, r *http.Request) {
 		comm := r.PathValue("community")
-		ixp := r.URL.Query().Get("ixp")
-		s.serveCached(w, r, "community", func(g *generation) (any, error) {
+		key, ixp := cacheKey(r)
+		s.serveCached(w, r, "community", key, func(g *generation) (any, error) {
 			return s.communityDoc(g, comm, ixp)
 		})
 	})
 	mux.HandleFunc("GET /v1/series/{ixp}", func(w http.ResponseWriter, r *http.Request) {
 		ixp := r.PathValue("ixp")
-		s.serveCached(w, r, "series", func(g *generation) (any, error) {
+		key, _ := cacheKey(r)
+		s.serveCached(w, r, "series", key, func(g *generation) (any, error) {
 			return s.seriesDoc(g, ixp)
 		})
 	})
@@ -303,16 +305,16 @@ type flight struct {
 }
 
 // serveCached drives one request through the ETag → cache → coalesced
-// compute pipeline. compute receives the pinned generation and
-// returns the response document (or an *httpError); it must not
-// retain the request, because coalesced computes outlive individual
-// requesters.
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint string, compute func(*generation) (any, error)) {
+// compute pipeline under key, the request's canonical form (cacheKey).
+// compute receives the pinned generation and returns the response
+// document (or an *httpError); it must not retain the request, because
+// coalesced computes outlive individual requesters.
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, key string, compute func(*generation) (any, error)) {
 	t0 := time.Now()
 	s.met.inFlight.Inc()
 	defer s.met.inFlight.Dec()
 	_, sp := telemetry.StartSpan(r.Context(), s.cfg.Telemetry, "ixpd.request")
-	code := s.serve(w, r, compute)
+	code := s.serve(w, r, key, compute)
 	if sp != nil {
 		sp.SetAttr("endpoint", endpoint)
 		sp.SetAttr("path", r.URL.Path)
@@ -322,21 +324,20 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint st
 	s.met.request(endpoint, code, time.Since(t0))
 }
 
-func (s *Server) serve(w http.ResponseWriter, r *http.Request, compute func(*generation) (any, error)) int {
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, key string, compute func(*generation) (any, error)) int {
 	gen := s.gen.Load()
 	if gen == nil {
 		writeJSON(w, http.StatusServiceUnavailable, []byte(`{"error":"dataset not loaded"}`+"\n"))
 		return http.StatusServiceUnavailable
 	}
 
-	key := cacheKey(r)
 	etag := gen.etagFor(key)
 
 	// Layer 1: revalidation. A matching If-None-Match answers with
 	// zero recompute — the ETag is derived, not looked up.
 	if match := r.Header.Get("If-None-Match"); match != "" && etagMatches(match, etag) {
 		s.met.notModified.Inc()
-		w.Header().Set("ETag", etag)
+		w.Header()["Etag"] = []string{etag}
 		w.WriteHeader(http.StatusNotModified)
 		return http.StatusNotModified
 	}
@@ -350,7 +351,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, compute func(*gen
 	s.met.cacheMisses.Inc()
 
 	// Layer 3: coalesced compute.
-	fl, leader := s.joinFlight(gen.id, key)
+	fl, leader := s.joinFlight(gen, key)
 	if leader {
 		// The compute runs detached from this request's context: a
 		// requester giving up must not cancel work other requesters
@@ -382,15 +383,24 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, compute func(*gen
 }
 
 // joinFlight returns the flight for (gen, key), creating it (leader =
-// true) when no identical query is in flight.
-func (s *Server) joinFlight(gen uint64, key string) (*flight, bool) {
-	k := flightKey{gen: gen, key: key}
+// true) when no identical query is in flight. A flight may have
+// finished between the caller's cache probe and now: it put its body
+// before it left the map, so a second probe under the map's lock sees
+// it, and the caller follows that finished flight instead of computing
+// the same body again.
+func (s *Server) joinFlight(gen *generation, key string) (*flight, bool) {
+	k := flightKey{gen: gen.id, key: key}
 	s.flightMu.Lock()
 	defer s.flightMu.Unlock()
 	if fl, ok := s.flights[k]; ok {
 		return fl, false
 	}
 	fl := &flight{done: make(chan struct{})}
+	if data, ok := gen.cache.get(key); ok {
+		fl.status, fl.data = http.StatusOK, data
+		close(fl.done)
+		return fl, false
+	}
 	s.flights[k] = fl
 	return fl, true
 }
@@ -487,91 +497,124 @@ func (s *Server) Computes() int64 { return s.computes.Load() }
 // same query must hit the same cache line). Keys and values are
 // escaped, and so is a path holding a '?' or '%', so that two requests
 // share a key — a cache line and an ETag — only if they decode to the
-// same path and the same parameters; QueryEscape returns a string that
-// needs no escaping as it is, so an ordinary request pays nothing.
-func cacheKey(r *http.Request) string {
+// same path and the same parameters. It reads RawQuery as
+// url.ParseQuery does, dropping exactly what that drops (empty
+// segments, segments holding ';', a key or value that does not
+// unescape), but into pairs on the stack instead of a url.Values;
+// QueryUnescape and QueryEscape return their argument when there is
+// nothing to do, so an ordinary request pays one string, the key. ixp
+// is the first "ixp" parameter, as url.Values.Get would return it —
+// the one parameter a handler reads, taken from the same parse.
+func cacheKey(r *http.Request) (key, ixp string) {
 	path := r.URL.Path
 	if strings.ContainsAny(path, "?%") {
 		path = (&url.URL{Path: path}).EscapedPath()
 	}
-	q := r.URL.Query()
-	if len(q) == 0 {
-		return path
-	}
-	keys := make([]string, 0, len(q))
-	for k := range q {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString(path)
-	sep := byte('?')
-	for _, k := range keys {
-		vals := q[k]
-		sort.Strings(vals)
-		for _, v := range vals {
-			b.WriteByte(sep)
-			sep = '&'
-			b.WriteString(url.QueryEscape(k))
-			b.WriteByte('=')
-			b.WriteString(url.QueryEscape(v))
+	type pair struct{ k, v string }
+	var onStack [8]pair
+	pairs, seenIXP := onStack[:0], false
+	for query := r.URL.RawQuery; query != ""; {
+		var seg string
+		seg, query, _ = strings.Cut(query, "&")
+		if seg == "" || strings.Contains(seg, ";") {
+			continue
 		}
+		k, v, _ := strings.Cut(seg, "=")
+		k, err := url.QueryUnescape(k)
+		if err != nil {
+			continue
+		}
+		if v, err = url.QueryUnescape(v); err != nil {
+			continue
+		}
+		if k == "ixp" && !seenIXP {
+			ixp, seenIXP = v, true
+		}
+		pairs = append(pairs, pair{k, v})
 	}
-	return b.String()
+	if len(pairs) == 0 {
+		return path, ""
+	}
+	slices.SortFunc(pairs, func(a, b pair) int {
+		if c := strings.Compare(a.k, b.k); c != 0 {
+			return c
+		}
+		return strings.Compare(a.v, b.v)
+	})
+	var buf [128]byte
+	b, sep := append(buf[:0], path...), byte('?')
+	for _, p := range pairs {
+		b = append(append(b, sep), url.QueryEscape(p.k)...)
+		b = append(append(b, '='), url.QueryEscape(p.v)...)
+		sep = '&'
+	}
+	return string(b), ixp
 }
 
 // etagFor derives the strong ETag for one canonical query under this
-// generation: dataset digest prefix + query hash. Deriving (rather
-// than storing) the tag means If-None-Match revalidation costs no
-// cache lookup and works even for responses the cache has evicted.
+// generation: dataset digest prefix + query hash (FNV-1a, 64 bits, as
+// 16 hex digits). Deriving (rather than storing) the tag means
+// If-None-Match revalidation costs no cache lookup and works even for
+// responses the cache has evicted.
 func (g *generation) etagFor(key string) string {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return fmt.Sprintf(`"%s-%016x"`, g.digest, h.Sum64())
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint64(key[i])) * 1099511628211
+	}
+	var buf [48]byte
+	b := append(append(buf[:0], '"'), g.digest...)
+	b = append(b, `-0000000000000000"`...)
+	for i := len(b) - 2; h != 0; i, h = i-1, h>>4 {
+		b[i] = "0123456789abcdef"[h&15]
+	}
+	return string(b)
 }
 
 // etagMatches implements If-None-Match: a comma-separated list of
 // entity tags, or the wildcard.
 func etagMatches(header, etag string) bool {
-	for _, part := range strings.Split(header, ",") {
+	for header != "" {
+		var part string
+		part, header, _ = strings.Cut(header, ",")
 		part = strings.TrimSpace(part)
-		if part == "*" || part == etag {
-			return true
-		}
 		// A W/ prefix still weakly matches the strong tag.
-		if strings.TrimPrefix(part, "W/") == etag {
+		if part == "*" || strings.TrimPrefix(part, "W/") == etag {
 			return true
 		}
 	}
 	return false
 }
 
-// bufPool recycles marshal scratch buffers across responses: the
-// encoder grows into pooled capacity and the final copy is sized
-// exactly, so steady-state marshaling does not regrow buffers per
-// request.
+// bufPool recycles the scratch an experiment's text is rendered into
+// before it becomes a document field.
 var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
+// marshalJSON encodes v as json.Encoder.Encode does — HTML-escaped,
+// newline-terminated — without an Encoder or a staging buffer per call:
+// Marshal returns a copy sized by append, which all but always leaves
+// the newline its byte.
 func marshalJSON(v any) ([]byte, error) {
-	b := bufPool.Get().(*bytes.Buffer)
-	defer bufPool.Put(b)
-	b.Reset()
-	enc := json.NewEncoder(b)
-	if err := enc.Encode(v); err != nil {
+	data, err := json.Marshal(v)
+	if err != nil {
 		return nil, err
 	}
-	return bytes.Clone(b.Bytes()), nil
+	return append(data, '\n'), nil
 }
 
+// jsonContentType is the Content-Type value of every response, shared:
+// the server only reads header values.
+var jsonContentType = []string{"application/json; charset=utf-8"}
+
 func writeJSON(w http.ResponseWriter, code int, data []byte) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
 	w.Write(data)
 }
 
 func writeBody(w http.ResponseWriter, code int, etag string, data []byte) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.Header().Set("ETag", etag)
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
+	h["Etag"] = []string{etag}
 	w.WriteHeader(code)
 	w.Write(data)
 }

@@ -211,14 +211,59 @@ func TestEtagMatches(t *testing.T) {
 }
 
 func TestCacheKeyCanonical(t *testing.T) {
-	a := httptest.NewRequest(http.MethodGet, "/v1/as/1?ixp=DE-CIX&fam=v6", nil)
-	b := httptest.NewRequest(http.MethodGet, "/v1/as/1?fam=v6&ixp=DE-CIX", nil)
-	if cacheKey(a) != cacheKey(b) {
-		t.Fatalf("query order changes cache key: %q vs %q", cacheKey(a), cacheKey(b))
+	key := func(target string) string {
+		k, _ := cacheKey(httptest.NewRequest(http.MethodGet, target, nil))
+		return k
 	}
-	c := httptest.NewRequest(http.MethodGet, "/v1/as/1?ixp=AMS-IX", nil)
-	if cacheKey(a) == cacheKey(c) {
-		t.Fatalf("distinct queries share cache key %q", cacheKey(a))
+	a, b := key("/v1/as/1?ixp=DE-CIX&fam=v6"), key("/v1/as/1?fam=v6&ixp=DE-CIX")
+	if a != b {
+		t.Fatalf("query order changes cache key: %q vs %q", a, b)
+	}
+	if c := key("/v1/as/1?ixp=AMS-IX"); a == c {
+		t.Fatalf("distinct queries share cache key %q", a)
+	}
+}
+
+// TestCacheKeyGolden pins keys, and the ixp parameter read off the
+// same parse, to what the url.Values implementation produced: the key
+// is half of every ETag, so it may not move.
+func TestCacheKeyGolden(t *testing.T) {
+	for _, tc := range [][3]string{
+		{"/v1/as/1?b=2&a=1&a=0", "/v1/as/1?a=0&a=1&b=2", ""},
+		{"/v1/as/1?ixp=B&ixp=A", "/v1/as/1?ixp=A&ixp=B", "B"},
+		{"/v1/as/1?a;b=1&c=%zz&d=%41+b&&e=f=g&=x&h", "/v1/as/1?=x&d=A+b&e=f%3Dg&h=", ""},
+		{"/v1/as/1%3Fa=1?x=%3F", "/v1/as/1%3Fa=1?x=%3F", ""},
+		{"/v1/meta", "/v1/meta", ""},
+		{"/v1/meta?", "/v1/meta", ""},
+		{"/v1/meta?&&", "/v1/meta", ""},
+		{"/v1/community/0:1?ixp=&ixp=Z", "/v1/community/0:1?ixp=&ixp=Z", ""},
+	} {
+		key, ixp := cacheKey(httptest.NewRequest(http.MethodGet, tc[0], nil))
+		if key != tc[1] || ixp != tc[2] {
+			t.Errorf("cacheKey(%q) = %q, ixp %q; want %q, ixp %q", tc[0], key, ixp, tc[1], tc[2])
+		}
+	}
+}
+
+// TestETagGolden pins ETags for fixed (digest, key) pairs, literals
+// computed by the fnv.New64a + fmt.Sprintf(`"%s-%016x"`) code the
+// inline hash replaced — one of them with a hash that needs its
+// leading zeros.
+func TestETagGolden(t *testing.T) {
+	for _, tc := range [][3]string{
+		{"0123456789abcdef", "/v1/meta", `"0123456789abcdef-a3a259006b2f8f39"`},
+		{"0123456789abcdef", "/v1/experiments/summary", `"0123456789abcdef-79848ed2605ec067"`},
+		{"0123456789abcdef", "/v1/as/15169?ixp=DE-CIX", `"0123456789abcdef-7b769fdec1201190"`},
+		{"0123456789abcdef", "/v1/as/15169?ixp=DE-CIX&nonce=1", `"0123456789abcdef-5457b0f5a6d04c43"`},
+		{"0123456789abcdef", "/v1/meta?nonce=330180", `"0123456789abcdef-00015c6025feee51"`},
+		{"fedcba9876543210", "/v1/as/15169?ixp=DE-CIX", `"fedcba9876543210-7b769fdec1201190"`},
+		{"fedcba9876543210", "", `"fedcba9876543210-cbf29ce484222325"`},
+		{"", "/v1/community/0%3A15169?a=%26&a=+", `"-c710cc417678f584"`},
+		{"deadbeefdeadbeef", "/v1/series/IX.br-SP?nonce=18446744073709551615", `"deadbeefdeadbeef-6502295c05fe502d"`},
+	} {
+		if got := (&generation{digest: tc[0]}).etagFor(tc[1]); got != tc[2] {
+			t.Errorf("etagFor(digest %q, key %q) = %s, want %s", tc[0], tc[1], got, tc[2])
+		}
 	}
 }
 
@@ -241,8 +286,44 @@ func TestCacheKeyInjective(t *testing.T) {
 	}
 }
 
+// cacheKeyValues is the canonicaliser cacheKey replaced, kept as its
+// reference: the same key built from the url.Values map of
+// r.URL.Query(), and the ixp parameter read with Values.Get.
+func cacheKeyValues(r *http.Request) (key, ixp string) {
+	path := r.URL.Path
+	if strings.ContainsAny(path, "?%") {
+		path = (&url.URL{Path: path}).EscapedPath()
+	}
+	q := r.URL.Query()
+	if len(q) == 0 {
+		return path, ""
+	}
+	keys := make([]string, 0, len(q))
+	for k := range q {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var b strings.Builder
+	b.WriteString(path)
+	sep := byte('?')
+	for _, k := range keys {
+		vals := slices.Clone(q[k])
+		sort.Strings(vals)
+		for _, v := range vals {
+			b.WriteByte(sep)
+			sep = '&'
+			b.WriteString(url.QueryEscape(k))
+			b.WriteByte('=')
+			b.WriteString(url.QueryEscape(v))
+		}
+	}
+	return b.String(), q.Get("ixp")
+}
+
 // FuzzCacheKey: two request URLs get the same key exactly when they
-// decode to the same path and the same multiset of (key, value) pairs.
+// decode to the same path and the same multiset of (key, value) pairs,
+// and every URL gets the key and the ixp parameter the url.Values
+// implementation gave it.
 func FuzzCacheKey(f *testing.F) {
 	f.Add("/v1/as/15169?ixp=DE-CIX&x=1", "/v1/as/15169?ixp=DE-CIX%26x%3D1")
 	f.Add("/v1/as/1?a=1&a=2", "/v1/as/1?a=2&a=1")
@@ -252,6 +333,14 @@ func FuzzCacheKey(f *testing.F) {
 	f.Add("/v1/as/1%3Fa=1", "/v1/as/1?a=1")
 	f.Add("/v1/as/1%253Fa", "/v1/as/1%3Fa")
 	f.Add("/v1/as/%31", "/v1/as/1")
+	f.Add("/v1/as/1?a=1;b=2&c=3", "/v1/as/1?c=3")                                                                   // a segment holding ';' is dropped
+	f.Add("/v1/as/1?a=%zz&b=%4&c=%", "/v1/as/1?%zz=1")                                                              // bad escapes, in values and in a key
+	f.Add("/v1/as/1?a=x+y&b+c=1", "/v1/as/1?a=x%20y&b%20c=1")                                                       // '+' is a space on both sides of '='
+	f.Add("/v1/as/1?&&a=1&&", "/v1/as/1?a=1")                                                                       // empty segments
+	f.Add("/v1/as/1?ixp=B&ixp=A&ixp=B", "/v1/as/1?ixp=A&ixp=B&ixp=B")                                               // repeated keys: sorted in the key, first in Get
+	f.Add("/v1/as/1?k=v=w", "/v1/as/1?k=v%3Dw")                                                                     // only the first '=' separates
+	f.Add("/v1/as/1?=v&=", "/v1/as/1?ixp=%zz&ixp=ok")                                                               // empty keys; a dropped first ixp
+	f.Add("/v1/as/1?a=1&b=2&c=3&d=4&e=5&f=6&g=7&h=8&i=9&j=10", "/v1/as/1?j=10&i=9&h=8&g=7&f=6&e=5&d=4&c=3&b=2&a=1") // past the stack array
 	// decoded is the reference form of a request: the path, then the
 	// parameters sorted, as values rather than as one string.
 	decoded := func(raw string) (*http.Request, []string) {
@@ -274,9 +363,16 @@ func FuzzCacheKey(f *testing.F) {
 		if ra == nil || rb == nil {
 			t.Skip()
 		}
-		ka, kb := cacheKey(ra), cacheKey(rb)
+		ka, ia := cacheKey(ra)
+		kb, ib := cacheKey(rb)
 		if same := slices.Equal(da, db); (ka == kb) != same {
 			t.Fatalf("%q → %q, %q → %q: same request %v", a, ka, b, kb, same)
+		}
+		if wantK, wantI := cacheKeyValues(ra); ka != wantK || ia != wantI {
+			t.Fatalf("%q → key %q, ixp %q; the url.Values canonicaliser gives %q, %q", a, ka, ia, wantK, wantI)
+		}
+		if wantK, wantI := cacheKeyValues(rb); kb != wantK || ib != wantI {
+			t.Fatalf("%q → key %q, ixp %q; the url.Values canonicaliser gives %q, %q", b, kb, ib, wantK, wantI)
 		}
 	})
 }
@@ -369,6 +465,39 @@ func TestCoalescing(t *testing.T) {
 	}
 	if followers != n-1 {
 		t.Fatalf("coalesced+cache-hit = %d, want %d", followers, n-1)
+	}
+}
+
+// TestJoinFlightSeesFinishedFlight: a requester that missed the cache
+// just before an identical flight finished must not become a second
+// leader — the window TestCoalescing fell into about once in twenty
+// -race runs. The finished flight's body is in the cache by the time
+// the flight has left the map, and joinFlight hands it over.
+func TestJoinFlightSeesFinishedFlight(t *testing.T) {
+	s := testServer(t, Config{})
+	gen := s.gen.Load()
+	fl, leader := s.joinFlight(gen, "/q")
+	if !leader {
+		t.Fatal("first requester is not the leader")
+	}
+	if again, leader := s.joinFlight(gen, "/q"); leader || again != fl {
+		t.Fatal("second requester did not join the flight in progress")
+	}
+	s.runFlight(gen, "/q", fl, func(*generation) (any, error) { return map[string]int{"n": 1}, nil })
+	late, leader := s.joinFlight(gen, "/q")
+	if leader {
+		t.Fatal("a requester arriving after the flight finished computes again")
+	}
+	select {
+	case <-late.done:
+	default:
+		t.Fatal("the flight handed to a late requester is not finished")
+	}
+	if late.status != http.StatusOK || string(late.data) != string(fl.data) {
+		t.Fatalf("late requester got %d %q, want the finished flight's 200 %q", late.status, late.data, fl.data)
+	}
+	if len(s.flights) != 0 || s.Computes() != 1 {
+		t.Fatalf("%d flights registered, %d computes; want 0 and 1", len(s.flights), s.Computes())
 	}
 }
 
@@ -477,7 +606,7 @@ func TestWaiterTimeout(t *testing.T) {
 	release := make(chan struct{})
 	req := httptest.NewRequest(http.MethodGet, "/slow", nil)
 	rec := httptest.NewRecorder()
-	s.serveCached(rec, req, "test", func(*generation) (any, error) {
+	s.serveCached(rec, req, "test", "/slow", func(*generation) (any, error) {
 		<-release
 		return map[string]string{"ok": "true"}, nil
 	})
@@ -499,19 +628,30 @@ func TestWaiterTimeout(t *testing.T) {
 	}
 }
 
+// TestRespCacheBound: the cache holds its newest cap keys, whatever the
+// number of insertions — the key ring wraps more than twice here — and
+// evicts strictly in insertion order; re-putting a held key replaces
+// its body without taking a new slot.
 func TestRespCacheBound(t *testing.T) {
-	c := newRespCache(3)
-	for i := 0; i < 5; i++ {
+	const capacity, puts = 3, 11
+	c := newRespCache(capacity)
+	for i := 0; i < puts; i++ {
 		c.put(fmt.Sprintf("k%d", i), []byte{byte(i)})
+		if i%2 == 1 {
+			c.put(fmt.Sprintf("k%d", i), []byte{byte(i)}) // a replacement must not advance the ring
+		}
+		if want := min(i+1, capacity); c.len() != want {
+			t.Fatalf("after %d puts: len %d, want %d", i+1, c.len(), want)
+		}
+		for k := 0; k <= i; k++ {
+			data, ok := c.get(fmt.Sprintf("k%d", k))
+			if held := k > i-capacity; ok != held || (ok && data[0] != byte(k)) {
+				t.Fatalf("after %d puts: k%d held = %v (body %v), want %v", i+1, k, ok, data, held)
+			}
+		}
 	}
-	if c.len() != 3 {
-		t.Fatalf("len %d, want 3", c.len())
-	}
-	if _, ok := c.get("k0"); ok {
-		t.Fatal("oldest entry survived eviction")
-	}
-	if _, ok := c.get("k4"); !ok {
-		t.Fatal("newest entry missing")
+	if len(c.ring) != capacity || cap(c.ring) > 2*capacity {
+		t.Fatalf("key ring holds %d keys in %d slots after %d puts, want %d fixed", len(c.ring), cap(c.ring), puts, capacity)
 	}
 }
 
@@ -543,7 +683,7 @@ func TestComputePanicContained(t *testing.T) {
 	for i := 0; i < n; i++ {
 		go func() {
 			rec := httptest.NewRecorder()
-			s.serveCached(rec, httptest.NewRequest(http.MethodGet, "/boom", nil), "test", compute)
+			s.serveCached(rec, httptest.NewRequest(http.MethodGet, "/boom", nil), "test", "/boom", compute)
 			codes <- rec.Code
 			bodies <- rec.Body.String()
 		}()
@@ -603,7 +743,7 @@ func TestComputePanicContained(t *testing.T) {
 
 	// The next identical request takes a fresh flight and computes.
 	rec2 := httptest.NewRecorder()
-	s.serveCached(rec2, httptest.NewRequest(http.MethodGet, "/boom", nil), "test", func(*generation) (any, error) {
+	s.serveCached(rec2, httptest.NewRequest(http.MethodGet, "/boom", nil), "test", "/boom", func(*generation) (any, error) {
 		return map[string]string{"ok": "true"}, nil
 	})
 	if rec2.Code != http.StatusOK || s.Computes() != 2 {

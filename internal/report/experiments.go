@@ -313,7 +313,7 @@ func (l *Lab) runFig7(w io.Writer) error {
 	Section(w, "Figure 7 — top-10 ASes targeting non-RS members (IPv4)")
 	for _, p := range l.Profiles {
 		ix := l.Indexes[p.IXP]
-		WriteCulprits(w, p.IXP, ix.CulpritRanking(false, 10), ix.NonMemberTargeting(false, 0).Instances, l.Registry)
+		WriteCulprits(w, p.IXP, ix.CulpritRanking(false, 10), ix.NonMemberShare(false).Instances, l.Registry)
 	}
 	return nil
 }
@@ -482,19 +482,7 @@ func (l *Lab) runIntersect(w io.Writer) error {
 // over this lab — the cross-IXP ranges of the three headline numbers.
 func (l *Lab) runSummary(w io.Writer) error {
 	Section(w, "Headline findings (cf. the paper's abstract)")
-	type rangeAcc struct{ min, max float64 }
-	update := func(r *rangeAcc, v float64) {
-		if r.min == 0 && r.max == 0 {
-			r.min, r.max = v, v
-		}
-		if v < r.min {
-			r.min = v
-		}
-		if v > r.max {
-			r.max = v
-		}
-	}
-	var asShare, actionShare, nmShare rangeAcc
+	var asShare, actionShare, nmShare shareRange
 	names := ""
 	for i, p := range l.Profiles {
 		if i > 0 {
@@ -502,18 +490,34 @@ func (l *Lab) runSummary(w io.Writer) error {
 		}
 		names += p.IXP
 		ix := l.Indexes[p.IXP]
-		update(&asShare, ix.Usage(false).ASShare())
-		update(&actionShare, ix.ActionShare(false))
-		update(&nmShare, ix.NonMemberTargeting(false, 0).Share())
+		asShare.update(ix.Usage(false).ASShare())
+		actionShare.update(ix.ActionShare(false))
+		nmShare.update(ix.NonMemberShare(false).Share())
 	}
 	fmt.Fprintf(w, "over %s (IPv4):\n", names)
-	fmt.Fprintf(w, "members using action communities in ≥1 route: %.1f%%–%.1f%% (paper: >35.7%%, up to 54.1%%)\n",
-		100*asShare.min, 100*asShare.max)
-	fmt.Fprintf(w, "action share of IXP-defined standard communities: %.1f%%–%.1f%% (paper: ≥66.6%%)\n",
-		100*actionShare.min, 100*actionShare.max)
-	fmt.Fprintf(w, "action communities targeting non-RS members: %.1f%%–%.1f%% (paper: ≥31.8%%)\n",
-		100*nmShare.min, 100*nmShare.max)
+	fmt.Fprintf(w, "members using action communities in ≥1 route: %v (paper: >35.7%%, up to 54.1%%)\n", asShare)
+	fmt.Fprintf(w, "action share of IXP-defined standard communities: %v (paper: ≥66.6%%)\n", actionShare)
+	fmt.Fprintf(w, "action communities targeting non-RS members: %v (paper: ≥31.8%%)\n", nmShare)
 	return nil
+}
+
+// shareRange is the cross-IXP range of one headline share. The first
+// value seeds both ends whatever it is: a 0 % share is a value, not
+// "unset".
+type shareRange struct {
+	min, max float64
+	seen     bool
+}
+
+func (r *shareRange) update(v float64) {
+	if !r.seen {
+		r.min, r.max, r.seen = v, v, true
+	}
+	r.min, r.max = min(r.min, v), max(r.max, v)
+}
+
+func (r shareRange) String() string {
+	return fmt.Sprintf("%.1f%%–%.1f%%", 100*r.min, 100*r.max)
 }
 
 // runCategories reports the §5.4 target-category breakdown.
@@ -540,18 +544,18 @@ func nameList(asns []uint32, reg *asdb.Registry, max int) string {
 	if len(asns) == 0 {
 		return "none"
 	}
-	out := ""
+	var out []byte
 	for i, asn := range asns {
 		if i == max {
-			out += ", …"
+			out = append(out, ", …"...)
 			break
 		}
 		if i > 0 {
-			out += ", "
+			out = append(out, ", "...)
 		}
-		out += reg.Name(asn)
+		out = appendASName(out, reg, asn)
 	}
-	return out
+	return string(out)
 }
 
 func (l *Lab) runSanitation(w io.Writer) error {

@@ -7,8 +7,10 @@ package report
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"text/tabwriter"
+	"unicode/utf8"
 
 	"ixplight/internal/analysis"
 	"ixplight/internal/asdb"
@@ -43,11 +45,16 @@ func Table1RowFromSnapshot(s *collector.Snapshot, location, traffic string, tota
 func WriteTable1(w io.Writer, rows []Table1Row) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "IXP\tLocation\tTraffic\tMembers\tRS v4\tRS v6\tPrefixes v4\tPrefixes v6\tRoutes v4\tRoutes v6")
+	var b []byte
 	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n",
-			r.IXP, r.Location, r.AvgTraffic, r.Members,
-			r.MembersRSv4, r.MembersRSv6, r.PrefixesV4, r.PrefixesV6, r.RoutesV4, r.RoutesV6)
+		b = append(append(append(b, r.IXP...), '\t'), r.Location...)
+		b = append(append(b, '\t'), r.AvgTraffic...)
+		for _, n := range [...]int{r.Members, r.MembersRSv4, r.MembersRSv6, r.PrefixesV4, r.PrefixesV6, r.RoutesV4, r.RoutesV6} {
+			b = strconv.AppendInt(append(b, '\t'), int64(n), 10)
+		}
+		b = append(b, '\n')
 	}
+	tw.Write(b)
 	tw.Flush()
 }
 
@@ -105,9 +112,12 @@ func WriteFig4c(w io.Writer, ixp string, points []analysis.CorrelationPoint) {
 func WriteTable2(w io.Writer, ixp, family string, rows []analysis.TypeUsage) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "Table 2 — %s (%s)\n", ixp, family)
+	var b []byte
 	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%d\t(%.1f%%)\n", r.Type, r.ASes, 100*r.Share)
+		b = strconv.AppendInt(append(append(b, r.Type.String()...), '\t'), int64(r.ASes), 10)
+		b = append(appendPct(append(b, "\t("...), r.Share), ")\n"...)
 	}
+	tw.Write(b)
 	tw.Flush()
 }
 
@@ -128,44 +138,89 @@ func WriteSec53(w io.Writer, ixp, family string, occ map[dictionary.ActionType]i
 	fmt.Fprintln(w)
 }
 
-// WriteTopCommunities renders a Fig. 5/6 ranking with AS names.
-func WriteTopCommunities(w io.Writer, title, ixp string, top []analysis.CommunityCount, reg *asdb.Registry) {
-	fmt.Fprintf(w, "%s — %s\n", title, ixp)
-	for i, cc := range top {
-		target := targetText(cc.Class, reg)
-		fmt.Fprintf(w, "%2d. %-14s %-20s %-28s %d\n",
-			i+1, cc.Community, cc.Class.Action, target, cc.Count)
+// The ranking writers below build their rows by appending into one
+// buffer and write it once: a row formatted through fmt boxes every
+// argument, and these are the rows a cold /v1/experiments request
+// prints most of.
+
+// padTo pads b with spaces until what was appended after start is
+// width columns wide, as %-*s does (fmt pads by runes, and the target
+// arrow is not ASCII).
+func padTo(b []byte, start, width int) []byte {
+	for n := utf8.RuneCount(b[start:]); n < width; n++ {
+		b = append(b, ' ')
 	}
+	return b
 }
 
-func targetText(cl dictionary.Class, reg *asdb.Registry) string {
+// appendRight appends n right-aligned in width columns, as %*d does.
+func appendRight(b []byte, n, width int) []byte {
+	var num [20]byte
+	digits := strconv.AppendInt(num[:0], int64(n), 10)
+	for i := len(digits); i < width; i++ {
+		b = append(b, ' ')
+	}
+	return append(b, digits...)
+}
+
+// appendPct appends a share as %.1f%% of 100×share does.
+func appendPct(b []byte, share float64) []byte {
+	return append(strconv.AppendFloat(b, 100*share, 'f', 1, 64), '%')
+}
+
+// appendASName appends what reg.Name(asn) returns ("ASxxxx" when the
+// AS is unregistered, or there is no registry).
+func appendASName(b []byte, reg *asdb.Registry, asn uint32) []byte {
+	if reg != nil {
+		if a, ok := reg.Lookup(asn); ok {
+			return append(b, a.Name...)
+		}
+	}
+	return strconv.AppendUint(append(b, "AS"...), uint64(asn), 10)
+}
+
+// WriteTopCommunities renders a Fig. 5/6 ranking with AS names.
+func WriteTopCommunities(w io.Writer, title, ixp string, top []analysis.CommunityCount, reg *asdb.Registry) {
+	b := make([]byte, 0, 96*(len(top)+1))
+	b = append(append(append(append(b, title...), " — "...), ixp...), '\n')
+	for i, cc := range top {
+		b = append(appendRight(b, i+1, 2), ". "...)
+		b = append(padTo(cc.Community.AppendTo(b), len(b), 14), ' ')
+		b = append(padTo(append(b, cc.Class.Action.String()...), len(b), 20), ' ')
+		b = append(padTo(appendTarget(b, cc.Class, reg), len(b), 28), ' ')
+		b = append(strconv.AppendInt(b, int64(cc.Count), 10), '\n')
+	}
+	w.Write(b)
+}
+
+// appendTarget appends the "→ whom" column of a ranking row.
+func appendTarget(b []byte, cl dictionary.Class, reg *asdb.Registry) []byte {
 	switch cl.Target {
 	case dictionary.TargetAll:
-		return "→ all peers"
+		return append(b, "→ all peers"...)
 	case dictionary.TargetPeer:
-		if reg != nil {
-			return "→ " + reg.Name(cl.TargetASN)
-		}
-		return fmt.Sprintf("→ AS%d", cl.TargetASN)
+		return appendASName(append(b, "→ "...), reg, cl.TargetASN)
 	default:
-		return ""
+		return b
 	}
 }
 
 // WriteCulprits renders the Fig. 7 ranking.
 func WriteCulprits(w io.Writer, ixp string, culprits []analysis.Culprit, total int, reg *asdb.Registry) {
-	fmt.Fprintf(w, "Figure 7 — %s (total non-member-targeting instances: %d)\n", ixp, total)
+	b := make([]byte, 0, 64*(len(culprits)+2))
+	b = append(append(append(b, "Figure 7 — "...), ixp...), " (total non-member-targeting instances: "...)
+	b = append(strconv.AppendInt(b, int64(total), 10), ")\n"...)
 	for i, c := range culprits {
-		name := fmt.Sprintf("AS%d", c.ASN)
-		if reg != nil {
-			name = reg.Name(c.ASN)
-		}
 		share := 0.0
 		if total > 0 {
 			share = float64(c.Count) / float64(total)
 		}
-		fmt.Fprintf(w, "%2d. %-24s %8d (%.1f%%)\n", i+1, name, c.Count, 100*share)
+		b = append(appendRight(b, i+1, 2), ". "...)
+		b = append(padTo(appendASName(b, reg, c.ASN), len(b), 24), ' ')
+		b = append(appendRight(b, c.Count, 8), " ("...)
+		b = append(appendPct(b, share), ")\n"...)
 	}
+	w.Write(b)
 }
 
 // WriteStability renders one Table 3/4 row.

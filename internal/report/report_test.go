@@ -2,10 +2,15 @@ package report
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
 
+	"ixplight/internal/analysis"
+	"ixplight/internal/asdb"
+	"ixplight/internal/bgp"
+	"ixplight/internal/dictionary"
 	"ixplight/internal/ixpgen"
 )
 
@@ -181,5 +186,80 @@ func TestTable1RowFromSnapshot(t *testing.T) {
 	}
 	if row.RoutesV4 < row.PrefixesV4 {
 		t.Errorf("routes (%d) < prefixes (%d)", row.RoutesV4, row.PrefixesV4)
+	}
+}
+
+// TestShareRangeKeepsZeroMinimum: a first IXP with a 0 % share is a
+// value, not "unset" — the second IXP must not overwrite it.
+func TestShareRangeKeepsZeroMinimum(t *testing.T) {
+	var r shareRange
+	r.update(0)
+	r.update(0.4)
+	if got := r.String(); got != "0.0%–40.0%" {
+		t.Fatalf("range of 0 then 0.4 = %q, want 0.0%%–40.0%%", got)
+	}
+	var one shareRange
+	one.update(0.25)
+	if got := one.String(); got != "25.0%–25.0%" {
+		t.Fatalf("range of one value = %q", got)
+	}
+}
+
+// TestRankingWritersMatchFmt holds the append-built ranking rows to the
+// fmt verbs they replaced, on the cases the lab's data does not reach:
+// no registry, an unregistered AS, cells wider than their column and a
+// rank past 99.
+func TestRankingWritersMatchFmt(t *testing.T) {
+	reg := asdb.NewRegistry()
+	reg.Register(asdb.AS{ASN: 15169, Name: "Google"})
+	reg.Register(asdb.AS{ASN: 64496, Name: "A network whose name — with a dash — overflows its column"})
+	name := func(reg *asdb.Registry, asn uint32) string {
+		if reg != nil {
+			return reg.Name(asn)
+		}
+		return fmt.Sprintf("AS%d", asn)
+	}
+	var top []analysis.CommunityCount
+	var culprits []analysis.Culprit
+	for i := 0; i < 120; i++ {
+		asn := []uint32{15169, 64496, 4200000000, 1}[i%4]
+		cl := dictionary.Class{Known: true, Action: dictionary.ActionTypes[i%len(dictionary.ActionTypes)],
+			Target: []dictionary.TargetKind{dictionary.TargetPeer, dictionary.TargetAll, dictionary.TargetNone}[i%3], TargetASN: asn}
+		top = append(top, analysis.CommunityCount{Community: bgp.NewCommunity(uint16(i*547), uint16(i*7919)), Class: cl, Count: i * i * 1013})
+		culprits = append(culprits, analysis.Culprit{ASN: asn, Count: i * 123457})
+	}
+	for _, reg := range []*asdb.Registry{reg, nil} {
+		var got, want bytes.Buffer
+		WriteTopCommunities(&got, "Figure 5", "DE-CIX", top, reg)
+		fmt.Fprintf(&want, "%s — %s\n", "Figure 5", "DE-CIX")
+		for i, cc := range top {
+			target := ""
+			switch cc.Class.Target {
+			case dictionary.TargetAll:
+				target = "→ all peers"
+			case dictionary.TargetPeer:
+				target = "→ " + name(reg, cc.Class.TargetASN)
+			}
+			fmt.Fprintf(&want, "%2d. %-14s %-20s %-28s %d\n", i+1, cc.Community, cc.Class.Action, target, cc.Count)
+		}
+		if got.String() != want.String() {
+			t.Errorf("WriteTopCommunities (registry %v) diverges from fmt:\n got %q\nwant %q", reg != nil, got.String(), want.String())
+		}
+		for _, total := range []int{0, 7654321} {
+			got.Reset()
+			want.Reset()
+			WriteCulprits(&got, "LINX", culprits, total, reg)
+			fmt.Fprintf(&want, "Figure 7 — %s (total non-member-targeting instances: %d)\n", "LINX", total)
+			for i, c := range culprits {
+				share := 0.0
+				if total > 0 {
+					share = float64(c.Count) / float64(total)
+				}
+				fmt.Fprintf(&want, "%2d. %-24s %8d (%.1f%%)\n", i+1, name(reg, c.ASN), c.Count, 100*share)
+			}
+			if got.String() != want.String() {
+				t.Errorf("WriteCulprits (registry %v, total %d) diverges from fmt:\n got %q\nwant %q", reg != nil, total, got.String(), want.String())
+			}
+		}
 	}
 }
