@@ -32,8 +32,10 @@ fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # vet runs the stock analyzers plus metriclint, which pins the metric
-# naming contract: every family registered on a telemetry.Registry is
-# a literal matching ^ixplight_[a-z_]+$.
+# naming contract (every family registered on a telemetry.Registry is
+# a literal matching ^ixplight_[a-z_]+$) and fails on a family
+# registered into a struct field that no non-test code of its package
+# reads.
 vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/metriclint .
@@ -43,7 +45,7 @@ build:
 
 # census keeps the tree's inventory true: every ./internal/... package
 # is one some command or the benchmark actually links. A package only
-# tests, examples or the root facade reach is named here or deleted.
+# tests or examples reach is named here or deleted.
 CENSUS_ALLOW := ixplight/internal/webdocs # ROADMAP item 2b decides: the crawl parses it, or it goes
 census:
 	@linked="$$($(GO) list -deps ./cmd/... ./benchmarks/e2e)"; \

@@ -48,7 +48,7 @@ func main() {
 	tracePath := flag.String("trace", "", "write a trace ledger for the run to this file (inspect with tracecat)")
 	flag.Parse()
 
-	profiles, err := selectProfiles(*ixps)
+	profiles, err := ixpgen.SelectProfiles(*ixps)
 	if err != nil {
 		fatal(err)
 	}
@@ -126,24 +126,6 @@ func main() {
 	if runErr != nil {
 		fatal(runErr)
 	}
-}
-
-func selectProfiles(spec string) ([]ixpgen.Profile, error) {
-	switch spec {
-	case "big4":
-		return ixpgen.BigFour(), nil
-	case "all":
-		return ixpgen.Profiles(), nil
-	}
-	var out []ixpgen.Profile
-	for _, name := range strings.Split(spec, ",") {
-		p := ixpgen.ProfileByName(strings.TrimSpace(name))
-		if p == nil {
-			return nil, fmt.Errorf("unknown IXP %q", name)
-		}
-		out = append(out, *p)
-	}
-	return out, nil
 }
 
 func fatal(err error) {

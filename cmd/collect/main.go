@@ -11,14 +11,17 @@
 //	        [-neighbor-retries 1] [-error-budget 0] [-request-timeout 30s]
 //	        [-metrics-addr :9100] [-trace path|none]
 //
-// Every run records crawl telemetry: an end-of-run summary is logged
-// and the full registry is archived as <out>/telemetry.json next to
-// the snapshot. With -metrics-addr the same registry is additionally
-// served live on /metrics, /debug/vars and /debug/pprof while the
-// crawl runs. Every run also writes a hierarchical trace ledger —
-// one span per crawl, neighbor and LG request — to <out>/trace.jsonl
-// (kept even when the crawl fails; -trace relocates it, -trace none
-// disables it). Inspect it with cmd/tracecat.
+// Every run records crawl telemetry: an end-of-run summary is logged,
+// and with -metrics-addr the registry is served live on /metrics and
+// /debug/pprof while the crawl runs. Every run also writes a
+// hierarchical trace ledger — one span per crawl, neighbor and LG
+// request — to <out>/trace.jsonl (kept even when the crawl fails;
+// -trace relocates it, -trace none disables it). Inspect it with
+// cmd/tracecat.
+//
+// -checkpoint persists crawl progress after every completed neighbor
+// whenever it is given; -partial and -resume use
+// <out>/checkpoint-<date>.json when it is not.
 //
 // -codec delta grows a snapshot chain in -out instead of standalone
 // files: the IXP's first day is stored as a full binary snapshot, and
@@ -60,15 +63,15 @@ func main() {
 	neighborRetries := flag.Int("neighbor-retries", 1, "extra crawl attempts per failing neighbor")
 	errorBudget := flag.Int("error-budget", 0, "consecutive neighbor failures before abandoning the LG (0 = unlimited)")
 	neighborParallel := flag.Int("neighbor-parallel", 1, "concurrent per-neighbor route crawls (1 = sequential; snapshots are identical either way)")
-	metricsAddr := flag.String("metrics-addr", "", "optional telemetry listen address serving /metrics, /debug/vars and /debug/pprof during the crawl")
+	metricsAddr := flag.String("metrics-addr", "", "optional telemetry listen address serving /metrics and /debug/pprof during the crawl")
 	tracePath := flag.String("trace", "", `trace ledger path (default <out>/trace.jsonl, "none" to disable)`)
 	flag.Parse()
 
 	reg := telemetry.New()
 	lgMetrics := lg.NewMetrics(reg)
 	colMetrics := collector.NewMetrics(reg)
-	// The trace ledger lives next to telemetry.json and, like it, is
-	// kept even when the crawl fails — the span tree is the post-mortem.
+	// The trace ledger is kept even when the crawl fails — the span
+	// tree is the post-mortem.
 	ledgerPath := *tracePath
 	if ledgerPath == "" {
 		ledgerPath = filepath.Join(*out, "trace.jsonl")
@@ -93,7 +96,7 @@ func main() {
 	}
 	if *metricsAddr != "" {
 		go func() {
-			log.Printf("telemetry on %s (/metrics, /debug/vars, /debug/pprof)", *metricsAddr)
+			log.Printf("telemetry on %s (/metrics, /debug/pprof)", *metricsAddr)
 			if err := http.ListenAndServe(*metricsAddr, reg.Handler()); err != nil {
 				log.Printf("telemetry listener: %v", err)
 			}
@@ -124,21 +127,16 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 
-	ckptPath := *checkpoint
-	if ckptPath == "" {
-		ckptPath = filepath.Join(*out, fmt.Sprintf("checkpoint-%s.json", *date))
-	}
+	ckptPath := checkpointPath(*checkpoint, *out, *date, *partial || *resume)
 	var stats collector.CrawlStats
 	opts := collector.CollectOptions{
 		Partial:             *partial,
 		NeighborRetries:     *neighborRetries,
 		ErrorBudget:         *errorBudget,
+		CheckpointPath:      ckptPath,
 		NeighborParallelism: *neighborParallel,
 		Metrics:             colMetrics,
 		Stats:               &stats,
-	}
-	if *partial || *resume {
-		opts.CheckpointPath = ckptPath
 	}
 	if *resume {
 		// Lenient resume: a corrupt checkpoint (crash mid-write, torn
@@ -158,14 +156,6 @@ func main() {
 
 	start := time.Now()
 	snap, err := collector.CollectWithOptions(ctx, client, *date, opts)
-	// The telemetry archive is written even for failed crawls — a
-	// post-mortem needs the retry and budget counters most when the
-	// snapshot never materialized.
-	telPath := filepath.Join(*out, "telemetry.json")
-	if terr := collector.AtomicWrite(telPath, reg.WriteJSON); terr != nil {
-		log.Printf("telemetry archive: %v", terr)
-		telPath = ""
-	}
 	// Every span has ended by now (CollectWithOptions returned), so the
 	// ledger is complete; close it here so it survives a failed crawl.
 	archiveTrace(traceSink, ledgerPath)
@@ -196,9 +186,20 @@ func main() {
 		client.Requests(), client.HTTPRequests(),
 		stats.Neighbors-stats.Failed-stats.Skipped, stats.Neighbors,
 		stats.Retries, stats.SlowestASN, stats.Slowest.Round(time.Millisecond), budget)
-	if telPath != "" {
-		log.Printf("telemetry archived → %s", telPath)
+}
+
+// checkpointPath is where the crawl persists its progress: the
+// -checkpoint flag whenever it is set, else <out>/checkpoint-<date>.json
+// for a crawl that can use one (defaulted: -partial or -resume), else
+// nowhere.
+func checkpointPath(flagPath, out, date string, defaulted bool) string {
+	switch {
+	case flagPath != "":
+		return flagPath
+	case defaulted:
+		return filepath.Join(out, fmt.Sprintf("checkpoint-%s.json", date))
 	}
+	return ""
 }
 
 // archiveTrace flushes and closes the trace ledger, logging where it

@@ -28,6 +28,27 @@ func testDay(ixp, date string, prefixes ...string) *collector.Snapshot {
 	return s
 }
 
+// TestCheckpointFlagIsHonoured: -checkpoint names where progress goes
+// for every crawl, a strict one included; without it only -partial and
+// -resume checkpoint, into -out.
+func TestCheckpointFlagIsHonoured(t *testing.T) {
+	def := filepath.Join("out", "checkpoint-2021-10-04.json")
+	for _, tc := range []struct {
+		flag      string
+		defaulted bool
+		want      string
+	}{
+		{flag: "ck.json", defaulted: false, want: "ck.json"},
+		{flag: "ck.json", defaulted: true, want: "ck.json"},
+		{defaulted: true, want: def},
+		{defaulted: false, want: ""},
+	} {
+		if got := checkpointPath(tc.flag, "out", "2021-10-04", tc.defaulted); got != tc.want {
+			t.Errorf("checkpointPath(%q, partial|resume=%v) = %q, want %q", tc.flag, tc.defaulted, got, tc.want)
+		}
+	}
+}
+
 // TestWritersStayInsideOut: the IXP name in a snapshot is whatever the
 // looking glass answered. Whatever it is, every writer puts its file
 // directly inside -out, and a chain's deltas are spelled like its base.

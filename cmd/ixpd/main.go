@@ -21,8 +21,8 @@
 // Responses carry strong ETags derived from the dataset digest;
 // clients that revalidate with If-None-Match get 304s with zero
 // recompute. Identical concurrent cold queries are coalesced into one
-// computation. With -metrics-addr a second listener serves /metrics,
-// /debug/vars and /debug/pprof/.
+// computation. With -metrics-addr a second listener serves /metrics
+// and /debug/pprof/.
 //
 // -smoke runs a self-contained end-to-end check on ephemeral ports —
 // readiness, one experiment fetch, a 304 revalidation, a /metrics
@@ -62,13 +62,13 @@ func main() {
 	requestTimeout := flag.Duration("request-timeout", 15*time.Second, "per-request compute admission/wait deadline")
 	reloadInterval := flag.Duration("reload-interval", 5*time.Second, "dataset directory poll period (negative disables)")
 	cacheCap := flag.Int("cache-cap", 512, "pre-marshaled response cache entries per generation")
-	metricsAddr := flag.String("metrics-addr", "", "optional telemetry listen address serving /metrics, /debug/vars and /debug/pprof (e.g. :9100)")
+	metricsAddr := flag.String("metrics-addr", "", "optional telemetry listen address serving /metrics and /debug/pprof (e.g. :9100)")
 	tracePath := flag.String("trace", "", "write a trace ledger to this file: one root span per served request")
 	drain := flag.Duration("drain", 5*time.Second, "graceful shutdown deadline for in-flight requests")
 	smoke := flag.Bool("smoke", false, "run the self-contained smoke check on ephemeral ports and exit")
 	flag.Parse()
 
-	profiles, err := selectProfiles(*ixps)
+	profiles, err := ixpgen.SelectProfiles(*ixps)
 	if err != nil {
 		fatal(err)
 	}
@@ -127,7 +127,7 @@ func main() {
 	if *metricsAddr != "" {
 		telSrv = &http.Server{Addr: *metricsAddr, Handler: reg.Handler()}
 		go func() {
-			log.Printf("telemetry on %s (/metrics, /debug/vars, /debug/pprof)", *metricsAddr)
+			log.Printf("telemetry on %s (/metrics, /debug/pprof)", *metricsAddr)
 			if err := telSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				log.Printf("telemetry listener: %v", err)
 			}
@@ -273,24 +273,6 @@ func get(client *http.Client, url, ifNoneMatch string) (code int, etag, body str
 		return 0, "", "", err
 	}
 	return resp.StatusCode, resp.Header.Get("ETag"), string(b), nil
-}
-
-func selectProfiles(spec string) ([]ixpgen.Profile, error) {
-	switch spec {
-	case "big4":
-		return ixpgen.BigFour(), nil
-	case "all":
-		return ixpgen.Profiles(), nil
-	}
-	var out []ixpgen.Profile
-	for _, name := range strings.Split(spec, ",") {
-		p := ixpgen.ProfileByName(strings.TrimSpace(name))
-		if p == nil {
-			return nil, fmt.Errorf("unknown IXP %q", name)
-		}
-		out = append(out, *p)
-	}
-	return out, nil
 }
 
 func fatal(err error) {

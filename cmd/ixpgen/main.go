@@ -1,7 +1,6 @@
 // Command ixpgen materialises the paper's released artifact: a
-// twelve-week dataset of daily snapshots for the selected IXPs, plus
-// the combined communities dictionary, written as files that
-// cmd/analyze -snapshots can consume.
+// twelve-week dataset of daily snapshots for the selected IXPs, written
+// as files that cmd/analyze -snapshots can consume.
 //
 // Usage:
 //
@@ -19,18 +18,15 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
-	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
 
 	"ixplight/internal/collector"
-	"ixplight/internal/dictionary"
 	"ixplight/internal/ixpgen"
 	"ixplight/internal/telemetry"
 )
@@ -75,7 +71,7 @@ func main() {
 		}
 		profiles = []ixpgen.Profile{*custom}
 	} else {
-		profiles, err = selectProfiles(*ixps)
+		profiles, err = ixpgen.SelectProfiles(*ixps)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -131,9 +127,6 @@ func main() {
 		log.Printf("%s: %d daily snapshots", p.IXP, *days)
 	}
 
-	if err := writeDictionary(*out); err != nil {
-		log.Fatal(err)
-	}
 	if rootSpan != nil {
 		rootSpan.SetAttrInt("files", int64(files))
 		rootSpan.End()
@@ -143,7 +136,7 @@ func main() {
 			log.Printf("trace ledger → %s", *tracePath)
 		}
 	}
-	log.Printf("dataset complete: %d snapshot files + dictionary.json in %s (%v)",
+	log.Printf("dataset complete: %d snapshot files in %s (%v)",
 		files, *out, time.Since(start).Round(time.Millisecond))
 }
 
@@ -171,67 +164,6 @@ func writeEvolvedSeries(dir string, p ixpgen.Profile, opts ixpgen.TemporalOption
 		return err
 	})
 	return files, err
-}
-
-// writeDictionary dumps the combined per-IXP community dictionary —
-// the "dictionary containing more than 3000 communities" the paper
-// releases alongside the snapshots.
-func writeDictionary(out string) error {
-	type entry struct {
-		IXP         string `json:"ixp"`
-		Community   string `json:"community"`
-		Class       string `json:"class"`
-		Target      string `json:"target,omitempty"`
-		Description string `json:"description"`
-	}
-	var entries []entry
-	for _, s := range dictionary.Profiles() {
-		for _, e := range s.Entries() {
-			row := entry{
-				IXP:         s.IXP,
-				Community:   e.Community.String(),
-				Class:       e.Action.String(),
-				Description: e.Description,
-			}
-			switch e.Target {
-			case dictionary.TargetAll:
-				row.Target = "all"
-			case dictionary.TargetPeer:
-				row.Target = fmt.Sprintf("AS%d", e.TargetASN)
-			}
-			entries = append(entries, row)
-		}
-	}
-	f, err := os.Create(filepath.Join(out, "dictionary.json"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(entries); err != nil {
-		return err
-	}
-	log.Printf("dictionary.json: %d entries", len(entries))
-	return nil
-}
-
-func selectProfiles(spec string) ([]ixpgen.Profile, error) {
-	switch spec {
-	case "big4":
-		return ixpgen.BigFour(), nil
-	case "all":
-		return ixpgen.Profiles(), nil
-	}
-	var out []ixpgen.Profile
-	for _, name := range strings.Split(spec, ",") {
-		p := ixpgen.ProfileByName(strings.TrimSpace(name))
-		if p == nil {
-			return nil, fmt.Errorf("unknown IXP %q", name)
-		}
-		out = append(out, *p)
-	}
-	return out, nil
 }
 
 func parseValleys(spec string) ([]int, error) {

@@ -11,9 +11,9 @@
 // peers that establish a session and announce routes appear in the LG
 // output alongside the synthetic members. With -metrics-addr it serves
 // the operational surface on a second listener: /metrics (Prometheus
-// text format), /debug/vars (expvar JSON) and /debug/pprof/. With
-// -admin it mounts /admin/flaky, the runtime failure-injection control
-// the soak harness uses to flip chaos on and off mid-crawl.
+// text format) and /debug/pprof/. With -admin it mounts /admin/flaky,
+// the runtime failure-injection control the soak harness uses to flip
+// chaos on and off mid-crawl.
 //
 // /healthz (liveness) and /readyz (readiness: workload populated and
 // listener bound) are always mounted, outside both the chaos switch
@@ -58,7 +58,7 @@ func main() {
 	flaky := flag.Float64("flaky", 0, "probability of injected 500 responses")
 	admin := flag.Bool("admin", false, "mount /admin/flaky for runtime failure injection control")
 	bgpAddr := flag.String("bgp", "", "optional BGP listen address (e.g. :1790)")
-	metricsAddr := flag.String("metrics-addr", "", "optional telemetry listen address serving /metrics, /debug/vars and /debug/pprof (e.g. :9100)")
+	metricsAddr := flag.String("metrics-addr", "", "optional telemetry listen address serving /metrics and /debug/pprof (e.g. :9100)")
 	tracePath := flag.String("trace", "", "write a trace ledger to this file: one root span per served LG request")
 	drain := flag.Duration("drain", 5*time.Second, "graceful shutdown deadline for in-flight requests")
 	flag.Parse()
@@ -129,7 +129,7 @@ func main() {
 	if *metricsAddr != "" {
 		telSrv = &http.Server{Addr: *metricsAddr, Handler: reg.Handler()}
 		go func() {
-			log.Printf("telemetry on %s (/metrics, /debug/vars, /debug/pprof)", *metricsAddr)
+			log.Printf("telemetry on %s (/metrics, /debug/pprof)", *metricsAddr)
 			if err := telSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				log.Printf("telemetry listener: %v", err)
 			}
@@ -204,12 +204,8 @@ func main() {
 // traffic so a soak run's logs end with the numbers it reconciles.
 func logTelemetrySummary(reg *telemetry.Registry) {
 	var total, errs int64
-	for name, v := range reg.Snapshot() {
+	for name, n := range reg.Snapshot() {
 		if !strings.HasPrefix(name, "ixplight_lg_server_requests_total") {
-			continue
-		}
-		n, ok := v.(int64)
-		if !ok {
 			continue
 		}
 		total += n

@@ -11,11 +11,17 @@
 // lg.request), so tracecat aggregates and ledger greps stay
 // predictable.
 //
+// And it enforces that a registered metric is used: a family
+// registered into a struct field (the NewMetrics pattern of lg,
+// collector, ixpd and analysis) must have that field read somewhere in
+// the non-test code of its package, or the family is exposed but never
+// updated. The check is by field name within the package directory.
+//
 // It walks every non-test Go file, finds calls to the registry
 // constructors (Counter, CounterVec, Gauge, GaugeVec, Histogram,
 // HistogramVec) and span starters and checks their name argument.
-// Exit status 1 when any name violates a rule; the offending
-// file:line is printed. Run via `make vet`.
+// Exit status 1 when any rule is violated; the offending file:line is
+// printed. Run via `make vet`.
 package main
 
 import (
@@ -27,6 +33,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -57,6 +64,71 @@ var constructors = map[string]bool{
 	"HistogramVec": true,
 }
 
+// registration is one metric family registered into a struct field.
+type registration struct {
+	field, name string
+	pos         token.Pos
+}
+
+// pkgFields accumulates, per package directory, the fields metric
+// families are registered into and how often each field name is read.
+type pkgFields struct {
+	regs  []registration
+	reads map[string]int
+}
+
+// constructorCall reports whether e is a call of a registry
+// constructor, and the metric name when it is a string literal.
+func constructorCall(e ast.Expr) (string, bool) {
+	call, ok := e.(*ast.CallExpr)
+	if !ok || len(call.Args) == 0 {
+		return "", false
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || !constructors[sel.Sel.Name] {
+		return "", false
+	}
+	name := "?"
+	if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+		name, _ = strconv.Unquote(lit.Value)
+	}
+	return name, true
+}
+
+// collectFields records file's field registrations and field reads
+// into pf. A registration is a composite-literal key or an assignment
+// target whose value is a constructor call; every other selector
+// naming a field is a read.
+func collectFields(file *ast.File, pf *pkgFields) {
+	writes := make(map[*ast.SelectorExpr]bool)
+	ast.Inspect(file, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.KeyValueExpr:
+			if key, ok := n.Key.(*ast.Ident); ok {
+				if name, ok := constructorCall(n.Value); ok {
+					pf.regs = append(pf.regs, registration{key.Name, name, key.Pos()})
+				}
+			}
+		case *ast.AssignStmt:
+			for i, lhs := range n.Lhs {
+				sel, ok := lhs.(*ast.SelectorExpr)
+				if !ok || i >= len(n.Rhs) {
+					continue
+				}
+				if name, ok := constructorCall(n.Rhs[i]); ok {
+					pf.regs = append(pf.regs, registration{sel.Sel.Name, name, sel.Sel.Pos()})
+					writes[sel] = true
+				}
+			}
+		case *ast.SelectorExpr:
+			if !writes[n] {
+				pf.reads[n.Sel.Name]++
+			}
+		}
+		return true
+	})
+}
+
 func main() {
 	root := "."
 	if len(os.Args) > 1 {
@@ -64,6 +136,7 @@ func main() {
 	}
 	fset := token.NewFileSet()
 	violations := 0
+	pkgs := make(map[string]*pkgFields)
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -82,6 +155,12 @@ func main() {
 		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
+		pf := pkgs[filepath.Dir(path)]
+		if pf == nil {
+			pf = &pkgFields{reads: make(map[string]int)}
+			pkgs[filepath.Dir(path)] = pf
+		}
+		collectFields(file, pf)
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok || len(call.Args) == 0 {
@@ -132,6 +211,21 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
+	}
+	dirs := make([]string, 0, len(pkgs))
+	for dir := range pkgs {
+		dirs = append(dirs, dir)
+	}
+	sort.Strings(dirs)
+	for _, dir := range dirs {
+		pf := pkgs[dir]
+		for _, r := range pf.regs {
+			if pf.reads[r.field] == 0 {
+				fmt.Fprintf(os.Stderr, "%s: metric %q is registered into field %s, which no non-test code in %s reads\n",
+					fset.Position(r.pos), r.name, r.field, dir)
+				violations++
+			}
+		}
 	}
 	if violations > 0 {
 		fmt.Fprintf(os.Stderr, "metriclint: %d violation(s)\n", violations)

@@ -6,14 +6,12 @@
 //
 // Usage:
 //
-//	tracecat [-tree] [-top 5] [-chrome out.json] trace.jsonl
+//	tracecat [-tree] [-top 5] trace.jsonl
 //
 // The default output is the analysis: a one-line summary, per-name
 // latency aggregates (count, p50, p95, max), the top-N slowest
 // subtrees and the critical path of the slowest trace. -tree
-// additionally prints every span as an indented tree. -chrome exports
-// the ledger as a Chrome trace_event file loadable in Perfetto or
-// chrome://tracing.
+// additionally prints every span as an indented tree.
 package main
 
 import (
@@ -31,10 +29,9 @@ import (
 func main() {
 	tree := flag.Bool("tree", false, "print the full span tree")
 	top := flag.Int("top", 5, "slowest subtrees to list (0 = skip)")
-	chrome := flag.String("chrome", "", "also export a Chrome trace_event file (Perfetto-loadable)")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: tracecat [-tree] [-top N] [-chrome out.json] <trace.jsonl>")
+		fmt.Fprintln(os.Stderr, "usage: tracecat [-tree] [-top N] <trace.jsonl>")
 		os.Exit(2)
 	}
 	led, err := telemetry.ReadLedger(flag.Arg(0))
@@ -71,21 +68,6 @@ func main() {
 
 	fmt.Println()
 	printCriticalPath(forest)
-
-	if *chrome != "" {
-		f, err := os.Create(*chrome)
-		if err != nil {
-			fatal(err)
-		}
-		if err := telemetry.WriteChromeTrace(f, led.Spans); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("\nchrome trace → %s (open in Perfetto or chrome://tracing)\n", *chrome)
-	}
 }
 
 func fatal(err error) {

@@ -3,8 +3,8 @@
 // Camera, Actions: characterizing the usage of IXPs' action BGP
 // communities" (CoNEXT 2022).
 //
-// The package re-exports the library's public surface from the
-// internal implementation packages:
+// The root package holds only the diagnostic benchmarks in
+// bench_test.go; the library lives in the internal packages:
 //
 //   - BGP model and wire codec (standard/extended/large communities,
 //     UPDATE/OPEN messages, routes) — internal/bgp
@@ -19,14 +19,7 @@
 //   - the paper's analyses and report renderers —
 //     internal/analysis, internal/report
 //
-// # Quickstart
-//
-//	profile := ixplight.ProfileByName("DE-CIX")
-//	w, _ := ixplight.Generate(*profile, ixplight.GenOptions{Seed: 1, Scale: 0.05})
-//	snap := w.Snapshot("2021-10-04")
-//	usage := ixplight.NewIndex(snap, profile.Scheme).Usage(false)
-//	fmt.Printf("%.1f%% of members use action communities\n", 100*usage.ASShare())
-//
-// See examples/ for runnable programs and DESIGN.md for the system
-// inventory and the paper-experiment index.
+// See cmd/ and examples/ for runnable programs (examples/quickstart is
+// the shortest tour) and DESIGN.md for the system inventory and the
+// paper-experiment index.
 package ixplight

@@ -7,14 +7,17 @@ import (
 	"fmt"
 	"log"
 
-	"ixplight"
+	"ixplight/internal/analysis"
+	"ixplight/internal/bgp"
+	"ixplight/internal/dictionary"
+	"ixplight/internal/ixpgen"
 )
 
 func main() {
 	// 1. Community classification under DE-CIX's scheme.
-	scheme := ixplight.SchemeByName("DE-CIX")
+	scheme := dictionary.ProfileByName("DE-CIX")
 	for _, s := range []string{"0:15169", "6695:6695", "65502:13335", "65535:666", "64496:77"} {
-		c, err := ixplight.ParseCommunity(s)
+		c, err := bgp.ParseCommunity(s)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -22,7 +25,7 @@ func main() {
 		switch {
 		case !cl.Known:
 			fmt.Printf("%-12s → not defined by %s\n", c, scheme.IXP)
-		case cl.Action == ixplight.Informational:
+		case cl.Action == dictionary.Informational:
 			fmt.Printf("%-12s → informational\n", c)
 		default:
 			fmt.Printf("%-12s → action: %v (target AS%d)\n", c, cl.Action, cl.TargetASN)
@@ -30,17 +33,17 @@ func main() {
 	}
 
 	// 2. The dictionary behind the classification (§3: 774 entries).
-	dict := ixplight.BuildDictionary(scheme)
+	dict := dictionary.Build(scheme)
 	fmt.Printf("\n%s dictionary: %d communities\n", scheme.IXP, dict.Size())
 
 	// 3. Generate a 5%-scale DE-CIX and reproduce the headline numbers.
-	profile := ixplight.ProfileByName("DE-CIX")
-	w, err := ixplight.Generate(*profile, ixplight.GenOptions{Seed: 1, Scale: 0.05})
+	profile := ixpgen.ProfileByName("DE-CIX")
+	w, err := ixpgen.Generate(*profile, ixpgen.Options{Seed: 1, Scale: 0.05})
 	if err != nil {
 		log.Fatal(err)
 	}
 	// One classification pass; every analysis reads it.
-	ix := ixplight.NewIndex(w.Snapshot("2021-10-04"), profile.Scheme)
+	ix := analysis.NewIndex(w.Snapshot("2021-10-04"), profile.Scheme)
 
 	usage := ix.Usage(false)
 	fmt.Printf("\n%s (IPv4, scale 0.05):\n", profile.IXP)

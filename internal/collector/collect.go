@@ -37,7 +37,7 @@ type CollectOptions struct {
 	// member errors.
 	CheckpointPath string
 	// NeighborParallelism fans the per-neighbor route crawls across
-	// this many workers (0 or 1 = the sequential crawl). The snapshot
+	// this many workers (0 or 1 = one neighbor at a time). The snapshot
 	// is byte-identical to a sequential crawl for every worker count:
 	// routes are merged in neighbor order and the error budget is
 	// replayed in neighbor order, so a breaker that would have tripped
@@ -136,29 +136,15 @@ func CollectWithOptions(ctx context.Context, client *lg.Client, date string, opt
 	if opts.Checkpoint != nil || opts.CheckpointPath != "" {
 		saver = &checkpointWriter{prog: prog, path: opts.CheckpointPath, m: m}
 	}
-	workers := opts.NeighborParallelism
-	if workers < 1 {
-		workers = 1
-	}
-	if m := client.MaxInFlight(); workers > m {
-		workers = m
-	}
-	if workers > len(crawl) {
-		workers = len(crawl)
-	}
-	var outcomes []neighborOutcome
-	if workers <= 1 {
-		outcomes, err = crawlSequential(ctx, client, crawl, opts, saver)
-	} else {
-		outcomes, err = crawlParallel(ctx, client, crawl, opts, saver, workers)
-	}
+	workers := max(opts.NeighborParallelism, 1)
+	workers = min(workers, client.MaxInFlight(), len(crawl))
+	outcomes, err := crawlNeighbors(ctx, client, crawl, opts, saver, workers)
 	if err != nil {
 		return nil, err
 	}
 
-	// Replay the outcomes in neighbor order. Both crawl strategies
-	// converge here, so the budget arithmetic — and therefore the
-	// snapshot — is identical for every worker count.
+	// Replay the outcomes in neighbor order, so the budget arithmetic —
+	// and therefore the snapshot — is identical for every worker count.
 	stats := CrawlStats{Neighbors: len(crawl), BudgetRemaining: -1}
 	consecutive, tripped := 0, false
 	for i, asn := range crawl {

@@ -301,30 +301,26 @@ func TestCollectAllMultiIXP(t *testing.T) {
 	// A dead LG in the middle.
 	targets = append(targets[:1], append([]Target{{Name: "DEAD", URL: "http://127.0.0.1:1"}}, targets[1:]...)...)
 
-	results := CollectAll(context.Background(), targets, "2021-10-04", 2)
+	results := CollectAll(context.Background(), targets, "2021-10-04")
 	if len(results) != 3 {
 		t.Fatalf("results = %d", len(results))
 	}
 	if results[0].Err != nil || results[2].Err != nil {
-		t.Errorf("healthy targets failed: %v / %v", results[0].Err, results[2].Err)
+		t.Fatalf("healthy targets failed: %v / %v", results[0].Err, results[2].Err)
 	}
 	if results[1].Err == nil {
 		t.Error("dead target succeeded")
 	}
-	snaps := Succeeded(results)
-	if len(snaps) != 2 {
-		t.Fatalf("succeeded = %d", len(snaps))
-	}
-	// Sorted by IXP name.
-	if snaps[0].IXP != "AMS-IX" || snaps[1].IXP != "DE-CIX" {
-		t.Errorf("order = %s, %s", snaps[0].IXP, snaps[1].IXP)
+	// One result per target, in target order.
+	if results[0].Snapshot.IXP != "DE-CIX" || results[2].Snapshot.IXP != "AMS-IX" {
+		t.Errorf("order = %s, %s", results[0].Snapshot.IXP, results[2].Snapshot.IXP)
 	}
 }
 
 func TestCollectAllCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	results := CollectAll(ctx, []Target{{Name: "X", URL: "http://127.0.0.1:1"}}, "2021-10-04", 1)
+	results := CollectAll(ctx, []Target{{Name: "X", URL: "http://127.0.0.1:1"}}, "2021-10-04")
 	if results[0].Err == nil {
 		t.Error("cancelled collection succeeded")
 	}

@@ -380,28 +380,17 @@ func TestCollectAllDegradedTargets(t *testing.T) {
 			Collect: faultOpts},
 		{Name: "DEAD", URL: "http://127.0.0.1:1", Collect: faultOpts},
 	}
-	results := CollectAll(context.Background(), targets, "2021-10-04", 3)
+	results := CollectAll(context.Background(), targets, "2021-10-04")
 	if results[0].Err != nil || results[0].Partial {
 		t.Errorf("healthy: %+v", results[0])
 	}
-	if results[1].Err != nil || !results[1].Partial {
-		t.Errorf("degraded target: err=%v partial=%v", results[1].Err, results[1].Partial)
+	if results[1].Err != nil || !results[1].Partial || results[1].Snapshot == nil {
+		t.Fatalf("degraded target: err=%v partial=%v", results[1].Err, results[1].Partial)
 	}
-	if results[2].Err == nil {
+	if got := results[1].Snapshot.MemberErrors; len(got) != 1 || got[0].ASN != 200 {
+		t.Errorf("degraded target member errors = %+v, want exactly AS200", got)
+	}
+	if results[2].Err == nil || results[2].Snapshot != nil {
 		t.Error("dead target succeeded")
-	}
-	if got := len(Succeeded(results)); got != 2 {
-		t.Errorf("succeeded = %d, want 2 (partial snapshots count)", got)
-	}
-	if got := Degraded(results); len(got) != 1 || got[0].Target.Name != "DEGRADED" {
-		t.Errorf("degraded = %+v", got)
-	}
-	for _, r := range results {
-		if r.Summary() == "" {
-			t.Error("empty summary")
-		}
-	}
-	if !strings.Contains(results[1].Summary(), "partial") {
-		t.Errorf("summary = %q, want partial marker", results[1].Summary())
 	}
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // Metrics is the collector's instrument set. Build one with NewMetrics
-// and hand it to CollectOptions.Metrics (or MultiOptions.Metrics for a
-// whole run); all targets may share one set — counters aggregate. A
+// and hand it to CollectOptions.Metrics; every target of a
+// multi-IXP run may share one set — counters aggregate. A
 // nil *Metrics disables instrumentation at zero cost, the same
 // nil-receiver contract as lg.Metrics.
 type Metrics struct {

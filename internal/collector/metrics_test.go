@@ -3,7 +3,6 @@ package collector
 import (
 	"context"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -159,40 +158,8 @@ func TestCollectMetricsCheckpointSaves(t *testing.T) {
 	}
 }
 
-// TestResultSummaryDegradedLine pins the extended degraded log line:
-// retries, slowest neighbor, and budget headroom.
-func TestResultSummaryDegradedLine(t *testing.T) {
-	r := Result{
-		Target:   Target{Name: "TEST-IX"},
-		Snapshot: &Snapshot{Partial: true, MemberErrors: []MemberError{{ASN: 200}}},
-		Partial:  true,
-		Duration: 1500 * time.Millisecond,
-		Requests: 42,
-		Stats: CrawlStats{
-			Neighbors: 3, Failed: 1, Retries: 5,
-			SlowestASN: 200, Slowest: 800 * time.Millisecond,
-			BudgetRemaining: 2,
-		},
-	}
-	got := r.Summary()
-	for _, want := range []string{"TEST-IX: partial:", "5 retries", "slowest AS200 800ms", "budget 2 left"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("summary %q missing %q", got, want)
-		}
-	}
-	r.Stats.BudgetTripped = true
-	if got := r.Summary(); !strings.Contains(got, "budget tripped") {
-		t.Errorf("summary %q missing tripped budget", got)
-	}
-	r.Stats.BudgetTripped = false
-	r.Stats.BudgetRemaining = -1
-	if got := r.Summary(); !strings.Contains(got, "no budget") {
-		t.Errorf("summary %q missing unlimited budget", got)
-	}
-}
-
-// TestCollectAllSharedMetrics: MultiOptions wiring — one instrument
-// set across targets, Result.Stats populated, HTTP request counts.
+// TestCollectAllSharedMetrics: one instrument set shared by every
+// target's options, Result.Stats populated, HTTP request counts.
 func TestCollectAllSharedMetrics(t *testing.T) {
 	server := degradedFixture(t, []uint32{100, 200}, 2)
 	ts := httptest.NewServer(lg.NewServer(server))
@@ -201,14 +168,15 @@ func TestCollectAllSharedMetrics(t *testing.T) {
 	reg := telemetry.New()
 	m := NewMetrics(reg)
 	lgm := lg.NewMetrics(reg)
-	targets := []Target{
-		{Name: "A", URL: ts.URL},
-		{Name: "B", URL: ts.URL},
+	var targets []Target
+	for _, name := range []string{"A", "B"} {
+		targets = append(targets, Target{
+			Name: name, URL: ts.URL,
+			Options: lg.ClientOptions{Metrics: lgm},
+			Collect: CollectOptions{Metrics: m},
+		})
 	}
-	results := CollectAllWithOptions(context.Background(), targets, "2021-10-04", MultiOptions{
-		Metrics:   m,
-		LGMetrics: lgm,
-	})
+	results := CollectAll(context.Background(), targets, "2021-10-04")
 	for _, r := range results {
 		if r.Err != nil {
 			t.Fatalf("%s: %v", r.Target.Name, r.Err)
@@ -229,6 +197,9 @@ func TestCollectAllSharedMetrics(t *testing.T) {
 	// Each crawl: status + neighbors + 2 route listings = 4 wire requests.
 	if got := results[0].Requests + results[1].Requests; got != 8 {
 		t.Errorf("total http requests = %d, want 8", got)
+	}
+	if got := reg.Snapshot()["ixplight_lg_http_requests_total"]; got != int64(8) {
+		t.Errorf("shared LG instruments counted %v http requests, want 8", got)
 	}
 	if got := m.targetsBusy.Value(); got != 0 {
 		t.Errorf("targets busy gauge = %d after run", got)

@@ -2,8 +2,6 @@ package collector
 
 import (
 	"context"
-	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -49,113 +47,26 @@ type Result struct {
 	Stats CrawlStats
 }
 
-// Summary renders a one-line human-readable outcome for logs. Degraded
-// crawls additionally report the retry count, the slowest neighbor and
-// the error budget's remaining headroom — the numbers an operator
-// needs to decide whether a partial snapshot is worth keeping.
-func (r Result) Summary() string {
-	switch {
-	case r.Err != nil:
-		return fmt.Sprintf("%s: failed: %v (%d requests, %v)",
-			r.Target.Name, r.Err, r.Requests, r.Duration.Round(time.Millisecond))
-	case r.Partial:
-		budget := "no budget"
-		if r.Stats.BudgetTripped {
-			budget = "budget tripped"
-		} else if r.Stats.BudgetRemaining >= 0 {
-			budget = fmt.Sprintf("budget %d left", r.Stats.BudgetRemaining)
-		}
-		return fmt.Sprintf("%s: partial: %d members, %d routes, %d neighbor errors (%d requests, %v); %d retries, slowest AS%d %v, %s",
-			r.Target.Name, len(r.Snapshot.Members), len(r.Snapshot.Routes),
-			len(r.Snapshot.MemberErrors), r.Requests, r.Duration.Round(time.Millisecond),
-			r.Stats.Retries, r.Stats.SlowestASN, r.Stats.Slowest.Round(time.Millisecond), budget)
-	default:
-		return fmt.Sprintf("%s: ok: %d members, %d routes (%d requests, %v)",
-			r.Target.Name, len(r.Snapshot.Members), len(r.Snapshot.Routes),
-			r.Requests, r.Duration.Round(time.Millisecond))
-	}
-}
-
-// MultiOptions tunes a multi-target collection run. Parallelism
-// composes across three layers: TargetParallelism LGs are crawled at
-// once, each target's CollectOptions.NeighborParallelism workers fan
-// out inside its crawl, and GlobalInFlight caps the HTTP requests in
-// flight across all of them under one budget.
-type MultiOptions struct {
-	// TargetParallelism is how many targets are crawled at once
-	// (0 = all at once).
-	TargetParallelism int
-	// GlobalInFlight caps concurrent LG requests across every target
-	// (0 = no global budget). Workers past the cap block until a
-	// request slot frees up; per-target politeness (MinInterval,
-	// MaxInFlight) still applies underneath.
-	GlobalInFlight int
-	// Metrics instruments every target's crawl with one shared
-	// collector instrument set; targets that set their own
-	// CollectOptions.Metrics keep it.
-	Metrics *Metrics
-	// LGMetrics instruments every target's LG client with one shared
-	// instrument set; targets that set their own
-	// lg.ClientOptions.Metrics keep it.
-	LGMetrics *lg.Metrics
-}
-
-// CollectAll crawls every target concurrently (at most parallel at a
-// time; 0 means all at once) and returns one result per target, in
-// target order. A failing LG does not abort the others — the paper's
-// collection had to tolerate individual LG outages — and targets in
-// degraded mode contribute partial snapshots instead of failures.
-func CollectAll(ctx context.Context, targets []Target, date string, parallel int) []Result {
-	return CollectAllWithOptions(ctx, targets, date, MultiOptions{TargetParallelism: parallel})
-}
-
-// CollectAllWithOptions is CollectAll with the full multi-target
-// parallelism controls. A target whose client options leave
-// MaxInFlight unset inherits its own NeighborParallelism, so setting
-// one knob per target is enough to go parallel end to end.
-func CollectAllWithOptions(ctx context.Context, targets []Target, date string, mopts MultiOptions) []Result {
-	parallel := mopts.TargetParallelism
-	if parallel <= 0 || parallel > len(targets) {
-		parallel = len(targets)
-	}
-	var budget *lg.RequestBudget
-	if mopts.GlobalInFlight > 0 {
-		budget = lg.NewRequestBudget(mopts.GlobalInFlight)
-	}
+// CollectAll crawls every target at once and returns one result per
+// target, in target order. Each looking glass is bounded by its own
+// client (Options.MaxInFlight caps the target's neighbor workers). A
+// failing LG does not abort the others — the paper's collection had to
+// tolerate individual LG outages — and targets in degraded mode
+// contribute partial snapshots instead of failures.
+func CollectAll(ctx context.Context, targets []Target, date string) []Result {
 	results := make([]Result, len(targets))
-	sem := make(chan struct{}, parallel)
 	var wg sync.WaitGroup
 	for i, tgt := range targets {
 		wg.Add(1)
 		go func(i int, tgt Target) {
 			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-				defer func() { <-sem }()
-			case <-ctx.Done():
-				results[i] = Result{Target: tgt, Err: ctx.Err()}
-				return
-			}
 			start := time.Now()
-			copts := tgt.Options
-			if copts.MaxInFlight == 0 && tgt.Collect.NeighborParallelism > 1 {
-				copts.MaxInFlight = tgt.Collect.NeighborParallelism
-			}
-			if copts.Budget == nil {
-				copts.Budget = budget
-			}
-			if copts.Metrics == nil {
-				copts.Metrics = mopts.LGMetrics
-			}
 			collectOpts := tgt.Collect
-			if collectOpts.Metrics == nil {
-				collectOpts.Metrics = mopts.Metrics
-			}
 			if collectOpts.Stats == nil {
 				collectOpts.Stats = new(CrawlStats)
 			}
 			collectOpts.Metrics.targetStart()
-			client := lg.NewClient(tgt.URL, copts)
+			client := lg.NewClient(tgt.URL, tgt.Options)
 			snap, err := CollectWithOptions(ctx, client, date, collectOpts)
 			collectOpts.Metrics.targetDone()
 			results[i] = Result{
@@ -172,29 +83,4 @@ func CollectAllWithOptions(ctx context.Context, targets []Target, date string, m
 	}
 	wg.Wait()
 	return results
-}
-
-// Succeeded filters the snapshots that were collected (including
-// partial ones), sorted by IXP name for deterministic downstream
-// processing.
-func Succeeded(results []Result) []*Snapshot {
-	var out []*Snapshot
-	for _, r := range results {
-		if r.Err == nil && r.Snapshot != nil {
-			out = append(out, r.Snapshot)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].IXP < out[j].IXP })
-	return out
-}
-
-// Degraded filters the results whose snapshot came back partial.
-func Degraded(results []Result) []Result {
-	var out []Result
-	for _, r := range results {
-		if r.Partial {
-			out = append(out, r)
-		}
-	}
-	return out
 }

@@ -22,8 +22,8 @@ type neighborOutcome struct {
 	err       error
 }
 
-// checkpointWriter serializes checkpoint updates: workers of a
-// parallel crawl all mark progress through one writer, so the
+// checkpointWriter serializes checkpoint updates: the crawl's workers
+// all mark progress through one writer, so the
 // checkpoint file is written by exactly one goroutine at a time and
 // every save sees a consistent Done/Routes pair.
 type checkpointWriter struct {
@@ -52,36 +52,7 @@ func (w *checkpointWriter) markDone(asn uint32, routes []bgp.Route) error {
 	return err
 }
 
-// crawlSequential is the single-connection crawl: one neighbor at a
-// time, in neighbor order, stopping early when strict mode hits a
-// failure or the error budget trips — so a dead LG sees exactly as
-// many requests as it did before the crawl went parallel.
-func crawlSequential(ctx context.Context, client *lg.Client, crawl []uint32, opts CollectOptions, saver *checkpointWriter) ([]neighborOutcome, error) {
-	outcomes := make([]neighborOutcome, len(crawl))
-	consecutive := 0
-	for i, asn := range crawl {
-		routes, attempts, dur, err := crawlNeighbor(ctx, client, asn, opts.NeighborRetries, opts.Metrics)
-		outcomes[i] = neighborOutcome{attempted: true, routes: routes, attempts: attempts, dur: dur, err: err}
-		if err != nil {
-			if !opts.Partial || ctx.Err() != nil {
-				// The replay surfaces this outcome as the crawl error.
-				return outcomes, nil
-			}
-			consecutive++
-			if opts.ErrorBudget > 0 && consecutive >= opts.ErrorBudget {
-				return outcomes, nil
-			}
-			continue
-		}
-		consecutive = 0
-		if serr := saver.markDone(asn, routes); serr != nil {
-			return nil, fmt.Errorf("collector: checkpoint: %w", serr)
-		}
-	}
-	return outcomes, nil
-}
-
-// crawlParallel fans the crawl plan across a worker pool. Workers
+// crawlNeighbors fans the crawl plan across a worker pool. Workers
 // claim neighbors strictly in plan order, so at any moment the
 // attempted set is a prefix of the plan plus at most workers-1
 // in-flight entries. A frontier walk over the contiguous completed
@@ -89,8 +60,10 @@ func crawlSequential(ctx context.Context, client *lg.Client, crawl []uint32, opt
 // once it proves the sequential crawl would have stopped (budget
 // tripped, strict-mode failure, checkpoint save error), no new
 // neighbors are claimed — in-flight ones drain and the replay demotes
-// any overshoot to skipped.
-func crawlParallel(ctx context.Context, client *lg.Client, crawl []uint32, opts CollectOptions, saver *checkpointWriter, workers int) ([]neighborOutcome, error) {
+// any overshoot to skipped. One worker is the single-connection crawl:
+// it claims the next neighbor only after the previous one settled, so
+// a dead LG sees no request past the point where the crawl stops.
+func crawlNeighbors(ctx context.Context, client *lg.Client, crawl []uint32, opts CollectOptions, saver *checkpointWriter, workers int) ([]neighborOutcome, error) {
 	outcomes := make([]neighborOutcome, len(crawl))
 	var (
 		mu          sync.Mutex

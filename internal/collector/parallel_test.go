@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -271,51 +271,48 @@ func TestParallelStrictModeReportsEarliestFailure(t *testing.T) {
 	}
 }
 
-// TestCollectAllComposesGlobalBudget runs two targets with 4-way
-// neighbor pools under a global budget of 2 in-flight requests; the
-// backend-observed high-water mark must respect the budget while both
-// snapshots still complete.
-func TestCollectAllComposesGlobalBudget(t *testing.T) {
-	var inFlight, peak atomic.Int32
-	guard := func(next http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			cur := inFlight.Add(1)
-			for {
-				p := peak.Load()
-				if cur <= p || peak.CompareAndSwap(p, cur) {
-					break
-				}
+// TestOneWorkerCrawlStopsAtStrictFailure pins the single-connection
+// crawl: at one worker a strict crawl claims no neighbor after the
+// first failure, so a dead LG sees status + neighbors + the requests up
+// to and including that failure, and the checkpoint holds exactly the
+// neighbors that completed before it.
+func TestOneWorkerCrawlStopsAtStrictFailure(t *testing.T) {
+	for _, tc := range []struct {
+		outage   uint32
+		requests int
+		done     []uint32
+	}{
+		{outage: 100, requests: 2 + 1},                      // the first neighbor fails
+		{outage: 200, requests: 2 + 2, done: []uint32{100}}, // one completes, then the outage
+	} {
+		server := degradedFixture(t, []uint32{100, 200, 300}, 2)
+		ts := httptest.NewServer(lg.Flaky(lg.NewServer(server), lg.FlakyOptions{
+			NeighborOutage: []uint32{tc.outage},
+		}))
+		ckpt := filepath.Join(t.TempDir(), "ckpt.json")
+		client := lg.NewClient(ts.URL, lg.ClientOptions{MaxRetries: 0})
+		_, err := CollectWithOptions(context.Background(), client, "2021-10-04", CollectOptions{
+			NeighborParallelism: 1,
+			CheckpointPath:      ckpt,
+		})
+		ts.Close()
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("routes of AS%d", tc.outage)) {
+			t.Fatalf("outage AS%d: err = %v, want the strict crawl to abort there", tc.outage, err)
+		}
+		if got := client.HTTPRequests(); got != tc.requests {
+			t.Errorf("outage AS%d: %d HTTP requests, want %d (status + neighbors + up to the failure)", tc.outage, got, tc.requests)
+		}
+		ck, err := LoadCheckpoint(ckpt)
+		switch {
+		case len(tc.done) == 0:
+			if !os.IsNotExist(err) {
+				t.Errorf("outage AS%d: a checkpoint was saved with nothing done (err %v)", tc.outage, err)
 			}
-			time.Sleep(2 * time.Millisecond)
-			next.ServeHTTP(w, r)
-			inFlight.Add(-1)
-		})
-	}
-	var targets []Target
-	for i, name := range []string{"ONE", "TWO"} {
-		server := degradedFixture(t, []uint32{100, 200, 300, 400, 500, 600}, 2)
-		_ = i
-		ts := httptest.NewServer(guard(lg.NewServer(server)))
-		t.Cleanup(ts.Close)
-		targets = append(targets, Target{
-			Name: name, URL: ts.URL,
-			Collect: CollectOptions{NeighborParallelism: 4},
-		})
-	}
-	results := CollectAllWithOptions(context.Background(), targets, "2021-10-04", MultiOptions{
-		TargetParallelism: 2,
-		GlobalInFlight:    2,
-	})
-	for _, r := range results {
-		if r.Err != nil {
-			t.Fatalf("%s: %v", r.Target.Name, r.Err)
+		case err != nil:
+			t.Errorf("outage AS%d: %v", tc.outage, err)
+		case !slices.Equal(ck.Done, tc.done):
+			t.Errorf("outage AS%d: checkpoint done = %v, want %v", tc.outage, ck.Done, tc.done)
 		}
-		if len(r.Snapshot.Routes) != 12 {
-			t.Errorf("%s: routes = %d, want 12", r.Target.Name, len(r.Snapshot.Routes))
-		}
-	}
-	if got := peak.Load(); got > 2 {
-		t.Errorf("peak concurrent requests = %d, want ≤ 2 (global budget)", got)
 	}
 }
 

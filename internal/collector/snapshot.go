@@ -164,12 +164,6 @@ func (s *Snapshot) sortMembers() {
 	slices.SortFunc(s.MemberErrors, func(a, b MemberError) int { return cmp.Compare(a.ASN, b.ASN) })
 }
 
-// Dataset is a time-ordered series of snapshots for one IXP.
-type Dataset struct {
-	IXP       string     `json:"ixp"`
-	Snapshots []Snapshot `json:"snapshots"`
-}
-
 // Codec selects a snapshot serialisation. One is left: the JSON, gzipped
 // JSON and gob codecs were removed, and MRT (an interchange export) and
 // delta files (not self-contained) were never codecs.

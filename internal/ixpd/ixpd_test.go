@@ -410,8 +410,8 @@ func TestCoalescing(t *testing.T) {
 	s := testServer(t, Config{Telemetry: reg})
 	h := s.Handler()
 	indexBuilds := func() (builds int64) {
-		for name, v := range reg.Snapshot() {
-			if n, ok := v.(int64); ok && strings.HasPrefix(name, "ixplight_analysis_index_builds_total") {
+		for name, n := range reg.Snapshot() {
+			if strings.HasPrefix(name, "ixplight_analysis_index_builds_total") {
 				builds += n
 			}
 		}
@@ -458,8 +458,8 @@ func TestCoalescing(t *testing.T) {
 		t.Fatalf("%d index builds after the requests, want the load's 1 and no more", got)
 	}
 	var followers int64
-	for name, v := range reg.Snapshot() {
-		if n, ok := v.(int64); ok && (name == "ixplight_ixpd_coalesced_total" || name == "ixplight_ixpd_cache_hits_total") {
+	for name, n := range reg.Snapshot() {
+		if name == "ixplight_ixpd_coalesced_total" || name == "ixplight_ixpd_cache_hits_total" {
 			followers += n
 		}
 	}

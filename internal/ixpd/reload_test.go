@@ -312,17 +312,17 @@ func TestReloadWorkIsProportional(t *testing.T) {
 	}
 }
 
-// TestReloadIgnoresCollectorLeftovers: `collect` rewrites telemetry.json
-// and trace.jsonl in the directory it fills on every run. They are not
+// TestReloadIgnoresCollectorLeftovers: `collect` rewrites trace.jsonl
+// and leaves a checkpoint in the directory it fills. They are not
 // dataset files: they load as nothing, and rewriting one moves neither
 // the directory signature nor the serving generation.
 func TestReloadIgnoresCollectorLeftovers(t *testing.T) {
 	dir := t.TempDir()
 	p := ixpgen.BigFour()[0]
 	writeDeltaSeries(t, dir, p, 3, 3)
-	telPath := filepath.Join(dir, "telemetry.json")
-	landFile(t, telPath, []byte(`{"counters":{}}`))
-	landFile(t, filepath.Join(dir, "trace.jsonl"), []byte(`{"name":"collector.crawl"}`+"\n"))
+	tracePath := filepath.Join(dir, "trace.jsonl")
+	landFile(t, tracePath, []byte(`{"name":"collector.crawl"}`+"\n"))
+	landFile(t, filepath.Join(dir, "checkpoint-2021-07-19.json"), []byte(`{"done":[]}`))
 
 	s := New(Config{Profiles: []ixpgen.Profile{p}, SnapshotDir: dir, ReloadInterval: -1})
 	if err := s.Load(); err != nil {
@@ -336,12 +336,12 @@ func TestReloadIgnoresCollectorLeftovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	landFile(t, telPath, []byte(`{"counters":{"ixplight_lg_requests_total":25}}`))
+	landFile(t, tracePath, []byte(`{"name":"collector.crawl"}`+"\n"+`{"name":"lg.request"}`+"\n"))
 	if _, after, err := dirSignature(dir); err != nil || after != before {
-		t.Errorf("rewriting telemetry.json moved the directory signature (err %v)", err)
+		t.Errorf("rewriting trace.jsonl moved the directory signature (err %v)", err)
 	}
 	if swapped, err := s.Reload(); err != nil || swapped {
-		t.Errorf("rewriting telemetry.json: swapped=%v err=%v, want no new generation", swapped, err)
+		t.Errorf("rewriting trace.jsonl: swapped=%v err=%v, want no new generation", swapped, err)
 	}
 }
 

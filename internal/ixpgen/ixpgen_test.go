@@ -73,6 +73,41 @@ func TestProfilesComplete(t *testing.T) {
 	}
 }
 
+// TestSelectProfiles pins the one -ixps parser: the two keywords, names
+// with the spaces around them trimmed (not the one inside "DE-CIX
+// Mad"), and an error for an unknown, empty or repeated name.
+func TestSelectProfiles(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		want []string // nil: an error
+	}{
+		{"big4", []string{"IX.br-SP", "DE-CIX", "LINX", "AMS-IX"}},
+		{"all", []string{"IX.br-SP", "DE-CIX", "LINX", "AMS-IX", "DE-CIX Mad", "DE-CIX NYC", "BCIX", "Netnod"}},
+		{"LINX", []string{"LINX"}},
+		{" DE-CIX ,  DE-CIX Mad,AMS-IX ", []string{"DE-CIX", "DE-CIX Mad", "AMS-IX"}},
+		{"DE-CIX,NOPE-IX", nil},
+		{"DE-CIX,,LINX", nil},
+		{"", nil},
+		{"DE-CIX,LINX,DE-CIX", nil},
+		{"LINX, LINX", nil},
+	} {
+		ps, err := SelectProfiles(tc.spec)
+		if tc.want == nil {
+			if err == nil {
+				t.Errorf("SelectProfiles(%q) = %d profiles, want an error", tc.spec, len(ps))
+			}
+			continue
+		}
+		var got []string
+		for _, p := range ps {
+			got = append(got, p.IXP)
+		}
+		if err != nil || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("SelectProfiles(%q) = %v, %v; want %v", tc.spec, got, err, tc.want)
+		}
+	}
+}
+
 func TestGenerateDeterministic(t *testing.T) {
 	p := *ProfileByName("LINX")
 	a, err := Generate(p, Options{Seed: 7, Scale: 0.02})

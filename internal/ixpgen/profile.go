@@ -16,7 +16,12 @@
 // triple always produces the identical workload.
 package ixpgen
 
-import "ixplight/internal/dictionary"
+import (
+	"fmt"
+	"strings"
+
+	"ixplight/internal/dictionary"
+)
 
 // FamilyParams calibrates one address family of one IXP. All counts
 // are at scale 1.0 (the paper's 4 Oct 2021 snapshot); Generate scales
@@ -285,4 +290,34 @@ func ProfileByName(name string) *Profile {
 func BigFour() []Profile {
 	all := Profiles()
 	return all[:4]
+}
+
+// SelectProfiles parses an -ixps flag: "big4", "all", or a
+// comma-separated list of IXP names (surrounding spaces ignored). An
+// unknown, empty or repeated name is an error — a repeated one would
+// put the IXP in a lab twice and print its rows twice.
+func SelectProfiles(spec string) ([]Profile, error) {
+	switch spec {
+	case "big4":
+		return BigFour(), nil
+	case "all":
+		return Profiles(), nil
+	}
+	var out []Profile
+	seen := make(map[string]bool)
+	for _, name := range strings.Split(spec, ",") {
+		name = strings.TrimSpace(name)
+		p := ProfileByName(name)
+		switch {
+		case name == "":
+			return nil, fmt.Errorf("empty IXP name in %q", spec)
+		case p == nil:
+			return nil, fmt.Errorf("unknown IXP %q", name)
+		case seen[name]:
+			return nil, fmt.Errorf("IXP %q named twice", name)
+		}
+		seen[name] = true
+		out = append(out, *p)
+	}
+	return out, nil
 }

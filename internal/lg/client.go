@@ -49,15 +49,10 @@ type ClientOptions struct {
 	// parallel crawl is no less polite per-LG, just not idle between
 	// responses. Calls beyond the bound fail with ErrConcurrentUse.
 	MaxInFlight int
-	// Budget, when set, caps in-flight requests across every client
-	// sharing it — the global request budget of a multi-target crawl.
-	// Unlike the per-client MaxInFlight guard it blocks (politeness
-	// backpressure, not a misuse signal).
-	Budget *RequestBudget
 	// HTTPClient overrides the transport (nil = http.DefaultClient).
 	HTTPClient *http.Client
 	// Metrics, when set, records the client's runtime behaviour —
-	// requests, retries by cause, politeness and budget waits, per-call
+	// requests, retries by cause, politeness waits, per-call
 	// latency — into a telemetry registry (see NewMetrics). Nil keeps
 	// instrumentation off at zero cost.
 	Metrics *Metrics
@@ -68,34 +63,6 @@ type ClientOptions struct {
 // one, by default), which would break the §3 politeness contract.
 // Raise MaxInFlight — or create one Client per goroutine — instead.
 var ErrConcurrentUse = errors.New("lg: concurrent use of Client beyond MaxInFlight")
-
-// RequestBudget is a counting semaphore shared by several clients to
-// cap the total number of HTTP requests in flight at once — the one
-// global budget a multi-IXP collection run composes its target-level
-// and neighbor-level parallelism under.
-type RequestBudget struct {
-	slots chan struct{}
-}
-
-// NewRequestBudget builds a budget of n concurrent requests (n < 1 is
-// clamped to 1).
-func NewRequestBudget(n int) *RequestBudget {
-	if n < 1 {
-		n = 1
-	}
-	return &RequestBudget{slots: make(chan struct{}, n)}
-}
-
-func (b *RequestBudget) acquire(ctx context.Context) error {
-	select {
-	case b.slots <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-func (b *RequestBudget) release() { <-b.slots }
 
 // Client crawls one looking glass. It is safe for concurrent use up
 // to ClientOptions.MaxInFlight simultaneous calls (1 by default — the
@@ -366,14 +333,6 @@ func (c *Client) once(ctx context.Context, path string, decode func([]byte) erro
 	if err != nil {
 		return err
 	}
-	if b := c.opts.Budget; b != nil {
-		t0 := c.m.now()
-		if err := b.acquire(ctx); err != nil {
-			return err
-		}
-		c.m.budgetWaited(t0)
-		defer b.release()
-	}
 	c.countWire()
 	resp, err := c.http.Do(req)
 	if err != nil {
@@ -480,14 +439,6 @@ func (c *Client) ConfigRaw(ctx context.Context) (text string, err error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/api/v1/routeservers/rs1/config/raw", nil)
 	if err != nil {
 		return "", err
-	}
-	if b := c.opts.Budget; b != nil {
-		t0 := c.m.now()
-		if err := b.acquire(ctx); err != nil {
-			return "", err
-		}
-		c.m.budgetWaited(t0)
-		defer b.release()
 	}
 	c.countWire()
 	resp, err := c.http.Do(req)

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -151,69 +150,5 @@ func TestDefaultStillSingleFlight(t *testing.T) {
 	}
 	if err := c.acquire(); !errors.Is(err, ErrConcurrentUse) {
 		t.Errorf("second acquire: err = %v, want ErrConcurrentUse", err)
-	}
-}
-
-// TestRequestBudgetCapsGlobalInFlight shares one 2-slot budget across
-// two clients and fires 4 concurrent calls per client against a slow
-// server; the server-side high-water mark of concurrent requests must
-// never exceed the budget.
-func TestRequestBudgetCapsGlobalInFlight(t *testing.T) {
-	var inFlight, peak atomic.Int32
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		cur := inFlight.Add(1)
-		for {
-			p := peak.Load()
-			if cur <= p || peak.CompareAndSwap(p, cur) {
-				break
-			}
-		}
-		time.Sleep(5 * time.Millisecond)
-		inFlight.Add(-1)
-		w.Write([]byte(`{"ixp":"TEST","version":"1.0","rs_asn":1}`))
-	}))
-	defer ts.Close()
-
-	budget := NewRequestBudget(2)
-	a := NewClient(ts.URL, ClientOptions{MaxInFlight: 4, Budget: budget})
-	b := NewClient(ts.URL, ClientOptions{MaxInFlight: 4, Budget: budget})
-	var wg sync.WaitGroup
-	for _, c := range []*Client{a, b} {
-		for i := 0; i < 4; i++ {
-			wg.Add(1)
-			go func(c *Client) {
-				defer wg.Done()
-				if _, err := c.Status(context.Background()); err != nil {
-					t.Error(err)
-				}
-			}(c)
-		}
-	}
-	wg.Wait()
-	if got := peak.Load(); got > 2 {
-		t.Errorf("peak concurrent requests = %d, want ≤ 2 (the global budget)", got)
-	}
-	if total := a.Requests() + b.Requests(); total != 8 {
-		t.Errorf("total requests = %d, want 8", total)
-	}
-}
-
-// TestRequestBudgetHonoursCancellation: a budget with every slot held
-// must not park a cancelled request forever.
-func TestRequestBudgetHonoursCancellation(t *testing.T) {
-	budget := NewRequestBudget(1)
-	if err := budget.acquire(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	_, ts := fixture(t, 1)
-	c := NewClient(ts.URL, ClientOptions{Budget: budget})
-	if _, err := c.Status(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("err = %v, want DeadlineExceeded while budget is exhausted", err)
-	}
-	budget.release()
-	if _, err := c.Status(context.Background()); err != nil {
-		t.Errorf("after release: %v", err)
 	}
 }

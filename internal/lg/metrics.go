@@ -21,7 +21,6 @@ type Metrics struct {
 	retries      *telemetry.CounterVec   // by failure cause
 	retryWait    *telemetry.HistogramVec // backoff vs honoured Retry-After
 	pacerWait    *telemetry.Histogram    // MinInterval politeness delay
-	budgetWait   *telemetry.Histogram    // global RequestBudget acquire wait
 	inFlight     *telemetry.Gauge        // calls currently inside the client
 	callSeconds  *telemetry.HistogramVec // per-endpoint logical call latency
 }
@@ -46,8 +45,6 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 			nil, "kind"),
 		pacerWait: reg.Histogram("ixplight_lg_pacer_wait_seconds",
 			"Politeness delay imposed by the MinInterval pacer.", nil),
-		budgetWait: reg.Histogram("ixplight_lg_budget_wait_seconds",
-			"Time spent waiting for a global request-budget slot.", nil),
 		inFlight: reg.Gauge("ixplight_lg_in_flight",
 			"LG client calls currently in flight."),
 		callSeconds: reg.HistogramVec("ixplight_lg_call_seconds",
@@ -108,24 +105,6 @@ func (m *Metrics) pacer(wait time.Duration) {
 		return
 	}
 	m.pacerWait.ObserveDuration(wait)
-}
-
-// now returns the wall clock when instrumentation is on, and the zero
-// time — which ObserveSince ignores — when it is off, so disabled
-// paths skip the time.Now call entirely.
-func (m *Metrics) now() time.Time {
-	if m == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// budgetWaited records the time spent blocked on the request budget.
-func (m *Metrics) budgetWaited(t0 time.Time) {
-	if m == nil {
-		return
-	}
-	m.budgetWait.ObserveSince(t0)
 }
 
 // noopTimer is the shared disabled call timer: returning the same

@@ -42,7 +42,7 @@ func isDatasetFile(name string) bool {
 // ListDir lists dir's dataset files — the names ending in .bin, .delta
 // or .mrt — in name order. Everything else is not part of the dataset
 // and is never opened: directories, what a collector leaves next to
-// its snapshots (telemetry.json, trace.jsonl, checkpoint-*.json), and
+// its snapshots (trace.jsonl, checkpoint-*.json), and
 // dot-prefixed names, because AtomicWrite stages its temp files
 // dot-prefixed in the same directory and a loader racing a collector
 // must not decode one. A directory with no dataset file at all is an

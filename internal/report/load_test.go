@@ -169,11 +169,12 @@ func TestLoadSnapshotDirSeries(t *testing.T) {
 
 // TestLoadIgnoresWhatIsNotADatasetFile pins what a dataset directory is:
 // its .bin, .delta and .mrt files. What `collect` leaves next to them —
-// telemetry.json, trace.jsonl, a checkpoint — is JSON that once decoded,
-// by content sniffing, as a snapshot with an empty IXP; now it is not
-// listed, not opened and not reported. A .bin that is not a snapshot is
-// still a listed file the load skips, and a directory with no dataset
-// file at all is an error naming the three extensions.
+// trace.jsonl, a checkpoint, the telemetry.json older runs wrote — is
+// JSON that once decoded, by content sniffing, as a snapshot with an
+// empty IXP; now it is not listed, not opened and not reported. A .bin
+// that is not a snapshot is still a listed file the load skips, and a
+// directory with no dataset file at all is an error naming the three
+// extensions.
 func TestLoadIgnoresWhatIsNotADatasetFile(t *testing.T) {
 	profiles := []ixpgen.Profile{*ixpgen.ProfileByName("DE-CIX")}
 	dir := t.TempDir()

@@ -279,7 +279,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	h.logf("phase 0: reference crawl (%d IXPs)", len(h.ixps))
 	var refResults []collector.Result
 	h.phase(ctx, "reference", func(pctx context.Context) {
-		refResults = collector.CollectAllWithOptions(pctx, h.targets(nil), cfg.Date, collector.MultiOptions{})
+		refResults = collector.CollectAll(pctx, h.targets(nil), cfg.Date)
 	})
 	refs := make([]*collector.Snapshot, len(h.ixps))
 	infos := make([]planInfo, len(h.ixps))
@@ -381,10 +381,10 @@ func (h *harness) runRound(ctx context.Context, round int, chaos []IXPChaos, ref
 	}
 	var degResults []collector.Result
 	h.phase(ctx, fmt.Sprintf("degraded-r%d", round), func(pctx context.Context) {
-		degResults = collector.CollectAllWithOptions(pctx, h.targets(func(i int, c *collector.CollectOptions) {
+		degResults = collector.CollectAll(pctx, h.targets(func(i int, c *collector.CollectOptions) {
 			c.Partial = true
 			c.NeighborRetries = 1
-		}), cfg.Date, collector.MultiOptions{})
+		}), cfg.Date)
 	})
 	h.account(degResults)
 	for i, r := range degResults {
@@ -424,11 +424,11 @@ func (h *harness) runRound(ctx context.Context, round int, chaos []IXPChaos, ref
 	}
 	var killResults []collector.Result
 	h.phase(ctx, fmt.Sprintf("kill-r%d", round), func(pctx context.Context) {
-		killResults = collector.CollectAllWithOptions(pctx, h.targets(func(i int, c *collector.CollectOptions) {
+		killResults = collector.CollectAll(pctx, h.targets(func(i int, c *collector.CollectOptions) {
 			c.Partial = true
 			c.ErrorBudget = 3
 			c.CheckpointPath = ckptPath(i)
-		}), cfg.Date, collector.MultiOptions{})
+		}), cfg.Date)
 	})
 	h.account(killResults)
 	for i, r := range killResults {
@@ -493,7 +493,7 @@ func (h *harness) resumeKilled(ctx context.Context, round int, chaos []IXPChaos,
 		if ck != nil {
 			doneBefore = len(ck.Done)
 		}
-		resumeResults := collector.CollectAllWithOptions(ctx, []collector.Target{{
+		resumeResults := collector.CollectAll(ctx, []collector.Target{{
 			Name:    name,
 			URL:     sim.URL(),
 			Options: h.clientOptions(),
@@ -504,7 +504,7 @@ func (h *harness) resumeKilled(ctx context.Context, round int, chaos []IXPChaos,
 				Checkpoint:          ck,
 				CheckpointPath:      ckptPath(i),
 			},
-		}}, cfg.Date, collector.MultiOptions{})
+		}}, cfg.Date)
 		h.account(resumeResults)
 		rr := resumeResults[0]
 		if rr.Err != nil || rr.Partial {

@@ -71,31 +71,18 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	})
 }
 
-// BenchmarkSpanOverhead pins the three cost tiers of hierarchical
-// tracing, from cheapest to dearest:
+// BenchmarkSpanOverhead pins the two cost tiers of hierarchical
+// tracing:
 //
 //   - disabled: no sink installed — the every-binary default. The
 //     contract is 0 B/op, 0 allocs/op; instrumented hot paths pay
 //     nothing until someone passes -trace.
-//   - sampled: a sink is installed but the head-based sampler drops
-//     the trace at its root — the cost of saying no once per trace.
 //   - recorded: the full path — span allocated, attribute attached,
 //     emitted to a sink.
 func BenchmarkSpanOverhead(b *testing.B) {
 	ctx := context.Background()
 	b.Run("disabled", func(b *testing.B) {
 		r := telemetry.New() // no sink installed
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_, sp := telemetry.StartSpan(ctx, r, "bench.op")
-			sp.SetAttr("k", "v")
-			sp.End()
-		}
-	})
-	b.Run("sampled", func(b *testing.B) {
-		r := telemetry.New()
-		r.SetSpanSink(discardSink{})
-		r.SetSampler(0, 1) // every root sampled out
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			_, sp := telemetry.StartSpan(ctx, r, "bench.op")

@@ -1,13 +1,10 @@
 package telemetry
 
 import (
-	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -115,27 +112,12 @@ func renderLabelsLE(names, values []string, le string) string {
 	return b.String()
 }
 
-// --- JSON / expvar ------------------------------------------------------
-
-// histJSON is the JSON shape of one histogram.
-type histJSON struct {
-	Count   uint64       `json:"count"`
-	Sum     float64      `json:"sum"`
-	Buckets []bucketJSON `json:"buckets"`
-}
-
-// bucketJSON is one cumulative bucket.
-type bucketJSON struct {
-	LE    string `json:"le"`
-	Count uint64 `json:"count"`
-}
-
-// Snapshot returns every metric's current value keyed by its
-// exposition name (label values rendered prometheus-style into the
-// key). Counters and gauges map to integers, histograms to
-// {count, sum, buckets} objects with buckets in bound order.
-func (r *Registry) Snapshot() map[string]any {
-	out := make(map[string]any)
+// Snapshot returns every counter's and gauge's current value keyed by
+// its exposition name (label values rendered prometheus-style into the
+// key) — what lg-server's final summary and tests read. Histograms are
+// exposed by WritePrometheus only.
+func (r *Registry) Snapshot() map[string]int64 {
+	out := make(map[string]int64)
 	if r == nil {
 		return out
 	}
@@ -147,76 +129,20 @@ func (r *Registry) Snapshot() map[string]any {
 				out[key] = ch.c.Value()
 			case kindGauge:
 				out[key] = ch.g.Value()
-			case kindHistogram:
-				s := ch.h.snapshot()
-				hj := histJSON{Count: s.count, Sum: s.sum}
-				cum := uint64(0)
-				for i, bound := range ch.h.bounds {
-					cum += s.counts[i]
-					hj.Buckets = append(hj.Buckets, bucketJSON{LE: formatFloat(bound), Count: cum})
-				}
-				hj.Buckets = append(hj.Buckets, bucketJSON{LE: "+Inf", Count: s.count})
-				out[key] = hj
 			}
 		}
 	}
 	return out
 }
 
-// WriteJSON dumps the registry as an indented JSON object — the
-// telemetry.json health record archived next to each snapshot.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
-}
-
-// writeExpvar renders an expvar-compatible /debug/vars document: the
-// process-wide published vars (cmdline, memstats, …) followed by this
-// registry's metrics as top-level keys.
-func (r *Registry) writeExpvar(w io.Writer) {
-	fmt.Fprintf(w, "{\n")
-	first := true
-	expvar.Do(func(kv expvar.KeyValue) {
-		if !first {
-			fmt.Fprintf(w, ",\n")
-		}
-		first = false
-		fmt.Fprintf(w, "%q: %s", kv.Key, kv.Value)
-	})
-	snap := r.Snapshot()
-	keys := make([]string, 0, len(snap))
-	for k := range snap {
-		keys = append(keys, k)
-	}
-	// Sorted for a stable document; Snapshot keys are unordered.
-	sort.Strings(keys)
-	for _, k := range keys {
-		v, err := json.Marshal(snap[k])
-		if err != nil {
-			continue
-		}
-		if !first {
-			fmt.Fprintf(w, ",\n")
-		}
-		first = false
-		fmt.Fprintf(w, "%q: %s", k, v)
-	}
-	fmt.Fprintf(w, "\n}\n")
-}
-
 // Handler returns the operational HTTP surface: /metrics (Prometheus
-// text format), /debug/vars (expvar-style JSON), and the standard
-// /debug/pprof/ endpoints for live profiling.
+// text format) and the standard /debug/pprof/ endpoints for live
+// profiling.
 func (r *Registry) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		r.WritePrometheus(w)
-	})
-	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		r.writeExpvar(w)
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

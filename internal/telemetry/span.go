@@ -44,9 +44,10 @@ func (id TraceID) String() string { return fmt.Sprintf("%016x", uint64(id)) }
 func (id SpanID) String() string { return fmt.Sprintf("%016x", uint64(id)) }
 
 // AttrKind tags how a span attribute's rendered Value should be
-// re-interpreted by consumers (tracecat, the Chrome exporter). The
-// zero value is AttrString, so untagged composite literals keep
-// meaning plain strings.
+// re-interpreted by consumers (tracecat). The zero value is
+// AttrString, so untagged composite literals keep meaning plain
+// strings. AttrBool and AttrFloat only name ledger kinds ("bool",
+// "float"): no constructor emits them.
 type AttrKind uint8
 
 const (
@@ -71,16 +72,6 @@ func String(key, value string) Attr { return Attr{Key: key, Value: value} }
 // Int builds an integer attribute.
 func Int(key string, v int64) Attr {
 	return Attr{Key: key, Value: strconv.FormatInt(v, 10), Kind: AttrInt}
-}
-
-// Bool builds a boolean attribute.
-func Bool(key string, v bool) Attr {
-	return Attr{Key: key, Value: strconv.FormatBool(v), Kind: AttrBool}
-}
-
-// Float builds a float attribute.
-func Float(key string, v float64) Attr {
-	return Attr{Key: key, Value: strconv.FormatFloat(v, 'g', -1, 64), Kind: AttrFloat}
 }
 
 // Duration builds a duration attribute (Value is time.Duration syntax,
@@ -128,17 +119,13 @@ type Span struct {
 // StartSpan begins a root span with no context to inherit from — the
 // explicit form used by code that has no context.Context in reach
 // (the analysis package's index-build hook). It returns nil — a no-op
-// span — when the registry is nil, no sink is installed, or the
-// head-based sampler drops the new trace.
+// span — when the registry is nil or no sink is installed.
 func (r *Registry) StartSpan(name string) *Span {
 	if r == nil {
 		return nil
 	}
 	box := r.sink.Load()
 	if box == nil {
-		return nil
-	}
-	if !r.sampleRoot() {
 		return nil
 	}
 	return newSpan(name, newTraceID(), 0, box.sink)
@@ -167,9 +154,6 @@ func (s *Span) SetAttrInt(key string, v int64) {
 		s.setAttr(Int(key, v))
 	}
 }
-
-// SetAttrBool attaches one boolean attribute.
-func (s *Span) SetAttrBool(key string, v bool) { s.setAttr(Bool(key, v)) }
 
 // SetAttrDuration attaches one duration attribute, formatting d only
 // for a live span.

@@ -1,8 +1,8 @@
 // Package telemetry is the dependency-free metrics and tracing core
 // of the collection and analysis pipeline: atomic counters and gauges,
 // sharded histograms, a Registry of labeled metric families with
-// Prometheus text-format and expvar-style JSON exposition, and
-// span-style trace hooks with a pluggable sink.
+// Prometheus text-format exposition, and span-style trace hooks with a
+// pluggable sink.
 //
 // Everything is nil-safe by design: a nil *Registry hands out nil
 // instruments, and every method on a nil instrument is a no-op. A
@@ -35,7 +35,6 @@ type Registry struct {
 	families map[string]*family
 
 	sink atomic.Pointer[sinkBox]
-	smp  atomic.Pointer[sampler]
 }
 
 // New creates an empty registry.

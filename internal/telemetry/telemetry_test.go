@@ -2,8 +2,8 @@ package telemetry
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -239,35 +239,16 @@ func TestEmptyFamiliesStillExposeHeaders(t *testing.T) {
 	}
 }
 
-func TestJSONSnapshot(t *testing.T) {
+// TestSnapshot: counters and gauges by exposition name, labels
+// rendered into the key; histograms stay out of it.
+func TestSnapshot(t *testing.T) {
 	r := New()
-	r.Counter("ixplight_json_total", "").Add(7)
-	r.GaugeVec("ixplight_json_gauge", "", "l").With("x").Set(-2)
-	r.Histogram("ixplight_json_seconds", "", []float64{1}).Observe(0.5)
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("telemetry.json is not valid JSON: %v", err)
-	}
-	if doc["ixplight_json_total"] != float64(7) {
-		t.Errorf("counter = %v", doc["ixplight_json_total"])
-	}
-	if doc[`ixplight_json_gauge{l="x"}`] != float64(-2) {
-		t.Errorf("gauge = %v", doc[`ixplight_json_gauge{l="x"}`])
-	}
-	hist, ok := doc["ixplight_json_seconds"].(map[string]any)
-	if !ok {
-		t.Fatalf("histogram = %T", doc["ixplight_json_seconds"])
-	}
-	if hist["count"] != float64(1) || hist["sum"] != float64(0.5) {
-		t.Errorf("histogram = %v", hist)
-	}
-	buckets, ok := hist["buckets"].([]any)
-	if !ok || len(buckets) != 2 {
-		t.Errorf("buckets = %v", hist["buckets"])
+	r.Counter("ixplight_snap_total", "").Add(7)
+	r.GaugeVec("ixplight_snap_gauge", "", "l").With("x").Set(-2)
+	r.Histogram("ixplight_snap_seconds", "", []float64{1}).Observe(0.5)
+	want := map[string]int64{"ixplight_snap_total": 7, `ixplight_snap_gauge{l="x"}`: -2}
+	if got := r.Snapshot(); !maps.Equal(got, want) {
+		t.Errorf("snapshot = %v, want %v", got, want)
 	}
 }
 

@@ -2,8 +2,6 @@ package telemetry
 
 import (
 	"context"
-	"math/rand"
-	"sync"
 	"sync/atomic"
 )
 
@@ -22,38 +20,13 @@ func newSpanID() SpanID   { return SpanID(spanIDs.Add(1)) }
 // spanCtxKey carries the active span through a context chain.
 type spanCtxKey struct{}
 
-// notSampled marks a context whose root span was dropped by the
-// head-based sampler: every descendant StartSpan sees the marker and
-// stays silent, so a trace is recorded whole or not at all.
-var notSampled = &Span{}
-
-// ContextWithSpan returns a context carrying s as the active span.
-// StartSpan calls it for you; it is exported for tests and for code
-// that moves spans across API boundaries that don't take a context.
-func ContextWithSpan(ctx context.Context, s *Span) context.Context {
-	return context.WithValue(ctx, spanCtxKey{}, s)
-}
-
-// SpanFromContext returns the active span, or nil when the context
-// carries none (or carries a sampled-out trace).
-func SpanFromContext(ctx context.Context) *Span {
-	s, _ := ctx.Value(spanCtxKey{}).(*Span)
-	if s == notSampled {
-		return nil
-	}
-	return s
-}
-
 // StartSpan begins a span as a child of the context's active span and
 // returns a context carrying the new span, for the next layer down.
-// With no active span it starts a new trace, subject to the
-// registry's head-based sampler: the sampling decision is made once
-// at the root and inherited by every descendant through the context.
+// With no active span it starts a new trace.
 //
-// When the registry is nil, no sink is installed, or the trace was
-// sampled out, the original context and a nil (no-op) span come back —
-// with no allocations on the nil-registry/no-sink path, the same
-// zero-cost contract the metric instruments honour (pinned by
+// When the registry is nil or no sink is installed, the original
+// context and a nil (no-op) span come back — with no allocations, the
+// same zero-cost contract the metric instruments honour (pinned by
 // BenchmarkSpanOverhead/disabled).
 func StartSpan(ctx context.Context, r *Registry, name string) (context.Context, *Span) {
 	if r == nil {
@@ -63,69 +36,11 @@ func StartSpan(ctx context.Context, r *Registry, name string) (context.Context, 
 	if box == nil {
 		return ctx, nil
 	}
-	parent, _ := ctx.Value(spanCtxKey{}).(*Span)
-	if parent == notSampled {
-		return ctx, nil
-	}
-	var trace TraceID
-	var parentID SpanID
-	if parent != nil {
-		trace, parentID = parent.Trace, parent.ID
+	var s *Span
+	if parent, _ := ctx.Value(spanCtxKey{}).(*Span); parent != nil {
+		s = newSpan(name, parent.Trace, parent.ID, box.sink)
 	} else {
-		if !r.sampleRoot() {
-			return ContextWithSpan(ctx, notSampled), nil
-		}
-		trace = newTraceID()
+		s = newSpan(name, newTraceID(), 0, box.sink)
 	}
-	s := newSpan(name, trace, parentID, box.sink)
-	return ContextWithSpan(ctx, s), s
-}
-
-// sampler makes head-based keep/drop decisions for new traces. The
-// generator is seeded, so a run replayed with the same seed and the
-// same sequence of root spans samples the same traces — chaos
-// schedules and tests stay deterministic.
-type sampler struct {
-	mu   sync.Mutex
-	rng  *rand.Rand
-	rate float64
-}
-
-func (s *sampler) sample() bool {
-	if s.rate >= 1 {
-		return true
-	}
-	if s.rate <= 0 {
-		return false
-	}
-	s.mu.Lock()
-	keep := s.rng.Float64() < s.rate
-	s.mu.Unlock()
-	return keep
-}
-
-// SetSampler installs a head-based trace sampler: each new trace is
-// kept with probability rate, decided once at its root span and
-// inherited by every child. rate >= 1 (or never calling SetSampler)
-// keeps everything; rate <= 0 drops everything. The seed makes the
-// decision sequence reproducible.
-func (r *Registry) SetSampler(rate float64, seed int64) {
-	if r == nil {
-		return
-	}
-	if rate >= 1 {
-		r.smp.Store(nil)
-		return
-	}
-	r.smp.Store(&sampler{rng: rand.New(rand.NewSource(seed)), rate: rate})
-}
-
-// sampleRoot decides whether a new trace is recorded (true without a
-// sampler installed).
-func (r *Registry) sampleRoot() bool {
-	s := r.smp.Load()
-	if s == nil {
-		return true
-	}
-	return s.sample()
+	return context.WithValue(ctx, spanCtxKey{}, s), s
 }
