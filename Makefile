@@ -8,11 +8,14 @@
 #              contract), the soak run, the ixpd smoke walk and the five
 #              example programs.
 #              The deterministic performance floors are tests and run
-#              here: TestWarmColdSpeedup, TestAdvanceBytesPerDay,
-#              TestIndexFromColumnsAllocs, TestVisibilityAllocs,
-#              TestAnnounceAllocs, TestReloadWorkIsProportional,
-#              TestServeAllocs. Every step runs the tree; none compares
-#              committed files.
+#              here, a second time without the race detector (`floors`;
+#              their allocation halves skip under -race):
+#              TestWarmColdSpeedup, TestAdvanceBytesPerDay,
+#              TestAdvanceAllocs, TestIndexFromColumnsAllocs,
+#              TestVisibilityAllocs, TestAnnounceAllocs,
+#              TestReloadWorkIsProportional, TestServeAllocs,
+#              TestServedPageAllocsIndependentOfPageSize. Every step runs
+#              the tree; none compares committed files.
 #   benchmark  benchmarks/e2e, declared by BENCHMARK.json: five
 #              output-checked workloads, judged in alternating pairs of
 #              runs (parent, change) against BENCHMARK.json's bounds.
@@ -23,9 +26,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build census test race bench fuzz soak soak-long ixpd-smoke examples
+.PHONY: check fmt vet build census test race floors bench fuzz soak soak-long ixpd-smoke examples
 
-check: fmt vet build census race soak ixpd-smoke examples
+check: fmt vet build census race floors soak ixpd-smoke examples
 
 # fmt fails, naming the files, if anything in the tree is not gofmt-clean.
 fmt:
@@ -59,6 +62,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# floors runs exactly the floors the header lists — keep the two lists
+# the same — without -race, where allocation counts mean something.
+FLOORS := TestWarmColdSpeedup|TestAdvanceBytesPerDay|TestAdvanceAllocs|TestIndexFromColumnsAllocs|TestVisibilityAllocs|TestAnnounceAllocs|TestReloadWorkIsProportional|TestServeAllocs|TestServedPageAllocsIndependentOfPageSize
+floors:
+	$(GO) test -run '^($(FLOORS))$$' ./...
 
 # fuzz is opt-in and not part of check: `go test` only replays each
 # fuzzer's seed corpus, so after touching a decoder or an incremental

@@ -2,8 +2,10 @@
 // seriesState registers the input's interned attribute tables (dense
 // community ids classified once each, per-set reductions, per-path
 // peers) and applyRoute folds one route instance into — or, with sign
-// -1, out of — the per-family aggregates; finalize then derives the
-// ranking maps from the refcounts at the day boundary. A full build is
+// -1, out of — the per-family aggregates and refcounts (dense arrays and
+// the flat tables of counts.go: no allocation per route, no runtime map
+// per community instance); finalize then derives the ranking maps and
+// histogram from the refcounts at the day boundary. A full build is
 // that fold over every route of the input, an incremental build is the
 // same fold over a delta's ops. Three thin sources feed it:
 //
@@ -19,13 +21,12 @@
 // IndexSeriesFromReader leaves it on the index it returns, owned by the
 // chain's newest day; NewIndex and IndexFromReader drop it before
 // returning, so a standalone index holds its aggregates and nothing
-// else. What a chained day owns is small: each Advance clones the three
-// incrementally patched aggregate maps (the community-count histogram
-// and the two per-AS counts — runtime map cloning, not re-insertion)
-// and materializes its ranking maps afresh. Every earlier day's index
-// therefore stays immutable and concurrently usable — what the report
-// loader's per-IXP chain fold relies on — while only the owner may
-// advance further.
+// else. What a chained day owns is small: each Advance clones the two
+// incrementally patched per-AS count maps (runtime map cloning, not
+// re-insertion) and materializes its ranking maps and histogram afresh.
+// Every earlier day's index therefore stays immutable and concurrently
+// usable — what the report loader's per-IXP chain fold relies on —
+// while only the owner may advance further.
 //
 // Correctness is held from outside the fold: the *Direct functions in
 // oracle_test.go re-walk a materialized snapshot and re-classify every
@@ -70,15 +71,18 @@ type seriesFam struct {
 	// array increment instead of a map update per instance.
 	idRefs []int32
 	// idPeerRefs counts live instances per (peer-targeting action id,
-	// announcing peer), keyed id<<32 | peer — the culprit attribution,
-	// re-aggregated per day against that day's member list.
-	idPeerRefs map[uint64]int32
+	// announcing peer), a flat table keyed id<<32 | peer — the culprit
+	// attribution, re-aggregated per day against that day's member list.
+	idPeerRefs pairCounts
 	// peerTypes counts live action instances per (peer, action type);
 	// typeASes increments on 0→1 and decrements on 1→0.
 	peerTypes map[uint32]*[numActionTypes]int32
-	// prefixRefs counts live routes per encoded prefix; the family's
-	// distinct-prefix count is its length.
-	prefixRefs map[string]int32
+	// prefixRefs counts live routes per encoded prefix in a flat table;
+	// the family's distinct-prefix count is its live-entry count.
+	prefixRefs prefixCounts
+	// commHist counts live routes per total community count, indexed by
+	// the count; materializeFam turns it into the index's §5.6 map.
+	commHist []int32
 }
 
 // seriesState is the fold's lookup state: what a route's table indexes
@@ -150,14 +154,12 @@ func newFold(head *collector.Snapshot, scheme *dictionary.Scheme, routes, values
 	peers := len(head.Members)
 	for f := range st.fam {
 		sf := &st.fam[f]
-		sf.idPeerRefs = make(map[uint64]int32)
 		sf.peerTypes = make(map[uint32]*[numActionTypes]int32, peers)
-		sf.prefixRefs = make(map[string]int32, routes/2)
+		sf.prefixRefs.init(routes / 2)
 	}
 	ix := &Index{snap: head, scheme: scheme, members: st.members, series: st}
 	for f := range ix.fam {
 		fam := &ix.fam[f]
-		fam.commHist = make(map[int]int)
 		fam.perASActions = make(map[uint32]int, peers)
 		fam.perASRoutes = make(map[uint32]int, peers)
 	}
@@ -336,16 +338,6 @@ func mapAdd[K comparable](m map[K]int, k K, n int) {
 	}
 }
 
-// prefixAdd is mapAdd over an encoded-prefix refcount; the string
-// conversion only allocates on insertion.
-func prefixAdd(m map[string]int32, key []byte, sign int) {
-	if v := m[string(key)] + int32(sign); v == 0 {
-		delete(m, string(key))
-	} else {
-		m[string(key)] = v
-	}
-}
-
 // applyRoute folds one route instance into (sign +1) or out of
 // (sign -1) ix's family-f aggregates. It is the only code that writes
 // familyStats from route data (finalize derives the rest), so every
@@ -357,7 +349,7 @@ func (st *seriesState) applyRoute(ix *Index, f int, prefix []byte, commSet, extS
 
 	fam.usage.RoutesTotal += sign
 	mapAdd(fam.perASRoutes, peer, sign)
-	prefixAdd(st.fam[f].prefixRefs, prefix, sign)
+	st.fam[f].prefixRefs.add(prefix, int32(sign))
 
 	st.applyAttrs(ix, f, commSet, extSet, largeSet, path, sign)
 }
@@ -385,7 +377,10 @@ func (st *seriesState) applyAttrs(ix *Index, f int, commSet, extSet, largeSet, p
 	ls := &st.largeSets[largeSet]
 
 	cc := len(setIDs) + int(es.n) + int(ls.n)
-	mapAdd(fam.commHist, cc, sign)
+	if cc >= len(sf.commHist) {
+		sf.commHist = append(sf.commHist, make([]int32, cc+1-len(sf.commHist))...)
+	}
+	sf.commHist[cc] += int32(sign)
 	fam.commInstances += cc * sign
 
 	fam.mix.DefinedExtended += int(es.defined) * sign
@@ -430,12 +425,7 @@ func (st *seriesState) applyAttrs(ix *Index, f int, commSet, extSet, largeSet, p
 			fam.typeASes[cl.Action]--
 		}
 		if cl.Target == dictionary.TargetPeer {
-			key := uint64(id)<<32 | uint64(peer)
-			if v := sf.idPeerRefs[key] + int32(sign); v == 0 {
-				delete(sf.idPeerRefs, key)
-			} else {
-				sf.idPeerRefs[key] = v
-			}
+			sf.idPeerRefs.add(uint64(id)<<32|uint64(peer), int32(sign))
 		}
 	}
 	if actions > 0 {
@@ -445,16 +435,17 @@ func (st *seriesState) applyAttrs(ix *Index, f int, commSet, extSet, largeSet, p
 	}
 }
 
-// materializeFam derives one family's ranking maps from the
-// refcounts at a day boundary. An action community's instance count
-// is its id's refcount, a target ASN's count is the sum over its ids,
-// and the §5.5 non-member aggregates are the target sums restricted
-// to ASNs outside the day's member list — so membership churn needs
-// no per-route work at all, the day's materialization simply reads
-// the new member list. Zero-refcount entries are skipped (the
-// never-stores-zero map shape). The two non-member maps have no bound
-// in the tables, so they are sized like the ones the index inherited
-// from its predecessor (none on a full build).
+// materializeFam derives one family's ranking maps and §5.6 histogram
+// from the refcounts at a day boundary. An action community's instance
+// count is its id's refcount, a target ASN's count is the sum over its
+// ids, and the §5.5 non-member aggregates are the target sums
+// restricted to ASNs outside the day's member list — so membership
+// churn needs no per-route work at all, the day's materialization
+// simply reads the new member list. Zero-refcount entries are skipped
+// (the never-stores-zero map shape). The two non-member maps have no
+// bound in the tables, so they are sized like the ones the index
+// inherited from its predecessor (none on a full build), and so is the
+// histogram.
 func (st *seriesState) materializeFam(ix *Index, f int) {
 	sf := &st.fam[f]
 	fam := &ix.fam[f]
@@ -487,11 +478,18 @@ func (st *seriesState) materializeFam(ix *Index, f int) {
 			}
 		}
 	}
-	for key, cnt := range sf.idPeerRefs {
-		if st.idNonMember[key>>32] {
+	for e, cnt := range sf.idPeerRefs.counts {
+		if key := sf.idPeerRefs.keys[e]; cnt != 0 && st.idNonMember[key>>32] {
 			culprits[uint32(key)] += int(cnt)
 		}
 	}
+	commHist := make(map[int]int, len(fam.commHist))
+	for c, routes := range sf.commHist {
+		if routes != 0 {
+			commHist[c] = int(routes)
+		}
+	}
+	fam.commHist = commHist
 	fam.actionComms = actionComms
 	fam.targets = targets
 	fam.nonMemberComms = nonMemberComms
@@ -506,20 +504,19 @@ func (st *seriesState) finalize(ix *Index) {
 	for f := range ix.fam {
 		st.materializeFam(ix, f)
 		ix.fam[f].usage.ASesUsing = len(ix.fam[f].perASActions)
-		ix.fam[f].prefixes = len(st.fam[f].prefixRefs)
+		ix.fam[f].prefixes = st.fam[f].prefixRefs.live
 	}
 }
 
 // cloneFam copies one family's incrementally patched aggregates for
-// the next day's index — the only per-day copy a chain makes: three
-// maps sized by distinct community counts and announcing peers, not by
-// routes or distinct communities. The ranking maps stay shared with
-// the predecessor until materializeFam replaces them. The maps clone at
-// the runtime's bucket level (maps.Clone), so this costs memory
-// bandwidth, not re-insertion.
+// the next day's index — the only per-day copy a chain makes: the two
+// per-AS maps, sized by announcing peers, not by routes or distinct
+// communities. The materialized maps stay shared with the predecessor
+// until materializeFam replaces them. The maps clone at the runtime's
+// bucket level (maps.Clone), so this costs memory bandwidth, not
+// re-insertion.
 func cloneFam(src *familyStats) familyStats {
 	dst := *src
-	dst.commHist = maps.Clone(src.commHist)
 	dst.perASActions = maps.Clone(src.perASActions)
 	dst.perASRoutes = maps.Clone(src.perASRoutes)
 	return dst

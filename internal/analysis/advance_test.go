@@ -362,10 +362,12 @@ func TestEarlierDayReadableDuringAdvance(t *testing.T) {
 }
 
 // TestAdvanceBytesPerDay pins what one more chain day costs in heap
-// bytes, next to the allocation-count pin on the column build. At the
-// seed every Advance copied the chain's whole standard-community memo
-// (~780 kB a day on this series); what is cloned per day now is three
-// small aggregate maps. The ceiling is a third of the seed's figure.
+// bytes, next to the allocation-count pins on the column build and on
+// Advance. At the seed every Advance copied the chain's whole
+// standard-community memo (~780 kB a day on this series); what a day
+// allocates now is its two cloned per-AS maps, its materialized maps
+// and whatever the chain's refcount arrays grow by. The ceiling is a
+// third of the seed's figure.
 func TestAdvanceBytesPerDay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting under -short")
@@ -398,6 +400,46 @@ func TestAdvanceBytesPerDay(t *testing.T) {
 	const ceiling = 250_000
 	if perDay > ceiling {
 		t.Errorf("Advance allocates %.0f B a day, ceiling %d (seed: ~780 kB, the per-day memo copy)", perDay, ceiling)
+	}
+}
+
+// TestAdvanceAllocs pins how many allocations one more chain day costs
+// on the same series: the day's cloned and materialized maps, its
+// table extensions and the refcount arrays' occasional growth — nothing
+// per op or per community instance. An Advance measured 55 here; the
+// refcounts' runtime maps, inserting per new key, made it 169.
+func TestAdvanceAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc accounting under -short")
+	}
+	_, day0, deltas, scheme := seriesWorkload(t)
+	sr, err := collector.NewSnapshotReaderBytes(day0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := IndexSeriesFromReader(sr, scheme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readers := make([]*collector.DeltaReader, len(deltas))
+	for i, buf := range deltas {
+		if readers[i], err = collector.NewDeltaReader(buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	day := 0
+	// AllocsPerRun makes one warm-up call before its runs: every delta is
+	// applied once.
+	allocs := testing.AllocsPerRun(len(readers)-1, func() {
+		if ix, err = ix.Advance(readers[day]); err != nil {
+			t.Fatal(err)
+		}
+		day++
+	})
+	t.Logf("%.0f allocs per Advance over %d days", allocs, len(readers)-1)
+	const ceiling = 68
+	if allocs > ceiling {
+		t.Errorf("Advance allocates %.0f objects a day, ceiling %d", allocs, ceiling)
 	}
 }
 

@@ -138,18 +138,17 @@ func TestAttachIndexDispatch(t *testing.T) {
 }
 
 // TestIndexFromColumnsAllocs pins what a full build off columns
-// allocates: one prefix refcount key per route — the chain state counts
-// prefixes under edits at arbitrary positions, so it keys them, and a
-// map assignment converts its key — and beyond those only the tables
-// and aggregate maps, sized from the input. Nothing per community
-// instance or per distinct community.
+// allocates: the tables, refcount arrays and aggregate maps, sized from
+// the input or grown by doubling — nothing per route, per community
+// instance or per distinct community. The build measured 471 for the
+// DE-CIX snapshot's 10,191 routes, so one allocation per route coming
+// back fails the ceiling many times over.
 func TestIndexFromColumnsAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting under -short")
 	}
 	s, scheme := genSnapshot(t, "DE-CIX")
 	data := binBytes(t, s)
-	routes := len(s.Routes)
 
 	allocs := testing.AllocsPerRun(10, func() {
 		sr, err := collector.NewSnapshotReaderBytes(data)
@@ -160,9 +159,10 @@ func TestIndexFromColumnsAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("routes=%d build=%.0f allocs/op", routes, allocs)
-	if rest := allocs - float64(routes); rest > 768 {
-		t.Errorf("column build: %.0f allocs/op beyond one key per route (%d), ceiling 768", rest, routes)
+	t.Logf("routes=%d build=%.0f allocs/op", len(s.Routes), allocs)
+	const ceiling = 576
+	if allocs > ceiling {
+		t.Errorf("column build: %.0f allocs/op for %d routes, ceiling %d", allocs, len(s.Routes), ceiling)
 	}
 }
 

@@ -203,9 +203,11 @@ func mallocs(fn func()) uint64 {
 // TestReloadWorkIsProportional pins what a reload costs. With four
 // 21-day chains loaded, landing one day on one of them opens one file,
 // decodes none and runs exactly one Advance — the ixpd.reload span says
-// so — and allocates no more than two Advances plus the directory
-// listing. Taking the day out again re-folds that IXP from its base (one
-// decode, 20 advances) and leaves the other three alone.
+// so — and allocates no more than the directory listing, that Advance
+// and the fixed cost of a new generation, so the budget follows the
+// Advance as it gets cheaper. Taking the day out again re-folds that
+// IXP from its base (one decode, 20 advances) and leaves the other three
+// alone.
 func TestReloadWorkIsProportional(t *testing.T) {
 	const days = 21
 	profiles := ixpgen.BigFour()
@@ -306,9 +308,14 @@ func TestReloadWorkIsProportional(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	t.Logf("landing one day allocated %d objects; one Advance %d, the listing %d", reloadAllocs, advance, listing)
-	if budget := 2*advance + listing; reloadAllocs > budget {
-		t.Errorf("landing one day allocated %d objects; budget 2 × one Advance (%d) + the listing (%d) = %d",
-			reloadAllocs, advance, listing, budget)
+	// perGeneration is what installing a generation allocates beyond the
+	// listing and the Advance — the new lab, response cache and meta
+	// document — and does not move with the Advance's own cost: 615 − 94
+	// − 439 with the refcounts in runtime maps, 577 − 56 − 439 in tables.
+	const perGeneration = 82
+	if budget := listing + advance + perGeneration; reloadAllocs > budget {
+		t.Errorf("landing one day allocated %d objects; budget the listing (%d) + one Advance (%d) + one generation (%d) = %d",
+			reloadAllocs, listing, advance, perGeneration, budget)
 	}
 }
 
