@@ -1,9 +1,9 @@
 package ixplight
 
 // Diagnostic benchmarks, run by hand: the design alternatives DESIGN.md
-// §5 calls out (BenchmarkAblation_*), the BGP wire codec, the MRT
-// archive round trip and the §3 dictionary construction — measurements
-// nothing else in the tree takes. What the experiments cost is not
+// §5 calls out (BenchmarkAblation_*), the MRT archive round trip and
+// the §3 dictionary construction — measurements nothing else in the
+// tree takes. What the experiments cost is not
 // measured here: the `analyze` workload of benchmarks/e2e runs every
 // experiment, checks its output and reports report.expall_ms
 // (report.exp.visibility_ms + report.exp_rest_ms), and
@@ -55,33 +55,6 @@ func lab(b *testing.B) *report.Lab {
 
 func benchSnapshot(b *testing.B, ixp string) *collector.Snapshot {
 	return lab(b).Snapshots[ixp]
-}
-
-// BenchmarkAblation_DictionaryLookupMap vs ...Binary compare the two
-// dictionary index representations.
-func BenchmarkAblation_DictionaryLookupMap(b *testing.B) {
-	d := dictionary.Build(dictionary.ProfileByName("DE-CIX"))
-	entries := d.Entries()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := entries[i%len(entries)].Community
-		if _, ok := d.Lookup(c); !ok {
-			b.Fatal("miss")
-		}
-	}
-}
-
-// BenchmarkAblation_DictionaryLookupBinary is the sorted-slice twin.
-func BenchmarkAblation_DictionaryLookupBinary(b *testing.B) {
-	d := dictionary.Build(dictionary.ProfileByName("DE-CIX"))
-	entries := d.Entries()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := entries[i%len(entries)].Community
-		if _, ok := d.LookupBinary(c); !ok {
-			b.Fatal("miss")
-		}
-	}
 }
 
 // ablationServer builds a populated route server for the export
@@ -156,30 +129,6 @@ func BenchmarkAblation_CommunitySetMap(b *testing.B) {
 			set[c] = true
 		}
 		_ = set[needle]
-	}
-}
-
-// BenchmarkWireMarshalUpdate measures the BGP codec on a realistic
-// heavily-tagged update.
-func BenchmarkWireMarshalUpdate(b *testing.B) {
-	s := benchSnapshot(b, "DE-CIX")
-	// Use the most-tagged route as the payload.
-	var heavy bgp.Route
-	for _, r := range s.Routes {
-		if r.CommunityCount() > heavy.CommunityCount() && !r.IsIPv6() {
-			heavy = r
-		}
-	}
-	u := bgp.NewUpdateFromRoute(heavy)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf, err := bgp.Marshal(u)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := bgp.Unmarshal(buf); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

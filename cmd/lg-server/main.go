@@ -4,24 +4,21 @@
 // Usage:
 //
 //	lg-server [-ixp DE-CIX] [-addr :8080] [-scale 0.02] [-seed 42]
-//	          [-flaky 0.0] [-admin] [-bgp :1790] [-metrics-addr :9100]
-//	          [-drain 5s] [-trace file]
+//	          [-flaky 0.0] [-admin] [-metrics-addr :9100] [-drain 5s]
+//	          [-trace file]
 //
-// With -bgp it additionally accepts real BGP sessions on that address:
-// peers that establish a session and announce routes appear in the LG
-// output alongside the synthetic members. With -metrics-addr it serves
-// the operational surface on a second listener: /metrics (Prometheus
-// text format) and /debug/pprof/. With -admin it mounts /admin/flaky,
-// the runtime failure-injection control the soak harness uses to flip
-// chaos on and off mid-crawl.
+// With -metrics-addr it serves the operational surface on a second
+// listener: /metrics (Prometheus text format) and /debug/pprof/. With
+// -admin it mounts /admin/flaky, the runtime failure-injection control
+// the soak harness uses to flip chaos on and off mid-crawl.
 //
 // /healthz (liveness) and /readyz (readiness: workload populated and
 // listener bound) are always mounted, outside both the chaos switch
 // and the request instrumentation.
 //
 // The server shuts down gracefully on SIGINT/SIGTERM: in-flight LG
-// requests drain (up to -drain), the BGP and telemetry listeners
-// close, and a final telemetry summary is logged.
+// requests drain (up to -drain), the telemetry listener closes, and a
+// final telemetry summary is logged.
 package main
 
 import (
@@ -32,7 +29,6 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"net/netip"
 	"os"
 	"os/signal"
 	"strconv"
@@ -41,11 +37,8 @@ import (
 	"syscall"
 	"time"
 
-	"ixplight/internal/bgp"
-	"ixplight/internal/bgp/session"
 	"ixplight/internal/ixpgen"
 	"ixplight/internal/lg"
-	"ixplight/internal/netutil"
 	"ixplight/internal/rs"
 	"ixplight/internal/telemetry"
 )
@@ -57,7 +50,6 @@ func main() {
 	seed := flag.Int64("seed", 42, "generation seed")
 	flaky := flag.Float64("flaky", 0, "probability of injected 500 responses")
 	admin := flag.Bool("admin", false, "mount /admin/flaky for runtime failure injection control")
-	bgpAddr := flag.String("bgp", "", "optional BGP listen address (e.g. :1790)")
 	metricsAddr := flag.String("metrics-addr", "", "optional telemetry listen address serving /metrics and /debug/pprof (e.g. :9100)")
 	tracePath := flag.String("trace", "", "write a trace ledger to this file: one root span per served LG request")
 	drain := flag.Duration("drain", 5*time.Second, "graceful shutdown deadline for in-flight requests")
@@ -86,19 +78,8 @@ func main() {
 	log.Printf("%s: %d/%d members, %d/%d routes (v4/v6)",
 		st.IXP, st.MembersV4, st.MembersV6, st.RoutesV4, st.RoutesV6)
 
-	// The shutdown signal fans out to every subsystem: the BGP accept
-	// loop, its sessions, and the HTTP drains below.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	var bgpLn net.Listener
-	if *bgpAddr != "" {
-		bgpLn, err = net.Listen("tcp", *bgpAddr)
-		if err != nil {
-			log.Fatalf("bgp listen: %v", err)
-		}
-		go serveBGP(ctx, bgpLn, server, profile)
-	}
 
 	// The flaky switch is always in the chain (inactive options pass
 	// straight through) so -admin can arm failure injection at runtime
@@ -181,9 +162,6 @@ func main() {
 	if err := srv.Shutdown(shutdownCtx); err != nil {
 		log.Printf("drain incomplete: %v", err)
 	}
-	if bgpLn != nil {
-		bgpLn.Close()
-	}
 	if telSrv != nil {
 		telSrv.Close()
 	}
@@ -262,60 +240,4 @@ func instrument(reg *telemetry.Registry, next http.Handler) http.Handler {
 		seconds.ObserveSince(t0)
 		requests.With(strconv.Itoa(rec.code)).Inc()
 	})
-}
-
-// serveBGP accepts member BGP sessions and feeds announcements into
-// the route server. It returns when the listener closes; sessions end
-// when ctx is cancelled.
-func serveBGP(ctx context.Context, ln net.Listener, server *rs.Server, profile *ixpgen.Profile) {
-	log.Printf("BGP listener on %s (RS ASN %d)", ln.Addr(), profile.Scheme.RSASN)
-	cfg := session.Config{
-		ASN:      uint32(profile.Scheme.RSASN),
-		RouterID: netip.MustParseAddr("192.0.2.1"),
-		IPv4:     true,
-		IPv6:     true,
-	}
-	next := 60000 // address index for dynamically joining peers
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if ctx.Err() == nil {
-				log.Printf("bgp accept: %v", err)
-			}
-			return
-		}
-		idx := next
-		next++
-		go func(c net.Conn, idx int) {
-			err := session.ServeConn(ctx, c, cfg, func(peer uint32, u *bgp.Update) error {
-				if !server.HasPeer(peer) {
-					if err := server.AddPeer(rs.Peer{
-						ASN:    peer,
-						Name:   fmt.Sprintf("bgp-peer-%d", peer),
-						AddrV4: netutil.PeerAddrV4(idx),
-						AddrV6: netutil.PeerAddrV6(idx),
-						IPv4:   true,
-						IPv6:   true,
-					}); err != nil {
-						return err
-					}
-					log.Printf("new BGP peer AS%d", peer)
-				}
-				for _, prefix := range u.Withdrawn {
-					server.Withdraw(peer, prefix)
-				}
-				for _, r := range u.Routes() {
-					if reason, err := server.Announce(peer, r); err != nil {
-						return err
-					} else if reason != rs.FilterNone {
-						log.Printf("AS%d: %s filtered: %v", peer, r.Prefix, reason)
-					}
-				}
-				return nil
-			})
-			if err != nil && ctx.Err() == nil {
-				log.Printf("bgp session: %v", err)
-			}
-		}(conn, idx)
-	}
 }

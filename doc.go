@@ -6,8 +6,8 @@
 // The root package holds only the diagnostic benchmarks in
 // bench_test.go; the library lives in the internal packages:
 //
-//   - BGP model and wire codec (standard/extended/large communities,
-//     UPDATE/OPEN messages, routes) — internal/bgp
+//   - BGP route model (standard/extended/large communities, routes)
+//     and the MRT RIB attribute codec — internal/bgp
 //   - per-IXP community dictionaries and classification —
 //     internal/dictionary
 //   - an RFC 7947 route server executing action communities —

@@ -1,20 +1,17 @@
 // Route-server example: three members peer with a DE-CIX-style route
-// server over real BGP/TCP sessions and steer propagation with action
-// communities. Shows do-not-announce-to, the block-all + whitelist
-// pattern, prepending, and community scrubbing — the §2 semantics the
-// whole measurement rests on.
+// server and steer propagation with action communities. Shows
+// do-not-announce-to, the block-all + whitelist pattern, prepending,
+// and community scrubbing — the §2 semantics the whole measurement
+// rests on. Announcements go straight into the server, the way the
+// workload generator populates it; the looking glass is where those
+// effects become visible to a crawler.
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
-	"net"
-	"net/netip"
-	"time"
 
 	"ixplight/internal/bgp"
-	"ixplight/internal/bgp/session"
 	"ixplight/internal/dictionary"
 	"ixplight/internal/netutil"
 	"ixplight/internal/rs"
@@ -36,47 +33,10 @@ func main() {
 		}
 	}
 
-	// The RS listens for BGP sessions on a loopback port.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer ln.Close()
-	rsCfg := session.Config{ASN: uint32(scheme.RSASN), RouterID: netip.MustParseAddr("192.0.2.1")}
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go session.ServeConn(context.Background(), conn, rsCfg,
-				func(peer uint32, u *bgp.Update) error {
-					for _, r := range u.Routes() {
-						if reason, err := server.Announce(peer, r); err != nil {
-							return err
-						} else if reason != rs.FilterNone {
-							log.Printf("filtered %s from AS%d: %v", r.Prefix, peer, reason)
-						}
-					}
-					return nil
-				})
-		}
-	}()
-
-	// AS64512 announces three routes over a real BGP session:
+	// AS64512 announces three routes:
 	//  a) plain, to everyone
 	//  b) do-not-announce-to AS64513
 	//  c) block-all + announce-only-to AS64513, prepended 2x
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		log.Fatal(err)
-	}
-	sess, err := session.Establish(conn, session.Config{ASN: 64512, RouterID: netip.MustParseAddr("10.0.0.1")})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer sess.Close()
-
 	prepend2, _ := scheme.Prepend(2, 64513)
 	announce := []struct {
 		label string
@@ -94,14 +54,15 @@ func main() {
 			ASPath:      bgp.ASPath{64512},
 			Communities: a.comms,
 		}
-		if err := sess.SendRoute(r); err != nil {
+		reason, err := server.Announce(64512, r)
+		if err != nil {
 			log.Fatal(err)
+		}
+		if reason != rs.FilterNone {
+			log.Fatalf("%s filtered: %v", r.Prefix, reason)
 		}
 		fmt.Printf("announced %s (%s)\n", r.Prefix, a.label)
 	}
-
-	// Wait until the RS has processed all three announcements.
-	waitFor(func() bool { return len(server.AcceptedRoutes(64512)) == 3 })
 
 	for _, target := range []uint32{64513, 64514} {
 		fmt.Printf("\nexport towards AS%d:\n", target)
@@ -112,16 +73,4 @@ func main() {
 	fmt.Println("\nnote: AS64513 misses the avoided route but gets the whitelisted one")
 	fmt.Println("      (with two prepends); AS64514 sees the opposite; all action")
 	fmt.Println("      communities were scrubbed on export.")
-}
-
-// waitFor polls until cond holds (the announcements travel over a real
-// socket, so the RS state is eventually consistent with the sends).
-func waitFor(cond func() bool) {
-	for i := 0; i < 1000; i++ {
-		if cond() {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	log.Fatal("timed out waiting for announcements")
 }

@@ -106,3 +106,9 @@ func TestMustParseCommunityPanics(t *testing.T) {
 	}()
 	MustParseCommunity("not-a-community")
 }
+
+func TestMustParseCommunityOK(t *testing.T) {
+	if MustParseCommunity("0:15169") != NewCommunity(0, 15169) {
+		t.Error("MustParseCommunity wrong value")
+	}
+}

@@ -1,12 +1,11 @@
 // Package bgp implements the subset of the Border Gateway Protocol
 // (RFC 4271) needed to model an IXP route-server ecosystem: routes,
-// AS paths, the three BGP community attribute flavours (standard
-// RFC 1997, extended RFC 4360, large RFC 8092) and a binary codec for
-// BGP messages including the MP-BGP attributes (RFC 4760) used to
-// carry IPv6 reachability and the 4-octet AS number extensions
+// AS paths and the three BGP community attribute flavours (standard
+// RFC 1997, extended RFC 4360, large RFC 8092), plus the path-attribute
+// codec of MRT RIB entries (RFC 6396) with 4-octet AS numbers
 // (RFC 6793).
 //
 // The package is self-contained and allocation-conscious: routes and
-// communities are value types, message parsing validates lengths
-// before slicing, and all codecs round-trip (see the property tests).
+// communities are value types, attribute parsing validates lengths
+// before slicing, and the codec round-trips (see the tests).
 package bgp

@@ -8,56 +8,131 @@ import (
 )
 
 // RIB attribute codec for MRT TABLE_DUMP_V2 entries (RFC 6396 §4.3.4).
-// The encoding is the UPDATE path-attribute format with one
-// MRT-specific twist: MP_REACH_NLRI is abbreviated to just the next-hop
-// length and next-hop address (no AFI/SAFI, no NLRI).
+// The encoding is the UPDATE path-attribute format of RFC 4271 §4.3
+// with one MRT-specific twist: MP_REACH_NLRI is abbreviated to just the
+// next-hop length and next-hop address (no AFI/SAFI, no NLRI).
+
+// Path attribute type codes.
+const (
+	attrOrigin           = 1
+	attrASPath           = 2
+	attrNextHop          = 3
+	attrMED              = 4
+	attrLocalPref        = 5
+	attrCommunities      = 8
+	attrMPReachNLRI      = 14
+	attrExtCommunities   = 16
+	attrLargeCommunities = 32
+)
+
+// Path attribute flag bits.
+const (
+	flagOptional   = 0x80
+	flagTransitive = 0x40
+	flagExtLen     = 0x10
+)
+
+// maxAttrLen is the largest attribute payload the two-octet
+// extended-length field can state: 16,383 standard, 8,191 extended or
+// 5,461 large communities.
+const maxAttrLen = 0xFFFF
+
+// ErrShortMessage reports an attribute block truncated below its
+// declared or minimum length.
+var ErrShortMessage = errors.New("bgp: short message")
+
+// appendAttr appends one path attribute, setting the extended-length
+// flag when the payload exceeds 255 bytes. A payload over maxAttrLen
+// has no encoding and is an error, not a truncated length.
+func appendAttr(dst []byte, flags, typ byte, payload []byte) ([]byte, error) {
+	switch {
+	case len(payload) > maxAttrLen:
+		return nil, fmt.Errorf("bgp: attribute %d payload of %d bytes exceeds %d", typ, len(payload), maxAttrLen)
+	case len(payload) > 255:
+		dst = append(dst, flags|flagExtLen, typ)
+		dst = binary.BigEndian.AppendUint16(dst, uint16(len(payload)))
+	default:
+		dst = append(dst, flags, typ, byte(len(payload)))
+	}
+	return append(dst, payload...), nil
+}
+
+// parseASPathAttr decodes an AS_PATH payload of 4-octet AS_SEQUENCE
+// segments; AS_SET and the other segment types are rejected.
+func parseASPathAttr(payload []byte) (ASPath, error) {
+	var path ASPath
+	for len(payload) > 0 {
+		if len(payload) < 2 {
+			return nil, ErrShortMessage
+		}
+		segType, count := payload[0], int(payload[1])
+		if segType != 2 {
+			return nil, fmt.Errorf("bgp: unsupported AS_PATH segment type %d", segType)
+		}
+		need := 2 + count*4
+		if len(payload) < need {
+			return nil, ErrShortMessage
+		}
+		for i := 0; i < count; i++ {
+			path = append(path, binary.BigEndian.Uint32(payload[2+i*4:6+i*4]))
+		}
+		payload = payload[need:]
+	}
+	return path, nil
+}
 
 // MarshalRIBAttributes encodes a route's path attributes in the MRT
-// RIB-entry form.
+// RIB-entry form. It fails on an AS path over 255 hops and on a
+// community list whose attribute would exceed maxAttrLen.
 func MarshalRIBAttributes(r Route) ([]byte, error) {
+	if len(r.ASPath) > 255 {
+		return nil, errors.New("bgp: AS path longer than 255")
+	}
 	var attrs []byte
-	attrs = appendAttr(attrs, flagTransitive, attrOrigin, []byte{byte(r.Origin)})
+	var err error
+	add := func(flags, typ byte, payload []byte) {
+		if err == nil {
+			attrs, err = appendAttr(attrs, flags, typ, payload)
+		}
+	}
+	add(flagTransitive, attrOrigin, []byte{byte(r.Origin)})
 
 	var pathPayload []byte
 	if len(r.ASPath) > 0 {
-		if len(r.ASPath) > 255 {
-			return nil, errors.New("bgp: AS path longer than 255")
-		}
 		pathPayload = append(pathPayload, 2, byte(len(r.ASPath)))
 		for _, asn := range r.ASPath {
 			pathPayload = binary.BigEndian.AppendUint32(pathPayload, asn)
 		}
 	}
-	attrs = appendAttr(attrs, flagTransitive, attrASPath, pathPayload)
+	add(flagTransitive, attrASPath, pathPayload)
 
 	if r.NextHop.Is4() {
 		nh := r.NextHop.As4()
-		attrs = appendAttr(attrs, flagTransitive, attrNextHop, nh[:])
+		add(flagTransitive, attrNextHop, nh[:])
 	} else if r.NextHop.Is6() {
 		// Abbreviated MP_REACH: nexthop length + nexthop.
 		nh := r.NextHop.As16()
-		payload := append([]byte{16}, nh[:]...)
-		attrs = appendAttr(attrs, flagOptional, attrMPReachNLRI, payload)
+		add(flagOptional, attrMPReachNLRI, append([]byte{16}, nh[:]...))
 	}
 	if r.MED != 0 {
-		attrs = appendAttr(attrs, flagOptional, attrMED, binary.BigEndian.AppendUint32(nil, r.MED))
+		add(flagOptional, attrMED, binary.BigEndian.AppendUint32(nil, r.MED))
 	}
 	if r.LocalPref != 0 {
-		attrs = appendAttr(attrs, flagTransitive, attrLocalPref, binary.BigEndian.AppendUint32(nil, r.LocalPref))
+		add(flagTransitive, attrLocalPref, binary.BigEndian.AppendUint32(nil, r.LocalPref))
 	}
 	if len(r.Communities) > 0 {
 		payload := make([]byte, 0, 4*len(r.Communities))
 		for _, c := range r.Communities {
 			payload = binary.BigEndian.AppendUint32(payload, uint32(c))
 		}
-		attrs = appendAttr(attrs, flagOptional|flagTransitive, attrCommunities, payload)
+		add(flagOptional|flagTransitive, attrCommunities, payload)
 	}
 	if len(r.ExtCommunities) > 0 {
 		payload := make([]byte, 0, 8*len(r.ExtCommunities))
 		for _, e := range r.ExtCommunities {
 			payload = append(payload, e[:]...)
 		}
-		attrs = appendAttr(attrs, flagOptional|flagTransitive, attrExtCommunities, payload)
+		add(flagOptional|flagTransitive, attrExtCommunities, payload)
 	}
 	if len(r.LargeCommunities) > 0 {
 		payload := make([]byte, 0, 12*len(r.LargeCommunities))
@@ -66,7 +141,10 @@ func MarshalRIBAttributes(r Route) ([]byte, error) {
 			payload = binary.BigEndian.AppendUint32(payload, l.Local1)
 			payload = binary.BigEndian.AppendUint32(payload, l.Local2)
 		}
-		attrs = appendAttr(attrs, flagOptional|flagTransitive, attrLargeCommunities, payload)
+		add(flagOptional|flagTransitive, attrLargeCommunities, payload)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return attrs, nil
 }

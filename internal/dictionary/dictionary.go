@@ -7,13 +7,13 @@ import (
 )
 
 // Dictionary is an indexed set of enumerated entries for one IXP (or a
-// merged set across IXPs). It offers two lookup paths — a hash map and
-// binary search over a sorted slice — so the representation choice can
-// be benchmarked (see BenchmarkAblation_DictionaryLookup).
+// merged set across IXPs): the entries sorted by community value, which
+// Lookup binary-searches. Binary search beat a hash index on the
+// 774-entry DE-CIX dictionary (~0.4 vs ~0.6 µs, EXPERIMENTS.md
+// §Ablations), so the slice is the only index.
 type Dictionary struct {
 	ixp     string
 	entries []Entry // sorted by community
-	index   map[bgp.Community]int
 }
 
 // Build constructs the dictionary for one scheme, as the union of the
@@ -25,16 +25,7 @@ func Build(s *Scheme) *Dictionary {
 // FromEntries indexes an entry list. Entries are re-sorted and
 // de-duplicated by community value.
 func FromEntries(ixp string, entries []Entry) *Dictionary {
-	entries = UnionEntries(entries)
-	d := &Dictionary{
-		ixp:     ixp,
-		entries: entries,
-		index:   make(map[bgp.Community]int, len(entries)),
-	}
-	for i, e := range entries {
-		d.index[e.Community] = i
-	}
-	return d
+	return &Dictionary{ixp: ixp, entries: UnionEntries(entries)}
 }
 
 // Merged builds one dictionary covering all the given schemes — the
@@ -58,18 +49,8 @@ func (d *Dictionary) Size() int { return len(d.entries) }
 // Entries returns the sorted entry list (shared, do not mutate).
 func (d *Dictionary) Entries() []Entry { return d.entries }
 
-// Lookup finds the entry for c via the hash index.
+// Lookup finds the entry for c by binary search over the sorted entries.
 func (d *Dictionary) Lookup(c bgp.Community) (Entry, bool) {
-	if i, ok := d.index[c]; ok {
-		return d.entries[i], true
-	}
-	return Entry{}, false
-}
-
-// LookupBinary finds the entry for c via binary search over the sorted
-// slice. Functionally identical to Lookup; kept for the ablation
-// benchmark of index representations.
-func (d *Dictionary) LookupBinary(c bgp.Community) (Entry, bool) {
 	i := sort.Search(len(d.entries), func(i int) bool { return d.entries[i].Community >= c })
 	if i < len(d.entries) && d.entries[i].Community == c {
 		return d.entries[i], true

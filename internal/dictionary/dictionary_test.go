@@ -194,26 +194,22 @@ func TestSchemeValidateRejectsCollisions(t *testing.T) {
 	}
 }
 
-func TestDictionaryLookupPathsAgree(t *testing.T) {
+func TestDictionaryLookup(t *testing.T) {
 	d := Build(ProfileByName("DE-CIX"))
 	if d.Size() != 774 {
 		t.Fatalf("size = %d", d.Size())
 	}
 	for _, e := range d.Entries() {
-		a, okA := d.Lookup(e.Community)
-		b, okB := d.LookupBinary(e.Community)
-		if !okA || !okB {
-			t.Fatalf("entry %s not found (map=%v binary=%v)", e.Community, okA, okB)
+		got, ok := d.Lookup(e.Community)
+		if !ok {
+			t.Fatalf("entry %s not found", e.Community)
 		}
-		if a.Community != b.Community || a.Action != b.Action {
-			t.Fatalf("lookup paths disagree for %s", e.Community)
+		if got != e {
+			t.Fatalf("Lookup(%s) = %+v, want %+v", e.Community, got, e)
 		}
 	}
 	if _, ok := d.Lookup(bgp.MustParseCommunity("12345:12345")); ok {
-		t.Error("absent community found via map")
-	}
-	if _, ok := d.LookupBinary(bgp.MustParseCommunity("12345:12345")); ok {
-		t.Error("absent community found via binary search")
+		t.Error("absent community found")
 	}
 }
 

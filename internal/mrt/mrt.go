@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/netip"
 	"time"
 
@@ -65,10 +66,16 @@ func WriteRIB(w io.Writer, snap *collector.Snapshot) error {
 
 	// Peer index: one entry per member (its v4 LAN address when it has
 	// one, the v6 address otherwise).
+	if len(snap.Members) > math.MaxUint16 {
+		return fmt.Errorf("mrt: %d members exceed the peer index's %d entries", len(snap.Members), math.MaxUint16)
+	}
 	peerIdx := make(map[uint32]uint16, len(snap.Members))
 	var body []byte
 	body = binary.BigEndian.AppendUint32(body, collectorBGPID)
 	view := []byte(snap.IXP)
+	if len(view) > math.MaxUint16 {
+		return fmt.Errorf("mrt: view name of %d bytes exceeds %d", len(view), math.MaxUint16)
+	}
 	body = binary.BigEndian.AppendUint16(body, uint16(len(view)))
 	body = append(body, view...)
 	body = binary.BigEndian.AppendUint16(body, uint16(len(snap.Members)))
@@ -90,7 +97,10 @@ func WriteRIB(w io.Writer, snap *collector.Snapshot) error {
 		}
 		attrs, err := bgp.MarshalRIBAttributes(r)
 		if err != nil {
-			return err
+			return fmt.Errorf("mrt: route %s: %w", r.Prefix, err)
+		}
+		if len(attrs) > math.MaxUint16 {
+			return fmt.Errorf("mrt: route %s: %d attribute bytes exceed %d", r.Prefix, len(attrs), math.MaxUint16)
 		}
 		var entry []byte
 		entry = binary.BigEndian.AppendUint32(entry, uint32(seq))

@@ -175,6 +175,29 @@ func TestWriteRejectsUnknownAnnouncer(t *testing.T) {
 	}
 }
 
+// TestWriteRejectsOverlongLengths holds every two-octet length the
+// archive writes to its range: a route with 16,384 communities, one
+// whose attributes fit singly but not together, and a 65,536-member
+// peer index are errors, not lengths taken modulo 65,536.
+func TestWriteRejectsOverlongLengths(t *testing.T) {
+	tooMany := sampleSnapshot(t)
+	tooMany.Routes[0].Communities = make([]bgp.Community, 16384)
+	tooBig := sampleSnapshot(t)
+	tooBig.Routes[0].Communities = make([]bgp.Community, 16383)
+	tooBig.Routes[0].ExtCommunities = make([]bgp.ExtendedCommunity, 8191)
+	crowded := sampleSnapshot(t)
+	for asn := uint32(1); len(crowded.Members) <= 0xFFFF; asn++ {
+		crowded.Members = append(crowded.Members, collector.Member{ASN: 5000000 + asn, IPv4: true})
+	}
+	for name, s := range map[string]*collector.Snapshot{
+		"16,384 communities": tooMany, "attribute block": tooBig, "peer index": crowded,
+	} {
+		if err := WriteRIB(&bytes.Buffer{}, s); err == nil {
+			t.Errorf("%s: written with a truncated length", name)
+		}
+	}
+}
+
 func TestWriteRejectsBadDate(t *testing.T) {
 	s := sampleSnapshot(t)
 	s.Date = "not-a-date"
