@@ -12,8 +12,9 @@
 #              their allocation halves skip under -race):
 #              TestWarmColdSpeedup, TestAdvanceBytesPerDay,
 #              TestAdvanceAllocs, TestIndexFromColumnsAllocs,
-#              TestVisibilityAllocs, TestAnnounceAllocs,
-#              TestReloadWorkIsProportional, TestServeAllocs,
+#              TestVisibilityAllocs, TestGenerateAllocs,
+#              TestAnnounceAllocs, TestReloadWorkIsProportional,
+#              TestServeAllocs,
 #              TestServedPageAllocsIndependentOfPageSize. Every step runs
 #              the tree; none compares committed files.
 #   benchmark  benchmarks/e2e, declared by BENCHMARK.json: five
@@ -65,7 +66,7 @@ race:
 
 # floors runs exactly the floors the header lists — keep the two lists
 # the same — without -race, where allocation counts mean something.
-FLOORS := TestWarmColdSpeedup|TestAdvanceBytesPerDay|TestAdvanceAllocs|TestIndexFromColumnsAllocs|TestVisibilityAllocs|TestAnnounceAllocs|TestReloadWorkIsProportional|TestServeAllocs|TestServedPageAllocsIndependentOfPageSize
+FLOORS := TestWarmColdSpeedup|TestAdvanceBytesPerDay|TestAdvanceAllocs|TestIndexFromColumnsAllocs|TestVisibilityAllocs|TestGenerateAllocs|TestAnnounceAllocs|TestReloadWorkIsProportional|TestServeAllocs|TestServedPageAllocsIndependentOfPageSize
 floors:
 	$(GO) test -run '^($(FLOORS))$$' ./...
 

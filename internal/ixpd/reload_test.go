@@ -256,11 +256,18 @@ func TestReloadWorkIsProportional(t *testing.T) {
 	wantAttrs("initial load", map[string]string{"files_decoded": "4", "advances": "80", "days_rebuilt": "84", "days_reused": "0"})
 
 	// One Advance on this chain's tip, and one listing, cost this much.
-	listing := mallocs(func() {
-		if _, _, err := dirSignature(dir); err != nil {
-			t.Fatal(err)
-		}
-	})
+	// A listing costs a couple of objects more when a collection has
+	// just emptied the runtime's pools, so the budget takes the most of
+	// a few, each after a collection.
+	var listing uint64
+	for i := 0; i < 5; i++ {
+		runtime.GC()
+		listing = max(listing, mallocs(func() {
+			if _, _, err := dirSignature(dir); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
 	dr, err := collector.NewDeltaReader(tipDelta)
 	if err != nil {
 		t.Fatal(err)
@@ -312,10 +319,13 @@ func TestReloadWorkIsProportional(t *testing.T) {
 	// listing and the Advance — the new lab, response cache and meta
 	// document — and does not move with the Advance's own cost: 615 − 94
 	// − 439 with the refcounts in runtime maps, 577 − 56 − 439 in tables.
-	const perGeneration = 82
-	if budget := listing + advance + perGeneration; reloadAllocs > budget {
-		t.Errorf("landing one day allocated %d objects; budget the listing (%d) + one Advance (%d) + one generation (%d) = %d",
-			reloadAllocs, listing, advance, perGeneration, budget)
+	// slack absorbs the landing's own run-to-run jitter (577 to 581
+	// seen); a cost per loaded day (84 of them) or per route is far
+	// above it.
+	const perGeneration, slack = 82, 8
+	if budget := listing + advance + perGeneration + slack; reloadAllocs > budget {
+		t.Errorf("landing one day allocated %d objects; budget the listing (%d) + one Advance (%d) + one generation (%d) + slack (%d) = %d",
+			reloadAllocs, listing, advance, perGeneration, slack, budget)
 	}
 }
 

@@ -23,10 +23,14 @@ import (
 
 const (
 	// evolvePrefixBase numbers the fresh prefixes evolved days
-	// announce — disjoint from Generate's per-member ranges (< ~50k)
-	// and emitInvalid's 900k+ range, so an evolved announcement never
-	// collides with an existing route.
-	evolvePrefixBase = 600000
+	// announce. SyntheticV4Prefix maps it to 11.0.0.0/24, the first
+	// index past 10.0.0.0/8, and it sits above the counter Generate's
+	// tables share across both families (≈ 517k for DE-CIX at scale 1),
+	// so an evolved announcement never collides with an existing route.
+	// A long series at a large scale runs on into emitInvalid's 900k+
+	// indexes; that is harmless, because the invalid announcements are
+	// never part of a snapshot, and a snapshot is what a day evolves.
+	evolvePrefixBase = 655360
 	// evolveJoinerBase numbers the ASNs of members joining mid-series:
 	// above the synthetic member pool (30000+), below the downstream
 	// hop pool (100000+).

@@ -1,11 +1,14 @@
 package ixpgen
 
 import (
+	"net/netip"
 	"reflect"
 	"testing"
 	"time"
 
+	"ixplight/internal/bgp"
 	"ixplight/internal/collector"
+	"ixplight/internal/netutil"
 )
 
 func collectSeries(t *testing.T, ixp string, o TemporalOptions, churn float64) []*collector.Snapshot {
@@ -126,6 +129,39 @@ func TestEvolveSeriesDeterministic(t *testing.T) {
 	}
 	if same {
 		t.Error("different seeds produced identical evolved series")
+	}
+}
+
+// TestEvolveSeriesPassesImportFilter: every route of every evolved day
+// over the big four is one the route server's import policy accepts on
+// its prefix — no bogon space, and inside the length window unless it
+// is a blackhole host route. Evolved days' fresh IPv4 prefixes start at
+// 11.0.0.0/24, past 10.0.0.0/8, and at this scale Generate's own stay
+// below 10.0.0.0, so the addresses from 11.0.0.0 up count the fresh ones.
+func TestEvolveSeriesPassesImportFilter(t *testing.T) {
+	o := TemporalOptions{Days: 10, Seed: 42, Scale: 0.004}
+	firstFresh := netip.MustParseAddr("11.0.0.0")
+	for _, p := range BigFour() {
+		fresh := 0
+		for d, s := range collectSeries(t, p.IXP, o, 0) {
+			for i := range s.Routes {
+				r := &s.Routes[i]
+				if netutil.IsBogonPrefix(r.Prefix) {
+					t.Fatalf("%s day %d: %s from AS%d is a bogon", p.IXP, d, r.Prefix, r.PeerAS())
+				}
+				if !bgp.HasCommunity(r.Communities, bgp.BlackholeWellKnown) {
+					if err := netutil.CheckPrefixBounds(r.Prefix); err != nil {
+						t.Fatalf("%s day %d: %v", p.IXP, d, err)
+					}
+				}
+				if a := r.Prefix.Addr(); a.Is4() && !a.Less(firstFresh) {
+					fresh++
+				}
+			}
+		}
+		if fresh == 0 {
+			t.Errorf("%s: no fresh IPv4 announcement in %d evolved days", p.IXP, o.Days)
+		}
 	}
 }
 

@@ -78,40 +78,70 @@ func Generate(p Profile, opt Options) (*Workload, error) {
 	rng := rand.New(rand.NewSource(opt.Seed ^ int64(p.Scheme.RSASN)<<20))
 
 	w := &Workload{Profile: p}
-	members := buildMembers(p, opt.Scale, rng)
-	w.Members = members
+	w.Members = buildMembers(p, opt.Scale, rng)
 
+	// Both families append into one routes array, sized once.
+	fams := [2]FamilyParams{p.V4, p.V6}
+	var famMembers [2][]*Member
+	size := 0
+	for i, fam := range fams {
+		famMembers[i] = familyMembers(w.Members, i == 1)
+		size += familyRouteCap(fam, p.Scheme, len(famMembers[i]), opt.Scale)
+	}
+	w.Routes = make([]bgp.Route, 0, size)
+
+	lists := &routeLists{}
 	prefixCounter := 0
-	for _, v6 := range []bool{false, true} {
-		fam := p.V4
-		if v6 {
-			fam = p.V6
-		}
-		if err := generateFamily(w, fam, v6, rng, opt.Scale, &prefixCounter); err != nil {
+	for i, fam := range fams {
+		if err := generateFamily(w, fam, famMembers[i], i == 1, rng, opt.Scale, &prefixCounter, lists); err != nil {
 			return nil, err
 		}
 	}
-	w.Invalid = emitInvalid(w, rng)
+	w.Invalid = emitInvalid(w, lists, rng)
 	return w, nil
+}
+
+// familyMembers returns the members that peer in one address family.
+func familyMembers(members []Member, v6 bool) []*Member {
+	var out []*Member
+	for i := range members {
+		m := &members[i]
+		if (v6 && m.IPv6) || (!v6 && m.IPv4) {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+// familyRouteCap bounds what emitRoutes appends for one family of n
+// members: the members' tables, which assignSizes lands on the scaled
+// route total, plus at most three host routes per blackhole user.
+func familyRouteCap(fam FamilyParams, scheme *dictionary.Scheme, n int, scale float64) int {
+	c := scaleInt(fam.Routes, scale, n)
+	if scheme.SupportsBlackhole {
+		c += 3 * int(math.Round(fam.BHUserFrac*float64(n)))
+	}
+	return c
 }
 
 // emitInvalid fabricates the announcements the import policy must
 // reject: roughly half a percent of the table, spread over the larger
 // members, cycling through the §3 rejection reasons.
-func emitInvalid(w *Workload, rng *rand.Rand) []bgp.Route {
+func emitInvalid(w *Workload, lists *routeLists, rng *rand.Rand) []bgp.Route {
 	n := len(w.Routes) / 200
 	if n < 2 {
 		n = 2
 	}
-	var out []bgp.Route
+	out := make([]bgp.Route, 0, n)
 	for i := 0; i < n; i++ {
 		m := w.Members[rng.Intn(min(len(w.Members), 8))]
 		if !m.IPv4 {
 			continue
 		}
-		nh := netutil.PeerAddrV4(m.Index)
-		base := bgp.Route{NextHop: nh, ASPath: bgp.ASPath{m.ASN}, Origin: bgp.OriginIGP}
-		r := base
+		r := lists.scratch()
+		r.NextHop = netutil.PeerAddrV4(m.Index)
+		r.ASPath = append(r.ASPath, m.ASN)
+		r.Origin = bgp.OriginIGP
 		switch i % 4 {
 		case 0: // bogon prefix
 			r.Prefix = netip.MustParsePrefix("10.64.0.0/16")
@@ -120,12 +150,12 @@ func emitInvalid(w *Workload, rng *rand.Rand) []bgp.Route {
 			r.Prefix = netip.PrefixFrom(p.Addr(), 28)
 		case 2: // bogon ASN on the path
 			r.Prefix = netutil.SyntheticV4Prefix(910000 + i)
-			r.ASPath = bgp.ASPath{m.ASN, 23456, uint32(synthHopBase + i)}
+			r.ASPath = append(r.ASPath, 23456, uint32(synthHopBase+i))
 		case 3: // AS path loop
 			r.Prefix = netutil.SyntheticV4Prefix(920000 + i)
-			r.ASPath = bgp.ASPath{m.ASN, uint32(synthHopBase + i), m.ASN}
+			r.ASPath = append(r.ASPath, uint32(synthHopBase+i), m.ASN)
 		}
-		out = append(out, r)
+		out = append(out, lists.carve())
 	}
 	return out
 }
@@ -195,15 +225,8 @@ func memberName(asn uint32) string {
 }
 
 // generateFamily emits one family's routes into w.Routes.
-func generateFamily(w *Workload, fam FamilyParams, v6 bool, rng *rand.Rand, scale float64, prefixCounter *int) error {
+func generateFamily(w *Workload, fam FamilyParams, famMembers []*Member, v6 bool, rng *rand.Rand, scale float64, prefixCounter *int, lists *routeLists) error {
 	p := w.Profile
-	var famMembers []*Member
-	for i := range w.Members {
-		m := &w.Members[i]
-		if (v6 && m.IPv6) || (!v6 && m.IPv4) {
-			famMembers = append(famMembers, m)
-		}
-	}
 	n := len(famMembers)
 	if n == 0 {
 		return fmt.Errorf("ixpgen: %s: no members for family v6=%v", p.IXP, v6)
@@ -218,8 +241,7 @@ func generateFamily(w *Workload, fam FamilyParams, v6 bool, rng *rand.Rand, scal
 	assignRoles(states, fam, rng)
 	buildLists(states, fam, p, rng)
 
-	routes := emitRoutes(states, fam, p, v6, rng, totalRoutes, totalPrefixes, prefixCounter)
-	w.Routes = append(w.Routes, routes...)
+	w.Routes = emitRoutes(w.Routes, lists, states, fam, p, v6, rng, totalRoutes, totalPrefixes, prefixCounter)
 	return nil
 }
 
@@ -452,6 +474,13 @@ func buildLists(states []*memberState, fam FamilyParams, p Profile, rng *rand.Ra
 		return memberPool.draw(rng)
 	}
 
+	// seen holds one list's targets so far; a member never targets
+	// itself or AS 0.
+	seen := make(map[uint32]bool)
+	resetSeen := func(s *memberState) {
+		clear(seen)
+		seen[s.member.ASN], seen[0] = true, true
+	}
 	extUserForced, largeUserForced := false, false
 	for i, s := range states {
 		if s.isDNA {
@@ -460,7 +489,8 @@ func buildLists(states []*memberState, fam FamilyParams, p Profile, rng *rand.Ra
 			if s.member.ASN == wellKnownMembers[0] {
 				bias = heBias
 			}
-			seen := map[uint32]bool{s.member.ASN: true, 0: true}
+			s.avoidList = make([]bgp.Community, 0, l)
+			resetSeen(s)
 			add := func(t uint32) {
 				if !seen[t] {
 					seen[t] = true
@@ -485,8 +515,8 @@ func buildLists(states []*memberState, fam FamilyParams, p Profile, rng *rand.Ra
 			l := aotLens[i]
 			// Whitelists point at members you do want (plus the odd
 			// future member), so the pool is member-heavy.
-			s.allowList = append(s.allowList, scheme.DoNotAnnounceAll())
-			seen := map[uint32]bool{s.member.ASN: true, 0: true}
+			s.allowList = append(make([]bgp.Community, 0, l+1), scheme.DoNotAnnounceAll())
+			resetSeen(s)
 			add := func(t uint32) {
 				if !seen[t] {
 					seen[t] = true
@@ -687,37 +717,35 @@ func buildPools(p Profile, states []*memberState) (member, nonMember *targetPool
 	return memberPool, nonMemberPool
 }
 
-// emitRoutes walks every member and materialises its routes with the
-// full community composition.
-func emitRoutes(states []*memberState, fam FamilyParams, p Profile, v6 bool, rng *rand.Rand, totalRoutes, totalPrefixes int, prefixCounter *int) []bgp.Route {
+// emitRoutes walks every member, materialises its routes with the full
+// community composition and appends them to routes.
+func emitRoutes(routes []bgp.Route, lists *routeLists, states []*memberState, fam FamilyParams, p Profile, v6 bool, rng *rand.Rand, totalRoutes, totalPrefixes int, prefixCounter *int) []bgp.Route {
 	scheme := p.Scheme
 	infoMean := fam.InfoPerRoute()
 	unknownMean := fam.UnknownPerRoute()
 	extLargeMean := fam.ExtLargePerRoute()
 
 	alloc := &prefixAllocator{
+		used:       make([]netip.Prefix, 0, totalPrefixes),
+		takenBy:    make([]int32, 0, totalPrefixes),
 		freshLeft:  totalPrefixes,
 		routesLeft: totalRoutes,
 		v6:         v6,
 		counter:    prefixCounter,
 	}
-	routes := make([]bgp.Route, 0, totalRoutes+16)
 	var draws []int // sampleCount's scratch, reused by every call
 
-	for _, s := range states {
-		perMemberSeen := make(map[netip.Prefix]bool, s.routes)
+	for si, s := range states {
 		nh := netutil.PeerAddrV4(s.member.Index)
 		if v6 {
 			nh = netutil.PeerAddrV6(s.member.Index)
 		}
 		for k := 0; k < s.routes; k++ {
-			prefix := alloc.pick(rng, perMemberSeen)
-			r := bgp.Route{
-				Prefix:  prefix,
-				NextHop: nh,
-				ASPath:  buildPath(s.member.ASN, rng),
-				Origin:  bgp.OriginIGP,
-			}
+			r := lists.scratch()
+			r.Prefix = alloc.pick(rng, int32(si))
+			r.NextHop = nh
+			r.ASPath = buildPath(r.ASPath, s.member.ASN, rng)
+			r.Origin = bgp.OriginIGP
 			tagged := (s.isDNA || s.isAOT || s.isPrepend) && rng.Float64() < s.tagProb
 			if tagged {
 				if s.isDNA {
@@ -758,17 +786,70 @@ func emitRoutes(states []*memberState, fam FamilyParams, p Profile, v6 bool, rng
 					r.LargeCommunities = append(r.LargeCommunities, info)
 				}
 			}
-			routes = append(routes, r)
+			routes = append(routes, lists.carve())
 		}
 		// Blackhole users add a few host routes on top.
 		if s.isBH && scheme.SupportsBlackhole {
 			bhComm, _ := scheme.BlackholeCommunity()
 			for b, nBH := 0, 1+rng.Intn(3); b < nBH; b++ {
-				routes = append(routes, blackholeRoute(s, b, v6, nh, bhComm))
+				routes = append(routes, blackholeRoute(lists, s, b, v6, nh, bhComm))
 			}
 		}
 	}
 	return routes
+}
+
+// routeLists gives every route of one Generate run its own attribute
+// lists without allocating per route: a route is composed in a reused
+// scratch route, then carve copies each list into a shared slab.
+type routeLists struct {
+	r      bgp.Route
+	paths  slab[bgp.ASPath, uint32]
+	comms  slab[[]bgp.Community, bgp.Community]
+	exts   slab[[]bgp.ExtendedCommunity, bgp.ExtendedCommunity]
+	larges slab[[]bgp.LargeCommunity, bgp.LargeCommunity]
+}
+
+// scratch returns the scratch route, zeroed but for its lists' capacity.
+func (l *routeLists) scratch() *bgp.Route {
+	l.r = bgp.Route{
+		ASPath:           l.r.ASPath[:0],
+		Communities:      l.r.Communities[:0],
+		ExtCommunities:   l.r.ExtCommunities[:0],
+		LargeCommunities: l.r.LargeCommunities[:0],
+	}
+	return &l.r
+}
+
+// carve returns the scratch route with its lists copied into the slabs.
+func (l *routeLists) carve() bgp.Route {
+	r := l.r
+	r.ASPath = l.paths.copyOf(r.ASPath)
+	r.Communities = l.comms.copyOf(r.Communities)
+	r.ExtCommunities = l.exts.copyOf(r.ExtCommunities)
+	r.LargeCommunities = l.larges.copyOf(r.LargeCommunities)
+	return r
+}
+
+// slabChunk is how many elements a slab allocates at a time.
+const slabChunk = 4096
+
+// slab hands out copies of short lists from shared chunks. A copy is
+// s[i:j:j]: with its capacity at its length, an append to one list
+// reallocates instead of reaching into its neighbour. An empty list
+// comes back nil, as append(nil, empty...) leaves it.
+type slab[S ~[]E, E any] struct{ buf S }
+
+func (s *slab[S, E]) copyOf(src S) S {
+	if len(src) == 0 {
+		return nil
+	}
+	if cap(s.buf)-len(s.buf) < len(src) {
+		s.buf = make(S, 0, max(slabChunk, len(src)))
+	}
+	i := len(s.buf)
+	s.buf = append(s.buf, src...)
+	return s.buf[i:len(s.buf):len(s.buf)]
 }
 
 // sampleCount turns a fractional mean into an integer draw: the whole
@@ -795,14 +876,19 @@ func sampleCount(rng *rand.Rand, mean float64, buf []int) []int {
 // probability adapts to the remaining budget, which keeps the realised
 // distinct count on target regardless of the member size distribution.
 type prefixAllocator struct {
-	used       []netip.Prefix
+	used []netip.Prefix
+	// takenBy parallels used: the member that last took each prefix.
+	// Members take their routes one after another and every minted
+	// prefix is distinct, so a member already announces used[i] exactly
+	// when takenBy[i] is that member.
+	takenBy    []int32
 	freshLeft  int
 	routesLeft int
 	v6         bool
 	counter    *int
 }
 
-func (a *prefixAllocator) mint(perMember map[netip.Prefix]bool) netip.Prefix {
+func (a *prefixAllocator) mint(member int32) netip.Prefix {
 	var p netip.Prefix
 	if a.v6 {
 		p = netutil.SyntheticV6Prefix(*a.counter)
@@ -812,24 +898,24 @@ func (a *prefixAllocator) mint(perMember map[netip.Prefix]bool) netip.Prefix {
 	*a.counter++
 	a.freshLeft--
 	a.used = append(a.used, p)
-	perMember[p] = true
+	a.takenBy = append(a.takenBy, member)
 	return p
 }
 
-func (a *prefixAllocator) pick(rng *rand.Rand, perMember map[netip.Prefix]bool) netip.Prefix {
+func (a *prefixAllocator) pick(rng *rand.Rand, member int32) netip.Prefix {
 	defer func() { a.routesLeft-- }()
 	freshProb := 1.0
 	if a.routesLeft > 0 {
 		freshProb = float64(a.freshLeft) / float64(a.routesLeft)
 	}
 	if a.freshLeft > 0 && (len(a.used) == 0 || rng.Float64() < freshProb) {
-		return a.mint(perMember)
+		return a.mint(member)
 	}
 	for attempt := 0; attempt < 12; attempt++ {
-		p := a.used[rng.Intn(len(a.used))]
-		if !perMember[p] {
-			perMember[p] = true
-			return p
+		i := rng.Intn(len(a.used))
+		if a.takenBy[i] != member {
+			a.takenBy[i] = member
+			return a.used[i]
 		}
 	}
 	// The member already announces everything we sampled; minting is
@@ -837,13 +923,14 @@ func (a *prefixAllocator) pick(rng *rand.Rand, perMember map[netip.Prefix]bool) 
 	if a.freshLeft <= 0 {
 		a.freshLeft = 1
 	}
-	return a.mint(perMember)
+	return a.mint(member)
 }
 
 // buildPath gives 60% of routes a direct origination and the rest a
-// short customer cone behind the member.
-func buildPath(memberASN uint32, rng *rand.Rand) bgp.ASPath {
-	path := bgp.ASPath{memberASN}
+// short customer cone behind the member, composed in path's backing
+// array.
+func buildPath(path bgp.ASPath, memberASN uint32, rng *rand.Rand) bgp.ASPath {
+	path = append(path[:0], memberASN)
 	if rng.Float64() < 0.4 {
 		hops := 1 + rng.Intn(3)
 		for i := 0; i < hops; i++ {
@@ -867,20 +954,18 @@ func memberPrivate(asn uint32, rng *rand.Rand) bgp.Community {
 }
 
 // blackholeRoute builds one /32 (or /128) host route tagged RFC 7999.
-func blackholeRoute(s *memberState, b int, v6 bool, nh netip.Addr, bhComm bgp.Community) bgp.Route {
-	var prefix netip.Prefix
+func blackholeRoute(lists *routeLists, s *memberState, b int, v6 bool, nh netip.Addr, bhComm bgp.Community) bgp.Route {
+	r := lists.scratch()
 	if v6 {
 		base := netutil.SyntheticV6Prefix(int(s.member.ASN%10000)*4 + b)
-		prefix = netip.PrefixFrom(base.Addr(), 128)
+		r.Prefix = netip.PrefixFrom(base.Addr(), 128)
 	} else {
 		base := netutil.SyntheticV4Prefix(int(s.member.ASN%10000)*4 + b)
-		prefix = netip.PrefixFrom(base.Addr(), 32)
+		r.Prefix = netip.PrefixFrom(base.Addr(), 32)
 	}
-	return bgp.Route{
-		Prefix:      prefix,
-		NextHop:     nh,
-		ASPath:      bgp.ASPath{s.member.ASN},
-		Origin:      bgp.OriginIGP,
-		Communities: []bgp.Community{bhComm},
-	}
+	r.NextHop = nh
+	r.ASPath = append(r.ASPath, s.member.ASN)
+	r.Origin = bgp.OriginIGP
+	r.Communities = append(r.Communities, bhComm)
+	return lists.carve()
 }

@@ -5,6 +5,7 @@
 package netutil
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 )
@@ -50,15 +51,54 @@ func mustPrefixes(ss ...string) []netip.Prefix {
 	return ps
 }
 
-// IsBogonPrefix reports whether p falls inside reserved address space.
-func IsBogonPrefix(p netip.Prefix) bool {
-	addr := p.Addr()
-	table := bogonV4
-	if addr.Is6() {
-		table = bogonV6
+// span is the inclusive range of a prefix's high 64 address bits, an
+// IPv4 address sitting in the top 32. No bogon block is longer than a
+// /64, so a prefix overlaps a block exactly when their spans intersect.
+type span struct{ lo, hi uint64 }
+
+var bogonSpansV4, bogonSpansV6 = spansOf(bogonV4), spansOf(bogonV6)
+
+func spansOf(blocks []netip.Prefix) []span {
+	out := make([]span, len(blocks))
+	for i, b := range blocks {
+		if b.Bits() > 64 {
+			panic(fmt.Sprintf("netutil: bogon block %s is longer than /64", b))
+		}
+		out[i] = spanOf(b)
 	}
+	return out
+}
+
+func spanOf(p netip.Prefix) span {
+	var x uint64
+	if a := p.Addr(); a.Is4() {
+		b := a.As4()
+		x = uint64(binary.BigEndian.Uint32(b[:])) << 32
+	} else {
+		b := a.As16()
+		x = binary.BigEndian.Uint64(b[:8])
+	}
+	if p.Bits() >= 64 {
+		return span{x, x}
+	}
+	host := ^uint64(0) >> p.Bits()
+	return span{x &^ host, x | host}
+}
+
+// IsBogonPrefix reports whether p falls inside, or covers part of,
+// reserved address space. An IPv4-mapped IPv6 prefix is IPv6 and lies
+// inside ::/8.
+func IsBogonPrefix(p netip.Prefix) bool {
+	if !p.IsValid() {
+		return false
+	}
+	table := bogonSpansV4
+	if p.Addr().Is6() {
+		table = bogonSpansV6
+	}
+	s := spanOf(p)
 	for _, b := range table {
-		if b.Overlaps(p) {
+		if s.lo <= b.hi && b.lo <= s.hi {
 			return true
 		}
 	}
@@ -92,10 +132,16 @@ func PrivateASN(asn uint32) bool {
 	return asn >= 64512 && asn <= 65534
 }
 
-// SyntheticV4Prefix deterministically derives the i-th /24 inside the
-// simulator's synthetic IPv4 space. The space is carved from 1.0.0.0/8
-// upward, skipping bogon territory by construction: index i maps to
-// 1.0.0.0 + i*256.
+// SyntheticV4Prefix deterministically derives the i-th /24 of the
+// simulator's synthetic IPv4 space: index i maps to 1.0.0.0 + i*256.
+// Nothing skips bogon space. Indexes below 589,824 (1.0.0.0 up to
+// 9.255.255.0) and from 655,360 up to 6,504,447 (11.0.0.0 up to
+// 100.63.255.0) are clean, but the 65,536 indexes between those runs
+// are 10.0.0.0/8, which a route server rejects. The callers keep to the
+// clean runs: Generate's IPv4 tables stay below ≈ 452k at scale 1
+// (DE-CIX's is 451,544 prefixes), blackhole host routes use indexes
+// below 40,000, Generate's invalid announcements 900,000 and up, and
+// evolved days' fresh prefixes 655,360 and up.
 func SyntheticV4Prefix(i int) netip.Prefix {
 	base := uint32(1 << 24) // 1.0.0.0
 	v := base + uint32(i)*256
