@@ -21,9 +21,10 @@
 #              output-checked workloads, judged in alternating pairs of
 #              runs (parent, change) against BENCHMARK.json's bounds.
 #              `make bench` runs each workload once on this tree.
-#   diagnostic the `go test -bench` suites (root ablations, collector,
-#              analysis, lg, telemetry, ixpd, report): run by hand to
-#              find where time goes; nothing gates on or archives them.
+#   diagnostic the `go test -bench` suites (the rs and analysis
+#              ablations, collector, analysis, lg, mrt, rsconfig,
+#              telemetry, ixpd, report): run by hand to find where time
+#              goes; nothing gates on or archives them.
 
 GO ?= go
 
@@ -39,7 +40,8 @@ fmt:
 # naming contract (every family registered on a telemetry.Registry is
 # a literal matching ^ixplight_[a-z_]+$) and fails on a family
 # registered into a struct field that no non-test code of its package
-# reads.
+# reads, and on a function that registers families but that no non-test
+# code calls.
 vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/metriclint .

@@ -9,7 +9,7 @@ import (
 // mountHealth wraps the LG handler with the health pair. The probes
 // sit outside the instrumented (and chaos-injected) chain: a liveness
 // check must not count against the request totals the soak harness
-// reconciles, and -flaky must never fail a probe.
+// reconciles, and injected failures must never fail a probe.
 //
 //	/healthz — liveness: the process is up and serving.
 //	/readyz  — readiness: the workload is populated and the listener

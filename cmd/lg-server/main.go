@@ -4,13 +4,13 @@
 // Usage:
 //
 //	lg-server [-ixp DE-CIX] [-addr :8080] [-scale 0.02] [-seed 42]
-//	          [-flaky 0.0] [-admin] [-metrics-addr :9100] [-drain 5s]
-//	          [-trace file]
+//	          [-admin] [-metrics-addr :9100] [-drain 5s] [-trace file]
 //
 // With -metrics-addr it serves the operational surface on a second
-// listener: /metrics (Prometheus text format) and /debug/pprof/. With
-// -admin it mounts /admin/flaky, the runtime failure-injection control
-// the soak harness uses to flip chaos on and off mid-crawl.
+// listener: /metrics (Prometheus text format) and /debug/pprof/. The
+// server starts healthy; with -admin it mounts /admin/flaky, the
+// runtime failure-injection control the soak harness uses to flip
+// chaos on and off mid-crawl (POST {"error_rate":0.15} to inject 500s).
 //
 // /healthz (liveness) and /readyz (readiness: workload populated and
 // listener bound) are always mounted, outside both the chaos switch
@@ -48,7 +48,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "HTTP listen address")
 	scale := flag.Float64("scale", 0.02, "workload scale")
 	seed := flag.Int64("seed", 42, "generation seed")
-	flaky := flag.Float64("flaky", 0, "probability of injected 500 responses")
 	admin := flag.Bool("admin", false, "mount /admin/flaky for runtime failure injection control")
 	metricsAddr := flag.String("metrics-addr", "", "optional telemetry listen address serving /metrics and /debug/pprof (e.g. :9100)")
 	tracePath := flag.String("trace", "", "write a trace ledger to this file: one root span per served LG request")
@@ -81,10 +80,10 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// The flaky switch is always in the chain (inactive options pass
-	// straight through) so -admin can arm failure injection at runtime
-	// even when the process started healthy.
-	fs := lg.NewFlakySwitch(lg.NewServer(server), lg.FlakyOptions{ErrorRate: *flaky, Seed: *seed})
+	// The flaky switch is always in the chain, disarmed (inactive options
+	// pass straight through), so -admin can arm failure injection at
+	// runtime.
+	fs := lg.NewFlakySwitch(lg.NewServer(server), lg.FlakyOptions{})
 	var handler http.Handler = fs
 
 	var reg *telemetry.Registry

@@ -41,7 +41,7 @@ func main() {
 		fmt.Printf("day %2d (%s): %3d members, %6d v4 routes\n", day, snap.Date, c.Members, c.Routes)
 	}
 
-	kept, removed := sanitize.Clean(series, sanitize.Options{})
+	kept, removed := sanitize.Clean(series)
 	fmt.Printf("\nsanitation: %d of %d snapshots removed as valleys (paper removed 13.5%%)\n",
 		removed, len(series))
 

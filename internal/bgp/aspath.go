@@ -12,15 +12,6 @@ import (
 // servers, whose import filters reject it.
 type ASPath []uint32
 
-// Origin returns the originating AS (the last element), or 0 for an
-// empty path.
-func (p ASPath) Origin() uint32 {
-	if len(p) == 0 {
-		return 0
-	}
-	return p[len(p)-1]
-}
-
 // Neighbor returns the first AS on the path (the announcing peer), or
 // 0 for an empty path.
 func (p ASPath) Neighbor() uint32 {
@@ -81,18 +72,4 @@ func (p ASPath) String() string {
 		b.WriteString(strconv.FormatUint(uint64(asn), 10))
 	}
 	return b.String()
-}
-
-// ParseASPath parses a space-separated ASN list as produced by String.
-func ParseASPath(s string) (ASPath, error) {
-	fields := strings.Fields(s)
-	p := make(ASPath, 0, len(fields))
-	for _, f := range fields {
-		v, err := strconv.ParseUint(f, 10, 32)
-		if err != nil {
-			return nil, err
-		}
-		p = append(p, uint32(v))
-	}
-	return p, nil
 }

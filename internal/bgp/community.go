@@ -2,7 +2,6 @@ package bgp
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -50,23 +49,9 @@ func appendDecimal(b []byte, v uint32) []byte {
 	return append(b, buf[i:]...)
 }
 
-// Well-known communities from RFC 1997 and RFC 7999. The original
-// standard defined only the three route-propagation limiters; the
-// BLACKHOLE community was standardised two decades later.
-const (
-	// NoExport: do not advertise outside the local AS (or confederation).
-	NoExport Community = 0xFFFFFF01
-	// NoAdvertise: do not advertise to any peer.
-	NoAdvertise Community = 0xFFFFFF02
-	// NoExportSubconfed: do not advertise to external peers.
-	NoExportSubconfed Community = 0xFFFFFF03
-	// BlackholeWellKnown is the RFC 7999 BLACKHOLE community (65535:666).
-	BlackholeWellKnown Community = 0xFFFF029A
-)
-
-// IsWellKnown reports whether c falls in the reserved well-known range
-// 0xFFFF0000–0xFFFFFFFF defined by RFC 1997.
-func (c Community) IsWellKnown() bool { return c.ASN() == 0xFFFF }
+// BlackholeWellKnown is the RFC 7999 BLACKHOLE community (65535:666),
+// in the well-known range RFC 1997 reserves.
+const BlackholeWellKnown Community = 0xFFFF029A
 
 // ParseCommunity parses the "asn:value" notation. Both halves must be
 // decimal integers within uint16 range.
@@ -96,31 +81,9 @@ func MustParseCommunity(s string) Community {
 	return c
 }
 
-// SortCommunities sorts a community list in ascending numeric order,
-// the order BGP implementations conventionally emit.
-func SortCommunities(cs []Community) {
-	sort.Slice(cs, func(i, j int) bool { return cs[i] < cs[j] })
-}
-
-// DedupCommunities sorts cs and removes duplicates in place, returning
-// the shortened slice.
-func DedupCommunities(cs []Community) []Community {
-	if len(cs) < 2 {
-		return cs
-	}
-	SortCommunities(cs)
-	out := cs[:1]
-	for _, c := range cs[1:] {
-		if c != out[len(out)-1] {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // HasCommunity reports whether cs contains c. Community lists on real
 // routes are short (a handful of entries), so a linear scan beats any
-// indexed structure; see BenchmarkAblation_CommunitySet.
+// indexed structure (EXPERIMENTS.md §Ablations).
 func HasCommunity(cs []Community, c Community) bool {
 	for _, x := range cs {
 		if x == c {

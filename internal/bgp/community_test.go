@@ -47,41 +47,8 @@ func TestParseCommunityErrors(t *testing.T) {
 }
 
 func TestWellKnownCommunities(t *testing.T) {
-	if NoExport.String() != "65535:65281" {
-		t.Errorf("NoExport = %s", NoExport)
-	}
-	if BlackholeWellKnown.String() != "65535:666" {
-		t.Errorf("Blackhole = %s", BlackholeWellKnown)
-	}
-	if !NoAdvertise.IsWellKnown() || !BlackholeWellKnown.IsWellKnown() {
-		t.Error("well-known range detection failed")
-	}
-	if NewCommunity(64500, 1).IsWellKnown() {
-		t.Error("64500:1 must not be well-known")
-	}
-}
-
-func TestDedupCommunities(t *testing.T) {
-	in := []Community{
-		NewCommunity(3, 3), NewCommunity(1, 1), NewCommunity(3, 3),
-		NewCommunity(2, 2), NewCommunity(1, 1),
-	}
-	out := DedupCommunities(in)
-	want := []Community{NewCommunity(1, 1), NewCommunity(2, 2), NewCommunity(3, 3)}
-	if len(out) != len(want) {
-		t.Fatalf("len = %d, want %d", len(out), len(want))
-	}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Errorf("out[%d] = %s, want %s", i, out[i], want[i])
-		}
-	}
-	if got := DedupCommunities(nil); len(got) != 0 {
-		t.Errorf("DedupCommunities(nil) = %v", got)
-	}
-	one := []Community{NewCommunity(9, 9)}
-	if got := DedupCommunities(one); len(got) != 1 || got[0] != one[0] {
-		t.Errorf("single-element dedup = %v", got)
+	if BlackholeWellKnown.String() != "65535:666" || BlackholeWellKnown.ASN() != 0xFFFF {
+		t.Errorf("Blackhole = %s, want 65535:666 in the well-known range", BlackholeWellKnown)
 	}
 }
 

@@ -61,9 +61,6 @@ func (r Route) Clone() Route {
 // PeerAS returns the ASN of the announcing peer (first path element).
 func (r Route) PeerAS() uint32 { return r.ASPath.Neighbor() }
 
-// OriginAS returns the originating ASN (last path element).
-func (r Route) OriginAS() uint32 { return r.ASPath.Origin() }
-
 // IsIPv6 reports whether the route carries an IPv6 prefix.
 func (r Route) IsIPv6() bool { return r.Prefix.Addr().Is6() }
 

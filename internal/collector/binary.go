@@ -87,24 +87,21 @@ func appendSliceHeader(b []byte, n int, isNil bool) []byte {
 // on the wire; values are table indices in first-appearance order, so
 // encoding is deterministic.
 type interner struct {
-	idx          map[string]uint64
-	keys         []string
-	hits, misses int64
+	idx  map[string]uint64
+	keys []string
 }
 
 func newInterner() *interner { return &interner{idx: make(map[string]uint64)} }
 
-// intern returns the table index for key, recording whether the value
-// was already present (the intern-table hit ratio telemetry).
+// intern returns the table index for key, and whether the value is new
+// to the table.
 func (it *interner) intern(key []byte) (idx uint64, isNew bool) {
 	if i, ok := it.idx[string(key)]; ok {
-		it.hits++
 		return i, false
 	}
 	i, k := uint64(len(it.keys)), string(key)
 	it.idx[k] = i
 	it.keys = append(it.keys, k)
-	it.misses++
 	return i, true
 }
 
@@ -171,9 +168,6 @@ func appendBinaryRoutes(buf []byte, routes []bgp.Route) []byte {
 	)
 	for i := range routes {
 		ids[i], scratch = tabs.internRoute(scratch, &routes[i], nil)
-	}
-	for tab, name := range [numTabs]string{"nexthop", "aspath", "community", "extcommunity", "largecommunity"} {
-		codecTel().interned(name, tabs.tabs[tab].hits, tabs.tabs[tab].misses)
 	}
 	var local localIDs
 	local.build(tabs, ids)

@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"ixplight/internal/bgp"
-	"ixplight/internal/telemetry"
 )
 
 // -update-golden regenerates testdata/snapshot.bin from
@@ -372,39 +371,6 @@ func TestCodecAutoDetect(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestCodecTelemetry checks the decode instruments and the
-// binary-codec intern hit counters flow into a registry.
-func TestCodecTelemetry(t *testing.T) {
-	reg := telemetry.New()
-	SetTelemetry(reg)
-	defer SetTelemetry(nil)
-
-	s := goldenSnapshot()
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, s, CodecBinary); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := decodeBinarySnapshot(buf.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	var dump bytes.Buffer
-	if err := reg.WritePrometheus(&dump); err != nil {
-		t.Fatal(err)
-	}
-	out := dump.String()
-	for _, want := range []string{
-		`ixplight_codec_decode_bytes_total{codec="binary"}`,
-		`ixplight_codec_decode_routes_total{codec="binary"} 5`,
-		`ixplight_codec_intern_hits_total{table="aspath"} 2`,
-		`ixplight_codec_intern_misses_total{table="aspath"} 3`,
-		`ixplight_codec_intern_hits_total{table="nexthop"} 2`,
-	} {
-		if !bytes.Contains([]byte(out), []byte(want)) {
-			t.Errorf("metrics missing %q in:\n%s", want, out)
-		}
 	}
 }
 

@@ -75,9 +75,6 @@ func TestSnapshotAccessors(t *testing.T) {
 	if !set[100] || !set[200] || set[300] {
 		t.Errorf("member set = %v", set)
 	}
-	if len(s.RoutesFamily(false)) != 2 || len(s.RoutesFamily(true)) != 1 {
-		t.Error("family filter wrong")
-	}
 	day, err := s.Day()
 	if err != nil || day.Year() != 2021 {
 		t.Errorf("day = %v %v", day, err)

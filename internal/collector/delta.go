@@ -51,11 +51,6 @@ var ErrDeltaBaseMismatch = errors.New("collector: delta base mismatch")
 
 var errDeltaCorrupt = errors.New("collector: snapshot delta corrupt")
 
-// IsDelta reports whether data starts with the delta magic.
-func IsDelta(data []byte) bool {
-	return len(data) >= len(deltaMagic) && string(data[:len(deltaMagic)]) == deltaMagic
-}
-
 // SnapshotDigest is the canonical identity of a snapshot's content:
 // the sha256 of its CodecBinary encoding. For a snapshot written with
 // SaveSnapshot(..., CodecBinary) this equals the sha256 of the file
@@ -401,7 +396,6 @@ func (e *DeltaEncoder) BaseDigest() [sha256.Size]byte { return e.digest }
 // and makes next the new base. next must be normalized and is
 // retained by the encoder.
 func (e *DeltaEncoder) Encode(next *Snapshot) ([]byte, error) {
-	t0 := codecTel().now()
 	if err := checkRouteOrder(next.Routes); err != nil {
 		return nil, err
 	}
@@ -415,18 +409,16 @@ func (e *DeltaEncoder) Encode(next *Snapshot) ([]byte, error) {
 	// (prefix, peer) keys — possible in principle — pair up one-to-one
 	// in order on both sides.
 	var (
-		ext                         tableExt
-		nextIDs                     = make([]rowIDs, len(next.Routes))
-		ops                         = e.ops[:0]
-		run                         uint64
-		copies, adds, dels, changes int64
+		ext     tableExt
+		nextIDs = make([]rowIDs, len(next.Routes))
+		ops     = e.ops[:0]
+		run     uint64
 	)
 	flushRun := func() {
 		if run > 0 {
 			ops = append(ops, byte(DeltaCopy))
 			ops = appendUvarint(ops, run)
 			run = 0
-			copies++
 		}
 	}
 	appendAttrs := func(b []byte, ids rowIDs, r *bgp.Route) []byte {
@@ -459,7 +451,6 @@ func (e *DeltaEncoder) Encode(next *Snapshot) ([]byte, error) {
 			ops = append(ops, byte(DeltaDel))
 			ops = appendOpPrefix(ops, &base.Routes[i])
 			ops = appendAttrs(ops, e.prevIDs[i], &base.Routes[i])
-			dels++
 			i++
 		case c > 0: // only in next → announced
 			nextIDs[j], e.scratch = e.tabs.internRoute(e.scratch, &next.Routes[j], &ext)
@@ -467,7 +458,6 @@ func (e *DeltaEncoder) Encode(next *Snapshot) ([]byte, error) {
 			ops = append(ops, byte(DeltaAdd))
 			ops = appendOpPrefix(ops, &next.Routes[j])
 			ops = appendAttrs(ops, nextIDs[j], &next.Routes[j])
-			adds++
 			j++
 		default:
 			br, nr := &base.Routes[i], &next.Routes[j]
@@ -484,7 +474,6 @@ func (e *DeltaEncoder) Encode(next *Snapshot) ([]byte, error) {
 				ops = appendOpPrefix(ops, nr)
 				ops = appendAttrs(ops, e.prevIDs[i], br)
 				ops = appendAttrs(ops, nextIDs[j], nr)
-				changes++
 			}
 			i++
 			j++
@@ -537,7 +526,6 @@ func (e *DeltaEncoder) Encode(next *Snapshot) ([]byte, error) {
 	buf = appendColumn(buf, ops)
 
 	e.prev, e.prevIDs, e.digest = next, nextIDs, self
-	codecTel().deltaEncoded(t0, int64(len(buf)), copies, adds, dels, changes)
 	return buf, nil
 }
 
@@ -858,9 +846,6 @@ func NewDeltaApplier(base *Snapshot) (*DeltaApplier, error) {
 	return a, nil
 }
 
-// Current returns the chain's latest materialized snapshot.
-func (a *DeltaApplier) Current() *Snapshot { return a.cur }
-
 // Digest returns the chain digest of the current snapshot.
 func (a *DeltaApplier) Digest() [sha256.Size]byte { return a.digest }
 
@@ -916,7 +901,6 @@ func (a *DeltaApplier) extend(d *DeltaReader) error {
 // chain. The delta must have been encoded against the chain's current
 // snapshot (digest-verified).
 func (a *DeltaApplier) Apply(d *DeltaReader) (*Snapshot, error) {
-	t0 := codecTel().now()
 	if bd := d.BaseDigest(); bd != a.digest {
 		return nil, fmt.Errorf("%w: delta for %q base %x…, chain at %x…",
 			ErrDeltaBaseMismatch, d.BaseDate(), bd[:4], a.digest[:4])
@@ -995,7 +979,6 @@ func (a *DeltaApplier) Apply(d *DeltaReader) (*Snapshot, error) {
 	}
 	next.Routes = routes
 	a.cur, a.curIDs, a.digest = &next, ids, d.SelfDigest()
-	codecTel().deltaApplied(t0, len(routes))
 	return &next, nil
 }
 

@@ -94,12 +94,6 @@ func TestDeltaRoundTrip(t *testing.T) {
 	if SnapshotDigest(got) != SnapshotDigest(next) {
 		t.Fatal("round-tripped snapshot digest differs")
 	}
-	if !IsDelta(delta) {
-		t.Fatal("IsDelta(delta) = false")
-	}
-	if IsDelta(appendBinarySnapshot(nil, base)) {
-		t.Fatal("IsDelta(full binary snapshot) = true")
-	}
 }
 
 func TestDeltaChain(t *testing.T) {

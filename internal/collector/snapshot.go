@@ -123,29 +123,6 @@ func (s *Snapshot) MembersV6() int {
 	return n
 }
 
-// RoutesFamily returns the routes of one family (v6 selects IPv6).
-// It counts first and allocates the result exactly once — the method
-// runs per family per experiment on snapshots with ~10⁵ routes, where
-// append-doubling costs a dozen reallocations and copies.
-func (s *Snapshot) RoutesFamily(v6 bool) []bgp.Route {
-	n := 0
-	for i := range s.Routes {
-		if s.Routes[i].IsIPv6() == v6 {
-			n++
-		}
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]bgp.Route, 0, n)
-	for i := range s.Routes {
-		if s.Routes[i].IsIPv6() == v6 {
-			out = append(out, s.Routes[i])
-		}
-	}
-	return out
-}
-
 // Normalize sorts members (and member errors) by ASN and routes by
 // (family, prefix, announcing peer) so that snapshots serialise
 // deterministically.

@@ -71,8 +71,6 @@ func (sr *SnapshotReader) RouteBlock() (*RouteBlock, error) {
 // the result outlives the reader; treat them as immutable (Clone before
 // mutating), the contract every snapshot consumer already follows.
 func (sr *SnapshotReader) Snapshot() (*Snapshot, error) {
-	tel := codecTel()
-	t0 := tel.now()
 	rb, err := sr.RouteBlock()
 	if err != nil {
 		return nil, err
@@ -81,7 +79,6 @@ func (sr *SnapshotReader) Snapshot() (*Snapshot, error) {
 	if s.Routes, err = rb.routes(); err != nil {
 		return nil, err
 	}
-	tel.decoded(t0, int64(len(sr.buf)), len(s.Routes))
 	return &s, nil
 }
 

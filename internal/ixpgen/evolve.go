@@ -45,7 +45,7 @@ const (
 // within the paper's "under 4%" daily variation. Every seventh day one
 // member departs (its routes withdrawn) and a fresh one joins, so
 // member-dependent aggregates see churn too. o.ValleyDays emit a
-// one-day collapse to o.ValleyDepth of the healthy series, which
+// one-day collapse to valleyDepth of the healthy series, which
 // continues unharmed the next day.
 //
 // Each emitted snapshot is freshly allocated and normalized; fn may
@@ -59,14 +59,14 @@ func EvolveSeries(p Profile, o TemporalOptions, churn float64, fn func(day int, 
 	if err != nil {
 		return err
 	}
-	cur := w.Snapshot(o.Start.Format("2006-01-02"))
+	cur := w.Snapshot(dayDate(0))
 	if err := fn(0, cur); err != nil {
 		return err
 	}
 	freshPrefix := evolvePrefixBase
 	joinerASN := uint32(evolveJoinerBase)
 	for d := 1; d < o.Days; d++ {
-		date := o.Start.AddDate(0, 0, d).Format("2006-01-02")
+		date := dayDate(d)
 		rng := rand.New(rand.NewSource(o.Seed*1000003 + int64(d)))
 		next := evolveDay(cur, date, rng, churn, &freshPrefix)
 		if d%7 == 0 {
@@ -75,7 +75,7 @@ func EvolveSeries(p Profile, o TemporalOptions, churn float64, fn func(day int, 
 		next.Normalize()
 		emit := next
 		if isValleyDay(o, d) {
-			emit = shrinkSnapshot(next, o.ValleyDepth, rng)
+			emit = shrinkSnapshot(next, valleyDepth, rng)
 			emit.Normalize()
 		}
 		if err := fn(d, emit); err != nil {

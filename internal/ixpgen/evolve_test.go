@@ -42,7 +42,6 @@ func routeKeys(s *collector.Snapshot) map[string]bool {
 
 func TestEvolveSeriesShape(t *testing.T) {
 	o := TemporalOptions{
-		Start:      time.Date(2021, 7, 19, 0, 0, 0, 0, time.UTC),
 		Days:       16,
 		Seed:       7,
 		Scale:      0.02,
@@ -53,7 +52,7 @@ func TestEvolveSeriesShape(t *testing.T) {
 		t.Fatalf("got %d days, want %d", len(days), o.Days)
 	}
 	for d, s := range days {
-		wantDate := o.Start.AddDate(0, 0, d).Format("2006-01-02")
+		wantDate := time.Date(2021, 7, 19+d, 0, 0, 0, 0, time.UTC).Format("2006-01-02")
 		if s.Date != wantDate {
 			t.Errorf("day %d: date %q, want %q", d, s.Date, wantDate)
 		}
@@ -99,7 +98,7 @@ func TestEvolveSeriesShape(t *testing.T) {
 		}
 	}
 
-	// Valley day 11 collapses toward ValleyDepth of day 10; day 12
+	// Valley day 11 collapses toward valleyDepth of day 10; day 12
 	// recovers to the healthy line rather than evolving the valley.
 	ratio := float64(len(days[11].Routes)) / float64(len(days[10].Routes))
 	if ratio < 0.4 || ratio > 0.8 {

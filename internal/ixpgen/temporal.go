@@ -8,54 +8,46 @@ import (
 // TemporalOptions configure a snapshot time series — the twelve-week,
 // daily-snapshot collection of §3/§4 with its small day-to-day jitter
 // (Table 3), slower multi-week drift (Table 4) and the occasional
-// collection "valley" that sanitation must catch.
+// collection "valley" that sanitation must catch. The series starts on
+// DefaultStart.
 type TemporalOptions struct {
-	// Start is the first snapshot day (the paper collected from
-	// 19 Jul 2021).
-	Start time.Time
 	// Days is the series length (84 days ≈ twelve weeks).
 	Days int
 	// Seed and Scale are passed through to Generate; each day derives
 	// its own sub-seed.
 	Seed  int64
 	Scale float64
-	// DailyJitter is the amplitude of day-to-day variation (paper:
-	// under 4%; default 0.012).
-	DailyJitter float64
-	// WeeklyDrift is the relative growth per week (Table 4 shows a
-	// median min-max difference of ~5.3% over 12 weeks; default 0.004).
-	WeeklyDrift float64
 	// ValleyDays lists day offsets where the collection fails and the
 	// snapshot loses ≥30% of members and routes (§3 sanitation).
 	ValleyDays []int
-	// ValleyDepth is the fraction retained on a valley day (default
-	// 0.62, i.e. a 38% drop).
-	ValleyDepth float64
 }
 
 // DefaultStart mirrors the paper's collection start date.
 var DefaultStart = time.Date(2021, time.July, 19, 0, 0, 0, 0, time.UTC)
 
+// The series' shape.
+const (
+	// dailyJitter is the amplitude of day-to-day variation (paper:
+	// under 4%).
+	dailyJitter = 0.012
+	// weeklyDrift is the relative growth per week (Table 4 shows a
+	// median min-max difference of ~5.3% over 12 weeks).
+	weeklyDrift = 0.004
+	// valleyDepth is the fraction retained on a valley day, a 38% drop.
+	valleyDepth = 0.62
+)
+
 func (o *TemporalOptions) setDefaults() {
-	if o.Start.IsZero() {
-		o.Start = DefaultStart
-	}
 	if o.Days <= 0 {
 		o.Days = 84
 	}
 	if o.Scale <= 0 {
 		o.Scale = 1.0
 	}
-	if o.DailyJitter == 0 {
-		o.DailyJitter = 0.012
-	}
-	if o.WeeklyDrift == 0 {
-		o.WeeklyDrift = 0.004
-	}
-	if o.ValleyDepth == 0 {
-		o.ValleyDepth = 0.62
-	}
 }
+
+// dayDate is day d's snapshot date.
+func dayDate(d int) string { return DefaultStart.AddDate(0, 0, d).Format("2006-01-02") }
 
 // DayScale returns the effective generation scale for day d: the base
 // scale modulated by drift, deterministic jitter and valleys.
@@ -63,12 +55,12 @@ func (o TemporalOptions) DayScale(d int) float64 {
 	(&o).setDefaults()
 	week := float64(d) / 7.0
 	// Deterministic pseudo-jitter: two incommensurate sinusoids give a
-	// wandering ±DailyJitter without any RNG state to thread through.
-	jitter := o.DailyJitter * 0.5 * (math.Sin(float64(d)*1.7+float64(o.Seed%7)) + math.Sin(float64(d)*0.61))
-	scale := o.Scale * (1 + o.WeeklyDrift*week + jitter)
+	// wandering ±dailyJitter without any RNG state to thread through.
+	jitter := dailyJitter * 0.5 * (math.Sin(float64(d)*1.7+float64(o.Seed%7)) + math.Sin(float64(d)*0.61))
+	scale := o.Scale * (1 + weeklyDrift*week + jitter)
 	for _, v := range o.ValleyDays {
 		if v == d {
-			return scale * o.ValleyDepth
+			return scale * valleyDepth
 		}
 	}
 	return scale
@@ -79,7 +71,7 @@ func (o TemporalOptions) DayScale(d int) float64 {
 // per-day seed component for churn.
 func GenerateDay(p Profile, o TemporalOptions, d int) (*Workload, string, error) {
 	o.setDefaults()
-	date := o.Start.AddDate(0, 0, d).Format("2006-01-02")
+	date := dayDate(d)
 	// The seed changes slowly: the same base population with per-day
 	// churn comes from mixing a week component (stable within a week)
 	// and a small day component.

@@ -6,8 +6,10 @@
 // (LG instability and query rate limits, §3).
 //
 // The types in api.go define the wire shape. The small responses
-// (status, neighbor summary, config, a filtered count) go through
-// encoding/json on both ends. A routes page — nearly every byte a crawl
+// (status, neighbor summary, a filtered count) go through encoding/json
+// on both ends. The route-server configuration, the artifact the §3
+// dictionary is parsed from, is served once, as BIRD-style text
+// (config/raw). A routes page — nearly every byte a crawl
 // moves — does not: the server appends it field by field from the route
 // server's ordered view (render.go, O(page size) and one Write per
 // page) and the client scans the body straight into bgp.Route values
@@ -73,22 +75,6 @@ type RoutesResponse struct {
 	PageSize   int        `json:"page_size"`
 	TotalPages int        `json:"total_pages"`
 	TotalCount int        `json:"total_count"`
-}
-
-// ConfigResponse is returned by GET /api/v1/routeservers/rs1/config —
-// the RS configuration extract the paper's dictionary starts from.
-type ConfigResponse struct {
-	IXP         string            `json:"ixp"`
-	RSASN       uint16            `json:"rs_asn"`
-	Communities []CommunityConfig `json:"communities"`
-}
-
-// CommunityConfig is one community definition in the RS config dump.
-type CommunityConfig struct {
-	Community   string `json:"community"`
-	Action      string `json:"action"`
-	Target      string `json:"target"`
-	Description string `json:"description"`
 }
 
 // EncodeRoute converts an internal route into its API shape.

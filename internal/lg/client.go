@@ -314,8 +314,8 @@ type retryableError struct {
 func (e *retryableError) Error() string { return e.err.Error() }
 func (e *retryableError) Unwrap() error { return e.err }
 
-// getJSON is get for the small responses (status, neighbors, config,
-// a count) that encoding/json decodes into out.
+// getJSON is get for the small responses (status, neighbors, a count)
+// that encoding/json decodes into out.
 func (c *Client) getJSON(ctx context.Context, path string, out any) error {
 	return c.get(ctx, path, func(body []byte) error { return json.Unmarshal(body, out) })
 }
@@ -397,64 +397,19 @@ func (c *Client) Neighbors(ctx context.Context) ([]Neighbor, error) {
 	return out.Neighbors, nil
 }
 
-// Config fetches the RS configuration community list.
-func (c *Client) Config(ctx context.Context) (*ConfigResponse, error) {
-	if err := c.acquire(); err != nil {
-		return nil, err
-	}
-	defer c.release()
-	defer c.m.callTimer("config")()
-	var out ConfigResponse
-	if err := c.getJSON(ctx, "/api/v1/routeservers/rs1/config", &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// ConfigRaw fetches the BIRD-style route-server configuration text.
+// ConfigRaw fetches the BIRD-style route-server configuration text,
+// with get's retries like every other endpoint.
 func (c *Client) ConfigRaw(ctx context.Context) (text string, err error) {
 	if err := c.acquire(); err != nil {
 		return "", err
 	}
 	defer c.release()
 	defer c.m.callTimer("config_raw")()
-	ctx, sp := c.m.startSpan(ctx, "lg.request")
-	if sp != nil {
-		sp.SetAttr("path", "/api/v1/routeservers/rs1/config/raw")
-		defer func() {
-			if err != nil {
-				sp.SetAttr("error", err.Error())
-			}
-			sp.End()
-		}()
-	}
-	if err := c.throttle(ctx); err != nil {
-		return "", err
-	}
-	if t := c.opts.RequestTimeout; t > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, t)
-		defer cancel()
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/api/v1/routeservers/rs1/config/raw", nil)
-	if err != nil {
-		return "", err
-	}
-	c.countWire()
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return "", fmt.Errorf("lg: config/raw: status %d", resp.StatusCode)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", err
-	}
-	return string(body), nil
+	err = c.get(ctx, "/api/v1/routeservers/rs1/config/raw", func(b []byte) error {
+		text = string(b)
+		return nil
+	})
+	return text, err
 }
 
 // routesPath builds the path of one routes endpoint of one neighbor.

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"ixplight/internal/dictionary"
 	"ixplight/internal/netutil"
 	"ixplight/internal/rs"
+	"ixplight/internal/rsconfig"
 )
 
 // fixture spins up a route server with two peers and nRoutes routes
@@ -150,17 +152,21 @@ func TestFilteredCount(t *testing.T) {
 func TestConfigEndpoint(t *testing.T) {
 	_, ts := fixture(t, 1)
 	c := NewClient(ts.URL, ClientOptions{})
-	cfg, err := c.Config(context.Background())
+	text, err := c.ConfigRaw(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.IXP != "DE-CIX" {
-		t.Errorf("config IXP = %q", cfg.IXP)
+	if !strings.Contains(text, "# ixplight route server configuration — DE-CIX") {
+		t.Errorf("config does not name DE-CIX:\n%s", text)
 	}
 	// The RS config list is the incomplete one (§3): fewer entries than
 	// the 774 full dictionary.
-	if len(cfg.Communities) == 0 || len(cfg.Communities) >= 774 {
-		t.Errorf("config communities = %d, want 0 < n < 774", len(cfg.Communities))
+	defs, err := rsconfig.Parse(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(defs) == 0 || len(defs) >= 774 {
+		t.Errorf("config communities = %d, want 0 < n < 774", len(defs))
 	}
 }
 
@@ -402,6 +408,34 @@ func TestConfigRawEndpoint(t *testing.T) {
 	nf := NewClient(notFound.URL, ClientOptions{})
 	if _, err := nf.ConfigRaw(context.Background()); err == nil {
 		t.Error("404: want error")
+	}
+}
+
+// TestConfigRawRetries: the config fetch goes through the same retry
+// loop as every other endpoint, so one 503 does not fail a dictionary
+// fetch.
+func TestConfigRawRetries(t *testing.T) {
+	server, _ := fixture(t, 1)
+	lgHandler := NewServer(server)
+	var calls atomic.Int32
+	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1) == 1 {
+			http.Error(w, "busy", http.StatusServiceUnavailable)
+			return
+		}
+		lgHandler.ServeHTTP(w, r)
+	}))
+	defer flaky.Close()
+	c := NewClient(flaky.URL, ClientOptions{MaxRetries: 2, RetryBackoff: time.Millisecond})
+	text, err := c.ConfigRaw(context.Background())
+	if err != nil {
+		t.Fatalf("config/raw after one 503: %v", err)
+	}
+	if !strings.Contains(text, "define rs_asn = 6695;") {
+		t.Errorf("retried config misses the rs_asn define:\n%s", text)
+	}
+	if n := calls.Load(); n != 2 {
+		t.Errorf("%d requests, want 2 (one 503, one 200)", n)
 	}
 }
 

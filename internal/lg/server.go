@@ -2,13 +2,11 @@ package lg
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 
 	"ixplight/internal/bgp"
-	"ixplight/internal/dictionary"
 	"ixplight/internal/rs"
 	"ixplight/internal/rsconfig"
 )
@@ -35,7 +33,6 @@ func NewServer(routeServer *rs.Server) *Server {
 	s.mux.HandleFunc("GET /api/v1/routeservers/rs1/neighbors/{asn}/routes/received", s.handleRoutesReceived)
 	s.mux.HandleFunc("GET /api/v1/routeservers/rs1/neighbors/{asn}/routes/filtered", s.handleRoutesFiltered)
 	s.mux.HandleFunc("GET /api/v1/routeservers/rs1/neighbors/{asn}/routes/not-exported", s.handleRoutesNotExported)
-	s.mux.HandleFunc("GET /api/v1/routeservers/rs1/config", s.handleConfig)
 	s.mux.HandleFunc("GET /api/v1/routeservers/rs1/config/raw", s.handleConfigRaw)
 	return s
 }
@@ -177,34 +174,9 @@ func (s *Server) handleRoutesNotExported(w http.ResponseWriter, r *http.Request)
 	})
 }
 
-func (s *Server) handleConfig(w http.ResponseWriter, _ *http.Request) {
-	scheme := s.rs.Scheme()
-	resp := ConfigResponse{IXP: scheme.IXP, RSASN: scheme.RSASN}
-	for _, e := range scheme.RSConfigEntries() {
-		resp.Communities = append(resp.Communities, CommunityConfig{
-			Community:   e.Community.String(),
-			Action:      e.Action.String(),
-			Target:      targetLabel(e),
-			Description: e.Description,
-		})
-	}
-	writeJSON(w, resp)
-}
-
 // handleConfigRaw serves the BIRD-style configuration text — the §3
 // artifact the dictionary extraction parses.
 func (s *Server) handleConfigRaw(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	_, _ = io.WriteString(w, rsconfig.Render(s.rs.Scheme(), rsconfig.Options{}))
-}
-
-func targetLabel(e dictionary.Entry) string {
-	switch e.Target {
-	case dictionary.TargetAll:
-		return "all"
-	case dictionary.TargetPeer:
-		return fmt.Sprintf("AS%d", e.TargetASN)
-	default:
-		return ""
-	}
+	_, _ = io.WriteString(w, rsconfig.Render(s.rs.Scheme()))
 }

@@ -242,3 +242,28 @@ func sampleSnapshotForFuzz() *collector.Snapshot {
 	s.Normalize()
 	return s
 }
+
+// BenchmarkMRTWriteRead measures dumping and re-parsing a snapshot as
+// a RouteViews-style archive (AMS-IX at scale 0.02), run by hand:
+//
+//	go test -run '^$' -bench MRTWriteRead -benchmem ./internal/mrt
+func BenchmarkMRTWriteRead(b *testing.B) {
+	w, err := ixpgen.Generate(*ixpgen.ProfileByName("AMS-IX"), ixpgen.Options{Seed: 42, Scale: 0.02})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := w.Snapshot("2021-10-04")
+	var size int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var buf bytes.Buffer
+		if err := WriteRIB(&buf, s); err != nil {
+			b.Fatal(err)
+		}
+		size = buf.Len()
+		if _, err := ReadRIB(&buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(size), "bytes")
+}

@@ -126,12 +126,6 @@ func IsBogonASN(asn uint32) bool {
 	return false
 }
 
-// PrivateASN reports whether asn is in the RFC 6996 16-bit private
-// range used by this simulator for IXP infrastructure.
-func PrivateASN(asn uint32) bool {
-	return asn >= 64512 && asn <= 65534
-}
-
 // SyntheticV4Prefix deterministically derives the i-th /24 of the
 // simulator's synthetic IPv4 space: index i maps to 1.0.0.0 + i*256.
 // Nothing skips bogon space. Indexes below 589,824 (1.0.0.0 up to
@@ -179,15 +173,6 @@ func PeerAddrV6(idx int) netip.Addr {
 	a[14] = byte(idx >> 8)
 	a[15] = byte(idx)
 	return netip.AddrFrom16(a)
-}
-
-// FamilyName returns "IPv4" or "IPv6" for a prefix, the label the
-// paper's tables use.
-func FamilyName(p netip.Prefix) string {
-	if p.Addr().Is6() {
-		return "IPv6"
-	}
-	return "IPv4"
 }
 
 // CheckPrefixBounds enforces the route-server acceptance window the

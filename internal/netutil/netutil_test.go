@@ -167,15 +167,6 @@ func TestIsBogonASN(t *testing.T) {
 	}
 }
 
-func TestPrivateASN(t *testing.T) {
-	if !PrivateASN(64512) || !PrivateASN(65534) {
-		t.Error("private range edges misclassified")
-	}
-	if PrivateASN(64511) || PrivateASN(65535) {
-		t.Error("non-private values classified private")
-	}
-}
-
 // TestSyntheticV4PrefixDistinctAndClean walks the two clean index runs
 // SyntheticV4Prefix documents, as far as its callers reach: Generate's
 // tables and blackhole routes below 589,824, invalid announcements and
@@ -252,14 +243,5 @@ func TestCheckPrefixBounds(t *testing.T) {
 		if err := CheckPrefixBounds(netip.MustParsePrefix(s)); err != nil {
 			t.Errorf("CheckPrefixBounds(%s) = %v, want nil", s, err)
 		}
-	}
-}
-
-func TestFamilyName(t *testing.T) {
-	if FamilyName(netip.MustParsePrefix("1.0.0.0/24")) != "IPv4" {
-		t.Error("v4 family name wrong")
-	}
-	if FamilyName(netip.MustParsePrefix("2a10::/48")) != "IPv6" {
-		t.Error("v6 family name wrong")
 	}
 }

@@ -92,11 +92,6 @@ func (l *Lab) workers() int {
 	return l.Parallel
 }
 
-// NewLab generates the latest-snapshot lab for the given profiles.
-func NewLab(profiles []ixpgen.Profile, seed int64, scale float64) (*Lab, error) {
-	return NewLabParallel(profiles, seed, scale, 0)
-}
-
 // NewLabShell builds a Lab without generating any workload — the
 // constructor for callers that immediately fill it via LoadSnapshotDir
 // or Load. The serving daemon builds every generation's lab this way,
@@ -113,10 +108,11 @@ func NewLabShell(profiles []ixpgen.Profile, seed int64, scale float64, workers i
 	}
 }
 
-// NewLabParallel is NewLab with an explicit worker budget: the
-// per-IXP workload generation, and the index build over what it
-// generated, fan out across the pool. Generation is seeded per
-// profile, so the lab is identical for any worker count.
+// NewLabParallel generates the latest-snapshot lab for the given
+// profiles. The per-IXP workload generation, and the index build over
+// what it generated, fan out across workers (0 = GOMAXPROCS).
+// Generation is seeded per profile, so the lab is identical for any
+// worker count.
 func NewLabParallel(profiles []ixpgen.Profile, seed int64, scale float64, workers int) (*Lab, error) {
 	lab := NewLabShell(profiles, seed, scale, workers)
 	ixs := make([]*analysis.Index, len(profiles))
@@ -329,7 +325,7 @@ func (l *Lab) runStability(w io.Writer, title string, days int, valleys []int) e
 		}
 		// The paper computes Appendix A over the sanitized dataset:
 		// collection valleys are removed before measuring variation.
-		snaps, _ = sanitize.Clean(snaps, sanitize.Options{})
+		snaps, _ = sanitize.Clean(snaps)
 		if len(snaps) > days {
 			snaps = snaps[:days]
 		}
@@ -567,7 +563,7 @@ func (l *Lab) runSanitation(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		kept, removed := sanitize.Clean(snaps, sanitize.Options{})
+		kept, removed := sanitize.Clean(snaps)
 		fmt.Fprintf(w, "%s: %d snapshots, %d removed as valleys (%.1f%%), %d kept\n",
 			p.IXP, len(snaps), removed, 100*float64(removed)/float64(len(snaps)), len(kept))
 	}

@@ -26,7 +26,7 @@ func testLab(t *testing.T) *Lab {
 		*ixpgen.ProfileByName("DE-CIX"),
 		*ixpgen.ProfileByName("AMS-IX"),
 	}
-	l, err := NewLab(profiles, 7, 0.01)
+	l, err := NewLabParallel(profiles, 7, 0.01, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 type FilterReason int
 
 // Import filter outcomes, mirroring the rejection reasons the paper
-// lists in §3 plus the DE-CIX "too many communities" guard of §5.6.
+// lists in §3.
 const (
 	FilterNone FilterReason = iota
 	FilterInvalidRoute
@@ -23,7 +23,6 @@ const (
 	FilterPrefixBounds
 	FilterPathLoop
 	FilterFirstASMismatch
-	FilterTooManyCommunities
 )
 
 // String implements fmt.Stringer.
@@ -45,8 +44,6 @@ func (f FilterReason) String() string {
 		return "as-path-loop"
 	case FilterFirstASMismatch:
 		return "first-as-mismatch"
-	case FilterTooManyCommunities:
-		return "too-many-communities"
 	default:
 		return fmt.Sprintf("FilterReason(%d)", int(f))
 	}
@@ -98,9 +95,6 @@ func (s *Server) checkImport(peerASN uint32, r *bgp.Route) FilterReason {
 		if err := netutil.CheckPrefixBounds(r.Prefix); err != nil {
 			return FilterPrefixBounds
 		}
-	}
-	if s.cfg.MaxCommunities > 0 && r.CommunityCount() > s.cfg.MaxCommunities {
-		return FilterTooManyCommunities
 	}
 	return FilterNone
 }

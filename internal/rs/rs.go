@@ -20,19 +20,9 @@ type Config struct {
 	// MaxPathLen rejects announcements with longer AS paths (0 = no
 	// limit). Production route servers commonly cap around 32–64.
 	MaxPathLen int
-	// MaxCommunities rejects announcements with more community values
-	// (0 = no limit) — DE-CIX's "too many communities" hygiene filter.
-	MaxCommunities int
 	// ScrubActions removes action communities from exported routes
 	// after acting on them (the default in the field).
 	ScrubActions bool
-	// AttachInfo makes the server tag every accepted route with its
-	// scheme's informational communities on ingress.
-	AttachInfo bool
-	// InfoPerRoute is how many informational tags ingress attaches
-	// (clamped to the scheme's InfoCount); 2 matches the roughly 1/3
-	// informational share of Fig. 3 for typical tagging rates.
-	InfoPerRoute int
 }
 
 // Peer is one member AS session at the route server.
@@ -84,9 +74,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if err := cfg.Scheme.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.InfoPerRoute > cfg.Scheme.InfoCount {
-		cfg.InfoPerRoute = cfg.Scheme.InfoCount
 	}
 	return &Server{
 		cfg:      cfg,
@@ -167,17 +154,6 @@ func (s *Server) Announce(peerASN uint32, r bgp.Route) (FilterReason, error) {
 		return reason, nil
 	}
 	stored := r.Clone()
-	if s.cfg.AttachInfo {
-		for k := 0; k < s.cfg.InfoPerRoute; k++ {
-			info, err := s.cfg.Scheme.Info(k)
-			if err != nil {
-				break
-			}
-			if !bgp.HasCommunity(stored.Communities, info) {
-				stored.Communities = append(stored.Communities, info)
-			}
-		}
-	}
 	rib := s.ribIn[peerASN]
 	if _, replaces := rib[stored.Prefix]; !replaces {
 		s.ordered[peerASN].Store(nil)

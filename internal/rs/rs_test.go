@@ -141,28 +141,6 @@ func TestImportFilters(t *testing.T) {
 	}
 }
 
-func TestTooManyCommunitiesFilter(t *testing.T) {
-	s, err := New(Config{Scheme: dictionary.ProfileByName("DE-CIX"), MaxCommunities: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addPeer(t, s, 100, 1)
-	r := route(100, 0)
-	for i := 0; i < 6; i++ {
-		r.Communities = append(r.Communities, bgp.NewCommunity(100, uint16(i)))
-	}
-	if reason, _ := s.Announce(100, r); reason != FilterTooManyCommunities {
-		t.Errorf("reason = %v", reason)
-	}
-	r2 := route(100, 1)
-	for i := 0; i < 5; i++ {
-		r2.Communities = append(r2.Communities, bgp.NewCommunity(100, uint16(i)))
-	}
-	if reason, _ := s.Announce(100, r2); reason != FilterNone {
-		t.Errorf("5 communities rejected: %v", reason)
-	}
-}
-
 func TestBlackholeHostRouteBypassesBounds(t *testing.T) {
 	s := testServer(t, "DE-CIX") // supports blackholing
 	addPeer(t, s, 100, 1)
@@ -256,39 +234,5 @@ func TestStats(t *testing.T) {
 	}
 	if st.IXP != "DE-CIX" {
 		t.Errorf("IXP = %q", st.IXP)
-	}
-}
-
-func TestAttachInfoTagsIngress(t *testing.T) {
-	s, err := New(Config{
-		Scheme:       dictionary.ProfileByName("DE-CIX"),
-		AttachInfo:   true,
-		InfoPerRoute: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addPeer(t, s, 100, 1)
-	announceOK(t, s, 100, route(100, 0))
-	got := s.AcceptedRoutes(100)[0]
-	scheme := dictionary.ProfileByName("DE-CIX")
-	info0, _ := scheme.Info(0)
-	info1, _ := scheme.Info(1)
-	if !bgp.HasCommunity(got.Communities, info0) || !bgp.HasCommunity(got.Communities, info1) {
-		t.Errorf("informational tags missing: %v", got.Communities)
-	}
-}
-
-func TestInfoPerRouteClamped(t *testing.T) {
-	scheme := dictionary.ProfileByName("BCIX") // InfoCount = 2
-	s, err := New(Config{Scheme: scheme, AttachInfo: true, InfoPerRoute: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addPeer(t, s, 100, 1)
-	announceOK(t, s, 100, route(100, 0))
-	got := s.AcceptedRoutes(100)[0]
-	if len(got.Communities) != 2 {
-		t.Errorf("communities = %v, want exactly the 2 defined info tags", got.Communities)
 	}
 }

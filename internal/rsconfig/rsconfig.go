@@ -19,43 +19,23 @@ import (
 	"ixplight/internal/dictionary"
 )
 
-// Options tune the rendered import policy.
-type Options struct {
-	RouterID       string
-	MaxPathLen     int
-	MaxCommunities int
-}
-
-func (o *Options) setDefaults() {
-	if o.RouterID == "" {
-		o.RouterID = "192.0.2.1"
-	}
-	if o.MaxPathLen == 0 {
-		o.MaxPathLen = 64
-	}
-}
-
 // Render emits the configuration text for one scheme. The community
 // section annotates every definition with a machine-parsable comment:
 //
 //	define comm_12 = (0, 15169); # do-not-announce-to | AS15169 | do not announce to AS15169
-func Render(scheme *dictionary.Scheme, opts Options) string {
-	opts.setDefaults()
+func Render(scheme *dictionary.Scheme) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# ixplight route server configuration — %s\n", scheme.IXP)
-	fmt.Fprintf(&b, "router id %s;\n", opts.RouterID)
+	b.WriteString("router id 192.0.2.1;\n")
 	fmt.Fprintf(&b, "define rs_asn = %d;\n\n", scheme.RSASN)
 
 	b.WriteString("# import policy (§3: filtered vs accepted)\n")
 	b.WriteString("filter ixp_import {\n")
 	b.WriteString("  if is_bogon_prefix(net) then reject; # bogon prefix\n")
 	b.WriteString("  if bgp_path ~ [= * bogon_asn * =] then reject; # bogon ASN\n")
-	fmt.Fprintf(&b, "  if bgp_path.len > %d then reject; # AS path too long\n", opts.MaxPathLen)
+	b.WriteString("  if bgp_path.len > 64 then reject; # AS path too long\n")
 	b.WriteString("  if net.type = NET_IP4 && (net.len > 24 || net.len < 8) then reject; # prefix bounds\n")
 	b.WriteString("  if net.type = NET_IP6 && (net.len > 48 || net.len < 16) then reject; # prefix bounds\n")
-	if opts.MaxCommunities > 0 {
-		fmt.Fprintf(&b, "  if bgp_community.len > %d then reject; # too many communities\n", opts.MaxCommunities)
-	}
 	if scheme.SupportsBlackhole {
 		b.WriteString("  if (65535, 666) ~ bgp_community then accept; # blackhole host routes bypass bounds\n")
 	}

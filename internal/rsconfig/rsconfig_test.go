@@ -1,22 +1,53 @@
 package rsconfig
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 
 	"ixplight/internal/bgp"
 	"ixplight/internal/dictionary"
+	"ixplight/internal/webdocs"
 )
+
+// renderGolden is the sha256 of Render's text per scheme. The config is
+// the artifact the crawl parses its dictionary from, and a renderer that
+// ranged over a map would emit the same state in a different order on
+// every run; this pins the bytes. A deliberate change to the rendered
+// text updates the digests here.
+var renderGolden = map[string]string{
+	"IX.br-SP":   "64b0a2bc707fd7aae5501fcff3194009aae6ee2868138022047ffa912764f4b0",
+	"DE-CIX":     "74c3f5928074d02790546cf372a1b3e1432f14e4433c255afcc56b4c1112b914",
+	"LINX":       "ca97d878a81418a8d0f851acd8379db93b68fdb184522f4cdf93db5d5db50aab",
+	"AMS-IX":     "5fc78cd1b71164d5fca71d55e01c32455897daffb07b51cee1738dffa16ba26d",
+	"DE-CIX Mad": "4136872ce421372df11a4247e262010e017acb1d5162b7c508885dc137f3bf30",
+	"DE-CIX NYC": "8a060fdf308b9ae92e4c69c54454141e22eb6cea098348e80fb6c5ca8f0c756c",
+	"BCIX":       "a499928882ab46df0a19811efa71bfbfa34665b0eb6bf34001166522507d5031",
+	"Netnod":     "3442294068896f0c24b419da7490924c26bf7ad88d3121635a5264626a3cb4a3",
+}
+
+func TestRenderGolden(t *testing.T) {
+	profiles := dictionary.Profiles()
+	if len(profiles) != len(renderGolden) {
+		t.Fatalf("%d profiles, %d goldens", len(profiles), len(renderGolden))
+	}
+	for _, scheme := range profiles {
+		sum := sha256.Sum256([]byte(Render(scheme)))
+		if got := hex.EncodeToString(sum[:]); got != renderGolden[scheme.IXP] {
+			t.Errorf("%s: rendered config sha256 %s, want %s", scheme.IXP, got, renderGolden[scheme.IXP])
+		}
+	}
+}
 
 func TestRenderShape(t *testing.T) {
 	scheme := dictionary.ProfileByName("DE-CIX")
-	text := Render(scheme, Options{MaxCommunities: 100})
+	text := Render(scheme)
 	for _, want := range []string{
 		"router id 192.0.2.1;",
 		"define rs_asn = 6695;",
 		"filter ixp_import",
 		"bgp_path.len > 64",
-		"too many communities",
 		"(65535, 666)", // blackhole bypass
 		"define comm_0",
 	} {
@@ -25,7 +56,7 @@ func TestRenderShape(t *testing.T) {
 		}
 	}
 	// LINX has no blackholing: the bypass stanza must be absent.
-	linx := Render(dictionary.ProfileByName("LINX"), Options{})
+	linx := Render(dictionary.ProfileByName("LINX"))
 	if strings.Contains(linx, "(65535, 666)") {
 		t.Error("LINX config must not mention the blackhole bypass")
 	}
@@ -35,7 +66,7 @@ func TestRenderShape(t *testing.T) {
 // config recovers exactly the scheme's RS-config entry set.
 func TestRoundTripAllSchemes(t *testing.T) {
 	for _, scheme := range dictionary.Profiles() {
-		text := Render(scheme, Options{})
+		text := Render(scheme)
 		defs, err := Parse(text)
 		if err != nil {
 			t.Fatalf("%s: %v", scheme.IXP, err)
@@ -107,4 +138,29 @@ func TestParseTolerantOfWhitespace(t *testing.T) {
 	if d.Description != "do not announce to AS15169" {
 		t.Errorf("description = %q", d.Description)
 	}
+}
+
+// BenchmarkDictionaryFromArtifacts measures the full §3 dictionary
+// construction from the two textual artifacts, run by hand:
+//
+//	go test -run '^$' -bench DictionaryFromArtifacts -benchmem ./internal/rsconfig
+func BenchmarkDictionaryFromArtifacts(b *testing.B) {
+	scheme := dictionary.ProfileByName("DE-CIX")
+	cfgText := Render(scheme)
+	page := webdocs.Render(scheme)
+	var size int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		defs, err := Parse(cfgText)
+		if err != nil {
+			b.Fatal(err)
+		}
+		docs, err := webdocs.Parse(page)
+		if err != nil {
+			b.Fatal(err)
+		}
+		union := dictionary.UnionEntries(Entries(scheme.IXP, defs), webdocs.Entries(scheme, docs))
+		size = dictionary.FromEntries(scheme.IXP, union).Size()
+	}
+	b.ReportMetric(float64(size), "entries")
 }

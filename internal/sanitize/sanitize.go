@@ -12,32 +12,19 @@ import (
 	"ixplight/internal/collector"
 )
 
-// Options tune the valley detector. The zero value uses the paper's
-// parameters.
-type Options struct {
-	// DropThreshold is the relative fall that flags a valley
-	// (default 0.30, the paper's "dropped at least 30%").
-	DropThreshold float64
-	// RecoveryTolerance is how close to the pre-valley level the
-	// series must return for the dip to count as a transient valley
-	// rather than a genuine decline (default 0.15).
-	RecoveryTolerance float64
-	// RecoveryWindow is how many subsequent snapshots may pass before
-	// recovery (default 3).
-	RecoveryWindow int
-}
-
-func (o *Options) setDefaults() {
-	if o.DropThreshold == 0 {
-		o.DropThreshold = 0.30
-	}
-	if o.RecoveryTolerance == 0 {
-		o.RecoveryTolerance = 0.15
-	}
-	if o.RecoveryWindow == 0 {
-		o.RecoveryWindow = 3
-	}
-}
+// The paper's valley parameters.
+const (
+	// dropThreshold is the relative fall that flags a valley, the
+	// paper's "dropped at least 30%".
+	dropThreshold = 0.30
+	// recoveryTolerance is how close to the pre-valley level the series
+	// must return for the dip to count as a transient valley rather
+	// than a genuine decline.
+	recoveryTolerance = 0.15
+	// recoveryWindow is how many subsequent snapshots may pass before
+	// recovery.
+	recoveryWindow = 3
+)
 
 // seriesCounts extracts the member and prefix series the detector
 // inspects (both families combined; a collection failure hits both).
@@ -51,8 +38,7 @@ func seriesCounts(s *collector.Snapshot) (members, prefixes int) {
 }
 
 // DetectValleys returns the indices of valley snapshots in the series.
-func DetectValleys(snaps []*collector.Snapshot, opts Options) []int {
-	opts.setDefaults()
+func DetectValleys(snaps []*collector.Snapshot) []int {
 	n := len(snaps)
 	members := make([]int, n)
 	prefixes := make([]int, n)
@@ -61,7 +47,7 @@ func DetectValleys(snaps []*collector.Snapshot, opts Options) []int {
 	}
 	var valleys []int
 	for i := 1; i < n; i++ {
-		if isValley(members, i, opts) || isValley(prefixes, i, opts) {
+		if isValley(members, i) || isValley(prefixes, i) {
 			valleys = append(valleys, i)
 		}
 	}
@@ -70,19 +56,19 @@ func DetectValleys(snaps []*collector.Snapshot, opts Options) []int {
 
 // isValley reports whether series[i] dropped ≥ threshold below
 // series[i-1] and recovered within the window.
-func isValley(series []int, i int, opts Options) bool {
+func isValley(series []int, i int) bool {
 	prev := series[i-1]
 	if prev == 0 {
 		return false
 	}
 	drop := 1 - float64(series[i])/float64(prev)
-	if drop < opts.DropThreshold {
+	if drop < dropThreshold {
 		return false
 	}
 	// Recovery: some snapshot within the window returns near (or
 	// above) the pre-valley level.
-	floor := float64(prev) * (1 - opts.RecoveryTolerance)
-	for j := i + 1; j <= i+opts.RecoveryWindow && j < len(series); j++ {
+	floor := float64(prev) * (1 - recoveryTolerance)
+	for j := i + 1; j <= i+recoveryWindow && j < len(series); j++ {
 		if float64(series[j]) >= floor {
 			return true
 		}
@@ -92,8 +78,8 @@ func isValley(series []int, i int, opts Options) bool {
 
 // Clean removes valley snapshots and returns the surviving series plus
 // the number removed.
-func Clean(snaps []*collector.Snapshot, opts Options) (kept []*collector.Snapshot, removed int) {
-	valleys := DetectValleys(snaps, opts)
+func Clean(snaps []*collector.Snapshot) (kept []*collector.Snapshot, removed int) {
+	valleys := DetectValleys(snaps)
 	bad := make(map[int]bool, len(valleys))
 	for _, i := range valleys {
 		bad[i] = true

@@ -36,7 +36,7 @@ func series(sizes ...int) []*collector.Snapshot {
 func TestDetectValleySimple(t *testing.T) {
 	// 100,100,60,100,100: day 2 drops 40% and recovers.
 	snaps := series(100, 100, 60, 100, 100)
-	valleys := DetectValleys(snaps, Options{})
+	valleys := DetectValleys(snaps)
 	if len(valleys) != 1 || valleys[0] != 2 {
 		t.Errorf("valleys = %v, want [2]", valleys)
 	}
@@ -45,7 +45,7 @@ func TestDetectValleySimple(t *testing.T) {
 func TestGenuineDeclineIsNotAValley(t *testing.T) {
 	// Drops 40% and stays down: real change, keep it.
 	snaps := series(100, 100, 60, 58, 59, 60)
-	if valleys := DetectValleys(snaps, Options{}); len(valleys) != 0 {
+	if valleys := DetectValleys(snaps); len(valleys) != 0 {
 		t.Errorf("valleys = %v, want none (no recovery)", valleys)
 	}
 }
@@ -53,7 +53,7 @@ func TestGenuineDeclineIsNotAValley(t *testing.T) {
 func TestSmallDipIgnored(t *testing.T) {
 	// 20% dip is under the 30% threshold.
 	snaps := series(100, 80, 100)
-	if valleys := DetectValleys(snaps, Options{}); len(valleys) != 0 {
+	if valleys := DetectValleys(snaps); len(valleys) != 0 {
 		t.Errorf("valleys = %v, want none", valleys)
 	}
 }
@@ -61,18 +61,18 @@ func TestSmallDipIgnored(t *testing.T) {
 func TestRecoveryOutsideWindow(t *testing.T) {
 	// Recovery happens 5 snapshots later, past the default window of 3.
 	snaps := series(100, 60, 61, 60, 61, 60, 100)
-	if valleys := DetectValleys(snaps, Options{}); len(valleys) != 0 {
+	if valleys := DetectValleys(snaps); len(valleys) != 0 {
 		t.Errorf("valleys = %v, want none (late recovery)", valleys)
 	}
-	// A wider window accepts it.
-	if valleys := DetectValleys(snaps, Options{RecoveryWindow: 6}); len(valleys) != 1 {
-		t.Errorf("valleys = %v, want one with wide window", valleys)
+	// Recovery on the window's last snapshot still counts.
+	if valleys := DetectValleys(series(100, 60, 61, 60, 100)); len(valleys) != 1 {
+		t.Errorf("valleys = %v, want one (recovery on day 3 of the window)", valleys)
 	}
 }
 
 func TestMultipleValleys(t *testing.T) {
 	snaps := series(100, 50, 100, 100, 40, 100, 100)
-	valleys := DetectValleys(snaps, Options{})
+	valleys := DetectValleys(snaps)
 	if len(valleys) != 2 || valleys[0] != 1 || valleys[1] != 4 {
 		t.Errorf("valleys = %v, want [1 4]", valleys)
 	}
@@ -80,7 +80,7 @@ func TestMultipleValleys(t *testing.T) {
 
 func TestCleanRemovesValleys(t *testing.T) {
 	snaps := series(100, 100, 55, 100, 100)
-	kept, removed := Clean(snaps, Options{})
+	kept, removed := Clean(snaps)
 	if removed != 1 || len(kept) != 4 {
 		t.Errorf("removed = %d kept = %d", removed, len(kept))
 	}
@@ -92,11 +92,11 @@ func TestCleanRemovesValleys(t *testing.T) {
 }
 
 func TestCleanEmptyAndSingle(t *testing.T) {
-	if kept, removed := Clean(nil, Options{}); removed != 0 || len(kept) != 0 {
+	if kept, removed := Clean(nil); removed != 0 || len(kept) != 0 {
 		t.Error("empty series mishandled")
 	}
 	one := series(100)
-	if kept, removed := Clean(one, Options{}); removed != 0 || len(kept) != 1 {
+	if kept, removed := Clean(one); removed != 0 || len(kept) != 1 {
 		t.Error("single snapshot mishandled")
 	}
 }
@@ -105,7 +105,7 @@ func TestPrefixValleyAlsoDetected(t *testing.T) {
 	// Members stable, prefixes collapse: collection lost routes only.
 	snaps := series(100, 100, 100, 100)
 	snaps[2].Routes = snaps[2].Routes[:90] // 300 → 90 prefixes (70% drop)
-	valleys := DetectValleys(snaps, Options{})
+	valleys := DetectValleys(snaps)
 	if len(valleys) != 1 || valleys[0] != 2 {
 		t.Errorf("valleys = %v, want [2]", valleys)
 	}
@@ -113,7 +113,7 @@ func TestPrefixValleyAlsoDetected(t *testing.T) {
 
 func TestZeroPreviousDaySafe(t *testing.T) {
 	snaps := series(0, 0, 10)
-	if valleys := DetectValleys(snaps, Options{}); len(valleys) != 0 {
+	if valleys := DetectValleys(snaps); len(valleys) != 0 {
 		t.Errorf("valleys = %v on zero series", valleys)
 	}
 }

@@ -38,8 +38,6 @@ type Config struct {
 	NeighborParallelism int
 	// Dir holds checkpoint files (required).
 	Dir string
-	// Date stamps the collected snapshots.
-	Date string
 	// TracePath is where the run's trace ledger is written (empty =
 	// <Dir>/trace.jsonl). Tracing is always on in a soak: every phase
 	// runs under one root "soak.phase" span, and after each phase the
@@ -48,6 +46,9 @@ type Config struct {
 	// Logf, when set, narrates the run.
 	Logf func(format string, args ...any)
 }
+
+// soakDate stamps the collected snapshots.
+const soakDate = "2021-10-04"
 
 // DefaultConfig is the quick deterministic soak: three IXPs, two
 // kill/restart cycles, one round, small workloads.
@@ -59,7 +60,6 @@ func DefaultConfig() Config {
 		Seed:                1,
 		Scale:               0.004,
 		NeighborParallelism: 4,
-		Date:                "2021-10-04",
 	}
 }
 
@@ -205,9 +205,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("soak: Config.Dir is required")
 	}
-	if cfg.Date == "" {
-		cfg.Date = "2021-10-04"
-	}
 	if cfg.Rounds <= 0 {
 		cfg.Rounds = 1
 	}
@@ -279,7 +276,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	h.logf("phase 0: reference crawl (%d IXPs)", len(h.ixps))
 	var refResults []collector.Result
 	h.phase(ctx, "reference", func(pctx context.Context) {
-		refResults = collector.CollectAll(pctx, h.targets(nil), cfg.Date)
+		refResults = collector.CollectAll(pctx, h.targets(nil), soakDate)
 	})
 	refs := make([]*collector.Snapshot, len(h.ixps))
 	infos := make([]planInfo, len(h.ixps))
@@ -384,7 +381,7 @@ func (h *harness) runRound(ctx context.Context, round int, chaos []IXPChaos, ref
 		degResults = collector.CollectAll(pctx, h.targets(func(i int, c *collector.CollectOptions) {
 			c.Partial = true
 			c.NeighborRetries = 1
-		}), cfg.Date)
+		}), soakDate)
 	})
 	h.account(degResults)
 	for i, r := range degResults {
@@ -428,7 +425,7 @@ func (h *harness) runRound(ctx context.Context, round int, chaos []IXPChaos, ref
 			c.Partial = true
 			c.ErrorBudget = 3
 			c.CheckpointPath = ckptPath(i)
-		}), cfg.Date)
+		}), soakDate)
 	})
 	h.account(killResults)
 	for i, r := range killResults {
@@ -504,7 +501,7 @@ func (h *harness) resumeKilled(ctx context.Context, round int, chaos []IXPChaos,
 				Checkpoint:          ck,
 				CheckpointPath:      ckptPath(i),
 			},
-		}}, cfg.Date)
+		}}, soakDate)
 		h.account(resumeResults)
 		rr := resumeResults[0]
 		if rr.Err != nil || rr.Partial {

@@ -252,25 +252,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return r.family(kindGauge, name, help, nil, nil).child(nil).g
 }
 
-// GaugeVec is a gauge family with labels.
-type GaugeVec struct{ f *family }
-
-// GaugeVec registers a labeled gauge family. Nil-safe.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	if r == nil {
-		return nil
-	}
-	return &GaugeVec{f: r.family(kindGauge, name, help, nil, labels)}
-}
-
-// With returns the gauge for one label-value combination. Nil-safe.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	return v.f.child(values).g
-}
-
 // Set stores v.
 func (g *Gauge) Set(v int64) {
 	if g != nil {

@@ -35,8 +35,6 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	if g.Value() != 0 {
 		t.Error("nil gauge must stay 0")
 	}
-	gv := r.GaugeVec("ixplight_nil_gauge_vec", "", "l")
-	gv.With("x").Set(1)
 	h := r.Histogram("ixplight_nil_seconds", "", nil)
 	h.Observe(1)
 	h.ObserveDuration(time.Second)
@@ -244,9 +242,10 @@ func TestEmptyFamiliesStillExposeHeaders(t *testing.T) {
 func TestSnapshot(t *testing.T) {
 	r := New()
 	r.Counter("ixplight_snap_total", "").Add(7)
-	r.GaugeVec("ixplight_snap_gauge", "", "l").With("x").Set(-2)
+	r.CounterVec("ixplight_snap_vec_total", "", "l").With("x").Add(3)
+	r.Gauge("ixplight_snap_gauge", "").Set(-2)
 	r.Histogram("ixplight_snap_seconds", "", []float64{1}).Observe(0.5)
-	want := map[string]int64{"ixplight_snap_total": 7, `ixplight_snap_gauge{l="x"}`: -2}
+	want := map[string]int64{"ixplight_snap_total": 7, `ixplight_snap_vec_total{l="x"}`: 3, "ixplight_snap_gauge": -2}
 	if got := r.Snapshot(); !maps.Equal(got, want) {
 		t.Errorf("snapshot = %v, want %v", got, want)
 	}

@@ -43,7 +43,7 @@ func TestRoundTripAllSchemes(t *testing.T) {
 func TestFullSec3Construction(t *testing.T) {
 	scheme := dictionary.ProfileByName("IX.br-SP")
 
-	configDefs, err := rsconfig.Parse(rsconfig.Render(scheme, rsconfig.Options{}))
+	configDefs, err := rsconfig.Parse(rsconfig.Render(scheme))
 	if err != nil {
 		t.Fatal(err)
 	}
