@@ -5,8 +5,10 @@
 #              package census, the test suite under the race detector
 #              (the collector, LG client, analysis index and experiment
 #              pool are exercised concurrently; -race is part of the
-#              contract), the soak run, the ixpd smoke walk and the five
-#              example programs.
+#              contract), the soak run, the ixpd smoke walk, the five
+#              example programs and `oneworld` (Tables 3/4 over a
+#              generated lab equal the same tables over the dataset
+#              `ixpgen` writes at the commands' defaults).
 #              The deterministic performance floors are tests and run
 #              here, a second time without the race detector (`floors`;
 #              their allocation halves skip under -race):
@@ -28,9 +30,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build census test race floors bench fuzz soak soak-long ixpd-smoke examples
+.PHONY: check fmt vet build census test race floors bench fuzz soak soak-long ixpd-smoke examples oneworld
 
-check: fmt vet build census race floors soak ixpd-smoke examples
+check: fmt vet build census race floors soak ixpd-smoke examples oneworld
 
 # fmt fails, naming the files, if anything in the tree is not gofmt-clean.
 fmt:
@@ -115,6 +117,20 @@ ixpd-smoke:
 # they are documentation that executes, and this is what keeps them true.
 examples:
 	@for d in examples/*/; do echo "$(GO) run ./$$d"; $(GO) run ./$$d >/dev/null || exit 1; done
+
+# oneworld writes the twelve-week dataset `ixpgen -codec delta` makes
+# and fails unless `analyze -exp table3,table4` reads the same tables
+# off it as off a lab it generates itself: one series generator, and
+# the two commands' defaults (seed, churn, start date) still agree.
+# TestStabilityIsOneWorld pins the library half; this pins the commands.
+# Seconds.
+ONEWORLD := -ixps DE-CIX,LINX -scale 0.004
+oneworld:
+	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) run ./cmd/ixpgen -out "$$dir" -codec delta -days 84 $(ONEWORLD) && \
+	$(GO) run ./cmd/analyze -exp table3,table4 $(ONEWORLD) >"$$dir/generated.txt" && \
+	$(GO) run ./cmd/analyze -exp table3,table4 $(ONEWORLD) -snapshots "$$dir/snapshots" >"$$dir/loaded.txt" && \
+	cmp "$$dir/generated.txt" "$$dir/loaded.txt" && echo "oneworld: Tables 3/4 agree"
 
 # bench runs the benchmark (benchmarks/e2e) once per workload declared in
 # BENCHMARK.json, on this tree. One run is a reading, not a verdict: a

@@ -6,14 +6,12 @@
 //
 //	ixpgen [-out ./dataset] [-ixps big4|all|NAME,...] [-days 84]
 //	       [-scale 0.02] [-seed 42] [-codec binary|delta] [-valleys 9,41]
-//	       [-churn 0.03]
 //
-// By default every day is generated independently (GenerateDay). With
-// -churn each IXP's series is instead evolved day over day: day N is
-// day N-1 with the given fraction of routes withdrawn, re-tagged or
-// flapped plus fresh announcements and weekly member churn — the
-// realistic input for -codec delta, which stores day 0 as a full
-// binary snapshot and every later day as a .delta file.
+// Each IXP's series is evolved day over day (ixpgen.EvolveSeries), the
+// days `analyze` generates for Tables 3/4 at the same -seed and -scale.
+// -codec binary writes every day as a full .bin; -codec delta writes
+// day 0 as a .bin and every later day as a .delta against the day
+// before. -valleys takes offsets in [1, -days).
 package main
 
 import (
@@ -40,8 +38,6 @@ func main() {
 	codecName := flag.String("codec", "binary", "dataset files to write: binary (every day a full .bin) or delta (day 0 a .bin, later days .delta)")
 	valleySpec := flag.String("valleys", "", "comma-separated day offsets with injected collection failures")
 	profilePath := flag.String("profile", "", "JSON file with a custom IXP profile (overrides -ixps)")
-	churn := flag.Float64("churn", 0,
-		"evolve each series day over day with this route-churn fraction instead of regenerating every day (0 = independent days; -codec delta implies 0.03)")
 	tracePath := flag.String("trace", "", "write a trace ledger for the run to this file (inspect with tracecat)")
 	flag.Parse()
 
@@ -80,12 +76,7 @@ func main() {
 	if !asDelta && *codecName != "binary" {
 		log.Fatalf("unknown -codec %q (binary, delta)", *codecName)
 	}
-	if asDelta && *churn <= 0 {
-		// A delta chain over independently regenerated days would
-		// encode nearly every route as churn; evolve instead.
-		*churn = 0.03
-	}
-	valleys, err := parseValleys(*valleySpec)
+	valleys, err := parseValleys(*valleySpec, *days)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -99,30 +90,12 @@ func main() {
 		opts := ixpgen.TemporalOptions{
 			Seed: *seed, Scale: *scale, Days: *days, ValleyDays: valleys,
 		}
-		dir := filepath.Join(*out, "snapshots")
-		if *churn > 0 {
-			n, err := writeEvolvedSeries(dir, p, opts, *churn, asDelta)
-			if err != nil {
-				log.Fatal(err)
-			}
-			files += n
-			sp.SetAttrInt("files", int64(n))
-			sp.End()
-			log.Printf("%s: %d evolved daily snapshots (churn %.3f)", p.IXP, *days, *churn)
-			continue
+		n, err := writeSeries(filepath.Join(*out, "snapshots"), p, opts, asDelta)
+		if err != nil {
+			log.Fatal(err)
 		}
-		for d := 0; d < *days; d++ {
-			w, date, err := ixpgen.GenerateDay(p, opts, d)
-			if err != nil {
-				log.Fatal(err)
-			}
-			snap := w.Snapshot(date)
-			if _, err := collector.SaveSnapshot(dir, snap, collector.CodecBinary); err != nil {
-				log.Fatal(err)
-			}
-			files++
-		}
-		sp.SetAttrInt("files", int64(*days))
+		files += n
+		sp.SetAttrInt("files", int64(n))
 		sp.End()
 		log.Printf("%s: %d daily snapshots", p.IXP, *days)
 	}
@@ -140,14 +113,14 @@ func main() {
 		files, *out, time.Since(start).Round(time.Millisecond))
 }
 
-// writeEvolvedSeries generates one IXP's day-over-day evolved series
-// in a single run. With asDelta set, day 0 is saved as a full binary
-// snapshot and every later day as one .delta file against the
-// previous day; otherwise each day is a full binary snapshot.
-func writeEvolvedSeries(dir string, p ixpgen.Profile, opts ixpgen.TemporalOptions, churn float64, asDelta bool) (int, error) {
+// writeSeries generates one IXP's evolved series in a single run. With
+// asDelta set, day 0 is saved as a full binary snapshot and every later
+// day as one .delta file against the previous day; otherwise each day
+// is a full binary snapshot.
+func writeSeries(dir string, p ixpgen.Profile, opts ixpgen.TemporalOptions, asDelta bool) (int, error) {
 	files := 0
 	var enc *collector.DeltaEncoder
-	err := ixpgen.EvolveSeries(p, opts, churn, func(day int, snap *collector.Snapshot) error {
+	err := ixpgen.EvolveSeries(p, opts, 0, func(day int, snap *collector.Snapshot) error {
 		files++
 		if enc == nil {
 			_, err := collector.SaveSnapshot(dir, snap, collector.CodecBinary)
@@ -166,7 +139,10 @@ func writeEvolvedSeries(dir string, p ixpgen.Profile, opts ixpgen.TemporalOption
 	return files, err
 }
 
-func parseValleys(spec string) ([]int, error) {
+// parseValleys reads -valleys: comma-separated day offsets in
+// [1, days). Day 0 is the series' base, which a valley cannot drop
+// from, and an offset past the series would silently inject nothing.
+func parseValleys(spec string, days int) ([]int, error) {
 	if spec == "" {
 		return nil, nil
 	}
@@ -175,6 +151,9 @@ func parseValleys(spec string) ([]int, error) {
 		v, err := strconv.Atoi(strings.TrimSpace(s))
 		if err != nil {
 			return nil, fmt.Errorf("bad valley day %q", s)
+		}
+		if v < 1 || v >= days {
+			return nil, fmt.Errorf("valley day %d outside [1, %d): day 0 is the base and the series has %d days", v, days, days)
 		}
 		out = append(out, v)
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -17,7 +18,7 @@ func TestEvolvedSeriesStaysInsideDir(t *testing.T) {
 	p.IXP = "../../my ixp"
 	root := t.TempDir()
 	dir := filepath.Join(root, "a", "b", "snapshots")
-	n, err := writeEvolvedSeries(dir, p, ixpgen.TemporalOptions{Seed: 1, Scale: 0.002, Days: 3}, 0.05, true)
+	n, err := writeSeries(dir, p, ixpgen.TemporalOptions{Seed: 1, Scale: 0.002, Days: 3}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,6 +41,22 @@ func TestEvolvedSeriesStaysInsideDir(t *testing.T) {
 	for _, name := range names {
 		if want := "_._.._my_ixp-"; !strings.HasPrefix(name, want) {
 			t.Errorf("file %q does not carry the sanitised IXP name %q", name, want)
+		}
+	}
+}
+
+// TestParseValleysRange: a valley is a day in [1, -days). Day 0 is the
+// base the series evolves from and has no predecessor to drop from, and
+// an offset past the series would inject nothing; both are errors that
+// name the range, not five ordinary days written without a word.
+func TestParseValleysRange(t *testing.T) {
+	got, err := parseValleys("1, 4", 5)
+	if err != nil || !slices.Equal(got, []int{1, 4}) {
+		t.Fatalf("parseValleys(1, 4) = %v, %v", got, err)
+	}
+	for _, spec := range []string{"0", "5", "3,7", "-1"} {
+		if _, err := parseValleys(spec, 5); err == nil || !strings.Contains(err.Error(), "[1, 5)") {
+			t.Errorf("parseValleys(%q, 5): err = %v, want one naming [1, 5)", spec, err)
 		}
 	}
 }

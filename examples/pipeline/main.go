@@ -14,8 +14,10 @@ import (
 
 	"ixplight/internal/analysis"
 	"ixplight/internal/collector"
+	"ixplight/internal/dictionary"
 	"ixplight/internal/ixpgen"
 	"ixplight/internal/lg"
+	"ixplight/internal/netutil"
 	"ixplight/internal/report"
 	"ixplight/internal/rs"
 	"ixplight/internal/sanitize"
@@ -31,14 +33,18 @@ func main() {
 	}
 
 	var series []*collector.Snapshot
-	for day := 0; day < opts.Days; day++ {
-		snap, err := collectDay(*profile, opts, day)
+	err := ixpgen.EvolveSeries(*profile, opts, 0, func(day int, evolved *collector.Snapshot) error {
+		snap, err := collectDay(profile.Scheme, evolved, day)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		series = append(series, snap)
 		c := analysis.CountSnapshot(snap, false)
 		fmt.Printf("day %2d (%s): %3d members, %6d v4 routes\n", day, snap.Date, c.Members, c.Routes)
+		return nil
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	kept, removed := sanitize.Clean(series)
@@ -50,19 +56,26 @@ func main() {
 	report.WriteStability(log.Writer(), profile.IXP+"-v6", analysis.Stability(kept, true))
 }
 
-// collectDay builds day d's IXP state, serves it through a flaky LG
-// and crawls it back — the full production path, every day.
-func collectDay(p ixpgen.Profile, opts ixpgen.TemporalOptions, day int) (*collector.Snapshot, error) {
-	w, date, err := ixpgen.GenerateDay(p, opts, day)
+// collectDay loads one evolved day into a route server, serves it
+// through a flaky LG and crawls it back — the full production path,
+// every day.
+func collectDay(scheme *dictionary.Scheme, evolved *collector.Snapshot, day int) (*collector.Snapshot, error) {
+	server, err := rs.New(rs.Config{Scheme: scheme, ScrubActions: true})
 	if err != nil {
 		return nil, err
 	}
-	server, err := rs.New(rs.Config{Scheme: p.Scheme, ScrubActions: true})
-	if err != nil {
-		return nil, err
+	for i, m := range evolved.Members {
+		if err := server.AddPeer(rs.Peer{ASN: m.ASN, Name: m.Name, IPv4: m.IPv4, IPv6: m.IPv6,
+			AddrV4: netutil.PeerAddrV4(i + 1), AddrV6: netutil.PeerAddrV6(i + 1)}); err != nil {
+			return nil, err
+		}
 	}
-	if err := w.Populate(server); err != nil {
-		return nil, err
+	for _, r := range evolved.Routes {
+		// Announce fails only for a peer without a session: a valley day
+		// lost some members, and with them their routes.
+		if reason, err := server.Announce(r.PeerAS(), r); err == nil && reason != rs.FilterNone {
+			return nil, fmt.Errorf("evolved route %s from AS%d rejected: %v", r.Prefix, r.PeerAS(), reason)
+		}
 	}
 	var handler http.Handler = lg.NewServer(server)
 	handler = lg.Flaky(handler, lg.FlakyOptions{ErrorRate: 0.03, Seed: int64(day)})
@@ -73,5 +86,5 @@ func collectDay(p ixpgen.Profile, opts ixpgen.TemporalOptions, day int) (*collec
 		MaxRetries:   15,
 		RetryBackoff: time.Millisecond,
 	})
-	return collector.Collect(context.Background(), client, date)
+	return collector.Collect(context.Background(), client, evolved.Date)
 }

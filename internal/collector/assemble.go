@@ -24,10 +24,12 @@ func (a *routeRun) before(b *routeRun) bool {
 	return c < 0 || c == 0 && a.seq < b.seq
 }
 
-// mergeRouteBlocks returns the routes of all blocks in Normalize order
+// MergeRouteBlocks returns the routes of all blocks in Normalize order
 // in one exactly-sized slice (nil when there are none, as appending
-// nothing to a nil Routes always left it).
-func mergeRouteBlocks(blocks [][]bgp.Route) []bgp.Route {
+// nothing to a nil Routes always left it). Besides the crawl, ixpgen's
+// evolved days are assembled with it: the kept routes are one run, the
+// day's few new ones a handful more.
+func MergeRouteBlocks(blocks [][]bgp.Route) []bgp.Route {
 	total := 0
 	var runs []routeRun
 	for _, block := range blocks {

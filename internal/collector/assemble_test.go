@@ -52,7 +52,7 @@ func TestMergeRouteBlocksIsNormalize(t *testing.T) {
 		// Stable, so that equal keys are in block order: the one order
 		// among Normalize's possible ones that the merge promises.
 		slices.SortStableFunc(want, func(a, b bgp.Route) int { return routeCompare(&a, &b) })
-		got := mergeRouteBlocks(blocks)
+		got := MergeRouteBlocks(blocks)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: merge differs from concatenate + sort\n got  %v\n want %v", round, got, want)
 		}
@@ -60,7 +60,7 @@ func TestMergeRouteBlocksIsNormalize(t *testing.T) {
 			t.Fatalf("round %d: merged slice has capacity %d for %d routes", round, cap(got), len(got))
 		}
 	}
-	if got := mergeRouteBlocks([][]bgp.Route{nil, {}}); got != nil {
+	if got := MergeRouteBlocks([][]bgp.Route{nil, {}}); got != nil {
 		t.Errorf("no routes merge to %#v, want nil (a digest tells nil from empty)", got)
 	}
 }

@@ -207,7 +207,7 @@ func CollectWithOptions(ctx context.Context, client *lg.Client, date string, opt
 	}
 	snap.Partial = len(snap.MemberErrors) > 0
 	snap.sortMembers()
-	snap.Routes = mergeRouteBlocks(blocks)
+	snap.Routes = MergeRouteBlocks(blocks)
 	if !snap.Partial && opts.CheckpointPath != "" {
 		// The crawl is complete; the resume state has served its purpose.
 		os.Remove(opts.CheckpointPath)

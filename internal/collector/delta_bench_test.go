@@ -16,7 +16,7 @@ func benchDeltaPair(n int) (base, next *Snapshot) {
 }
 
 // BenchmarkSnapshotDeltaEncode measures the encoder two ways. oneshot
-// is EncodeDelta on a ~30 %-churn pair: a new encoder (every attribute
+// is EncodeDelta on a ~30 % churn pair: a new encoder (every attribute
 // of the base keyed once) plus one day. chained is what a daily
 // collection pays: one Encode on a standing encoder whose day differs
 // from the last by 1 % withdrawn and 1 % re-announced.

@@ -245,7 +245,7 @@ func alternatingDays(n int) (base *Snapshot, days [2]*Snapshot) {
 }
 
 // TestEncodeAllocsOnALowChurnDay pins what the single keying pass
-// bought: encoding a 1 %-churn day of 19 800 routes cost the two-pass
+// bought: encoding a 1 % churn day of 19 800 routes cost the two-pass
 // encoder 59 927 allocations (three per route: an address marshalled
 // for the next-hop key, another for the prefix column, index columns
 // and fresh intern maps for the digest); it must stay under a third of
@@ -264,8 +264,8 @@ func TestEncodeAllocsOnALowChurnDay(t *testing.T) {
 		}
 		k++
 	})
-	t.Logf("Encode of a 1%%-churn day: %.0f allocations for %d routes (seed: %d)", allocs, len(days[0].Routes), seedAllocs)
+	t.Logf("Encode of a 1%% churn day: %.0f allocations for %d routes (seed: %d)", allocs, len(days[0].Routes), seedAllocs)
 	if allocs > seedAllocs/3 {
-		t.Errorf("Encode of a 1%%-churn day allocates %.0f times, want ≤ %d (a third of the seed's %d)", allocs, seedAllocs/3, seedAllocs)
+		t.Errorf("Encode of a 1%% churn day allocates %.0f times, want ≤ %d (a third of the seed's %d)", allocs, seedAllocs/3, seedAllocs)
 	}
 }

@@ -1,25 +1,28 @@
 package ixpgen
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"net/netip"
+	"slices"
+	"sort"
 
 	"ixplight/internal/bgp"
 	"ixplight/internal/collector"
 	"ixplight/internal/netutil"
 )
 
-// Evolved daily series: the delta-chain counterpart of GenerateDay.
+// Evolved daily series: the one generator of a twelve-week collection.
 //
-// GenerateDay regenerates every day from a related seed, which is
-// right for scale calibration but wrong for storage realism — two
-// adjacent days share routes only as far as their seeds collide. A
-// real route server's consecutive daily RIBs instead overlap almost
+// A real route server's consecutive daily RIBs overlap almost
 // completely (the redundancy delta snapshots exploit), so EvolveSeries
 // produces each day by *editing* the previous one: a small fraction of
-// routes withdrawn, re-tagged or MED-flapped, a matching trickle of
-// fresh announcements, weekly membership churn, and the §3 collection
-// valleys as one-day drops that recover the next day.
+// routes withdrawn, re-tagged or MED-flapped, each withdrawal answered
+// by one announcement, weekly membership churn, and the §3 collection
+// valleys as one-day drops that recover the next day. The analysis
+// lab's Tables 3/4, `ixpgen` and the benchmark's datasets all read
+// this one series.
 
 const (
 	// evolvePrefixBase numbers the fresh prefixes evolved days
@@ -40,8 +43,8 @@ const (
 // EvolveSeries generates an o.Days-long daily series for p by evolving
 // day 0 (a plain Generate at o.Scale) with per-day churn, calling fn
 // once per day in date order. churn is the approximate fraction of
-// routes edited per day (withdrawn + re-tagged + flapped, with a
-// matching share of fresh announcements); <= 0 defaults to 0.03,
+// routes edited per day (withdrawn + re-tagged + flapped, every
+// withdrawal answered by one announcement); <= 0 defaults to 0.03,
 // within the paper's "under 4%" daily variation. Every seventh day one
 // member departs (its routes withdrawn) and a fresh one joins, so
 // member-dependent aggregates see churn too. o.ValleyDays emit a
@@ -65,18 +68,17 @@ func EvolveSeries(p Profile, o TemporalOptions, churn float64, fn func(day int, 
 	}
 	freshPrefix := evolvePrefixBase
 	joinerASN := uint32(evolveJoinerBase)
+	var kept []bgp.Route
 	for d := 1; d < o.Days; d++ {
-		date := dayDate(d)
 		rng := rand.New(rand.NewSource(o.Seed*1000003 + int64(d)))
-		next := evolveDay(cur, date, rng, churn, &freshPrefix)
+		var next *collector.Snapshot
+		next, kept = evolveDay(cur, dayDate(d), rng, churn, &freshPrefix, kept)
 		if d%7 == 0 {
 			churnMembers(next, rng, &joinerASN)
 		}
-		next.Normalize()
 		emit := next
-		if isValleyDay(o, d) {
+		if slices.Contains(o.ValleyDays, d) {
 			emit = shrinkSnapshot(next, valleyDepth, rng)
-			emit.Normalize()
 		}
 		if err := fn(d, emit); err != nil {
 			return err
@@ -86,67 +88,112 @@ func EvolveSeries(p Profile, o TemporalOptions, churn float64, fn func(day int, 
 	return nil
 }
 
-func isValleyDay(o TemporalOptions, d int) bool {
-	for _, v := range o.ValleyDays {
-		if v == d {
-			return true
-		}
-	}
-	return false
+// withdrawal is a withdrawn route's prefix and the index in the kept
+// routes where that prefix's survivors start.
+type withdrawal struct {
+	prefix netip.Prefix
+	at     int
 }
 
 // evolveDay derives one day from the previous one. prev is never
 // mutated: kept routes are copied by value with their attribute slices
 // shared, and edited routes are cloned before their slices change.
-func evolveDay(prev *collector.Snapshot, date string, rng *rand.Rand, churn float64, freshPrefix *int) *collector.Snapshot {
-	next := &collector.Snapshot{
-		IXP:           prev.IXP,
-		Date:          date,
-		Members:       append([]collector.Member(nil), prev.Members...),
-		FilteredCount: prev.FilteredCount,
-	}
+//
+// Every withdrawal is answered by one announcement of the same family,
+// so route and prefix counts stay level: the withdrawn prefix under the
+// attributes of a kept route whose peer does not hold it yet, or a
+// never-used prefix when no such route is left or the prefix fails the
+// import bounds (a blackhole /32). The kept routes are in prev's order,
+// the re-used prefixes arrive in it and the fresh ones count up, so the
+// day is a merge of a handful of runs, not a sort. kept is the caller's
+// scratch space, returned for the next day.
+func evolveDay(prev *collector.Snapshot, date string, rng *rand.Rand, churn float64, freshPrefix *int, kept []bgp.Route) (*collector.Snapshot, []bgp.Route) {
 	perOp := churn / 3
-	routes := make([]bgp.Route, 0, len(prev.Routes)+len(prev.Routes)/16+4)
+	kept = kept[:0]
+	var withdrawn []withdrawal
+	at := 0
 	for i := range prev.Routes {
 		r := prev.Routes[i]
+		if i == 0 || r.Prefix != prev.Routes[i-1].Prefix {
+			at = len(kept)
+		}
 		switch roll := rng.Float64(); {
 		case roll < perOp: // withdrawn
-			continue
+			withdrawn = append(withdrawn, withdrawal{r.Prefix, at})
 		case roll < 2*perOp: // re-tagged
 			nr := r.Clone()
-			if n := len(nr.Communities); n > 0 && rng.Intn(2) == 0 {
-				nr.Communities[rng.Intn(n)] = memberPrivate(nr.PeerAS(), rng)
-			} else {
-				nr.Communities = append(nr.Communities, memberPrivate(nr.PeerAS(), rng))
+			slot := len(nr.Communities) // a new community, or one replaced
+			if slot > 0 && rng.Intn(2) == 0 {
+				slot = rng.Intn(slot)
 			}
-			routes = append(routes, nr)
+			// A blackhole host route keeps its tag: without it the /32
+			// fails the import filter.
+			if c := memberPrivate(nr.PeerAS(), rng); slot < len(nr.Communities) && nr.Communities[slot] != bgp.BlackholeWellKnown {
+				nr.Communities[slot] = c
+			} else {
+				nr.Communities = append(nr.Communities, c)
+			}
+			kept = append(kept, nr)
 		case roll < 3*perOp: // MED flap (scalar change on the copy)
 			r.MED = uint32(rng.Intn(200))
-			routes = append(routes, r)
+			kept = append(kept, r)
 		default:
-			routes = append(routes, r)
+			kept = append(kept, r)
 		}
 	}
-	// Fresh announcements reuse an existing route's attributes under a
-	// prefix no other day ever announced.
-	for n := int(float64(len(prev.Routes))*perOp) + 1; n > 0 && len(routes) > 0; n-- {
-		nr := routes[rng.Intn(len(routes))].Clone()
+
+	v6 := sort.Search(len(kept), func(i int) bool { return kept[i].IsIPv6() })
+	var reused, fresh []bgp.Route
+	var holders []uint32 // the peers holding the current withdrawal's prefix
+withdrawals:
+	for k, w := range withdrawn {
+		if k == 0 || w.prefix != withdrawn[k-1].prefix {
+			holders = holders[:0]
+			for j := w.at; j < len(kept) && kept[j].Prefix == w.prefix; j++ {
+				holders = append(holders, kept[j].PeerAS())
+			}
+		}
+		family := kept[:v6]
+		if w.prefix.Addr().Is6() {
+			family = kept[v6:]
+		}
+		if len(family) == 0 {
+			continue
+		}
+		start := rng.Intn(len(family))
+		if netutil.CheckPrefixBounds(w.prefix) == nil {
+			for n := range family {
+				if nr := family[(start+n)%len(family)]; !slices.Contains(holders, nr.PeerAS()) {
+					nr.Prefix = w.prefix
+					reused = append(reused, nr)
+					holders = append(holders, nr.PeerAS())
+					continue withdrawals
+				}
+			}
+		}
+		nr := family[start]
 		if nr.IsIPv6() {
 			nr.Prefix = netutil.SyntheticV6Prefix(*freshPrefix)
 		} else {
 			nr.Prefix = netutil.SyntheticV4Prefix(*freshPrefix)
 		}
 		*freshPrefix++
-		routes = append(routes, nr)
+		fresh = append(fresh, nr)
 	}
-	next.Routes = routes
-	return next
+	return &collector.Snapshot{
+		IXP:           prev.IXP,
+		Date:          date,
+		Members:       append([]collector.Member(nil), prev.Members...),
+		Routes:        collector.MergeRouteBlocks([][]bgp.Route{kept, reused, fresh}),
+		FilteredCount: prev.FilteredCount,
+	}, kept
 }
 
 // churnMembers retires the series' last member (withdrawing its
 // routes) and admits a fresh one with no routes yet — the weekly
 // membership drift that flips targeted ASNs between the member and
-// non-member sides of the §5.5 aggregates.
+// non-member sides of the §5.5 aggregates. The joiner takes its place
+// in ASN order.
 func churnMembers(s *collector.Snapshot, rng *rand.Rand, joinerASN *uint32) {
 	if len(s.Members) > 9 {
 		gone := s.Members[len(s.Members)-1].ASN
@@ -161,7 +208,8 @@ func churnMembers(s *collector.Snapshot, rng *rand.Rand, joinerASN *uint32) {
 	}
 	asn := *joinerASN
 	*joinerASN++
-	s.Members = append(s.Members, collector.Member{
+	at, _ := slices.BinarySearchFunc(s.Members, asn, func(m collector.Member, asn uint32) int { return cmp.Compare(m.ASN, asn) })
+	s.Members = slices.Insert(s.Members, at, collector.Member{
 		ASN:  asn,
 		Name: fmt.Sprintf("AS%d Joiner", asn),
 		IPv4: true,
@@ -170,7 +218,8 @@ func churnMembers(s *collector.Snapshot, rng *rand.Rand, joinerASN *uint32) {
 }
 
 // shrinkSnapshot is a valley day: the collection keeps only depth of
-// the members and routes, losing the rest to the outage.
+// the members and routes, losing the rest to the outage. What it keeps
+// stays in s's order.
 func shrinkSnapshot(s *collector.Snapshot, depth float64, rng *rand.Rand) *collector.Snapshot {
 	v := &collector.Snapshot{
 		IXP:           s.IXP,

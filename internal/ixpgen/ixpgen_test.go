@@ -545,44 +545,6 @@ func TestMemberASNsAvoidSchemeAnchors(t *testing.T) {
 	}
 }
 
-func TestGenerateDayTemporalShape(t *testing.T) {
-	p := *ProfileByName("AMS-IX")
-	opts := TemporalOptions{Seed: 11, Scale: 0.02, Days: 14, ValleyDays: []int{9}}
-
-	var counts []int
-	for d := 0; d < 14; d++ {
-		w, date, err := GenerateDay(p, opts, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if date == "" {
-			t.Fatal("empty date")
-		}
-		counts = append(counts, len(w.Routes))
-	}
-	// Within the first week the variation must stay small (Table 3).
-	minC, maxC := counts[0], counts[0]
-	for _, c := range counts[1:7] {
-		if c < minC {
-			minC = c
-		}
-		if c > maxC {
-			maxC = c
-		}
-	}
-	if diff := float64(maxC-minC) / float64(minC); diff > 0.05 {
-		t.Errorf("weekly variation = %.3f, want < 0.05", diff)
-	}
-	// The valley day must show a ≥30% drop vs its predecessor.
-	if drop := 1 - float64(counts[9])/float64(counts[8]); drop < 0.30 {
-		t.Errorf("valley drop = %.3f, want ≥ 0.30", drop)
-	}
-	// And recovery after.
-	if counts[10] < int(0.85*float64(counts[8])) {
-		t.Errorf("no recovery after valley: %v", counts[8:12])
-	}
-}
-
 func TestSnapshotMatchesCollectedState(t *testing.T) {
 	// Workload.Snapshot must agree with Populate + RS state on the
 	// aggregate counts (the fast path and the full path are the same

@@ -17,10 +17,12 @@ import (
 // index became the only execution path, running every analysis through
 // the direct-classify reference (now analysis/oracle_test.go) on
 // materialized routes at one worker. "synthetic" is the generated lab,
-// "dataset" a ten-day evolved series (churn 0.05, valley on day 4)
+// "dataset" the ten-day series `ixpgen` writes (valley on day 4)
 // loaded from disk, where table3/table4/sanitation read the stored
 // series. visibility simulates its own route servers and is the same
-// in both.
+// in both. Synthetic table3/table4 and every dataset digest but
+// visibility's and sanitation's were re-recorded when withdrawals began
+// to re-use their prefixes.
 var expAllGolden = map[string]map[string]string{
 	"synthetic": {
 		"table1":     "fa0bb2e1034edf9a7e6f2ca7ab43801d90475cfcd3a1655eeb4957c086095ca4",
@@ -35,8 +37,8 @@ var expAllGolden = map[string]map[string]string{
 		"fig5":       "d3fdd591ca60840a285cf2ca77e639d2305e20c892b2c56a049e2ca89b3dc14d",
 		"fig6":       "c44821f49f09d4df104d02e7cbaf4a8879bc434a0327abdfcba0188543971358",
 		"fig7":       "76ba495cc5fdd14898859fd814559fede9b3ba3afe4d6ae8ae653cf1830e409e",
-		"table3":     "f1ed6cdfb1f455e191cab9aecb82e862231a2c3d22edd0ca537a531350859947",
-		"table4":     "e237e1abd1f3bba71ba461c1780baf3698d7a262a7f77c0db4cefceaed579a0a",
+		"table3":     "6fd44d1099caeb558dace4e8b96ea3f7c838ca0306e772cf0721477e7fe18790",
+		"table4":     "8a94004c9c5c1c4fa21bbcb1bdc7fa70cb8e4523d404a421fdd1fef9521f2f65",
 		"sanitation": "55c52b82ffe13c63072d1769b5362ca967a4fc8cc08b28cafeea6ad15dfba4f9",
 		"extlarge":   "5a271f04a94f4e03af0d9cacca252ec7588cd3bb4c1ae19442d6867c363660cb",
 		"sec56":      "6094a5bc62017c0e6fee080ad7cbd768960c318246cf1f6985c59c380923c329",
@@ -46,27 +48,27 @@ var expAllGolden = map[string]map[string]string{
 		"summary":    "ada905717044f9ec390764aa11e769d477b4663d4226d3d9c5ce8b380f3022ad",
 	},
 	"dataset": {
-		"table1":     "3de3f6d444f30a1b42fc3b19f98333b8432215c866849c586772478d36afe4be",
-		"fig1":       "aea25aafe11b37c43a46f4b4b029e3eec3cd4538c6eeebd3dcd0df65f607581d",
-		"fig2":       "f9ae41beaa5db542ea15c9cdaeb6c329b0f7b503c80d08f2462db1cba1e682c3",
-		"fig3":       "a7335eee8b4431bca6b0c6f87e8b6579c4ca0afb7655779525288ade4f7c7b7c",
-		"fig4a":      "4a4e7119d870d6bbb6cd4b08d706965e65fe71055944cc554639007b45554811",
-		"fig4b":      "677607691c7d4842935610bcbeed4e7aaef4dd3d53702d82b10da1452a6f0872",
-		"fig4c":      "d920c9a6bd641dc6ade002e65b4f1b3362889050e5a96f74fe6e45d62d40df73",
-		"table2":     "104460f5bc113da360e047a55c9942f9a4de6090bb4dbdcd11f9c14d5758a954",
-		"sec53":      "19a4c04b3c38171058371f77ccf58bbbe57ef58831c819678817cb80652e8c05",
-		"fig5":       "82ac4a8436f577e88b3714537f2fd0a38632bbfe3adcd4da4e9d3df7149732a8",
-		"fig6":       "babc657c73cfd3c405c93fcaf1fbe0528c0905fe399112efbb4c16183b1d8ccc",
-		"fig7":       "33c15ce7a910aa916e03ebfcc0da25ade1d3144a1741d8d6dbb049a11cbef218",
-		"table3":     "645f34a9812ac5f1989f8f1e0984a83e3310949cd7478d36a2fd5b42692204e4",
-		"table4":     "261fa7036760f7abde1e3fe620c280f9ed9f0de02c790387d6dcfe0869a3809e",
+		"table1":     "458e0ba3f131a121f7ed30714c1da7674c1a6f607f1dcb7144bb7f2498cdcd86",
+		"fig1":       "d898bd3890810b6ba33ed94b59d93151c3a6adc5515d5e199063ae1fd5159225",
+		"fig2":       "53f440068332b62e38a9817cc1657620d73682924440acaeff623a17c79eec3f",
+		"fig3":       "726bc40ca493db6e55757249af2c22a71551312982e0be58b1df9fbb953a90f5",
+		"fig4a":      "831e63954b17438c4b66a27754ebca3f7a140dea7d720752699abfb5004fb571",
+		"fig4b":      "4137a323a273cc2b57165791b195b56658f53e87c9c0d3f16192997ebfbcc38c",
+		"fig4c":      "1a0256e814327a42b0bda4ee4f19c61dfd04ff1e1c3814030c2c79d260388009",
+		"table2":     "2a02bce201486b225846833c10900722ef185e5884ca2d5973f300edee4d4146",
+		"sec53":      "5e362e5e55a2719ad333d08ca12631071f07528356316d607b9c49c7687e0825",
+		"fig5":       "dd9de09170d12d7a2be37726ff02442ddb5da2c2829e0969e572781edf2c5682",
+		"fig6":       "1c50083fca95b8e0e459da90f02cd78a6b2e339e09c1cab2df748663980c3489",
+		"fig7":       "5df53fdcee8463b05ab1b78bd5355e886189cf3230b6a0cb4d6cd93e9400e72e",
+		"table3":     "dfb4c4aabf7ad4aa790eead98cc4997e8026388675f7fc4966ba38e195e0b37b",
+		"table4":     "55385929973e7fda7c5232832ca7066f319a3153fbc7f435fe1a1d11cc125e6a",
 		"sanitation": "2d829e52741877170bb651f8f9f2bb59f5b6d5043d34529b410e207e564fcf59",
-		"extlarge":   "f1482f1301fa6efcff61be6fb1f532b01b043654e9b933f0f8d280ad03417069",
-		"sec56":      "c9cbefb303a0b3aba929940e6641574540e2169e63bf0a177c1ec9e488f357d2",
+		"extlarge":   "8c1550b976ed7d82fca9916e0acf904a87896e4ca9571ed487a3d6a402029c93",
+		"sec56":      "fa01e5e0eb092228623c2a9e862646526b38267d28b97a4adeb619376c3a03b6",
 		"visibility": "64fe2300db4c58f8acd1ddf4c47546ae268f041a4c7dc855b43649d2e0a519f2",
-		"intersect":  "66441f74e291aab9409e869665a89cc8c77b420b8c1fee87f7597aa13165860b",
-		"categories": "7f78e9feaf3242017809ca7644424b3b57f98d8da9c6518192fdd5042a0f4b35",
-		"summary":    "5fd193d5ffd55baa67bb0f299e30a84eea880bf63e01b6dbda48874ac9734d13",
+		"intersect":  "19f5a5643acc32cca6a0b5ef6a7347ed273c45b8e3ae7aa59fc6738c5df36622",
+		"categories": "9f5d92634554982aecb8557448153859f37820bb11e57a32e28218d8f8587d6d",
+		"summary":    "1430738e67bb7d6dc48c3711f994e23fc79f9661c43c3e91100e20ab63a22e95",
 	},
 }
 

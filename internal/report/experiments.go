@@ -1,6 +1,7 @@
 package report
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -44,7 +45,7 @@ type Lab struct {
 	// Series optionally holds a full date-ordered snapshot series per
 	// IXP (e.g. loaded from a cmd/ixpgen dataset). When present, the
 	// temporal experiments (table3, table4, sanitation) run over it
-	// instead of regenerating a synthetic series.
+	// instead of evolving one.
 	Series map[string][]*collector.Snapshot
 	// Registry labels ASNs in rankings.
 	Registry *asdb.Registry
@@ -315,14 +316,10 @@ func (l *Lab) runFig7(w io.Writer) error {
 }
 
 // runStability reports Tables 3/4 over a daily series — the loaded
-// dataset when the lab has one, a freshly generated series otherwise.
+// dataset when the lab has one, a generated series otherwise.
 func (l *Lab) runStability(w io.Writer, title string, days int, valleys []int) error {
 	Section(w, title)
-	for _, p := range l.Profiles {
-		snaps, err := l.series(p, days, valleys)
-		if err != nil {
-			return err
-		}
+	return l.eachSeries(w, days, valleys, func(w io.Writer, p ixpgen.Profile, snaps []*collector.Snapshot) {
 		// The paper computes Appendix A over the sanitized dataset:
 		// collection valleys are removed before measuring variation.
 		snaps, _ = sanitize.Clean(snaps)
@@ -334,31 +331,37 @@ func (l *Lab) runStability(w io.Writer, title string, days int, valleys []int) e
 		}
 		WriteStability(w, p.IXP+"-v4", analysis.Stability(snaps, false))
 		WriteStability(w, p.IXP+"-v6", analysis.Stability(snaps, true))
-	}
-	return nil
+	})
 }
 
-// series returns the lab's stored series for p, or generates one.
-func (l *Lab) series(p ixpgen.Profile, days int, valleys []int) ([]*collector.Snapshot, error) {
-	if stored := l.Series[p.IXP]; len(stored) > 0 {
-		return stored, nil
-	}
-	// Day generation is independently seeded per day, so the series
-	// fans out across the lab's pool with each day landing in its own
-	// slot — the same date-ordered series for any worker count.
-	opts := ixpgen.TemporalOptions{Seed: l.Seed, Scale: l.Scale, Days: days, ValleyDays: valleys}
-	snaps := make([]*collector.Snapshot, days)
-	if _, err := runPool(days, l.workers(), func(d int) error {
-		wl, date, err := ixpgen.GenerateDay(p, opts, d)
-		if err != nil {
-			return err
+// eachSeries reports on each profile's date-ordered daily series: the
+// lab's stored series where it has one, otherwise the days EvolveSeries
+// evolves at the lab's seed and scale — the series `ixpgen` writes. The
+// profiles fan out across the lab's pool, each series living only as
+// long as its task, and fn's output lands on w in profile order.
+func (l *Lab) eachSeries(w io.Writer, days int, valleys []int, fn func(w io.Writer, p ixpgen.Profile, snaps []*collector.Snapshot)) error {
+	outs := make([]bytes.Buffer, len(l.Profiles))
+	if _, err := runPool(len(l.Profiles), l.workers(), func(i int) error {
+		p := l.Profiles[i]
+		snaps := l.Series[p.IXP]
+		if len(snaps) == 0 {
+			opts := ixpgen.TemporalOptions{Seed: l.Seed, Scale: l.Scale, Days: days, ValleyDays: valleys}
+			if err := ixpgen.EvolveSeries(p, opts, 0, func(_ int, s *collector.Snapshot) error {
+				snaps = append(snaps, s)
+				return nil
+			}); err != nil {
+				return err
+			}
 		}
-		snaps[d] = wl.Snapshot(date)
+		fn(&outs[i], p, snaps)
 		return nil
 	}); err != nil {
-		return nil, err
+		return err
 	}
-	return snaps, nil
+	for i := range outs {
+		outs[i].WriteTo(w)
+	}
+	return nil
 }
 
 // runExtLarge reports the extension analysis: action instances by
@@ -556,16 +559,11 @@ func nameList(asns []uint32, reg *asdb.Registry, max int) string {
 
 func (l *Lab) runSanitation(w io.Writer) error {
 	Section(w, "§3 — sanitation: valley detection")
-	for _, p := range l.Profiles {
-		// Two injected collection failures when generating; a loaded
-		// dataset carries whatever valleys its producer injected.
-		snaps, err := l.series(p, 21, []int{5, 13})
-		if err != nil {
-			return err
-		}
+	// Two injected collection failures when generating; a loaded
+	// dataset carries whatever valleys its producer injected.
+	return l.eachSeries(w, 21, []int{5, 13}, func(w io.Writer, p ixpgen.Profile, snaps []*collector.Snapshot) {
 		kept, removed := sanitize.Clean(snaps)
 		fmt.Fprintf(w, "%s: %d snapshots, %d removed as valleys (%.1f%%), %d kept\n",
 			p.IXP, len(snaps), removed, 100*float64(removed)/float64(len(snaps)), len(kept))
-	}
-	return nil
+	})
 }

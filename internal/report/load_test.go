@@ -34,17 +34,14 @@ func TestLoadSnapshotDirCodecIndependence(t *testing.T) {
 	mem.Series = map[string][]*collector.Snapshot{}
 	for _, p := range profiles {
 		opts := ixpgen.TemporalOptions{Seed: seed, Scale: scale, Days: days}
-		for d := 0; d < days; d++ {
-			w, date, err := ixpgen.GenerateDay(p, opts, d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			snap := w.Snapshot(date)
-			if _, err := collector.SaveSnapshot(binDir, snap, collector.CodecBinary); err != nil {
-				t.Fatal(err)
-			}
+		err := ixpgen.EvolveSeries(p, opts, 0, func(_ int, snap *collector.Snapshot) error {
 			mem.Series[p.IXP] = append(mem.Series[p.IXP], snap)
 			mem.Snapshots[p.IXP] = snap
+			_, err := collector.SaveSnapshot(binDir, snap, collector.CodecBinary)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 		mem.Indexes[p.IXP] = analysis.NewIndex(mem.Snapshots[p.IXP], p.Scheme)
 	}
@@ -80,18 +77,7 @@ func TestLoadSnapshotDirColumnDirect(t *testing.T) {
 	)
 	profiles := ixpgen.BigFour()[:2]
 	binDir := t.TempDir()
-	for _, p := range profiles {
-		opts := ixpgen.TemporalOptions{Seed: seed, Scale: scale, Days: days}
-		for d := 0; d < days; d++ {
-			w, date, err := ixpgen.GenerateDay(p, opts, d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := collector.SaveSnapshot(binDir, w.Snapshot(date), collector.CodecBinary); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	writeDeltaChain(t, profiles, t.TempDir(), binDir, ixpgen.TemporalOptions{Seed: seed, Scale: scale, Days: days})
 
 	run := func(materialize bool) (*Lab, [][]byte) {
 		lab, err := NewLabParallel(profiles, seed, scale, 2)
@@ -219,16 +205,16 @@ func TestLoadIgnoresWhatIsNotADatasetFile(t *testing.T) {
 	}
 }
 
-// writeDeltaChain evolves a daily series for each profile into dir as
-// a delta chain (day 0 full binary, every later day a .delta), and
-// the same days into fullDir as full binary files. Returns the
-// materialized series per IXP.
+// writeDeltaChain evolves a daily series for each profile, at the
+// default churn `ixpgen` writes, into dir as a delta chain (day 0 full
+// binary, every later day a .delta), and the same days into fullDir as
+// full binary files. Returns the materialized series per IXP.
 func writeDeltaChain(t testing.TB, profiles []ixpgen.Profile, dir, fullDir string, o ixpgen.TemporalOptions) map[string][]*collector.Snapshot {
 	t.Helper()
 	series := map[string][]*collector.Snapshot{}
 	for _, p := range profiles {
 		var enc *collector.DeltaEncoder
-		err := ixpgen.EvolveSeries(p, o, 0.05, func(day int, s *collector.Snapshot) error {
+		err := ixpgen.EvolveSeries(p, o, 0, func(day int, s *collector.Snapshot) error {
 			series[p.IXP] = append(series[p.IXP], s)
 			if _, err := collector.SaveSnapshot(fullDir, s, collector.CodecBinary); err != nil {
 				return err
@@ -326,6 +312,44 @@ func TestLoadSnapshotDirDeltaChain(t *testing.T) {
 		for d, s := range matLab.Series[p.IXP] {
 			if d > 0 && !reflect.DeepEqual(s, want[d]) {
 				t.Errorf("%s day %d: applier-reconstructed snapshot diverges", p.IXP, d)
+			}
+		}
+	}
+}
+
+// TestStabilityIsOneWorld: Tables 3/4 over a generated lab read the
+// same series as over the dataset `ixpgen` writes at the same seed and
+// scale — as full .bin files and as a .bin + .delta chain — so the
+// temporal experiments do not depend on where the days came from.
+func TestStabilityIsOneWorld(t *testing.T) {
+	const (
+		seed  = 42
+		scale = 0.004
+	)
+	profiles := ixpgen.BigFour()[1:3]
+	chainDir, binDir := t.TempDir(), t.TempDir()
+	writeDeltaChain(t, profiles, chainDir, binDir, ixpgen.TemporalOptions{Seed: seed, Scale: scale, Days: 84})
+	exps := []string{"table3", "table4"}
+	gen, err := NewLabParallel(profiles, seed, scale, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := gen.RunMany(exps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for layout, dir := range map[string]string{".bin per day": binDir, ".bin + .delta chain": chainDir} {
+		lab := NewLabShell(profiles, seed, scale, 2)
+		if err := lab.LoadSnapshotDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		got, err := lab.RunMany(exps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, name := range exps {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Errorf("%s over a %s dataset differs from the generated lab:\n%s\nvs\n%s", name, layout, got[i], want[i])
 			}
 		}
 	}
