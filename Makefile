@@ -17,7 +17,8 @@
 #              TestVisibilityAllocs, TestGenerateAllocs,
 #              TestAnnounceAllocs, TestReloadWorkIsProportional,
 #              TestServeAllocs,
-#              TestServedPageAllocsIndependentOfPageSize. Every step runs
+#              TestServedPageAllocsIndependentOfPageSize,
+#              TestCrawlAllocsPerRoute. Every step runs
 #              the tree; none compares committed files.
 #   benchmark  benchmarks/e2e, declared by BENCHMARK.json: five
 #              output-checked workloads, judged in alternating pairs of
@@ -70,7 +71,7 @@ race:
 
 # floors runs exactly the floors the header lists — keep the two lists
 # the same — without -race, where allocation counts mean something.
-FLOORS := TestWarmColdSpeedup|TestAdvanceBytesPerDay|TestAdvanceAllocs|TestIndexFromColumnsAllocs|TestVisibilityAllocs|TestGenerateAllocs|TestAnnounceAllocs|TestReloadWorkIsProportional|TestServeAllocs|TestServedPageAllocsIndependentOfPageSize
+FLOORS := TestWarmColdSpeedup|TestAdvanceBytesPerDay|TestAdvanceAllocs|TestIndexFromColumnsAllocs|TestVisibilityAllocs|TestGenerateAllocs|TestAnnounceAllocs|TestReloadWorkIsProportional|TestServeAllocs|TestServedPageAllocsIndependentOfPageSize|TestCrawlAllocsPerRoute
 floors:
 	$(GO) test -run '^($(FLOORS))$$' ./...
 

@@ -9,31 +9,26 @@
 // (status, neighbor summary, a filtered count) go through encoding/json
 // on both ends. The route-server configuration, the artifact the §3
 // dictionary is parsed from, is served once, as BIRD-style text
-// (config/raw). A routes page — nearly every byte a crawl
-// moves — does not: the server appends it field by field from the route
-// server's ordered view (render.go, O(page size) and one Write per
-// page) and the client scans the body straight into bgp.Route values
-// whose attribute slices are cut from per-listing chunks and shared
-// between equal values (pagescan.go). Both halves are held to
-// encoding/json by tests, not by convention: every routes endpoint's
-// body must be byte-equal to json.Encoder's rendering of the same
-// RoutesResponse, and the scanner must agree with json.Unmarshal +
-// DecodeRoute — the previous decode, kept in oracle_test.go — on
-// whether a body is accepted, rejected as malformed (retryable) or
-// rejected for a route that does not parse, and on every route and
-// paging field of an accepted one (FuzzRoutesPageDecode).
+// (config/raw). A routes page — nearly every byte a crawl moves — is
+// rendered by hand into exactly the bytes json.Encoder writes
+// (render.go), and scanned straight into bgp.Route values while it has
+// that shape; any other body is read by json.Unmarshal + decodeRoute,
+// which define a page (pagescan.go). TestRoutesPageMatchesEncodingJSON
+// and FuzzRoutesPageDecode hold both halves to encoding/json.
 package lg
 
-import "ixplight/internal/bgp"
+import (
+	"net/netip"
+
+	"ixplight/internal/bgp"
+)
 
 // API payload shapes. They deliberately differ from the storage types
 // in internal/collector, as a real LG's JSON differs from a research
 // dataset's schema; the collector maps between the two. RoutesResponse
-// and APIRoute are what a routes page looks like; neither end builds
-// them on the crawl path any more (see the package comment), but the
-// golden test renders them through EncodeRoute and encoding/json to
-// say what the server's bytes must be, and flaky.go and FilteredCount
-// still decode a page into them.
+// and APIRoute are what a routes page means: the golden test renders
+// them through EncodeRoute and encoding/json to say what the server's
+// bytes must be, and decodePageJSON reads a page through them.
 
 // StatusResponse is returned by GET /api/v1/status.
 type StatusResponse struct {
@@ -94,4 +89,39 @@ func EncodeRoute(r bgp.Route) APIRoute {
 		out.LargeCommunities = append(out.LargeCommunities, l.String())
 	}
 	return out
+}
+
+// decodeRoute converts an API route back to the internal form.
+func decodeRoute(a APIRoute) (bgp.Route, error) {
+	prefix, err := netip.ParsePrefix(a.Prefix)
+	if err != nil {
+		return bgp.Route{}, err
+	}
+	nh, err := netip.ParseAddr(a.NextHop)
+	if err != nil {
+		return bgp.Route{}, err
+	}
+	r := bgp.Route{Prefix: prefix, NextHop: nh, ASPath: a.ASPath}
+	for _, s := range a.Communities {
+		c, err := bgp.ParseCommunity(s)
+		if err != nil {
+			return bgp.Route{}, err
+		}
+		r.Communities = append(r.Communities, c)
+	}
+	for _, s := range a.ExtCommunities {
+		e, err := bgp.ParseExtendedCommunity(s)
+		if err != nil {
+			return bgp.Route{}, err
+		}
+		r.ExtCommunities = append(r.ExtCommunities, e)
+	}
+	for _, s := range a.LargeCommunities {
+		l, err := bgp.ParseLargeCommunity(s)
+		if err != nil {
+			return bgp.Route{}, err
+		}
+		r.LargeCommunities = append(r.LargeCommunities, l)
+	}
+	return r, nil
 }

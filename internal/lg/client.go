@@ -435,7 +435,7 @@ func pagePath(endpoint string, page, pageSize int) string {
 }
 
 // routesPaged walks every page of one routes endpoint, decoding each
-// body straight into routes (see pagescan.go). The walk is bounded:
+// body onto routes (decodePage). The walk is bounded:
 // the page count implied by the first page's TotalCount caps the loop,
 // and a TotalCount that changes mid-crawl (the RIB shifted under us)
 // is an error — a partial, silently-wrong listing is worse than a

@@ -274,7 +274,7 @@ func TestDecodeRouteErrors(t *testing.T) {
 		{Prefix: "1.0.0.0/24", NextHop: "10.0.0.1", ExtCommunities: []string{"zz"}},
 	}
 	for i, a := range cases {
-		if _, err := DecodeRoute(a); err == nil {
+		if _, err := decodeRoute(a); err == nil {
 			t.Errorf("case %d: want error", i)
 		}
 	}
@@ -291,7 +291,7 @@ func TestEncodeDecodeRouteRoundTrip(t *testing.T) {
 		ExtCommunities:   []bgp.ExtendedCommunity{bgp.NewTwoOctetASExtended(0x80, 64500, 99)},
 		LargeCommunities: []bgp.LargeCommunity{{Global: 64500, Local1: 1, Local2: 2}},
 	}
-	out, err := DecodeRoute(EncodeRoute(in))
+	out, err := decodeRoute(EncodeRoute(in))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -98,22 +99,42 @@ func fetchBody(t testing.TB, h http.Handler, path string) []byte {
 	return rec.Body.Bytes()
 }
 
-// checkPageAgainstOracle decodes body both ways and demands the same
-// verdict, routes and paging fields.
+// The three things a page body can be.
+const (
+	pageOK       = "ok"
+	pageBadJSON  = "bad_json"  // json.Unmarshal's errors: retryable
+	pageBadRoute = "bad_route" // decodeRoute's errors: fatal for the listing
+)
+
+// verdict names what a page decode's error says of the body.
+func verdict(err error) string {
+	var bad *errBadRoute
+	switch {
+	case err == nil:
+		return pageOK
+	case errors.As(err, &bad):
+		return pageBadRoute
+	}
+	return pageBadJSON
+}
+
+// checkPageAgainstOracle decodes body with decodePage and with
+// decodePageJSON and demands the same verdict, routes and paging fields.
 func checkPageAgainstOracle(t testing.TB, body []byte) {
 	t.Helper()
-	wantRoutes, wantInfo, wantVerdict := decodePageOracle(body)
+	wantRoutes, wantInfo, err := decodePageJSON(body, nil)
+	wantVerdict := verdict(err)
 	// Decode onto a non-empty listing, as every page after the first is.
 	prior := []bgp.Route{{MED: 7}}
 	d := newListingDecoder()
-	got, gotInfo, gotVerdict, err := decodePageScanner(d, body, prior)
-	if gotVerdict != wantVerdict {
-		t.Fatalf("scanner says %s (%v), encoding/json + DecodeRoute say %s\nbody: %q", gotVerdict, err, wantVerdict, body)
+	got, gotInfo, err := d.decodePage(body, prior)
+	if gotVerdict := verdict(err); gotVerdict != wantVerdict {
+		t.Fatalf("decodePage says %s (%v), encoding/json + decodeRoute say %s\nbody: %q", gotVerdict, err, wantVerdict, body)
 	}
 	// What a listing's decoder carries from page to page (shared
 	// attribute storage, the gateway memo) must not change what the
 	// next page decodes to.
-	if again, againInfo, againVerdict, _ := decodePageScanner(d, body, prior[:1:1]); againVerdict != gotVerdict || againInfo != gotInfo || !reflect.DeepEqual(again, got) {
+	if again, againInfo, againErr := d.decodePage(body, prior[:1:1]); verdict(againErr) != wantVerdict || againInfo != gotInfo || !reflect.DeepEqual(again, got) {
 		t.Fatalf("the same body decodes differently the second time on one decoder\nbody: %q", body)
 	}
 	if len(got) < 1 || !reflect.DeepEqual(got[0], prior[0]) {
@@ -140,10 +161,27 @@ func checkPageAgainstOracle(t testing.TB, body []byte) {
 
 const onePageTail = `,"page":0,"page_size":500,"total_pages":1,"total_count":1}`
 
+// tokensApart is a page with a tab and a CR between every two tokens.
+var tokensApart = strings.Join(strings.Fields(`{ "routes" : [ { "network" : "10.0.0.0/24" , "gateway" : "10.0.0.1" , "as_path" : [ 1 , 2 ] ,
+	"communities" : [ "1:2" ] , "ext_communities" : [ "1:2:3" ] , "large_communities" : [ "1:2:3" ] , "filter_reason" : "x" } ] ,
+	"page" : 0 , "page_size" : 1 , "total_pages" : 1 , "total_count" : 1 }`), "\t\r")
+
 // handWrittenPages are bodies no well-behaved looking glass sends but
-// encoding/json has an opinion on, each of which the scanner must
-// share.
+// encoding/json has an opinion on, each of which decodePage must answer
+// as decodePageJSON does.
 var handWrittenPages = []string{
+	// the edges of the scanner's shape
+	`{"routes":[{"network":"10.0.0.0/24","gateway":"10.0.0.1","communities":[x1:2"]}]}`,
+	`{"routes":[{"Communities":[00:0"]}]}`,
+	`{"page":01}`, `{"page":-0}`, `{"page":1152921504606846976,"total_count":1152921504606846977}`, `{"page":9223372036854775808}`,
+	"{\"routes\":[{\"network\":\"10.0.0.0/24\",\"gateway\":\"10.0.0.1\",\"filter_reason\":\"a\x7fb\"}]}",
+	"{\"routes\":[{\"network\":\"10.0.0.0/24\x7f\",\"gateway\":\"10.0.0.1\"}]}",
+	`{"routes":[{"network":"10.0.0.0/24","gateway":"10.0.0.1","med":5}]}`,
+	`{"total_count":1,"routes":[{"large_communities":["1:2:3"],"communities":["1:2"],"gateway":"10.0.0.1","as_path":[1],"network":"10.0.0.0/24"}],"page":0}`,
+	`{"routes":[],"page":0,"page_size":500,"total_pages":1,"total_count":0}`,
+	tokensApart,
+	`{"routes":[{"network":"10.0.0.0/24","as_path":[1]}]}`, `{"routes":[{"gateway":"10.0.0.1"}]}`,
+	`{"routes":[{"network":"10.0.0.0/24","gateway":"10.0.0.1","as_path":[]},{"network":"10.0.1.0/24","gateway":"10.0.0.1","as_path":null}]}`,
 	// top-level values
 	`null`, ` null `, `nul`, `nulll`, `{}`, ` { } `, `[]`, `0`, `"x"`, `true`, ``, ` `, `{} x`, `{}{}`, `{`, `{"routes"`, `{"routes":`,
 	// escapes in values and keys
@@ -269,7 +307,7 @@ func TestScannerRejectsEveryTruncation(t *testing.T) {
 	rejected := 0
 	for cut := 0; cut < len(page); cut++ {
 		checkPageAgainstOracle(t, page[:cut])
-		if _, _, verdict, _ := decodePageScanner(newListingDecoder(), page[:cut], nil); verdict == pageBadJSON {
+		if _, _, err := newListingDecoder().decodePage(page[:cut], nil); verdict(err) == pageBadJSON {
 			rejected++
 		}
 	}
@@ -302,7 +340,7 @@ func TestListingSharesEqualAttributes(t *testing.T) {
 	}
 }
 
-// FuzzRoutesPageDecode: the scanner and json.Unmarshal + DecodeRoute
+// FuzzRoutesPageDecode: decodePage and json.Unmarshal + decodeRoute
 // agree on every body — verdict, routes and paging fields.
 func FuzzRoutesPageDecode(f *testing.F) {
 	pages := realPages(f)
@@ -321,7 +359,7 @@ func FuzzRoutesPageDecode(f *testing.F) {
 }
 
 // TestBadRouteIsNotRetried: a page that is valid JSON but carries a
-// route that does not parse fails the listing at once, as DecodeRoute's
+// route that does not parse fails the listing at once, as decodeRoute's
 // errors always have; malformed JSON is retried.
 func TestBadRouteIsNotRetried(t *testing.T) {
 	requests := 0
@@ -340,11 +378,57 @@ func TestBadRouteIsNotRetried(t *testing.T) {
 	}
 }
 
-// TestScannerErrorNamesTheOffset keeps the bad_json message useful.
+// TestScannerErrorNamesTheOffset keeps the bad_json message useful: a
+// syntax error names its offset, a type error the field.
 func TestScannerErrorNamesTheOffset(t *testing.T) {
-	_, _, err := newListingDecoder().decodePage([]byte(`{"routes":[{"network":5}]}`), nil)
-	if err == nil || !strings.Contains(err.Error(), "offset 22") {
-		t.Errorf("err = %v, want the offset of the offending value", err)
+	_, _, err := newListingDecoder().decodePage([]byte(`{"routes":[{"network":x}]}`), nil)
+	var syntax *json.SyntaxError
+	if !errors.As(err, &syntax) || !strings.Contains(err.Error(), fmt.Sprintf("offset %d:", syntax.Offset)) {
+		t.Errorf("err = %v, want a syntax error naming its offset", err)
+	}
+	_, _, err = newListingDecoder().decodePage([]byte(`{"routes":[{"network":5}]}`), nil)
+	if err == nil || !strings.Contains(err.Error(), "APIRoute.routes.network") {
+		t.Errorf("err = %v, want a type error naming the field", err)
+	}
+}
+
+// TestScanTakesWhatTheServerRenders: the scanner itself accepts every
+// received and not-exported page the server renders, the empty one
+// included, so none of them costs the encoding/json path; it declines
+// a page whose gateway needed escapes, which only that path reads.
+func TestScanTakesWhatTheServerRenders(t *testing.T) {
+	h := NewServer(richFixture(t))
+	routes := 0
+	for _, view := range []string{"received", "not-exported"} {
+		for _, asn := range []uint32{100, 200, 300} {
+			for _, size := range []int{1, 3, 500} {
+				for page := 0; page < 100; page++ {
+					body := fetchBody(t, h, fmt.Sprintf("/api/v1/routeservers/rs1/neighbors/%d/routes/%s?page=%d&page_size=%d", asn, view, page, size))
+					d := newListingDecoder()
+					if !d.scan(body) {
+						t.Fatalf("scan declines a served page: %s", body)
+					}
+					routes += d.info.routes
+					if page >= d.info.totalPages-1 {
+						break
+					}
+				}
+			}
+		}
+	}
+	if routes == 0 {
+		t.Fatal("the fixture served no routes")
+	}
+	empty := fetchBody(t, h, "/api/v1/routeservers/rs1/neighbors/200/routes/received")
+	if !bytes.Contains(empty, []byte(`"routes":null`)) || !newListingDecoder().scan(empty) {
+		t.Errorf("scan declines the empty page %s", empty)
+	}
+	filtered := fetchBody(t, h, "/api/v1/routeservers/rs1/neighbors/100/routes/filtered?page_size=500")
+	if !bytes.Contains(filtered, []byte(`fe80::1%e\u003c\"0\u003e`)) {
+		t.Fatalf("the fixture no longer serves the escaped zone: %s", filtered)
+	}
+	if newListingDecoder().scan(filtered) {
+		t.Error("scan accepts a page with escapes")
 	}
 }
 
