@@ -12,9 +12,9 @@ import (
 // computed once at import time and stored by value in the RIB entry, so
 // an export decision is a binary search or two instead of a
 // re-classification of every community. A route without action
-// communities has the zero summary and costs no allocation; one with
-// targeted tags costs one slice for its targets plus one for its
-// targeted prepends, however many tags it carries. The from-scratch
+// communities has the zero summary; one with targeted tags holds its
+// targets and targeted prepends in the server's slabs, however many
+// tags it carries. The from-scratch
 // reference the tests hold this to (exportScan, in export_test.go)
 // re-classifies per decision.
 type actionSummary struct {
@@ -41,12 +41,13 @@ type prependTo struct {
 // it knows how many there are. It belongs to the server and is only
 // touched under the write lock.
 type summaryScratch struct {
-	deny, allow []uint32
-	prepend     []prependTo
+	deny, allow, targets []uint32
+	prepend              []prependTo
 }
 
 // summarizeActions classifies all three community flavours of a route
-// once under the scheme.
+// once under the scheme. The summary's lists are scratch's: the store
+// copies them when it keeps the summary.
 func summarizeActions(scheme *dictionary.Scheme, r *bgp.Route, scratch *summaryScratch) actionSummary {
 	var a actionSummary
 	deny, allow, prepend := scratch.deny[:0], scratch.allow[:0], scratch.prepend[:0]
@@ -91,12 +92,13 @@ func summarizeActions(scheme *dictionary.Scheme, r *bgp.Route, scratch *summaryS
 	slices.Sort(deny)
 	slices.Sort(allow)
 	deny, allow = slices.Compact(deny), slices.Compact(allow)
-	if n := len(deny) + len(allow); n > 0 {
-		a.targets = append(append(make([]uint32, 0, n), deny...), allow...)
+	if len(deny)+len(allow) > 0 {
+		scratch.targets = append(append(scratch.targets[:0], deny...), allow...)
+		a.targets = scratch.targets
 		a.nDeny = uint32(len(deny))
 	}
 	if len(prepend) > 0 {
-		a.prepend = slices.Clone(prepend)
+		a.prepend = prepend
 	}
 	scratch.deny, scratch.allow, scratch.prepend = deny, allow, prepend
 	return a
@@ -157,15 +159,12 @@ func (s *Server) walkCandidates(target uint32, fn func(peerASN uint32, e *ribEnt
 	if _, ok := s.peers[target]; !ok {
 		return
 	}
-	var e ribEntry // one copy for the walk: fn's argument escapes
 	for _, peerASN := range s.peerOrder() {
 		if peerASN == target {
 			continue
 		}
-		rib := s.ribIn[peerASN]
-		for _, p := range s.prefixOrder(peerASN, rib) {
-			e = rib[p]
-			fn(peerASN, &e, e.actions.exportAllowed(target))
+		for _, e := range s.prefixOrder(peerASN, s.ribIn[peerASN]) {
+			fn(peerASN, e, e.actions.exportAllowed(target))
 		}
 	}
 }

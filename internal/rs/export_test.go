@@ -123,34 +123,48 @@ func refScrub(scheme *dictionary.Scheme, r *bgp.Route, keepBlackhole bool) {
 	r.LargeCommunities = larges
 }
 
-// exportScan is the from-scratch reference of both export views: it
-// ignores the summaries and the walk, ranges the tables in map order,
-// re-classifies every community of every candidate for each decision,
-// builds each exported route by clone, Prepend and in-place scrub, and
-// sorts both lists into the documented order (prefix, then announcing
-// peer).
+// exportScan is the from-scratch reference of both export views over
+// the server's own tables; exportScanOf states it.
 func (s *Server) exportScan(target uint32) (exported, withheld []bgp.Route) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if _, ok := s.peers[target]; !ok {
+	tables := make(map[uint32]map[netip.Prefix]bgp.Route, len(s.ribIn))
+	for asn, rib := range s.ribIn {
+		tables[asn] = make(map[netip.Prefix]bgp.Route, len(rib))
+		for p, e := range rib {
+			tables[asn][p] = e.route
+		}
+	}
+	return exportScanOf(s.cfg, tables, target)
+}
+
+// exportScanOf is the from-scratch reference of both export views,
+// given every member's accepted routes by prefix: it ignores the
+// summaries and the walk, ranges the tables in map order,
+// re-classifies every community of every candidate for each decision,
+// builds each exported route by clone, Prepend and in-place scrub, and
+// sorts both lists into the documented order (prefix, then announcing
+// peer). A target without a table is not a member.
+func exportScanOf(cfg Config, tables map[uint32]map[netip.Prefix]bgp.Route, target uint32) (exported, withheld []bgp.Route) {
+	if _, ok := tables[target]; !ok {
 		return nil, nil
 	}
-	for peerASN, rib := range s.ribIn {
+	for peerASN, rib := range tables {
 		if peerASN == target {
 			continue
 		}
-		for _, e := range rib {
-			summary := refSummarize(s.cfg.Scheme, e.route)
+		for _, route := range rib {
+			summary := refSummarize(cfg.Scheme, route)
 			if !summary.exportAllowed(target) {
-				withheld = append(withheld, e.route.Clone())
+				withheld = append(withheld, route.Clone())
 				continue
 			}
-			r := e.route.Clone()
+			r := route.Clone()
 			if n := max(summary.prependAll, summary.prepend[target]); n > 0 {
 				r.ASPath = r.ASPath.Prepend(peerASN, n)
 			}
-			if s.cfg.ScrubActions {
-				refScrub(s.cfg.Scheme, &r, summary.blackhole)
+			if cfg.ScrubActions {
+				refScrub(cfg.Scheme, &r, summary.blackhole)
 			}
 			exported = append(exported, r)
 		}
@@ -660,13 +674,18 @@ func TestVisitExportedScratchIsNotShared(t *testing.T) {
 	}
 }
 
-// TestAnnounceAllocs pins what an accepted route costs to store: the
-// deep copy, and for the action summary nothing when the route carries
-// no action community, one slice when it names targets — however many
-// and in whatever mix of deny and allow — and one more when it asks for
-// targeted prepends.
+// TestAnnounceAllocs pins what storing an accepted route costs,
+// amortized over a populate of a fresh server: entries come from pages
+// and every list — the route's four and its summary's targets and
+// prepends — from the server's slabs, so a route costs a small fraction
+// of an allocation whatever action communities it carries. Recorded
+// over 2,000 routes at 0.061 per plain route and 0.202 for 64 targets
+// plus targeted prepends, the fixture's own setup included (3.04 and
+// 5.05 when every list, summary slice and map value was allocated per
+// route); the ceiling leaves room for a Go release, not for one
+// allocation per route.
 func TestAnnounceAllocs(t *testing.T) {
-	s, scheme := exportFixture(t)
+	scheme := dictionary.ProfileByName("DE-CIX")
 	p1, _ := scheme.Prepend(1, 200)
 	p2, _ := scheme.Prepend(3, 300)
 	info, _ := scheme.Info(0)
@@ -674,26 +693,32 @@ func TestAnnounceAllocs(t *testing.T) {
 	for tgt := uint16(1000); tgt < 1032; tgt++ {
 		many = append(many, scheme.DoNotAnnounce(tgt), scheme.AnnounceOnly(tgt+500))
 	}
-	allocs := func(comms ...bgp.Community) float64 {
-		r := route(100, 0, comms...)
-		announceOK(t, s, 100, r) // the scratch and the table slot exist from here on
-		return testing.AllocsPerRun(50, func() {
-			if reason, err := s.Announce(100, r); err != nil || reason != FilterNone {
-				t.Fatal(reason, err)
+	const routes, ceiling = 2000, 0.3
+	for _, shape := range []struct {
+		name  string
+		comms []bgp.Community
+	}{
+		{"plain", []bgp.Community{info}},
+		{"untargeted actions", []bgp.Community{info, scheme.DoNotAnnounceAll(), scheme.AnnounceAll()}},
+		{"one target", []bgp.Community{scheme.DoNotAnnounce(200)}},
+		{"64 targets", many},
+		{"targets and targeted prepends", append(slices.Clip(many), p1, p2)},
+	} {
+		table := make([]bgp.Route, routes)
+		for i := range table {
+			table[i] = route(100, i, shape.comms...)
+		}
+		perRoute := testing.AllocsPerRun(3, func() {
+			s, _ := exportFixture(t)
+			for _, r := range table {
+				if reason, err := s.Announce(100, r); err != nil || reason != FilterNone {
+					t.Fatal(reason, err)
+				}
 			}
-		})
-	}
-	plain := allocs(info)
-	if got := allocs(info, scheme.DoNotAnnounceAll(), scheme.AnnounceAll()); got != plain {
-		t.Errorf("a route with untargeted actions costs %v allocations, a plain one %v: want the same", got, plain)
-	}
-	if got := allocs(scheme.DoNotAnnounce(200)); got != plain+1 {
-		t.Errorf("one targeted tag costs %v allocations, want %v (plain + its target list)", got, plain+1)
-	}
-	if got := allocs(many...); got != plain+1 {
-		t.Errorf("%d targeted tags cost %v allocations, want %v (plain + one target list)", len(many), got, plain+1)
-	}
-	if got := allocs(append(many, p1, p2)...); got != plain+2 {
-		t.Errorf("targets and targeted prepends cost %v allocations, want %v", got, plain+2)
+		}) / routes
+		t.Logf("%s: %.3f allocations per route", shape.name, perRoute)
+		if perRoute > ceiling {
+			t.Errorf("%s: storing a route costs %.3f allocations amortized, want ≤ %v", shape.name, perRoute, ceiling)
+		}
 	}
 }

@@ -31,10 +31,10 @@ func listingRoute(i int, v6 bool, med uint32) bgp.Route {
 }
 
 // TestOrderedViewFollowsMutations drives random announces,
-// replacements and withdrawals and checks after each that every way of
-// listing a peer — AcceptedRoutes, VisitAccepted over any window,
-// RouteCounts — shows exactly the table, in prefix order, whether the
-// view was cached before the mutation or not.
+// replacements, rejected replacements and withdrawals and checks after
+// each that every way of listing a peer — AcceptedRoutes, VisitAccepted
+// over any window, RouteCounts — shows exactly the table, in prefix
+// order, whether the view was cached before the mutation or not.
 func TestOrderedViewFollowsMutations(t *testing.T) {
 	s := listingServer(t)
 	rng := rand.New(rand.NewSource(1))
@@ -52,6 +52,7 @@ func TestOrderedViewFollowsMutations(t *testing.T) {
 			if reason, _ := s.Announce(100, bad); reason == FilterNone {
 				t.Fatal("first-AS mismatch accepted")
 			}
+			delete(held, bad.Prefix) // a rejected re-announcement still replaces
 			filtered++
 		default:
 			r := listingRoute(i, v6, uint32(step))

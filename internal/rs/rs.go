@@ -38,7 +38,8 @@ type Peer struct {
 }
 
 // ribEntry is one accepted Adj-RIB-In route plus its precomputed
-// export action summary.
+// export action summary, held in the server's store: the entry in a
+// page, its lists in slabs.
 type ribEntry struct {
 	route   bgp.Route
 	actions actionSummary
@@ -49,20 +50,24 @@ type ribEntry struct {
 type Server struct {
 	cfg Config
 
-	mu       sync.RWMutex
-	peers    map[uint32]*Peer
-	ribIn    map[uint32]map[netip.Prefix]ribEntry
+	mu    sync.RWMutex
+	peers map[uint32]*Peer
+	// ribIn maps each peer's prefixes to entries in store.
+	ribIn    map[uint32]map[netip.Prefix]*ribEntry
 	filtered map[uint32][]FilteredRoute
-	// ordered caches each peer's Adj-RIB-In keys in prefix order — the
-	// order every listing is served in. A slot is built by the first
-	// reader that needs it (under the read lock: racing readers build
-	// equal views and either store wins), never modified afterwards,
-	// and dropped by the next Announce/Withdraw that changes which
-	// prefixes the peer holds. Populating a server therefore costs
+	// ordered caches each peer's Adj-RIB-In entries in prefix order —
+	// the order every listing is served in, and walked in place. A slot
+	// is built by the first reader that needs it (under the read lock:
+	// racing readers build equal views and either store wins), never
+	// modified afterwards, and dropped by the next mutation that changes
+	// which prefixes the peer holds; a replacement rewrites its entry in
+	// place and keeps the view. Populating a server therefore costs
 	// nothing extra, and a listing costs one sort per mutation instead
 	// of one per call.
-	ordered map[uint32]*atomic.Pointer[[]netip.Prefix]
-	// summarize is Announce's scratch, touched only under the write lock.
+	ordered map[uint32]*atomic.Pointer[[]*ribEntry]
+	// store and summarize are Announce's, touched only under the write
+	// lock.
+	store     store
 	summarize summaryScratch
 }
 
@@ -78,9 +83,9 @@ func New(cfg Config) (*Server, error) {
 	return &Server{
 		cfg:      cfg,
 		peers:    make(map[uint32]*Peer),
-		ribIn:    make(map[uint32]map[netip.Prefix]ribEntry),
+		ribIn:    make(map[uint32]map[netip.Prefix]*ribEntry),
 		filtered: make(map[uint32][]FilteredRoute),
-		ordered:  make(map[uint32]*atomic.Pointer[[]netip.Prefix]),
+		ordered:  make(map[uint32]*atomic.Pointer[[]*ribEntry]),
 	}, nil
 }
 
@@ -101,8 +106,8 @@ func (s *Server) AddPeer(p Peer) error {
 	cp := p
 	s.peers[p.ASN] = &cp
 	if _, ok := s.ribIn[p.ASN]; !ok {
-		s.ribIn[p.ASN] = make(map[netip.Prefix]ribEntry)
-		s.ordered[p.ASN] = new(atomic.Pointer[[]netip.Prefix])
+		s.ribIn[p.ASN] = make(map[netip.Prefix]*ribEntry)
+		s.ordered[p.ASN] = new(atomic.Pointer[[]*ribEntry])
 	}
 	return nil
 }
@@ -111,10 +116,14 @@ func (s *Server) AddPeer(p Peer) error {
 func (s *Server) RemovePeer(asn uint32) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	for _, e := range s.ribIn[asn] {
+		s.store.release(e)
+	}
 	delete(s.peers, asn)
 	delete(s.ribIn, asn)
 	delete(s.ordered, asn)
 	delete(s.filtered, asn)
+	s.store.compact(s.ribIn)
 }
 
 // Peers returns the member list sorted by ASN.
@@ -142,7 +151,10 @@ func (s *Server) HasPeer(asn uint32) bool {
 // Announce runs the import policy on r as announced by peerASN.
 // Accepted routes land in the peer's Adj-RIB-In (keyed by prefix, so a
 // re-announcement replaces the previous path); rejected routes are
-// recorded on the filtered list with their reason.
+// recorded on the filtered list with their reason. A rejected
+// re-announcement still replaces (RFC 4271 §3.1): the route it
+// follows leaves the Adj-RIB-In. The server copies r's lists; the
+// caller keeps its own.
 func (s *Server) Announce(peerASN uint32, r bgp.Route) (FilterReason, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -151,16 +163,21 @@ func (s *Server) Announce(peerASN uint32, r bgp.Route) (FilterReason, error) {
 	}
 	if reason := s.checkImport(peerASN, &r); reason != FilterNone {
 		s.filtered[peerASN] = append(s.filtered[peerASN], FilteredRoute{Route: r.Clone(), Reason: reason})
+		s.withdraw(peerASN, r.Prefix)
 		return reason, nil
 	}
-	stored := r.Clone()
 	rib := s.ribIn[peerASN]
-	if _, replaces := rib[stored.Prefix]; !replaces {
+	e, replaces := rib[r.Prefix]
+	if replaces {
+		s.store.drop(e)
+	} else {
+		e = s.store.entries.get()
+		rib[r.Prefix] = e
 		s.ordered[peerASN].Store(nil)
 	}
-	rib[stored.Prefix] = ribEntry{
-		route:   stored,
-		actions: summarizeActions(s.cfg.Scheme, &stored, &s.summarize),
+	s.store.put(e, &r, summarizeActions(s.cfg.Scheme, &r, &s.summarize))
+	if replaces {
+		s.store.compact(s.ribIn)
 	}
 	return FilterNone, nil
 }
@@ -169,26 +186,33 @@ func (s *Server) Announce(peerASN uint32, r bgp.Route) (FilterReason, error) {
 func (s *Server) Withdraw(peerASN uint32, prefix netip.Prefix) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.withdraw(peerASN, prefix)
+}
+
+// withdraw is Withdraw under the write lock.
+func (s *Server) withdraw(peerASN uint32, prefix netip.Prefix) {
 	rib := s.ribIn[peerASN]
-	if _, held := rib[prefix]; held {
+	if e, held := rib[prefix]; held {
 		delete(rib, prefix)
+		s.store.release(e)
 		s.ordered[peerASN].Store(nil)
+		s.store.compact(s.ribIn)
 	}
 }
 
-// prefixOrder returns peerASN's accepted prefixes in listing order,
+// prefixOrder returns peerASN's accepted entries in listing order,
 // building the cached view if the last mutation dropped it. The
 // caller holds s.mu (read or write) and rib is s.ribIn[peerASN].
-func (s *Server) prefixOrder(peerASN uint32, rib map[netip.Prefix]ribEntry) []netip.Prefix {
+func (s *Server) prefixOrder(peerASN uint32, rib map[netip.Prefix]*ribEntry) []*ribEntry {
 	slot := s.ordered[peerASN]
 	if v := slot.Load(); v != nil {
 		return *v
 	}
-	order := make([]netip.Prefix, 0, len(rib))
-	for p := range rib {
-		order = append(order, p)
+	order := make([]*ribEntry, 0, len(rib))
+	for _, e := range rib {
+		order = append(order, e)
 	}
-	slices.SortFunc(order, comparePrefix)
+	slices.SortFunc(order, func(a, b *ribEntry) int { return comparePrefix(a.route.Prefix, b.route.Prefix) })
 	slot.Store(&order)
 	return order
 }
@@ -209,8 +233,8 @@ func (s *Server) AcceptedRoutes(peerASN uint32) []bgp.Route {
 	}
 	order := s.prefixOrder(peerASN, rib)
 	out := make([]bgp.Route, len(order))
-	for i, p := range order {
-		out[i] = rib[p].route.Clone()
+	for i, e := range order {
+		out[i] = e.route.Clone()
 	}
 	return out
 }
@@ -244,9 +268,7 @@ func (s *Server) VisitAccepted(peerASN uint32, offset, limit int, visit func(*bg
 	}
 	order := s.prefixOrder(peerASN, rib)
 	lo, hi := window(len(order), offset, limit)
-	var e ribEntry // one copy for the walk: visit's argument escapes
-	for _, p := range order[lo:hi] {
-		e = rib[p]
+	for _, e := range order[lo:hi] {
 		visit(&e.route)
 	}
 	return len(order)

@@ -178,6 +178,34 @@ func TestReannounceReplaces(t *testing.T) {
 	}
 }
 
+// TestRejectedReannouncementReplaces: a later advertisement for the
+// same NLRI replaces the earlier one (RFC 4271 §3.1), so a
+// re-announcement the import policy rejects takes the held route out —
+// of the peer's listing and of every export — and is listed as
+// filtered. Another peer's route for the prefix stays.
+func TestRejectedReannouncementReplaces(t *testing.T) {
+	s, _ := exportFixture(t)
+	announceOK(t, s, 100, route(100, 0))
+	announceOK(t, s, 300, route(300, 0))
+	looped := route(100, 0)
+	looped.ASPath = bgp.ASPath{100, 3356, 100}
+	if reason, err := s.Announce(100, looped); err != nil || reason != FilterPathLoop {
+		t.Fatalf("looping re-announcement: %v %v, want %v", reason, err, FilterPathLoop)
+	}
+	if got := s.AcceptedRoutes(100); len(got) != 0 {
+		t.Errorf("AS100 still holds %v after a rejected re-announcement", got)
+	}
+	if a, f := s.RouteCounts(100); a != 0 || f != 1 {
+		t.Errorf("AS100 RouteCounts = %d accepted, %d filtered; want 0, 1", a, f)
+	}
+	if got := s.ExportTo(200); len(got) != 1 || got[0].PeerAS() != 300 {
+		t.Errorf("AS200 receives %v, want AS300's route alone", got)
+	}
+	if got := s.AcceptedRoutes(300); len(got) != 1 {
+		t.Errorf("AS300 lost its route for the prefix: %v", got)
+	}
+}
+
 func TestWithdraw(t *testing.T) {
 	s := testServer(t, "DE-CIX")
 	addPeer(t, s, 100, 1)
