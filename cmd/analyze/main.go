@@ -8,8 +8,9 @@
 //	        [-parallel N] [-trace file]
 //
 // Without -snapshots it generates the calibrated synthetic workload;
-// with -snapshots it loads a dataset directory (.bin, .delta and .mrt
-// files) instead. Binary snapshot files are indexed straight off their
+// with -snapshots it loads the .bin and .delta files of the -ixps IXPs
+// from a dataset directory instead; every other file, and every other
+// IXP's, is left alone, and each day is served once. Binary snapshot files are indexed straight off their
 // columns (no []bgp.Route is ever materialized), and delta chains (a
 // day-0 .bin plus daily .delta files, as written by `ixpgen -codec
 // delta` or `collect -codec delta`) are walked incrementally: each
@@ -41,7 +42,7 @@ func main() {
 	scale := flag.Float64("scale", 0.05, "workload scale relative to the paper's magnitudes")
 	seed := flag.Int64("seed", 42, "generation seed")
 	ixps := flag.String("ixps", "big4", "comma-separated IXP names, 'big4' or 'all'")
-	snapshotDir := flag.String("snapshots", "", "load snapshots from this directory instead of generating")
+	snapshotDir := flag.String("snapshots", "", "load the -ixps IXPs' .bin and .delta files from this directory instead of generating")
 	outDir := flag.String("out", "", "also write each experiment's output to <out>/<name>.txt")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
 		"worker bound for generation, dataset loading and experiments (1 = sequential)")

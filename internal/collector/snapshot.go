@@ -168,8 +168,9 @@ func (c Codec) Ext() string {
 }
 
 // MRTExt is the file extension of a day exported as an MRT
-// TABLE_DUMP_V2 archive (internal/mrt), the third kind of dataset file
-// next to Codec.Ext() and DeltaExt.
+// TABLE_DUMP_V2 archive (internal/mrt) for tools that read RouteViews
+// or RIPE RIS dumps. It is an export, not a dataset file: a dataset is
+// Codec.Ext() and DeltaExt files, and the loader ignores .mrt.
 const MRTExt = ".mrt"
 
 // WriteSnapshot serialises s to w using the codec.

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"net/http"
 	"strconv"
 	"strings"
 	"sync"
@@ -13,7 +14,7 @@ import (
 )
 
 // generation is one immutable loaded dataset: the lab, its identity
-// digest, and the response cache scoped to it. Handlers pin the
+// digest, and the response table scoped to it. Handlers pin the
 // pointer once per request; a reload builds the next generation from
 // this one's lab — sharing every day whose file did not change — and
 // swaps the pointer, so an old generation keeps answering its
@@ -24,7 +25,8 @@ type generation struct {
 	digest   string // 16-hex identity prefix, embedded in every ETag
 	sig      string // raw directory signature, compared by the reload poller
 	loadedAt time.Time
-	cache    *respCache
+	// responses holds the generation's cached and in-flight responses.
+	responses *respTable
 	// load is what loading this generation took, and the dataset files
 	// it could not use (zero for a synthetic lab).
 	load report.LoadReport
@@ -64,13 +66,13 @@ func (s *Server) buildGeneration(prev *generation, files []report.File, sig stri
 	}
 	sum := sha256.Sum256([]byte(sig))
 	gen := &generation{
-		id:       s.genSeq.Add(1),
-		lab:      lab,
-		digest:   hex.EncodeToString(sum[:8]),
-		sig:      sig,
-		loadedAt: time.Now(),
-		cache:    newRespCache(cfg.cacheCap()),
-		load:     rep,
+		id:        s.genSeq.Add(1),
+		lab:       lab,
+		digest:    hex.EncodeToString(sum[:8]),
+		sig:       sig,
+		loadedAt:  time.Now(),
+		responses: newRespTable(cfg.cacheCap()),
+		load:      rep,
 	}
 	for _, snap := range lab.Snapshots {
 		if day, err := time.Parse(time.DateOnly, snap.Date); err == nil && day.After(gen.newest) {
@@ -122,54 +124,64 @@ func syntheticSignature(cfg *Config) string {
 		cfg.Seed, cfg.Scale, strings.Join(names, ","))
 }
 
-// --- response cache -----------------------------------------------------
+// --- response table -----------------------------------------------------
 
-// respCache is the per-generation pre-marshaled response store: a
-// bounded FIFO map from canonical query to encoded body. Bound small
-// and per-generation: a reload starts cold by construction, so stale
-// bodies cannot outlive their dataset.
-type respCache struct {
+// respTable is the per-generation table of responses, one flight per
+// canonical query: a flight in progress is what identical requests
+// coalesce on, and a flight that finished with a 200 stays as the
+// cached body until FIFO eviction. Anything else a flight finishes
+// with leaves the table, so the next request computes afresh. Bound
+// small and per-generation: a reload starts cold by construction, so
+// stale bodies cannot outlive their dataset.
+type respTable struct {
 	mu      sync.Mutex
 	cap     int
-	entries map[string][]byte
-	// ring holds the keys of entries in insertion order: it grows to
-	// cap keys and is then fixed, head naming the oldest — the slot the
-	// next insertion evicts and takes.
+	flights map[string]*flight
+	// ring holds the keys of the finished flights in the order they
+	// finished: it grows to cap keys and is then fixed, head naming the
+	// oldest — the one the next finish evicts and whose slot it takes.
 	ring []string
 	head int
 }
 
-func newRespCache(capacity int) *respCache {
-	return &respCache{
+func newRespTable(capacity int) *respTable {
+	return &respTable{
 		cap:     capacity,
-		entries: make(map[string][]byte, capacity),
+		flights: make(map[string]*flight, capacity),
 	}
 }
 
-func (c *respCache) get(key string) ([]byte, bool) {
-	c.mu.Lock()
-	data, ok := c.entries[key]
-	c.mu.Unlock()
-	return data, ok
-}
-
-func (c *respCache) put(key string, data []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.entries[key]; !ok {
-		if len(c.ring) < c.cap {
-			c.ring = append(c.ring, key)
-		} else {
-			delete(c.entries, c.ring[c.head])
-			c.ring[c.head] = key
-			c.head = (c.head + 1) % c.cap
-		}
+// join returns key's flight under one lock: a finished one (hit — only
+// a 200 stays once done), one in progress to wait on, or, when the
+// table holds none, a new one the caller leads and must run.
+func (t *respTable) join(key string) (fl *flight, hit, leader bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if fl, ok := t.flights[key]; ok {
+		return fl, fl.held, false
 	}
-	c.entries[key] = data
+	fl = &flight{done: make(chan struct{})}
+	t.flights[key] = fl
+	return fl, false, true
 }
 
-func (c *respCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
+// finish settles key's flight fl, whose status and data are final, and
+// is called before fl.done closes: a 200 stays as the cached body,
+// evicting the oldest one when the table holds cap; anything else
+// leaves the table.
+func (t *respTable) finish(key string, fl *flight) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if fl.status != http.StatusOK {
+		delete(t.flights, key)
+		return
+	}
+	fl.held = true
+	if len(t.ring) < t.cap {
+		t.ring = append(t.ring, key)
+		return
+	}
+	delete(t.flights, t.ring[t.head])
+	t.ring[t.head] = key
+	t.head = (t.head + 1) % t.cap
 }

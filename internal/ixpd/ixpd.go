@@ -4,18 +4,17 @@
 // request — and answers experiment, per-AS, per-community and
 // time-series queries over an HTTP JSON API.
 //
-// The hot path is engineered around three layers of reuse:
+// The hot path is engineered around two layers of reuse:
 //
 //  1. Strong ETags derived from the dataset digest plus the canonical
 //     query, so a client that revalidates with If-None-Match gets a
 //     304 without the server recomputing — or even consulting — the
-//     response cache.
-//  2. A per-generation response cache holding pre-marshaled JSON
-//     bodies, so an identical warm query is a map lookup and one
-//     Write.
-//  3. Singleflight request coalescing, so N concurrent identical cold
-//     queries cost one compute (one experiment run, one marshal)
-//     between them.
+//     response table.
+//  2. One response table per generation, one flight per canonical
+//     query: N concurrent identical cold queries join one flight and
+//     cost one compute (one experiment run, one marshal) between them,
+//     and a flight that finished with a 200 stays as the pre-marshaled
+//     body, so an identical warm query is a map lookup and one Write.
 //
 // Computes run behind bounded worker admission with per-request
 // timeouts: at most MaxInFlight experiment/marshal computations run
@@ -86,8 +85,8 @@ type Config struct {
 	// ReloadInterval is the dataset directory poll period. 0 = 5s;
 	// negative disables polling.
 	ReloadInterval time.Duration
-	// CacheCap bounds the per-generation response cache (entries).
-	// 0 = 512.
+	// CacheCap bounds the cached bodies of the per-generation response
+	// table (entries). 0 = 512.
 	CacheCap int
 	// Telemetry, when set, instruments the server (ixplight_ixpd_*
 	// families) and roots an ixpd.request span per served request.
@@ -154,12 +153,6 @@ type Server struct {
 	// response computation.
 	sem chan struct{}
 
-	// flights coalesces concurrent identical cold queries: the first
-	// requester becomes the leader and computes; the rest wait on the
-	// same flight.
-	flightMu sync.Mutex
-	flights  map[flightKey]*flight
-
 	// computes counts actual response computations — the test hook
 	// behind the coalescing contract.
 	computes atomic.Int64
@@ -171,10 +164,9 @@ type Server struct {
 // Load (readiness flips once it returns), then serve Handler.
 func New(cfg Config) *Server {
 	s := &Server{
-		cfg:     cfg,
-		met:     newMetrics(cfg.Telemetry),
-		sem:     make(chan struct{}, cfg.maxInFlight()),
-		flights: make(map[flightKey]*flight),
+		cfg: cfg,
+		met: newMetrics(cfg.Telemetry),
+		sem: make(chan struct{}, cfg.maxInFlight()),
 	}
 	s.mux = s.routes()
 	return s
@@ -291,21 +283,19 @@ func errNotFound(format string, args ...any) error {
 	return &httpError{code: http.StatusNotFound, msg: fmt.Sprintf(format, args...)}
 }
 
-type flightKey struct {
-	gen uint64
-	key string
-}
-
-// flight is one in-flight response computation. data/status are
-// written once by the leader before done closes.
+// flight is one response computation. data/status are written once by
+// the leader before done closes.
 type flight struct {
 	done   chan struct{}
 	status int
 	data   []byte
+	// held marks a flight that finished with a 200 and stays in its
+	// table as the cached body; guarded by the table's mu.
+	held bool
 }
 
-// serveCached drives one request through the ETag → cache → coalesced
-// compute pipeline under key, the request's canonical form (cacheKey).
+// serveCached drives one request through the ETag → response table
+// pipeline under key, the request's canonical form (cacheKey).
 // compute receives the pinned generation and returns the response
 // document (or an *httpError); it must not retain the request, because
 // coalesced computes outlive individual requesters.
@@ -342,20 +332,19 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, key string, compu
 		return http.StatusNotModified
 	}
 
-	// Layer 2: the pre-marshaled response cache.
-	if data, ok := gen.cache.get(key); ok {
+	// Layer 2: the response table — a cached body, or a coalesced
+	// compute.
+	fl, hit, leader := gen.responses.join(key)
+	if hit {
 		s.met.cacheHits.Inc()
-		writeBody(w, http.StatusOK, etag, data)
+		writeBody(w, http.StatusOK, etag, fl.data)
 		return http.StatusOK
 	}
 	s.met.cacheMisses.Inc()
-
-	// Layer 3: coalesced compute.
-	fl, leader := s.joinFlight(gen, key)
 	if leader {
 		// The compute runs detached from this request's context: a
 		// requester giving up must not cancel work other requesters
-		// (and the cache) will still use.
+		// (and the table) will still use.
 		go s.runFlight(gen, key, fl, compute)
 	} else {
 		s.met.coalesced.Inc()
@@ -382,35 +371,12 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, key string, compu
 	return fl.status
 }
 
-// joinFlight returns the flight for (gen, key), creating it (leader =
-// true) when no identical query is in flight. A flight may have
-// finished between the caller's cache probe and now: it put its body
-// before it left the map, so a second probe under the map's lock sees
-// it, and the caller follows that finished flight instead of computing
-// the same body again.
-func (s *Server) joinFlight(gen *generation, key string) (*flight, bool) {
-	k := flightKey{gen: gen.id, key: key}
-	s.flightMu.Lock()
-	defer s.flightMu.Unlock()
-	if fl, ok := s.flights[k]; ok {
-		return fl, false
-	}
-	fl := &flight{done: make(chan struct{})}
-	if data, ok := gen.cache.get(key); ok {
-		fl.status, fl.data = http.StatusOK, data
-		close(fl.done)
-		return fl, false
-	}
-	s.flights[k] = fl
-	return fl, true
-}
-
 // runFlight is the leader's side of a coalesced compute: admission,
-// compute, marshal, cache fill, broadcast. A compute that panics is
-// contained here — the daemon must outlive a bug in one experiment: the
-// leader and every waiter get a 500, nothing is cached, the admission
-// slot and the flight are released like on any other exit, and the
-// stack goes to the log and the ixpd.compute span.
+// compute, marshal, settling the flight in gen's table, broadcast. A
+// compute that panics is contained here — the daemon must outlive a bug
+// in one experiment: the leader and every waiter get a 500, nothing is
+// cached, the admission slot and the flight are released like on any
+// other exit, and the stack goes to the log and the ixpd.compute span.
 func (s *Server) runFlight(gen *generation, key string, fl *flight, compute func(*generation) (any, error)) {
 	var sp *telemetry.Span
 	defer func() {
@@ -426,9 +392,7 @@ func (s *Server) runFlight(gen *generation, key string, fl *flight, compute func
 				sp.End()
 			}
 		}
-		s.flightMu.Lock()
-		delete(s.flights, flightKey{gen: gen.id, key: key})
-		s.flightMu.Unlock()
+		gen.responses.finish(key, fl)
 		close(fl.done)
 	}()
 
@@ -478,7 +442,6 @@ func (s *Server) runFlight(gen *generation, key string, fl *flight, compute func
 	}
 	fl.status = http.StatusOK
 	fl.data = data
-	gen.cache.put(key, data)
 	if sp != nil {
 		sp.End()
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -468,36 +469,29 @@ func TestCoalescing(t *testing.T) {
 	}
 }
 
-// TestJoinFlightSeesFinishedFlight: a requester that missed the cache
-// just before an identical flight finished must not become a second
-// leader — the window TestCoalescing fell into about once in twenty
-// -race runs. The finished flight's body is in the cache by the time
-// the flight has left the map, and joinFlight hands it over.
-func TestJoinFlightSeesFinishedFlight(t *testing.T) {
+// TestJoinLeaderCoalescedHit: a key's requesters meet its one flight
+// in the generation's table, each under one lock — the first leads, the
+// next joins it in progress, and one arriving after it finished gets
+// that same flight as a hit. Cache and flight being one table, there is
+// no window between them in which a late requester becomes a second
+// leader.
+func TestJoinLeaderCoalescedHit(t *testing.T) {
 	s := testServer(t, Config{})
 	gen := s.gen.Load()
-	fl, leader := s.joinFlight(gen, "/q")
-	if !leader {
-		t.Fatal("first requester is not the leader")
+	fl, hit, leader := gen.responses.join("/q")
+	if hit || !leader {
+		t.Fatal("first requester does not lead a new flight")
 	}
-	if again, leader := s.joinFlight(gen, "/q"); leader || again != fl {
+	if again, hit, leader := gen.responses.join("/q"); hit || leader || again != fl {
 		t.Fatal("second requester did not join the flight in progress")
 	}
 	s.runFlight(gen, "/q", fl, func(*generation) (any, error) { return map[string]int{"n": 1}, nil })
-	late, leader := s.joinFlight(gen, "/q")
-	if leader {
-		t.Fatal("a requester arriving after the flight finished computes again")
+	late, hit, leader := gen.responses.join("/q")
+	if !hit || leader || late != fl {
+		t.Fatalf("a requester arriving after the flight finished: hit %v, leader %v, same flight %v; want a hit on it", hit, leader, late == fl)
 	}
-	select {
-	case <-late.done:
-	default:
-		t.Fatal("the flight handed to a late requester is not finished")
-	}
-	if late.status != http.StatusOK || string(late.data) != string(fl.data) {
-		t.Fatalf("late requester got %d %q, want the finished flight's 200 %q", late.status, late.data, fl.data)
-	}
-	if len(s.flights) != 0 || s.Computes() != 1 {
-		t.Fatalf("%d flights registered, %d computes; want 0 and 1", len(s.flights), s.Computes())
+	if late.status != http.StatusOK || string(late.data) != `{"n":1}`+"\n" || s.Computes() != 1 {
+		t.Fatalf("late requester got %d %q after %d computes, want the one compute's 200", late.status, late.data, s.Computes())
 	}
 }
 
@@ -508,8 +502,9 @@ func TestAdmissionTimeout(t *testing.T) {
 	s.sem <- struct{}{} // occupy the only slot
 	defer func() { <-s.sem }()
 
-	fl := &flight{done: make(chan struct{})}
-	s.runFlight(s.gen.Load(), "/test", fl, func(*generation) (any, error) {
+	gen := s.gen.Load()
+	fl, _, _ := gen.responses.join("/test")
+	s.runFlight(gen, "/test", fl, func(*generation) (any, error) {
 		t.Error("compute ran despite admission timeout")
 		return nil, nil
 	})
@@ -520,6 +515,9 @@ func TestAdmissionTimeout(t *testing.T) {
 	if s.Computes() != 0 {
 		t.Fatalf("compute counted despite rejection")
 	}
+	if _, _, leader := gen.responses.join("/test"); !leader {
+		t.Fatal("a rejected flight stayed in the table")
+	}
 }
 
 // TestAdmissionContended: a flight that finds every slot taken waits,
@@ -529,8 +527,9 @@ func TestAdmissionContended(t *testing.T) {
 	s.sem <- struct{}{} // occupy the only slot
 	time.AfterFunc(10*time.Millisecond, func() { <-s.sem })
 
-	fl := &flight{done: make(chan struct{})}
-	s.runFlight(s.gen.Load(), "/test", fl, func(*generation) (any, error) {
+	gen := s.gen.Load()
+	fl, _, _ := gen.responses.join("/test")
+	s.runFlight(gen, "/test", fl, func(*generation) (any, error) {
 		return map[string]string{"ok": "true"}, nil
 	})
 	<-fl.done
@@ -618,7 +617,7 @@ func TestWaiterTimeout(t *testing.T) {
 	// The flight completes detached and lands in the cache.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if _, ok := s.gen.Load().cache.get("/slow"); ok {
+		if _, ok := s.gen.Load().responses.cached("/slow"); ok {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -628,38 +627,170 @@ func TestWaiterTimeout(t *testing.T) {
 	}
 }
 
-// TestRespCacheBound: the cache holds its newest cap keys, whatever the
-// number of insertions — the key ring wraps more than twice here — and
-// evicts strictly in insertion order; re-putting a held key replaces
-// its body without taking a new slot.
-func TestRespCacheBound(t *testing.T) {
-	const capacity, puts = 3, 11
-	c := newRespCache(capacity)
-	for i := 0; i < puts; i++ {
-		c.put(fmt.Sprintf("k%d", i), []byte{byte(i)})
-		if i%2 == 1 {
-			c.put(fmt.Sprintf("k%d", i), []byte{byte(i)}) // a replacement must not advance the ring
+// cached returns the body key's finished flight holds in t, if any.
+func (t *respTable) cached(key string) ([]byte, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if fl, ok := t.flights[key]; ok && fl.held {
+		return fl.data, true
+	}
+	return nil, false
+}
+
+// TestRespTableBound: the table holds the bodies of its newest cap
+// successful flights, whatever the number of finishes — the key ring
+// wraps more than twice here — and evicts strictly in the order flights
+// finished; a failed flight leaves the table and takes no slot, so the
+// next request for its key leads a new one.
+func TestRespTableBound(t *testing.T) {
+	const capacity, keys = 3, 14
+	tab := newRespTable(capacity)
+	var ok []int // the successful keys, in finish order
+	for i := 0; i < keys; i++ {
+		key := fmt.Sprintf("k%d", i)
+		fl, _, leader := tab.join(key)
+		if !leader {
+			t.Fatalf("%s: a new key did not lead a flight", key)
 		}
-		if want := min(i+1, capacity); c.len() != want {
-			t.Fatalf("after %d puts: len %d, want %d", i+1, c.len(), want)
+		fl.status, fl.data = http.StatusOK, []byte{byte(i)}
+		if i%3 == 2 {
+			fl.status = http.StatusInternalServerError
+		} else {
+			ok = append(ok, i)
+		}
+		tab.finish(key, fl)
+		close(fl.done)
+		held := ok[max(0, len(ok)-capacity):]
+		if len(tab.flights) != len(held) || len(tab.ring) != len(held) {
+			t.Fatalf("after %d finishes: %d flights, %d ring keys; want %d", i+1, len(tab.flights), len(tab.ring), len(held))
 		}
 		for k := 0; k <= i; k++ {
-			data, ok := c.get(fmt.Sprintf("k%d", k))
-			if held := k > i-capacity; ok != held || (ok && data[0] != byte(k)) {
-				t.Fatalf("after %d puts: k%d held = %v (body %v), want %v", i+1, k, ok, data, held)
+			data, hit := tab.cached(fmt.Sprintf("k%d", k))
+			if want := slices.Contains(held, k); hit != want || (hit && data[0] != byte(k)) {
+				t.Fatalf("after %d finishes: k%d held = %v (body %v), want %v", i+1, k, hit, data, want)
 			}
 		}
 	}
-	if len(c.ring) != capacity || cap(c.ring) > 2*capacity {
-		t.Fatalf("key ring holds %d keys in %d slots after %d puts, want %d fixed", len(c.ring), cap(c.ring), puts, capacity)
+	if len(tab.ring) != capacity || cap(tab.ring) > 2*capacity {
+		t.Fatalf("key ring holds %d keys in %d slots after %d finishes, want %d fixed", len(tab.ring), cap(tab.ring), len(ok), capacity)
 	}
+	if _, hit, leader := tab.join("k2"); hit || !leader {
+		t.Fatal("the key of a failed flight did not lead a new one")
+	}
+}
+
+// TestRespTableStress drives one generation's table from 8 goroutines
+// over 32 keys, each compute failing at random (seeded) and otherwise
+// returning its own sequence number, then asks for every key once more
+// with computes that succeed. Every 200 carries a successful compute of
+// its own key, a failure never outlives its flight, and the table never
+// holds more finished flights than CacheCap. With room for every key, a
+// key computes once per failure and once for the 200 that stays:
+// computes equal successful keys plus failures. Run under -race.
+func TestRespTableStress(t *testing.T) {
+	const workers, keys, requests = 8, 32, 300
+	for _, capacity := range []int{keys, keys / 4} {
+		t.Run(fmt.Sprintf("cap=%d", capacity), func(t *testing.T) {
+			s := testServer(t, Config{CacheCap: capacity, MaxInFlight: 4})
+			gen := s.gen.Load()
+			var (
+				mu        sync.Mutex
+				succeeded = map[string][]int{} // key → the sequence numbers its successful computes returned
+				failures  int
+				seq       int
+			)
+			// get requests key with a compute that fails or not and
+			// reports the status it was answered with.
+			get := func(key string, fail bool) int {
+				rec := httptest.NewRecorder()
+				s.serveCached(rec, httptest.NewRequest(http.MethodGet, key, nil), "test", key, func(*generation) (any, error) {
+					mu.Lock()
+					defer mu.Unlock()
+					if fail {
+						failures++
+						return nil, fmt.Errorf("%s failed", key)
+					}
+					seq++
+					succeeded[key] = append(succeeded[key], seq)
+					return map[string]any{"key": key, "n": seq}, nil
+				})
+				if rec.Code == http.StatusOK {
+					var doc struct {
+						Key string
+						N   int
+					}
+					if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+						t.Errorf("%s: body %q: %v", key, rec.Body, err)
+					}
+					mu.Lock()
+					ours := slices.Contains(succeeded[key], doc.N)
+					mu.Unlock()
+					if doc.Key != key || !ours {
+						t.Errorf("%s answered with %q, not a successful compute of its own", key, rec.Body)
+					}
+				}
+				if held := heldFlights(gen.responses); held > capacity {
+					t.Errorf("the table holds %d finished flights, over CacheCap %d", held, capacity)
+				}
+				return rec.Code
+			}
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(rng *rand.Rand) {
+					defer wg.Done()
+					for i := 0; i < requests; i++ {
+						key := fmt.Sprintf("/k%d", rng.Intn(keys))
+						if code := get(key, rng.Intn(4) == 0); code != http.StatusOK && code != http.StatusInternalServerError {
+							t.Errorf("%s: code %d", key, code)
+						}
+					}
+				}(rand.New(rand.NewSource(int64(w + 1))))
+			}
+			wg.Wait()
+			for k := 0; k < keys; k++ {
+				if key := fmt.Sprintf("/k%d", k); get(key, false) != http.StatusOK {
+					t.Errorf("%s: a failure outlived its flight", key)
+				}
+			}
+			successes := 0
+			for _, seqs := range succeeded {
+				successes += len(seqs)
+			}
+			if got := s.Computes(); got != int64(successes+failures) {
+				t.Errorf("%d computes, but %d succeeded and %d failed", got, successes, failures)
+			}
+			if capacity >= keys && successes != keys {
+				t.Errorf("%d successful computes over %d keys: a cached key computed again", successes, keys)
+			}
+			if failures == 0 {
+				t.Error("no compute failed: the script exercises only the cache")
+			}
+			if held := heldFlights(gen.responses); held != len(gen.responses.ring) || held != capacity {
+				t.Errorf("%d finished flights held, %d keys in the ring; want CacheCap %d", held, len(gen.responses.ring), capacity)
+			}
+		})
+	}
+}
+
+// heldFlights counts the finished flights t holds.
+func heldFlights(t *respTable) (n int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, fl := range t.flights {
+		if fl.held {
+			n++
+		}
+	}
+	return n
 }
 
 // TestComputePanicContained: a compute that panics costs its requesters
 // a 500 and nothing else. The leader and every coalesced waiter are
 // answered, nothing is cached, the admission slot and the flight are
 // released, the panic is counted and logged with its stack, and the
-// next identical request computes afresh.
+// next identical request computes afresh: the key left the generation's
+// table.
 func TestComputePanicContained(t *testing.T) {
 	reg := telemetry.New()
 	sink := &telemetry.RecordingSink{}
@@ -712,14 +843,12 @@ func TestComputePanicContained(t *testing.T) {
 	if got := s.met.computePanics.Value(); got != 1 {
 		t.Errorf("ixplight_ixpd_compute_panics_total = %d, want 1", got)
 	}
-	if _, ok := s.gen.Load().cache.get("/boom"); ok {
-		t.Error("a panicked compute was cached")
-	}
-	s.flightMu.Lock()
-	flights := len(s.flights)
-	s.flightMu.Unlock()
-	if flights != 0 || len(s.sem) != 0 {
-		t.Errorf("after the panic: %d flights registered, %d admission slots held; want 0 and 0", flights, len(s.sem))
+	tab := s.gen.Load().responses
+	tab.mu.Lock()
+	_, inTable := tab.flights["/boom"]
+	tab.mu.Unlock()
+	if inTable || len(s.sem) != 0 {
+		t.Errorf("after the panic: key in the table %v, %d admission slots held; want false and 0", inTable, len(s.sem))
 	}
 	logMu.Lock()
 	var line string

@@ -34,8 +34,9 @@ const (
 
 // scriptPool is the material a script draws from, generated once per
 // process: per IXP the canonical chain (day 0 as .bin, later days as
-// .delta), every day as a standalone .bin and .mrt, and an alien
-// chain — same IXP and dates from another seed, so its files carry
+// .delta), every day as a standalone .bin — a second file of a chain day
+// the loader must serve once — and as an .mrt export, a stray the loader
+// must ignore, and an alien chain — same IXP and dates from another seed, so its files carry
 // plausible headers and the wrong digests.
 type scriptPool struct {
 	profiles []ixpgen.Profile
@@ -190,7 +191,7 @@ const (
 	opRewrite           // replace a chain day with the alien chain's (wrong digests)
 	opTouch             // move a file's mtime, bytes unchanged
 	opSwapBase          // replace the base .bin with the alien base, or put it back
-	opStandalone        // add (or remove) a standalone .bin / .mrt day
+	opStandalone        // add (or remove) a standalone .bin day, or a stray .mrt export of one
 	opTempFile          // drop a dot-prefixed temp file, as a collector mid-write does
 	opTruncate          // cut a chain day short
 	opCorrupt           // break a chain day's last op, header intact

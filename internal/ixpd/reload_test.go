@@ -170,7 +170,7 @@ func TestHotReload(t *testing.T) {
 	if got := len(doc.(*SeriesDoc).Days); got != 3 {
 		t.Fatalf("old generation now serves %d days, want its original 3", got)
 	}
-	if _, ok := oldGen.cache.get("/v1/meta"); !ok {
+	if _, ok := oldGen.responses.cached("/v1/meta"); !ok {
 		t.Fatal("old generation's response cache was torn down while pinned")
 	}
 

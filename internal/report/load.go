@@ -12,7 +12,6 @@ import (
 	"ixplight/internal/analysis"
 	"ixplight/internal/collector"
 	"ixplight/internal/dictionary"
-	"ixplight/internal/mrt"
 )
 
 // File is one entry of a dataset directory listing. Size and ModTime
@@ -26,9 +25,9 @@ type File struct {
 	ModTime int64
 }
 
-// datasetExts are the three kinds of file a dataset directory is made
-// of: full binary snapshots, delta chain days and MRT exports.
-var datasetExts = [...]string{collector.CodecBinary.Ext(), collector.DeltaExt, collector.MRTExt}
+// datasetExts are the two kinds of file a dataset directory is made of:
+// full binary snapshots and delta chain days.
+var datasetExts = [...]string{collector.CodecBinary.Ext(), collector.DeltaExt}
 
 func isDatasetFile(name string) bool {
 	for _, ext := range datasetExts {
@@ -39,10 +38,10 @@ func isDatasetFile(name string) bool {
 	return false
 }
 
-// ListDir lists dir's dataset files — the names ending in .bin, .delta
-// or .mrt — in name order. Everything else is not part of the dataset
+// ListDir lists dir's dataset files — the names ending in .bin or
+// .delta — in name order. Everything else is not part of the dataset
 // and is never opened: directories, what a collector leaves next to
-// its snapshots (trace.jsonl, checkpoint-*.json), and
+// its snapshots (trace.jsonl, checkpoint-*.json, an MRT export), and
 // dot-prefixed names, because AtomicWrite stages its temp files
 // dot-prefixed in the same directory and a loader racing a collector
 // must not decode one. A directory with no dataset file at all is an
@@ -124,13 +123,15 @@ func (l *Lab) LoadSnapshotDir(dir string) error {
 }
 
 // Load makes l serve the dataset in dir as listed by files (ListDir
-// order): every file is decoded (a directory may mix full binary
-// snapshots, delta chains and MRT exports freely), the full
-// date-ordered series per IXP feeds the temporal experiments, and the
-// latest snapshot per IXP becomes the point-in-time input. It is the
-// only loader: prev is the lab a previous Load of the same directory
-// filled (nil for none; it must be configured like l), and the work
-// done is the difference between prev's file table and files.
+// order): per IXP the lab studies, the full date-ordered series — one
+// day per date, from full binary snapshots and delta chains mixed
+// freely — feeds the temporal experiments, and its latest day becomes
+// the point-in-time input. A file whose header names any other IXP
+// stays in the file table, so no later Load opens it again, but it is
+// never decoded, folded or reported. It is the only loader: prev is
+// the lab a previous Load of the same directory filled (nil for none;
+// it must be configured like l), and the work done is the difference
+// between prev's file table and files.
 //
 //   - A file whose (name, size, mtime) prev already holds is not opened:
 //     the day it produced is shared with prev. Loaded days are immutable,
@@ -144,8 +145,10 @@ func (l *Lab) LoadSnapshotDir(dir string) error {
 //     new ones, because every day of a chain references the chain state
 //     and sharing the old days would keep the consumed state alive next
 //     to the rebuilt one. A chain that
-//     materializes its days (l.Materialize, an unprofiled IXP, an MRT
-//     base) keeps no advanceable state, so any change to it re-folds it.
+//     materializes its days (l.Materialize) keeps no advanceable state,
+//     so any change to it re-folds it.
+//   - Two files of one day serve it once: a chained day shadows a full
+//     file's, and of two full files the later-listed one wins.
 //   - Nothing fails the load: a file that cannot be read, decoded or
 //     applied is reported in LoadReport.Skipped and the chain serves up
 //     to its last good day. A file that does not open is remembered per
@@ -153,24 +156,22 @@ func (l *Lab) LoadSnapshotDir(dir string) error {
 //     retried when its IXP's files change at or before it — when its
 //     missing predecessor lands, say.
 //
-// Binary files of a profiled IXP are, unless l.Materialize is set,
-// indexed straight off their columns: the loaded snapshot is
-// header-only with the classified index attached. MRT dumps and
-// unprofiled IXPs materialize. Either way l.Indexes holds the index of
-// each profiled IXP's latest day when Load returns, so no experiment
-// builds one. Files decode, and IXPs fold, across the lab's worker
-// pool; the result is the same for any worker count.
+// Binary files are, unless l.Materialize is set, indexed straight off
+// their columns: the loaded snapshot is header-only with the classified
+// index attached. Either way l.Indexes holds the index of each IXP's
+// latest day when Load returns, so no experiment builds one. Files
+// decode, and IXPs fold, across the lab's worker pool; the result is
+// the same for any worker count.
 func (l *Lab) Load(dir string, files []File, prev *Lab) LoadReport {
 	ld := &loader{
-		dir:     dir,
-		files:   make([]loadedFile, 0, len(files)),
-		readers: make([]*collector.DeltaReader, len(files)),
-		schemes: make(map[string]*dictionary.Scheme, len(l.Profiles)),
+		dir:         dir,
+		files:       make([]loadedFile, 0, len(files)),
+		readers:     make([]*collector.DeltaReader, len(files)),
+		schemes:     make(map[string]*dictionary.Scheme, len(l.Profiles)),
+		materialize: l.Materialize,
 	}
-	if !l.Materialize {
-		for _, p := range l.Profiles {
-			ld.schemes[p.IXP] = p.Scheme
-		}
+	for _, p := range l.Profiles {
+		ld.schemes[p.IXP] = p.Scheme
 	}
 	var old *dataset
 	if prev != nil {
@@ -211,7 +212,7 @@ func (l *Lab) Load(dir string, files []File, prev *Lab) LoadReport {
 
 	ld.roles = make(map[dayKey]dayRole, len(files))
 	for i := range ld.files {
-		if f := &ld.files[i]; f.delta && f.bad == nil {
+		if f := &ld.files[i]; f.delta && f.bad == nil && ld.schemes[f.ixp] != nil {
 			ld.roles[dayKey{f.ixp, f.date}] |= chained
 			ld.roles[dayKey{f.ixp, f.base}] |= extended
 		}
@@ -226,7 +227,7 @@ func (l *Lab) Load(dir string, files []File, prev *Lab) LoadReport {
 		if f.delta {
 			continue
 		}
-		if f.carried && f.indexed && f.series != (ld.roles[dayKey{f.ixp, f.date}] == extended) {
+		if f.carried && f.day != nil && !ld.materialize && f.series != (ld.roles[dayKey{f.ixp, f.date}] == extended) {
 			f.carried = false
 		}
 		if !f.carried {
@@ -241,16 +242,16 @@ func (l *Lab) Load(dir string, files []File, prev *Lab) LoadReport {
 	}
 	rep.Decoded = len(decodes)
 
-	// Group the parsed files by IXP — counted first, then carved out of
-	// one index slice — and plan each IXP's fold against the
-	// predecessor's. Only the IXPs with something to fold go to the
-	// pool, one task each, in lexical order.
+	// Group the parsed files of the studied IXPs by IXP — counted first,
+	// then carved out of one index slice — and plan each IXP's fold
+	// against the predecessor's. Only the IXPs with something to fold go
+	// to the pool, one task each, in lexical order.
 	groups := make(map[string]*ixpLoad, len(l.Profiles))
 	ixps := make([]*ixpLoad, 0, len(l.Profiles))
 	parsed := 0
 	for i := range ld.files {
 		f := &ld.files[i]
-		if f.bad != nil {
+		if f.bad != nil || ld.schemes[f.ixp] == nil {
 			continue
 		}
 		parsed++
@@ -274,7 +275,7 @@ func (l *Lab) Load(dir string, files []File, prev *Lab) LoadReport {
 	}
 	for i := range ld.files {
 		f := &ld.files[i]
-		if f.bad != nil {
+		if f.bad != nil || ld.schemes[f.ixp] == nil {
 			continue
 		}
 		if x := groups[f.ixp]; f.delta {
@@ -338,9 +339,9 @@ func (l *Lab) Load(dir string, files []File, prev *Lab) LoadReport {
 	rep.Reused = days - rep.Advanced - rep.Rebuilt
 	l.loaded = ds
 
-	// The latest day of each profiled IXP carries its index into the
-	// lab. A header-only day has it attached. A materialized one
-	// (l.Materialize, an MRT export) is indexed here from its routes,
+	// The latest day of each IXP carries its index into the lab. A
+	// header-only day has it attached. A materialized one
+	// (l.Materialize) is indexed here from its routes,
 	// unless prev serves the same day and already did; the index lands
 	// in the lab, never on the day, which prev may be serving.
 	var builds []int
@@ -390,11 +391,11 @@ type loadedFile struct {
 	// The header facts, known once the file opened (bad is nil).
 	ixp, date string
 	base      string // deltas: the day this one extends
-	// indexed: a full file loaded header-only with its index attached;
-	// series: that index was built as a chain base and carries the
-	// chain state its deltas advance.
-	indexed, series bool
-	// day is the day a full file decoded to; nil when it did not.
+	// series: a full file loaded header-only, its attached index built
+	// as a chain base that carries the chain state its deltas advance.
+	series bool
+	// day is the day a full file of a studied IXP decoded to; nil when
+	// it did not.
 	day *collector.Snapshot
 	// bad is why the file does not open — unreadable, truncated, not a
 	// snapshot. It holds for as long as (name, size, mtime) does, so the
@@ -454,9 +455,12 @@ type step struct {
 }
 
 type loader struct {
-	dir     string
+	dir string
+	// schemes classifies the studied IXPs, the only ones loaded.
 	schemes map[string]*dictionary.Scheme
-	files   []loadedFile
+	// materialize decodes routes: the lab's Materialize reference.
+	materialize bool
+	files       []loadedFile
 	// readers holds, parallel to files, the deltas opened so far. An
 	// entry is written by the pool task that opens the file and read
 	// only by its IXP's fold.
@@ -464,7 +468,8 @@ type loader struct {
 	roles   map[dayKey]dayRole
 }
 
-// open parses delta file i's header.
+// open parses delta file i's header, and keeps the reader when the
+// delta is a studied IXP's, for its fold.
 func (ld *loader) open(i int) {
 	f := &ld.files[i]
 	dr, err := collector.OpenDelta(filepath.Join(ld.dir, f.Name))
@@ -472,25 +477,48 @@ func (ld *loader) open(i int) {
 		f.bad = err
 		return
 	}
-	ld.readers[i] = dr
 	f.ixp, f.date, f.base = dr.Header().IXP, dr.Header().Date, dr.BaseDate()
+	if ld.schemes[f.ixp] != nil {
+		ld.readers[i] = dr
+	}
 }
 
-// decode loads full file i.
+// decode loads full file i through the one snapshot reader (mmap where
+// the platform provides it). A studied IXP's day is not materialized:
+// the classified index is built off its columns and attached to the
+// header-only snapshot — as a series index when the file heads a delta
+// chain, so later days can advance it (series) — unless the lab is the
+// Materialize reference. Any other IXP's file is read up to its header.
 func (ld *loader) decode(i int) {
 	f := &ld.files[i]
-	path := filepath.Join(ld.dir, f.Name)
-	f.carried = false
-	if strings.HasSuffix(f.Name, collector.MRTExt) {
-		f.day, f.bad = loadMRTFile(path)
-	} else {
-		f.day, f.indexed, f.series, f.bad = loadSnapshotFile(path, ld.schemes, ld.roles)
-	}
-	if f.bad != nil {
-		f.day = nil
+	f.carried, f.day, f.series = false, nil, false
+	sr, err := collector.OpenSnapshotAt(filepath.Join(ld.dir, f.Name))
+	if f.bad = err; err != nil {
 		return
 	}
-	f.ixp, f.date = f.day.IXP, f.day.Date
+	defer sr.Close()
+	head := sr.Header()
+	f.ixp, f.date = head.IXP, head.Date
+	scheme := ld.schemes[head.IXP]
+	switch {
+	case scheme == nil:
+	case ld.materialize:
+		f.day, f.bad = sr.Snapshot()
+	default:
+		var ix *analysis.Index
+		if f.series = ld.roles[dayKey{head.IXP, head.Date}] == extended; f.series {
+			ix, f.bad = analysis.IndexSeriesFromReader(sr, scheme)
+		} else {
+			ix, f.bad = analysis.IndexFromReader(sr, scheme)
+		}
+		if f.bad == nil {
+			f.day = ix.Snapshot()
+			analysis.AttachIndex(f.day, ix)
+		}
+	}
+	if f.bad != nil {
+		f.day, f.series = nil, false
+	}
 }
 
 // applyChain is the per-IXP fold every load goes through. The chains of
@@ -501,11 +529,12 @@ func (ld *loader) decode(i int) {
 // The IXP's days start as its full files' days (or, when the
 // predecessor's fold is a prefix of this one, as the predecessor's
 // days: see plan), and each delta in date order looks
-// its base day up among them. A header-only base carries a series index
-// (loadSnapshotFile built it that way) and the delta advances it into
-// the next header-only day; a materialized base runs its chain through
-// a DeltaApplier. Either way the new day joins the IXP's days, where a
-// later delta finds its base.
+// its base day up among them. The base carries a series index (decode
+// built it that way) and the delta advances it into the next
+// header-only day; the Materialize reference runs the chain through a
+// DeltaApplier instead. Either way the new day joins the IXP's days,
+// where a later delta finds its base. The fold then serves one day per
+// date, the one base lookup finds.
 //
 // A delta that cannot apply is skipped, recorded on its step, and the
 // fold goes on: its successors miss their base day and are skipped in
@@ -514,7 +543,6 @@ func (ld *loader) decode(i int) {
 // without it.
 func (ld *loader) applyChain(x *ixpLoad) {
 	pc, from := x.prev, x.from
-	scheme := ld.schemes[x.ixp]
 	// corrupt holds the deltas that failed partway through applying, and
 	// how: a later attempt leaves them out.
 	var corrupt map[int]error
@@ -573,7 +601,7 @@ func (ld *loader) applyChain(x *ixpLoad) {
 				continue
 			}
 			var next *collector.Snapshot
-			if scheme != nil && base.Routes == nil {
+			if !ld.materialize {
 				var ix *analysis.Index
 				if ix, st.err = analysis.Attached(base).Advance(ld.readers[i]); st.err == nil {
 					next = ix.Snapshot()
@@ -612,19 +640,30 @@ func (ld *loader) applyChain(x *ixpLoad) {
 			from = -1
 			continue
 		}
-		if extending {
-			x.work.Advanced = len(c.days) - len(pc.days)
-		} else {
-			x.work.Rebuilt = len(c.days)
-			for _, i := range x.fulls {
-				if f := &ld.files[i]; f.carried && f.day != nil {
-					x.work.Rebuilt--
-				}
-			}
-		}
+		// Date order, one day per date: the full files' days went in
+		// first, in listing order, and the chained days after them, so
+		// the last in of each date — the one base lookup finds — serves.
+		slices.Reverse(c.days)
 		slices.SortStableFunc(c.days, func(a, b *collector.Snapshot) int {
 			return strings.Compare(a.Date, b.Date)
 		})
+		c.days = slices.CompactFunc(c.days, func(a, b *collector.Snapshot) bool { return a.Date == b.Date })
+		reused := 0
+		if extending {
+			for _, d := range pc.days {
+				if slices.Contains(c.days, d) {
+					reused++
+				}
+			}
+			x.work.Advanced = len(c.days) - reused
+		} else {
+			for _, i := range x.fulls {
+				if f := &ld.files[i]; f.carried && f.day != nil && slices.Contains(c.days, f.day) {
+					reused++
+				}
+			}
+			x.work.Rebuilt = len(c.days) - reused
+		}
 		x.out = c
 		return
 	}
@@ -650,45 +689,4 @@ func (ld *loader) plan(x *ixpLoad) {
 	case n >= pc.applied && pc.extendable:
 		x.from = n
 	}
-}
-
-// loadSnapshotFile decodes one binary snapshot file through the one
-// reader (mmap where the platform provides it). A file whose IXP has a
-// scheme in schemes is not materialized: the classified index is built
-// off its columns and attached to the header-only snapshot (indexed) —
-// as a series index when the file heads a delta chain, so later days
-// can advance it (series).
-func loadSnapshotFile(path string, schemes map[string]*dictionary.Scheme, roles map[dayKey]dayRole) (s *collector.Snapshot, indexed, series bool, err error) {
-	sr, err := collector.OpenSnapshotAt(path)
-	if err != nil {
-		return nil, false, false, err
-	}
-	defer sr.Close()
-	head := sr.Header()
-	scheme := schemes[head.IXP]
-	if scheme == nil {
-		s, err = sr.Snapshot()
-		return s, false, false, err
-	}
-	var ix *analysis.Index
-	if series = roles[dayKey{head.IXP, head.Date}] == extended; series {
-		ix, err = analysis.IndexSeriesFromReader(sr, scheme)
-	} else {
-		ix, err = analysis.IndexFromReader(sr, scheme)
-	}
-	if err != nil {
-		return nil, false, false, err
-	}
-	s = ix.Snapshot()
-	analysis.AttachIndex(s, ix)
-	return s, true, series, nil
-}
-
-func loadMRTFile(path string) (*collector.Snapshot, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return mrt.ReadRIB(f)
 }

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"ixplight/internal/analysis"
 	"ixplight/internal/collector"
@@ -117,49 +118,167 @@ func TestLoadSnapshotDirColumnDirect(t *testing.T) {
 	}
 }
 
-// TestLoadSnapshotDirSeries checks the loader's shape contract:
-// per-IXP series sorted by date, latest snapshot promoted to the
-// point-in-time slot, binary files and MRT exports in one directory.
+// TestLoadSnapshotDirSeries checks the loader's shape contract: per
+// studied IXP a series sorted by date with one day per date — of two
+// full files of a day the later-listed one serves — and the latest day
+// promoted to the point-in-time slot. An IXP the lab does not study and
+// an MRT export in the same directory are not loaded.
 func TestLoadSnapshotDirSeries(t *testing.T) {
 	dir := t.TempDir()
 	mk := func(ixp, date string) *collector.Snapshot {
 		return &collector.Snapshot{IXP: ixp, Date: date}
 	}
-	for _, s := range []*collector.Snapshot{mk("LINX", "2021-10-06"), mk("LINX", "2021-10-04"), mk("DE-CIX", "2021-10-04")} {
+	for _, s := range []*collector.Snapshot{mk("LINX", "2021-10-06"), mk("LINX", "2021-10-04"), mk("DE-CIX", "2021-10-04"), mk("AMS-IX", "2021-10-05")} {
 		if _, err := collector.SaveSnapshot(dir, s, collector.CodecBinary); err != nil {
 			t.Fatal(err)
 		}
 	}
+	// A copy of LINX's first day, listed after the original and told
+	// apart by its filtered count.
+	copyDay := mk("LINX", "2021-10-04")
+	copyDay.FilteredCount = 7
+	err := collector.AtomicWrite(filepath.Join(dir, "LINX-2021-10-04.copy.bin"), func(w io.Writer) error {
+		return collector.WriteSnapshot(w, copyDay, collector.CodecBinary)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	day := mk("LINX", "2021-10-05")
-	err := collector.AtomicWrite(collector.DatasetPath(dir, day, collector.MRTExt), func(w io.Writer) error {
+	err = collector.AtomicWrite(collector.DatasetPath(dir, day, collector.MRTExt), func(w io.Writer) error {
 		return mrt.WriteRIB(w, day)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lab, err := NewLabParallel(ixpgen.BigFour()[:1], 1, 0.002, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	profiles := []ixpgen.Profile{*ixpgen.ProfileByName("DE-CIX"), *ixpgen.ProfileByName("LINX")}
+	lab := NewLabShell(profiles, 1, 0.002, 2)
 	if err := lab.LoadSnapshotDir(dir); err != nil {
 		t.Fatal(err)
 	}
 	linx := lab.Series["LINX"]
-	if len(linx) != 3 || linx[0].Date != "2021-10-04" || linx[1].Date != "2021-10-05" || linx[2].Date != "2021-10-06" {
+	if len(linx) != 2 || linx[0].Date != "2021-10-04" || linx[1].Date != "2021-10-06" {
 		t.Errorf("LINX series wrong: %+v", linx)
+	} else if linx[0].FilteredCount != 7 {
+		t.Errorf("LINX's first day is served from the earlier-listed file, not the later copy")
+	}
+	if len(lab.Series) != 2 || len(lab.Snapshots) != 2 || lab.Series["AMS-IX"] != nil {
+		t.Errorf("serving %d series and %d snapshots, want the two studied IXPs'", len(lab.Series), len(lab.Snapshots))
 	}
 	if lab.Snapshots["LINX"].Date != "2021-10-06" || lab.Snapshots["DE-CIX"].Date != "2021-10-04" {
 		t.Errorf("latest promotion wrong")
 	}
 }
 
+// TestOneDayOneFile: a day stored in two files is served once. A .bin
+// of every day next to the .delta chain of the same days (the chained
+// day shadows the full file's), and a last day collected as .bin and
+// exported as .mrt (the export is not part of the dataset), both serve
+// the chain's days once each, with the chain's experiment output, and
+// LoadReport counts the days served: a shadowed .bin is not a reused
+// day when touching the newest file re-folds the chain.
+func TestOneDayOneFile(t *testing.T) {
+	profiles := []ixpgen.Profile{*ixpgen.ProfileByName("DE-CIX")}
+	o := ixpgen.TemporalOptions{Seed: 1, Scale: 0.002, Days: 3}
+	chainDir, both, binDir := t.TempDir(), t.TempDir(), t.TempDir()
+	days := writeDeltaChain(t, profiles, chainDir, binDir, o)["DE-CIX"]
+	writeDeltaChain(t, profiles, both, both, o)
+	last := days[len(days)-1]
+	err := collector.AtomicWrite(collector.DatasetPath(binDir, last, collector.MRTExt), func(w io.Writer) error {
+		return mrt.WriteRIB(w, last)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := loadAndRunAll(t, profiles, chainDir, 2, nil)
+	for _, tc := range []struct {
+		layout, dir, newest string
+		rebuilt, reused     int // after touching newest
+	}{
+		{".bin and .delta of every day", both, "DE-CIX-" + last.Date + collector.DeltaExt, 3, 0},
+		{".bin and .mrt of the last day", binDir, "DE-CIX-" + last.Date + ".bin", 1, 2},
+	} {
+		layout, dir := tc.layout, tc.dir
+		lab, rep := loadFrom(t, profiles, dir, nil, nil)
+		got := lab.Series["DE-CIX"]
+		var dates []string
+		for _, d := range got {
+			dates = append(dates, d.Date)
+		}
+		if len(got) != len(days) || dates[0] != days[0].Date || dates[1] != days[1].Date || dates[2] != last.Date {
+			t.Errorf("%s: serving days %v, want each of the %d days once", layout, dates, len(days))
+			continue
+		}
+		if latest := lab.Snapshots["DE-CIX"]; latest != got[2] || latest.Routes != nil || analysis.Attached(latest) == nil {
+			t.Errorf("%s: the latest slot does not hold the indexed last day", layout)
+		}
+		if rep.Rebuilt != len(days) || rep.Reused+rep.Advanced != 0 || len(rep.Skipped) != 0 {
+			t.Errorf("%s: fresh load %+v, want %d days rebuilt", layout, rep, len(days))
+		}
+		if lab, rep = loadFrom(t, profiles, dir, lab, nil); rep.Reused != len(days) || rep.Rebuilt+rep.Advanced != 0 {
+			t.Errorf("%s: unchanged reload %+v, want %d days reused", layout, rep, len(days))
+		}
+		later := time.Now().Add(time.Hour)
+		if err := os.Chtimes(filepath.Join(dir, tc.newest), later, later); err != nil {
+			t.Fatal(err)
+		}
+		if _, rep = loadFrom(t, profiles, dir, lab, nil); rep.Rebuilt != tc.rebuilt || rep.Reused != tc.reused || rep.Advanced != 0 {
+			t.Errorf("%s: reload after touching %s: %+v, want %d days rebuilt and %d reused", layout, tc.newest, rep, tc.rebuilt, tc.reused)
+		}
+		if got := loadAndRunAll(t, profiles, dir, 2, nil); !bytes.Equal(got, want) {
+			t.Errorf("%s: experiments differ from the chain alone", layout)
+		}
+	}
+}
+
+// TestLoadStudiesOnlyItsIXPs: a lab loads the IXPs it studies and no
+// other. Over a big-four chain a DE-CIX-only lab advances DE-CIX's days
+// alone, skips nothing, serves DE-CIX alone and reads like a directory
+// holding DE-CIX alone; another IXP's day landing costs one open of its
+// header and nothing else.
+func TestLoadStudiesOnlyItsIXPs(t *testing.T) {
+	const days = 4
+	o := ixpgen.TemporalOptions{Seed: 42, Scale: 0.002, Days: days}
+	dir, stage, alone := t.TempDir(), t.TempDir(), t.TempDir()
+	series := writeDeltaChain(t, ixpgen.BigFour(), dir, t.TempDir(), o)
+	profiles := []ixpgen.Profile{*ixpgen.ProfileByName("DE-CIX")}
+	writeDeltaChain(t, profiles, alone, t.TempDir(), o)
+	tip := "LINX-" + series["LINX"][days-1].Date + collector.DeltaExt
+	if err := os.Rename(filepath.Join(dir, tip), filepath.Join(stage, tip)); err != nil {
+		t.Fatal(err)
+	}
+
+	lab, rep := loadFrom(t, profiles, dir, nil, nil)
+	if rep.Advances != days-1 || len(rep.Skipped) != 0 {
+		t.Errorf("DE-CIX-only load: %+v, want %d advances and nothing skipped", rep, days-1)
+	}
+	if len(lab.Series) != 1 || len(lab.Series["DE-CIX"]) != days || len(lab.Snapshots) != 1 || len(lab.Indexes) != 1 {
+		t.Errorf("serving %d series (DE-CIX %d days), %d snapshots, %d indexes; want DE-CIX's alone",
+			len(lab.Series), len(lab.Series["DE-CIX"]), len(lab.Snapshots), len(lab.Indexes))
+	}
+	got, err := lab.RunMany(ExperimentNames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(bytes.Join(got, nil), loadAndRunAll(t, profiles, alone, 2, nil)) {
+		t.Error("experiments differ from a directory holding DE-CIX alone")
+	}
+
+	if err := os.Rename(filepath.Join(stage, tip), filepath.Join(dir, tip)); err != nil {
+		t.Fatal(err)
+	}
+	_, rep = loadFrom(t, profiles, dir, lab, nil)
+	if rep.Opened != 1 || rep.Decoded+rep.Advances+rep.Advanced+rep.Rebuilt != 0 || rep.Reused != days || len(rep.Skipped) != 0 {
+		t.Errorf("LINX's day landing: %+v, want one open and %d days reused", rep, days)
+	}
+}
+
 // TestLoadIgnoresWhatIsNotADatasetFile pins what a dataset directory is:
-// its .bin, .delta and .mrt files. What `collect` leaves next to them —
+// its .bin and .delta files. What `collect` leaves next to them —
 // trace.jsonl, a checkpoint, the telemetry.json older runs wrote — is
 // JSON that once decoded, by content sniffing, as a snapshot with an
 // empty IXP; now it is not listed, not opened and not reported. A .bin
 // that is not a snapshot is still a listed file the load skips, and a
-// directory with no dataset file at all is an error naming the three
+// directory with no dataset file at all is an error naming the two
 // extensions.
 func TestLoadIgnoresWhatIsNotADatasetFile(t *testing.T) {
 	profiles := []ixpgen.Profile{*ixpgen.ProfileByName("DE-CIX")}
@@ -200,8 +319,8 @@ func TestLoadIgnoresWhatIsNotADatasetFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	err := NewLabShell(profiles, 42, 0.002, 1).LoadSnapshotDir(onlyStrays)
-	if err == nil || !strings.Contains(err.Error(), ".bin, .delta, .mrt") {
-		t.Errorf("directory without dataset files: err = %v, want the three extensions named", err)
+	if err == nil || !strings.Contains(err.Error(), "(.bin, .delta)") {
+		t.Errorf("directory without dataset files: err = %v, want the two extensions named", err)
 	}
 }
 
