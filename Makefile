@@ -13,7 +13,8 @@
 #              here, a second time without the race detector (`floors`;
 #              their allocation halves skip under -race):
 #              TestWarmColdSpeedup, TestAdvanceBytesPerDay,
-#              TestAdvanceAllocs, TestIndexFromColumnsAllocs,
+#              TestAdvanceAllocs, TestMaterializeAllocs,
+#              TestLoadedLabHeap, TestIndexFromColumnsAllocs,
 #              TestVisibilityAllocs, TestGenerateAllocs,
 #              TestAnnounceAllocs, TestReloadWorkIsProportional,
 #              TestServeAllocs,
@@ -71,7 +72,7 @@ race:
 
 # floors runs exactly the floors the header lists — keep the two lists
 # the same — without -race, where allocation counts mean something.
-FLOORS := TestWarmColdSpeedup|TestAdvanceBytesPerDay|TestAdvanceAllocs|TestIndexFromColumnsAllocs|TestVisibilityAllocs|TestGenerateAllocs|TestAnnounceAllocs|TestReloadWorkIsProportional|TestServeAllocs|TestServedPageAllocsIndependentOfPageSize|TestCrawlAllocsPerRoute
+FLOORS := TestWarmColdSpeedup|TestAdvanceBytesPerDay|TestAdvanceAllocs|TestMaterializeAllocs|TestLoadedLabHeap|TestIndexFromColumnsAllocs|TestVisibilityAllocs|TestGenerateAllocs|TestAnnounceAllocs|TestReloadWorkIsProportional|TestServeAllocs|TestServedPageAllocsIndependentOfPageSize|TestCrawlAllocsPerRoute
 floors:
 	$(GO) test -run '^($(FLOORS))$$' ./...
 

@@ -4,10 +4,10 @@
 // peers) and applyRoute folds one route instance into — or, with sign
 // -1, out of — the per-family aggregates and refcounts (dense arrays and
 // the flat tables of counts.go: no allocation per route, no runtime map
-// per community instance); finalize then derives the ranking maps and
-// histogram from the refcounts at the day boundary. A full build is
-// that fold over every route of the input, an incremental build is the
-// same fold over a delta's ops. Three thin sources feed it:
+// per community instance); materializeFam then derives the ranking maps
+// and histogram from the refcounts, for a day that is served. A full
+// build is that fold over every route of the input, an incremental
+// build is the same fold over a delta's ops. Three thin sources feed it:
 //
 //   - RouteBlock.Scan, the columns of a CodecBinary snapshot
 //     (IndexFromReader, IndexSeriesFromReader): the file's intern tables
@@ -21,18 +21,25 @@
 // IndexSeriesFromReader leaves it on the index it returns, owned by the
 // chain's newest day; NewIndex and IndexFromReader drop it before
 // returning, so a standalone index holds its aggregates and nothing
-// else. What a chained day owns is small: each Advance clones the two
-// incrementally patched per-AS count maps (runtime map cloning, not
-// re-insertion) and materializes its ranking maps and histogram afresh.
-// Every earlier day's index therefore stays immutable and concurrently
-// usable — what the report loader's per-IXP chain fold relies on —
-// while only the owner may advance further.
+// else. A chained day starts counts-only: the series reads (Counts, and
+// through it CountSnapshot and Stability) answer, and nothing else does,
+// because the daily series is read only for its per-day counts. Advance
+// patches the per-family scalars and the two per-AS maps — moved from a
+// counts-only predecessor, cloned (runtime map cloning, not
+// re-insertion) from a materialized one, which may still be served —
+// and builds no ranking map, histogram or member set. Materialize builds
+// those for the one day that is served, while that day still owns the
+// chain state. Every earlier day's index therefore keeps answering what
+// it answered — a counts-only day never reads the maps it handed on —
+// and stays concurrently usable, what the report loader's per-IXP chain
+// fold relies on, while only the owner may advance or materialize.
 //
 // Correctness is held from outside the fold: the *Direct functions in
 // oracle_test.go re-walk a materialized snapshot and re-classify every
 // community instance per analysis, sharing no code with the fold, and
-// every source and every advanced day is compared with them accessor by
-// accessor (the equivalence tests, FuzzIndexFromColumns, FuzzAdvance).
+// every source and every advanced day is compared with them — on every
+// accessor once materialized, on Counts before (the equivalence tests,
+// FuzzIndexFromColumns, FuzzAdvance).
 package analysis
 
 import (
@@ -83,7 +90,37 @@ type seriesFam struct {
 	// commHist counts live routes per total community count, indexed by
 	// the count; materializeFam turns it into the index's §5.6 map.
 	commHist []int32
+	// The sizes of the last materialized day's non-member, culprit and
+	// histogram maps: the next materialization's size hints, since the
+	// tables bound none of the three.
+	nonMemberHint, culpritHint, histHint int
 }
+
+// idFacts is what the fold reads of one dense id's classification:
+// whether the IXP defines the value, its action type in the low bits,
+// and whether the action targets one peer. A byte instead of a
+// dictionary.Class (24 bytes), on a table with one entry per distinct
+// community value.
+type idFacts uint8
+
+const (
+	idKnown idFacts = 1 << 7
+	idPeer  idFacts = 1 << 6
+	idType  idFacts = idPeer - 1
+)
+
+func factsOf(cl dictionary.Class) idFacts {
+	f := idFacts(cl.Action) & idType
+	if cl.Known {
+		f |= idKnown
+	}
+	if cl.Target == dictionary.TargetPeer {
+		f |= idPeer
+	}
+	return f
+}
+
+func (f idFacts) action() dictionary.ActionType { return dictionary.ActionType(f & idType) }
 
 // seriesState is the fold's lookup state: what a route's table indexes
 // mean. Along a delta chain it is shared by the chain's days and
@@ -107,7 +144,7 @@ type seriesState struct {
 	idSlots []uint32
 	idShift uint8 // 32 - log2(len(idSlots))
 	idComm  []bgp.Community
-	idClass []dictionary.Class
+	idFacts []idFacts
 	// idNonMember is materializeFam's scratch: whether the id targets an
 	// AS outside the day's member list. Only peer-targeting ids are set.
 	idNonMember []bool
@@ -133,8 +170,7 @@ type seriesState struct {
 	// target and non-member aggregates against that day's member list.
 	targetIDs map[uint32][]int32
 
-	members map[uint32]bool
-	fam     [2]seriesFam
+	fam [2]seriesFam
 }
 
 // newFold starts an empty index over head (a snapshot header: the
@@ -147,7 +183,6 @@ func newFold(head *collector.Snapshot, scheme *dictionary.Scheme, routes, values
 		extClasses:   make(map[bgp.ExtendedCommunity]dictionary.Class),
 		largeClasses: make(map[bgp.LargeCommunity]dictionary.Class),
 		targetIDs:    make(map[uint32][]int32),
-		members:      head.MemberSet(),
 		setOff:       []int32{0},
 	}
 	st.growIDs(values)
@@ -157,7 +192,7 @@ func newFold(head *collector.Snapshot, scheme *dictionary.Scheme, routes, values
 		sf.peerTypes = make(map[uint32]*[numActionTypes]int32, peers)
 		sf.prefixRefs.init(routes / 2)
 	}
-	ix := &Index{snap: head, scheme: scheme, members: st.members, series: st}
+	ix := &Index{snap: head, scheme: scheme, series: st, countsOnly: true}
 	for f := range ix.fam {
 		fam := &ix.fam[f]
 		fam.perASActions = make(map[uint32]int, peers)
@@ -225,7 +260,7 @@ func (st *seriesState) commID(c bgp.Community) int32 {
 	st.idSlots[h] = uint32(id) + 1
 	cl := st.scheme.Classify(c)
 	st.idComm = append(st.idComm, c)
-	st.idClass = append(st.idClass, cl)
+	st.idFacts = append(st.idFacts, factsOf(cl))
 	st.idNonMember = append(st.idNonMember, false)
 	if cl.IsAction() {
 		st.actionIDs = append(st.actionIDs, id)
@@ -364,9 +399,10 @@ func (st *seriesState) applyRoute(ix *Index, f int, prefix []byte, commSet, extS
 // The per-id fold updates only scalars, dense refcount arrays and the
 // per-(id, peer) refcounts; the ranking maps (actionComms, targets,
 // the non-member aggregates) are pure functions of those refcounts and
-// the day's member list, so they are materialized once per day
-// (materializeFam) instead of being patched per instance — a day costs
-// O(distinct action ids) map inserts, not O(instances) map updates.
+// the day's member list, so they are materialized once, for the day
+// that is served (materializeFam), instead of being patched per
+// instance — a served day costs O(distinct action ids) map inserts, a
+// folded-through one none.
 func (st *seriesState) applyAttrs(ix *Index, f int, commSet, extSet, largeSet, path, sign int) {
 	fam := &ix.fam[f]
 	sf := &st.fam[f]
@@ -396,20 +432,21 @@ func (st *seriesState) applyAttrs(ix *Index, f int, commSet, extSet, largeSet, p
 	actions := 0
 	var pt *[numActionTypes]int32 // the peer's type counts, fetched once
 	for _, id := range setIDs {
-		cl := &st.idClass[id]
-		if !cl.Known {
+		facts := st.idFacts[id]
+		if facts&idKnown == 0 {
 			fam.mix.UnknownStandard += sign
 			continue
 		}
 		fam.mix.DefinedStandard += sign
-		if !cl.Action.IsAction() {
+		act := facts.action()
+		if !act.IsAction() {
 			fam.flavour.StandardInfo += sign
 			continue
 		}
 		fam.flavour.StandardAction += sign
 		actions++
 		sf.idRefs[id] += int32(sign)
-		fam.occ[cl.Action] += sign
+		fam.occ[act] += sign
 		if pt == nil {
 			pt = sf.peerTypes[peer]
 			if pt == nil {
@@ -417,14 +454,14 @@ func (st *seriesState) applyAttrs(ix *Index, f int, commSet, extSet, largeSet, p
 				sf.peerTypes[peer] = pt
 			}
 		}
-		prev := pt[cl.Action]
-		pt[cl.Action] = prev + int32(sign)
+		prev := pt[act]
+		pt[act] = prev + int32(sign)
 		if prev == 0 && sign > 0 {
-			fam.typeASes[cl.Action]++
+			fam.typeASes[act]++
 		} else if prev == 1 && sign < 0 {
-			fam.typeASes[cl.Action]--
+			fam.typeASes[act]--
 		}
-		if cl.Target == dictionary.TargetPeer {
+		if facts&idPeer != 0 {
 			sf.idPeerRefs.add(uint64(id)<<32|uint64(peer), int32(sign))
 		}
 	}
@@ -436,16 +473,15 @@ func (st *seriesState) applyAttrs(ix *Index, f int, commSet, extSet, largeSet, p
 }
 
 // materializeFam derives one family's ranking maps and §5.6 histogram
-// from the refcounts at a day boundary. An action community's instance
-// count is its id's refcount, a target ASN's count is the sum over its
-// ids, and the §5.5 non-member aggregates are the target sums
-// restricted to ASNs outside the day's member list — so membership
-// churn needs no per-route work at all, the day's materialization
-// simply reads the new member list. Zero-refcount entries are skipped
-// (the never-stores-zero map shape). The two non-member maps have no
-// bound in the tables, so they are sized like the ones the index
-// inherited from its predecessor (none on a full build), and so is the
-// histogram.
+// from the refcounts. An action community's instance count is its id's
+// refcount, a target ASN's count is the sum over its ids, and the §5.5
+// non-member aggregates are the target sums restricted to ASNs outside
+// the day's member list — so membership churn needs no per-route work
+// at all, the materialization simply reads the day's member list.
+// Zero-refcount entries are skipped (the never-stores-zero map shape).
+// The two non-member maps and the histogram have no bound in the
+// tables, so they are sized like the chain's last materialized day's
+// (none on a full build).
 func (st *seriesState) materializeFam(ix *Index, f int) {
 	sf := &st.fam[f]
 	fam := &ix.fam[f]
@@ -458,8 +494,8 @@ func (st *seriesState) materializeFam(ix *Index, f int) {
 	}
 
 	targets := make(map[uint32]int, len(st.targetIDs))
-	nonMemberComms := make(map[bgp.Community]int, len(fam.nonMemberComms))
-	culprits := make(map[uint32]int, len(fam.culprits))
+	nonMemberComms := make(map[bgp.Community]int, sf.nonMemberHint)
+	culprits := make(map[uint32]int, sf.culpritHint)
 	nonMemberInstances := 0
 	for asn, ids := range st.targetIDs {
 		total := 0
@@ -469,7 +505,7 @@ func (st *seriesState) materializeFam(ix *Index, f int) {
 		if total != 0 {
 			targets[asn] = total
 		}
-		nonMember := !st.members[asn]
+		nonMember := !ix.members[asn]
 		for _, id := range ids {
 			st.idNonMember[id] = nonMember
 			if n := int(sf.idRefs[id]); n != 0 && nonMember {
@@ -483,12 +519,13 @@ func (st *seriesState) materializeFam(ix *Index, f int) {
 			culprits[uint32(key)] += int(cnt)
 		}
 	}
-	commHist := make(map[int]int, len(fam.commHist))
+	commHist := make(map[int]int, sf.histHint)
 	for c, routes := range sf.commHist {
 		if routes != 0 {
 			commHist[c] = int(routes)
 		}
 	}
+	sf.nonMemberHint, sf.culpritHint, sf.histHint = len(nonMemberComms), len(culprits), len(commHist)
 	fam.commHist = commHist
 	fam.actionComms = actionComms
 	fam.targets = targets
@@ -497,28 +534,59 @@ func (st *seriesState) materializeFam(ix *Index, f int) {
 	fam.nonMemberInstances = nonMemberInstances
 }
 
-// finalize derives the aggregates that fall out of the maintained
-// state at day boundaries: the materialized ranking maps, the
-// ASes-using count and the distinct-prefix count.
-func (st *seriesState) finalize(ix *Index) {
+// count sets the per-day scalars the fold does not patch per route:
+// the ASes-using count and the distinct-prefix count. Every day gets
+// them at the day boundary, so Counts answers on a counts-only day.
+func (st *seriesState) count(ix *Index) {
 	for f := range ix.fam {
-		st.materializeFam(ix, f)
 		ix.fam[f].usage.ASesUsing = len(ix.fam[f].perASActions)
 		ix.fam[f].prefixes = st.fam[f].prefixRefs.live
 	}
 }
 
-// cloneFam copies one family's incrementally patched aggregates for
-// the next day's index — the only per-day copy a chain makes: the two
-// per-AS maps, sized by announcing peers, not by routes or distinct
-// communities. The materialized maps stay shared with the predecessor
-// until materializeFam replaces them. The maps clone at the runtime's
-// bucket level (maps.Clone), so this costs memory bandwidth, not
-// re-insertion.
-func cloneFam(src *familyStats) familyStats {
+// Materialize builds the classified aggregates of a counts-only day —
+// its ranking maps, §5.6 histogram and member set — from the chain
+// state, so every accessor answers. It is owner-only: the chain's
+// newest day can materialize, a day some Advance has superseded cannot
+// (the refcounts have moved on), and a standalone index is already
+// materialized. Like Advance it writes the index, so call it before the
+// index is shared; once materialized, it returns nil and does nothing.
+func (ix *Index) Materialize() error {
+	if !ix.countsOnly {
+		return nil
+	}
+	if ix.series.owner != ix {
+		return errors.New("analysis: Materialize on a superseded day; only the chain's newest index can materialize")
+	}
+	ix.series.materialize(ix)
+	return nil
+}
+
+// materialize builds ix's member set and both families' classified
+// maps; ix is the chain state's owner.
+func (st *seriesState) materialize(ix *Index) {
+	ix.members = ix.snap.MemberSet()
+	for f := range ix.fam {
+		st.materializeFam(ix, f)
+	}
+	ix.countsOnly = false
+}
+
+// carryFam starts the next day's family aggregates from src: every
+// scalar and the two per-AS maps, which the next day's ops patch. A
+// counts-only src hands its maps over — nothing reads them again — and
+// a materialized one, which may still be served, keeps them and hands
+// over runtime-level clones (maps.Clone: memory bandwidth, not
+// re-insertion). The maps are sized by announcing peers, not by routes
+// or distinct communities. The ranking maps and histogram stay behind.
+func carryFam(src *familyStats, countsOnly bool) familyStats {
 	dst := *src
-	dst.perASActions = maps.Clone(src.perASActions)
-	dst.perASRoutes = maps.Clone(src.perASRoutes)
+	dst.commHist, dst.actionComms, dst.targets, dst.nonMemberComms, dst.culprits = nil, nil, nil, nil, nil
+	dst.nonMemberInstances = 0
+	if !countsOnly {
+		dst.perASActions = maps.Clone(src.perASActions)
+		dst.perASRoutes = maps.Clone(src.perASRoutes)
+	}
 	return dst
 }
 
@@ -551,7 +619,8 @@ func NewIndex(s *collector.Snapshot, scheme *dictionary.Scheme) *Index {
 		}
 		st.applyRoute(ix, f, key[:], 0, 0, 0, 0, 1)
 	}
-	st.finalize(ix)
+	st.count(ix)
+	st.materialize(ix)
 	ix.series = nil
 	return ix
 }
@@ -570,14 +639,16 @@ func IndexFromReader(sr *collector.SnapshotReader, scheme *dictionary.Scheme) (*
 	if err != nil {
 		return nil, err
 	}
+	ix.series.materialize(ix)
 	ix.series = nil
 	return ix, nil
 }
 
 // IndexSeriesFromReader is IndexFromReader for a delta chain's base
-// snapshot: the same build, with the chain state kept on the returned
-// index so Index.Advance can patch it. The chain digest is the file's
-// own sha256.
+// snapshot: the same fold, with the chain state kept on the returned
+// index so Index.Advance can patch it, and the index left counts-only
+// like every chained day: Materialize it if it is to be served. The
+// chain digest is the file's own sha256.
 func IndexSeriesFromReader(sr *collector.SnapshotReader, scheme *dictionary.Scheme) (*Index, error) {
 	ix, err := indexFromColumns(sr, scheme)
 	if err != nil {
@@ -587,7 +658,8 @@ func IndexSeriesFromReader(sr *collector.SnapshotReader, scheme *dictionary.Sche
 	return ix, nil
 }
 
-// indexFromColumns is the fold over a binary snapshot's route block.
+// indexFromColumns is the fold over a binary snapshot's route block; it
+// returns a counts-only index.
 func indexFromColumns(sr *collector.SnapshotReader, scheme *dictionary.Scheme) (*Index, error) {
 	defer tel().building("columns", sr.Header())()
 	rb, err := sr.RouteBlock()
@@ -612,17 +684,18 @@ func indexFromColumns(sr *collector.SnapshotReader, scheme *dictionary.Scheme) (
 	if err != nil {
 		return nil, err
 	}
-	st.finalize(ix)
+	st.count(ix)
 	return ix, nil
 }
 
 // Advance derives day N's index from this one (day N-1) by applying a
-// delta's table extensions and op stream to cloned aggregates. Only
-// the chain's newest index may advance, and the delta must extend
+// delta's table extensions and op stream to the carried aggregates.
+// Only the chain's newest index may advance, and the delta must extend
 // exactly this index's snapshot (digest- and table-size-verified);
-// earlier days' indexes stay valid and immutable. If Advance returns
-// a non-mismatch error partway through, the chain state is undefined
-// and the series must be rebuilt from its base.
+// earlier days' indexes stay valid and immutable. Day N is counts-only:
+// Materialize it before Advance supersedes it if it is to be served.
+// If Advance returns a non-mismatch error partway through, the chain
+// state is undefined and the series must be rebuilt from its base.
 func (ix *Index) Advance(d *collector.DeltaReader) (*Index, error) {
 	st := ix.series
 	if st == nil {
@@ -642,15 +715,13 @@ func (ix *Index) Advance(d *collector.DeltaReader) (*Index, error) {
 	defer tel().building("delta", d.Header())()
 
 	head := *d.Header() // private copy; Routes stays nil
-	next := &Index{snap: &head, scheme: st.scheme, members: head.MemberSet(), series: st}
+	next := &Index{snap: &head, scheme: st.scheme, series: st, countsOnly: true}
 	for f := range next.fam {
-		next.fam[f] = cloneFam(&ix.fam[f])
+		next.fam[f] = carryFam(&ix.fam[f], ix.countsOnly)
 	}
-	next.countMembers()
-
 	// Membership churn needs no aggregate surgery: the member-sensitive
-	// aggregates are materialized per day against this list (finalize).
-	st.members = next.members
+	// aggregates are materialized against the day's own member list.
+	next.countMembers()
 
 	st.registerTables(d.Tables())
 
@@ -697,7 +768,7 @@ func (ix *Index) Advance(d *collector.DeltaReader) (*Index, error) {
 	}
 
 	st.digest = d.SelfDigest()
-	st.finalize(next)
+	st.count(next)
 	st.owner = next
 	return next, nil
 }

@@ -64,9 +64,10 @@ func (e errTest) Error() string { return string(e) }
 
 // BenchmarkSeriesAdvance analyses the 84-day series incrementally:
 // day 0 is indexed off its columns once, every later day advances the
-// previous day's index by its delta. This is the LoadSnapshotDir
-// default for delta chains. B/day is the heap cost of one more loaded
-// day, day 0's build included.
+// previous day's counts-only index by its delta, and the tip is
+// materialized — what LoadSnapshotDir does with a delta chain. B/day is
+// the heap cost of one more loaded day, day 0's build and the tip's
+// materialization included.
 func BenchmarkSeriesAdvance(b *testing.B) {
 	_, day0, deltas, scheme := seriesWorkload(b)
 	b.ReportAllocs()
@@ -92,6 +93,9 @@ func BenchmarkSeriesAdvance(b *testing.B) {
 				b.Fatal(err)
 			}
 			total += ix.Counts(false).Routes
+		}
+		if err := ix.Materialize(); err != nil {
+			b.Fatal(err)
 		}
 		if total == 0 {
 			b.Fatal("empty series")

@@ -3,10 +3,12 @@ package analysis
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"net/netip"
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -48,11 +50,27 @@ func evolvedChain(tb testing.TB, ixp string, o ixpgen.TemporalOptions, churn flo
 	return days, day0, deltas, p.Scheme
 }
 
+// checkCountsMatchDirect asserts the one accessor every day answers,
+// counts-only or not, reproduces the oracle over s for both families.
+func checkCountsMatchDirect(t testing.TB, tag string, ix *Index, s *collector.Snapshot) {
+	t.Helper()
+	for _, v6 := range []bool{false, true} {
+		if got, want := ix.Counts(v6), CountSnapshotDirect(s, v6); got != want {
+			t.Errorf("%s: Counts (v6=%v): indexed %+v != direct %+v", tag, v6, got, want)
+		}
+	}
+}
+
 // TestAdvanceMatchesFullRebuild holds the DeltaReader source of the
-// fold to the oracle: a series index advanced delta-by-delta answers
-// every accessor exactly as the oracle reads the materialized day —
-// across route churn, weekly member swaps (the non-member/culprit
-// flips), and a collection valley with its next-day recovery.
+// fold to the oracle across route churn, weekly member swaps (the
+// non-member/culprit flips), and a collection valley with its next-day
+// recovery: every day's Counts equal the oracle's as the day is
+// advanced; every third day, and the tip, is materialized before a
+// later Advance supersedes it and then answers every accessor as the
+// oracle reads the materialized day — when built, and again once the
+// whole chain has advanced past it. The other days stay counts-only,
+// so the chain runs through both hand-overs of the per-AS maps: moved
+// from a counts-only day, cloned from a materialized one.
 func TestAdvanceMatchesFullRebuild(t *testing.T) {
 	o := ixpgen.TemporalOptions{Days: 16, Seed: 42, Scale: 0.02, ValleyDays: []int{11}}
 	days, day0, deltas, scheme := evolvedChain(t, "AMS-IX", o, 0.04)
@@ -65,19 +83,34 @@ func TestAdvanceMatchesFullRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkIndexMatchesDirect(t, "day0", ix, days[0], scheme)
-
-	for d := 1; d < len(days); d++ {
-		dr, err := collector.NewDeltaReader(deltas[d-1])
-		if err != nil {
-			t.Fatalf("day %d: %v", d, err)
+	chain := []*Index{ix}
+	for d := 0; d < len(days); d++ {
+		tag := fmt.Sprintf("day%d", d)
+		checkCountsMatchDirect(t, tag, ix, days[d])
+		if d%3 == 0 || d == len(days)-1 {
+			if err := ix.Materialize(); err != nil {
+				t.Fatalf("%s materialize: %v", tag, err)
+			}
+			checkIndexMatchesDirect(t, tag, ix, days[d], scheme)
 		}
-		next, err := ix.Advance(dr)
-		if err != nil {
-			t.Fatalf("day %d advance: %v", d, err)
+		if d == len(days)-1 {
+			break
 		}
-		checkIndexMatchesDirect(t, fmt.Sprintf("day%d", d), next, days[d], scheme)
-		ix = next
+		dr, err := collector.NewDeltaReader(deltas[d])
+		if err != nil {
+			t.Fatalf("day %d: %v", d+1, err)
+		}
+		if ix, err = ix.Advance(dr); err != nil {
+			t.Fatalf("day %d advance: %v", d+1, err)
+		}
+		chain = append(chain, ix)
+	}
+	for d, ix := range chain {
+		tag := fmt.Sprintf("day%d re-read", d)
+		checkCountsMatchDirect(t, tag, ix, days[d])
+		if d%3 == 0 || d == len(days)-1 {
+			checkIndexMatchesDirect(t, tag, ix, days[d], scheme)
+		}
 	}
 }
 
@@ -108,6 +141,9 @@ func TestAdvanceEdgeSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := ix.Materialize(); err != nil {
+		t.Fatal(err)
+	}
 	checkIndexMatchesDirect(t, "edge-day0", ix, series[0], scheme)
 	for d := 1; d < len(series); d++ {
 		buf, err := enc.Encode(series[d])
@@ -121,6 +157,10 @@ func TestAdvanceEdgeSnapshots(t *testing.T) {
 		ix, err = ix.Advance(dr)
 		if err != nil {
 			t.Fatalf("day %d advance: %v", d, err)
+		}
+		checkCountsMatchDirect(t, fmt.Sprintf("edge-day%d", d), ix, series[d])
+		if err := ix.Materialize(); err != nil {
+			t.Fatal(err)
 		}
 		checkIndexMatchesDirect(t, fmt.Sprintf("edge-day%d", d), ix, series[d], scheme)
 	}
@@ -161,8 +201,19 @@ func TestAdvanceErrors(t *testing.T) {
 		t.Errorf("out-of-order delta: err = %v, want ErrDeltaBaseMismatch", err)
 	}
 
-	// After advancing, the superseded day refuses further advances —
-	// the chain state has moved on.
+	// A chained day is counts-only: a classified accessor panics naming
+	// the cure.
+	func() {
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, "Materialize") {
+				t.Errorf("classified accessor on a counts-only day: panic %q, want one naming Materialize", msg)
+			}
+		}()
+		ix.TopActionCommunities(false, 3)
+	}()
+
+	// After advancing, the superseded day refuses further advances and
+	// can no longer materialize — the chain state has moved on.
 	next, err := ix.Advance(dr0)
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +221,22 @@ func TestAdvanceErrors(t *testing.T) {
 	if _, err := ix.Advance(dr0); err == nil {
 		t.Error("Advance on a superseded day succeeded")
 	}
-	_ = next
+	if err := ix.Materialize(); err == nil {
+		t.Error("Materialize on a superseded day succeeded")
+	}
+	checkCountsMatchDirect(t, "superseded day0", ix, days[0])
+
+	// The owner materializes, once: a second call and a standalone
+	// index's call are no-ops.
+	for i := 0; i < 2; i++ {
+		if err := next.Materialize(); err != nil {
+			t.Fatalf("Materialize #%d on the chain's newest day: %v", i+1, err)
+		}
+	}
+	checkIndexMatchesDirect(t, "day1", next, days[1], scheme)
+	if err := NewIndex(days[0], scheme).Materialize(); err != nil {
+		t.Errorf("Materialize on a NewIndex index: %v", err)
+	}
 }
 
 // TestAdvanceSnapshotChain walks a chain the way the report loader
@@ -285,9 +351,11 @@ func TestClassIsSchemeClassify(t *testing.T) {
 
 // TestEarlierDayReadableDuringAdvance pins the immutability Advance
 // promises and the report loader's per-IXP fold relies on: while day
-// N+1 is being derived, day N (and every earlier day) answers point
-// lookups from other goroutines with what it answered before. Run
-// under -race.
+// N+1 is being derived, day N (and every earlier day) answers from
+// other goroutines with what it answered before — Counts on every day,
+// point lookups on the days materialized before they were superseded
+// (every other one, so the per-AS maps are both moved and cloned on
+// the way). Run under -race.
 func TestEarlierDayReadableDuringAdvance(t *testing.T) {
 	o := ixpgen.TemporalOptions{Days: 6, Seed: 3, Scale: 0.01}
 	days, day0, deltas, scheme := evolvedChain(t, "AMS-IX", o, 0.05)
@@ -302,11 +370,15 @@ func TestEarlierDayReadableDuringAdvance(t *testing.T) {
 		}
 	}
 	type answers struct {
+		counts   [2]SnapshotCounts
 		usage    []CommunityUsage
 		activity []ASActivity
 	}
 	read := func(ix *Index) answers {
-		var a answers
+		a := answers{counts: [2]SnapshotCounts{ix.Counts(false), ix.Counts(true)}}
+		if ix.countsOnly {
+			return a
+		}
 		for _, c := range comms {
 			a.usage = append(a.usage, ix.CommunityUsage(c, false))
 		}
@@ -322,6 +394,9 @@ func TestEarlierDayReadableDuringAdvance(t *testing.T) {
 	}
 	ix, err := IndexSeriesFromReader(sr, scheme)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Materialize(); err != nil {
 		t.Fatal(err)
 	}
 	chain := []*Index{ix}
@@ -356,6 +431,11 @@ func TestEarlierDayReadableDuringAdvance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("day %d advance: %v", d+1, err)
 		}
+		if d%2 == 1 {
+			if err := next.Materialize(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		chain = append(chain, next)
 		want = append(want, read(next))
 	}
@@ -364,32 +444,19 @@ func TestEarlierDayReadableDuringAdvance(t *testing.T) {
 // TestAdvanceBytesPerDay pins what one more chain day costs in heap
 // bytes, next to the allocation-count pins on the column build and on
 // Advance. At the seed every Advance copied the chain's whole
-// standard-community memo (~780 kB a day on this series); what a day
-// allocates now is its two cloned per-AS maps, its materialized maps
-// and whatever the chain's refcount arrays grow by. The ceiling is a
-// third of the seed's figure.
+// standard-community memo (~780 kB a day on this series); a day that
+// cloned its per-AS maps and materialized its ranking maps took 48 kB.
+// A chain day is counts-only now: it allocates its index and whatever
+// the chain's tables and refcount arrays grow by (31 kB measured).
 func TestAdvanceBytesPerDay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting under -short")
 	}
-	_, day0, deltas, scheme := seriesWorkload(t)
-	sr, err := collector.NewSnapshotReaderBytes(day0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := IndexSeriesFromReader(sr, scheme)
-	if err != nil {
-		t.Fatal(err)
-	}
-	readers := make([]*collector.DeltaReader, len(deltas))
-	for i, buf := range deltas {
-		if readers[i], err = collector.NewDeltaReader(buf); err != nil {
-			t.Fatal(err)
-		}
-	}
+	ix, readers := seriesChain(t)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for _, dr := range readers {
+		var err error
 		if ix, err = ix.Advance(dr); err != nil {
 			t.Fatal(err)
 		}
@@ -397,21 +464,16 @@ func TestAdvanceBytesPerDay(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perDay := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(readers))
 	t.Logf("%.0f B allocated per Advance over %d days", perDay, len(readers))
-	const ceiling = 250_000
+	const ceiling = 40_000
 	if perDay > ceiling {
-		t.Errorf("Advance allocates %.0f B a day, ceiling %d (seed: ~780 kB, the per-day memo copy)", perDay, ceiling)
+		t.Errorf("Advance allocates %.0f B a day, ceiling %d (48 kB when every day materialized)", perDay, ceiling)
 	}
 }
 
-// TestAdvanceAllocs pins how many allocations one more chain day costs
-// on the same series: the day's cloned and materialized maps, its
-// table extensions and the refcount arrays' occasional growth — nothing
-// per op or per community instance. An Advance measured 55 here; the
-// refcounts' runtime maps, inserting per new key, made it 169.
-func TestAdvanceAllocs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("alloc accounting under -short")
-	}
+// seriesChain is seriesWorkload's day 0 as a counts-only chain base,
+// with a reader for every later day.
+func seriesChain(t *testing.T) (*Index, []*collector.DeltaReader) {
+	t.Helper()
 	_, day0, deltas, scheme := seriesWorkload(t)
 	sr, err := collector.NewSnapshotReaderBytes(day0)
 	if err != nil {
@@ -427,7 +489,22 @@ func TestAdvanceAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	return ix, readers
+}
+
+// TestAdvanceAllocs pins how many allocations one more chain day costs
+// on the same series: the counts-only day's index, its table extensions
+// and the refcount arrays' occasional growth — nothing per op, per
+// community instance or per map entry. An Advance measured 3 here; 55
+// while every day cloned and materialized its maps, and 169 before
+// that with the refcounts in runtime maps, inserting per new key.
+func TestAdvanceAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc accounting under -short")
+	}
+	ix, readers := seriesChain(t)
 	day := 0
+	var err error
 	// AllocsPerRun makes one warm-up call before its runs: every delta is
 	// applied once.
 	allocs := testing.AllocsPerRun(len(readers)-1, func() {
@@ -437,9 +514,50 @@ func TestAdvanceAllocs(t *testing.T) {
 		day++
 	})
 	t.Logf("%.0f allocs per Advance over %d days", allocs, len(readers)-1)
-	const ceiling = 68
+	const ceiling = 6
 	if allocs > ceiling {
 		t.Errorf("Advance allocates %.0f objects a day, ceiling %d", allocs, ceiling)
+	}
+}
+
+// TestMaterializeAllocs pins what serving a chain day costs on top of
+// its Advance: one Materialize builds the day's five ranking maps, its
+// histogram and its member set — per map, not per route or instance.
+// Every day of the series is materialized in turn, as a reload that
+// lands one day at a time does, so each Advance also clones the two
+// per-AS maps of its served predecessor; measured together, Advance and
+// Materialize cost what one Advance did while every day materialized
+// (55 allocations, 48 kB).
+func TestMaterializeAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc accounting under -short")
+	}
+	ix, readers := seriesChain(t)
+	if err := ix.Materialize(); err != nil {
+		t.Fatal(err)
+	}
+	var allocs, bytes uint64
+	var before, after runtime.MemStats
+	for _, dr := range readers {
+		var err error
+		if ix, err = ix.Advance(dr); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&before)
+		err = ix.Materialize()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs += after.Mallocs - before.Mallocs
+		bytes += after.TotalAlloc - before.TotalAlloc
+	}
+	days := float64(len(readers))
+	perAllocs, perBytes := float64(allocs)/days, float64(bytes)/days
+	t.Logf("%.0f allocs, %.0f B per Materialize over %.0f days", perAllocs, perBytes, days)
+	const allocCeiling, byteCeiling = 48, 20_000
+	if perAllocs > allocCeiling || perBytes > byteCeiling {
+		t.Errorf("Materialize allocates %.0f objects and %.0f B a day, ceilings %d and %d", perAllocs, perBytes, allocCeiling, byteCeiling)
 	}
 }
 
@@ -587,10 +705,13 @@ func (w *advanceFuzzWorld) advanceFuzzDays(script []byte) []*collector.Snapshot 
 // source of the fold. The script edits a base day (announcements,
 // withdrawals, attribute-only flaps, re-tags, path changes within and
 // across peers, membership flips, empty days); each day is
-// delta-encoded, and after every step every accessor of the advanced
-// index must equal the oracle over the day a DeltaApplier materializes
-// from the same bytes. Earlier days are read again after later ones
-// have advanced, and a superseded day must still refuse to advance.
+// delta-encoded, and after every step the advanced index's Counts must
+// equal the oracle over the day a DeltaApplier materializes from the
+// same bytes. A subset of the days the script picks (by its FNV hash),
+// and the tip, is materialized before the next Advance supersedes it,
+// and must then equal the oracle on every accessor. Every day is read
+// again after later ones have advanced, and a superseded day must
+// still refuse to advance and to materialize.
 func FuzzAdvance(f *testing.F) {
 	w := newAdvanceFuzzWorld(f)
 	day0 := binBytes(f, w.base)
@@ -622,6 +743,22 @@ func FuzzAdvance(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		h := fnv.New32a()
+		h.Write(script)
+		pick := h.Sum32()
+		// materialize runs the owner's Materialize on day d when the
+		// script picks it (or it is the tip) and checks every accessor.
+		materialize := func(d int, ix *Index, truth *collector.Snapshot, tip bool) {
+			t.Helper()
+			if pick>>(d%32)&1 == 0 && !tip {
+				return
+			}
+			if err := ix.Materialize(); err != nil {
+				t.Fatalf("day %d materialize: %v", d, err)
+			}
+			checkIndexMatchesDirect(t, fmt.Sprintf("day%d", d), ix, truth, w.scheme)
+		}
+		checkCountsMatchDirect(t, "day0", ix, w.base)
 		chain := []*Index{ix}
 		truth := []*collector.Snapshot{w.base}
 		var firstDelta []byte
@@ -641,16 +778,24 @@ func FuzzAdvance(f *testing.F) {
 			if err != nil {
 				t.Fatalf("day %d apply: %v", d+1, err)
 			}
-			next, err := chain[len(chain)-1].Advance(dr)
+			prev := len(chain) - 1
+			materialize(prev, chain[prev], truth[prev], false)
+			next, err := chain[prev].Advance(dr)
 			if err != nil {
 				t.Fatalf("day %d advance: %v", d+1, err)
 			}
-			checkIndexMatchesDirect(t, fmt.Sprintf("day%d", d+1), next, mat, w.scheme)
+			checkCountsMatchDirect(t, fmt.Sprintf("day%d", d+1), next, mat)
 			chain = append(chain, next)
 			truth = append(truth, mat)
 		}
-		for d := range chain[:len(chain)-1] {
-			checkIndexMatchesDirect(t, fmt.Sprintf("day%d re-read", d), chain[d], truth[d], w.scheme)
+		tip := len(chain) - 1
+		materialize(tip, chain[tip], truth[tip], true)
+		for d := range chain {
+			tag := fmt.Sprintf("day%d re-read", d)
+			checkCountsMatchDirect(t, tag, chain[d], truth[d])
+			if !chain[d].countsOnly {
+				checkIndexMatchesDirect(t, tag, chain[d], truth[d], w.scheme)
+			}
 		}
 		dr, err := collector.NewDeltaReader(firstDelta)
 		if err != nil {
@@ -658,6 +803,9 @@ func FuzzAdvance(f *testing.F) {
 		}
 		if _, err := chain[0].Advance(dr); err == nil {
 			t.Error("a superseded day advanced")
+		}
+		if chain[0].countsOnly && chain[0].Materialize() == nil {
+			t.Error("a superseded day materialized")
 		}
 	})
 }

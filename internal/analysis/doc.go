@@ -22,7 +22,9 @@
 // snapshot carries its index itself (AttachIndex, Attached). The two
 // series reads, CountSnapshot and Stability, need no classification
 // and take snapshots: they read the attached index of a header-only
-// day and walk the routes of any other.
+// day and walk the routes of any other. That is all a chained day is
+// read for, so it stays counts-only until Index.Materialize readies the
+// one day that is served.
 //
 // The reference implementation lives in oracle_test.go: the *Direct
 // functions re-walk a materialized snapshot and re-classify every

@@ -29,14 +29,25 @@ const numActionTypes = int(dictionary.Blackhole) + 1
 
 // Index is the per-(snapshot, scheme) classified view.
 //
-// Concurrency contract: an Index is immutable after construction.
-// Every method is read-only and safe to call from any number of
-// goroutines without external locking; accessors that expose aggregate
-// maps return fresh copies. TestIndexConcurrentUse pins the contract
-// under -race.
+// A chained day (IndexSeriesFromReader, Advance) starts counts-only:
+// Snapshot, Class and Counts answer, and every other accessor panics
+// naming Materialize, which the chain's owner calls once for a day that
+// is to be served. NewIndex and IndexFromReader return materialized
+// indexes.
+//
+// Concurrency contract: an Index is immutable once its builder is done
+// with it — after construction, or after Materialize for a day that is
+// served. The owner's Advance writes the chain state and the per-AS
+// maps a counts-only owner hands on (which no accessor it answers
+// reads), never what an existing day answers. Every accessor is
+// read-only and safe to call from any number of goroutines without
+// external locking; accessors that expose aggregate maps return fresh
+// copies. TestIndexConcurrentUse and TestEarlierDayReadableDuringAdvance
+// pin the contract under -race.
 type Index struct {
-	snap    *collector.Snapshot
-	scheme  *dictionary.Scheme
+	snap   *collector.Snapshot
+	scheme *dictionary.Scheme
+	// members is the day's member set, built by Materialize.
 	members map[uint32]bool
 
 	// fam[0] aggregates IPv4, fam[1] IPv6.
@@ -44,8 +55,12 @@ type Index struct {
 
 	// series is the chain state of a series-built index
 	// (IndexSeriesFromReader / Advance); nil for every other build.
-	// Only the chain's newest index — the state's owner — may Advance.
+	// Only the chain's newest index — the state's owner — may Advance
+	// or Materialize.
 	series *seriesState
+	// countsOnly: the ranking maps, histogram and member set are not
+	// built, so only Counts answers from the aggregates.
+	countsOnly bool
 }
 
 // Snapshot returns the snapshot this index classifies. For an index
@@ -112,7 +127,22 @@ func IndexFor(s *collector.Snapshot, scheme *dictionary.Scheme) *Index {
 
 // --- accessors ----------------------------------------------------------
 
+// classified guards every accessor but Snapshot, Class and Counts.
+func (ix *Index) classified() {
+	if ix.countsOnly {
+		panic("analysis: classified accessor on a counts-only day (" + ix.snap.IXP + " " + ix.snap.Date + "); call Materialize while it is the chain's newest day")
+	}
+}
+
+// family returns one family's aggregates for a classified accessor.
 func (ix *Index) family(v6 bool) *familyStats {
+	ix.classified()
+	return ix.counts(v6)
+}
+
+// counts returns one family's aggregates for Counts, which every day
+// answers.
+func (ix *Index) counts(v6 bool) *familyStats {
 	if v6 {
 		return &ix.fam[1]
 	}
@@ -147,7 +177,10 @@ func (ix *Index) ActionShare(v6 bool) float64 {
 
 // IsMember reports whether asn has a session at the route server in
 // the indexed snapshot.
-func (ix *Index) IsMember(asn uint32) bool { return ix.members[asn] }
+func (ix *Index) IsMember(asn uint32) bool {
+	ix.classified()
+	return ix.members[asn]
+}
 
 // FlavourActions returns the per-flavour action/info tallies.
 func (ix *Index) FlavourActions(v6 bool) FlavourActions { return ix.family(v6).flavour }
@@ -310,9 +343,10 @@ func (ix *Index) CommunityCountPercentiles(v6 bool, percentiles []float64) []int
 	return out
 }
 
-// Counts returns the Appendix A row for one family.
+// Counts returns the Appendix A row for one family. Every day answers
+// it, counts-only or not.
 func (ix *Index) Counts(v6 bool) SnapshotCounts {
-	st := ix.family(v6)
+	st := ix.counts(v6)
 	return SnapshotCounts{
 		Date:        ix.snap.Date,
 		Members:     st.usage.MembersAtRS,

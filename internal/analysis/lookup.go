@@ -10,9 +10,9 @@ import (
 // ranking accessors (TopActionCommunities, CulpritRanking, …) answer
 // "who are the top K" with one pass over a whole aggregate, keeping K;
 // a daemon answering "what about AS X" per request wants the O(1)
-// read instead. All lookups are read-only over maps frozen at
-// construction, so they follow the Index concurrency contract: safe
-// from any number of goroutines.
+// read instead. All lookups are read-only over maps frozen once the
+// index is materialized, so they follow the Index concurrency contract:
+// safe from any number of goroutines.
 
 // ASActivity is one announcing AS's classified activity in one
 // address family.

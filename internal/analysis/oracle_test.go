@@ -8,8 +8,9 @@ package analysis
 // before the index existed; now they exist only so that every source
 // of the fold (NewIndex, IndexFromReader, IndexSeriesFromReader) and
 // every day Advance derives can be compared with them accessor by
-// accessor (checkIndexMatchesDirect). No builder is checked only
-// against another builder.
+// accessor once materialized (checkIndexMatchesDirect), and on Counts
+// before (checkCountsMatchDirect). No builder is checked only against
+// another builder.
 
 import (
 	"math/rand"

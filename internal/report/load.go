@@ -158,10 +158,12 @@ func (l *Lab) LoadSnapshotDir(dir string) error {
 //
 // Binary files are, unless l.Materialize is set, indexed straight off
 // their columns: the loaded snapshot is header-only with the classified
-// index attached. Either way l.Indexes holds the index of each IXP's
-// latest day when Load returns, so no experiment builds one. Files
-// decode, and IXPs fold, across the lab's worker pool; the result is
-// the same for any worker count.
+// index attached — counts-only for a chained day, since the series is
+// read only for its counts. Either way l.Indexes holds the materialized
+// index of each IXP's latest day when Load returns, whatever order the
+// fold met its files in and whichever of them failed, so no experiment
+// builds one. Files decode, and IXPs fold, across the lab's worker
+// pool; the result is the same for any worker count.
 func (l *Lab) Load(dir string, files []File, prev *Lab) LoadReport {
 	ld := &loader{
 		dir:         dir,
@@ -531,16 +533,16 @@ func (ld *loader) decode(i int) {
 // days: see plan), and each delta in date order looks
 // its base day up among them. The base carries a series index (decode
 // built it that way) and the delta advances it into the next
-// header-only day; the Materialize reference runs the chain through a
-// DeltaApplier instead. Either way the new day joins the IXP's days,
-// where a later delta finds its base. The fold then serves one day per
-// date, the one base lookup finds.
+// header-only, counts-only day; the Materialize reference runs the
+// chain through a DeltaApplier instead. Either way the new day joins
+// the IXP's days, where a later delta finds its base. The fold then
+// serves one day per date, the one base lookup finds.
 //
 // A delta that cannot apply is skipped, recorded on its step, and the
 // fold goes on: its successors miss their base day and are skipped in
 // turn. If it failed partway through Advance or Apply the chain state
 // it touched is undefined, so the IXP folds again from its base files
-// without it.
+// without it. The day the IXP ends up serving is materialized.
 func (ld *loader) applyChain(x *ixpLoad) {
 	pc, from := x.prev, x.from
 	// corrupt holds the deltas that failed partway through applying, and
@@ -602,8 +604,17 @@ func (ld *loader) applyChain(x *ixpLoad) {
 			}
 			var next *collector.Snapshot
 			if !ld.materialize {
+				bix := analysis.Attached(base)
+				if f.date < base.Date {
+					// The day this delta makes sorts before its base, so
+					// the base may still be the IXP's newest day: ready it
+					// to serve while it owns the chain state. A base that
+					// no longer does fails here and in Advance alike, and
+					// Advance reports it.
+					_ = bix.Materialize()
+				}
 				var ix *analysis.Index
-				if ix, st.err = analysis.Attached(base).Advance(ld.readers[i]); st.err == nil {
+				if ix, st.err = bix.Advance(ld.readers[i]); st.err == nil {
 					next = ix.Snapshot()
 					analysis.AttachIndex(next, ix)
 				}
@@ -648,6 +659,17 @@ func (ld *loader) applyChain(x *ixpLoad) {
 			return strings.Compare(a.Date, b.Date)
 		})
 		c.days = slices.CompactFunc(c.days, func(a, b *collector.Snapshot) bool { return a.Date == b.Date })
+		// Chained days are counts-only; the one the IXP serves is
+		// materialized. It is its chain's newest day: a day some Advance
+		// superseded was either materialized before (its successor sorts
+		// before it) or is out-dated or shadowed by its successor.
+		if len(c.days) > 0 {
+			if ix := analysis.Attached(c.days[len(c.days)-1]); ix != nil {
+				if err := ix.Materialize(); err != nil {
+					panic(fmt.Sprintf("report: %s serves %s: %v", x.ixp, c.days[len(c.days)-1].Date, err))
+				}
+			}
+		}
 		reused := 0
 		if extending {
 			for _, d := range pc.days {
