@@ -32,15 +32,15 @@ func main() {
 		ValleyDays: []int{5, 13}, // two injected collection failures
 	}
 
-	var series []*collector.Snapshot
+	var series []analysis.DayCounts
 	err := ixpgen.EvolveSeries(*profile, opts, 0, func(day int, evolved *collector.Snapshot) error {
 		snap, err := collectDay(profile.Scheme, evolved, day)
 		if err != nil {
 			return err
 		}
-		series = append(series, snap)
-		c := analysis.CountSnapshot(snap, false)
-		fmt.Printf("day %2d (%s): %3d members, %6d v4 routes\n", day, snap.Date, c.Members, c.Routes)
+		c := analysis.CountDay(snap)
+		series = append(series, c)
+		fmt.Printf("day %2d (%s): %3d members, %6d v4 routes\n", day, snap.Date, c.V4.Members, c.V4.Routes)
 		return nil
 	})
 	if err != nil {

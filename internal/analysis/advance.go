@@ -21,9 +21,9 @@
 // IndexSeriesFromReader leaves it on the index it returns, owned by the
 // chain's newest day; NewIndex and IndexFromReader drop it before
 // returning, so a standalone index holds its aggregates and nothing
-// else. A chained day starts counts-only: the series reads (Counts, and
-// through it CountSnapshot and Stability) answer, and nothing else does,
-// because the daily series is read only for its per-day counts. Advance
+// else. A chained day starts counts-only: Counts and DayCounts answer,
+// and nothing else does, because the daily series is read only for its
+// per-day counts. Advance
 // patches the per-family scalars and the two per-AS maps — moved from a
 // counts-only predecessor, cloned (runtime map cloning, not
 // re-insertion) from a materialized one, which may still be served —
@@ -630,10 +630,9 @@ func NewIndex(s *collector.Snapshot, scheme *dictionary.Scheme) *Index {
 // materialization.
 //
 // The resulting Index owns all its storage: it stays valid after the
-// reader is closed. Its embedded snapshot is header-only (Routes nil) —
-// attach it with AttachIndex before passing that snapshot on, so
-// CountSnapshot and Stability answer from the index instead of walking
-// the absent routes.
+// reader is closed. Its embedded snapshot is header-only (Routes nil):
+// the index, not the snapshot, is what answers for the day, its series
+// counts included (DayCounts).
 func IndexFromReader(sr *collector.SnapshotReader, scheme *dictionary.Scheme) (*Index, error) {
 	ix, err := indexFromColumns(sr, scheme)
 	if err != nil {

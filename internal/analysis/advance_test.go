@@ -50,10 +50,13 @@ func evolvedChain(tb testing.TB, ixp string, o ixpgen.TemporalOptions, churn flo
 	return days, day0, deltas, p.Scheme
 }
 
-// checkCountsMatchDirect asserts the one accessor every day answers,
-// counts-only or not, reproduces the oracle over s for both families.
+// checkCountsMatchDirect asserts the accessors every day answers,
+// counts-only or not, reproduce the oracle over s for both families.
 func checkCountsMatchDirect(t testing.TB, tag string, ix *Index, s *collector.Snapshot) {
 	t.Helper()
+	if got, want := ix.DayCounts(), DayCountsDirect(s); got != want {
+		t.Errorf("%s: DayCounts: indexed %+v != direct %+v", tag, got, want)
+	}
 	for _, v6 := range []bool{false, true} {
 		if got, want := ix.Counts(v6), CountSnapshotDirect(s, v6); got != want {
 			t.Errorf("%s: Counts (v6=%v): indexed %+v != direct %+v", tag, v6, got, want)
@@ -240,8 +243,8 @@ func TestAdvanceErrors(t *testing.T) {
 }
 
 // TestAdvanceSnapshotChain walks a chain the way the report loader
-// does: header-only snapshots, each carrying its day's index, the next
-// day advanced from the index attached to the previous one.
+// does: each day is the index Advance returned from the previous day's,
+// over a header-only snapshot, and answers the day's counts.
 func TestAdvanceSnapshotChain(t *testing.T) {
 	o := ixpgen.TemporalOptions{Days: 4, Seed: 5, Scale: 0.01}
 	days, day0, deltas, scheme := evolvedChain(t, "LINX", o, 0.05)
@@ -250,32 +253,23 @@ func TestAdvanceSnapshotChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := IndexSeriesFromReader(sr, scheme)
+	cur, err := IndexSeriesFromReader(sr, scheme)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur := ix.Snapshot()
-	AttachIndex(cur, ix)
 	for d := 1; d < len(days); d++ {
 		dr, err := collector.NewDeltaReader(deltas[d-1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		next, err := Attached(cur).Advance(dr)
-		if err != nil {
+		if cur, err = cur.Advance(dr); err != nil {
 			t.Fatalf("day %d: %v", d, err)
 		}
-		cur = next.Snapshot()
-		AttachIndex(cur, next)
-		if cur.Date != days[d].Date {
-			t.Fatalf("day %d: date %q, want %q", d, cur.Date, days[d].Date)
+		if head := cur.Snapshot(); head.Date != days[d].Date || head.Routes != nil {
+			t.Fatalf("day %d: date %q (routes %d), want %q header-only", d, head.Date, len(head.Routes), days[d].Date)
 		}
-		for _, v6 := range []bool{false, true} {
-			got := CountSnapshot(cur, v6)
-			want := CountSnapshotDirect(days[d], v6)
-			if got != want {
-				t.Fatalf("day %d v6=%v: counts %+v, want %+v", d, v6, got, want)
-			}
+		if got, want := cur.DayCounts(), DayCountsDirect(days[d]); got != want {
+			t.Fatalf("day %d: counts %+v, want %+v", d, got, want)
 		}
 	}
 

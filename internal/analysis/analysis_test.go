@@ -2,7 +2,9 @@ package analysis
 
 import (
 	"math"
+	"slices"
 	"testing"
+	"time"
 
 	"ixplight/internal/bgp"
 	"ixplight/internal/collector"
@@ -279,40 +281,58 @@ func TestTopTargets(t *testing.T) {
 	}
 }
 
-func TestCountSnapshotAndStability(t *testing.T) {
+func TestCountDayAndStability(t *testing.T) {
 	s, _ := testSnapshot(t)
-	c4 := CountSnapshot(s, false)
-	if c4.Members != 3 || c4.Routes != 4 || c4.Prefixes != 4 || c4.Communities != 9 {
+	d := CountDay(s)
+	if d.Date != s.Date || d.Members != len(s.Members) {
+		t.Errorf("day = %+v", d)
+	}
+	if c4 := d.V4; c4.Members != 3 || c4.Routes != 4 || c4.Prefixes != 4 || c4.Communities != 9 {
 		t.Errorf("counts v4 = %+v", c4)
 	}
-	c6 := CountSnapshot(s, true)
-	if c6.Members != 2 || c6.Routes != 1 {
+	if c6 := d.V6; c6.Members != 2 || c6.Routes != 1 {
 		t.Errorf("counts v6 = %+v", c6)
 	}
 
-	// Stability over three identical snapshots: zero variation.
-	table := Stability([]*collector.Snapshot{s, s, s}, false)
+	// Stability over three identical days: zero variation.
+	table := Stability([]DayCounts{d, d, d}, false)
 	if table.MaxDiffPct() != 0 {
-		t.Errorf("identical snapshots: diff = %f", table.MaxDiffPct())
+		t.Errorf("identical days: diff = %f", table.MaxDiffPct())
 	}
 
-	// Add a grown snapshot: +1 member.
+	// Add a grown day: +1 member.
 	s2, _ := testSnapshot(t)
 	s2.Members = append(s2.Members, collector.Member{ASN: 999, IPv4: true})
-	table = Stability([]*collector.Snapshot{s, s2}, false)
+	table = Stability([]DayCounts{d, CountDay(s2)}, false)
 	if math.Abs(table.Members.DiffPct-100.0/3) > 1e-9 {
 		t.Errorf("members diff = %f", table.Members.DiffPct)
 	}
+
+	// A minimum of zero reports no percentual difference, wherever in
+	// the window it falls.
+	zero := DayCounts{Date: d.Date}
+	if table = Stability([]DayCounts{d, CountDay(s2), zero}, false); table.Members.Min != 0 || table.Members.DiffPct != 0 {
+		t.Errorf("window with an empty day: members %+v", table.Members)
+	}
+}
+
+// dailySeries is n consecutive days from 2021-07-19 (a Monday).
+func dailySeries(n int) []DayCounts {
+	out := make([]DayCounts, n)
+	for i := range out {
+		out[i].Date = time.Date(2021, 7, 19+i, 0, 0, 0, 0, time.UTC).Format(time.DateOnly)
+	}
+	return out
 }
 
 func TestWeeklyRepresentatives(t *testing.T) {
-	var snaps []*collector.Snapshot
-	for i := 0; i < 20; i++ {
-		snaps = append(snaps, &collector.Snapshot{Date: "d"})
+	weekly := WeeklyRepresentatives(dailySeries(20))
+	var dates []string
+	for _, d := range weekly {
+		dates = append(dates, d.Date)
 	}
-	weekly := WeeklyRepresentatives(snaps)
-	if len(weekly) != 3 {
-		t.Errorf("weekly = %d, want 3 (days 0, 7, 14)", len(weekly))
+	if want := []string{"2021-07-19", "2021-07-26", "2021-08-02"}; !slices.Equal(dates, want) {
+		t.Errorf("weekly = %v, want %v", dates, want)
 	}
 	if WeeklyRepresentatives(nil) != nil {
 		t.Error("empty input must give nil")

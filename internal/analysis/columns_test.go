@@ -91,52 +91,6 @@ func TestIndexFromReaderMatchesNewIndex(t *testing.T) {
 	checkIndexMatchesDirect(t, "empty", columnIndex(t, empty, scheme), empty, scheme)
 }
 
-// TestAttachIndexDispatch pins the one lookup: Attached returns the
-// index hung on a header-only snapshot — which has no routes to build
-// from or walk — and nil for any other snapshot, and the two
-// attached-or-walk reads (CountSnapshot, Stability) answer a
-// header-only day from its index and a materialized day from a walk,
-// building nothing either way.
-func TestAttachIndexDispatch(t *testing.T) {
-	s, scheme := genSnapshot(t, "LINX")
-	ix := columnIndex(t, s, scheme)
-	head := ix.Snapshot()
-	if head.Routes != nil {
-		t.Fatal("column index snapshot must be header-only")
-	}
-	if Attached(head) != nil || Attached(s) != nil {
-		t.Fatal("Attached on a snapshot nothing was attached to must be nil")
-	}
-	AttachIndex(head, ix)
-	if Attached(head) != ix || IndexFor(head, scheme) != ix {
-		t.Fatal("Attached and IndexFor must return the attached index")
-	}
-	if fresh := IndexFor(s, scheme); fresh == nil || fresh == ix || fresh.Snapshot() != s {
-		t.Fatal("IndexFor on a snapshot with no attached index must build one from its routes")
-	}
-
-	setTelemetryForTest(t)
-	builds0 := tel().buildSeconds.Count()
-	for _, v6 := range []bool{false, true} {
-		want := CountSnapshotDirect(s, v6)
-		if got := CountSnapshot(head, v6); got != want {
-			t.Errorf("attached CountSnapshot(v6=%v) %+v != direct %+v", v6, got, want)
-		}
-		if got := CountSnapshot(s, v6); got != want {
-			t.Errorf("walked CountSnapshot(v6=%v) %+v != direct %+v", v6, got, want)
-		}
-		same := func(n int) StabilityRow { return StabilityRow{Min: n, Max: n} }
-		wantTable := StabilityTable{Members: same(want.Members), Prefixes: same(want.Prefixes),
-			Routes: same(want.Routes), Communities: same(want.Communities)}
-		if got := Stability([]*collector.Snapshot{head, s}, v6); got != wantTable {
-			t.Errorf("Stability(v6=%v) over an attached and a walked day %+v, want %+v", v6, got, wantTable)
-		}
-	}
-	if got := tel().buildSeconds.Count() - builds0; got != 0 {
-		t.Errorf("the attached-or-walk reads built %d indexes, want 0", got)
-	}
-}
-
 // TestIndexFromColumnsAllocs pins what a full build off columns
 // allocates: the tables, refcount arrays and aggregate maps, sized from
 // the input or grown by doubling — nothing per route, per community

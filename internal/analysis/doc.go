@@ -18,13 +18,13 @@
 // slice. One fold builds it (advance.go) from three sources — a binary
 // snapshot's columns, a delta's ops on top of the previous day's
 // index, or a materialized []bgp.Route. An index belongs to whoever
-// built its snapshot: the package keeps no cache, and a header-only
-// snapshot carries its index itself (AttachIndex, Attached). The two
-// series reads, CountSnapshot and Stability, need no classification
-// and take snapshots: they read the attached index of a header-only
-// day and walk the routes of any other. That is all a chained day is
-// read for, so it stays counts-only until Index.Materialize readies the
-// one day that is served.
+// built its snapshot, who keeps it next to the snapshot: the package
+// keeps no cache, and a snapshot carries nothing but itself. The series
+// reads need no classification and take a day's counts, DayCounts: the
+// fold gives any day's (Index.DayCounts), one walk gives a routed
+// snapshot's (CountDay), and Stability and WeeklyRepresentatives read
+// them. That is all a chained day is read for, so it stays counts-only
+// until Index.Materialize readies the one day that is served.
 //
 // The reference implementation lives in oracle_test.go: the *Direct
 // functions re-walk a materialized snapshot and re-classify every

@@ -30,7 +30,7 @@ const numActionTypes = int(dictionary.Blackhole) + 1
 // Index is the per-(snapshot, scheme) classified view.
 //
 // A chained day (IndexSeriesFromReader, Advance) starts counts-only:
-// Snapshot, Class and Counts answer, and every other accessor panics
+// Snapshot, Class, Counts and DayCounts answer, and every other accessor panics
 // naming Materialize, which the chain's owner calls once for a day that
 // is to be served. NewIndex and IndexFromReader return materialized
 // indexes.
@@ -96,38 +96,17 @@ type familyStats struct {
 	culprits           map[uint32]int
 }
 
-// --- the snapshot's own index ----------------------------------------------
-
-// An index belongs to whoever built its snapshot. A header-only
-// snapshot (a loaded .bin or .delta day) has no routes to build from,
-// so its builder hangs the index on it; every other holder keeps the
-// *Index it built next to the snapshot (report.Lab.Indexes).
-
-// AttachIndex hangs a pre-built index on its snapshot. Attach before
-// the snapshot is shared across goroutines, and never to a snapshot
-// another holder already serves.
-func AttachIndex(s *collector.Snapshot, ix *Index) { s.SetAux(ix) }
-
-// Attached returns the index hung on s with AttachIndex, or nil.
-func Attached(s *collector.Snapshot) *Index {
-	ix, _ := s.Aux().(*Index)
-	return ix
-}
-
-// IndexFor returns the index attached to s, else a fresh NewIndex(s,
-// scheme). It exists for benchmarks/e2e/analyze.go, which this tree
-// may not edit, and has no other caller: code that holds a snapshot
-// holds its index, or says NewIndex where it pays for one.
+// IndexFor is NewIndex. It stays for benchmarks/e2e/analyze.go; code
+// that holds a snapshot holds the index its builder made, or says
+// NewIndex where it pays for one.
 func IndexFor(s *collector.Snapshot, scheme *dictionary.Scheme) *Index {
-	if ix := Attached(s); ix != nil {
-		return ix
-	}
 	return NewIndex(s, scheme)
 }
 
 // --- accessors ----------------------------------------------------------
 
-// classified guards every accessor but Snapshot, Class and Counts.
+// classified guards every accessor but Snapshot, Class, Counts and
+// DayCounts.
 func (ix *Index) classified() {
 	if ix.countsOnly {
 		panic("analysis: classified accessor on a counts-only day (" + ix.snap.IXP + " " + ix.snap.Date + "); call Materialize while it is the chain's newest day")
@@ -348,10 +327,15 @@ func (ix *Index) CommunityCountPercentiles(v6 bool, percentiles []float64) []int
 func (ix *Index) Counts(v6 bool) SnapshotCounts {
 	st := ix.counts(v6)
 	return SnapshotCounts{
-		Date:        ix.snap.Date,
 		Members:     st.usage.MembersAtRS,
 		Prefixes:    st.prefixes,
 		Routes:      st.usage.RoutesTotal,
 		Communities: st.commInstances,
 	}
+}
+
+// DayCounts returns the day's series counts, what CountDay counts off
+// the routes. Every day answers it, counts-only or not.
+func (ix *Index) DayCounts() DayCounts {
+	return DayCounts{Date: ix.snap.Date, Members: len(ix.snap.Members), V4: ix.Counts(false), V6: ix.Counts(true)}
 }

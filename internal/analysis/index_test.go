@@ -47,15 +47,12 @@ func TestIndexMatchesDirect(t *testing.T) {
 	checkIndexMatchesDirect(t, "empty", NewIndex(empty, scheme), empty, scheme)
 }
 
-// TestIndexConcurrentUse pins the concurrency contract: one Index,
-// attached to its header-only snapshot and shared by many goroutines,
-// every accessor and both attached-or-walk reads exercised — run under
-// -race by `make check`.
+// TestIndexConcurrentUse pins the concurrency contract: one Index off
+// a header-only snapshot, shared by many goroutines, every accessor and
+// the series reads exercised — run under -race by `make check`.
 func TestIndexConcurrentUse(t *testing.T) {
 	s, scheme := genSnapshot(t, "LINX")
 	ix := columnIndex(t, s, scheme)
-	head := ix.Snapshot()
-	AttachIndex(head, ix)
 	reg := asdb.Default()
 
 	var wg sync.WaitGroup
@@ -86,11 +83,7 @@ func TestIndexConcurrentUse(t *testing.T) {
 				_ = ix.IsMember(uint32(iter))
 				_ = ix.ASActivity(uint32(iter), v6)
 				_ = ix.CommunityUsage(0, v6)
-				if Attached(head) != ix {
-					t.Error("Attached must return the attached index")
-				}
-				_ = CountSnapshot(head, v6)
-				_ = Stability([]*collector.Snapshot{head, s}, v6)
+				_ = Stability([]DayCounts{ix.DayCounts(), CountDay(s)}, v6)
 			}
 		}(g)
 	}

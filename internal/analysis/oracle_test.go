@@ -9,8 +9,9 @@ package analysis
 // of the fold (NewIndex, IndexFromReader, IndexSeriesFromReader) and
 // every day Advance derives can be compared with them accessor by
 // accessor once materialized (checkIndexMatchesDirect), and on Counts
-// before (checkCountsMatchDirect). No builder is checked only against
-// another builder.
+// and DayCounts before (checkCountsMatchDirect). CountDay, the series
+// count of a routed snapshot, is held to the same oracle. No builder is
+// checked only against another builder.
 
 import (
 	"math/rand"
@@ -32,6 +33,13 @@ import (
 func checkIndexMatchesDirect(t testing.TB, tag string, ix *Index, s *collector.Snapshot, scheme *dictionary.Scheme) {
 	t.Helper()
 	reg := asdb.Default()
+	want := DayCountsDirect(s)
+	if got := ix.DayCounts(); got != want {
+		t.Errorf("%s: DayCounts: indexed %+v != direct %+v", tag, got, want)
+	}
+	if got := CountDay(s); got != want {
+		t.Errorf("%s: CountDay %+v != direct %+v", tag, got, want)
+	}
 	for _, v6 := range []bool{false, true} {
 		eq := func(name string, got, want any) {
 			t.Helper()
@@ -538,9 +546,15 @@ func communityCounts(s *collector.Snapshot, v6 bool) []int {
 	return counts
 }
 
-// CountSnapshotDirect is the direct twin of CountSnapshot.
+// DayCountsDirect is the direct twin of CountDay and Index.DayCounts:
+// each family counted in a walk of its own.
+func DayCountsDirect(s *collector.Snapshot) DayCounts {
+	return DayCounts{Date: s.Date, Members: len(s.Members), V4: CountSnapshotDirect(s, false), V6: CountSnapshotDirect(s, true)}
+}
+
+// CountSnapshotDirect is one family's Appendix A row.
 func CountSnapshotDirect(s *collector.Snapshot, v6 bool) SnapshotCounts {
-	c := SnapshotCounts{Date: s.Date}
+	var c SnapshotCounts
 	if v6 {
 		c.Members = s.MembersV6()
 	} else {

@@ -60,22 +60,7 @@ type Snapshot struct {
 	FilteredCount int           `json:"filtered_count"`
 	Partial       bool          `json:"partial,omitempty"`
 	MemberErrors  []MemberError `json:"member_errors,omitempty"`
-
-	// aux is an out-of-band consumer attachment (analysis hangs a
-	// pre-built index on route-less snapshots through it). No codec
-	// encodes it. reflect.DeepEqual does see unexported fields, so
-	// attach aux only to snapshots that are not DeepEqual'd against
-	// codec round-trips.
-	aux any
 }
-
-// SetAux attaches an out-of-band consumer value to the snapshot. Call
-// it before the snapshot is shared across goroutines; Aux reads are
-// unsynchronized.
-func (s *Snapshot) SetAux(v any) { s.aux = v }
-
-// Aux returns the value attached with SetAux, or nil.
-func (s *Snapshot) Aux() any { return s.aux }
 
 // FailedMemberSet returns the ASNs whose routes are missing from a
 // partial snapshot.

@@ -74,8 +74,8 @@ func (s *Server) buildGeneration(prev *generation, files []report.File, sig stri
 		responses: newRespTable(cfg.cacheCap()),
 		load:      rep,
 	}
-	for _, snap := range lab.Snapshots {
-		if day, err := time.Parse(time.DateOnly, snap.Date); err == nil && day.After(gen.newest) {
+	for _, ix := range lab.Indexes {
+		if day, err := time.Parse(time.DateOnly, ix.Snapshot().Date); err == nil && day.After(gen.newest) {
 			gen.newest = day
 		}
 	}

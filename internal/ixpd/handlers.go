@@ -8,7 +8,6 @@ import (
 
 	"ixplight/internal/analysis"
 	"ixplight/internal/bgp"
-	"ixplight/internal/collector"
 	"ixplight/internal/dictionary"
 	"ixplight/internal/ixpgen"
 	"ixplight/internal/report"
@@ -245,17 +244,14 @@ func (s *Server) seriesDoc(g *generation, ixp string) (any, error) {
 	}
 	series := g.lab.Series[p.IXP]
 	if len(series) == 0 {
-		if snap := g.lab.Snapshots[p.IXP]; snap != nil {
-			series = []*collector.Snapshot{snap}
+		if ix := g.lab.Indexes[p.IXP]; ix != nil {
+			series = []analysis.DayCounts{ix.DayCounts()}
 		}
 	}
 	doc := &SeriesDoc{IXP: p.IXP, Days: make([]SeriesDay, 0, len(series))}
-	for _, snap := range series {
-		doc.Days = append(doc.Days, SeriesDay{
-			Date: snap.Date,
-			V4:   familyCounts(analysis.CountSnapshot(snap, false)),
-			V6:   familyCounts(analysis.CountSnapshot(snap, true)),
-		})
+	for i := range series {
+		d := &series[i]
+		doc.Days = append(doc.Days, SeriesDay{Date: d.Date, V4: familyCounts(d.V4), V6: familyCounts(d.V6)})
 	}
 	return doc, nil
 }

@@ -41,7 +41,7 @@ func TestSnapshotMatchesCollectedSnapshot(t *testing.T) {
 
 		direct := w.Snapshot(date)
 		for _, v6 := range []bool{false, true} {
-			if a, b := analysis.CountSnapshot(direct, v6), analysis.CountSnapshot(collected, v6); a != b {
+			if a, b := analysis.CountDay(direct).Family(v6), analysis.CountDay(collected).Family(v6); a != b {
 				t.Errorf("%s v6=%v: direct %+v, crawled %+v", p.IXP, v6, a, b)
 			}
 		}

@@ -199,7 +199,10 @@ func TestEvolveSeriesOneRoutePerPrefixAndPeer(t *testing.T) {
 // started, at every big-four IXP.
 func TestEvolveSeriesAppendixAShape(t *testing.T) {
 	for _, ixp := range []string{"DE-CIX", "LINX"} {
-		days := collectSeries(t, ixp, TemporalOptions{Days: 84, Seed: 42, Scale: 0.02}, 0)
+		var days []analysis.DayCounts
+		for _, s := range collectSeries(t, ixp, TemporalOptions{Days: 84, Seed: 42, Scale: 0.02}, 0) {
+			days = append(days, analysis.CountDay(s))
+		}
 		for _, v6 := range []bool{false, true} {
 			if d := analysis.Stability(days[:7], v6).MaxDiffPct(); d >= 4 {
 				t.Errorf("%s v6=%v: Table 3 variation %.2f%%, want < 4%%", ixp, v6, d)
@@ -212,8 +215,8 @@ func TestEvolveSeriesAppendixAShape(t *testing.T) {
 	for _, p := range BigFour() {
 		days := collectSeries(t, p.IXP, TemporalOptions{Days: 84, Seed: 42, Scale: 0.004}, 0)
 		for _, v6 := range []bool{false, true} {
-			first := analysis.CountSnapshot(days[0], v6).Prefixes
-			last := analysis.CountSnapshot(days[83], v6).Prefixes
+			first := analysis.CountDay(days[0]).Family(v6).Prefixes
+			last := analysis.CountDay(days[83]).Family(v6).Prefixes
 			if math.Abs(float64(last-first)) > 0.1*float64(first) {
 				t.Errorf("%s v6=%v: %d prefixes on day 83, %d on day 0 (want within 10%%)", p.IXP, v6, last, first)
 			}

@@ -226,7 +226,7 @@ func TestTable1Magnitudes(t *testing.T) {
 			if v6 {
 				fam = p.V6
 			}
-			c := analysis.CountSnapshot(s, v6)
+			c := analysis.CountDay(s).Family(v6)
 			wantMembers := int(math.Round(float64(fam.MembersAtRS) * testScale))
 			if relErr(float64(c.Members), float64(wantMembers)) > 0.05 {
 				t.Errorf("%s v6=%v members = %d, want ≈%d", ixp, v6, c.Members, wantMembers)
@@ -564,8 +564,8 @@ func TestSnapshotMatchesCollectedState(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := server.Stats()
-	c4 := analysis.CountSnapshot(snap, false)
-	c6 := analysis.CountSnapshot(snap, true)
+	c := analysis.CountDay(snap)
+	c4, c6 := c.V4, c.V6
 	if st.RoutesV4 != c4.Routes || st.RoutesV6 != c6.Routes {
 		t.Errorf("route counts disagree: rs %d/%d snap %d/%d", st.RoutesV4, st.RoutesV6, c4.Routes, c6.Routes)
 	}
@@ -625,8 +625,8 @@ func TestAllEightIXPsSnapshotConsistency(t *testing.T) {
 				t.Fatalf("%s: invalid route: %v", p.IXP, err)
 			}
 		}
-		c4 := analysis.CountSnapshot(s, false)
-		c6 := analysis.CountSnapshot(s, true)
+		c := analysis.CountDay(s)
+		c4, c6 := c.V4, c.V6
 		if c4.Routes == 0 || c6.Routes == 0 {
 			t.Errorf("%s: missing family (%d/%d routes)", p.IXP, c4.Routes, c6.Routes)
 		}

@@ -33,20 +33,17 @@ var ExperimentNames = []string{
 type Lab struct {
 	// Profiles are the IXPs under study (Table 1 order).
 	Profiles []ixpgen.Profile
-	// Snapshots holds the latest snapshot per IXP.
-	Snapshots map[string]*collector.Snapshot
 	// Indexes holds the classified index of each profiled IXP's latest
-	// snapshot, built by whoever built the snapshot: NewLabParallel in
-	// its generation task, Load off the file's columns or delta (the
-	// index attached to the header-only day) or from the routes of a
-	// materialized day. Every classifying experiment reads it; none
-	// builds one.
+	// snapshot (Index.Snapshot), built by whoever built the snapshot:
+	// NewLabParallel in its generation task, Load off the file's columns
+	// or delta, or from the routes of a materialized day. Every
+	// experiment reads it; none builds one.
 	Indexes map[string]*analysis.Index
-	// Series optionally holds a full date-ordered snapshot series per
-	// IXP (e.g. loaded from a cmd/ixpgen dataset). When present, the
-	// temporal experiments (table3, table4, sanitation) run over it
-	// instead of evolving one.
-	Series map[string][]*collector.Snapshot
+	// Series optionally holds the counts of a full date-ordered daily
+	// series per IXP (e.g. loaded from a cmd/ixpgen dataset). When
+	// present, the temporal experiments (table3, table4, sanitation) run
+	// over it instead of evolving one.
+	Series map[string][]analysis.DayCounts
 	// Registry labels ASNs in rankings.
 	Registry *asdb.Registry
 	// Seed and Scale record how the lab was generated.
@@ -63,9 +60,10 @@ type Lab struct {
 	// for binary files, and to reconstruct delta chains through a
 	// materializing DeltaApplier. By default those files are indexed off
 	// their columns (analysis.IndexFromReader) and delta days advance
-	// the previous day's index, both carried as header-only snapshots
-	// with the index attached — byte-identical experiment output,
-	// without materializing routes. No command sets it: it is the
+	// the previous day's index, over header-only snapshots —
+	// byte-identical experiment output, without materializing routes.
+	// Its days are counted with analysis.CountDay, independently of
+	// the fold. No command sets it: it is the
 	// reference configuration the equivalence tests and the benchmark's
 	// output check hold the default path to.
 	Materialize bool
@@ -99,13 +97,12 @@ func (l *Lab) workers() int {
 // so a (re)load never pays synthetic generation.
 func NewLabShell(profiles []ixpgen.Profile, seed int64, scale float64, workers int) *Lab {
 	return &Lab{
-		Profiles:  profiles,
-		Snapshots: make(map[string]*collector.Snapshot, len(profiles)),
-		Indexes:   make(map[string]*analysis.Index, len(profiles)),
-		Registry:  asdb.Default(),
-		Seed:      seed,
-		Scale:     scale,
-		Parallel:  workers,
+		Profiles: profiles,
+		Indexes:  make(map[string]*analysis.Index, len(profiles)),
+		Registry: asdb.Default(),
+		Seed:     seed,
+		Scale:    scale,
+		Parallel: workers,
 	}
 }
 
@@ -128,7 +125,6 @@ func NewLabParallel(profiles []ixpgen.Profile, seed int64, scale float64, worker
 		return nil, err
 	}
 	for i, p := range profiles {
-		lab.Snapshots[p.IXP] = ixs[i].Snapshot()
 		lab.Indexes[p.IXP] = ixs[i]
 	}
 	return lab, nil
@@ -211,9 +207,8 @@ func (l *Lab) runTable1(w io.Writer) error {
 	Section(w, "Table 1 — the IXPs in numbers")
 	var rows []Table1Row
 	for _, p := range l.Profiles {
-		rows = append(rows, Table1RowFromSnapshot(
-			l.Snapshots[p.IXP], p.Location, p.AvgTraffic,
-			int(float64(p.TotalMembers)*l.Scale)))
+		rows = append(rows, Table1RowFromCounts(p.IXP, l.Indexes[p.IXP].DayCounts(),
+			p.Location, p.AvgTraffic, int(float64(p.TotalMembers)*l.Scale)))
 	}
 	WriteTable1(w, rows)
 	return nil
@@ -319,41 +314,43 @@ func (l *Lab) runFig7(w io.Writer) error {
 // dataset when the lab has one, a generated series otherwise.
 func (l *Lab) runStability(w io.Writer, title string, days int, valleys []int) error {
 	Section(w, title)
-	return l.eachSeries(w, days, valleys, func(w io.Writer, p ixpgen.Profile, snaps []*collector.Snapshot) {
+	return l.eachSeries(w, days, valleys, func(w io.Writer, p ixpgen.Profile, series []analysis.DayCounts) {
 		// The paper computes Appendix A over the sanitized dataset:
 		// collection valleys are removed before measuring variation.
-		snaps, _ = sanitize.Clean(snaps)
-		if len(snaps) > days {
-			snaps = snaps[:days]
+		series, _ = sanitize.Clean(series)
+		if len(series) > days {
+			series = series[:days]
 		}
 		if days > 7 {
-			snaps = analysis.WeeklyRepresentatives(snaps)
+			series = analysis.WeeklyRepresentatives(series)
 		}
-		WriteStability(w, p.IXP+"-v4", analysis.Stability(snaps, false))
-		WriteStability(w, p.IXP+"-v6", analysis.Stability(snaps, true))
+		WriteStability(w, p.IXP+"-v4", analysis.Stability(series, false))
+		WriteStability(w, p.IXP+"-v6", analysis.Stability(series, true))
 	})
 }
 
 // eachSeries reports on each profile's date-ordered daily series: the
-// lab's stored series where it has one, otherwise the days EvolveSeries
-// evolves at the lab's seed and scale — the series `ixpgen` writes. The
-// profiles fan out across the lab's pool, each series living only as
-// long as its task, and fn's output lands on w in profile order.
-func (l *Lab) eachSeries(w io.Writer, days int, valleys []int, fn func(w io.Writer, p ixpgen.Profile, snaps []*collector.Snapshot)) error {
+// lab's stored series where it has one, otherwise the counts of the
+// days EvolveSeries evolves at the lab's seed and scale — the series
+// `ixpgen` writes, each day counted as it is evolved. The profiles fan
+// out across the lab's pool, and fn's output lands on w in profile
+// order.
+func (l *Lab) eachSeries(w io.Writer, days int, valleys []int, fn func(w io.Writer, p ixpgen.Profile, series []analysis.DayCounts)) error {
 	outs := make([]bytes.Buffer, len(l.Profiles))
 	if _, err := runPool(len(l.Profiles), l.workers(), func(i int) error {
 		p := l.Profiles[i]
-		snaps := l.Series[p.IXP]
-		if len(snaps) == 0 {
+		series := l.Series[p.IXP]
+		if len(series) == 0 {
+			series = make([]analysis.DayCounts, 0, days)
 			opts := ixpgen.TemporalOptions{Seed: l.Seed, Scale: l.Scale, Days: days, ValleyDays: valleys}
 			if err := ixpgen.EvolveSeries(p, opts, 0, func(_ int, s *collector.Snapshot) error {
-				snaps = append(snaps, s)
+				series = append(series, analysis.CountDay(s))
 				return nil
 			}); err != nil {
 				return err
 			}
 		}
-		fn(&outs[i], p, snaps)
+		fn(&outs[i], p, series)
 		return nil
 	}); err != nil {
 		return err
@@ -561,9 +558,9 @@ func (l *Lab) runSanitation(w io.Writer) error {
 	Section(w, "§3 — sanitation: valley detection")
 	// Two injected collection failures when generating; a loaded
 	// dataset carries whatever valleys its producer injected.
-	return l.eachSeries(w, 21, []int{5, 13}, func(w io.Writer, p ixpgen.Profile, snaps []*collector.Snapshot) {
-		kept, removed := sanitize.Clean(snaps)
+	return l.eachSeries(w, 21, []int{5, 13}, func(w io.Writer, p ixpgen.Profile, series []analysis.DayCounts) {
+		kept, removed := sanitize.Clean(series)
 		fmt.Fprintf(w, "%s: %d snapshots, %d removed as valleys (%.1f%%), %d kept\n",
-			p.IXP, len(snaps), removed, 100*float64(removed)/float64(len(snaps)), len(kept))
+			p.IXP, len(series), removed, 100*float64(removed)/float64(len(series)), len(kept))
 	})
 }

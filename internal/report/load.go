@@ -157,12 +157,12 @@ func (l *Lab) LoadSnapshotDir(dir string) error {
 //     missing predecessor lands, say.
 //
 // Binary files are, unless l.Materialize is set, indexed straight off
-// their columns: the loaded snapshot is header-only with the classified
-// index attached — counts-only for a chained day, since the series is
-// read only for its counts. Either way l.Indexes holds the materialized
-// index of each IXP's latest day when Load returns, whatever order the
-// fold met its files in and whichever of them failed, so no experiment
-// builds one. Files decode, and IXPs fold, across the lab's worker
+// their columns into header-only days, each with the classified index
+// that produced it — counts-only for a chained day, since the series is
+// read only for its counts (l.Series). Either way l.Indexes holds the
+// materialized index of each IXP's latest day when Load returns,
+// whatever order the fold met its files in and whichever of them
+// failed, so no experiment builds one. Files decode, and IXPs fold, across the lab's worker
 // pool; the result is the same for any worker count.
 func (l *Lab) Load(dir string, files []File, prev *Lab) LoadReport {
 	ld := &loader{
@@ -229,7 +229,7 @@ func (l *Lab) Load(dir string, files []File, prev *Lab) LoadReport {
 		if f.delta {
 			continue
 		}
-		if f.carried && f.day != nil && !ld.materialize && f.series != (ld.roles[dayKey{f.ixp, f.date}] == extended) {
+		if f.carried && f.day.snap != nil && !ld.materialize && f.series != (ld.roles[dayKey{f.ixp, f.date}] == extended) {
 			f.carried = false
 		}
 		if !f.carried {
@@ -316,7 +316,7 @@ func (l *Lab) Load(dir string, files []File, prev *Lab) LoadReport {
 		}
 	}
 	ds := &dataset{files: ld.files, chains: make([]*chain, len(ixps))}
-	l.Series = make(map[string][]*collector.Snapshot, len(ixps))
+	l.Series = make(map[string][]analysis.DayCounts, len(ixps))
 	days := 0
 	for g, x := range ixps {
 		c := x.out
@@ -335,26 +335,24 @@ func (l *Lab) Load(dir string, files []File, prev *Lab) LoadReport {
 			continue
 		}
 		days += len(c.days)
-		l.Series[x.ixp] = c.days
-		l.Snapshots[x.ixp] = c.days[len(c.days)-1]
+		l.Series[x.ixp] = c.counts
 	}
 	rep.Reused = days - rep.Advanced - rep.Rebuilt
 	l.loaded = ds
 
 	// The latest day of each IXP carries its index into the lab. A
-	// header-only day has it attached. A materialized one
-	// (l.Materialize) is indexed here from its routes,
-	// unless prev serves the same day and already did; the index lands
-	// in the lab, never on the day, which prev may be serving.
+	// header-only day comes with it. A materialized one (l.Materialize)
+	// is indexed here from its routes, unless prev serves the same day
+	// and already did.
 	var builds []int
 	for i, p := range l.Profiles {
 		x := groups[p.IXP]
 		if x == nil || len(x.out.days) == 0 {
 			continue
 		}
-		day := l.Snapshots[p.IXP]
-		ix := analysis.Attached(day)
-		if ix == nil && prev != nil && prev.Indexes[p.IXP] != nil && prev.Indexes[p.IXP].Snapshot() == day {
+		day := x.out.newest()
+		ix := day.ix
+		if ix == nil && prev != nil && prev.Indexes[p.IXP] != nil && prev.Indexes[p.IXP].Snapshot() == day.snap {
 			ix = prev.Indexes[p.IXP]
 		}
 		if ix == nil {
@@ -367,7 +365,7 @@ func (l *Lab) Load(dir string, files []File, prev *Lab) LoadReport {
 		built := make([]*analysis.Index, len(builds))
 		runPool(len(builds), l.workers(), func(k int) error {
 			p := l.Profiles[builds[k]]
-			built[k] = analysis.NewIndex(l.Snapshots[p.IXP], p.Scheme)
+			built[k] = analysis.NewIndex(groups[p.IXP].out.newest().snap, p.Scheme)
 			return nil
 		})
 		for k, i := range builds {
@@ -393,12 +391,12 @@ type loadedFile struct {
 	// The header facts, known once the file opened (bad is nil).
 	ixp, date string
 	base      string // deltas: the day this one extends
-	// series: a full file loaded header-only, its attached index built
-	// as a chain base that carries the chain state its deltas advance.
+	// series: a full file loaded header-only, its index built as a chain
+	// base that carries the chain state its deltas advance.
 	series bool
-	// day is the day a full file of a studied IXP decoded to; nil when
+	// day is the day a full file of a studied IXP decoded to; zero when
 	// it did not.
-	day *collector.Snapshot
+	day chainDay
 	// bad is why the file does not open — unreadable, truncated, not a
 	// snapshot. It holds for as long as (name, size, mtime) does, so the
 	// file is not tried again.
@@ -447,7 +445,36 @@ type chain struct {
 	// extendable: every applied step went through Index.Advance, so the
 	// newest day's index owns state a later Load can advance.
 	extendable bool
-	days       []*collector.Snapshot // the IXP's series, by date
+	days       []chainDay // the IXP's series, by date
+	// counts are days' counts, in the same order: the lab's Series.
+	counts []analysis.DayCounts
+}
+
+// newest is the day the IXP serves.
+func (c *chain) newest() *chainDay { return &c.days[len(c.days)-1] }
+
+// chainDay is one day a fold produced, and the counts it publishes. A
+// day comes off the fold as a header-only snapshot with the index that
+// produced it — counts-only until it is served — or, in the Materialize
+// reference, as a routed snapshot with no index, counted by a walk of
+// its routes.
+type chainDay struct {
+	snap   *collector.Snapshot
+	ix     *analysis.Index
+	counts analysis.DayCounts
+}
+
+func indexedDay(ix *analysis.Index) chainDay {
+	return chainDay{snap: ix.Snapshot(), ix: ix, counts: ix.DayCounts()}
+}
+
+func routedDay(s *collector.Snapshot) chainDay {
+	return chainDay{snap: s, counts: analysis.CountDay(s)}
+}
+
+// holds reports whether days holds the day of snapshot s.
+func holds(days []chainDay, s *collector.Snapshot) bool {
+	return slices.ContainsFunc(days, func(d chainDay) bool { return d.snap == s })
 }
 
 // step is one delta file's turn in a fold.
@@ -487,13 +514,13 @@ func (ld *loader) open(i int) {
 
 // decode loads full file i through the one snapshot reader (mmap where
 // the platform provides it). A studied IXP's day is not materialized:
-// the classified index is built off its columns and attached to the
-// header-only snapshot — as a series index when the file heads a delta
-// chain, so later days can advance it (series) — unless the lab is the
+// the classified index is built off its columns, over a header-only
+// snapshot — as a series index when the file heads a delta chain, so
+// later days can advance it (series) — unless the lab is the
 // Materialize reference. Any other IXP's file is read up to its header.
 func (ld *loader) decode(i int) {
 	f := &ld.files[i]
-	f.carried, f.day, f.series = false, nil, false
+	f.carried, f.day, f.series = false, chainDay{}, false
 	sr, err := collector.OpenSnapshotAt(filepath.Join(ld.dir, f.Name))
 	if f.bad = err; err != nil {
 		return
@@ -505,7 +532,10 @@ func (ld *loader) decode(i int) {
 	switch {
 	case scheme == nil:
 	case ld.materialize:
-		f.day, f.bad = sr.Snapshot()
+		var s *collector.Snapshot
+		if s, f.bad = sr.Snapshot(); f.bad == nil {
+			f.day = routedDay(s)
+		}
 	default:
 		var ix *analysis.Index
 		if f.series = ld.roles[dayKey{head.IXP, head.Date}] == extended; f.series {
@@ -514,12 +544,11 @@ func (ld *loader) decode(i int) {
 			ix, f.bad = analysis.IndexFromReader(sr, scheme)
 		}
 		if f.bad == nil {
-			f.day = ix.Snapshot()
-			analysis.AttachIndex(f.day, ix)
+			f.day = indexedDay(ix)
 		}
 	}
 	if f.bad != nil {
-		f.day, f.series = nil, false
+		f.day, f.series = chainDay{}, false
 	}
 }
 
@@ -555,11 +584,11 @@ func (ld *loader) applyChain(x *ixpLoad) {
 		if extending {
 			copy(c.steps, pc.steps[:from])
 			c.applied = pc.applied
-			c.days = make([]*collector.Snapshot, len(pc.days), len(pc.days)+len(x.deltas)-from)
+			c.days = make([]chainDay, len(pc.days), len(pc.days)+len(x.deltas)-from)
 			copy(c.days, pc.days)
 		} else {
 			from = 0
-			c.days = make([]*collector.Snapshot, 0, len(x.fulls)+len(x.deltas))
+			c.days = make([]chainDay, 0, len(x.fulls)+len(x.deltas))
 			for _, i := range x.fulls {
 				f := &ld.files[i]
 				// A chain base whose state earlier deltas advanced
@@ -568,7 +597,7 @@ func (ld *loader) applyChain(x *ixpLoad) {
 					ld.decode(i)
 					x.work.Decoded++
 				}
-				if f.day != nil {
+				if f.day.snap != nil {
 					c.days = append(c.days, f.day)
 				}
 			}
@@ -589,10 +618,10 @@ func (ld *loader) applyChain(x *ixpLoad) {
 			}
 			// The newest of the IXP's days so far that carries the base
 			// date: a chained day shadows a full file's.
-			var base *collector.Snapshot
+			var base *chainDay
 			for d := len(c.days) - 1; d >= 0 && base == nil; d-- {
-				if c.days[d].Date == f.base {
-					base = c.days[d]
+				if c.days[d].snap.Date == f.base {
+					base = &c.days[d]
 				}
 			}
 			if base == nil {
@@ -602,35 +631,35 @@ func (ld *loader) applyChain(x *ixpLoad) {
 			if st.err = corrupt[i]; st.err != nil {
 				continue
 			}
-			var next *collector.Snapshot
+			var next chainDay
 			if !ld.materialize {
-				bix := analysis.Attached(base)
-				if f.date < base.Date {
+				if f.date < base.snap.Date {
 					// The day this delta makes sorts before its base, so
 					// the base may still be the IXP's newest day: ready it
 					// to serve while it owns the chain state. A base that
 					// no longer does fails here and in Advance alike, and
 					// Advance reports it.
-					_ = bix.Materialize()
+					_ = base.ix.Materialize()
 				}
 				var ix *analysis.Index
-				if ix, st.err = bix.Advance(ld.readers[i]); st.err == nil {
-					next = ix.Snapshot()
-					analysis.AttachIndex(next, ix)
+				if ix, st.err = base.ix.Advance(ld.readers[i]); st.err == nil {
+					next = indexedDay(ix)
 				}
 			} else {
 				c.extendable = false
 				app := appliers[f.base]
 				if app == nil {
-					app, st.err = collector.NewDeltaApplier(base)
+					app, st.err = collector.NewDeltaApplier(base.snap)
 				}
+				var s *collector.Snapshot
 				if st.err == nil {
-					if next, st.err = app.Apply(ld.readers[i]); st.err == nil {
+					if s, st.err = app.Apply(ld.readers[i]); st.err == nil {
 						if appliers == nil {
 							appliers = map[string]*collector.DeltaApplier{}
 						}
 						delete(appliers, f.base)
-						appliers[next.Date] = app
+						appliers[s.Date] = app
+						next = routedDay(s)
 					}
 				}
 			}
@@ -655,32 +684,36 @@ func (ld *loader) applyChain(x *ixpLoad) {
 		// first, in listing order, and the chained days after them, so
 		// the last in of each date — the one base lookup finds — serves.
 		slices.Reverse(c.days)
-		slices.SortStableFunc(c.days, func(a, b *collector.Snapshot) int {
-			return strings.Compare(a.Date, b.Date)
+		slices.SortStableFunc(c.days, func(a, b chainDay) int {
+			return strings.Compare(a.snap.Date, b.snap.Date)
 		})
-		c.days = slices.CompactFunc(c.days, func(a, b *collector.Snapshot) bool { return a.Date == b.Date })
+		c.days = slices.CompactFunc(c.days, func(a, b chainDay) bool { return a.snap.Date == b.snap.Date })
 		// Chained days are counts-only; the one the IXP serves is
 		// materialized. It is its chain's newest day: a day some Advance
 		// superseded was either materialized before (its successor sorts
 		// before it) or is out-dated or shadowed by its successor.
 		if len(c.days) > 0 {
-			if ix := analysis.Attached(c.days[len(c.days)-1]); ix != nil {
-				if err := ix.Materialize(); err != nil {
-					panic(fmt.Sprintf("report: %s serves %s: %v", x.ixp, c.days[len(c.days)-1].Date, err))
+			if d := c.newest(); d.ix != nil {
+				if err := d.ix.Materialize(); err != nil {
+					panic(fmt.Sprintf("report: %s serves %s: %v", x.ixp, d.snap.Date, err))
 				}
 			}
+		}
+		c.counts = make([]analysis.DayCounts, len(c.days))
+		for k := range c.days {
+			c.counts[k] = c.days[k].counts
 		}
 		reused := 0
 		if extending {
 			for _, d := range pc.days {
-				if slices.Contains(c.days, d) {
+				if holds(c.days, d.snap) {
 					reused++
 				}
 			}
 			x.work.Advanced = len(c.days) - reused
 		} else {
 			for _, i := range x.fulls {
-				if f := &ld.files[i]; f.carried && f.day != nil && slices.Contains(c.days, f.day) {
+				if f := &ld.files[i]; f.carried && f.day.snap != nil && holds(c.days, f.day.snap) {
 					reused++
 				}
 			}

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -32,19 +31,20 @@ func TestLoadSnapshotDirCodecIndependence(t *testing.T) {
 	profiles := ixpgen.BigFour()[:2]
 	binDir := t.TempDir()
 	mem := NewLabShell(profiles, seed, scale, 2)
-	mem.Series = map[string][]*collector.Snapshot{}
+	mem.Series = map[string][]analysis.DayCounts{}
 	for _, p := range profiles {
 		opts := ixpgen.TemporalOptions{Seed: seed, Scale: scale, Days: days}
+		var last *collector.Snapshot
 		err := ixpgen.EvolveSeries(p, opts, 0, func(_ int, snap *collector.Snapshot) error {
-			mem.Series[p.IXP] = append(mem.Series[p.IXP], snap)
-			mem.Snapshots[p.IXP] = snap
+			mem.Series[p.IXP] = append(mem.Series[p.IXP], analysis.CountDay(snap))
+			last = snap
 			_, err := collector.SaveSnapshot(binDir, snap, collector.CodecBinary)
 			return err
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		mem.Indexes[p.IXP] = analysis.NewIndex(mem.Snapshots[p.IXP], p.Scheme)
+		mem.Indexes[p.IXP] = analysis.NewIndex(last, p.Scheme)
 	}
 	bin := NewLabShell(profiles, seed, scale, 2)
 	if err := bin.LoadSnapshotDir(binDir); err != nil {
@@ -68,8 +68,8 @@ func TestLoadSnapshotDirCodecIndependence(t *testing.T) {
 // TestLoadSnapshotDirColumnDirect pins the tentpole's end-to-end
 // contract: loading a binary snapshot directory column-direct (the
 // default) produces byte-identical experiment output to loading it
-// with Materialize set — and really does skip materialization (the
-// loaded snapshots are header-only with their index attached).
+// with Materialize set — and really does skip materialization (every
+// day of the fold is a header-only snapshot with its index).
 func TestLoadSnapshotDirColumnDirect(t *testing.T) {
 	const (
 		seed  = 42
@@ -99,15 +99,15 @@ func TestLoadSnapshotDirColumnDirect(t *testing.T) {
 	matLab, matOuts := run(true)
 
 	for _, p := range profiles {
-		if colLab.Snapshots[p.IXP].Routes != nil {
+		if colLab.Indexes[p.IXP].Snapshot().Routes != nil {
 			t.Errorf("%s: column-direct load materialized routes", p.IXP)
 		}
-		if matLab.Snapshots[p.IXP].Routes == nil {
+		if matLab.Indexes[p.IXP].Snapshot().Routes == nil {
 			t.Errorf("%s: Materialize load produced no routes", p.IXP)
 		}
-		for _, s := range colLab.Series[p.IXP] {
-			if s.Routes != nil {
-				t.Errorf("%s %s: column-direct series snapshot materialized routes", p.IXP, s.Date)
+		for _, d := range chainOf(t, colLab, p.IXP).days {
+			if d.snap.Routes != nil || d.ix == nil {
+				t.Errorf("%s %s: column-direct day materialized routes, or has no index", p.IXP, d.snap.Date)
 			}
 		}
 	}
@@ -158,13 +158,13 @@ func TestLoadSnapshotDirSeries(t *testing.T) {
 	linx := lab.Series["LINX"]
 	if len(linx) != 2 || linx[0].Date != "2021-10-04" || linx[1].Date != "2021-10-06" {
 		t.Errorf("LINX series wrong: %+v", linx)
-	} else if linx[0].FilteredCount != 7 {
+	} else if chainOf(t, lab, "LINX").days[0].snap.FilteredCount != 7 {
 		t.Errorf("LINX's first day is served from the earlier-listed file, not the later copy")
 	}
-	if len(lab.Series) != 2 || len(lab.Snapshots) != 2 || lab.Series["AMS-IX"] != nil {
-		t.Errorf("serving %d series and %d snapshots, want the two studied IXPs'", len(lab.Series), len(lab.Snapshots))
+	if len(lab.Series) != 2 || len(lab.Indexes) != 2 || lab.Series["AMS-IX"] != nil {
+		t.Errorf("serving %d series and %d indexes, want the two studied IXPs'", len(lab.Series), len(lab.Indexes))
 	}
-	if lab.Snapshots["LINX"].Date != "2021-10-06" || lab.Snapshots["DE-CIX"].Date != "2021-10-04" {
+	if lab.Indexes["LINX"].Snapshot().Date != "2021-10-06" || lab.Indexes["DE-CIX"].Snapshot().Date != "2021-10-04" {
 		t.Errorf("latest promotion wrong")
 	}
 }
@@ -208,8 +208,8 @@ func TestOneDayOneFile(t *testing.T) {
 			t.Errorf("%s: serving days %v, want each of the %d days once", layout, dates, len(days))
 			continue
 		}
-		if latest := lab.Snapshots["DE-CIX"]; latest != got[2] || latest.Routes != nil || analysis.Attached(latest) == nil {
-			t.Errorf("%s: the latest slot does not hold the indexed last day", layout)
+		if latest := chainOf(t, lab, "DE-CIX").newest(); lab.Indexes["DE-CIX"] != latest.ix || latest.ix == nil || latest.snap.Routes != nil {
+			t.Errorf("%s: the lab does not serve the index of the header-only last day", layout)
 		}
 		if rep.Rebuilt != len(days) || rep.Reused+rep.Advanced != 0 || len(rep.Skipped) != 0 {
 			t.Errorf("%s: fresh load %+v, want %d days rebuilt", layout, rep, len(days))
@@ -251,9 +251,9 @@ func TestLoadStudiesOnlyItsIXPs(t *testing.T) {
 	if rep.Advances != days-1 || len(rep.Skipped) != 0 {
 		t.Errorf("DE-CIX-only load: %+v, want %d advances and nothing skipped", rep, days-1)
 	}
-	if len(lab.Series) != 1 || len(lab.Series["DE-CIX"]) != days || len(lab.Snapshots) != 1 || len(lab.Indexes) != 1 {
-		t.Errorf("serving %d series (DE-CIX %d days), %d snapshots, %d indexes; want DE-CIX's alone",
-			len(lab.Series), len(lab.Series["DE-CIX"]), len(lab.Snapshots), len(lab.Indexes))
+	if len(lab.Series) != 1 || len(lab.Series["DE-CIX"]) != days || len(lab.Indexes) != 1 {
+		t.Errorf("serving %d series (DE-CIX %d days), %d indexes; want DE-CIX's alone",
+			len(lab.Series), len(lab.Series["DE-CIX"]), len(lab.Indexes))
 	}
 	got, err := lab.RunMany(ExperimentNames)
 	if err != nil {
@@ -360,12 +360,13 @@ func writeDeltaChain(t testing.TB, profiles []ixpgen.Profile, dir, fullDir strin
 	return series
 }
 
-// TestLoadSnapshotDirDeltaChain pins the delta tentpole end to end:
+// TestLoadSnapshotDirDeltaChain pins the delta chain end to end:
 // loading a chain directory (one full day plus deltas) produces
 // byte-identical experiment output to loading the same days as full
 // files — on the default incremental path (which never materializes a
 // route) and on the Materialize path, which reconstructs every day
-// through the DeltaApplier.
+// through the DeltaApplier — and each of the three labs publishes the
+// direct count of every generated day.
 func TestLoadSnapshotDirDeltaChain(t *testing.T) {
 	const (
 		seed  = 42
@@ -408,29 +409,20 @@ func TestLoadSnapshotDirDeltaChain(t *testing.T) {
 		}
 	}
 
+	days := byDay(series)
+	for tag, lab := range map[string]*Lab{"full files": fullLab, "incremental": incLab, "Materialize": matLab} {
+		for _, p := range profiles {
+			if got, want := len(lab.Series[p.IXP]), len(series[p.IXP]); got != want {
+				t.Fatalf("%s: %s series length %d, want %d", tag, p.IXP, got, want)
+			}
+		}
+		checkCounts(t, tag, lab, days)
+	}
+	// The incremental chain never materializes a route.
 	for _, p := range profiles {
-		want := series[p.IXP]
-		for _, lab := range []*Lab{fullLab, incLab, matLab} {
-			got := lab.Series[p.IXP]
-			if len(got) != len(want) {
-				t.Fatalf("%s: series length %d, want %d", p.IXP, len(got), len(want))
-			}
-			for d := range got {
-				if got[d].Date != want[d].Date {
-					t.Errorf("%s day %d: date %q, want %q", p.IXP, d, got[d].Date, want[d].Date)
-				}
-			}
-		}
-		// The incremental chain never materializes a route.
-		for _, s := range incLab.Series[p.IXP] {
-			if s.Routes != nil {
-				t.Errorf("%s %s: incremental chain materialized routes", p.IXP, s.Date)
-			}
-		}
-		// The applier path reconstructs the exact snapshots.
-		for d, s := range matLab.Series[p.IXP] {
-			if d > 0 && !reflect.DeepEqual(s, want[d]) {
-				t.Errorf("%s day %d: applier-reconstructed snapshot diverges", p.IXP, d)
+		for _, d := range chainOf(t, incLab, p.IXP).days {
+			if d.snap.Routes != nil {
+				t.Errorf("%s %s: incremental chain materialized routes", p.IXP, d.snap.Date)
 			}
 		}
 	}
@@ -667,9 +659,10 @@ func TestLoadFromPredecessor(t *testing.T) {
 	if rep.Opened != 1 || rep.Decoded != 0 || rep.Advances != 1 || rep.Reused != 11 || rep.Advanced != 1 || rep.Rebuilt != 0 {
 		t.Fatalf("one landed day: %+v", rep)
 	}
-	if len(lab.Series[ixp]) != 6 || len(before.Series[ixp]) != 5 || lab.Series[ixp][4] != before.Series[ixp][4] {
+	if len(lab.Series[ixp]) != 6 || len(before.Series[ixp]) != 5 || chainOf(t, lab, ixp).days[4].snap != chainOf(t, before, ixp).days[4].snap {
 		t.Fatalf("landed day: series %d days (predecessor %d), earlier days not shared", len(lab.Series[ixp]), len(before.Series[ixp]))
 	}
+	checkCounts(t, "one landed day", lab, byDay(series))
 	sameAsFresh(lab)
 
 	move(dir, stage)
@@ -821,7 +814,8 @@ func TestLabHoldsItsIndexes(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, p := range profiles {
-				if ix := lab.Indexes[p.IXP]; ix == nil || ix.Snapshot() != lab.Snapshots[p.IXP] {
+				ix := lab.Indexes[p.IXP]
+				if ix == nil || (lab.loaded != nil && ix.Snapshot() != chainOf(t, lab, p.IXP).newest().snap) {
 					t.Fatalf("%s: the lab does not hold the index of its latest snapshot", p.IXP)
 				}
 			}

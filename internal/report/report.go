@@ -14,7 +14,6 @@ import (
 
 	"ixplight/internal/analysis"
 	"ixplight/internal/asdb"
-	"ixplight/internal/collector"
 	"ixplight/internal/dictionary"
 )
 
@@ -29,15 +28,13 @@ type Table1Row struct {
 	RoutesV4, RoutesV6       int
 }
 
-// Table1RowFromSnapshot derives the measured columns from a snapshot.
-func Table1RowFromSnapshot(s *collector.Snapshot, location, traffic string, totalMembers int) Table1Row {
-	c4 := analysis.CountSnapshot(s, false)
-	c6 := analysis.CountSnapshot(s, true)
+// Table1RowFromCounts derives the measured columns from an IXP's day.
+func Table1RowFromCounts(ixp string, c analysis.DayCounts, location, traffic string, totalMembers int) Table1Row {
 	return Table1Row{
-		IXP: s.IXP, Location: location, AvgTraffic: traffic, Members: totalMembers,
-		MembersRSv4: c4.Members, MembersRSv6: c6.Members,
-		PrefixesV4: c4.Prefixes, PrefixesV6: c6.Prefixes,
-		RoutesV4: c4.Routes, RoutesV6: c6.Routes,
+		IXP: ixp, Location: location, AvgTraffic: traffic, Members: totalMembers,
+		MembersRSv4: c.V4.Members, MembersRSv6: c.V6.Members,
+		PrefixesV4: c.V4.Prefixes, PrefixesV6: c.V6.Prefixes,
+		RoutesV4: c.V4.Routes, RoutesV6: c.V6.Routes,
 	}
 }
 

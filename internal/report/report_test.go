@@ -36,12 +36,12 @@ func testLab(t *testing.T) *Lab {
 
 func TestNewLabPopulatesSnapshots(t *testing.T) {
 	l := testLab(t)
-	if len(l.Snapshots) != 2 {
-		t.Fatalf("snapshots = %d", len(l.Snapshots))
+	if len(l.Indexes) != 2 {
+		t.Fatalf("indexes = %d", len(l.Indexes))
 	}
 	for _, name := range []string{"DE-CIX", "AMS-IX"} {
-		s, ok := l.Snapshots[name]
-		if !ok || len(s.Routes) == 0 || len(s.Members) == 0 {
+		ix, ok := l.Indexes[name]
+		if !ok || len(ix.Snapshot().Routes) == 0 || len(ix.Snapshot().Members) == 0 {
 			t.Errorf("%s snapshot incomplete", name)
 		}
 	}
@@ -180,10 +180,9 @@ func TestSanitationRemovesInjectedValleys(t *testing.T) {
 	}
 }
 
-func TestTable1RowFromSnapshot(t *testing.T) {
+func TestTable1RowFromCounts(t *testing.T) {
 	l := testLab(t)
-	s := l.Snapshots["DE-CIX"]
-	row := Table1RowFromSnapshot(s, "Frankfurt", "9.27 Tbps", 1072)
+	row := Table1RowFromCounts("DE-CIX", l.Indexes["DE-CIX"].DayCounts(), "Frankfurt", "9.27 Tbps", 1072)
 	if row.IXP != "DE-CIX" || row.MembersRSv4 == 0 || row.RoutesV4 == 0 {
 		t.Errorf("row = %+v", row)
 	}

@@ -65,22 +65,55 @@ func checkServed(t *testing.T, tag string, lab *Lab, served map[string]*collecto
 	for _, p := range lab.Profiles {
 		want := served[p.IXP]
 		ix := lab.Indexes[p.IXP]
-		if ix == nil || ix.Snapshot() != lab.Snapshots[p.IXP] || ix.Snapshot().Date != want.Date {
+		if ix == nil || ix.Snapshot() != chainOf(t, lab, p.IXP).newest().snap || ix.Snapshot().Date != want.Date {
 			t.Errorf("%s: %s does not serve the index of its %s day", tag, p.IXP, want.Date)
 			continue
 		}
 		if got, exp := indexAnswers(ix, want), indexAnswers(analysis.NewIndex(want, p.Scheme), want); !reflect.DeepEqual(got, exp) {
 			t.Errorf("%s: %s's served index differs from NewIndex of its %s day (last answer %v)", tag, p.IXP, want.Date, got[len(got)-1])
 		}
-		for _, s := range lab.Series[p.IXP] {
-			truth := days[p.IXP+" "+s.Date]
-			for _, v6 := range []bool{false, true} {
-				if got, exp := analysis.CountSnapshot(s, v6), analysis.CountSnapshot(truth, v6); got != exp {
-					t.Errorf("%s: %s %s v6=%v: counts %+v, want %+v", tag, p.IXP, s.Date, v6, got, exp)
-				}
+	}
+	checkCounts(t, tag, lab, days)
+}
+
+// checkCounts holds what a loaded lab publishes to the direct count:
+// every day of every series equals analysis.CountDay of the generated
+// day it stands for (days, keyed "<ixp> <date>").
+func checkCounts(t *testing.T, tag string, lab *Lab, days map[string]*collector.Snapshot) {
+	t.Helper()
+	for ixp, series := range lab.Series {
+		for _, got := range series {
+			truth := days[ixp+" "+got.Date]
+			if truth == nil {
+				t.Errorf("%s: %s publishes %s, a day it was not given", tag, ixp, got.Date)
+			} else if want := analysis.CountDay(truth); got != want {
+				t.Errorf("%s: %s %s: counts %+v, want %+v", tag, ixp, got.Date, got, want)
 			}
 		}
 	}
+}
+
+// byDay keys every day of series "<ixp> <date>", as checkCounts reads it.
+func byDay(series map[string][]*collector.Snapshot) map[string]*collector.Snapshot {
+	days := map[string]*collector.Snapshot{}
+	for ixp, ss := range series {
+		for _, s := range ss {
+			days[ixp+" "+s.Date] = s
+		}
+	}
+	return days
+}
+
+// chainOf returns the fold lab's last Load left for ixp.
+func chainOf(t testing.TB, lab *Lab, ixp string) *chain {
+	t.Helper()
+	for _, c := range lab.loaded.chains {
+		if c.ixp == ixp {
+			return c
+		}
+	}
+	t.Fatalf("the lab holds no chain of %s", ixp)
+	return nil
 }
 
 // TestServedDayIsMaterialized pins what Load guarantees whatever its
@@ -102,11 +135,8 @@ func TestServedDayIsMaterialized(t *testing.T) {
 	setup := func(t *testing.T) (dir string, series map[string][]*collector.Snapshot, days map[string]*collector.Snapshot, served map[string]*collector.Snapshot) {
 		dir = t.TempDir()
 		series = writeDeltaChain(t, profiles, dir, t.TempDir(), o)
-		days, served = map[string]*collector.Snapshot{}, map[string]*collector.Snapshot{}
+		days, served = byDay(series), map[string]*collector.Snapshot{}
 		for ixp, ss := range series {
-			for _, s := range ss {
-				days[ixp+" "+s.Date] = s
-			}
 			served[ixp] = ss[len(ss)-1]
 		}
 		return dir, series, days, served

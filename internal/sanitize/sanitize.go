@@ -7,10 +7,7 @@
 // 13.5% of its snapshots this way).
 package sanitize
 
-import (
-	"ixplight/internal/analysis"
-	"ixplight/internal/collector"
-)
+import "ixplight/internal/analysis"
 
 // The paper's valley parameters.
 const (
@@ -26,24 +23,15 @@ const (
 	recoveryWindow = 3
 )
 
-// seriesCounts extracts the member and prefix series the detector
-// inspects (both families combined; a collection failure hits both).
-// Counting per family through analysis.CountSnapshot is exact —
-// address family partitions the prefix set — and lets a pinned or
-// cached index answer without walking routes, so the detector also
-// works on the header-only snapshots column-direct loading produces.
-func seriesCounts(s *collector.Snapshot) (members, prefixes int) {
-	p := analysis.CountSnapshot(s, false).Prefixes + analysis.CountSnapshot(s, true).Prefixes
-	return len(s.Members), p
-}
-
-// DetectValleys returns the indices of valley snapshots in the series.
-func DetectValleys(snaps []*collector.Snapshot) []int {
-	n := len(snaps)
+// DetectValleys returns the indices of valley days in the series. It
+// inspects the route server's member count and the distinct prefixes of
+// both families combined: a collection failure hits both.
+func DetectValleys(days []analysis.DayCounts) []int {
+	n := len(days)
 	members := make([]int, n)
 	prefixes := make([]int, n)
-	for i, s := range snaps {
-		members[i], prefixes[i] = seriesCounts(s)
+	for i := range days {
+		members[i], prefixes[i] = days[i].Members, days[i].V4.Prefixes+days[i].V6.Prefixes
 	}
 	var valleys []int
 	for i := 1; i < n; i++ {
@@ -76,21 +64,17 @@ func isValley(series []int, i int) bool {
 	return false
 }
 
-// Clean removes valley snapshots and returns the surviving series plus
-// the number removed.
-func Clean(snaps []*collector.Snapshot) (kept []*collector.Snapshot, removed int) {
-	valleys := DetectValleys(snaps)
-	bad := make(map[int]bool, len(valleys))
-	for _, i := range valleys {
-		bad[i] = true
-	}
-	kept = make([]*collector.Snapshot, 0, len(snaps))
-	for i, s := range snaps {
-		if bad[i] {
-			removed++
+// Clean removes valley days and returns the surviving series plus the
+// number removed.
+func Clean(days []analysis.DayCounts) (kept []analysis.DayCounts, removed int) {
+	valleys := DetectValleys(days)
+	kept = make([]analysis.DayCounts, 0, len(days)-len(valleys))
+	for i := range days {
+		if len(valleys) > 0 && valleys[0] == i {
+			valleys = valleys[1:]
 			continue
 		}
-		kept = append(kept, s)
+		kept = append(kept, days[i])
 	}
-	return kept, removed
+	return kept, len(days) - len(kept)
 }

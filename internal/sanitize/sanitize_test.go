@@ -3,32 +3,15 @@ package sanitize
 import (
 	"testing"
 
-	"ixplight/internal/bgp"
-	"ixplight/internal/collector"
-	"ixplight/internal/netutil"
+	"ixplight/internal/analysis"
 )
 
-// snapshotWith builds a snapshot with n members and n×3 routes.
-func snapshotWith(n int, date string) *collector.Snapshot {
-	s := &collector.Snapshot{IXP: "X", Date: date}
-	for i := 0; i < n; i++ {
-		asn := uint32(100 + i)
-		s.Members = append(s.Members, collector.Member{ASN: asn, IPv4: true})
-		for j := 0; j < 3; j++ {
-			s.Routes = append(s.Routes, bgp.Route{
-				Prefix:  netutil.SyntheticV4Prefix(i*3 + j),
-				NextHop: netutil.PeerAddrV4(i),
-				ASPath:  bgp.ASPath{asn},
-			})
-		}
-	}
-	return s
-}
-
-func series(sizes ...int) []*collector.Snapshot {
-	out := make([]*collector.Snapshot, len(sizes))
+// series builds one day per size: n members and 3n IPv4 prefixes.
+func series(sizes ...int) []analysis.DayCounts {
+	out := make([]analysis.DayCounts, len(sizes))
 	for i, n := range sizes {
-		out[i] = snapshotWith(n, "2021-07-19")
+		out[i] = analysis.DayCounts{Date: "2021-07-19", Members: n,
+			V4: analysis.SnapshotCounts{Members: n, Prefixes: 3 * n, Routes: 3 * n}}
 	}
 	return out
 }
@@ -84,8 +67,8 @@ func TestCleanRemovesValleys(t *testing.T) {
 	if removed != 1 || len(kept) != 4 {
 		t.Errorf("removed = %d kept = %d", removed, len(kept))
 	}
-	for _, s := range kept {
-		if len(s.Members) == 55 {
+	for _, d := range kept {
+		if d.Members == 55 {
 			t.Error("valley snapshot survived cleaning")
 		}
 	}
@@ -104,7 +87,7 @@ func TestCleanEmptyAndSingle(t *testing.T) {
 func TestPrefixValleyAlsoDetected(t *testing.T) {
 	// Members stable, prefixes collapse: collection lost routes only.
 	snaps := series(100, 100, 100, 100)
-	snaps[2].Routes = snaps[2].Routes[:90] // 300 → 90 prefixes (70% drop)
+	snaps[2].V4.Prefixes = 90 // 300 → 90 prefixes (70% drop)
 	valleys := DetectValleys(snaps)
 	if len(valleys) != 1 || valleys[0] != 2 {
 		t.Errorf("valleys = %v, want [2]", valleys)
