@@ -339,6 +339,63 @@ func TestWeeklyRepresentatives(t *testing.T) {
 	}
 }
 
+// TestWeeklyRepresentativesByDate: a representative is the first day
+// present in its 7-day block, counted from the series' first date, so a
+// removed or missing day shifts no later week. Four weeks with day 9
+// removed, the benchmark dataset's shape, keep their Mondays (day 9 is
+// a Wednesday); a week with no day at all has no representative.
+func TestWeeklyRepresentativesByDate(t *testing.T) {
+	dates := func(days []DayCounts) []string {
+		var out []string
+		for _, d := range days {
+			out = append(out, d.Date)
+		}
+		return out
+	}
+	days := dailySeries(28)
+	days = slices.Delete(days, 9, 10)
+	if got, want := dates(WeeklyRepresentatives(days)), []string{"2021-07-19", "2021-07-26", "2021-08-02", "2021-08-09"}; !slices.Equal(got, want) {
+		t.Errorf("day 9 removed: representatives %v, want %v", got, want)
+	}
+	// Week 2 loses its Monday: its Tuesday stands for it. Week 3 is gone.
+	days = slices.Delete(days, 13, 20) // 2021-08-02 … 2021-08-08 (day 9 already out)
+	days = slices.Insert(days, 13, DayCounts{Date: "2021-08-03"})
+	if got, want := dates(WeeklyRepresentatives(days)), []string{"2021-07-19", "2021-07-26", "2021-08-03", "2021-08-09"}; !slices.Equal(got, want) {
+		t.Errorf("week 2 without its Monday: representatives %v, want %v", got, want)
+	}
+	days = slices.Delete(dailySeries(28), 14, 21)
+	if got, want := dates(WeeklyRepresentatives(days)), []string{"2021-07-19", "2021-07-26", "2021-08-09"}; !slices.Equal(got, want) {
+		t.Errorf("week 2 missing: representatives %v, want %v", got, want)
+	}
+}
+
+// TestWindow: a window is the series' first n calendar days, however
+// many of them the series holds.
+func TestWindow(t *testing.T) {
+	days := slices.Delete(dailySeries(10), 3, 4)
+	if got := Window(days, 7); len(got) != 6 || got[5].Date != "2021-07-25" {
+		t.Errorf("7-day window over a series missing day 3: %d days ending %s, want 6 ending 2021-07-25", len(got), got[len(got)-1].Date)
+	}
+	if got := Window(days, 84); len(got) != len(days) {
+		t.Errorf("a window longer than the series holds %d of its %d days", len(got), len(days))
+	}
+	if got := Window(nil, 7); len(got) != 0 {
+		t.Errorf("empty series: window of %d days", len(got))
+	}
+}
+
+// TestSeriesReadsAllocateNothingPerDay: over twelve weeks, the window
+// allocates nothing and the weekly pick one slice.
+func TestSeriesReadsAllocateNothingPerDay(t *testing.T) {
+	days := dailySeries(84)
+	if n := testing.AllocsPerRun(10, func() { Window(days, 84) }); n != 0 {
+		t.Errorf("Window: %.0f allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(10, func() { WeeklyRepresentatives(days) }); n != 1 {
+		t.Errorf("WeeklyRepresentatives: %.0f allocations, want 1", n)
+	}
+}
+
 func TestEmptySnapshotAnalyses(t *testing.T) {
 	s := &collector.Snapshot{IXP: "DE-CIX", Date: "2021-10-04"}
 	ix := NewIndex(s, dictionary.ProfileByName("DE-CIX"))

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"net/netip"
+	"time"
 
 	"ixplight/internal/collector"
 )
@@ -99,12 +100,44 @@ func Stability(days []DayCounts, v6 bool) StabilityTable {
 	return t
 }
 
-// WeeklyRepresentatives picks the first day of each 7-day block — the
-// paper's Monday-representative policy (§4).
+// WeeklyRepresentatives picks, from a date-ordered series, the first
+// day present in each 7-day block counted from the series' first date —
+// the paper's Monday-representative policy (§4). A removed or missing
+// day moves no later week's representative, and a week with no day has
+// none.
 func WeeklyRepresentatives(days []DayCounts) []DayCounts {
-	var out []DayCounts
-	for i := 0; i < len(days); i += 7 {
-		out = append(out, days[i])
+	if len(days) == 0 {
+		return nil
+	}
+	out := make([]DayCounts, 0, dayOffset(days, len(days)-1)/7+1)
+	week := -1
+	for i := range days {
+		if w := dayOffset(days, i) / 7; w > week {
+			out = append(out, days[i])
+			week = w
+		}
 	}
 	return out
+}
+
+// Window returns the leading days of a date-ordered series that fall
+// within its first n calendar days.
+func Window(days []DayCounts, n int) []DayCounts {
+	k := 0
+	for k < len(days) && dayOffset(days, k) < n {
+		k++
+	}
+	return days[:k]
+}
+
+// dayOffset is days[i]'s distance in calendar days from days[0]. A date
+// that does not parse is taken at its position, as in a contiguous
+// series.
+func dayOffset(days []DayCounts, i int) int {
+	t0, err0 := time.Parse(time.DateOnly, days[0].Date)
+	t, err := time.Parse(time.DateOnly, days[i].Date)
+	if err0 != nil || err != nil {
+		return i
+	}
+	return int(t.Sub(t0) / (24 * time.Hour))
 }

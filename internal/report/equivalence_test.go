@@ -22,7 +22,10 @@ import (
 // series. visibility simulates its own route servers and is the same
 // in both. Synthetic table3/table4 and every dataset digest but
 // visibility's and sanitation's were re-recorded when withdrawals began
-// to re-use their prefixes.
+// to re-use their prefixes; dataset table3/table4 again when their
+// windows and weekly representatives began to be picked by date, so
+// that the removed valley day no longer pulls day 7 into Table 3 and
+// day 8 into Table 4.
 var expAllGolden = map[string]map[string]string{
 	"synthetic": {
 		"table1":     "fa0bb2e1034edf9a7e6f2ca7ab43801d90475cfcd3a1655eeb4957c086095ca4",
@@ -60,8 +63,8 @@ var expAllGolden = map[string]map[string]string{
 		"fig5":       "dd9de09170d12d7a2be37726ff02442ddb5da2c2829e0969e572781edf2c5682",
 		"fig6":       "1c50083fca95b8e0e459da90f02cd78a6b2e339e09c1cab2df748663980c3489",
 		"fig7":       "5df53fdcee8463b05ab1b78bd5355e886189cf3230b6a0cb4d6cd93e9400e72e",
-		"table3":     "dfb4c4aabf7ad4aa790eead98cc4997e8026388675f7fc4966ba38e195e0b37b",
-		"table4":     "55385929973e7fda7c5232832ca7066f319a3153fbc7f435fe1a1d11cc125e6a",
+		"table3":     "6fd44d1099caeb558dace4e8b96ea3f7c838ca0306e772cf0721477e7fe18790",
+		"table4":     "4408d27139a71b87431b7d6cb2563f9ac04b5ffdd2c894eb55a57f9c4d6464aa",
 		"sanitation": "2d829e52741877170bb651f8f9f2bb59f5b6d5043d34529b410e207e564fcf59",
 		"extlarge":   "8c1550b976ed7d82fca9916e0acf904a87896e4ca9571ed487a3d6a402029c93",
 		"sec56":      "fa01e5e0eb092228623c2a9e862646526b38267d28b97a4adeb619376c3a03b6",

@@ -318,9 +318,7 @@ func (l *Lab) runStability(w io.Writer, title string, days int, valleys []int) e
 		// The paper computes Appendix A over the sanitized dataset:
 		// collection valleys are removed before measuring variation.
 		series, _ = sanitize.Clean(series)
-		if len(series) > days {
-			series = series[:days]
-		}
+		series = analysis.Window(series, days)
 		if days > 7 {
 			series = analysis.WeeklyRepresentatives(series)
 		}

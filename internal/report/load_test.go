@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"ixplight/internal/collector"
 	"ixplight/internal/ixpgen"
 	"ixplight/internal/mrt"
+	"ixplight/internal/sanitize"
 	"ixplight/internal/telemetry"
 )
 
@@ -463,6 +465,34 @@ func TestStabilityIsOneWorld(t *testing.T) {
 				t.Errorf("%s over a %s dataset differs from the generated lab:\n%s\nvs\n%s", name, layout, got[i], want[i])
 			}
 		}
+	}
+}
+
+// TestTable4PicksMondaysByDate: Table 4 stands each week for the first
+// surviving day of its 7-day block, by date. Over four weeks of DE-CIX
+// with a collection valley on day 9 (the benchmark dataset's shape),
+// sanitation removes day 9 and the rows read days 0, 7, 14 and 21 —
+// not 0, 7, 15 and 22, which every 7th surviving day would be.
+func TestTable4PicksMondaysByDate(t *testing.T) {
+	profiles := []ixpgen.Profile{*ixpgen.ProfileByName("DE-CIX")}
+	dir := t.TempDir()
+	writeDeltaChain(t, profiles, dir, t.TempDir(), ixpgen.TemporalOptions{Seed: 42, Scale: 0.002, Days: 28, ValleyDays: []int{9}})
+	lab, _ := loadFrom(t, profiles, dir, nil, nil)
+	series := lab.Series["DE-CIX"]
+	if v := sanitize.DetectValleys(series); len(series) != 28 || !slices.Equal(v, []int{9}) {
+		t.Fatalf("%d days with valleys %v, want 28 days with the valley on day 9", len(series), v)
+	}
+	mondays := []analysis.DayCounts{series[0], series[7], series[14], series[21]}
+	var want bytes.Buffer
+	Section(&want, "Table 4 — weekly variation over twelve weeks")
+	WriteStability(&want, "DE-CIX-v4", analysis.Stability(mondays, false))
+	WriteStability(&want, "DE-CIX-v6", analysis.Stability(mondays, true))
+	var got bytes.Buffer
+	if err := lab.Run(&got, "table4"); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("Table 4 over days %s, %s, %s, %s reads\n%s\nwant\n%s", mondays[0].Date, mondays[1].Date, mondays[2].Date, mondays[3].Date, got.String(), want.String())
 	}
 }
 
