@@ -18,6 +18,7 @@ import (
 
 	"ixplight/internal/collector"
 	"ixplight/internal/ixpgen"
+	"ixplight/internal/report"
 	"ixplight/internal/telemetry"
 )
 
@@ -366,6 +367,36 @@ func TestReloadIgnoresCollectorLeftovers(t *testing.T) {
 	}
 	if swapped, err := s.Reload(); err != nil || swapped {
 		t.Errorf("rewriting trace.jsonl: swapped=%v err=%v, want no new generation", swapped, err)
+	}
+}
+
+// TestDatasetOfFewerIXPs: a daemon serving a directory that holds days
+// of DE-CIX alone, at the default big-four profiles, reports on DE-CIX
+// alone. It generates no series for the IXPs the dataset lacks — Table
+// 3 names only DE-CIX — and every point-in-time experiment answers 200
+// over the one IXP it has, as /v1/meta lists only DE-CIX.
+func TestDatasetOfFewerIXPs(t *testing.T) {
+	dir := t.TempDir()
+	writeDeltaSeries(t, dir, *ixpgen.ProfileByName("DE-CIX"), 3, 3)
+	s := New(Config{Profiles: ixpgen.BigFour(), SnapshotDir: dir, Scale: 0.005, ReloadInterval: -1})
+	if err := s.Load(); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	for _, name := range report.ExperimentNames {
+		code, _, body := doGet(t, h, "/v1/experiments/"+name, "")
+		if code != http.StatusOK {
+			t.Errorf("%s: status %d: %s", name, code, body)
+			continue
+		}
+		for _, p := range ixpgen.BigFour() {
+			if p.IXP != "DE-CIX" && strings.Contains(body, p.IXP) {
+				t.Errorf("%s reports on %s, of which the dataset holds no day:\n%s", name, p.IXP, body)
+			}
+		}
+	}
+	if code, _, body := doGet(t, h, "/v1/experiments/table3", ""); code != http.StatusOK || !strings.Contains(body, "DE-CIX-v4") {
+		t.Errorf("table3: status %d, want DE-CIX's rows: %s", code, body)
 	}
 }
 

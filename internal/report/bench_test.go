@@ -112,7 +112,10 @@ func BenchmarkReloadOneDay(b *testing.B) {
 // Run it with -cpu 2 (the benchmark host's GOMAXPROCS); its allocs/op
 // are what TestVisibilityAllocs puts a ceiling on.
 func BenchmarkVisibility(b *testing.B) {
-	lab := NewLabShell(ixpgen.BigFour(), 42, 0.004, 0)
+	lab, err := NewLabParallel(ixpgen.BigFour(), 42, 0.004, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if err := lab.Run(io.Discard, "visibility"); err != nil {

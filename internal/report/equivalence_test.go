@@ -153,8 +153,12 @@ func TestExpAllParallelMatchesSequential(t *testing.T) {
 // after the other or on more workers than profiles. Cheap enough for
 // -race -count=10, which the full battery above is not.
 func TestVisibilityParallelMatchesSequential(t *testing.T) {
+	lab, err := NewLabParallel(ixpgen.BigFour(), 42, 0.004, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	run := func(workers int) []byte {
-		lab := NewLabShell(ixpgen.BigFour(), 42, 0.004, workers)
+		lab.Parallel = workers
 		var buf bytes.Buffer
 		if err := lab.Run(&buf, "visibility"); err != nil {
 			t.Fatalf("parallel=%d: %v", workers, err)

@@ -91,6 +91,38 @@ func (l *Lab) workers() int {
 	return l.Parallel
 }
 
+// studied calls fn, in Table 1 order, for each profile the lab holds a
+// day of, with that day's index: every profile of a generated lab, and
+// of a loaded one the profiles the dataset has days of. Every
+// experiment walks the lab through it or through fanOut, so a profile
+// the lab holds no day of is left out of every report.
+func (l *Lab) studied(fn func(p ixpgen.Profile, ix *analysis.Index)) {
+	for _, p := range l.Profiles {
+		if ix := l.Indexes[p.IXP]; ix != nil {
+			fn(p, ix)
+		}
+	}
+}
+
+// fanOut is studied on the lab's worker pool: fn runs once per studied
+// profile, writing to a buffer of its own, and the buffers land on w in
+// Table 1 order.
+func (l *Lab) fanOut(w io.Writer, fn func(w io.Writer, p ixpgen.Profile) error) error {
+	outs := make([]bytes.Buffer, len(l.Profiles))
+	if _, err := runPool(len(l.Profiles), l.workers(), func(i int) error {
+		if p := l.Profiles[i]; l.Indexes[p.IXP] != nil {
+			return fn(&outs[i], p)
+		}
+		return nil
+	}); err != nil {
+		return err
+	}
+	for i := range outs {
+		outs[i].WriteTo(w)
+	}
+	return nil
+}
+
 // NewLabShell builds a Lab without generating any workload — the
 // constructor for callers that immediately fill it via LoadSnapshotDir
 // or Load. The serving daemon builds every generation's lab this way,
@@ -206,107 +238,100 @@ func (l *Lab) run(w io.Writer, name string) error {
 func (l *Lab) runTable1(w io.Writer) error {
 	Section(w, "Table 1 — the IXPs in numbers")
 	var rows []Table1Row
-	for _, p := range l.Profiles {
-		rows = append(rows, Table1RowFromCounts(p.IXP, l.Indexes[p.IXP].DayCounts(),
+	l.studied(func(p ixpgen.Profile, ix *analysis.Index) {
+		rows = append(rows, Table1RowFromCounts(p.IXP, ix.DayCounts(),
 			p.Location, p.AvgTraffic, int(float64(p.TotalMembers)*l.Scale)))
-	}
+	})
 	WriteTable1(w, rows)
 	return nil
 }
 
 func (l *Lab) runMix(w io.Writer, title string, emit func(io.Writer, string, analysis.Mix, analysis.Mix)) error {
 	Section(w, title)
-	for _, p := range l.Profiles {
-		ix := l.Indexes[p.IXP]
+	l.studied(func(p ixpgen.Profile, ix *analysis.Index) {
 		emit(w, p.IXP, ix.Mix(false), ix.Mix(true))
-	}
+	})
 	return nil
 }
 
 func (l *Lab) runFig3(w io.Writer) error {
 	Section(w, "Figure 3 — action vs informational communities")
-	for _, p := range l.Profiles {
-		ix := l.Indexes[p.IXP]
+	l.studied(func(p ixpgen.Profile, ix *analysis.Index) {
 		a4, i4 := ix.ActionInfoSplit(false)
 		a6, i6 := ix.ActionInfoSplit(true)
 		WriteFig3(w, p.IXP, "IPv4", a4, i4)
 		WriteFig3(w, p.IXP, "IPv6", a6, i6)
-	}
+	})
 	return nil
 }
 
 func (l *Lab) runFig4a(w io.Writer) error {
 	Section(w, "Figure 4a — ASes and routes using action communities")
-	for _, p := range l.Profiles {
-		ix := l.Indexes[p.IXP]
+	l.studied(func(p ixpgen.Profile, ix *analysis.Index) {
 		WriteFig4a(w, p.IXP, "IPv4", ix.Usage(false))
 		WriteFig4a(w, p.IXP, "IPv6", ix.Usage(true))
-	}
+	})
 	return nil
 }
 
 func (l *Lab) runFig4b(w io.Writer) error {
 	Section(w, "Figure 4b — action community usage concentration")
-	for _, p := range l.Profiles {
-		ix := l.Indexes[p.IXP]
+	l.studied(func(p ixpgen.Profile, ix *analysis.Index) {
 		WriteFig4b(w, p.IXP, analysis.ConcentrationCDF(ix.PerASActionCounts(false), ix.Usage(false).MembersAtRS))
-	}
+	})
 	return nil
 }
 
 func (l *Lab) runFig4c(w io.Writer) error {
 	Section(w, "Figure 4c — route share vs community share per AS")
-	for _, p := range l.Profiles {
-		WriteFig4c(w, p.IXP, l.Indexes[p.IXP].RouteCommCorrelation(false))
-	}
+	l.studied(func(p ixpgen.Profile, ix *analysis.Index) {
+		WriteFig4c(w, p.IXP, ix.RouteCommCorrelation(false))
+	})
 	return nil
 }
 
 func (l *Lab) runTable2(w io.Writer) error {
 	Section(w, "Table 2 — ASes using each action community type")
-	for _, p := range l.Profiles {
-		ix := l.Indexes[p.IXP]
+	l.studied(func(p ixpgen.Profile, ix *analysis.Index) {
 		WriteTable2(w, p.IXP, "IPv4", ix.ASesPerActionType(false))
 		WriteTable2(w, p.IXP, "IPv6", ix.ASesPerActionType(true))
-	}
+	})
 	return nil
 }
 
 func (l *Lab) runSec53(w io.Writer) error {
 	Section(w, "§5.3 — action community occurrences per type")
-	for _, p := range l.Profiles {
-		ix := l.Indexes[p.IXP]
+	l.studied(func(p ixpgen.Profile, ix *analysis.Index) {
 		WriteSec53(w, p.IXP, "IPv4", ix.OccurrencesPerType(false))
 		WriteSec53(w, p.IXP, "IPv6", ix.OccurrencesPerType(true))
-	}
+	})
 	return nil
 }
 
 func (l *Lab) runFig5(w io.Writer) error {
 	Section(w, "Figure 5 — top-20 action communities (IPv4)")
-	for _, p := range l.Profiles {
-		WriteTopCommunities(w, "Figure 5", p.IXP, l.Indexes[p.IXP].TopActionCommunities(false, 20), l.Registry)
-	}
+	l.studied(func(p ixpgen.Profile, ix *analysis.Index) {
+		WriteTopCommunities(w, "Figure 5", p.IXP, ix.TopActionCommunities(false, 20), l.Registry)
+	})
 	return nil
 }
 
 func (l *Lab) runFig6(w io.Writer) error {
 	Section(w, "Figure 6 — top-20 communities targeting non-RS members (IPv4)")
-	for _, p := range l.Profiles {
-		nm := l.Indexes[p.IXP].NonMemberTargeting(false, 20)
+	l.studied(func(p ixpgen.Profile, ix *analysis.Index) {
+		nm := ix.NonMemberTargeting(false, 20)
 		fmt.Fprintf(w, "%s: %.1f%% of action instances (%d of %d) target non-RS members\n",
 			p.IXP, 100*nm.Share(), nm.Instances, nm.Total)
 		WriteTopCommunities(w, "Figure 6", p.IXP, nm.Top, l.Registry)
-	}
+	})
 	return nil
 }
 
 func (l *Lab) runFig7(w io.Writer) error {
 	Section(w, "Figure 7 — top-10 ASes targeting non-RS members (IPv4)")
-	for _, p := range l.Profiles {
-		ix := l.Indexes[p.IXP]
+	l.studied(func(p ixpgen.Profile, ix *analysis.Index) {
 		WriteCulprits(w, p.IXP, ix.CulpritRanking(false, 10), ix.NonMemberShare(false).Instances, l.Registry)
-	}
+	})
 	return nil
 }
 
@@ -327,18 +352,17 @@ func (l *Lab) runStability(w io.Writer, title string, days int, valleys []int) e
 	})
 }
 
-// eachSeries reports on each profile's date-ordered daily series: the
-// lab's stored series where it has one, otherwise the counts of the
-// days EvolveSeries evolves at the lab's seed and scale — the series
-// `ixpgen` writes, each day counted as it is evolved. The profiles fan
-// out across the lab's pool, and fn's output lands on w in profile
+// eachSeries reports on each studied profile's date-ordered daily
+// series: the lab's stored series where it has one, and otherwise, for
+// a lab that never loaded, the counts of the days EvolveSeries evolves
+// at the lab's seed and scale — the series `ixpgen` writes, each day
+// counted as it is evolved. A loaded lab never generates. The profiles
+// fan out across the lab's pool, and fn's output lands on w in profile
 // order.
 func (l *Lab) eachSeries(w io.Writer, days int, valleys []int, fn func(w io.Writer, p ixpgen.Profile, series []analysis.DayCounts)) error {
-	outs := make([]bytes.Buffer, len(l.Profiles))
-	if _, err := runPool(len(l.Profiles), l.workers(), func(i int) error {
-		p := l.Profiles[i]
+	return l.fanOut(w, func(w io.Writer, p ixpgen.Profile) error {
 		series := l.Series[p.IXP]
-		if len(series) == 0 {
+		if len(series) == 0 && l.loaded == nil {
 			series = make([]analysis.DayCounts, 0, days)
 			opts := ixpgen.TemporalOptions{Seed: l.Seed, Scale: l.Scale, Days: days, ValleyDays: valleys}
 			if err := ixpgen.EvolveSeries(p, opts, 0, func(_ int, s *collector.Snapshot) error {
@@ -348,15 +372,9 @@ func (l *Lab) eachSeries(w io.Writer, days int, valleys []int, fn func(w io.Writ
 				return err
 			}
 		}
-		fn(&outs[i], p, series)
+		fn(w, p, series)
 		return nil
-	}); err != nil {
-		return err
-	}
-	for i := range outs {
-		outs[i].WriteTo(w)
-	}
-	return nil
+	})
 }
 
 // runExtLarge reports the extension analysis: action instances by
@@ -364,13 +382,13 @@ func (l *Lab) eachSeries(w io.Writer, days int, valleys []int, fn func(w io.Writ
 // communities can express.
 func (l *Lab) runExtLarge(w io.Writer) error {
 	Section(w, "Extension — action communities beyond the standard flavour")
-	for _, p := range l.Profiles {
-		f := l.Indexes[p.IXP].FlavourActions(false)
+	l.studied(func(p ixpgen.Profile, ix *analysis.Index) {
+		f := ix.FlavourActions(false)
 		fmt.Fprintf(w, "%s: standard %d action / %d info; extended %d / %d; large %d / %d; wide-target large actions %d\n",
 			p.IXP, f.StandardAction, f.StandardInfo,
 			f.ExtendedAction, f.ExtendedInfo,
 			f.LargeAction, f.LargeInfo, f.LargeWideTargets)
-	}
+	})
 	return nil
 }
 
@@ -379,8 +397,7 @@ func (l *Lab) runExtLarge(w io.Writer) error {
 func (l *Lab) runHygiene(w io.Writer) error {
 	Section(w, "§5.6 — impact of a 'too many communities' filter")
 	thresholds := []int{10, 20, 40, 80}
-	for _, p := range l.Profiles {
-		ix := l.Indexes[p.IXP]
+	l.studied(func(p ixpgen.Profile, ix *analysis.Index) {
 		pct := ix.CommunityCountPercentiles(false, []float64{50, 90, 99, 100})
 		fmt.Fprintf(w, "%s: communities per route p50=%d p90=%d p99=%d max=%d\n",
 			p.IXP, pct[0], pct[1], pct[2], pct[3])
@@ -388,7 +405,7 @@ func (l *Lab) runHygiene(w io.Writer) error {
 			fmt.Fprintf(w, "  threshold %3d: drops %5.1f%% of routes, sheds %5.1f%% of community load\n",
 				h.Threshold, 100*h.DropShare(), 100*h.LoadShare())
 		}
-	}
+	})
 	return nil
 }
 
@@ -396,23 +413,19 @@ func (l *Lab) runHygiene(w io.Writer) error {
 // paper's vantage-point choice: the share of action communities that
 // a classic route collector never sees because the RS scrubs them.
 // Each profile simulates its own route server, so the profiles run on
-// the lab's worker pool into ordered slots.
+// the lab's worker pool (fanOut).
 func (l *Lab) runVisibility(w io.Writer) error {
 	Section(w, "Methodology — action community visibility: looking glass vs route collector")
-	reports := make([]analysis.VisibilityReport, len(l.Profiles))
-	if _, err := runPool(len(l.Profiles), l.workers(), func(i int) (err error) {
-		reports[i], err = l.visibilityOf(l.Profiles[i])
-		return err
-	}); err != nil {
-		return err
-	}
-	for i, p := range l.Profiles {
-		v := reports[i]
+	return l.fanOut(w, func(w io.Writer, p ixpgen.Profile) error {
+		v, err := l.visibilityOf(p)
+		if err != nil {
+			return err
+		}
 		fmt.Fprintf(w, "%s: LG sees %d action instances; collector sees %d over %d routes → %.1f%% invisible\n",
 			p.IXP, v.LGActionInstances, v.CollectorActionInstances, v.CollectorRoutes,
 			100*v.VisibilityGap())
-	}
-	return nil
+		return nil
+	})
 }
 
 // visibilityOf populates one profile's scrubbing route server and
@@ -458,10 +471,8 @@ func (l *Lab) visibilityOf(p ixpgen.Profile) (analysis.VisibilityReport, error) 
 // runIntersect reports the §5.4 cross-IXP target overlaps.
 func (l *Lab) runIntersect(w io.Writer) error {
 	Section(w, "§5.4 — intersection of top-20 targets across IXPs")
-	ixps := make([]*analysis.Index, len(l.Profiles))
-	for i, p := range l.Profiles {
-		ixps[i] = l.Indexes[p.IXP]
-	}
+	ixps := make([]*analysis.Index, 0, len(l.Profiles))
+	l.studied(func(_ ixpgen.Profile, ix *analysis.Index) { ixps = append(ixps, ix) })
 	pairs, common := analysis.TargetIntersections(ixps, false, 20)
 	for _, pair := range pairs {
 		fmt.Fprintf(w, "%s ∩ %s: %d shared targets (%s)\n",
@@ -478,16 +489,15 @@ func (l *Lab) runSummary(w io.Writer) error {
 	Section(w, "Headline findings (cf. the paper's abstract)")
 	var asShare, actionShare, nmShare shareRange
 	names := ""
-	for i, p := range l.Profiles {
-		if i > 0 {
+	l.studied(func(p ixpgen.Profile, ix *analysis.Index) {
+		if names != "" {
 			names += ", "
 		}
 		names += p.IXP
-		ix := l.Indexes[p.IXP]
 		asShare.update(ix.Usage(false).ASShare())
 		actionShare.update(ix.ActionShare(false))
 		nmShare.update(ix.NonMemberShare(false).Share())
-	}
+	})
 	fmt.Fprintf(w, "over %s (IPv4):\n", names)
 	fmt.Fprintf(w, "members using action communities in ≥1 route: %v (paper: >35.7%%, up to 54.1%%)\n", asShare)
 	fmt.Fprintf(w, "action share of IXP-defined standard communities: %v (paper: ≥66.6%%)\n", actionShare)
@@ -517,8 +527,8 @@ func (r shareRange) String() string {
 // runCategories reports the §5.4 target-category breakdown.
 func (l *Lab) runCategories(w io.Writer) error {
 	Section(w, "§5.4 — targeted ASes by operator category (IPv4)")
-	for _, p := range l.Profiles {
-		b := l.Indexes[p.IXP].CategoryBreakdown(l.Registry, false)
+	l.studied(func(p ixpgen.Profile, ix *analysis.Index) {
+		b := ix.CategoryBreakdown(l.Registry, false)
 		fmt.Fprintf(w, "%s (content+cloud share: all %.1f%%, non-members %.1f%%)\n",
 			p.IXP, 100*analysis.ContentShare(b.All), 100*analysis.ContentShare(b.NonMembers))
 		for _, row := range b.NonMembers {
@@ -529,7 +539,7 @@ func (l *Lab) runCategories(w io.Writer) error {
 			}
 			fmt.Fprintf(w, "  non-member %-18s %8d (%.1f%%)\n", row.Category, row.Instances, 100*row.Share)
 		}
-	}
+	})
 	return nil
 }
 

@@ -340,10 +340,12 @@ func (l *Lab) Load(dir string, files []File, prev *Lab) LoadReport {
 	rep.Reused = days - rep.Advanced - rep.Rebuilt
 	l.loaded = ds
 
-	// The latest day of each IXP carries its index into the lab. A
-	// header-only day comes with it. A materialized one (l.Materialize)
-	// is indexed here from its routes, unless prev serves the same day
-	// and already did.
+	// The latest day of each IXP carries its index into the lab, which
+	// holds no other: a profile the dataset has no day of is not
+	// studied. A header-only day comes with its index. A materialized
+	// one (l.Materialize) is indexed here from its routes, unless prev
+	// serves the same day and already did.
+	clear(l.Indexes)
 	var builds []int
 	for i, p := range l.Profiles {
 		x := groups[p.IXP]

@@ -156,7 +156,17 @@ func TestVisibilityAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	lab := NewLabShell(ixpgen.BigFour(), 42, 0.004, 0)
+	lab, err := NewLabParallel(ixpgen.BigFour(), 42, 0.004, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := lab.Run(&out, "visibility"); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(out.String(), "invisible\n"); n != len(ixpgen.BigFour()) {
+		t.Fatalf("visibility reports %d IXPs, want the %d it measures", n, len(ixpgen.BigFour()))
+	}
 	allocs := testing.AllocsPerRun(3, func() {
 		if err := lab.Run(io.Discard, "visibility"); err != nil {
 			t.Fatal(err)
