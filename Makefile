@@ -10,17 +10,10 @@
 #              generated lab equal the same tables over the dataset
 #              `ixpgen` writes at the commands' defaults).
 #              The deterministic performance floors are tests and run
-#              here, a second time without the race detector (`floors`;
-#              their allocation halves skip under -race):
-#              TestWarmColdSpeedup, TestAdvanceBytesPerDay,
-#              TestAdvanceAllocs, TestMaterializeAllocs,
-#              TestLoadedLabHeap, TestIndexFromColumnsAllocs,
-#              TestVisibilityAllocs, TestGenerateAllocs,
-#              TestAnnounceAllocs, TestReloadWorkIsProportional,
-#              TestServeAllocs,
-#              TestServedPageAllocsIndependentOfPageSize,
-#              TestCrawlAllocsPerRoute. Every step runs
-#              the tree; none compares committed files.
+#              here, a second time without the race detector (`floors`,
+#              over the tests FLOORS names below; their allocation
+#              halves skip under -race). Every step runs the tree; none
+#              compares committed files.
 #   benchmark  benchmarks/e2e, declared by BENCHMARK.json: five
 #              output-checked workloads, judged in alternating pairs of
 #              runs (parent, change) against BENCHMARK.json's bounds.
@@ -70,10 +63,17 @@ test:
 race:
 	$(GO) test -race ./...
 
-# floors runs exactly the floors the header lists — keep the two lists
-# the same — without -race, where allocation counts mean something.
+# floors runs exactly the floors FLOORS names, without -race, where
+# allocation counts mean something. It first lists the tree's tests
+# against FLOORS once and fails, naming it, on an entry that names no
+# test: a renamed or misspelt floor would otherwise pass having run
+# nothing.
 FLOORS := TestWarmColdSpeedup|TestAdvanceBytesPerDay|TestAdvanceAllocs|TestMaterializeAllocs|TestLoadedLabHeap|TestIndexFromColumnsAllocs|TestVisibilityAllocs|TestGenerateAllocs|TestAnnounceAllocs|TestReloadWorkIsProportional|TestServeAllocs|TestServedPageAllocsIndependentOfPageSize|TestCrawlAllocsPerRoute
 floors:
+	@listed=" $$($(GO) test -list '^($(FLOORS))$$' ./... | grep '^Test' | tr '\n' ' ')"; \
+	for f in $$(echo '$(FLOORS)' | tr '|' ' '); do \
+		case "$$listed" in *" $$f "*) ;; *) echo "floors: $$f names no test"; bad=1;; esac; \
+	done; [ -z "$$bad" ]
 	$(GO) test -run '^($(FLOORS))$$' ./...
 
 # fuzz is opt-in and not part of check: `go test` only replays each
