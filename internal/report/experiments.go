@@ -341,9 +341,10 @@ func (l *Lab) runStability(w io.Writer, title string, days int, valleys []int) e
 	Section(w, title)
 	return l.eachSeries(w, days, valleys, func(w io.Writer, p ixpgen.Profile, series []analysis.DayCounts) {
 		// The paper computes Appendix A over the sanitized dataset:
-		// collection valleys are removed before measuring variation.
-		series, _ = sanitize.Clean(series)
-		series = analysis.Window(series, days)
+		// collection valleys, detected over the whole series, are
+		// removed from the window of its first `days` calendar days
+		// before measuring variation.
+		series = sanitize.Without(analysis.Window(series, days), sanitize.DetectValleys(series))
 		if days > 7 {
 			series = analysis.WeeklyRepresentatives(series)
 		}
@@ -567,8 +568,8 @@ func (l *Lab) runSanitation(w io.Writer) error {
 	// Two injected collection failures when generating; a loaded
 	// dataset carries whatever valleys its producer injected.
 	return l.eachSeries(w, 21, []int{5, 13}, func(w io.Writer, p ixpgen.Profile, series []analysis.DayCounts) {
-		kept, removed := sanitize.Clean(series)
+		removed := len(sanitize.DetectValleys(series))
 		fmt.Fprintf(w, "%s: %d snapshots, %d removed as valleys (%.1f%%), %d kept\n",
-			p.IXP, len(series), removed, 100*float64(removed)/float64(len(series)), len(kept))
+			p.IXP, len(series), removed, 100*float64(removed)/float64(len(series)), len(series)-removed)
 	})
 }

@@ -162,8 +162,9 @@ func (l *Lab) LoadSnapshotDir(dir string) error {
 // read only for its counts (l.Series). Either way l.Indexes holds the
 // materialized index of each IXP's latest day when Load returns,
 // whatever order the fold met its files in and whichever of them
-// failed, so no experiment builds one. Files decode, and IXPs fold, across the lab's worker
-// pool; the result is the same for any worker count.
+// failed, so no experiment builds one. Files decode, and IXPs fold,
+// across the lab's worker pool; the result is the same for any worker
+// count.
 func (l *Lab) Load(dir string, files []File, prev *Lab) LoadReport {
 	ld := &loader{
 		dir:         dir,
@@ -229,7 +230,7 @@ func (l *Lab) Load(dir string, files []File, prev *Lab) LoadReport {
 		if f.delta {
 			continue
 		}
-		if f.carried && f.day.snap != nil && !ld.materialize && f.series != (ld.roles[dayKey{f.ixp, f.date}] == extended) {
+		if f.carried && f.day != nil && !ld.materialize && f.series != (ld.roles[dayKey{f.ixp, f.date}] == extended) {
 			f.carried = false
 		}
 		if !f.carried {
@@ -396,9 +397,9 @@ type loadedFile struct {
 	// series: a full file loaded header-only, its index built as a chain
 	// base that carries the chain state its deltas advance.
 	series bool
-	// day is the day a full file of a studied IXP decoded to; zero when
+	// day is the day a full file of a studied IXP decoded to; nil when
 	// it did not.
-	day chainDay
+	day *chainDay
 	// bad is why the file does not open — unreadable, truncated, not a
 	// snapshot. It holds for as long as (name, size, mtime) does, so the
 	// file is not tried again.
@@ -447,13 +448,13 @@ type chain struct {
 	// extendable: every applied step went through Index.Advance, so the
 	// newest day's index owns state a later Load can advance.
 	extendable bool
-	days       []chainDay // the IXP's series, by date
+	days       []*chainDay // the IXP's series, by date
 	// counts are days' counts, in the same order: the lab's Series.
 	counts []analysis.DayCounts
 }
 
 // newest is the day the IXP serves.
-func (c *chain) newest() *chainDay { return &c.days[len(c.days)-1] }
+func (c *chain) newest() *chainDay { return c.days[len(c.days)-1] }
 
 // chainDay is one day a fold produced, and the counts it publishes. A
 // day comes off the fold as a header-only snapshot with the index that
@@ -466,17 +467,12 @@ type chainDay struct {
 	counts analysis.DayCounts
 }
 
-func indexedDay(ix *analysis.Index) chainDay {
-	return chainDay{snap: ix.Snapshot(), ix: ix, counts: ix.DayCounts()}
+func indexedDay(ix *analysis.Index) *chainDay {
+	return &chainDay{snap: ix.Snapshot(), ix: ix, counts: ix.DayCounts()}
 }
 
-func routedDay(s *collector.Snapshot) chainDay {
-	return chainDay{snap: s, counts: analysis.CountDay(s)}
-}
-
-// holds reports whether days holds the day of snapshot s.
-func holds(days []chainDay, s *collector.Snapshot) bool {
-	return slices.ContainsFunc(days, func(d chainDay) bool { return d.snap == s })
+func routedDay(s *collector.Snapshot) *chainDay {
+	return &chainDay{snap: s, counts: analysis.CountDay(s)}
 }
 
 // step is one delta file's turn in a fold.
@@ -522,7 +518,7 @@ func (ld *loader) open(i int) {
 // Materialize reference. Any other IXP's file is read up to its header.
 func (ld *loader) decode(i int) {
 	f := &ld.files[i]
-	f.carried, f.day, f.series = false, chainDay{}, false
+	f.carried, f.day, f.series = false, nil, false
 	sr, err := collector.OpenSnapshotAt(filepath.Join(ld.dir, f.Name))
 	if f.bad = err; err != nil {
 		return
@@ -550,7 +546,7 @@ func (ld *loader) decode(i int) {
 		}
 	}
 	if f.bad != nil {
-		f.day, f.series = chainDay{}, false
+		f.day, f.series = nil, false
 	}
 }
 
@@ -586,11 +582,11 @@ func (ld *loader) applyChain(x *ixpLoad) {
 		if extending {
 			copy(c.steps, pc.steps[:from])
 			c.applied = pc.applied
-			c.days = make([]chainDay, len(pc.days), len(pc.days)+len(x.deltas)-from)
+			c.days = make([]*chainDay, len(pc.days), len(pc.days)+len(x.deltas)-from)
 			copy(c.days, pc.days)
 		} else {
 			from = 0
-			c.days = make([]chainDay, 0, len(x.fulls)+len(x.deltas))
+			c.days = make([]*chainDay, 0, len(x.fulls)+len(x.deltas))
 			for _, i := range x.fulls {
 				f := &ld.files[i]
 				// A chain base whose state earlier deltas advanced
@@ -599,7 +595,7 @@ func (ld *loader) applyChain(x *ixpLoad) {
 					ld.decode(i)
 					x.work.Decoded++
 				}
-				if f.day.snap != nil {
+				if f.day != nil {
 					c.days = append(c.days, f.day)
 				}
 			}
@@ -623,7 +619,7 @@ func (ld *loader) applyChain(x *ixpLoad) {
 			var base *chainDay
 			for d := len(c.days) - 1; d >= 0 && base == nil; d-- {
 				if c.days[d].snap.Date == f.base {
-					base = &c.days[d]
+					base = c.days[d]
 				}
 			}
 			if base == nil {
@@ -633,7 +629,7 @@ func (ld *loader) applyChain(x *ixpLoad) {
 			if st.err = corrupt[i]; st.err != nil {
 				continue
 			}
-			var next chainDay
+			var next *chainDay
 			if !ld.materialize {
 				if f.date < base.snap.Date {
 					// The day this delta makes sorts before its base, so
@@ -686,10 +682,10 @@ func (ld *loader) applyChain(x *ixpLoad) {
 		// first, in listing order, and the chained days after them, so
 		// the last in of each date — the one base lookup finds — serves.
 		slices.Reverse(c.days)
-		slices.SortStableFunc(c.days, func(a, b chainDay) int {
+		slices.SortStableFunc(c.days, func(a, b *chainDay) int {
 			return strings.Compare(a.snap.Date, b.snap.Date)
 		})
-		c.days = slices.CompactFunc(c.days, func(a, b chainDay) bool { return a.snap.Date == b.snap.Date })
+		c.days = slices.CompactFunc(c.days, func(a, b *chainDay) bool { return a.snap.Date == b.snap.Date })
 		// Chained days are counts-only; the one the IXP serves is
 		// materialized. It is its chain's newest day: a day some Advance
 		// superseded was either materialized before (its successor sorts
@@ -708,14 +704,14 @@ func (ld *loader) applyChain(x *ixpLoad) {
 		reused := 0
 		if extending {
 			for _, d := range pc.days {
-				if holds(c.days, d.snap) {
+				if slices.Contains(c.days, d) {
 					reused++
 				}
 			}
 			x.work.Advanced = len(c.days) - reused
 		} else {
 			for _, i := range x.fulls {
-				if f := &ld.files[i]; f.carried && f.day.snap != nil && holds(c.days, f.day.snap) {
+				if f := &ld.files[i]; f.carried && f.day != nil && slices.Contains(c.days, f.day) {
 					reused++
 				}
 			}

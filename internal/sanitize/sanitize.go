@@ -67,14 +67,22 @@ func isValley(series []int, i int) bool {
 // Clean removes valley days and returns the surviving series plus the
 // number removed.
 func Clean(days []analysis.DayCounts) (kept []analysis.DayCounts, removed int) {
-	valleys := DetectValleys(days)
-	kept = make([]analysis.DayCounts, 0, len(days)-len(valleys))
+	kept = Without(days, DetectValleys(days))
+	return kept, len(days) - len(kept)
+}
+
+// Without returns the days of a series but those at the ascending
+// indices drop (DetectValleys' result); an index past its end drops
+// nothing, so a window cut from the front of a series takes the
+// series' valleys as they are.
+func Without(days []analysis.DayCounts, drop []int) []analysis.DayCounts {
+	kept := make([]analysis.DayCounts, 0, len(days))
 	for i := range days {
-		if len(valleys) > 0 && valleys[0] == i {
-			valleys = valleys[1:]
+		if len(drop) > 0 && drop[0] == i {
+			drop = drop[1:]
 			continue
 		}
 		kept = append(kept, days[i])
 	}
-	return kept, len(days) - len(kept)
+	return kept
 }

@@ -100,3 +100,14 @@ func TestZeroPreviousDaySafe(t *testing.T) {
 		t.Errorf("valleys = %v on zero series", valleys)
 	}
 }
+
+// TestWithoutAWindow: a window cut from the front of a series drops the
+// series' valleys that fall inside it and ignores the others.
+func TestWithoutAWindow(t *testing.T) {
+	days := series(100, 100, 55, 100, 100, 100, 40, 100)
+	valleys := DetectValleys(days)
+	kept := Without(days[:5], valleys)
+	if len(valleys) != 2 || len(kept) != 4 || kept[2].Members != 100 {
+		t.Errorf("valleys %v, window kept %+v; want day 2 dropped and day 6 ignored", valleys, kept)
+	}
+}
