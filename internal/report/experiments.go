@@ -33,11 +33,12 @@ var ExperimentNames = []string{
 type Lab struct {
 	// Profiles are the IXPs under study (Table 1 order).
 	Profiles []ixpgen.Profile
-	// Indexes holds the classified index of each profiled IXP's latest
+	// Indexes holds the classified index of each studied IXP's latest
 	// snapshot (Index.Snapshot), built by whoever built the snapshot:
-	// NewLabParallel in its generation task, Load off the file's columns
-	// or delta, or from the routes of a materialized day. Every
-	// experiment reads it; none builds one.
+	// NewLabParallel in its generation task for every profile, Load off
+	// the file's columns or delta, or from the routes of a materialized
+	// day, for each profile the dataset has days of. Every experiment
+	// reads it, and reports on the profiles it holds; none builds one.
 	Indexes map[string]*analysis.Index
 	// Series optionally holds the counts of a full date-ordered daily
 	// series per IXP (e.g. loaded from a cmd/ixpgen dataset). When
@@ -62,10 +63,10 @@ type Lab struct {
 	// their columns (analysis.IndexFromReader) and delta days advance
 	// the previous day's index, over header-only snapshots —
 	// byte-identical experiment output, without materializing routes.
-	// Its days are counted with analysis.CountDay, independently of
-	// the fold. No command sets it: it is the
-	// reference configuration the equivalence tests and the benchmark's
-	// output check hold the default path to.
+	// Its days are counted with analysis.CountDay, independently of the
+	// fold. No command sets it: it is the reference configuration the
+	// equivalence tests and the benchmark's output check hold the
+	// default path to.
 	Materialize bool
 	// Telemetry, when set, records a per-experiment run-time histogram
 	// (ixplight_report_experiment_seconds) and emits a
