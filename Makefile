@@ -110,10 +110,17 @@ soak-long:
 # ixpd-smoke boots the analysis daemon on ephemeral loopback ports and
 # walks its serving contract end to end: readiness gating, one
 # experiment fetch with a strong ETag, a 304 revalidation of the same
-# query, and a /metrics scrape showing the served requests. Seconds,
-# deterministic, part of check.
+# query, and a /metrics scrape showing the served requests and the load
+# behind them. It walks the synthetic lab, then dir mode over the
+# 3-day delta dataset `ixpgen` writes to a temp dir, where the scrape's
+# rebuilt days, dataset age and zero skipped files describe real files.
+# Seconds, deterministic, part of check.
+IXPD_SMOKE := -ixps DE-CIX,AMS-IX -scale 0.01
 ixpd-smoke:
-	$(GO) run ./cmd/ixpd -smoke -ixps DE-CIX,AMS-IX -scale 0.01
+	$(GO) run ./cmd/ixpd -smoke $(IXPD_SMOKE)
+	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) run ./cmd/ixpgen -out "$$dir" -codec delta -days 3 $(IXPD_SMOKE) && \
+	$(GO) run ./cmd/ixpd -smoke $(IXPD_SMOKE) -snapshots "$$dir/snapshots"
 
 # examples runs each examples/* program and fails on a non-zero exit:
 # they are documentation that executes, and this is what keeps them true.

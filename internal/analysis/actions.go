@@ -109,11 +109,3 @@ func rankCulprits(counts map[uint32]int, k int) []Culprit {
 	}
 	return out
 }
-
-// TargetedAS aggregates instances by target ASN (member or not) — the
-// per-AS view behind the §5.4 "who is being avoided" discussion.
-type TargetedAS struct {
-	ASN      uint32
-	IsMember bool
-	Count    int
-}

@@ -263,24 +263,6 @@ func TestCulpritRanking(t *testing.T) {
 	}
 }
 
-func TestTopTargets(t *testing.T) {
-	s, scheme := testSnapshot(t)
-	targets := NewIndex(s, scheme).TopTargets(false, 0)
-	byASN := map[uint32]TargetedAS{}
-	for _, tg := range targets {
-		byASN[tg.ASN] = tg
-	}
-	if tg := byASN[15169]; tg.Count != 2 || tg.IsMember {
-		t.Errorf("google = %+v", tg)
-	}
-	if tg := byASN[100]; tg.Count != 2 || !tg.IsMember {
-		t.Errorf("AS100 = %+v", tg)
-	}
-	if tg := byASN[200]; tg.Count != 1 || !tg.IsMember {
-		t.Errorf("AS200 = %+v", tg)
-	}
-}
-
 func TestCountDayAndStability(t *testing.T) {
 	s, _ := testSnapshot(t)
 	d := CountDay(s)

@@ -251,16 +251,6 @@ func (ix *Index) CulpritRanking(v6 bool, k int) []Culprit {
 	return rankCulprits(ix.family(v6).culprits, k)
 }
 
-// TopTargets ranks the ASes most targeted by action communities.
-func (ix *Index) TopTargets(v6 bool, k int) []TargetedAS {
-	top := topK(ix.family(v6).targets, k)
-	out := make([]TargetedAS, len(top))
-	for i, e := range top {
-		out[i] = TargetedAS{ASN: e.key, IsMember: ix.members[e.key], Count: e.n}
-	}
-	return out
-}
-
 // CategoryBreakdown returns the §5.4 target-category aggregation.
 // Aggregating the per-target counts first and mapping each distinct
 // ASN through the registry once gives the same totals as a

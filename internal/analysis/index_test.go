@@ -74,7 +74,6 @@ func TestIndexConcurrentUse(t *testing.T) {
 				_ = ix.TopActionCommunities(v6, 10)
 				_ = ix.NonMemberTargeting(v6, 10)
 				_ = ix.CulpritRanking(v6, 10)
-				_ = ix.TopTargets(v6, 10)
 				_ = ix.CategoryBreakdown(reg, v6)
 				_ = ix.HygieneFilterImpact(v6, []int{1, 5, 15})
 				_ = ix.CommunityCountPercentiles(v6, []float64{50, 99})

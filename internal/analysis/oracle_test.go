@@ -61,7 +61,6 @@ func checkIndexMatchesDirect(t testing.TB, tag string, ix *Index, s *collector.S
 			eq("TopActionCommunities", ix.TopActionCommunities(v6, k), TopActionCommunitiesDirect(s, scheme, v6, k))
 			eq("NonMemberTargeting", ix.NonMemberTargeting(v6, k), ComputeNonMemberTargetingDirect(s, scheme, v6, k))
 			eq("CulpritRanking", ix.CulpritRanking(v6, k), CulpritRankingDirect(s, scheme, v6, k))
-			eq("TopTargets", ix.TopTargets(v6, k), TopTargetsDirect(s, scheme, v6, k))
 		}
 		eq("CategoryBreakdown", ix.CategoryBreakdown(reg, v6), ComputeCategoryBreakdownDirect(s, scheme, reg, v6))
 		eq("HygieneFilterImpact", ix.HygieneFilterImpact(v6, []int{0, 2, 10}), HygieneFilterImpactDirect(s, v6, []int{0, 2, 10}))
@@ -76,10 +75,7 @@ func checkIndexMatchesDirect(t testing.TB, tag string, ix *Index, s *collector.S
 		for _, c := range CulpritRankingDirect(s, scheme, v6, 0) {
 			culprits[c.ASN] = c.Count
 		}
-		targets := map[uint32]int{}
-		for _, tg := range TopTargetsDirect(s, scheme, v6, 0) {
-			targets[tg.ASN] = tg.Count
-		}
+		targets := TopTargetsDirect(s, scheme, v6)
 		nonMember := map[bgp.Community]int{}
 		for _, cc := range ComputeNonMemberTargetingDirect(s, scheme, v6, 0).Top {
 			nonMember[cc.Community] = cc.Count
@@ -241,9 +237,10 @@ func CulpritRankingDirect(s *collector.Snapshot, scheme *dictionary.Scheme, v6 b
 	return out
 }
 
-// TopTargetsDirect is the direct-classify twin of TopTargets.
-func TopTargetsDirect(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool, k int) []TargetedAS {
-	members := s.MemberSet()
+// TopTargetsDirect counts the action instances that name each
+// targeted AS, member or not: what ASActivity's TargetedInstances
+// reads one key at a time.
+func TopTargetsDirect(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool) map[uint32]int {
 	counts := make(map[uint32]int, 128)
 	for _, r := range s.Routes {
 		if r.IsIPv6() != v6 {
@@ -255,11 +252,7 @@ func TopTargetsDirect(s *collector.Snapshot, scheme *dictionary.Scheme, v6 bool,
 			}
 		})
 	}
-	out := []TargetedAS{}
-	for _, e := range fullRank(counts, k) {
-		out = append(out, TargetedAS{ASN: e.key, IsMember: members[e.key], Count: e.n})
-	}
-	return out
+	return counts
 }
 
 // ComputeUsageDirect is the direct-classify twin of ComputeUsage.
@@ -592,7 +585,6 @@ func directAnalysisBattery(s *collector.Snapshot, scheme *dictionary.Scheme) int
 		sink += len(TopActionCommunitiesDirect(s, scheme, v6, 20))
 		sink += ComputeNonMemberTargetingDirect(s, scheme, v6, 20).Instances
 		sink += len(CulpritRankingDirect(s, scheme, v6, 10))
-		sink += len(TopTargetsDirect(s, scheme, v6, 10))
 	}
 	return sink
 }
@@ -614,7 +606,6 @@ func indexedAnalysisBattery(ix *Index) int {
 		sink += len(ix.TopActionCommunities(v6, 20))
 		sink += ix.NonMemberTargeting(v6, 20).Instances
 		sink += len(ix.CulpritRanking(v6, 10))
-		sink += len(ix.TopTargets(v6, 10))
 	}
 	return sink
 }

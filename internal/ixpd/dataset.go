@@ -62,7 +62,7 @@ func (s *Server) buildGeneration(prev *generation, files []report.File, sig stri
 			return nil, err
 		}
 		lab.Telemetry = cfg.Telemetry
-		sig = syntheticSignature(cfg)
+		sig = "synthetic\x00" + s.ident
 	}
 	sum := sha256.Sum256([]byte(sig))
 	gen := &generation{
@@ -83,22 +83,25 @@ func (s *Server) buildGeneration(prev *generation, files []report.File, sig stri
 }
 
 // dirSignature takes the one listing a (re)load works from and
-// fingerprints it: every regular file's name, size and mtime, in name
-// order. Any landed, rewritten or removed collection day changes the
-// signature — the reload trigger and, hashed, the dataset half of every
-// ETag. Content is not read: snapshot writes in this repo are atomic
-// (temp + rename), so (name, size, mtime) moves if and only if bytes
-// moved. The generation is then loaded from the returned files, not
-// from a second look at the directory, so its digest names exactly the
-// files it serves.
-func dirSignature(dir string) ([]report.File, string, error) {
+// fingerprints it: the lab's identity, then every regular file's name,
+// size and mtime, in name order. Any landed, rewritten or removed
+// collection day changes the signature — the reload trigger and,
+// hashed, the dataset half of every ETag. Content is not read:
+// snapshot writes in this repo are atomic (temp + rename), so (name,
+// size, mtime) moves if and only if bytes moved. The generation is
+// then loaded from the returned files, not from a second look at the
+// directory, so its digest names exactly the files it serves.
+func (s *Server) dirSignature() ([]report.File, string, error) {
+	dir := s.cfg.SnapshotDir
 	files, err := report.ListDir(dir, true)
 	if err != nil {
 		return nil, "", err
 	}
-	sig := make([]byte, 0, len(dir)+5+len(files)*64)
+	sig := make([]byte, 0, len(dir)+len(s.ident)+6+len(files)*64)
 	sig = append(sig, "dir\x00"...)
 	sig = append(sig, dir...)
+	sig = append(sig, 0)
+	sig = append(sig, s.ident...)
 	sig = append(sig, 0)
 	for i, f := range files {
 		if i > 0 {
@@ -113,15 +116,17 @@ func dirSignature(dir string) ([]report.File, string, error) {
 	return files, string(sig), nil
 }
 
-// syntheticSignature identifies a generated lab: the knobs that fully
-// determine it.
-func syntheticSignature(cfg *Config) string {
+// labIdentity names what shapes a generation's bodies besides its
+// files: the IXPs served, in order, the seed and the scale (Table 1
+// scales its member totals, and visibility simulates its world from
+// all three). Both signatures carry it, so two daemons configured
+// apart never share an ETag.
+func labIdentity(cfg *Config) string {
 	names := make([]string, len(cfg.Profiles))
 	for i, p := range cfg.Profiles {
 		names[i] = p.IXP
 	}
-	return fmt.Sprintf("synthetic\x00seed=%d\x00scale=%g\x00ixps=%s",
-		cfg.Seed, cfg.Scale, strings.Join(names, ","))
+	return fmt.Sprintf("seed=%d\x00scale=%g\x00ixps=%s", cfg.Seed, cfg.Scale, strings.Join(names, ","))
 }
 
 // --- response table -----------------------------------------------------

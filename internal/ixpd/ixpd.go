@@ -64,8 +64,10 @@ type Config struct {
 	// generates the calibrated synthetic lab instead (Seed/Scale), and
 	// reload is disabled.
 	SnapshotDir string
-	// Seed and Scale parameterise the synthetic lab (and are recorded
-	// in the dataset digest).
+	// Seed and Scale parameterise the synthetic lab; in dir mode they
+	// still shape Table 1's member totals and visibility's simulated
+	// world. Both, and the Profiles' IXPs in order, are recorded in the
+	// dataset digest.
 	Seed  int64
 	Scale float64
 	// Parallel bounds the lab's load/experiment worker pools.
@@ -134,6 +136,9 @@ func (c *Config) logf(format string, args ...any) {
 type Server struct {
 	cfg Config
 	met *metrics
+	// ident is labIdentity(&cfg), which every dataset signature
+	// carries.
+	ident string
 
 	// gen is the current dataset generation. Handlers load it exactly
 	// once per request and keep serving from that pointer even if a
@@ -164,9 +169,10 @@ type Server struct {
 // Load (readiness flips once it returns), then serve Handler.
 func New(cfg Config) *Server {
 	s := &Server{
-		cfg: cfg,
-		met: newMetrics(cfg.Telemetry),
-		sem: make(chan struct{}, cfg.maxInFlight()),
+		cfg:   cfg,
+		met:   newMetrics(cfg.Telemetry),
+		ident: labIdentity(&cfg),
+		sem:   make(chan struct{}, cfg.maxInFlight()),
 	}
 	s.mux = s.routes()
 	return s

@@ -78,7 +78,7 @@ func (s *Server) load(cur *generation) (swapped bool, err error) {
 	var files []report.File
 	var sig string
 	if s.cfg.SnapshotDir != "" {
-		if files, sig, err = dirSignature(s.cfg.SnapshotDir); err != nil {
+		if files, sig, err = s.dirSignature(); err != nil {
 			return false, err
 		}
 		if s.afterList != nil {

@@ -265,7 +265,7 @@ func TestReloadWorkIsProportional(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		runtime.GC()
 		listing = max(listing, mallocs(func() {
-			if _, _, err := dirSignature(dir); err != nil {
+			if _, _, err := plain.dirSignature(); err != nil {
 				t.Fatal(err)
 			}
 		}))
@@ -357,12 +357,12 @@ func TestReloadIgnoresCollectorLeftovers(t *testing.T) {
 		t.Fatalf("loaded %d IXPs (%s: %d days), skipped %v; want the one 3-day chain and nothing skipped",
 			len(gen.lab.Series), p.IXP, len(gen.lab.Series[p.IXP]), gen.load.Skipped)
 	}
-	_, before, err := dirSignature(dir)
+	_, before, err := s.dirSignature()
 	if err != nil {
 		t.Fatal(err)
 	}
 	landFile(t, tracePath, []byte(`{"name":"collector.crawl"}`+"\n"+`{"name":"lg.request"}`+"\n"))
-	if _, after, err := dirSignature(dir); err != nil || after != before {
+	if _, after, err := s.dirSignature(); err != nil || after != before {
 		t.Errorf("rewriting trace.jsonl moved the directory signature (err %v)", err)
 	}
 	if swapped, err := s.Reload(); err != nil || swapped {
@@ -397,6 +397,61 @@ func TestDatasetOfFewerIXPs(t *testing.T) {
 	}
 	if code, _, body := doGet(t, h, "/v1/experiments/table3", ""); code != http.StatusOK || !strings.Contains(body, "DE-CIX-v4") {
 		t.Errorf("table3: status %d, want DE-CIX's rows: %s", code, body)
+	}
+}
+
+// TestETagNamesTheConfiguration: in dir mode the IXPs served, the seed
+// and the scale shape the bodies as much as the files do (Table 1 scales
+// its member totals, visibility simulates its world from all three), so
+// daemons that differ in any of them over one directory never share an
+// ETag: where their bodies differ their tags differ, and each answers
+// the other's tag with a 200, not a 304 that would keep the other's
+// body.
+func TestETagNamesTheConfiguration(t *testing.T) {
+	dir := t.TempDir()
+	de, ams := *ixpgen.ProfileByName("DE-CIX"), *ixpgen.ProfileByName("AMS-IX")
+	for _, p := range []ixpgen.Profile{de, ams} {
+		writeDeltaSeries(t, dir, p, 2, 2)
+	}
+	base := Config{Profiles: []ixpgen.Profile{de, ams}, SnapshotDir: dir, Seed: 1, Scale: 0.005, ReloadInterval: -1}
+	variants := map[string]func(*Config){
+		"profiles": func(c *Config) { c.Profiles = []ixpgen.Profile{ams, de} },
+		"seed":     func(c *Config) { c.Seed = 2 },
+		"scale":    func(c *Config) { c.Scale = 0.01 },
+	}
+	paths := []string{"/v1/experiments/table1", "/v1/experiments/visibility"}
+	serve := func(cfg Config) http.Handler {
+		s := New(cfg)
+		if err := s.Load(); err != nil {
+			t.Fatal(err)
+		}
+		return s.Handler()
+	}
+	h := serve(base)
+	for name, vary := range variants {
+		cfg := base
+		vary(&cfg)
+		other := serve(cfg)
+		differ := 0
+		for _, path := range paths {
+			code, tag, body := doGet(t, h, path, "")
+			otherCode, otherTag, otherBody := doGet(t, other, path, "")
+			if code != http.StatusOK || otherCode != http.StatusOK {
+				t.Fatalf("%s: %s answers %d and %d", name, path, code, otherCode)
+			}
+			if body != otherBody {
+				differ++
+				if tag == otherTag {
+					t.Errorf("%s: %s answers two bodies under one ETag %s", name, path, tag)
+				}
+			}
+			if code, _, _ := doGet(t, other, path, tag); code != http.StatusOK {
+				t.Errorf("%s: %s answers the other configuration's ETag with %d, want 200", name, path, code)
+			}
+		}
+		if differ == 0 {
+			t.Errorf("%s: no body differs, so the case checks nothing", name)
+		}
 	}
 }
 
@@ -439,7 +494,7 @@ func TestReloadListingRace(t *testing.T) {
 	if got := days(); got != 4 {
 		t.Fatalf("generation built from a 4-day listing serves %d days", got)
 	}
-	_, sig4, err := dirSignature(dir) // the directory now holds 5 days
+	_, sig4, err := s.dirSignature() // the directory now holds 5 days
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -464,18 +464,40 @@ func TestFig7HurricaneElectricTopCulprit(t *testing.T) {
 }
 
 func TestFig5TopTargetsPlausible(t *testing.T) {
-	// §5.4's per-IXP most-avoided member network must appear among the
-	// top-10 targets (Hurricane Electric at IX.br-SP).
-	ix := genIndex(t, "IX.br-SP")
-	targets := ix.TopTargets(false, 10)
-	found := false
-	for _, tgt := range targets {
-		if tgt.ASN == 6939 {
-			found = true
+	// §5.4's per-IXP most-avoided member network must rank among the
+	// top-10 targets (Hurricane Electric at IX.br-SP), counting the
+	// action instances that name each targeted AS.
+	p := ProfileByName("IX.br-SP")
+	ix := genIndex(t, p.IXP)
+	targets := map[uint32]bool{}
+	note := func(cl dictionary.Class) {
+		if cl.IsAction() && cl.Target == dictionary.TargetPeer {
+			targets[cl.TargetASN] = true
 		}
 	}
-	if !found {
-		t.Errorf("IX.br-SP: Hurricane Electric not in top-10 targets %v", targets)
+	for _, r := range ix.Snapshot().Routes {
+		if r.IsIPv6() {
+			continue
+		}
+		for _, c := range r.Communities {
+			note(p.Scheme.Classify(c))
+		}
+		for _, e := range r.ExtCommunities {
+			note(p.Scheme.ClassifyExtended(e))
+		}
+		for _, l := range r.LargeCommunities {
+			note(p.Scheme.ClassifyLarge(l))
+		}
+	}
+	he := ix.ASActivity(6939, false).TargetedInstances
+	above := 0
+	for asn := range targets {
+		if ix.ASActivity(asn, false).TargetedInstances > he {
+			above++
+		}
+	}
+	if he == 0 || above >= 10 {
+		t.Errorf("IX.br-SP: Hurricane Electric is targeted %d times, fewer than %d other ASes", he, above)
 	}
 }
 

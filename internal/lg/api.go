@@ -1,15 +1,17 @@
 // Package lg implements the looking-glass layer the paper's collection
-// depends on: an alice-lg-style HTTP JSON API exposing a route
-// server's neighbors and per-neighbor accepted/filtered routes, and a
-// client with pagination, rate limiting, retry with backoff and
-// failure injection hooks for exercising the collector's resilience
-// (LG instability and query rate limits, §3).
+// depends on: an alice-lg-style HTTP JSON API serving what the §3
+// crawl reads of a route server — its status, the neighbor summary
+// with each neighbor's accepted and filtered counts, each neighbor's
+// accepted routes and the configuration — and a client with
+// pagination, rate limiting, retry with backoff and failure injection
+// hooks for exercising the collector's resilience (LG instability and
+// query rate limits, §3).
 //
 // The types in api.go define the wire shape. The small responses
-// (status, neighbor summary, a filtered count) go through encoding/json
-// on both ends. The route-server configuration, the artifact the §3
-// dictionary is parsed from, is served once, as BIRD-style text
-// (config/raw). A routes page — nearly every byte a crawl moves — is
+// (status, neighbor summary) go through encoding/json on both ends.
+// The route-server configuration, the artifact the §3 dictionary is
+// parsed from, is served once, as BIRD-style text (config/raw). A
+// routes page — nearly every byte a crawl moves — is
 // rendered by hand into exactly the bytes json.Encoder writes
 // (render.go), and scanned straight into bgp.Route values while it has
 // that shape; any other body is read by json.Unmarshal + decodeRoute,
@@ -60,10 +62,9 @@ type APIRoute struct {
 	Communities      []string `json:"communities"`
 	ExtCommunities   []string `json:"ext_communities,omitempty"`
 	LargeCommunities []string `json:"large_communities,omitempty"`
-	FilterReason     string   `json:"filter_reason,omitempty"`
 }
 
-// RoutesResponse is one page of GET .../routes/received or /filtered.
+// RoutesResponse is one page of GET .../routes/received.
 type RoutesResponse struct {
 	Routes     []APIRoute `json:"routes"`
 	Page       int        `json:"page"`

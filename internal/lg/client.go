@@ -506,29 +506,3 @@ func (c *Client) RoutesReceived(ctx context.Context, asn uint32) ([]bgp.Route, e
 	defer c.m.callTimer("routes_received")()
 	return c.routesPaged(ctx, routesPath(asn, "received"))
 }
-
-// RoutesNotExported fetches the routes withheld from one neighbor by
-// action communities.
-func (c *Client) RoutesNotExported(ctx context.Context, asn uint32) ([]bgp.Route, error) {
-	if err := c.acquire(); err != nil {
-		return nil, err
-	}
-	defer c.release()
-	defer c.m.callTimer("routes_not_exported")()
-	return c.routesPaged(ctx, routesPath(asn, "not-exported"))
-}
-
-// FilteredCount fetches how many routes of one neighbor were filtered
-// (the collection records the count, not the routes).
-func (c *Client) FilteredCount(ctx context.Context, asn uint32) (int, error) {
-	if err := c.acquire(); err != nil {
-		return 0, err
-	}
-	defer c.release()
-	defer c.m.callTimer("filtered_count")()
-	var resp RoutesResponse
-	if err := c.getJSON(ctx, pagePath(routesPath(asn, "filtered"), 0, 1), &resp); err != nil {
-		return 0, err
-	}
-	return resp.TotalCount, nil
-}

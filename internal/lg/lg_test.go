@@ -52,7 +52,7 @@ func fixture(t testing.TB, nRoutes int) (*rs.Server, *httptest.Server) {
 			t.Fatalf("announce %d: %v %v", i, reason, err)
 		}
 	}
-	// One filtered route for the filtered endpoint.
+	// One rejected route, which the neighbor summary counts.
 	bad := bgp.Route{
 		Prefix:  netutil.SyntheticV4Prefix(nRoutes + 1),
 		NextHop: netutil.PeerAddrV4(1),
@@ -137,15 +137,35 @@ func TestRouteRoundTripThroughAPI(t *testing.T) {
 	}
 }
 
+// TestFilteredCount: a neighbor's routes_filtered, read through the
+// neighbor summary, is the route server's count of rejected
+// announcements. Every rejection counts, so a re-sent invalid route
+// counts twice, and a rejected re-announcement counts once and also
+// withdraws the accepted route it follows.
 func TestFilteredCount(t *testing.T) {
-	_, ts := fixture(t, 2)
-	c := NewClient(ts.URL, ClientOptions{})
-	n, err := c.FilteredCount(context.Background(), 100)
+	server, ts := fixture(t, 2) // AS100: 2 accepted, 1 rejected
+	invalid := bgp.Route{Prefix: netutil.SyntheticV4Prefix(10), NextHop: netutil.PeerAddrV4(1), ASPath: bgp.ASPath{999}}
+	looping := bgp.Route{Prefix: netutil.SyntheticV4Prefix(0), NextHop: netutil.PeerAddrV4(1), ASPath: bgp.ASPath{100, 200, 100}}
+	for _, r := range []bgp.Route{invalid, invalid, looping} {
+		if reason, err := server.Announce(100, r); err != nil || reason == rs.FilterNone {
+			t.Fatalf("announce %s %v: %v %v, want a rejection", r.Prefix, r.ASPath, reason, err)
+		}
+	}
+	ns, err := NewClient(ts.URL, ClientOptions{}).Neighbors(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 {
-		t.Errorf("filtered = %d, want 1", n)
+	want := map[uint32][2]int{100: {1, 4}, 200: {0, 0}}
+	for _, n := range ns {
+		if got := [2]int{n.RoutesAccepted, n.RoutesFiltered}; got != want[n.ASN] {
+			t.Errorf("AS%d summary = %v accepted/filtered, want %v", n.ASN, got, want[n.ASN])
+		}
+		if accepted, filtered := server.RouteCounts(n.ASN); [2]int{accepted, filtered} != want[n.ASN] {
+			t.Errorf("AS%d: route server counts %d accepted, %d filtered, want %v", n.ASN, accepted, filtered, want[n.ASN])
+		}
+	}
+	if len(ns) != len(want) {
+		t.Errorf("%d neighbors, want %d", len(ns), len(want))
 	}
 }
 
@@ -312,75 +332,6 @@ func TestPaginateEdges(t *testing.T) {
 	lo, hi, _ = paginate(25, 99, 10)
 	if lo != 25 || hi != 25 {
 		t.Errorf("past-end page: %d %d", lo, hi)
-	}
-}
-
-func TestRoutesNotExportedEndpoint(t *testing.T) {
-	server, ts := fixture(t, 3) // AS100's routes all carry 0:6939 (non-member): no effect
-	scheme := server.Scheme()
-	// Add a route avoiding AS200 so the not-exported view is non-empty.
-	avoid := bgp.Route{
-		Prefix:      netutil.SyntheticV4Prefix(50),
-		NextHop:     netutil.PeerAddrV4(1),
-		ASPath:      bgp.ASPath{100},
-		Communities: []bgp.Community{scheme.DoNotAnnounce(200)},
-	}
-	if reason, err := server.Announce(100, avoid); err != nil || reason != rs.FilterNone {
-		t.Fatal(reason, err)
-	}
-	c := NewClient(ts.URL, ClientOptions{PageSize: 2})
-	withheld, err := c.RoutesNotExported(context.Background(), 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(withheld) != 1 || withheld[0].Prefix != avoid.Prefix {
-		t.Errorf("withheld = %v", withheld)
-	}
-	received, err := c.RoutesReceived(context.Background(), 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(received) != 0 {
-		t.Errorf("received = %d (AS200 announces nothing; it *gets* exports, not received)", len(received))
-	}
-}
-
-// TestRoutesNotExportedPagesPartitionTheView is the regression test for
-// paging the not-exported view: thirty members announce the same two
-// prefixes and keep one of them from AS200. Every page is computed by
-// its own request, so the pages only add up to the view — each withheld
-// route once, none missing — if the order behind them is total. (Sorted
-// by prefix alone over map order, same-prefix routes changed places
-// between two page requests.)
-func TestRoutesNotExportedPagesPartitionTheView(t *testing.T) {
-	server, ts := fixture(t, 3)
-	scheme := server.Scheme()
-	for i := 0; i < 30; i++ {
-		asn := uint32(300 + i)
-		if err := server.AddPeer(rs.Peer{ASN: asn, Name: "peer", AddrV4: netutil.PeerAddrV4(10 + i), IPv4: true}); err != nil {
-			t.Fatal(err)
-		}
-		for k, comms := range [][]bgp.Community{{scheme.DoNotAnnounce(200)}, nil} {
-			r := bgp.Route{Prefix: netutil.SyntheticV4Prefix(60 + k), NextHop: netutil.PeerAddrV4(10 + i), ASPath: bgp.ASPath{asn}, Communities: comms}
-			if reason, err := server.Announce(asn, r); err != nil || reason != rs.FilterNone {
-				t.Fatal(reason, err)
-			}
-		}
-	}
-	c := NewClient(ts.URL, ClientOptions{PageSize: 4})
-	for round := 0; round < 3; round++ {
-		withheld, err := c.RoutesNotExported(context.Background(), 200)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(withheld) != 30 {
-			t.Fatalf("paged view has %d routes, want 30", len(withheld))
-		}
-		for i, r := range withheld {
-			if r.PeerAS() != uint32(300+i) || r.Prefix != netutil.SyntheticV4Prefix(60) {
-				t.Fatalf("route %d of the paged view is %s from AS%d, want AS%d's withheld route: pages overlap or skip", i, r.Prefix, r.PeerAS(), 300+i)
-			}
-		}
 	}
 }
 

@@ -49,12 +49,11 @@ const (
 	routeCommunities
 	routeExtCommunities
 	routeLargeCommunities
-	routeFilterReason
 )
 
 var (
 	pageFields  = []string{"routes", "page", "page_size", "total_pages", "total_count"}
-	routeFields = []string{"network", "gateway", "as_path", "communities", "ext_communities", "large_communities", "filter_reason"}
+	routeFields = []string{"network", "gateway", "as_path", "communities", "ext_communities", "large_communities"}
 )
 
 // maxPageField bounds the paging fields the scanner reads: small enough
@@ -255,8 +254,6 @@ func (d *listingDecoder) route() bool {
 			r.ExtCommunities, ok = list(d, &d.exts, (*listingDecoder).extCommunity)
 		case routeLargeCommunities:
 			r.LargeCommunities, ok = list(d, &d.larges, (*listingDecoder).largeCommunity)
-		case routeFilterReason:
-			_, ok = d.str()
 		}
 		if more, ok = d.next(ok, '}'); !ok {
 			return false

@@ -22,16 +22,16 @@ import (
 
 // richFixture is a route server whose listings exercise every part of
 // the wire shape: AS100 announces v4 and v6 routes with and without
-// each community flavour and has filtered routes with nil, empty and
-// unprintable attributes; AS200 announces nothing; AS300 is avoided by
-// some of AS100's routes, so its not-exported view is not empty.
+// each community flavour, some of them avoiding member AS300; AS200
+// and AS300 announce nothing; AS400 announces one route whose
+// gateway's zone needs escapes and whose extended community is opaque.
 func richFixture(t testing.TB) *rs.Server {
 	t.Helper()
 	server, err := rs.New(rs.Config{Scheme: dictionary.ProfileByName("DE-CIX"), ScrubActions: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, asn := range []uint32{100, 200, 300} {
+	for i, asn := range []uint32{100, 200, 300, 400} {
 		if err := server.AddPeer(rs.Peer{ASN: asn, Name: "peer", AddrV4: netutil.PeerAddrV4(i + 1), IPv4: true, IPv6: true}); err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +39,7 @@ func richFixture(t testing.TB) *rs.Server {
 	scheme := server.Scheme()
 	accept := func(r bgp.Route) {
 		t.Helper()
-		if reason, err := server.Announce(100, r); err != nil || reason != rs.FilterNone {
+		if reason, err := server.Announce(r.PeerAS(), r); err != nil || reason != rs.FilterNone {
 			t.Fatalf("announce %s: %v %v", r.Prefix, reason, err)
 		}
 	}
@@ -71,20 +71,8 @@ func richFixture(t testing.TB) *rs.Server {
 			Communities: []bgp.Community{bgp.NewCommunity(0, uint16(i))},
 		})
 	}
-	for i, bad := range []bgp.Route{
-		{Prefix: netutil.SyntheticV4Prefix(50), NextHop: netutil.PeerAddrV4(1), ASPath: bgp.ASPath{999}},                 // first-as mismatch
-		{Prefix: netutil.SyntheticV4Prefix(51), NextHop: netutil.PeerAddrV4(1)},                                          // nil path
-		{Prefix: netutil.SyntheticV4Prefix(52), NextHop: netutil.PeerAddrV4(1), ASPath: bgp.ASPath{}},                    // empty path
-		{NextHop: netutil.PeerAddrV4(1), ASPath: bgp.ASPath{100}},                                                        // zero prefix
-		{Prefix: netutil.SyntheticV4Prefix(53), ASPath: bgp.ASPath{100}},                                                 // zero next hop
-		{Prefix: netutil.SyntheticV6Prefix(54), NextHop: netip.MustParseAddr("fe80::1%e<\"0>"), ASPath: bgp.ASPath{999}}, // zone needing escapes
-		{Prefix: netutil.SyntheticV4Prefix(55), NextHop: netutil.PeerAddrV4(1), ASPath: bgp.ASPath{100, 23456},
-			ExtCommunities: []bgp.ExtendedCommunity{{0x03, 0x0b, 1, 2, 3, 4, 5, 6}}}, // opaque ext (hex) + bogon ASN
-	} {
-		if reason, _ := server.Announce(100, bad); reason == rs.FilterNone {
-			t.Fatalf("bad route %d accepted", i)
-		}
-	}
+	accept(bgp.Route{Prefix: netutil.SyntheticV6Prefix(54), NextHop: netip.MustParseAddr("fe80::1%e<\"0>"), ASPath: bgp.ASPath{400},
+		ExtCommunities: []bgp.ExtendedCommunity{{0x03, 0x0b, 1, 2, 3, 4, 5, 6}}})
 	return server
 }
 
@@ -163,7 +151,7 @@ const onePageTail = `,"page":0,"page_size":500,"total_pages":1,"total_count":1}`
 
 // tokensApart is a page with a tab and a CR between every two tokens.
 var tokensApart = strings.Join(strings.Fields(`{ "routes" : [ { "network" : "10.0.0.0/24" , "gateway" : "10.0.0.1" , "as_path" : [ 1 , 2 ] ,
-	"communities" : [ "1:2" ] , "ext_communities" : [ "1:2:3" ] , "large_communities" : [ "1:2:3" ] , "filter_reason" : "x" } ] ,
+	"communities" : [ "1:2" ] , "ext_communities" : [ "1:2:3" ] , "large_communities" : [ "1:2:3" ] } ] ,
 	"page" : 0 , "page_size" : 1 , "total_pages" : 1 , "total_count" : 1 }`), "\t\r")
 
 // handWrittenPages are bodies no well-behaved looking glass sends but
@@ -174,7 +162,7 @@ var handWrittenPages = []string{
 	`{"routes":[{"network":"10.0.0.0/24","gateway":"10.0.0.1","communities":[x1:2"]}]}`,
 	`{"routes":[{"Communities":[00:0"]}]}`,
 	`{"page":01}`, `{"page":-0}`, `{"page":1152921504606846976,"total_count":1152921504606846977}`, `{"page":9223372036854775808}`,
-	"{\"routes\":[{\"network\":\"10.0.0.0/24\",\"gateway\":\"10.0.0.1\",\"filter_reason\":\"a\x7fb\"}]}",
+	"{\"routes\":[{\"network\":\"10.0.0.0/24\",\"gateway\":\"10.0.0.1\x7f\"}]}",
 	"{\"routes\":[{\"network\":\"10.0.0.0/24\x7f\",\"gateway\":\"10.0.0.1\"}]}",
 	`{"routes":[{"network":"10.0.0.0/24","gateway":"10.0.0.1","med":5}]}`,
 	`{"total_count":1,"routes":[{"large_communities":["1:2:3"],"communities":["1:2"],"gateway":"10.0.0.1","as_path":[1],"network":"10.0.0.0/24"}],"page":0}`,
@@ -223,8 +211,8 @@ var handWrittenPages = []string{
 	// nulls
 	`{"routes":null,"page":null,"page_size":null,"total_pages":null,"total_count":null}`,
 	`{"routes":[null]}`, `{"routes":[{}]}`,
-	`{"routes":[{"network":null,"gateway":null,"as_path":null,"communities":null,"ext_communities":null,"large_communities":null,"filter_reason":null}]}`,
-	`{"routes":[{"network":"10.0.0.0/24","gateway":"10.0.0.1","as_path":[null,1],"communities":null,"filter_reason":"bogon-prefix"}]}`,
+	`{"routes":[{"network":null,"gateway":null,"as_path":null,"communities":null,"ext_communities":null,"large_communities":null}]}`,
+	`{"routes":[{"network":"10.0.0.0/24","gateway":"10.0.0.1","as_path":[null,1],"communities":null}]}`,
 	`{"routes":[{"network":"10.0.0.0/24","gateway":"10.0.0.1","communities":[null]}]}`,
 	`{"routes":[{"network":"10.0.0.0/24","gateway":"10.0.0.1","as_path":[],"communities":[],"ext_communities":[],"large_communities":[]}]}`,
 	// wrong types and numbers that do not fit
@@ -241,7 +229,7 @@ var handWrittenPages = []string{
 	`{"routes":[{"network":"10.0.0.0/24","gateway":"10.0.0.1","as_path":{"a":1}}]}`,
 	`{"routes":[{"network":"10.0.0.0/24","gateway":"10.0.0.1","communities":"1:2"}]}`,
 	`{"routes":[{"network":"10.0.0.0/24","gateway":"10.0.0.1","communities":[12]}]}`,
-	`{"routes":[{"network":"10.0.0.0/24","gateway":"10.0.0.1","filter_reason":7}]}`,
+	`{"routes":[{"network":"10.0.0.0/24","gateway":"10.0.0.1","ext_communities":{}}]}`,
 	`{"page":"1"}`, `{"page":1.0}`, `{"page":1e2}`, `{"page":-5,"page_size":-0,"total_pages":9223372036854775807}`, `{"total_count":9223372036854775808}`,
 	`{"page":true}`, `{"page":[]}`, `{"page":-}`, `{"page":+1}`, `{"page":.5}`, `{"page":1.}`, `{"page":1e}`, `{"page":1e+}`, `{"page":0x10}`,
 	// route text that does not parse (and text that surprisingly does)
@@ -261,7 +249,9 @@ var handWrittenPages = []string{
 	`{"routes":[{"network":"10.0.0.0/24","gateway":"10.0.0.1","large_communities":["4294967296:0:0"]}]}`,
 	`{"routes":[{"network":"::ffff:10.0.0.0/104","gateway":"::ffff:10.0.0.1"}]}`,
 	`{"routes":[{"network":"10.0.0.0/24","gateway":"10.0.0.1"},{"network":"x","gateway":"10.0.0.1"}],"junk":}`,
-	// unknown members, white space, trailing garbage
+	// unknown members (filter_reason among them: the routes endpoint
+	// no longer serves rejected routes), white space, trailing garbage
+	`{"routes":[{"network":"10.0.0.0/24","gateway":"10.0.0.1","as_path":[1],"filter_reason":"bogon-prefix"}]}`,
 	`{"api":{"version":"2","cache":[1,2,{"a":null}],"ok":true,"no":false},"routes":[{"id":"x","age":1.5e-3,"network":"10.0.0.0/24","primary":true,"gateway":"10.0.0.1","details":{"bgp":{"med":[]}}}],"pagination":{}}`,
 	" {\n\t\"routes\" : [ {\r\n \"network\" : \"10.0.0.0/24\" , \"gateway\" : \"10.0.0.1\" , \"as_path\" : [ 1 , 2 ] } ] , \"page\" : 0 }\n",
 	`{"routes":[{"network":"10.0.0.0/24","gateway":"10.0.0.1"}]} x`,
@@ -281,9 +271,9 @@ func realPages(t testing.TB) [][]byte {
 	for _, path := range []string{
 		"/api/v1/routeservers/rs1/neighbors/100/routes/received",
 		"/api/v1/routeservers/rs1/neighbors/100/routes/received?page=1&page_size=4",
-		"/api/v1/routeservers/rs1/neighbors/100/routes/filtered",
+		"/api/v1/routeservers/rs1/neighbors/100/routes/received?page=2&page_size=4",
 		"/api/v1/routeservers/rs1/neighbors/200/routes/received",
-		"/api/v1/routeservers/rs1/neighbors/300/routes/not-exported",
+		"/api/v1/routeservers/rs1/neighbors/400/routes/received",
 	} {
 		pages = append(pages, bytes.Clone(fetchBody(t, h, path)))
 	}
@@ -393,25 +383,23 @@ func TestScannerErrorNamesTheOffset(t *testing.T) {
 }
 
 // TestScanTakesWhatTheServerRenders: the scanner itself accepts every
-// received and not-exported page the server renders, the empty one
-// included, so none of them costs the encoding/json path; it declines
-// a page whose gateway needed escapes, which only that path reads.
+// page the server renders, the empty one included, so none of them
+// costs the encoding/json path; it declines a page whose gateway needed
+// escapes, which only that path reads.
 func TestScanTakesWhatTheServerRenders(t *testing.T) {
 	h := NewServer(richFixture(t))
 	routes := 0
-	for _, view := range []string{"received", "not-exported"} {
-		for _, asn := range []uint32{100, 200, 300} {
-			for _, size := range []int{1, 3, 500} {
-				for page := 0; page < 100; page++ {
-					body := fetchBody(t, h, fmt.Sprintf("/api/v1/routeservers/rs1/neighbors/%d/routes/%s?page=%d&page_size=%d", asn, view, page, size))
-					d := newListingDecoder()
-					if !d.scan(body) {
-						t.Fatalf("scan declines a served page: %s", body)
-					}
-					routes += d.info.routes
-					if page >= d.info.totalPages-1 {
-						break
-					}
+	for _, asn := range []uint32{100, 200, 300} {
+		for _, size := range []int{1, 3, 500} {
+			for page := 0; page < 100; page++ {
+				body := fetchBody(t, h, fmt.Sprintf("/api/v1/routeservers/rs1/neighbors/%d/routes/received?page=%d&page_size=%d", asn, page, size))
+				d := newListingDecoder()
+				if !d.scan(body) {
+					t.Fatalf("scan declines a served page: %s", body)
+				}
+				routes += d.info.routes
+				if page >= d.info.totalPages-1 {
+					break
 				}
 			}
 		}
@@ -423,11 +411,11 @@ func TestScanTakesWhatTheServerRenders(t *testing.T) {
 	if !bytes.Contains(empty, []byte(`"routes":null`)) || !newListingDecoder().scan(empty) {
 		t.Errorf("scan declines the empty page %s", empty)
 	}
-	filtered := fetchBody(t, h, "/api/v1/routeservers/rs1/neighbors/100/routes/filtered?page_size=500")
-	if !bytes.Contains(filtered, []byte(`fe80::1%e\u003c\"0\u003e`)) {
-		t.Fatalf("the fixture no longer serves the escaped zone: %s", filtered)
+	escaped := fetchBody(t, h, "/api/v1/routeservers/rs1/neighbors/400/routes/received")
+	if !bytes.Contains(escaped, []byte(`fe80::1%e\u003c\"0\u003e`)) {
+		t.Fatalf("the fixture no longer serves the escaped zone: %s", escaped)
 	}
-	if newListingDecoder().scan(filtered) {
+	if newListingDecoder().scan(escaped) {
 		t.Error("scan accepts a page with escapes")
 	}
 }
@@ -441,65 +429,55 @@ func routesResponseFor(routes []APIRoute, page, size int) RoutesResponse {
 	return resp
 }
 
-// TestRoutesPageMatchesEncodingJSON: every routes endpoint's body is
-// byte-equal to encoding/json's rendering of the same RoutesResponse.
+// TestRoutesPageMatchesEncodingJSON: every routes page's body is
+// byte-equal to encoding/json's rendering of the same RoutesResponse,
+// and so is a route no route server accepts rendered on its own.
 func TestRoutesPageMatchesEncodingJSON(t *testing.T) {
 	server := richFixture(t)
 	h := NewServer(server)
-	listings := map[string]func(asn uint32) []APIRoute{
-		"received": func(asn uint32) (out []APIRoute) {
-			for _, r := range server.AcceptedRoutes(asn) {
-				out = append(out, EncodeRoute(r))
+	checked, nonEmpty := 0, 0
+	for _, asn := range []uint32{100, 200, 300, 400} {
+		var all []APIRoute
+		for _, r := range server.AcceptedRoutes(asn) {
+			all = append(all, EncodeRoute(r))
+		}
+		for _, q := range []struct{ page, size int }{
+			{0, 0}, {0, 1}, {0, 3}, {1, 3}, {2, 3}, {3, 3}, {4, 3}, {9, 3}, {0, 5000}, {0, 9999}, {1 << 62, 7},
+		} {
+			path := fmt.Sprintf("/api/v1/routeservers/rs1/neighbors/%d/routes/received?page=%d", asn, q.page)
+			size := DefaultPageSize
+			if q.size > 0 {
+				path += fmt.Sprintf("&page_size=%d", q.size)
+				size = min(q.size, MaxPageSize)
 			}
-			return out
-		},
-		"filtered": func(asn uint32) (out []APIRoute) {
-			for _, f := range server.FilteredRoutes(asn) {
-				ar := EncodeRoute(f.Route)
-				ar.FilterReason = f.Reason.String()
-				out = append(out, ar)
+			var want bytes.Buffer
+			resp := routesResponseFor(all, q.page, size)
+			if err := json.NewEncoder(&want).Encode(resp); err != nil {
+				t.Fatal(err)
 			}
-			return out
-		},
-		"not-exported": func(asn uint32) (out []APIRoute) {
-			for _, r := range server.NotExportedTo(asn) {
-				out = append(out, EncodeRoute(r))
+			if got := fetchBody(t, h, path); !bytes.Equal(got, want.Bytes()) {
+				t.Errorf("GET %s:\n got  %s want %s", path, got, want.Bytes())
 			}
-			return out
-		},
-	}
-	checked, nonEmpty := 0, map[string]bool{}
-	for view, listing := range listings {
-		for _, asn := range []uint32{100, 200, 300} {
-			all := listing(asn)
-			for _, q := range []struct{ page, size int }{
-				{0, 0}, {0, 1}, {0, 3}, {1, 3}, {2, 3}, {3, 3}, {4, 3}, {9, 3}, {0, 5000}, {0, 9999}, {1 << 62, 7},
-			} {
-				path := fmt.Sprintf("/api/v1/routeservers/rs1/neighbors/%d/routes/%s?page=%d", asn, view, q.page)
-				size := DefaultPageSize
-				if q.size > 0 {
-					path += fmt.Sprintf("&page_size=%d", q.size)
-					size = min(q.size, MaxPageSize)
-				}
-				var want bytes.Buffer
-				resp := routesResponseFor(all, q.page, size)
-				if err := json.NewEncoder(&want).Encode(resp); err != nil {
-					t.Fatal(err)
-				}
-				if got := fetchBody(t, h, path); !bytes.Equal(got, want.Bytes()) {
-					t.Errorf("GET %s:\n got  %s want %s", path, got, want.Bytes())
-				}
-				checked++
-				if len(resp.Routes) > 0 {
-					nonEmpty[view] = true
-				}
+			checked++
+			if len(resp.Routes) > 0 {
+				nonEmpty++
 			}
 		}
 	}
-	if len(nonEmpty) != len(listings) {
-		t.Errorf("only %v served a non-empty page: the fixture no longer exercises every view", nonEmpty)
+	if checked == 0 || nonEmpty == 0 {
+		t.Fatalf("%d pages checked, %d with routes", checked, nonEmpty)
 	}
-	if checked == 0 {
-		t.Fatal("nothing checked")
+	for _, r := range []bgp.Route{
+		{NextHop: netutil.PeerAddrV4(1), ASPath: bgp.ASPath{100}},                                     // zero prefix
+		{Prefix: netutil.SyntheticV4Prefix(53), ASPath: bgp.ASPath{100}},                              // zero next hop
+		{Prefix: netutil.SyntheticV4Prefix(52), NextHop: netutil.PeerAddrV4(1), ASPath: bgp.ASPath{}}, // empty path
+	} {
+		want, err := json.Marshal(EncodeRoute(r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendAPIRoute(nil, &r); !bytes.Equal(got, want) {
+			t.Errorf("route %v:\n got  %s\n want %s", r, got, want)
+		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"ixplight/internal/bgp"
 )
 
-// The routes endpoints render their pages by hand: a page is most of
+// The routes endpoint renders its pages by hand: a page is most of
 // what a crawl moves over the wire, and appending it field by field
 // costs a fraction of reflecting over []APIRoute. The bytes are exactly
 // what json.NewEncoder(w).Encode(RoutesResponse{…}) writes for the same
@@ -48,9 +48,8 @@ func appendPageTail(b []byte, n, page, size, totalPages, total int) []byte {
 	return append(b, '}', '\n')
 }
 
-// appendAPIRoute appends EncodeRoute(*r), with FilterReason set to
-// filterReason, as encoding/json renders it.
-func appendAPIRoute(b []byte, r *bgp.Route, filterReason string) []byte {
+// appendAPIRoute appends EncodeRoute(*r) as encoding/json renders it.
+func appendAPIRoute(b []byte, r *bgp.Route) []byte {
 	b = append(b, `{"network":`...)
 	if r.Prefix.IsValid() {
 		b = append(b, '"')
@@ -105,10 +104,6 @@ func appendAPIRoute(b []byte, r *bgp.Route, filterReason string) []byte {
 			b = append(b, '"')
 		}
 		b = append(b, ']')
-	}
-	if filterReason != "" {
-		b = append(b, `,"filter_reason":`...)
-		b = appendJSONString(b, filterReason)
 	}
 	return append(b, '}')
 }

@@ -31,8 +31,6 @@ func NewServer(routeServer *rs.Server) *Server {
 	s.mux.HandleFunc("GET /api/v1/status", s.handleStatus)
 	s.mux.HandleFunc("GET /api/v1/routeservers/rs1/neighbors", s.handleNeighbors)
 	s.mux.HandleFunc("GET /api/v1/routeservers/rs1/neighbors/{asn}/routes/received", s.handleRoutesReceived)
-	s.mux.HandleFunc("GET /api/v1/routeservers/rs1/neighbors/{asn}/routes/filtered", s.handleRoutesFiltered)
-	s.mux.HandleFunc("GET /api/v1/routeservers/rs1/neighbors/{asn}/routes/not-exported", s.handleRoutesNotExported)
 	s.mux.HandleFunc("GET /api/v1/routeservers/rs1/config/raw", s.handleConfigRaw)
 	return s
 }
@@ -117,32 +115,6 @@ func paginate(n, page, size int) (lo, hi, totalPages int) {
 	return lo, hi, totalPages
 }
 
-// serveRoutes answers one page of a routes endpoint. list emits the
-// routes of the given page and returns the listing's total; the page is
-// rendered straight into a pooled buffer while list runs (possibly
-// under the route server's read lock) and reaches the wire in one Write
-// afterwards, so a page costs O(page size) and the lock is never held
-// across the network.
-func (s *Server) serveRoutes(w http.ResponseWriter, r *http.Request, list func(asn uint32, page, size int, emit func(rt *bgp.Route, filterReason string)) (total int)) {
-	asn, ok := s.neighborASN(w, r)
-	if !ok {
-		return
-	}
-	page, size := pageParams(r)
-	bp := pagePool.Get().(*[]byte)
-	b, n := append((*bp)[:0], `{"routes":`...), 0
-	total := list(asn, page, size, func(rt *bgp.Route, filterReason string) {
-		b = appendAPIRoute(append(b, routeSep(n)), rt, filterReason)
-		n++
-	})
-	_, _, pages := paginate(total, page, size)
-	b = appendPageTail(b, n, page, size, pages, total)
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(b) // too late for a status change; the client sees a truncated body
-	*bp = b
-	pagePool.Put(bp)
-}
-
 // pageOffset is the first item of a page; a page number large enough
 // to overflow lands past the end of any listing.
 func pageOffset(page, size int) int {
@@ -152,26 +124,29 @@ func pageOffset(page, size int) int {
 	return -1
 }
 
+// handleRoutesReceived answers one page of a neighbor's accepted
+// routes. The page is rendered straight into a pooled buffer while the
+// route server's read lock is held and reaches the wire in one Write
+// afterwards, so a page costs O(page size) and the lock is never held
+// across the network.
 func (s *Server) handleRoutesReceived(w http.ResponseWriter, r *http.Request) {
-	s.serveRoutes(w, r, func(asn uint32, page, size int, emit func(*bgp.Route, string)) int {
-		return s.rs.VisitAccepted(asn, pageOffset(page, size), size, func(rt *bgp.Route) { emit(rt, "") })
+	asn, ok := s.neighborASN(w, r)
+	if !ok {
+		return
+	}
+	page, size := pageParams(r)
+	bp := pagePool.Get().(*[]byte)
+	b, n := append((*bp)[:0], `{"routes":`...), 0
+	total := s.rs.VisitAccepted(asn, pageOffset(page, size), size, func(rt *bgp.Route) {
+		b = appendAPIRoute(append(b, routeSep(n)), rt)
+		n++
 	})
-}
-
-func (s *Server) handleRoutesFiltered(w http.ResponseWriter, r *http.Request) {
-	s.serveRoutes(w, r, func(asn uint32, page, size int, emit func(*bgp.Route, string)) int {
-		return s.rs.VisitFiltered(asn, pageOffset(page, size), size, func(f *rs.FilteredRoute) { emit(&f.Route, f.Reason.String()) })
-	})
-}
-
-// handleRoutesNotExported serves the routes action communities keep
-// away from this neighbor — the alice-lg "not exported" view — by
-// announcing peer, then prefix: the route server's export walk, a total
-// order, so the pages of an unchanged table partition the view.
-func (s *Server) handleRoutesNotExported(w http.ResponseWriter, r *http.Request) {
-	s.serveRoutes(w, r, func(asn uint32, page, size int, emit func(*bgp.Route, string)) int {
-		return s.rs.VisitNotExported(asn, pageOffset(page, size), size, func(rt *bgp.Route) { emit(rt, "") })
-	})
+	_, _, pages := paginate(total, page, size)
+	b = appendPageTail(b, n, page, size, pages, total)
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(b) // too late for a status change; the client sees a truncated body
+	*bp = b
+	pagePool.Put(bp)
 }
 
 // handleConfigRaw serves the BIRD-style configuration text — the §3

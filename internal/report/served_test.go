@@ -41,7 +41,7 @@ func indexAnswers(ix *analysis.Index, s *collector.Snapshot) (out []any) {
 		out = append(out, ix.Counts(v6), ix.Usage(v6), ix.Mix(v6), a, i, ix.FlavourActions(v6),
 			ix.PerASActionCounts(v6), ix.RouteCommCorrelation(v6), ix.ASesPerActionType(v6),
 			ix.OccurrencesPerType(v6), ix.TopActionCommunities(v6, 0), ix.NonMemberTargeting(v6, 0),
-			ix.CulpritRanking(v6, 0), ix.TopTargets(v6, 0), ix.CategoryBreakdown(reg, v6),
+			ix.CulpritRanking(v6, 0), ix.CategoryBreakdown(reg, v6),
 			ix.HygieneFilterImpact(v6, []int{0, 2, 10}), ix.CommunityCountPercentiles(v6, []float64{0, 50, 90, 100}))
 		for _, asn := range slices.Compact(peers) {
 			out = append(out, ix.ASActivity(asn, v6))

@@ -24,10 +24,15 @@ func ExampleServer() {
 	if err := w.Populate(server); err != nil {
 		panic(err)
 	}
-	first := server.Peers()[0]
+	peers := server.Peers()
+	first := peers[0]
+	announced := 0
+	for _, p := range peers[1:] {
+		accepted, _ := server.RouteCounts(p.ASN)
+		announced += accepted
+	}
 	exported := server.ExportTo(first.ASN)
-	withheld := server.NotExportedTo(first.ASN)
-	fmt.Printf("AS%d receives %v routes: %v\n", first.ASN, len(exported) > 0, len(exported)+len(withheld) > len(exported))
+	fmt.Printf("AS%d receives %d of the %d routes the other members announce\n", first.ASN, len(exported), announced)
 	// Output:
-	// AS174 receives true routes: true
+	// AS174 receives 4208 of the 4946 routes the other members announce
 }

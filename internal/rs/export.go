@@ -105,8 +105,8 @@ func summarizeActions(scheme *dictionary.Scheme, r *bgp.Route, scratch *summaryS
 }
 
 // exportAllowed decides whether a route with summary a may be exported
-// to target — the one export decision every view (ExportTo,
-// NotExportedTo, the visits) is built on. Specific communities beat
+// to target — the one export decision VisitExported and ExportTo are
+// built on. Specific communities beat
 // the general ones, matching production BIRD filter chains:
 //
 //  1. 0:<target> denies,
@@ -136,7 +136,7 @@ func (a *actionSummary) prependFor(target uint32) int {
 }
 
 // peerOrder returns the ASNs holding an Adj-RIB-In, ascending — the
-// outer order of every export walk. The caller holds s.mu.
+// outer order of the export walk. The caller holds s.mu.
 func (s *Server) peerOrder() []uint32 {
 	order := make([]uint32, 0, len(s.ribIn))
 	for asn := range s.ribIn {
@@ -146,34 +146,13 @@ func (s *Server) peerOrder() []uint32 {
 	return order
 }
 
-// walkCandidates makes the export decision for every candidate of an
-// export towards member target — every other member's accepted routes —
-// and hands each to fn with the verdict. It is the one walk all export
-// views are two sides of. Candidates come by announcing peer in ASN
-// order, then in the peer's prefix order, so two walks over an
-// unchanged server see the same sequence. The read lock is held
-// throughout; an unknown target has no candidates.
-func (s *Server) walkCandidates(target uint32, fn func(peerASN uint32, e *ribEntry, allowed bool)) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if _, ok := s.peers[target]; !ok {
-		return
-	}
-	for _, peerASN := range s.peerOrder() {
-		if peerASN == target {
-			continue
-		}
-		for _, e := range s.prefixOrder(peerASN, s.ribIn[peerASN]) {
-			fn(peerASN, e, e.actions.exportAllowed(target))
-		}
-	}
-}
-
 // VisitExported calls visit for every route the server propagates to
-// member target, in walk order (announcing peer, then prefix), and
-// returns how many there are: every other member's accepted routes,
-// minus those whose action communities suppress the export, with
-// prepending applied and (when configured) action communities scrubbed.
+// member target and returns how many there are: every other member's
+// accepted routes, minus those whose action communities suppress the
+// export, with prepending applied and (when configured) action
+// communities scrubbed. Routes come by announcing peer in ASN order,
+// then in the peer's prefix order, so two walks over an unchanged
+// server see the same sequence; an unknown target receives nothing.
 //
 // It is VisitAccepted's contract with one difference: visit sees a
 // scratch route the walk owns, whose slices the next route overwrites.
@@ -181,35 +160,23 @@ func (s *Server) walkCandidates(target uint32, fn func(peerASN uint32, e *ribEnt
 // runs with the read lock held, so it must only count, copy or render
 // into memory.
 func (s *Server) VisitExported(target uint32, visit func(*bgp.Route)) (total int) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if _, ok := s.peers[target]; !ok {
+		return 0
+	}
 	buf := newExportBuf()
-	s.walkCandidates(target, func(peerASN uint32, e *ribEntry, allowed bool) {
-		if allowed {
-			visit(s.export(buf, e, peerASN, target))
-			total++
+	for _, peerASN := range s.peerOrder() {
+		if peerASN == target {
+			continue
 		}
-	})
-	return total
-}
-
-// VisitNotExported is the other side of the walk, in the same order:
-// the routes the server withholds from member target because of action
-// communities. Looking glasses expose this view (alice-lg's "not
-// exported" tab); it is how an operator checks that their
-// do-not-announce tags bite. A withheld route is listed as it was
-// accepted, so visit is called for routes [offset, offset+limit) of the
-// view (limit < 0: to the end) under exactly VisitAccepted's contract —
-// it sees the Adj-RIB-In entry — and total is the size of the whole
-// view, read under the same lock as the window.
-func (s *Server) VisitNotExported(target uint32, offset, limit int, visit func(*bgp.Route)) (total int) {
-	s.walkCandidates(target, func(_ uint32, e *ribEntry, allowed bool) {
-		if allowed {
-			return
+		for _, e := range s.prefixOrder(peerASN, s.ribIn[peerASN]) {
+			if e.actions.exportAllowed(target) {
+				visit(s.export(buf, e, peerASN, target))
+				total++
+			}
 		}
-		if offset >= 0 && total >= offset && (limit < 0 || total-offset < limit) {
-			visit(&e.route)
-		}
-		total++
-	})
+	}
 	return total
 }
 
@@ -287,9 +254,9 @@ func nilAs[T any](src, list []T) []T {
 	return list
 }
 
-// byPrefixThenPeer is the order of the materialised export views:
-// prefix, then announcing peer. A peer holds a prefix once, so the
-// order is total and does not depend on how the routes were collected.
+// byPrefixThenPeer is the order of ExportTo's list: prefix, then
+// announcing peer. A peer holds a prefix once, so the order is total
+// and does not depend on how the routes were collected.
 func byPrefixThenPeer(a, b bgp.Route) int {
 	if c := comparePrefix(a.Prefix, b.Prefix); c != 0 {
 		return c
@@ -302,16 +269,6 @@ func byPrefixThenPeer(a, b bgp.Route) int {
 func (s *Server) ExportTo(target uint32) []bgp.Route {
 	var out []bgp.Route
 	s.VisitExported(target, func(r *bgp.Route) { out = append(out, r.Clone()) })
-	slices.SortFunc(out, byPrefixThenPeer)
-	return out
-}
-
-// NotExportedTo returns deep copies of the routes VisitNotExported
-// walks — the complement of ExportTo over the other members' accepted
-// routes — sorted by prefix, then by announcing peer.
-func (s *Server) NotExportedTo(target uint32) []bgp.Route {
-	var out []bgp.Route
-	s.VisitNotExported(target, 0, -1, func(r *bgp.Route) { out = append(out, r.Clone()) })
 	slices.SortFunc(out, byPrefixThenPeer)
 	return out
 }

@@ -381,27 +381,23 @@ func TestExportDeterministicOrder(t *testing.T) {
 	}
 }
 
-func TestNotExportedTo(t *testing.T) {
+// TestExportToWithholds: a member misses exactly the routes whose
+// action communities keep them from it.
+func TestExportToWithholds(t *testing.T) {
 	s, scheme := exportFixture(t)
 	announceOK(t, s, 100, route(100, 0, scheme.DoNotAnnounce(200)))
 	announceOK(t, s, 100, route(100, 1))
 	announceOK(t, s, 300, route(300, 2, scheme.DoNotAnnounceAll()))
 
 	// AS200 misses the avoid-tagged route and the deny-all one.
-	withheld := s.NotExportedTo(200)
-	if len(withheld) != 2 {
-		t.Fatalf("withheld = %d routes: %v", len(withheld), prefixesOf(withheld))
+	if got := prefixesOf(s.ExportTo(200)); !reflect.DeepEqual(got, prefixesOf([]bgp.Route{route(100, 1)})) {
+		t.Errorf("AS200 receives %v, want AS100's untagged route alone", got)
 	}
-	// Exported + withheld must partition the other members' routes.
-	if got := len(s.ExportTo(200)) + len(withheld); got != 3 {
-		t.Errorf("partition = %d routes, want 3", got)
+	// 0:200 targets AS200 only: AS300 receives both of AS100's routes.
+	if got := len(s.ExportTo(300)); got != 2 {
+		t.Errorf("AS300 receives %d routes, want 2", got)
 	}
-	// AS300 only misses the deny-all... which is its own route, so it
-	// misses only AS100's avoid-tagged? No: 0:200 targets AS200 only.
-	if got := len(s.NotExportedTo(300)); got != 0 {
-		t.Errorf("AS300 withheld = %d, want 0", got)
-	}
-	if s.NotExportedTo(999) != nil {
+	if s.ExportTo(999) != nil {
 		t.Error("unknown peer must get nil")
 	}
 }
@@ -419,20 +415,18 @@ func TestExportOrderIsTotal(t *testing.T) {
 		announceOK(t, s, asn, route(asn, 1))
 		announceOK(t, s, asn, route(asn, 0, scheme.DoNotAnnounce(9)))
 	}
-	for view, list := range map[string]func(uint32) []bgp.Route{"ExportTo": s.ExportTo, "NotExportedTo": s.NotExportedTo} {
-		first := list(9)
-		if len(first) != 40 {
-			t.Fatalf("%s(9) = %d routes, want 40", view, len(first))
+	first := s.ExportTo(9)
+	if len(first) != 40 {
+		t.Fatalf("ExportTo(9) = %d routes, want 40", len(first))
+	}
+	for i, r := range first {
+		if r.PeerAS() != uint32(100+i) {
+			t.Fatalf("ExportTo(9)[%d] is AS%d's route: same-prefix routes are not in announcing-peer order", i, r.PeerAS())
 		}
-		for i, r := range first {
-			if r.PeerAS() != uint32(100+i) {
-				t.Fatalf("%s(9)[%d] is AS%d's route: same-prefix routes are not in announcing-peer order", view, i, r.PeerAS())
-			}
-		}
-		for retry := 0; retry < 10; retry++ {
-			if !reflect.DeepEqual(first, list(9)) {
-				t.Fatalf("%s(9) differs between two calls on an unchanged server", view)
-			}
+	}
+	for retry := 0; retry < 10; retry++ {
+		if !reflect.DeepEqual(first, s.ExportTo(9)) {
+			t.Fatal("ExportTo(9) differs between two calls on an unchanged server")
 		}
 	}
 }
@@ -527,11 +521,10 @@ func randomTaggedRoute(rng *rand.Rand, scheme *dictionary.Scheme, peers []uint32
 
 // TestExportViewsMatchReferenceRandomized holds the value summaries and
 // the walk to the from-scratch reference over seeded random tables:
-// for every target, ExportTo and NotExportedTo are deeply equal to the
-// reference's lists; VisitExported shows the same routes in walk order
-// (announcing peer, then prefix) and counts them; and any paging of
-// VisitNotExported concatenates to the whole view with a constant
-// total.
+// for every target, ExportTo is deeply equal to the reference's list,
+// VisitExported shows the same routes in walk order (announcing peer,
+// then prefix) and counts them, and no route the reference withholds
+// is exported.
 func TestExportViewsMatchReferenceRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(20211004))
 	byPeerThenPrefix := func(a, b bgp.Route) int {
@@ -564,9 +557,6 @@ func TestExportViewsMatchReferenceRandomized(t *testing.T) {
 			if got := s.ExportTo(target); !reflect.DeepEqual(got, wantExported) {
 				t.Fatalf("trial %d target %d: ExportTo\n got  %v\n want %v", trial, target, got, wantExported)
 			}
-			if got := s.NotExportedTo(target); !reflect.DeepEqual(got, wantWithheld) {
-				t.Fatalf("trial %d target %d: NotExportedTo\n got  %v\n want %v", trial, target, got, wantWithheld)
-			}
 
 			var walked []bgp.Route
 			total := s.VisitExported(target, func(r *bgp.Route) { walked = append(walked, r.Clone()) })
@@ -581,30 +571,19 @@ func TestExportViewsMatchReferenceRandomized(t *testing.T) {
 				t.Fatalf("trial %d target %d: VisitExported\n got  %v\n want %v", trial, target, walked, wantExported)
 			}
 
-			slices.SortFunc(wantWithheld, byPeerThenPrefix)
-			for _, size := range []int{1, 2, 5, -1} {
-				var paged []bgp.Route
-				for offset := 0; ; offset += max(size, 1) {
-					n := len(paged)
-					total := s.VisitNotExported(target, offset, size, func(r *bgp.Route) { paged = append(paged, r.Clone()) })
-					if total != len(wantWithheld) {
-						t.Fatalf("trial %d target %d: VisitNotExported total %d, want %d", trial, target, total, len(wantWithheld))
-					}
-					if size > 0 && len(paged)-n > size {
-						t.Fatalf("trial %d target %d: page of %d exceeds limit %d", trial, target, len(paged)-n, size)
-					}
-					if len(paged) == n || size < 0 {
-						break
-					}
-				}
-				if !reflect.DeepEqual(paged, wantWithheld) {
-					t.Fatalf("trial %d target %d page size %d: VisitNotExported\n got  %v\n want %v", trial, target, size, paged, wantWithheld)
+			type sent struct {
+				prefix netip.Prefix
+				peer   uint32
+			}
+			exported := map[sent]bool{}
+			for _, r := range walked {
+				exported[sent{r.Prefix, r.PeerAS()}] = true
+			}
+			for _, r := range wantWithheld {
+				if exported[sent{r.Prefix, r.PeerAS()}] {
+					t.Fatalf("trial %d target %d: AS%d's %s is exported, but the reference withholds it", trial, target, r.PeerAS(), r.Prefix)
 				}
 			}
-			if n := s.VisitNotExported(target, -1, 5, func(*bgp.Route) { t.Error("visit past the end") }); n != len(wantWithheld) {
-				t.Errorf("trial %d target %d: total %d for an overflowed offset, want %d", trial, target, n, len(wantWithheld))
-			}
-
 			withheldTotal += len(wantWithheld)
 			for _, r := range wantExported {
 				if len(r.ASPath) > 1 && r.ASPath[1] == r.ASPath[0] {

@@ -49,13 +49,6 @@ func (f FilterReason) String() string {
 	}
 }
 
-// FilteredRoute pairs a rejected route with its rejection reason, the
-// shape the looking glass exposes under /routes/filtered.
-type FilteredRoute struct {
-	Route  bgp.Route
-	Reason FilterReason
-}
-
 // checkImport applies the import policy for a route announced by
 // peerASN. Blackhole-tagged routes (when the scheme supports them) are
 // exempt from the prefix-bounds check so that /32 and /128 host routes

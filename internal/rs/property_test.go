@@ -2,6 +2,8 @@ package rs
 
 import (
 	"math/rand"
+	"net/netip"
+	"reflect"
 	"testing"
 
 	"ixplight/internal/bgp"
@@ -13,8 +15,8 @@ import (
 // action communities, the route server must satisfy three invariants
 // for every target peer:
 //
-//  1. partition: ExportTo(t) ∪ NotExportedTo(t) covers exactly the
-//     other members' accepted routes, with no overlap;
+//  1. reference: ExportTo(t) equals the from-scratch reference
+//     (exportScan), and no route the reference withholds is exported;
 //  2. scrub-completeness: no exported route carries a known action
 //     community (except a retained blackhole marker);
 //  3. prepend monotonicity: an exported path is the stored path with
@@ -34,12 +36,8 @@ func TestExportInvariantsRandomized(t *testing.T) {
 			peers[i] = uint32(100 + i)
 			addPeer(t, s, peers[i], i+1)
 		}
-		perPeer := make(map[uint32]int)
-		total := 0
 		for i, peer := range peers {
-			n := 1 + rng.Intn(8)
-			perPeer[peer] = n
-			for k := 0; k < n; k++ {
+			for k, n := 0, 1+rng.Intn(8); k < n; k++ {
 				r := bgp.Route{
 					Prefix:      netutil.SyntheticV4Prefix(trial*1000 + i*100 + k),
 					NextHop:     netutil.PeerAddrV4(i + 1),
@@ -47,28 +45,24 @@ func TestExportInvariantsRandomized(t *testing.T) {
 					Communities: randomActionSet(rng, scheme, peers),
 				}
 				announceOK(t, s, peer, r)
-				total++
 			}
 		}
 
 		for _, target := range peers {
 			exported := s.ExportTo(target)
-			withheld := s.NotExportedTo(target)
 
-			// 1. Partition.
-			want := total - perPeer[target]
-			if len(exported)+len(withheld) != want {
-				t.Fatalf("trial %d target %d: %d exported + %d withheld != %d candidates",
-					trial, target, len(exported), len(withheld), want)
+			// 1. Reference.
+			wantExported, withheld := s.exportScan(target)
+			if !reflect.DeepEqual(exported, wantExported) {
+				t.Fatalf("trial %d target %d: ExportTo\n got  %v\n want %v", trial, target, exported, wantExported)
 			}
-			seen := map[string]bool{}
+			seen := map[netip.Prefix]bool{} // each peer announces its own prefixes
 			for _, r := range exported {
-				seen[r.Prefix.String()+"|"+r.ASPath.String()] = true
+				seen[r.Prefix] = true
 			}
 			for _, r := range withheld {
-				key := r.Prefix.String() + "|" + r.ASPath.String()
-				if seen[key] {
-					t.Fatalf("trial %d target %d: route %s both exported and withheld", trial, target, key)
+				if seen[r.Prefix] {
+					t.Fatalf("trial %d target %d: route %s both exported and withheld", trial, target, r.Prefix)
 				}
 			}
 

@@ -53,8 +53,10 @@ type Server struct {
 	mu    sync.RWMutex
 	peers map[uint32]*Peer
 	// ribIn maps each peer's prefixes to entries in store.
-	ribIn    map[uint32]map[netip.Prefix]*ribEntry
-	filtered map[uint32][]FilteredRoute
+	ribIn map[uint32]map[netip.Prefix]*ribEntry
+	// rejected counts the announcements each peer had rejected by the
+	// import policy.
+	rejected map[uint32]int
 	// ordered caches each peer's Adj-RIB-In entries in prefix order —
 	// the order every listing is served in, and walked in place. A slot
 	// is built by the first reader that needs it (under the read lock:
@@ -84,7 +86,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		peers:    make(map[uint32]*Peer),
 		ribIn:    make(map[uint32]map[netip.Prefix]*ribEntry),
-		filtered: make(map[uint32][]FilteredRoute),
+		rejected: make(map[uint32]int),
 		ordered:  make(map[uint32]*atomic.Pointer[[]*ribEntry]),
 	}, nil
 }
@@ -122,7 +124,7 @@ func (s *Server) RemovePeer(asn uint32) {
 	delete(s.peers, asn)
 	delete(s.ribIn, asn)
 	delete(s.ordered, asn)
-	delete(s.filtered, asn)
+	delete(s.rejected, asn)
 	s.store.compact(s.ribIn)
 }
 
@@ -150,8 +152,8 @@ func (s *Server) HasPeer(asn uint32) bool {
 
 // Announce runs the import policy on r as announced by peerASN.
 // Accepted routes land in the peer's Adj-RIB-In (keyed by prefix, so a
-// re-announcement replaces the previous path); rejected routes are
-// recorded on the filtered list with their reason. A rejected
+// re-announcement replaces the previous path); a rejected route is
+// counted against the peer and returned with its reason. A rejected
 // re-announcement still replaces (RFC 4271 §3.1): the route it
 // follows leaves the Adj-RIB-In. The server copies r's lists; the
 // caller keeps its own.
@@ -162,7 +164,7 @@ func (s *Server) Announce(peerASN uint32, r bgp.Route) (FilterReason, error) {
 		return FilterNone, fmt.Errorf("rs: AS%d has no session", peerASN)
 	}
 	if reason := s.checkImport(peerASN, &r); reason != FilterNone {
-		s.filtered[peerASN] = append(s.filtered[peerASN], FilteredRoute{Route: r.Clone(), Reason: reason})
+		s.rejected[peerASN]++
 		s.withdraw(peerASN, r.Prefix)
 		return reason, nil
 	}
@@ -274,38 +276,13 @@ func (s *Server) VisitAccepted(peerASN uint32, offset, limit int, visit func(*bg
 	return len(order)
 }
 
-// VisitFiltered is VisitAccepted over the routes rejected from
-// peerASN, in rejection order, under the same contract.
-func (s *Server) VisitFiltered(peerASN uint32, offset, limit int, visit func(*FilteredRoute)) (total int) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	filtered := s.filtered[peerASN]
-	lo, hi := window(len(filtered), offset, limit)
-	for i := lo; i < hi; i++ {
-		visit(&filtered[i])
-	}
-	return len(filtered)
-}
-
-// RouteCounts reports how many routes peerASN has accepted and
-// filtered, in O(1) — what a neighbor summary or a count-only query
-// needs, without copying a route.
+// RouteCounts reports how many routes peerASN holds accepted and how
+// many of its announcements were rejected, in O(1) — what a neighbor
+// summary needs, without copying a route.
 func (s *Server) RouteCounts(peerASN uint32) (accepted, filtered int) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.ribIn[peerASN]), len(s.filtered[peerASN])
-}
-
-// FilteredRoutes returns the routes rejected from peerASN.
-func (s *Server) FilteredRoutes(peerASN uint32) []FilteredRoute {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	src := s.filtered[peerASN]
-	out := make([]FilteredRoute, len(src))
-	for i, f := range src {
-		out[i] = FilteredRoute{Route: f.Route.Clone(), Reason: f.Reason}
-	}
-	return out
+	return len(s.ribIn[peerASN]), s.rejected[peerASN]
 }
 
 // comparePrefix orders prefixes by address (IPv4 before IPv6), then
@@ -361,8 +338,8 @@ func (s *Server) Stats() Stats {
 	}
 	st.PrefixesV4 = len(seenV4)
 	st.PrefixesV6 = len(seenV6)
-	for _, f := range s.filtered {
-		st.FilteredRoutes += len(f)
+	for _, n := range s.rejected {
+		st.FilteredRoutes += n
 	}
 	return st
 }

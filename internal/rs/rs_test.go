@@ -133,8 +133,8 @@ func TestImportFilters(t *testing.T) {
 		t.Errorf("long path reason = %v", reason)
 	}
 
-	if got := len(s.FilteredRoutes(100)); got != 7 {
-		t.Errorf("filtered list length = %d, want 7", got)
+	if _, got := s.RouteCounts(100); got != 7 {
+		t.Errorf("filtered count = %d, want 7", got)
 	}
 	if got := len(s.AcceptedRoutes(100)); got != 1 {
 		t.Errorf("accepted = %d, want 1", got)

@@ -18,12 +18,13 @@ var ribPeers = []uint32{100, 200, 300, 400}
 const ribPrefixes = 12
 
 // ribOps replays an op sequence against a fresh server and, after
-// every op, holds the server to a map of clones: each op is three
-// bytes — kind and peer, prefix, and the seed of the route's tags and
-// list lengths. The kinds are announce, replace a held prefix, replace
-// one with a route the import policy rejects, withdraw, and
-// RemovePeer (the member then re-joins with an empty table). It
-// returns how many times the slabs were compacted.
+// every op, holds the server to a map of clones and a count of
+// rejections per peer: each op is three bytes — kind and peer, prefix,
+// and the seed of the route's tags and list lengths. The kinds are
+// announce, replace a held prefix, replace one with a route the import
+// policy rejects, withdraw, and RemovePeer (the member then re-joins
+// with an empty table). It returns how many times the slabs were
+// compacted.
 func ribOps(t *testing.T, ops []byte) (compactions int) {
 	s := testServer(t, "DE-CIX")
 	for i, p := range ribPeers {
@@ -31,6 +32,7 @@ func ribOps(t *testing.T, ops []byte) (compactions int) {
 	}
 	scheme := s.Scheme()
 	model := make(map[uint32]map[netip.Prefix]bgp.Route)
+	rejected := make(map[uint32]int)
 	for _, p := range ribPeers {
 		model[p] = map[netip.Prefix]bgp.Route{}
 	}
@@ -51,7 +53,7 @@ func ribOps(t *testing.T, ops []byte) (compactions int) {
 	for k := 0; k+3 <= len(ops); k += 3 {
 		kind, peer := ops[k]%5, ribPeers[int(ops[k]/5)%len(ribPeers)]
 		n, shape := int(ops[k+1]), ops[k+2]
-		seen, want := s.visitSnapshot(peer)
+		seen, want := s.visitSnapshot()
 
 		switch kind {
 		case 0, 1:
@@ -68,6 +70,7 @@ func ribOps(t *testing.T, ops []byte) (compactions int) {
 				model[peer][r.Prefix] = r.Clone()
 			} else {
 				delete(model[peer], r.Prefix)
+				rejected[peer]++
 			}
 		case 2:
 			r := ribRoute(scheme, peer, held(peer, n), shape)
@@ -76,6 +79,7 @@ func ribOps(t *testing.T, ops []byte) (compactions int) {
 				t.Fatalf("op %d: looping route: %v %v", k/3, reason, err)
 			}
 			delete(model[peer], r.Prefix)
+			rejected[peer]++
 		case 3:
 			p := route(peer, held(peer, n)).Prefix
 			s.Withdraw(peer, p)
@@ -84,12 +88,13 @@ func ribOps(t *testing.T, ops []byte) (compactions int) {
 			s.RemovePeer(peer)
 			addPeer(t, s, peer, slices.Index(ribPeers, peer)+1)
 			model[peer] = map[netip.Prefix]bgp.Route{}
+			delete(rejected, peer)
 		}
 
 		if !reflect.DeepEqual(seen, want) {
 			t.Fatalf("op %d (kind %d): lists a visitor saw before the op read differently after it", k/3, kind)
 		}
-		s.checkAgainst(t, k/3, model)
+		s.checkAgainst(t, k/3, model, rejected)
 		h := s.slabsHeld()
 		if h < lastHeld {
 			compactions++
@@ -114,16 +119,17 @@ func ribRoute(scheme *dictionary.Scheme, peer uint32, idx int, shape byte) bgp.R
 	return r
 }
 
-// visitSnapshot walks peer's accepted routes and the routes withheld
-// from the next member, keeping what the visitor was handed — the
-// route with the store's own lists — next to a deep copy of it.
-func (s *Server) visitSnapshot(peer uint32) (seen, want []bgp.Route) {
+// visitSnapshot walks every member's accepted routes, keeping what the
+// visitor was handed — the route with the store's own lists — next to
+// a deep copy of it.
+func (s *Server) visitSnapshot() (seen, want []bgp.Route) {
 	keep := func(r *bgp.Route) {
 		seen = append(seen, *r)
 		want = append(want, r.Clone())
 	}
-	s.VisitAccepted(peer, 0, -1, keep)
-	s.VisitNotExported(ribPeers[(slices.Index(ribPeers, peer)+1)%len(ribPeers)], 0, -1, keep)
+	for _, peer := range ribPeers {
+		s.VisitAccepted(peer, 0, -1, keep)
+	}
 	return seen, want
 }
 
@@ -136,11 +142,14 @@ func (s *Server) slabsHeld() int {
 	return held
 }
 
-// checkAgainst holds every listing and export view to the model, and
-// the store's counts to what its entries use.
-func (s *Server) checkAgainst(t *testing.T, op int, model map[uint32]map[netip.Prefix]bgp.Route) {
+// checkAgainst holds every listing, export view and rejection count to
+// the model, and the store's counts to what its entries use.
+func (s *Server) checkAgainst(t *testing.T, op int, model map[uint32]map[netip.Prefix]bgp.Route, rejected map[uint32]int) {
 	t.Helper()
 	for peer, table := range model {
+		if _, f := s.RouteCounts(peer); f != rejected[peer] {
+			t.Fatalf("op %d: AS%d counts %d rejections, want %d", op, peer, f, rejected[peer])
+		}
 		var want []bgp.Route
 		for _, r := range table {
 			want = append(want, r)
@@ -151,12 +160,9 @@ func (s *Server) checkAgainst(t *testing.T, op int, model map[uint32]map[netip.P
 		}
 	}
 	for _, target := range append(slices.Clip(ribPeers), 999) {
-		exported, withheld := exportScanOf(s.cfg, model, target)
+		exported, _ := exportScanOf(s.cfg, model, target)
 		if got := s.ExportTo(target); !reflect.DeepEqual(got, exported) {
 			t.Fatalf("op %d: ExportTo(%d)\n got  %v\n want %v", op, target, got, exported)
-		}
-		if got := s.NotExportedTo(target); !reflect.DeepEqual(got, withheld) {
-			t.Fatalf("op %d: NotExportedTo(%d)\n got  %v\n want %v", op, target, got, withheld)
 		}
 	}
 

@@ -81,9 +81,9 @@ func TestConcurrentAnnounceExport(t *testing.T) {
 	}
 }
 
-// TestPagesDuringCompaction serves looking-glass pages — windows of
-// VisitAccepted and VisitNotExported rendered into memory under the
-// read lock, as the looking glass renders them — while a writer churns
+// TestPagesDuringCompaction renders pages — windows of VisitAccepted,
+// as the looking glass renders them, and of the export walk towards
+// AS200 — into memory under the read lock while a writer churns
 // one member's routes through at least three compactions of the slabs
 // (run it under -race). Every route the writer announces derives its
 // lists from its MED, so a route whose lists moved under the reader, or
@@ -110,8 +110,14 @@ func TestPagesDuringCompaction(t *testing.T) {
 	}
 
 	accepted := func(offset, limit int, visit func(*bgp.Route)) int { return s.VisitAccepted(100, offset, limit, visit) }
-	withheld := func(offset, limit int, visit func(*bgp.Route)) int {
-		return s.VisitNotExported(200, offset, limit, visit)
+	exported := func(offset, limit int, visit func(*bgp.Route)) int {
+		i := 0
+		return s.VisitExported(200, func(r *bgp.Route) {
+			if i >= offset && i-offset < limit {
+				visit(r)
+			}
+			i++
+		})
 	}
 
 	var pages atomic.Int64
@@ -132,7 +138,7 @@ func TestPagesDuringCompaction(t *testing.T) {
 					return
 				default:
 				}
-				for _, view := range []func(offset, limit int, visit func(*bgp.Route)) int{accepted, withheld} {
+				for _, view := range []func(offset, limit int, visit func(*bgp.Route)) int{accepted, exported} {
 					for offset := 0; ; offset += size {
 						page = page[:0]
 						var prev netip.Prefix
