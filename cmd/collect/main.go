@@ -269,7 +269,7 @@ func chainTip(dir, ixp string) (*collector.DeltaApplier, string, error) {
 			if err != nil {
 				return nil, "", fmt.Errorf("%s: %w", e.Name(), err)
 			}
-			if dr.Header().IXP == ixp {
+			if dr.IXP() == ixp {
 				deltas = append(deltas, dr)
 			}
 			continue
@@ -302,13 +302,13 @@ func chainTip(dir, ixp string) (*collector.DeltaApplier, string, error) {
 		return nil, "", err
 	}
 	sort.Slice(deltas, func(i, j int) bool {
-		return deltas[i].Header().Date < deltas[j].Header().Date
+		return deltas[i].Date() < deltas[j].Date()
 	})
 	tip := base.Date
 	for _, dr := range deltas {
 		s, err := app.Apply(dr)
 		if err != nil {
-			return nil, "", fmt.Errorf("reconstructing %s chain at %s: %w", ixp, dr.Header().Date, err)
+			return nil, "", fmt.Errorf("reconstructing %s chain at %s: %w", ixp, dr.Date(), err)
 		}
 		tip = s.Date
 	}

@@ -593,7 +593,7 @@ func carryFam(src *familyStats, countsOnly bool) familyStats {
 // NewIndex builds the classified index for one materialized snapshot
 // under one scheme: the fold over s.Routes, on the calling goroutine.
 func NewIndex(s *collector.Snapshot, scheme *dictionary.Scheme) *Index {
-	defer tel().building("routes", s)()
+	defer tel().building("routes", s.IXP, s.Date)()
 	st, ix := newFold(s, scheme, len(s.Routes), len(s.Routes))
 	var key [18]byte
 	for i := range s.Routes {
@@ -660,12 +660,12 @@ func IndexSeriesFromReader(sr *collector.SnapshotReader, scheme *dictionary.Sche
 // indexFromColumns is the fold over a binary snapshot's route block; it
 // returns a counts-only index.
 func indexFromColumns(sr *collector.SnapshotReader, scheme *dictionary.Scheme) (*Index, error) {
-	defer tel().building("columns", sr.Header())()
+	head := *sr.Header() // private copy; Routes stays nil
+	defer tel().building("columns", head.IXP, head.Date)()
 	rb, err := sr.RouteBlock()
 	if err != nil {
 		return nil, err
 	}
-	head := *sr.Header() // private copy; Routes stays nil
 	st, ix := newFold(&head, scheme, rb.NumRoutes(), len(rb.Tables().CommunitySets))
 	// The binary file's table order is canonical first-appearance
 	// order — the same order a DeltaEncoder starting from this
@@ -711,10 +711,13 @@ func (ix *Index) Advance(d *collector.DeltaReader) (*Index, error) {
 		return nil, fmt.Errorf("%w: delta expects table sizes %v, chain has %v",
 			collector.ErrDeltaBaseMismatch, sizes, st.sizes)
 	}
-	defer tel().building("delta", d.Header())()
+	defer tel().building("delta", d.IXP(), d.Date())()
 
-	head := *d.Header() // private copy; Routes stays nil
-	next := &Index{snap: &head, scheme: st.scheme, series: st, countsOnly: true}
+	head, err := d.Header(ix.snap)
+	if err != nil {
+		return nil, err
+	}
+	next := &Index{snap: head, scheme: st.scheme, series: st, countsOnly: true}
 	for f := range next.fam {
 		next.fam[f] = carryFam(&ix.fam[f], ix.countsOnly)
 	}
@@ -724,7 +727,7 @@ func (ix *Index) Advance(d *collector.DeltaReader) (*Index, error) {
 
 	st.registerTables(d.Tables())
 
-	err := d.Ops(func(op *collector.DeltaOp) error {
+	err = d.Ops(func(op *collector.DeltaOp) error {
 		f := 0
 		if op.V6 {
 			f = 1

@@ -487,11 +487,14 @@ func seriesChain(t *testing.T) (*Index, []*collector.DeltaReader) {
 }
 
 // TestAdvanceAllocs pins how many allocations one more chain day costs
-// on the same series: the counts-only day's index, its table extensions
-// and the refcount arrays' occasional growth — nothing per op, per
-// community instance or per map entry. An Advance measured 3 here; 55
-// while every day cloned and materialized its maps, and 169 before
-// that with the refcounts in runtime maps, inserting per new key.
+// on the same series: the counts-only day's index, its header (built
+// here against the base's, so an unchanged member list is shared), its
+// table extensions and the refcount arrays' occasional growth —
+// nothing per op, per member, per community instance or per map entry.
+// An Advance measured 2 here (3 while the header was decoded at open
+// and copied, and its op escaped); 55 while every day cloned and
+// materialized its maps, and 169 before that with the refcounts in
+// runtime maps, inserting per new key.
 func TestAdvanceAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting under -short")

@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ixplight/internal/collector"
 	"ixplight/internal/telemetry"
 )
 
@@ -46,14 +45,14 @@ func tel() *indexMetrics { return indexTel.Load() }
 // split) and opens an analysis.index_build span carrying the
 // snapshot's identity; the returned func, to be deferred, ends the
 // span and records the build time.
-func (t *indexMetrics) building(source string, head *collector.Snapshot) (done func()) {
+func (t *indexMetrics) building(source, ixp, date string) (done func()) {
 	if t == nil {
 		return func() {}
 	}
 	t.builds.With(source).Inc()
 	sp := t.reg.StartSpan("analysis.index_build")
-	sp.SetAttr("ixp", head.IXP)
-	sp.SetAttr("date", head.Date)
+	sp.SetAttr("ixp", ixp)
+	sp.SetAttr("date", date)
 	sp.SetAttr("source", source)
 	t0 := time.Now()
 	return func() {

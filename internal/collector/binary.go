@@ -430,15 +430,17 @@ func (r *breader) bytes(n int) ([]byte, error) {
 }
 
 func (r *breader) string() (string, error) {
+	b, err := r.text()
+	return string(b), err
+}
+
+// text reads a length-prefixed string's bytes, aliasing r.
+func (r *breader) text() ([]byte, error) {
 	n, err := r.uvarint()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	b, err := r.bytes(int(n))
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
+	return r.bytes(int(n))
 }
 
 // sliceHeader reverses appendSliceHeader. The returned length is
@@ -519,54 +521,108 @@ func decodeBinaryHeader(r *breader) (*Snapshot, error) {
 }
 
 // decodeHeaderSection parses the header bytes (everything between the
-// length prefix and the route block). The section must be consumed
-// exactly — trailing bytes mean a corrupt length prefix.
+// length prefix and the route block): the scalar facts, then the two
+// member lists. It is the one header decoder, in two halves a delta's
+// reader composes itself (DeltaReader.Header): decodeHeaderFacts when
+// the delta opens, decodeMemberLists when its day is built against its
+// base. The section must be consumed exactly — trailing bytes mean a
+// corrupt length prefix.
 func decodeHeaderSection(r *breader) (*Snapshot, error) {
 	s := &Snapshot{}
-	var err error
-	if s.IXP, err = r.string(); err != nil {
+	if err := decodeHeaderFacts(r, s); err != nil {
 		return nil, err
 	}
-	if s.Date, err = r.string(); err != nil {
+	if err := decodeMemberLists(r, s, nil); err != nil {
 		return nil, err
+	}
+	return s, nil
+}
+
+// decodeHeaderFacts parses the header section's scalar facts — IXP,
+// date, filtered count and flags — into s, and leaves r at the member
+// lists.
+func decodeHeaderFacts(r *breader, s *Snapshot) (err error) {
+	if s.IXP, err = r.string(); err != nil {
+		return err
+	}
+	if s.Date, err = r.string(); err != nil {
+		return err
 	}
 	fc, err := r.svarint()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.FilteredCount = int(fc)
 	flags, err := r.byte()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.Partial = flags&1 != 0
+	return nil
+}
 
+// decodeMemberLists parses the rest of the header section, the member
+// list and the member errors, into s and requires r consumed exactly.
+// base, when non-nil, is the day s follows (a delta's base day): a
+// member equal to a base member of the same ASN — the lists are in ASN
+// order, so one forward walk finds it — takes that member's name
+// string, and a list equal to the base's whole (ASNs, names and flags)
+// is the base's own immutable slice. What s holds owns no byte of r.
+func decodeMemberLists(r *breader, s *Snapshot, base *Snapshot) error {
 	n, isNil, err := r.sliceHeader()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if !isNil {
-		s.Members = make([]Member, n)
-		for i := range s.Members {
-			m := &s.Members[i]
+		var prev []Member
+		if base != nil {
+			prev = base.Members
+		}
+		// ms stays nil while the list read so far is prev's prefix.
+		var ms []Member
+		j := 0 // prev cursor
+		for i := 0; i < n; i++ {
 			asn, err := r.uvarint()
 			if err != nil {
-				return nil, err
+				return err
 			}
-			m.ASN = uint32(asn)
-			if m.Name, err = r.string(); err != nil {
-				return nil, err
+			name, err := r.text()
+			if err != nil {
+				return err
 			}
 			mf, err := r.byte()
 			if err != nil {
-				return nil, err
+				return err
 			}
-			m.IPv4, m.IPv6 = mf&1 != 0, mf&2 != 0
+			m := Member{ASN: uint32(asn), IPv4: mf&1 != 0, IPv6: mf&2 != 0}
+			for j < len(prev) && prev[j].ASN < m.ASN {
+				j++
+			}
+			if j < len(prev) && prev[j].ASN == m.ASN && prev[j].Name == string(name) {
+				m.Name = prev[j].Name
+			} else {
+				m.Name = string(name)
+			}
+			if ms == nil && (i >= len(prev) || prev[i] != m) {
+				ms = make([]Member, n)
+				copy(ms, prev[:i])
+			}
+			if ms != nil {
+				ms[i] = m
+			}
+		}
+		switch {
+		case ms != nil:
+			s.Members = ms
+		case n == len(prev) && prev != nil:
+			s.Members = prev
+		default: // a proper prefix of prev
+			s.Members = append(make([]Member, 0, n), prev[:n]...)
 		}
 	}
 	n, isNil, err = r.sliceHeader()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if !isNil {
 		s.MemberErrors = make([]MemberError, n)
@@ -574,26 +630,26 @@ func decodeHeaderSection(r *breader) (*Snapshot, error) {
 			e := &s.MemberErrors[i]
 			asn, err := r.uvarint()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			e.ASN = uint32(asn)
 			if e.Stage, err = r.string(); err != nil {
-				return nil, err
+				return err
 			}
 			if e.Err, err = r.string(); err != nil {
-				return nil, err
+				return err
 			}
 			attempts, err := r.svarint()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			e.Attempts = int(attempts)
 		}
 	}
 	if r.remaining() != 0 {
-		return nil, errBinaryTruncated
+		return errBinaryTruncated
 	}
-	return s, nil
+	return nil
 }
 
 // Tables is the five interned attribute tables in wire order: a .bin

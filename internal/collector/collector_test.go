@@ -3,10 +3,12 @@ package collector
 import (
 	"bytes"
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ixplight/internal/bgp"
@@ -225,6 +227,71 @@ func TestCollectFromLookingGlass(t *testing.T) {
 	}
 	if !found {
 		t.Error("action community lost in collection")
+	}
+}
+
+// TestCollectListingIsOneTableUnderChurn: while Collect crawls at page
+// size 7, the route server takes one withdraw/announce pair between the
+// page requests of AS100's listing — the withdrawn prefix on a page
+// already read, the announced one on a page still to come, so the
+// total holds. Each neighbor's listing in the snapshot must be its
+// Adj-RIB-In at one version: before the churn or after it.
+func TestCollectListingIsOneTableUnderChurn(t *testing.T) {
+	scheme := dictionary.ProfileByName("DE-CIX")
+	server, err := rs.New(rs.Config{Scheme: scheme})
+	if err != nil {
+		t.Fatal(err)
+	}
+	route := func(asn uint32, i int) bgp.Route {
+		return bgp.Route{Prefix: netutil.SyntheticV4Prefix(i), NextHop: netutil.PeerAddrV4(int(asn / 100)), ASPath: bgp.ASPath{asn}}
+	}
+	for i, asn := range []uint32{100, 200} {
+		if err := server.AddPeer(rs.Peer{ASN: asn, Name: "peer", AddrV4: netutil.PeerAddrV4(i + 1), IPv4: true}); err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 25-10*i; k++ {
+			if reason, err := server.Announce(asn, route(asn, k)); err != nil || reason != rs.FilterNone {
+				t.Fatal(reason, err)
+			}
+		}
+	}
+	tables := map[uint32][][]bgp.Route{100: {server.AcceptedRoutes(100)}, 200: {server.AcceptedRoutes(200)}}
+	churned := false
+	h := lg.NewServer(server)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !churned && strings.Contains(r.URL.Path, "/neighbors/100/routes") && r.URL.Query().Get("page") == "2" {
+			churned = true
+			server.Withdraw(100, netutil.SyntheticV4Prefix(0))
+			if _, err := server.Announce(100, route(100, 50)); err != nil {
+				t.Error(err)
+			}
+			tables[100] = append(tables[100], server.AcceptedRoutes(100))
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	snap, err := Collect(context.Background(), lg.NewClient(ts.URL, lg.ClientOptions{PageSize: 7}), "2021-10-04")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !churned {
+		t.Fatal("the crawl never asked for page 2 of AS100's listing")
+	}
+	for asn, versions := range tables {
+		var listing []bgp.Route
+		for _, r := range snap.Routes {
+			if r.PeerAS() == asn {
+				listing = append(listing, r)
+			}
+		}
+		one := false
+		for _, table := range versions {
+			one = one || reflect.DeepEqual(listing, table)
+		}
+		if !one {
+			t.Errorf("AS%d: the crawled listing (%d routes) is no version of its Adj-RIB-In", asn, len(listing))
+		}
 	}
 }
 

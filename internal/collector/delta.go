@@ -533,10 +533,17 @@ func (e *DeltaEncoder) Encode(next *Snapshot) ([]byte, error) {
 
 // DeltaReader exposes a parsed delta — header, table extensions and
 // the op stream — without materializing routes, mirroring RouteBlock.
-// The extension tables are decoded eagerly (they are churn-sized, not
-// table-sized); ops are decoded on each Ops call.
+// Opening it reads the chain linkage and the header's scalar facts; the
+// member lists stay undecoded until Header builds the day against its
+// base, so an open costs the day's churn, not its membership. The
+// extension tables are decoded eagerly (they are churn-sized, not
+// table-sized); ops are decoded on each Ops call. A reader is not safe
+// for concurrent use.
 type DeltaReader struct {
-	head       *Snapshot
+	// facts is day N's header without its member lists; members is
+	// the undecoded rest of the header section, aliasing the data.
+	facts      Snapshot
+	members    []byte
 	baseDate   string
 	baseDigest [sha256.Size]byte
 	selfDigest [sha256.Size]byte
@@ -548,6 +555,7 @@ type DeltaReader struct {
 	ext       Tables
 
 	ops []byte
+	op  DeltaOp // the one op Ops hands its callback
 }
 
 // OpenDelta reads and parses a delta file.
@@ -566,7 +574,7 @@ func OpenDelta(path string) (*DeltaReader, error) {
 // NewDeltaReader parses a delta from data, which must stay immutable
 // and alive for the reader's lifetime (ops alias it).
 func NewDeltaReader(data []byte) (*DeltaReader, error) {
-	r := &breader{b: data}
+	r := breader{b: data}
 	magic, err := r.bytes(len(deltaMagic))
 	if err != nil || string(magic) != deltaMagic {
 		return nil, errors.New("collector: not a snapshot delta (bad magic)")
@@ -587,7 +595,7 @@ func NewDeltaReader(data []byte) (*DeltaReader, error) {
 		return nil, err
 	}
 	d := &DeltaReader{}
-	hr := &breader{b: hdrBytes}
+	hr := breader{b: hdrBytes}
 	if d.baseDate, err = hr.string(); err != nil {
 		return nil, err
 	}
@@ -632,14 +640,16 @@ func NewDeltaReader(data []byte) (*DeltaReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	if d.head, err = decodeHeaderSection(&breader{b: shBytes}); err != nil {
+	sr := breader{b: shBytes}
+	if err := decodeHeaderFacts(&sr, &d.facts); err != nil {
 		return nil, err
 	}
+	d.members = shBytes[sr.off:]
 	if hr.remaining() != 0 {
 		return nil, errDeltaCorrupt
 	}
 
-	if d.ext, err = decodeTables(r, &d.baseSizes, errDeltaCorrupt); err != nil {
+	if d.ext, err = decodeTables(&r, &d.baseSizes, errDeltaCorrupt); err != nil {
 		return nil, err
 	}
 
@@ -656,9 +666,30 @@ func NewDeltaReader(data []byte) (*DeltaReader, error) {
 	return d, nil
 }
 
-// Header returns day N's header-only snapshot (Routes nil); callers
-// must not mutate it.
-func (d *DeltaReader) Header() *Snapshot { return d.head }
+// IXP and Date return day N's IXP and date: the header facts a caller
+// can read without building the day.
+func (d *DeltaReader) IXP() string  { return d.facts.IXP }
+func (d *DeltaReader) Date() string { return d.facts.Date }
+
+// Header builds day N's header-only snapshot (Routes nil), decoding
+// its member lists; a corrupt list is an error here, not at open. base
+// is nil, or the day the delta applies to: then a member equal to a
+// base member takes its name string, a member list equal to the base's
+// is the base's slice, and an IXP equal to the base's is its string
+// (decodeMemberLists), so a day costs its churn. Each call returns a
+// new snapshot that owns no byte of the delta's data; callers must not
+// mutate what it shares with base.
+func (d *DeltaReader) Header(base *Snapshot) (*Snapshot, error) {
+	s := new(Snapshot)
+	*s = d.facts
+	if base != nil && base.IXP == s.IXP {
+		s.IXP = base.IXP
+	}
+	if err := decodeMemberLists(&breader{b: d.members}, s, base); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
 
 // BaseDate returns the Date of the snapshot this delta applies to.
 func (d *DeltaReader) BaseDate() string { return d.baseDate }
@@ -695,7 +726,7 @@ func (d *DeltaReader) Ops(fn func(op *DeltaOp) error) error {
 	}
 
 	r := breader{b: d.ops}
-	var op DeltaOp
+	op := &d.op
 	readTuple := func(t *DeltaTuple) error {
 		var ids [numTabs]uint64
 		for tab := range ids {
@@ -751,7 +782,7 @@ func (d *DeltaReader) Ops(fn func(op *DeltaOp) error) error {
 		if err != nil {
 			return err
 		}
-		op = DeltaOp{Kind: DeltaOpKind(kind)}
+		*op = DeltaOp{Kind: DeltaOpKind(kind)}
 		switch op.Kind {
 		case DeltaCopy:
 			n, err := r.uvarint()
@@ -789,7 +820,7 @@ func (d *DeltaReader) Ops(fn func(op *DeltaOp) error) error {
 		default:
 			return errDeltaCorrupt
 		}
-		if err := fn(&op); err != nil {
+		if err := fn(op); err != nil {
 			return err
 		}
 	}
@@ -913,7 +944,10 @@ func (a *DeltaApplier) Apply(d *DeltaReader) (*Snapshot, error) {
 		return nil, err
 	}
 
-	next := *d.Header() // copy; Routes filled below
+	next, err := d.Header(a.cur) // Routes filled below
+	if err != nil {
+		return nil, err
+	}
 	routes := make([]bgp.Route, 0, d.NextRoutes())
 	ids := make([]rowIDs, 0, d.NextRoutes())
 	i := 0 // base cursor
@@ -933,7 +967,7 @@ func (a *DeltaApplier) Apply(d *DeltaReader) (*Snapshot, error) {
 			LargeCommunities: a.vals.LargeCommunitySets[t.LargeCommunities],
 		}
 	}
-	err := d.Ops(func(op *DeltaOp) error {
+	err = d.Ops(func(op *DeltaOp) error {
 		switch op.Kind {
 		case DeltaCopy:
 			if i+op.N > len(a.cur.Routes) {
@@ -978,8 +1012,8 @@ func (a *DeltaApplier) Apply(d *DeltaReader) (*Snapshot, error) {
 		routes = nil
 	}
 	next.Routes = routes
-	a.cur, a.curIDs, a.digest = &next, ids, d.SelfDigest()
-	return &next, nil
+	a.cur, a.curIDs, a.digest = next, ids, d.SelfDigest()
+	return next, nil
 }
 
 // Encoder returns a DeltaEncoder continuing this chain: it shares the

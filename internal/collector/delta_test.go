@@ -2,11 +2,14 @@ package collector
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"math/rand"
 	"net/netip"
 	"reflect"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"ixplight/internal/bgp"
 )
@@ -211,7 +214,10 @@ func TestDeltaReaderOps(t *testing.T) {
 	if dr.BaseDate() != base.Date {
 		t.Fatalf("BaseDate = %q, want %q", dr.BaseDate(), base.Date)
 	}
-	head := dr.Header()
+	head, err := dr.Header(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if head.Date != next.Date || head.IXP != next.IXP || head.Routes != nil {
 		t.Fatalf("Header() = %+v, want header-only day-N snapshot", head)
 	}
@@ -367,5 +373,105 @@ func FuzzSnapshotDelta(f *testing.F) {
 		if SnapshotDigest(got) != SnapshotDigest(next) {
 			t.Fatal("digest mismatch after round trip")
 		}
+
+		// The header built against the base is the plain decode, and
+		// owns no byte of the delta.
+		buf := bytes.Clone(delta)
+		dr, err := NewDeltaReader(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		built, err := dr.Header(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := dr.Header(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(built, plain) {
+			t.Fatalf("header built against the base differs from the plain decode:\n built %+v\n plain %+v", built, plain)
+		}
+		for i := range buf {
+			buf[i] = 0xa5
+		}
+		want := *next
+		want.Routes = nil
+		if !reflect.DeepEqual(built, &want) {
+			t.Fatalf("header changed with the delta's bytes:\n got  %+v\n want %+v", built, &want)
+		}
 	})
+}
+
+// TestHeaderAgainstBase: a day's header built against its base equals
+// the header decoded with no base, shares the base's member slice
+// exactly when the two lists are equal, takes the base's name string
+// for every member equal to a base member when the list is in ASN
+// order, as a stored one is, and the base's IXP string.
+func TestHeaderAgainstBase(t *testing.T) {
+	base := &Snapshot{IXP: "DE-CIX", Date: "2021-10-04", Members: []Member{
+		{ASN: 64500, Name: "Alpha", IPv4: true},
+		{ASN: 64510, Name: "Beta", IPv4: true, IPv6: true},
+		{ASN: 64520, Name: "Gamma", IPv6: true},
+		{ASN: 64530, Name: "Delta", IPv4: true},
+	}}
+	edit := func(fn func(ms []Member) []Member) []Member {
+		return fn(slices.Clone(base.Members))
+	}
+	cases := []struct {
+		name    string
+		members []Member
+	}{
+		{"unchanged", edit(func(ms []Member) []Member { return ms })},
+		{"joiner", edit(func(ms []Member) []Member {
+			return slices.Insert(ms, 2, Member{ASN: 64515, Name: "Joiner", IPv4: true})
+		})},
+		{"leaver", edit(func(ms []Member) []Member { return slices.Delete(ms, 1, 2) })},
+		{"renamed", edit(func(ms []Member) []Member { ms[2].Name = "Gamma Two"; return ms })},
+		{"ipv6 flipped", edit(func(ms []Member) []Member { ms[0].IPv6 = true; return ms })},
+		{"valley-truncated", edit(func(ms []Member) []Member { return ms[:2] })},
+		{"reordered", edit(func(ms []Member) []Member { slices.Reverse(ms); return ms })},
+		{"emptied", []Member{}},
+		{"unrelated", []Member{{ASN: 7, Name: "Seven", IPv4: true}, {ASN: 8, Name: "Eight", IPv6: true}}},
+		{"none", nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			next := &Snapshot{IXP: "DE-CIX", Date: "2021-10-05", Members: tc.members}
+			delta, err := EncodeDelta(base, next)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dr, err := NewDeltaReader(delta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			built, err := dr.Header(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain, err := dr.Header(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(built, plain) || !reflect.DeepEqual(built.Members, tc.members) {
+				t.Fatalf("built %+v, plain %+v, want members %+v", built, plain, tc.members)
+			}
+			equal := reflect.DeepEqual(tc.members, base.Members)
+			if shared := len(built.Members) > 0 && &built.Members[0] == &base.Members[0]; shared != equal {
+				t.Errorf("member slice shared = %v, lists equal = %v", shared, equal)
+			}
+			inOrder := slices.IsSortedFunc(built.Members, func(a, b Member) int { return cmp.Compare(a.ASN, b.ASN) })
+			for _, m := range built.Members {
+				for _, b := range base.Members {
+					if inOrder && m.ASN == b.ASN && m.Name == b.Name && unsafe.StringData(m.Name) != unsafe.StringData(b.Name) {
+						t.Errorf("AS%d: name %q not shared with the base's", m.ASN, m.Name)
+					}
+				}
+			}
+			if unsafe.StringData(built.IXP) != unsafe.StringData(base.IXP) {
+				t.Error("IXP string not shared with the base's")
+			}
+		})
+	}
 }

@@ -378,6 +378,57 @@ func FuzzCacheKey(f *testing.F) {
 	})
 }
 
+// FuzzV1Path sends arbitrary path segments and queries under the four
+// parameterised /v1 endpoints to a loaded server's mux. Whatever the
+// request, the answer is one of the designed statuses — 200, 404 for a
+// name, number, community or IXP that does not parse or is not served,
+// and the mux's own 301 (a path it cleans) and 404 (a path no route
+// matches) — never a panic or a 500, and the same request answers with
+// the same status and ETag twice.
+func FuzzV1Path(f *testing.F) {
+	f.Add(uint8(0), "table1", "")
+	f.Add(uint8(0), "nope", "ixp=DE-CIX")
+	f.Add(uint8(1), "15169", "ixp=IX.br-SP")
+	f.Add(uint8(1), "4294967296", "")
+	f.Add(uint8(1), "-1", "ixp=")
+	f.Add(uint8(2), "0:6939", "")
+	f.Add(uint8(2), "65536:1", "ixp=LINX")
+	f.Add(uint8(2), "1:2:3", "")
+	f.Add(uint8(3), "IX.br-SP", "x=1&x=2")
+	f.Add(uint8(3), "..", "")
+	f.Add(uint8(3), "%zz", "%zz")
+	f.Add(uint8(0), "a/b", "ixp=%20")
+	s := New(Config{Profiles: ixpgen.BigFour()[:1], Scale: 0.005, Seed: 7, ReloadInterval: -1})
+	if err := s.Load(); err != nil {
+		f.Fatal(err)
+	}
+	h := s.Handler()
+	endpoints := [...]string{"/v1/experiments/", "/v1/as/", "/v1/community/", "/v1/series/"}
+	designed := map[int]bool{http.StatusOK: true, http.StatusMovedPermanently: true, http.StatusNotFound: true}
+	f.Fuzz(func(t *testing.T, endpoint uint8, segment, query string) {
+		target := endpoints[int(endpoint)%len(endpoints)] + segment
+		if query != "" {
+			target += "?" + query
+		}
+		req, err := http.NewRequest(http.MethodGet, target, nil)
+		if err != nil {
+			t.Skip() // not a request line a client could send
+		}
+		serve := func() (int, string) {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req.Clone(req.Context()))
+			return rec.Code, rec.Header().Get("ETag")
+		}
+		code, etag := serve()
+		if !designed[code] {
+			t.Fatalf("GET %q: status %d", target, code)
+		}
+		if code2, etag2 := serve(); code2 != code || etag2 != etag {
+			t.Fatalf("GET %q twice: %d %q, then %d %q", target, code, etag, code2, etag2)
+		}
+	})
+}
+
 func TestReadinessGating(t *testing.T) {
 	s := New(Config{Profiles: ixpgen.BigFour()[:1], Scale: 0.005, ReloadInterval: -1})
 	h := s.Handler()

@@ -161,7 +161,7 @@ func (c *Client) countWire() {
 // one "lg.request" trace span — nested under whatever span the
 // context carries — recording the attempt count, every retry's cause
 // and wait as events, and the total time spent waiting to retry.
-func (c *Client) get(ctx context.Context, path string, decode func(body []byte) error) (err error) {
+func (c *Client) get(ctx context.Context, path string, decode func(body []byte, h http.Header) error) (err error) {
 	ctx, sp := c.m.startSpan(ctx, "lg.request")
 	if sp != nil {
 		sp.SetAttr("path", path)
@@ -184,7 +184,7 @@ func (c *Client) get(ctx context.Context, path string, decode func(body []byte) 
 
 // getRetries is the retry loop behind get; sp, attempts and totalWait
 // are nil when tracing is off.
-func (c *Client) getRetries(ctx context.Context, path string, decode func([]byte) error, sp *telemetry.Span, attempts *int, totalWait *time.Duration) error {
+func (c *Client) getRetries(ctx context.Context, path string, decode func([]byte, http.Header) error, sp *telemetry.Span, attempts *int, totalWait *time.Duration) error {
 	var lastErr error
 	backoff := c.opts.RetryBackoff
 	for attempt := 0; attempt <= c.opts.MaxRetries; attempt++ {
@@ -317,13 +317,13 @@ func (e *retryableError) Unwrap() error { return e.err }
 // getJSON is get for the small responses (status, neighbors, a count)
 // that encoding/json decodes into out.
 func (c *Client) getJSON(ctx context.Context, path string, out any) error {
-	return c.get(ctx, path, func(body []byte) error { return json.Unmarshal(body, out) })
+	return c.get(ctx, path, func(body []byte, _ http.Header) error { return json.Unmarshal(body, out) })
 }
 
 // bodyPool recycles response-body buffers across requests.
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-func (c *Client) once(ctx context.Context, path string, decode func([]byte) error) error {
+func (c *Client) once(ctx context.Context, path string, decode func([]byte, http.Header) error) error {
 	if t := c.opts.RequestTimeout; t > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, t)
@@ -348,7 +348,7 @@ func (c *Client) once(ctx context.Context, path string, decode func([]byte) erro
 			// A connection dying mid-body is as transient as a 500.
 			return &retryableError{err: fmt.Errorf("lg: %s: reading body: %w", path, err), cause: "read_body"}
 		}
-		if err := decode(body.Bytes()); err != nil {
+		if err := decode(body.Bytes(), resp.Header); err != nil {
 			return &retryableError{err: fmt.Errorf("lg: %s: invalid JSON (truncated response?): %w", path, err), cause: "bad_json"}
 		}
 		return nil
@@ -405,7 +405,7 @@ func (c *Client) ConfigRaw(ctx context.Context) (text string, err error) {
 	}
 	defer c.release()
 	defer c.m.callTimer("config_raw")()
-	err = c.get(ctx, "/api/v1/routeservers/rs1/config/raw", func(b []byte) error {
+	err = c.get(ctx, "/api/v1/routeservers/rs1/config/raw", func(b []byte, _ http.Header) error {
 		text = string(b)
 		return nil
 	})
@@ -434,29 +434,42 @@ func pagePath(endpoint string, page, pageSize int) string {
 	return string(b)
 }
 
+// listingRestarts bounds how many times routesPaged starts a listing
+// over because the table moved under it.
+const listingRestarts = 2
+
 // routesPaged walks every page of one routes endpoint, decoding each
-// body onto routes (decodePage). The walk is bounded:
-// the page count implied by the first page's TotalCount caps the loop,
-// and a TotalCount that changes mid-crawl (the RIB shifted under us)
-// is an error — a partial, silently-wrong listing is worse than a
-// recorded failure.
+// body onto routes (decodePage). A listing is one table: every page
+// must carry page 0's ETag — the route server's version of the
+// neighbor's routes, sent on multi-page listings — and when it moves
+// the walk starts over from page 0, up to listingRestarts times. An LG
+// that sends no ETag is held to one TotalCount instead, which catches a
+// table that changed size. The walk is bounded: the page count implied
+// by the first page's TotalCount caps the loop. A listing that changed
+// mid-crawl is an error — a partial, silently-wrong listing is worse
+// than a recorded failure.
 func (c *Client) routesPaged(ctx context.Context, endpoint string) ([]bgp.Route, error) {
 	var (
 		dec      = newListingDecoder()
 		routes   []bgp.Route
 		info     pageInfo
+		etag     string
 		badRoute *errBadRoute
 	)
 	// A route that does not parse is not the transport's fault: it
 	// leaves the retry loop as a success and fails the listing here.
-	decode := func(body []byte) (err error) {
+	decode := func(body []byte, h http.Header) (err error) {
+		etag = ""
+		if v := h["Etag"]; len(v) > 0 {
+			etag = v[0]
+		}
 		routes, info, err = dec.decodePage(body, routes)
 		if errors.As(err, &badRoute) {
 			return nil
 		}
 		return err
 	}
-	total, maxPages := 0, 0
+	total, maxPages, version, restarts := 0, 0, "", 0
 	for page := 0; ; page++ {
 		if err := c.get(ctx, pagePath(endpoint, page, c.opts.PageSize), decode); err != nil {
 			return nil, err
@@ -464,8 +477,9 @@ func (c *Client) routesPaged(ctx context.Context, endpoint string) ([]bgp.Route,
 		if badRoute != nil {
 			return nil, badRoute
 		}
-		if page == 0 {
-			total = info.totalCount
+		switch {
+		case page == 0:
+			total, version = info.totalCount, etag
 			size := info.pageSize
 			if size <= 0 {
 				size = info.routes
@@ -482,7 +496,14 @@ func (c *Client) routesPaged(ctx context.Context, endpoint string) ([]bgp.Route,
 				// without regrowing. Capped: the figure is the server's.
 				routes = slices.Grow(routes, min(more, 1<<20))
 			}
-		} else if info.totalCount != total {
+		case etag != version:
+			if restarts == listingRestarts {
+				return nil, fmt.Errorf("lg: %s: listing changed mid-crawl %d times (ETag %s -> %s)", endpoint, restarts+1, version, etag)
+			}
+			restarts++
+			routes, page = routes[:0], -1
+			continue
+		case info.totalCount != total:
 			return nil, fmt.Errorf("lg: %s: total count changed mid-crawl (%d -> %d)", endpoint, total, info.totalCount)
 		}
 		if len(routes) > total {

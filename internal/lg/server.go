@@ -128,7 +128,10 @@ func pageOffset(page, size int) int {
 // routes. The page is rendered straight into a pooled buffer while the
 // route server's read lock is held and reaches the wire in one Write
 // afterwards, so a page costs O(page size) and the lock is never held
-// across the network.
+// across the network. A page of a listing that spans more than one
+// page carries, as a strong ETag, the Adj-RIB-In version it was read
+// at: a client that sees one ETag on every page read one table. A
+// one-page listing is read under one lock already and carries none.
 func (s *Server) handleRoutesReceived(w http.ResponseWriter, r *http.Request) {
 	asn, ok := s.neighborASN(w, r)
 	if !ok {
@@ -137,16 +140,25 @@ func (s *Server) handleRoutesReceived(w http.ResponseWriter, r *http.Request) {
 	page, size := pageParams(r)
 	bp := pagePool.Get().(*[]byte)
 	b, n := append((*bp)[:0], `{"routes":`...), 0
-	total := s.rs.VisitAccepted(asn, pageOffset(page, size), size, func(rt *bgp.Route) {
+	total, version := s.rs.VisitAccepted(asn, pageOffset(page, size), size, func(rt *bgp.Route) {
 		b = appendAPIRoute(append(b, routeSep(n)), rt)
 		n++
 	})
 	_, _, pages := paginate(total, page, size)
 	b = appendPageTail(b, n, page, size, pages, total)
+	if pages > 1 {
+		w.Header()["Etag"] = []string{versionETag(version)}
+	}
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = w.Write(b) // too late for a status change; the client sees a truncated body
 	*bp = b
 	pagePool.Put(bp)
+}
+
+// versionETag is the strong ETag of an Adj-RIB-In version.
+func versionETag(version uint64) string {
+	var b [24]byte
+	return string(append(strconv.AppendUint(append(b[:0], '"'), version, 10), '"'))
 }
 
 // handleConfigRaw serves the BIRD-style configuration text — the §3

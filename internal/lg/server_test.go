@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -65,9 +66,9 @@ func TestNeighborSummaryCountsMatchListings(t *testing.T) {
 // TestPagesNeverTornUnderChurn reads pages while one prefix is
 // withdrawn and re-announced in a loop (run it under -race). A page is
 // rendered under one read lock, so its total always matches its
-// content, and a paged listing either sees one total on every page —
+// content, and a paged listing either sees one version on every page —
 // and is then exactly the table with or without the churning prefix —
-// or fails with "total count changed mid-crawl".
+// or fails with "changed mid-crawl" once its restarts run out.
 func TestPagesNeverTornUnderChurn(t *testing.T) {
 	const n = 40
 	server, ts := fixture(t, n)
@@ -113,7 +114,7 @@ func TestPagesNeverTornUnderChurn(t *testing.T) {
 	for i := 0; i < 150; i++ {
 		routes, err := c.RoutesReceived(context.Background(), 100)
 		if err != nil {
-			if !strings.Contains(err.Error(), "total count changed mid-crawl") {
+			if !strings.Contains(err.Error(), "changed mid-crawl") {
 				t.Fatalf("crawl %d: %v", i, err)
 			}
 			midCrawl++
@@ -132,6 +133,101 @@ func TestPagesNeverTornUnderChurn(t *testing.T) {
 	<-done
 	wg.Wait()
 	t.Logf("%d consistent listings, %d failed mid-crawl", ok, midCrawl)
+}
+
+// churnBeforePage1 wraps h: once, when page 1 of a routes listing is
+// asked for, it applies churn to the live route server before serving
+// it — deterministically between two page requests of one listing.
+func churnBeforePage1(h http.Handler, churn func()) http.Handler {
+	done := false
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !done && strings.Contains(r.URL.Path, "/routes/") && r.URL.Query().Get("page") == "1" {
+			done = true
+			churn()
+		}
+		h.ServeHTTP(w, r)
+	})
+}
+
+// TestListingIsOneTableUnderChurn: AS100 holds 12 routes, read at page
+// size 5; after page 0, 1.0.0.0/24 is withdrawn and 1.0.100.0/24
+// announced — one withdrawal answered by one announcement, the series'
+// churn model, which leaves the total unchanged. The listing must be
+// the table at one instant: before the churn or after it, never pages
+// of both (which held the withdrawn route and the new one and lacked
+// 1.0.5.0/24, present throughout).
+func TestListingIsOneTableUnderChurn(t *testing.T) {
+	server, _ := fixture(t, 12)
+	gone := netutil.SyntheticV4Prefix(0)
+	fresh := bgp.Route{Prefix: netutil.SyntheticV4Prefix(100), NextHop: netutil.PeerAddrV4(1), ASPath: bgp.ASPath{100}}
+	var before []bgp.Route
+	ts := httptest.NewServer(churnBeforePage1(NewServer(server), func() {
+		before = server.AcceptedRoutes(100)
+		server.Withdraw(100, gone)
+		if _, err := server.Announce(100, fresh); err != nil {
+			t.Error(err)
+		}
+	}))
+	defer ts.Close()
+
+	c := NewClient(ts.URL, ClientOptions{PageSize: 5})
+	routes, err := c.RoutesReceived(context.Background(), 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefixes := func(list []bgp.Route) []string {
+		out := make([]string, len(list))
+		for i, r := range list {
+			out[i] = r.Prefix.String()
+		}
+		return out
+	}
+	got, after := prefixes(routes), prefixes(server.AcceptedRoutes(100))
+	if !slices.Equal(got, prefixes(before)) && !slices.Equal(got, after) {
+		t.Fatalf("listing is no table the route server held:\n got    %v\n before %v\n after  %v", got, prefixes(before), after)
+	}
+}
+
+// TestListingETags: every page of a multi-page listing carries the
+// route server's version as one strong ETag; a one-page listing
+// carries none; and a version that keeps moving under a listing ends
+// it, after a bounded number of restarts, with the mid-crawl error.
+func TestListingETags(t *testing.T) {
+	server, _ := fixture(t, 12)
+	h := NewServer(server)
+	etag := func(query string) string {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/v1/routeservers/rs1/neighbors/100/routes/received?"+query, nil))
+		return rec.Header().Get("ETag")
+	}
+	first := etag("page=0&page_size=5")
+	if first == "" || first[0] != '"' || etag("page=2&page_size=5") != first {
+		t.Errorf("multi-page listing ETags %q, %q: want one strong ETag on every page", first, etag("page=2&page_size=5"))
+	}
+	if e := etag("page=0&page_size=12"); e != "" {
+		t.Errorf("one-page listing carries ETag %q", e)
+	}
+	server.Withdraw(100, netutil.SyntheticV4Prefix(0))
+	if etag("page=0&page_size=5") == first {
+		t.Error("a withdrawal left the ETag unchanged")
+	}
+
+	pages := 0
+	moving := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		pages++
+		h.ServeHTTP(w, r)
+		server.Withdraw(100, netutil.SyntheticV4Prefix(1))
+		server.Announce(100, bgp.Route{Prefix: netutil.SyntheticV4Prefix(1), NextHop: netutil.PeerAddrV4(1), ASPath: bgp.ASPath{100}})
+	})
+	ts := httptest.NewServer(moving)
+	defer ts.Close()
+	_, err := NewClient(ts.URL, ClientOptions{PageSize: 5}).RoutesReceived(context.Background(), 100)
+	if err == nil || !strings.Contains(err.Error(), "changed mid-crawl") {
+		t.Fatalf("err = %v, want the mid-crawl error", err)
+	}
+	if want := 2 * (listingRestarts + 1); pages != want {
+		t.Errorf("%d page requests, want %d: two per attempt", pages, want)
+	}
 }
 
 // discardWriter is an http.ResponseWriter that keeps nothing.

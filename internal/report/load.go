@@ -504,7 +504,7 @@ func (ld *loader) open(i int) {
 		f.bad = err
 		return
 	}
-	f.ixp, f.date, f.base = dr.Header().IXP, dr.Header().Date, dr.BaseDate()
+	f.ixp, f.date, f.base = dr.IXP(), dr.Date(), dr.BaseDate()
 	if ld.schemes[f.ixp] != nil {
 		ld.readers[i] = dr
 	}

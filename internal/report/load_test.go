@@ -3,6 +3,7 @@ package report
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -12,9 +13,11 @@ import (
 	"time"
 
 	"ixplight/internal/analysis"
+	"ixplight/internal/bgp"
 	"ixplight/internal/collector"
 	"ixplight/internal/ixpgen"
 	"ixplight/internal/mrt"
+	"ixplight/internal/netutil"
 	"ixplight/internal/sanitize"
 	"ixplight/internal/telemetry"
 )
@@ -876,5 +879,91 @@ func TestLabHoldsItsIndexes(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLoadAllocsPerDay pins what a load pays per chain day: loads of
+// one chain shape — every member announcing two routes, and each day
+// one withdrawal answered by one announcement under an unchanged
+// member list — at two membership sizes and two lengths. The
+// difference between the lengths is the cost of the added delta days
+// (listing, open, Advance, the day's counts), and it must not grow
+// with the membership: a day's header is built against its base's, so
+// an unchanged member list costs nothing. Measured on linux/amd64 at 17
+// allocations per day at either size; while every delta's header
+// decoded its whole member list, a day cost 30 at 10 members and 180 at
+// 160.
+func TestLoadAllocsPerDay(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector")
+	}
+	p := ixpgen.BigFour()[0]
+	chain := func(members, days int) string {
+		dir := t.TempDir()
+		day := &collector.Snapshot{IXP: p.IXP, Date: "2021-10-04"}
+		route := func(peer uint32, i int) bgp.Route {
+			return bgp.Route{
+				Prefix:      netutil.SyntheticV4Prefix(i),
+				NextHop:     netutil.PeerAddrV4(int(peer % 200)),
+				ASPath:      bgp.ASPath{peer, 3356},
+				Communities: []bgp.Community{p.Scheme.DoNotAnnounce(6939), bgp.NewCommunity(uint16(peer), 100)},
+			}
+		}
+		for m := 0; m < members; m++ {
+			asn := uint32(64512 + m)
+			day.Members = append(day.Members, collector.Member{ASN: asn, Name: fmt.Sprintf("AS%d Member", asn), IPv4: true})
+			day.Routes = append(day.Routes, route(asn, 2*m), route(asn, 2*m+1))
+		}
+		day.Normalize()
+		if _, err := collector.SaveSnapshot(dir, day, collector.CodecBinary); err != nil {
+			t.Fatal(err)
+		}
+		enc, err := collector.NewDeltaEncoder(day)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start, _ := time.Parse(time.DateOnly, day.Date)
+		for d := 1; d < days; d++ {
+			next := *day
+			next.Date = start.AddDate(0, 0, d).Format(time.DateOnly)
+			peer := uint32(64512 + d%members)
+			gone := route(peer, 2*(d%members)).Prefix
+			next.Routes = slices.DeleteFunc(slices.Clone(day.Routes), func(r bgp.Route) bool { return r.Prefix == gone })
+			next.Routes = append(next.Routes, route(peer, 2*members+d))
+			next.Normalize()
+			buf, err := enc.Encode(&next)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, p.IXP+"-"+next.Date+collector.DeltaExt), buf, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			day = &next
+		}
+		return dir
+	}
+	load := func(dir string, days int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			lab := NewLabShell([]ixpgen.Profile{p}, 42, 0.004, 1)
+			if err := lab.LoadSnapshotDir(dir); err != nil {
+				t.Fatal(err)
+			}
+			if len(lab.Series[p.IXP]) != days {
+				t.Fatalf("loaded %d days, want %d", len(lab.Series[p.IXP]), days)
+			}
+		})
+	}
+	const short, long = 4, 12
+	perDay := map[int]float64{}
+	for _, members := range []int{10, 160} {
+		perDay[members] = (load(chain(members, long), long) - load(chain(members, short), short)) / (long - short)
+		t.Logf("%d members: %.1f allocations per added day", members, perDay[members])
+	}
+	if perDay[160] > perDay[10]+1 {
+		t.Errorf("a day costs %.1f allocations at 160 members, %.1f at 10: the cost grows with the membership", perDay[160], perDay[10])
+	}
+	const ceiling = 20
+	if perDay[160] > ceiling {
+		t.Errorf("a chain day costs %.1f allocations, ceiling %d", perDay[160], ceiling)
 	}
 }

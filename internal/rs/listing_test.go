@@ -30,6 +30,57 @@ func listingRoute(i int, v6 bool, med uint32) bgp.Route {
 	return r
 }
 
+// TestVersionMovesWithTheTable: a peer's Adj-RIB-In version, which
+// VisitAccepted reads with the page, moves on every accepted announce,
+// replacement, withdrawal of a held prefix and peer removal, and on
+// nothing else; no version repeats across a removal and re-add.
+func TestVersionMovesWithTheTable(t *testing.T) {
+	s := listingServer(t)
+	version := func(peer uint32) uint64 {
+		_, v := s.VisitAccepted(peer, 0, -1, func(*bgp.Route) {})
+		return v
+	}
+	seen := map[uint64]bool{version(100): true}
+	moves := func(what string, mutate func()) {
+		t.Helper()
+		before200 := version(200)
+		mutate()
+		v := version(100)
+		if seen[v] {
+			t.Errorf("%s: version %d repeats", what, v)
+		}
+		seen[v] = true
+		if version(200) != before200 {
+			t.Errorf("%s: moved another peer's version", what)
+		}
+	}
+	stays := func(what string, mutate func()) {
+		t.Helper()
+		before := version(100)
+		mutate()
+		if version(100) != before {
+			t.Errorf("%s: version moved %d -> %d", what, before, version(100))
+		}
+	}
+	r := listingRoute(1, false, 0)
+	bad := listingRoute(2, false, 0)
+	bad.ASPath = bgp.ASPath{999}
+	moves("announce", func() { s.Announce(100, r) })
+	moves("replace", func() { r.MED = 7; s.Announce(100, r) })
+	stays("rejected announce of an unheld prefix", func() { s.Announce(100, bad) })
+	stays("withdrawal of an unheld prefix", func() { s.Withdraw(100, bad.Prefix) })
+	stays("re-adding the peer", func() { addPeer(t, s, 100, 1) })
+	stays("another peer's announce", func() { s.Announce(200, listingRoute(3, false, 0)) })
+	bad.Prefix = r.Prefix
+	moves("rejected re-announcement", func() { s.Announce(100, bad) })
+	moves("announce", func() { s.Announce(100, r) })
+	moves("withdrawal", func() { s.Withdraw(100, r.Prefix) })
+	moves("announce", func() { s.Announce(100, r) })
+	moves("removal", func() { s.RemovePeer(100) })
+	stays("re-adding after removal", func() { addPeer(t, s, 100, 1) })
+	moves("announce after re-adding", func() { s.Announce(100, r) })
+}
+
 // TestOrderedViewFollowsMutations drives random announces,
 // replacements, rejected replacements and withdrawals and checks after
 // each that every way of listing a peer — AcceptedRoutes, VisitAccepted
@@ -84,7 +135,7 @@ func TestOrderedViewFollowsMutations(t *testing.T) {
 		}
 		offset, limit := rng.Intn(len(want)+3)-1, rng.Intn(len(want)+3)-1
 		var window []netip.Prefix
-		total := s.VisitAccepted(100, offset, limit, func(r *bgp.Route) { window = append(window, r.Prefix) })
+		total, _ := s.VisitAccepted(100, offset, limit, func(r *bgp.Route) { window = append(window, r.Prefix) })
 		lo, hi := window_(len(want), offset, limit)
 		if total != len(want) || !slices.Equal(window, want[lo:hi]) {
 			t.Fatalf("step %d: VisitAccepted(%d, %d) = %v of %d, want %v of %d", step, offset, limit, window, total, want[lo:hi], len(want))
@@ -93,7 +144,10 @@ func TestOrderedViewFollowsMutations(t *testing.T) {
 	if a, f := s.RouteCounts(200); a != 0 || f != 0 || len(s.AcceptedRoutes(200)) != 0 {
 		t.Error("a peer without routes lists some")
 	}
-	if a, f := s.RouteCounts(999); a != 0 || f != 0 || s.AcceptedRoutes(999) != nil || s.VisitAccepted(999, 0, 10, nil) != 0 {
+	if a, f := s.RouteCounts(999); a != 0 || f != 0 || s.AcceptedRoutes(999) != nil {
+		t.Error("an unknown peer lists routes")
+	}
+	if total, _ := s.VisitAccepted(999, 0, 10, nil); total != 0 {
 		t.Error("an unknown peer lists routes")
 	}
 }
@@ -165,7 +219,7 @@ func TestListingsDuringMutations(t *testing.T) {
 			for k := 0; k < 400; k++ {
 				var prev netip.Prefix
 				n, ordered := 0, true
-				total := s.VisitAccepted(100, 0, 1<<30, func(r *bgp.Route) {
+				total, _ := s.VisitAccepted(100, 0, 1<<30, func(r *bgp.Route) {
 					if n > 0 && comparePrefix(prev, r.Prefix) >= 0 {
 						ordered = false
 					}

@@ -57,6 +57,12 @@ type Server struct {
 	// rejected counts the announcements each peer had rejected by the
 	// import policy.
 	rejected map[uint32]int
+	// versions holds each peer's Adj-RIB-In version: the value clock
+	// had at the peer's latest accepted announce, replace or withdrawal,
+	// or at its removal. clock only grows, so no version repeats for a
+	// peer, a removed and re-added one included.
+	versions map[uint32]uint64
+	clock    uint64
 	// ordered caches each peer's Adj-RIB-In entries in prefix order —
 	// the order every listing is served in, and walked in place. A slot
 	// is built by the first reader that needs it (under the read lock:
@@ -87,6 +93,7 @@ func New(cfg Config) (*Server, error) {
 		peers:    make(map[uint32]*Peer),
 		ribIn:    make(map[uint32]map[netip.Prefix]*ribEntry),
 		rejected: make(map[uint32]int),
+		versions: make(map[uint32]uint64),
 		ordered:  make(map[uint32]*atomic.Pointer[[]*ribEntry]),
 	}, nil
 }
@@ -125,7 +132,15 @@ func (s *Server) RemovePeer(asn uint32) {
 	delete(s.ribIn, asn)
 	delete(s.ordered, asn)
 	delete(s.rejected, asn)
+	s.bump(asn)
 	s.store.compact(s.ribIn)
+}
+
+// bump moves peerASN's Adj-RIB-In to a new version; the caller holds
+// the write lock.
+func (s *Server) bump(peerASN uint32) {
+	s.clock++
+	s.versions[peerASN] = s.clock
 }
 
 // Peers returns the member list sorted by ASN.
@@ -178,6 +193,7 @@ func (s *Server) Announce(peerASN uint32, r bgp.Route) (FilterReason, error) {
 		s.ordered[peerASN].Store(nil)
 	}
 	s.store.put(e, &r, summarizeActions(s.cfg.Scheme, &r, &s.summarize))
+	s.bump(peerASN)
 	if replaces {
 		s.store.compact(s.ribIn)
 	}
@@ -198,6 +214,7 @@ func (s *Server) withdraw(peerASN uint32, prefix netip.Prefix) {
 		delete(rib, prefix)
 		s.store.release(e)
 		s.ordered[peerASN].Store(nil)
+		s.bump(peerASN)
 		s.store.compact(s.ribIn)
 	}
 }
@@ -254,26 +271,27 @@ func window(n, offset, limit int) (lo, hi int) {
 
 // VisitAccepted calls visit for routes [offset, offset+limit) of
 // peerASN's accepted routes in prefix order and returns how many the
-// peer holds in total. Window and total are read under one read lock,
-// so a page is never torn: a concurrent Announce or Withdraw lands
-// wholly before or wholly after it (and moves the total a paging
-// client compares across pages). visit sees the Adj-RIB-In entry
-// itself: it must not modify or retain the route or its slices, and it
-// runs with the lock held, so it must only copy or render into memory
-// — never write to the network.
-func (s *Server) VisitAccepted(peerASN uint32, offset, limit int, visit func(*bgp.Route)) (total int) {
+// peer holds in total and the version of the Adj-RIB-In they were read
+// at. Window, total and version are read under one read lock, so a
+// page is never torn: a concurrent Announce or Withdraw lands wholly
+// before or wholly after it, and moves the version, so two pages of
+// one version are two windows of one table. visit sees the Adj-RIB-In
+// entry itself: it must not modify or retain the route or its slices,
+// and it runs with the lock held, so it must only copy or render into
+// memory — never write to the network.
+func (s *Server) VisitAccepted(peerASN uint32, offset, limit int, visit func(*bgp.Route)) (total int, version uint64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	rib, ok := s.ribIn[peerASN]
 	if !ok {
-		return 0
+		return 0, s.versions[peerASN]
 	}
 	order := s.prefixOrder(peerASN, rib)
 	lo, hi := window(len(order), offset, limit)
 	for _, e := range order[lo:hi] {
 		visit(&e.route)
 	}
-	return len(order)
+	return len(order), s.versions[peerASN]
 }
 
 // RouteCounts reports how many routes peerASN holds accepted and how

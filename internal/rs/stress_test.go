@@ -109,7 +109,10 @@ func TestPagesDuringCompaction(t *testing.T) {
 		return slices.Equal(r.ASPath, want.ASPath) && slices.Equal(r.Communities, want.Communities)
 	}
 
-	accepted := func(offset, limit int, visit func(*bgp.Route)) int { return s.VisitAccepted(100, offset, limit, visit) }
+	accepted := func(offset, limit int, visit func(*bgp.Route)) int {
+		total, _ := s.VisitAccepted(100, offset, limit, visit)
+		return total
+	}
 	exported := func(offset, limit int, visit func(*bgp.Route)) int {
 		i := 0
 		return s.VisitExported(200, func(r *bgp.Route) {
