@@ -5,7 +5,7 @@
 #              package census, the test suite under the race detector
 #              (the collector, LG client, analysis index and experiment
 #              pool are exercised concurrently; -race is part of the
-#              contract), the soak run, the ixpd smoke walk, the five
+#              contract), the soak run, the ixpd smoke walk, the four
 #              example programs and `oneworld` (Tables 3/4 over a
 #              generated lab equal the same tables over the dataset
 #              `ixpgen` writes at the commands' defaults).
@@ -19,7 +19,7 @@
 #              runs (parent, change) against BENCHMARK.json's bounds.
 #              `make bench` runs each workload once on this tree.
 #   diagnostic the `go test -bench` suites (the rs and analysis
-#              ablations, collector, analysis, lg, mrt, rsconfig,
+#              ablations, collector, analysis, lg, rsconfig,
 #              telemetry, ixpd, report): run by hand to find where time
 #              goes; nothing gates on or archives them.
 

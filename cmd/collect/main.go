@@ -6,7 +6,7 @@
 // Usage:
 //
 //	collect -url http://localhost:8080 [-date 2021-10-04] [-out ./data]
-//	        [-codec binary|delta|mrt] [-interval 100ms] [-retries 5]
+//	        [-codec binary|delta] [-interval 100ms] [-retries 5]
 //	        [-partial] [-resume] [-checkpoint path] [-neighbor-parallel 1]
 //	        [-neighbor-retries 1] [-error-budget 0] [-request-timeout 30s]
 //	        [-metrics-addr :9100] [-trace path|none]
@@ -33,7 +33,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"os"
@@ -44,7 +43,6 @@ import (
 
 	"ixplight/internal/collector"
 	"ixplight/internal/lg"
-	"ixplight/internal/mrt"
 	"ixplight/internal/telemetry"
 )
 
@@ -52,7 +50,7 @@ func main() {
 	url := flag.String("url", "http://localhost:8080", "looking glass base URL")
 	date := flag.String("date", time.Now().UTC().Format("2006-01-02"), "snapshot date stamp")
 	out := flag.String("out", "./data", "output directory")
-	codecName := flag.String("codec", "binary", "dataset file to write: binary (a full .bin), delta (extend the IXP's chain in -out), mrt (a TABLE_DUMP_V2 export)")
+	codecName := flag.String("codec", "binary", "dataset file to write: binary (a full .bin), delta (extend the IXP's chain in -out)")
 	interval := flag.Duration("interval", 50*time.Millisecond, "minimum delay between LG requests")
 	retries := flag.Int("retries", 5, "retries per failed request")
 	timeout := flag.Duration("timeout", 10*time.Minute, "overall collection deadline")
@@ -111,10 +109,8 @@ func main() {
 		}
 	case "delta":
 		save = saveDelta
-	case "mrt":
-		save = saveMRT
 	default:
-		fatal(fmt.Errorf("unknown -codec %q (binary, delta, mrt)", *codecName))
+		fatal(fmt.Errorf("unknown -codec %q (binary, delta)", *codecName))
 	}
 	client := lg.NewClient(*url, lg.ClientOptions{
 		MinInterval:    *interval,
@@ -313,17 +309,4 @@ func chainTip(dir, ixp string) (*collector.DeltaApplier, string, error) {
 		tip = s.Date
 	}
 	return app, tip, nil
-}
-
-// saveMRT writes the snapshot as a RouteViews-style TABLE_DUMP_V2
-// archive, atomically (temp file + rename) like every other dataset
-// file, so a crash mid-write cannot leave a truncated archive.
-func saveMRT(dir string, snap *collector.Snapshot) (string, error) {
-	path := collector.DatasetPath(dir, snap, collector.MRTExt)
-	if err := collector.AtomicWrite(path, func(w io.Writer) error {
-		return mrt.WriteRIB(w, snap)
-	}); err != nil {
-		return "", err
-	}
-	return path, nil
 }

@@ -65,15 +65,10 @@ func TestWritersStayInsideOut(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: delta: %v", ixp, err)
 		}
-		export, err := saveMRT(dir, testDay(ixp, "2021-10-05", "203.0.113.0/24"))
-		if err != nil {
-			t.Fatalf("%q: mrt: %v", ixp, err)
-		}
 		stem := strings.TrimSuffix(filepath.Base(base), "-2021-10-04.bin")
 		for _, c := range []struct{ path, want string }{
 			{base, stem + "-2021-10-04.bin"},
 			{delta, stem + "-2021-10-05.delta"},
-			{export, stem + "-2021-10-05.mrt"},
 		} {
 			if filepath.Dir(c.path) != dir || filepath.Base(c.path) != c.want {
 				t.Errorf("%q: wrote %s, want %s", ixp, c.path, filepath.Join(dir, c.want))

@@ -26,11 +26,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		for i, asn := range []uint32{64512, 64513} {
-			if err := server.AddPeer(rs.Peer{
-				ASN: asn, Name: fmt.Sprintf("member-%d", asn),
-				AddrV4: netutil.PeerAddrV4(i + 1), IPv4: true,
-			}); err != nil {
+		for _, asn := range []uint32{64512, 64513} {
+			if err := server.AddPeer(rs.Peer{ASN: asn, Name: fmt.Sprintf("member-%d", asn), IPv4: true}); err != nil {
 				log.Fatal(err)
 			}
 		}

@@ -32,8 +32,11 @@ func (o Origin) String() string {
 }
 
 // Route is one RIB entry: a prefix plus the path attributes the paper's
-// collection records for every accepted route (prefix, next hop,
-// AS path and the three community lists).
+// collection records for every accepted route — next hop, AS path,
+// origin, MED, local-pref and the three community lists. A dataset
+// holds what a looking-glass crawl can see, so every field is on the
+// looking glass's wire (internal/lg) as well as in the dataset codecs
+// (internal/collector).
 type Route struct {
 	Prefix    netip.Prefix
 	NextHop   netip.Addr

@@ -75,7 +75,7 @@ func assemblyFixture(t testing.TB, peers []uint32, routesPer int) *rs.Server {
 		t.Fatal(err)
 	}
 	for i, asn := range peers {
-		if err := server.AddPeer(rs.Peer{ASN: asn, Name: "peer", AddrV4: netutil.PeerAddrV4(i + 1), IPv4: true, IPv6: true}); err != nil {
+		if err := server.AddPeer(rs.Peer{ASN: asn, Name: "peer", IPv4: true, IPv6: true}); err != nil {
 			t.Fatal(err)
 		}
 		for j := 0; j < routesPer; j++ {

@@ -34,7 +34,7 @@ func benchFixture(b *testing.B, nPeers, routesPer int) *rs.Server {
 		asn := uint32(100 + i)
 		if err := server.AddPeer(rs.Peer{
 			ASN: asn, Name: fmt.Sprintf("peer-%d", asn),
-			AddrV4: netutil.PeerAddrV4(i + 1), IPv4: true,
+			IPv4: true,
 		}); err != nil {
 			b.Fatal(err)
 		}

@@ -32,7 +32,7 @@ func degradedFixture(t *testing.T, peers []uint32, routesPer int) *rs.Server {
 	for i, asn := range peers {
 		if err := server.AddPeer(rs.Peer{
 			ASN: asn, Name: fmt.Sprintf("peer-%d", asn),
-			AddrV4: netutil.PeerAddrV4(i + 1), IPv4: true,
+			IPv4: true,
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -41,8 +41,8 @@ const deltaMagic = "IXPD"
 const deltaVersion = 1
 
 // DeltaExt is the file extension for delta-encoded snapshots; deltas
-// live outside the Codec enum (like .mrt archives) because a delta
-// file is not self-contained — it needs its base to materialize.
+// live outside the Codec enum because a delta file is not
+// self-contained — it needs its base to materialize.
 const DeltaExt = ".delta"
 
 // ErrDeltaBaseMismatch reports a delta applied to (or advanced from)

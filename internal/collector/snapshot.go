@@ -127,8 +127,8 @@ func (s *Snapshot) sortMembers() {
 }
 
 // Codec selects a snapshot serialisation. One is left: the JSON, gzipped
-// JSON and gob codecs were removed, and MRT (an interchange export) and
-// delta files (not self-contained) were never codecs.
+// JSON and gob codecs were removed, and delta files (not
+// self-contained) were never codecs.
 type Codec int
 
 // CodecBinary is the hand-rolled columnar format (binary.go):
@@ -151,12 +151,6 @@ func (c Codec) Ext() string {
 	}
 	return fmt.Sprintf(".codec%d", int(c))
 }
-
-// MRTExt is the file extension of a day exported as an MRT
-// TABLE_DUMP_V2 archive (internal/mrt) for tools that read RouteViews
-// or RIPE RIS dumps. It is an export, not a dataset file: a dataset is
-// Codec.Ext() and DeltaExt files, and the loader ignores .mrt.
-const MRTExt = ".mrt"
 
 // WriteSnapshot serialises s to w using the codec.
 func WriteSnapshot(w io.Writer, s *Snapshot, codec Codec) error {
@@ -196,8 +190,8 @@ func AtomicWrite(path string, write func(io.Writer) error) error {
 	return nil
 }
 
-// DatasetPath is where the dataset file of kind ext (Codec.Ext(),
-// DeltaExt or MRTExt) for s's IXP and day lives in dir:
+// DatasetPath is where the dataset file of kind ext (Codec.Ext() or
+// DeltaExt) for s's IXP and day lives in dir:
 // <ixp>-<date><ext>. The IXP name is whatever a looking glass answered,
 // so every character outside [A-Za-z0-9.-], and a leading dot, becomes
 // '_': the file stays inside dir whatever the name, is not mistaken for

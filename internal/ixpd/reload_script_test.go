@@ -16,7 +16,6 @@ import (
 
 	"ixplight/internal/collector"
 	"ixplight/internal/ixpgen"
-	"ixplight/internal/mrt"
 	"ixplight/internal/report"
 )
 
@@ -35,7 +34,7 @@ const (
 // scriptPool is the material a script draws from, generated once per
 // process: per IXP the canonical chain (day 0 as .bin, later days as
 // .delta), every day as a standalone .bin — a second file of a chain day
-// the loader must serve once — and as an .mrt export, a stray the loader
+// the loader must serve once — and under an .mrt name, a stray the loader
 // must ignore, and an alien chain — same IXP and dates from another seed, so its files carry
 // plausible headers and the wrong digests.
 type scriptPool struct {
@@ -74,10 +73,7 @@ func getScriptPool(t testing.TB) *scriptPool {
 							if _, err := collector.SaveSnapshot(full, snap, collector.CodecBinary); err != nil {
 								return err
 							}
-							err := collector.AtomicWrite(collector.DatasetPath(full, snap, collector.MRTExt), func(w io.Writer) error {
-								return mrt.WriteRIB(w, snap)
-							})
-							if err != nil {
+							if err := os.WriteFile(collector.DatasetPath(full, snap, ".mrt"), []byte("an export, not a dataset file"), 0o644); err != nil {
 								return err
 							}
 						}
@@ -271,7 +267,7 @@ func (w *scriptWorld) step(op, arg int) string {
 		d := 1 + arg%(scriptDays-1)
 		name := ixp + "-" + w.pool.dates[ixp][d] + ".bin"
 		if arg%2 == 1 {
-			name = ixp + "-" + w.pool.dates[ixp][d] + collector.MRTExt
+			name = ixp + "-" + w.pool.dates[ixp][d] + ".mrt"
 		}
 		if w.has(name) {
 			w.remove(name)

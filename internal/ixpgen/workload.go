@@ -2,9 +2,11 @@ package ixpgen
 
 import (
 	"fmt"
+	"net/netip"
+	"slices"
 
+	"ixplight/internal/bgp"
 	"ixplight/internal/collector"
-	"ixplight/internal/netutil"
 	"ixplight/internal/rs"
 )
 
@@ -16,12 +18,10 @@ import (
 func (w *Workload) Populate(server *rs.Server) error {
 	for _, m := range w.Members {
 		err := server.AddPeer(rs.Peer{
-			ASN:    m.ASN,
-			Name:   m.Name,
-			AddrV4: netutil.PeerAddrV4(m.Index),
-			AddrV6: netutil.PeerAddrV6(m.Index),
-			IPv4:   m.IPv4,
-			IPv6:   m.IPv6,
+			ASN:  m.ASN,
+			Name: m.Name,
+			IPv4: m.IPv4,
+			IPv6: m.IPv6,
 		})
 		if err != nil {
 			return fmt.Errorf("ixpgen: add peer AS%d: %w", m.ASN, err)
@@ -66,4 +66,90 @@ func (w *Workload) Snapshot(date string) *collector.Snapshot {
 	s.Routes = append(s.Routes, w.Routes...)
 	s.Normalize()
 	return s
+}
+
+// AdvanceServer moves a route server that holds the day prev (nil for
+// an empty server) to the day next, as a live route server lives
+// through a series: members that left are removed with their routes,
+// members that joined are added, routes that are gone are withdrawn
+// and new or changed routes announced. A route of a peer that is not a
+// member of next is not announced — a valley day keeps routes of
+// members the collection lost, and no crawl could list them. Every
+// other route of a generated day is import-clean, so a rejection is an
+// error.
+func AdvanceServer(server *rs.Server, prev, next *collector.Snapshot) error {
+	if prev == nil {
+		prev = &collector.Snapshot{}
+	}
+	type routeKey struct {
+		peer   uint32
+		prefix netip.Prefix
+	}
+	had := make(map[uint32]collector.Member, len(prev.Members))
+	for _, m := range prev.Members {
+		had[m.ASN] = m
+	}
+	has := make(map[uint32]bool, len(next.Members))
+	for _, m := range next.Members {
+		has[m.ASN] = true
+	}
+	for _, m := range prev.Members {
+		if !has[m.ASN] {
+			server.RemovePeer(m.ASN)
+		}
+	}
+	for _, m := range next.Members {
+		if old, ok := had[m.ASN]; ok && old == m {
+			continue
+		}
+		if err := server.AddPeer(rs.Peer(m)); err != nil {
+			return fmt.Errorf("ixpgen: add peer AS%d: %w", m.ASN, err)
+		}
+	}
+
+	// unmatched holds the routes prev put on the server until next
+	// shows the same key.
+	unmatched := make(map[routeKey]*bgp.Route, len(prev.Routes))
+	for i := range prev.Routes {
+		r := &prev.Routes[i]
+		if _, member := had[r.PeerAS()]; member {
+			unmatched[routeKey{r.PeerAS(), r.Prefix}] = r
+		}
+	}
+	var announce []*bgp.Route
+	for i := range next.Routes {
+		r := &next.Routes[i]
+		k := routeKey{r.PeerAS(), r.Prefix}
+		old, held := unmatched[k]
+		delete(unmatched, k)
+		if has[k.peer] && !(held && sameRoute(old, r)) {
+			announce = append(announce, r)
+		}
+	}
+	for i := range prev.Routes {
+		r := &prev.Routes[i]
+		if _, gone := unmatched[routeKey{r.PeerAS(), r.Prefix}]; gone && has[r.PeerAS()] {
+			server.Withdraw(r.PeerAS(), r.Prefix)
+		}
+	}
+	for _, r := range announce {
+		reason, err := server.Announce(r.PeerAS(), *r)
+		if err != nil {
+			return fmt.Errorf("ixpgen: announce %s from AS%d: %w", r.Prefix, r.PeerAS(), err)
+		}
+		if reason != rs.FilterNone {
+			return fmt.Errorf("ixpgen: %s route %s from AS%d rejected: %v", next.Date, r.Prefix, r.PeerAS(), reason)
+		}
+	}
+	return nil
+}
+
+// sameRoute reports whether a and b carry the same attributes; an
+// empty list and a nil one are the same to a route server.
+func sameRoute(a, b *bgp.Route) bool {
+	return a.NextHop == b.NextHop && a.Origin == b.Origin && a.MED == b.MED && a.LocalPref == b.LocalPref &&
+		slices.Equal(a.ASPath, b.ASPath) &&
+		slices.Equal(a.Communities, b.Communities) &&
+		slices.Equal(a.ExtCommunities, b.ExtCommunities) &&
+		slices.Equal(a.LargeCommunities, b.LargeCommunities)
 }

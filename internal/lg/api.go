@@ -20,6 +20,7 @@
 package lg
 
 import (
+	"fmt"
 	"net/netip"
 
 	"ixplight/internal/bgp"
@@ -54,11 +55,16 @@ type NeighborsResponse struct {
 	Neighbors []Neighbor `json:"neighbors"`
 }
 
-// APIRoute is the wire representation of one route.
+// APIRoute is the wire representation of one route. The three scalar
+// path attributes are left out when zero; Origin is the RFC 4271 code
+// (0 IGP, 1 EGP, 2 incomplete).
 type APIRoute struct {
 	Prefix           string   `json:"network"`
 	NextHop          string   `json:"gateway"`
 	ASPath           []uint32 `json:"as_path"`
+	MED              uint32   `json:"med,omitempty"`
+	LocalPref        uint32   `json:"local_pref,omitempty"`
+	Origin           uint8    `json:"origin,omitempty"`
 	Communities      []string `json:"communities"`
 	ExtCommunities   []string `json:"ext_communities,omitempty"`
 	LargeCommunities []string `json:"large_communities,omitempty"`
@@ -76,9 +82,12 @@ type RoutesResponse struct {
 // EncodeRoute converts an internal route into its API shape.
 func EncodeRoute(r bgp.Route) APIRoute {
 	out := APIRoute{
-		Prefix:  r.Prefix.String(),
-		NextHop: r.NextHop.String(),
-		ASPath:  r.ASPath,
+		Prefix:    r.Prefix.String(),
+		NextHop:   r.NextHop.String(),
+		ASPath:    r.ASPath,
+		MED:       r.MED,
+		LocalPref: r.LocalPref,
+		Origin:    uint8(r.Origin),
 	}
 	for _, c := range r.Communities {
 		out.Communities = append(out.Communities, c.String())
@@ -102,7 +111,10 @@ func decodeRoute(a APIRoute) (bgp.Route, error) {
 	if err != nil {
 		return bgp.Route{}, err
 	}
-	r := bgp.Route{Prefix: prefix, NextHop: nh, ASPath: a.ASPath}
+	if a.Origin > uint8(bgp.OriginIncomplete) {
+		return bgp.Route{}, fmt.Errorf("origin %d is not an RFC 4271 code", a.Origin)
+	}
+	r := bgp.Route{Prefix: prefix, NextHop: nh, ASPath: a.ASPath, Origin: bgp.Origin(a.Origin), MED: a.MED, LocalPref: a.LocalPref}
 	for _, s := range a.Communities {
 		c, err := bgp.ParseCommunity(s)
 		if err != nil {

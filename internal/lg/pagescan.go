@@ -24,7 +24,8 @@ import (
 //     present at most once;
 //   - strings of printable ASCII with no escape;
 //   - integers of plain digits with no leading zero: paging fields at
-//     most 2^60, AS numbers at most 2^32−1;
+//     most 2^60, AS numbers, MED and local-pref at most 2^32−1, origin
+//     at most 2;
 //   - null only for a whole routes or attribute list;
 //   - routes that have both network and gateway, and whose text parses;
 //   - nothing but white space after the closing brace.
@@ -46,6 +47,9 @@ const (
 	routeNetwork = iota
 	routeGateway
 	routeASPath
+	routeMED
+	routeLocalPref
+	routeOrigin
 	routeCommunities
 	routeExtCommunities
 	routeLargeCommunities
@@ -53,7 +57,7 @@ const (
 
 var (
 	pageFields  = []string{"routes", "page", "page_size", "total_pages", "total_count"}
-	routeFields = []string{"network", "gateway", "as_path", "communities", "ext_communities", "large_communities"}
+	routeFields = []string{"network", "gateway", "as_path", "med", "local_pref", "origin", "communities", "ext_communities", "large_communities"}
 )
 
 // maxPageField bounds the paging fields the scanner reads: small enough
@@ -185,7 +189,7 @@ func (d *listingDecoder) scan(body []byte) bool {
 	if !d.eat('{') {
 		return false
 	}
-	var seen uint8
+	var seen uint16
 	for more := !d.eat('}'); more; {
 		var ok bool
 		switch d.key(pageFields, &seen) {
@@ -233,7 +237,7 @@ func (d *listingDecoder) route() bool {
 	}
 	d.routes = append(d.routes, bgp.Route{})
 	r := &d.routes[len(d.routes)-1]
-	var seen uint8
+	var seen uint16
 	for more := !d.eat('}'); more; {
 		var ok bool
 		switch d.key(routeFields, &seen) {
@@ -247,7 +251,15 @@ func (d *listingDecoder) route() bool {
 		case routeGateway:
 			ok = d.gateway(&r.NextHop)
 		case routeASPath:
-			r.ASPath, ok = list(d, &d.paths, (*listingDecoder).asn)
+			r.ASPath, ok = list(d, &d.paths, (*listingDecoder).u32)
+		case routeMED:
+			r.MED, ok = d.u32()
+		case routeLocalPref:
+			r.LocalPref, ok = d.u32()
+		case routeOrigin:
+			var v uint64
+			v, ok = d.integer(uint64(bgp.OriginIncomplete))
+			r.Origin = bgp.Origin(v)
 		case routeCommunities:
 			r.Communities, ok = list(d, &d.comms, (*listingDecoder).community)
 		case routeExtCommunities:
@@ -319,7 +331,7 @@ func list[T comparable](d *listingDecoder, t *attrTable[T], elem func(*listingDe
 // by colons, the only text bgp's parsers accept, read in one pass over
 // the string.
 
-func (d *listingDecoder) asn() (uint32, bool) {
+func (d *listingDecoder) u32() (uint32, bool) {
 	v, ok := d.integer(1<<32 - 1)
 	return uint32(v), ok
 }
@@ -467,7 +479,7 @@ func (d *listingDecoder) str() ([]byte, bool) {
 
 // key reads a member name and its colon and returns the name's index
 // in names, or -1 if it is none of them or seen already holds it.
-func (d *listingDecoder) key(names []string, seen *uint8) int {
+func (d *listingDecoder) key(names []string, seen *uint16) int {
 	text, ok := d.str()
 	if !ok || !d.eat(':') {
 		return -1

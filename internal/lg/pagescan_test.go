@@ -22,7 +22,8 @@ import (
 
 // richFixture is a route server whose listings exercise every part of
 // the wire shape: AS100 announces v4 and v6 routes with and without
-// each community flavour, some of them avoiding member AS300; AS200
+// each community flavour and each scalar attribute, some of them
+// avoiding member AS300; AS200
 // and AS300 announce nothing; AS400 announces one route whose
 // gateway's zone needs escapes and whose extended community is opaque.
 func richFixture(t testing.TB) *rs.Server {
@@ -31,8 +32,8 @@ func richFixture(t testing.TB) *rs.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, asn := range []uint32{100, 200, 300, 400} {
-		if err := server.AddPeer(rs.Peer{ASN: asn, Name: "peer", AddrV4: netutil.PeerAddrV4(i + 1), IPv4: true, IPv6: true}); err != nil {
+	for _, asn := range []uint32{100, 200, 300, 400} {
+		if err := server.AddPeer(rs.Peer{ASN: asn, Name: "peer", IPv4: true, IPv6: true}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -71,6 +72,8 @@ func richFixture(t testing.TB) *rs.Server {
 			Communities: []bgp.Community{bgp.NewCommunity(0, uint16(i))},
 		})
 	}
+	accept(bgp.Route{Prefix: netutil.SyntheticV4Prefix(7), NextHop: netutil.PeerAddrV4(1), ASPath: bgp.ASPath{100},
+		Origin: bgp.OriginIncomplete, MED: 1<<32 - 1, LocalPref: 100})
 	accept(bgp.Route{Prefix: netutil.SyntheticV6Prefix(54), NextHop: netip.MustParseAddr("fe80::1%e<\"0>"), ASPath: bgp.ASPath{400},
 		ExtCommunities: []bgp.ExtendedCommunity{{0x03, 0x0b, 1, 2, 3, 4, 5, 6}}})
 	return server
@@ -165,6 +168,21 @@ var handWrittenPages = []string{
 	"{\"routes\":[{\"network\":\"10.0.0.0/24\",\"gateway\":\"10.0.0.1\x7f\"}]}",
 	"{\"routes\":[{\"network\":\"10.0.0.0/24\x7f\",\"gateway\":\"10.0.0.1\"}]}",
 	`{"routes":[{"network":"10.0.0.0/24","gateway":"10.0.0.1","med":5}]}`,
+	// the scalar attributes: origin above 2 is a bad route, values that
+	// do not fit or are not plain integers are bad JSON
+	`{"routes":[{"origin":2,"local_pref":100,"med":4294967295,"network":"10.0.0.0/24","gateway":"10.0.0.1"}]}`,
+	`{"routes":[{"network":"10.0.0.0/24","gateway":"10.0.0.1","med":0,"local_pref":0,"origin":0}]}`,
+	`{"routes":[{"network":"10.0.0.0/24","gateway":"10.0.0.1","origin":3}]}`,
+	`{"routes":[{"network":"10.0.0.0/24","gateway":"10.0.0.1","origin":255}]}`,
+	`{"routes":[{"network":"10.0.0.0/24","gateway":"10.0.0.1","origin":256}]}`,
+	`{"routes":[{"network":"10.0.0.0/24","gateway":"10.0.0.1","origin":-1}]}`,
+	`{"routes":[{"network":"10.0.0.0/24","gateway":"10.0.0.1","origin":"1"}]}`,
+	`{"routes":[{"network":"10.0.0.0/24","gateway":"10.0.0.1","origin":3,"origin":1}]}`,
+	`{"routes":[{"network":"10.0.0.0/24","gateway":"10.0.0.1","med":4294967296}]}`,
+	`{"routes":[{"network":"10.0.0.0/24","gateway":"10.0.0.1","med":5,"med":null,"local_pref":null}]}`,
+	`{"routes":[{"network":"10.0.0.0/24","gateway":"10.0.0.1","local_pref":01}]}`,
+	`{"routes":[{"network":"10.0.0.0/24","gateway":"10.0.0.1","local_pref":1.5}]}`,
+	`{"routes":[{"network":"10.0.0.0/24","gateway":"10.0.0.1","local_pref":1e2}]}`,
 	`{"total_count":1,"routes":[{"large_communities":["1:2:3"],"communities":["1:2"],"gateway":"10.0.0.1","as_path":[1],"network":"10.0.0.0/24"}],"page":0}`,
 	`{"routes":[],"page":0,"page_size":500,"total_pages":1,"total_count":0}`,
 	tokensApart,
@@ -349,22 +367,28 @@ func FuzzRoutesPageDecode(f *testing.F) {
 }
 
 // TestBadRouteIsNotRetried: a page that is valid JSON but carries a
-// route that does not parse fails the listing at once, as decodeRoute's
-// errors always have; malformed JSON is retried.
+// route that does not parse — text that is no prefix, or an origin
+// that is no RFC 4271 code — fails the listing at once, as
+// decodeRoute's errors always have; malformed JSON is retried.
 func TestBadRouteIsNotRetried(t *testing.T) {
-	requests := 0
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		requests++
-		io.WriteString(w, `{"routes":[{"network":"banana","gateway":"10.0.0.1"}],"page":0,"page_size":1,"total_pages":1,"total_count":1}`)
-	}))
-	defer ts.Close()
-	c := NewClient(ts.URL, ClientOptions{MaxRetries: 3})
-	_, err := c.RoutesReceived(context.Background(), 100)
-	if err == nil || !strings.Contains(err.Error(), `lg: bad route "banana"`) {
-		t.Fatalf("err = %v, want a bad-route error", err)
-	}
-	if requests != 1 {
-		t.Errorf("requests = %d: a bad route was retried", requests)
+	for _, tc := range []struct{ route, want string }{
+		{`{"network":"banana","gateway":"10.0.0.1"}`, `lg: bad route "banana"`},
+		{`{"network":"10.0.0.0/24","gateway":"10.0.0.1","origin":3}`, `lg: bad route "10.0.0.0/24": origin 3`},
+	} {
+		requests := 0
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			requests++
+			io.WriteString(w, `{"routes":[`+tc.route+`],"page":0,"page_size":1,"total_pages":1,"total_count":1}`)
+		}))
+		c := NewClient(ts.URL, ClientOptions{MaxRetries: 3})
+		_, err := c.RoutesReceived(context.Background(), 100)
+		ts.Close()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("err = %v, want a bad-route error %q", err, tc.want)
+		}
+		if requests != 1 {
+			t.Errorf("%s: requests = %d: a bad route was retried", tc.route, requests)
+		}
 	}
 }
 

@@ -73,6 +73,18 @@ func appendAPIRoute(b []byte, r *bgp.Route) []byte {
 		}
 		b = append(b, ']')
 	}
+	if r.MED != 0 {
+		b = append(b, `,"med":`...)
+		b = strconv.AppendUint(b, uint64(r.MED), 10)
+	}
+	if r.LocalPref != 0 {
+		b = append(b, `,"local_pref":`...)
+		b = strconv.AppendUint(b, uint64(r.LocalPref), 10)
+	}
+	if r.Origin != 0 {
+		b = append(b, `,"origin":`...)
+		b = strconv.AppendUint(b, uint64(r.Origin), 10)
+	}
 	// EncodeRoute builds the three string lists by appending, so an
 	// empty list is a nil one: null for communities, omitted for the
 	// omitempty pair.

@@ -13,7 +13,6 @@ import (
 	"ixplight/internal/bgp"
 	"ixplight/internal/collector"
 	"ixplight/internal/ixpgen"
-	"ixplight/internal/netutil"
 	"ixplight/internal/rs"
 	"ixplight/internal/sanitize"
 	"ixplight/internal/telemetry"
@@ -451,7 +450,6 @@ func (l *Lab) visibilityOf(p ixpgen.Profile) (analysis.VisibilityReport, error) 
 	// by peer.
 	const collectorASN = 65010
 	if err := server.AddPeer(rs.Peer{ASN: collectorASN, Name: "route-collector",
-		AddrV4: netutil.PeerAddrV4(9999), AddrV6: netutil.PeerAddrV6(9999),
 		IPv4: true, IPv6: true}); err != nil {
 		return none, err
 	}

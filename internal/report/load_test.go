@@ -16,7 +16,6 @@ import (
 	"ixplight/internal/bgp"
 	"ixplight/internal/collector"
 	"ixplight/internal/ixpgen"
-	"ixplight/internal/mrt"
 	"ixplight/internal/netutil"
 	"ixplight/internal/sanitize"
 	"ixplight/internal/telemetry"
@@ -149,10 +148,7 @@ func TestLoadSnapshotDirSeries(t *testing.T) {
 		t.Fatal(err)
 	}
 	day := mk("LINX", "2021-10-05")
-	err = collector.AtomicWrite(collector.DatasetPath(dir, day, collector.MRTExt), func(w io.Writer) error {
-		return mrt.WriteRIB(w, day)
-	})
-	if err != nil {
+	if err := os.WriteFile(collector.DatasetPath(dir, day, ".mrt"), []byte("an export, not a dataset file"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	profiles := []ixpgen.Profile{*ixpgen.ProfileByName("DE-CIX"), *ixpgen.ProfileByName("LINX")}
@@ -188,10 +184,7 @@ func TestOneDayOneFile(t *testing.T) {
 	days := writeDeltaChain(t, profiles, chainDir, binDir, o)["DE-CIX"]
 	writeDeltaChain(t, profiles, both, both, o)
 	last := days[len(days)-1]
-	err := collector.AtomicWrite(collector.DatasetPath(binDir, last, collector.MRTExt), func(w io.Writer) error {
-		return mrt.WriteRIB(w, last)
-	})
-	if err != nil {
+	if err := os.WriteFile(collector.DatasetPath(binDir, last, ".mrt"), []byte("an export, not a dataset file"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	want := loadAndRunAll(t, profiles, chainDir, 2, nil)

@@ -18,9 +18,9 @@ import (
 func exportFixture(t *testing.T) (*Server, *dictionary.Scheme) {
 	t.Helper()
 	s := testServer(t, "DE-CIX")
-	addPeer(t, s, 100, 1)
-	addPeer(t, s, 200, 2)
-	addPeer(t, s, 300, 3)
+	addPeer(t, s, 100)
+	addPeer(t, s, 200)
+	addPeer(t, s, 300)
 	return s, dictionary.ProfileByName("DE-CIX")
 }
 
@@ -338,8 +338,8 @@ func TestExportNoScrubKeepsEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addPeer(t, s, 100, 1)
-	addPeer(t, s, 200, 2)
+	addPeer(t, s, 100)
+	addPeer(t, s, 200)
 	scheme := s.Scheme()
 	announceOK(t, s, 100, route(100, 0, scheme.DoNotAnnounce(300)))
 	got := s.ExportTo(200)
@@ -409,9 +409,9 @@ func TestExportToWithholds(t *testing.T) {
 func TestExportOrderIsTotal(t *testing.T) {
 	s := testServer(t, "DE-CIX")
 	scheme := s.Scheme()
-	addPeer(t, s, 9, 9)
+	addPeer(t, s, 9)
 	for asn := uint32(100); asn < 140; asn++ {
-		addPeer(t, s, asn, int(asn))
+		addPeer(t, s, asn)
 		announceOK(t, s, asn, route(asn, 1))
 		announceOK(t, s, asn, route(asn, 0, scheme.DoNotAnnounce(9)))
 	}
@@ -542,8 +542,8 @@ func TestExportViewsMatchReferenceRandomized(t *testing.T) {
 		}
 		// 70000 only fits a large community's target.
 		peers := []uint32{100, 101, 102, 103, 104, 70000}
-		for i, p := range peers {
-			addPeer(t, s, p, i+1)
+		for _, p := range peers {
+			addPeer(t, s, p)
 		}
 		for _, p := range peers[:5] {
 			for k, n := 0, rng.Intn(9); k < n; k++ {

@@ -15,9 +15,9 @@ import (
 // ones.
 func TestLargeCommunityActionsExecute(t *testing.T) {
 	s := testServer(t, "DE-CIX")
-	addPeer(t, s, 100, 1)
-	addPeer(t, s, 200, 2)
-	addPeer(t, s, 300, 3)
+	addPeer(t, s, 100)
+	addPeer(t, s, 200)
+	addPeer(t, s, 300)
 	scheme := s.Scheme()
 
 	deny200, err := scheme.LargeDoNotAnnounce(200)
@@ -42,9 +42,9 @@ func TestLargeCommunityActionsExecute(t *testing.T) {
 
 func TestLargeWhitelistExecutes(t *testing.T) {
 	s := testServer(t, "DE-CIX")
-	addPeer(t, s, 100, 1)
-	addPeer(t, s, 200, 2)
-	addPeer(t, s, 300, 3)
+	addPeer(t, s, 100)
+	addPeer(t, s, 200)
+	addPeer(t, s, 300)
 	scheme := s.Scheme()
 
 	blockAll, _ := scheme.LargeDoNotAnnounce(0)
@@ -63,9 +63,9 @@ func TestLargeWhitelistExecutes(t *testing.T) {
 
 func TestExtendedPrependExecutes(t *testing.T) {
 	s := testServer(t, "AMS-IX")
-	addPeer(t, s, 100, 1)
-	addPeer(t, s, 200, 2)
-	addPeer(t, s, 300, 3)
+	addPeer(t, s, 100)
+	addPeer(t, s, 200)
+	addPeer(t, s, 300)
 	scheme := s.Scheme()
 
 	p3, err := scheme.ExtPrepend(3, 200)
@@ -94,8 +94,8 @@ func TestExtendedPrependExecutes(t *testing.T) {
 
 func TestLargeBlackholeHostRoute(t *testing.T) {
 	s := testServer(t, "DE-CIX")
-	addPeer(t, s, 100, 1)
-	addPeer(t, s, 200, 2)
+	addPeer(t, s, 100)
+	addPeer(t, s, 200)
 	scheme := s.Scheme()
 
 	bhComm := bgp.LargeCommunity{Global: uint32(scheme.RSASN), Local1: dictionary.LargeFnBlackhole, Local2: 0}
@@ -120,8 +120,8 @@ func TestLargeBlackholeHostRoute(t *testing.T) {
 
 func TestInformationalExtLargeSurviveScrubbing(t *testing.T) {
 	s := testServer(t, "DE-CIX")
-	addPeer(t, s, 100, 1)
-	addPeer(t, s, 200, 2)
+	addPeer(t, s, 100)
+	addPeer(t, s, 200)
 	scheme := s.Scheme()
 
 	info, _ := scheme.LargeInfo(1)

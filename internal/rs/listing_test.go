@@ -17,8 +17,8 @@ import (
 func listingServer(t *testing.T) *Server {
 	t.Helper()
 	s := testServer(t, "DE-CIX")
-	addPeer(t, s, 100, 1)
-	addPeer(t, s, 200, 2)
+	addPeer(t, s, 100)
+	addPeer(t, s, 200)
 	return s
 }
 
@@ -69,7 +69,7 @@ func TestVersionMovesWithTheTable(t *testing.T) {
 	moves("replace", func() { r.MED = 7; s.Announce(100, r) })
 	stays("rejected announce of an unheld prefix", func() { s.Announce(100, bad) })
 	stays("withdrawal of an unheld prefix", func() { s.Withdraw(100, bad.Prefix) })
-	stays("re-adding the peer", func() { addPeer(t, s, 100, 1) })
+	stays("re-adding the peer", func() { addPeer(t, s, 100) })
 	stays("another peer's announce", func() { s.Announce(200, listingRoute(3, false, 0)) })
 	bad.Prefix = r.Prefix
 	moves("rejected re-announcement", func() { s.Announce(100, bad) })
@@ -77,7 +77,7 @@ func TestVersionMovesWithTheTable(t *testing.T) {
 	moves("withdrawal", func() { s.Withdraw(100, r.Prefix) })
 	moves("announce", func() { s.Announce(100, r) })
 	moves("removal", func() { s.RemovePeer(100) })
-	stays("re-adding after removal", func() { addPeer(t, s, 100, 1) })
+	stays("re-adding after removal", func() { addPeer(t, s, 100) })
 	moves("announce after re-adding", func() { s.Announce(100, r) })
 }
 

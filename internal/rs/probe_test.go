@@ -251,8 +251,8 @@ func runProbes(t *testing.T, s *dictionary.Scheme, members []uint32, probes []pr
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, asn := range append([]uint32{probeAnnouncer}, members...) {
-		addPeer(t, server, asn, i+1)
+	for _, asn := range append([]uint32{probeAnnouncer}, members...) {
+		addPeer(t, server, asn)
 	}
 	type slot struct {
 		probe int

@@ -34,7 +34,7 @@ func TestExportInvariantsRandomized(t *testing.T) {
 		peers := make([]uint32, nPeers)
 		for i := range peers {
 			peers[i] = uint32(100 + i)
-			addPeer(t, s, peers[i], i+1)
+			addPeer(t, s, peers[i])
 		}
 		for i, peer := range peers {
 			for k, n := 0, 1+rng.Intn(8); k < n; k++ {
@@ -132,8 +132,8 @@ func TestWhitelistInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		peers := []uint32{100, 200, 300, 400, 500}
-		for i, p := range peers {
-			addPeer(t, s, p, i+1)
+		for _, p := range peers {
+			addPeer(t, s, p)
 		}
 		comms := []bgp.Community{scheme.DoNotAnnounceAll()}
 		allowed := map[uint32]bool{}

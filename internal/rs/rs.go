@@ -27,10 +27,8 @@ type Config struct {
 
 // Peer is one member AS session at the route server.
 type Peer struct {
-	ASN    uint32
-	Name   string
-	AddrV4 netip.Addr
-	AddrV6 netip.Addr
+	ASN  uint32
+	Name string
 	// IPv4/IPv6 report which families the member established sessions
 	// for (Table 1 counts them separately).
 	IPv4 bool

@@ -22,14 +22,12 @@ func testServer(t *testing.T, ixp string) *Server {
 	return s
 }
 
-func addPeer(t *testing.T, s *Server, asn uint32, idx int) {
+func addPeer(t *testing.T, s *Server, asn uint32) {
 	t.Helper()
 	err := s.AddPeer(Peer{
-		ASN:    asn,
-		AddrV4: netutil.PeerAddrV4(idx),
-		AddrV6: netutil.PeerAddrV6(idx),
-		IPv4:   true,
-		IPv6:   true,
+		ASN:  asn,
+		IPv4: true,
+		IPv6: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +79,7 @@ func TestAnnounceRequiresSession(t *testing.T) {
 
 func TestImportFilters(t *testing.T) {
 	s := testServer(t, "DE-CIX")
-	addPeer(t, s, 100, 1)
+	addPeer(t, s, 100)
 
 	cases := []struct {
 		name string
@@ -143,7 +141,7 @@ func TestImportFilters(t *testing.T) {
 
 func TestBlackholeHostRouteBypassesBounds(t *testing.T) {
 	s := testServer(t, "DE-CIX") // supports blackholing
-	addPeer(t, s, 100, 1)
+	addPeer(t, s, 100)
 	bh := bgp.Route{
 		Prefix:      netip.MustParsePrefix("1.2.3.4/32"),
 		NextHop:     netutil.PeerAddrV4(1),
@@ -156,7 +154,7 @@ func TestBlackholeHostRouteBypassesBounds(t *testing.T) {
 
 	// At LINX (no blackhole support) the same route must be filtered.
 	linx := testServer(t, "LINX")
-	addPeer(t, linx, 100, 1)
+	addPeer(t, linx, 100)
 	if reason, _ := linx.Announce(100, bh); reason != FilterPrefixBounds {
 		t.Errorf("LINX blackhole /32 reason = %v, want prefix bounds", reason)
 	}
@@ -164,7 +162,7 @@ func TestBlackholeHostRouteBypassesBounds(t *testing.T) {
 
 func TestReannounceReplaces(t *testing.T) {
 	s := testServer(t, "DE-CIX")
-	addPeer(t, s, 100, 1)
+	addPeer(t, s, 100)
 	announceOK(t, s, 100, route(100, 0))
 	r2 := route(100, 0)
 	r2.ASPath = bgp.ASPath{100, 555}
@@ -208,7 +206,7 @@ func TestRejectedReannouncementReplaces(t *testing.T) {
 
 func TestWithdraw(t *testing.T) {
 	s := testServer(t, "DE-CIX")
-	addPeer(t, s, 100, 1)
+	addPeer(t, s, 100)
 	r := route(100, 0)
 	announceOK(t, s, 100, r)
 	s.Withdraw(100, r.Prefix)
@@ -222,7 +220,7 @@ func TestWithdraw(t *testing.T) {
 
 func TestRemovePeerDropsState(t *testing.T) {
 	s := testServer(t, "DE-CIX")
-	addPeer(t, s, 100, 1)
+	addPeer(t, s, 100)
 	announceOK(t, s, 100, route(100, 0))
 	s.RemovePeer(100)
 	if s.HasPeer(100) {
@@ -235,8 +233,8 @@ func TestRemovePeerDropsState(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	s := testServer(t, "DE-CIX")
-	addPeer(t, s, 100, 1)
-	addPeer(t, s, 200, 2)
+	addPeer(t, s, 100)
+	addPeer(t, s, 200)
 	announceOK(t, s, 100, route(100, 0, bgp.NewCommunity(0, 15169)))
 	announceOK(t, s, 100, route(100, 1))
 	announceOK(t, s, 200, route(200, 2, bgp.NewCommunity(0, 15169), bgp.NewCommunity(100, 1)))

@@ -27,8 +27,8 @@ const ribPrefixes = 12
 // compacted.
 func ribOps(t *testing.T, ops []byte) (compactions int) {
 	s := testServer(t, "DE-CIX")
-	for i, p := range ribPeers {
-		addPeer(t, s, p, i+1)
+	for _, p := range ribPeers {
+		addPeer(t, s, p)
 	}
 	scheme := s.Scheme()
 	model := make(map[uint32]map[netip.Prefix]bgp.Route)
@@ -86,7 +86,7 @@ func ribOps(t *testing.T, ops []byte) (compactions int) {
 			delete(model[peer], p)
 		case 4:
 			s.RemovePeer(peer)
-			addPeer(t, s, peer, slices.Index(ribPeers, peer)+1)
+			addPeer(t, s, peer)
 			model[peer] = map[netip.Prefix]bgp.Route{}
 			delete(rejected, peer)
 		}

@@ -20,7 +20,7 @@ func TestConcurrentAnnounceExport(t *testing.T) {
 	s := testServer(t, "DE-CIX")
 	const peers = 8
 	for i := 0; i < peers; i++ {
-		addPeer(t, s, uint32(100+i), i+1)
+		addPeer(t, s, uint32(100+i))
 	}
 	scheme := s.Scheme()
 
@@ -90,8 +90,8 @@ func TestConcurrentAnnounceExport(t *testing.T) {
 // a page whose routes disagree with its total or its order, is torn.
 func TestPagesDuringCompaction(t *testing.T) {
 	s := testServer(t, "DE-CIX")
-	addPeer(t, s, 100, 1)
-	addPeer(t, s, 200, 2)
+	addPeer(t, s, 100)
+	addPeer(t, s, 200)
 	scheme := s.Scheme()
 	const prefixes = 64
 	versioned := func(i int, v uint32) bgp.Route {
