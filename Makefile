@@ -6,9 +6,9 @@
 #              (the collector, LG client, analysis index and experiment
 #              pool are exercised concurrently; -race is part of the
 #              contract), the soak run, the ixpd smoke walk, the four
-#              example programs and `oneworld` (Tables 3/4 over a
-#              generated lab equal the same tables over the dataset
-#              `ixpgen` writes at the commands' defaults).
+#              example programs and `oneworld` (`analyze -exp all`
+#              over a generated lab equals the same battery over the
+#              dataset `ixpgen` writes at the commands' defaults).
 #              The deterministic performance floors are tests and run
 #              here, a second time without the race detector (`floors`,
 #              over the tests FLOORS names below; their allocation
@@ -111,16 +111,13 @@ soak-long:
 # walks its serving contract end to end: readiness gating, one
 # experiment fetch with a strong ETag, a 304 revalidation of the same
 # query, and a /metrics scrape showing the served requests and the load
-# behind them. It walks the synthetic lab, then dir mode over the
-# 3-day delta dataset `ixpgen` writes to a temp dir, where the scrape's
-# rebuilt days, dataset age and zero skipped files describe real files.
-# Seconds, deterministic, part of check.
+# behind them. Without -snapshots, -smoke writes the dataset `analyze`
+# generates (twelve weeks of delta chain) into a temp dir and serves
+# that, so the scrape's rebuilt days, dataset age and zero skipped files
+# describe real files. Seconds, deterministic, part of check.
 IXPD_SMOKE := -ixps DE-CIX,AMS-IX -scale 0.01
 ixpd-smoke:
 	$(GO) run ./cmd/ixpd -smoke $(IXPD_SMOKE)
-	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
-	$(GO) run ./cmd/ixpgen -out "$$dir" -codec delta -days 3 $(IXPD_SMOKE) && \
-	$(GO) run ./cmd/ixpd -smoke $(IXPD_SMOKE) -snapshots "$$dir/snapshots"
 
 # examples runs each examples/* program and fails on a non-zero exit:
 # they are documentation that executes, and this is what keeps them true.
@@ -128,18 +125,18 @@ examples:
 	@for d in examples/*/; do echo "$(GO) run ./$$d"; $(GO) run ./$$d >/dev/null || exit 1; done
 
 # oneworld writes the twelve-week dataset `ixpgen -codec delta` makes
-# and fails unless `analyze -exp table3,table4` reads the same tables
-# off it as off a lab it generates itself: one series generator, and
-# the two commands' defaults (seed, churn, start date) still agree.
-# TestStabilityIsOneWorld pins the library half; this pins the commands.
-# Seconds.
+# and fails unless `analyze -exp all` reads the same battery off it as
+# off a lab it generates itself: one dataset writer, and the two
+# commands' defaults (seed, churn, start date) and the generated
+# world's valleys (9, 41) still agree. TestStabilityIsOneWorld pins the
+# library half; this pins the commands. Seconds.
 ONEWORLD := -ixps DE-CIX,LINX -scale 0.004
 oneworld:
 	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
-	$(GO) run ./cmd/ixpgen -out "$$dir" -codec delta -days 84 $(ONEWORLD) && \
-	$(GO) run ./cmd/analyze -exp table3,table4 $(ONEWORLD) >"$$dir/generated.txt" && \
-	$(GO) run ./cmd/analyze -exp table3,table4 $(ONEWORLD) -snapshots "$$dir/snapshots" >"$$dir/loaded.txt" && \
-	cmp "$$dir/generated.txt" "$$dir/loaded.txt" && echo "oneworld: Tables 3/4 agree"
+	$(GO) run ./cmd/ixpgen -out "$$dir" -codec delta -days 84 -valleys 9,41 $(ONEWORLD) && \
+	$(GO) run ./cmd/analyze -exp all $(ONEWORLD) >"$$dir/generated.txt" && \
+	$(GO) run ./cmd/analyze -exp all $(ONEWORLD) -snapshots "$$dir/snapshots" >"$$dir/loaded.txt" && \
+	cmp "$$dir/generated.txt" "$$dir/loaded.txt" && echo "oneworld: -exp all agrees"
 
 # bench runs the benchmark (benchmarks/e2e) once per workload declared in
 # BENCHMARK.json, on this tree. One run is a reading, not a verdict: a

@@ -1,5 +1,6 @@
 // Command analyze regenerates the paper's tables and figures from a
-// synthetic lab (or from previously collected snapshot files).
+// dataset of daily snapshots: one it generates, or one collected or
+// written before.
 //
 // Usage:
 //
@@ -7,19 +8,24 @@
 //	        [-ixps IX.br-SP,DE-CIX,LINX,AMS-IX | all] [-snapshots dir]
 //	        [-parallel N] [-trace file]
 //
-// Without -snapshots it generates the calibrated synthetic workload;
-// with -snapshots it loads the .bin and .delta files of the -ixps IXPs
-// from a dataset directory instead; every other file, and every other
-// IXP's, is left alone, and each day is served once. Binary snapshot files are indexed straight off their
-// columns (no []bgp.Route is ever materialized), and delta chains (a
-// day-0 .bin plus daily .delta files, as written by `ixpgen -codec
-// delta` or `collect -codec delta`) are walked incrementally: each
-// day's index advances from the previous day's by applying the delta.
+// With -snapshots it loads the .bin and .delta files of the -ixps IXPs
+// from a dataset directory; every other file, and every other IXP's, is
+// left alone, and each day is served once. Without it, it writes the
+// dataset `ixpgen -codec delta -days 84 -valleys 9,41` writes at the
+// same -ixps, -seed and -scale into a temporary directory, loads it the
+// same way and removes it, so both modes read the same world: the
+// point-in-time experiments read each IXP's last day (2021-10-10), the
+// temporal ones its twelve weeks. Binary snapshot files are indexed
+// straight off their columns (no []bgp.Route is ever materialized), and
+// delta chains (a day-0 .bin plus daily .delta files, as written by
+// `ixpgen -codec delta` or `collect -codec delta`) are walked
+// incrementally: each day's index advances from the previous day's by
+// applying the delta.
 //
-// -parallel bounds the worker pools and nothing else: dataset files,
-// delta chains and experiments fan out across the pool, each landing
-// in an ordered slot, so the output is byte-identical for any value.
-// -parallel 1 runs everything sequentially.
+// -parallel bounds the worker pools and nothing else: generated series,
+// dataset files, delta chains and experiments fan out across the pool,
+// each landing in an ordered slot, so the output is byte-identical for
+// any value. -parallel 1 runs everything sequentially.
 package main
 
 import (
@@ -42,7 +48,7 @@ func main() {
 	scale := flag.Float64("scale", 0.05, "workload scale relative to the paper's magnitudes")
 	seed := flag.Int64("seed", 42, "generation seed")
 	ixps := flag.String("ixps", "big4", "comma-separated IXP names, 'big4' or 'all'")
-	snapshotDir := flag.String("snapshots", "", "load the -ixps IXPs' .bin and .delta files from this directory instead of generating")
+	snapshotDir := flag.String("snapshots", "", "load the -ixps IXPs' .bin and .delta files from this directory instead of generating a dataset")
 	outDir := flag.String("out", "", "also write each experiment's output to <out>/<name>.txt")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
 		"worker bound for generation, dataset loading and experiments (1 = sequential)")
@@ -80,7 +86,7 @@ func main() {
 				fatal(fmt.Errorf("%s holds no snapshot of %s; name the dataset's IXPs with -ixps", *snapshotDir, p.IXP))
 			}
 		}
-	} else if lab, err = report.NewLabParallel(profiles, *seed, *scale, *parallel); err != nil {
+	} else if lab, err = report.GenerateLab(profiles, *seed, *scale, *parallel); err != nil {
 		fatal(err)
 	}
 	var rootSpan *telemetry.Span

@@ -1,22 +1,24 @@
 // Command ixpd runs the warm-index analysis daemon: it loads a
-// snapshot/delta dataset once (or generates the calibrated synthetic
-// lab), keeps the classified indexes warm, and serves the paper's
-// experiments plus per-AS, per-community and time-series lookups as
-// JSON over HTTP.
+// snapshot/delta dataset directory once, keeps the classified indexes
+// warm, and serves the paper's experiments plus per-AS, per-community
+// and time-series lookups as JSON over HTTP.
 //
 // Usage:
 //
-//	ixpd [-addr :8080] [-snapshots DIR] [-ixps big4] [-scale 0.02]
+//	ixpd -snapshots DIR [-addr :8080] [-ixps big4] [-scale 0.02]
 //	     [-seed 42] [-parallel 0]
 //	     [-max-inflight 0] [-request-timeout 15s] [-reload-interval 5s]
 //	     [-cache-cap 512] [-metrics-addr :9100] [-trace file]
-//	     [-drain 5s] [-smoke]
+//	     [-drain 5s]
+//	ixpd -smoke [-snapshots DIR] [-ixps big4] [-scale 0.02] [-seed 42]
 //
-// With -snapshots the dataset directory is loaded through the delta-
-// chain-aware loader and polled every -reload-interval: a new
-// collection day landing in the directory swaps in a fresh dataset
-// generation without dropping in-flight requests. Without it the
-// daemon serves the synthetic lab derived from -ixps/-seed/-scale.
+// The dataset directory is loaded through the delta-chain-aware loader
+// and polled every -reload-interval: a new collection day landing in
+// the directory swaps in a fresh dataset generation without dropping
+// in-flight requests. `ixpgen -out D -codec delta` writes one to serve
+// (D/snapshots), and `collect` grows one; -seed and -scale name the
+// world the dataset comes from (Table 1's member totals, visibility's
+// simulation).
 //
 // Responses carry strong ETags derived from the dataset digest;
 // clients that revalidate with If-None-Match get 304s with zero
@@ -26,8 +28,10 @@
 //
 // -smoke runs a self-contained end-to-end check on ephemeral ports —
 // readiness, one experiment fetch, a 304 revalidation, a /metrics
-// scrape — and exits 0 on success. `make ixpd-smoke` wires it into
-// `make check`.
+// scrape — and exits 0 on success. Without -snapshots it serves the
+// dataset `analyze` generates at the same -ixps, -seed and -scale,
+// written into a temporary directory and removed afterwards.
+// `make ixpd-smoke` wires it into `make check`.
 package main
 
 import (
@@ -48,15 +52,16 @@ import (
 	"ixplight/internal/analysis"
 	"ixplight/internal/ixpd"
 	"ixplight/internal/ixpgen"
+	"ixplight/internal/report"
 	"ixplight/internal/telemetry"
 )
 
 func main() {
 	addr := flag.String("addr", ":8080", "HTTP listen address")
-	snapshots := flag.String("snapshots", "", "snapshot dataset directory (empty = synthetic lab)")
+	snapshots := flag.String("snapshots", "", "snapshot dataset directory to serve (write one with ixpgen)")
 	ixps := flag.String("ixps", "big4", "IXP profiles: big4, all, or comma-separated names")
-	scale := flag.Float64("scale", 0.02, "synthetic workload scale")
-	seed := flag.Int64("seed", 42, "synthetic generation seed")
+	scale := flag.Float64("scale", 0.02, "workload scale of the dataset's world")
+	seed := flag.Int64("seed", 42, "generation seed of the dataset's world")
 	parallel := flag.Int("parallel", 0, "load/experiment worker bound (0 = GOMAXPROCS)")
 	maxInFlight := flag.Int("max-inflight", 0, "concurrent response computations (0 = 2×GOMAXPROCS)")
 	requestTimeout := flag.Duration("request-timeout", 15*time.Second, "per-request compute admission/wait deadline")
@@ -67,6 +72,11 @@ func main() {
 	drain := flag.Duration("drain", 5*time.Second, "graceful shutdown deadline for in-flight requests")
 	smoke := flag.Bool("smoke", false, "run the self-contained smoke check on ephemeral ports and exit")
 	flag.Parse()
+	if *snapshots == "" && !*smoke {
+		fmt.Fprintln(os.Stderr, "ixpd: -snapshots DIR is required: write a dataset with `ixpgen -out D -codec delta` and serve D/snapshots")
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	profiles, err := ixpgen.SelectProfiles(*ixps)
 	if err != nil {
@@ -179,9 +189,22 @@ func main() {
 // runSmoke exercises the daemon end to end on ephemeral loopback
 // ports: readiness gating, one experiment fetch with an ETag, a 304
 // revalidation of the same query, and a /metrics scrape that must
-// show the served requests and the load behind them.
+// show the served requests and the load behind them. Without a
+// dataset directory it writes the generated one into a temporary
+// directory, which it removes when it returns.
 func runSmoke(cfg ixpd.Config, reg *telemetry.Registry) error {
 	cfg.ReloadInterval = -1 // nothing to watch in a smoke run
+	if cfg.SnapshotDir == "" {
+		dir, err := os.MkdirTemp("", "ixpd-smoke-")
+		if err != nil {
+			return err
+		}
+		defer os.RemoveAll(dir)
+		if err := report.WriteGenerated(dir, cfg.Profiles, cfg.Seed, cfg.Scale, cfg.Parallel); err != nil {
+			return err
+		}
+		cfg.SnapshotDir = dir
+	}
 	srv := ixpd.New(cfg)
 
 	apiLn, err := net.Listen("tcp", "127.0.0.1:0")

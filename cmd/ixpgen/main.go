@@ -7,11 +7,13 @@
 //	ixpgen [-out ./dataset] [-ixps big4|all|NAME,...] [-days 84]
 //	       [-scale 0.02] [-seed 42] [-codec binary|delta] [-valleys 9,41]
 //
-// Each IXP's series is evolved day over day (ixpgen.EvolveSeries), the
-// days `analyze` generates for Tables 3/4 at the same -seed and -scale.
-// -codec binary writes every day as a full .bin; -codec delta writes
-// day 0 as a .bin and every later day as a .delta against the day
-// before. -valleys takes offsets in [1, -days).
+// Each IXP's series is evolved day over day and written by
+// ixpgen.WriteSeries, the writer `analyze` generates its dataset with:
+// `-codec delta -days 84 -valleys 9,41` at analyze's -ixps, -seed and
+// -scale is the dataset a generated `analyze` run loads. -codec binary
+// writes every day as a full .bin; -codec delta writes day 0 as a .bin
+// and every later day as a .delta against the day before. -valleys
+// takes offsets in [1, -days).
 package main
 
 import (
@@ -24,7 +26,6 @@ import (
 	"strings"
 	"time"
 
-	"ixplight/internal/collector"
 	"ixplight/internal/ixpgen"
 	"ixplight/internal/telemetry"
 )
@@ -90,7 +91,7 @@ func main() {
 		opts := ixpgen.TemporalOptions{
 			Seed: *seed, Scale: *scale, Days: *days, ValleyDays: valleys,
 		}
-		n, err := writeSeries(filepath.Join(*out, "snapshots"), p, opts, asDelta)
+		n, err := ixpgen.WriteSeries(filepath.Join(*out, "snapshots"), p, opts, asDelta)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -111,32 +112,6 @@ func main() {
 	}
 	log.Printf("dataset complete: %d snapshot files in %s (%v)",
 		files, *out, time.Since(start).Round(time.Millisecond))
-}
-
-// writeSeries generates one IXP's evolved series in a single run. With
-// asDelta set, day 0 is saved as a full binary snapshot and every later
-// day as one .delta file against the previous day; otherwise each day
-// is a full binary snapshot.
-func writeSeries(dir string, p ixpgen.Profile, opts ixpgen.TemporalOptions, asDelta bool) (int, error) {
-	files := 0
-	var enc *collector.DeltaEncoder
-	err := ixpgen.EvolveSeries(p, opts, 0, func(day int, snap *collector.Snapshot) error {
-		files++
-		if enc == nil {
-			_, err := collector.SaveSnapshot(dir, snap, collector.CodecBinary)
-			if err == nil && asDelta {
-				enc, err = collector.NewDeltaEncoder(snap)
-			}
-			return err
-		}
-		buf, err := enc.Encode(snap)
-		if err != nil {
-			return err
-		}
-		_, err = collector.SaveDelta(dir, snap, buf)
-		return err
-	})
-	return files, err
 }
 
 // parseValleys reads -valleys: comma-separated day offsets in

@@ -28,42 +28,27 @@ type generation struct {
 	// responses holds the generation's cached and in-flight responses.
 	responses *respTable
 	// load is what loading this generation took, and the dataset files
-	// it could not use (zero for a synthetic lab).
+	// it could not use.
 	load report.LoadReport
 	// newest is the latest collection day loaded, for the age gauge;
-	// zero for a synthetic lab or an unparseable date.
+	// zero for an unparseable date.
 	newest time.Time
 }
 
 // buildGeneration loads the generation that succeeds prev (nil for the
-// first): in dir mode a shell lab filled by the one loader, report.Load,
-// from the listing the caller took — against prev's lab, so the load
-// costs what changed in the directory — and the calibrated synthetic
-// lab otherwise.
-func (s *Server) buildGeneration(prev *generation, files []report.File, sig string) (*generation, error) {
+// first): a shell lab filled by the one loader, report.Load, from the
+// listing the caller took — against prev's lab, so the load costs what
+// changed in the directory.
+func (s *Server) buildGeneration(prev *generation, files []report.File, sig string) *generation {
 	cfg := &s.cfg
-	var lab *report.Lab
-	var rep report.LoadReport
-	if cfg.SnapshotDir != "" {
-		// Dir mode: a shell lab, so a (re)load pays snapshot decode,
-		// never synthetic generation.
-		lab = report.NewLabShell(cfg.Profiles, cfg.Seed, cfg.Scale, cfg.Parallel)
-		lab.Telemetry = cfg.Telemetry
-		lab.Materialize = cfg.Materialize
-		var prevLab *report.Lab
-		if prev != nil {
-			prevLab = prev.lab
-		}
-		rep = lab.Load(cfg.SnapshotDir, files, prevLab)
-	} else {
-		var err error
-		lab, err = report.NewLabParallel(cfg.Profiles, cfg.Seed, cfg.Scale, cfg.Parallel)
-		if err != nil {
-			return nil, err
-		}
-		lab.Telemetry = cfg.Telemetry
-		sig = "synthetic\x00" + s.ident
+	lab := report.NewLabShell(cfg.Profiles, cfg.Seed, cfg.Scale, cfg.Parallel)
+	lab.Telemetry = cfg.Telemetry
+	lab.Materialize = cfg.Materialize
+	var prevLab *report.Lab
+	if prev != nil {
+		prevLab = prev.lab
 	}
+	rep := lab.Load(cfg.SnapshotDir, files, prevLab)
 	sum := sha256.Sum256([]byte(sig))
 	gen := &generation{
 		id:        s.genSeq.Add(1),
@@ -79,7 +64,7 @@ func (s *Server) buildGeneration(prev *generation, files []report.File, sig stri
 			gen.newest = day
 		}
 	}
-	return gen, nil
+	return gen
 }
 
 // dirSignature takes the one listing a (re)load works from and
@@ -119,7 +104,7 @@ func (s *Server) dirSignature() ([]report.File, string, error) {
 // labIdentity names what shapes a generation's bodies besides its
 // files: the IXPs served, in order, the seed and the scale (Table 1
 // scales its member totals, and visibility simulates its world from
-// all three). Both signatures carry it, so two daemons configured
+// all three). The signature carries it, so two daemons configured
 // apart never share an ETag.
 func labIdentity(cfg *Config) string {
 	names := make([]string, len(cfg.Profiles))

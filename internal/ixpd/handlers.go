@@ -22,7 +22,7 @@ type MetaDoc struct {
 	Digest      string    `json:"digest"`
 	Generation  uint64    `json:"generation"`
 	LoadedAt    time.Time `json:"loaded_at"`
-	Source      string    `json:"source"` // "dir" or "synthetic"
+	Source      string    `json:"source"` // "dir": a daemon serves a dataset directory
 	Experiments []string  `json:"experiments"`
 	IXPs        []MetaIXP `json:"ixps"`
 	// Skipped lists the dataset files this generation could not load;
@@ -123,11 +123,8 @@ func (s *Server) metaDoc(g *generation) (any, error) {
 		Digest:      g.digest,
 		Generation:  g.id,
 		LoadedAt:    g.loadedAt.UTC().Truncate(time.Second),
-		Source:      "synthetic",
+		Source:      "dir",
 		Experiments: report.ExperimentNames,
-	}
-	if s.cfg.SnapshotDir != "" {
-		doc.Source = "dir"
 	}
 	for _, p := range g.lab.Profiles {
 		ix := g.lab.Indexes[p.IXP]
@@ -137,7 +134,7 @@ func (s *Server) metaDoc(g *generation) (any, error) {
 		snap := ix.Snapshot()
 		mi := MetaIXP{
 			IXP:       p.IXP,
-			Days:      max(1, len(g.lab.Series[p.IXP])),
+			Days:      len(g.lab.Series[p.IXP]),
 			Latest:    snap.Date,
 			MembersV4: snap.MembersV4(),
 			MembersV6: snap.MembersV6(),
@@ -243,11 +240,6 @@ func (s *Server) seriesDoc(g *generation, ixp string) (any, error) {
 		return nil, errNotFound("unknown IXP %q", ixp)
 	}
 	series := g.lab.Series[p.IXP]
-	if len(series) == 0 {
-		if ix := g.lab.Indexes[p.IXP]; ix != nil {
-			series = []analysis.DayCounts{ix.DayCounts()}
-		}
-	}
 	doc := &SeriesDoc{IXP: p.IXP, Days: make([]SeriesDay, 0, len(series))}
 	for i := range series {
 		d := &series[i]

@@ -58,16 +58,14 @@ type Config struct {
 	// Profiles are the IXPs under study; their schemes classify the
 	// loaded snapshots.
 	Profiles []ixpgen.Profile
-	// SnapshotDir, when set, is the dataset directory loaded through
+	// SnapshotDir is the dataset directory loaded through
 	// report.Lab.Load (mixed codecs, delta chains walked incrementally)
-	// and polled for hot reload. When empty the server
-	// generates the calibrated synthetic lab instead (Seed/Scale), and
-	// reload is disabled.
+	// and polled for hot reload. The server serves nothing else: Load
+	// fails without one.
 	SnapshotDir string
-	// Seed and Scale parameterise the synthetic lab; in dir mode they
-	// still shape Table 1's member totals and visibility's simulated
-	// world. Both, and the Profiles' IXPs in order, are recorded in the
-	// dataset digest.
+	// Seed and Scale shape Table 1's member totals and visibility's
+	// simulated world. Both, and the Profiles' IXPs in order, are
+	// recorded in the dataset digest.
 	Seed  int64
 	Scale float64
 	// Parallel bounds the lab's load/experiment worker pools.

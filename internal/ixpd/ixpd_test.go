@@ -22,9 +22,12 @@ import (
 	"ixplight/internal/telemetry"
 )
 
-// testServer builds and loads a small synthetic server.
-func testServer(t *testing.T, cfg Config) *Server {
-	t.Helper()
+// testConfig fills in the small world the tests serve — the first of
+// the big four at scale 0.005, seed 7, unless cfg names another — and
+// writes its first day through the dataset writer into a fresh
+// directory, so loading it builds one index per IXP. Polling is off.
+func testConfig(tb testing.TB, cfg Config) Config {
+	tb.Helper()
 	if cfg.Profiles == nil {
 		cfg.Profiles = ixpgen.BigFour()[:1]
 	}
@@ -34,8 +37,21 @@ func testServer(t *testing.T, cfg Config) *Server {
 	if cfg.Seed == 0 {
 		cfg.Seed = 7
 	}
+	cfg.SnapshotDir = tb.TempDir()
+	for _, p := range cfg.Profiles {
+		if _, err := ixpgen.WriteSeries(cfg.SnapshotDir, p, ixpgen.TemporalOptions{Seed: cfg.Seed, Scale: cfg.Scale, Days: 1}, true); err != nil {
+			tb.Fatal(err)
+		}
+	}
 	cfg.ReloadInterval = -1
-	s := New(cfg)
+	return cfg
+}
+
+// testServer builds and loads a server over a small written dataset
+// (testConfig).
+func testServer(t *testing.T, cfg Config) *Server {
+	t.Helper()
+	s := New(testConfig(t, cfg))
 	if err := s.Load(); err != nil {
 		t.Fatal(err)
 	}
@@ -74,8 +90,8 @@ func TestEndpoints(t *testing.T) {
 	if len(ixp.SampleASNs) == 0 || len(ixp.SampleCommunities) == 0 {
 		t.Fatalf("meta has no query samples: %+v", ixp)
 	}
-	if meta.Source != "synthetic" {
-		t.Fatalf("source = %q, want synthetic", meta.Source)
+	if meta.Source != "dir" {
+		t.Fatalf("source = %q, want dir", meta.Source)
 	}
 
 	code, _, body = doGet(t, h, "/v1/experiments/summary", "")
@@ -398,7 +414,7 @@ func FuzzV1Path(f *testing.F) {
 	f.Add(uint8(3), "..", "")
 	f.Add(uint8(3), "%zz", "%zz")
 	f.Add(uint8(0), "a/b", "ixp=%20")
-	s := New(Config{Profiles: ixpgen.BigFour()[:1], Scale: 0.005, Seed: 7, ReloadInterval: -1})
+	s := New(testConfig(f, Config{}))
 	if err := s.Load(); err != nil {
 		f.Fatal(err)
 	}
@@ -430,7 +446,7 @@ func FuzzV1Path(f *testing.F) {
 }
 
 func TestReadinessGating(t *testing.T) {
-	s := New(Config{Profiles: ixpgen.BigFour()[:1], Scale: 0.005, ReloadInterval: -1})
+	s := New(testConfig(t, Config{}))
 	h := s.Handler()
 	if code, _, _ := doGet(t, h, "/healthz", ""); code != http.StatusOK {
 		t.Fatalf("healthz before load: %d", code)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"ixplight/internal/report"
 	"ixplight/internal/telemetry"
 )
 
@@ -23,10 +22,9 @@ import (
 
 // WatchReload polls the dataset directory until ctx is cancelled,
 // reloading on every signature change. It returns immediately when
-// the server has no snapshot directory or polling is disabled
-// (ReloadInterval < 0).
+// polling is disabled (ReloadInterval < 0).
 func (s *Server) WatchReload(ctx context.Context) {
-	if s.cfg.SnapshotDir == "" || s.cfg.reloadInterval() < 0 {
+	if s.cfg.reloadInterval() < 0 {
 		return
 	}
 	t := time.NewTicker(s.cfg.reloadInterval())
@@ -55,8 +53,8 @@ func (s *Server) Reload() (swapped bool, err error) {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
 	cur := s.gen.Load()
-	if cur == nil || s.cfg.SnapshotDir == "" {
-		return false, nil // initial Load has not run, or nothing to watch
+	if cur == nil {
+		return false, nil // the initial Load has not run
 	}
 	swapped, err = s.load(cur)
 	switch {
@@ -75,33 +73,28 @@ func (s *Server) Reload() (swapped bool, err error) {
 // skipped and no day loaded at all.
 func (s *Server) load(cur *generation) (swapped bool, err error) {
 	t0 := time.Now()
-	var files []report.File
-	var sig string
-	if s.cfg.SnapshotDir != "" {
-		if files, sig, err = s.dirSignature(); err != nil {
-			return false, err
-		}
-		if s.afterList != nil {
-			s.afterList()
-		}
-		if cur != nil {
-			s.met.age(cur)
-			if sig == cur.sig {
-				return false, nil
-			}
+	files, sig, err := s.dirSignature()
+	if err != nil {
+		return false, err
+	}
+	if s.afterList != nil {
+		s.afterList()
+	}
+	if cur != nil {
+		s.met.age(cur)
+		if sig == cur.sig {
+			return false, nil
 		}
 	}
 	_, sp := telemetry.StartSpan(context.Background(), s.cfg.Telemetry, "ixpd.reload")
-	gen, err := s.buildGeneration(cur, files, sig)
-	if err == nil && cur == nil && len(gen.load.Skipped) > 0 && len(gen.lab.Series) == 0 {
-		err = &gen.load.Skipped[0]
-	}
-	if err != nil {
+	gen := s.buildGeneration(cur, files, sig)
+	if cur == nil && len(gen.load.Skipped) > 0 && len(gen.lab.Series) == 0 {
+		skipped := &gen.load.Skipped[0]
 		if sp != nil {
-			sp.SetAttr("error", err.Error())
+			sp.SetAttr("error", skipped.Error())
 			sp.End()
 		}
-		return false, err
+		return false, skipped
 	}
 	s.install(gen)
 	rep := &gen.load

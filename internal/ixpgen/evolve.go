@@ -20,9 +20,9 @@ import (
 // produces each day by *editing* the previous one: a small fraction of
 // routes withdrawn, re-tagged or MED-flapped, each withdrawal answered
 // by one announcement, weekly membership churn, and the §3 collection
-// valleys as one-day drops that recover the next day. The analysis
-// lab's Tables 3/4, `ixpgen` and the benchmark's datasets all read
-// this one series.
+// valleys as one-day drops that recover the next day. A generated
+// analysis lab, `ixpgen` and the benchmark's datasets all read this
+// one series.
 
 const (
 	// evolvePrefixBase numbers the fresh prefixes evolved days

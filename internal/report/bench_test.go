@@ -112,7 +112,7 @@ func BenchmarkReloadOneDay(b *testing.B) {
 // Run it with -cpu 2 (the benchmark host's GOMAXPROCS); its allocs/op
 // are what TestVisibilityAllocs puts a ceiling on.
 func BenchmarkVisibility(b *testing.B) {
-	lab, err := NewLabParallel(ixpgen.BigFour(), 42, 0.004, 0)
+	lab, err := GenerateLab(ixpgen.BigFour(), 42, 0.004, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -5,13 +5,12 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
+	"os"
 	"time"
 
 	"ixplight/internal/analysis"
 	"ixplight/internal/asdb"
 	"ixplight/internal/bgp"
-	"ixplight/internal/collector"
 	"ixplight/internal/ixpgen"
 	"ixplight/internal/rs"
 	"ixplight/internal/sanitize"
@@ -28,30 +27,29 @@ var ExperimentNames = []string{
 	"categories", "summary",
 }
 
-// Lab bundles the generated snapshots an experiment runs over.
+// Lab bundles the loaded dataset an experiment runs over.
 type Lab struct {
 	// Profiles are the IXPs under study (Table 1 order).
 	Profiles []ixpgen.Profile
 	// Indexes holds the classified index of each studied IXP's latest
-	// snapshot (Index.Snapshot), built by whoever built the snapshot:
-	// NewLabParallel in its generation task for every profile, Load off
-	// the file's columns or delta, or from the routes of a materialized
-	// day, for each profile the dataset has days of. Every experiment
-	// reads it, and reports on the profiles it holds; none builds one.
+	// snapshot (Index.Snapshot), built by Load off the file's columns or
+	// delta, or from the routes of a materialized day, for each profile
+	// the dataset has days of. Every experiment reads it, and reports
+	// on the profiles it holds; none builds one.
 	Indexes map[string]*analysis.Index
-	// Series optionally holds the counts of a full date-ordered daily
-	// series per IXP (e.g. loaded from a cmd/ixpgen dataset). When
-	// present, the temporal experiments (table3, table4, sanitation) run
-	// over it instead of evolving one.
+	// Series holds the counts of each studied IXP's full date-ordered
+	// daily series, as Load found it in the dataset; the temporal
+	// experiments (table3, table4, sanitation) run over it.
 	Series map[string][]analysis.DayCounts
 	// Registry labels ASNs in rankings.
 	Registry *asdb.Registry
-	// Seed and Scale record how the lab was generated.
+	// Seed and Scale record the world the lab studies: Table 1 scales
+	// its member totals, and visibility simulates its route servers.
 	Seed  int64
 	Scale float64
 	// Parallel bounds the lab's worker pools (file decode and per-IXP
 	// chain fold in Load, experiment fan-out in RunMany,
-	// visibility's per-profile simulations, series generation). 0 or
+	// visibility's per-profile simulations, GenerateLab's writes). 0 or
 	// less means runtime.GOMAXPROCS(0); 1 runs everything sequentially.
 	// Results are identical for any value — parallel work lands in
 	// ordered slots.
@@ -83,19 +81,10 @@ type Lab struct {
 	loaded *dataset
 }
 
-// workers resolves the lab's worker budget.
-func (l *Lab) workers() int {
-	if l.Parallel < 1 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return l.Parallel
-}
-
 // studied calls fn, in Table 1 order, for each profile the lab holds a
-// day of, with that day's index: every profile of a generated lab, and
-// of a loaded one the profiles the dataset has days of. Every
-// experiment walks the lab through it or through fanOut, so a profile
-// the lab holds no day of is left out of every report.
+// day of — the profiles its dataset has days of — with that day's
+// index. Every experiment walks the lab through it or through fanOut,
+// so a profile the lab holds no day of is left out of every report.
 func (l *Lab) studied(fn func(p ixpgen.Profile, ix *analysis.Index)) {
 	for _, p := range l.Profiles {
 		if ix := l.Indexes[p.IXP]; ix != nil {
@@ -109,7 +98,7 @@ func (l *Lab) studied(fn func(p ixpgen.Profile, ix *analysis.Index)) {
 // Table 1 order.
 func (l *Lab) fanOut(w io.Writer, fn func(w io.Writer, p ixpgen.Profile) error) error {
 	outs := make([]bytes.Buffer, len(l.Profiles))
-	if _, err := runPool(len(l.Profiles), l.workers(), func(i int) error {
+	if _, err := runPool(len(l.Profiles), l.Parallel, func(i int) error {
 		if p := l.Profiles[i]; l.Indexes[p.IXP] != nil {
 			return fn(&outs[i], p)
 		}
@@ -126,7 +115,7 @@ func (l *Lab) fanOut(w io.Writer, fn func(w io.Writer, p ixpgen.Profile) error) 
 // NewLabShell builds a Lab without generating any workload — the
 // constructor for callers that immediately fill it via LoadSnapshotDir
 // or Load. The serving daemon builds every generation's lab this way,
-// so a (re)load never pays synthetic generation.
+// and GenerateLab loads the dataset it writes into one.
 func NewLabShell(profiles []ixpgen.Profile, seed int64, scale float64, workers int) *Lab {
 	return &Lab{
 		Profiles: profiles,
@@ -138,26 +127,48 @@ func NewLabShell(profiles []ixpgen.Profile, seed int64, scale float64, workers i
 	}
 }
 
-// NewLabParallel generates the latest-snapshot lab for the given
-// profiles. The per-IXP workload generation, and the index build over
-// what it generated, fan out across workers (0 = GOMAXPROCS).
-// Generation is seeded per profile, so the lab is identical for any
+// generatedValleys are the collection valleys of a generated world's
+// series: days 9 and 41 of its twelve weeks, neither in Table 3's week
+// nor on a Table 4 weekly representative, so sanitation has two days
+// to detect and Tables 3/4 read healthy days either way.
+var generatedValleys = [...]int{9, 41}
+
+// WriteGenerated writes a generated world into dir: per profile the
+// twelve-week series `ixpgen -codec delta -days 84 -valleys 9,41`
+// writes at the same seed and scale, through the same writer
+// (ixpgen.WriteSeries), one profile per task on at most workers
+// workers (0 or less: GOMAXPROCS). The files are the same for any
 // worker count.
-func NewLabParallel(profiles []ixpgen.Profile, seed int64, scale float64, workers int) (*Lab, error) {
-	lab := NewLabShell(profiles, seed, scale, workers)
-	ixs := make([]*analysis.Index, len(profiles))
-	if _, err := runPool(len(profiles), lab.workers(), func(i int) error {
-		w, err := ixpgen.Generate(profiles[i], ixpgen.Options{Seed: seed, Scale: scale})
-		if err != nil {
-			return err
-		}
-		ixs[i] = analysis.NewIndex(w.Snapshot("2021-10-04"), profiles[i].Scheme)
-		return nil
-	}); err != nil {
+func WriteGenerated(dir string, profiles []ixpgen.Profile, seed int64, scale float64, workers int) error {
+	opts := ixpgen.TemporalOptions{Seed: seed, Scale: scale, Days: 84, ValleyDays: generatedValleys[:]}
+	_, err := runPool(len(profiles), workers, func(i int) error {
+		_, err := ixpgen.WriteSeries(dir, profiles[i], opts, true)
+		return err
+	})
+	return err
+}
+
+// GenerateLab builds the lab of a generated world: it writes the world
+// (WriteGenerated) into a fresh temporary directory, loads it as
+// LoadSnapshotDir does, and removes the directory, whether or not the
+// writes and the load succeeded. A loaded lab keeps no file open, so it
+// serves every experiment once the directory is gone.
+func GenerateLab(profiles []ixpgen.Profile, seed int64, scale float64, workers int) (lab *Lab, err error) {
+	dir, err := os.MkdirTemp("", "ixplight-lab-")
+	if err != nil {
 		return nil, err
 	}
-	for i, p := range profiles {
-		lab.Indexes[p.IXP] = ixs[i]
+	defer func() {
+		if rmErr := os.RemoveAll(dir); rmErr != nil && err == nil {
+			lab, err = nil, rmErr
+		}
+	}()
+	if err := WriteGenerated(dir, profiles, seed, scale, workers); err != nil {
+		return nil, err
+	}
+	lab = NewLabShell(profiles, seed, scale, workers)
+	if err := lab.LoadSnapshotDir(dir); err != nil {
+		return nil, err
 	}
 	return lab, nil
 }
@@ -213,9 +224,9 @@ func (l *Lab) run(w io.Writer, name string) error {
 	case "fig7":
 		return l.runFig7(w)
 	case "table3":
-		return l.runStability(w, "Table 3 — daily variation over one week", 7, nil)
+		return l.runStability(w, "Table 3 — daily variation over one week", 7)
 	case "table4":
-		return l.runStability(w, "Table 4 — weekly variation over twelve weeks", 84, nil)
+		return l.runStability(w, "Table 4 — weekly variation over twelve weeks", 84)
 	case "sanitation":
 		return l.runSanitation(w)
 	case "extlarge":
@@ -335,15 +346,16 @@ func (l *Lab) runFig7(w io.Writer) error {
 	return nil
 }
 
-// runStability reports Tables 3/4 over a daily series — the loaded
-// dataset when the lab has one, a generated series otherwise.
-func (l *Lab) runStability(w io.Writer, title string, days int, valleys []int) error {
+// runStability reports Tables 3/4 over each studied IXP's loaded daily
+// series (l.Series).
+func (l *Lab) runStability(w io.Writer, title string, days int) error {
 	Section(w, title)
-	return l.eachSeries(w, days, valleys, func(w io.Writer, p ixpgen.Profile, series []analysis.DayCounts) {
+	l.studied(func(p ixpgen.Profile, _ *analysis.Index) {
 		// The paper computes Appendix A over the sanitized dataset:
 		// collection valleys, detected over the whole series, are
 		// removed from the window of its first `days` calendar days
 		// before measuring variation.
+		series := l.Series[p.IXP]
 		series = sanitize.Without(analysis.Window(series, days), sanitize.DetectValleys(series))
 		if days > 7 {
 			series = analysis.WeeklyRepresentatives(series)
@@ -351,31 +363,7 @@ func (l *Lab) runStability(w io.Writer, title string, days int, valleys []int) e
 		WriteStability(w, p.IXP+"-v4", analysis.Stability(series, false))
 		WriteStability(w, p.IXP+"-v6", analysis.Stability(series, true))
 	})
-}
-
-// eachSeries reports on each studied profile's date-ordered daily
-// series: the lab's stored series where it has one, and otherwise, for
-// a lab that never loaded, the counts of the days EvolveSeries evolves
-// at the lab's seed and scale — the series `ixpgen` writes, each day
-// counted as it is evolved. A loaded lab never generates. The profiles
-// fan out across the lab's pool, and fn's output lands on w in profile
-// order.
-func (l *Lab) eachSeries(w io.Writer, days int, valleys []int, fn func(w io.Writer, p ixpgen.Profile, series []analysis.DayCounts)) error {
-	return l.fanOut(w, func(w io.Writer, p ixpgen.Profile) error {
-		series := l.Series[p.IXP]
-		if len(series) == 0 && l.loaded == nil {
-			series = make([]analysis.DayCounts, 0, days)
-			opts := ixpgen.TemporalOptions{Seed: l.Seed, Scale: l.Scale, Days: days, ValleyDays: valleys}
-			if err := ixpgen.EvolveSeries(p, opts, 0, func(_ int, s *collector.Snapshot) error {
-				series = append(series, analysis.CountDay(s))
-				return nil
-			}); err != nil {
-				return err
-			}
-		}
-		fn(w, p, series)
-		return nil
-	})
+	return nil
 }
 
 // runExtLarge reports the extension analysis: action instances by
@@ -564,11 +552,11 @@ func nameList(asns []uint32, reg *asdb.Registry, max int) string {
 
 func (l *Lab) runSanitation(w io.Writer) error {
 	Section(w, "§3 — sanitation: valley detection")
-	// Two injected collection failures when generating; a loaded
-	// dataset carries whatever valleys its producer injected.
-	return l.eachSeries(w, 21, []int{5, 13}, func(w io.Writer, p ixpgen.Profile, series []analysis.DayCounts) {
+	l.studied(func(p ixpgen.Profile, _ *analysis.Index) {
+		series := l.Series[p.IXP]
 		removed := len(sanitize.DetectValleys(series))
 		fmt.Fprintf(w, "%s: %d snapshots, %d removed as valleys (%.1f%%), %d kept\n",
 			p.IXP, len(series), removed, 100*float64(removed)/float64(len(series)), len(series)-removed)
 	})
+	return nil
 }

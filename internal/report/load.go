@@ -105,8 +105,8 @@ type LoadReport struct {
 	Reused, Advanced, Rebuilt int
 }
 
-// LoadSnapshotDir replaces the lab's generated snapshots with stored
-// files from dir: Load over a fresh listing with no predecessor. A
+// LoadSnapshotDir fills the lab with the dataset in dir: Load over a
+// fresh listing with no predecessor. A
 // file or chain day the loader had to skip is an error — the first one
 // a sequential load meets, so with several broken chains the lexically
 // first IXP's earliest broken day — and the lab then holds the days
@@ -206,7 +206,7 @@ func (l *Lab) Load(dir string, files []File, prev *Lab) LoadReport {
 		ld.files = append(ld.files, lf)
 	}
 	if len(opens) > 0 {
-		runPool(len(opens), l.workers(), func(k int) error {
+		runPool(len(opens), l.Parallel, func(k int) error {
 			ld.open(opens[k])
 			return nil
 		})
@@ -238,7 +238,7 @@ func (l *Lab) Load(dir string, files []File, prev *Lab) LoadReport {
 		}
 	}
 	if len(decodes) > 0 {
-		runPool(len(decodes), l.workers(), func(k int) error {
+		runPool(len(decodes), l.Parallel, func(k int) error {
 			ld.decode(decodes[k])
 			return nil
 		})
@@ -301,7 +301,7 @@ func (l *Lab) Load(dir string, files []File, prev *Lab) LoadReport {
 			folds = append(folds, x)
 		}
 	}
-	runPool(len(folds), l.workers(), func(g int) error {
+	runPool(len(folds), l.Parallel, func(g int) error {
 		ld.applyChain(folds[g])
 		return nil
 	})
@@ -366,7 +366,7 @@ func (l *Lab) Load(dir string, files []File, prev *Lab) LoadReport {
 	}
 	if len(builds) > 0 {
 		built := make([]*analysis.Index, len(builds))
-		runPool(len(builds), l.workers(), func(k int) error {
+		runPool(len(builds), l.Parallel, func(k int) error {
 			p := l.Profiles[builds[k]]
 			built[k] = analysis.NewIndex(groups[p.IXP].out.newest().snap, p.Scheme)
 			return nil

@@ -85,10 +85,7 @@ func TestLoadSnapshotDirColumnDirect(t *testing.T) {
 	writeDeltaChain(t, profiles, t.TempDir(), binDir, ixpgen.TemporalOptions{Seed: seed, Scale: scale, Days: days})
 
 	run := func(materialize bool) (*Lab, [][]byte) {
-		lab, err := NewLabParallel(profiles, seed, scale, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
+		lab := NewLabShell(profiles, seed, scale, 2)
 		lab.Materialize = materialize
 		if err := lab.LoadSnapshotDir(binDir); err != nil {
 			t.Fatal(err)
@@ -322,37 +319,28 @@ func TestLoadIgnoresWhatIsNotADatasetFile(t *testing.T) {
 	}
 }
 
-// writeDeltaChain evolves a daily series for each profile, at the
-// default churn `ixpgen` writes, into dir as a delta chain (day 0 full
-// binary, every later day a .delta), and the same days into fullDir as
-// full binary files. Returns the materialized series per IXP.
+// writeDeltaChain writes each profile's series through the dataset
+// writer, ixpgen.WriteSeries, into dir as a delta chain (day 0 full
+// binary, every later day a .delta) and into fullDir as full binary
+// files. Returns the days per IXP, read back from the full files.
 func writeDeltaChain(t testing.TB, profiles []ixpgen.Profile, dir, fullDir string, o ixpgen.TemporalOptions) map[string][]*collector.Snapshot {
 	t.Helper()
 	series := map[string][]*collector.Snapshot{}
 	for _, p := range profiles {
-		var enc *collector.DeltaEncoder
-		err := ixpgen.EvolveSeries(p, o, 0, func(day int, s *collector.Snapshot) error {
-			series[p.IXP] = append(series[p.IXP], s)
-			if _, err := collector.SaveSnapshot(fullDir, s, collector.CodecBinary); err != nil {
-				return err
-			}
-			if day == 0 {
-				var err error
-				enc, err = collector.NewDeltaEncoder(s)
-				if err != nil {
-					return err
-				}
-				_, err2 := collector.SaveSnapshot(dir, s, collector.CodecBinary)
-				return err2
-			}
-			buf, err := enc.Encode(s)
-			if err != nil {
-				return err
-			}
-			return os.WriteFile(filepath.Join(dir, s.IXP+"-"+s.Date+collector.DeltaExt), buf, 0o644)
-		})
+		if _, err := ixpgen.WriteSeries(dir, p, o, true); err != nil {
+			t.Fatal(err)
+		}
+		n, err := ixpgen.WriteSeries(fullDir, p, o, false)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for d := 0; d < n; d++ {
+			day := &collector.Snapshot{IXP: p.IXP, Date: ixpgen.DefaultStart.AddDate(0, 0, d).Format(time.DateOnly)}
+			s, err := collector.LoadSnapshot(collector.DatasetPath(fullDir, day, collector.CodecBinary.Ext()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			series[p.IXP] = append(series[p.IXP], s)
 		}
 	}
 	return series
@@ -377,10 +365,7 @@ func TestLoadSnapshotDirDeltaChain(t *testing.T) {
 	series := writeDeltaChain(t, profiles, chainDir, fullDir, o)
 
 	run := func(dir string, cfg func(*Lab)) (*Lab, [][]byte) {
-		lab, err := NewLabParallel(profiles, seed, scale, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
+		lab := NewLabShell(profiles, seed, scale, 2)
 		if cfg != nil {
 			cfg(lab)
 		}
@@ -426,10 +411,10 @@ func TestLoadSnapshotDirDeltaChain(t *testing.T) {
 	}
 }
 
-// TestStabilityIsOneWorld: Tables 3/4 over a generated lab read the
-// same series as over the dataset `ixpgen` writes at the same seed and
-// scale — as full .bin files and as a .bin + .delta chain — so the
-// temporal experiments do not depend on where the days came from.
+// TestStabilityIsOneWorld: a generated lab is the dataset `ixpgen`
+// writes at the same seed and scale (`-days 84 -valleys 9,41`), loaded —
+// as full .bin files and as a .bin + .delta chain — so the whole `-exp
+// all` battery reads the same world whichever way the days came.
 func TestStabilityIsOneWorld(t *testing.T) {
 	const (
 		seed  = 42
@@ -437,13 +422,12 @@ func TestStabilityIsOneWorld(t *testing.T) {
 	)
 	profiles := ixpgen.BigFour()[1:3]
 	chainDir, binDir := t.TempDir(), t.TempDir()
-	writeDeltaChain(t, profiles, chainDir, binDir, ixpgen.TemporalOptions{Seed: seed, Scale: scale, Days: 84})
-	exps := []string{"table3", "table4"}
-	gen, err := NewLabParallel(profiles, seed, scale, 2)
+	writeDeltaChain(t, profiles, chainDir, binDir, ixpgen.TemporalOptions{Seed: seed, Scale: scale, Days: 84, ValleyDays: generatedValleys[:]})
+	gen, err := GenerateLab(profiles, seed, scale, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := gen.RunMany(exps)
+	want, err := gen.RunMany(ExperimentNames)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,11 +436,11 @@ func TestStabilityIsOneWorld(t *testing.T) {
 		if err := lab.LoadSnapshotDir(dir); err != nil {
 			t.Fatal(err)
 		}
-		got, err := lab.RunMany(exps)
+		got, err := lab.RunMany(ExperimentNames)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, name := range exps {
+		for i, name := range ExperimentNames {
 			if !bytes.Equal(got[i], want[i]) {
 				t.Errorf("%s over a %s dataset differs from the generated lab:\n%s\nvs\n%s", name, layout, got[i], want[i])
 			}
@@ -511,11 +495,7 @@ func TestLoadSnapshotDirDeltaMissingBase(t *testing.T) {
 			}
 		}
 	}
-	lab, err := NewLabParallel(profiles, 7, 0.002, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := lab.LoadSnapshotDir(chainDir); err == nil {
+	if err := NewLabShell(profiles, 7, 0.002, 2).LoadSnapshotDir(chainDir); err == nil {
 		t.Fatal("loading a delta chain without its base succeeded")
 	} else if !strings.Contains(err.Error(), "no snapshot for base day") {
 		t.Fatalf("unexpected error: %v", err)
@@ -797,9 +777,10 @@ func TestLoadSkipsWhatItCannotUse(t *testing.T) {
 // once per IXP, before any experiment runs. A lab built each of the
 // three ways — generated, loaded off columns and deltas, loaded
 // materialized — holds the index of every profile's latest day, and a
-// full `-exp all` over it builds none: the generated and the
-// materialized lab paid one "routes" build per IXP up front, the
-// default load none at all (its days come off columns and deltas).
+// full `-exp all` over it builds none: the materialized lab paid one
+// "routes" build per IXP up front, the generated lab and the default
+// load none at all (their days come off columns and deltas; the
+// generated lab is a load of its twelve-week dataset).
 func TestLabHoldsItsIndexes(t *testing.T) {
 	const (
 		seed  = 42
@@ -821,7 +802,7 @@ func TestLabHoldsItsIndexes(t *testing.T) {
 		build                  func() (*Lab, error)
 		routes, columns, delta int64
 	}{
-		{"generated", func() (*Lab, error) { return NewLabParallel(profiles, seed, scale, 2) }, 4, 0, 0},
+		{"generated", func() (*Lab, error) { return GenerateLab(profiles, seed, scale, 2) }, 0, 4, 4 * 83},
 		{"load", load(false), 0, 4, 4 * (days - 1)},
 		{"load-materialize", load(true), 4, 0, 0},
 	} {
@@ -958,5 +939,53 @@ func TestLoadAllocsPerDay(t *testing.T) {
 	const ceiling = 20
 	if perDay[160] > ceiling {
 		t.Errorf("a chain day costs %.1f allocations, ceiling %d", perDay[160], ceiling)
+	}
+}
+
+// TestGenerateLabLeavesNoDirectory: GenerateLab removes the dataset it
+// wrote, whether the lab loaded or the writes failed partway, and a
+// loaded lab needs none of its files afterwards — it holds its days,
+// never a DeltaReader or an open snapshot reader — so every experiment
+// runs once the directory is gone.
+func TestGenerateLabLeavesNoDirectory(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	left := func() []string {
+		t.Helper()
+		ents, err := os.ReadDir(tmp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
+		}
+		return names
+	}
+	de := *ixpgen.ProfileByName("DE-CIX")
+
+	lab, err := GenerateLab([]ixpgen.Profile{de}, 42, 0.002, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if names := left(); len(names) != 0 {
+		t.Fatalf("a generated lab left %v behind", names)
+	}
+	if n := len(lab.Series[de.IXP]); n != 84 {
+		t.Fatalf("the generated lab holds %d days of %s, want 84", n, de.IXP)
+	}
+	if _, err := lab.RunMany(ExperimentNames); err != nil {
+		t.Fatalf("experiments over a generated lab whose files are gone: %v", err)
+	}
+
+	// The second profile cannot be generated, after the first one's
+	// days were written.
+	broken := de
+	broken.IXP, broken.Scheme = "broken", nil
+	if lab, err := GenerateLab([]ixpgen.Profile{de, broken}, 42, 0.002, 1); err == nil || lab != nil {
+		t.Fatalf("generating a profile with no scheme: lab %v, err %v; want no lab and an error", lab != nil, err)
+	}
+	if names := left(); len(names) != 0 {
+		t.Fatalf("a failed generation left %v behind", names)
 	}
 }

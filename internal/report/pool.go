@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -11,12 +12,16 @@ import (
 // (n, nil) when every task succeeds. Indices are dispatched in
 // ascending order; once a task fails, tasks with higher indices are
 // skipped (lower ones still run, so the winning error is the one the
-// sequential loop would have hit). workers <= 1 degenerates to the
-// plain sequential loop, stopping at the first error. Otherwise the
-// caller is one of the workers and workers-1 helpers are the rest.
+// sequential loop would have hit). workers < 1 means
+// runtime.GOMAXPROCS(0); workers == 1 degenerates to the plain
+// sequential loop, stopping at the first error. Otherwise the caller is
+// one of the workers and workers-1 helpers are the rest.
 func runPool(n, workers int, fn func(int) error) (int, error) {
 	if n <= 0 {
 		return 0, nil
+	}
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > n {
 		workers = n
@@ -129,7 +134,7 @@ func (h *helper) loop() {
 // alongside that experiment's error.
 func (l *Lab) RunMany(names []string) ([][]byte, error) {
 	bufs := make([]bytes.Buffer, len(names))
-	stop, err := runPool(len(names), l.workers(), func(i int) error {
+	stop, err := runPool(len(names), l.Parallel, func(i int) error {
 		return l.Run(&bufs[i], names[i])
 	})
 	outs := make([][]byte, 0, stop)

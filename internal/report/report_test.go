@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 	"testing"
 
 	"ixplight/internal/analysis"
@@ -26,12 +27,27 @@ func testLab(t *testing.T) *Lab {
 		*ixpgen.ProfileByName("DE-CIX"),
 		*ixpgen.ProfileByName("AMS-IX"),
 	}
-	l, err := NewLabParallel(profiles, 7, 0.01, 0)
+	l, err := GenerateLab(profiles, 7, 0.01, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cachedLab = l
 	return l
+}
+
+// generatedBigFour is the generated big-four world at seed 42, scale
+// 0.004, built once for the tests that run experiments over it.
+var generatedBigFour = sync.OnceValues(func() (*Lab, error) {
+	return GenerateLab(ixpgen.BigFour(), 42, 0.004, 0)
+})
+
+func bigFourLab(t testing.TB) *Lab {
+	t.Helper()
+	lab, err := generatedBigFour()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lab
 }
 
 func TestNewLabPopulatesSnapshots(t *testing.T) {
@@ -41,7 +57,7 @@ func TestNewLabPopulatesSnapshots(t *testing.T) {
 	}
 	for _, name := range []string{"DE-CIX", "AMS-IX"} {
 		ix, ok := l.Indexes[name]
-		if !ok || len(ix.Snapshot().Routes) == 0 || len(ix.Snapshot().Members) == 0 {
+		if !ok || ix.DayCounts().V4.Routes == 0 || len(ix.Snapshot().Members) == 0 {
 			t.Errorf("%s snapshot incomplete", name)
 		}
 	}
@@ -52,11 +68,6 @@ func TestNewLabPopulatesSnapshots(t *testing.T) {
 func TestEveryExperimentRuns(t *testing.T) {
 	l := testLab(t)
 	for _, name := range ExperimentNames {
-		// The temporal experiments regenerate day series; keep them to
-		// the cheap list here (they have their own benches).
-		if name == "table4" {
-			continue
-		}
 		t.Run(name, func(t *testing.T) {
 			var buf bytes.Buffer
 			if err := l.Run(&buf, name); err != nil {
@@ -156,10 +167,7 @@ func TestVisibilityAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	lab, err := NewLabParallel(ixpgen.BigFour(), 42, 0.004, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lab := bigFourLab(t)
 	var out bytes.Buffer
 	if err := lab.Run(&out, "visibility"); err != nil {
 		t.Fatal(err)

@@ -25,7 +25,10 @@ const (
 
 // DetectValleys returns the indices of valley days in the series. It
 // inspects the route server's member count and the distinct prefixes of
-// both families combined: a collection failure hits both.
+// both families combined: a collection failure hits both. Each day is
+// measured against the last day before it that was not a valley, so
+// every day of an outage longer than one day is a valley, not only its
+// first.
 func DetectValleys(days []analysis.DayCounts) []int {
 	n := len(days)
 	members := make([]int, n)
@@ -34,18 +37,22 @@ func DetectValleys(days []analysis.DayCounts) []int {
 		members[i], prefixes[i] = days[i].Members, days[i].V4.Prefixes+days[i].V6.Prefixes
 	}
 	var valleys []int
+	ref := 0
 	for i := 1; i < n; i++ {
-		if isValley(members, i) || isValley(prefixes, i) {
+		if isValley(members, ref, i) || isValley(prefixes, ref, i) {
 			valleys = append(valleys, i)
+		} else {
+			ref = i
 		}
 	}
 	return valleys
 }
 
 // isValley reports whether series[i] dropped ≥ threshold below
-// series[i-1] and recovered within the window.
-func isValley(series []int, i int) bool {
-	prev := series[i-1]
+// series[ref], the last healthy day before it, and recovered within
+// the window.
+func isValley(series []int, ref, i int) bool {
+	prev := series[ref]
 	if prev == 0 {
 		return false
 	}

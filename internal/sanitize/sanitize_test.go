@@ -1,6 +1,7 @@
 package sanitize
 
 import (
+	"slices"
 	"testing"
 
 	"ixplight/internal/analysis"
@@ -47,9 +48,36 @@ func TestRecoveryOutsideWindow(t *testing.T) {
 	if valleys := DetectValleys(snaps); len(valleys) != 0 {
 		t.Errorf("valleys = %v, want none (late recovery)", valleys)
 	}
-	// Recovery on the window's last snapshot still counts.
-	if valleys := DetectValleys(series(100, 60, 61, 60, 100)); len(valleys) != 1 {
-		t.Errorf("valleys = %v, want one (recovery on day 3 of the window)", valleys)
+	// Recovery on the window's last snapshot still counts, and so does
+	// every day of the three-day outage it ends.
+	if valleys := DetectValleys(series(100, 60, 61, 60, 100)); !slices.Equal(valleys, []int{1, 2, 3}) {
+		t.Errorf("valleys = %v, want [1 2 3] (recovery on day 3 of the window)", valleys)
+	}
+}
+
+// TestOutageDaysAreAllValleys: an outage longer than one day is a
+// valley on each of its days. Each day is measured against the last
+// healthy day before it: measured against the day before, the second
+// low day would look level with the first one and stay in the series.
+func TestOutageDaysAreAllValleys(t *testing.T) {
+	prefixOnly := series(100, 100, 100, 100, 100, 100)
+	prefixOnly[2].V4.Prefixes, prefixOnly[3].V4.Prefixes = 90, 95
+	for _, tc := range []struct {
+		name string
+		days []analysis.DayCounts
+		want []int
+	}{
+		{"two days", series(100, 100, 60, 60, 100, 100), []int{2, 3}},
+		{"two days, deeper on the second", series(100, 100, 65, 50, 100, 100), []int{2, 3}},
+		{"three days", series(100, 100, 60, 62, 61, 100), []int{2, 3, 4}},
+		{"two outages", series(100, 60, 60, 100, 100, 55, 55, 100), []int{1, 2, 5, 6}},
+		{"two days of prefixes only", prefixOnly, []int{2, 3}},
+		{"a valley, then a genuine decline", series(100, 60, 100, 60, 60, 60, 60), []int{1}},
+		{"longer than the recovery window", series(100, 60, 60, 60, 60, 100), nil},
+	} {
+		if got := DetectValleys(tc.days); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: valleys = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 
