@@ -171,7 +171,7 @@ func appendBinaryRoutes(buf []byte, routes []bgp.Route) []byte {
 	}
 	var local localIDs
 	local.build(tabs, ids)
-	return appendRouteBlock(buf, routes, ids, tabs, &local)
+	return appendRouteBlock(buf, routes, ids, tabs, &local, nil)
 }
 
 // localIDs renumbers the rows of one snapshot from some table space
@@ -221,10 +221,17 @@ func sliceKeyLen(key string) uint64 {
 	return max(v, 1) - 1
 }
 
+// spillAt is how many bytes appendRouteBlock gathers before it hands
+// them to a spill.
+const spillAt = 64 << 10
+
 // appendRouteBlock writes the route block of routes, whose attribute
 // ids in tabs are ids and whose renumbering is local: the slice
-// header, the five intern tables and the nine columns.
-func appendRouteBlock(buf []byte, routes []bgp.Route, ids []rowIDs, tabs *deltaTables, local *localIDs) []byte {
+// header, the five intern tables and the nine columns. With a spill
+// the block is streamed instead of appended whole: spill consumes the
+// bytes written so far, in order, whenever spillAt of them have
+// gathered and once per column, and the unspilled rest is returned.
+func appendRouteBlock(buf []byte, routes []bgp.Route, ids []rowIDs, tabs *deltaTables, local *localIDs, spill func([]byte)) []byte {
 	buf = appendSliceHeader(buf, len(routes), routes == nil)
 
 	// Intern tables. Element totals precede the slice tables so the
@@ -236,19 +243,32 @@ func appendRouteBlock(buf []byte, routes []bgp.Route, ids []rowIDs, tabs *deltaT
 		}
 		for _, id := range order {
 			buf = append(buf, tabs.tabs[tab].keys[id]...)
+			if spill != nil && len(buf) >= spillAt {
+				spill(buf)
+				buf = buf[:0]
+			}
 		}
 	}
 
 	// Columns, each byte-length-prefixed so a reader can set up
 	// per-column cursors without a parsing pre-pass.
 	var col, prev, scratch []byte
+	writeColumn := func() {
+		if spill == nil {
+			buf = appendColumn(buf, col)
+			return
+		}
+		spill(appendUvarint(buf, uint64(len(col))))
+		spill(col)
+		buf = buf[:0]
+	}
 	indexColumn := func(tab int) {
 		col = col[:0]
 		remap := local.remap[tab]
 		for i := range ids {
 			col = appendUvarint(col, uint64(remap[ids[i][tab]]-1))
 		}
-		buf = appendColumn(buf, col)
+		writeColumn()
 	}
 
 	// Prefix column, front-coded against the previous row.
@@ -260,7 +280,7 @@ func appendRouteBlock(buf []byte, routes []bgp.Route, ids []rowIDs, tabs *deltaT
 		col = append(col, scratch[shared:]...)
 		prev = append(prev[:0], scratch...)
 	}
-	buf = appendColumn(buf, col)
+	writeColumn()
 
 	indexColumn(tabNH)
 	indexColumn(tabPath)
@@ -278,7 +298,7 @@ func appendRouteBlock(buf []byte, routes []bgp.Route, ids []rowIDs, tabs *deltaT
 		col = appendUvarint(col, uint64(routes[i].Origin))
 		i = j
 	}
-	buf = appendColumn(buf, col)
+	writeColumn()
 	col = col[:0]
 	for i := 0; i < len(routes); {
 		j := i
@@ -289,7 +309,7 @@ func appendRouteBlock(buf []byte, routes []bgp.Route, ids []rowIDs, tabs *deltaT
 		col = appendUvarint(col, uint64(routes[i].MED))
 		i = j
 	}
-	buf = appendColumn(buf, col)
+	writeColumn()
 	col = col[:0]
 	for i := 0; i < len(routes); {
 		j := i
@@ -300,7 +320,7 @@ func appendRouteBlock(buf []byte, routes []bgp.Route, ids []rowIDs, tabs *deltaT
 		col = appendUvarint(col, uint64(routes[i].LocalPref))
 		i = j
 	}
-	buf = appendColumn(buf, col)
+	writeColumn()
 
 	indexColumn(tabComm)
 	indexColumn(tabExt)

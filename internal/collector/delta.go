@@ -184,16 +184,27 @@ func sameAttrs(a, b *bgp.Route) bool {
 		sameList(a.LargeCommunities, b.LargeCommunities)
 }
 
+// sameList compares two attribute lists, nil-ness included. Lists that
+// share their backing array are equal without an element walk: a day
+// evolved from the one before shares the slices of every route it did
+// not edit.
 func sameList[S ~[]E, E comparable](a, b S) bool {
-	return (a == nil) == (b == nil) && slices.Equal(a, b)
+	if (a == nil) != (b == nil) || len(a) != len(b) {
+		return false
+	}
+	return len(a) == 0 || &a[0] == &b[0] || slices.Equal(a, b)
 }
 
 // routeCompare is Normalize's sort order (family, prefix address,
 // prefix length, peer AS) — the delta merge key. It deliberately
 // compares the parsed fields, not encoded bytes, so it agrees with
 // Normalize for every representable route.
+//
+// It reads the fields through the pointers: Route's value-receiver
+// helpers (IsIPv6, PeerAS) copy the whole route per call, which on the
+// merge walks' hot path cost more than the comparison itself.
 func routeCompare(a, b *bgp.Route) int {
-	av6, bv6 := a.IsIPv6(), b.IsIPv6()
+	av6, bv6 := a.Prefix.Addr().Is6(), b.Prefix.Addr().Is6()
 	if av6 != bv6 {
 		if bv6 {
 			return -1
@@ -210,7 +221,7 @@ func routeCompare(a, b *bgp.Route) int {
 		}
 		return 1
 	}
-	ap, bp := a.PeerAS(), b.PeerAS()
+	ap, bp := a.ASPath.Neighbor(), b.ASPath.Neighbor()
 	if ap != bp {
 		if ap < bp {
 			return -1
@@ -343,13 +354,14 @@ type DeltaEncoder struct {
 	digest  [sha256.Size]byte
 
 	// Scratch reused from day to day. None of it is day-sized: the
-	// binary encoding behind the digest is allocated per day (binSize
-	// remembers how large) so an idle encoder pins only its state.
+	// binary encoding behind the digest is streamed into the hash
+	// through bin, which holds one spill's worth (appendRouteBlock), so
+	// an idle encoder pins only its state.
 	scratch []byte
 	hdr     []byte
 	ops     []byte
 	local   localIDs
-	binSize int
+	bin     []byte
 }
 
 // NewDeltaEncoder starts a chain at base, which must be normalized
@@ -374,16 +386,17 @@ func NewDeltaEncoder(base *Snapshot) (*DeltaEncoder, error) {
 // in e.hdr and whose rows resolve to ids in the chain tables.
 func (e *DeltaEncoder) digestOf(s *Snapshot, ids []rowIDs) [sha256.Size]byte {
 	e.local.build(e.tabs, ids)
-	// Sized by yesterday's encoding, or for a first day by a typical
-	// ~90 bytes a route.
-	buf := make([]byte, 0, max(e.binSize+e.binSize/16, 96*len(s.Routes))+1024)
-	buf = append(buf, binaryMagic...)
+	h := sha256.New()
+	buf := append(e.bin[:0], binaryMagic...)
 	buf = appendUvarint(buf, binaryVersion)
 	buf = appendUvarint(buf, uint64(len(e.hdr)))
 	buf = append(buf, e.hdr...)
-	buf = appendRouteBlock(buf, s.Routes, ids, e.tabs, &e.local)
-	e.binSize = len(buf)
-	return sha256.Sum256(buf)
+	buf = appendRouteBlock(buf, s.Routes, ids, e.tabs, &e.local, func(b []byte) { h.Write(b) })
+	h.Write(buf)
+	e.bin = buf[:0]
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
 }
 
 // Base returns the snapshot the next Encode will diff against.

@@ -3,10 +3,12 @@ package ixpd
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -112,16 +114,28 @@ func BenchmarkIxpdServe(b *testing.B) {
 }
 
 // TestWarmColdSpeedup pins the acceptance floor: warm identical-query
-// throughput at least 10× the cold first-request path, through the
-// daemon's handler. A cold query runs its experiment or lookup over the
-// loaded index and marshals it; a warm one writes cached bytes. The
-// loopback HTTP round trip is left out: it costs both phases the same
-// ~50 µs, which no cache can save, and over sockets it bounds the ratio
-// of this small world at 5–8× (the benchmark's serve-warm and
-// serve-cold workloads measure the served path whole).
+// throughput at least 10× the cold first-request path. It drives a
+// cold, a warm and an If-None-Match phase over real loopback sockets,
+// and times each phase twice: whole, round trips included, and inside
+// the daemon's handler. A cold query runs its experiment or lookup over
+// the loaded index and marshals it; a warm one writes cached bytes.
+//
+// The floor gates the handler's throughput, the part the cache can
+// save. Over loopback the round trip costs every request the same
+// 40–60 µs (a handler that writes "ok" pays as much), ten times a warm
+// handler's ~5 µs, so the socket ratio of this world reads 4–7× and is
+// logged, not gated. The benchmark's serve-warm and serve-cold
+// workloads time the socket path under load.
 func TestWarmColdSpeedup(t *testing.T) {
 	s := testServer(t, Config{})
 	h := s.Handler()
+	var handlerNanos atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		h.ServeHTTP(w, r)
+		handlerNanos.Add(int64(time.Since(start)))
+	}))
+	defer ts.Close()
 
 	// The query universe comes from /v1/meta: every experiment, every
 	// series and the sampled per-AS and per-community lookups.
@@ -146,43 +160,55 @@ func TestWarmColdSpeedup(t *testing.T) {
 
 	// phase issues n requests round-robin over the universe, sending
 	// etags[i] as If-None-Match when set and recording the tag of every
-	// 200, and returns the status counts and the throughput.
+	// 200, and returns the status counts and the throughput, over the
+	// socket and inside the handler.
 	etags := make([]string, len(queries))
-	phase := func(name string, n int, revalidate bool) (statuses map[int]int, qps float64) {
+	phase := func(name string, n int, revalidate bool) (statuses map[int]int, qps, handlerQPS float64) {
 		statuses = make(map[int]int)
+		handlerNanos.Store(0)
 		start := time.Now()
 		for i := 0; i < n; i++ {
 			q := i % len(queries)
-			ifNoneMatch := ""
-			if revalidate {
-				ifNoneMatch = etags[q]
+			req, err := http.NewRequest(http.MethodGet, ts.URL+queries[q], nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-			code, etag, _ := doGet(t, h, queries[q], ifNoneMatch)
-			statuses[code]++
-			if code == http.StatusOK {
-				etags[q] = etag
+			if revalidate {
+				req.Header.Set("If-None-Match", etags[q])
+			}
+			resp, err := ts.Client().Do(req)
+			if err != nil {
+				t.Fatalf("phase %s: %v", name, err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			statuses[resp.StatusCode]++
+			if resp.StatusCode == http.StatusOK {
+				etags[q] = resp.Header.Get("ETag")
 			}
 		}
 		qps = float64(n) / time.Since(start).Seconds()
+		handlerQPS = float64(n) / time.Duration(handlerNanos.Load()).Seconds()
 		if errs := n - statuses[http.StatusOK] - statuses[http.StatusNotModified]; errs > 0 {
 			t.Fatalf("phase %s: %d errors (statuses %v)", name, errs, statuses)
 		}
-		return statuses, qps
+		return statuses, qps, handlerQPS
 	}
 
 	const requests = 200
-	_, coldQPS := phase("cold", len(queries), false) // each distinct query once
-	warm, warmQPS := phase("warm", requests, false)
-	etag, _ := phase("etag", requests, true)
+	_, coldQPS, coldHandlerQPS := phase("cold", len(queries), false) // each distinct query once
+	warm, warmQPS, warmHandlerQPS := phase("warm", requests, false)
+	etag, _, _ := phase("etag", requests, true)
 	if warm[http.StatusOK] != requests {
 		t.Fatalf("warm statuses: %v", warm)
 	}
 	if etag[http.StatusNotModified] != requests {
 		t.Fatalf("etag statuses: %v, want all 304", etag)
 	}
-	t.Logf("%d queries: cold %.0f qps, warm %.0f qps", len(queries), coldQPS, warmQPS)
-	if warmQPS < 10*coldQPS {
-		t.Fatalf("warm %.0f qps < 10× cold %.0f qps", warmQPS, coldQPS)
+	t.Logf("%d queries over sockets: cold %.0f qps, warm %.0f qps (%.1f×)", len(queries), coldQPS, warmQPS, warmQPS/coldQPS)
+	t.Logf("inside the handler: cold %.0f qps, warm %.0f qps (%.1f×)", coldHandlerQPS, warmHandlerQPS, warmHandlerQPS/coldHandlerQPS)
+	if warmHandlerQPS < 10*coldHandlerQPS {
+		t.Fatalf("warm %.0f qps < 10× cold %.0f qps inside the handler", warmHandlerQPS, coldHandlerQPS)
 	}
 }
 
