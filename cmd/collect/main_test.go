@@ -1,6 +1,7 @@
 package main
 
 import (
+	"crypto/sha256"
 	"io/fs"
 	"net/netip"
 	"os"
@@ -95,10 +96,17 @@ func TestChainTip(t *testing.T) {
 	dir := t.TempDir()
 	day0 := testDay("DE-CIX", "2021-10-04", "203.0.113.0/24")
 	day1 := testDay("DE-CIX", "2021-10-05", "203.0.113.0/24", "198.51.100.0/24")
+	var files [][]byte // day 0's base, day 1's delta
 	for _, day := range []*collector.Snapshot{day0, day1} {
-		if _, err := saveDelta(dir, day); err != nil {
+		path, err := saveDelta(dir, day)
+		if err != nil {
 			t.Fatal(err)
 		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, data)
 	}
 	// Header intact, route block cut short.
 	headerOnly := func(s *collector.Snapshot) {
@@ -125,8 +133,18 @@ func TestChainTip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if app == nil || tip != day1.Date || app.Digest() != collector.SnapshotDigest(day1) {
-		t.Errorf("chain tip = %q (applier %v), want the chain from the oldest base standing at %s", tip, app != nil, day1.Date)
+	if app == nil || tip != day1.Date || collector.SnapshotDigest(app.Encoder().Base()) != collector.SnapshotDigest(day1) {
+		t.Fatalf("chain tip = %q (applier %v), want the chain from the oldest base standing at %s", tip, app != nil, day1.Date)
+	}
+	// The chain links day 1's delta to the base file's sha256, and the
+	// applier stands at the delta's own: the sha256 of its bytes before
+	// the seal.
+	delta, err := collector.NewDeltaReader(files[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if delta.BaseDigest() != sha256.Sum256(files[0]) || app.Digest() != sha256.Sum256(files[1][:len(files[1])-sha256.Size]) {
+		t.Error("the chain tip's digest is not the hash chain over the base file and day 1's delta")
 	}
 	if app, _, err := chainTip(dir, "AMS-IX"); app != nil || err != nil {
 		t.Errorf("no chain for AMS-IX: got applier %v, err %v", app != nil, err)

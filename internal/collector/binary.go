@@ -107,6 +107,25 @@ func (it *interner) intern(key []byte) (idx uint64, isNew bool) {
 
 // appendBinarySnapshot encodes s into buf.
 func appendBinarySnapshot(buf []byte, s *Snapshot) []byte {
+	tabs, ids := internRoutes(s.Routes)
+	return appendSnapshotEncoding(buf, s, tabs, ids)
+}
+
+// internRoutes interns routes, in order, into fresh tables: table ids
+// dense in first-appearance order, which is the numbering the binary
+// format stores, so the ids are the columns' values as they are.
+func internRoutes(routes []bgp.Route) (*deltaTables, []rowIDs) {
+	tabs, ids := newDeltaTables(), make([]rowIDs, len(routes))
+	var scratch []byte
+	for i := range routes {
+		ids[i], scratch = tabs.internRoute(scratch, &routes[i], nil)
+	}
+	return tabs, ids
+}
+
+// appendSnapshotEncoding writes the binary encoding of s, whose routes
+// internRoutes turned into tabs and ids.
+func appendSnapshotEncoding(buf []byte, s *Snapshot, tabs *deltaTables, ids []rowIDs) []byte {
 	buf = append(buf, binaryMagic...)
 	buf = appendUvarint(buf, binaryVersion)
 
@@ -116,7 +135,7 @@ func appendBinarySnapshot(buf []byte, s *Snapshot) []byte {
 	buf = appendUvarint(buf, uint64(len(hdr)))
 	buf = append(buf, hdr...)
 
-	return appendBinaryRoutes(buf, s.Routes)
+	return appendRouteBlock(buf, s.Routes, ids, tabs)
 }
 
 // appendHeaderSection encodes the header-section fields (everything
@@ -155,59 +174,6 @@ func appendHeaderSection(hdr []byte, s *Snapshot) []byte {
 	return hdr
 }
 
-// appendBinaryRoutes encodes the route block: intern tables first,
-// then the columns.
-func appendBinaryRoutes(buf []byte, routes []bgp.Route) []byte {
-	// Pass 1: intern every repeated attribute, recording per-route
-	// table indices. Tables fill in first-appearance order so the
-	// encoding is deterministic.
-	var (
-		tabs    = newDeltaTables()
-		ids     = make([]rowIDs, len(routes))
-		scratch []byte
-	)
-	for i := range routes {
-		ids[i], scratch = tabs.internRoute(scratch, &routes[i], nil)
-	}
-	var local localIDs
-	local.build(tabs, ids)
-	return appendRouteBlock(buf, routes, ids, tabs, &local, nil)
-}
-
-// localIDs renumbers the rows of one snapshot from some table space
-// (a delta chain's, which only ever grows) into the snapshot's own:
-// ids dense in first-appearance order, the numbering the binary format
-// stores. For rows interned into fresh tables the renumbering is the
-// identity. The slices are scratch a caller may keep and reuse.
-type localIDs struct {
-	remap [numTabs][]uint32 // table id → local id + 1; 0 = not in this snapshot
-	order [numTabs][]uint32 // local id → table id
-	elems [numTabs]uint64   // total elements of the values in order
-}
-
-func (l *localIDs) build(tabs *deltaTables, ids []rowIDs) {
-	for tab, it := range tabs.tabs {
-		if n := len(it.keys); cap(l.remap[tab]) < n {
-			l.remap[tab] = make([]uint32, n, n+n/8)
-		} else {
-			l.remap[tab] = l.remap[tab][:n]
-			clear(l.remap[tab])
-		}
-		l.order[tab], l.elems[tab] = l.order[tab][:0], 0
-	}
-	for i := range ids {
-		for tab, id := range ids[i] {
-			if l.remap[tab][id] == 0 {
-				l.order[tab] = append(l.order[tab], uint32(id))
-				l.remap[tab][id] = uint32(len(l.order[tab]))
-				if tab != tabNH {
-					l.elems[tab] += sliceKeyLen(tabs.tabs[tab].keys[id])
-				}
-			}
-		}
-	}
-}
-
 // sliceKeyLen reads the element count off the front of a slice-valued
 // attribute key (appendSliceHeader: 0 = nil, n+1 = n elements).
 func sliceKeyLen(key string) uint64 {
@@ -221,54 +187,37 @@ func sliceKeyLen(key string) uint64 {
 	return max(v, 1) - 1
 }
 
-// spillAt is how many bytes appendRouteBlock gathers before it hands
-// them to a spill.
-const spillAt = 64 << 10
-
 // appendRouteBlock writes the route block of routes, whose attribute
-// ids in tabs are ids and whose renumbering is local: the slice
-// header, the five intern tables and the nine columns. With a spill
-// the block is streamed instead of appended whole: spill consumes the
-// bytes written so far, in order, whenever spillAt of them have
-// gathered and once per column, and the unspilled rest is returned.
-func appendRouteBlock(buf []byte, routes []bgp.Route, ids []rowIDs, tabs *deltaTables, local *localIDs, spill func([]byte)) []byte {
+// ids internRoutes put in tabs: the slice header, the five intern
+// tables and the nine columns.
+func appendRouteBlock(buf []byte, routes []bgp.Route, ids []rowIDs, tabs *deltaTables) []byte {
 	buf = appendSliceHeader(buf, len(routes), routes == nil)
 
 	// Intern tables. Element totals precede the slice tables so the
 	// decoder can size each slab with a single allocation.
-	for tab, order := range local.order {
-		buf = appendUvarint(buf, uint64(len(order)))
+	for tab, it := range tabs.tabs {
+		buf = appendUvarint(buf, uint64(len(it.keys)))
 		if tab != tabNH {
-			buf = appendUvarint(buf, local.elems[tab])
-		}
-		for _, id := range order {
-			buf = append(buf, tabs.tabs[tab].keys[id]...)
-			if spill != nil && len(buf) >= spillAt {
-				spill(buf)
-				buf = buf[:0]
+			var elems uint64
+			for _, key := range it.keys {
+				elems += sliceKeyLen(key)
 			}
+			buf = appendUvarint(buf, elems)
+		}
+		for _, key := range it.keys {
+			buf = append(buf, key...)
 		}
 	}
 
 	// Columns, each byte-length-prefixed so a reader can set up
 	// per-column cursors without a parsing pre-pass.
 	var col, prev, scratch []byte
-	writeColumn := func() {
-		if spill == nil {
-			buf = appendColumn(buf, col)
-			return
-		}
-		spill(appendUvarint(buf, uint64(len(col))))
-		spill(col)
-		buf = buf[:0]
-	}
 	indexColumn := func(tab int) {
 		col = col[:0]
-		remap := local.remap[tab]
 		for i := range ids {
-			col = appendUvarint(col, uint64(remap[ids[i][tab]]-1))
+			col = appendUvarint(col, ids[i][tab])
 		}
-		writeColumn()
+		buf = appendColumn(buf, col)
 	}
 
 	// Prefix column, front-coded against the previous row.
@@ -280,7 +229,7 @@ func appendRouteBlock(buf []byte, routes []bgp.Route, ids []rowIDs, tabs *deltaT
 		col = append(col, scratch[shared:]...)
 		prev = append(prev[:0], scratch...)
 	}
-	writeColumn()
+	buf = appendColumn(buf, col)
 
 	indexColumn(tabNH)
 	indexColumn(tabPath)
@@ -298,7 +247,7 @@ func appendRouteBlock(buf []byte, routes []bgp.Route, ids []rowIDs, tabs *deltaT
 		col = appendUvarint(col, uint64(routes[i].Origin))
 		i = j
 	}
-	writeColumn()
+	buf = appendColumn(buf, col)
 	col = col[:0]
 	for i := 0; i < len(routes); {
 		j := i
@@ -309,7 +258,7 @@ func appendRouteBlock(buf []byte, routes []bgp.Route, ids []rowIDs, tabs *deltaT
 		col = appendUvarint(col, uint64(routes[i].MED))
 		i = j
 	}
-	writeColumn()
+	buf = appendColumn(buf, col)
 	col = col[:0]
 	for i := 0; i < len(routes); {
 		j := i
@@ -320,7 +269,7 @@ func appendRouteBlock(buf []byte, routes []bgp.Route, ids []rowIDs, tabs *deltaT
 		col = appendUvarint(col, uint64(routes[i].LocalPref))
 		i = j
 	}
-	writeColumn()
+	buf = appendColumn(buf, col)
 
 	indexColumn(tabComm)
 	indexColumn(tabExt)

@@ -6,10 +6,29 @@
 // first seen on day N, appended to the base tables so existing ids
 // keep meaning the same value along the whole chain) plus a varint op
 // stream of add / remove / attr-change route edits keyed by
-// (prefix, peer). The format is self-describing — "IXPD" magic,
-// version, digests of both endpoints — and chains verify: a delta
-// refuses to apply to anything but the exact base it was encoded
-// against.
+// (prefix, peer).
+//
+// A chain is a hash chain. Every file's digest is the sha256 of its
+// bytes — a .bin base's is its SnapshotDigest, a delta's covers every
+// byte before its 32-byte seal, which is that digest — and a delta
+// names the digest of the file it extends. A delta therefore refuses
+// to apply to anything but the exact base it was encoded against, a
+// delta whose bytes changed is refused at open, and a chain digest
+// names the chain up to its day; the content identity of a day is
+// SnapshotDigest of the day, whatever chain it came from.
+//
+// Layout (all integers varint unless noted):
+//
+//	magic "IXPD" | uvarint version | uvarint header byte length
+//	header: base Date (string), base digest (32 bytes), base and day
+//	        route counts, flags byte (bit0 day's Routes nil), then day
+//	        N's binary header section, byte-length-prefixed
+//	tables: per table (next hops, AS paths, standard/extended/large
+//	        community sets) the chain size it extends, the entry
+//	        count, the element total (not for next hops) and the
+//	        entries in the binary codec's encoding
+//	ops:    byte-length-prefixed op stream
+//	seal:   sha256 of every byte before it (32 bytes)
 //
 // Three access layers mirror the full binary codec:
 //
@@ -38,7 +57,11 @@ import (
 )
 
 const deltaMagic = "IXPD"
-const deltaVersion = 1
+
+// deltaVersion is the wire-format version. Version 1 carried day N's
+// SnapshotDigest in its header instead of a seal: it cost the encoder
+// the whole day's binary encoding every day and was never checked.
+const deltaVersion = 2
 
 // DeltaExt is the file extension for delta-encoded snapshots; deltas
 // live outside the Codec enum because a delta file is not
@@ -51,10 +74,19 @@ var ErrDeltaBaseMismatch = errors.New("collector: delta base mismatch")
 
 var errDeltaCorrupt = errors.New("collector: snapshot delta corrupt")
 
+// errDeltaSeal answers a delta whose bytes do not hash to its seal: a
+// flipped bit anywhere in the file.
+var errDeltaSeal = fmt.Errorf("%w: its bytes do not hash to its seal", errDeltaCorrupt)
+
+// errDeltaV1 answers a delta of the first format, which no reader
+// reads any more.
+var errDeltaV1 = errors.New("collector: snapshot delta version 1 is no longer read (version 2 seals each delta with the sha256 of its bytes), so regenerate the dataset with ixpgen or re-collect it with collect")
+
 // SnapshotDigest is the canonical identity of a snapshot's content:
 // the sha256 of its CodecBinary encoding. For a snapshot written with
 // SaveSnapshot(..., CodecBinary) this equals the sha256 of the file
-// bytes, so chain verification works against files without decoding.
+// bytes, so a chain's base is verified against its file without
+// decoding it.
 func SnapshotDigest(s *Snapshot) [sha256.Size]byte {
 	return sha256.Sum256(appendBinarySnapshot(nil, s))
 }
@@ -98,9 +130,20 @@ func (t *deltaTables) sizes() (s [numTabs]int) {
 	return s
 }
 
+// truncate drops every entry past sizes: what an Encode that failed
+// partway through had interned.
+func (t *deltaTables) truncate(sizes [numTabs]int) {
+	for tab, it := range t.tabs {
+		for _, key := range it.keys[sizes[tab]:] {
+			delete(it.idx, key)
+		}
+		it.keys = it.keys[:sizes[tab]]
+	}
+}
+
 // Attribute key encodings — identical to the intern keys (and table
-// body encodings) of appendBinaryRoutes, so extension bodies are just
-// the concatenated keys of the new entries.
+// body encodings) of the binary route block, so extension bodies are
+// just the concatenated keys of the new entries.
 
 func appendPathKey(b []byte, p bgp.ASPath) []byte {
 	b = appendSliceHeader(b, len(p), p == nil)
@@ -236,10 +279,14 @@ func routeCompare(a, b *bgp.Route) int {
 func checkRouteOrder(routes []bgp.Route) error {
 	for i := 1; i < len(routes); i++ {
 		if routeCompare(&routes[i-1], &routes[i]) > 0 {
-			return fmt.Errorf("collector: delta endpoint not normalized (route %d out of order); call Snapshot.Normalize first", i)
+			return errOutOfOrder(i)
 		}
 	}
 	return nil
+}
+
+func errOutOfOrder(i int) error {
+	return fmt.Errorf("collector: delta endpoint not normalized (route %d out of order); call Snapshot.Normalize first", i)
 }
 
 // --- op stream ------------------------------------------------------------
@@ -337,31 +384,30 @@ func decodePrefixBytes(b []byte) (netip.Prefix, error) {
 // following day; each call diffs against the previous one and
 // advances. The encoder retains each snapshot until the next call.
 //
-// A day costs at most one keying pass, and for the routes that did not
-// change not even that: the merge walk pairs each of day N's routes
-// with day N-1's route for the same (prefix, peer), and a pair whose
-// attributes compare equal takes over yesterday's chain ids without
-// building a key; only added and re-tagged routes are interned. Day N's
-// SnapshotDigest — the sha256 of a binary encoding nobody asked for —
-// is then produced from those ids: a dense chain-id → first-appearance
-// renumbering, table bodies copied from the keys the chain tables
-// already hold, the column writer the binary codec uses. Nothing is
-// hashed into fresh intern maps a second time.
+// A day costs its merge walk and its churn. The walk pairs each of day
+// N's routes with day N-1's route for the same (prefix, peer), and a
+// pair whose attributes compare equal takes over yesterday's chain ids
+// without building a key; only added and re-tagged routes are
+// interned. The walk also proves day N sorted, and the delta's digest
+// is the sha256 of the delta's own bytes, so nothing else visits every
+// route: the day's binary encoding is built once per chain, for the
+// base's digest.
 type DeltaEncoder struct {
 	tabs    *deltaTables
 	prev    *Snapshot
 	prevIDs []rowIDs
 	digest  [sha256.Size]byte
 
-	// Scratch reused from day to day. None of it is day-sized: the
-	// binary encoding behind the digest is streamed into the hash
-	// through bin, which holds one spill's worth (appendRouteBlock), so
-	// an idle encoder pins only its state.
+	// spareIDs is the ids buffer the next Encode fills: the one before
+	// prevIDs, recycled. sharedIDs reports that prevIDs is a
+	// DeltaApplier's, which is never recycled.
+	spareIDs  []rowIDs
+	sharedIDs bool
+
+	// Scratch reused from day to day.
 	scratch []byte
 	hdr     []byte
 	ops     []byte
-	local   localIDs
-	bin     []byte
 }
 
 // NewDeltaEncoder starts a chain at base, which must be normalized
@@ -371,47 +417,24 @@ func NewDeltaEncoder(base *Snapshot) (*DeltaEncoder, error) {
 	if err := checkRouteOrder(base.Routes); err != nil {
 		return nil, err
 	}
-	e := &DeltaEncoder{tabs: newDeltaTables()}
-	e.prevIDs = make([]rowIDs, len(base.Routes))
-	for i := range base.Routes {
-		e.prevIDs[i], e.scratch = e.tabs.internRoute(e.scratch, &base.Routes[i], nil)
-	}
-	e.prev = base
-	e.hdr = appendHeaderSection(e.hdr[:0], base)
-	e.digest = e.digestOf(base, e.prevIDs)
+	e := &DeltaEncoder{prev: base}
+	e.tabs, e.prevIDs = internRoutes(base.Routes)
+	e.digest = sha256.Sum256(appendSnapshotEncoding(nil, base, e.tabs, e.prevIDs))
 	return e, nil
-}
-
-// digestOf is SnapshotDigest(s) for a snapshot whose header section is
-// in e.hdr and whose rows resolve to ids in the chain tables.
-func (e *DeltaEncoder) digestOf(s *Snapshot, ids []rowIDs) [sha256.Size]byte {
-	e.local.build(e.tabs, ids)
-	h := sha256.New()
-	buf := append(e.bin[:0], binaryMagic...)
-	buf = appendUvarint(buf, binaryVersion)
-	buf = appendUvarint(buf, uint64(len(e.hdr)))
-	buf = append(buf, e.hdr...)
-	buf = appendRouteBlock(buf, s.Routes, ids, e.tabs, &e.local, func(b []byte) { h.Write(b) })
-	h.Write(buf)
-	e.bin = buf[:0]
-	var sum [sha256.Size]byte
-	h.Sum(sum[:0])
-	return sum
 }
 
 // Base returns the snapshot the next Encode will diff against.
 func (e *DeltaEncoder) Base() *Snapshot { return e.prev }
 
-// BaseDigest returns the chain digest of the current base.
+// BaseDigest returns the chain digest of the current base: the
+// SnapshotDigest of the chain's first day, then the digest of the
+// delta the last Encode returned.
 func (e *DeltaEncoder) BaseDigest() [sha256.Size]byte { return e.digest }
 
 // Encode emits next as a delta against the encoder's current base
 // and makes next the new base. next must be normalized and is
-// retained by the encoder.
+// retained by the encoder. An error leaves the encoder as it was.
 func (e *DeltaEncoder) Encode(next *Snapshot) ([]byte, error) {
-	if err := checkRouteOrder(next.Routes); err != nil {
-		return nil, err
-	}
 	base := e.prev
 	baseSizes := e.tabs.sizes()
 
@@ -423,9 +446,12 @@ func (e *DeltaEncoder) Encode(next *Snapshot) ([]byte, error) {
 	// in order on both sides.
 	var (
 		ext     tableExt
-		nextIDs = make([]rowIDs, len(next.Routes))
+		nextIDs = slices.Grow(e.spareIDs[:0], len(next.Routes))[:len(next.Routes)]
 		ops     = e.ops[:0]
 		run     uint64
+		// proven: next.Routes[j] has compared above a base route, which
+		// proves it in order (see the c > 0 case).
+		proven bool
 	)
 	flushRun := func() {
 		if run > 0 {
@@ -464,13 +490,27 @@ func (e *DeltaEncoder) Encode(next *Snapshot) ([]byte, error) {
 			ops = append(ops, byte(DeltaDel))
 			ops = appendOpPrefix(ops, &base.Routes[i])
 			ops = appendAttrs(ops, e.prevIDs[i], &base.Routes[i])
+			proven = true
 			i++
 		case c > 0: // only in next → announced
+			// The order check, folded into the walk. The base is
+			// sorted, and next.Routes[j-1] is no higher than the base
+			// route the walk stood at once it was consumed (it compared
+			// below that route, or equal to the one before it). So a
+			// next route that compares above or equal to a base route
+			// since is in order, which the c == 0 case needs no check
+			// for; only a route that compared below every base route it
+			// met, or met none, is compared with its predecessor.
+			if j > 0 && !proven && routeCompare(&next.Routes[j-1], &next.Routes[j]) > 0 {
+				e.tabs.truncate(baseSizes)
+				return nil, errOutOfOrder(j)
+			}
 			nextIDs[j], e.scratch = e.tabs.internRoute(e.scratch, &next.Routes[j], &ext)
 			flushRun()
 			ops = append(ops, byte(DeltaAdd))
 			ops = appendOpPrefix(ops, &next.Routes[j])
 			ops = appendAttrs(ops, nextIDs[j], &next.Routes[j])
+			proven = false
 			j++
 		default:
 			br, nr := &base.Routes[i], &next.Routes[j]
@@ -488,6 +528,7 @@ func (e *DeltaEncoder) Encode(next *Snapshot) ([]byte, error) {
 				ops = appendAttrs(ops, e.prevIDs[i], br)
 				ops = appendAttrs(ops, nextIDs[j], nr)
 			}
+			proven = false
 			i++
 			j++
 		}
@@ -495,15 +536,13 @@ func (e *DeltaEncoder) Encode(next *Snapshot) ([]byte, error) {
 	flushRun()
 	e.ops = ops
 
-	// Header: chain linkage (dates, digests, route counts) plus day
-	// N's full snapshot header section, so a DeltaReader can answer
+	// Header: chain linkage (base date and digest, route counts) plus
+	// day N's full snapshot header section, so a DeltaReader can answer
 	// Header() — and analysis can see day N's member list — without
 	// the base.
 	e.hdr = appendHeaderSection(e.hdr[:0], next)
-	self := e.digestOf(next, nextIDs)
 	hdr := appendString(e.scratch[:0], base.Date)
 	hdr = append(hdr, e.digest[:]...)
-	hdr = append(hdr, self[:]...)
 	hdr = appendUvarint(hdr, uint64(len(base.Routes)))
 	hdr = appendUvarint(hdr, uint64(len(next.Routes)))
 	// Nil-vs-empty Routes is digest-relevant (the binary codec
@@ -517,7 +556,7 @@ func (e *DeltaEncoder) Encode(next *Snapshot) ([]byte, error) {
 	hdr = append(hdr, e.hdr...)
 	e.scratch = hdr
 
-	size := len(deltaMagic) + len(hdr) + len(ops) + 16*binary.MaxVarintLen64
+	size := len(deltaMagic) + len(hdr) + len(ops) + 16*binary.MaxVarintLen64 + sha256.Size
 	for _, body := range ext.body {
 		size += len(body)
 	}
@@ -537,8 +576,13 @@ func (e *DeltaEncoder) Encode(next *Snapshot) ([]byte, error) {
 		buf = append(buf, ext.body[tab]...)
 	}
 	buf = appendColumn(buf, ops)
+	self := sha256.Sum256(buf)
+	buf = append(buf, self[:]...)
 
-	e.prev, e.prevIDs, e.digest = next, nextIDs, self
+	if !e.sharedIDs {
+		e.spareIDs = e.prevIDs
+	}
+	e.prev, e.prevIDs, e.sharedIDs, e.digest = next, nextIDs, false, self
 	return buf, nil
 }
 
@@ -546,7 +590,8 @@ func (e *DeltaEncoder) Encode(next *Snapshot) ([]byte, error) {
 
 // DeltaReader exposes a parsed delta — header, table extensions and
 // the op stream — without materializing routes, mirroring RouteBlock.
-// Opening it reads the chain linkage and the header's scalar facts; the
+// Opening it parses the file's structure, verifies its seal and reads
+// the chain linkage and the header's scalar facts; the
 // member lists stay undecoded until Header builds the day against its
 // base, so an open costs the day's churn, not its membership. The
 // extension tables are decoded eagerly (they are churn-sized, not
@@ -585,7 +630,10 @@ func OpenDelta(path string) (*DeltaReader, error) {
 }
 
 // NewDeltaReader parses a delta from data, which must stay immutable
-// and alive for the reader's lifetime (ops alias it).
+// and alive for the reader's lifetime (ops alias it). The structure is
+// parsed first, so a file cut short reports as truncated; then the seal
+// is checked, so a delta any of whose bytes changed is refused before
+// anything is built from it.
 func NewDeltaReader(data []byte) (*DeltaReader, error) {
 	r := breader{b: data}
 	magic, err := r.bytes(len(deltaMagic))
@@ -595,6 +643,9 @@ func NewDeltaReader(data []byte) (*DeltaReader, error) {
 	version, err := r.uvarint()
 	if err != nil {
 		return nil, err
+	}
+	if version == 1 {
+		return nil, errDeltaV1
 	}
 	if version != deltaVersion {
 		return nil, fmt.Errorf("collector: unsupported snapshot delta version %d (want %d)", version, deltaVersion)
@@ -617,11 +668,6 @@ func NewDeltaReader(data []byte) (*DeltaReader, error) {
 		return nil, err
 	}
 	copy(d.baseDigest[:], bd)
-	sd, err := hr.bytes(sha256.Size)
-	if err != nil {
-		return nil, err
-	}
-	copy(d.selfDigest[:], sd)
 	br, err := hr.uvarint()
 	if err != nil {
 		return nil, err
@@ -673,8 +719,16 @@ func NewDeltaReader(data []byte) (*DeltaReader, error) {
 	if d.ops, err = r.bytes(opsLen); err != nil {
 		return nil, err
 	}
+	sealed := r.off
+	seal, err := r.bytes(sha256.Size)
+	if err != nil {
+		return nil, err
+	}
 	if r.remaining() != 0 {
 		return nil, errDeltaCorrupt
+	}
+	if d.selfDigest = sha256.Sum256(data[:sealed]); [sha256.Size]byte(seal) != d.selfDigest {
+		return nil, errDeltaSeal
 	}
 	return d, nil
 }
@@ -707,11 +761,14 @@ func (d *DeltaReader) Header(base *Snapshot) (*Snapshot, error) {
 // BaseDate returns the Date of the snapshot this delta applies to.
 func (d *DeltaReader) BaseDate() string { return d.baseDate }
 
-// BaseDigest returns the required base's SnapshotDigest.
+// BaseDigest returns the digest of the file this delta extends: the
+// SnapshotDigest of a .bin base, the SelfDigest of a delta.
 func (d *DeltaReader) BaseDigest() [sha256.Size]byte { return d.baseDigest }
 
-// SelfDigest returns day N's SnapshotDigest — the BaseDigest the
-// chain's next delta must carry.
+// SelfDigest returns the delta's chain digest, the sha256 of its bytes
+// before the seal (verified at open): it names the chain up to day N,
+// and is the BaseDigest the chain's next delta must carry. Day N's
+// content identity is SnapshotDigest of the day built from it.
 func (d *DeltaReader) SelfDigest() [sha256.Size]byte { return d.selfDigest }
 
 // BaseRoutes and NextRoutes return the route counts of the two
@@ -860,13 +917,12 @@ func NewDeltaApplier(base *Snapshot) (*DeltaApplier, error) {
 	if err := checkRouteOrder(base.Routes); err != nil {
 		return nil, err
 	}
-	a := &DeltaApplier{tabs: newDeltaTables()}
-	a.curIDs = make([]rowIDs, len(base.Routes))
-	for i := range base.Routes {
+	a := &DeltaApplier{cur: base}
+	a.tabs, a.curIDs = internRoutes(base.Routes)
+	for i, ids := range a.curIDs {
 		r := &base.Routes[i]
-		var ids rowIDs
-		ids, a.scratch = a.tabs.internRoute(a.scratch, r, nil)
-		// An id one past a value table's end was assigned just now.
+		// An id one past a value table's end is the value's first
+		// appearance.
 		v := &a.vals
 		if ids[tabNH] == uint64(len(v.NextHops)) {
 			v.NextHops = append(v.NextHops, r.NextHop)
@@ -883,14 +939,15 @@ func NewDeltaApplier(base *Snapshot) (*DeltaApplier, error) {
 		if ids[tabLarge] == uint64(len(v.LargeCommunitySets)) {
 			v.LargeCommunitySets = append(v.LargeCommunitySets, r.LargeCommunities)
 		}
-		a.curIDs[i] = ids
 	}
-	a.cur = base
-	a.digest = SnapshotDigest(base)
+	a.digest = sha256.Sum256(appendSnapshotEncoding(nil, base, a.tabs, a.curIDs))
 	return a, nil
 }
 
-// Digest returns the chain digest of the current snapshot.
+// Digest returns the chain digest of the current snapshot: the
+// SnapshotDigest of the chain's base, then the SelfDigest of the last
+// delta applied. It names the chain up to the current day; the day's
+// content identity is SnapshotDigest of the day.
 func (a *DeltaApplier) Digest() [sha256.Size]byte { return a.digest }
 
 // extend registers a delta's table extensions: values are appended to
@@ -943,7 +1000,7 @@ func (a *DeltaApplier) extend(d *DeltaReader) error {
 
 // Apply materializes the delta's day-N snapshot and advances the
 // chain. The delta must have been encoded against the chain's current
-// snapshot (digest-verified).
+// snapshot (digest-verified: its BaseDigest is the chain's Digest).
 func (a *DeltaApplier) Apply(d *DeltaReader) (*Snapshot, error) {
 	if bd := d.BaseDigest(); bd != a.digest {
 		return nil, fmt.Errorf("%w: delta for %q base %x…, chain at %x…",
@@ -1036,9 +1093,10 @@ func (a *DeltaApplier) Apply(d *DeltaReader) (*Snapshot, error) {
 // once its encoder has Encoded (their states would diverge).
 func (a *DeltaApplier) Encoder() *DeltaEncoder {
 	return &DeltaEncoder{
-		tabs:    a.tabs,
-		prev:    a.cur,
-		prevIDs: a.curIDs,
-		digest:  a.digest,
+		tabs:      a.tabs,
+		prev:      a.cur,
+		prevIDs:   a.curIDs,
+		sharedIDs: true,
+		digest:    a.digest,
 	}
 }

@@ -41,7 +41,7 @@ func BenchmarkSnapshotDeltaEncode(b *testing.B) {
 		ReportPerRoute(b, &before, len(next.Routes))
 	})
 	b.Run("chained", func(b *testing.B) {
-		base, days := alternatingDays(50000)
+		base, days := alternatingDays(50000, 500)
 		enc, err := NewDeltaEncoder(base)
 		if err != nil {
 			b.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"ixplight/internal/bgp"
@@ -12,8 +13,10 @@ import (
 // referenceDeltaEncoder is DeltaEncoder as it was before Encode stopped
 // keying every route twice, kept as the oracle for its bytes: it
 // interns all of day N's routes up front, whether or not they changed,
-// and takes day N's digest from SnapshotDigest — a second, from-scratch
-// interning of the same attributes.
+// checks day N's order in a pass of its own, and takes the base's
+// digest from SnapshotDigest — a second, from-scratch interning of the
+// same attributes. It writes the current format: a delta sealed with
+// the sha256 of its bytes.
 type referenceDeltaEncoder struct {
 	tabs    *deltaTables
 	prev    *Snapshot
@@ -103,10 +106,8 @@ func (e *referenceDeltaEncoder) encode(t testing.TB, next *Snapshot) []byte {
 	}
 	flushRun()
 
-	self := SnapshotDigest(next)
 	hdr := appendString(nil, base.Date)
 	hdr = append(hdr, e.digest[:]...)
-	hdr = append(hdr, self[:]...)
 	hdr = appendUvarint(hdr, uint64(len(base.Routes)))
 	hdr = appendUvarint(hdr, uint64(len(next.Routes)))
 	var hdrFlags byte
@@ -128,8 +129,9 @@ func (e *referenceDeltaEncoder) encode(t testing.TB, next *Snapshot) []byte {
 		buf = append(buf, ext.body[tab]...)
 	}
 	buf = appendColumn(buf, ops)
+	self := sha256.Sum256(buf)
 	e.prev, e.prevIDs, e.digest = next, nextIDs, self
-	return buf
+	return append(buf, self[:]...)
 }
 
 // deepCloneSnapshot copies a snapshot so that no route shares an
@@ -181,8 +183,12 @@ func deltaOracleChains() map[string][]*Snapshot {
 }
 
 // TestEncodeMatchesReferenceEncoder: every delta of every chain is
-// byte-equal to what the two-pass encoder produced, and the digest the
-// encoder derives from its chain ids is SnapshotDigest of the day.
+// byte-equal to what the two-pass encoder produced, and applying it
+// gives the day back. Each delta links the chain: its SelfDigest is the
+// sha256 of its bytes before the seal, the encoder's next BaseDigest and
+// the BaseDigest the next delta carries; the chain starts at the base's
+// SnapshotDigest. The day's content identity is SnapshotDigest of the
+// applied day.
 func TestEncodeMatchesReferenceEncoder(t *testing.T) {
 	for name, series := range deltaOracleChains() {
 		enc, err := NewDeltaEncoder(series[0])
@@ -197,6 +203,7 @@ func TestEncodeMatchesReferenceEncoder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		link := SnapshotDigest(series[0])
 		for d, day := range series[1:] {
 			got, err := enc.Encode(day)
 			if err != nil {
@@ -205,37 +212,45 @@ func TestEncodeMatchesReferenceEncoder(t *testing.T) {
 			if want := ref.encode(t, day); !bytes.Equal(got, want) {
 				t.Fatalf("%s day %d: delta differs from the reference encoder's (%d vs %d bytes)", name, d+1, len(got), len(want))
 			}
-			if enc.BaseDigest() != SnapshotDigest(day) {
-				t.Fatalf("%s day %d: self digest is not SnapshotDigest(next)", name, d+1)
-			}
 			dr, err := NewDeltaReader(got)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if dr.SelfDigest() != SnapshotDigest(day) {
-				t.Fatalf("%s day %d: the delta carries a self digest that is not SnapshotDigest(next)", name, d+1)
+			if dr.BaseDigest() != link {
+				t.Fatalf("%s day %d: the delta's base digest is not the chain's previous link", name, d+1)
 			}
+			if dr.SelfDigest() != sha256.Sum256(got[:len(got)-sha256.Size]) {
+				t.Fatalf("%s day %d: self digest is not the sha256 of the delta without its seal", name, d+1)
+			}
+			if enc.BaseDigest() != dr.SelfDigest() {
+				t.Fatalf("%s day %d: the encoder's next base digest is not the delta's self digest", name, d+1)
+			}
+			link = dr.SelfDigest()
 			applied, err := app.Apply(dr)
 			if err != nil {
 				t.Fatalf("%s day %d: %v", name, d+1, err)
 			}
-			if !reflect.DeepEqual(applied, day) {
+			if !reflect.DeepEqual(applied, day) || SnapshotDigest(applied) != SnapshotDigest(day) {
 				t.Fatalf("%s day %d: applying the delta does not give the day back", name, d+1)
+			}
+			if app.Digest() != link {
+				t.Fatalf("%s day %d: the applier's chain digest is not the delta's self digest", name, d+1)
 			}
 		}
 	}
 }
 
-// alternatingDays returns a base and two days that each miss a
-// different 1 % of its routes, so that going from one to the other
-// withdraws 1 % and re-announces 1 %. No route shares memory with
-// another day's.
-func alternatingDays(n int) (base *Snapshot, days [2]*Snapshot) {
+// alternatingDays returns a base of n routes and two days that each
+// miss a different, evenly spread set of missing of its routes, so that
+// going from one to the other withdraws missing routes and re-announces
+// missing. No route shares memory with another day's.
+func alternatingDays(n, missing int) (base *Snapshot, days [2]*Snapshot) {
 	base = bulkSnapshot(n)
+	step := n / missing
 	for d := range days {
 		day := &Snapshot{IXP: base.IXP, Date: "2021-10-05", Members: base.Members}
 		for i, r := range base.Routes {
-			if i%100 != 50*d {
+			if i%step != step/2*d {
 				day.Routes = append(day.Routes, r.Clone())
 			}
 		}
@@ -252,7 +267,7 @@ func alternatingDays(n int) (base *Snapshot, days [2]*Snapshot) {
 // that. It is in fact a few dozen, whatever the table size.
 func TestEncodeAllocsOnALowChurnDay(t *testing.T) {
 	const seedAllocs = 59927
-	base, days := alternatingDays(20000)
+	base, days := alternatingDays(20000, 200)
 	enc, err := NewDeltaEncoder(base)
 	if err != nil {
 		t.Fatal(err)
@@ -267,5 +282,41 @@ func TestEncodeAllocsOnALowChurnDay(t *testing.T) {
 	t.Logf("Encode of a 1%% churn day: %.0f allocations for %d routes (seed: %d)", allocs, len(days[0].Routes), seedAllocs)
 	if allocs > seedAllocs/3 {
 		t.Errorf("Encode of a 1%% churn day allocates %.0f times, want ≤ %d (a third of the seed's %d)", allocs, seedAllocs/3, seedAllocs)
+	}
+}
+
+// TestEncodeCostsItsChurn pins that a day on a standing encoder costs
+// its churn, not its size: a day that withdraws 25 routes and
+// re-announces 25 allocates about as many bytes at 20 000 routes as at
+// 5 000 (at most 1.25 times as many). While each day's digest
+// re-encoded the whole day, Encode allocated a fresh ids buffer
+// (40 B a route) and the digest's columns every day.
+func TestEncodeCostsItsChurn(t *testing.T) {
+	perDay := func(n int) float64 {
+		base, days := alternatingDays(n, 25)
+		enc, err := NewDeltaEncoder(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		encode := func(k int) {
+			if _, err := enc.Encode(days[k%2]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		encode(0) // the encoder's buffers reach their working size
+		encode(1)
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for k := range runs {
+			encode(k)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	small, large := perDay(5000), perDay(20000)
+	t.Logf("a 50-route churn day allocates %.0f B at 5 000 routes, %.0f B at 20 000", small, large)
+	if large > 1.25*small {
+		t.Errorf("a 50-route churn day allocates %.0f B at 20 000 routes against %.0f B at 5 000: %.2f×, want ≤ 1.25×", large, small, large/small)
 	}
 }

@@ -1,6 +1,7 @@
 package ixpd
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -608,6 +609,37 @@ func TestReloadSurvivesBadDay(t *testing.T) {
 	landFile(t, filepath.Join(empty, filepath.Base(badPath)), badDelta[:len(badDelta)/2])
 	if err := New(Config{Profiles: profiles, SnapshotDir: empty, ReloadInterval: -1}).Load(); err == nil || !strings.Contains(err.Error(), "truncated") {
 		t.Errorf("initial load of a directory with nothing loadable: %v", err)
+	}
+}
+
+// TestVersion1DeltaIsSkipped: a delta of the first format at a chain
+// tip is a skipped file: /v1/meta lists it with the way to rebuild the
+// dataset, and the chain is served up to the day before it.
+func TestVersion1DeltaIsSkipped(t *testing.T) {
+	dir := t.TempDir()
+	p := ixpgen.BigFour()[0]
+	tipPath, tipDelta := writeDeltaSeries(t, dir, p, 4, 3)
+	v1 := bytes.Clone(tipDelta)
+	v1[len("IXPD")] = 1 // the version follows the magic
+	landFile(t, tipPath, v1)
+	s := New(Config{Profiles: []ixpgen.Profile{p}, SnapshotDir: dir, ReloadInterval: -1})
+	if err := s.Load(); err != nil {
+		t.Fatal(err)
+	}
+	code, _, body := doGet(t, s.Handler(), "/v1/meta", "")
+	if code != http.StatusOK {
+		t.Fatalf("/v1/meta: %d %s", code, body)
+	}
+	var doc MetaDoc
+	if err := json.Unmarshal([]byte(body), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Skipped) != 1 || doc.Skipped[0].File != filepath.Base(tipPath) || !strings.Contains(doc.Skipped[0].Reason, "version 1") ||
+		!strings.Contains(doc.Skipped[0].Reason, "regenerate the dataset with ixpgen or re-collect it") {
+		t.Fatalf("/v1/meta skipped = %+v, want the version-1 tip and how to rebuild it", doc.Skipped)
+	}
+	if len(doc.IXPs) != 1 || doc.IXPs[0].Days != 3 {
+		t.Fatalf("/v1/meta IXPs = %+v, want the chain's first 3 days served", doc.IXPs)
 	}
 }
 

@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
@@ -691,9 +692,10 @@ func TestLoadFromPredecessor(t *testing.T) {
 // corrupt ops and a day that arrived before its predecessor are
 // reported, not fatal; their chains serve up to the last good day — the
 // half-applied one re-folded from its base; the corrupt bytes are not
-// tried again while the file stays as it is; and both days are picked
-// up once a later listing makes them loadable. A
-// materializing lab re-folds instead of advancing but ends up the same.
+// tried again while the file stays as it is; a tip with a flipped bit
+// is refused at open, by its seal; and both days are picked up once a
+// later listing makes them loadable. A materializing lab re-folds
+// instead of advancing but ends up the same.
 func TestLoadSkipsWhatItCannotUse(t *testing.T) {
 	profiles := ixpgen.BigFour()[:2]
 	o := ixpgen.TemporalOptions{Seed: 42, Scale: 0.002, Days: 6}
@@ -710,9 +712,13 @@ func TestLoadSkipsWhatItCannotUse(t *testing.T) {
 			t.Fatal(err)
 		}
 		// a's tip keeps its header and tables but its last op no longer
-		// decodes, so applying it fails partway through; b's day 4 is
-		// held back, so day 5 arrives before its predecessor.
-		if err := os.WriteFile(path(a, 5), append(whole[:len(whole)-3:len(whole)-3], 0xff, 0xff, 0xff), 0o644); err != nil {
+		// decodes, and it is sealed again, so it opens and applying it
+		// fails partway through; b's day 4 is held back, so day 5
+		// arrives before its predecessor.
+		ops := len(whole) - sha256.Size
+		corrupt := append(whole[:ops-3:ops-3], 0xff, 0xff, 0xff)
+		seal := sha256.Sum256(corrupt)
+		if err := os.WriteFile(path(a, 5), append(corrupt, seal[:]...), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		held, err := os.ReadFile(path(b, 4))
@@ -750,6 +756,19 @@ func TestLoadSkipsWhatItCannotUse(t *testing.T) {
 		}
 		if !materialize && (rep.Decoded != 0 || rep.Advances != 2 || rep.Opened != 2) {
 			t.Errorf("picking up two days cost %+v", rep)
+		}
+
+		// a's tip turns up with its last op's bit flipped and its seal
+		// as it was: the file does not open.
+		flipped := bytes.Clone(whole)
+		flipped[ops-1] ^= 1
+		if err := os.WriteFile(path(a, 5), flipped, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		lab, rep = loadFrom(t, profiles, dir, lab, cfg)
+		if len(rep.Skipped) != 1 || rep.Skipped[0].File != filepath.Base(path(a, 5)) || rep.Skipped[0].Op != "load" ||
+			!strings.Contains(rep.Skipped[0].Error(), "seal") || len(lab.Series[a]) != 5 {
+			t.Fatalf("materialize=%v: a flipped bit in the tip: %d days, skipped %+v; want it refused at open, by its seal", materialize, len(lab.Series[a]), rep.Skipped)
 		}
 
 		// a's tip is repaired.
