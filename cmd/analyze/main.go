@@ -8,19 +8,20 @@
 //	        [-ixps IX.br-SP,DE-CIX,LINX,AMS-IX | all] [-snapshots dir]
 //	        [-parallel N] [-trace file]
 //
-// With -snapshots it loads the .bin and .delta files of the -ixps IXPs
-// from a dataset directory; every other file, and every other IXP's, is
-// left alone, and each day is served once. Without it, it writes the
-// dataset `ixpgen -codec delta -days 84 -valleys 9,41` writes at the
-// same -ixps, -seed and -scale into a temporary directory, loads it the
-// same way and removes it, so both modes read the same world: the
-// point-in-time experiments read each IXP's last day (2021-10-10), the
-// temporal ones its twelve weeks. Binary snapshot files are indexed
-// straight off their columns (no []bgp.Route is ever materialized), and
-// delta chains (a day-0 .bin plus daily .delta files, as written by
-// `ixpgen -codec delta` or `collect -codec delta`) are walked
-// incrementally: each day's index advances from the previous day's by
-// applying the delta.
+// With -snapshots it loads the .bin and .delta files of a dataset
+// directory and reports on the IXPs it holds days of; -ixps narrows that
+// to the IXPs it names, each of which the dataset must hold. Every
+// other file is left alone, and each day is served once. Without it, it
+// writes the dataset `ixpgen -codec delta -days 84 -valleys 9,41`
+// writes at the same -ixps, -seed and -scale into a temporary
+// directory, loads it the same way and removes it, so both modes read
+// the same world: the point-in-time experiments read each IXP's last
+// day (2021-10-10), the temporal ones its twelve weeks. Binary snapshot
+// files are indexed straight off their columns (no []bgp.Route is ever
+// materialized), and delta chains (a day-0 .bin plus daily .delta
+// files, as written by `ixpgen -codec delta` or `collect -codec delta`)
+// are walked incrementally: each day's index advances from the previous
+// day's by applying the delta.
 //
 // -parallel bounds the worker pools and nothing else: generated series,
 // dataset files, delta chains and experiments fan out across the pool,
@@ -47,14 +48,19 @@ func main() {
 	exp := flag.String("exp", "all", "experiment to run (all, "+strings.Join(report.ExperimentNames, ", ")+")")
 	scale := flag.Float64("scale", 0.05, "workload scale relative to the paper's magnitudes")
 	seed := flag.Int64("seed", 42, "generation seed")
-	ixps := flag.String("ixps", "big4", "comma-separated IXP names, 'big4' or 'all'")
-	snapshotDir := flag.String("snapshots", "", "load the -ixps IXPs' .bin and .delta files from this directory instead of generating a dataset")
+	ixps := flag.String("ixps", "big4", "comma-separated IXP names, 'big4' or 'all' (with -snapshots, default: the IXPs the dataset holds)")
+	snapshotDir := flag.String("snapshots", "", "load the .bin and .delta files of this directory (of the -ixps IXPs, if given) instead of generating a dataset")
 	outDir := flag.String("out", "", "also write each experiment's output to <out>/<name>.txt")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
 		"worker bound for generation, dataset loading and experiments (1 = sequential)")
 	tracePath := flag.String("trace", "", "write a trace ledger for the run to this file (inspect with tracecat)")
 	flag.Parse()
 
+	named := false
+	flag.Visit(func(f *flag.Flag) { named = named || f.Name == "ixps" })
+	if *snapshotDir != "" && !named {
+		*ixps = "all" // study the IXPs the dataset holds
+	}
 	profiles, err := ixpgen.SelectProfiles(*ixps)
 	if err != nil {
 		fatal(err)
@@ -81,9 +87,12 @@ func main() {
 		if err := lab.LoadSnapshotDir(*snapshotDir); err != nil {
 			fatal(err)
 		}
+		if len(lab.Indexes) == 0 {
+			fatal(fmt.Errorf("%s holds no snapshot of a known IXP", *snapshotDir))
+		}
 		for _, p := range profiles {
-			if lab.Indexes[p.IXP] == nil {
-				fatal(fmt.Errorf("%s holds no snapshot of %s; name the dataset's IXPs with -ixps", *snapshotDir, p.IXP))
+			if named && lab.Indexes[p.IXP] == nil {
+				fatal(fmt.Errorf("%s holds no snapshot of %s; name the dataset's IXPs with -ixps, or leave -ixps out", *snapshotDir, p.IXP))
 			}
 		}
 	} else if lab, err = report.GenerateLab(profiles, *seed, *scale, *parallel); err != nil {

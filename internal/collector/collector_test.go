@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"ixplight/internal/bgp"
 	"ixplight/internal/dictionary"
@@ -77,7 +78,7 @@ func TestSnapshotAccessors(t *testing.T) {
 	if !set[100] || !set[200] || set[300] {
 		t.Errorf("member set = %v", set)
 	}
-	day, err := s.Day()
+	day, err := time.Parse(time.DateOnly, s.Date)
 	if err != nil || day.Year() != 2021 {
 		t.Errorf("day = %v %v", day, err)
 	}

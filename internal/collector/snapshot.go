@@ -11,7 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"time"
 
 	"ixplight/internal/bgp"
 )
@@ -70,11 +69,6 @@ func (s *Snapshot) FailedMemberSet() map[uint32]bool {
 		set[e.ASN] = true
 	}
 	return set
-}
-
-// Day parses the snapshot date.
-func (s *Snapshot) Day() (time.Time, error) {
-	return time.Parse("2006-01-02", s.Date)
 }
 
 // MemberSet returns the set of member ASNs, the §5.5 membership test.

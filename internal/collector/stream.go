@@ -16,6 +16,9 @@ type SnapshotReader struct {
 	buf    []byte // the whole encoding
 	header *Snapshot
 	block  []byte // the route block, aliasing buf
+	// digest is Digest's memo, valid once hashed is set.
+	digest [sha256.Size]byte
+	hashed bool
 }
 
 // OpenSnapshotAt opens a snapshot file: on linux the file is mmap'd
@@ -58,7 +61,13 @@ func NewSnapshotReaderBytes(data []byte) (*SnapshotReader, error) {
 func (sr *SnapshotReader) Header() *Snapshot { return sr.header }
 
 // Digest returns the sha256 of the encoding: the file's SnapshotDigest.
-func (sr *SnapshotReader) Digest() [sha256.Size]byte { return sha256.Sum256(sr.buf) }
+// The bytes are hashed once per reader, whoever asks first.
+func (sr *SnapshotReader) Digest() [sha256.Size]byte {
+	if !sr.hashed {
+		sr.digest, sr.hashed = sha256.Sum256(sr.buf), true
+	}
+	return sr.digest
+}
 
 // RouteBlock exposes the columnar route block — intern tables plus a
 // re-scannable row walk — without assembling a single bgp.Route.

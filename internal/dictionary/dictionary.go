@@ -28,18 +28,6 @@ func FromEntries(ixp string, entries []Entry) *Dictionary {
 	return &Dictionary{ixp: ixp, entries: UnionEntries(entries)}
 }
 
-// Merged builds one dictionary covering all the given schemes — the
-// paper's 3,183-entry combined dictionary when called on Profiles().
-// Colliding values (e.g. the shared RFC 7999 blackhole community) are
-// kept once, labelled by the first scheme that defines them.
-func Merged(schemes []*Scheme) *Dictionary {
-	var all []Entry
-	for _, s := range schemes {
-		all = append(all, s.Entries()...)
-	}
-	return FromEntries("merged", all)
-}
-
 // IXP returns the dictionary's label.
 func (d *Dictionary) IXP() string { return d.ixp }
 
@@ -56,14 +44,4 @@ func (d *Dictionary) Lookup(c bgp.Community) (Entry, bool) {
 		return d.entries[i], true
 	}
 	return Entry{}, false
-}
-
-// TotalEntries sums the per-scheme dictionary sizes without merging —
-// the quantity the paper reports as "more than 3000 communities".
-func TotalEntries(schemes []*Scheme) int {
-	n := 0
-	for _, s := range schemes {
-		n += len(s.Entries())
-	}
-	return n
 }

@@ -1,29 +1,29 @@
 package ixpd
 
 import (
-	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"ixplight/internal/report"
 )
 
-// generation is one immutable loaded dataset: the lab, its identity
-// digest, and the response table scoped to it. Handlers pin the
-// pointer once per request; a reload builds the next generation from
-// this one's lab — sharing every day whose file did not change — and
-// swaps the pointer, so an old generation keeps answering its
+// generation is one immutable loaded dataset: the lab, the listing it
+// was loaded from, and the response table scoped to it. Handlers pin
+// the pointer once per request; a reload builds the next generation
+// from this one's lab — sharing every day whose file did not change —
+// and swaps the pointer, so an old generation keeps answering its
 // in-flight requests until the last one returns.
 type generation struct {
-	id       uint64
-	lab      *report.Lab
-	digest   string // 16-hex identity prefix, embedded in every ETag
-	sig      string // raw directory signature, compared by the reload poller
+	id  uint64
+	lab *report.Lab
+	// digest is the lab's content digest, 16 hex digits, embedded in
+	// every ETag.
+	digest string
+	// files is the listing the lab was loaded from: the reload poller's
+	// "nothing changed" key.
+	files    []report.File
 	loadedAt time.Time
 	// responses holds the generation's cached and in-flight responses.
 	responses *respTable
@@ -39,7 +39,7 @@ type generation struct {
 // first): a shell lab filled by the one loader, report.Load, from the
 // listing the caller took — against prev's lab, so the load costs what
 // changed in the directory.
-func (s *Server) buildGeneration(prev *generation, files []report.File, sig string) *generation {
+func (s *Server) buildGeneration(prev *generation, files []report.File) *generation {
 	cfg := &s.cfg
 	lab := report.NewLabShell(cfg.Profiles, cfg.Seed, cfg.Scale, cfg.Parallel)
 	lab.Telemetry = cfg.Telemetry
@@ -49,12 +49,13 @@ func (s *Server) buildGeneration(prev *generation, files []report.File, sig stri
 		prevLab = prev.lab
 	}
 	rep := lab.Load(cfg.SnapshotDir, files, prevLab)
-	sum := sha256.Sum256([]byte(sig))
+	var digest [16]byte
+	hex.Encode(digest[:], lab.Digest[:8])
 	gen := &generation{
 		id:        s.genSeq.Add(1),
 		lab:       lab,
-		digest:    hex.EncodeToString(sum[:8]),
-		sig:       sig,
+		digest:    string(digest[:]),
+		files:     files,
 		loadedAt:  time.Now(),
 		responses: newRespTable(cfg.cacheCap()),
 		load:      rep,
@@ -65,53 +66,6 @@ func (s *Server) buildGeneration(prev *generation, files []report.File, sig stri
 		}
 	}
 	return gen
-}
-
-// dirSignature takes the one listing a (re)load works from and
-// fingerprints it: the lab's identity, then every regular file's name,
-// size and mtime, in name order. Any landed, rewritten or removed
-// collection day changes the signature — the reload trigger and,
-// hashed, the dataset half of every ETag. Content is not read:
-// snapshot writes in this repo are atomic (temp + rename), so (name,
-// size, mtime) moves if and only if bytes moved. The generation is
-// then loaded from the returned files, not from a second look at the
-// directory, so its digest names exactly the files it serves.
-func (s *Server) dirSignature() ([]report.File, string, error) {
-	dir := s.cfg.SnapshotDir
-	files, err := report.ListDir(dir, true)
-	if err != nil {
-		return nil, "", err
-	}
-	sig := make([]byte, 0, len(dir)+len(s.ident)+6+len(files)*64)
-	sig = append(sig, "dir\x00"...)
-	sig = append(sig, dir...)
-	sig = append(sig, 0)
-	sig = append(sig, s.ident...)
-	sig = append(sig, 0)
-	for i, f := range files {
-		if i > 0 {
-			sig = append(sig, '\n')
-		}
-		sig = append(sig, f.Name...)
-		sig = append(sig, 0)
-		sig = strconv.AppendInt(sig, f.Size, 10)
-		sig = append(sig, 0)
-		sig = strconv.AppendInt(sig, f.ModTime, 10)
-	}
-	return files, string(sig), nil
-}
-
-// labIdentity names what shapes a generation's bodies besides its
-// files: the IXPs served, in order, the seed and the scale (Table 1
-// scales its member totals, and visibility simulates its world from
-// all three). The signature carries it, so two daemons configured
-// apart never share an ETag.
-func labIdentity(cfg *Config) string {
-	names := make([]string, len(cfg.Profiles))
-	for i, p := range cfg.Profiles {
-		names[i] = p.IXP
-	}
-	return fmt.Sprintf("seed=%d\x00scale=%g\x00ixps=%s", cfg.Seed, cfg.Scale, strings.Join(names, ","))
 }
 
 // --- response table -----------------------------------------------------

@@ -38,11 +38,15 @@ type SkippedFile struct {
 
 // MetaIXP is one IXP's slice of the dataset, including small query
 // samples so load generators and curl users can form valid per-AS and
-// per-community lookups without guessing.
+// per-community lookups without guessing. First and Latest are the
+// first and the served day; Tip is the hex sha256 of the file the served
+// day came from (a delta's seal, which names its whole chain).
 type MetaIXP struct {
 	IXP               string   `json:"ixp"`
 	Days              int      `json:"days"`
+	First             string   `json:"first"`
 	Latest            string   `json:"latest"`
+	Tip               string   `json:"tip"`
 	MembersV4         int      `json:"members_v4"`
 	MembersV6         int      `json:"members_v6"`
 	RoutesV4          int      `json:"routes_v4"`
@@ -132,10 +136,13 @@ func (s *Server) metaDoc(g *generation) (any, error) {
 			continue
 		}
 		snap := ix.Snapshot()
+		series := g.lab.Series[p.IXP]
 		mi := MetaIXP{
 			IXP:       p.IXP,
-			Days:      len(g.lab.Series[p.IXP]),
+			Days:      len(series),
+			First:     series[0].Date,
 			Latest:    snap.Date,
+			Tip:       g.lab.Tip(p.IXP),
 			MembersV4: snap.MembersV4(),
 			MembersV6: snap.MembersV6(),
 			RoutesV4:  ix.Counts(false).Routes,

@@ -6,10 +6,12 @@
 //
 // The hot path is engineered around two layers of reuse:
 //
-//  1. Strong ETags derived from the dataset digest plus the canonical
-//     query, so a client that revalidates with If-None-Match gets a
-//     304 without the server recomputing — or even consulting — the
-//     response table.
+//  1. Strong ETags derived from the dataset digest — a hash of the
+//     served files' contents and the lab's configuration, never of
+//     where the files are or when they were written — plus the
+//     canonical query, so a client that revalidates with If-None-Match
+//     gets a 304 without the server recomputing — or even consulting —
+//     the response table.
 //  2. One response table per generation, one flight per canonical
 //     query: N concurrent identical cold queries join one flight and
 //     cost one compute (one experiment run, one marshal) between them,
@@ -28,8 +30,10 @@
 // unchanged day with the serving one, so the cost is what landed — and
 // swaps it in atomically. A file that cannot be loaded is skipped and
 // reported, never fatal. In-flight requests pinned the old generation pointer at
-// entry and finish on it; new requests see the new generation (and
-// new ETags, so stale client caches revalidate to 200, not 304).
+// entry and finish on it; new requests see the new generation. Its
+// ETags move only if the served data did (/v1/meta's, which names the
+// generation, always does): after a touch a client's tags still
+// revalidate to 304, after a new day to 200.
 package ixpd
 
 import (
@@ -43,13 +47,13 @@ import (
 	"runtime"
 	"runtime/debug"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"ixplight/internal/ixpgen"
-	"ixplight/internal/report"
 	"ixplight/internal/telemetry"
 )
 
@@ -65,7 +69,7 @@ type Config struct {
 	SnapshotDir string
 	// Seed and Scale shape Table 1's member totals and visibility's
 	// simulated world. Both, and the Profiles' IXPs in order, are
-	// recorded in the dataset digest.
+	// recorded in the dataset digest (report.Lab.Digest).
 	Seed  int64
 	Scale float64
 	// Parallel bounds the lab's load/experiment worker pools.
@@ -134,9 +138,6 @@ func (c *Config) logf(format string, args ...any) {
 type Server struct {
 	cfg Config
 	met *metrics
-	// ident is labIdentity(&cfg), which every dataset signature
-	// carries.
-	ident string
 
 	// gen is the current dataset generation. Handlers load it exactly
 	// once per request and keep serving from that pointer even if a
@@ -167,10 +168,9 @@ type Server struct {
 // Load (readiness flips once it returns), then serve Handler.
 func New(cfg Config) *Server {
 	s := &Server{
-		cfg:   cfg,
-		met:   newMetrics(cfg.Telemetry),
-		ident: labIdentity(&cfg),
-		sem:   make(chan struct{}, cfg.maxInFlight()),
+		cfg: cfg,
+		met: newMetrics(cfg.Telemetry),
+		sem: make(chan struct{}, cfg.maxInFlight()),
 	}
 	s.mux = s.routes()
 	return s
@@ -189,14 +189,14 @@ func (s *Server) Load() error {
 }
 
 // install swaps gen in as the serving generation. A generation is
-// installed once per directory signature, so this is also where each
-// skipped file is logged once per signature change.
+// installed once per listing change, so this is also where each
+// skipped file is logged once per change.
 func (s *Server) install(gen *generation) {
 	s.gen.Store(gen)
 	s.met.generation.Set(int64(gen.id))
 	s.met.skipped.Set(int64(len(gen.load.Skipped)))
 	s.met.age(gen)
-	s.cfg.logf("ixpd: generation %d live (digest %s, %d IXPs)", gen.id, gen.digest, len(gen.lab.Profiles))
+	s.cfg.logf("ixpd: generation %d live (digest %s, %d IXPs)", gen.id, gen.digest, len(gen.lab.Indexes))
 	for i := range gen.load.Skipped {
 		s.cfg.logf("ixpd: generation %d skipped %v", gen.id, &gen.load.Skipped[i])
 	}
@@ -308,7 +308,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, k
 	s.met.inFlight.Inc()
 	defer s.met.inFlight.Dec()
 	_, sp := telemetry.StartSpan(r.Context(), s.cfg.Telemetry, "ixpd.request")
-	code := s.serve(w, r, key, compute)
+	code := s.serve(w, r, endpoint, key, compute)
 	if sp != nil {
 		sp.SetAttr("endpoint", endpoint)
 		sp.SetAttr("path", r.URL.Path)
@@ -318,11 +318,17 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, k
 	s.met.request(endpoint, code, time.Since(t0))
 }
 
-func (s *Server) serve(w http.ResponseWriter, r *http.Request, key string, compute func(*generation) (any, error)) int {
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, endpoint, key string, compute func(*generation) (any, error)) int {
 	gen := s.gen.Load()
 	if gen == nil {
 		writeJSON(w, http.StatusServiceUnavailable, []byte(`{"error":"dataset not loaded"}`+"\n"))
 		return http.StatusServiceUnavailable
+	}
+	if endpoint == "meta" {
+		// /v1/meta names its generation and load time: the generation
+		// joins its key, so its ETag moves with every swap.
+		var buf [64]byte
+		key = string(strconv.AppendUint(append(append(buf[:0], key...), "\x00generation="...), gen.id, 10))
 	}
 
 	etag := gen.etagFor(key)
@@ -584,12 +590,4 @@ func writeBody(w http.ResponseWriter, code int, etag string, data []byte) {
 	h["Etag"] = []string{etag}
 	w.WriteHeader(code)
 	w.Write(data)
-}
-
-// labFor is a test/bench seam: the current generation's lab.
-func (s *Server) labFor() *report.Lab {
-	if gen := s.gen.Load(); gen != nil {
-		return gen.lab
-	}
-	return nil
 }

@@ -2,26 +2,31 @@ package ixpd
 
 import (
 	"context"
+	"slices"
 	"time"
 
+	"ixplight/internal/report"
 	"ixplight/internal/telemetry"
 )
 
 // Hot reload: new collection days land in the snapshot directory as
 // files (the collectors write them atomically), so the daemon polls
-// the directory signature instead of depending on an fsnotify-style
-// watcher — portable, cheap between changes, and immune to
-// editor/rename event storms. On a signature change the next generation
-// is built from the serving one off the request path: the loader diffs
-// the one listing the poll took against the serving generation's file
+// the directory listing — names, sizes and mtimes — instead of
+// depending on an fsnotify-style watcher: portable, cheap between
+// changes, and immune to editor/rename event storms. When the listing
+// is not the one the serving generation was loaded from, the next
+// generation is built from the serving one off the request path: the
+// loader diffs the listing against the serving generation's file
 // table, shares every day whose file and chain prefix did not change,
 // and decodes or advances only what landed — a new day costs one delta
-// open and one Index.Advance; a removed or rewritten day re-folds its
-// IXP's chain from the base, and only that IXP. Only the final pointer
-// swap is shared with serving.
+// open and one Index.Advance; a removed, rewritten or touched day
+// re-folds its IXP's chain from the base, and only that IXP. The new
+// generation's digest is its lab's, a hash of file contents, so a
+// touch swaps a generation whose ETags are the old ones. Only the
+// final pointer swap is shared with serving.
 
 // WatchReload polls the dataset directory until ctx is cancelled,
-// reloading on every signature change. It returns immediately when
+// reloading whenever its listing changes. It returns immediately when
 // polling is disabled (ReloadInterval < 0).
 func (s *Server) WatchReload(ctx context.Context) {
 	if s.cfg.reloadInterval() < 0 {
@@ -73,7 +78,7 @@ func (s *Server) Reload() (swapped bool, err error) {
 // skipped and no day loaded at all.
 func (s *Server) load(cur *generation) (swapped bool, err error) {
 	t0 := time.Now()
-	files, sig, err := s.dirSignature()
+	files, err := report.ListDir(s.cfg.SnapshotDir, true)
 	if err != nil {
 		return false, err
 	}
@@ -82,12 +87,12 @@ func (s *Server) load(cur *generation) (swapped bool, err error) {
 	}
 	if cur != nil {
 		s.met.age(cur)
-		if sig == cur.sig {
+		if slices.Equal(files, cur.files) {
 			return false, nil
 		}
 	}
 	_, sp := telemetry.StartSpan(context.Background(), s.cfg.Telemetry, "ixpd.reload")
-	gen := s.buildGeneration(cur, files, sig)
+	gen := s.buildGeneration(cur, files)
 	if cur == nil && len(gen.load.Skipped) > 0 && len(gen.lab.Series) == 0 {
 		skipped := &gen.load.Skipped[0]
 		if sp != nil {

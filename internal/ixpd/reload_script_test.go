@@ -23,7 +23,8 @@ import (
 // mutates a dataset directory the way collectors, operators and
 // accidents do, and after every step a server that has been reloading
 // all along must answer every endpoint exactly like a server that loads
-// the directory for the first time.
+// a byte copy of the directory, at another path, for the first time —
+// so every step also proves that where the files are names nothing.
 
 const (
 	scriptScale = 0.002
@@ -103,18 +104,20 @@ func getScriptPool(t testing.TB) *scriptPool {
 	return pool
 }
 
-// scriptWorld is one dataset directory under mutation.
+// scriptWorld is one dataset directory under mutation, and the place
+// its copies go.
 type scriptWorld struct {
 	t        testing.TB
 	pool     *scriptPool
 	profiles []ixpgen.Profile
 	dir      string
+	copyDir  string
 	clock    time.Time // source of distinct mtimes for touch
 	temps    int
 }
 
 func newScriptWorld(t testing.TB, nIXPs int) *scriptWorld {
-	w := &scriptWorld{t: t, pool: getScriptPool(t), dir: t.TempDir(), clock: time.Now().Add(time.Hour)}
+	w := &scriptWorld{t: t, pool: getScriptPool(t), dir: t.TempDir(), copyDir: filepath.Join(t.TempDir(), "copy"), clock: time.Now().Add(time.Hour)}
 	w.profiles = w.pool.profiles[:nIXPs]
 	for _, p := range w.profiles {
 		w.put("canon", w.base(p.IXP))
@@ -150,6 +153,32 @@ func (w *scriptWorld) write(name string, data []byte) {
 	if err != nil {
 		w.t.Fatal(err)
 	}
+}
+
+// copy replaces copyDir with a byte copy of the directory — every file,
+// under fresh mtimes — and returns it.
+func (w *scriptWorld) copy() string {
+	w.t.Helper()
+	if err := os.RemoveAll(w.copyDir); err != nil {
+		w.t.Fatal(err)
+	}
+	if err := os.Mkdir(w.copyDir, 0o755); err != nil {
+		w.t.Fatal(err)
+	}
+	entries, err := os.ReadDir(w.dir)
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(w.dir, e.Name()))
+		if err != nil {
+			w.t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(w.copyDir, e.Name()), data, 0o644); err != nil {
+			w.t.Fatal(err)
+		}
+	}
+	return w.copyDir
 }
 
 func (w *scriptWorld) remove(name string) {
@@ -339,8 +368,9 @@ func scriptPaths(t testing.TB, fresh *Server, profiles []ixpgen.Profile, experim
 }
 
 // comparableBody strips what legitimately differs between two servers
-// on the same directory: /v1/meta's generation number and load time.
-func comparableBody(t testing.TB, path, body string) string {
+// on copies of one directory: /v1/meta's generation number and load
+// time, and the directory, which a skipped file's reason may name.
+func comparableBody(t testing.TB, path, body, dir string) string {
 	t.Helper()
 	if path != "/v1/meta" {
 		return body
@@ -350,6 +380,9 @@ func comparableBody(t testing.TB, path, body string) string {
 		t.Fatalf("/v1/meta: %v: %s", err, body)
 	}
 	meta.Generation, meta.LoadedAt = 0, time.Time{}
+	for i := range meta.Skipped {
+		meta.Skipped[i].Reason = strings.ReplaceAll(meta.Skipped[i].Reason, dir, "DIR")
+	}
 	out, err := json.Marshal(&meta)
 	if err != nil {
 		t.Fatal(err)
@@ -358,18 +391,23 @@ func comparableBody(t testing.TB, path, body string) string {
 }
 
 // checkSameAsFresh reloads inc and compares it, endpoint by endpoint,
-// with a server loading the directory for the first time.
-func checkSameAsFresh(t testing.TB, inc *Server, cfg Config, experiments []string, after string) {
+// with a server loading copyDir, a byte copy of inc's directory, for the
+// first time. Every ETag but /v1/meta's, which names the generation,
+// must match.
+func checkSameAsFresh(t testing.TB, inc *Server, cfg Config, copyDir string, experiments []string, after string) {
 	t.Helper()
 	if _, err := inc.Reload(); err != nil {
 		t.Fatalf("after %s: reload: %v", after, err)
 	}
+	dir := cfg.SnapshotDir
+	cfg.SnapshotDir = copyDir
 	fresh := New(cfg)
 	if err := fresh.Load(); err != nil {
 		// Nothing in the directory loads: the reloading server must be
 		// serving no day either, and naming the same first casualty.
 		gen := inc.gen.Load()
-		if len(gen.lab.Series) != 0 || len(gen.load.Skipped) == 0 || gen.load.Skipped[0].Error() != err.Error() {
+		if len(gen.lab.Series) != 0 || len(gen.load.Skipped) == 0 ||
+			strings.ReplaceAll(gen.load.Skipped[0].Error(), dir, copyDir) != err.Error() {
 			t.Fatalf("after %s: fresh load fails with %v; reloaded server serves %d IXPs, skipped %v",
 				after, err, len(gen.lab.Series), gen.load.Skipped)
 		}
@@ -381,7 +419,10 @@ func checkSameAsFresh(t testing.TB, inc *Server, cfg Config, experiments []strin
 	for _, path := range scriptPaths(t, fresh, cfg.Profiles, experiments) {
 		wantCode, wantTag, want := doGet(t, fresh.Handler(), path, "")
 		gotCode, gotTag, got := doGet(t, inc.Handler(), path, "")
-		if gotCode != wantCode || gotTag != wantTag || comparableBody(t, path, got) != comparableBody(t, path, want) {
+		if path == "/v1/meta" {
+			gotTag, wantTag = "", ""
+		}
+		if gotCode != wantCode || gotTag != wantTag || comparableBody(t, path, got, dir) != comparableBody(t, path, want, copyDir) {
 			t.Fatalf("after %s: GET %s differs\nreloaded: %d %s %s\nfresh:    %d %s %s",
 				after, path, gotCode, gotTag, got, wantCode, wantTag, want)
 		}
@@ -413,11 +454,16 @@ func runReloadScript(t testing.TB, nIXPs int, materialize bool, parallel, steps 
 	var trail []string
 	for i := 0; i < steps; i++ {
 		op, arg := next()
+		before := inc.gen.Load().digest
 		trail = append(trail, w.step(op, arg))
 		if len(trail) > 6 {
 			trail = trail[1:]
 		}
-		checkSameAsFresh(t, inc, cfg, experiments, fmt.Sprintf("step %d [… %s]", i, strings.Join(trail, "; ")))
+		after := fmt.Sprintf("step %d [… %s]", i, strings.Join(trail, "; "))
+		checkSameAsFresh(t, inc, cfg, w.copy(), experiments, after)
+		if got := inc.gen.Load().digest; op == opTouch && got != before {
+			t.Fatalf("after %s: a touch moved the digest from %s to %s", after, before, got)
+		}
 		rep := inc.gen.Load().load
 		switch {
 		case rep.Advanced > 0:

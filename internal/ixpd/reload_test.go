@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -172,7 +173,7 @@ func TestHotReload(t *testing.T) {
 	if got := len(doc.(*SeriesDoc).Days); got != 3 {
 		t.Fatalf("old generation now serves %d days, want its original 3", got)
 	}
-	if _, ok := oldGen.responses.cached("/v1/meta"); !ok {
+	if _, ok := oldGen.responses.cached("/v1/series/" + p.IXP); !ok {
 		t.Fatal("old generation's response cache was torn down while pinned")
 	}
 
@@ -266,7 +267,7 @@ func TestReloadWorkIsProportional(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		runtime.GC()
 		listing = max(listing, mallocs(func() {
-			if _, _, err := plain.dirSignature(); err != nil {
+			if _, err := report.ListDir(dir, true); err != nil {
 				t.Fatal(err)
 			}
 		}))
@@ -309,7 +310,7 @@ func TestReloadWorkIsProportional(t *testing.T) {
 	// The re-folded tip is the chain state's owner: measure one Advance
 	// on it directly, and the Materialize the served day takes, then let
 	// the daemon land the same day again.
-	ix := s.labFor().Indexes[profiles[2].IXP]
+	ix := s.gen.Load().lab.Indexes[profiles[2].IXP]
 	advance = mallocs(func() {
 		next, err := ix.Advance(dr)
 		if err != nil {
@@ -341,7 +342,7 @@ func TestReloadWorkIsProportional(t *testing.T) {
 // TestReloadIgnoresCollectorLeftovers: `collect` rewrites trace.jsonl
 // and leaves a checkpoint in the directory it fills. They are not
 // dataset files: they load as nothing, and rewriting one moves neither
-// the directory signature nor the serving generation.
+// the dataset listing nor the serving generation.
 func TestReloadIgnoresCollectorLeftovers(t *testing.T) {
 	dir := t.TempDir()
 	p := ixpgen.BigFour()[0]
@@ -358,13 +359,13 @@ func TestReloadIgnoresCollectorLeftovers(t *testing.T) {
 		t.Fatalf("loaded %d IXPs (%s: %d days), skipped %v; want the one 3-day chain and nothing skipped",
 			len(gen.lab.Series), p.IXP, len(gen.lab.Series[p.IXP]), gen.load.Skipped)
 	}
-	_, before, err := s.dirSignature()
+	before, err := report.ListDir(dir, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	landFile(t, tracePath, []byte(`{"name":"collector.crawl"}`+"\n"+`{"name":"lg.request"}`+"\n"))
-	if _, after, err := s.dirSignature(); err != nil || after != before {
-		t.Errorf("rewriting trace.jsonl moved the directory signature (err %v)", err)
+	if after, err := report.ListDir(dir, true); err != nil || !slices.Equal(after, before) {
+		t.Errorf("rewriting trace.jsonl moved the dataset listing (err %v): %v, was %v", err, after, before)
 	}
 	if swapped, err := s.Reload(); err != nil || swapped {
 		t.Errorf("rewriting trace.jsonl: swapped=%v err=%v, want no new generation", swapped, err)
@@ -456,9 +457,121 @@ func TestETagNamesTheConfiguration(t *testing.T) {
 	}
 }
 
+// contentPaths is every /v1 path of s but /v1/meta, the one whose body
+// names the generation: each experiment, each series, and the sampled
+// per-AS and per-community lookups.
+func contentPaths(t testing.TB, s *Server, profiles []ixpgen.Profile) []string {
+	t.Helper()
+	return scriptPaths(t, s, profiles, report.ExperimentNames)[1:]
+}
+
+// TestSameBytesSameETags: the dataset digest names file contents, not
+// their place. One dataset, copied byte for byte into two directories
+// and served by two otherwise identical configurations, answers every
+// content path with one body under one ETag, and each server answers
+// the other's ETag with a 304.
+func TestSameBytesSameETags(t *testing.T) {
+	dirA, dirB := t.TempDir(), t.TempDir()
+	profiles := ixpgen.BigFour()[:2]
+	for _, p := range profiles {
+		writeDeltaSeries(t, dirA, p, 3, 3)
+	}
+	entries, err := os.ReadDir(dirA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dirA, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		landFile(t, filepath.Join(dirB, e.Name()), data)
+	}
+	serve := func(dir string) *Server {
+		s := New(Config{Profiles: profiles, SnapshotDir: dir, Seed: 1, Scale: 0.005, ReloadInterval: -1})
+		if err := s.Load(); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	a, b := serve(dirA), serve(dirB)
+	_, digestA := a.Generation()
+	if _, digestB := b.Generation(); digestA != digestB {
+		t.Fatalf("copies of one dataset have two digests, %s and %s", digestA, digestB)
+	}
+	for _, path := range contentPaths(t, a, profiles) {
+		codeA, tagA, bodyA := doGet(t, a.Handler(), path, "")
+		codeB, tagB, bodyB := doGet(t, b.Handler(), path, "")
+		if codeA != http.StatusOK || codeB != http.StatusOK || bodyA != bodyB || tagA != tagB {
+			t.Errorf("%s: %d %s and %d %s, bodies equal %v; want one 200 body under one ETag",
+				path, codeA, tagA, codeB, tagB, bodyA == bodyB)
+			continue
+		}
+		if code, _, _ := doGet(t, b.Handler(), path, tagA); code != http.StatusNotModified {
+			t.Errorf("%s: the copy answers the original's ETag with %d, want 304", path, code)
+		}
+		if code, _, _ := doGet(t, a.Handler(), path, tagB); code != http.StatusNotModified {
+			t.Errorf("%s: the original answers the copy's ETag with %d, want 304", path, code)
+		}
+	}
+}
+
+// TestTouchKeepsETags: moving every file's mtime reloads — the listing
+// changed — into a generation with the same digest, so every content
+// ETag a client holds still revalidates to 304, while /v1/meta, which
+// names the generation, gets a new ETag.
+func TestTouchKeepsETags(t *testing.T) {
+	dir := t.TempDir()
+	profiles := ixpgen.BigFour()[:2]
+	for _, p := range profiles {
+		writeDeltaSeries(t, dir, p, 3, 3)
+	}
+	s := New(Config{Profiles: profiles, SnapshotDir: dir, Seed: 1, Scale: 0.005, ReloadInterval: -1})
+	if err := s.Load(); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	paths := contentPaths(t, s, profiles)
+	tags := make([]string, len(paths))
+	for i, path := range paths {
+		var code int
+		if code, tags[i], _ = doGet(t, h, path, ""); code != http.StatusOK {
+			t.Fatalf("%s: %d", path, code)
+		}
+	}
+	_, metaTag, _ := doGet(t, h, "/v1/meta", "")
+	genBefore, digestBefore := s.Generation()
+
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	later := time.Now().Add(time.Hour)
+	for _, e := range entries {
+		if err := os.Chtimes(filepath.Join(dir, e.Name()), later, later); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if swapped, err := s.Reload(); err != nil || !swapped {
+		t.Fatalf("reload after the touch: swapped=%v err=%v, want a new generation", swapped, err)
+	}
+	if gen, digest := s.Generation(); gen == genBefore || digest != digestBefore {
+		t.Fatalf("touch: generation %d → %d, digest %s → %s; want a new generation of the same digest",
+			genBefore, gen, digestBefore, digest)
+	}
+	for i, path := range paths {
+		if code, _, _ := doGet(t, h, path, tags[i]); code != http.StatusNotModified {
+			t.Errorf("%s: the ETag from before the touch gets %d, want 304", path, code)
+		}
+	}
+	if code, tag, _ := doGet(t, h, "/v1/meta", metaTag); code != http.StatusOK || tag == metaTag {
+		t.Errorf("/v1/meta after the touch: %d under %s (was %s); want a 200 under a new ETag", code, tag, metaTag)
+	}
+}
+
 // TestReloadListingRace: the generation is built from the one listing
-// its signature was taken from. A day that lands after the listing but
-// before the load is not in that generation — whose digest therefore
+// the poll took, and keeps it. A day that lands after the listing but
+// before the load is not in that generation — whose listing therefore
 // names exactly the files it serves — and the next poll picks it up with
 // one more swap, not two.
 func TestReloadListingRace(t *testing.T) {
@@ -484,7 +597,7 @@ func TestReloadListingRace(t *testing.T) {
 	if err := s.Load(); err != nil {
 		t.Fatal(err)
 	}
-	days := func() int { return len(s.labFor().Series[p.IXP]) }
+	days := func() int { return len(s.gen.Load().lab.Series[p.IXP]) }
 
 	land(3)
 	s.afterList = func() { land(4) }
@@ -495,19 +608,19 @@ func TestReloadListingRace(t *testing.T) {
 	if got := days(); got != 4 {
 		t.Fatalf("generation built from a 4-day listing serves %d days", got)
 	}
-	_, sig4, err := s.dirSignature() // the directory now holds 5 days
-	if err != nil {
-		t.Fatal(err)
+	files5, err := report.ListDir(dir, true) // the directory now holds 5 days
+	if err != nil || len(files5) != 5 {
+		t.Fatalf("listing after the late day: %v, %d files", err, len(files5))
 	}
-	if s.gen.Load().sig == sig4 {
-		t.Fatal("generation's signature names the directory after the late file landed, not the files it serves")
+	if got := s.gen.Load().files; len(got) != 4 || !slices.Equal(got, files5[:4]) {
+		t.Fatalf("generation keeps the listing %v, want the 4-day one it was built from, %v", got, files5[:4])
 	}
 
 	if swapped, err := s.Reload(); err != nil || !swapped || days() != 5 {
 		t.Fatalf("next poll: swapped=%v err=%v days=%d; want the late day picked up", swapped, err, days())
 	}
-	if s.gen.Load().sig != sig4 {
-		t.Fatal("generation's signature does not name the directory it was listed from")
+	if got := s.gen.Load().files; !slices.Equal(got, files5) {
+		t.Fatalf("generation keeps the listing %v, not the one it was listed from, %v", got, files5)
 	}
 	if swapped, err := s.Reload(); err != nil || swapped {
 		t.Fatalf("poll after that: swapped=%v err=%v; want no second swap", swapped, err)
@@ -715,7 +828,7 @@ func TestReloadSharesDaysUnderReaders(t *testing.T) {
 		if swapped, err := s.Reload(); err != nil || !swapped {
 			t.Fatalf("cycle %d, tip removed: swapped=%v err=%v", cycle, swapped, err)
 		}
-		if n := len(s.labFor().Series[p.IXP]); n != 5 {
+		if n := len(s.gen.Load().lab.Series[p.IXP]); n != 5 {
 			t.Fatalf("cycle %d: %d days after the removal, want 5", cycle, n)
 		}
 		landFile(t, tipPath, tipDelta)

@@ -691,7 +691,11 @@ func TestProfileJSONRoundTrip(t *testing.T) {
 	p := *ProfileByName("AMS-IX")
 	p.IXP = "CUSTOM-IX"
 	p.Scheme.IXP = "CUSTOM-IX"
-	if err := SaveProfile(path, p); err != nil {
+	data, err := json.MarshalIndent(p, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadProfile(path)

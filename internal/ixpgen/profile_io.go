@@ -10,21 +10,6 @@ import (
 // can be described in JSON and fed to the generator. cmd/ixpgen's
 // -profile flag uses this.
 
-// SaveProfile writes a profile as indented JSON.
-func SaveProfile(path string, p Profile) error {
-	if err := validateProfile(p); err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return enc.Encode(p)
-}
-
 // LoadProfile reads and validates a JSON profile.
 func LoadProfile(path string) (*Profile, error) {
 	raw, err := os.ReadFile(path)

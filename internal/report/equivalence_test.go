@@ -68,7 +68,9 @@ func checkExpAllGolden(t *testing.T, outs [][]byte) {
 // chain advanced incrementally, the chain materialized through the
 // applier, full binary files indexed off their columns, and the same
 // files decoded into routes — must hit the golden
-// digests experiment by experiment, so a bent experiment is named.
+// digests experiment by experiment, so a bent experiment is named. Every
+// load of one directory, the Materialize reference's included, names
+// its data with one Lab.Digest.
 // `make check` runs this under -race, which also exercises the shared
 // indexes and the pools concurrently.
 func TestExpAllParallelMatchesSequential(t *testing.T) {
@@ -80,6 +82,7 @@ func TestExpAllParallelMatchesSequential(t *testing.T) {
 	workerCounts := []int{1, 4}
 
 	chainDir, binDir := t.TempDir(), t.TempDir()
+	digests := map[string][sha256.Size]byte{}
 	writeDeltaChain(t, profiles, chainDir, binDir, ixpgen.TemporalOptions{Seed: seed, Scale: scale, Days: 10, ValleyDays: []int{4}})
 	for _, src := range []struct {
 		name, dir   string
@@ -96,6 +99,11 @@ func TestExpAllParallelMatchesSequential(t *testing.T) {
 				lab.Materialize = src.materialize
 				if err := lab.LoadSnapshotDir(src.dir); err != nil {
 					t.Fatal(err)
+				}
+				if d, ok := digests[src.dir]; !ok {
+					digests[src.dir] = lab.Digest
+				} else if d != lab.Digest {
+					t.Errorf("digest %x, another load of the directory %x", lab.Digest[:8], d[:8])
 				}
 				outs, err := lab.RunMany(ExperimentNames)
 				if err != nil {

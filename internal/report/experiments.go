@@ -3,6 +3,7 @@ package report
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"io"
 	"os"
@@ -47,6 +48,12 @@ type Lab struct {
 	// its member totals, and visibility simulates its route servers.
 	Seed  int64
 	Scale float64
+	// Digest, set by Load, names what the lab serves by content: the
+	// sha256 of its profiles' IXPs in order, its seed and its scale, and,
+	// per IXP it holds days of, each day's date and the sha256 of the
+	// file it came from, in date order. Where the files are and when they
+	// were written does not enter it: copies of one dataset share it.
+	Digest [sha256.Size]byte
 	// Parallel bounds the lab's worker pools (file decode and per-IXP
 	// chain fold in Load, experiment fan-out in RunMany,
 	// visibility's per-profile simulations, GenerateLab's writes). 0 or
@@ -202,35 +209,79 @@ func (l *Lab) run(w io.Writer, name string) error {
 	case "table1":
 		return l.runTable1(w)
 	case "fig1":
-		return l.runMix(w, "Figure 1 — IXP-defined vs unknown communities", WriteFig1)
+		return l.perIXP(w, "Figure 1 — IXP-defined vs unknown communities", func(p ixpgen.Profile, ix *analysis.Index) {
+			WriteFig1(w, p.IXP, ix.Mix(false), ix.Mix(true))
+		})
 	case "fig2":
-		return l.runMix(w, "Figure 2 — standard vs extended vs large", WriteFig2)
+		return l.perIXP(w, "Figure 2 — standard vs extended vs large", func(p ixpgen.Profile, ix *analysis.Index) {
+			WriteFig2(w, p.IXP, ix.Mix(false), ix.Mix(true))
+		})
 	case "fig3":
-		return l.runFig3(w)
+		return l.perIXP(w, "Figure 3 — action vs informational communities", func(p ixpgen.Profile, ix *analysis.Index) {
+			a4, i4 := ix.ActionInfoSplit(false)
+			a6, i6 := ix.ActionInfoSplit(true)
+			WriteFig3(w, p.IXP, "IPv4", a4, i4)
+			WriteFig3(w, p.IXP, "IPv6", a6, i6)
+		})
 	case "fig4a":
-		return l.runFig4a(w)
+		return l.perIXP(w, "Figure 4a — ASes and routes using action communities", func(p ixpgen.Profile, ix *analysis.Index) {
+			WriteFig4a(w, p.IXP, "IPv4", ix.Usage(false))
+			WriteFig4a(w, p.IXP, "IPv6", ix.Usage(true))
+		})
 	case "fig4b":
-		return l.runFig4b(w)
+		return l.perIXP(w, "Figure 4b — action community usage concentration", func(p ixpgen.Profile, ix *analysis.Index) {
+			WriteFig4b(w, p.IXP, analysis.ConcentrationCDF(ix.PerASActionCounts(false), ix.Usage(false).MembersAtRS))
+		})
 	case "fig4c":
-		return l.runFig4c(w)
+		return l.perIXP(w, "Figure 4c — route share vs community share per AS", func(p ixpgen.Profile, ix *analysis.Index) {
+			WriteFig4c(w, p.IXP, ix.RouteCommCorrelation(false))
+		})
 	case "table2":
-		return l.runTable2(w)
+		return l.perIXP(w, "Table 2 — ASes using each action community type", func(p ixpgen.Profile, ix *analysis.Index) {
+			WriteTable2(w, p.IXP, "IPv4", ix.ASesPerActionType(false))
+			WriteTable2(w, p.IXP, "IPv6", ix.ASesPerActionType(true))
+		})
 	case "sec53":
-		return l.runSec53(w)
+		return l.perIXP(w, "§5.3 — action community occurrences per type", func(p ixpgen.Profile, ix *analysis.Index) {
+			WriteSec53(w, p.IXP, "IPv4", ix.OccurrencesPerType(false))
+			WriteSec53(w, p.IXP, "IPv6", ix.OccurrencesPerType(true))
+		})
 	case "fig5":
-		return l.runFig5(w)
+		return l.perIXP(w, "Figure 5 — top-20 action communities (IPv4)", func(p ixpgen.Profile, ix *analysis.Index) {
+			WriteTopCommunities(w, "Figure 5", p.IXP, ix.TopActionCommunities(false, 20), l.Registry)
+		})
 	case "fig6":
-		return l.runFig6(w)
+		return l.perIXP(w, "Figure 6 — top-20 communities targeting non-RS members (IPv4)", func(p ixpgen.Profile, ix *analysis.Index) {
+			nm := ix.NonMemberTargeting(false, 20)
+			fmt.Fprintf(w, "%s: %.1f%% of action instances (%d of %d) target non-RS members\n",
+				p.IXP, 100*nm.Share(), nm.Instances, nm.Total)
+			WriteTopCommunities(w, "Figure 6", p.IXP, nm.Top, l.Registry)
+		})
 	case "fig7":
-		return l.runFig7(w)
+		return l.perIXP(w, "Figure 7 — top-10 ASes targeting non-RS members (IPv4)", func(p ixpgen.Profile, ix *analysis.Index) {
+			WriteCulprits(w, p.IXP, ix.CulpritRanking(false, 10), ix.NonMemberShare(false).Instances, l.Registry)
+		})
 	case "table3":
 		return l.runStability(w, "Table 3 — daily variation over one week", 7)
 	case "table4":
 		return l.runStability(w, "Table 4 — weekly variation over twelve weeks", 84)
 	case "sanitation":
-		return l.runSanitation(w)
+		return l.perIXP(w, "§3 — sanitation: valley detection", func(p ixpgen.Profile, _ *analysis.Index) {
+			series := l.Series[p.IXP]
+			removed := len(sanitize.DetectValleys(series))
+			fmt.Fprintf(w, "%s: %d snapshots, %d removed as valleys (%.1f%%), %d kept\n",
+				p.IXP, len(series), removed, 100*float64(removed)/float64(len(series)), len(series)-removed)
+		})
 	case "extlarge":
-		return l.runExtLarge(w)
+		// Action instances by community flavour, including wide (32-bit)
+		// targets only large communities can express.
+		return l.perIXP(w, "Extension — action communities beyond the standard flavour", func(p ixpgen.Profile, ix *analysis.Index) {
+			f := ix.FlavourActions(false)
+			fmt.Fprintf(w, "%s: standard %d action / %d info; extended %d / %d; large %d / %d; wide-target large actions %d\n",
+				p.IXP, f.StandardAction, f.StandardInfo,
+				f.ExtendedAction, f.ExtendedInfo,
+				f.LargeAction, f.LargeInfo, f.LargeWideTargets)
+		})
 	case "sec56":
 		return l.runHygiene(w)
 	case "visibility":
@@ -246,6 +297,14 @@ func (l *Lab) run(w io.Writer, name string) error {
 	}
 }
 
+// perIXP writes the section title, then what fn writes for each studied
+// IXP, in Table 1 order.
+func (l *Lab) perIXP(w io.Writer, title string, fn func(p ixpgen.Profile, ix *analysis.Index)) error {
+	Section(w, title)
+	l.studied(fn)
+	return nil
+}
+
 func (l *Lab) runTable1(w io.Writer) error {
 	Section(w, "Table 1 — the IXPs in numbers")
 	var rows []Table1Row
@@ -257,100 +316,10 @@ func (l *Lab) runTable1(w io.Writer) error {
 	return nil
 }
 
-func (l *Lab) runMix(w io.Writer, title string, emit func(io.Writer, string, analysis.Mix, analysis.Mix)) error {
-	Section(w, title)
-	l.studied(func(p ixpgen.Profile, ix *analysis.Index) {
-		emit(w, p.IXP, ix.Mix(false), ix.Mix(true))
-	})
-	return nil
-}
-
-func (l *Lab) runFig3(w io.Writer) error {
-	Section(w, "Figure 3 — action vs informational communities")
-	l.studied(func(p ixpgen.Profile, ix *analysis.Index) {
-		a4, i4 := ix.ActionInfoSplit(false)
-		a6, i6 := ix.ActionInfoSplit(true)
-		WriteFig3(w, p.IXP, "IPv4", a4, i4)
-		WriteFig3(w, p.IXP, "IPv6", a6, i6)
-	})
-	return nil
-}
-
-func (l *Lab) runFig4a(w io.Writer) error {
-	Section(w, "Figure 4a — ASes and routes using action communities")
-	l.studied(func(p ixpgen.Profile, ix *analysis.Index) {
-		WriteFig4a(w, p.IXP, "IPv4", ix.Usage(false))
-		WriteFig4a(w, p.IXP, "IPv6", ix.Usage(true))
-	})
-	return nil
-}
-
-func (l *Lab) runFig4b(w io.Writer) error {
-	Section(w, "Figure 4b — action community usage concentration")
-	l.studied(func(p ixpgen.Profile, ix *analysis.Index) {
-		WriteFig4b(w, p.IXP, analysis.ConcentrationCDF(ix.PerASActionCounts(false), ix.Usage(false).MembersAtRS))
-	})
-	return nil
-}
-
-func (l *Lab) runFig4c(w io.Writer) error {
-	Section(w, "Figure 4c — route share vs community share per AS")
-	l.studied(func(p ixpgen.Profile, ix *analysis.Index) {
-		WriteFig4c(w, p.IXP, ix.RouteCommCorrelation(false))
-	})
-	return nil
-}
-
-func (l *Lab) runTable2(w io.Writer) error {
-	Section(w, "Table 2 — ASes using each action community type")
-	l.studied(func(p ixpgen.Profile, ix *analysis.Index) {
-		WriteTable2(w, p.IXP, "IPv4", ix.ASesPerActionType(false))
-		WriteTable2(w, p.IXP, "IPv6", ix.ASesPerActionType(true))
-	})
-	return nil
-}
-
-func (l *Lab) runSec53(w io.Writer) error {
-	Section(w, "§5.3 — action community occurrences per type")
-	l.studied(func(p ixpgen.Profile, ix *analysis.Index) {
-		WriteSec53(w, p.IXP, "IPv4", ix.OccurrencesPerType(false))
-		WriteSec53(w, p.IXP, "IPv6", ix.OccurrencesPerType(true))
-	})
-	return nil
-}
-
-func (l *Lab) runFig5(w io.Writer) error {
-	Section(w, "Figure 5 — top-20 action communities (IPv4)")
-	l.studied(func(p ixpgen.Profile, ix *analysis.Index) {
-		WriteTopCommunities(w, "Figure 5", p.IXP, ix.TopActionCommunities(false, 20), l.Registry)
-	})
-	return nil
-}
-
-func (l *Lab) runFig6(w io.Writer) error {
-	Section(w, "Figure 6 — top-20 communities targeting non-RS members (IPv4)")
-	l.studied(func(p ixpgen.Profile, ix *analysis.Index) {
-		nm := ix.NonMemberTargeting(false, 20)
-		fmt.Fprintf(w, "%s: %.1f%% of action instances (%d of %d) target non-RS members\n",
-			p.IXP, 100*nm.Share(), nm.Instances, nm.Total)
-		WriteTopCommunities(w, "Figure 6", p.IXP, nm.Top, l.Registry)
-	})
-	return nil
-}
-
-func (l *Lab) runFig7(w io.Writer) error {
-	Section(w, "Figure 7 — top-10 ASes targeting non-RS members (IPv4)")
-	l.studied(func(p ixpgen.Profile, ix *analysis.Index) {
-		WriteCulprits(w, p.IXP, ix.CulpritRanking(false, 10), ix.NonMemberShare(false).Instances, l.Registry)
-	})
-	return nil
-}
-
 // runStability reports Tables 3/4 over each studied IXP's loaded daily
 // series (l.Series).
 func (l *Lab) runStability(w io.Writer, title string, days int) error {
-	Section(w, title)
-	l.studied(func(p ixpgen.Profile, _ *analysis.Index) {
+	return l.perIXP(w, title, func(p ixpgen.Profile, _ *analysis.Index) {
 		// The paper computes Appendix A over the sanitized dataset:
 		// collection valleys, detected over the whole series, are
 		// removed from the window of its first `days` calendar days
@@ -363,30 +332,13 @@ func (l *Lab) runStability(w io.Writer, title string, days int) error {
 		WriteStability(w, p.IXP+"-v4", analysis.Stability(series, false))
 		WriteStability(w, p.IXP+"-v6", analysis.Stability(series, true))
 	})
-	return nil
-}
-
-// runExtLarge reports the extension analysis: action instances by
-// community flavour, including wide (32-bit) targets only large
-// communities can express.
-func (l *Lab) runExtLarge(w io.Writer) error {
-	Section(w, "Extension — action communities beyond the standard flavour")
-	l.studied(func(p ixpgen.Profile, ix *analysis.Index) {
-		f := ix.FlavourActions(false)
-		fmt.Fprintf(w, "%s: standard %d action / %d info; extended %d / %d; large %d / %d; wide-target large actions %d\n",
-			p.IXP, f.StandardAction, f.StandardInfo,
-			f.ExtendedAction, f.ExtendedInfo,
-			f.LargeAction, f.LargeInfo, f.LargeWideTargets)
-	})
-	return nil
 }
 
 // runHygiene reports the §5.6 what-if: the impact of a "too many
 // communities" import filter at several thresholds.
 func (l *Lab) runHygiene(w io.Writer) error {
-	Section(w, "§5.6 — impact of a 'too many communities' filter")
 	thresholds := []int{10, 20, 40, 80}
-	l.studied(func(p ixpgen.Profile, ix *analysis.Index) {
+	return l.perIXP(w, "§5.6 — impact of a 'too many communities' filter", func(p ixpgen.Profile, ix *analysis.Index) {
 		pct := ix.CommunityCountPercentiles(false, []float64{50, 90, 99, 100})
 		fmt.Fprintf(w, "%s: communities per route p50=%d p90=%d p99=%d max=%d\n",
 			p.IXP, pct[0], pct[1], pct[2], pct[3])
@@ -395,7 +347,6 @@ func (l *Lab) runHygiene(w io.Writer) error {
 				h.Threshold, 100*h.DropShare(), 100*h.LoadShare())
 		}
 	})
-	return nil
 }
 
 // runVisibility reports the methodological experiment behind the
@@ -442,8 +393,7 @@ func (l *Lab) visibilityOf(p ixpgen.Profile) (analysis.VisibilityReport, error) 
 		return none, err
 	}
 	// Both views are walked in place and counted route by route with
-	// the analysis classifier (the counter CompareVisibility uses on
-	// materialised lists); nothing is copied to be counted.
+	// the analysis classifier; nothing is copied to be counted.
 	var v analysis.VisibilityReport
 	v.CollectorRoutes = server.VisitExported(collectorASN, func(r *bgp.Route) {
 		v.CollectorActionInstances += analysis.RouteActionInstances(r, p.Scheme)
@@ -514,8 +464,7 @@ func (r shareRange) String() string {
 
 // runCategories reports the §5.4 target-category breakdown.
 func (l *Lab) runCategories(w io.Writer) error {
-	Section(w, "§5.4 — targeted ASes by operator category (IPv4)")
-	l.studied(func(p ixpgen.Profile, ix *analysis.Index) {
+	return l.perIXP(w, "§5.4 — targeted ASes by operator category (IPv4)", func(p ixpgen.Profile, ix *analysis.Index) {
 		b := ix.CategoryBreakdown(l.Registry, false)
 		fmt.Fprintf(w, "%s (content+cloud share: all %.1f%%, non-members %.1f%%)\n",
 			p.IXP, 100*analysis.ContentShare(b.All), 100*analysis.ContentShare(b.NonMembers))
@@ -528,7 +477,6 @@ func (l *Lab) runCategories(w io.Writer) error {
 			fmt.Fprintf(w, "  non-member %-18s %8d (%.1f%%)\n", row.Category, row.Instances, 100*row.Share)
 		}
 	})
-	return nil
 }
 
 // nameList renders up to max AS names.
@@ -548,15 +496,4 @@ func nameList(asns []uint32, reg *asdb.Registry, max int) string {
 		out = appendASName(out, reg, asn)
 	}
 	return string(out)
-}
-
-func (l *Lab) runSanitation(w io.Writer) error {
-	Section(w, "§3 — sanitation: valley detection")
-	l.studied(func(p ixpgen.Profile, _ *analysis.Index) {
-		series := l.Series[p.IXP]
-		removed := len(sanitize.DetectValleys(series))
-		fmt.Fprintf(w, "%s: %d snapshots, %d removed as valleys (%.1f%%), %d kept\n",
-			p.IXP, len(series), removed, 100*float64(removed)/float64(len(series)), len(series)-removed)
-	})
-	return nil
 }

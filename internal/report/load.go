@@ -1,12 +1,15 @@
 package report
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 
 	"ixplight/internal/analysis"
@@ -15,10 +18,12 @@ import (
 )
 
 // File is one entry of a dataset directory listing. Size and ModTime
-// (Unix nanoseconds) identify the file's bytes to a later load: dataset
-// writes are atomic (temp + rename), so (name, size, mtime) moves if and
-// only if the bytes moved. A load with no predecessor never compares
-// them, so ListDir leaves them zero unless asked to stat.
+// (Unix nanoseconds) let a later load skip a file it already holds:
+// dataset writes are atomic (temp + rename), so bytes never move while
+// (name, size, mtime) stays. They are a "nothing changed" key, never a
+// name for the data (Lab.Digest hashes contents). A load with no
+// predecessor never compares them, so ListDir leaves them zero unless
+// asked to stat.
 type File struct {
 	Name    string
 	Size    int64
@@ -155,6 +160,12 @@ func (l *Lab) LoadSnapshotDir(dir string) error {
 //     (name, size, mtime) and not retried; a day that could not apply is
 //     retried when its IXP's files change at or before it — when its
 //     missing predecessor lands, say.
+//
+// Each day keeps the sha256 of the file it came from — a .bin's bytes,
+// hashed once however its index is built, or a delta's seal, checked
+// when it opened — and each IXP's fold is hashed as it is folded, so
+// Digest names the served data by content and a reload re-hashes only
+// the IXPs it re-folds.
 //
 // Binary files are, unless l.Materialize is set, indexed straight off
 // their columns into header-only days, each with the classified index
@@ -293,7 +304,7 @@ func (l *Lab) Load(dir string, files []File, prev *Lab) LoadReport {
 			return strings.Compare(ld.files[a].date, ld.files[b].date)
 		})
 		if old != nil {
-			if k, ok := slices.BinarySearchFunc(old.chains, x.ixp, func(c *chain, ixp string) int { return strings.Compare(c.ixp, ixp) }); ok {
+			if k, ok := slices.BinarySearchFunc(old.chains, x.ixp, byIXP); ok {
 				x.prev = old.chains[k]
 			}
 		}
@@ -306,14 +317,11 @@ func (l *Lab) Load(dir string, files []File, prev *Lab) LoadReport {
 		return nil
 	})
 
-	for i := range ld.files {
-		if f := &ld.files[i]; f.delta && f.bad != nil {
-			rep.Skipped = append(rep.Skipped, Skipped{Op: "load", File: f.Name, Err: f.bad})
-		}
-	}
-	for i := range ld.files {
-		if f := &ld.files[i]; !f.delta && f.bad != nil {
-			rep.Skipped = append(rep.Skipped, Skipped{Op: "load", File: f.Name, Err: f.bad})
+	for _, delta := range [...]bool{true, false} {
+		for i := range ld.files {
+			if f := &ld.files[i]; f.delta == delta && f.bad != nil {
+				rep.Skipped = append(rep.Skipped, Skipped{Op: "load", File: f.Name, Err: f.bad})
+			}
 		}
 	}
 	ds := &dataset{files: ld.files, chains: make([]*chain, len(ixps))}
@@ -339,7 +347,7 @@ func (l *Lab) Load(dir string, files []File, prev *Lab) LoadReport {
 		l.Series[x.ixp] = c.counts
 	}
 	rep.Reused = days - rep.Advanced - rep.Rebuilt
-	l.loaded = ds
+	l.Digest, l.loaded = l.digest(ds.chains), ds
 
 	// The latest day of each IXP carries its index into the lab, which
 	// holds no other: a profile the dataset has no day of is not
@@ -385,6 +393,38 @@ func (l *Lab) Load(dir string, files []File, prev *Lab) LoadReport {
 type dataset struct {
 	files  []loadedFile // in listing (name) order
 	chains []*chain     // by IXP
+}
+
+// Tip returns the hex sha256 of the file ixp's served day came from —
+// for a delta its seal, which names its whole chain — or "" when the
+// lab holds no day of ixp.
+func (l *Lab) Tip(ixp string) string {
+	if l.loaded != nil {
+		if k, ok := slices.BinarySearchFunc(l.loaded.chains, ixp, byIXP); ok {
+			return l.loaded.chains[k].tip
+		}
+	}
+	return ""
+}
+
+func byIXP(c *chain, ixp string) int { return strings.Compare(c.ixp, ixp) }
+
+// digest is Lab.Digest over chains, each hashed when it was folded.
+func (l *Lab) digest(chains []*chain) (sum [sha256.Size]byte) {
+	h := sha256.New()
+	var buf [64]byte
+	for _, p := range l.Profiles {
+		h.Write(append(append(buf[:0], p.IXP...), 0))
+	}
+	b := strconv.AppendInt(buf[:0], l.Seed, 10)
+	h.Write(strconv.AppendFloat(append(b, 0), l.Scale, 'g', -1, 64))
+	for _, c := range chains {
+		if len(c.days) > 0 {
+			h.Write(c.sum[:])
+		}
+	}
+	h.Sum(sum[:0])
+	return sum
 }
 
 // loadedFile is one file table entry.
@@ -451,10 +491,30 @@ type chain struct {
 	days       []*chainDay // the IXP's series, by date
 	// counts are days' counts, in the same order: the lab's Series.
 	counts []analysis.DayCounts
+	// sum hashes the IXP and each day's date and file digest; tip is the
+	// hex file digest of the served day (seal).
+	sum [sha256.Size]byte
+	tip string
 }
 
 // newest is the day the IXP serves.
 func (c *chain) newest() *chainDay { return c.days[len(c.days)-1] }
+
+// seal names a folded chain of at least one day by its content; a chain
+// shared with the predecessor keeps its names.
+func (c *chain) seal() {
+	h := sha256.New()
+	var buf [64]byte
+	h.Write(append(append(buf[:0], c.ixp...), 0))
+	for _, d := range c.days {
+		b := append(append(buf[:0], d.snap.Date...), 0)
+		h.Write(append(b, d.file[:]...))
+	}
+	h.Sum(c.sum[:0])
+	var tip [2 * sha256.Size]byte
+	hex.Encode(tip[:], c.newest().file[:])
+	c.tip = string(tip[:])
+}
 
 // chainDay is one day a fold produced, and the counts it publishes. A
 // day comes off the fold as a header-only snapshot with the index that
@@ -465,6 +525,9 @@ type chainDay struct {
 	snap   *collector.Snapshot
 	ix     *analysis.Index
 	counts analysis.DayCounts
+	// file is the sha256 of the file the day came from: a .bin's bytes,
+	// a delta's seal.
+	file [sha256.Size]byte
 }
 
 func indexedDay(ix *analysis.Index) *chainDay {
@@ -547,6 +610,9 @@ func (ld *loader) decode(i int) {
 	}
 	if f.bad != nil {
 		f.day, f.series = nil, false
+	}
+	if f.day != nil {
+		f.day.file = sr.Digest()
 	}
 }
 
@@ -671,6 +737,7 @@ func (ld *loader) applyChain(x *ixpLoad) {
 				continue
 			}
 			x.work.Advances++
+			next.file = ld.readers[i].SelfDigest()
 			c.days = append(c.days, next)
 			c.applied = k + 1
 		}
@@ -696,6 +763,7 @@ func (ld *loader) applyChain(x *ixpLoad) {
 					panic(fmt.Sprintf("report: %s serves %s: %v", x.ixp, d.snap.Date, err))
 				}
 			}
+			c.seal()
 		}
 		c.counts = make([]analysis.DayCounts, len(c.days))
 		for k := range c.days {
