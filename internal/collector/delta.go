@@ -616,17 +616,14 @@ type DeltaReader struct {
 	op  DeltaOp // the one op Ops hands its callback
 }
 
-// OpenDelta reads and parses a delta file.
+// OpenDelta reads and parses a delta file. A parse error does not name
+// the file: the caller knows which one it opened.
 func OpenDelta(path string) (*DeltaReader, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	dr, err := NewDeltaReader(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return dr, nil
+	return NewDeltaReader(data)
 }
 
 // NewDeltaReader parses a delta from data, which must stay immutable

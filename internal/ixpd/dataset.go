@@ -23,8 +23,7 @@ type generation struct {
 	digest string
 	// files is the listing the lab was loaded from: the reload poller's
 	// "nothing changed" key.
-	files    []report.File
-	loadedAt time.Time
+	files []report.File
 	// responses holds the generation's cached and in-flight responses.
 	responses *respTable
 	// load is what loading this generation took, and the dataset files
@@ -56,7 +55,6 @@ func (s *Server) buildGeneration(prev *generation, files []report.File) *generat
 		lab:       lab,
 		digest:    string(digest[:]),
 		files:     files,
-		loadedAt:  time.Now(),
 		responses: newRespTable(cfg.cacheCap()),
 		load:      rep,
 	}

@@ -4,12 +4,10 @@ import (
 	"bytes"
 	"slices"
 	"strconv"
-	"time"
 
 	"ixplight/internal/analysis"
 	"ixplight/internal/bgp"
 	"ixplight/internal/dictionary"
-	"ixplight/internal/ixpgen"
 	"ixplight/internal/report"
 )
 
@@ -21,7 +19,6 @@ import (
 type MetaDoc struct {
 	Digest      string    `json:"digest"`
 	Generation  uint64    `json:"generation"`
-	LoadedAt    time.Time `json:"loaded_at"`
 	Source      string    `json:"source"` // "dir": a daemon serves a dataset directory
 	Experiments []string  `json:"experiments"`
 	IXPs        []MetaIXP `json:"ixps"`
@@ -126,15 +123,10 @@ func (s *Server) metaDoc(g *generation) (any, error) {
 	doc := &MetaDoc{
 		Digest:      g.digest,
 		Generation:  g.id,
-		LoadedAt:    g.loadedAt.UTC().Truncate(time.Second),
 		Source:      "dir",
 		Experiments: report.ExperimentNames,
 	}
-	for _, p := range g.lab.Profiles {
-		ix := g.lab.Indexes[p.IXP]
-		if ix == nil {
-			continue
-		}
+	for p, ix := range g.lab.Studied() {
 		snap := ix.Snapshot()
 		series := g.lab.Series[p.IXP]
 		mi := MetaIXP{
@@ -148,10 +140,7 @@ func (s *Server) metaDoc(g *generation) (any, error) {
 			RoutesV4:  ix.Counts(false).Routes,
 			RoutesV6:  ix.Counts(true).Routes,
 		}
-		for _, m := range snap.Members {
-			if len(mi.SampleASNs) == sampleCap {
-				break
-			}
+		for _, m := range snap.Members[:min(len(snap.Members), sampleCap)] {
 			mi.SampleASNs = append(mi.SampleASNs, m.ASN)
 		}
 		for _, cc := range ix.TopActionCommunities(false, sampleCap) {
@@ -179,51 +168,35 @@ func (s *Server) experimentDoc(g *generation, name string) (any, error) {
 	return &ExperimentDoc{Experiment: name, Digest: g.digest, Output: buf.String()}, nil
 }
 
-func (s *Server) asDoc(g *generation, asnStr, ixpFilter string) (any, error) {
+func (s *Server) asDoc(g *generation, asnStr, ixp string) (any, error) {
 	asn64, err := strconv.ParseUint(asnStr, 10, 32)
 	if err != nil {
 		return nil, errNotFound("bad ASN %q", asnStr)
 	}
 	asn := uint32(asn64)
-	doc := &ASDoc{ASN: asn}
-	for _, p := range g.lab.Profiles {
-		if ixpFilter != "" && p.IXP != ixpFilter {
-			continue
-		}
-		ix := g.lab.Indexes[p.IXP]
-		if ix == nil {
-			continue
-		}
-		doc.IXPs = append(doc.IXPs, ASAtIXP{
-			IXP:    p.IXP,
+	rows, err := perIXP(g.lab, ixp, func(ixp string, ix *analysis.Index) ASAtIXP {
+		return ASAtIXP{
+			IXP:    ixp,
 			Member: ix.IsMember(asn),
 			V4:     ix.ASActivity(asn, false),
 			V6:     ix.ASActivity(asn, true),
-		})
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	if ixpFilter != "" && len(doc.IXPs) == 0 {
-		return nil, errNotFound("unknown IXP %q", ixpFilter)
-	}
-	return doc, nil
+	return &ASDoc{ASN: asn, IXPs: rows}, nil
 }
 
-func (s *Server) communityDoc(g *generation, commStr, ixpFilter string) (any, error) {
+func (s *Server) communityDoc(g *generation, commStr, ixp string) (any, error) {
 	comm, err := bgp.ParseCommunity(commStr)
 	if err != nil {
 		return nil, errNotFound("bad community %q", commStr)
 	}
-	doc := &CommunityDoc{Community: comm.String()}
-	for _, p := range g.lab.Profiles {
-		if ixpFilter != "" && p.IXP != ixpFilter {
-			continue
-		}
-		ix := g.lab.Indexes[p.IXP]
-		if ix == nil {
-			continue
-		}
+	rows, err := perIXP(g.lab, ixp, func(ixp string, ix *analysis.Index) CommunityAtIXP {
 		u4 := ix.CommunityUsage(comm, false)
 		u6 := ix.CommunityUsage(comm, true)
-		at := CommunityAtIXP{IXP: p.IXP, Known: u4.Class.Known, V4: u4, V6: u6}
+		at := CommunityAtIXP{IXP: ixp, Known: u4.Class.Known, V4: u4, V6: u6}
 		if at.Known {
 			at.Action = u4.Class.Action.String()
 			switch u4.Class.Target {
@@ -233,21 +206,20 @@ func (s *Server) communityDoc(g *generation, commStr, ixpFilter string) (any, er
 				at.Target = "AS" + strconv.FormatUint(uint64(u4.Class.TargetASN), 10)
 			}
 		}
-		doc.IXPs = append(doc.IXPs, at)
+		return at
+	})
+	if err != nil {
+		return nil, err
 	}
-	if ixpFilter != "" && len(doc.IXPs) == 0 {
-		return nil, errNotFound("unknown IXP %q", ixpFilter)
-	}
-	return doc, nil
+	return &CommunityDoc{Community: comm.String(), IXPs: rows}, nil
 }
 
 func (s *Server) seriesDoc(g *generation, ixp string) (any, error) {
-	p := profileFor(g.lab, ixp)
-	if p == nil {
-		return nil, errNotFound("unknown IXP %q", ixp)
+	if g.lab.Indexes[ixp] == nil {
+		return nil, errUnknownIXP(ixp)
 	}
-	series := g.lab.Series[p.IXP]
-	doc := &SeriesDoc{IXP: p.IXP, Days: make([]SeriesDay, 0, len(series))}
+	series := g.lab.Series[ixp]
+	doc := &SeriesDoc{IXP: ixp, Days: make([]SeriesDay, 0, len(series))}
 	for i := range series {
 		d := &series[i]
 		doc.Days = append(doc.Days, SeriesDay{Date: d.Date, V4: familyCounts(d.V4), V6: familyCounts(d.V6)})
@@ -255,11 +227,23 @@ func (s *Server) seriesDoc(g *generation, ixp string) (any, error) {
 	return doc, nil
 }
 
-func profileFor(lab *report.Lab, ixp string) *ixpgen.Profile {
-	for i := range lab.Profiles {
-		if lab.Profiles[i].IXP == ixp {
-			return &lab.Profiles[i]
+// perIXP builds a lookup's per-IXP rows: the row of the IXP its ?ixp=
+// names, or, without one, a row per studied IXP in Table 1 order.
+func perIXP[Row any](lab *report.Lab, ixp string, row func(ixp string, ix *analysis.Index) Row) ([]Row, error) {
+	if ixp != "" {
+		ix := lab.Indexes[ixp]
+		if ix == nil {
+			return nil, errUnknownIXP(ixp)
 		}
+		return []Row{row(ixp, ix)}, nil
 	}
-	return nil
+	var rows []Row
+	for p, ix := range lab.Studied() {
+		rows = append(rows, row(p.IXP, ix))
+	}
+	return rows, nil
 }
+
+// errUnknownIXP is what every endpoint answers a request naming an IXP
+// the dataset holds no day of: one 404, whatever the endpoint.
+func errUnknownIXP(ixp string) error { return errNotFound("unknown IXP %q", ixp) }

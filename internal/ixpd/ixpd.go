@@ -325,8 +325,8 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, endpoint, key str
 		return http.StatusServiceUnavailable
 	}
 	if endpoint == "meta" {
-		// /v1/meta names its generation and load time: the generation
-		// joins its key, so its ETag moves with every swap.
+		// /v1/meta names its generation: the generation joins its key,
+		// so its ETag moves with every swap.
 		var buf [64]byte
 		key = string(strconv.AppendUint(append(append(buf[:0], key...), "\x00generation="...), gen.id, 10))
 	}
@@ -407,8 +407,10 @@ func (s *Server) runFlight(gen *generation, key string, fl *flight, compute func
 	}()
 
 	// Admission: an uncontended compute takes its slot without arming a
-	// timer (under go 1.22 semantics an unstopped timer stays on the heap
-	// until it fires, a full RequestTimeout after the request is over).
+	// timer, which saves a timer's allocations on every compute
+	// (TestServeAllocs counts them). A contended one waits on a timer; a
+	// timer nobody references is garbage whether or not it fired or was
+	// stopped, so neither way retains anything past the request.
 	select {
 	case s.sem <- struct{}{}:
 	default:

@@ -465,17 +465,26 @@ func contentPaths(t testing.TB, s *Server, profiles []ixpgen.Profile) []string {
 	return scriptPaths(t, s, profiles, report.ExperimentNames)[1:]
 }
 
-// TestSameBytesSameETags: the dataset digest names file contents, not
-// their place. One dataset, copied byte for byte into two directories
-// and served by two otherwise identical configurations, answers every
-// content path with one body under one ETag, and each server answers
-// the other's ETag with a 304.
+// TestSameBytesSameETags: a served byte is a function of the dataset's
+// bytes, not of their place. One dataset — whose newest delta of one IXP
+// is cut short, so /v1/meta lists a skipped file — copied byte for byte
+// into two directories and served by two otherwise identical
+// configurations, answers every path with one body under one ETag, and
+// each server answers the other's ETag with a 304. That includes
+// /v1/meta: both servers are at generation 1, and the skipped file's
+// reason names the file, never the directory it lies in.
 func TestSameBytesSameETags(t *testing.T) {
-	dirA, dirB := t.TempDir(), t.TempDir()
-	profiles := ixpgen.BigFour()[:2]
-	for _, p := range profiles {
-		writeDeltaSeries(t, dirA, p, 3, 3)
+	root := t.TempDir()
+	dirA, dirB := filepath.Join(root, "fa"), filepath.Join(root, "fb")
+	for _, dir := range []string{dirA, dirB} {
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
 	}
+	profiles := ixpgen.BigFour()[:2]
+	cutPath, cut := writeDeltaSeries(t, dirA, profiles[0], 4, 3)
+	landFile(t, cutPath, cut[:100])
+	writeDeltaSeries(t, dirA, profiles[1], 3, 3)
 	entries, err := os.ReadDir(dirA)
 	if err != nil {
 		t.Fatal(err)
@@ -499,12 +508,15 @@ func TestSameBytesSameETags(t *testing.T) {
 	if _, digestB := b.Generation(); digestA != digestB {
 		t.Fatalf("copies of one dataset have two digests, %s and %s", digestA, digestB)
 	}
-	for _, path := range contentPaths(t, a, profiles) {
+	if sk := a.gen.Load().load.Skipped; len(sk) != 1 || sk[0].File != filepath.Base(cutPath) {
+		t.Fatalf("skipped %v, want the cut delta alone", sk)
+	}
+	for _, path := range scriptPaths(t, a, profiles, report.ExperimentNames) {
 		codeA, tagA, bodyA := doGet(t, a.Handler(), path, "")
 		codeB, tagB, bodyB := doGet(t, b.Handler(), path, "")
 		if codeA != http.StatusOK || codeB != http.StatusOK || bodyA != bodyB || tagA != tagB {
-			t.Errorf("%s: %d %s and %d %s, bodies equal %v; want one 200 body under one ETag",
-				path, codeA, tagA, codeB, tagB, bodyA == bodyB)
+			t.Errorf("%s: %d %s and %d %s, bodies equal %v; want one 200 body under one ETag\n%s\n%s",
+				path, codeA, tagA, codeB, tagB, bodyA == bodyB, bodyA, bodyB)
 			continue
 		}
 		if code, _, _ := doGet(t, b.Handler(), path, tagA); code != http.StatusNotModified {
@@ -512,6 +524,69 @@ func TestSameBytesSameETags(t *testing.T) {
 		}
 		if code, _, _ := doGet(t, a.Handler(), path, tagB); code != http.StatusNotModified {
 			t.Errorf("%s: the original answers the copy's ETag with %d, want 304", path, code)
+		}
+	}
+}
+
+// TestMetaNamesNoLoadTime: /v1/meta's ETag hashes the dataset digest
+// and the generation, so its body may hold nothing else that varies.
+// Two servers over one directory, loaded in different seconds, both at
+// generation 1, answer one body under one ETag.
+func TestMetaNamesNoLoadTime(t *testing.T) {
+	cfg := testConfig(t, Config{})
+	first := New(cfg)
+	if err := first.Load(); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(time.Until(time.Now().Truncate(time.Second).Add(time.Second + 10*time.Millisecond)))
+	second := New(cfg)
+	if err := second.Load(); err != nil {
+		t.Fatal(err)
+	}
+	code1, tag1, body1 := doGet(t, first.Handler(), "/v1/meta", "")
+	code2, tag2, body2 := doGet(t, second.Handler(), "/v1/meta", "")
+	if code1 != http.StatusOK || code2 != http.StatusOK || tag1 != tag2 || body1 != body2 {
+		t.Fatalf("two loads of one directory at generation 1: %d %s and %d %s; want one body under one ETag\n%s\n%s",
+			code1, tag1, code2, tag2, body1, body2)
+	}
+}
+
+// TestAbsentIXPIsOneNotFound: an IXP the dataset holds no day of —
+// configured or not — is one answer on every endpoint that names an
+// IXP: the same 404 with the same body. The IXP it does hold answers
+// 200 on each.
+func TestAbsentIXPIsOneNotFound(t *testing.T) {
+	dir := t.TempDir()
+	de := *ixpgen.ProfileByName("DE-CIX")
+	writeDeltaSeries(t, dir, de, 2, 2)
+	s := New(Config{Profiles: ixpgen.BigFour(), SnapshotDir: dir, Scale: 0.005, ReloadInterval: -1})
+	if err := s.Load(); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	var meta MetaDoc
+	if _, _, body := doGet(t, h, "/v1/meta", ""); json.Unmarshal([]byte(body), &meta) != nil || len(meta.IXPs) != 1 {
+		t.Fatalf("/v1/meta: %s", body)
+	}
+	asn, comm := meta.IXPs[0].SampleASNs[0], meta.IXPs[0].SampleCommunities[0]
+	urls := func(ixp string) []string {
+		return []string{
+			"/v1/series/" + ixp,
+			fmt.Sprintf("/v1/as/%d?ixp=%s", asn, ixp),
+			"/v1/community/" + comm + "?ixp=" + ixp,
+		}
+	}
+	for _, path := range urls(de.IXP) {
+		if code, _, body := doGet(t, h, path, ""); code != http.StatusOK {
+			t.Errorf("%s: %d %s, want 200", path, code, body)
+		}
+	}
+	for _, ixp := range []string{"AMS-IX", "NOWHERE-IX"} {
+		want, _ := marshalJSON(map[string]string{"error": fmt.Sprintf("unknown IXP %q", ixp)})
+		for _, path := range urls(ixp) {
+			if code, _, body := doGet(t, h, path, ""); code != http.StatusNotFound || body != string(want) {
+				t.Errorf("%s: %d %s, want 404 %s", path, code, body, want)
+			}
 		}
 	}
 }

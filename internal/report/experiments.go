@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"io"
+	"iter"
 	"os"
 	"time"
 
@@ -88,29 +89,31 @@ type Lab struct {
 	loaded *dataset
 }
 
-// studied calls fn, in Table 1 order, for each profile the lab holds a
-// day of — the profiles its dataset has days of — with that day's
-// index. Every experiment walks the lab through it or through fanOut,
-// so a profile the lab holds no day of is left out of every report.
-func (l *Lab) studied(fn func(p ixpgen.Profile, ix *analysis.Index)) {
-	for _, p := range l.Profiles {
-		if ix := l.Indexes[p.IXP]; ix != nil {
-			fn(p, ix)
+// Studied yields, in Table 1 order, each profile the lab holds a day
+// of — the profiles its dataset has days of — with that day's index.
+// Every experiment walks the lab through it, and so does every ixpd
+// answer that covers all IXPs, so a profile the lab holds no day of is
+// left out of every report.
+func (l *Lab) Studied() iter.Seq2[ixpgen.Profile, *analysis.Index] {
+	return func(yield func(ixpgen.Profile, *analysis.Index) bool) {
+		for _, p := range l.Profiles {
+			if ix := l.Indexes[p.IXP]; ix != nil && !yield(p, ix) {
+				return
+			}
 		}
 	}
 }
 
-// fanOut is studied on the lab's worker pool: fn runs once per studied
+// fanOut is Studied on the lab's worker pool: fn runs once per studied
 // profile, writing to a buffer of its own, and the buffers land on w in
 // Table 1 order.
 func (l *Lab) fanOut(w io.Writer, fn func(w io.Writer, p ixpgen.Profile) error) error {
-	outs := make([]bytes.Buffer, len(l.Profiles))
-	if _, err := runPool(len(l.Profiles), l.Parallel, func(i int) error {
-		if p := l.Profiles[i]; l.Indexes[p.IXP] != nil {
-			return fn(&outs[i], p)
-		}
-		return nil
-	}); err != nil {
+	studied := make([]ixpgen.Profile, 0, len(l.Indexes))
+	for p := range l.Studied() {
+		studied = append(studied, p)
+	}
+	outs := make([]bytes.Buffer, len(studied))
+	if _, err := runPool(len(studied), l.Parallel, func(i int) error { return fn(&outs[i], studied[i]) }); err != nil {
 		return err
 	}
 	for i := range outs {
@@ -301,17 +304,19 @@ func (l *Lab) run(w io.Writer, name string) error {
 // IXP, in Table 1 order.
 func (l *Lab) perIXP(w io.Writer, title string, fn func(p ixpgen.Profile, ix *analysis.Index)) error {
 	Section(w, title)
-	l.studied(fn)
+	for p, ix := range l.Studied() {
+		fn(p, ix)
+	}
 	return nil
 }
 
 func (l *Lab) runTable1(w io.Writer) error {
 	Section(w, "Table 1 — the IXPs in numbers")
 	var rows []Table1Row
-	l.studied(func(p ixpgen.Profile, ix *analysis.Index) {
+	for p, ix := range l.Studied() {
 		rows = append(rows, Table1RowFromCounts(p.IXP, ix.DayCounts(),
 			p.Location, p.AvgTraffic, int(float64(p.TotalMembers)*l.Scale)))
-	})
+	}
 	WriteTable1(w, rows)
 	return nil
 }
@@ -409,8 +414,10 @@ func (l *Lab) visibilityOf(p ixpgen.Profile) (analysis.VisibilityReport, error) 
 // runIntersect reports the §5.4 cross-IXP target overlaps.
 func (l *Lab) runIntersect(w io.Writer) error {
 	Section(w, "§5.4 — intersection of top-20 targets across IXPs")
-	ixps := make([]*analysis.Index, 0, len(l.Profiles))
-	l.studied(func(_ ixpgen.Profile, ix *analysis.Index) { ixps = append(ixps, ix) })
+	ixps := make([]*analysis.Index, 0, len(l.Indexes))
+	for _, ix := range l.Studied() {
+		ixps = append(ixps, ix)
+	}
 	pairs, common := analysis.TargetIntersections(ixps, false, 20)
 	for _, pair := range pairs {
 		fmt.Fprintf(w, "%s ∩ %s: %d shared targets (%s)\n",
@@ -427,7 +434,7 @@ func (l *Lab) runSummary(w io.Writer) error {
 	Section(w, "Headline findings (cf. the paper's abstract)")
 	var asShare, actionShare, nmShare shareRange
 	names := ""
-	l.studied(func(p ixpgen.Profile, ix *analysis.Index) {
+	for p, ix := range l.Studied() {
 		if names != "" {
 			names += ", "
 		}
@@ -435,7 +442,7 @@ func (l *Lab) runSummary(w io.Writer) error {
 		asShare.update(ix.Usage(false).ASShare())
 		actionShare.update(ix.ActionShare(false))
 		nmShare.update(ix.NonMemberShare(false).Share())
-	})
+	}
 	fmt.Fprintf(w, "over %s (IPv4):\n", names)
 	fmt.Fprintf(w, "members using action communities in ≥1 route: %v (paper: >35.7%%, up to 54.1%%)\n", asShare)
 	fmt.Fprintf(w, "action share of IXP-defined standard communities: %v (paper: ≥66.6%%)\n", actionShare)

@@ -564,13 +564,23 @@ func (ld *loader) open(i int) {
 	f := &ld.files[i]
 	dr, err := collector.OpenDelta(filepath.Join(ld.dir, f.Name))
 	if err != nil {
-		f.bad = err
+		f.bad = listedName(err, f.Name)
 		return
 	}
 	f.ixp, f.date, f.base = dr.IXP(), dr.Date(), dr.BaseDate()
 	if ld.schemes[f.ixp] != nil {
 		ld.readers[i] = dr
 	}
+}
+
+// listedName makes an open, read or map failure name the file as the
+// listing does, so no reason a load reports names the directory the
+// dataset lies in.
+func listedName(err error, name string) error {
+	if pe := (*fs.PathError)(nil); errors.As(err, &pe) {
+		pe.Path = name
+	}
+	return err
 }
 
 // decode loads full file i through the one snapshot reader (mmap where
@@ -581,9 +591,10 @@ func (ld *loader) open(i int) {
 // Materialize reference. Any other IXP's file is read up to its header.
 func (ld *loader) decode(i int) {
 	f := &ld.files[i]
-	f.carried, f.day, f.series = false, nil, false
+	f.carried, f.day, f.series, f.bad = false, nil, false, nil
 	sr, err := collector.OpenSnapshotAt(filepath.Join(ld.dir, f.Name))
-	if f.bad = err; err != nil {
+	if err != nil {
+		f.bad = listedName(err, f.Name)
 		return
 	}
 	defer sr.Close()

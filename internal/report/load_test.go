@@ -792,6 +792,45 @@ func TestLoadSkipsWhatItCannotUse(t *testing.T) {
 	}
 }
 
+// TestSkippedNamesNoDirectory: a skipped file's reason names the file
+// as the listing does, never the directory the dataset lies in, so it
+// reads the same from any copy: a delta cut short (a parse error), a
+// delta whose link leads nowhere (an open error) and a snapshot that is
+// a directory under a file's name (a read error).
+func TestSkippedNamesNoDirectory(t *testing.T) {
+	profiles := ixpgen.BigFour()[:1]
+	dir := t.TempDir()
+	series := writeDeltaChain(t, profiles, dir, t.TempDir(), ixpgen.TemporalOptions{Seed: 42, Scale: 0.002, Days: 3})
+	days := series[profiles[0].IXP]
+	tip := filepath.Join(dir, profiles[0].IXP+"-"+days[2].Date+collector.DeltaExt)
+	whole, err := os.ReadFile(tip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(tip, whole[:100], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink("gone", filepath.Join(dir, "AMS-IX-2021-10-05.delta")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(dir, "sub"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink("sub", filepath.Join(dir, "LINX-2021-10-04.bin")); err != nil {
+		t.Fatal(err)
+	}
+	_, rep := loadFrom(t, profiles, dir, nil, nil)
+	if len(rep.Skipped) != 3 {
+		t.Fatalf("skipped %+v, want the cut delta, the dangling link and the directory", rep.Skipped)
+	}
+	for i := range rep.Skipped {
+		sk := &rep.Skipped[i]
+		if why := sk.Err.Error(); strings.Contains(why, dir) || !strings.HasPrefix(why, "collector:") && !strings.Contains(why, " "+sk.File+": ") {
+			t.Errorf("%s skipped as %q: want the file named as listed, the directory not at all", sk.File, why)
+		}
+	}
+}
+
 // TestLabHoldsItsIndexes pins who builds an index: the lab's builder,
 // once per IXP, before any experiment runs. A lab built each of the
 // three ways — generated, loaded off columns and deltas, loaded
