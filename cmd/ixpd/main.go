@@ -69,7 +69,7 @@ func main() {
 	maxInFlight := flag.Int("max-inflight", 0, "concurrent response computations (0 = 2×GOMAXPROCS)")
 	requestTimeout := flag.Duration("request-timeout", 15*time.Second, "per-request compute admission/wait deadline")
 	reloadInterval := flag.Duration("reload-interval", 5*time.Second, "dataset directory poll period (negative disables)")
-	cacheCap := flag.Int("cache-cap", 512, "pre-marshaled response cache entries per generation")
+	cacheCap := flag.Int("cache-cap", 512, "pre-rendered response cache entries per generation")
 	metricsAddr := flag.String("metrics-addr", "", "optional telemetry listen address serving /metrics and /debug/pprof (e.g. :9100)")
 	tracePath := flag.String("trace", "", "write a trace ledger to this file: one root span per served request")
 	drain := flag.Duration("drain", 5*time.Second, "graceful shutdown deadline for in-flight requests")

@@ -68,6 +68,6 @@ func main() {
 		removed, len(series))
 
 	fmt.Println("\nstability over the surviving series (cf. Table 3):")
-	report.WriteStability(log.Writer(), profile.IXP+"-v4", analysis.Stability(kept, false))
-	report.WriteStability(log.Writer(), profile.IXP+"-v6", analysis.Stability(kept, true))
+	rows := report.AppendStability(nil, profile.IXP+"-v4", analysis.Stability(kept, false))
+	log.Writer().Write(report.AppendStability(rows, profile.IXP+"-v6", analysis.Stability(kept, true)))
 }

@@ -109,10 +109,11 @@ func WeeklyRepresentatives(days []DayCounts) []DayCounts {
 	if len(days) == 0 {
 		return nil
 	}
-	out := make([]DayCounts, 0, dayOffset(days, len(days)-1)/7+1)
+	o := originOf(days)
+	out := make([]DayCounts, 0, o.offset(days, len(days)-1)/7+1)
 	week := -1
 	for i := range days {
-		if w := dayOffset(days, i) / 7; w > week {
+		if w := o.offset(days, i) / 7; w > week {
 			out = append(out, days[i])
 			week = w
 		}
@@ -123,21 +124,39 @@ func WeeklyRepresentatives(days []DayCounts) []DayCounts {
 // Window returns the leading days of a date-ordered series that fall
 // within its first n calendar days.
 func Window(days []DayCounts, n int) []DayCounts {
+	if len(days) == 0 {
+		return days
+	}
+	o := originOf(days)
 	k := 0
-	for k < len(days) && dayOffset(days, k) < n {
+	for k < len(days) && o.offset(days, k) < n {
 		k++
 	}
 	return days[:k]
 }
 
-// dayOffset is days[i]'s distance in calendar days from days[0]. A date
-// that does not parse is taken at its position, as in a contiguous
-// series.
-func dayOffset(days []DayCounts, i int) int {
-	t0, err0 := time.Parse(time.DateOnly, days[0].Date)
-	t, err := time.Parse(time.DateOnly, days[i].Date)
-	if err0 != nil || err != nil {
+// origin is a non-empty series' first date, parsed once for the
+// offsets of all its days.
+type origin struct {
+	t0 time.Time
+	ok bool
+}
+
+func originOf(days []DayCounts) origin {
+	t0, err := time.Parse(time.DateOnly, days[0].Date)
+	return origin{t0, err == nil}
+}
+
+// offset is days[i]'s distance in calendar days from days[0]. A date
+// that does not parse (days[i]'s or the first) is taken at its
+// position, as in a contiguous series.
+func (o origin) offset(days []DayCounts, i int) int {
+	if !o.ok {
 		return i
 	}
-	return int(t.Sub(t0) / (24 * time.Hour))
+	t, err := time.Parse(time.DateOnly, days[i].Date)
+	if err != nil {
+		return i
+	}
+	return int(t.Sub(o.t0) / (24 * time.Hour))
 }

@@ -1,7 +1,6 @@
 package ixpd
 
 import (
-	"bytes"
 	"slices"
 	"strconv"
 
@@ -12,8 +11,9 @@ import (
 )
 
 // The response documents. Every endpoint returns one of these,
-// marshaled once and cached pre-encoded; shapes are additive-stable
-// so clients can pin fields.
+// rendered once and cached pre-encoded; shapes are additive-stable
+// so clients can pin fields. The structs define the wire shape — what
+// json.Marshal makes of them — and render.go renders each by hand.
 
 // MetaDoc describes the serving dataset.
 type MetaDoc struct {
@@ -37,13 +37,18 @@ type SkippedFile struct {
 // samples so load generators and curl users can form valid per-AS and
 // per-community lookups without guessing. First and Latest are the
 // first and the served day; Tip is the hex sha256 of the file the served
-// day came from (a delta's seal, which names its whole chain).
+// day came from (a delta's seal, which names its whole chain). Partial
+// and MemberErrors come from the served day's header: a crawl that
+// could not fetch every neighbour's routes (collect -partial) is
+// flagged, with the number of neighbours it lost.
 type MetaIXP struct {
 	IXP               string   `json:"ixp"`
 	Days              int      `json:"days"`
 	First             string   `json:"first"`
 	Latest            string   `json:"latest"`
 	Tip               string   `json:"tip"`
+	Partial           bool     `json:"partial,omitempty"`
+	MemberErrors      int      `json:"member_errors,omitempty"`
 	MembersV4         int      `json:"members_v4"`
 	MembersV6         int      `json:"members_v6"`
 	RoutesV4          int      `json:"routes_v4"`
@@ -52,7 +57,9 @@ type MetaIXP struct {
 	SampleCommunities []string `json:"sample_communities"`
 }
 
-// ExperimentDoc is one experiment's paper-shaped output.
+// ExperimentDoc is one experiment's paper-shaped output. It is
+// rendered straight from the experiment's text (appendExperimentDoc),
+// never built.
 type ExperimentDoc struct {
 	Experiment string `json:"experiment"`
 	Digest     string `json:"digest"`
@@ -119,8 +126,8 @@ func familyCounts(c analysis.SnapshotCounts) FamilyCounts {
 
 const sampleCap = 8
 
-func (s *Server) metaDoc(g *generation) (any, error) {
-	doc := &MetaDoc{
+func (s *Server) metaDoc(g *generation) MetaDoc {
+	doc := MetaDoc{
 		Digest:      g.digest,
 		Generation:  g.id,
 		Source:      "dir",
@@ -130,15 +137,17 @@ func (s *Server) metaDoc(g *generation) (any, error) {
 		snap := ix.Snapshot()
 		series := g.lab.Series[p.IXP]
 		mi := MetaIXP{
-			IXP:       p.IXP,
-			Days:      len(series),
-			First:     series[0].Date,
-			Latest:    snap.Date,
-			Tip:       g.lab.Tip(p.IXP),
-			MembersV4: snap.MembersV4(),
-			MembersV6: snap.MembersV6(),
-			RoutesV4:  ix.Counts(false).Routes,
-			RoutesV6:  ix.Counts(true).Routes,
+			IXP:          p.IXP,
+			Days:         len(series),
+			First:        series[0].Date,
+			Latest:       snap.Date,
+			Tip:          g.lab.Tip(p.IXP),
+			Partial:      snap.Partial,
+			MemberErrors: len(snap.MemberErrors),
+			MembersV4:    snap.MembersV4(),
+			MembersV6:    snap.MembersV6(),
+			RoutesV4:     ix.Counts(false).Routes,
+			RoutesV6:     ix.Counts(true).Routes,
 		}
 		for _, m := range snap.Members[:min(len(snap.Members), sampleCap)] {
 			mi.SampleASNs = append(mi.SampleASNs, m.ASN)
@@ -152,26 +161,30 @@ func (s *Server) metaDoc(g *generation) (any, error) {
 		sk := &g.load.Skipped[i]
 		doc.Skipped = append(doc.Skipped, SkippedFile{File: sk.File, Reason: sk.Op + ": " + sk.Err.Error()})
 	}
-	return doc, nil
+	return doc
 }
 
-func (s *Server) experimentDoc(g *generation, name string) (any, error) {
+// experimentBody renders the ExperimentDoc of experiment name: the
+// experiment appends its text into a pooled buffer, and the body quotes
+// that buffer as its output string.
+func (s *Server) experimentBody(g *generation, name string) ([]byte, error) {
 	if !slices.Contains(report.ExperimentNames, name) {
 		return nil, errNotFound("unknown experiment %q", name)
 	}
-	buf := bufPool.Get().(*bytes.Buffer)
-	defer bufPool.Put(buf)
-	buf.Reset()
-	if err := g.lab.Run(buf, name); err != nil {
+	p := renderPool.Get().(*[]byte)
+	defer renderPool.Put(p)
+	text, err := g.lab.AppendRun((*p)[:0], name)
+	*p = text[:0]
+	if err != nil {
 		return nil, err
 	}
-	return &ExperimentDoc{Experiment: name, Digest: g.digest, Output: buf.String()}, nil
+	return render(func(b []byte) []byte { return appendExperimentDoc(b, name, g.digest, text) }), nil
 }
 
-func (s *Server) asDoc(g *generation, asnStr, ixp string) (any, error) {
+func (s *Server) asDoc(g *generation, asnStr, ixp string) (ASDoc, error) {
 	asn64, err := strconv.ParseUint(asnStr, 10, 32)
 	if err != nil {
-		return nil, errNotFound("bad ASN %q", asnStr)
+		return ASDoc{}, errNotFound("bad ASN %q", asnStr)
 	}
 	asn := uint32(asn64)
 	rows, err := perIXP(g.lab, ixp, func(ixp string, ix *analysis.Index) ASAtIXP {
@@ -182,16 +195,13 @@ func (s *Server) asDoc(g *generation, asnStr, ixp string) (any, error) {
 			V6:     ix.ASActivity(asn, true),
 		}
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &ASDoc{ASN: asn, IXPs: rows}, nil
+	return ASDoc{ASN: asn, IXPs: rows}, err
 }
 
-func (s *Server) communityDoc(g *generation, commStr, ixp string) (any, error) {
+func (s *Server) communityDoc(g *generation, commStr, ixp string) (CommunityDoc, error) {
 	comm, err := bgp.ParseCommunity(commStr)
 	if err != nil {
-		return nil, errNotFound("bad community %q", commStr)
+		return CommunityDoc{}, errNotFound("bad community %q", commStr)
 	}
 	rows, err := perIXP(g.lab, ixp, func(ixp string, ix *analysis.Index) CommunityAtIXP {
 		u4 := ix.CommunityUsage(comm, false)
@@ -209,17 +219,17 @@ func (s *Server) communityDoc(g *generation, commStr, ixp string) (any, error) {
 		return at
 	})
 	if err != nil {
-		return nil, err
+		return CommunityDoc{}, err
 	}
-	return &CommunityDoc{Community: comm.String(), IXPs: rows}, nil
+	return CommunityDoc{Community: comm.String(), IXPs: rows}, nil
 }
 
-func (s *Server) seriesDoc(g *generation, ixp string) (any, error) {
+func (s *Server) seriesDoc(g *generation, ixp string) (SeriesDoc, error) {
 	if g.lab.Indexes[ixp] == nil {
-		return nil, errUnknownIXP(ixp)
+		return SeriesDoc{}, errUnknownIXP(ixp)
 	}
 	series := g.lab.Series[ixp]
-	doc := &SeriesDoc{IXP: ixp, Days: make([]SeriesDay, 0, len(series))}
+	doc := SeriesDoc{IXP: ixp, Days: make([]SeriesDay, 0, len(series))}
 	for i := range series {
 		d := &series[i]
 		doc.Days = append(doc.Days, SeriesDay{Date: d.Date, V4: familyCounts(d.V4), V6: familyCounts(d.V6)})
@@ -237,7 +247,10 @@ func perIXP[Row any](lab *report.Lab, ixp string, row func(ixp string, ix *analy
 		}
 		return []Row{row(ixp, ix)}, nil
 	}
-	var rows []Row
+	var rows []Row // nil, rendered null, when the lab studies no IXP
+	if n := len(lab.Indexes); n > 0 {
+		rows = make([]Row, 0, n)
+	}
 	for p, ix := range lab.Studied() {
 		rows = append(rows, row(p.IXP, ix))
 	}

@@ -14,12 +14,12 @@
 //     the response table.
 //  2. One response table per generation, one flight per canonical
 //     query: N concurrent identical cold queries join one flight and
-//     cost one compute (one experiment run, one marshal) between them,
-//     and a flight that finished with a 200 stays as the pre-marshaled
+//     cost one compute (one experiment run, one render) between them,
+//     and a flight that finished with a 200 stays as the pre-rendered
 //     body, so an identical warm query is a map lookup and one Write.
 //
 // Computes run behind bounded worker admission with per-request
-// timeouts: at most MaxInFlight experiment/marshal computations run
+// timeouts: at most MaxInFlight experiment/render computations run
 // at once, and a request that cannot be admitted (or whose coalesced
 // flight does not finish) within RequestTimeout is answered 503/504
 // instead of piling up.
@@ -37,9 +37,7 @@
 package ixpd
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -80,7 +78,7 @@ type Config struct {
 	// which no command sets.
 	Materialize bool
 	// MaxInFlight bounds concurrent response computations (experiment
-	// runs + marshals). 0 = 2×GOMAXPROCS. Cache hits and 304s are not
+	// runs + renders). 0 = 2×GOMAXPROCS. Cache hits and 304s are not
 	// admission-controlled — they cost a map lookup.
 	MaxInFlight int
 	// RequestTimeout bounds both the admission wait and the time a
@@ -224,36 +222,49 @@ func (s *Server) routes() *http.ServeMux {
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /v1/meta", func(w http.ResponseWriter, r *http.Request) {
 		key, _ := cacheKey(r)
-		s.serveCached(w, r, "meta", key, func(g *generation) (any, error) {
-			return s.metaDoc(g)
+		s.serveCached(w, r, "meta", key, func(g *generation) ([]byte, error) {
+			doc := s.metaDoc(g)
+			return render(doc.appendJSON), nil
 		})
 	})
 	mux.HandleFunc("GET /v1/experiments/{name}", func(w http.ResponseWriter, r *http.Request) {
 		name := r.PathValue("name")
 		key, _ := cacheKey(r)
-		s.serveCached(w, r, "experiments", key, func(g *generation) (any, error) {
-			return s.experimentDoc(g, name)
+		s.serveCached(w, r, "experiments", key, func(g *generation) ([]byte, error) {
+			return s.experimentBody(g, name)
 		})
 	})
 	mux.HandleFunc("GET /v1/as/{asn}", func(w http.ResponseWriter, r *http.Request) {
 		asn := r.PathValue("asn")
 		key, ixp := cacheKey(r)
-		s.serveCached(w, r, "as", key, func(g *generation) (any, error) {
-			return s.asDoc(g, asn, ixp)
+		s.serveCached(w, r, "as", key, func(g *generation) ([]byte, error) {
+			doc, err := s.asDoc(g, asn, ixp)
+			if err != nil {
+				return nil, err
+			}
+			return render(doc.appendJSON), nil
 		})
 	})
 	mux.HandleFunc("GET /v1/community/{community}", func(w http.ResponseWriter, r *http.Request) {
 		comm := r.PathValue("community")
 		key, ixp := cacheKey(r)
-		s.serveCached(w, r, "community", key, func(g *generation) (any, error) {
-			return s.communityDoc(g, comm, ixp)
+		s.serveCached(w, r, "community", key, func(g *generation) ([]byte, error) {
+			doc, err := s.communityDoc(g, comm, ixp)
+			if err != nil {
+				return nil, err
+			}
+			return render(doc.appendJSON), nil
 		})
 	})
 	mux.HandleFunc("GET /v1/series/{ixp}", func(w http.ResponseWriter, r *http.Request) {
 		ixp := r.PathValue("ixp")
 		key, _ := cacheKey(r)
-		s.serveCached(w, r, "series", key, func(g *generation) (any, error) {
-			return s.seriesDoc(g, ixp)
+		s.serveCached(w, r, "series", key, func(g *generation) ([]byte, error) {
+			doc, err := s.seriesDoc(g, ixp)
+			if err != nil {
+				return nil, err
+			}
+			return render(doc.appendJSON), nil
 		})
 	})
 	return mux
@@ -300,10 +311,11 @@ type flight struct {
 
 // serveCached drives one request through the ETag → response table
 // pipeline under key, the request's canonical form (cacheKey).
-// compute receives the pinned generation and returns the response
-// document (or an *httpError); it must not retain the request, because
-// coalesced computes outlive individual requesters.
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, key string, compute func(*generation) (any, error)) {
+// compute receives the pinned generation and returns the rendered
+// response body, which the table keeps (or an *httpError); it must not
+// retain the request, because coalesced computes outlive individual
+// requesters.
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, key string, compute func(*generation) ([]byte, error)) {
 	t0 := time.Now()
 	s.met.inFlight.Inc()
 	defer s.met.inFlight.Dec()
@@ -318,7 +330,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, k
 	s.met.request(endpoint, code, time.Since(t0))
 }
 
-func (s *Server) serve(w http.ResponseWriter, r *http.Request, endpoint, key string, compute func(*generation) (any, error)) int {
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, endpoint, key string, compute func(*generation) ([]byte, error)) int {
 	gen := s.gen.Load()
 	if gen == nil {
 		writeJSON(w, http.StatusServiceUnavailable, []byte(`{"error":"dataset not loaded"}`+"\n"))
@@ -382,12 +394,12 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, endpoint, key str
 }
 
 // runFlight is the leader's side of a coalesced compute: admission,
-// compute, marshal, settling the flight in gen's table, broadcast. A
+// compute and render, settling the flight in gen's table, broadcast. A
 // compute that panics is contained here — the daemon must outlive a bug
 // in one experiment: the leader and every waiter get a 500, nothing is
 // cached, the admission slot and the flight are released like on any
 // other exit, and the stack goes to the log and the ixpd.compute span.
-func (s *Server) runFlight(gen *generation, key string, fl *flight, compute func(*generation) (any, error)) {
+func (s *Server) runFlight(gen *generation, key string, fl *flight, compute func(*generation) ([]byte, error)) {
 	var sp *telemetry.Span
 	defer func() {
 		if p := recover(); p != nil {
@@ -395,7 +407,7 @@ func (s *Server) runFlight(gen *generation, key string, fl *flight, compute func
 			s.met.computePanics.Inc()
 			s.cfg.logf("ixpd: compute %s panicked: %v\n%s", key, p, stack)
 			fl.status = http.StatusInternalServerError
-			fl.data, _ = marshalJSON(map[string]string{"error": fmt.Sprintf("internal error: compute panicked: %v", p)})
+			fl.data = errorBody(fmt.Sprintf("internal error: compute panicked: %v", p))
 			if sp != nil {
 				sp.SetAttr("error", fmt.Sprint(p))
 				sp.SetAttr("stack", string(stack))
@@ -433,18 +445,14 @@ func (s *Server) runFlight(gen *generation, key string, fl *flight, compute func
 		sp.SetAttr("key", key)
 	}
 	s.computes.Add(1)
-	doc, err := compute(gen)
-	var data []byte
-	if err == nil {
-		data, err = marshalJSON(doc)
-	}
+	data, err := compute(gen)
 	if err != nil {
 		var he *httpError
 		if !errors.As(err, &he) {
 			he = &httpError{code: http.StatusInternalServerError, msg: err.Error()}
 		}
 		fl.status = he.code
-		fl.data, _ = marshalJSON(map[string]string{"error": he.msg})
+		fl.data = errorBody(he.msg)
 		if sp != nil {
 			sp.SetAttr("error", he.msg)
 			sp.End()
@@ -465,7 +473,7 @@ func (s *Server) runFlight(gen *generation, key string, fl *flight, compute func
 // identical cold requests bump it exactly once).
 func (s *Server) Computes() int64 { return s.computes.Load() }
 
-// --- keys, etags, marshaling --------------------------------------------
+// --- keys, etags, writing -----------------------------------------------
 
 // cacheKey canonicalises a request: path plus the sorted query (the
 // handlers only consume known parameters, but two orderings of the
@@ -558,22 +566,6 @@ func etagMatches(header, etag string) bool {
 		}
 	}
 	return false
-}
-
-// bufPool recycles the scratch an experiment's text is rendered into
-// before it becomes a document field.
-var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// marshalJSON encodes v as json.Encoder.Encode does — HTML-escaped,
-// newline-terminated — without an Encoder or a staging buffer per call:
-// Marshal returns a copy sized by append, which all but always leaves
-// the newline its byte.
-func marshalJSON(v any) ([]byte, error) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
 }
 
 // jsonContentType is the Content-Type value of every response, shared:

@@ -58,6 +58,16 @@ func testServer(t *testing.T, cfg Config) *Server {
 	return s
 }
 
+// jsonBody is v as a compute's rendered body: json.Encoder.Encode's
+// bytes.
+func jsonBody(v any) []byte {
+	data, err := json.Marshal(v)
+	if err != nil {
+		panic(err)
+	}
+	return append(data, '\n')
+}
+
 // doGet drives one request through the handler and returns the
 // response.
 func doGet(t testing.TB, h http.Handler, path, ifNoneMatch string) (code int, etag, body string) {
@@ -552,7 +562,7 @@ func TestJoinLeaderCoalescedHit(t *testing.T) {
 	if again, hit, leader := gen.responses.join("/q"); hit || leader || again != fl {
 		t.Fatal("second requester did not join the flight in progress")
 	}
-	s.runFlight(gen, "/q", fl, func(*generation) (any, error) { return map[string]int{"n": 1}, nil })
+	s.runFlight(gen, "/q", fl, func(*generation) ([]byte, error) { return jsonBody(map[string]int{"n": 1}), nil })
 	late, hit, leader := gen.responses.join("/q")
 	if !hit || leader || late != fl {
 		t.Fatalf("a requester arriving after the flight finished: hit %v, leader %v, same flight %v; want a hit on it", hit, leader, late == fl)
@@ -571,7 +581,7 @@ func TestAdmissionTimeout(t *testing.T) {
 
 	gen := s.gen.Load()
 	fl, _, _ := gen.responses.join("/test")
-	s.runFlight(gen, "/test", fl, func(*generation) (any, error) {
+	s.runFlight(gen, "/test", fl, func(*generation) ([]byte, error) {
 		t.Error("compute ran despite admission timeout")
 		return nil, nil
 	})
@@ -596,8 +606,8 @@ func TestAdmissionContended(t *testing.T) {
 
 	gen := s.gen.Load()
 	fl, _, _ := gen.responses.join("/test")
-	s.runFlight(gen, "/test", fl, func(*generation) (any, error) {
-		return map[string]string{"ok": "true"}, nil
+	s.runFlight(gen, "/test", fl, func(*generation) ([]byte, error) {
+		return jsonBody(map[string]string{"ok": "true"}), nil
 	})
 	<-fl.done
 	if fl.status != http.StatusOK || s.Computes() != 1 {
@@ -676,9 +686,9 @@ func TestWaiterTimeout(t *testing.T) {
 	release := make(chan struct{})
 	req := httptest.NewRequest(http.MethodGet, "/slow", nil)
 	rec := httptest.NewRecorder()
-	s.serveCached(rec, req, "test", "/slow", func(*generation) (any, error) {
+	s.serveCached(rec, req, "test", "/slow", func(*generation) ([]byte, error) {
 		<-release
-		return map[string]string{"ok": "true"}, nil
+		return jsonBody(map[string]string{"ok": "true"}), nil
 	})
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("code %d, want 504", rec.Code)
@@ -774,7 +784,7 @@ func TestRespTableStress(t *testing.T) {
 			// reports the status it was answered with.
 			get := func(key string, fail bool) int {
 				rec := httptest.NewRecorder()
-				s.serveCached(rec, httptest.NewRequest(http.MethodGet, key, nil), "test", key, func(*generation) (any, error) {
+				s.serveCached(rec, httptest.NewRequest(http.MethodGet, key, nil), "test", key, func(*generation) ([]byte, error) {
 					mu.Lock()
 					defer mu.Unlock()
 					if fail {
@@ -783,7 +793,7 @@ func TestRespTableStress(t *testing.T) {
 					}
 					seq++
 					succeeded[key] = append(succeeded[key], seq)
-					return map[string]any{"key": key, "n": seq}, nil
+					return jsonBody(map[string]any{"key": key, "n": seq}), nil
 				})
 				if rec.Code == http.StatusOK {
 					var doc struct {
@@ -876,7 +886,7 @@ func TestComputePanicContained(t *testing.T) {
 
 	const n = 8
 	release := make(chan struct{})
-	compute := func(*generation) (any, error) {
+	compute := func(*generation) ([]byte, error) {
 		<-release
 		panic("experiment blew up")
 	}
@@ -943,8 +953,8 @@ func TestComputePanicContained(t *testing.T) {
 
 	// The next identical request takes a fresh flight and computes.
 	rec2 := httptest.NewRecorder()
-	s.serveCached(rec2, httptest.NewRequest(http.MethodGet, "/boom", nil), "test", "/boom", func(*generation) (any, error) {
-		return map[string]string{"ok": "true"}, nil
+	s.serveCached(rec2, httptest.NewRequest(http.MethodGet, "/boom", nil), "test", "/boom", func(*generation) ([]byte, error) {
+		return jsonBody(map[string]string{"ok": "true"}), nil
 	})
 	if rec2.Code != http.StatusOK || s.Computes() != 2 {
 		t.Errorf("request after the panic: code %d, %d computes; want 200 after a second compute", rec2.Code, s.Computes())

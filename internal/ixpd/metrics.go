@@ -42,13 +42,13 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 		notModified: reg.Counter("ixplight_ixpd_not_modified_total",
 			"Requests answered 304 from If-None-Match revalidation (zero recompute)."),
 		cacheHits: reg.Counter("ixplight_ixpd_cache_hits_total",
-			"Requests answered from the pre-marshaled response cache."),
+			"Requests answered from the pre-rendered response cache."),
 		cacheMisses: reg.Counter("ixplight_ixpd_cache_misses_total",
 			"Requests that missed the response cache and entered a compute flight."),
 		coalesced: reg.Counter("ixplight_ixpd_coalesced_total",
 			"Requests that joined another request's in-flight identical computation."),
 		computeSeconds: reg.Histogram("ixplight_ixpd_compute_seconds",
-			"Response computation time (experiment run + JSON marshal), cache misses only.", nil),
+			"Response computation time (experiment run + JSON render), cache misses only.", nil),
 		rejected: reg.Counter("ixplight_ixpd_admission_rejected_total",
 			"Computations rejected because no admission slot freed within the request timeout."),
 		waitTimeouts: reg.Counter("ixplight_ixpd_wait_timeouts_total",

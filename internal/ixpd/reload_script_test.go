@@ -348,11 +348,7 @@ func scriptPaths(t testing.TB, fresh *Server, profiles []ixpgen.Profile, experim
 	for _, p := range profiles {
 		paths = append(paths, "/v1/series/"+p.IXP)
 	}
-	doc, err := fresh.metaDoc(fresh.gen.Load())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, mi := range doc.(*MetaDoc).IXPs {
+	for _, mi := range fresh.metaDoc(fresh.gen.Load()).IXPs {
 		for i, asn := range mi.SampleASNs {
 			if i < 2 {
 				paths = append(paths, fmt.Sprintf("/v1/as/%d", asn))

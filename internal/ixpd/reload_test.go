@@ -170,7 +170,7 @@ func TestHotReload(t *testing.T) {
 	if err != nil {
 		t.Fatalf("old-generation compute after swap: %v", err)
 	}
-	if got := len(doc.(*SeriesDoc).Days); got != 3 {
+	if got := len(doc.Days); got != 3 {
 		t.Fatalf("old generation now serves %d days, want its original 3", got)
 	}
 	if _, ok := oldGen.responses.cached("/v1/series/" + p.IXP); !ok {
@@ -582,7 +582,7 @@ func TestAbsentIXPIsOneNotFound(t *testing.T) {
 		}
 	}
 	for _, ixp := range []string{"AMS-IX", "NOWHERE-IX"} {
-		want, _ := marshalJSON(map[string]string{"error": fmt.Sprintf("unknown IXP %q", ixp)})
+		want := jsonBody(map[string]string{"error": fmt.Sprintf("unknown IXP %q", ixp)})
 		for _, path := range urls(ixp) {
 			if code, _, body := doGet(t, h, path, ""); code != http.StatusNotFound || body != string(want) {
 				t.Errorf("%s: %d %s, want 404 %s", path, code, body, want)
@@ -855,11 +855,7 @@ func TestReloadSharesDaysUnderReaders(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		meta, err := s.metaDoc(genA)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := json.Marshal([]any{series, meta})
+		out, err := json.Marshal([]any{series, s.metaDoc(genA)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,7 +25,9 @@ import (
 // each community flavour and each scalar attribute, some of them
 // avoiding member AS300; AS200
 // and AS300 announce nothing; AS400 announces one route whose
-// gateway's zone needs escapes and whose extended community is opaque.
+// gateway's zone needs escapes and whose extended community is opaque;
+// AS500, named in non-ASCII and HTML characters, announces one whose
+// zone holds both, a JavaScript line separator and invalid UTF-8.
 func richFixture(t testing.TB) *rs.Server {
 	t.Helper()
 	server, err := rs.New(rs.Config{Scheme: dictionary.ProfileByName("DE-CIX"), ScrubActions: true})
@@ -36,6 +38,9 @@ func richFixture(t testing.TB) *rs.Server {
 		if err := server.AddPeer(rs.Peer{ASN: asn, Name: "peer", IPv4: true, IPv6: true}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := server.AddPeer(rs.Peer{ASN: 500, Name: "Zürich <Tëst & Co> “IX”", IPv4: true, IPv6: true}); err != nil {
+		t.Fatal(err)
 	}
 	scheme := server.Scheme()
 	accept := func(r bgp.Route) {
@@ -76,6 +81,8 @@ func richFixture(t testing.TB) *rs.Server {
 		Origin: bgp.OriginIncomplete, MED: 1<<32 - 1, LocalPref: 100})
 	accept(bgp.Route{Prefix: netutil.SyntheticV6Prefix(54), NextHop: netip.MustParseAddr("fe80::1%e<\"0>"), ASPath: bgp.ASPath{400},
 		ExtCommunities: []bgp.ExtendedCommunity{{0x03, 0x0b, 1, 2, 3, 4, 5, 6}}})
+	accept(bgp.Route{Prefix: netutil.SyntheticV6Prefix(55), ASPath: bgp.ASPath{500},
+		NextHop: netip.MustParseAddr("fe80::2%Zürich<&>" + string(rune(0x2028)) + "\xff")})
 	return server
 }
 
@@ -460,7 +467,7 @@ func TestRoutesPageMatchesEncodingJSON(t *testing.T) {
 	server := richFixture(t)
 	h := NewServer(server)
 	checked, nonEmpty := 0, 0
-	for _, asn := range []uint32{100, 200, 300, 400} {
+	for _, asn := range []uint32{100, 200, 300, 400, 500} {
 		var all []APIRoute
 		for _, r := range server.AcceptedRoutes(asn) {
 			all = append(all, EncodeRoute(r))

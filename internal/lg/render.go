@@ -1,12 +1,12 @@
 package lg
 
 import (
-	"encoding/json"
 	"net/netip"
 	"strconv"
 	"sync"
 
 	"ixplight/internal/bgp"
+	"ixplight/internal/jsonstr"
 )
 
 // The routes endpoint renders its pages by hand: a page is most of
@@ -56,7 +56,7 @@ func appendAPIRoute(b []byte, r *bgp.Route) []byte {
 		b = r.Prefix.AppendTo(b)
 		b = append(b, '"')
 	} else {
-		b = appendJSONString(b, r.Prefix.String())
+		b = jsonstr.Append(b, r.Prefix.String())
 	}
 	b = append(b, `,"gateway":`...)
 	b = appendAddr(b, r.NextHop)
@@ -125,29 +125,9 @@ func appendAPIRoute(b []byte, r *bgp.Route) []byte {
 // zero Addr as nothing where String says "invalid IP").
 func appendAddr(b []byte, a netip.Addr) []byte {
 	if !a.IsValid() || a.Zone() != "" {
-		return appendJSONString(b, a.String())
+		return jsonstr.Append(b, a.String())
 	}
 	b = append(b, '"')
 	b = a.AppendTo(b)
-	return append(b, '"')
-}
-
-// appendJSONString appends s as encoding/json quotes it. Printable
-// ASCII that needs no escape (json also escapes <, > and &) is copied;
-// anything else is left to json.Marshal, so the escaping rules live in
-// one place.
-func appendJSONString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c < 0x20, c >= 0x7f, c == '"', c == '\\', c == '<', c == '>', c == '&':
-			quoted, err := json.Marshal(s)
-			if err != nil { // a string always marshals
-				panic(err)
-			}
-			return append(b, quoted...)
-		}
-	}
-	b = append(b, '"')
-	b = append(b, s...)
 	return append(b, '"')
 }

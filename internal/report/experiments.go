@@ -1,13 +1,14 @@
 package report
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"fmt"
 	"io"
 	"iter"
 	"os"
+	"strconv"
+	"sync"
 	"time"
 
 	"ixplight/internal/analysis"
@@ -105,21 +106,24 @@ func (l *Lab) Studied() iter.Seq2[ixpgen.Profile, *analysis.Index] {
 }
 
 // fanOut is Studied on the lab's worker pool: fn runs once per studied
-// profile, writing to a buffer of its own, and the buffers land on w in
+// profile, appending to a slice of its own, and the slices land on b in
 // Table 1 order.
-func (l *Lab) fanOut(w io.Writer, fn func(w io.Writer, p ixpgen.Profile) error) error {
+func (l *Lab) fanOut(b []byte, fn func(b []byte, p ixpgen.Profile) ([]byte, error)) ([]byte, error) {
 	studied := make([]ixpgen.Profile, 0, len(l.Indexes))
 	for p := range l.Studied() {
 		studied = append(studied, p)
 	}
-	outs := make([]bytes.Buffer, len(studied))
-	if _, err := runPool(len(studied), l.Parallel, func(i int) error { return fn(&outs[i], studied[i]) }); err != nil {
+	outs := make([][]byte, len(studied))
+	if _, err := runPool(len(studied), l.Parallel, func(i int) (err error) {
+		outs[i], err = fn(nil, studied[i])
 		return err
+	}); err != nil {
+		return b, err
 	}
-	for i := range outs {
-		outs[i].WriteTo(w)
+	for _, out := range outs {
+		b = append(b, out...)
 	}
-	return nil
+	return b, nil
 }
 
 // NewLabShell builds a Lab without generating any workload — the
@@ -183,8 +187,26 @@ func GenerateLab(profiles []ixpgen.Profile, seed int64, scale float64, workers i
 	return lab, nil
 }
 
-// Run executes one experiment by name, writing its paper-shaped output.
-func (l *Lab) Run(w io.Writer, name string) (err error) {
+// Run executes one experiment by name, writing its paper-shaped output
+// to w in one Write.
+func (l *Lab) Run(w io.Writer, name string) error {
+	p := scratch.Get().(*[]byte)
+	defer scratch.Put(p)
+	out, err := l.AppendRun((*p)[:0], name)
+	*p = out[:0]
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(out)
+	return err
+}
+
+// scratch recycles the buffers Run and RunMany render into.
+var scratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// AppendRun executes one experiment by name and appends its
+// paper-shaped output to b. On error what it appended is incomplete.
+func (l *Lab) AppendRun(b []byte, name string) (_ []byte, err error) {
 	if l.Telemetry != nil {
 		ctx := l.TraceCtx
 		if ctx == nil {
@@ -203,128 +225,138 @@ func (l *Lab) Run(w io.Writer, name string) (err error) {
 			sp.End()
 		}()
 	}
-	return l.run(w, name)
+	return l.run(b, name)
 }
 
 // run is the uninstrumented experiment dispatch.
-func (l *Lab) run(w io.Writer, name string) error {
+func (l *Lab) run(b []byte, name string) ([]byte, error) {
 	switch name {
 	case "table1":
-		return l.runTable1(w)
+		return l.runTable1(b), nil
 	case "fig1":
-		return l.perIXP(w, "Figure 1 — IXP-defined vs unknown communities", func(p ixpgen.Profile, ix *analysis.Index) {
-			WriteFig1(w, p.IXP, ix.Mix(false), ix.Mix(true))
-		})
+		return l.perIXP(b, "Figure 1 — IXP-defined vs unknown communities", func(b []byte, p ixpgen.Profile, ix *analysis.Index) []byte {
+			return AppendFig1(b, p.IXP, ix.Mix(false), ix.Mix(true))
+		}), nil
 	case "fig2":
-		return l.perIXP(w, "Figure 2 — standard vs extended vs large", func(p ixpgen.Profile, ix *analysis.Index) {
-			WriteFig2(w, p.IXP, ix.Mix(false), ix.Mix(true))
-		})
+		return l.perIXP(b, "Figure 2 — standard vs extended vs large", func(b []byte, p ixpgen.Profile, ix *analysis.Index) []byte {
+			return AppendFig2(b, p.IXP, ix.Mix(false), ix.Mix(true))
+		}), nil
 	case "fig3":
-		return l.perIXP(w, "Figure 3 — action vs informational communities", func(p ixpgen.Profile, ix *analysis.Index) {
+		return l.perIXP(b, "Figure 3 — action vs informational communities", func(b []byte, p ixpgen.Profile, ix *analysis.Index) []byte {
 			a4, i4 := ix.ActionInfoSplit(false)
 			a6, i6 := ix.ActionInfoSplit(true)
-			WriteFig3(w, p.IXP, "IPv4", a4, i4)
-			WriteFig3(w, p.IXP, "IPv6", a6, i6)
-		})
+			return AppendFig3(AppendFig3(b, p.IXP, "IPv4", a4, i4), p.IXP, "IPv6", a6, i6)
+		}), nil
 	case "fig4a":
-		return l.perIXP(w, "Figure 4a — ASes and routes using action communities", func(p ixpgen.Profile, ix *analysis.Index) {
-			WriteFig4a(w, p.IXP, "IPv4", ix.Usage(false))
-			WriteFig4a(w, p.IXP, "IPv6", ix.Usage(true))
-		})
+		return l.perIXP(b, "Figure 4a — ASes and routes using action communities", func(b []byte, p ixpgen.Profile, ix *analysis.Index) []byte {
+			return AppendFig4a(AppendFig4a(b, p.IXP, "IPv4", ix.Usage(false)), p.IXP, "IPv6", ix.Usage(true))
+		}), nil
 	case "fig4b":
-		return l.perIXP(w, "Figure 4b — action community usage concentration", func(p ixpgen.Profile, ix *analysis.Index) {
-			WriteFig4b(w, p.IXP, analysis.ConcentrationCDF(ix.PerASActionCounts(false), ix.Usage(false).MembersAtRS))
-		})
+		return l.perIXP(b, "Figure 4b — action community usage concentration", func(b []byte, p ixpgen.Profile, ix *analysis.Index) []byte {
+			return AppendFig4b(b, p.IXP, analysis.ConcentrationCDF(ix.PerASActionCounts(false), ix.Usage(false).MembersAtRS))
+		}), nil
 	case "fig4c":
-		return l.perIXP(w, "Figure 4c — route share vs community share per AS", func(p ixpgen.Profile, ix *analysis.Index) {
-			WriteFig4c(w, p.IXP, ix.RouteCommCorrelation(false))
-		})
+		return l.perIXP(b, "Figure 4c — route share vs community share per AS", func(b []byte, p ixpgen.Profile, ix *analysis.Index) []byte {
+			return AppendFig4c(b, p.IXP, ix.RouteCommCorrelation(false))
+		}), nil
 	case "table2":
-		return l.perIXP(w, "Table 2 — ASes using each action community type", func(p ixpgen.Profile, ix *analysis.Index) {
-			WriteTable2(w, p.IXP, "IPv4", ix.ASesPerActionType(false))
-			WriteTable2(w, p.IXP, "IPv6", ix.ASesPerActionType(true))
-		})
+		return l.perIXP(b, "Table 2 — ASes using each action community type", func(b []byte, p ixpgen.Profile, ix *analysis.Index) []byte {
+			b = AppendTable2(b, p.IXP, "IPv4", ix.ASesPerActionType(false))
+			return AppendTable2(b, p.IXP, "IPv6", ix.ASesPerActionType(true))
+		}), nil
 	case "sec53":
-		return l.perIXP(w, "§5.3 — action community occurrences per type", func(p ixpgen.Profile, ix *analysis.Index) {
-			WriteSec53(w, p.IXP, "IPv4", ix.OccurrencesPerType(false))
-			WriteSec53(w, p.IXP, "IPv6", ix.OccurrencesPerType(true))
-		})
+		return l.perIXP(b, "§5.3 — action community occurrences per type", func(b []byte, p ixpgen.Profile, ix *analysis.Index) []byte {
+			b = AppendSec53(b, p.IXP, "IPv4", ix.OccurrencesPerType(false))
+			return AppendSec53(b, p.IXP, "IPv6", ix.OccurrencesPerType(true))
+		}), nil
 	case "fig5":
-		return l.perIXP(w, "Figure 5 — top-20 action communities (IPv4)", func(p ixpgen.Profile, ix *analysis.Index) {
-			WriteTopCommunities(w, "Figure 5", p.IXP, ix.TopActionCommunities(false, 20), l.Registry)
-		})
+		return l.perIXP(b, "Figure 5 — top-20 action communities (IPv4)", func(b []byte, p ixpgen.Profile, ix *analysis.Index) []byte {
+			return AppendTopCommunities(b, "Figure 5", p.IXP, ix.TopActionCommunities(false, 20), l.Registry)
+		}), nil
 	case "fig6":
-		return l.perIXP(w, "Figure 6 — top-20 communities targeting non-RS members (IPv4)", func(p ixpgen.Profile, ix *analysis.Index) {
+		return l.perIXP(b, "Figure 6 — top-20 communities targeting non-RS members (IPv4)", func(b []byte, p ixpgen.Profile, ix *analysis.Index) []byte {
 			nm := ix.NonMemberTargeting(false, 20)
-			fmt.Fprintf(w, "%s: %.1f%% of action instances (%d of %d) target non-RS members\n",
-				p.IXP, 100*nm.Share(), nm.Instances, nm.Total)
-			WriteTopCommunities(w, "Figure 6", p.IXP, nm.Top, l.Registry)
-		})
+			b = append(appendPct(append(append(b, p.IXP...), ": "...), nm.Share()), " of action instances ("...)
+			b = append(strconv.AppendInt(b, int64(nm.Instances), 10), " of "...)
+			b = append(strconv.AppendInt(b, int64(nm.Total), 10), ") target non-RS members\n"...)
+			return AppendTopCommunities(b, "Figure 6", p.IXP, nm.Top, l.Registry)
+		}), nil
 	case "fig7":
-		return l.perIXP(w, "Figure 7 — top-10 ASes targeting non-RS members (IPv4)", func(p ixpgen.Profile, ix *analysis.Index) {
-			WriteCulprits(w, p.IXP, ix.CulpritRanking(false, 10), ix.NonMemberShare(false).Instances, l.Registry)
-		})
+		return l.perIXP(b, "Figure 7 — top-10 ASes targeting non-RS members (IPv4)", func(b []byte, p ixpgen.Profile, ix *analysis.Index) []byte {
+			return AppendCulprits(b, p.IXP, ix.CulpritRanking(false, 10), ix.NonMemberShare(false).Instances, l.Registry)
+		}), nil
 	case "table3":
-		return l.runStability(w, "Table 3 — daily variation over one week", 7)
+		return l.runStability(b, "Table 3 — daily variation over one week", 7), nil
 	case "table4":
-		return l.runStability(w, "Table 4 — weekly variation over twelve weeks", 84)
+		return l.runStability(b, "Table 4 — weekly variation over twelve weeks", 84), nil
 	case "sanitation":
-		return l.perIXP(w, "§3 — sanitation: valley detection", func(p ixpgen.Profile, _ *analysis.Index) {
+		return l.perIXP(b, "§3 — sanitation: valley detection", func(b []byte, p ixpgen.Profile, _ *analysis.Index) []byte {
 			series := l.Series[p.IXP]
 			removed := len(sanitize.DetectValleys(series))
-			fmt.Fprintf(w, "%s: %d snapshots, %d removed as valleys (%.1f%%), %d kept\n",
-				p.IXP, len(series), removed, 100*float64(removed)/float64(len(series)), len(series)-removed)
-		})
+			b = append(append(b, p.IXP...), ": "...)
+			b = append(strconv.AppendInt(b, int64(len(series)), 10), " snapshots, "...)
+			b = append(strconv.AppendInt(b, int64(removed), 10), " removed as valleys ("...)
+			b = append(appendFixed(b, 100*float64(removed)/float64(len(series)), 1), "%), "...)
+			return append(strconv.AppendInt(b, int64(len(series)-removed), 10), " kept\n"...)
+		}), nil
 	case "extlarge":
 		// Action instances by community flavour, including wide (32-bit)
 		// targets only large communities can express.
-		return l.perIXP(w, "Extension — action communities beyond the standard flavour", func(p ixpgen.Profile, ix *analysis.Index) {
+		return l.perIXP(b, "Extension — action communities beyond the standard flavour", func(b []byte, p ixpgen.Profile, ix *analysis.Index) []byte {
 			f := ix.FlavourActions(false)
-			fmt.Fprintf(w, "%s: standard %d action / %d info; extended %d / %d; large %d / %d; wide-target large actions %d\n",
-				p.IXP, f.StandardAction, f.StandardInfo,
-				f.ExtendedAction, f.ExtendedInfo,
-				f.LargeAction, f.LargeInfo, f.LargeWideTargets)
-		})
+			b = append(append(b, p.IXP...), ": standard "...)
+			for _, part := range [...]struct {
+				n    int
+				then string
+			}{
+				{f.StandardAction, " action / "}, {f.StandardInfo, " info; extended "},
+				{f.ExtendedAction, " / "}, {f.ExtendedInfo, "; large "},
+				{f.LargeAction, " / "}, {f.LargeInfo, "; wide-target large actions "},
+				{f.LargeWideTargets, "\n"},
+			} {
+				b = append(strconv.AppendInt(b, int64(part.n), 10), part.then...)
+			}
+			return b
+		}), nil
 	case "sec56":
-		return l.runHygiene(w)
+		return l.runHygiene(b), nil
 	case "visibility":
-		return l.runVisibility(w)
+		return l.runVisibility(b)
 	case "intersect":
-		return l.runIntersect(w)
+		return l.runIntersect(b), nil
 	case "categories":
-		return l.runCategories(w)
+		return l.runCategories(b), nil
 	case "summary":
-		return l.runSummary(w)
+		return l.runSummary(b), nil
 	default:
-		return fmt.Errorf("report: unknown experiment %q (known: %v)", name, ExperimentNames)
+		return b, fmt.Errorf("report: unknown experiment %q (known: %v)", name, ExperimentNames)
 	}
 }
 
-// perIXP writes the section title, then what fn writes for each studied
-// IXP, in Table 1 order.
-func (l *Lab) perIXP(w io.Writer, title string, fn func(p ixpgen.Profile, ix *analysis.Index)) error {
-	Section(w, title)
+// perIXP appends the section title, then what fn appends for each
+// studied IXP, in Table 1 order.
+func (l *Lab) perIXP(b []byte, title string, fn func(b []byte, p ixpgen.Profile, ix *analysis.Index) []byte) []byte {
+	b = AppendSection(b, title)
 	for p, ix := range l.Studied() {
-		fn(p, ix)
+		b = fn(b, p, ix)
 	}
-	return nil
+	return b
 }
 
-func (l *Lab) runTable1(w io.Writer) error {
-	Section(w, "Table 1 — the IXPs in numbers")
-	var rows []Table1Row
+func (l *Lab) runTable1(b []byte) []byte {
+	b = AppendSection(b, "Table 1 — the IXPs in numbers")
+	rows := make([]Table1Row, 0, len(l.Indexes))
 	for p, ix := range l.Studied() {
 		rows = append(rows, Table1RowFromCounts(p.IXP, ix.DayCounts(),
 			p.Location, p.AvgTraffic, int(float64(p.TotalMembers)*l.Scale)))
 	}
-	WriteTable1(w, rows)
-	return nil
+	return AppendTable1(b, rows)
 }
 
 // runStability reports Tables 3/4 over each studied IXP's loaded daily
 // series (l.Series).
-func (l *Lab) runStability(w io.Writer, title string, days int) error {
-	return l.perIXP(w, title, func(p ixpgen.Profile, _ *analysis.Index) {
+func (l *Lab) runStability(b []byte, title string, days int) []byte {
+	return l.perIXP(b, title, func(b []byte, p ixpgen.Profile, _ *analysis.Index) []byte {
 		// The paper computes Appendix A over the sanitized dataset:
 		// collection valleys, detected over the whole series, are
 		// removed from the window of its first `days` calendar days
@@ -334,23 +366,28 @@ func (l *Lab) runStability(w io.Writer, title string, days int) error {
 		if days > 7 {
 			series = analysis.WeeklyRepresentatives(series)
 		}
-		WriteStability(w, p.IXP+"-v4", analysis.Stability(series, false))
-		WriteStability(w, p.IXP+"-v6", analysis.Stability(series, true))
+		b = AppendStability(b, p.IXP+"-v4", analysis.Stability(series, false))
+		return AppendStability(b, p.IXP+"-v6", analysis.Stability(series, true))
 	})
 }
 
 // runHygiene reports the §5.6 what-if: the impact of a "too many
 // communities" import filter at several thresholds.
-func (l *Lab) runHygiene(w io.Writer) error {
+func (l *Lab) runHygiene(b []byte) []byte {
 	thresholds := []int{10, 20, 40, 80}
-	return l.perIXP(w, "§5.6 — impact of a 'too many communities' filter", func(p ixpgen.Profile, ix *analysis.Index) {
+	return l.perIXP(b, "§5.6 — impact of a 'too many communities' filter", func(b []byte, p ixpgen.Profile, ix *analysis.Index) []byte {
 		pct := ix.CommunityCountPercentiles(false, []float64{50, 90, 99, 100})
-		fmt.Fprintf(w, "%s: communities per route p50=%d p90=%d p99=%d max=%d\n",
-			p.IXP, pct[0], pct[1], pct[2], pct[3])
-		for _, h := range ix.HygieneFilterImpact(false, thresholds) {
-			fmt.Fprintf(w, "  threshold %3d: drops %5.1f%% of routes, sheds %5.1f%% of community load\n",
-				h.Threshold, 100*h.DropShare(), 100*h.LoadShare())
+		b = append(append(b, p.IXP...), ": communities per route"...)
+		for i, name := range [...]string{" p50=", " p90=", " p99=", " max="} {
+			b = strconv.AppendInt(append(b, name...), int64(pct[i]), 10)
 		}
+		b = append(b, '\n')
+		for _, h := range ix.HygieneFilterImpact(false, thresholds) {
+			b = append(appendRight(append(b, "  threshold "...), h.Threshold, 3), ": drops "...)
+			b = append(alignRight(appendFixed(b, 100*h.DropShare(), 1), len(b), 5), "% of routes, sheds "...)
+			b = append(alignRight(appendFixed(b, 100*h.LoadShare(), 1), len(b), 5), "% of community load\n"...)
+		}
+		return b
 	})
 }
 
@@ -359,17 +396,18 @@ func (l *Lab) runHygiene(w io.Writer) error {
 // a classic route collector never sees because the RS scrubs them.
 // Each profile simulates its own route server, so the profiles run on
 // the lab's worker pool (fanOut).
-func (l *Lab) runVisibility(w io.Writer) error {
-	Section(w, "Methodology — action community visibility: looking glass vs route collector")
-	return l.fanOut(w, func(w io.Writer, p ixpgen.Profile) error {
+func (l *Lab) runVisibility(b []byte) ([]byte, error) {
+	b = AppendSection(b, "Methodology — action community visibility: looking glass vs route collector")
+	return l.fanOut(b, func(b []byte, p ixpgen.Profile) ([]byte, error) {
 		v, err := l.visibilityOf(p)
 		if err != nil {
-			return err
+			return b, err
 		}
-		fmt.Fprintf(w, "%s: LG sees %d action instances; collector sees %d over %d routes → %.1f%% invisible\n",
-			p.IXP, v.LGActionInstances, v.CollectorActionInstances, v.CollectorRoutes,
-			100*v.VisibilityGap())
-		return nil
+		b = append(append(b, p.IXP...), ": LG sees "...)
+		b = append(strconv.AppendInt(b, int64(v.LGActionInstances), 10), " action instances; collector sees "...)
+		b = append(strconv.AppendInt(b, int64(v.CollectorActionInstances), 10), " over "...)
+		b = append(strconv.AppendInt(b, int64(v.CollectorRoutes), 10), " routes → "...)
+		return append(appendPct(b, v.VisibilityGap()), " invisible\n"...), nil
 	})
 }
 
@@ -412,42 +450,46 @@ func (l *Lab) visibilityOf(p ixpgen.Profile) (analysis.VisibilityReport, error) 
 }
 
 // runIntersect reports the §5.4 cross-IXP target overlaps.
-func (l *Lab) runIntersect(w io.Writer) error {
-	Section(w, "§5.4 — intersection of top-20 targets across IXPs")
+func (l *Lab) runIntersect(b []byte) []byte {
+	b = AppendSection(b, "§5.4 — intersection of top-20 targets across IXPs")
 	ixps := make([]*analysis.Index, 0, len(l.Indexes))
 	for _, ix := range l.Studied() {
 		ixps = append(ixps, ix)
 	}
 	pairs, common := analysis.TargetIntersections(ixps, false, 20)
 	for _, pair := range pairs {
-		fmt.Fprintf(w, "%s ∩ %s: %d shared targets (%s)\n",
-			pair.IXPA, pair.IXPB, len(pair.Shared), nameList(pair.Shared, l.Registry, 6))
+		b = append(append(append(append(b, pair.IXPA...), " ∩ "...), pair.IXPB...), ": "...)
+		b = append(strconv.AppendInt(b, int64(len(pair.Shared)), 10), " shared targets ("...)
+		b = append(appendNameList(b, pair.Shared, l.Registry, 6), ")\n"...)
 	}
-	fmt.Fprintf(w, "shared by all %d IXPs: %d targets (%s)\n",
-		len(ixps), len(common), nameList(common, l.Registry, 10))
-	return nil
+	b = strconv.AppendInt(append(b, "shared by all "...), int64(len(ixps)), 10)
+	b = append(strconv.AppendInt(append(b, " IXPs: "...), int64(len(common)), 10), " targets ("...)
+	return append(appendNameList(b, common, l.Registry, 10), ")\n"...)
 }
 
 // runSummary prints the paper's abstract-level findings as measured
 // over this lab — the cross-IXP ranges of the three headline numbers.
-func (l *Lab) runSummary(w io.Writer) error {
-	Section(w, "Headline findings (cf. the paper's abstract)")
+func (l *Lab) runSummary(b []byte) []byte {
+	b = AppendSection(b, "Headline findings (cf. the paper's abstract)")
 	var asShare, actionShare, nmShare shareRange
-	names := ""
+	b = append(b, "over "...)
+	first := true
 	for p, ix := range l.Studied() {
-		if names != "" {
-			names += ", "
+		if !first {
+			b = append(b, ", "...)
 		}
-		names += p.IXP
+		b, first = append(b, p.IXP...), false
 		asShare.update(ix.Usage(false).ASShare())
 		actionShare.update(ix.ActionShare(false))
 		nmShare.update(ix.NonMemberShare(false).Share())
 	}
-	fmt.Fprintf(w, "over %s (IPv4):\n", names)
-	fmt.Fprintf(w, "members using action communities in ≥1 route: %v (paper: >35.7%%, up to 54.1%%)\n", asShare)
-	fmt.Fprintf(w, "action share of IXP-defined standard communities: %v (paper: ≥66.6%%)\n", actionShare)
-	fmt.Fprintf(w, "action communities targeting non-RS members: %v (paper: ≥31.8%%)\n", nmShare)
-	return nil
+	b = append(b, " (IPv4):\n"...)
+	b = asShare.appendTo(append(b, "members using action communities in ≥1 route: "...))
+	b = append(b, " (paper: >35.7%, up to 54.1%)\n"...)
+	b = actionShare.appendTo(append(b, "action share of IXP-defined standard communities: "...))
+	b = append(b, " (paper: ≥66.6%)\n"...)
+	b = nmShare.appendTo(append(b, "action communities targeting non-RS members: "...))
+	return append(b, " (paper: ≥31.8%)\n"...)
 }
 
 // shareRange is the cross-IXP range of one headline share. The first
@@ -465,42 +507,44 @@ func (r *shareRange) update(v float64) {
 	r.min, r.max = min(r.min, v), max(r.max, v)
 }
 
-func (r shareRange) String() string {
-	return fmt.Sprintf("%.1f%%–%.1f%%", 100*r.min, 100*r.max)
+// appendTo appends the range as "min%–max%".
+func (r shareRange) appendTo(b []byte) []byte {
+	return appendPct(append(appendPct(b, r.min), "–"...), r.max)
 }
 
 // runCategories reports the §5.4 target-category breakdown.
-func (l *Lab) runCategories(w io.Writer) error {
-	return l.perIXP(w, "§5.4 — targeted ASes by operator category (IPv4)", func(p ixpgen.Profile, ix *analysis.Index) {
-		b := ix.CategoryBreakdown(l.Registry, false)
-		fmt.Fprintf(w, "%s (content+cloud share: all %.1f%%, non-members %.1f%%)\n",
-			p.IXP, 100*analysis.ContentShare(b.All), 100*analysis.ContentShare(b.NonMembers))
-		for _, row := range b.NonMembers {
+func (l *Lab) runCategories(b []byte) []byte {
+	return l.perIXP(b, "§5.4 — targeted ASes by operator category (IPv4)", func(b []byte, p ixpgen.Profile, ix *analysis.Index) []byte {
+		br := ix.CategoryBreakdown(l.Registry, false)
+		b = append(append(b, p.IXP...), " (content+cloud share: all "...)
+		b = append(appendPct(b, analysis.ContentShare(br.All)), ", non-members "...)
+		b = append(appendPct(b, analysis.ContentShare(br.NonMembers)), ")\n"...)
+		for _, row := range br.NonMembers {
+			b = append(b, "  non-member "...)
+			b = append(padTo(append(b, row.Category.String()...), len(b), 18), ' ')
+			b = append(appendPct(append(appendRight(b, row.Instances, 8), " ("...), row.Share), ')')
 			if row.Category == asdb.Unknown {
-				fmt.Fprintf(w, "  non-member %-18s %8d (%.1f%%)  [synthetic tail]\n",
-					row.Category, row.Instances, 100*row.Share)
-				continue
+				b = append(b, "  [synthetic tail]"...)
 			}
-			fmt.Fprintf(w, "  non-member %-18s %8d (%.1f%%)\n", row.Category, row.Instances, 100*row.Share)
+			b = append(b, '\n')
 		}
+		return b
 	})
 }
 
-// nameList renders up to max AS names.
-func nameList(asns []uint32, reg *asdb.Registry, max int) string {
+// appendNameList appends up to max AS names, or "none".
+func appendNameList(b []byte, asns []uint32, reg *asdb.Registry, max int) []byte {
 	if len(asns) == 0 {
-		return "none"
+		return append(b, "none"...)
 	}
-	var out []byte
 	for i, asn := range asns {
 		if i == max {
-			out = append(out, ", …"...)
-			break
+			return append(b, ", …"...)
 		}
 		if i > 0 {
-			out = append(out, ", "...)
+			b = append(b, ", "...)
 		}
-		out = appendASName(out, reg, asn)
+		b = appendASName(b, reg, asn)
 	}
-	return string(out)
+	return b
 }

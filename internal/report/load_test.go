@@ -464,16 +464,15 @@ func TestTable4PicksMondaysByDate(t *testing.T) {
 		t.Fatalf("%d days with valleys %v, want 28 days with the valley on day 9", len(series), v)
 	}
 	mondays := []analysis.DayCounts{series[0], series[7], series[14], series[21]}
-	var want bytes.Buffer
-	Section(&want, "Table 4 — weekly variation over twelve weeks")
-	WriteStability(&want, "DE-CIX-v4", analysis.Stability(mondays, false))
-	WriteStability(&want, "DE-CIX-v6", analysis.Stability(mondays, true))
+	want := AppendSection(nil, "Table 4 — weekly variation over twelve weeks")
+	want = AppendStability(want, "DE-CIX-v4", analysis.Stability(mondays, false))
+	want = AppendStability(want, "DE-CIX-v6", analysis.Stability(mondays, true))
 	var got bytes.Buffer
 	if err := lab.Run(&got, "table4"); err != nil {
 		t.Fatal(err)
 	}
-	if got.String() != want.String() {
-		t.Errorf("Table 4 over days %s, %s, %s, %s reads\n%s\nwant\n%s", mondays[0].Date, mondays[1].Date, mondays[2].Date, mondays[3].Date, got.String(), want.String())
+	if got.String() != string(want) {
+		t.Errorf("Table 4 over days %s, %s, %s, %s reads\n%s\nwant\n%s", mondays[0].Date, mondays[1].Date, mondays[2].Date, mondays[3].Date, got.String(), want)
 	}
 }
 

@@ -125,21 +125,24 @@ func (h *helper) loop() {
 }
 
 // RunMany executes the named experiments across the lab's worker pool
-// and returns one output buffer per experiment, in input order — the
+// and returns one output per experiment, in input order — the
 // concatenation is byte-identical to running them sequentially.
-// Each experiment writes into its own ordered buffer, so `-exp all`
-// parallelism never interleaves output. On failure the slice holds
-// the complete outputs of the experiments preceding the lowest
-// failing one (a failing experiment's partial output is dropped),
-// alongside that experiment's error.
+// Each experiment renders into a buffer of its own and is copied out
+// at its exact size, so `-exp all` parallelism never interleaves
+// output. On failure the slice holds the complete outputs of the
+// experiments preceding the lowest failing one (a failing experiment's
+// partial output is dropped), alongside that experiment's error.
 func (l *Lab) RunMany(names []string) ([][]byte, error) {
-	bufs := make([]bytes.Buffer, len(names))
+	outs := make([][]byte, len(names))
 	stop, err := runPool(len(names), l.Parallel, func(i int) error {
-		return l.Run(&bufs[i], names[i])
+		p := scratch.Get().(*[]byte)
+		defer scratch.Put(p)
+		out, err := l.AppendRun((*p)[:0], names[i])
+		*p = out[:0]
+		if err == nil {
+			outs[i] = bytes.Clone(out)
+		}
+		return err
 	})
-	outs := make([][]byte, 0, stop)
-	for i := 0; i < stop && i < len(names); i++ {
-		outs = append(outs, bufs[i].Bytes())
-	}
-	return outs, err
+	return outs[:min(stop, len(names))], err
 }

@@ -5,11 +5,9 @@
 package report
 
 import (
-	"fmt"
-	"io"
+	"bytes"
+	"math"
 	"strconv"
-	"strings"
-	"text/tabwriter"
 	"unicode/utf8"
 
 	"ixplight/internal/analysis"
@@ -38,11 +36,21 @@ func Table1RowFromCounts(ixp string, c analysis.DayCounts, location, traffic str
 	}
 }
 
-// WriteTable1 renders Table 1.
-func WriteTable1(w io.Writer, rows []Table1Row) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "IXP\tLocation\tTraffic\tMembers\tRS v4\tRS v6\tPrefixes v4\tPrefixes v6\tRoutes v4\tRoutes v6")
-	var b []byte
+// Every writer below appends its rows to b and returns the extended
+// slice, as strconv's Append functions do: an experiment's whole output
+// is one []byte, grown in place, with no fmt verb, interface boxing or
+// tabwriter between a number and its bytes.
+
+// appendKey appends a series row's leading columns: the series, the
+// IXP and the address family.
+func appendKey(b []byte, series, ixp, family string) []byte {
+	return append(append(append(append(append(b, series...), ','), ixp...), ','), family...)
+}
+
+// AppendTable1 renders Table 1.
+func AppendTable1(b []byte, rows []Table1Row) []byte {
+	start := len(b)
+	b = append(b, "IXP\tLocation\tTraffic\tMembers\tRS v4\tRS v6\tPrefixes v4\tPrefixes v6\tRoutes v4\tRoutes v6\n"...)
 	for _, r := range rows {
 		b = append(append(append(b, r.IXP...), '\t'), r.Location...)
 		b = append(append(b, '\t'), r.AvgTraffic...)
@@ -51,94 +59,151 @@ func WriteTable1(w io.Writer, rows []Table1Row) {
 		}
 		b = append(b, '\n')
 	}
-	tw.Write(b)
-	tw.Flush()
+	return alignColumns(b, start)
 }
 
-// WriteFig1 renders the Fig. 1 series (IXP-defined vs unknown shares).
-func WriteFig1(w io.Writer, ixp string, v4, v6 analysis.Mix) {
-	fmt.Fprintf(w, "figure1,%s,IPv4,total=%d,defined=%.1f%%,unknown=%.1f%%\n",
-		ixp, v4.Total(), 100*v4.DefinedShare(), 100*(1-v4.DefinedShare()))
-	fmt.Fprintf(w, "figure1,%s,IPv6,total=%d,defined=%.1f%%,unknown=%.1f%%\n",
-		ixp, v6.Total(), 100*v6.DefinedShare(), 100*(1-v6.DefinedShare()))
+// AppendFig1 renders the Fig. 1 series (IXP-defined vs unknown shares).
+func AppendFig1(b []byte, ixp string, v4, v6 analysis.Mix) []byte {
+	for _, f := range [...]struct {
+		name string
+		mix  analysis.Mix
+	}{{"IPv4", v4}, {"IPv6", v6}} {
+		b = appendKey(b, "figure1", ixp, f.name)
+		b = append(strconv.AppendInt(append(b, ",total="...), int64(f.mix.Total()), 10), ",defined="...)
+		b = append(appendPct(b, f.mix.DefinedShare()), ",unknown="...)
+		b = append(appendPct(b, 1-f.mix.DefinedShare()), '\n')
+	}
+	return b
 }
 
-// WriteFig2 renders the Fig. 2 series (standard/extended/large mix).
-func WriteFig2(w io.Writer, ixp string, v4, v6 analysis.Mix) {
-	fmt.Fprintf(w, "figure2,%s,IPv4,defined=%d,standard=%.1f%%,extended=%.1f%%,large=%.1f%%\n",
-		ixp, v4.Defined(), 100*v4.StandardShare(), 100*v4.ExtendedShare(), 100*v4.LargeShare())
-	fmt.Fprintf(w, "figure2,%s,IPv6,defined=%d,standard=%.1f%%,extended=%.1f%%,large=%.1f%%\n",
-		ixp, v6.Defined(), 100*v6.StandardShare(), 100*v6.ExtendedShare(), 100*v6.LargeShare())
+// AppendFig2 renders the Fig. 2 series (standard/extended/large mix).
+func AppendFig2(b []byte, ixp string, v4, v6 analysis.Mix) []byte {
+	for _, f := range [...]struct {
+		name string
+		mix  analysis.Mix
+	}{{"IPv4", v4}, {"IPv6", v6}} {
+		b = appendKey(b, "figure2", ixp, f.name)
+		b = append(strconv.AppendInt(append(b, ",defined="...), int64(f.mix.Defined()), 10), ",standard="...)
+		b = append(appendPct(b, f.mix.StandardShare()), ",extended="...)
+		b = append(appendPct(b, f.mix.ExtendedShare()), ",large="...)
+		b = append(appendPct(b, f.mix.LargeShare()), '\n')
+	}
+	return b
 }
 
-// WriteFig3 renders the Fig. 3 series (action vs informational).
-func WriteFig3(w io.Writer, ixp string, family string, action, info int) {
+// AppendFig3 renders the Fig. 3 series (action vs informational).
+func AppendFig3(b []byte, ixp string, family string, action, info int) []byte {
+	b = appendKey(b, "figure3", ixp, family)
 	total := action + info
 	if total == 0 {
-		fmt.Fprintf(w, "figure3,%s,%s,empty\n", ixp, family)
-		return
+		return append(b, ",empty\n"...)
 	}
-	fmt.Fprintf(w, "figure3,%s,%s,standard_defined=%d,action=%.1f%%,informational=%.1f%%\n",
-		ixp, family, total, 100*float64(action)/float64(total), 100*float64(info)/float64(total))
+	b = append(strconv.AppendInt(append(b, ",standard_defined="...), int64(total), 10), ",action="...)
+	b = append(appendFixed(b, 100*float64(action)/float64(total), 1), "%,informational="...)
+	return append(appendFixed(b, 100*float64(info)/float64(total), 1), "%\n"...)
 }
 
-// WriteFig4a renders the Fig. 4a bars.
-func WriteFig4a(w io.Writer, ixp, family string, u analysis.Usage) {
-	fmt.Fprintf(w, "figure4a,%s,%s,ases=%d (%.1f%% of %d),routes_tagged=%d (%.1f%%),action_instances=%d\n",
-		ixp, family, u.ASesUsing, 100*u.ASShare(), u.MembersAtRS,
-		u.RoutesTagged, 100*u.RouteShare(), u.ActionInstances)
+// AppendFig4a renders the Fig. 4a bars.
+func AppendFig4a(b []byte, ixp, family string, u analysis.Usage) []byte {
+	b = appendKey(b, "figure4a", ixp, family)
+	b = append(strconv.AppendInt(append(b, ",ases="...), int64(u.ASesUsing), 10), " ("...)
+	b = append(appendPct(b, u.ASShare()), " of "...)
+	b = append(strconv.AppendInt(b, int64(u.MembersAtRS), 10), "),routes_tagged="...)
+	b = append(strconv.AppendInt(b, int64(u.RoutesTagged), 10), " ("...)
+	b = append(appendPct(b, u.RouteShare()), "),action_instances="...)
+	return append(strconv.AppendInt(b, int64(u.ActionInstances), 10), '\n')
 }
 
-// WriteFig4b renders selected Fig. 4b CDF points.
-func WriteFig4b(w io.Writer, ixp string, cdf []analysis.CDFPoint) {
-	for _, frac := range []float64{0.01, 0.05, 0.10, 0.50, 1.0} {
-		fmt.Fprintf(w, "figure4b,%s,top %.0f%% of ASes,%.1f%% of action communities\n",
-			ixp, frac*100, 100*analysis.TopShare(cdf, frac))
+// AppendFig4b renders selected Fig. 4b CDF points.
+func AppendFig4b(b []byte, ixp string, cdf []analysis.CDFPoint) []byte {
+	for _, frac := range [...]float64{0.01, 0.05, 0.10, 0.50, 1.0} {
+		b = append(append(append(b, "figure4b,"...), ixp...), ",top "...)
+		b = append(appendFixed(b, frac*100, 0), "% of ASes,"...)
+		b = append(appendPct(b, analysis.TopShare(cdf, frac)), " of action communities\n"...)
 	}
+	return b
 }
 
-// WriteFig4c renders the Fig. 4c scatter as CSV.
-func WriteFig4c(w io.Writer, ixp string, points []analysis.CorrelationPoint) {
-	fmt.Fprintf(w, "figure4c,%s,asn,route_fraction,community_fraction\n", ixp)
+// AppendFig4c renders the Fig. 4c scatter as CSV.
+func AppendFig4c(b []byte, ixp string, points []analysis.CorrelationPoint) []byte {
+	b = append(append(append(b, "figure4c,"...), ixp...), ",asn,route_fraction,community_fraction\n"...)
 	for _, p := range points {
-		fmt.Fprintf(w, "figure4c,%s,%d,%.6f,%.6f\n", ixp, p.ASN, p.RouteFrac, p.CommFrac)
+		b = append(append(append(b, "figure4c,"...), ixp...), ',')
+		b = append(strconv.AppendUint(b, uint64(p.ASN), 10), ',')
+		b = append(appendFixed(b, p.RouteFrac, 6), ',')
+		b = append(appendFixed(b, p.CommFrac, 6), '\n')
 	}
+	return b
 }
 
-// WriteTable2 renders one IXP's Table 2 columns.
-func WriteTable2(w io.Writer, ixp, family string, rows []analysis.TypeUsage) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "Table 2 — %s (%s)\n", ixp, family)
-	var b []byte
+// AppendTable2 renders one IXP's Table 2 columns.
+func AppendTable2(b []byte, ixp, family string, rows []analysis.TypeUsage) []byte {
+	b = append(append(append(append(append(b, "Table 2 — "...), ixp...), " ("...), family...), ")\n"...)
+	start := len(b)
 	for _, r := range rows {
 		b = strconv.AppendInt(append(append(b, r.Type.String()...), '\t'), int64(r.ASes), 10)
 		b = append(appendPct(append(b, "\t("...), r.Share), ")\n"...)
 	}
-	tw.Write(b)
-	tw.Flush()
+	return alignColumns(b, start)
 }
 
-// WriteSec53 renders the §5.3 occurrence-per-type shares.
-func WriteSec53(w io.Writer, ixp, family string, occ map[dictionary.ActionType]int) {
+// AppendSec53 renders the §5.3 occurrence-per-type shares.
+func AppendSec53(b []byte, ixp, family string, occ map[dictionary.ActionType]int) []byte {
 	total := 0
 	for _, n := range occ {
 		total += n
 	}
-	fmt.Fprintf(w, "sec5.3,%s,%s,total=%d", ixp, family, total)
+	b = appendKey(b, "sec5.3", ixp, family)
+	b = strconv.AppendInt(append(b, ",total="...), int64(total), 10)
 	for _, t := range dictionary.ActionTypes {
 		share := 0.0
 		if total > 0 {
 			share = float64(occ[t]) / float64(total)
 		}
-		fmt.Fprintf(w, ",%s=%.1f%%", t, 100*share)
+		b = appendPct(append(append(append(b, ','), t.String()...), '='), share)
 	}
-	fmt.Fprintln(w)
+	return append(b, '\n')
 }
 
-// The ranking writers below build their rows by appending into one
-// buffer and write it once: a row formatted through fmt boxes every
-// argument, and these are the rows a cold /v1/experiments request
-// prints most of.
+// alignColumns lays out the newline-terminated, tab-separated lines
+// appended to b since start as tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+// does for a block whose lines hold equally many cells: every cell but
+// a line's last is padded with spaces to its column's width, the
+// column's widest cell in runes plus 2 (and at least 2, the minimum
+// width). The laid-out lines are built after the raw ones and moved
+// down over them.
+func alignColumns(b []byte, start int) []byte {
+	var onStack [16]int
+	widths := onStack[:0]
+	for rest := b[start:]; len(rest) > 0; {
+		nl := bytes.IndexByte(rest, '\n')
+		line := rest[:nl]
+		rest = rest[nl+1:]
+		for col := 0; ; col++ {
+			tab := bytes.IndexByte(line, '\t')
+			if tab < 0 {
+				break
+			}
+			if col == len(widths) {
+				widths = append(widths, 2)
+			}
+			widths[col] = max(widths[col], utf8.RuneCount(line[:tab])+2)
+			line = line[tab+1:]
+		}
+	}
+	end := len(b)
+	for i := start; i < end; i++ {
+		col, cell := 0, i
+		for ; b[i] != '\n'; i++ {
+			if b[i] == '\t' {
+				b = padTo(append(b, b[cell:i]...), len(b), widths[col])
+				col, cell = col+1, i+1
+			}
+		}
+		b = append(b, b[cell:i+1]...)
+	}
+	return append(b[:start], b[end:]...)
+}
 
 // padTo pads b with spaces until what was appended after start is
 // width columns wide, as %-*s does (fmt pads by runes, and the target
@@ -150,19 +215,73 @@ func padTo(b []byte, start, width int) []byte {
 	return b
 }
 
-// appendRight appends n right-aligned in width columns, as %*d does.
-func appendRight(b []byte, n, width int) []byte {
-	var num [20]byte
-	digits := strconv.AppendInt(num[:0], int64(n), 10)
-	for i := len(digits); i < width; i++ {
+// alignRight right-aligns what was appended to b after start in width
+// columns, as %*d and %*.*f do: ASCII digits, so a byte is a column.
+func alignRight(b []byte, start, width int) []byte {
+	n := len(b) - start
+	if n >= width {
+		return b
+	}
+	for range width - n {
 		b = append(b, ' ')
 	}
-	return append(b, digits...)
+	copy(b[start+width-n:], b[start:start+n])
+	for i := start; i < start+width-n; i++ {
+		b[i] = ' '
+	}
+	return b
+}
+
+// appendRight appends n right-aligned in width columns, as %*d does.
+func appendRight(b []byte, n, width int) []byte {
+	return alignRight(strconv.AppendInt(b, int64(n), 10), len(b), width)
 }
 
 // appendPct appends a share as %.1f%% of 100×share does.
 func appendPct(b []byte, share float64) []byte {
-	return append(strconv.AppendFloat(b, 100*share, 'f', 1, 64), '%')
+	return append(appendFixed(b, 100*share, 1), '%')
+}
+
+// pow10 holds 10^prec for the precisions appendFixed takes.
+var pow10 = [...]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6}
+
+// appendFixed appends v with prec (0–6) decimals, byte for byte what
+// strconv.AppendFloat(b, v, 'f', prec, 64) — and so %.*f — writes.
+// strconv has no fast path for a fixed precision in 'f' format, so it
+// takes its arbitrary-precision route for every such call; here v is
+// scaled by 10^prec and rounded to an integer instead. The product
+// carries a relative error of at most 2^-53, so its rounding can differ
+// from the exact decimal's only within that distance of a .5 tie: a
+// value within 1e-9·|s| of one, a NaN, an infinity or a magnitude of
+// 2^52 or more (where a float has no fraction bits left) is left to
+// strconv, which rounds exact ties to even. FuzzAppendFixed holds the
+// two together.
+func appendFixed(b []byte, v float64, prec int) []byte {
+	s := math.Abs(v) * pow10[prec]
+	if !(s < 1<<52) {
+		return strconv.AppendFloat(b, v, 'f', prec, 64)
+	}
+	n := math.Floor(s)
+	switch f := s - n; {
+	case math.Abs(f-0.5) <= 1e-9*s:
+		return strconv.AppendFloat(b, v, 'f', prec, 64)
+	case f > 0.5:
+		n++
+	}
+	if math.Signbit(v) {
+		b = append(b, '-')
+	}
+	u := uint64(n)
+	if prec == 0 {
+		return strconv.AppendUint(b, u, 10)
+	}
+	scale := uint64(pow10[prec])
+	b = append(strconv.AppendUint(b, u/scale, 10), '.')
+	var frac [6]byte
+	for i, r := prec-1, u%scale; i >= 0; i, r = i-1, r/10 {
+		frac[i] = byte('0' + r%10)
+	}
+	return append(b, frac[:prec]...)
 }
 
 // appendASName appends what reg.Name(asn) returns ("ASxxxx" when the
@@ -176,9 +295,8 @@ func appendASName(b []byte, reg *asdb.Registry, asn uint32) []byte {
 	return strconv.AppendUint(append(b, "AS"...), uint64(asn), 10)
 }
 
-// WriteTopCommunities renders a Fig. 5/6 ranking with AS names.
-func WriteTopCommunities(w io.Writer, title, ixp string, top []analysis.CommunityCount, reg *asdb.Registry) {
-	b := make([]byte, 0, 96*(len(top)+1))
+// AppendTopCommunities renders a Fig. 5/6 ranking with AS names.
+func AppendTopCommunities(b []byte, title, ixp string, top []analysis.CommunityCount, reg *asdb.Registry) []byte {
 	b = append(append(append(append(b, title...), " — "...), ixp...), '\n')
 	for i, cc := range top {
 		b = append(appendRight(b, i+1, 2), ". "...)
@@ -187,7 +305,7 @@ func WriteTopCommunities(w io.Writer, title, ixp string, top []analysis.Communit
 		b = append(padTo(appendTarget(b, cc.Class, reg), len(b), 28), ' ')
 		b = append(strconv.AppendInt(b, int64(cc.Count), 10), '\n')
 	}
-	w.Write(b)
+	return b
 }
 
 // appendTarget appends the "→ whom" column of a ranking row.
@@ -202,9 +320,8 @@ func appendTarget(b []byte, cl dictionary.Class, reg *asdb.Registry) []byte {
 	}
 }
 
-// WriteCulprits renders the Fig. 7 ranking.
-func WriteCulprits(w io.Writer, ixp string, culprits []analysis.Culprit, total int, reg *asdb.Registry) {
-	b := make([]byte, 0, 64*(len(culprits)+2))
+// AppendCulprits renders the Fig. 7 ranking.
+func AppendCulprits(b []byte, ixp string, culprits []analysis.Culprit, total int, reg *asdb.Registry) []byte {
 	b = append(append(append(b, "Figure 7 — "...), ixp...), " (total non-member-targeting instances: "...)
 	b = append(strconv.AppendInt(b, int64(total), 10), ")\n"...)
 	for i, c := range culprits {
@@ -217,20 +334,28 @@ func WriteCulprits(w io.Writer, ixp string, culprits []analysis.Culprit, total i
 		b = append(appendRight(b, c.Count, 8), " ("...)
 		b = append(appendPct(b, share), ")\n"...)
 	}
-	w.Write(b)
+	return b
 }
 
-// WriteStability renders one Table 3/4 row.
-func WriteStability(w io.Writer, label string, t analysis.StabilityTable) {
-	fmt.Fprintf(w, "%-16s members %d–%d (%.2f%%)  prefixes %d–%d (%.2f%%)  routes %d–%d (%.2f%%)  communities %d–%d (%.2f%%)\n",
-		label,
-		t.Members.Min, t.Members.Max, t.Members.DiffPct,
-		t.Prefixes.Min, t.Prefixes.Max, t.Prefixes.DiffPct,
-		t.Routes.Min, t.Routes.Max, t.Routes.DiffPct,
-		t.Communities.Min, t.Communities.Max, t.Communities.DiffPct)
+// AppendStability renders one Table 3/4 row.
+func AppendStability(b []byte, label string, t analysis.StabilityTable) []byte {
+	b = padTo(append(b, label...), len(b), 16)
+	for _, q := range [...]struct {
+		name string
+		row  analysis.StabilityRow
+	}{{" members ", t.Members}, {"  prefixes ", t.Prefixes}, {"  routes ", t.Routes}, {"  communities ", t.Communities}} {
+		b = strconv.AppendInt(append(b, q.name...), int64(q.row.Min), 10)
+		b = strconv.AppendInt(append(b, "–"...), int64(q.row.Max), 10)
+		b = append(appendFixed(append(b, " ("...), q.row.DiffPct, 2), "%)"...)
+	}
+	return append(b, '\n')
 }
 
-// Section prints a visually separated heading.
-func Section(w io.Writer, title string) {
-	fmt.Fprintf(w, "\n%s\n%s\n", title, strings.Repeat("=", len(title)))
+// AppendSection appends a visually separated heading.
+func AppendSection(b []byte, title string) []byte {
+	b = append(append(append(b, '\n'), title...), '\n')
+	for range len(title) {
+		b = append(b, '=')
+	}
+	return append(b, '\n')
 }

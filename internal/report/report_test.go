@@ -215,12 +215,12 @@ func TestShareRangeKeepsZeroMinimum(t *testing.T) {
 	var r shareRange
 	r.update(0)
 	r.update(0.4)
-	if got := r.String(); got != "0.0%–40.0%" {
+	if got := string(r.appendTo(nil)); got != "0.0%–40.0%" {
 		t.Fatalf("range of 0 then 0.4 = %q, want 0.0%%–40.0%%", got)
 	}
 	var one shareRange
 	one.update(0.25)
-	if got := one.String(); got != "25.0%–25.0%" {
+	if got := string(one.appendTo(nil)); got != "25.0%–25.0%" {
 		t.Fatalf("range of one value = %q", got)
 	}
 }
@@ -249,8 +249,9 @@ func TestRankingWritersMatchFmt(t *testing.T) {
 		culprits = append(culprits, analysis.Culprit{ASN: asn, Count: i * 123457})
 	}
 	for _, reg := range []*asdb.Registry{reg, nil} {
-		var got, want bytes.Buffer
-		WriteTopCommunities(&got, "Figure 5", "DE-CIX", top, reg)
+		var want bytes.Buffer
+		got := AppendTopCommunities([]byte("kept"), "Figure 5", "DE-CIX", top, reg)
+		fmt.Fprint(&want, "kept")
 		fmt.Fprintf(&want, "%s — %s\n", "Figure 5", "DE-CIX")
 		for i, cc := range top {
 			target := ""
@@ -262,13 +263,12 @@ func TestRankingWritersMatchFmt(t *testing.T) {
 			}
 			fmt.Fprintf(&want, "%2d. %-14s %-20s %-28s %d\n", i+1, cc.Community, cc.Class.Action, target, cc.Count)
 		}
-		if got.String() != want.String() {
-			t.Errorf("WriteTopCommunities (registry %v) diverges from fmt:\n got %q\nwant %q", reg != nil, got.String(), want.String())
+		if string(got) != want.String() {
+			t.Errorf("AppendTopCommunities (registry %v) diverges from fmt:\n got %q\nwant %q", reg != nil, got, want.String())
 		}
 		for _, total := range []int{0, 7654321} {
-			got.Reset()
 			want.Reset()
-			WriteCulprits(&got, "LINX", culprits, total, reg)
+			got := AppendCulprits(nil, "LINX", culprits, total, reg)
 			fmt.Fprintf(&want, "Figure 7 — %s (total non-member-targeting instances: %d)\n", "LINX", total)
 			for i, c := range culprits {
 				share := 0.0
@@ -277,8 +277,8 @@ func TestRankingWritersMatchFmt(t *testing.T) {
 				}
 				fmt.Fprintf(&want, "%2d. %-24s %8d (%.1f%%)\n", i+1, name(reg, c.ASN), c.Count, 100*share)
 			}
-			if got.String() != want.String() {
-				t.Errorf("WriteCulprits (registry %v, total %d) diverges from fmt:\n got %q\nwant %q", reg != nil, total, got.String(), want.String())
+			if string(got) != want.String() {
+				t.Errorf("AppendCulprits (registry %v, total %d) diverges from fmt:\n got %q\nwant %q", reg != nil, total, got, want.String())
 			}
 		}
 	}
