@@ -72,7 +72,7 @@ race:
 # against FLOORS once and fails, naming it, on an entry that names no
 # test: a renamed or misspelt floor would otherwise pass having run
 # nothing.
-FLOORS := TestWarmColdSpeedup|TestRenderAllocs|TestEncodeCostsItsChurn|TestAdvanceBytesPerDay|TestAdvanceAllocs|TestLoadAllocsPerDay|TestMaterializeAllocs|TestLoadedLabHeap|TestIndexFromColumnsAllocs|TestVisibilityAllocs|TestGenerateAllocs|TestAnnounceAllocs|TestReloadWorkIsProportional|TestServeAllocs|TestServedPageAllocsIndependentOfPageSize|TestCrawlAllocsPerRoute
+FLOORS := TestWarmColdSpeedup|TestRenderAllocs|TestEncodeCostsItsChurn|TestAdvanceBytesPerDay|TestAdvanceAllocs|TestLoadAllocsPerDay|TestMaterializeAllocs|TestLoadedLabHeap|TestIndexFromColumnsAllocs|TestVisibilityAllocs|TestGenerateAllocs|TestAnnounceAllocs|TestReloadWorkIsProportional|TestServeAllocs|TestServedPageAllocsIndependentOfPageSize|TestPageScanAllocs|TestCrawlAllocsPerRoute
 floors:
 	@listed=" $$($(GO) test -list '^($(FLOORS))$$' ./... | grep '^Test' | tr '\n' ' ')"; \
 	for f in $$(echo '$(FLOORS)' | tr '|' ' '); do \

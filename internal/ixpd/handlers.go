@@ -184,7 +184,7 @@ func (s *Server) experimentBody(g *generation, name string) ([]byte, error) {
 func (s *Server) asDoc(g *generation, asnStr, ixp string) (ASDoc, error) {
 	asn64, err := strconv.ParseUint(asnStr, 10, 32)
 	if err != nil {
-		return ASDoc{}, errNotFound("bad ASN %q", asnStr)
+		return ASDoc{}, errBadRequest("bad ASN %q", asnStr)
 	}
 	asn := uint32(asn64)
 	rows, err := perIXP(g.lab, ixp, func(ixp string, ix *analysis.Index) ASAtIXP {
@@ -201,7 +201,7 @@ func (s *Server) asDoc(g *generation, asnStr, ixp string) (ASDoc, error) {
 func (s *Server) communityDoc(g *generation, commStr, ixp string) (CommunityDoc, error) {
 	comm, err := bgp.ParseCommunity(commStr)
 	if err != nil {
-		return CommunityDoc{}, errNotFound("bad community %q", commStr)
+		return CommunityDoc{}, errBadRequest("bad community %q", commStr)
 	}
 	rows, err := perIXP(g.lab, ixp, func(ixp string, ix *analysis.Index) CommunityAtIXP {
 		u4 := ix.CommunityUsage(comm, false)

@@ -293,9 +293,16 @@ type httpError struct {
 
 func (e *httpError) Error() string { return e.msg }
 
-// errNotFound builds a 404 compute error.
+// errNotFound builds a 404 compute error: what the request names is
+// not there.
 func errNotFound(format string, args ...any) error {
 	return &httpError{code: http.StatusNotFound, msg: fmt.Sprintf(format, args...)}
+}
+
+// errBadRequest builds a 400 compute error: the request names nothing
+// that could be there.
+func errBadRequest(format string, args ...any) error {
+	return &httpError{code: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
 }
 
 // flight is one response computation. data/status are written once by

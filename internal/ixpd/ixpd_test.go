@@ -133,10 +133,11 @@ func TestEndpoints(t *testing.T) {
 	if len(asDoc.IXPs) != 1 || asDoc.IXPs[0].IXP != ixp.IXP {
 		t.Fatalf("filtered as doc: %+v", asDoc)
 	}
-	for _, bad := range []string{"/v1/as/notanumber", "/v1/as/1?ixp=BOGUS"} {
-		if code, _, _ := doGet(t, h, bad, ""); code != http.StatusNotFound {
-			t.Fatalf("%s: code %d, want 404", bad, code)
-		}
+	if code, _, _ := doGet(t, h, "/v1/as/1?ixp=BOGUS", ""); code != http.StatusNotFound {
+		t.Fatalf("unknown ixp: code %d, want 404", code)
+	}
+	if code, _, _ := doGet(t, h, "/v1/as/notanumber", ""); code != http.StatusBadRequest {
+		t.Fatalf("bad ASN: code %d, want 400", code)
 	}
 
 	var commDoc CommunityDoc
@@ -150,8 +151,8 @@ func TestEndpoints(t *testing.T) {
 	if len(commDoc.IXPs) != 2 || !commDoc.IXPs[0].Known || commDoc.IXPs[0].V4.ActionInstances == 0 {
 		t.Fatalf("community doc: %+v", commDoc)
 	}
-	if code, _, _ := doGet(t, h, "/v1/community/junk", ""); code != http.StatusNotFound {
-		t.Fatalf("bad community: code %d, want 404", code)
+	if code, _, _ := doGet(t, h, "/v1/community/junk", ""); code != http.StatusBadRequest {
+		t.Fatalf("bad community: code %d, want 400", code)
 	}
 
 	var series SeriesDoc
@@ -167,6 +168,41 @@ func TestEndpoints(t *testing.T) {
 	}
 	if code, _, _ := doGet(t, h, "/v1/series/BOGUS", ""); code != http.StatusNotFound {
 		t.Fatalf("unknown series ixp: code %d, want 404", code)
+	}
+}
+
+// TestMalformedLookupIsBadRequest: an ASN or community that does not
+// parse is the client's mistake, a 400 {"error": …} with no ETag, told
+// apart from a well-formed value the dataset knows nothing of (a 200 of
+// zero counts) and from an IXP the dataset lacks (a 404).
+func TestMalformedLookupIsBadRequest(t *testing.T) {
+	s := testServer(t, Config{Profiles: ixpgen.BigFour()[:1]})
+	h := s.Handler()
+	for _, tc := range []struct {
+		path string
+		code int
+	}{
+		{"/v1/as/notanumber", http.StatusBadRequest},
+		{"/v1/as/4294967296", http.StatusBadRequest},
+		{"/v1/as/-1", http.StatusBadRequest},
+		{"/v1/as/notanumber?ixp=BOGUS", http.StatusBadRequest},
+		{"/v1/community/junk", http.StatusBadRequest},
+		{"/v1/community/70000:1", http.StatusBadRequest},
+		{"/v1/community/1:2:3", http.StatusBadRequest},
+		{"/v1/as/4200000000", http.StatusOK},
+		{"/v1/community/65535:666", http.StatusOK},
+		{"/v1/as/1?ixp=BOGUS", http.StatusNotFound},
+		{"/v1/community/0:1?ixp=BOGUS", http.StatusNotFound},
+	} {
+		code, etag, body := doGet(t, h, tc.path, "")
+		if code != tc.code {
+			t.Errorf("%s: code %d, want %d (%s)", tc.path, code, tc.code, strings.TrimSpace(body))
+			continue
+		}
+		var doc map[string]string
+		if code == http.StatusBadRequest && (etag != "" || json.Unmarshal([]byte(body), &doc) != nil || len(doc) != 1 || !strings.HasPrefix(doc["error"], "bad ")) {
+			t.Errorf("%s: ETag %q, body %s, want none and {\"error\":\"bad …\"}", tc.path, etag, body)
+		}
 	}
 }
 
@@ -430,7 +466,7 @@ func FuzzV1Path(f *testing.F) {
 	}
 	h := s.Handler()
 	endpoints := [...]string{"/v1/experiments/", "/v1/as/", "/v1/community/", "/v1/series/"}
-	designed := map[int]bool{http.StatusOK: true, http.StatusMovedPermanently: true, http.StatusNotFound: true}
+	designed := map[int]bool{http.StatusOK: true, http.StatusMovedPermanently: true, http.StatusBadRequest: true, http.StatusNotFound: true}
 	f.Fuzz(func(t *testing.T, endpoint uint8, segment, query string) {
 		target := endpoints[int(endpoint)%len(endpoints)] + segment
 		if query != "" {

@@ -25,11 +25,11 @@ import (
 // whole query universe: /v1/meta (with a skipped file), the 21
 // experiments, every series, sampled per-AS and per-community lookups
 // with and without ?ixp=, and the error bodies — the 404s of each
-// endpoint, with HTML, quotes and non-ASCII in the names they echo, and
-// a 500 whose message holds every byte class the escaper treats apart
-// — and, rendered on their own, documents in shapes the lab does not
-// reach (a partial day, nil and empty slices, escaped strings). The
-// service answers no 400: a malformed name is a 404.
+// endpoint and the 400s of the two lookups, with HTML, quotes and
+// non-ASCII in the names they echo, and a 500 whose message holds every
+// byte class the escaper treats apart — and, rendered on their own,
+// documents in shapes the lab does not reach (a partial day, nil and
+// empty slices, escaped strings).
 func TestDocsMatchEncodingJSON(t *testing.T) {
 	dir := t.TempDir()
 	profiles := ixpgen.BigFour()[:2]
@@ -70,19 +70,28 @@ func TestDocsMatchEncodingJSON(t *testing.T) {
 		t.Fatalf("%d bodies checked", checked)
 	}
 
-	for _, path := range []string{
-		"/v1/experiments/nope",
-		"/v1/experiments/" + url.PathEscape(`<b>"fig1"&é`),
-		"/v1/as/notanumber", "/v1/as/" + url.PathEscape("1<2>"),
-		"/v1/as/1?ixp=" + url.QueryEscape(`<script>"x"&é`),
-		"/v1/community/junk", "/v1/community/" + url.PathEscape("1:<&>"),
-		"/v1/community/0:1?ixp=BOGUS",
-		"/v1/series/BOGUS", "/v1/series/" + url.PathEscape("Zürich<&>"),
+	for _, tc := range []struct {
+		path string
+		code int
+	}{
+		{"/v1/experiments/nope", http.StatusNotFound},
+		{"/v1/experiments/" + url.PathEscape(`<b>"fig1"&é`), http.StatusNotFound},
+		{"/v1/as/notanumber", http.StatusBadRequest},
+		{"/v1/as/" + url.PathEscape("1<2>"), http.StatusBadRequest},
+		{"/v1/as/" + url.PathEscape("Zürich\"&"), http.StatusBadRequest},
+		{"/v1/as/1?ixp=" + url.QueryEscape(`<script>"x"&é`), http.StatusNotFound},
+		{"/v1/community/junk", http.StatusBadRequest},
+		{"/v1/community/" + url.PathEscape("1:<&>"), http.StatusBadRequest},
+		{"/v1/community/" + url.PathEscape("1:2é"), http.StatusBadRequest},
+		{"/v1/community/0:1?ixp=BOGUS", http.StatusNotFound},
+		{"/v1/series/BOGUS", http.StatusNotFound},
+		{"/v1/series/" + url.PathEscape("Zürich<&>"), http.StatusNotFound},
 	} {
+		path := tc.path
 		code, _, body := doGet(t, h, path, "")
 		var doc map[string]string
-		if code != http.StatusNotFound || json.Unmarshal([]byte(body), &doc) != nil || len(doc) != 1 || doc["error"] == "" {
-			t.Errorf("%s: %d %s, want a 404 {\"error\": …}", path, code, body)
+		if code != tc.code || json.Unmarshal([]byte(body), &doc) != nil || len(doc) != 1 || doc["error"] == "" {
+			t.Errorf("%s: %d %s, want a %d {\"error\": …}", path, code, body, tc.code)
 			continue
 		}
 		if want := jsonBody(doc); body != string(want) {

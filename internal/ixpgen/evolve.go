@@ -161,7 +161,7 @@ withdrawals:
 			continue
 		}
 		start := rng.Intn(len(family))
-		if netutil.CheckPrefixBounds(w.prefix) == nil {
+		if netutil.InPrefixBounds(w.prefix) {
 			for n := range family {
 				if nr := family[(start+n)%len(family)]; !slices.Contains(holders, nr.PeerAS()) {
 					nr.Prefix = w.prefix

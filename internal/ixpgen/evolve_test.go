@@ -149,8 +149,8 @@ func TestEvolveSeriesPassesImportFilter(t *testing.T) {
 					t.Fatalf("%s day %d: %s from AS%d is a bogon", p.IXP, d, r.Prefix, r.PeerAS())
 				}
 				if !bgp.HasCommunity(r.Communities, bgp.BlackholeWellKnown) {
-					if err := netutil.CheckPrefixBounds(r.Prefix); err != nil {
-						t.Fatalf("%s day %d: %v", p.IXP, d, err)
+					if !netutil.InPrefixBounds(r.Prefix) {
+						t.Fatalf("%s day %d: %s from AS%d is out of the acceptance window", p.IXP, d, r.Prefix, r.PeerAS())
 					}
 				}
 			}

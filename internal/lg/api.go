@@ -13,10 +13,12 @@
 // parsed from, is served once, as BIRD-style text (config/raw). A
 // routes page — nearly every byte a crawl moves — is
 // rendered by hand into exactly the bytes json.Encoder writes
-// (render.go), and scanned straight into bgp.Route values while it has
-// that shape; any other body is read by json.Unmarshal + decodeRoute,
-// which define a page (pagescan.go). TestRoutesPageMatchesEncodingJSON
-// and FuzzRoutesPageDecode hold both halves to encoding/json.
+// (render.go), its paging members before its routes, and scanned
+// straight into bgp.Route values while it has that shape, the listing
+// sized from the paging members on page 0; any other body is read by
+// json.Unmarshal + decodeRoute, which define a page (pagescan.go).
+// TestRoutesPageMatchesEncodingJSON and FuzzRoutesPageDecode hold both
+// halves to encoding/json.
 package lg
 
 import (
@@ -70,13 +72,15 @@ type APIRoute struct {
 	LargeCommunities []string `json:"large_communities,omitempty"`
 }
 
-// RoutesResponse is one page of GET .../routes/received.
+// RoutesResponse is one page of GET .../routes/received. The paging
+// members come before the routes, so a client knows the listing's size
+// before it reads the first route.
 type RoutesResponse struct {
-	Routes     []APIRoute `json:"routes"`
 	Page       int        `json:"page"`
 	PageSize   int        `json:"page_size"`
 	TotalPages int        `json:"total_pages"`
 	TotalCount int        `json:"total_count"`
+	Routes     []APIRoute `json:"routes"`
 }
 
 // EncodeRoute converts an internal route into its API shape.

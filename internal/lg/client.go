@@ -9,7 +9,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -490,11 +489,6 @@ func (c *Client) routesPaged(ctx context.Context, endpoint string) ([]bgp.Route,
 			maxPages = (total + size - 1) / size
 			if maxPages < 1 {
 				maxPages = 1
-			}
-			if more := total - len(routes); more > 0 && info.totalPages > 1 {
-				// The listing's declared size, so later pages append
-				// without regrowing. Capped: the figure is the server's.
-				routes = slices.Grow(routes, min(more, 1<<20))
 			}
 		case etag != version:
 			if restarts == listingRestarts {

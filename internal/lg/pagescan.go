@@ -27,8 +27,14 @@ import (
 //     most 2^60, AS numbers, MED and local-pref at most 2^32−1, origin
 //     at most 2;
 //   - null only for a whole routes or attribute list;
-//   - routes that have both network and gateway, and whose text parses;
+//   - routes that have both network and gateway, whose gateway parses
+//     and whose network is spelt as netip.Prefix.AppendTo writes it;
 //   - nothing but white space after the closing brace.
+//
+// The LG renders the paging members before routes. When a page has
+// them there, the scanner sizes the listing from them before the first
+// route: the route slice to total_count on page 0, the attribute maps
+// to the page's routes.
 //
 // Any other body is handed to decodePageJSON, whose answer is the
 // page's: the scanner never calls a body malformed or a route bad.
@@ -36,11 +42,11 @@ import (
 
 // Field indices: the members of RoutesResponse and of APIRoute.
 const (
-	pageRoutes = iota
-	pagePage
+	pagePage = iota
 	pagePageSize
 	pageTotalPages
 	pageTotalCount
+	pageRoutes
 )
 
 const (
@@ -56,13 +62,17 @@ const (
 )
 
 var (
-	pageFields  = []string{"routes", "page", "page_size", "total_pages", "total_count"}
+	pageFields  = []string{"page", "page_size", "total_pages", "total_count", "routes"}
 	routeFields = []string{"network", "gateway", "as_path", "med", "local_pref", "origin", "communities", "ext_communities", "large_communities"}
 )
 
 // maxPageField bounds the paging fields the scanner reads: small enough
 // that reading a digit cannot overflow, and an int on every platform.
 const maxPageField = min(1<<60, math.MaxInt)
+
+// maxPresize caps the route slice a page header sizes: the figure is
+// the server's.
+const maxPresize = 1 << 20
 
 // pageInfo is what a page says about itself besides its routes.
 type pageInfo struct {
@@ -88,7 +98,9 @@ type attrTable[T comparable] struct {
 
 const minAttrChunk, maxAttrChunk = 64, 2048
 
-func (t *attrTable[T]) share(textHash uint64, vals []T) []T {
+// share returns the stored slice equal to vals, storing it first if
+// there is none; a table's map starts at hint entries.
+func (t *attrTable[T]) share(textHash uint64, vals []T, hint int) []T {
 	if v, ok := t.shared[textHash]; ok && slices.Equal(v, vals) {
 		return v
 	}
@@ -99,7 +111,7 @@ func (t *attrTable[T]) share(textHash uint64, vals []T) []T {
 	t.chunk = append(t.chunk, vals...)
 	v := t.chunk[from:len(t.chunk):len(t.chunk)]
 	if t.shared == nil {
-		t.shared = make(map[uint64][]T)
+		t.shared = make(map[uint64][]T, hint)
 	}
 	t.shared[textHash] = v
 	return v
@@ -121,11 +133,13 @@ type listingDecoder struct {
 	gw     netip.Addr
 
 	// Page state: the body and the cursor in it, the listing the page's
-	// routes are appended to, and the paging fields.
-	b      []byte
-	i      int
-	routes []bgp.Route
-	info   pageInfo
+	// routes are appended to, the paging fields, and how many routes
+	// the header says the page holds (0 without one).
+	b            []byte
+	i            int
+	routes       []bgp.Route
+	info         pageInfo
+	headerRoutes int
 }
 
 func newListingDecoder() *listingDecoder {
@@ -184,7 +198,7 @@ func decodePageJSON(body []byte, routes []bgp.Route) ([]bgp.Route, pageInfo, err
 // file comment lists, and reports whether it did. When it did not,
 // d.routes may hold part of the page beyond what it held before.
 func (d *listingDecoder) scan(body []byte) bool {
-	d.b, d.i, d.info = body, 0, pageInfo{}
+	d.b, d.i, d.info, d.headerRoutes = body, 0, pageInfo{}, 0
 	base := len(d.routes)
 	if !d.eat('{') {
 		return false
@@ -194,6 +208,7 @@ func (d *listingDecoder) scan(body []byte) bool {
 		var ok bool
 		switch d.key(pageFields, &seen) {
 		case pageRoutes:
+			d.presize(seen)
 			ok = d.routeList()
 		case pagePage:
 			ok = d.intField(&d.info.page)
@@ -211,6 +226,19 @@ func (d *listingDecoder) scan(body []byte) bool {
 	d.ws()
 	d.info.routes = len(d.routes) - base
 	return d.i == len(d.b)
+}
+
+// presize, called as the routes member starts with the members seen
+// so far, sizes the listing from a header that came before it.
+func (d *listingDecoder) presize(seen uint16) {
+	const header = 1<<pagePage | 1<<pagePageSize | 1<<pageTotalCount
+	if seen&header != header {
+		return
+	}
+	if d.info.page == 0 {
+		d.routes = slices.Grow(d.routes, min(d.info.totalCount, maxPresize))
+	}
+	d.headerRoutes = min(d.info.pageSize, d.info.totalCount, MaxPageSize)
 }
 
 // routeList reads the routes member: null, or an array of routes.
@@ -244,9 +272,7 @@ func (d *listingDecoder) route() bool {
 		case routeNetwork:
 			var text []byte
 			if text, ok = d.str(); ok {
-				var err error
-				r.Prefix, err = netip.ParsePrefix(string(text))
-				ok = err == nil
+				r.Prefix, ok = parsePrefix(text)
 			}
 		case routeGateway:
 			ok = d.gateway(&r.NextHop)
@@ -324,7 +350,7 @@ func list[T comparable](d *listingDecoder, t *attrTable[T], elem func(*listingDe
 	if len(vals) == 0 {
 		return []T{}, true
 	}
-	return t.share(maphash.Bytes(d.seed, d.b[from:d.i]), vals), true
+	return t.share(maphash.Bytes(d.seed, d.b[from:d.i]), vals, d.headerRoutes), true
 }
 
 // The element readers. Every community flavour is decimal fields joined
@@ -394,6 +420,144 @@ func uintField(b []byte, i int, end byte, max uint32) (v uint32, next int, ok bo
 		return 0, 0, false
 	}
 	return uint32(n), i + 1, true
+}
+
+// maxPrefixText is the longest text netip.Prefix.AppendTo writes.
+const maxPrefixText = len("ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff/128")
+
+// parsePrefix reads text spelt exactly as netip.Prefix.AppendTo writes
+// it, IPv4 or IPv6, and nothing else. It confirms what it read by
+// writing the prefix back and comparing, so any text it accepts means
+// what netip.ParsePrefix reads; other spellings of a prefix (upper-case
+// hex, a leading zero, an uncompressed run of zero groups) leave the
+// shape.
+func parsePrefix(text []byte) (netip.Prefix, bool) {
+	if len(text) > maxPrefixText {
+		return netip.Prefix{}, false
+	}
+	var addr netip.Addr
+	n := 0
+	if ip4, m, ok := parseIPv4(text); ok {
+		addr, n = netip.AddrFrom4(ip4), m
+	} else if ip6, m, ok := parseIPv6(text); ok {
+		addr, n = netip.AddrFrom16(ip6), m
+	} else {
+		return netip.Prefix{}, false
+	}
+	if n == len(text) || text[n] != '/' {
+		return netip.Prefix{}, false
+	}
+	bits, ok := decimal(text[n+1:])
+	p := netip.PrefixFrom(addr, bits)
+	var buf [maxPrefixText]byte
+	if !ok || !p.IsValid() || !bytes.Equal(p.AppendTo(buf[:0]), text) {
+		return netip.Prefix{}, false
+	}
+	return p, true
+}
+
+// decimal reads b, one to three digits, as a number.
+func decimal(b []byte) (int, bool) {
+	if len(b) == 0 || len(b) > 3 {
+		return 0, false
+	}
+	n := 0
+	for _, ch := range b {
+		if !isDigit(ch) {
+			return 0, false
+		}
+		n = n*10 + int(ch-'0')
+	}
+	return n, true
+}
+
+// parseIPv4 reads four dot-separated decimal octets at the start of b
+// and returns them and how many bytes they took.
+func parseIPv4(b []byte) (ip [4]byte, n int, ok bool) {
+	for k := range ip {
+		if k > 0 {
+			if n == len(b) || b[n] != '.' {
+				return ip, 0, false
+			}
+			n++
+		}
+		from, v := n, 0
+		for ; n < len(b) && n-from < 3 && isDigit(b[n]); n++ {
+			v = v*10 + int(b[n]-'0')
+		}
+		if n == from || v > 0xFF {
+			return ip, 0, false
+		}
+		ip[k] = byte(v)
+	}
+	return ip, n, true
+}
+
+// parseIPv6 reads, at the start of b and up to a slash, colon-separated
+// groups of lower-case hex digits, at most one "::" standing for a run
+// of zero groups, and optionally a dotted IPv4 tail for the last 32
+// bits; it returns the address and how many bytes it took.
+func parseIPv6(b []byte) (ip [16]byte, n int, ok bool) {
+	ellipsis, i := -1, 0 // where "::" stands in ip, and how much of ip is read
+	if len(b) >= 2 && b[0] == ':' && b[1] == ':' {
+		ellipsis, n = 0, 2
+	}
+	for n < len(b) && b[n] != '/' {
+		from, v := n, 0
+		for ; n < len(b) && n-from < 4; n++ {
+			h := hexDigit(b[n])
+			if h < 0 {
+				break
+			}
+			v = v<<4 | h
+		}
+		if n < len(b) && b[n] == '.' {
+			v4, m, ok := parseIPv4(b[from:])
+			if !ok || i > len(ip)-len(v4) {
+				return ip, 0, false
+			}
+			i += copy(ip[i:], v4[:])
+			n = from + m
+			break
+		}
+		if n == from || i == len(ip) {
+			return ip, 0, false
+		}
+		ip[i], ip[i+1] = byte(v>>8), byte(v)
+		i += 2
+		if n == len(b) || b[n] == '/' {
+			break
+		}
+		if b[n] != ':' {
+			return ip, 0, false
+		}
+		if n++; n < len(b) && b[n] == ':' {
+			if ellipsis >= 0 {
+				return ip, 0, false
+			}
+			ellipsis, n = i, n+1
+		} else if n == len(b) || b[n] == '/' {
+			return ip, 0, false
+		}
+	}
+	if ellipsis < 0 {
+		return ip, n, i == len(ip)
+	}
+	shift := len(ip) - i
+	copy(ip[ellipsis+shift:], ip[ellipsis:i])
+	clear(ip[ellipsis : ellipsis+shift])
+	return ip, n, true
+}
+
+// hexDigit is the value of a lower-case hex digit, or -1.
+func hexDigit(ch byte) int {
+	switch {
+	case isDigit(ch):
+		return int(ch - '0')
+	case 'a' <= ch && ch <= 'f':
+		return int(ch-'a') + 10
+	}
+	return -1
 }
 
 func (d *listingDecoder) intField(dst *int) bool {

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
@@ -273,6 +274,24 @@ var handWrittenPages = []string{
 	`{"routes":[{"network":"10.0.0.0/24","gateway":"10.0.0.1","large_communities":["1:2:3:4"]}]}`,
 	`{"routes":[{"network":"10.0.0.0/24","gateway":"10.0.0.1","large_communities":["4294967296:0:0"]}]}`,
 	`{"routes":[{"network":"::ffff:10.0.0.0/104","gateway":"::ffff:10.0.0.1"}]}`,
+	// network text around the one spelling Prefix.AppendTo writes: other
+	// spellings netip.ParsePrefix reads, and text it rejects, after a
+	// page header as the LG renders one
+	`{"page":0,"page_size":500,"total_pages":1,"total_count":1,"routes":[{"network":"2001:DB8::/32","gateway":"10.0.0.1"}]}`,
+	`{"page":0,"page_size":500,"total_pages":1,"total_count":1,"routes":[{"network":"::ffff:10.0.0.0/104","gateway":"10.0.0.1"}]}`,
+	`{"page":0,"page_size":500,"total_pages":1,"total_count":1,"routes":[{"network":"::ffff:a00:0/104","gateway":"10.0.0.1"}]}`,
+	`{"page":0,"page_size":500,"total_pages":1,"total_count":1,"routes":[{"network":"10.01.0.0/16","gateway":"10.0.0.1"}]}`,
+	`{"page":0,"page_size":500,"total_pages":1,"total_count":1,"routes":[{"network":"fe80::1%eth0/64","gateway":"10.0.0.1"}]}`,
+	`{"page":0,"page_size":500,"total_pages":1,"total_count":1,"routes":[{"network":"10.0.0.0/08","gateway":"10.0.0.1"}]}`,
+	`{"page":0,"page_size":500,"total_pages":1,"total_count":2,"routes":[{"network":"2001:db8:0:0::/32","gateway":"10.0.0.1"},{"network":"2001:0db8::/32","gateway":"10.0.0.1"}]}`,
+	`{"page":0,"page_size":500,"total_pages":1,"total_count":3,"routes":[{"network":"::1.2.3.4/128","gateway":"10.0.0.1"},{"network":"1:2:3:4:5:6:7::/128","gateway":"10.0.0.1"},{"network":"1:2:3:4:5:6:1.2.3.4/96","gateway":"10.0.0.1"}]}`,
+	`{"page":0,"page_size":500,"total_pages":1,"total_count":4,"routes":[{"network":"0.0.0.0/0","gateway":"10.0.0.1"},{"network":"::/0","gateway":"::1"},{"network":"1::/128","gateway":"10.0.0.1"},{"network":"ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff/128","gateway":"10.0.0.1"}]}`,
+	`{"page":0,"page_size":500,"total_pages":1,"total_count":3,"routes":[{"network":"10.0.0.0/33","gateway":"10.0.0.1"},{"network":"::/129","gateway":"10.0.0.1"},{"network":"256.0.0.0/8","gateway":"10.0.0.1"}]}`,
+	`{"page":0,"page_size":500,"total_pages":1,"total_count":1,"routes":[{"network":"1.2.3.4/","gateway":"10.0.0.1"},{"network":"1.2.3/24","gateway":"10.0.0.1"},{"network":"1:2:3:4:5:6:7:8:9/128","gateway":"10.0.0.1"}]}`,
+	// a header that claims more than a listing could hold, or sits on a
+	// later page
+	`{"page":0,"page_size":1152921504606846976,"total_pages":1,"total_count":1152921504606846976,"routes":[{"network":"10.0.0.0/24","gateway":"10.0.0.1","as_path":[1]}]}`,
+	`{"page":3,"page_size":2,"total_pages":4,"total_count":7,"routes":[{"network":"10.0.0.0/24","gateway":"10.0.0.1","communities":["1:2"]}]}`,
 	`{"routes":[{"network":"10.0.0.0/24","gateway":"10.0.0.1"},{"network":"x","gateway":"10.0.0.1"}],"junk":}`,
 	// unknown members (filter_reason among them: the routes endpoint
 	// no longer serves rejected routes), white space, trailing garbage
@@ -352,6 +371,97 @@ func TestListingSharesEqualAttributes(t *testing.T) {
 	}
 	if cap(a.Communities) != len(a.Communities) {
 		t.Error("a shared slice has spare capacity an append could scribble over")
+	}
+}
+
+// TestParsePrefixReadsWhatAppendToWrites: parsePrefix takes the text
+// Prefix.AppendTo writes for prefixes of every family and length, and
+// declines other spellings netip.ParsePrefix reads, so a page that uses
+// them goes to decodePageJSON.
+func TestParsePrefixReadsWhatAppendToWrites(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	for i := 0; i < 20000; i++ {
+		var a16 [16]byte
+		for k := range a16 {
+			if rng.IntN(3) > 0 { // zero runs of every length, so "::" lands everywhere
+				a16[k] = byte(rng.Uint32())
+			}
+		}
+		var addr netip.Addr
+		switch i % 3 {
+		case 0:
+			addr = netip.AddrFrom4([4]byte(a16[:4]))
+		case 1:
+			addr = netip.AddrFrom16(a16)
+		case 2:
+			addr = netip.AddrFrom16(netip.AddrFrom4([4]byte(a16[:4])).As16()) // IPv4-mapped
+		}
+		p := netip.PrefixFrom(addr, rng.IntN(addr.BitLen()+1))
+		got, ok := parsePrefix([]byte(p.String()))
+		if !ok || got != p {
+			t.Fatalf("parsePrefix(%q) = %v, %v; want %v", p, got, ok, p)
+		}
+	}
+	for _, tc := range []struct {
+		text       string
+		netipReads bool
+	}{
+		{"2001:DB8::/32", true}, {"2001:db8:0:0::/32", true}, {"2001:0db8::/32", true}, {"::1.2.3.4/128", true},
+		{"::ffff:a00:0/104", true}, {"1:2:3:4:5:6:7::/128", true}, {"0:0:0:0:0:0:0:0/0", true},
+		{"10.01.0.0/16", false}, {"10.0.0.0/08", false}, {"fe80::1%eth0/64", false}, {"10.0.0.0/33", false}, {"", false},
+	} {
+		if _, err := netip.ParsePrefix(tc.text); (err == nil) != tc.netipReads {
+			t.Fatalf("netip.ParsePrefix(%q): %v", tc.text, err)
+		}
+		if p, ok := parsePrefix([]byte(tc.text)); ok {
+			t.Errorf("parsePrefix(%q) = %v, want it declined", tc.text, p)
+		}
+	}
+}
+
+// FuzzParsePrefix: whatever parsePrefix accepts, netip.ParsePrefix
+// reads as the same prefix, and it accepts every text AppendTo writes.
+func FuzzParsePrefix(f *testing.F) {
+	for _, text := range []string{"10.0.0.0/24", "::ffff:10.0.0.0/104", "2001:db8::/32", "::/0", "1::/128",
+		"2001:DB8::/32", "10.01.0.0/16", "fe80::1%eth0/64", "10.0.0.0/08", "1:2:3:4:5:6:1.2.3.4/96"} {
+		f.Add(text)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		got, ok := parsePrefix([]byte(text))
+		want, err := netip.ParsePrefix(text)
+		switch {
+		case ok && (err != nil || got != want):
+			t.Fatalf("parsePrefix(%q) = %v, netip.ParsePrefix says %v, %v", text, got, want, err)
+		case !ok && err == nil && want.String() == text:
+			t.Fatalf("parsePrefix declines %q, which AppendTo writes", text)
+		}
+	})
+}
+
+// TestPageScanAllocs pins the scanner's cost model: a decoder that has
+// read a listing's page once reads it again, onto a listing with room,
+// with no allocation per route. Before the scanner read the network
+// text in place it made a string per route to hand to netip.
+func TestPageScanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const n = 2000
+	server, _ := fixture(t, n)
+	body := fetchBody(t, NewServer(server), fmt.Sprintf("/api/v1/routeservers/rs1/neighbors/100/routes/received?page_size=%d", n))
+	d := newListingDecoder()
+	routes, _, err := d.decodePage(body, nil)
+	if err != nil || len(routes) != n {
+		t.Fatalf("decoded %d routes, %v; want %d", len(routes), err, n)
+	}
+	perRoute := testing.AllocsPerRun(20, func() {
+		if routes, _, err = d.decodePage(body, routes[:0]); err != nil || len(routes) != n {
+			t.Fatalf("decoded %d routes, %v; want %d", len(routes), err, n)
+		}
+	}) / n
+	t.Logf("%.4f allocations per scanned route", perRoute)
+	if perRoute >= 0.1 {
+		t.Errorf("scanning a %d-route page allocates %.2f times per route, want < 0.1", n, perRoute)
 	}
 }
 

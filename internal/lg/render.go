@@ -28,16 +28,16 @@ func routeSep(n int) byte {
 	return ','
 }
 
-// appendPageTail closes the routes array of a page that holds n routes
-// (encoding/json renders the never-appended-to slice of an empty page
-// as null) and appends the paging fields and Encode's newline.
-func appendPageTail(b []byte, n, page, size, totalPages, total int) []byte {
-	if n == 0 {
-		b = append(b, "null"...)
-	} else {
-		b = append(b, ']')
-	}
-	b = append(b, `,"page":`...)
+// pageHeadMax bounds what appendPageHead writes: the four paging
+// members, each a decimal int of at most 20 bytes, and the comma
+// before routes.
+const pageHeadMax = len(`{"page":,"page_size":,"total_pages":,"total_count":,`) + 4*20
+
+// appendPageHead appends the start of a page: the opening brace and
+// the paging members, which RoutesResponse declares before its routes
+// so a reader can size the listing before the routes arrive.
+func appendPageHead(b []byte, page, size, totalPages, total int) []byte {
+	b = append(b, `{"page":`...)
 	b = strconv.AppendInt(b, int64(page), 10)
 	b = append(b, `,"page_size":`...)
 	b = strconv.AppendInt(b, int64(size), 10)
@@ -45,6 +45,18 @@ func appendPageTail(b []byte, n, page, size, totalPages, total int) []byte {
 	b = strconv.AppendInt(b, int64(totalPages), 10)
 	b = append(b, `,"total_count":`...)
 	b = strconv.AppendInt(b, int64(total), 10)
+	return append(b, ',')
+}
+
+// appendPageTail closes the routes array of a page that holds n routes
+// (encoding/json renders the never-appended-to slice of an empty page
+// as null), the page and Encode's newline.
+func appendPageTail(b []byte, n int) []byte {
+	if n == 0 {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, ']')
+	}
 	return append(b, '}', '\n')
 }
 

@@ -138,19 +138,25 @@ func (s *Server) handleRoutesReceived(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	page, size := pageParams(r)
+	// The paging members come first, but the total is known only once
+	// the routes are rendered: they leave room for them at the front.
 	bp := pagePool.Get().(*[]byte)
-	b, n := append((*bp)[:0], `{"routes":`...), 0
+	b, n := append(append((*bp)[:0], make([]byte, pageHeadMax)...), `"routes":`...), 0
 	total, version := s.rs.VisitAccepted(asn, pageOffset(page, size), size, func(rt *bgp.Route) {
 		b = appendAPIRoute(append(b, routeSep(n)), rt)
 		n++
 	})
 	_, _, pages := paginate(total, page, size)
-	b = appendPageTail(b, n, page, size, pages, total)
+	b = appendPageTail(b, n)
+	var head [pageHeadMax]byte
+	h := appendPageHead(head[:0], page, size, pages, total)
+	from := pageHeadMax - len(h)
+	copy(b[from:], h)
 	if pages > 1 {
 		w.Header()["Etag"] = []string{versionETag(version)}
 	}
 	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(b) // too late for a status change; the client sees a truncated body
+	_, _ = w.Write(b[from:]) // too late for a status change; the client sees a truncated body
 	*bp = b
 	pagePool.Put(bp)
 }

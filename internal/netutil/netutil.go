@@ -175,24 +175,12 @@ func PeerAddrV6(idx int) netip.Addr {
 	return netip.AddrFrom16(a)
 }
 
-// CheckPrefixBounds enforces the route-server acceptance window the
-// paper describes: IPv4 more specific than /24 or broader than /8 is
-// filtered (and the analogous /48–/16 window for IPv6).
-func CheckPrefixBounds(p netip.Prefix) error {
+// InPrefixBounds reports whether p lies in the route-server acceptance
+// window the paper describes: IPv4 from /8 to /24 (more specific or
+// broader is filtered), and the analogous /16–/48 window for IPv6.
+func InPrefixBounds(p netip.Prefix) bool {
 	if p.Addr().Is4() {
-		if p.Bits() > 24 {
-			return fmt.Errorf("netutil: %s too specific (> /24)", p)
-		}
-		if p.Bits() < 8 {
-			return fmt.Errorf("netutil: %s too broad (< /8)", p)
-		}
-		return nil
+		return 8 <= p.Bits() && p.Bits() <= 24
 	}
-	if p.Bits() > 48 {
-		return fmt.Errorf("netutil: %s too specific (> /48)", p)
-	}
-	if p.Bits() < 16 {
-		return fmt.Errorf("netutil: %s too broad (< /16)", p)
-	}
-	return nil
+	return 16 <= p.Bits() && p.Bits() <= 48
 }

@@ -189,8 +189,8 @@ func TestSyntheticV4PrefixDistinctAndClean(t *testing.T) {
 			if IsBogonPrefix(p) {
 				t.Fatalf("synthetic prefix %d = %s is a bogon", i, p)
 			}
-			if err := CheckPrefixBounds(p); err != nil {
-				t.Fatalf("synthetic prefix out of bounds: %v", err)
+			if !InPrefixBounds(p) {
+				t.Fatalf("synthetic prefix %s out of bounds", p)
 			}
 		}
 	}
@@ -233,15 +233,15 @@ func TestPeerAddrsDistinct(t *testing.T) {
 	}
 }
 
-func TestCheckPrefixBounds(t *testing.T) {
+func TestInPrefixBounds(t *testing.T) {
 	for _, s := range []string{"1.2.3.0/25", "1.0.0.0/7", "2a10::/49", "2a10::/12"} {
-		if err := CheckPrefixBounds(netip.MustParsePrefix(s)); err == nil {
-			t.Errorf("CheckPrefixBounds(%s): want error", s)
+		if InPrefixBounds(netip.MustParsePrefix(s)) {
+			t.Errorf("InPrefixBounds(%s) = true, want false", s)
 		}
 	}
 	for _, s := range []string{"1.2.3.0/24", "1.0.0.0/8", "2a10::/48", "2a10::/16"} {
-		if err := CheckPrefixBounds(netip.MustParsePrefix(s)); err != nil {
-			t.Errorf("CheckPrefixBounds(%s) = %v, want nil", s, err)
+		if !InPrefixBounds(netip.MustParsePrefix(s)) {
+			t.Errorf("InPrefixBounds(%s) = false, want true", s)
 		}
 	}
 }

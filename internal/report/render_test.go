@@ -117,16 +117,17 @@ func TestTablesMatchTabwriter(t *testing.T) {
 // and rendering its rows into a buffer that already has room, over the
 // big-four test lab: the cost an ixpd cold experiment request pays for
 // its text. Every allocation left is the experiment's working state
-// (rankings, CDFs, valley lists, the intersection's target sets); the
-// twenty cost 1,250 together, measured the same way, while rows went
-// through fmt and tabwriter (fig4c 213, table2 199, intersect 122,
-// table4 108). visibility,
+// (rankings, CDFs, valley lists, the intersection's sorted target
+// lists); the twenty cost 1,250 together, measured the same way, while
+// rows went through fmt and tabwriter (fig4c 213, table2 199, intersect
+// 122, table4 108), and intersect cost 64 while its target sets were
+// maps. visibility,
 // which simulates four route servers, has its own ceiling
 // (TestVisibilityAllocs).
 var renderAllocs = map[string]float64{
 	"table1": 1, "fig1": 0, "fig2": 0, "fig3": 0, "fig4a": 0, "fig4b": 8, "fig4c": 4,
 	"table2": 8, "sec53": 0, "fig5": 8, "fig6": 8, "fig7": 8, "table3": 20, "table4": 24,
-	"sanitation": 16, "extlarge": 0, "sec56": 12, "intersect": 64, "categories": 8, "summary": 0,
+	"sanitation": 16, "extlarge": 0, "sec56": 12, "intersect": 35, "categories": 8, "summary": 0,
 }
 
 // TestRenderAllocs pins each experiment's allocations (renderAllocs).

@@ -84,10 +84,8 @@ func (s *Server) checkImport(peerASN uint32, r *bgp.Route) FilterReason {
 			}
 		}
 	}
-	if !isBlackhole {
-		if err := netutil.CheckPrefixBounds(r.Prefix); err != nil {
-			return FilterPrefixBounds
-		}
+	if !isBlackhole && !netutil.InPrefixBounds(r.Prefix) {
+		return FilterPrefixBounds
 	}
 	return FilterNone
 }
