@@ -128,7 +128,7 @@ ixpd-smoke:
 examples:
 	@for d in examples/*/; do echo "$(GO) run ./$$d"; $(GO) run ./$$d >/dev/null || exit 1; done
 
-# oneworld writes the twelve-week dataset `ixpgen -codec delta` makes
+# oneworld writes the twelve-week dataset `ixpgen` makes
 # and fails unless `analyze -exp all` reads the same battery off it as
 # off a lab it generates itself: one dataset writer, and the two
 # commands' defaults (seed, churn, start date) and the generated
@@ -139,7 +139,7 @@ ONEWORLD_IXPS := -ixps DE-CIX,LINX
 ONEWORLD := -scale 0.004
 oneworld:
 	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
-	$(GO) run ./cmd/ixpgen -out "$$dir" -codec delta -days 84 -valleys 9,41 $(ONEWORLD_IXPS) $(ONEWORLD) && \
+	$(GO) run ./cmd/ixpgen -out "$$dir" -days 84 -valleys 9,41 $(ONEWORLD_IXPS) $(ONEWORLD) && \
 	$(GO) run ./cmd/analyze -exp all $(ONEWORLD_IXPS) $(ONEWORLD) >"$$dir/generated.txt" && \
 	$(GO) run ./cmd/analyze -exp all $(ONEWORLD) -snapshots "$$dir/snapshots" >"$$dir/loaded.txt" && \
 	cmp "$$dir/generated.txt" "$$dir/loaded.txt" && echo "oneworld: -exp all agrees"

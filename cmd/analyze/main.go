@@ -12,14 +12,14 @@
 // directory and reports on the IXPs it holds days of; -ixps narrows that
 // to the IXPs it names, each of which the dataset must hold. Every
 // other file is left alone, and each day is served once. Without it, it
-// writes the dataset `ixpgen -codec delta -days 84 -valleys 9,41`
+// writes the dataset `ixpgen -days 84 -valleys 9,41`
 // writes at the same -ixps, -seed and -scale into a temporary
 // directory, loads it the same way and removes it, so both modes read
 // the same world: the point-in-time experiments read each IXP's last
 // day (2021-10-10), the temporal ones its twelve weeks. Binary snapshot
 // files are indexed straight off their columns (no []bgp.Route is ever
 // materialized), and delta chains (a day-0 .bin plus daily .delta
-// files, as written by `ixpgen -codec delta` or `collect -codec delta`)
+// files, as `ixpgen` and `collect` write them)
 // are walked incrementally: each day's index advances from the previous
 // day's by applying the delta.
 //

@@ -6,10 +6,10 @@
 // Usage:
 //
 //	collect -url http://localhost:8080 [-date 2021-10-04] [-out ./data]
-//	        [-codec binary|delta] [-interval 100ms] [-retries 5]
-//	        [-partial] [-resume] [-checkpoint path] [-neighbor-parallel 1]
-//	        [-neighbor-retries 1] [-error-budget 0] [-request-timeout 30s]
-//	        [-metrics-addr :9100] [-trace path|none]
+//	        [-interval 100ms] [-retries 5] [-partial] [-resume]
+//	        [-checkpoint path] [-neighbor-parallel 1] [-neighbor-retries 1]
+//	        [-error-budget 0] [-request-timeout 30s] [-metrics-addr :9100]
+//	        [-trace path|none]
 //
 // Every run records crawl telemetry: an end-of-run summary is logged,
 // and with -metrics-addr the registry is served live on /metrics and
@@ -23,10 +23,10 @@
 // whenever it is given; -partial and -resume use
 // <out>/checkpoint-<date>.json when it is not.
 //
-// -codec delta grows a snapshot chain in -out instead of standalone
-// files: the IXP's first day is stored as a full binary snapshot, and
-// every later run appends one .delta file encoding just that day's
-// churn against the previous day.
+// Each run appends the crawled day to the IXP's chain in -out
+// (collector.Append): the IXP's first day as a full binary snapshot
+// (.bin), every later one as a .delta against the IXP's newest day in
+// -out whose file opens, read as the loader reads it.
 package main
 
 import (
@@ -37,8 +37,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"time"
 
 	"ixplight/internal/collector"
@@ -50,7 +48,6 @@ func main() {
 	url := flag.String("url", "http://localhost:8080", "looking glass base URL")
 	date := flag.String("date", time.Now().UTC().Format("2006-01-02"), "snapshot date stamp")
 	out := flag.String("out", "./data", "output directory")
-	codecName := flag.String("codec", "binary", "dataset file to write: binary (a full .bin), delta (extend the IXP's chain in -out)")
 	interval := flag.Duration("interval", 50*time.Millisecond, "minimum delay between LG requests")
 	retries := flag.Int("retries", 5, "retries per failed request")
 	timeout := flag.Duration("timeout", 10*time.Minute, "overall collection deadline")
@@ -101,17 +98,6 @@ func main() {
 		}()
 	}
 
-	var save func(dir string, snap *collector.Snapshot) (string, error)
-	switch *codecName {
-	case "binary":
-		save = func(dir string, snap *collector.Snapshot) (string, error) {
-			return collector.SaveSnapshot(dir, snap, collector.CodecBinary)
-		}
-	case "delta":
-		save = saveDelta
-	default:
-		fatal(fmt.Errorf("unknown -codec %q (binary, delta)", *codecName))
-	}
 	client := lg.NewClient(*url, lg.ClientOptions{
 		MinInterval:    *interval,
 		MaxRetries:     *retries,
@@ -159,7 +145,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	path, err := save(*out, snap)
+	path, err := collector.Append(*out, snap, log.Printf)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -214,99 +200,4 @@ func archiveTrace(sink *telemetry.JSONLSink, path string) {
 		return
 	}
 	log.Printf("trace ledger → %s", path)
-}
-
-// saveDelta appends the snapshot to its IXP's delta chain in dir: the
-// first day of a chain is written as a full binary snapshot (the
-// base), every later day as a .delta against the previous one. The
-// chain is discovered by reading headers, not filenames, so files
-// renamed by hand still chain correctly.
-func saveDelta(dir string, snap *collector.Snapshot) (string, error) {
-	app, tipDate, err := chainTip(dir, snap.IXP)
-	if err != nil {
-		return "", err
-	}
-	if app == nil {
-		return collector.SaveSnapshot(dir, snap, collector.CodecBinary)
-	}
-	if tipDate >= snap.Date {
-		return "", fmt.Errorf("delta chain for %s already ends at %s, refusing to append %s", snap.IXP, tipDate, snap.Date)
-	}
-	buf, err := app.Encoder().Encode(snap)
-	if err != nil {
-		return "", err
-	}
-	return collector.SaveDelta(dir, snap, buf)
-}
-
-// chainTip reconstructs the current tip of ixp's delta chain in dir:
-// the oldest full binary snapshot of ixp — the day the chain started;
-// later full files are standalone days — plus every delta of ixp, in
-// date order. Only headers are read to find them; the chosen base is
-// the one file materialised. Returns a nil applier when dir holds no
-// chain for ixp yet (the caller then writes the base).
-func chainTip(dir, ixp string) (*collector.DeltaApplier, string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, "", nil
-		}
-		return nil, "", err
-	}
-	var basePath, baseDate string
-	var deltas []*collector.DeltaReader
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		path := filepath.Join(dir, e.Name())
-		if strings.HasSuffix(e.Name(), collector.DeltaExt) {
-			dr, err := collector.OpenDelta(path)
-			if err != nil {
-				return nil, "", fmt.Errorf("%s: %w", e.Name(), err)
-			}
-			if dr.IXP() == ixp {
-				deltas = append(deltas, dr)
-			}
-			continue
-		}
-		if !strings.HasSuffix(e.Name(), collector.CodecBinary.Ext()) {
-			continue
-		}
-		sr, err := collector.OpenSnapshotAt(path)
-		if err != nil {
-			return nil, "", fmt.Errorf("%s: %w", e.Name(), err)
-		}
-		head := sr.Header()
-		sr.Close()
-		if head.IXP == ixp && (basePath == "" || head.Date < baseDate) {
-			basePath, baseDate = path, head.Date
-		}
-	}
-	if basePath == "" {
-		if len(deltas) > 0 {
-			return nil, "", fmt.Errorf("found %d delta files for %s but no binary base snapshot", len(deltas), ixp)
-		}
-		return nil, "", nil
-	}
-	base, err := collector.LoadSnapshot(basePath)
-	if err != nil {
-		return nil, "", fmt.Errorf("%s: %w", filepath.Base(basePath), err)
-	}
-	app, err := collector.NewDeltaApplier(base)
-	if err != nil {
-		return nil, "", err
-	}
-	sort.Slice(deltas, func(i, j int) bool {
-		return deltas[i].Date() < deltas[j].Date()
-	})
-	tip := base.Date
-	for _, dr := range deltas {
-		s, err := app.Apply(dr)
-		if err != nil {
-			return nil, "", fmt.Errorf("reconstructing %s chain at %s: %w", ixp, dr.Date(), err)
-		}
-		tip = s.Date
-	}
-	return app, tip, nil
 }

@@ -11,6 +11,8 @@ import (
 
 	"ixplight/internal/bgp"
 	"ixplight/internal/collector"
+	"ixplight/internal/ixpgen"
+	"ixplight/internal/report"
 )
 
 func testDay(ixp, date string, prefixes ...string) *collector.Snapshot {
@@ -58,11 +60,11 @@ func TestWritersStayInsideOut(t *testing.T) {
 		// Nested, so a name that escapes lands in the test's own tree.
 		root := t.TempDir()
 		dir := filepath.Join(root, "a", "b", "out")
-		base, err := saveDelta(dir, testDay(ixp, "2021-10-04", "203.0.113.0/24"))
+		base, err := collector.Append(dir, testDay(ixp, "2021-10-04", "203.0.113.0/24"), t.Logf)
 		if err != nil {
 			t.Fatalf("%q: base: %v", ixp, err)
 		}
-		delta, err := saveDelta(dir, testDay(ixp, "2021-10-05", "203.0.113.0/24", "198.51.100.0/24"))
+		delta, err := collector.Append(dir, testDay(ixp, "2021-10-05", "203.0.113.0/24", "198.51.100.0/24"), t.Logf)
 		if err != nil {
 			t.Fatalf("%q: delta: %v", ixp, err)
 		}
@@ -87,66 +89,99 @@ func TestWritersStayInsideOut(t *testing.T) {
 	}
 }
 
-// TestChainTip pins which files make an IXP's chain and which of them
-// are read in full: the oldest base of the IXP plus its deltas. A later
-// full file of the same IXP is a standalone day and another IXP's base
-// is not this chain's business — only their headers are read, so a
-// route block that does not decode does not matter.
-func TestChainTip(t *testing.T) {
-	dir := t.TempDir()
-	day0 := testDay("DE-CIX", "2021-10-04", "203.0.113.0/24")
-	day1 := testDay("DE-CIX", "2021-10-05", "203.0.113.0/24", "198.51.100.0/24")
-	var files [][]byte // day 0's base, day 1's delta
-	for _, day := range []*collector.Snapshot{day0, day1} {
-		path, err := saveDelta(dir, day)
+// appendDays appends each day to dir as collect does and returns the
+// files written.
+func appendDays(t *testing.T, dir string, days ...*collector.Snapshot) []string {
+	t.Helper()
+	var paths []string
+	for _, d := range days {
+		path, err := collector.Append(dir, d, t.Logf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files = append(files, data)
+		paths = append(paths, path)
 	}
-	// Header intact, route block cut short.
-	headerOnly := func(s *collector.Snapshot) {
-		t.Helper()
-		path, err := collector.SaveSnapshot(dir, s, collector.CodecBinary)
-		if err != nil {
-			t.Fatal(err)
-		}
-		whole, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, whole[:len(whole)-1], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := collector.LoadSnapshot(path); err == nil {
-			t.Fatalf("%s still materialises", path)
-		}
-	}
-	headerOnly(testDay("DE-CIX", "2021-10-09", "203.0.113.0/24", "192.0.2.0/24"))
-	headerOnly(testDay("LINX", "2021-10-01", "203.0.113.0/24", "192.0.2.0/24"))
+	return paths
+}
 
-	app, tip, err := chainTip(dir, "DE-CIX")
+// serves loads dir as the loader does and fails unless ixp's served day
+// is date, reached by Series days in all.
+func serves(t *testing.T, dir, ixp, date string, days int) report.LoadReport {
+	t.Helper()
+	profiles := []ixpgen.Profile{*ixpgen.ProfileByName("DE-CIX"), *ixpgen.ProfileByName("LINX")}
+	lab := report.NewLabShell(profiles, 42, 0.002, 1)
+	files, err := collector.ListDir(dir, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if app == nil || tip != day1.Date || collector.SnapshotDigest(app.Encoder().Base()) != collector.SnapshotDigest(day1) {
-		t.Fatalf("chain tip = %q (applier %v), want the chain from the oldest base standing at %s", tip, app != nil, day1.Date)
+	rep := lab.Load(dir, files, nil)
+	if ix := lab.Indexes[ixp]; ix == nil || ix.Snapshot().Date != date || len(lab.Series[ixp]) != days {
+		t.Fatalf("%s: the load serves %d days (index %v), want %d up to %s; skipped %v", ixp, len(lab.Series[ixp]), ix != nil, days, date, rep.Skipped)
 	}
-	// The chain links day 1's delta to the base file's sha256, and the
-	// applier stands at the delta's own: the sha256 of its bytes before
-	// the seal.
-	delta, err := collector.NewDeltaReader(files[1])
+	return rep
+}
+
+// TestCollectKeepsItsCrawl: a finished crawl is written whatever else
+// -out holds. Another IXP's delta cut short is skipped, as the loader
+// skips it, and the crawled day extends its own chain.
+func TestCollectKeepsItsCrawl(t *testing.T) {
+	dir := t.TempDir()
+	appendDays(t, dir,
+		testDay("DE-CIX", "2021-10-04", "203.0.113.0/24"),
+		testDay("DE-CIX", "2021-10-05", "203.0.113.0/24", "198.51.100.0/24"))
+	linx := appendDays(t, dir,
+		testDay("LINX", "2021-10-04", "192.0.2.0/24"),
+		testDay("LINX", "2021-10-05", "192.0.2.0/24", "198.51.100.0/24"))
+	whole, err := os.ReadFile(linx[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if delta.BaseDigest() != sha256.Sum256(files[0]) || app.Digest() != sha256.Sum256(files[1][:len(files[1])-sha256.Size]) {
-		t.Error("the chain tip's digest is not the hash chain over the base file and day 1's delta")
+	if err := os.WriteFile(linx[1], whole[:len(whole)-5], 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if app, _, err := chainTip(dir, "AMS-IX"); app != nil || err != nil {
-		t.Errorf("no chain for AMS-IX: got applier %v, err %v", app != nil, err)
+	next := testDay("DE-CIX", "2021-10-06", "203.0.113.0/24", "198.51.100.0/24", "192.0.2.0/24")
+	path, err := collector.Append(dir, next, t.Logf)
+	if err != nil {
+		t.Fatalf("saving DE-CIX's next day: %v", err)
 	}
+	if !strings.HasSuffix(path, "DE-CIX-2021-10-06"+collector.DeltaExt) {
+		t.Errorf("wrote %s, want DE-CIX's next delta", path)
+	}
+	if rep := serves(t, dir, "DE-CIX", next.Date, 3); len(rep.Skipped) != 1 || rep.Skipped[0].File != filepath.Base(linx[1]) {
+		t.Errorf("skipped %v, want LINX's cut delta alone", rep.Skipped)
+	}
+}
+
+// TestCollectStartsAChainWhenItsOwnDoesNotReplay: the IXP's newest
+// delta opens — its seal holds — but its ops are corrupt, so its chain
+// does not replay. The crawled day heads a new chain as a .bin, and the
+// loader serves it as the newest day.
+func TestCollectStartsAChainWhenItsOwnDoesNotReplay(t *testing.T) {
+	dir := t.TempDir()
+	paths := appendDays(t, dir,
+		testDay("DE-CIX", "2021-10-04", "203.0.113.0/24", "198.51.100.0/24"),
+		testDay("DE-CIX", "2021-10-05", "203.0.113.0/24", "198.51.100.0/24", "192.0.2.0/24"),
+		testDay("DE-CIX", "2021-10-06", "203.0.113.0/24", "192.0.2.0/24"))
+	whole, err := os.ReadFile(paths[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := len(whole) - sha256.Size
+	corrupt := append(whole[:ops-3:ops-3], 0xff, 0xff, 0xff)
+	seal := sha256.Sum256(corrupt)
+	if err := os.WriteFile(paths[2], append(corrupt, seal[:]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := collector.OpenDelta(paths[2]); err != nil {
+		t.Fatalf("the corrupt delta does not open: %v", err)
+	}
+	next := testDay("DE-CIX", "2021-10-07", "203.0.113.0/24")
+	path, err := collector.Append(dir, next, t.Logf)
+	if err != nil {
+		t.Fatalf("saving DE-CIX's next day: %v", err)
+	}
+	if !strings.HasSuffix(path, "DE-CIX-2021-10-07.bin") {
+		t.Errorf("wrote %s, want a .bin heading a new chain", path)
+	}
+	serves(t, dir, "DE-CIX", next.Date, 3)
 }

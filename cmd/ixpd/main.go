@@ -15,7 +15,7 @@
 // The dataset directory is loaded through the delta-chain-aware loader
 // and polled every -reload-interval: a new collection day landing in
 // the directory swaps in a fresh dataset generation without dropping
-// in-flight requests. `ixpgen -out D -codec delta` writes one to serve
+// in-flight requests. `ixpgen -out D` writes one to serve
 // (D/snapshots), and `collect` grows one. Without -ixps the daemon
 // serves the IXPs the dataset holds days of; -seed and -scale name the
 // world the dataset comes from (Table 1's member totals, visibility's
@@ -81,7 +81,7 @@ func main() {
 		*ixps = "all" // serve the IXPs the dataset holds
 	}
 	if *snapshots == "" && !*smoke {
-		fmt.Fprintln(os.Stderr, "ixpd: -snapshots DIR is required: write a dataset with `ixpgen -out D -codec delta` and serve D/snapshots")
+		fmt.Fprintln(os.Stderr, "ixpd: -snapshots DIR is required: write a dataset with `ixpgen -out D` and serve D/snapshots")
 		flag.Usage()
 		os.Exit(2)
 	}

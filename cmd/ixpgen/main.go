@@ -5,15 +5,15 @@
 // Usage:
 //
 //	ixpgen [-out ./dataset] [-ixps big4|all|NAME,...] [-days 84]
-//	       [-scale 0.02] [-seed 42] [-codec binary|delta] [-valleys 9,41]
+//	       [-scale 0.02] [-seed 42] [-valleys 9,41]
 //
 // Each IXP's series is evolved day over day and written by
-// ixpgen.WriteSeries, the writer `analyze` generates its dataset with:
-// `-codec delta -days 84 -valleys 9,41` at analyze's -ixps, -seed and
-// -scale is the dataset a generated `analyze` run loads. -codec binary
-// writes every day as a full .bin; -codec delta writes day 0 as a .bin
-// and every later day as a .delta against the day before. -valleys
-// takes offsets in [1, -days).
+// ixpgen.WriteSeries, the writer `analyze` generates its dataset with,
+// as one chain: day 0 a .bin, every later day a .delta against the day
+// before. `-days 84 -valleys 9,41` at analyze's -ixps, -seed and -scale
+// is the dataset a generated `analyze` run loads. Every run writes a
+// fresh chain over same-named files. -valleys takes offsets in
+// [1, -days).
 package main
 
 import (
@@ -36,7 +36,6 @@ func main() {
 	days := flag.Int("days", 84, "number of daily snapshots (84 = twelve weeks)")
 	scale := flag.Float64("scale", 0.02, "workload scale")
 	seed := flag.Int64("seed", 42, "generation seed")
-	codecName := flag.String("codec", "binary", "dataset files to write: binary (every day a full .bin) or delta (day 0 a .bin, later days .delta)")
 	valleySpec := flag.String("valleys", "", "comma-separated day offsets with injected collection failures")
 	profilePath := flag.String("profile", "", "JSON file with a custom IXP profile (overrides -ixps)")
 	tracePath := flag.String("trace", "", "write a trace ledger for the run to this file (inspect with tracecat)")
@@ -73,10 +72,6 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	asDelta := *codecName == "delta"
-	if !asDelta && *codecName != "binary" {
-		log.Fatalf("unknown -codec %q (binary, delta)", *codecName)
-	}
 	valleys, err := parseValleys(*valleySpec, *days)
 	if err != nil {
 		log.Fatal(err)
@@ -91,7 +86,7 @@ func main() {
 		opts := ixpgen.TemporalOptions{
 			Seed: *seed, Scale: *scale, Days: *days, ValleyDays: valleys,
 		}
-		n, err := ixpgen.WriteSeries(filepath.Join(*out, "snapshots"), p, opts, asDelta)
+		n, err := ixpgen.WriteSeries(filepath.Join(*out, "snapshots"), p, opts)
 		if err != nil {
 			log.Fatal(err)
 		}

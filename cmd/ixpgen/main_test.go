@@ -18,7 +18,7 @@ func TestEvolvedSeriesStaysInsideDir(t *testing.T) {
 	p.IXP = "../../my ixp"
 	root := t.TempDir()
 	dir := filepath.Join(root, "a", "b", "snapshots")
-	n, err := ixpgen.WriteSeries(dir, p, ixpgen.TemporalOptions{Seed: 1, Scale: 0.002, Days: 3}, true)
+	n, err := ixpgen.WriteSeries(dir, p, ixpgen.TemporalOptions{Seed: 1, Scale: 0.002, Days: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -544,6 +544,11 @@ func (st *seriesState) count(ix *Index) {
 	}
 }
 
+// OwnsChain reports whether ix owns its chain state: it is the newest
+// index of a series (IndexSeriesFromReader, Advance), the one that may
+// Advance, and Materialize while counts-only.
+func (ix *Index) OwnsChain() bool { return ix.series != nil && ix.series.owner == ix }
+
 // Materialize builds the classified aggregates of a counts-only day —
 // its ranking maps, §5.6 histogram and member set — from the chain
 // state, so every accessor answers. It is owner-only: the chain's

@@ -399,10 +399,8 @@ type DeltaEncoder struct {
 	digest  [sha256.Size]byte
 
 	// spareIDs is the ids buffer the next Encode fills: the one before
-	// prevIDs, recycled. sharedIDs reports that prevIDs is a
-	// DeltaApplier's, which is never recycled.
-	spareIDs  []rowIDs
-	sharedIDs bool
+	// prevIDs, recycled.
+	spareIDs []rowIDs
 
 	// Scratch reused from day to day.
 	scratch []byte
@@ -579,10 +577,8 @@ func (e *DeltaEncoder) Encode(next *Snapshot) ([]byte, error) {
 	self := sha256.Sum256(buf)
 	buf = append(buf, self[:]...)
 
-	if !e.sharedIDs {
-		e.spareIDs = e.prevIDs
-	}
-	e.prev, e.prevIDs, e.sharedIDs, e.digest = next, nextIDs, false, self
+	e.spareIDs = e.prevIDs
+	e.prev, e.prevIDs, e.digest = next, nextIDs, self
 	return buf, nil
 }
 
@@ -1083,17 +1079,10 @@ func (a *DeltaApplier) Apply(d *DeltaReader) (*Snapshot, error) {
 	return next, nil
 }
 
-// Encoder returns a DeltaEncoder continuing this chain: it shares the
-// applier's id space and diffs against the applier's current
-// snapshot. Used by cmd/collect to append today's crawl to an
-// existing on-disk chain. The applier must not Apply further deltas
-// once its encoder has Encoded (their states would diverge).
+// Encoder returns a DeltaEncoder continuing this chain: it takes over
+// the applier's id space and buffers and diffs against the applier's
+// current snapshot. Append uses it to extend an on-disk chain by a
+// crawled day. The applier is done once its encoder exists.
 func (a *DeltaApplier) Encoder() *DeltaEncoder {
-	return &DeltaEncoder{
-		tabs:      a.tabs,
-		prev:      a.cur,
-		prevIDs:   a.curIDs,
-		sharedIDs: true,
-		digest:    a.digest,
-	}
+	return &DeltaEncoder{tabs: a.tabs, prev: a.cur, prevIDs: a.curIDs, digest: a.digest}
 }

@@ -170,7 +170,7 @@ func TestDeltaChain(t *testing.T) {
 	}
 }
 
-// TestDeltaApplierEncoderContinuation pins the cmd/collect workflow:
+// TestDeltaApplierEncoderContinuation pins the Append workflow:
 // reconstruct an existing chain with a DeltaApplier, then continue it
 // with Applier.Encoder(). Because applier and encoder grow the same
 // chain tables in lockstep, the continuation's bytes are identical to
@@ -205,12 +205,25 @@ func TestDeltaApplierEncoderContinuation(t *testing.T) {
 	if _, err := app.Apply(dr); err != nil {
 		t.Fatal(err)
 	}
-	cont, err := app.Encoder().Encode(day2)
+	// The continuation takes the applier's buffers over and keeps
+	// recycling them day after day.
+	day3 := churnSnapshot(day2, "2021-10-07", 12)
+	d3, err := enc.Encode(day3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(cont, d2) {
-		t.Fatal("continuation encoder diverged from the original chain encoder")
+	cont := app.Encoder()
+	for _, c := range []struct {
+		day  *Snapshot
+		want []byte
+	}{{day2, d2}, {day3, d3}} {
+		got, err := cont.Encode(c.day)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, c.want) {
+			t.Fatalf("%s: continuation encoder diverged from the original chain encoder", c.day.Date)
+		}
 	}
 }
 

@@ -6,11 +6,14 @@ package collector
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 
 	"ixplight/internal/bgp"
 )
@@ -194,6 +197,63 @@ func AtomicWrite(path string, write func(io.Writer) error) error {
 // dataset files names them here.
 func DatasetPath(dir string, s *Snapshot, ext string) string {
 	return filepath.Join(dir, sanitizeName(s.IXP)+"-"+s.Date+ext)
+}
+
+// File is one entry of a dataset directory listing. Size and ModTime
+// (Unix nanoseconds) let a later load skip a file it already holds:
+// dataset writes are atomic (AtomicWrite), so bytes never move while
+// (name, size, mtime) stays. They are a "nothing changed" key, never a
+// name for the data. ListDir leaves them zero unless asked to stat.
+type File struct {
+	Name    string
+	Size    int64
+	ModTime int64
+}
+
+// datasetExts are the two kinds of file a dataset directory is made of:
+// chain heads (full binary snapshots) and delta chain days.
+var datasetExts = [...]string{CodecBinary.Ext(), DeltaExt}
+
+// errNoDataset marks ListDir's error for a directory without dataset files.
+var errNoDataset = errors.New("collector: no dataset file")
+
+// ListDir lists dir's dataset files — the names ending in .bin or
+// .delta — in name order. Everything else is not part of the dataset
+// and is never opened: directories, what a collector leaves next to
+// its snapshots (trace.jsonl, checkpoint-*.json), and dot-prefixed
+// names, because AtomicWrite stages its temp files dot-prefixed in the
+// same directory and a reader racing a writer must not decode one. A
+// directory with no dataset file at all is an error: it is the wrong
+// directory, or a dataset in a removed codec. With stat set every file's size and mtime are filled in; a
+// file that vanishes between the listing and its stat is not listed.
+func ListDir(dir string, stat bool) ([]File, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	files := make([]File, 0, len(entries))
+	for _, e := range entries {
+		f := File{Name: e.Name()}
+		if e.IsDir() || strings.HasPrefix(f.Name, ".") || !(strings.HasSuffix(f.Name, datasetExts[0]) || strings.HasSuffix(f.Name, datasetExts[1])) {
+			continue
+		}
+		if stat {
+			info, err := e.Info()
+			if errors.Is(err, fs.ErrNotExist) {
+				continue
+			}
+			if err != nil {
+				return nil, err
+			}
+			f.Size, f.ModTime = info.Size(), info.ModTime().UnixNano()
+		}
+		files = append(files, f)
+	}
+	if len(files) == 0 {
+		return nil, fmt.Errorf("%w in %s (%s); a dataset in the removed json or json.gz codec must be regenerated or re-collected",
+			errNoDataset, dir, strings.Join(datasetExts[:], ", "))
+	}
+	return files, nil
 }
 
 // SaveSnapshot writes s into dir as DatasetPath names it, creating the

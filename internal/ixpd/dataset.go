@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"ixplight/internal/collector"
 	"ixplight/internal/report"
 )
 
@@ -23,7 +24,7 @@ type generation struct {
 	digest string
 	// files is the listing the lab was loaded from: the reload poller's
 	// "nothing changed" key.
-	files []report.File
+	files []collector.File
 	// responses holds the generation's cached and in-flight responses.
 	responses *respTable
 	// load is what loading this generation took, and the dataset files
@@ -38,7 +39,7 @@ type generation struct {
 // first): a shell lab filled by the one loader, report.Load, from the
 // listing the caller took — against prev's lab, so the load costs what
 // changed in the directory.
-func (s *Server) buildGeneration(prev *generation, files []report.File) *generation {
+func (s *Server) buildGeneration(prev *generation, files []collector.File) *generation {
 	cfg := &s.cfg
 	lab := report.NewLabShell(cfg.Profiles, cfg.Seed, cfg.Scale, cfg.Parallel)
 	lab.Telemetry = cfg.Telemetry

@@ -39,7 +39,7 @@ func testConfig(tb testing.TB, cfg Config) Config {
 	}
 	cfg.SnapshotDir = tb.TempDir()
 	for _, p := range cfg.Profiles {
-		if _, err := ixpgen.WriteSeries(cfg.SnapshotDir, p, ixpgen.TemporalOptions{Seed: cfg.Seed, Scale: cfg.Scale, Days: 1}, true); err != nil {
+		if _, err := ixpgen.WriteSeries(cfg.SnapshotDir, p, ixpgen.TemporalOptions{Seed: cfg.Seed, Scale: cfg.Scale, Days: 1}); err != nil {
 			tb.Fatal(err)
 		}
 	}

@@ -5,7 +5,7 @@ import (
 	"slices"
 	"time"
 
-	"ixplight/internal/report"
+	"ixplight/internal/collector"
 	"ixplight/internal/telemetry"
 )
 
@@ -78,7 +78,7 @@ func (s *Server) Reload() (swapped bool, err error) {
 // skipped and no day loaded at all.
 func (s *Server) load(cur *generation) (swapped bool, err error) {
 	t0 := time.Now()
-	files, err := report.ListDir(s.cfg.SnapshotDir, true)
+	files, err := collector.ListDir(s.cfg.SnapshotDir, true)
 	if err != nil {
 		return false, err
 	}

@@ -267,7 +267,7 @@ func TestReloadWorkIsProportional(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		runtime.GC()
 		listing = max(listing, mallocs(func() {
-			if _, err := report.ListDir(dir, true); err != nil {
+			if _, err := collector.ListDir(dir, true); err != nil {
 				t.Fatal(err)
 			}
 		}))
@@ -359,12 +359,12 @@ func TestReloadIgnoresCollectorLeftovers(t *testing.T) {
 		t.Fatalf("loaded %d IXPs (%s: %d days), skipped %v; want the one 3-day chain and nothing skipped",
 			len(gen.lab.Series), p.IXP, len(gen.lab.Series[p.IXP]), gen.load.Skipped)
 	}
-	before, err := report.ListDir(dir, true)
+	before, err := collector.ListDir(dir, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	landFile(t, tracePath, []byte(`{"name":"collector.crawl"}`+"\n"+`{"name":"lg.request"}`+"\n"))
-	if after, err := report.ListDir(dir, true); err != nil || !slices.Equal(after, before) {
+	if after, err := collector.ListDir(dir, true); err != nil || !slices.Equal(after, before) {
 		t.Errorf("rewriting trace.jsonl moved the dataset listing (err %v): %v, was %v", err, after, before)
 	}
 	if swapped, err := s.Reload(); err != nil || swapped {
@@ -683,7 +683,7 @@ func TestReloadListingRace(t *testing.T) {
 	if got := days(); got != 4 {
 		t.Fatalf("generation built from a 4-day listing serves %d days", got)
 	}
-	files5, err := report.ListDir(dir, true) // the directory now holds 5 days
+	files5, err := collector.ListDir(dir, true) // the directory now holds 5 days
 	if err != nil || len(files5) != 5 {
 		t.Fatalf("listing after the late day: %v, %d files", err, len(files5))
 	}

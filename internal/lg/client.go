@@ -495,6 +495,7 @@ func (c *Client) routesPaged(ctx context.Context, endpoint string) ([]bgp.Route,
 				return nil, fmt.Errorf("lg: %s: listing changed mid-crawl %d times (ETag %s -> %s)", endpoint, restarts+1, version, etag)
 			}
 			restarts++
+			c.m.listingRestart()
 			routes, page = routes[:0], -1
 			continue
 		case info.totalCount != total:

@@ -23,6 +23,7 @@ type Metrics struct {
 	pacerWait    *telemetry.Histogram    // MinInterval politeness delay
 	inFlight     *telemetry.Gauge        // calls currently inside the client
 	callSeconds  *telemetry.HistogramVec // per-endpoint logical call latency
+	restarts     *telemetry.Counter      // listings walked again from page 0
 }
 
 // NewMetrics registers the LG client metric families on reg and
@@ -49,6 +50,8 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 			"LG client calls currently in flight."),
 		callSeconds: reg.HistogramVec("ixplight_lg_call_seconds",
 			"Logical call latency by endpoint.", nil, "call"),
+		restarts: reg.Counter("ixplight_lg_listing_restarts_total",
+			"Route listings walked again from page 0 because the table moved under the walk (its ETag changed)."),
 	}
 }
 
@@ -97,6 +100,14 @@ func (m *Metrics) retry(cause, kind string, wait time.Duration) {
 	}
 	m.retries.With(cause).Inc()
 	m.retryWait.With(kind).ObserveDuration(wait)
+}
+
+// listingRestart records one listing started over from page 0.
+func (m *Metrics) listingRestart() {
+	if m == nil {
+		return
+	}
+	m.restarts.Inc()
 }
 
 // pacer records one MinInterval politeness delay.

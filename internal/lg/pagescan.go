@@ -98,6 +98,11 @@ type attrTable[T comparable] struct {
 
 const minAttrChunk, maxAttrChunk = 64, 2048
 
+// minAttrScratch is where a table's scratch list starts, on its first
+// value: one allocation covers the lists a listing's routes carry,
+// where growing from one took several.
+const minAttrScratch = 16
+
 // share returns the stored slice equal to vals, storing it first if
 // there is none; a table's map starts at hint entries.
 func (t *attrTable[T]) share(textHash uint64, vals []T, hint int) []T {
@@ -340,6 +345,9 @@ func list[T comparable](d *listingDecoder, t *attrTable[T], elem func(*listingDe
 	from, vals := d.i-1, t.scratch[:0]
 	for more := !d.eat(']'); more; {
 		v, ok := elem(d)
+		if vals == nil {
+			vals = make([]T, 0, minAttrScratch)
+		}
 		vals = append(vals, v)
 		if more, ok = d.next(ok, ']'); !ok {
 			t.scratch = vals[:0]

@@ -13,6 +13,7 @@ import (
 
 	"ixplight/internal/bgp"
 	"ixplight/internal/netutil"
+	"ixplight/internal/telemetry"
 )
 
 // TestNeighborSummaryCountsMatchListings: the summary's O(1) counts are
@@ -155,7 +156,8 @@ func churnBeforePage1(h http.Handler, churn func()) http.Handler {
 // churn model, which leaves the total unchanged. The listing must be
 // the table at one instant: before the churn or after it, never pages
 // of both (which held the withdrawn route and the new one and lacked
-// 1.0.5.0/24, present throughout).
+// 1.0.5.0/24, present throughout). The client counts the one restart
+// the churn forces.
 func TestListingIsOneTableUnderChurn(t *testing.T) {
 	server, _ := fixture(t, 12)
 	gone := netutil.SyntheticV4Prefix(0)
@@ -170,10 +172,14 @@ func TestListingIsOneTableUnderChurn(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c := NewClient(ts.URL, ClientOptions{PageSize: 5})
+	m := NewMetrics(telemetry.New())
+	c := NewClient(ts.URL, ClientOptions{PageSize: 5, Metrics: m})
 	routes, err := c.RoutesReceived(context.Background(), 100)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := m.restarts.Value(); n != 1 {
+		t.Errorf("listing restarts counted %d, want 1", n)
 	}
 	prefixes := func(list []bgp.Route) []string {
 		out := make([]string, len(list))

@@ -74,7 +74,7 @@ func BenchmarkReloadOneDay(b *testing.B) {
 		}
 	}
 	load := func(prev *Lab) *Lab {
-		files, err := ListDir(dir, true)
+		files, err := collector.ListDir(dir, true)
 		if err != nil {
 			b.Fatal(err)
 		}

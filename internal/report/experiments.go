@@ -66,7 +66,7 @@ type Lab struct {
 	// Materialize forces Load to decode full []bgp.Route snapshots even
 	// for binary files, and to reconstruct delta chains through a
 	// materializing DeltaApplier. By default those files are indexed off
-	// their columns (analysis.IndexFromReader) and delta days advance
+	// their columns (analysis.IndexSeriesFromReader) and delta days advance
 	// the previous day's index, over header-only snapshots —
 	// byte-identical experiment output, without materializing routes.
 	// Its days are counted with analysis.CountDay, independently of the
@@ -148,7 +148,7 @@ func NewLabShell(profiles []ixpgen.Profile, seed int64, scale float64, workers i
 var generatedValleys = [...]int{9, 41}
 
 // WriteGenerated writes a generated world into dir: per profile the
-// twelve-week series `ixpgen -codec delta -days 84 -valleys 9,41`
+// twelve-week chain `ixpgen -days 84 -valleys 9,41`
 // writes at the same seed and scale, through the same writer
 // (ixpgen.WriteSeries), one profile per task on at most workers
 // workers (0 or less: GOMAXPROCS). The files are the same for any
@@ -156,7 +156,7 @@ var generatedValleys = [...]int{9, 41}
 func WriteGenerated(dir string, profiles []ixpgen.Profile, seed int64, scale float64, workers int) error {
 	opts := ixpgen.TemporalOptions{Seed: seed, Scale: scale, Days: 84, ValleyDays: generatedValleys[:]}
 	_, err := runPool(len(profiles), workers, func(i int) error {
-		_, err := ixpgen.WriteSeries(dir, profiles[i], opts, true)
+		_, err := ixpgen.WriteSeries(dir, profiles[i], opts)
 		return err
 	})
 	return err

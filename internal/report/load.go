@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"os"
 	"path/filepath"
 	"slices"
 	"strconv"
@@ -16,72 +15,6 @@ import (
 	"ixplight/internal/collector"
 	"ixplight/internal/dictionary"
 )
-
-// File is one entry of a dataset directory listing. Size and ModTime
-// (Unix nanoseconds) let a later load skip a file it already holds:
-// dataset writes are atomic (temp + rename), so bytes never move while
-// (name, size, mtime) stays. They are a "nothing changed" key, never a
-// name for the data (Lab.Digest hashes contents). A load with no
-// predecessor never compares them, so ListDir leaves them zero unless
-// asked to stat.
-type File struct {
-	Name    string
-	Size    int64
-	ModTime int64
-}
-
-// datasetExts are the two kinds of file a dataset directory is made of:
-// full binary snapshots and delta chain days.
-var datasetExts = [...]string{collector.CodecBinary.Ext(), collector.DeltaExt}
-
-func isDatasetFile(name string) bool {
-	for _, ext := range datasetExts {
-		if strings.HasSuffix(name, ext) {
-			return true
-		}
-	}
-	return false
-}
-
-// ListDir lists dir's dataset files — the names ending in .bin or
-// .delta — in name order. Everything else is not part of the dataset
-// and is never opened: directories, what a collector leaves next to
-// its snapshots (trace.jsonl, checkpoint-*.json), and
-// dot-prefixed names, because AtomicWrite stages its temp files
-// dot-prefixed in the same directory and a loader racing a collector
-// must not decode one. A directory with no dataset file at all is an
-// error: it is the wrong directory, or a dataset in a removed codec.
-// With stat set every file's size and mtime are filled in; a file that
-// vanishes between the listing and its stat is not listed.
-func ListDir(dir string, stat bool) ([]File, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	files := make([]File, 0, len(entries))
-	for _, e := range entries {
-		if e.IsDir() || strings.HasPrefix(e.Name(), ".") || !isDatasetFile(e.Name()) {
-			continue
-		}
-		f := File{Name: e.Name()}
-		if stat {
-			info, err := e.Info()
-			if errors.Is(err, fs.ErrNotExist) {
-				continue
-			}
-			if err != nil {
-				return nil, err
-			}
-			f.Size, f.ModTime = info.Size(), info.ModTime().UnixNano()
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("report: %s holds no dataset file (%s); a dataset in the removed json or json.gz codec must be regenerated or re-collected",
-			dir, strings.Join(datasetExts[:], ", "))
-	}
-	return files, nil
-}
 
 // Skipped is a listed file a load left out of the dataset: Op is the
 // step that gave up on it ("load": the file could not be read or
@@ -117,7 +50,7 @@ type LoadReport struct {
 // first IXP's earliest broken day — and the lab then holds the days
 // that did load.
 func (l *Lab) LoadSnapshotDir(dir string) error {
-	files, err := ListDir(dir, false)
+	files, err := collector.ListDir(dir, false)
 	if err != nil {
 		return err
 	}
@@ -127,56 +60,49 @@ func (l *Lab) LoadSnapshotDir(dir string) error {
 	return nil
 }
 
-// Load makes l serve the dataset in dir as listed by files (ListDir
-// order): per IXP the lab studies, the full date-ordered series — one
-// day per date, from full binary snapshots and delta chains mixed
-// freely — feeds the temporal experiments, and its latest day becomes
-// the point-in-time input. A file whose header names any other IXP
-// stays in the file table, so no later Load opens it again, but it is
-// never decoded, folded or reported. It is the only loader: prev is
-// the lab a previous Load of the same directory filled (nil for none;
-// it must be configured like l), and the work done is the difference
-// between prev's file table and files.
+// Load makes l serve the dataset in dir as listed by files
+// (collector.ListDir order). A dataset is chains: a full binary snapshot
+// heads one, and a delta extends the day its header names as its base.
+// Per IXP the lab studies, the date-ordered series of its chains' days
+// feeds the temporal experiments, and its latest day is the
+// point-in-time input. Another IXP's file stays in the file table, so
+// no later Load opens it again, but is never decoded or folded. It is
+// the only loader: prev is the lab a previous Load of the same
+// directory filled (nil for none; configured like l), and the work done
+// is the difference between prev's file table and files.
 //
 //   - A file whose (name, size, mtime) prev already holds is not opened:
 //     the day it produced is shared with prev. Loaded days are immutable,
 //     so prev keeps serving while, and after, l is built from it.
-//   - Per IXP, the delta files fold in date order (applyChain). When
-//     prev's fold is a prefix of the new one — same full files, and
-//     every delta prev applied still in place — only the new tail folds,
-//     each day advanced from the chain tip prev left. Anything else (a
-//     removed, rewritten or touched day, a replaced base) re-folds that
-//     IXP from its base files, and only that IXP; all its days are then
-//     new ones, because every day of a chain references the chain state
-//     and sharing the old days would keep the consumed state alive next
-//     to the rebuilt one. A chain that
-//     materializes its days (l.Materialize) keeps no advanceable state,
-//     so any change to it re-folds it.
+//   - Per IXP, the deltas fold in date order (applyChain). When prev's
+//     fold is a prefix of the new one — same full files, every delta
+//     prev applied still in place — only the new tail folds, advanced
+//     from the day prev served. Anything else re-folds that IXP, and
+//     only it, from its chain heads; so does any change to a
+//     materializing lab (l.Materialize), which keeps no chain state.
 //   - Two files of one day serve it once: a chained day shadows a full
 //     file's, and of two full files the later-listed one wins.
 //   - Nothing fails the load: a file that cannot be read, decoded or
 //     applied is reported in LoadReport.Skipped and the chain serves up
-//     to its last good day. A file that does not open is remembered per
-//     (name, size, mtime) and not retried; a day that could not apply is
-//     retried when its IXP's files change at or before it — when its
-//     missing predecessor lands, say.
+//     to its last good day. A file that does not open is not retried
+//     while its (name, size, mtime) stays; a day that could not apply is
+//     retried when its IXP's files change at or before it.
 //
-// Each day keeps the sha256 of the file it came from — a .bin's bytes,
-// hashed once however its index is built, or a delta's seal, checked
-// when it opened — and each IXP's fold is hashed as it is folded, so
+// Each day keeps the sha256 of the file it came from — a .bin's bytes or
+// a delta's seal — and each IXP's fold is hashed as it is folded, so
 // Digest names the served data by content and a reload re-hashes only
 // the IXPs it re-folds.
 //
-// Binary files are, unless l.Materialize is set, indexed straight off
-// their columns into header-only days, each with the classified index
-// that produced it — counts-only for a chained day, since the series is
-// read only for its counts (l.Series). Either way l.Indexes holds the
-// materialized index of each IXP's latest day when Load returns,
-// whatever order the fold met its files in and whichever of them
-// failed, so no experiment builds one. Files decode, and IXPs fold,
-// across the lab's worker pool; the result is the same for any worker
-// count.
-func (l *Lab) Load(dir string, files []File, prev *Lab) LoadReport {
+// A full file decodes one way, unless l.Materialize is set: off its
+// columns into a counts-only index that owns its chain state
+// (analysis.IndexSeriesFromReader). Once an IXP is folded its served
+// day keeps its index, materialized, and every other day only its
+// counts and file digest, so a chain head's state is garbage once it is
+// not served, and a fold that must advance from a head that no longer
+// owns its state decodes the file again. l.Indexes holds the served
+// day's index of each IXP. Files decode, and IXPs fold, across the
+// lab's worker pool; the result is the same for any worker count.
+func (l *Lab) Load(dir string, files []collector.File, prev *Lab) LoadReport {
 	ld := &loader{
 		dir:         dir,
 		files:       make([]loadedFile, 0, len(files)),
@@ -193,12 +119,10 @@ func (l *Lab) Load(dir string, files []File, prev *Lab) LoadReport {
 	}
 	var rep LoadReport
 
-	// Carry over every file the predecessor already holds; open the
-	// deltas it does not (they decode lazily, so this is cheap) so chain
-	// bases are known before the full snapshots load: a chain's base
-	// keeps the chain state its days advance, a standalone file's index
-	// does not.
-	var opens []int
+	// Carry over every file the predecessor already holds; open the new
+	// deltas (they decode lazily, so this is cheap) and decode the new
+	// full files.
+	var news []int
 	j := 0
 	for i, f := range files {
 		lf := loadedFile{File: f, delta: strings.HasSuffix(f.Name, collector.DeltaExt)}
@@ -211,50 +135,26 @@ func (l *Lab) Load(dir string, files []File, prev *Lab) LoadReport {
 				lf.carried = true
 			}
 		}
-		if lf.delta && !lf.carried {
-			opens = append(opens, i)
+		if !lf.carried {
+			news = append(news, i)
+			if lf.delta {
+				rep.Opened++
+			} else {
+				rep.Decoded++
+			}
 		}
 		ld.files = append(ld.files, lf)
 	}
-	if len(opens) > 0 {
-		runPool(len(opens), l.Parallel, func(k int) error {
-			ld.open(opens[k])
+	if len(news) > 0 {
+		runPool(len(news), l.Parallel, func(k int) error {
+			if i := news[k]; ld.files[i].delta {
+				ld.open(i)
+			} else {
+				ld.decode(i)
+			}
 			return nil
 		})
 	}
-	rep.Opened = len(opens)
-
-	ld.roles = make(map[dayKey]dayRole, len(files))
-	for i := range ld.files {
-		if f := &ld.files[i]; f.delta && f.bad == nil && ld.schemes[f.ixp] != nil {
-			ld.roles[dayKey{f.ixp, f.date}] |= chained
-			ld.roles[dayKey{f.ixp, f.base}] |= extended
-		}
-	}
-
-	// Decode the full files that are new, or whose index was built for
-	// the other role (a standalone day that now heads a chain, or the
-	// reverse).
-	var decodes []int
-	for i := range ld.files {
-		f := &ld.files[i]
-		if f.delta {
-			continue
-		}
-		if f.carried && f.day != nil && !ld.materialize && f.series != (ld.roles[dayKey{f.ixp, f.date}] == extended) {
-			f.carried = false
-		}
-		if !f.carried {
-			decodes = append(decodes, i)
-		}
-	}
-	if len(decodes) > 0 {
-		runPool(len(decodes), l.Parallel, func(k int) error {
-			ld.decode(decodes[k])
-			return nil
-		})
-	}
-	rep.Decoded = len(decodes)
 
 	// Group the parsed files of the studied IXPs by IXP — counted first,
 	// then carved out of one index slice — and plan each IXP's fold
@@ -429,14 +329,11 @@ func (l *Lab) digest(chains []*chain) (sum [sha256.Size]byte) {
 
 // loadedFile is one file table entry.
 type loadedFile struct {
-	File
+	collector.File
 	delta bool
 	// The header facts, known once the file opened (bad is nil).
 	ixp, date string
 	base      string // deltas: the day this one extends
-	// series: a full file loaded header-only, its index built as a chain
-	// base that carries the chain state its deltas advance.
-	series bool
 	// day is the day a full file of a studied IXP decoded to; nil when
 	// it did not.
 	day *chainDay
@@ -445,21 +342,9 @@ type loadedFile struct {
 	// file is not tried again.
 	bad error
 	// carried marks, during one Load, an entry taken over from the
-	// predecessor and not touched since.
+	// predecessor and not decoded since.
 	carried bool
 }
-
-type dayKey struct{ ixp, date string }
-
-// dayRole says what the directory's deltas make of one (IXP, day): some
-// delta extends it, some delta produces it. A day that is extended and
-// not itself chained heads a chain.
-type dayRole uint8
-
-const (
-	extended dayRole = 1 << iota
-	chained
-)
 
 // ixpLoad is one IXP's share of a Load: its parsed files as indexes
 // into loader.files (the full files in name order, the deltas in fold —
@@ -485,10 +370,7 @@ type chain struct {
 	// applied is one past the last step that produced a day: steps
 	// beyond it left the chain state untouched.
 	applied int
-	// extendable: every applied step went through Index.Advance, so the
-	// newest day's index owns state a later Load can advance.
-	extendable bool
-	days       []*chainDay // the IXP's series, by date
+	days    []*chainDay // the IXP's series, by date
 	// counts are days' counts, in the same order: the lab's Series.
 	counts []analysis.DayCounts
 	// sum hashes the IXP and each day's date and file digest; tip is the
@@ -507,7 +389,7 @@ func (c *chain) seal() {
 	var buf [64]byte
 	h.Write(append(append(buf[:0], c.ixp...), 0))
 	for _, d := range c.days {
-		b := append(append(buf[:0], d.snap.Date...), 0)
+		b := append(append(buf[:0], d.counts.Date...), 0)
 		h.Write(append(b, d.file[:]...))
 	}
 	h.Sum(c.sum[:0])
@@ -520,7 +402,9 @@ func (c *chain) seal() {
 // day comes off the fold as a header-only snapshot with the index that
 // produced it — counts-only until it is served — or, in the Materialize
 // reference, as a routed snapshot with no index, counted by a walk of
-// its routes.
+// its routes. Once its IXP is folded, a day the IXP does not serve is
+// released: it keeps its counts and file digest, and snap and ix are
+// nil.
 type chainDay struct {
 	snap   *collector.Snapshot
 	ix     *analysis.Index
@@ -540,7 +424,7 @@ func routedDay(s *collector.Snapshot) *chainDay {
 
 // step is one delta file's turn in a fold.
 type step struct {
-	File
+	collector.File
 	err error // why it produced no day; nil when it did
 }
 
@@ -555,7 +439,6 @@ type loader struct {
 	// entry is written by the pool task that opens the file and read
 	// only by its IXP's fold.
 	readers []*collector.DeltaReader
-	roles   map[dayKey]dayRole
 }
 
 // open parses delta file i's header, and keeps the reader when the
@@ -585,13 +468,13 @@ func listedName(err error, name string) error {
 
 // decode loads full file i through the one snapshot reader (mmap where
 // the platform provides it). A studied IXP's day is not materialized:
-// the classified index is built off its columns, over a header-only
-// snapshot — as a series index when the file heads a delta chain, so
-// later days can advance it (series) — unless the lab is the
-// Materialize reference. Any other IXP's file is read up to its header.
+// its index is built off the columns, over a header-only snapshot, as
+// the head of a chain that later days can advance — unless the lab is
+// the Materialize reference. Any other IXP's file is read up to its
+// header.
 func (ld *loader) decode(i int) {
 	f := &ld.files[i]
-	f.carried, f.day, f.series, f.bad = false, nil, false, nil
+	f.carried, f.day, f.bad = false, nil, nil
 	sr, err := collector.OpenSnapshotAt(filepath.Join(ld.dir, f.Name))
 	if err != nil {
 		f.bad = listedName(err, f.Name)
@@ -610,17 +493,9 @@ func (ld *loader) decode(i int) {
 		}
 	default:
 		var ix *analysis.Index
-		if f.series = ld.roles[dayKey{head.IXP, head.Date}] == extended; f.series {
-			ix, f.bad = analysis.IndexSeriesFromReader(sr, scheme)
-		} else {
-			ix, f.bad = analysis.IndexFromReader(sr, scheme)
-		}
-		if f.bad == nil {
+		if ix, f.bad = analysis.IndexSeriesFromReader(sr, scheme); f.bad == nil {
 			f.day = indexedDay(ix)
 		}
-	}
-	if f.bad != nil {
-		f.day, f.series = nil, false
 	}
 	if f.day != nil {
 		f.day.file = sr.Digest()
@@ -634,27 +509,28 @@ func (ld *loader) decode(i int) {
 //
 // The IXP's days start as its full files' days (or, when the
 // predecessor's fold is a prefix of this one, as the predecessor's
-// days: see plan), and each delta in date order looks
-// its base day up among them. The base carries a series index (decode
-// built it that way) and the delta advances it into the next
-// header-only, counts-only day; the Materialize reference runs the
-// chain through a DeltaApplier instead. Either way the new day joins
-// the IXP's days, where a later delta finds its base. The fold then
-// serves one day per date, the one base lookup finds.
+// days: see plan), and each delta in date order looks its base day up
+// among them. The base's index owns its chain state and the delta
+// advances it into the next header-only, counts-only day; the
+// Materialize reference runs the chain through a DeltaApplier instead.
+// Either way the new day joins the IXP's days, where a later delta
+// finds its base. The fold then serves one day per date, the one base
+// lookup finds.
 //
 // A delta that cannot apply is skipped, recorded on its step, and the
 // fold goes on: its successors miss their base day and are skipped in
 // turn. If it failed partway through Advance or Apply the chain state
-// it touched is undefined, so the IXP folds again from its base files
-// without it. The day the IXP ends up serving is materialized.
+// it touched is undefined, so the IXP folds again from its chain heads
+// without it. The day the IXP ends up serving is materialized, and
+// every other day released.
 func (ld *loader) applyChain(x *ixpLoad) {
 	pc, from := x.prev, x.from
 	// corrupt holds the deltas that failed partway through applying, and
 	// how: a later attempt leaves them out.
 	var corrupt map[int]error
 
-	for attempt := 0; ; attempt++ {
-		c := &chain{ixp: x.ixp, fulls: len(x.fulls), steps: make([]step, len(x.deltas)), extendable: true}
+	for {
+		c := &chain{ixp: x.ixp, fulls: len(x.fulls), steps: make([]step, len(x.deltas))}
 		extending := from >= 0
 		if extending {
 			copy(c.steps, pc.steps[:from])
@@ -665,10 +541,11 @@ func (ld *loader) applyChain(x *ixpLoad) {
 			from = 0
 			c.days = make([]*chainDay, 0, len(x.fulls)+len(x.deltas))
 			for _, i := range x.fulls {
+				// A chain head that no longer owns its state — a delta
+				// advanced it, or an earlier fold released it — is
+				// decoded again if a delta may extend it.
 				f := &ld.files[i]
-				// A chain base whose state earlier deltas advanced
-				// cannot be advanced again: build it afresh.
-				if f.series && (f.carried || attempt > 0) {
+				if f.day != nil && !ld.ready(f.day, false) && slices.ContainsFunc(x.deltas, func(k int) bool { return ld.files[k].base == f.date }) {
 					ld.decode(i)
 					x.work.Decoded++
 				}
@@ -695,7 +572,7 @@ func (ld *loader) applyChain(x *ixpLoad) {
 			// date: a chained day shadows a full file's.
 			var base *chainDay
 			for d := len(c.days) - 1; d >= 0 && base == nil; d-- {
-				if c.days[d].snap.Date == f.base {
+				if c.days[d].counts.Date == f.base {
 					base = c.days[d]
 				}
 			}
@@ -706,9 +583,15 @@ func (ld *loader) applyChain(x *ixpLoad) {
 			if st.err = corrupt[i]; st.err != nil {
 				continue
 			}
+			if extending && !ld.ready(base, false) {
+				// A day an earlier fold released: only a fold from the
+				// chain heads can extend it.
+				poisoned = true
+				break
+			}
 			var next *chainDay
 			if !ld.materialize {
-				if f.date < base.snap.Date {
+				if f.date < base.counts.Date {
 					// The day this delta makes sorts before its base, so
 					// the base may still be the IXP's newest day: ready it
 					// to serve while it owns the chain state. A base that
@@ -721,7 +604,6 @@ func (ld *loader) applyChain(x *ixpLoad) {
 					next = indexedDay(ix)
 				}
 			} else {
-				c.extendable = false
 				app := appliers[f.base]
 				if app == nil {
 					app, st.err = collector.NewDeltaApplier(base.snap)
@@ -761,19 +643,27 @@ func (ld *loader) applyChain(x *ixpLoad) {
 		// the last in of each date — the one base lookup finds — serves.
 		slices.Reverse(c.days)
 		slices.SortStableFunc(c.days, func(a, b *chainDay) int {
-			return strings.Compare(a.snap.Date, b.snap.Date)
+			return strings.Compare(a.counts.Date, b.counts.Date)
 		})
-		c.days = slices.CompactFunc(c.days, func(a, b *chainDay) bool { return a.snap.Date == b.snap.Date })
-		// Chained days are counts-only; the one the IXP serves is
-		// materialized. It is its chain's newest day: a day some Advance
-		// superseded was either materialized before (its successor sorts
-		// before it) or is out-dated or shadowed by its successor.
-		if len(c.days) > 0 {
-			if d := c.newest(); d.ix != nil {
-				if err := d.ix.Materialize(); err != nil {
-					panic(fmt.Sprintf("report: %s serves %s: %v", x.ixp, d.snap.Date, err))
+		c.days = slices.CompactFunc(c.days, func(a, b *chainDay) bool { return a.counts.Date == b.counts.Date })
+		// The day the IXP serves is materialized. A chained one is its
+		// chain's newest day: a day some Advance superseded was either
+		// materialized before (its successor sorts before it) or is
+		// out-dated or shadowed by its successor. A full file's day an
+		// earlier fold released is decoded again, or leaves the series
+		// when its file changed since the listing (which reports it).
+		for len(c.days) > 0 && !ld.ready(c.newest(), true) {
+			d := c.newest()
+			c.days = c.days[:len(c.days)-1]
+			if k := slices.IndexFunc(x.fulls, func(i int) bool { return ld.files[i].day == d }); k >= 0 {
+				ld.decode(x.fulls[k])
+				x.work.Decoded++
+				if f := &ld.files[x.fulls[k]]; f.day != nil {
+					c.days = append(c.days, f.day)
 				}
 			}
+		}
+		if len(c.days) > 0 {
 			c.seal()
 		}
 		c.counts = make([]analysis.DayCounts, len(c.days))
@@ -796,8 +686,56 @@ func (ld *loader) applyChain(x *ixpLoad) {
 			}
 			x.work.Rebuilt = len(c.days) - reused
 		}
+		if len(c.days) > 0 {
+			ld.release(x, c)
+		}
 		x.out = c
 		return
+	}
+}
+
+// ready reports whether a delta can extend d as it is or, with serve,
+// readies d to be served and reports whether it is.
+func (ld *loader) ready(d *chainDay, serve bool) bool {
+	switch {
+	case ld.materialize:
+		return d.snap != nil
+	case d.ix == nil:
+		return false
+	case serve:
+		return d.ix.Materialize() == nil
+	}
+	return d.ix.OwnsChain()
+}
+
+// release leaves every day of x's fold but the served one with its
+// counts and file digest alone. Days this load made are released in
+// place; the predecessor's served day, the one shared day that still
+// holds an index, stays the predecessor's, and a released copy takes
+// its place here.
+func (ld *loader) release(x *ixpLoad, c *chain) {
+	served := c.newest()
+	if x.prev != nil && len(x.prev.days) > 0 && x.prev.newest() != served {
+		d := x.prev.newest()
+		cp := &chainDay{counts: d.counts, file: d.file}
+		if k := slices.Index(c.days, d); k >= 0 {
+			c.days[k] = cp
+		}
+		for _, i := range x.fulls {
+			if ld.files[i].day == d {
+				ld.files[i].day = cp
+			}
+		}
+	}
+	for _, d := range c.days {
+		if d != served && d.snap != nil {
+			d.snap, d.ix = nil, nil
+		}
+	}
+	for _, i := range x.fulls {
+		if d := ld.files[i].day; d != nil && d != served && d.snap != nil {
+			d.snap, d.ix = nil, nil
+		}
 	}
 }
 
@@ -818,7 +756,7 @@ func (ld *loader) plan(x *ixpLoad) {
 	switch {
 	case n == len(pc.steps) && n == len(x.deltas):
 		x.out = pc
-	case n >= pc.applied && pc.extendable:
+	case n >= pc.applied && !ld.materialize:
 		x.from = n
 	}
 }

@@ -107,9 +107,15 @@ func TestLoadSnapshotDirColumnDirect(t *testing.T) {
 		if matLab.Indexes[p.IXP].Snapshot().Routes == nil {
 			t.Errorf("%s: Materialize load produced no routes", p.IXP)
 		}
-		for _, d := range chainOf(t, colLab, p.IXP).days {
-			if d.snap.Routes != nil || d.ix == nil {
-				t.Errorf("%s %s: column-direct day materialized routes, or has no index", p.IXP, d.snap.Date)
+		// The served day is a header-only snapshot with its index; every
+		// other day is released to its counts and file digest.
+		days := chainOf(t, colLab, p.IXP).days
+		if d := days[len(days)-1]; d.snap.Routes != nil || d.ix == nil {
+			t.Errorf("%s %s: the served day materialized routes, or has no index", p.IXP, d.counts.Date)
+		}
+		for _, d := range days[:len(days)-1] {
+			if d.snap != nil || d.ix != nil {
+				t.Errorf("%s %s: a day the lab does not serve keeps its snapshot or index", p.IXP, d.counts.Date)
 			}
 		}
 	}
@@ -157,7 +163,7 @@ func TestLoadSnapshotDirSeries(t *testing.T) {
 	linx := lab.Series["LINX"]
 	if len(linx) != 2 || linx[0].Date != "2021-10-04" || linx[1].Date != "2021-10-06" {
 		t.Errorf("LINX series wrong: %+v", linx)
-	} else if chainOf(t, lab, "LINX").days[0].snap.FilteredCount != 7 {
+	} else if chainOf(t, lab, "LINX").days[0].file != sha256.Sum256(copyBytes(t, filepath.Join(dir, "LINX-2021-10-04.copy.bin"))) {
 		t.Errorf("LINX's first day is served from the earlier-listed file, not the later copy")
 	}
 	if len(lab.Series) != 2 || len(lab.Indexes) != 2 || lab.Series["AMS-IX"] != nil {
@@ -320,28 +326,39 @@ func TestLoadIgnoresWhatIsNotADatasetFile(t *testing.T) {
 	}
 }
 
+func copyBytes(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // writeDeltaChain writes each profile's series through the dataset
 // writer, ixpgen.WriteSeries, into dir as a delta chain (day 0 full
 // binary, every later day a .delta) and into fullDir as full binary
-// files. Returns the days per IXP, read back from the full files.
+// files, one collector.SaveSnapshot per evolved day: a directory of
+// chain heads alone, still a dataset a load reads. Returns the days per
+// IXP, read back from the full files.
 func writeDeltaChain(t testing.TB, profiles []ixpgen.Profile, dir, fullDir string, o ixpgen.TemporalOptions) map[string][]*collector.Snapshot {
 	t.Helper()
 	series := map[string][]*collector.Snapshot{}
 	for _, p := range profiles {
-		if _, err := ixpgen.WriteSeries(dir, p, o, true); err != nil {
+		if _, err := ixpgen.WriteSeries(dir, p, o); err != nil {
 			t.Fatal(err)
 		}
-		n, err := ixpgen.WriteSeries(fullDir, p, o, false)
+		err := ixpgen.EvolveSeries(p, o, 0, func(_ int, snap *collector.Snapshot) error {
+			path, err := collector.SaveSnapshot(fullDir, snap, collector.CodecBinary)
+			if err != nil {
+				return err
+			}
+			s, err := collector.LoadSnapshot(path)
+			series[p.IXP] = append(series[p.IXP], s)
+			return err
+		})
 		if err != nil {
 			t.Fatal(err)
-		}
-		for d := 0; d < n; d++ {
-			day := &collector.Snapshot{IXP: p.IXP, Date: ixpgen.DefaultStart.AddDate(0, 0, d).Format(time.DateOnly)}
-			s, err := collector.LoadSnapshot(collector.DatasetPath(fullDir, day, collector.CodecBinary.Ext()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			series[p.IXP] = append(series[p.IXP], s)
 		}
 	}
 	return series
@@ -405,8 +422,8 @@ func TestLoadSnapshotDirDeltaChain(t *testing.T) {
 	// The incremental chain never materializes a route.
 	for _, p := range profiles {
 		for _, d := range chainOf(t, incLab, p.IXP).days {
-			if d.snap.Routes != nil {
-				t.Errorf("%s %s: incremental chain materialized routes", p.IXP, d.snap.Date)
+			if d.snap != nil && d.snap.Routes != nil {
+				t.Errorf("%s %s: incremental chain materialized routes", p.IXP, d.counts.Date)
 			}
 		}
 	}
@@ -608,7 +625,7 @@ func TestLoadSnapshotDirBrokenChainsDeterministic(t *testing.T) {
 // loadFrom lists dir and loads it into a fresh shell lab on top of prev.
 func loadFrom(t *testing.T, profiles []ixpgen.Profile, dir string, prev *Lab, cfg func(*Lab)) (*Lab, LoadReport) {
 	t.Helper()
-	files, err := ListDir(dir, true)
+	files, err := collector.ListDir(dir, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -665,7 +682,12 @@ func TestLoadFromPredecessor(t *testing.T) {
 	if rep.Opened != 1 || rep.Decoded != 0 || rep.Advances != 1 || rep.Reused != 11 || rep.Advanced != 1 || rep.Rebuilt != 0 {
 		t.Fatalf("one landed day: %+v", rep)
 	}
-	if len(lab.Series[ixp]) != 6 || len(before.Series[ixp]) != 5 || chainOf(t, lab, ixp).days[4].snap != chainOf(t, before, ixp).days[4].snap {
+	// The days before the predecessor's served day are shared; that day
+	// stays the predecessor's, and a copy released to its counts and
+	// file digest takes its place.
+	now, was := chainOf(t, lab, ixp).days, chainOf(t, before, ixp).days
+	if len(lab.Series[ixp]) != 6 || len(before.Series[ixp]) != 5 || !slices.Equal(now[:4], was[:4]) ||
+		now[4] == was[4] || now[4].ix != nil || was[4].ix == nil || now[4].counts != was[4].counts || now[4].file != was[4].file {
 		t.Fatalf("landed day: series %d days (predecessor %d), earlier days not shared", len(lab.Series[ixp]), len(before.Series[ixp]))
 	}
 	checkCounts(t, "one landed day", lab, byDay(series))
@@ -788,6 +810,40 @@ func TestLoadSkipsWhatItCannotUse(t *testing.T) {
 		if want := loadAndRunAll(t, profiles, dir, 2, cfg); !bytes.Equal(bytes.Join(got, nil), want) {
 			t.Errorf("materialize=%v: experiments differ from a fresh load", materialize)
 		}
+	}
+}
+
+// TestServedFullFileFallsBack: a directory of full files serves its
+// newest; the days before it keep only their counts. When the newest
+// file leaves, the next one must be decoded again to be served; if it
+// has left too since the listing was taken, the load reports it and
+// serves the day before, decoded afresh, rather than no day at all.
+func TestServedFullFileFallsBack(t *testing.T) {
+	profiles := []ixpgen.Profile{*ixpgen.ProfileByName("DE-CIX")}
+	dir := t.TempDir()
+	days := writeDeltaChain(t, profiles, t.TempDir(), dir, ixpgen.TemporalOptions{Seed: 42, Scale: 0.002, Days: 3})["DE-CIX"]
+	lab, rep := loadFrom(t, profiles, dir, nil, nil)
+	if len(rep.Skipped) != 0 || lab.Indexes["DE-CIX"].Snapshot().Date != days[2].Date {
+		t.Fatalf("first load: %+v", rep)
+	}
+	path := func(d int) string { return collector.DatasetPath(dir, days[d], collector.CodecBinary.Ext()) }
+	if err := os.Remove(path(2)); err != nil {
+		t.Fatal(err)
+	}
+	files, err := collector.ListDir(dir, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(path(1)); err != nil {
+		t.Fatal(err)
+	}
+	next := NewLabShell(profiles, 42, 0.002, 2)
+	rep = next.Load(dir, files, lab)
+	if len(rep.Skipped) != 1 || rep.Skipped[0].File != filepath.Base(path(1)) || rep.Decoded != 2 {
+		t.Fatalf("reload: %+v, want day 1's file skipped and two decodes", rep)
+	}
+	if ix := next.Indexes["DE-CIX"]; ix == nil || ix.Snapshot().Date != days[0].Date || len(next.Series["DE-CIX"]) != 1 {
+		t.Fatalf("serving %d days; want day 0 alone, served", len(next.Series["DE-CIX"]))
 	}
 }
 

@@ -126,8 +126,9 @@ func chainOf(t testing.TB, lab *Lab, ixp string) *chain {
 //   - a delta is dated before the base it extends, so the base serves
 //     though Advance superseded it;
 //   - a corrupt delta in the middle forces a re-fold without it;
-//   - reloads extend a chain tip that was never served, because a later
-//     standalone .bin is, then drop that .bin, then land one more day.
+//   - reloads land a day on a chain tip that was never served, because
+//     a later standalone .bin is, then drop that .bin, then land one
+//     more day.
 func TestServedDayIsMaterialized(t *testing.T) {
 	profiles := ixpgen.BigFour()[:2]
 	a := profiles[1].IXP // the IXP each case breaks; profiles[0]'s chain stays whole
@@ -255,10 +256,12 @@ func TestServedDayIsMaterialized(t *testing.T) {
 		}
 		checkServed(t, "standalone .bin served", lab, served, days)
 
+		// The chain's tip was released when the first load served the
+		// .bin, so the landed day re-folds a from its head.
 		move(deltaName(series[a][4]), stage, dir)
 		prev := lab
 		lab, rep = load(t, dir, prev)
-		if rep.Advances != 1 || rep.Advanced != 1 || rep.Decoded != 0 {
+		if rep.Advances != 4 || rep.Decoded != 1 || rep.Rebuilt != 5 || len(rep.Skipped) != 0 {
 			t.Fatalf("landing day 4 under the served .bin: %+v", rep)
 		}
 		checkServed(t, "day 4 landed", lab, served, days)
@@ -299,7 +302,7 @@ func TestLoadedLabHeap(t *testing.T) {
 	profiles := ixpgen.BigFour()
 	dir := t.TempDir()
 	writeDeltaChain(t, profiles, dir, t.TempDir(), ixpgen.TemporalOptions{Seed: 42, Scale: 0.004, Days: 28})
-	files, err := ListDir(dir, false)
+	files, err := collector.ListDir(dir, false)
 	if err != nil {
 		t.Fatal(err)
 	}

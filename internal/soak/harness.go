@@ -11,9 +11,11 @@ import (
 	"sort"
 	"time"
 
+	"ixplight/internal/analysis"
 	"ixplight/internal/collector"
 	"ixplight/internal/ixpgen"
 	"ixplight/internal/lg"
+	"ixplight/internal/report"
 	"ixplight/internal/telemetry"
 )
 
@@ -324,6 +326,9 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			return nil, err
 		}
 	}
+	if err := h.phaseErr(ctx, "churn", h.churn); err != nil {
+		return nil, err
+	}
 
 	// Final: reconcile the /metrics surface with what the run
 	// observed, over a real scrape.
@@ -339,6 +344,9 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		counterSum(samples, "ixplight_collector_member_errors_total"), h.memberErrors))
 	h.check(checkCounter("ixplight_collector_neighbors_total",
 		counterSum(samples, "ixplight_collector_neighbors_total"), h.planNeighbors))
+	restarts := int(counterSum(samples, "ixplight_lg_listing_restarts_total"))
+	h.check(CheckResult{"metrics-reconcile", "ixplight_lg_listing_restarts_total", restarts >= 1,
+		fmt.Sprintf("%d listings walked again, want at least the one the churn moved", restarts)})
 	for _, outcome := range []string{"ok", "partial", "failed"} {
 		h.check(checkCounter(fmt.Sprintf("ixplight_collector_snapshots_total{outcome=%q}", outcome),
 			counterSum(samples, fmt.Sprintf("ixplight_collector_snapshots_total{outcome=%q}", outcome)),
@@ -555,4 +563,62 @@ func killCount(chaos []IXPChaos) int {
 		}
 	}
 	return n
+}
+
+// churn is the last phase: the first IXP's route server lives through
+// one evolved day. Its day 0 — what the server has held all along — is
+// crawled and written as a chain's head; then the server moves to day 1
+// in the middle of the next crawl (SimIXP.ArmAdvance), while a listing
+// of a changed neighbor is half walked. Every neighbor's listing in that
+// crawl must be its Adj-RIB-In at one version, day 0's or day 1's, and
+// the two crawls, written as collect writes them (collector.Append),
+// must load as one two-day chain.
+func (h *harness) churn(ctx context.Context) error {
+	sim := h.ixps[0]
+	var days []*collector.Snapshot
+	err := ixpgen.EvolveSeries(sim.Profile, ixpgen.TemporalOptions{Seed: h.cfg.Seed, Scale: h.cfg.Scale, Days: 2}, 0,
+		func(_ int, s *collector.Snapshot) error {
+			days = append(days, s)
+			return nil
+		})
+	if err != nil {
+		return fmt.Errorf("soak: churn: %w", err)
+	}
+	dir := filepath.Join(h.cfg.Dir, "churn")
+	var crawled *collector.Snapshot
+	for d, day := range days {
+		if d == 1 {
+			sim.ArmAdvance(days[0], days[1])
+		}
+		target := h.targets(nil)[0]
+		// Small pages, so the listing the change lands in is mid-walk.
+		target.Options.PageSize = 16
+		results := collector.CollectAll(ctx, []collector.Target{target}, day.Date)
+		h.account(results)
+		r := results[0]
+		if r.Err != nil || r.Partial {
+			h.check(CheckResult{"churn-crawl", sim.Name, false, fmt.Sprintf("day %d: err=%v partial=%v", d, r.Err, r.Partial)})
+			return nil
+		}
+		crawled = r.Snapshot
+		if d == 0 {
+			h.check(checkListings(sim.Name, crawled, day, day))
+		}
+		path, err := collector.Append(dir, crawled, h.logf)
+		if err != nil {
+			h.check(CheckResult{"churn-append", sim.Name, false, err.Error()})
+			return nil
+		}
+		h.check(CheckResult{"churn-append", sim.Name, true, filepath.Base(path)})
+	}
+	fired, err := sim.Advanced()
+	h.check(CheckResult{"churn-advance", sim.Name, fired && err == nil, fmt.Sprintf("fired=%v err=%v", fired, err)})
+	h.check(checkListings(sim.Name, crawled, days[0], days[1]))
+
+	lab := report.NewLabShell([]ixpgen.Profile{sim.Profile}, h.cfg.Seed, h.cfg.Scale, 1)
+	err = lab.LoadSnapshotDir(dir)
+	series := lab.Series[sim.Name]
+	ok := err == nil && len(series) == 2 && series[1] == analysis.CountDay(crawled)
+	h.check(CheckResult{"churn-chain-loads", sim.Name, ok, fmt.Sprintf("%d days, err=%v", len(series), err)})
+	return nil
 }

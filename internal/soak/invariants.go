@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"ixplight/internal/analysis"
+	"ixplight/internal/bgp"
 	"ixplight/internal/collector"
 	"ixplight/internal/dictionary"
 )
@@ -228,4 +229,36 @@ func checkCounter(name string, got float64, want int) CheckResult {
 			fmt.Sprintf("/metrics says %d, run observed %d", int(got), want)}
 	}
 	return CheckResult{"metrics-reconcile", name, true, fmt.Sprintf("%d", want)}
+}
+
+// checkListings holds a crawl that ran while the route server moved from
+// day before to day after to the one-instant rule: every neighbor's
+// routes are its Adj-RIB-In at one version, all of before's or all of
+// after's, never pages of both.
+func checkListings(ixp string, crawled, before, after *collector.Snapshot) CheckResult {
+	got, was, is := routesByPeer(crawled), routesByPeer(before), routesByPeer(after)
+	moved := 0
+	for _, m := range crawled.Members {
+		switch {
+		case reflect.DeepEqual(got[m.ASN], is[m.ASN]):
+			if !reflect.DeepEqual(got[m.ASN], was[m.ASN]) {
+				moved++
+			}
+		case reflect.DeepEqual(got[m.ASN], was[m.ASN]):
+		default:
+			return CheckResult{"churn-listing", ixp, false,
+				fmt.Sprintf("AS%d's %d routes are neither its day-0 nor its day-1 Adj-RIB-In", m.ASN, len(got[m.ASN]))}
+		}
+	}
+	return CheckResult{"churn-listing", ixp, true,
+		fmt.Sprintf("%d neighbors, %d listed at the new version", len(crawled.Members), moved)}
+}
+
+// routesByPeer groups a snapshot's routes by announcing peer, in order.
+func routesByPeer(s *collector.Snapshot) map[uint32][]bgp.Route {
+	m := map[uint32][]bgp.Route{}
+	for _, r := range s.Routes {
+		m[r.PeerAS()] = append(m[r.PeerAS()], r)
+	}
+	return m
 }

@@ -16,11 +16,14 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"ixplight/internal/collector"
 	"ixplight/internal/ixpgen"
 	"ixplight/internal/lg"
 	"ixplight/internal/rs"
@@ -47,6 +50,20 @@ type SimIXP struct {
 	perASN  map[uint32]int
 	killAt  int  // fire a kill once total reaches this (0 = disarmed)
 	killed  bool // a kill fired since the last Restart
+	// advance is the armed day change (ArmAdvance), nil once it fired;
+	// advanced is its outcome.
+	advance  *dayChange
+	advanced error
+	// rib orders LG requests around a day change: each is served under
+	// the read lock, the change runs under the write lock.
+	rib sync.RWMutex
+}
+
+// dayChange is one armed AdvanceServer: from day prev to day next, fired
+// by the first listing page past page 0 of a neighbor in changed.
+type dayChange struct {
+	prev, next *collector.Snapshot
+	changed    map[uint32]bool
 }
 
 // NewSimIXP generates the profile's workload at the given seed/scale,
@@ -92,7 +109,8 @@ func (s *SimIXP) counting(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.mu.Lock()
 		s.total++
-		if asn, ok := neighborASN(r.URL.Path); ok {
+		asn, listing := neighborASN(r.URL.Path)
+		if listing {
 			s.perASN[asn]++
 		}
 		var victim *http.Server
@@ -102,6 +120,10 @@ func (s *SimIXP) counting(next http.Handler) http.Handler {
 			victim = s.srv
 			s.running = false
 		}
+		var change *dayChange
+		if s.advance != nil && s.advance.changed[asn] && pageOf(r) > 0 {
+			change, s.advance = s.advance, nil
+		}
 		s.mu.Unlock()
 		if victim != nil {
 			// An abrupt kill, not a drain: every open connection —
@@ -109,8 +131,48 @@ func (s *SimIXP) counting(next http.Handler) http.Handler {
 			victim.Close()
 			return
 		}
+		if change != nil {
+			s.rib.Lock()
+			err := ixpgen.AdvanceServer(s.RS, change.prev, change.next)
+			s.rib.Unlock()
+			s.mu.Lock()
+			s.advanced = err
+			s.mu.Unlock()
+		}
+		s.rib.RLock()
+		defer s.rib.RUnlock()
 		next.ServeHTTP(w, r)
 	})
+}
+
+// ArmAdvance schedules the route server's move from day prev to day next
+// (ixpgen.AdvanceServer) at one instant of a crawl: just before the LG
+// serves the first listing page past page 0 of a neighbor whose routes
+// next changes, so that listing moves under the walk. The change runs
+// while no other request is served, so every page shows the table
+// wholly before or wholly after it. Advanced reports whether it fired.
+func (s *SimIXP) ArmAdvance(prev, next *collector.Snapshot) {
+	was, is := routesByPeer(prev), routesByPeer(next)
+	changed := map[uint32]bool{}
+	for _, m := range slices.Concat(prev.Members, next.Members) {
+		changed[m.ASN] = !reflect.DeepEqual(was[m.ASN], is[m.ASN])
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.advance, s.advanced = &dayChange{prev, next, changed}, nil
+}
+
+// Advanced reports whether the armed day change fired, and its error.
+func (s *SimIXP) Advanced() (bool, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.advance == nil, s.advanced
+}
+
+// pageOf is a listing request's page number.
+func pageOf(r *http.Request) int {
+	page, _ := strconv.Atoi(r.URL.Query().Get("page"))
+	return page
 }
 
 // neighborASN extracts the neighbor ASN from a routes-listing path
