@@ -26,7 +26,10 @@
 // Each run appends the crawled day to the IXP's chain in -out
 // (collector.Append): the IXP's first day as a full binary snapshot
 // (.bin), every later one as a .delta against the IXP's newest day in
-// -out whose file opens, read as the loader reads it.
+// -out whose file opens, read as the loader reads it. A date -out
+// already holds is replaced, the later days of its chain encoded again
+// onto it, so -resume finishes a -partial day; a missed earlier date is
+// back-filled as a .bin of its own.
 package main
 
 import (

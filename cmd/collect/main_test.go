@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"ixplight/internal/analysis"
 	"ixplight/internal/bgp"
 	"ixplight/internal/collector"
 	"ixplight/internal/ixpgen"
@@ -184,4 +185,91 @@ func TestCollectStartsAChainWhenItsOwnDoesNotReplay(t *testing.T) {
 		t.Errorf("wrote %s, want a .bin heading a new chain", path)
 	}
 	serves(t, dir, "DE-CIX", next.Date, 3)
+}
+
+// servedSeries loads dir as the loader does and returns DE-CIX's
+// served day and its series.
+func servedSeries(t *testing.T, dir string) (*collector.Snapshot, []analysis.DayCounts) {
+	t.Helper()
+	lab := report.NewLabShell([]ixpgen.Profile{*ixpgen.ProfileByName("DE-CIX")}, 42, 0.002, 1)
+	files, err := collector.ListDir(dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := lab.Load(dir, files, nil); len(rep.Skipped) > 0 {
+		t.Fatalf("the load skipped %v", rep.Skipped)
+	}
+	ix := lab.Indexes["DE-CIX"]
+	if ix == nil {
+		t.Fatal("the load serves no DE-CIX day")
+	}
+	return ix.Snapshot(), lab.Series["DE-CIX"]
+}
+
+// wantSeries fails unless got counts exactly the days want.
+func wantSeries(t *testing.T, what string, got []analysis.DayCounts, want ...*collector.Snapshot) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: the load serves %d days, want %d", what, len(got), len(want))
+	}
+	for k, s := range want {
+		if c := analysis.CountDay(s); got[k] != c {
+			t.Errorf("%s: day %d counts %+v, want %+v", what, k, got[k], c)
+		}
+	}
+}
+
+// TestCollectReplacesAndBackfillsDays: a day -out already holds is
+// collected again — a partial day finished by collect -resume, a chain
+// head or a day inside the chain re-crawled — or a missed day is
+// back-filled. Every crawl lands,
+// and the loader serves it with every other day as it was.
+func TestCollectReplacesAndBackfillsDays(t *testing.T) {
+	dir := t.TempDir()
+	day0 := testDay("DE-CIX", "2021-10-04", "203.0.113.0/24")
+	partial := testDay("DE-CIX", "2021-10-05", "203.0.113.0/24")
+	partial.Partial = true
+	partial.MemberErrors = []collector.MemberError{{ASN: 64501, Stage: collector.StageRoutes, Err: "timeout", Attempts: 2}}
+	day1 := testDay("DE-CIX", "2021-10-05", "203.0.113.0/24", "198.51.100.0/24", "192.0.2.0/24")
+	paths := appendDays(t, dir, day0, partial)
+
+	// collect -resume finishes the partial day: its delta is written
+	// again against the same base.
+	if got := appendDays(t, dir, day1); got[0] != paths[1] {
+		t.Errorf("the complete day went to %s, want over the partial day's %s", got[0], paths[1])
+	}
+	served, series := servedSeries(t, dir)
+	if served.Date != day1.Date || served.Partial {
+		t.Errorf("serves %s (partial %v), want the complete %s", served.Date, served.Partial, day1.Date)
+	}
+	wantSeries(t, "after the resume", series, day0, day1)
+
+	// A re-crawled chain head replaces its .bin, and the delta chained
+	// onto it is encoded again onto the new head.
+	head := testDay("DE-CIX", "2021-10-04", "203.0.113.0/24", "198.51.100.0/24")
+	if got := appendDays(t, dir, head); got[0] != paths[0] {
+		t.Errorf("the re-crawled head went to %s, want over %s", got[0], paths[0])
+	}
+	_, series = servedSeries(t, dir)
+	wantSeries(t, "after the re-crawled head", series, head, day1)
+
+	// A missed day, back-filled, is a chain of its own.
+	day3 := testDay("DE-CIX", "2021-10-07", "203.0.113.0/24")
+	day2 := testDay("DE-CIX", "2021-10-06", "192.0.2.0/24")
+	got := appendDays(t, dir, day3, day2)
+	if !strings.HasSuffix(got[0], "2021-10-07"+collector.DeltaExt) || !strings.HasSuffix(got[1], "2021-10-06.bin") {
+		t.Errorf("wrote %v, want day 3's delta and day 2's .bin", got)
+	}
+	served, series = servedSeries(t, dir)
+	if served.Date != day3.Date {
+		t.Errorf("serves %s, want %s", served.Date, day3.Date)
+	}
+	wantSeries(t, "after the back-fill", series, head, day1, day2, day3)
+
+	// A day inside a chain, re-crawled: its delta and the one chained
+	// onto it are both written again.
+	again := testDay("DE-CIX", "2021-10-05", "198.51.100.0/24")
+	appendDays(t, dir, again)
+	_, series = servedSeries(t, dir)
+	wantSeries(t, "after the re-crawled middle day", series, head, again, day2, day3)
 }

@@ -546,8 +546,21 @@ func (st *seriesState) count(ix *Index) {
 
 // OwnsChain reports whether ix owns its chain state: it is the newest
 // index of a series (IndexSeriesFromReader, Advance), the one that may
-// Advance, and Materialize while counts-only.
-func (ix *Index) OwnsChain() bool { return ix.series != nil && ix.series.owner == ix }
+// Advance, and Materialize while counts-only. A nil ix owns nothing.
+func (ix *Index) OwnsChain() bool { return ix != nil && ix.series != nil && ix.series.owner == ix }
+
+// Detach materializes the chain's newest index and drops its chain
+// state, leaving the index IndexFromReader would have built: every
+// accessor answers, and nothing can Advance it. Like Materialize it is
+// owner-only and writes the index, so call it before the index is
+// shared.
+func (ix *Index) Detach() error {
+	if err := ix.Materialize(); err != nil {
+		return err
+	}
+	ix.series = nil
+	return nil
+}
 
 // Materialize builds the classified aggregates of a counts-only day —
 // its ranking maps, §5.6 histogram and member set — from the chain

@@ -270,19 +270,6 @@ func SaveSnapshot(dir string, s *Snapshot, codec Codec) (string, error) {
 	return path, nil
 }
 
-// SaveDelta writes buf — DeltaEncoder.Encode's bytes for day s — into
-// dir as DatasetPath names it, atomically like SaveSnapshot.
-func SaveDelta(dir string, s *Snapshot, buf []byte) (string, error) {
-	path := DatasetPath(dir, s, DeltaExt)
-	if err := AtomicWrite(path, func(w io.Writer) error {
-		_, err := w.Write(buf)
-		return err
-	}); err != nil {
-		return "", err
-	}
-	return path, nil
-}
-
 // LoadSnapshot reads a snapshot file written by SaveSnapshot.
 func LoadSnapshot(path string) (*Snapshot, error) {
 	sr, err := OpenSnapshotAt(path)

@@ -201,15 +201,7 @@ func TestMetaFlagsPartialDay(t *testing.T) {
 	if !day.Partial || len(day.MemberErrors) != 1 || day.MemberErrors[0].ASN != dead {
 		t.Fatalf("crawl: partial %v, member errors %+v; want AS%d alone", day.Partial, day.MemberErrors, dead)
 	}
-	enc, err := collector.NewDeltaEncoder(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	delta, err := enc.Encode(day)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := collector.SaveDelta(dir, day, delta); err != nil {
+	if _, err := collector.Append(dir, day, t.Logf); err != nil {
 		t.Fatal(err)
 	}
 

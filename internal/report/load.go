@@ -98,8 +98,9 @@ func (l *Lab) LoadSnapshotDir(dir string) error {
 // (analysis.IndexSeriesFromReader). Once an IXP is folded its served
 // day keeps its index, materialized, and every other day only its
 // counts and file digest, so a chain head's state is garbage once it is
-// not served, and a fold that must advance from a head that no longer
-// owns its state decodes the file again. l.Indexes holds the served
+// not served; a served head no delta extends drops its chain state too.
+// A fold that must advance from a head that no longer owns its state
+// decodes the file again. l.Indexes holds the served
 // day's index of each IXP. Files decode, and IXPs fold, across the
 // lab's worker pool; the result is the same for any worker count.
 func (l *Lab) Load(dir string, files []collector.File, prev *Lab) LoadReport {
@@ -545,7 +546,7 @@ func (ld *loader) applyChain(x *ixpLoad) {
 				// advanced it, or an earlier fold released it — is
 				// decoded again if a delta may extend it.
 				f := &ld.files[i]
-				if f.day != nil && !ld.ready(f.day, false) && slices.ContainsFunc(x.deltas, func(k int) bool { return ld.files[k].base == f.date }) {
+				if f.day != nil && !ld.extendable(f.day) && slices.ContainsFunc(x.deltas, func(k int) bool { return ld.files[k].base == f.date }) {
 					ld.decode(i)
 					x.work.Decoded++
 				}
@@ -583,7 +584,7 @@ func (ld *loader) applyChain(x *ixpLoad) {
 			if st.err = corrupt[i]; st.err != nil {
 				continue
 			}
-			if extending && !ld.ready(base, false) {
+			if extending && !ld.extendable(base) {
 				// A day an earlier fold released: only a fold from the
 				// chain heads can extend it.
 				poisoned = true
@@ -652,8 +653,12 @@ func (ld *loader) applyChain(x *ixpLoad) {
 		// out-dated or shadowed by its successor. A full file's day an
 		// earlier fold released is decoded again, or leaves the series
 		// when its file changed since the listing (which reports it).
-		for len(c.days) > 0 && !ld.ready(c.newest(), true) {
+		for len(c.days) > 0 {
+			// A Materialize lab's days are routed and carry no index.
 			d := c.newest()
+			if ld.materialize && d.snap != nil || d.ix != nil && d.ix.Materialize() == nil {
+				break
+			}
 			c.days = c.days[:len(c.days)-1]
 			if k := slices.IndexFunc(x.fulls, func(i int) bool { return ld.files[i].day == d }); k >= 0 {
 				ld.decode(x.fulls[k])
@@ -694,16 +699,10 @@ func (ld *loader) applyChain(x *ixpLoad) {
 	}
 }
 
-// ready reports whether a delta can extend d as it is or, with serve,
-// readies d to be served and reports whether it is.
-func (ld *loader) ready(d *chainDay, serve bool) bool {
-	switch {
-	case ld.materialize:
+// extendable reports whether a delta can advance from d as it is.
+func (ld *loader) extendable(d *chainDay) bool {
+	if ld.materialize {
 		return d.snap != nil
-	case d.ix == nil:
-		return false
-	case serve:
-		return d.ix.Materialize() == nil
 	}
 	return d.ix.OwnsChain()
 }
@@ -712,9 +711,18 @@ func (ld *loader) ready(d *chainDay, serve bool) bool {
 // counts and file digest alone. Days this load made are released in
 // place; the predecessor's served day, the one shared day that still
 // holds an index, stays the predecessor's, and a released copy takes
-// its place here.
+// its place here. A served full file's day this load decoded drops its
+// chain state too when no delta names it as its base (Index.Detach), as
+// the chain state of a standalone day is garbage: a delta that lands on
+// it later finds a head that does not own its state and decodes the
+// file again.
 func (ld *loader) release(x *ixpLoad, c *chain) {
 	served := c.newest()
+	if served.ix.OwnsChain() &&
+		slices.ContainsFunc(x.fulls, func(i int) bool { return ld.files[i].day == served && !ld.files[i].carried }) &&
+		!slices.ContainsFunc(x.deltas, func(k int) bool { return ld.files[k].base == served.counts.Date }) {
+		_ = served.ix.Detach()
+	}
 	if x.prev != nil && len(x.prev.days) > 0 && x.prev.newest() != served {
 		d := x.prev.newest()
 		cp := &chainDay{counts: d.counts, file: d.file}

@@ -107,11 +107,12 @@ func TestLoadSnapshotDirColumnDirect(t *testing.T) {
 		if matLab.Indexes[p.IXP].Snapshot().Routes == nil {
 			t.Errorf("%s: Materialize load produced no routes", p.IXP)
 		}
-		// The served day is a header-only snapshot with its index; every
-		// other day is released to its counts and file digest.
+		// The served day is a header-only snapshot with its index, which
+		// keeps no chain state, as no delta extends it; every other day
+		// is released to its counts and file digest.
 		days := chainOf(t, colLab, p.IXP).days
-		if d := days[len(days)-1]; d.snap.Routes != nil || d.ix == nil {
-			t.Errorf("%s %s: the served day materialized routes, or has no index", p.IXP, d.counts.Date)
+		if d := days[len(days)-1]; d.snap.Routes != nil || d.ix == nil || d.ix.OwnsChain() {
+			t.Errorf("%s %s: the served day materialized routes, has no index, or keeps its chain state", p.IXP, d.counts.Date)
 		}
 		for _, d := range days[:len(days)-1] {
 			if d.snap != nil || d.ix != nil {
@@ -122,6 +123,37 @@ func TestLoadSnapshotDirColumnDirect(t *testing.T) {
 	for i := range colOuts {
 		if !bytes.Equal(colOuts[i], matOuts[i]) {
 			t.Errorf("%s: output differs between column-direct and materialized loading", ExperimentNames[i])
+		}
+	}
+
+	// A delta landing on a served .bin that dropped its chain state: the
+	// reload decodes the file again and advances it.
+	var next []*collector.Snapshot
+	for _, p := range profiles {
+		err := ixpgen.EvolveSeries(p, ixpgen.TemporalOptions{Seed: seed, Scale: scale, Days: days + 1}, 0, func(day int, s *collector.Snapshot) error {
+			if day == days {
+				next = append(next, s)
+				_, err := collector.Append(binDir, s, t.Logf)
+				return err
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	files, err := collector.ListDir(binDir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lab := NewLabShell(profiles, seed, scale, 2)
+	rep := lab.Load(binDir, files, colLab)
+	if len(rep.Skipped) != 0 || rep.Decoded != len(profiles) || rep.Advances != len(profiles) {
+		t.Fatalf("landing a delta on each served .bin: %+v, want one decode and one advance per IXP", rep)
+	}
+	for i, p := range profiles {
+		if got := lab.Series[p.IXP]; len(got) != days+1 || got[days] != analysis.CountDay(next[i]) {
+			t.Errorf("%s: the reload does not serve the landed day", p.IXP)
 		}
 	}
 }
