@@ -273,3 +273,32 @@ func TestCollectReplacesAndBackfillsDays(t *testing.T) {
 	_, series = servedSeries(t, dir)
 	wantSeries(t, "after the re-crawled middle day", series, head, again, day2, day3)
 }
+
+// TestCollectChainsOntoTheServedDuplicate: -out holds two deltas of
+// 2021-10-05 against the same base, the one collect wrote and a
+// hand-kept copy of another crawl of that day, named so that it lists
+// after it (both names list after an upper-case IXP's). The loader
+// serves the first listed and skips the other, so the next crawl must
+// be encoded against the first: a load then serves it.
+func TestCollectChainsOntoTheServedDuplicate(t *testing.T) {
+	day0 := testDay("DE-CIX", "2021-10-04", "203.0.113.0/24")
+	dayA := testDay("DE-CIX", "2021-10-05", "203.0.113.0/24", "198.51.100.0/24")
+	dayB := testDay("DE-CIX", "2021-10-05", "192.0.2.0/24")
+	other := t.TempDir()
+	copied, err := os.ReadFile(appendDays(t, other, day0, dayB)[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, names := range [][]string{{"aa-copy.delta"}, {"zz-copy.delta"}, {"aa-copy.delta", "zz-copy.delta"}} {
+		dir := t.TempDir()
+		appendDays(t, dir, day0, dayA)
+		for _, name := range names {
+			if err := os.WriteFile(filepath.Join(dir, name), copied, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		next := testDay("DE-CIX", "2021-10-06", "203.0.113.0/24", "198.51.100.0/24", "192.0.2.0/24")
+		appendDays(t, dir, next)
+		serves(t, dir, "DE-CIX", next.Date, 3)
+	}
+}

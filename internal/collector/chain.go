@@ -109,7 +109,10 @@ func Append(dir string, s *Snapshot, logf func(string, ...any)) (string, error) 
 
 // ixpDays is what a dataset directory holds of one IXP: the days whose
 // files open, keyed by date. A file that does not open is logged and
-// skipped, whichever IXP it belongs to, as the loader skips it.
+// skipped, whichever IXP it belongs to, as the loader skips it. Of two
+// files of one date the one the loader serves is kept: the first
+// listed .delta (the loader's fold advances from the base with it, and
+// then cannot advance the same base again) and the last listed .bin.
 type ixpDays struct {
 	bins   map[string]string    // date → the .bin's path
 	deltas map[string]*dayDelta // date → the .delta
@@ -136,7 +139,10 @@ func readIXPDays(dir, ixp string, logf func(string, ...any)) (*ixpDays, error) {
 			switch dr, err := OpenDelta(path); {
 			case err != nil:
 				logf("skipping %s: %v", f.Name, err)
-			case dr.IXP() == ixp:
+			case dr.IXP() != ixp:
+			case days.deltas[dr.Date()] != nil:
+				logf("skipping %s: %s holds day %s, and the loader serves the first listed", f.Name, filepath.Base(days.deltas[dr.Date()].path), dr.Date())
+			default:
 				days.deltas[dr.Date()] = &dayDelta{dr, path}
 				days.dates = append(days.dates, dr.Date())
 			}

@@ -3,6 +3,7 @@ package collector
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -116,6 +117,56 @@ func TestCollectPartialRecordsMemberErrors(t *testing.T) {
 	}
 	if !snap.FailedMemberSet()[200] {
 		t.Error("FailedMemberSet misses AS200")
+	}
+}
+
+// TestShortListingIsRetried: an LG whose first listing of AS200 holds
+// fewer routes than it declares fails that listing, and the neighbour
+// retry crawls AS200 again; without a retry the neighbour is a member
+// error of a partial day, never a complete neighbour with routes missing.
+func TestShortListingIsRetried(t *testing.T) {
+	server := degradedFixture(t, []uint32{100, 200, 300}, 4)
+	for _, retries := range []int{1, 0} {
+		var once sync.Once
+		served := lg.NewServer(server)
+		rec := &pathRecorder{}
+		ts := httptest.NewServer(rec.wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			short := false
+			if strings.Contains(r.URL.Path, "/neighbors/200/routes/received") {
+				once.Do(func() { short = true })
+			}
+			if !short {
+				served.ServeHTTP(w, r)
+				return
+			}
+			json.NewEncoder(w).Encode(lg.RoutesResponse{
+				Routes:     []lg.APIRoute{{Prefix: "10.0.0.0/24", NextHop: "10.0.0.1", ASPath: []uint32{200}}},
+				PageSize:   500,
+				TotalPages: 1,
+				TotalCount: 4,
+			})
+		})))
+		client := lg.NewClient(ts.URL, lg.ClientOptions{MaxRetries: 0})
+		snap, err := CollectWithOptions(context.Background(), client, "2021-10-04", CollectOptions{
+			Partial:         true,
+			NeighborRetries: retries,
+		})
+		ts.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := rec.containing("/neighbors/200/routes/received"); n != 1+retries {
+			t.Errorf("%d retries: AS200 listed %d times, want %d", retries, n, 1+retries)
+		}
+		if retries > 0 {
+			if snap.Partial || len(snap.Routes) != 12 {
+				t.Errorf("%d retries: partial %v with %d routes, want the complete 12", retries, snap.Partial, len(snap.Routes))
+			}
+			continue
+		}
+		if !snap.Partial || len(snap.Routes) != 8 || len(snap.MemberErrors) != 1 || snap.MemberErrors[0].ASN != 200 {
+			t.Errorf("no retry: partial %v with %d routes and member errors %+v, want AS200 failed", snap.Partial, len(snap.Routes), snap.MemberErrors)
+		}
 	}
 }
 

@@ -155,6 +155,27 @@ func TestClassifyAgreesWithEntries(t *testing.T) {
 	}
 }
 
+// TestPeerActionAgreesWithClassify: PeerAction is the targeted half of
+// Classify, for every low half under every high half that anchors an
+// encoding (and two that anchor none), on every profile.
+func TestPeerActionAgreesWithClassify(t *testing.T) {
+	for _, s := range Profiles() {
+		highs := []uint16{0, 1, s.RSASN, s.InfoASN, PrependOnceASN - 1, PrependOnceASN, PrependTwiceASN, PrependThriceASN, PrependThriceASN + 1, 65535}
+		for _, high := range highs {
+			for low := 0; low <= 0xFFFF; low++ {
+				c := bgp.NewCommunity(high, uint16(low))
+				want := Informational
+				if cl := s.Classify(c); cl.Target == TargetPeer {
+					want = cl.Action
+				}
+				if got := s.PeerAction(c); got != want {
+					t.Fatalf("%s: PeerAction(%s) = %v, Classify aims %v at one peer", s.IXP, c, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestSchemeBuilderErrors(t *testing.T) {
 	ams := ProfileByName("AMS-IX")
 	if _, err := ams.Prepend(1, 15169); err == nil {

@@ -123,6 +123,25 @@ func (s *Scheme) Classify(c bgp.Community) Class {
 	}
 }
 
+// PeerAction is Classify(c).Action for the values Classify aims at one
+// peer (Target TargetPeer), and Informational for every other value. It
+// builds no Class, so counting the targeted tags of a whole table costs
+// a fraction of classifying it.
+func (s *Scheme) PeerAction(c bgp.Community) ActionType {
+	high, low := c.ASN(), c.Value()
+	switch {
+	case low == 0 || low == s.RSASN:
+		return Informational
+	case high == 0:
+		return DoNotAnnounceTo
+	case high == s.RSASN:
+		return AnnounceOnlyTo
+	case high >= PrependOnceASN && high <= PrependThriceASN && s.SupportsPrepend:
+		return PrependTo
+	}
+	return Informational
+}
+
 // DoNotAnnounce builds the community requesting the RS not to export a
 // route to target.
 func (s *Scheme) DoNotAnnounce(target uint16) bgp.Community {

@@ -10,38 +10,30 @@ import (
 	"ixplight/internal/rs"
 )
 
-// Populate announces the whole workload into a route server: adds
-// every member as a peer and runs every route through the import
-// pipeline. The generator only emits import-clean routes, so an
-// unexpected rejection is an error (it would silently skew the
-// calibration).
+// Populate loads the whole workload into a route server in one call
+// (rs.Server.Load): every member joins as a peer and every route runs
+// through the import pipeline, the generated routes first and the
+// invalid ones after them. The generator only emits import-clean
+// routes, so an unexpected rejection is an error (it would silently
+// skew the calibration), and so is an invalid route that is accepted.
 func (w *Workload) Populate(server *rs.Server) error {
-	for _, m := range w.Members {
-		err := server.AddPeer(rs.Peer{
-			ASN:  m.ASN,
-			Name: m.Name,
-			IPv4: m.IPv4,
-			IPv6: m.IPv6,
-		})
-		if err != nil {
-			return fmt.Errorf("ixpgen: add peer AS%d: %w", m.ASN, err)
-		}
+	peers := make([]rs.Peer, len(w.Members))
+	for i, m := range w.Members {
+		peers[i] = rs.Peer{ASN: m.ASN, Name: m.Name, IPv4: m.IPv4, IPv6: m.IPv6}
 	}
-	for _, r := range w.Routes {
-		reason, err := server.Announce(r.PeerAS(), r)
-		if err != nil {
-			return fmt.Errorf("ixpgen: announce %s from AS%d: %w", r.Prefix, r.PeerAS(), err)
-		}
+	reasons, err := server.Load(peers, w.Routes, w.Invalid)
+	if err != nil {
+		return fmt.Errorf("ixpgen: populate: %w", err)
+	}
+	for i, reason := range reasons[:len(w.Routes)] {
 		if reason != rs.FilterNone {
+			r := &w.Routes[i]
 			return fmt.Errorf("ixpgen: generated route %s from AS%d rejected: %v", r.Prefix, r.PeerAS(), reason)
 		}
 	}
-	for _, r := range w.Invalid {
-		reason, err := server.Announce(r.PeerAS(), r)
-		if err != nil {
-			return fmt.Errorf("ixpgen: announce invalid %s from AS%d: %w", r.Prefix, r.PeerAS(), err)
-		}
+	for i, reason := range reasons[len(w.Routes):] {
 		if reason == rs.FilterNone {
+			r := &w.Invalid[i]
 			return fmt.Errorf("ixpgen: invalid route %s from AS%d was accepted", r.Prefix, r.PeerAS())
 		}
 	}

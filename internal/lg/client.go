@@ -445,8 +445,9 @@ const listingRestarts = 2
 // that sends no ETag is held to one TotalCount instead, which catches a
 // table that changed size. The walk is bounded: the page count implied
 // by the first page's TotalCount caps the loop. A listing that changed
-// mid-crawl is an error — a partial, silently-wrong listing is worse
-// than a recorded failure.
+// mid-crawl, or whose pages hold more or fewer routes than it declared,
+// is an error — a partial, silently-wrong listing is worse than a
+// recorded failure, and the collector retries the neighbour.
 func (c *Client) routesPaged(ctx context.Context, endpoint string) ([]bgp.Route, error) {
 	var (
 		dec      = newListingDecoder()
@@ -501,10 +502,11 @@ func (c *Client) routesPaged(ctx context.Context, endpoint string) ([]bgp.Route,
 		case info.totalCount != total:
 			return nil, fmt.Errorf("lg: %s: total count changed mid-crawl (%d -> %d)", endpoint, total, info.totalCount)
 		}
-		if len(routes) > total {
+		last := page >= info.totalPages-1
+		if len(routes) > total || last && len(routes) < total {
 			return nil, fmt.Errorf("lg: %s: server returned %d routes for a declared total of %d", endpoint, len(routes), total)
 		}
-		if page >= info.totalPages-1 {
+		if last {
 			return routes, nil
 		}
 		if page+1 >= maxPages {

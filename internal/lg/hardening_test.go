@@ -162,6 +162,31 @@ func TestPaginationShrinkageDetected(t *testing.T) {
 	}
 }
 
+// TestShortListingFails: a listing whose last page leaves fewer routes
+// than its declared total_count is a failed listing, not a short
+// success — the collector retries the neighbour rather than record it
+// complete with routes missing.
+func TestShortListingFails(t *testing.T) {
+	short := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, RoutesResponse{
+			Routes: []APIRoute{
+				{Prefix: "10.0.0.0/24", NextHop: "10.0.0.1", ASPath: []uint32{100}},
+				{Prefix: "10.0.1.0/24", NextHop: "10.0.0.1", ASPath: []uint32{100}},
+			},
+			Page: 0, PageSize: 500, TotalPages: 1, TotalCount: 3,
+		})
+	}))
+	defer short.Close()
+
+	routes, err := NewClient(short.URL, ClientOptions{}).RoutesReceived(context.Background(), 100)
+	if err == nil {
+		t.Fatalf("a listing of %d routes declaring 3 succeeded", len(routes))
+	}
+	if !strings.Contains(err.Error(), "2 routes for a declared total of 3") {
+		t.Errorf("error = %v", err)
+	}
+}
+
 // TestRoutesPagedCapsRunawayPagination: a server whose TotalPages
 // keeps growing must not drag the client into an unbounded crawl.
 func TestRoutesPagedCapsRunawayPagination(t *testing.T) {

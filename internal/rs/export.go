@@ -104,6 +104,37 @@ func summarizeActions(scheme *dictionary.Scheme, r *bgp.Route, scratch *summaryS
 	return a
 }
 
+// countTargets counts r's tags that aim an action at one peer: deny and
+// allow targets, which summarizeActions lists in targets, and prepend
+// targets, which it lists in prepend. The counts are the lengths of
+// r's summary lists unless r names one target twice in one list, and
+// cost a fraction of summarizing r: standard communities, most of a
+// route's tags, are tested without building a Class.
+func countTargets(scheme *dictionary.Scheme, r *bgp.Route) (targets, prepends int) {
+	count := func(a dictionary.ActionType) {
+		switch a {
+		case dictionary.DoNotAnnounceTo, dictionary.AnnounceOnlyTo:
+			targets++
+		case dictionary.PrependTo:
+			prepends++
+		}
+	}
+	for _, c := range r.Communities {
+		count(scheme.PeerAction(c))
+	}
+	for _, e := range r.ExtCommunities {
+		if cl := scheme.ClassifyExtended(e); cl.IsAction() && cl.Target == dictionary.TargetPeer {
+			count(cl.Action)
+		}
+	}
+	for _, l := range r.LargeCommunities {
+		if cl := scheme.ClassifyLarge(l); cl.IsAction() && cl.Target == dictionary.TargetPeer {
+			count(cl.Action)
+		}
+	}
+	return targets, prepends
+}
+
 // exportAllowed decides whether a route with summary a may be exported
 // to target — the one export decision VisitExported and ExportTo are
 // built on. Specific communities beat

@@ -9,8 +9,9 @@ import (
 )
 
 // FilterReason says why an announced route was rejected by the import
-// policy. FilterNone means the route was accepted.
-type FilterReason int
+// policy. FilterNone means the route was accepted. A byte, so the
+// reasons Load returns for a whole table cost one byte a route.
+type FilterReason uint8
 
 // Import filter outcomes, mirroring the rejection reasons the paper
 // lists in §3.

@@ -102,21 +102,33 @@ func (s *Server) Scheme() *dictionary.Scheme { return s.cfg.Scheme }
 // AddPeer registers a member session. Re-adding an existing ASN
 // updates its metadata without dropping routes.
 func (s *Server) AddPeer(p Peer) error {
+	if err := p.check(); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.addPeer(p)
+	return nil
+}
+
+// check is what a peer needs to have a session.
+func (p *Peer) check() error {
 	if p.ASN == 0 {
 		return fmt.Errorf("rs: peer ASN must be non-zero")
 	}
 	if !p.IPv4 && !p.IPv6 {
 		return fmt.Errorf("rs: peer AS%d has no address family enabled", p.ASN)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cp := p
-	s.peers[p.ASN] = &cp
+	return nil
+}
+
+// addPeer is AddPeer under the write lock, for a peer that passed check.
+func (s *Server) addPeer(p Peer) {
+	s.peers[p.ASN] = &p
 	if _, ok := s.ribIn[p.ASN]; !ok {
 		s.ribIn[p.ASN] = make(map[netip.Prefix]*ribEntry)
 		s.ordered[p.ASN] = new(atomic.Pointer[[]*ribEntry])
 	}
-	return nil
 }
 
 // RemovePeer drops a member and all its routes.
@@ -176,10 +188,22 @@ func (s *Server) Announce(peerASN uint32, r bgp.Route) (FilterReason, error) {
 	if _, ok := s.peers[peerASN]; !ok {
 		return FilterNone, fmt.Errorf("rs: AS%d has no session", peerASN)
 	}
-	if reason := s.checkImport(peerASN, &r); reason != FilterNone {
+	reason := s.checkImport(peerASN, &r)
+	s.announce(peerASN, &r, reason)
+	return reason, nil
+}
+
+// announce is what Announce and Load do with one route from a peer with
+// a session once the import policy judged it: a rejected route is
+// counted and withdraws the peer's route for its prefix; an accepted
+// one is stored with its action summary, new or in place of the route
+// it replaces, and moves the peer's version. The caller holds the write
+// lock.
+func (s *Server) announce(peerASN uint32, r *bgp.Route, reason FilterReason) {
+	if reason != FilterNone {
 		s.rejected[peerASN]++
 		s.withdraw(peerASN, r.Prefix)
-		return reason, nil
+		return
 	}
 	rib := s.ribIn[peerASN]
 	e, replaces := rib[r.Prefix]
@@ -190,12 +214,93 @@ func (s *Server) Announce(peerASN uint32, r bgp.Route) (FilterReason, error) {
 		rib[r.Prefix] = e
 		s.ordered[peerASN].Store(nil)
 	}
-	s.store.put(e, &r, summarizeActions(s.cfg.Scheme, &r, &s.summarize))
+	s.store.put(e, r, summarizeActions(s.cfg.Scheme, r, &s.summarize))
 	s.bump(peerASN)
 	if replaces {
 		s.store.compact(s.ribIn)
 	}
-	return FilterNone, nil
+}
+
+// Load adds a table in one call: every peer joins as AddPeer adds it,
+// and then every route of tables, in order, is announced by the peer
+// its AS path starts with (Route.PeerAS), as Announce announces it. The
+// server ends where those AddPeer and Announce calls leave it, so every
+// listing, export, count and peer version reads the same. Load returns
+// each route's FilterReason, tables one after the other. A peer that
+// AddPeer refuses fails the load before anything changes, and a route
+// from a peer with no session fails it before any route is stored.
+//
+// A load costs less than its Announce calls because it sizes what it
+// adds before it stores a route: each peer's Adj-RIB-In map, still
+// empty, is made at its accepted routes' count, the RIB entries come
+// from one allocation, and each slab cuts one chunk of exactly the
+// elements the accepted routes' lists hold (loadNeed; room left by a
+// target a route names twice is given up, see store.settle).
+func (s *Server) Load(peers []Peer, tables ...[]bgp.Route) ([]FilterReason, error) {
+	for i := range peers {
+		if err := peers[i].check(); err != nil {
+			return nil, err
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, p := range peers {
+		s.addPeer(p)
+	}
+	n := 0
+	for _, t := range tables {
+		n += len(t)
+	}
+	// The import verdict depends on the route and the configuration
+	// alone, so it is taken once, while the table is counted, and
+	// applied in order below.
+	reasons := make([]FilterReason, 0, n)
+	var need loadNeed
+	// accepted counts each peer's accepted routes. A table holds a
+	// peer's routes in runs, so the session check and the count run
+	// once a run.
+	accepted := make(map[uint32]int, len(s.peers))
+	var peer uint32 // the current run's peer; 0, which has no session, before the first
+	run := 0        // the current run's accepted routes
+	for _, t := range tables {
+		for i := range t {
+			r := &t[i]
+			if p := r.PeerAS(); p != peer || p == 0 {
+				if _, ok := s.peers[p]; !ok {
+					return nil, fmt.Errorf("rs: %s from AS%d: AS%d has no session", r.Prefix, p, p)
+				}
+				if run > 0 {
+					accepted[peer] += run
+				}
+				peer, run = p, 0
+			}
+			reason := s.checkImport(peer, r)
+			reasons = append(reasons, reason)
+			if reason == FilterNone {
+				run++
+				need.add(s.cfg.Scheme, r)
+			}
+		}
+	}
+	if run > 0 {
+		accepted[peer] += run
+	}
+	for p, routes := range accepted {
+		if len(s.ribIn[p]) == 0 {
+			s.ribIn[p] = make(map[netip.Prefix]*ribEntry, routes)
+		}
+	}
+	s.store.reserve(&need)
+
+	k := 0
+	for _, t := range tables {
+		for i := range t {
+			s.announce(t[i].PeerAS(), &t[i], reasons[k])
+			k++
+		}
+	}
+	s.store.settle(s.ribIn)
+	return reasons, nil
 }
 
 // Withdraw removes peerASN's route for prefix, if present.

@@ -2,6 +2,7 @@ package rs
 
 import (
 	"net/netip"
+	"strings"
 	"testing"
 
 	"ixplight/internal/bgp"
@@ -74,6 +75,33 @@ func TestAnnounceRequiresSession(t *testing.T) {
 	s := testServer(t, "DE-CIX")
 	if _, err := s.Announce(64999, route(64999, 0)); err == nil {
 		t.Error("announce without session accepted")
+	}
+}
+
+// TestLoadFailsBeforeStoring: a peer AddPeer refuses fails a load
+// before anything changes; a route from a peer without a session fails
+// it before any route is stored, the load's peers added.
+func TestLoadFailsBeforeStoring(t *testing.T) {
+	s := testServer(t, "DE-CIX")
+	addPeer(t, s, 100)
+	table := []bgp.Route{route(100, 0), route(200, 1)}
+	if _, err := s.Load([]Peer{{ASN: 200, IPv4: true}, {ASN: 300}}, table); err == nil {
+		t.Error("a load with a peer without families succeeded")
+	}
+	if s.HasPeer(200) {
+		t.Error("a refused load added a peer")
+	}
+	if _, err := s.Load(nil, table); err == nil || !strings.Contains(err.Error(), "AS200 has no session") {
+		t.Errorf("a route from a peer without a session: %v", err)
+	}
+	if _, err := s.Load([]Peer{{ASN: 300, IPv4: true}}, table); err == nil {
+		t.Error("a load with a route from a peer without a session succeeded")
+	}
+	if n, _ := s.RouteCounts(100); n != 0 || !s.HasPeer(300) {
+		t.Errorf("a failed load stored %d routes (AS300 added: %v), want none and the peer added", n, s.HasPeer(300))
+	}
+	if _, v := s.VisitAccepted(100, 0, 0, nil); v != 0 {
+		t.Errorf("a failed load moved AS100 to version %d", v)
 	}
 }
 

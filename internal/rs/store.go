@@ -5,6 +5,7 @@ import (
 	"unsafe"
 
 	"ixplight/internal/bgp"
+	"ixplight/internal/dictionary"
 )
 
 // store is where the server keeps what it holds for accepted routes:
@@ -58,6 +59,15 @@ func (p *entryPool) get() *ribEntry {
 	return e
 }
 
+// reserve readies p to hand out n entries: those the free list lacks
+// come from one page of exactly that size, unless the current page has
+// them (a new page leaves the old one's unused tail unused).
+func (p *entryPool) reserve(n int) {
+	if n -= len(p.free); n > len(p.page) {
+		p.page = make([]ribEntry, n)
+	}
+}
+
 func (p *entryPool) put(e *ribEntry) {
 	*e = ribEntry{}
 	p.free = append(p.free, e)
@@ -105,6 +115,26 @@ func (s *slab[S, E]) copyOf(src S) S {
 	return s.buf[i:len(s.buf):len(s.buf)]
 }
 
+// reserve readies s to take lists of n elements in all without cutting
+// another chunk: when the current chunk lacks the room, s cuts one of
+// exactly n, and the old chunk's room is dead like any chunk tail.
+func (s *slab[S, E]) reserve(n int) {
+	if cap(s.buf)-len(s.buf) < n {
+		s.buf = make(S, 0, n)
+		s.held += n
+	}
+}
+
+// settle gives up room a reservation left that exceeds what copyOf
+// ever leaves (slabChunk): the elements count as dead from then on, so
+// compaction reclaims them, and every current chunk has at most
+// slabChunk of room, as the bound compact keeps assumes.
+func (s *slab[S, E]) settle() {
+	if cap(s.buf)-len(s.buf) > slabChunk {
+		s.buf = s.buf[:len(s.buf):len(s.buf)]
+	}
+}
+
 // drop counts a list carved from s as dead.
 func (s *slab[S, E]) drop(list S) { s.live -= len(list) }
 
@@ -126,14 +156,54 @@ func (s *slab[S, E]) fresh() {
 	*s = slab[S, E]{buf: buf, held: s.live}
 }
 
-// anySlab is what compaction needs of a slab, whatever it holds.
+// anySlab is what compaction and a load need of a slab, whatever it
+// holds.
 type anySlab interface {
 	counts() (held, room, live int)
 	fresh()
+	reserve(n int)
+	settle()
 }
 
 func (st *store) slabs() [6]anySlab {
 	return [...]anySlab{&st.paths, &st.comms, &st.exts, &st.larges, &st.targets, &st.prepend}
+}
+
+// loadNeed is what a load stores: the routes it accepts, and the
+// elements their lists hold, slab by slab in slabs' order.
+type loadNeed struct {
+	routes int
+	elems  [6]int
+}
+
+// add counts r, an accepted route, with the target and prepend lists
+// its action summary will hold (countTargets).
+func (n *loadNeed) add(scheme *dictionary.Scheme, r *bgp.Route) {
+	targets, prepends := countTargets(scheme, r)
+	n.routes++
+	for i, k := range [6]int{len(r.ASPath), len(r.Communities), len(r.ExtCommunities), len(r.LargeCommunities), targets, prepends} {
+		n.elems[i] += k
+	}
+}
+
+// reserve readies st to store what n counts without a page or chunk
+// cut in between.
+func (st *store) reserve(n *loadNeed) {
+	st.entries.reserve(n.routes)
+	for i, sl := range st.slabs() {
+		sl.reserve(n.elems[i])
+	}
+}
+
+// settle ends a load: each slab gives up the room its reservation left
+// beyond slabChunk, and the store compacts if that, or anything the
+// load replaced, left enough dead. ribIn must be every entry the store
+// holds.
+func (st *store) settle(ribIn map[uint32]map[netip.Prefix]*ribEntry) {
+	for _, sl := range st.slabs() {
+		sl.settle()
+	}
+	st.compact(ribIn)
 }
 
 // put stores r with its action summary a in e: every list is copied,
@@ -182,9 +252,10 @@ func (st *store) usage() (held, room, live int) {
 // kept 0.25 MB (8 %) more of the server resident on average, where
 // compacting four times as often re-carves its lists every 25 days or
 // so. It is called after the mutations that leave elements dead; a
-// fresh route only adds a chunk tail shorter than itself, so the slabs
-// never hold more than twice the live elements plus the room of each
-// current chunk. ribIn must be every entry the store holds.
+// fresh route only adds a chunk tail shorter than itself (a load's
+// reservation, one shorter than the table's lists), so the slabs never
+// hold more than twice the live elements plus the room of each current
+// chunk. ribIn must be every entry the store holds.
 func (st *store) compact(ribIn map[uint32]map[netip.Prefix]*ribEntry) {
 	held, room, live := st.usage()
 	if held < compactFloor || 4*(held-room-live) <= live {

@@ -18,12 +18,13 @@ var ribPeers = []uint32{100, 200, 300, 400}
 const ribPrefixes = 12
 
 // ribOps replays an op sequence against a fresh server and, after
-// every op, holds the server to a map of clones and a count of
-// rejections per peer: each op is three bytes — kind and peer, prefix,
-// and the seed of the route's tags and list lengths. The kinds are
-// announce, replace a held prefix, replace one with a route the import
-// policy rejects, withdraw, and RemovePeer (the member then re-joins
-// with an empty table). It returns how many times the slabs were
+// every op, holds the server to a map of clones, a count of rejections
+// and a version per peer: each op is three bytes — kind and peer,
+// prefix, and the seed of the route's tags and list lengths. The kinds
+// are announce, replace a held prefix, replace one with a route the
+// import policy rejects, withdraw, RemovePeer (the member then re-joins
+// with an empty table), and Load of a batch (loadBatch) onto whatever
+// the server holds. It returns how many times the slabs were
 // compacted.
 func ribOps(t *testing.T, ops []byte) (compactions int) {
 	s := testServer(t, "DE-CIX")
@@ -33,8 +34,27 @@ func ribOps(t *testing.T, ops []byte) (compactions int) {
 	scheme := s.Scheme()
 	model := make(map[uint32]map[netip.Prefix]bgp.Route)
 	rejected := make(map[uint32]int)
+	versions := make(map[uint32]uint64)
+	var clock uint64
 	for _, p := range ribPeers {
 		model[p] = map[netip.Prefix]bgp.Route{}
+	}
+	// bump, accept and reject move the model as the server documents:
+	// every change to a peer's Adj-RIB-In takes the next version.
+	bump := func(peer uint32) {
+		clock++
+		versions[peer] = clock
+	}
+	accept := func(peer uint32, r bgp.Route) {
+		model[peer][r.Prefix] = r.Clone()
+		bump(peer)
+	}
+	reject := func(peer uint32, p netip.Prefix) {
+		if _, ok := model[peer][p]; ok {
+			delete(model[peer], p)
+			bump(peer)
+		}
+		rejected[peer]++
 	}
 	// held picks the n-th prefix peer holds, or a fresh one.
 	held := func(peer uint32, n int) int {
@@ -51,7 +71,7 @@ func ribOps(t *testing.T, ops []byte) (compactions int) {
 	}
 	lastHeld := s.slabsHeld()
 	for k := 0; k+3 <= len(ops); k += 3 {
-		kind, peer := ops[k]%5, ribPeers[int(ops[k]/5)%len(ribPeers)]
+		kind, peer := ops[k]%6, ribPeers[int(ops[k]/6)%len(ribPeers)]
 		n, shape := int(ops[k+1]), ops[k+2]
 		seen, want := s.visitSnapshot()
 
@@ -67,10 +87,9 @@ func ribOps(t *testing.T, ops []byte) (compactions int) {
 				t.Fatalf("op %d: %v", k/3, err)
 			}
 			if reason == FilterNone {
-				model[peer][r.Prefix] = r.Clone()
+				accept(peer, r)
 			} else {
-				delete(model[peer], r.Prefix)
-				rejected[peer]++
+				reject(peer, r.Prefix)
 			}
 		case 2:
 			r := ribRoute(scheme, peer, held(peer, n), shape)
@@ -78,23 +97,42 @@ func ribOps(t *testing.T, ops []byte) (compactions int) {
 			if reason, err := s.Announce(peer, r); err != nil || reason != FilterPathLoop {
 				t.Fatalf("op %d: looping route: %v %v", k/3, reason, err)
 			}
-			delete(model[peer], r.Prefix)
-			rejected[peer]++
+			reject(peer, r.Prefix)
 		case 3:
 			p := route(peer, held(peer, n)).Prefix
 			s.Withdraw(peer, p)
-			delete(model[peer], p)
+			if _, ok := model[peer][p]; ok {
+				delete(model[peer], p)
+				bump(peer)
+			}
 		case 4:
 			s.RemovePeer(peer)
 			addPeer(t, s, peer)
 			model[peer] = map[netip.Prefix]bgp.Route{}
 			delete(rejected, peer)
+			bump(peer)
+		case 5:
+			batch, loop := loadBatch(scheme, peer, held(peer, n), n, shape)
+			reasons, err := s.Load([]Peer{{ASN: peer, Name: "re-added", IPv4: true, IPv6: true}}, batch[:1], batch[1:])
+			if err != nil || len(reasons) != len(batch) {
+				t.Fatalf("op %d: load of %d routes: %d reasons, %v", k/3, len(batch), len(reasons), err)
+			}
+			if reasons[loop] != FilterPathLoop {
+				t.Fatalf("op %d: the batch's looping route: %v", k/3, reasons[loop])
+			}
+			for i, r := range batch {
+				if reasons[i] == FilterNone {
+					accept(r.PeerAS(), r)
+				} else {
+					reject(r.PeerAS(), r.Prefix)
+				}
+			}
 		}
 
 		if !reflect.DeepEqual(seen, want) {
 			t.Fatalf("op %d (kind %d): lists a visitor saw before the op read differently after it", k/3, kind)
 		}
-		s.checkAgainst(t, k/3, model, rejected)
+		s.checkAgainst(t, k/3, model, rejected, versions)
 		h := s.slabsHeld()
 		if h < lastHeld {
 			compactions++
@@ -102,6 +140,26 @@ func ribOps(t *testing.T, ops []byte) (compactions int) {
 		lastHeld = h
 	}
 	return compactions
+}
+
+// loadBatch is the table one Load op announces: a few routes of any
+// member, the first of them announced twice (the second time with
+// other tags, so it replaces the first within the batch), and a route
+// of peer for prefix idx — a held one, as a rule — whose looping path
+// the import policy rejects, so it withdraws what peer held there. It
+// returns the batch and where the looping route is.
+func loadBatch(scheme *dictionary.Scheme, peer uint32, idx, n int, shape byte) (batch []bgp.Route, loop int) {
+	rng := rand.New(rand.NewSource(int64(n)<<8 | int64(shape)))
+	twice, twiceIdx := ribPeers[rng.Intn(len(ribPeers))], rng.Intn(ribPrefixes)
+	batch = append(batch, ribRoute(scheme, twice, twiceIdx, byte(rng.Intn(256))))
+	for i := n % 5; i > 0; i-- {
+		batch = append(batch, ribRoute(scheme, ribPeers[rng.Intn(len(ribPeers))], rng.Intn(ribPrefixes), byte(rng.Intn(256))))
+	}
+	batch = append(batch, ribRoute(scheme, twice, twiceIdx, shape))
+	r := ribRoute(scheme, peer, idx, shape)
+	r.ASPath = bgp.ASPath{peer, 3356, peer}
+	loop = rng.Intn(len(batch) + 1)
+	return slices.Insert(batch, loop, r), loop
 }
 
 // ribRoute is peer's route for prefix idx, tagged from shape: the
@@ -142,13 +200,16 @@ func (s *Server) slabsHeld() int {
 	return held
 }
 
-// checkAgainst holds every listing, export view and rejection count to
-// the model, and the store's counts to what its entries use.
-func (s *Server) checkAgainst(t *testing.T, op int, model map[uint32]map[netip.Prefix]bgp.Route, rejected map[uint32]int) {
+// checkAgainst holds every listing, export view, rejection count and
+// version to the model, and the store's counts to what its entries use.
+func (s *Server) checkAgainst(t *testing.T, op int, model map[uint32]map[netip.Prefix]bgp.Route, rejected map[uint32]int, versions map[uint32]uint64) {
 	t.Helper()
 	for peer, table := range model {
 		if _, f := s.RouteCounts(peer); f != rejected[peer] {
 			t.Fatalf("op %d: AS%d counts %d rejections, want %d", op, peer, f, rejected[peer])
+		}
+		if _, v := s.VisitAccepted(peer, 0, 0, nil); v != versions[peer] {
+			t.Fatalf("op %d: AS%d is at version %d, want %d", op, peer, v, versions[peer])
 		}
 		var want []bgp.Route
 		for _, r := range table {

@@ -15,7 +15,8 @@ import (
 
 // TestConcurrentAnnounceExport hammers the server from writer and
 // reader goroutines simultaneously; run with -race this pins the
-// locking discipline.
+// locking discipline. Half the writers put their routes in with Load,
+// ten at a time.
 func TestConcurrentAnnounceExport(t *testing.T) {
 	s := testServer(t, "DE-CIX")
 	const peers = 8
@@ -31,12 +32,23 @@ func TestConcurrentAnnounceExport(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			peer := uint32(100 + i)
+			var batch []bgp.Route
 			for k := 0; k < 50; k++ {
 				r := bgp.Route{
 					Prefix:      netutil.SyntheticV4Prefix(i*100 + k),
 					NextHop:     netutil.PeerAddrV4(i + 1),
 					ASPath:      bgp.ASPath{peer},
 					Communities: []bgp.Community{scheme.DoNotAnnounce(uint16(100 + (i+1)%peers))},
+				}
+				if i%2 == 1 {
+					if batch = append(batch, r); len(batch) == 10 {
+						if _, err := s.Load(nil, batch); err != nil {
+							t.Error(err)
+							return
+						}
+						batch = batch[:0]
+					}
+					continue
 				}
 				if _, err := s.Announce(peer, r); err != nil {
 					t.Error(err)
