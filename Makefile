@@ -72,7 +72,7 @@ race:
 # against FLOORS once and fails, naming it, on an entry that names no
 # test: a renamed or misspelt floor would otherwise pass having run
 # nothing.
-FLOORS := TestWarmColdSpeedup|TestRenderAllocs|TestEncodeCostsItsChurn|TestAdvanceBytesPerDay|TestAdvanceAllocs|TestLoadAllocsPerDay|TestMaterializeAllocs|TestLoadedLabHeap|TestIndexFromColumnsAllocs|TestVisibilityAllocs|TestGenerateAllocs|TestAnnounceAllocs|TestReloadWorkIsProportional|TestServeAllocs|TestServedPageAllocsIndependentOfPageSize|TestPageScanAllocs|TestCrawlAllocsPerRoute
+FLOORS := TestWarmColdSpeedup|TestPlanAllocs|TestRenderAllocs|TestEncodeCostsItsChurn|TestAdvanceBytesPerDay|TestAdvanceAllocs|TestLoadAllocsPerDay|TestMaterializeAllocs|TestLoadedLabHeap|TestIndexFromColumnsAllocs|TestVisibilityAllocs|TestGenerateAllocs|TestAnnounceAllocs|TestReloadWorkIsProportional|TestServeAllocs|TestServedPageAllocsIndependentOfPageSize|TestPageScanAllocs|TestCrawlAllocsPerRoute
 floors:
 	@listed=" $$($(GO) test -list '^($(FLOORS))$$' ./... | grep '^Test' | tr '\n' ' ')"; \
 	for f in $$(echo '$(FLOORS)' | tr '|' ' '); do \
@@ -103,7 +103,7 @@ soak:
 
 # soak-long is the opt-in heavy variant: every calibrated IXP, more
 # kills, several chaos rounds and bigger workloads — and the full reload
-# oracle: 200 seeded dataset-directory mutations per loader configuration
+# oracle: 200 seeded dataset-directory mutations per worker count
 # over the big four, a reloading ixpd compared with a fresh load on every
 # endpoint after each (its short cut, TestReloadScript, is part of
 # `go test ./...`; the long one runs only when named).

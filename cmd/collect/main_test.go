@@ -2,10 +2,13 @@ package main
 
 import (
 	"crypto/sha256"
+	"encoding/hex"
 	"io/fs"
 	"net/netip"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -106,20 +109,33 @@ func appendDays(t *testing.T, dir string, days ...*collector.Snapshot) []string 
 }
 
 // serves loads dir as the loader does and fails unless ixp's served day
-// is date, reached by Series days in all.
+// is date, reached by Series days in all. The loader's Materialize
+// reference, which folds the same directory through the DeltaApplier,
+// must serve the same: equal Series, Digest and skips.
 func serves(t *testing.T, dir, ixp, date string, days int) report.LoadReport {
 	t.Helper()
 	profiles := []ixpgen.Profile{*ixpgen.ProfileByName("DE-CIX"), *ixpgen.ProfileByName("LINX")}
-	lab := report.NewLabShell(profiles, 42, 0.002, 1)
 	files, err := collector.ListDir(dir, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := lab.Load(dir, files, nil)
+	lab, ref := report.NewLabShell(profiles, 42, 0.002, 1), report.NewLabShell(profiles, 42, 0.002, 1)
+	ref.Materialize = true
+	rep, refRep := lab.Load(dir, files, nil), ref.Load(dir, files, nil)
 	if ix := lab.Indexes[ixp]; ix == nil || ix.Snapshot().Date != date || len(lab.Series[ixp]) != days {
 		t.Fatalf("%s: the load serves %d days (index %v), want %d up to %s; skipped %v", ixp, len(lab.Series[ixp]), ix != nil, days, date, rep.Skipped)
 	}
+	if !reflect.DeepEqual(lab.Series, ref.Series) || lab.Digest != ref.Digest || !sameSkips(rep.Skipped, refRep.Skipped) {
+		t.Fatalf("%s: the reference serves %d days, the load %d; skipped %v by the reference, %v by the load",
+			ixp, len(ref.Series[ixp]), len(lab.Series[ixp]), refRep.Skipped, rep.Skipped)
+	}
 	return rep
+}
+
+// sameSkips reports whether two loads skipped the same files the same
+// way and for the same reason.
+func sameSkips(a, b []report.Skipped) bool {
+	return slices.EqualFunc(a, b, func(x, y report.Skipped) bool { return x.Error() == y.Error() })
 }
 
 // TestCollectKeepsItsCrawl: a finished crawl is written whatever else
@@ -301,4 +317,72 @@ func TestCollectChainsOntoTheServedDuplicate(t *testing.T) {
 		appendDays(t, dir, next)
 		serves(t, dir, "DE-CIX", next.Date, 3)
 	}
+}
+
+// TestNamesDoNotDecideTheServedDay: one directory built twice — a base,
+// collect's delta of 2021-10-05 and a copy of another crawl of that day
+// on the same base — the copy named to list before collect's delta in
+// one and after it in the other. Both serve the same day under the same
+// digest, report the other file of the day as shadowed by the one that
+// serves, and chain the next crawl onto the file that serves.
+func TestNamesDoNotDecideTheServedDay(t *testing.T) {
+	day0 := testDay("DE-CIX", "2021-10-04", "203.0.113.0/24")
+	dayA := testDay("DE-CIX", "2021-10-05", "203.0.113.0/24", "198.51.100.0/24")
+	dayB := testDay("DE-CIX", "2021-10-05", "192.0.2.0/24")
+	copied, err := os.ReadFile(appendDays(t, t.TempDir(), day0, dayB)[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var digests [][sha256.Size]byte
+	var tips []string
+	for _, name := range []string{"A-copy.delta", "zz-copy.delta"} {
+		dir := t.TempDir()
+		own := filepath.Base(appendDays(t, dir, day0, dayA)[1])
+		if err := os.WriteFile(filepath.Join(dir, name), copied, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		lab := report.NewLabShell([]ixpgen.Profile{*ixpgen.ProfileByName("DE-CIX")}, 42, 0.002, 1)
+		if err := lab.LoadSnapshotDir(dir); err == nil {
+			t.Fatalf("%s: the load reports neither file of 2021-10-05 as shadowed", name)
+		}
+		files, err := collector.ListDir(dir, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := lab.Load(dir, files, nil)
+		winner, loser := own, name
+		if seal(t, filepath.Join(dir, name)) == lab.Tip("DE-CIX") {
+			winner, loser = name, own
+		}
+		if seal(t, filepath.Join(dir, winner)) != lab.Tip("DE-CIX") || len(rep.Skipped) != 1 ||
+			rep.Skipped[0].Error() != "apply "+loser+": shadowed by "+winner+", which serves day 2021-10-05" {
+			t.Errorf("%s: serves tip %s, skipped %v; want %s served and %s shadowed by it", name, lab.Tip("DE-CIX"), rep.Skipped, winner, loser)
+		}
+		digests, tips = append(digests, lab.Digest), append(tips, lab.Tip("DE-CIX"))
+
+		next := appendDays(t, dir, testDay("DE-CIX", "2021-10-06", "203.0.113.0/24", "192.0.2.0/24"))[0]
+		dr, err := collector.OpenDelta(next)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if base := dr.BaseDigest(); hex.EncodeToString(base[:]) != lab.Tip("DE-CIX") {
+			t.Errorf("%s: the next crawl chains onto %x…, not the served %s", name, base[:4], winner)
+		}
+		serves(t, dir, "DE-CIX", "2021-10-06", 3)
+	}
+	if digests[0] != digests[1] || tips[0] != tips[1] {
+		t.Errorf("the two names serve different days: tips %s and %s", tips[0], tips[1])
+	}
+}
+
+// seal returns the hex seal of the delta at path, the digest a load
+// names its served day by.
+func seal(t *testing.T, path string) string {
+	t.Helper()
+	dr, err := collector.OpenDelta(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := dr.SelfDigest()
+	return hex.EncodeToString(d[:])
 }

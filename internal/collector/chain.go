@@ -2,11 +2,11 @@ package collector
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"io/fs"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -56,95 +56,127 @@ func (c *Chain) saveAt(s *Snapshot, path string) (string, error) {
 }
 
 // Append writes s, a crawled day, into dir as a day of its IXP's
-// chain, and returns the file path. Days are found as the loader finds
-// them (ixpDays), so files renamed by hand still chain correctly.
+// chain, and returns the file path. Days are read as the loader reads
+// them (Plan), so files renamed or copied by hand still chain correctly.
 //
 //   - A day after the IXP's newest is a .delta against the newest day
-//     that replays, or a .bin that heads a new chain when dir holds no
-//     day of the IXP or the newest day's chain does not replay.
-//   - A day before the newest that dir does not hold is a .bin, a chain
-//     of its own.
-//   - A day dir holds is replaced over its own file: a .delta against
-//     the same base when that base replays, a .bin otherwise. Every
-//     later day chained onto the old day is encoded again onto the new
-//     one, over its own file, so the chain still loads; a crash partway
+//     (the plan's tip), or a .bin that heads a new chain when dir holds
+//     no day of the IXP or the tip's chain does not replay.
+//   - A day before the newest that no file serves is a .bin, a chain of
+//     its own.
+//   - A day a file serves is replaced over that file: a .delta against
+//     the same base when that base replays, a .bin otherwise. Every day
+//     the plan folds onto the old day is encoded again onto the new one,
+//     over its own file, so the chain still loads; a crash partway
 //     leaves those days unchained.
 //
 // So a crawl is never refused: re-collecting a day, finishing a partial
 // one (collect -resume) and back-filling a missed one all land. logf
 // narrates what is skipped.
 func Append(dir string, s *Snapshot, logf func(string, ...any)) (string, error) {
-	days, err := readIXPDays(dir, s.IXP, logf)
+	cf, err := openChainFiles(dir, s.IXP, logf)
 	if err != nil {
 		return "", err
 	}
-	chain, path := Chain{Dir: dir}, days.bins[s.Date]
-	if dd := days.deltas[s.Date]; dd != nil {
-		if app, err := days.replay(dd.BaseDate()); err == nil {
-			chain.tip, path = app.Encoder(), dd.path
-		} else {
-			logf("base day %s of %s does not replay (%v): writing the day as a .bin", dd.BaseDate(), s.Date, err)
-		}
-	} else if path == "" && (len(days.dates) == 0 || s.Date > days.dates[len(days.dates)-1]) {
-		chain.tip = days.tip(logf)
+	p := &cf.plan
+	chain, path, from := Chain{Dir: dir}, "", p.Tip()
+	at := p.ServedAt(s.Date)
+	switch {
+	case at >= 0 && !p.Files[at].Delta:
+		path, from = filepath.Join(dir, p.Files[at].Name), -1
+	case at >= 0:
+		path, from = filepath.Join(dir, p.Files[at].Name), int(p.Base[at])
+	case from >= 0 && s.Date < p.Files[from].Date:
+		from = -1
 	}
-	// The day s replaces, which later days were encoded against.
-	old, _ := days.replay(s.Date)
+	if from >= 0 {
+		if app, _, err := cf.replay(nil, -1, from); err == nil {
+			chain.tip = app.Encoder()
+		} else if logf("the chain ending at %s does not replay (%v): starting a new chain", p.Files[from].Date, err); at >= 0 {
+			path, p.Base[at] = "", -1
+		}
+	}
+	if at < 0 {
+		ext := CodecBinary.Ext()
+		if chain.tip != nil {
+			ext = DeltaExt
+		}
+		// A file renamed by hand may hold another day under this name.
+		path = DatasetPath(dir, s, ext)
+		for k := 2; slices.ContainsFunc(p.Order, func(i int32) bool { return p.Files[i].Name == filepath.Base(path) }); k++ {
+			path = DatasetPath(dir, s, "."+strconv.Itoa(k)+ext)
+		}
+		return chain.saveAt(s, path)
+	}
+
+	// The days folded onto the one s replaces — the run of the fold after
+	// it that descends from it — read as they were, then written again
+	// onto their bases as they now stand.
+	sub := p.Order[slices.Index(p.Order, int32(at))+1:]
+	days := make([]*Snapshot, 0, len(sub))
+	var app *DeltaApplier
+	appAt := -1
+	for _, c := range sub {
+		if !p.descends(c, int32(at)) {
+			break
+		}
+		var day *Snapshot
+		if app, day, err = cf.replay(app, appAt, int(c)); err != nil {
+			logf("%s does not replay (%v): left as it is", p.Files[c].Name, err)
+			break
+		}
+		days, appAt = append(days, day), int(c)
+	}
 	out, err := chain.saveAt(s, path)
-	for date := s.Date; err == nil && old != nil; {
-		next := days.successor(date)
-		if next == nil {
-			break
+	if err == nil {
+		err = cf.landed(at, out, s)
+	}
+	encAt := int32(at)
+	for k, c := range sub[:len(days)] {
+		if b := p.Base[c]; err == nil && b != encAt {
+			if app, _, err = cf.replay(nil, -1, int(b)); err == nil {
+				chain.tip = app.Encoder()
+			}
 		}
-		day, aerr := old.Apply(next.DeltaReader)
-		if aerr != nil {
-			logf("%s does not replay (%v): left as it is", filepath.Base(next.path), aerr)
-			break
+		if err == nil {
+			path, encAt = filepath.Join(dir, p.Files[c].Name), c
+			if _, err = chain.saveAt(days[k], path); err == nil {
+				err = cf.landed(int(c), path, days[k])
+			}
 		}
-		_, err = chain.saveAt(day, next.path)
-		date = day.Date
 	}
 	return out, err
 }
 
-// ixpDays is what a dataset directory holds of one IXP: the days whose
-// files open, keyed by date. A file that does not open is logged and
-// skipped, whichever IXP it belongs to, as the loader skips it. Of two
-// files of one date the one the loader serves is kept: the first
-// listed .delta (the loader's fold advances from the base with it, and
-// then cannot advance the same base again) and the last listed .bin.
-type ixpDays struct {
-	bins   map[string]string    // date → the .bin's path
-	deltas map[string]*dayDelta // date → the .delta
-	dates  []string             // every date held, sorted
+// chainFiles is what a dataset directory holds of one IXP: its plan,
+// and per planned file the decoded snapshot or opened reader a replay
+// takes.
+type chainFiles struct {
+	plan    DayPlan
+	snaps   []*Snapshot
+	readers []*DeltaReader
 }
 
-type dayDelta struct {
-	*DeltaReader
-	path string
-}
-
-func readIXPDays(dir, ixp string, logf func(string, ...any)) (*ixpDays, error) {
-	days := &ixpDays{bins: map[string]string{}, deltas: map[string]*dayDelta{}}
+// openChainFiles opens every file of dir that holds a day of ixp. A
+// file that does not open is logged and skipped, whichever IXP it
+// belongs to, as the loader skips it; so is one the plan leaves out.
+func openChainFiles(dir, ixp string, logf func(string, ...any)) (*chainFiles, error) {
+	cf := &chainFiles{}
 	files, err := ListDir(dir, false)
-	if errors.Is(err, fs.ErrNotExist) || errors.Is(err, errNoDataset) {
-		return days, nil
-	}
-	if err != nil {
+	if err != nil && !errors.Is(err, fs.ErrNotExist) && !errors.Is(err, errNoDataset) {
 		return nil, err
 	}
+	var facts []*DayFile
 	for _, f := range files {
 		path := filepath.Join(dir, f.Name)
 		if strings.HasSuffix(f.Name, DeltaExt) {
 			switch dr, err := OpenDelta(path); {
 			case err != nil:
 				logf("skipping %s: %v", f.Name, err)
-			case dr.IXP() != ixp:
-			case days.deltas[dr.Date()] != nil:
-				logf("skipping %s: %s holds day %s, and the loader serves the first listed", f.Name, filepath.Base(days.deltas[dr.Date()].path), dr.Date())
-			default:
-				days.deltas[dr.Date()] = &dayDelta{dr, path}
-				days.dates = append(days.dates, dr.Date())
+			case dr.IXP() == ixp:
+				facts = append(facts, &DayFile{Name: f.Name, Delta: true, Date: dr.Date(),
+					Digest: dr.SelfDigest(), Base: dr.BaseDigest(), BaseDate: dr.BaseDate()})
+				cf.snaps, cf.readers = append(cf.snaps, nil), append(cf.readers, dr)
 			}
 			continue
 		}
@@ -154,72 +186,42 @@ func readIXPDays(dir, ixp string, logf func(string, ...any)) (*ixpDays, error) {
 			continue
 		}
 		if head := sr.Header(); head.IXP == ixp {
-			days.bins[head.Date] = path
-			days.dates = append(days.dates, head.Date)
+			if snap, err := sr.Snapshot(); err != nil {
+				logf("skipping %s: %v", f.Name, err)
+			} else {
+				facts = append(facts, &DayFile{Name: f.Name, Date: head.Date, Digest: sr.Digest()})
+				cf.snaps, cf.readers = append(cf.snaps, snap), append(cf.readers, nil)
+			}
 		}
 		sr.Close()
 	}
-	slices.Sort(days.dates)
-	days.dates = slices.Compact(days.dates)
-	return days, nil
+	cf.plan = Plan(facts)
+	for i, f := range facts {
+		if err := cf.plan.Err(i); err != nil {
+			logf("skipping %s: %v", f.Name, err)
+		}
+	}
+	return cf, nil
 }
 
-// tip returns an encoder that extends the IXP's newest day that
-// replays. A .bin that does not decode is skipped, as the loader skips
-// it; when the newest delta's chain does not replay, tip returns nil
-// and the caller starts a new chain.
-func (d *ixpDays) tip(logf func(string, ...any)) *DeltaEncoder {
-	for _, date := range slices.Backward(d.dates) {
-		app, err := d.replay(date)
-		switch {
-		case err == nil:
-			return app.Encoder()
-		case d.deltas[date] == nil:
-			logf("skipping %s: %v", filepath.Base(d.bins[date]), err)
-			continue
-		}
-		logf("the chain ending at %s does not replay (%v): starting a new chain", date, err)
-		return nil
-	}
-	return nil
+// replay is the plan's Replay over the files as they stand.
+func (cf *chainFiles) replay(app *DeltaApplier, at, i int) (*DeltaApplier, *Snapshot, error) {
+	return cf.plan.Replay(app, at, i,
+		func(j int) *Snapshot { return cf.snaps[j] },
+		func(j int) *DeltaReader { return cf.readers[j] })
 }
 
-// successor is the delta chained onto day date: the earliest later one
-// whose base it is, the one a fold advances from date.
-func (d *ixpDays) successor(date string) *dayDelta {
-	i, _ := slices.BinarySearch(d.dates, date)
-	for _, later := range d.dates[i:] {
-		if dd := d.deltas[later]; dd != nil && later > date && dd.BaseDate() == date {
-			return dd
-		}
+// landed records that planned file i's day s now lies at path.
+func (cf *chainFiles) landed(i int, path string, s *Snapshot) (err error) {
+	if cf.snaps[i] = s; cf.plan.Base[i] >= 0 {
+		cf.readers[i], err = OpenDelta(path)
 	}
-	return nil
+	return err
 }
 
-// replay rebuilds day date as the loader serves it: the day's .delta
-// applied to its base day, rebuilt the same way, or — when the delta
-// does not apply or there is none — the day's .bin. A delta is only
-// followed to an earlier base, so base dates that loop end.
-func (d *ixpDays) replay(date string) (*DeltaApplier, error) {
-	var err error
-	if dd := d.deltas[date]; dd != nil && dd.BaseDate() < date {
-		var app *DeltaApplier
-		if app, err = d.replay(dd.BaseDate()); err == nil {
-			if _, err = app.Apply(dd.DeltaReader); err == nil {
-				return app, nil
-			}
-		}
+// descends reports whether planned file i is folded onto file a.
+func (p *DayPlan) descends(i, a int32) bool {
+	for i = p.Base[i]; i >= 0 && i != a; i = p.Base[i] {
 	}
-	path := d.bins[date]
-	if path == "" {
-		if err == nil {
-			err = fmt.Errorf("no snapshot for base day %s", date)
-		}
-		return nil, err
-	}
-	snap, err := LoadSnapshot(path)
-	if err != nil {
-		return nil, err
-	}
-	return NewDeltaApplier(snap)
+	return i == a
 }

@@ -25,8 +25,8 @@ func chainDay(ixp, date string, prefixes ...string) *Snapshot {
 }
 
 // TestChainTip pins which day a run extends: the IXP's newest day whose
-// file opens. Its chain is replayed from the base it links to along base
-// dates, whatever else the directory holds: a later full file whose
+// file opens. Its chain is replayed from the base it links to by digest,
+// whatever else the directory holds: a later full file whose
 // route block does not decode is skipped, and another IXP's files are
 // not this chain's business. A .bin newest day is extended straight
 // from its file.
@@ -69,11 +69,19 @@ func TestChainTip(t *testing.T) {
 
 	chainTip := func(ixp string) *DeltaEncoder {
 		t.Helper()
-		days, err := readIXPDays(dir, ixp, t.Logf)
+		cf, err := openChainFiles(dir, ixp, t.Logf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return days.tip(t.Logf)
+		tip := cf.plan.Tip()
+		if tip < 0 {
+			return nil
+		}
+		app, _, err := cf.replay(nil, -1, tip)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return app.Encoder()
 	}
 	enc := chainTip("DE-CIX")
 	if enc == nil || SnapshotDigest(enc.Base()) != SnapshotDigest(day1) {

@@ -43,7 +43,6 @@ func (s *Server) buildGeneration(prev *generation, files []collector.File) *gene
 	cfg := &s.cfg
 	lab := report.NewLabShell(cfg.Profiles, cfg.Seed, cfg.Scale, cfg.Parallel)
 	lab.Telemetry = cfg.Telemetry
-	lab.Materialize = cfg.Materialize
 	var prevLab *report.Lab
 	if prev != nil {
 		prevLab = prev.lab

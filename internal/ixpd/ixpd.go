@@ -73,10 +73,6 @@ type Config struct {
 	// Parallel bounds the lab's load/experiment worker pools.
 	// 0 = GOMAXPROCS.
 	Parallel int
-	// Materialize is forwarded to the snapshot loader (see
-	// report.Lab): the reference configuration of the reload oracle,
-	// which no command sets.
-	Materialize bool
 	// MaxInFlight bounds concurrent response computations (experiment
 	// runs + renders). 0 = 2×GOMAXPROCS. Cache hits and 304s are not
 	// admission-controlled — they cost a map lookup.

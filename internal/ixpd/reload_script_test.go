@@ -428,7 +428,7 @@ type scriptCoverage struct{ advanced, refolded, skipping int }
 // runReloadScript drives one reloading server through a script of
 // steps ops drawn from next, checking it against a fresh load after
 // every step.
-func runReloadScript(t testing.TB, nIXPs int, materialize bool, parallel, steps int, experiments []string, next func() (op, arg int)) (cov scriptCoverage) {
+func runReloadScript(t testing.TB, nIXPs, parallel, steps int, experiments []string, next func() (op, arg int)) (cov scriptCoverage) {
 	w := newScriptWorld(t, nIXPs)
 	cfg := Config{
 		Profiles:       w.profiles,
@@ -436,7 +436,6 @@ func runReloadScript(t testing.TB, nIXPs int, materialize bool, parallel, steps 
 		Seed:           11,
 		Scale:          scriptScale,
 		Parallel:       parallel,
-		Materialize:    materialize,
 		ReloadInterval: -1,
 	}
 	inc := New(cfg)
@@ -498,19 +497,18 @@ func scriptExperiments() []string {
 // tier1Scripts is the tier-1 cut of the oracle: two IXPs, a few dozen
 // steps per loader configuration.
 var tier1Scripts = []struct {
-	materialize bool
-	parallel    int
-	seed        int64
-	steps       int
-}{{false, 2, 1, 24}, {false, 1, 2, 24}, {true, 2, 3, 12}, {true, 1, 4, 12}}
+	parallel int
+	seed     int64
+	steps    int
+}{{2, 1, 24}, {1, 2, 24}}
 
 func TestReloadScript(t *testing.T) {
 	for _, c := range tier1Scripts {
-		t.Run(fmt.Sprintf("materialize=%v/parallel=%d", c.materialize, c.parallel), func(t *testing.T) {
-			cov := runReloadScript(t, 2, c.materialize, c.parallel, c.steps, scriptExperiments(), seededScript(c.seed))
+		t.Run(fmt.Sprintf("parallel=%d", c.parallel), func(t *testing.T) {
+			cov := runReloadScript(t, 2, c.parallel, c.steps, scriptExperiments(), seededScript(c.seed))
 			// A script that only ever re-folds (or never does) compares
 			// the full load with itself.
-			if cov.refolded == 0 || cov.skipping == 0 || !c.materialize && cov.advanced == 0 {
+			if cov.refolded == 0 || cov.skipping == 0 || cov.advanced == 0 {
 				t.Errorf("script coverage %+v over %d steps: want advancing, re-folding and skipping reloads", cov, c.steps)
 			}
 		})
@@ -525,13 +523,11 @@ func TestReloadScriptLong(t *testing.T) {
 	if !strings.Contains(flag.Lookup("test.run").Value.String(), "TestReloadScriptLong") {
 		t.Skip("runs only when named with -run TestReloadScriptLong")
 	}
-	for _, materialize := range []bool{false, true} {
-		for _, parallel := range []int{1, 2} {
-			t.Run(fmt.Sprintf("materialize=%v/parallel=%d", materialize, parallel), func(t *testing.T) {
-				cov := runReloadScript(t, 4, materialize, parallel, 200, report.ExperimentNames, seededScript(int64(100+parallel)))
-				t.Logf("reloads by kind over 200 steps: %+v", cov)
-			})
-		}
+	for _, parallel := range []int{1, 2} {
+		t.Run(fmt.Sprintf("parallel=%d", parallel), func(t *testing.T) {
+			cov := runReloadScript(t, 4, parallel, 200, report.ExperimentNames, seededScript(int64(100+parallel)))
+			t.Logf("reloads by kind over 200 steps: %+v", cov)
+		})
 	}
 }
 
@@ -558,7 +554,7 @@ func FuzzReloadScript(f *testing.F) {
 			script = script[:24]
 		}
 		i := 0
-		runReloadScript(t, 2, len(script)%2 == 1, 2, len(script)/2, experiments, func() (int, int) {
+		runReloadScript(t, 2, 2, len(script)/2, experiments, func() (int, int) {
 			op, arg := int(script[i])%numOps, int(script[i+1])
 			i += 2
 			return op, arg

@@ -63,16 +63,12 @@ type Lab struct {
 	// Results are identical for any value — parallel work lands in
 	// ordered slots.
 	Parallel int
-	// Materialize forces Load to decode full []bgp.Route snapshots even
-	// for binary files, and to reconstruct delta chains through a
-	// materializing DeltaApplier. By default those files are indexed off
-	// their columns (analysis.IndexSeriesFromReader) and delta days advance
-	// the previous day's index, over header-only snapshots —
-	// byte-identical experiment output, without materializing routes.
-	// Its days are counted with analysis.CountDay, independently of the
-	// fold. No command sets it: it is the reference configuration the
-	// equivalence tests and the benchmark's output check hold the
-	// default path to.
+	// Materialize makes Load the reference the equivalence tests and the
+	// benchmark's output check hold the default path to: it folds the
+	// same plan with full []bgp.Route snapshots through a DeltaApplier,
+	// counting each day with analysis.CountDay, instead of indexing full
+	// files off their columns and advancing each day's index. No command
+	// sets it.
 	Materialize bool
 	// Telemetry, when set, records a per-experiment run-time histogram
 	// (ixplight_report_experiment_seconds) and emits a
