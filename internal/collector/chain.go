@@ -92,8 +92,9 @@ func Append(dir string, s *Snapshot, logf func(string, ...any)) (string, error) 
 	if from >= 0 {
 		if app, _, err := cf.replay(nil, -1, from); err == nil {
 			chain.tip = app.Encoder()
-		} else if logf("the chain ending at %s does not replay (%v): starting a new chain", p.Files[from].Date, err); at >= 0 {
-			path, p.Base[at] = "", -1
+		} else {
+			logf("the chain ending at %s does not replay (%v): starting a new chain", p.Files[from].Date, err)
+			path = ""
 		}
 	}
 	if at < 0 {
@@ -126,6 +127,9 @@ func Append(dir string, s *Snapshot, logf func(string, ...any)) (string, error) 
 			break
 		}
 		days, appAt = append(days, day), int(c)
+	}
+	if path == "" {
+		p.Base[at] = -1 // the day heads a chain of its own now
 	}
 	out, err := chain.saveAt(s, path)
 	if err == nil {
