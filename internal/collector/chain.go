@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"slices"
 	"strconv"
@@ -69,76 +70,104 @@ func (c *Chain) saveAt(s *Snapshot, path string) (string, error) {
 //     the plan folds onto the old day is encoded again onto the new one,
 //     over its own file, so the chain still loads; a crash partway
 //     leaves those days unchained.
+//   - The day's other files that the plan leaves out (a second crawl
+//     the served file shadows, say), and the old day's file when the new
+//     one does not go over it, are set aside: renamed with a .replaced
+//     suffix, which no listing holds, so none of them can serve the day
+//     in the new crawl's place.
 //
-// So a crawl is never refused: re-collecting a day, finishing a partial
-// one (collect -resume) and back-filling a missed one all land. logf
-// narrates what is skipped.
+// A new file never goes over another one: when a file (renamed by hand,
+// say) holds DatasetPath's name, the day is written as <name>.2.<ext>,
+// or the first such name that is free. So a crawl is never refused:
+// re-collecting a day, finishing a partial one (collect -resume) and
+// back-filling a missed one all land. logf narrates what is skipped and
+// set aside.
 func Append(dir string, s *Snapshot, logf func(string, ...any)) (string, error) {
 	cf, err := openChainFiles(dir, s.IXP, logf)
 	if err != nil {
 		return "", err
 	}
 	p := &cf.plan
-	chain, path, from := Chain{Dir: dir}, "", p.Tip()
-	at := p.ServedAt(s.Date)
-	switch {
-	case at >= 0 && !p.Files[at].Delta:
-		path, from = filepath.Join(dir, p.Files[at].Name), -1
-	case at >= 0:
-		path, from = filepath.Join(dir, p.Files[at].Name), int(p.Base[at])
-	case from >= 0 && s.Date < p.Files[from].Date:
-		from = -1
-	}
-	if from >= 0 {
-		if app, _, err := cf.replay(nil, -1, from); err == nil {
+	chain, path, at := Chain{Dir: dir}, "", -1
+	for {
+		from := p.Tip()
+		switch at = p.ServedAt(s.Date); {
+		case at >= 0 && p.Files[at].Delta:
+			path, from = filepath.Join(dir, p.Files[at].Name), int(p.Base[at])
+		case at >= 0:
+			path, from = filepath.Join(dir, p.Files[at].Name), -1
+		case from >= 0 && s.Date < p.Files[from].Date:
+			from = -1
+		}
+		if from < 0 {
+			break
+		}
+		app, _, err := p.Replay(nil, -1, from, cf.snap, cf.reader)
+		if err == nil {
 			chain.tip = app.Encoder()
+		} else if cf.replan() {
+			continue
 		} else {
 			logf("the chain ending at %s does not replay (%v): starting a new chain", p.Files[from].Date, err)
 			path = ""
 		}
+		break
 	}
-	if at < 0 {
+	for i, f := range p.Files {
+		if err := p.Err(i); err != nil {
+			logf("skipping %s: %v", f.Name, err)
+		}
+	}
+
+	// The days folded onto the one s replaces — the run of the fold after
+	// it that descends from it — read as they were, to be written again
+	// onto their bases as they will stand.
+	var sub []int32
+	var days []*Snapshot
+	var app *DeltaApplier
+	if at >= 0 {
+		sub = p.Order[slices.Index(p.Order, int32(at))+1:]
+		appAt := -1
+		for _, c := range sub {
+			if !p.descends(c, int32(at)) {
+				break
+			}
+			var day *Snapshot
+			if app, day, err = p.Replay(app, appAt, int(c), cf.snap, cf.reader); err != nil {
+				logf("%s does not replay (%v): left as it is", p.Files[c].Name, err)
+				break
+			}
+			days, appAt = append(days, day), int(c)
+		}
+	}
+	for i, f := range p.Files {
+		if f.Date == s.Date && (i != at && p.Err(i) != nil || i == at && path == "") {
+			aside := freePath(filepath.Join(dir, f.Name+".replaced"), "")
+			logf("setting %s aside as %s: day %s is crawled again", f.Name, filepath.Base(aside), s.Date)
+			if err := os.Rename(filepath.Join(dir, f.Name), aside); err != nil {
+				return "", err
+			}
+		}
+	}
+	if path == "" {
 		ext := CodecBinary.Ext()
 		if chain.tip != nil {
 			ext = DeltaExt
 		}
-		// A file renamed by hand may hold another day under this name.
-		path = DatasetPath(dir, s, ext)
-		for k := 2; slices.ContainsFunc(p.Order, func(i int32) bool { return p.Files[i].Name == filepath.Base(path) }); k++ {
-			path = DatasetPath(dir, s, "."+strconv.Itoa(k)+ext)
-		}
-		return chain.saveAt(s, path)
-	}
-
-	// The days folded onto the one s replaces — the run of the fold after
-	// it that descends from it — read as they were, then written again
-	// onto their bases as they now stand.
-	sub := p.Order[slices.Index(p.Order, int32(at))+1:]
-	days := make([]*Snapshot, 0, len(sub))
-	var app *DeltaApplier
-	appAt := -1
-	for _, c := range sub {
-		if !p.descends(c, int32(at)) {
-			break
-		}
-		var day *Snapshot
-		if app, day, err = cf.replay(app, appAt, int(c)); err != nil {
-			logf("%s does not replay (%v): left as it is", p.Files[c].Name, err)
-			break
-		}
-		days, appAt = append(days, day), int(c)
-	}
-	if path == "" {
-		p.Base[at] = -1 // the day heads a chain of its own now
+		path = freePath(DatasetPath(dir, s, ext), ext)
 	}
 	out, err := chain.saveAt(s, path)
-	if err == nil {
-		err = cf.landed(at, out, s)
+	if at < 0 || err != nil {
+		return out, err
 	}
+	if chain.tip == nil {
+		p.Base[at] = -1 // the day heads a chain of its own now
+	}
+	err = cf.landed(at, out, s)
 	encAt := int32(at)
 	for k, c := range sub[:len(days)] {
 		if b := p.Base[c]; err == nil && b != encAt {
-			if app, _, err = cf.replay(nil, -1, int(b)); err == nil {
+			if app, _, err = p.Replay(nil, -1, int(b), cf.snap, cf.reader); err == nil {
 				chain.tip = app.Encoder()
 			}
 		}
@@ -153,23 +182,27 @@ func Append(dir string, s *Snapshot, logf func(string, ...any)) (string, error) 
 }
 
 // chainFiles is what a dataset directory holds of one IXP: its plan,
-// and per planned file the decoded snapshot or opened reader a replay
-// takes.
+// and per planned file the snapshot a replay starts from (a .bin's,
+// decoded when first replayed) or the opened delta it applies. stale
+// marks a .bin that did not decode since the plan was made.
 type chainFiles struct {
+	dir     string
 	plan    DayPlan
 	snaps   []*Snapshot
 	readers []*DeltaReader
+	stale   bool
 }
 
-// openChainFiles opens every file of dir that holds a day of ixp. A
-// file that does not open is logged and skipped, whichever IXP it
-// belongs to, as the loader skips it; so is one the plan leaves out.
+// openChainFiles opens every file of dir that holds a day of ixp, a
+// .bin up to its header and digest, and plans them. A file that does
+// not open is logged and skipped, whichever IXP it belongs to, as the
+// loader skips it.
 func openChainFiles(dir, ixp string, logf func(string, ...any)) (*chainFiles, error) {
-	cf := &chainFiles{}
 	files, err := ListDir(dir, false)
 	if err != nil && !errors.Is(err, fs.ErrNotExist) && !errors.Is(err, errNoDataset) {
 		return nil, err
 	}
+	cf := &chainFiles{dir: dir}
 	var facts []*DayFile
 	for _, f := range files {
 		path := filepath.Join(dir, f.Name)
@@ -180,7 +213,7 @@ func openChainFiles(dir, ixp string, logf func(string, ...any)) (*chainFiles, er
 			case dr.IXP() == ixp:
 				facts = append(facts, &DayFile{Name: f.Name, Delta: true, Date: dr.Date(),
 					Digest: dr.SelfDigest(), Base: dr.BaseDigest(), BaseDate: dr.BaseDate()})
-				cf.snaps, cf.readers = append(cf.snaps, nil), append(cf.readers, dr)
+				cf.readers = append(cf.readers, dr)
 			}
 			continue
 		}
@@ -190,29 +223,38 @@ func openChainFiles(dir, ixp string, logf func(string, ...any)) (*chainFiles, er
 			continue
 		}
 		if head := sr.Header(); head.IXP == ixp {
-			if snap, err := sr.Snapshot(); err != nil {
-				logf("skipping %s: %v", f.Name, err)
-			} else {
-				facts = append(facts, &DayFile{Name: f.Name, Date: head.Date, Digest: sr.Digest()})
-				cf.snaps, cf.readers = append(cf.snaps, snap), append(cf.readers, nil)
-			}
+			facts = append(facts, &DayFile{Name: f.Name, Date: head.Date, Digest: sr.Digest()})
+			cf.readers = append(cf.readers, nil)
 		}
 		sr.Close()
 	}
-	cf.plan = Plan(facts)
-	for i, f := range facts {
-		if err := cf.plan.Err(i); err != nil {
-			logf("skipping %s: %v", f.Name, err)
-		}
-	}
+	cf.snaps, cf.plan = make([]*Snapshot, len(facts)), Plan(facts)
 	return cf, nil
 }
 
-// replay is the plan's Replay over the files as they stand.
-func (cf *chainFiles) replay(app *DeltaApplier, at, i int) (*DeltaApplier, *Snapshot, error) {
-	return cf.plan.Replay(app, at, i,
-		func(j int) *Snapshot { return cf.snaps[j] },
-		func(j int) *DeltaReader { return cf.readers[j] })
+// snap returns planned .bin i's snapshot, decoding it once. A .bin that
+// does not decode is left out of the next plan.
+func (cf *chainFiles) snap(i int) (*Snapshot, error) {
+	if cf.snaps[i] == nil {
+		f := cf.plan.Files[i]
+		if cf.snaps[i], f.Err = LoadSnapshot(filepath.Join(cf.dir, f.Name)); f.Err != nil {
+			cf.stale = true
+			return nil, f.Err
+		}
+	}
+	return cf.snaps[i], nil
+}
+
+func (cf *chainFiles) reader(i int) *DeltaReader { return cf.readers[i] }
+
+// replan plans the files again when a .bin did not decode since the
+// plan was made, and reports whether it did.
+func (cf *chainFiles) replan() bool {
+	if cf.stale {
+		cf.stale, cf.plan = false, Plan(cf.plan.Files)
+		return true
+	}
+	return false
 }
 
 // landed records that planned file i's day s now lies at path.
@@ -221,6 +263,18 @@ func (cf *chainFiles) landed(i int, path string, s *Snapshot) (err error) {
 		cf.readers[i], err = OpenDelta(path)
 	}
 	return err
+}
+
+// freePath returns path, or when a file holds that name already, the
+// first of path with .2, .3, … put before ext that none holds.
+func freePath(path, ext string) string {
+	stem := strings.TrimSuffix(path, ext)
+	for k := 2; ; k++ {
+		if _, err := os.Lstat(path); errors.Is(err, fs.ErrNotExist) {
+			return path
+		}
+		path = stem + "." + strconv.Itoa(k) + ext
+	}
 }
 
 // descends reports whether planned file i is folded onto file a.

@@ -211,7 +211,7 @@ func (p *DayPlan) Err(i int) error {
 // at, moves on when at is one of i's bases; otherwise a new applier
 // starts at the .bin i's chain starts from. snap hands out a .bin's
 // snapshot, delta a delta's reader.
-func (p *DayPlan) Replay(app *DeltaApplier, at, i int, snap func(int) *Snapshot, delta func(int) *DeltaReader) (*DeltaApplier, *Snapshot, error) {
+func (p *DayPlan) Replay(app *DeltaApplier, at, i int, snap func(int) (*Snapshot, error), delta func(int) *DeltaReader) (*DeltaApplier, *Snapshot, error) {
 	var path []int
 	for ; i >= 0 && i != at; i = int(p.Base[i]) {
 		path = append(path, i)
@@ -219,8 +219,9 @@ func (p *DayPlan) Replay(app *DeltaApplier, at, i int, snap func(int) *Snapshot,
 	var s *Snapshot
 	var err error
 	if i < 0 {
-		s = snap(path[len(path)-1])
-		app, err = NewDeltaApplier(s)
+		if s, err = snap(path[len(path)-1]); err == nil {
+			app, err = NewDeltaApplier(s)
+		}
 		path = path[:len(path)-1]
 	}
 	for k := len(path) - 1; k >= 0 && err == nil; k-- {

@@ -10,7 +10,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"ixplight/internal/analysis"
 	"ixplight/internal/collector"
@@ -91,7 +90,6 @@ func (l *Lab) LoadSnapshotDir(dir string) error {
 func (l *Lab) Load(dir string, files []collector.File, prev *Lab) LoadReport {
 	ld := &loader{
 		dir:         dir,
-		id:          loads.Add(1),
 		files:       make([]loadedFile, 0, len(files)),
 		readers:     make([]*collector.DeltaReader, len(files)),
 		schemes:     make(map[string]*dictionary.Scheme, len(l.Profiles)),
@@ -118,7 +116,7 @@ func (l *Lab) Load(dir string, files []collector.File, prev *Lab) LoadReport {
 			}
 			if j < len(old.files) && old.files[j].File == f {
 				lf = old.files[j]
-				lf.carried = true
+				lf.carried, lf.made = true, false
 			}
 		}
 		if !lf.carried {
@@ -220,9 +218,6 @@ func (l *Lab) Load(dir string, files []collector.File, prev *Lab) LoadReport {
 	return rep
 }
 
-// loads numbers the loads, so a day knows which one made it.
-var loads atomic.Uint64
-
 // dataset is what a Load leaves on its lab for the next one to start
 // from, immutable once the Load returns: the file table and, per IXP,
 // its fold. It holds days, never a DeltaReader (which aliases a file).
@@ -264,18 +259,18 @@ func (l *Lab) digest(chains []*chain) (sum [sha256.Size]byte) {
 }
 
 // loadedFile is one file table entry: the IXP its header names, the
-// facts the plan reads (set once, by the load that opened the file, and
-// shared with the loads that carry it: what makes the file unusable
-// holds while its (name, size, mtime) does), the day the file made, if
-// any, why it does not open, and whether this load took it over from
-// the predecessor unchanged.
+// facts the plan reads (set by the load that opened the file and shared
+// with the loads that carry it, so never written after: fail copies
+// them), the day the file made, if any, why it does not open, whether
+// this load took the entry over from the predecessor and whether it
+// made the file's day.
 type loadedFile struct {
 	collector.File
-	delta, carried bool
-	ixp            string
-	facts          *collector.DayFile
-	day            *chainDay
-	bad            error
+	delta, carried, made bool
+	ixp                  string
+	facts                *collector.DayFile
+	day                  *chainDay
+	bad                  error
 }
 
 // ixpLoad is one IXP's share of a Load: its files as indexes into
@@ -328,23 +323,21 @@ func (c *chain) seal() {
 // chainDay is one day a fold produced: a header-only snapshot with the
 // index that produced it — counts-only until it is served — or, in the
 // Materialize reference, a routed snapshot counted by a walk of its
-// routes. A day its IXP does not serve is released to its counts, the
-// digest of the file it came from and the number of the Load that made
-// it.
+// routes. A day its IXP does not serve is released to its counts and
+// the digest of the file it came from.
 type chainDay struct {
 	snap   *collector.Snapshot
 	ix     *analysis.Index
 	counts analysis.DayCounts
 	file   [sha256.Size]byte
-	load   uint64
 }
 
-func indexedDay(ix *analysis.Index) *chainDay {
-	return &chainDay{snap: ix.Snapshot(), ix: ix, counts: ix.DayCounts()}
+func indexedDay(ix *analysis.Index, file [sha256.Size]byte) *chainDay {
+	return &chainDay{snap: ix.Snapshot(), ix: ix, counts: ix.DayCounts(), file: file}
 }
 
-func routedDay(s *collector.Snapshot) *chainDay {
-	return &chainDay{snap: s, counts: analysis.CountDay(s)}
+func routedDay(s *collector.Snapshot, file [sha256.Size]byte) *chainDay {
+	return &chainDay{snap: s, counts: analysis.CountDay(s), file: file}
 }
 
 // loader is one Load at work: schemes classifies the studied IXPs,
@@ -353,7 +346,6 @@ func routedDay(s *collector.Snapshot) *chainDay {
 // the task that opens it and read only by its IXP's fold.
 type loader struct {
 	dir         string
-	id          uint64
 	schemes     map[string]*dictionary.Scheme
 	materialize bool
 	files       []loadedFile
@@ -394,8 +386,7 @@ func listedName(err error, name string) error {
 // up to its header.
 func (ld *loader) decode(i int) {
 	f := &ld.files[i]
-	fresh := !f.carried
-	f.carried, f.day, f.bad = false, nil, nil
+	f.day, f.bad = nil, nil
 	sr, err := collector.OpenSnapshotAt(filepath.Join(ld.dir, f.Name))
 	if err != nil {
 		f.bad = listedName(err, f.Name)
@@ -403,39 +394,39 @@ func (ld *loader) decode(i int) {
 	}
 	defer sr.Close()
 	head := sr.Header()
-	if f.ixp = head.IXP; fresh {
-		f.facts.Date = head.Date
-	}
 	scheme := ld.schemes[head.IXP]
+	if f.ixp = head.IXP; !f.carried {
+		f.facts.Date = head.Date
+		if scheme != nil {
+			f.facts.Digest = sr.Digest()
+		}
+	}
 	switch {
 	case scheme == nil:
 	case ld.materialize:
 		var s *collector.Snapshot
 		if s, f.bad = sr.Snapshot(); f.bad == nil {
-			f.day = routedDay(s)
+			f.day, f.made = routedDay(s, f.facts.Digest), true
 		}
 	default:
 		var ix *analysis.Index
 		if ix, f.bad = analysis.IndexSeriesFromReader(sr, scheme); f.bad == nil {
-			f.day = indexedDay(ix)
+			f.day, f.made = indexedDay(ix, f.facts.Digest), true
 		}
-	}
-	if f.day != nil {
-		if fresh {
-			f.facts.Digest = sr.Digest()
-		}
-		ld.made(f)
 	}
 }
 
-// made stamps f's new day with its file digest and this load.
-func (ld *loader) made(f *loadedFile) { f.day.file, f.day.load = f.facts.Digest, ld.id }
-
 // usable reports whether f opened again; a file gone since the listing
-// is left out of the plans that follow.
-func (ld *loader) usable(f *loadedFile) bool {
-	f.facts.Err = cmp.Or(f.bad, f.facts.Err)
-	return f.bad == nil
+// fails.
+func (f *loadedFile) usable() bool { return f.bad == nil || f.fail(f.bad) }
+
+// fail leaves f out of the plans that follow, and of later loads' while
+// its (name, size, mtime) stays: err goes on a copy of its facts, which
+// the predecessor may share.
+func (f *loadedFile) fail(err error) bool {
+	facts := *f.facts
+	facts.Err, f.facts = err, &facts
+	return false
 }
 
 // applyChain plans and folds one IXP, touching only its own entries of
@@ -444,12 +435,12 @@ func (ld *loader) usable(f *loadedFile) bool {
 // why on the file and plans again without it.
 func (ld *loader) applyChain(x *ixpLoad) {
 	facts := make([]*collector.DayFile, len(x.files))
-	for j, i := range x.files {
-		facts[j] = ld.files[i].facts
-	}
 	x.rebuilt = x.prev == nil || ld.materialize ||
 		slices.ContainsFunc(x.files, func(i int) bool { return !ld.files[i].delta && !ld.files[i].carried })
 	for {
+		for j, i := range x.files {
+			facts[j] = ld.files[i].facts
+		}
 		if x.plan = collector.Plan(facts); ld.materialize && ld.foldRoutes(x) || !ld.materialize && ld.fold(x) {
 			break
 		}
@@ -459,9 +450,9 @@ func (ld *loader) applyChain(x *ixpLoad) {
 	c := &chain{ixp: x.ixp, files: len(x.files), days: make([]*chainDay, len(p.Served)), counts: make([]analysis.DayCounts, len(p.Served))}
 	made := 0
 	for k, j := range p.Served {
-		d := ld.files[x.files[j]].day
-		c.days[k], c.counts[k] = d, d.counts
-		if d.load == ld.id {
+		f := &ld.files[x.files[j]]
+		c.days[k], c.counts[k] = f.day, f.day.counts
+		if f.made {
 			made++
 		}
 	}
@@ -522,7 +513,7 @@ func (ld *loader) make(x *ixpLoad, j int32) bool {
 		ld.decode(i)
 		x.work.Decoded++
 		x.rebuilt = true
-		return ld.usable(f)
+		return f.usable()
 	}
 	b := x.plan.Base[j]
 	base := ld.state(x, b)
@@ -532,7 +523,7 @@ func (ld *loader) make(x *ixpLoad, j int32) bool {
 	if ld.readers[i] == nil {
 		// Carried from the predecessor, which kept no reader.
 		x.work.Opened++
-		if ld.open(i); !ld.usable(f) {
+		if ld.open(i); !f.usable() {
 			return false
 		}
 	}
@@ -545,13 +536,11 @@ func (ld *loader) make(x *ixpLoad, j int32) bool {
 	if err != nil {
 		// A failed Advance may leave the chain state half-applied, so the
 		// base's day is made again if it is needed.
-		f.facts.Err = err
 		ld.files[x.files[b]].day = nil
-		return false
+		return f.fail(err)
 	}
 	x.work.Advances++
-	f.day = indexedDay(ix)
-	ld.made(f)
+	f.day, f.made = indexedDay(ix, f.facts.Digest), true
 	return true
 }
 
@@ -586,11 +575,11 @@ func (ld *loader) foldRoutes(x *ixpLoad) bool {
 			x.work.Opened++
 			ld.open(i)
 		}
-		if !ld.usable(f) {
+		if !f.usable() {
 			return false
 		}
 	}
-	snap := func(j int) *collector.Snapshot { return ld.files[x.files[j]].day.snap }
+	snap := func(j int) (*collector.Snapshot, error) { return ld.files[x.files[j]].day.snap, nil }
 	reader := func(j int) *collector.DeltaReader { return ld.readers[x.files[j]] }
 	var app *collector.DeltaApplier
 	at := -1
@@ -602,12 +591,10 @@ func (ld *loader) foldRoutes(x *ixpLoad) bool {
 		var s *collector.Snapshot
 		var err error
 		if app, s, err = p.Replay(app, at, int(j), snap, reader); err != nil {
-			f.facts.Err = err
-			return false
+			return f.fail(err)
 		}
 		x.work.Advances++
-		f.day = routedDay(s)
-		ld.made(f)
+		f.day, f.made = routedDay(s, f.facts.Digest), true
 		at = int(j)
 	}
 	return true
@@ -620,13 +607,13 @@ func (ld *loader) foldRoutes(x *ixpLoad) bool {
 // delta extends it (Index.Detach).
 func (ld *loader) release(x *ixpLoad, c *chain) {
 	served := c.newest()
-	if tip := &ld.files[x.files[x.plan.Tip()]]; served.ix.OwnsChain() && !tip.delta && !tip.carried &&
+	if tip := &ld.files[x.files[x.plan.Tip()]]; served.ix.OwnsChain() && !tip.delta && tip.made &&
 		!slices.ContainsFunc(x.files, func(i int) bool { return ld.files[i].delta && ld.files[i].facts.Base == tip.facts.Digest }) {
 		_ = served.ix.Detach()
 	}
 	if x.prev != nil && len(x.prev.days) > 0 && x.prev.newest() != served {
 		d := x.prev.newest()
-		cp := &chainDay{counts: d.counts, file: d.file, load: d.load}
+		cp := &chainDay{counts: d.counts, file: d.file}
 		if k := slices.Index(c.days, d); k >= 0 {
 			c.days[k] = cp
 		}
