@@ -91,7 +91,7 @@ func Append(dir string, s *Snapshot, logf func(string, ...any)) (string, error) 
 	chain, path, at := Chain{Dir: dir}, "", -1
 	for {
 		from := p.Tip()
-		switch at = p.ServedAt(s.Date); {
+		switch path, at = "", p.ServedAt(s.Date); {
 		case at >= 0 && p.Files[at].Delta:
 			path, from = filepath.Join(dir, p.Files[at].Name), int(p.Base[at])
 		case at >= 0:
@@ -112,11 +112,6 @@ func Append(dir string, s *Snapshot, logf func(string, ...any)) (string, error) 
 			path = ""
 		}
 		break
-	}
-	for i, f := range p.Files {
-		if err := p.Err(i); err != nil {
-			logf("skipping %s: %v", f.Name, err)
-		}
 	}
 
 	// The days folded onto the one s replaces — the run of the fold after
@@ -141,7 +136,11 @@ func Append(dir string, s *Snapshot, logf func(string, ...any)) (string, error) 
 		}
 	}
 	for i, f := range p.Files {
-		if f.Date == s.Date && (i != at && p.Err(i) != nil || i == at && path == "") {
+		err := p.Err(i)
+		if err != nil {
+			logf("skipping %s: %v", f.Name, err)
+		}
+		if f.Date == s.Date && (i != at && err != nil || i == at && path == "") {
 			aside := freePath(filepath.Join(dir, f.Name+".replaced"), "")
 			logf("setting %s aside as %s: day %s is crawled again", f.Name, filepath.Base(aside), s.Date)
 			if err := os.Rename(filepath.Join(dir, f.Name), aside); err != nil {
