@@ -203,6 +203,36 @@ func TestCollectStartsAChainWhenItsOwnDoesNotReplay(t *testing.T) {
 	serves(t, dir, "DE-CIX", next.Date, 3)
 }
 
+// TestCollectReplacesADayOnACutBase: the chain head's route block is
+// cut short (its header still reads), so 2021-10-05's delta no longer
+// has a base: it names the whole file's digest. Collecting 2021-10-05
+// again replays no chain, sets the old delta aside and writes the day as
+// a .bin under its own name, which the loader serves next to the cut
+// head it skips.
+func TestCollectReplacesADayOnACutBase(t *testing.T) {
+	dir := t.TempDir()
+	paths := appendDays(t, dir,
+		testDay("DE-CIX", "2021-10-04", "203.0.113.0/24"),
+		testDay("DE-CIX", "2021-10-05", "203.0.113.0/24", "198.51.100.0/24"))
+	whole, err := os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(paths[0], whole[:len(whole)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	again := testDay("DE-CIX", "2021-10-05", "192.0.2.0/24")
+	if got := appendDays(t, dir, again)[0]; got != strings.TrimSuffix(paths[1], collector.DeltaExt)+".bin" {
+		t.Errorf("wrote %s, want the day as a .bin under its own name", got)
+	}
+	if _, err := os.Stat(paths[1] + ".replaced"); err != nil {
+		t.Errorf("the old delta is not set aside: %v", err)
+	}
+	if rep := serves(t, dir, "DE-CIX", again.Date, 1); len(rep.Skipped) != 1 || rep.Skipped[0].File != filepath.Base(paths[0]) {
+		t.Errorf("skipped %v, want the cut head alone", rep.Skipped)
+	}
+}
+
 // servedSeries loads dir as the loader does and returns DE-CIX's
 // served day and its series.
 func servedSeries(t *testing.T, dir string) (*collector.Snapshot, []analysis.DayCounts) {

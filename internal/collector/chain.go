@@ -6,7 +6,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"slices"
 	"strconv"
 	"strings"
 )
@@ -67,14 +66,17 @@ func (c *Chain) saveAt(s *Snapshot, path string) (string, error) {
 //     its own.
 //   - A day a file serves is replaced over that file: a .delta against
 //     the same base when that base replays, a .bin otherwise. Every day
-//     the plan folds onto the old day is encoded again onto the new one,
-//     over its own file, so the chain still loads; a crash partway
-//     leaves those days unchained.
-//   - The day's other files that the plan leaves out (a second crawl
-//     the served file shadows, say), and the old day's file when the new
-//     one does not go over it, are set aside: renamed with a .replaced
-//     suffix, which no listing holds, so none of them can serve the day
-//     in the new crawl's place.
+//     the plan folds onto a file of that date (the old day, or another
+//     crawl of it a served day was encoded against) is encoded again
+//     onto the new one, over its own file, so the chain still loads; a
+//     crash partway leaves those days unchained.
+//   - The date's other files are then set aside — renamed with a
+//     .replaced suffix, which no listing holds — so none of them can
+//     serve the day in the new crawl's place: every one when all the
+//     days folded onto them replayed, else those the plan leaves out (a
+//     second crawl the served file shadows, say), but never one the new
+//     day's own chain stands on; and the old day's file when the new one
+//     does not go over it.
 //
 // A new file never goes over another one: when a file (renamed by hand,
 // say) holds DatasetPath's name, the day is written as <name>.2.<ext>,
@@ -114,33 +116,32 @@ func Append(dir string, s *Snapshot, logf func(string, ...any)) (string, error) 
 		break
 	}
 
-	// The days folded onto the one s replaces — the run of the fold after
-	// it that descends from it — read as they were, to be written again
-	// onto their bases as they will stand.
+	// The days the plan folds onto a file of s's date — the one s
+	// replaces, or another that a served day needs — read as they were,
+	// in fold order, to be written again onto the new day. When all of
+	// them replay, no other file of the date is needed any more.
 	var sub []int32
 	var days []*Snapshot
 	var app *DeltaApplier
-	if at >= 0 {
-		sub = p.Order[slices.Index(p.Order, int32(at))+1:]
-		appAt := -1
-		for _, c := range sub {
-			if !p.descends(c, int32(at)) {
-				break
-			}
-			var day *Snapshot
-			if app, day, err = p.Replay(app, appAt, int(c), cf.snap, cf.reader); err != nil {
-				logf("%s does not replay (%v): left as it is", p.Files[c].Name, err)
-				break
-			}
-			days, appAt = append(days, day), int(c)
+	appAt, whole := -1, true
+	for _, c := range p.Order {
+		if at < 0 || p.Files[c].Date == s.Date || p.descends(int32(at), c) || !p.onDate(c, s.Date) {
+			continue
 		}
+		var day *Snapshot
+		if app, day, err = p.Replay(app, appAt, int(c), cf.snap, cf.reader); err != nil {
+			logf("%s does not replay (%v): left as it is", p.Files[c].Name, err)
+			whole = false
+			continue
+		}
+		sub, days, appAt = append(sub, c), append(days, day), int(c)
 	}
 	for i, f := range p.Files {
 		err := p.Err(i)
 		if err != nil {
 			logf("skipping %s: %v", f.Name, err)
 		}
-		if f.Date == s.Date && (i != at && err != nil || i == at && path == "") {
+		if f.Date == s.Date && (i != at && (err != nil || whole) && !p.descends(int32(at), int32(i)) || i == at && path == "") {
 			aside := freePath(filepath.Join(dir, f.Name+".replaced"), "")
 			logf("setting %s aside as %s: day %s is crawled again", f.Name, filepath.Base(aside), s.Date)
 			if err := os.Rename(filepath.Join(dir, f.Name), aside); err != nil {
@@ -163,8 +164,13 @@ func Append(dir string, s *Snapshot, logf func(string, ...any)) (string, error) 
 		p.Base[at] = -1 // the day heads a chain of its own now
 	}
 	err = cf.landed(at, out, s)
+	for _, c := range sub {
+		if p.Files[p.Base[c]].Date == s.Date {
+			p.Base[c] = int32(at)
+		}
+	}
 	encAt := int32(at)
-	for k, c := range sub[:len(days)] {
+	for k, c := range sub {
 		if b := p.Base[c]; err == nil && b != encAt {
 			if app, _, err = p.Replay(nil, -1, int(b), cf.snap, cf.reader); err == nil {
 				chain.tip = app.Encoder()
@@ -276,9 +282,20 @@ func freePath(path, ext string) string {
 	}
 }
 
-// descends reports whether planned file i is folded onto file a.
+// descends reports whether planned file i is folded onto file a; no
+// file descends from -1, and -1 from none.
 func (p *DayPlan) descends(i, a int32) bool {
-	for i = p.Base[i]; i >= 0 && i != a; i = p.Base[i] {
+	for i >= 0 {
+		if i = p.Base[i]; i == a {
+			return i >= 0
+		}
 	}
-	return i == a
+	return false
+}
+
+// onDate reports whether planned file i is folded onto a file of date.
+func (p *DayPlan) onDate(i int32, date string) bool {
+	for i = p.Base[i]; i >= 0 && p.Files[i].Date != date; i = p.Base[i] {
+	}
+	return i >= 0
 }
