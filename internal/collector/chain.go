@@ -72,11 +72,10 @@ func (c *Chain) saveAt(s *Snapshot, path string) (string, error) {
 //     crash partway leaves those days unchained.
 //   - The date's other files are then set aside — renamed with a
 //     .replaced suffix, which no listing holds — so none of them can
-//     serve the day in the new crawl's place: every one when all the
-//     days folded onto them replayed, else those the plan leaves out (a
-//     second crawl the served file shadows, say), but never one the new
-//     day's own chain stands on; and the old day's file when the new one
-//     does not go over it.
+//     serve the day in the new crawl's place: every one but those the
+//     new day's own chain stands on, and the old day's file when the new
+//     one does not go over it. A day folded onto one of them that does
+//     not replay could not be served either.
 //
 // A new file never goes over another one: when a file (renamed by hand,
 // say) holds DatasetPath's name, the day is written as <name>.2.<ext>,
@@ -118,12 +117,12 @@ func Append(dir string, s *Snapshot, logf func(string, ...any)) (string, error) 
 
 	// The days the plan folds onto a file of s's date — the one s
 	// replaces, or another that a served day needs — read as they were,
-	// in fold order, to be written again onto the new day. When all of
-	// them replay, no other file of the date is needed any more.
+	// in fold order, to be written again onto the new day; then no other
+	// file of the date is needed.
 	var sub []int32
 	var days []*Snapshot
 	var app *DeltaApplier
-	appAt, whole := -1, true
+	appAt := -1
 	for _, c := range p.Order {
 		if at < 0 || p.Files[c].Date == s.Date || p.descends(int32(at), c) || !p.onDate(c, s.Date) {
 			continue
@@ -131,7 +130,6 @@ func Append(dir string, s *Snapshot, logf func(string, ...any)) (string, error) 
 		var day *Snapshot
 		if app, day, err = p.Replay(app, appAt, int(c), cf.snap, cf.reader); err != nil {
 			logf("%s does not replay (%v): left as it is", p.Files[c].Name, err)
-			whole = false
 			continue
 		}
 		sub, days, appAt = append(sub, c), append(days, day), int(c)
@@ -141,7 +139,7 @@ func Append(dir string, s *Snapshot, logf func(string, ...any)) (string, error) 
 		if err != nil {
 			logf("skipping %s: %v", f.Name, err)
 		}
-		if f.Date == s.Date && (i != at && (err != nil || whole) && !p.descends(int32(at), int32(i)) || i == at && path == "") {
+		if f.Date == s.Date && (i != at && !p.descends(int32(at), int32(i)) || i == at && path == "") {
 			aside := freePath(filepath.Join(dir, f.Name+".replaced"), "")
 			logf("setting %s aside as %s: day %s is crawled again", f.Name, filepath.Base(aside), s.Date)
 			if err := os.Rename(filepath.Join(dir, f.Name), aside); err != nil {
